@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-matrix fmt lint bench doc docs examples bench-track bench-scaling service-smoke ingest-smoke clean
+.PHONY: ci build test test-matrix fmt lint bench doc docs examples bench-track bench-scaling service-smoke ingest-smoke benchmark-check clean
 
-ci: build test test-matrix fmt lint bench docs examples bench-track bench-scaling service-smoke ingest-smoke
+ci: build test test-matrix fmt lint bench docs examples bench-track bench-scaling service-smoke ingest-smoke benchmark-check
 
 build:
 	$(CARGO) build --release --workspace --all-targets
@@ -80,6 +80,21 @@ service-smoke:
 # throughput shifts with runner generations).
 ingest-smoke:
 	$(CARGO) run --release -p fmig-bench --bin repro -- ingest-smoke --bench BENCH_sweep.json
+
+# The benchmark package (benchmark/, see BENCHMARK.json) is a workspace
+# of its own, so no other target compiles it: build it, run its tests,
+# and drive one short run per pinned engine (closed-mixed pins
+# HierarchySimulator, svc-loopback the live service, open-small
+# MssSimulator). Each run prints one JSON line last; `"failed": 0`
+# there means every output matched its pin.
+BENCHMARK = $(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
+benchmark-check:
+	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
+	set -e; for w in closed-mixed svc-loopback open-small; do \
+		echo "== benchmark $$w =="; \
+		$(BENCHMARK) --workload $$w --seed 1993 --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed": *0[,}]'; \
+	done
 
 clean:
 	$(CARGO) clean

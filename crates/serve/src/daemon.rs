@@ -50,13 +50,9 @@ use fmig_trace::{DeviceClass, FileId};
 use crate::backoff::RetryPolicy;
 use crate::breaker::{should_shed, CircuitBreaker};
 use crate::protocol::{
-    Frame, ProtoError, RejectReason, ServedKind, ServiceStats, NO_DEADLINE, NO_NEXT_USE,
-    PROTO_VERSION,
+    Frame, ProtoError, RejectReason, ServedKind, ServiceStats, DRAIN_HORIZON_VMS, NO_DEADLINE,
+    NO_NEXT_USE, PROTO_VERSION,
 };
-
-/// Virtual time far past any trace: advancing here drains everything,
-/// the split-engine equivalent of the simulator's final queue drain.
-const DRAIN_HORIZON_VMS: SimMs = SimMs::MAX / 4;
 
 /// Daemon configuration. [`DaemonConfig::compat`] is the
 /// simulator-oracle mode the smoke test runs; the public fields let a

@@ -7,11 +7,11 @@
 //!   miss as a recall against the origin. Its robustness core wraps each
 //!   recall in a deadline, a jittered-exponential-backoff retry budget
 //!   ([`backoff`]), and an origin circuit breaker ([`breaker`]).
-//! * **`fmig-origin`** ([`origin`], [`tape`]) — the "tape" server. It
-//!   replays the tape half of the device model (drives, robot arms,
-//!   operators, seeks, cartridge appends, unloads) with the same
-//!   per-tier latency distributions the simulator uses, and its chaos
-//!   mode materializes a `FaultScenarioId` into live outages, media read
+//! * **`fmig-origin`** ([`origin`]) — the "tape" server. It hosts
+//!   [`fmig_sim::tape::TapeHalf`], the one tape-half state machine the
+//!   simulators run (drives, robot arms, operators, seeks, cartridge
+//!   appends, unloads), behind a socket, and its chaos mode
+//!   materializes a `FaultScenarioId` into live outages, media read
 //!   errors, and slow-drive windows.
 //! * **`fmig-loadgen`** ([`loadgen`]) — replays a prepared trace at a
 //!   configurable rate from N concurrent connections and reports a wait
@@ -41,6 +41,5 @@ pub mod loadgen;
 pub mod origin;
 pub mod protocol;
 pub mod smoke;
-pub mod tape;
 
 pub use protocol::{Frame, ProtoError, ServiceStats, PROTO_VERSION};

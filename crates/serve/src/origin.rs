@@ -1,12 +1,17 @@
 //! `fmig-origin`: the "tape" server.
 //!
-//! Serves one daemon session over TCP. The daemon drives virtual time
-//! with [`Frame::Advance`] watermarks; between watermarks the origin
-//! sits idle, so the tape physics in [`crate::tape`] runs exactly as far
-//! as the daemon has observed its own clock. Chaos mode is a
-//! [`FaultScenarioId`] materialized into the same outage / read-error /
-//! slow-drive schedule the simulator would use for the handshake's seed
-//! and span — live chaos injection that stays oracle-comparable.
+//! Serves one daemon session over TCP as a host of
+//! [`fmig_sim::tape::TapeHalf`] — the single statement of the tape
+//! physics, the same code the simulators run. This host keeps the
+//! half's events in a queue of its own and drains it only as far as the
+//! daemon's [`Frame::Advance`] watermarks allow, so the tape physics
+//! runs exactly as far as the daemon has observed its own clock; stage
+//! noise is the keyed draws of [`fmig_sim::noise`], a pure function of
+//! (seed, job identity, stage); completions become frames on the
+//! socket. Chaos mode is a [`FaultScenarioId`] materialized into the
+//! same outage / read-error / slow-drive schedule the simulator would
+//! use for the handshake's seed and span — live chaos injection that
+//! stays oracle-comparable.
 //!
 //! Protocol (daemon → origin): `OriginHello`, then any interleaving of
 //! `Recall` / `Flush` enqueues and `Advance` watermarks; `Drain` asks
@@ -16,55 +21,121 @@
 //! emitted only between an `Advance` and its `AdvanceDone`, except that
 //! `RecallFailed` is a blocking round-trip: the origin waits for the
 //! daemon's `RecallRetry` / `RecallAbandon` verdict before the engine
-//! proceeds.
+//! proceeds — the daemon owns the backoff policy and the retry budget,
+//! the origin owns the physics.
+//!
+//! Every wire-supplied tier and time is checked where it enters: a
+//! `Disk` tier, or a time outside `0..=`[`DRAIN_HORIZON_VMS`], ends the
+//! session with an error instead of reaching the engine.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
 use fmig_core::FaultScenarioId;
 use fmig_sim::config::SimConfig;
+use fmig_sim::event::{EventQueue, SimMs, MS};
 use fmig_sim::fault::FaultSchedule;
+use fmig_sim::noise::Noise;
+use fmig_sim::tape::{RetryVerdict, TapeCounters, TapeEv, TapeHalf, TapeHost, Tier};
+use fmig_trace::DeviceClass;
 
-use crate::protocol::{Frame, ProtoError, PROTO_VERSION};
-use crate::tape::{OriginLink, RetryVerdict, TapeDes};
+use crate::protocol::{Frame, ProtoError, DRAIN_HORIZON_VMS, NO_DEADLINE, PROTO_VERSION};
 
-/// The engine's frame channel over the daemon connection. Emitted
+/// The tape half's host for one daemon session: its event queue, its
+/// keyed noise, and the connection completions are framed onto. Emitted
 /// frames ride the write buffer until the enclosing advance (or a
 /// blocking failure round-trip) flushes them.
-struct TcpLink<'a> {
-    reader: &'a mut BufReader<TcpStream>,
-    writer: &'a mut BufWriter<TcpStream>,
+struct Session {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+    queue: EventQueue<TapeEv>,
+    noise: Noise,
 }
 
-impl OriginLink for TcpLink<'_> {
-    fn emit(&mut self, frame: Frame) -> Result<(), ProtoError> {
-        frame.write_to(self.writer)
+impl Session {
+    fn send(&mut self, frame: Frame) -> Result<(), ProtoError> {
+        frame.write_to(&mut self.writer)?;
+        Ok(self.writer.flush()?)
+    }
+}
+
+impl TapeHost for Session {
+    type Error = ProtoError;
+
+    fn schedule(&mut self, at: SimMs, ev: TapeEv) {
+        self.queue.push(at, ev);
+    }
+
+    fn noise(&mut self) -> &mut Noise {
+        &mut self.noise
+    }
+
+    fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
+        Frame::RecallFirstByte { job, fb_vms: at }.write_to(&mut self.writer)
+    }
+
+    fn done(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
+        Frame::RecallDone { job, done_vms: at }.write_to(&mut self.writer)
+    }
+
+    fn flush_done(&mut self, job: u64, at: SimMs, bytes: u64) -> Result<(), ProtoError> {
+        Frame::FlushDone {
+            job,
+            done_vms: at,
+            bytes,
+        }
+        .write_to(&mut self.writer)
     }
 
     fn failed(
         &mut self,
         job: u64,
         attempts: u32,
-        failed_vms: i64,
-        drive_free_vms: i64,
+        failed_ms: SimMs,
+        drive_free_ms: SimMs,
     ) -> Result<RetryVerdict, ProtoError> {
-        Frame::RecallFailed {
+        self.send(Frame::RecallFailed {
             job,
             attempt: attempts,
-            failed_vms,
-            drive_free_vms,
-        }
-        .write_to(self.writer)?;
-        self.writer.flush()?;
-        match Frame::read_from(self.reader)? {
-            Frame::RecallRetry { job: j, rejoin_vms } if j == job => {
-                Ok(RetryVerdict::Retry { rejoin_vms })
-            }
+            failed_vms: failed_ms,
+            drive_free_vms: drive_free_ms,
+        })?;
+        match Frame::read_from(&mut self.reader)? {
+            Frame::RecallRetry { job: j, rejoin_vms } if j == job => Ok(RetryVerdict::Retry {
+                rejoin_ms: rejoin_vms,
+            }),
             Frame::RecallAbandon { job: j } if j == job => Ok(RetryVerdict::Abandon),
             other => Err(ProtoError::Io(format!(
                 "expected retry verdict for job {job}, got {other:?}"
             ))),
         }
+    }
+}
+
+/// The drain-report frame for the half's counters.
+fn drain_frame(c: TapeCounters) -> Frame {
+    Frame::OriginDrainDone {
+        outage_events: c.outage_events,
+        outage_wait_vms: (c.outage_wait_s * MS as f64) as i64,
+        slow_transfers: c.slow_transfers,
+        flushed_bytes: c.flushed_bytes,
+        recalls_completed: c.recalls_completed,
+        read_failures: c.read_failures,
+    }
+}
+
+/// A wire-supplied tape tier; disk jobs never reach the origin.
+fn checked_tier(tier: DeviceClass) -> Result<Tier, String> {
+    Tier::of(tier).ok_or_else(|| format!("tier {tier:?} is not a tape tier"))
+}
+
+/// A wire-supplied virtual time, bounded so no stage delay added to it
+/// can overflow.
+fn checked_vms(what: &str, vms: SimMs) -> Result<SimMs, String> {
+    if (0..=DRAIN_HORIZON_VMS).contains(&vms) {
+        Ok(vms)
+    } else {
+        Err(format!("{what} {vms} outside 0..={DRAIN_HORIZON_VMS}"))
     }
 }
 
@@ -110,10 +181,17 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
 
     let cfg = SimConfig::default().with_seed(seed);
     let schedule = FaultSchedule::materialize(&scenario.plan(), seed, span.0, span.1);
-    let mut des = TapeDes::new(cfg, schedule);
+    let mut tape = TapeHalf::new(&cfg, schedule);
+    let mut session = Session {
+        reader,
+        writer,
+        queue: EventQueue::new(),
+        noise: Noise::Keyed(seed),
+    };
+    tape.schedule_outages(&mut session);
 
     loop {
-        let frame = match Frame::read_from(&mut reader) {
+        let frame = match Frame::read_from(&mut session.reader) {
             Ok(f) => f,
             // The daemon closing the socket is an orderly end.
             Err(ProtoError::Io(_)) | Err(ProtoError::Truncated) => return Ok(()),
@@ -128,7 +206,11 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
                 tier,
                 enter_vms,
                 deadline_vms,
-            } => des.enqueue_recall(job, seq, size, tier, enter_vms, deadline_vms),
+            } => {
+                let deadline = (deadline_vms != NO_DEADLINE).then_some(deadline_vms);
+                let j = tape.recall(job, seq, size, checked_tier(tier)?, deadline);
+                session.schedule(checked_vms("enter_vms", enter_vms)?, TapeEv::Join(j));
+            }
             Frame::Flush {
                 job,
                 file: _,
@@ -136,26 +218,23 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
                 size,
                 tier,
                 ready_vms,
-            } => des.enqueue_flush(job, seq, size, tier, ready_vms),
+            } => {
+                let j = tape.flush(job, seq, size, checked_tier(tier)?);
+                session.schedule(checked_vms("ready_vms", ready_vms)?, TapeEv::Join(j));
+            }
             Frame::Advance { until_vms } => {
-                let mut link = TcpLink {
-                    reader: &mut reader,
-                    writer: &mut writer,
-                };
-                des.advance(until_vms, &mut link)
-                    .map_err(|e| format!("advance to {until_vms}: {e}"))?;
-                Frame::AdvanceDone { now_vms: until_vms }
-                    .write_to(&mut writer)
-                    .and_then(|()| writer.flush().map_err(ProtoError::from))
+                let until = checked_vms("until_vms", until_vms)?;
+                while let Some((now, ev)) = session.queue.pop_due(until) {
+                    tape.handle(now, ev, &mut session)
+                        .map_err(|e| format!("advance to {until}: {e}"))?;
+                }
+                session
+                    .send(Frame::AdvanceDone { now_vms: until })
                     .map_err(|e| format!("advance ack: {e}"))?;
             }
-            Frame::Drain => {
-                des.counters()
-                    .drain_frame()
-                    .write_to(&mut writer)
-                    .and_then(|()| writer.flush().map_err(ProtoError::from))
-                    .map_err(|e| format!("drain report: {e}"))?;
-            }
+            Frame::Drain => session
+                .send(drain_frame(tape.counters()))
+                .map_err(|e| format!("drain report: {e}"))?,
             Frame::Shutdown => return Ok(()),
             other => return Err(format!("unexpected frame from daemon: {other:?}")),
         }

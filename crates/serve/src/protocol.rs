@@ -42,6 +42,12 @@ pub const NO_NEXT_USE: i64 = i64::MIN;
 /// Sentinel deadline meaning "no deadline" (simulator-compat mode).
 pub const NO_DEADLINE: i64 = i64::MAX;
 
+/// Virtual time far past any trace: advancing here drains everything,
+/// the split-engine equivalent of the simulator's final queue drain.
+/// Also the origin's bound on every wire-supplied time, which keeps
+/// `time + stage delay` far from overflow.
+pub const DRAIN_HORIZON_VMS: i64 = i64::MAX / 4;
+
 /// Decode failure; the connection that produced it is poisoned and
 /// should be dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]

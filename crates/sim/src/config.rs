@@ -10,6 +10,7 @@
 //! * both disks and tape drives stream at a ~3 MB/s peak but ~2 MB/s
 //!   observed (§5.1.1).
 
+use fmig_trace::DeviceClass;
 use serde::{Deserialize, Serialize};
 
 /// All tunables of the MSS simulator.
@@ -141,6 +142,15 @@ impl SimConfig {
     /// one RNG stream.
     pub fn with_seed(self, seed: u64) -> Self {
         SimConfig { seed, ..self }
+    }
+
+    /// The observed streaming rate of `device`, bytes/second.
+    pub fn rate_of(&self, device: DeviceClass) -> f64 {
+        match device {
+            DeviceClass::Disk => self.disk_rate,
+            DeviceClass::TapeSilo => self.silo_rate,
+            DeviceClass::TapeManual => self.manual_rate,
+        }
     }
 
     /// The same hardware with [`Self::counter_noise`] switched: keyed

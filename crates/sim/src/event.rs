@@ -62,6 +62,16 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse((t, _, slot))| (t, slot.0))
     }
 
+    /// Removes and returns the earliest event if it is due at or before
+    /// `until`.
+    pub fn pop_due(&mut self, until: SimMs) -> Option<(SimMs, E)> {
+        if self.peek_time()? <= until {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimMs> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)

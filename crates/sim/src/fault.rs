@@ -31,6 +31,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{SimMs, MS};
+use crate::tape::Tier;
 
 /// How long after the last arrival materialized fault windows may still
 /// begin: the queues keep draining past the final reference, and an
@@ -56,9 +57,14 @@ impl FaultTarget {
     /// The tape tier whose jobs queue behind this resource — used to
     /// attribute queue wait to outages.
     pub fn tier(self) -> DeviceClass {
+        self.tape_tier().device()
+    }
+
+    /// [`Self::tier`] as the tape half's own type.
+    pub(crate) fn tape_tier(self) -> Tier {
         match self {
-            FaultTarget::SiloDrive | FaultTarget::RobotArm => DeviceClass::TapeSilo,
-            FaultTarget::ManualDrive | FaultTarget::Operator => DeviceClass::TapeManual,
+            FaultTarget::SiloDrive | FaultTarget::RobotArm => Tier::Silo,
+            FaultTarget::ManualDrive | FaultTarget::Operator => Tier::Manual,
         }
     }
 }

@@ -13,9 +13,11 @@
 //! * a [`DiskCache`] driven by any [`MigrationPolicy`] classifies every
 //!   reference — hits are served at disk latency through the
 //!   spindle/mover path;
-//! * misses enqueue a **tape recall** through the existing drive /
-//!   robot-or-operator / seek / tape-mover model, and the requester's
-//!   first byte is the recall's first byte (cut-through staging);
+//! * misses enqueue a **tape recall** into [`crate::tape`] — the single
+//!   statement of the drive / robot-or-operator / seek / tape-mover
+//!   physics, which this engine hosts with its events merged into the
+//!   disk half's queue — and the requester's first byte is the recall's
+//!   first byte (cut-through staging);
 //! * references to a file whose recall is still outstanding **coalesce**
 //!   onto it (*delayed hits*, after the Atre et al. "Caching with
 //!   Delayed Hits" observation): exactly one recall is issued and no
@@ -45,9 +47,12 @@
 //!
 //! # Determinism
 //!
-//! One thread, one seeded RNG, an insertion-stable event queue, and the
+//! One thread, one seeded [`Noise`] sampler both halves draw through,
+//! one insertion-stable event queue both halves push into, and the
 //! cache's total eviction order: equal seeds replay identically, which
 //! is what lets sweep reports stay byte-identical at any worker count.
+
+use std::convert::Infallible;
 
 use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
 use fmig_migrate::eval::{
@@ -57,15 +62,16 @@ use fmig_migrate::feedback::LatencyFeedback;
 use fmig_migrate::policy::MigrationPolicy;
 use fmig_trace::{DeviceClass, FileId};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 use crate::event::{EventQueue, SimMs, MS};
-use crate::fault::{FaultPlan, FaultSchedule, FaultTarget};
+use crate::fault::{FaultPlan, FaultSchedule};
 use crate::metrics::{LatencyHistogram, Utilisation};
+use crate::noise::{self, Noise};
 use crate::pool::Pool;
-use crate::sim::standard_normal;
+use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost, Tier};
 
 pub use crate::fault::FAULT_HORIZON_SLACK_MS;
 
@@ -330,73 +336,20 @@ impl HierarchySimulator {
     }
 }
 
-/// Events of the closed-loop engine. `usize` payloads are indices into
-/// the engine's job table except for `Dispatch`, which names a
-/// reference, and `OutageStart`, which names a fault-schedule window.
+/// Events of the closed-loop engine: the disk half's own, plus the
+/// tape half's riding the same queue so both keep one push sequence.
 #[derive(Debug, Clone, Copy)]
 enum HEv {
-    /// MSCP overhead elapsed for a foreground reference.
+    /// MSCP overhead elapsed for foreground reference `r`.
     Dispatch(usize),
-    /// A flush job's write-behind batching delay elapsed; join the tape
-    /// drive queue.
-    FlushReady(usize),
-    /// Media mount finished.
-    MountDone(usize),
-    /// Tape positioned at the data (or at start-of-tape for appends).
-    SeekDone(usize),
-    /// Data transfer finished.
-    TransferDone(usize),
-    /// Tape drive finished unloading.
-    DriveFree(usize),
-    /// A fault-schedule outage window opens: park one unit of its pool.
-    OutageStart(usize),
-    /// An outage hold's repair finished: return the parked unit.
-    OutageEnd(usize),
-    /// A failed recall's retry backoff elapsed; rejoin the drive queue.
-    RetryReady(usize),
+    /// Reference `r`'s disk transfer finished.
+    DiskDone(usize),
+    /// A tape-half event.
+    Tape(TapeEv),
 }
 
-/// A unit of device work: foreground disk service, a tape recall, a
-/// background tape flush, or a fault-injection hold parking a unit.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    kind: JobKind,
-    /// Device the job runs on: `Disk` for foreground service, else the
-    /// tape tier.
-    device: DeviceClass,
-    write: bool,
-    size: u64,
-    spindle: usize,
-    /// When the job entered its device queue (flush contention and
-    /// outage-attribution metrics).
-    queued_ms: SimMs,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
-    /// Foreground disk service for reference `r` (hit or write).
-    Disk { r: usize },
-    /// Tape recall for `file`, issued by reference `r`.
-    Recall {
-        file: FileId,
-        r: usize,
-        /// Recall sequence number (the fault schedule's read-error
-        /// counter).
-        seq: u64,
-        /// Failed attempts so far; bounded by the plan's retry budget.
-        attempt: u32,
-        /// This attempt was chosen to fail at its first byte; set at
-        /// transfer start, consumed and cleared at transfer end.
-        failing: bool,
-    },
-    /// Background tape flush; `gated` is the reference stalled on it,
-    /// `seq` the flush's spawn-order sequence number (the identity its
-    /// counter-noise timing draws are keyed by).
-    Flush { gated: Option<usize>, seq: u64 },
-    /// Fault injection: hold one unit of `target`'s pool until `end_ms`
-    /// (a failed drive, a robot under repair, an operator off shift).
-    OutageHold { target: FaultTarget, end_ms: SimMs },
-}
+/// The tape-job id of a flush no reference is stalled on.
+const UNGATED: u64 = u64::MAX;
 
 /// Per-reference progress state.
 #[derive(Debug, Clone, Copy)]
@@ -428,25 +381,31 @@ struct OutstandingRecall {
 }
 
 struct Engine<'a, 'p> {
+    front: Front<'a, 'p>,
+    tape: TapeHalf,
+}
+
+/// Everything but the tape half: the cache, the reference table, the
+/// merged event queue, the disk path (spindle → channel mover → seek,
+/// one job per disk-served reference, named by its index), and the
+/// listener the tape half reports to. Recalls are named by the
+/// reference that issued them, flushes by the reference stalled on them
+/// (or [`UNGATED`]).
+struct Front<'a, 'p> {
     cfg: &'a SimConfig,
     cache: DiskCache<'p>,
-    rng: SmallRng,
+    noise: Noise,
     queue: EventQueue<HEv>,
-    /// The materialized fault schedule; inert on fault-free runs, where
-    /// it injects no events and decides no failures.
-    schedule: FaultSchedule,
-    /// Degraded-mode accumulator; `Some` exactly when the schedule is
-    /// active.
-    fault: Option<DegradedOutcome>,
+    /// Backoff before a failed recall re-queues (the fault plan's).
+    retry_backoff_ms: SimMs,
     states: Vec<RefState>,
-    jobs: Vec<Job>,
     /// Recalls in flight (only with coalescing on): a dense arena
     /// indexed by [`FileId`], grown on demand — `Some` exactly while a
     /// recall for that file is outstanding.
     outstanding: Vec<Option<OutstandingRecall>>,
     /// Each file's tape tier, from the trace's device annotations, in
     /// the same [`FileId`]-indexed arena layout.
-    file_tape: Vec<Option<DeviceClass>>,
+    file_tape: Vec<Option<Tier>>,
     /// Live miss-latency estimator: fed by every resolved recall,
     /// consulted (via the cache's hint) before every reference.
     feedback: LatencyFeedback,
@@ -456,14 +415,7 @@ struct Engine<'a, 'p> {
     next_recall_seq: u64,
     next_emit: usize,
     spindles: Vec<Pool>,
-    silo: Pool,
-    manual: Pool,
-    robot: Pool,
-    operators: Pool,
     movers: Pool,
-    tape_movers: Pool,
-    /// Bytes left on the mounted append cartridge `[silo, manual]`.
-    cart_remaining: [u64; 2],
     metrics: HierarchyMetrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -476,15 +428,17 @@ impl<'a, 'p> Engine<'a, 'p> {
         policy: &'p dyn MigrationPolicy,
         schedule: FaultSchedule,
     ) -> Self {
-        Engine {
+        let front = Front {
             cfg,
             cache: DiskCache::new(cache_cfg, policy),
-            rng: SmallRng::seed_from_u64(cfg.seed),
+            noise: if cfg.counter_noise {
+                Noise::Keyed(cfg.seed)
+            } else {
+                Noise::Sequential(SmallRng::seed_from_u64(cfg.seed))
+            },
             queue: EventQueue::new(),
-            fault: schedule.is_active().then(DegradedOutcome::default),
-            schedule,
+            retry_backoff_ms: schedule.retry_backoff_ms(),
             states: Vec::new(),
-            jobs: Vec::new(),
             outstanding: Vec::new(),
             file_tape: Vec::new(),
             feedback: LatencyFeedback::new(),
@@ -492,118 +446,104 @@ impl<'a, 'p> Engine<'a, 'p> {
             next_recall_seq: 0,
             next_emit: 0,
             spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            silo: Pool::new(cfg.silo_drives),
-            manual: Pool::new(cfg.manual_drives),
-            robot: Pool::new(cfg.robot_arms),
-            operators: Pool::new(cfg.operators),
             movers: Pool::new(cfg.movers),
-            tape_movers: Pool::new(cfg.tape_movers),
-            cart_remaining: [0, 0],
             metrics: HierarchyMetrics::new(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
+        };
+        Engine {
+            front,
+            tape: TapeHalf::new(cfg, schedule),
         }
     }
 
     fn run(mut self, refs: &[PreparedRef], mut sink: impl FnMut(RefOutcome)) -> HierarchyMetrics {
-        // Fault windows become ordinary events in the same queue: an
-        // inert schedule pushes nothing and the event stream is exactly
-        // the pre-fault engine's.
-        for w in 0..self.schedule.windows().len() {
-            self.queue
-                .push(self.schedule.windows()[w].start_ms, HEv::OutageStart(w));
-        }
+        // Fault windows become ordinary events in the same queue.
+        self.tape.schedule_outages(&mut self.front);
         let mut prev_ms = SimMs::MIN;
         for (i, pr) in refs.iter().enumerate() {
             let t_ms = pr.time * MS;
             assert!(t_ms >= prev_ms, "references must be sorted by time");
             prev_ms = t_ms;
-            self.first_ms = self.first_ms.min(t_ms);
-            while self.queue.peek_time().is_some_and(|t| t <= t_ms) {
-                let (now, ev) = self.queue.pop().expect("peeked event");
+            self.front.first_ms = self.front.first_ms.min(t_ms);
+            while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
                 self.handle(now, ev);
             }
             self.arrive(i, pr, t_ms);
-            self.emit_finished(&mut sink);
+            self.front.emit_finished(&mut sink);
         }
-        while let Some((now, ev)) = self.queue.pop() {
+        while let Some((now, ev)) = self.front.queue.pop() {
             self.handle(now, ev);
         }
-        self.emit_finished(&mut sink);
-        debug_assert_eq!(self.next_emit, self.states.len());
+        self.front.emit_finished(&mut sink);
+        let front = self.front;
+        debug_assert_eq!(front.next_emit, front.states.len());
 
-        self.metrics.requests = self.states.len() as u64;
-        self.metrics.cache = *self.cache.stats();
-        self.metrics.cache_fetch_retries = self.cache.fetch_retries();
-        self.metrics.latency_feedback = self.feedback.clone();
-        self.metrics.fault = self.fault;
+        let mut metrics = front.metrics;
+        metrics.requests = front.states.len() as u64;
+        metrics.cache = *front.cache.stats();
+        metrics.cache_fetch_retries = front.cache.fetch_retries();
+        metrics.latency_feedback = front.feedback;
+        let counters = self.tape.counters();
+        metrics.fault = self.tape.degraded().then_some(DegradedOutcome {
+            read_retries: counters.read_failures,
+            outage_events: counters.outage_events,
+            outage_wait_s: counters.outage_wait_s,
+            slow_transfers: counters.slow_transfers,
+        });
         let span = (
-            self.first_ms.min(self.last_ms),
-            self.last_ms.max(self.first_ms),
+            front.first_ms.min(front.last_ms),
+            front.last_ms.max(front.first_ms),
         );
-        self.metrics.utilisation.disk_spindles = self
+        metrics.utilisation = self.tape.utilisation(span.0, span.1);
+        metrics.utilisation.disk_spindles = front
             .spindles
             .iter()
             .map(|p| p.utilisation(span.0, span.1))
             .sum();
-        self.metrics.utilisation.silo_drives = self.silo.utilisation(span.0, span.1);
-        self.metrics.utilisation.manual_drives = self.manual.utilisation(span.0, span.1);
-        self.metrics.utilisation.robot_arms = self.robot.utilisation(span.0, span.1);
-        self.metrics.utilisation.operators = self.operators.utilisation(span.0, span.1);
-        self.metrics.utilisation.movers =
-            self.movers.utilisation(span.0, span.1) + self.tape_movers.utilisation(span.0, span.1);
-        self.metrics
-    }
-
-    /// Emits every resolved reference, in arrival order.
-    fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
-        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
-            let st = self.states[self.next_emit];
-            sink(RefOutcome {
-                index: self.next_emit,
-                id: st.id,
-                write: st.write,
-                served: st.served,
-                device: st.device,
-                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
-            });
-            self.next_emit += 1;
-        }
+        metrics.utilisation.movers += front.movers.utilisation(span.0, span.1);
+        metrics
     }
 
     /// Classifies one reference through the cache and turns its side
     /// effects into device traffic.
     fn arrive(&mut self, i: usize, pr: &PreparedRef, t_ms: SimMs) {
+        let front = &mut self.front;
         let tape = tape_of(pr.device);
-        if pr.id.index() >= self.file_tape.len() {
-            self.file_tape.resize(pr.id.index() + 1, None);
-            self.outstanding.resize_with(self.file_tape.len(), || None);
+        if pr.id.index() >= front.file_tape.len() {
+            front.file_tape.resize(pr.id.index() + 1, None);
+            front
+                .outstanding
+                .resize_with(front.file_tape.len(), || None);
         }
-        self.file_tape[pr.id.index()] = Some(tape);
+        front.file_tape[pr.id.index()] = Some(tape);
         // Publish the current miss-wait estimate for this file's tier
         // and size before the cache classifies the reference: the touch
         // stamps it onto the entry, where latency-aware policies read
         // it at the next purge. Latency-blind policies ignore the hint,
         // which keeps their closed loop exactly equal to open loop.
-        self.cache
-            .set_est_miss_wait_s(self.feedback.estimate(tape, pr.size));
-        let mut ops = std::mem::take(&mut self.ops);
+        front
+            .cache
+            .set_est_miss_wait_s(front.feedback.estimate(tape.device(), pr.size));
+        let mut ops = std::mem::take(&mut front.ops);
         ops.clear();
         let served = if pr.write {
-            self.cache
+            front
+                .cache
                 .write_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op));
             ServedBy::DiskWrite
         } else {
-            match self
+            match front
                 .cache
                 .read_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op))
             {
                 ReadResult::Hit => ServedBy::DiskHit,
-                ReadResult::DelayedHit if self.cfg.recall_coalescing => ServedBy::DelayedHit,
+                ReadResult::DelayedHit if front.cfg.recall_coalescing => ServedBy::DelayedHit,
                 // Coalescing off: a delayed hit pays its own fetch.
                 ReadResult::DelayedHit => ServedBy::Recall,
                 ReadResult::Miss
-                    if self.cfg.recall_coalescing && self.outstanding[pr.id.index()].is_some() =>
+                    if front.cfg.recall_coalescing
+                        && front.outstanding[pr.id.index()].is_some() =>
                 {
                     // The file was evicted (or bypassed the cache) while
                     // its recall is still in flight: the bytes are
@@ -615,20 +555,20 @@ impl<'a, 'p> Engine<'a, 'p> {
         };
         let device = match served {
             ServedBy::DiskHit | ServedBy::DiskWrite => DeviceClass::Disk,
-            ServedBy::DelayedHit | ServedBy::Recall => tape,
+            ServedBy::DelayedHit | ServedBy::Recall => tape.device(),
         };
-        debug_assert_eq!(i, self.states.len());
+        debug_assert_eq!(i, front.states.len());
         // Counter-noise mode fixes the recall's identity here, in
         // arrival order — classification order is what a distributed
         // replica can reproduce; legacy dispatch order depends on the
         // lognormal overhead draws.
-        let recall_seq = if self.cfg.counter_noise && served == ServedBy::Recall {
-            self.next_recall_seq += 1;
-            self.next_recall_seq - 1
+        let recall_seq = if front.cfg.counter_noise && served == ServedBy::Recall {
+            front.next_recall_seq += 1;
+            front.next_recall_seq - 1
         } else {
             0
         };
-        self.states.push(RefState {
+        front.states.push(RefState {
             arrival_ms: t_ms,
             first_byte_ms: t_ms,
             id: pr.id,
@@ -647,559 +587,181 @@ impl<'a, 'p> Engine<'a, 'p> {
             match op {
                 CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
                 CacheOp::Writeback { id, bytes } => {
-                    let at = t_ms + (self.cfg.writeback_delay_s * MS as f64) as SimMs;
-                    self.spawn_flush(id, bytes, None, at);
+                    let at = t_ms + (self.front.cfg.writeback_delay_s * MS as f64) as SimMs;
+                    self.spawn_flush(id, bytes, UNGATED, at);
                 }
                 CacheOp::StallFlush { id, bytes } => {
                     // Only disk-served foregrounds stall on the flush; a
                     // miss's recall is the longer pole and proceeds.
                     let gated = if served == ServedBy::DiskWrite || served == ServedBy::DiskHit {
-                        self.states[i].gate += 1;
-                        Some(i)
+                        self.front.states[i].gate += 1;
+                        i as u64
                     } else {
-                        None
+                        UNGATED
                     };
                     self.spawn_flush(id, bytes, gated, t_ms);
                 }
                 CacheOp::PurgeFlush { id, bytes } => {
-                    self.spawn_flush(id, bytes, None, t_ms);
+                    self.spawn_flush(id, bytes, UNGATED, t_ms);
                 }
             }
         }
-        self.ops = ops;
+        let front = &mut self.front;
+        front.ops = ops;
 
         match served {
             ServedBy::DiskHit | ServedBy::DiskWrite | ServedBy::Recall => {
-                let d = if self.cfg.counter_noise {
-                    crate::noise::lognormal_ms(
-                        self.cfg.seed,
-                        crate::noise::dispatch_key(i as u64),
-                        self.cfg.mscp_overhead_median_s,
-                        self.cfg.mscp_overhead_sigma,
-                    )
-                } else {
-                    self.lognormal_ms(
-                        self.cfg.mscp_overhead_median_s,
-                        self.cfg.mscp_overhead_sigma,
-                    )
-                };
-                self.queue.push(t_ms + d, HEv::Dispatch(i));
-                if served == ServedBy::Recall && self.cfg.recall_coalescing {
-                    self.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
+                let d = front.noise.lognormal_ms(
+                    || noise::dispatch_key(i as u64),
+                    front.cfg.mscp_overhead_median_s,
+                    front.cfg.mscp_overhead_sigma,
+                );
+                front.queue.push(t_ms + d, HEv::Dispatch(i));
+                if served == ServedBy::Recall && front.cfg.recall_coalescing {
+                    front.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
                 }
             }
             ServedBy::DelayedHit => {
-                self.metrics.delayed_hits += 1;
-                let o = self.outstanding[pr.id.index()]
+                front.metrics.delayed_hits += 1;
+                let o = front.outstanding[pr.id.index()]
                     .as_mut()
                     .expect("delayed hit implies an outstanding recall");
                 match o.first_byte_ms {
                     // Data already streaming to disk: served on arrival.
-                    Some(fb) => self.resolve_ref(i, fb),
+                    Some(fb) => front.resolve_ref(i, fb),
                     None => o.waiters.push(i),
                 }
             }
         }
     }
 
-    /// Creates a background tape-flush job and schedules its queue entry.
-    fn spawn_flush(&mut self, file: FileId, bytes: u64, gated: Option<usize>, at: SimMs) {
-        let tape = self
+    /// Creates a background tape flush that joins its drive queue at
+    /// `at`; `gated` names the reference stalled on it.
+    fn spawn_flush(&mut self, file: FileId, bytes: u64, gated: u64, at: SimMs) {
+        let front = &mut self.front;
+        let tier = front
             .file_tape
             .get(file.index())
             .copied()
             .flatten()
-            .unwrap_or(DeviceClass::TapeSilo);
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::Flush {
-                gated,
-                // Spawn order is classification order, which both the
-                // legacy engine and a trace-order replica agree on.
-                seq: self.metrics.flush_jobs,
-            },
-            device: tape,
-            write: true,
-            size: bytes,
-            spindle: 0,
-            queued_ms: at,
-        });
-        self.metrics.flush_jobs += 1;
-        self.metrics.flush_bytes += bytes;
-        self.queue.push(at, HEv::FlushReady(j));
+            .unwrap_or(Tier::Silo);
+        // Spawn order is classification order, which both the legacy
+        // engine and a trace-order replica agree on: it is the flush's
+        // keyed-noise identity.
+        let seq = front.metrics.flush_jobs;
+        front.metrics.flush_jobs += 1;
+        front.metrics.flush_bytes += bytes;
+        let j = self.tape.flush(gated, seq, bytes, tier);
+        front.queue.push(at, HEv::Tape(TapeEv::Join(j)));
     }
 
     fn handle(&mut self, now: SimMs, ev: HEv) {
-        self.last_ms = self.last_ms.max(now);
+        self.front.last_ms = self.front.last_ms.max(now);
         match ev {
             HEv::Dispatch(r) => self.dispatched(r, now),
-            HEv::FlushReady(j) => {
-                self.jobs[j].queued_ms = now;
-                self.join_tape_queue(j, now);
-            }
-            HEv::MountDone(j) => self.mount_done(j, now),
-            HEv::SeekDone(j) => self.seek_done(j, now),
-            HEv::TransferDone(j) => self.transfer_done(j, now),
-            HEv::DriveFree(j) => self.drive_free(j, now),
-            HEv::OutageStart(w) => self.outage_start(w, now),
-            HEv::OutageEnd(j) => self.outage_release(j, now),
-            HEv::RetryReady(j) => {
-                self.jobs[j].queued_ms = now;
-                self.join_tape_queue(j, now);
-            }
+            HEv::DiskDone(r) => self.front.disk_done(r, now),
+            HEv::Tape(ev) => self.tape_event(now, ev),
         }
     }
 
-    /// A fault window opens: contend for one unit of the target pool
-    /// like any other job. If the pool is saturated the hold queues —
-    /// the unit "fails" as it comes free, which is how a busy drive
-    /// dies mid-shift.
-    fn outage_start(&mut self, w: usize, now: SimMs) {
-        let window = self.schedule.windows()[w];
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::OutageHold {
-                target: window.target,
-                end_ms: window.end_ms,
-            },
-            device: window.target.tier(),
-            write: false,
-            size: 0,
-            spindle: 0,
-            queued_ms: now,
-        });
-        let granted = match window.target {
-            FaultTarget::SiloDrive => self.silo.acquire(j, now),
-            FaultTarget::ManualDrive => self.manual.acquire(j, now),
-            FaultTarget::RobotArm => self.robot.acquire(j, now),
-            FaultTarget::Operator => self.operators.acquire(j, now),
-        };
-        if granted {
-            self.outage_hold_granted(j, now);
-        }
-    }
-
-    /// A hold owns its unit: park it until the window's repair time, or
-    /// hand it straight back when the window already elapsed while the
-    /// hold sat in the queue.
-    fn outage_hold_granted(&mut self, j: usize, now: SimMs) {
-        let JobKind::OutageHold { end_ms, .. } = self.jobs[j].kind else {
-            unreachable!("outage grant on a non-hold job");
-        };
-        if now >= end_ms {
-            self.outage_release(j, now);
-        } else {
-            if let Some(f) = &mut self.fault {
-                f.outage_events += 1;
-            }
-            self.queue.push(end_ms, HEv::OutageEnd(j));
-        }
-    }
-
-    /// Repair done (or the window expired in-queue): return the unit to
-    /// its pool and wake the next waiter through the normal grant path.
-    fn outage_release(&mut self, j: usize, now: SimMs) {
-        let JobKind::OutageHold { target, .. } = self.jobs[j].kind else {
-            unreachable!("outage release on a non-hold job");
-        };
-        match target {
-            FaultTarget::SiloDrive => {
-                if let Some(n) = self.silo.release(now) {
-                    self.drive_granted(n, now);
-                }
-            }
-            FaultTarget::ManualDrive => {
-                if let Some(n) = self.manual.release(now) {
-                    self.drive_granted(n, now);
-                }
-            }
-            FaultTarget::RobotArm => {
-                if let Some(n) = self.robot.release(now) {
-                    self.mount_started(n, now);
-                }
-            }
-            FaultTarget::Operator => {
-                if let Some(n) = self.operators.release(now) {
-                    self.mount_started(n, now);
-                }
-            }
-        }
+    fn tape_event(&mut self, now: SimMs, ev: TapeEv) {
+        self.tape
+            .handle(now, ev, &mut self.front)
+            .unwrap_or_else(|never| match never {});
     }
 
     /// MSCP work done: start disk service or issue the recall.
     fn dispatched(&mut self, r: usize, now: SimMs) {
-        match self.states[r].served {
+        let front = &mut self.front;
+        let st = front.states[r];
+        match st.served {
             ServedBy::DiskHit | ServedBy::DiskWrite => {
-                self.states[r].ready = true;
-                if self.states[r].gate == 0 {
-                    self.start_disk(r, now);
+                front.states[r].ready = true;
+                if st.gate == 0 {
+                    front.start_disk(r, now);
                 }
             }
             ServedBy::Recall => {
-                let (id, size, tape) = {
-                    let st = &self.states[r];
-                    (st.id, st.size, st.device)
+                // The issue-order sequence number keys the fault
+                // schedule's counter-based read-error decisions.
+                // Counter-noise mode pinned it at arrival; legacy
+                // issues it here, in dispatch order.
+                let seq = if front.cfg.counter_noise {
+                    st.recall_seq
+                } else {
+                    front.metrics.recalls
                 };
-                let j = self.jobs.len();
-                self.jobs.push(Job {
-                    kind: JobKind::Recall {
-                        file: id,
-                        r,
-                        // The issue-order sequence number keys the fault
-                        // schedule's counter-based read-error decisions.
-                        // Counter-noise mode pinned it at arrival;
-                        // legacy issues it here, in dispatch order.
-                        seq: if self.cfg.counter_noise {
-                            self.states[r].recall_seq
-                        } else {
-                            self.metrics.recalls
-                        },
-                        attempt: 0,
-                        failing: false,
-                    },
-                    device: tape,
-                    write: false,
-                    size,
-                    spindle: 0,
-                    queued_ms: now,
-                });
-                self.metrics.recalls += 1;
-                self.join_tape_queue(j, now);
+                front.metrics.recalls += 1;
+                let j = self
+                    .tape
+                    .recall(r as u64, seq, st.size, tape_of(st.device), None);
+                self.tape_event(now, TapeEv::Join(j));
             }
             ServedBy::DelayedHit => unreachable!("delayed hits are never dispatched"),
         }
     }
+}
+
+impl Front<'_, '_> {
+    /// Emits every resolved reference, in arrival order.
+    fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
+        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
+            let st = self.states[self.next_emit];
+            sink(RefOutcome {
+                index: self.next_emit,
+                id: st.id,
+                write: st.write,
+                served: st.served,
+                device: st.device,
+                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
+            });
+            self.next_emit += 1;
+        }
+    }
+
+    fn spindle_of(&self, r: usize) -> usize {
+        self.states[r].id.index() % self.spindles.len()
+    }
 
     /// Foreground disk service: queue on the file's spindle.
     fn start_disk(&mut self, r: usize, now: SimMs) {
-        let (id, size, write) = {
-            let st = &self.states[r];
-            (st.id, st.size, st.write)
-        };
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::Disk { r },
-            device: DeviceClass::Disk,
-            write,
-            size,
-            spindle: id.index() % self.spindles.len(),
-            queued_ms: now,
-        });
-        let spindle = self.jobs[j].spindle;
-        if self.spindles[spindle].acquire(j, now) {
-            self.spindle_granted(j, now);
+        let spindle = self.spindle_of(r);
+        if self.spindles[spindle].acquire(r, now) {
+            self.spindle_granted(r, now);
         }
     }
 
     /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, j: usize, now: SimMs) {
-        if self.movers.acquire(j, now) {
-            self.mover_granted(j, now);
+    fn spindle_granted(&mut self, r: usize, now: SimMs) {
+        if self.movers.acquire(r, now) {
+            self.disk_mover_granted(r, now);
         }
     }
 
-    /// Stage 2 for tape jobs: queue on a drive of the job's tier.
-    ///
-    /// This and the following stages model the same hardware as
-    /// [`crate::sim`]'s open-loop engine and must use the same stage
-    /// timings (mount, seek, cartridge-append, unload); the request
-    /// models differ too much to share one engine — open-loop annotates
-    /// records, this one carries recall waiters and flush gates — so a
-    /// physics change there must be mirrored here.
-    fn join_tape_queue(&mut self, j: usize, now: SimMs) {
-        let granted = match self.jobs[j].device {
-            DeviceClass::TapeSilo => self.silo.acquire(j, now),
-            DeviceClass::TapeManual => self.manual.acquire(j, now),
-            DeviceClass::Disk => unreachable!("disk jobs do not queue on tape drives"),
-        };
-        if granted {
-            self.drive_granted(j, now);
-        }
-    }
-
-    /// Drive held: mount if needed, else go straight to a tape mover.
-    fn drive_granted(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        if let JobKind::OutageHold { .. } = job.kind {
-            // A queued fault window finally got its unit.
-            self.outage_hold_granted(j, now);
-            return;
-        }
-        if let JobKind::Flush { .. } = job.kind {
-            self.metrics
-                .flush_queue_wait
-                .record((now - job.queued_ms).max(0) as f64 / MS as f64);
-        }
-        self.attribute_outage_wait(job.device, job.queued_ms, now);
-        if job.write {
-            let slot = cart_slot(job.device);
-            if self.cart_remaining[slot] >= job.size {
-                // Append to the mounted cartridge: no mount, no seek.
-                if self.tape_movers.acquire(j, now) {
-                    self.mover_granted(j, now);
-                }
-                return;
-            }
-        }
-        // Reads always mount the file's cartridge; writes mount a fresh
-        // append cartridge when the current one is full.
-        // Re-stamp the queue-entry time: the job now waits in the
-        // mounter queue, a separate outage-attribution interval.
-        self.jobs[j].queued_ms = now;
-        let granted = match job.device {
-            DeviceClass::TapeSilo => self.robot.acquire(j, now),
-            DeviceClass::TapeManual => self.operators.acquire(j, now),
-            DeviceClass::Disk => unreachable!(),
-        };
-        if granted {
-            self.mount_started(j, now);
-        }
-    }
-
-    /// Robot arm or operator engaged: schedule the mount completion.
-    fn mount_started(&mut self, j: usize, now: SimMs) {
-        if let JobKind::OutageHold { .. } = self.jobs[j].kind {
-            // A queued mounter-outage window finally got its unit.
-            self.outage_hold_granted(j, now);
-            return;
-        }
-        self.attribute_outage_wait(self.jobs[j].device, self.jobs[j].queued_ms, now);
-        let d = match (self.jobs[j].device, self.cfg.counter_noise) {
-            (DeviceClass::TapeSilo, false) => self.jitter_ms(self.cfg.robot_mount_s, 0.2),
-            (DeviceClass::TapeSilo, true) => crate::noise::jitter_ms(
-                self.cfg.seed,
-                self.noise_key(j, crate::noise::STAGE_MOUNT),
-                self.cfg.robot_mount_s,
-                0.2,
-            ),
-            (DeviceClass::TapeManual, false) => self.lognormal_ms(
-                self.cfg.operator_mount_median_s,
-                self.cfg.operator_mount_sigma,
-            ),
-            (DeviceClass::TapeManual, true) => crate::noise::lognormal_ms(
-                self.cfg.seed,
-                self.noise_key(j, crate::noise::STAGE_MOUNT),
-                self.cfg.operator_mount_median_s,
-                self.cfg.operator_mount_sigma,
-            ),
-            (DeviceClass::Disk, _) => unreachable!(),
-        };
-        self.queue.push(now + d, HEv::MountDone(j));
-    }
-
-    /// Adds the slice of a queue wait that overlapped an outage window
-    /// of the waiting job's tier to the degraded-mode accumulator.
-    fn attribute_outage_wait(&mut self, tier: DeviceClass, queued_ms: SimMs, now: SimMs) {
-        if let Some(f) = &mut self.fault {
-            let overlap = self.schedule.outage_overlap_ms(tier, queued_ms, now);
-            if overlap > 0 {
-                f.outage_wait_s += overlap as f64 / MS as f64;
-            }
-        }
-    }
-
-    /// Mount finished: hand the mounter over and position the tape.
-    fn mount_done(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let next = match job.device {
-            DeviceClass::TapeSilo => self.robot.release(now),
-            DeviceClass::TapeManual => self.operators.release(now),
-            DeviceClass::Disk => unreachable!(),
-        };
-        if let Some(n) = next {
-            self.mount_started(n, now);
-        }
-        if job.write {
-            // Fresh append cartridge: position to start of tape.
-            self.cart_remaining[cart_slot(job.device)] = self.cfg.cartridge_bytes;
-            let d = if self.cfg.counter_noise {
-                crate::noise::jitter_ms(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_SEEK),
-                    3.0,
-                    0.3,
-                )
-            } else {
-                self.jitter_ms(3.0, 0.3)
-            };
-            self.queue.push(now + d, HEv::SeekDone(j));
-        } else {
-            let seek_s = if self.cfg.counter_noise {
-                crate::noise::range(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_SEEK),
-                    self.cfg.tape_seek_min_s,
-                    self.cfg.tape_seek_max_s,
-                )
-            } else {
-                self.rng
-                    .gen_range(self.cfg.tape_seek_min_s..self.cfg.tape_seek_max_s)
-            };
-            self.queue
-                .push(now + (seek_s * MS as f64) as SimMs, HEv::SeekDone(j));
-        }
-    }
-
-    /// Positioned: wait for a tape mover.
-    fn seek_done(&mut self, j: usize, now: SimMs) {
-        if self.tape_movers.acquire(j, now) {
-            self.mover_granted(j, now);
-        }
-    }
-
-    /// The transfer begins — this is the job's first byte (unless this
-    /// recall attempt is fated to fail, in which case nobody is served
-    /// and the failure surfaces at transfer end).
-    fn mover_granted(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let setup_ms = if job.device == DeviceClass::Disk {
-            (self.cfg.disk_seek_s * MS as f64) as SimMs
-        } else {
-            0
-        };
-        let first_byte = now + setup_ms;
-        match job.kind {
-            JobKind::Disk { r } => self.resolve_ref(r, first_byte),
-            JobKind::Recall {
-                file,
-                r,
-                seq,
-                attempt,
-                ..
-            } => {
-                // The media read error is decided before anyone is
-                // served: a failing attempt reads the tape but delivers
-                // garbage, so the requester and every coalesced waiter
-                // stay parked for the retry.
-                if self.schedule.read_fails(seq, attempt) {
-                    let JobKind::Recall { failing, .. } = &mut self.jobs[j].kind else {
-                        unreachable!("job kind cannot change");
-                    };
-                    *failing = true;
-                } else {
-                    self.resolve_ref(r, first_byte);
-                    if let Some(o) = self.outstanding[file.index()].as_mut() {
-                        o.first_byte_ms = Some(first_byte);
-                        let waiters = std::mem::take(&mut o.waiters);
-                        for w in waiters {
-                            self.resolve_ref(w, first_byte);
-                        }
-                    }
-                }
-            }
-            JobKind::Flush { .. } => {}
-            JobKind::OutageHold { .. } => unreachable!("holds never reach a mover"),
-        }
-        // Slow-drive degradation scales the healthy rate; a factor of
-        // exactly 1.0 (no window, or no plan) leaves the arithmetic
-        // bit-identical to the fault-free engine.
-        let factor = self.schedule.rate_factor_at(job.device, first_byte);
-        if factor < 1.0 {
-            if let Some(f) = &mut self.fault {
-                f.slow_transfers += 1;
-            }
-        }
-        let rate = self.rate_of(job.device) * factor;
+    /// The disk transfer begins — the reference's first byte.
+    fn disk_mover_granted(&mut self, r: usize, now: SimMs) {
+        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
+        self.resolve_ref(r, first_byte);
         let jitter = 1.0
-            + if self.cfg.counter_noise {
-                crate::noise::range(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_RATE),
-                    -self.cfg.rate_jitter,
-                    self.cfg.rate_jitter,
-                )
-            } else {
-                self.rng
-                    .gen_range(-self.cfg.rate_jitter..self.cfg.rate_jitter)
-            };
-        let xfer_ms = (job.size as f64 / (rate * jitter) * 1000.0) as SimMs;
+            + self.noise.range(
+                || noise::disk_key(r as u64, noise::STAGE_RATE),
+                -self.cfg.rate_jitter,
+                self.cfg.rate_jitter,
+            );
+        let xfer_ms =
+            (self.states[r].size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
         self.queue
-            .push(first_byte + xfer_ms.max(1), HEv::TransferDone(j));
-        if job.write && job.device != DeviceClass::Disk {
-            let slot = cart_slot(job.device);
-            self.cart_remaining[slot] = self.cart_remaining[slot].saturating_sub(job.size);
-        }
+            .push(first_byte + xfer_ms.max(1), HEv::DiskDone(r));
     }
 
-    /// Transfer complete: release the mover, then the device.
-    fn transfer_done(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let mover = if job.device == DeviceClass::Disk {
-            &mut self.movers
-        } else {
-            &mut self.tape_movers
-        };
-        if let Some(n) = mover.release(now) {
-            self.mover_granted(n, now);
+    /// Disk transfer complete: release the mover, then the spindle.
+    fn disk_done(&mut self, r: usize, now: SimMs) {
+        if let Some(n) = self.movers.release(now) {
+            self.disk_mover_granted(n, now);
         }
-        match job.kind {
-            JobKind::Disk { .. } => {
-                if let Some(n) = self.spindles[job.spindle].release(now) {
-                    self.spindle_granted(n, now);
-                }
-            }
-            JobKind::Recall {
-                file,
-                failing: attempt_failed,
-                ..
-            } => {
-                let d = (self.cfg.tape_unload_s * MS as f64) as SimMs;
-                if attempt_failed {
-                    // Media read error: the bytes on disk are garbage.
-                    // Re-arm the cache's outstanding-fetch state (reads
-                    // keep coalescing), release the drive, and rejoin
-                    // the queue after the backoff — waiters parked on
-                    // the outstanding recall ride along to the retry.
-                    self.cache.fetch_failed(file);
-                    if let Some(f) = &mut self.fault {
-                        f.read_retries += 1;
-                    }
-                    let JobKind::Recall {
-                        failing, attempt, ..
-                    } = &mut self.jobs[j].kind
-                    else {
-                        unreachable!("job kind cannot change");
-                    };
-                    *failing = false;
-                    *attempt += 1;
-                    self.queue.push(now + d, HEv::DriveFree(j));
-                    self.queue.push(
-                        now + d + self.schedule.retry_backoff_ms(),
-                        HEv::RetryReady(j),
-                    );
-                } else {
-                    // The file is fully staged: further reads are plain
-                    // hits.
-                    self.cache.fetch_complete(file);
-                    if let Some(o) = self.outstanding[file.index()].take() {
-                        debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-                    }
-                    self.queue.push(now + d, HEv::DriveFree(j));
-                }
-            }
-            JobKind::Flush { gated, .. } => {
-                if let Some(r) = gated {
-                    self.states[r].gate -= 1;
-                    if self.states[r].gate == 0 && self.states[r].ready {
-                        self.start_disk(r, now);
-                    }
-                }
-                let d = (self.cfg.tape_unload_s * MS as f64) as SimMs;
-                self.queue.push(now + d, HEv::DriveFree(j));
-            }
-            JobKind::OutageHold { .. } => unreachable!("holds never transfer"),
-        }
-    }
-
-    /// Tape drive unloaded: pass it to the next queued job.
-    fn drive_free(&mut self, j: usize, now: SimMs) {
-        let next = match self.jobs[j].device {
-            DeviceClass::TapeSilo => self.silo.release(now),
-            DeviceClass::TapeManual => self.manual.release(now),
-            DeviceClass::Disk => unreachable!("disks have no unload"),
-        };
-        if let Some(n) = next {
-            self.drive_granted(n, now);
+        let spindle = self.spindle_of(r);
+        if let Some(n) = self.spindles[spindle].release(now) {
+            self.spindle_granted(n, now);
         }
     }
 
@@ -1229,59 +791,91 @@ impl<'a, 'p> Engine<'a, 'p> {
             ServedBy::DiskWrite => self.metrics.write_wait.record(wait_s),
         }
     }
+}
 
-    fn rate_of(&self, device: DeviceClass) -> f64 {
-        match device {
-            DeviceClass::Disk => self.cfg.disk_rate,
-            DeviceClass::TapeSilo => self.cfg.silo_rate,
-            DeviceClass::TapeManual => self.cfg.manual_rate,
+/// The closed-loop listener: completions feed the cache and the
+/// reference table synchronously, inside the event that caused them.
+impl TapeHost for Front<'_, '_> {
+    type Error = Infallible;
+
+    fn schedule(&mut self, at: SimMs, ev: TapeEv) {
+        self.queue.push(at, HEv::Tape(ev));
+    }
+
+    fn noise(&mut self) -> &mut Noise {
+        &mut self.noise
+    }
+
+    /// The requester and every coalesced waiter are served together.
+    fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), Infallible> {
+        let r = job as usize;
+        self.resolve_ref(r, at);
+        if let Some(o) = self.outstanding[self.states[r].id.index()].as_mut() {
+            o.first_byte_ms = Some(at);
+            let waiters = std::mem::take(&mut o.waiters);
+            for w in waiters {
+                self.resolve_ref(w, at);
+            }
         }
+        Ok(())
     }
 
-    /// The counter-noise identity key of job `j`'s draw at `stage`:
-    /// recalls by (issue seq, attempt), flushes by spawn seq, disk jobs
-    /// by the reference they serve.
-    fn noise_key(&self, j: usize, stage: u64) -> u64 {
-        match self.jobs[j].kind {
-            JobKind::Disk { r } => crate::noise::disk_key(r as u64, stage),
-            JobKind::Recall { seq, attempt, .. } => crate::noise::recall_key(seq, attempt, stage),
-            JobKind::Flush { seq, .. } => crate::noise::flush_key(seq, stage),
-            JobKind::OutageHold { .. } => unreachable!("holds draw no noise"),
+    /// The file is fully staged: further reads are plain hits.
+    fn done(&mut self, job: u64, _at: SimMs) -> Result<(), Infallible> {
+        let file = self.states[job as usize].id;
+        self.cache.fetch_complete(file);
+        if let Some(o) = self.outstanding[file.index()].take() {
+            debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
         }
+        Ok(())
     }
 
-    fn lognormal_ms(&mut self, median_s: f64, sigma: f64) -> SimMs {
-        let z = standard_normal(&mut self.rng);
-        ((median_s * (sigma * z).exp()) * MS as f64) as SimMs
+    fn flush_done(&mut self, job: u64, at: SimMs, _bytes: u64) -> Result<(), Infallible> {
+        if job != UNGATED {
+            let r = job as usize;
+            self.states[r].gate -= 1;
+            if self.states[r].gate == 0 && self.states[r].ready {
+                self.start_disk(r, at);
+            }
+        }
+        Ok(())
     }
 
-    fn jitter_ms(&mut self, base_s: f64, rel: f64) -> SimMs {
-        let f = 1.0 + self.rng.gen_range(-rel..rel);
-        ((base_s * f) * MS as f64) as SimMs
+    /// Media read error: the bytes on disk are garbage. Re-arm the
+    /// cache's outstanding-fetch state (reads keep coalescing) and
+    /// rejoin the queue after the plan's backoff — waiters parked on
+    /// the outstanding recall ride along to the retry.
+    fn failed(
+        &mut self,
+        job: u64,
+        _attempts: u32,
+        _failed_ms: SimMs,
+        drive_free_ms: SimMs,
+    ) -> Result<RetryVerdict, Infallible> {
+        self.cache.fetch_failed(self.states[job as usize].id);
+        Ok(RetryVerdict::Retry {
+            rejoin_ms: drive_free_ms + self.retry_backoff_ms,
+        })
+    }
+
+    fn flush_drive_wait(&mut self, waited_ms: SimMs) {
+        self.metrics
+            .flush_queue_wait
+            .record(waited_ms.max(0) as f64 / MS as f64);
     }
 }
 
 /// A file's archival tape tier: shelf files restage from the shelf,
 /// everything else (including files the trace saw on disk) lives in the
 /// silo.
-fn tape_of(device: DeviceClass) -> DeviceClass {
-    match device {
-        DeviceClass::TapeManual => DeviceClass::TapeManual,
-        _ => DeviceClass::TapeSilo,
-    }
-}
-
-fn cart_slot(device: DeviceClass) -> usize {
-    match device {
-        DeviceClass::TapeSilo => 0,
-        DeviceClass::TapeManual => 1,
-        DeviceClass::Disk => unreachable!("disks have no cartridges"),
-    }
+fn tape_of(device: DeviceClass) -> Tier {
+    Tier::of(device).unwrap_or(Tier::Silo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultTarget;
     use fmig_migrate::eval::TracePrep;
     use fmig_migrate::policy::{Lru, Stp};
     use fmig_trace::time::TRACE_EPOCH;
@@ -1789,7 +1383,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::fault::{OutageClause, SlowDriveClause};
+    use crate::fault::{FaultTarget, OutageClause, SlowDriveClause};
     use fmig_migrate::policy::Lru;
     use proptest::prelude::*;
 

@@ -42,6 +42,7 @@ pub mod noise;
 pub mod pool;
 pub mod sim;
 pub mod striping;
+pub mod tape;
 
 pub use config::SimConfig;
 pub use cutthrough::{CutThroughModel, CutThroughReport};

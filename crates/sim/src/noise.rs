@@ -1,11 +1,13 @@
-//! Keyed, counter-free stochastic draws for the replayable engine mode.
+//! Stage noise: the [`Noise`] sampler every engine draws through, and
+//! the keyed, counter-free draws behind its replayable mode.
 //!
 //! The closed-loop engine's legacy timing noise comes from one shared
-//! `SmallRng`: every draw advances the stream, so a stage's delay
-//! depends on *how many draws happened before it* — global history no
-//! distributed replica can reproduce without replaying every other
-//! job. [`SimConfig::counter_noise`] switches the engine to the draws
-//! in this module instead: each one is a pure function of the run seed
+//! `SmallRng` ([`Noise::Sequential`]): every draw advances the stream,
+//! so a stage's delay depends on *how many draws happened before it* —
+//! global history no distributed replica can reproduce without
+//! replaying every other job. [`SimConfig::counter_noise`] switches the
+//! engine to [`Noise::Keyed`] instead: each draw is a pure function of
+//! the run seed
 //! and a **stage-addressed key** derived from the job's identity (the
 //! reference index, the recall's issue-order sequence number and
 //! attempt, or the flush's spawn-order sequence number) plus the stage
@@ -25,8 +27,53 @@
 
 use std::f64::consts::TAU;
 
+use rand::rngs::SmallRng;
+use rand::Rng;
+
 use crate::event::{SimMs, MS};
 use crate::fault::seed_mix;
+
+/// The one sampler every engine draws its stage noise through.
+///
+/// Each draw names its identity key lazily; only [`Noise::Keyed`]
+/// evaluates it.
+#[derive(Debug, Clone)]
+pub enum Noise {
+    /// The legacy stream: every draw advances one shared RNG, so a
+    /// stage's delay depends on how many draws happened before it.
+    Sequential(SmallRng),
+    /// The replayable mode: every draw is a pure function of this seed
+    /// and the draw's key.
+    Keyed(u64),
+}
+
+impl Noise {
+    /// A uniform draw in `[lo, hi)`.
+    pub fn range(&mut self, key: impl FnOnce() -> u64, lo: f64, hi: f64) -> f64 {
+        match self {
+            Noise::Sequential(rng) => rng.gen_range(lo..hi),
+            Noise::Keyed(seed) => range(*seed, key(), lo, hi),
+        }
+    }
+
+    /// A lognormal delay in milliseconds: `median · e^(σ·z)`.
+    pub fn lognormal_ms(&mut self, key: impl FnOnce() -> u64, median_s: f64, sigma: f64) -> SimMs {
+        match self {
+            Noise::Sequential(rng) => {
+                let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                let u2: f64 = rng.gen();
+                let z = (-2.0 * u1.ln()).sqrt() * (TAU * u2).cos();
+                ((median_s * (sigma * z).exp()) * MS as f64) as SimMs
+            }
+            Noise::Keyed(seed) => lognormal_ms(*seed, key(), median_s, sigma),
+        }
+    }
+
+    /// A relative jitter delay in milliseconds: `base · (1 ± rel)`.
+    pub fn jitter_ms(&mut self, key: impl FnOnce() -> u64, base_s: f64, rel: f64) -> SimMs {
+        ((base_s * (1.0 + self.range(key, -rel, rel))) * MS as f64) as SimMs
+    }
+}
 
 /// Stage being timed: the MSCP dispatch overhead drawn at arrival.
 pub const STAGE_DISPATCH: u64 = 0x4449_5350; // "DISP"
@@ -79,9 +126,9 @@ pub fn range(seed: u64, key: u64, lo: f64, hi: f64) -> f64 {
     lo + uniform(seed, key) * (hi - lo)
 }
 
-/// A standard normal via Box–Muller, mirroring the shared-RNG
-/// `standard_normal` with the two uniforms taken from a chained pair
-/// of hashes instead of consecutive stream draws.
+/// A standard normal via Box–Muller, mirroring [`Noise::Sequential`]'s
+/// with the two uniforms taken from a chained pair of hashes instead of
+/// consecutive stream draws.
 pub fn normal(seed: u64, key: u64) -> f64 {
     let h = seed_mix(seed, key);
     let u1 = (((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64)).max(f64::MIN_POSITIVE);
@@ -90,15 +137,9 @@ pub fn normal(seed: u64, key: u64) -> f64 {
 }
 
 /// A keyed lognormal delay in milliseconds: `median · e^(σ·z)`,
-/// truncated exactly as the engine's shared-RNG `lognormal_ms`.
+/// truncated exactly as [`Noise::Sequential`]'s.
 pub fn lognormal_ms(seed: u64, key: u64, median_s: f64, sigma: f64) -> SimMs {
     ((median_s * (sigma * normal(seed, key)).exp()) * MS as f64) as SimMs
-}
-
-/// A keyed relative jitter delay in milliseconds:
-/// `base · (1 ± rel)`, truncated exactly as the engine's `jitter_ms`.
-pub fn jitter_ms(seed: u64, key: u64, base_s: f64, rel: f64) -> SimMs {
-    ((base_s * (1.0 + range(seed, key, -rel, rel))) * MS as f64) as SimMs
 }
 
 #[cfg(test)]

@@ -5,31 +5,36 @@
 //!
 //! 1. **MSCP dispatch** — the UNICOS `lread`/`lwrite` message reaches the
 //!    IBM 3090 control processor (lognormal overhead);
-//! 2. **device acquisition** — a disk spindle, a silo drive, or a shelf
-//!    drive, each with an FCFS queue;
-//! 3. **media mount** — robot arms pick silo cartridges in ~7 s, human
-//!    operators fetch shelved cartridges in ~2 minutes with a long
-//!    lognormal tail; tape writes append to the currently mounted
+//! 2. **device service** — disk requests queue FCFS on their file's
+//!    spindle, then on a channel mover (the global transfer-concurrency
+//!    limit), and pay a millisecond seek; tape requests enter
+//!    [`crate::tape`] — drive queue, robot or operator mount, seek,
+//!    tape-mover transfer, unload — which is the single statement of the
+//!    tape physics. Tape writes append to the currently mounted
 //!    cartridge and only remount when it fills (which is why Table 3
-//!    shows writes reaching the first byte faster than reads);
-//! 4. **seek** — fresh tape mounts land at a uniform position (the ~50 s
-//!    average seek the paper deduces); disk seeks are milliseconds;
-//! 5. **bitfile mover transfer** — a bounded pool of movers streams data
-//!    at ~2 MB/s observed, the global transfer-concurrency limit.
+//!    shows writes reaching the first byte faster than reads).
 //!
-//! The simulator annotates every record with its achieved startup latency
-//! and transfer time and aggregates Figure 3 latency histograms.
+//! This engine is the open-loop host of the tape half: every tape
+//! request is a plain read or append, no cache is consulted, and noise
+//! comes from one sequential RNG stream. The simulator annotates every
+//! record with its achieved startup latency and transfer time and
+//! aggregates Figure 3 latency histograms.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
+use fmig_trace::ingest::fnv1a64;
 use fmig_trace::{DeviceClass, Direction, TraceRecord};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::SimConfig;
 use crate::event::{EventQueue, SimMs, MS};
+use crate::fault::FaultSchedule;
 use crate::metrics::Metrics;
+use crate::noise::{self, Noise};
 use crate::pool::Pool;
+use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost, Tier};
 
 /// A finished simulation: the annotated trace plus aggregate metrics.
 #[derive(Debug, Clone)]
@@ -97,16 +102,12 @@ impl MssSimulator {
 enum Ev {
     /// MSCP overhead elapsed; join the device queue.
     Dispatch(usize),
-    /// Media mount finished.
-    MountDone(usize),
-    /// Tape positioned at the file.
-    SeekDone(usize),
-    /// Data transfer finished.
-    TransferDone(usize),
-    /// Tape drive finished unloading after a request.
-    DriveFree(usize),
+    /// A disk transfer finished.
+    DiskDone(usize),
     /// An errored request was answered at the MSCP.
     ErrorDone(usize),
+    /// A tape-half event.
+    Tape(TapeEv),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -120,8 +121,15 @@ struct Req {
 }
 
 struct Engine<'a> {
+    front: Front<'a>,
+    tape: TapeHalf,
+}
+
+/// Everything but the tape half: the request table, the event queue,
+/// the disk path, and the listener the tape half reports to.
+struct Front<'a> {
     cfg: &'a SimConfig,
-    rng: SmallRng,
+    noise: Noise,
     queue: EventQueue<Ev>,
     reqs: Vec<Req>,
     /// Whether each request's startup latency is final (its first byte
@@ -132,15 +140,7 @@ struct Engine<'a> {
     /// Next request index to hand to the sink.
     next_emit: usize,
     spindles: Vec<Pool>,
-    silo: Pool,
-    manual: Pool,
-    robot: Pool,
-    operators: Pool,
     movers: Pool,
-    tape_movers: Pool,
-    /// Bytes left on the mounted append cartridge, per tape class
-    /// `[silo, manual]`; starts empty so the first write mounts.
-    cart_remaining: [u64; 2],
     metrics: Metrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -149,24 +149,21 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(cfg: &'a SimConfig) -> Self {
         Engine {
-            cfg,
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            queue: EventQueue::new(),
-            reqs: Vec::new(),
-            done: Vec::new(),
-            pending: VecDeque::new(),
-            next_emit: 0,
-            spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            silo: Pool::new(cfg.silo_drives),
-            manual: Pool::new(cfg.manual_drives),
-            robot: Pool::new(cfg.robot_arms),
-            operators: Pool::new(cfg.operators),
-            movers: Pool::new(cfg.movers),
-            tape_movers: Pool::new(cfg.tape_movers),
-            cart_remaining: [0, 0],
-            metrics: Metrics::new(),
-            first_ms: SimMs::MAX,
-            last_ms: SimMs::MIN,
+            front: Front {
+                cfg,
+                noise: Noise::Sequential(SmallRng::seed_from_u64(cfg.seed)),
+                queue: EventQueue::new(),
+                reqs: Vec::new(),
+                done: Vec::new(),
+                pending: VecDeque::new(),
+                next_emit: 0,
+                spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
+                movers: Pool::new(cfg.movers),
+                metrics: Metrics::new(),
+                first_ms: SimMs::MAX,
+                last_ms: SimMs::MIN,
+            },
+            tape: TapeHalf::new(cfg, FaultSchedule::none()),
         }
     }
 
@@ -180,41 +177,72 @@ impl<'a> Engine<'a> {
             let t_ms = rec.start.as_unix() * MS;
             assert!(t_ms >= prev_ms, "records must be sorted by start time");
             prev_ms = t_ms;
-            self.first_ms = self.first_ms.min(t_ms);
+            self.front.first_ms = self.front.first_ms.min(t_ms);
             // Catch the simulation up to this arrival.
-            while self.queue.peek_time().is_some_and(|t| t <= t_ms) {
-                let (now, ev) = self.queue.pop().expect("peeked event");
+            while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
                 self.handle(now, ev);
             }
-            let idx = self.reqs.len();
-            self.arrive(idx, &rec, t_ms);
-            self.done.push(false);
-            self.pending.push_back(rec);
-            self.emit_finished(&mut sink);
+            self.front.arrive(&rec, t_ms);
+            self.front.pending.push_back(rec);
+            self.front.emit_finished(&mut sink);
         }
-        while let Some((now, ev)) = self.queue.pop() {
+        while let Some((now, ev)) = self.front.queue.pop() {
             self.handle(now, ev);
         }
-        self.emit_finished(&mut sink);
-        debug_assert_eq!(self.next_emit, self.reqs.len());
+        self.front.emit_finished(&mut sink);
+        let Front {
+            reqs,
+            next_emit,
+            spindles,
+            movers,
+            mut metrics,
+            first_ms,
+            last_ms,
+            ..
+        } = self.front;
+        debug_assert_eq!(next_emit, reqs.len());
 
-        self.metrics.requests = self.reqs.len() as u64;
-        let span = (self.first_ms, self.last_ms.max(self.first_ms));
-        self.metrics.utilisation.disk_spindles = self
-            .spindles
-            .iter()
-            .map(|p| p.utilisation(span.0, span.1))
-            .sum();
-        self.metrics.utilisation.silo_drives = self.silo.utilisation(span.0, span.1);
-        self.metrics.utilisation.manual_drives = self.manual.utilisation(span.0, span.1);
-        self.metrics.utilisation.robot_arms = self.robot.utilisation(span.0, span.1);
-        self.metrics.utilisation.operators = self.operators.utilisation(span.0, span.1);
-        self.metrics.utilisation.movers =
-            self.movers.utilisation(span.0, span.1) + self.tape_movers.utilisation(span.0, span.1);
-
-        self.metrics
+        metrics.requests = reqs.len() as u64;
+        let span = (first_ms, last_ms.max(first_ms));
+        metrics.utilisation = self.tape.utilisation(span.0, span.1);
+        metrics.utilisation.disk_spindles =
+            spindles.iter().map(|p| p.utilisation(span.0, span.1)).sum();
+        metrics.utilisation.movers += movers.utilisation(span.0, span.1);
+        metrics
     }
 
+    fn handle(&mut self, now: SimMs, ev: Ev) {
+        self.front.last_ms = self.front.last_ms.max(now);
+        match ev {
+            Ev::Dispatch(r) => {
+                let req = self.front.reqs[r];
+                match Tier::of(req.device) {
+                    None => self.front.join_spindle(r, now),
+                    Some(tier) => {
+                        let j = match req.dir {
+                            Direction::Read => {
+                                self.tape.recall(r as u64, r as u64, req.size, tier, None)
+                            }
+                            Direction::Write => self.tape.flush(r as u64, r as u64, req.size, tier),
+                        };
+                        self.tape_event(now, TapeEv::Join(j));
+                    }
+                }
+            }
+            Ev::DiskDone(r) => self.front.disk_done(r, now),
+            Ev::ErrorDone(r) => self.front.first_byte_at(r, now),
+            Ev::Tape(ev) => self.tape_event(now, ev),
+        }
+    }
+
+    fn tape_event(&mut self, now: SimMs, ev: TapeEv) {
+        self.tape
+            .handle(now, ev, &mut self.front)
+            .unwrap_or_else(|never| match never {});
+    }
+}
+
+impl Front<'_> {
     /// Annotates and emits every record whose latency is final, in
     /// arrival order.
     fn emit_finished(&mut self, sink: &mut impl FnMut(TraceRecord)) {
@@ -224,7 +252,7 @@ impl<'a> Engine<'a> {
             let latency_ms = (req.first_byte_ms - req.arrival_ms).max(0);
             rec.startup_latency_s = (latency_ms / MS) as u32;
             if rec.is_ok() {
-                let rate = self.rate_of(req.device);
+                let rate = self.cfg.rate_of(req.device);
                 rec.transfer_ms = (req.size as f64 / rate * 1000.0) as u64;
             } else {
                 rec.transfer_ms = 0;
@@ -234,32 +262,34 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn arrive(&mut self, idx: usize, rec: &TraceRecord, t_ms: SimMs) {
-        let device = rec.mss_device().unwrap_or(DeviceClass::Disk);
-        let req = Req {
+    fn arrive(&mut self, rec: &TraceRecord, t_ms: SimMs) {
+        let idx = self.reqs.len();
+        // Files of one directory share a 3380 volume, so a session
+        // re-reading a dataset queues on one spindle — the source of
+        // the paper's long disk-latency tail (§5.1).
+        let dir = rec
+            .mss_path
+            .rsplit_once('/')
+            .map_or(rec.mss_path.as_str(), |(d, _)| d);
+        self.reqs.push(Req {
             arrival_ms: t_ms,
             size: rec.file_size,
             dir: rec.direction(),
-            device,
-            // Files of one directory share a 3380 volume, so a session
-            // re-reading a dataset queues on one spindle — the source of
-            // the paper's long disk-latency tail (§5.1).
-            spindle: path_hash(
-                rec.mss_path
-                    .rsplit_once('/')
-                    .map_or(&rec.mss_path, |(d, _)| d),
-            ) as usize
-                % self.spindles.len(),
+            device: rec.mss_device().unwrap_or(DeviceClass::Disk),
+            spindle: fnv1a64(dir.as_bytes()) as usize % self.spindles.len(),
             first_byte_ms: t_ms,
-        };
-        debug_assert_eq!(idx, self.reqs.len());
-        self.reqs.push(req);
+        });
+        self.done.push(false);
+        let key = || noise::dispatch_key(idx as u64);
         if rec.error.is_some() {
             self.metrics.errors += 1;
-            let d = self.lognormal_ms(self.cfg.error_latency_median_s, 0.5);
+            let d = self
+                .noise
+                .lognormal_ms(key, self.cfg.error_latency_median_s, 0.5);
             self.queue.push(t_ms + d, Ev::ErrorDone(idx));
         } else {
-            let d = self.lognormal_ms(
+            let d = self.noise.lognormal_ms(
+                key,
                 self.cfg.mscp_overhead_median_s,
                 self.cfg.mscp_overhead_sigma,
             );
@@ -267,258 +297,98 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn handle(&mut self, now: SimMs, ev: Ev) {
-        self.last_ms = self.last_ms.max(now);
-        match ev {
-            Ev::Dispatch(r) => self.join_device_queue(r, now),
-            Ev::MountDone(r) => self.mount_done(r, now),
-            Ev::SeekDone(r) => self.seek_done(r, now),
-            Ev::TransferDone(r) => self.transfer_done(r, now),
-            Ev::DriveFree(r) => self.drive_free(r, now),
-            Ev::ErrorDone(r) => {
-                self.reqs[r].first_byte_ms = now;
-                self.done[r] = true;
-            }
-        }
-    }
-
-    /// Stage 2: queue on the device that holds the data.
-    fn join_device_queue(&mut self, r: usize, now: SimMs) {
-        let (device, dir, spindle) = {
-            let req = &self.reqs[r];
-            (req.device, req.dir, req.spindle)
-        };
-        let _ = dir;
-        let granted = match device {
-            DeviceClass::Disk => self.spindles[spindle].acquire(r, now),
-            DeviceClass::TapeSilo => self.silo.acquire(r, now),
-            DeviceClass::TapeManual => self.manual.acquire(r, now),
-        };
-        if granted {
-            self.device_granted(r, now);
-        }
-    }
-
-    /// Stage 3: with the device held, arrange the mount (if any).
-    fn device_granted(&mut self, r: usize, now: SimMs) {
-        let (device, dir, size) = {
-            let req = &self.reqs[r];
-            (req.device, req.dir, req.size)
-        };
-        match (device, dir) {
-            (DeviceClass::Disk, _) => {
-                // No mount; contend for a channel mover directly.
-                if self.movers.acquire(r, now) {
-                    self.mover_granted(r, now);
-                }
-            }
-            (DeviceClass::TapeSilo, Direction::Read) => {
-                if self.robot.acquire(r, now) {
-                    self.robot_granted(r, now);
-                }
-            }
-            (DeviceClass::TapeManual, Direction::Read) => {
-                if self.operators.acquire(r, now) {
-                    self.operator_granted(r, now);
-                }
-            }
-            (DeviceClass::TapeSilo, Direction::Write) => {
-                if self.cart_remaining[0] < size {
-                    if self.robot.acquire(r, now) {
-                        self.robot_granted(r, now);
-                    }
-                } else if self.tape_movers.acquire(r, now) {
-                    self.mover_granted(r, now);
-                }
-            }
-            (DeviceClass::TapeManual, Direction::Write) => {
-                if self.cart_remaining[1] < size {
-                    if self.operators.acquire(r, now) {
-                        self.operator_granted(r, now);
-                    }
-                } else if self.tape_movers.acquire(r, now) {
-                    self.mover_granted(r, now);
-                }
-            }
-        }
-    }
-
-    fn robot_granted(&mut self, r: usize, now: SimMs) {
-        let d = self.jitter_ms(self.cfg.robot_mount_s, 0.2);
-        self.queue.push(now + d, Ev::MountDone(r));
-    }
-
-    fn operator_granted(&mut self, r: usize, now: SimMs) {
-        let d = self.lognormal_ms(
-            self.cfg.operator_mount_median_s,
-            self.cfg.operator_mount_sigma,
-        );
-        self.queue.push(now + d, Ev::MountDone(r));
-    }
-
-    /// Stage 4: mount finished — release the mounter and seek.
-    fn mount_done(&mut self, r: usize, now: SimMs) {
-        let (device, dir) = {
-            let req = &self.reqs[r];
-            (req.device, req.dir)
-        };
-        // Hand the arm/operator to the next waiter.
-        let next = match device {
-            DeviceClass::TapeSilo => self.robot.release(now),
-            DeviceClass::TapeManual => self.operators.release(now),
-            DeviceClass::Disk => unreachable!("disks do not mount"),
-        };
-        if let Some(n) = next {
-            match device {
-                DeviceClass::TapeSilo => self.robot_granted(n, now),
-                DeviceClass::TapeManual => self.operator_granted(n, now),
-                DeviceClass::Disk => unreachable!(),
-            }
-        }
-        match dir {
-            Direction::Read => {
-                // Fresh mount: land at a uniform tape position.
-                let seek_s = self
-                    .rng
-                    .gen_range(self.cfg.tape_seek_min_s..self.cfg.tape_seek_max_s);
-                self.queue
-                    .push(now + (seek_s * MS as f64) as SimMs, Ev::SeekDone(r));
-            }
-            Direction::Write => {
-                // New append cartridge: position to the start of tape.
-                let slot = if device == DeviceClass::TapeSilo {
-                    0
-                } else {
-                    1
-                };
-                self.cart_remaining[slot] = self.cfg.cartridge_bytes;
-                let d = self.jitter_ms(3.0, 0.3);
-                self.queue.push(now + d, Ev::SeekDone(r));
-            }
-        }
-    }
-
-    /// Stage 5 entry: positioned; wait for a bitfile mover.
-    fn seek_done(&mut self, r: usize, now: SimMs) {
-        if self.mover_pool(r).acquire(r, now) {
-            self.mover_granted(r, now);
-        }
-    }
-
-    fn mover_pool(&mut self, r: usize) -> &mut Pool {
-        if self.reqs[r].device == DeviceClass::Disk {
-            &mut self.movers
-        } else {
-            &mut self.tape_movers
-        }
-    }
-
-    /// Stage 5: the transfer begins — this is "the first byte".
-    fn mover_granted(&mut self, r: usize, now: SimMs) {
-        let (device, dir, size, arrival) = {
-            let req = &self.reqs[r];
-            (req.device, req.dir, req.size, req.arrival_ms)
-        };
-        let setup_ms = if device == DeviceClass::Disk {
-            (self.cfg.disk_seek_s * MS as f64) as SimMs
-        } else {
-            0
-        };
-        let first_byte = now + setup_ms;
+    /// A request's startup latency is final. Transfer time is a pure
+    /// function of size and device, so the record can be emitted even
+    /// though its transfer is still in flight.
+    fn first_byte_at(&mut self, r: usize, first_byte: SimMs) {
         self.reqs[r].first_byte_ms = first_byte;
-        // The request's startup latency is now final; transfer time is a
-        // pure function of size and device, so the record can be emitted
-        // even though its transfer is still in flight.
         self.done[r] = true;
-        self.metrics
-            .record_latency(dir, device, (first_byte - arrival) as f64 / MS as f64);
-        let rate = self.rate_of(device);
+    }
+
+    /// The transfer begins — this is "the first byte".
+    fn served(&mut self, r: usize, first_byte: SimMs) {
+        self.first_byte_at(r, first_byte);
+        let req = &self.reqs[r];
+        self.metrics.record_latency(
+            req.dir,
+            req.device,
+            (first_byte - req.arrival_ms) as f64 / MS as f64,
+        );
+    }
+
+    /// Disk service: queue on the spindle that holds the data.
+    fn join_spindle(&mut self, r: usize, now: SimMs) {
+        if self.spindles[self.reqs[r].spindle].acquire(r, now) {
+            self.spindle_granted(r, now);
+        }
+    }
+
+    /// Spindle held: no mount; contend for a channel mover directly.
+    fn spindle_granted(&mut self, r: usize, now: SimMs) {
+        if self.movers.acquire(r, now) {
+            self.disk_mover_granted(r, now);
+        }
+    }
+
+    fn disk_mover_granted(&mut self, r: usize, now: SimMs) {
+        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
+        self.served(r, first_byte);
         let jitter = 1.0
-            + self
-                .rng
-                .gen_range(-self.cfg.rate_jitter..self.cfg.rate_jitter);
-        let xfer_ms = (size as f64 / (rate * jitter) * 1000.0) as SimMs;
+            + self.noise.range(
+                || noise::disk_key(r as u64, noise::STAGE_RATE),
+                -self.cfg.rate_jitter,
+                self.cfg.rate_jitter,
+            );
+        let xfer_ms = (self.reqs[r].size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
         self.queue
-            .push(first_byte + xfer_ms.max(1), Ev::TransferDone(r));
-        if dir == Direction::Write && device != DeviceClass::Disk {
-            let slot = if device == DeviceClass::TapeSilo {
-                0
-            } else {
-                1
-            };
-            self.cart_remaining[slot] = self.cart_remaining[slot].saturating_sub(size);
-        }
+            .push(first_byte + xfer_ms.max(1), Ev::DiskDone(r));
     }
 
-    /// Transfer complete: release the mover, then the device.
-    fn transfer_done(&mut self, r: usize, now: SimMs) {
-        if let Some(n) = self.mover_pool(r).release(now) {
-            self.mover_granted(n, now);
+    /// Disk transfer complete: release the mover, then the spindle.
+    fn disk_done(&mut self, r: usize, now: SimMs) {
+        if let Some(n) = self.movers.release(now) {
+            self.disk_mover_granted(n, now);
         }
-        let (device, spindle) = {
-            let req = &self.reqs[r];
-            (req.device, req.spindle)
-        };
-        match device {
-            DeviceClass::Disk => {
-                if let Some(n) = self.spindles[spindle].release(now) {
-                    self.device_granted(n, now);
-                }
-            }
-            _ => {
-                // Tape drives stay busy while the cartridge unloads.
-                let d = (self.cfg.tape_unload_s * MS as f64) as SimMs;
-                self.queue.push(now + d, Ev::DriveFree(r));
-            }
+        if let Some(n) = self.spindles[self.reqs[r].spindle].release(now) {
+            self.spindle_granted(n, now);
         }
-    }
-
-    /// Tape drive unloaded: pass it to the next waiter.
-    fn drive_free(&mut self, r: usize, now: SimMs) {
-        let device = self.reqs[r].device;
-        let next = match device {
-            DeviceClass::TapeSilo => self.silo.release(now),
-            DeviceClass::TapeManual => self.manual.release(now),
-            DeviceClass::Disk => unreachable!("disks have no unload"),
-        };
-        if let Some(n) = next {
-            self.device_granted(n, now);
-        }
-    }
-
-    fn rate_of(&self, device: DeviceClass) -> f64 {
-        match device {
-            DeviceClass::Disk => self.cfg.disk_rate,
-            DeviceClass::TapeSilo => self.cfg.silo_rate,
-            DeviceClass::TapeManual => self.cfg.manual_rate,
-        }
-    }
-
-    fn lognormal_ms(&mut self, median_s: f64, sigma: f64) -> SimMs {
-        let z = standard_normal(&mut self.rng);
-        ((median_s * (sigma * z).exp()) * MS as f64) as SimMs
-    }
-
-    fn jitter_ms(&mut self, base_s: f64, rel: f64) -> SimMs {
-        let f = 1.0 + self.rng.gen_range(-rel..rel);
-        ((base_s * f) * MS as f64) as SimMs
     }
 }
 
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
-}
+/// The open-loop listener: tape jobs are named by their request index,
+/// reads and appends alike are served at their first byte, and nothing
+/// ever fails — there is no fault schedule and no deadline.
+impl TapeHost for Front<'_> {
+    type Error = Infallible;
 
-/// FNV-1a hash of a path, used to pin files to disk spindles.
-fn path_hash(path: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    fn schedule(&mut self, at: SimMs, ev: TapeEv) {
+        self.queue.push(at, Ev::Tape(ev));
     }
-    h
+
+    fn noise(&mut self) -> &mut Noise {
+        &mut self.noise
+    }
+
+    fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), Infallible> {
+        self.served(job as usize, at);
+        Ok(())
+    }
+
+    fn append_started(&mut self, job: u64, at: SimMs) {
+        self.served(job as usize, at);
+    }
+
+    fn done(&mut self, _job: u64, _at: SimMs) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn flush_done(&mut self, _job: u64, _at: SimMs, _bytes: u64) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn failed(&mut self, _: u64, _: u32, _: SimMs, _: SimMs) -> Result<RetryVerdict, Infallible> {
+        unreachable!("open-loop runs carry no fault schedule and no deadlines")
+    }
 }
 
 #[cfg(test)]
