@@ -25,7 +25,12 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("local addr: {e}"))?;
     println!("LISTENING {local}");
     std::io::stdout().flush().ok();
-    fmig_serve::origin::serve(listener)
+    let summary = fmig_serve::origin::serve(listener)?;
+    eprintln!(
+        "fmig-origin: session ended: {} advances answered, {} completion frames emitted",
+        summary.advances, summary.frames_emitted
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {

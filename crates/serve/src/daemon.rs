@@ -5,8 +5,24 @@
 //! gates — and schedules every miss as a recall against the origin
 //! server, which owns the tape half ([`crate::origin`]). The two halves
 //! stay causally consistent through a watermark protocol: before the
-//! daemon processes anything at virtual time `t` it advances the origin
-//! to `t` and applies every tape event the origin emitted up to `t`.
+//! daemon processes anything at virtual time `t`, the origin must have
+//! processed everything up to `t` and the daemon must have applied every
+//! tape event it emitted on the way. The daemon asks (`Advance`) only
+//! when the answer can be non-empty: each `AdvanceDone` carries a
+//! **lookahead grant** — the last millisecond before the origin's next
+//! queued event — and until virtual time passes it the origin is left
+//! alone. Only the daemon can make the origin's next event earlier than
+//! granted, by sending a `Recall` (entering at `enter_vms`), a `Flush`
+//! (ready at `ready_vms`) or a retry verdict; the first two lower the
+//! held grant to the millisecond before the job joins, the third is
+//! scheduled origin-side before the grant is computed. A grant below
+//! the requested watermark or past [`DRAIN_HORIZON_VMS`] ends the
+//! session with an error.
+//!
+//! Client connections are validated where their frames enter: a frame
+//! that only a daemon sends, a file id outside the dense `u32` space, or
+//! a request time outside `0..=DRAIN_HORIZON_VMS / MS` drops that
+//! connection; the daemon and every other connection carry on.
 //!
 //! # Robustness core
 //!
@@ -31,9 +47,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -128,6 +144,57 @@ enum CoreMsg {
     Gone(u64),
 }
 
+/// A client request that passed [`Request::checked`].
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    req: u64,
+    id: FileId,
+    size: u64,
+    time_s: i64,
+    next_use: Option<i64>,
+    device: DeviceClass,
+    write: bool,
+}
+
+impl Request {
+    /// The request in a `ReadReq`/`WriteReq` frame, or `None` when the
+    /// frame is anything else, names a file outside the dense id space,
+    /// or carries a time whose milliseconds the origin would refuse.
+    fn checked(frame: Frame) -> Option<Request> {
+        let (req, file, size, time_s, next_use, device, write) = match frame {
+            Frame::ReadReq {
+                req,
+                file,
+                size,
+                time_s,
+                next_use,
+                device,
+            } => (req, file, size, time_s, next_use, device, false),
+            Frame::WriteReq {
+                req,
+                file,
+                size,
+                time_s,
+                next_use,
+                device,
+            } => (req, file, size, time_s, next_use, device, true),
+            _ => return None,
+        };
+        if !(0..=DRAIN_HORIZON_VMS / MS).contains(&time_s) {
+            return None;
+        }
+        Some(Request {
+            req,
+            id: FileId::from(u32::try_from(file).ok()?),
+            size,
+            time_s,
+            next_use: (next_use != NO_NEXT_USE).then_some(next_use),
+            device,
+            write,
+        })
+    }
+}
+
 /// Local (disk-half) events.
 #[derive(Debug, Clone, Copy)]
 enum LEv {
@@ -219,10 +286,10 @@ struct Core<'p> {
     origin_flushed_bytes: u64,
     origin_r: BufReader<TcpStream>,
     origin_w: BufWriter<TcpStream>,
-    /// Origin has processed everything up to here.
+    /// The origin has nothing left to do at or before here: its latest
+    /// lookahead grant, lowered by [`Core::origin_enqueued`] to just
+    /// before every job sent since.
     origin_clock: SimMs,
-    /// Un-advanced `Recall`/`Flush` frames are in flight to the origin.
-    origin_dirty: bool,
     origin_report: Option<OriginReport>,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
@@ -231,7 +298,7 @@ struct Core<'p> {
     conns: HashMap<u64, Sender<Frame>>,
     /// Reorder buffer: requests process in global `req` order so a
     /// multi-connection replay is trace-order deterministic.
-    pending: BTreeMap<u64, (u64, Frame)>,
+    pending: BTreeMap<u64, (u64, Request)>,
     next_req: u64,
 }
 
@@ -316,7 +383,6 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
         origin_r,
         origin_w,
         origin_clock: SimMs::MIN,
-        origin_dirty: false,
         origin_report: None,
         live_recalls: 0,
         draining: false,
@@ -408,18 +474,42 @@ fn accept_loop(listener: TcpListener, tx: Sender<CoreMsg>, stop: Arc<AtomicBool>
         });
         thread::spawn(move || {
             let mut writer = BufWriter::new(stream);
-            while let Ok(frame) = wrx.recv() {
-                if frame.write_to(&mut writer).is_err() || writer.flush().is_err() {
-                    return;
-                }
-            }
+            let _ = write_replies(&wrx, &mut writer);
+            // The core dropped this connection (or the daemon ended, or
+            // the peer is gone): end the reader thread with it.
+            let _ = writer.get_ref().shutdown(Shutdown::Both);
         });
     }
 }
 
+/// A connection's writer loop: each wake-up writes the reply it was
+/// woken for and every reply queued behind it, then flushes once.
+fn write_replies(
+    replies: &Receiver<Frame>,
+    writer: &mut BufWriter<TcpStream>,
+) -> Result<(), ProtoError> {
+    while let Ok(mut frame) = replies.recv() {
+        loop {
+            frame.write_to(writer)?;
+            match replies.try_recv() {
+                Ok(next) => frame = next,
+                Err(_) => break,
+            }
+        }
+        writer.flush()?;
+    }
+    Ok(())
+}
+
 impl Core<'_> {
     /// Handles one client frame. Returns `Ok(false)` on `Shutdown`.
+    /// A frame no well-behaved client sends drops its connection — the
+    /// writer thread ends with the sender and shuts the socket down —
+    /// and anything still queued from a dropped connection is ignored.
     fn handle_client(&mut self, conn: u64, frame: Frame) -> Result<bool, String> {
+        if !self.conns.contains_key(&conn) {
+            return Ok(true);
+        }
         match frame {
             Frame::Hello { .. } => {
                 self.send(
@@ -429,21 +519,25 @@ impl Core<'_> {
                     },
                 );
             }
-            Frame::ReadReq { req, .. } | Frame::WriteReq { req, .. } => {
+            Frame::ReadReq { .. } | Frame::WriteReq { .. } => {
+                let Some(request) = Request::checked(frame) else {
+                    self.conns.remove(&conn);
+                    return Ok(true);
+                };
                 if self.draining {
                     self.send(
                         conn,
                         Frame::Rejected {
-                            req,
+                            req: request.req,
                             reason: RejectReason::Draining,
                         },
                     );
                     return Ok(true);
                 }
-                self.pending.insert(req, (conn, frame));
-                while let Some((conn, frame)) = self.pending.remove(&self.next_req) {
+                self.pending.insert(request.req, (conn, request));
+                while let Some((conn, request)) = self.pending.remove(&self.next_req) {
                     self.next_req += 1;
-                    self.process_request(conn, frame)?;
+                    self.process_request(conn, request)?;
                 }
             }
             Frame::StatsReq => {
@@ -459,7 +553,9 @@ impl Core<'_> {
                 let _ = self.origin_w.flush();
                 return Ok(false);
             }
-            other => return Err(format!("unexpected client frame: {other:?}")),
+            _ => {
+                self.conns.remove(&conn);
+            }
         }
         Ok(true)
     }
@@ -471,29 +567,18 @@ impl Core<'_> {
         }
     }
 
-    fn process_request(&mut self, conn: u64, frame: Frame) -> Result<(), String> {
-        let (req, file, size, time_s, next_use_raw, device, write) = match frame {
-            Frame::ReadReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            } => (req, file, size, time_s, next_use, device, false),
-            Frame::WriteReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            } => (req, file, size, time_s, next_use, device, true),
-            _ => unreachable!("only requests are sequenced"),
-        };
+    fn process_request(&mut self, conn: u64, request: Request) -> Result<(), String> {
+        let Request {
+            req,
+            id,
+            size,
+            time_s,
+            next_use,
+            device,
+            write,
+        } = request;
         let t_vms = time_s * MS;
         self.advance_to(t_vms)?;
-        let id = FileId::from(file);
         if !write {
             let resident = self.cache.contains(id);
             if should_shed(
@@ -513,7 +598,6 @@ impl Core<'_> {
             }
         }
         self.requests += 1;
-        let next_use = (next_use_raw != NO_NEXT_USE).then_some(next_use_raw);
         self.arrive(conn, req, id, size, write, time_s, next_use, device, t_vms)
     }
 
@@ -694,18 +778,25 @@ impl Core<'_> {
         }
         .write_to(&mut self.origin_w)
         .map_err(|e| format!("flush send: {e}"))?;
-        self.origin_dirty = true;
+        self.origin_enqueued(at);
         Ok(())
+    }
+
+    /// A job joining the origin's queue at `at` was just sent: whatever
+    /// the origin granted, it now has work at `at`.
+    fn origin_enqueued(&mut self, at: SimMs) {
+        self.origin_clock = self.origin_clock.min(at - 1);
     }
 
     /// Processes every local event up to `t`, keeping the origin's
     /// clock at or ahead of every local event handled — the watermark
-    /// protocol that makes the split engine causally consistent.
+    /// protocol that makes the split engine causally consistent. The
+    /// origin is consulted only when its grant has run out.
     fn advance_to(&mut self, t: SimMs) -> Result<(), String> {
         loop {
             let next_local = self.queue.peek_time().filter(|&lt| lt <= t);
             let target = next_local.unwrap_or(t);
-            if self.origin_clock < target || self.origin_dirty {
+            if self.origin_clock < target {
                 self.origin_advance(target)?;
                 continue;
             }
@@ -719,20 +810,31 @@ impl Core<'_> {
         }
     }
 
-    /// Advances the origin to (at least) `target` and applies every
-    /// tape event it emits on the way.
-    fn origin_advance(&mut self, target: SimMs) -> Result<(), String> {
-        let until = target.max(self.origin_clock);
+    /// Advances the origin to `until`, applies every tape event it
+    /// emits on the way, and holds on to the grant it answers with.
+    fn origin_advance(&mut self, until: SimMs) -> Result<(), String> {
         Frame::Advance { until_vms: until }
             .write_to(&mut self.origin_w)
             .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
             .map_err(|e| format!("advance send: {e}"))?;
-        self.origin_dirty = false;
-        loop {
+        // A job sent by a handler below would reach the origin after it
+        // computed the grant, so the grant is taken as a `min` with what
+        // `origin_enqueued` records meanwhile. (No handler sends one
+        // today; retry verdicts are scheduled before the grant.)
+        self.origin_clock = SimMs::MAX;
+        let grant = loop {
             let frame =
                 Frame::read_from(&mut self.origin_r).map_err(|e| format!("origin read: {e}"))?;
             match frame {
-                Frame::AdvanceDone { .. } => break,
+                Frame::AdvanceDone { now_vms } => {
+                    if !(until..=DRAIN_HORIZON_VMS).contains(&now_vms) {
+                        return Err(format!(
+                            "origin granted {now_vms} for an advance to {until} \
+                             (horizon {DRAIN_HORIZON_VMS})"
+                        ));
+                    }
+                    break now_vms;
+                }
                 Frame::RecallFirstByte { job, fb_vms } => self.recall_first_byte(job, fb_vms)?,
                 Frame::RecallDone { job, done_vms } => self.recall_done(job, done_vms)?,
                 Frame::RecallFailed {
@@ -748,8 +850,8 @@ impl Core<'_> {
                 } => self.flush_done(job, done_vms, bytes)?,
                 other => return Err(format!("unexpected origin frame: {other:?}")),
             }
-        }
-        self.origin_clock = until;
+        };
+        self.origin_clock = self.origin_clock.min(grant);
         Ok(())
     }
 
@@ -897,7 +999,7 @@ impl Core<'_> {
         }
         .write_to(&mut self.origin_w)
         .map_err(|e| format!("recall send: {e}"))?;
-        self.origin_dirty = true;
+        self.origin_enqueued(now);
         Ok(())
     }
 

@@ -13,6 +13,14 @@
 //! use for the handshake's seed and span — live chaos injection that
 //! stays oracle-comparable.
 //!
+//! An `Advance { until_vms }` is answered, once everything due is
+//! handled, with a **lookahead grant**: `AdvanceDone { now_vms }` names
+//! the last millisecond before this host's next queued event
+//! ([`DRAIN_HORIZON_VMS`] when nothing is queued), never less than
+//! `until_vms`. Nothing is queued in between, so "everything up to
+//! `now_vms` is processed" is true as it stands, and the daemon need not
+//! ask again before then unless it enqueues something earlier itself.
+//!
 //! Protocol (daemon → origin): `OriginHello`, then any interleaving of
 //! `Recall` / `Flush` enqueues and `Advance` watermarks; `Drain` asks
 //! for the degraded-mode counter report; `Shutdown` (or simply closing
@@ -50,12 +58,19 @@ struct Session {
     writer: BufWriter<TcpStream>,
     queue: EventQueue<TapeEv>,
     noise: Noise,
+    summary: SessionSummary,
 }
 
 impl Session {
     fn send(&mut self, frame: Frame) -> Result<(), ProtoError> {
         frame.write_to(&mut self.writer)?;
         Ok(self.writer.flush()?)
+    }
+
+    /// Buffers one tape completion for the daemon.
+    fn emit(&mut self, frame: Frame) -> Result<(), ProtoError> {
+        self.summary.frames_emitted += 1;
+        frame.write_to(&mut self.writer)
     }
 }
 
@@ -71,20 +86,19 @@ impl TapeHost for Session {
     }
 
     fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
-        Frame::RecallFirstByte { job, fb_vms: at }.write_to(&mut self.writer)
+        self.emit(Frame::RecallFirstByte { job, fb_vms: at })
     }
 
     fn done(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
-        Frame::RecallDone { job, done_vms: at }.write_to(&mut self.writer)
+        self.emit(Frame::RecallDone { job, done_vms: at })
     }
 
     fn flush_done(&mut self, job: u64, at: SimMs, bytes: u64) -> Result<(), ProtoError> {
-        Frame::FlushDone {
+        self.emit(Frame::FlushDone {
             job,
             done_vms: at,
             bytes,
-        }
-        .write_to(&mut self.writer)
+        })
     }
 
     fn failed(
@@ -94,12 +108,13 @@ impl TapeHost for Session {
         failed_ms: SimMs,
         drive_free_ms: SimMs,
     ) -> Result<RetryVerdict, ProtoError> {
-        self.send(Frame::RecallFailed {
+        self.emit(Frame::RecallFailed {
             job,
             attempt: attempts,
             failed_vms: failed_ms,
             drive_free_vms: drive_free_ms,
         })?;
+        self.writer.flush()?;
         match Frame::read_from(&mut self.reader)? {
             Frame::RecallRetry { job: j, rejoin_vms } if j == job => Ok(RetryVerdict::Retry {
                 rejoin_ms: rejoin_vms,
@@ -139,11 +154,22 @@ fn checked_vms(what: &str, vms: SimMs) -> Result<SimMs, String> {
     }
 }
 
+/// What one daemon session cost on the link, counted at the origin.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionSummary {
+    /// `Advance` watermarks answered: synchronous round trips.
+    pub advances: u64,
+    /// Tape completions framed to the daemon (`RecallFirstByte`,
+    /// `RecallDone`, `RecallFailed`, `FlushDone`).
+    pub frames_emitted: u64,
+}
+
 /// Accepts one daemon session and serves it to completion.
 ///
-/// Returns `Ok` on an orderly end (a `Shutdown` frame or the daemon
-/// closing the connection); protocol violations are errors.
-pub fn serve(listener: TcpListener) -> Result<(), String> {
+/// Returns the session's link counts on an orderly end (a `Shutdown`
+/// frame or the daemon closing the connection); protocol violations are
+/// errors.
+pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
     let (stream, _peer) = listener.accept().map_err(|e| format!("accept: {e}"))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
@@ -187,6 +213,7 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
         writer,
         queue: EventQueue::new(),
         noise: Noise::Keyed(seed),
+        summary: SessionSummary::default(),
     };
     tape.schedule_outages(&mut session);
 
@@ -194,7 +221,7 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
         let frame = match Frame::read_from(&mut session.reader) {
             Ok(f) => f,
             // The daemon closing the socket is an orderly end.
-            Err(ProtoError::Io(_)) | Err(ProtoError::Truncated) => return Ok(()),
+            Err(ProtoError::Io(_)) | Err(ProtoError::Truncated) => return Ok(session.summary),
             Err(e) => return Err(format!("read: {e}")),
         };
         match frame {
@@ -228,14 +255,23 @@ pub fn serve(listener: TcpListener) -> Result<(), String> {
                     tape.handle(now, ev, &mut session)
                         .map_err(|e| format!("advance to {until}: {e}"))?;
                 }
+                // The grant: nothing is queued before the next event, so
+                // everything up to the millisecond before it is processed
+                // too. A verdict-scheduled rejoin is already in the queue
+                // here; only a later `Recall`/`Flush` can land earlier, and
+                // the daemon accounts for those itself.
+                let grant = session.queue.peek_time().map_or(DRAIN_HORIZON_VMS, |t| {
+                    (t - 1).clamp(until, DRAIN_HORIZON_VMS)
+                });
+                session.summary.advances += 1;
                 session
-                    .send(Frame::AdvanceDone { now_vms: until })
+                    .send(Frame::AdvanceDone { now_vms: grant })
                     .map_err(|e| format!("advance ack: {e}"))?;
             }
             Frame::Drain => session
                 .send(drain_frame(tape.counters()))
                 .map_err(|e| format!("drain report: {e}"))?,
-            Frame::Shutdown => return Ok(()),
+            Frame::Shutdown => return Ok(session.summary),
             other => return Err(format!("unexpected frame from daemon: {other:?}")),
         }
     }

@@ -263,9 +263,10 @@ pub enum Frame {
         /// Watermark, virtual ms.
         until_vms: i64,
     },
-    /// The origin processed everything at or before the watermark.
+    /// The origin processed everything at or before `now_vms`.
     AdvanceDone {
-        /// Echo of the watermark.
+        /// The lookahead grant: at least the watermark, and up to the
+        /// millisecond before the origin's next queued event.
         now_vms: i64,
     },
     /// A recall's transfer started: its requester (and coalesced

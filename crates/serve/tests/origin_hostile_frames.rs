@@ -48,7 +48,10 @@ fn session_result(frames: &[Frame]) -> Result<(), String> {
     // Hold the connection until the origin hangs up: closing early
     // would race the orderly-end path against the error we expect.
     while Frame::read_from(&mut reader).is_ok() {}
-    origin.join().expect("origin thread must not panic")
+    origin
+        .join()
+        .expect("origin thread must not panic")
+        .map(drop)
 }
 
 fn recall(tier: DeviceClass, enter_vms: i64) -> Frame {

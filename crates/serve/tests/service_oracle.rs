@@ -12,11 +12,13 @@ use fmig_core::{FaultScenarioId, SweepConfig};
 use fmig_migrate::cache::CacheConfig;
 use fmig_serve::daemon::{self, DaemonConfig};
 use fmig_serve::loadgen::{self, LoadgenConfig};
-use fmig_serve::origin;
+use fmig_serve::origin::{self, SessionSummary};
 use fmig_sim::config::SimConfig;
 use fmig_sim::HierarchySimulator;
 
-fn replay(scenario: FaultScenarioId, connections: usize) {
+/// Replays the tiny cell live, holds it to the oracle, and returns the
+/// origin's link counts with the number of references replayed.
+fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64) {
     let setup = loadgen::tiny_cell(scenario);
 
     let policy = SweepConfig::tiny().policies[0].build();
@@ -66,7 +68,7 @@ fn replay(scenario: FaultScenarioId, connections: usize) {
         .join()
         .expect("daemon thread")
         .expect("daemon serve");
-    origin_thread
+    let link = origin_thread
         .join()
         .expect("origin thread")
         .expect("origin serve");
@@ -136,6 +138,7 @@ fn replay(scenario: FaultScenarioId, connections: usize) {
         assert!(stats.fetch_retries <= budget, "retries exceed budget");
         assert!(stats.outage_events > 0, "chaos produced no outages");
     }
+    (link, report.sent)
 }
 
 #[test]
@@ -151,4 +154,31 @@ fn degraded_peak_replay_matches_the_simulator_oracle() {
 #[test]
 fn single_connection_replay_matches_too() {
     replay(FaultScenarioId::None, 1);
+}
+
+/// The lookahead grant, as an exact count: the daemon asks the origin
+/// less than once per reference, and how the requests are dealt over
+/// connections does not change how often.
+#[test]
+fn advance_round_trips_stay_below_one_per_reference() {
+    // (scenario, advances now, advances when every step asked)
+    let pinned = [
+        (FaultScenarioId::None, 2_202, 15_739),
+        (FaultScenarioId::DegradedPeak, 2_958, 15_733),
+    ];
+    for (scenario, advances, before_the_grant) in pinned {
+        let (one, refs) = replay(scenario, 1);
+        let (two, _) = replay(scenario, 2);
+        assert_eq!(one, two, "{scenario:?}: link counts moved with connections");
+        assert!(
+            one.advances < refs,
+            "{scenario:?}: {} advances for {refs} references",
+            one.advances
+        );
+        assert_eq!(
+            one.advances, advances,
+            "{scenario:?}: pinned at {advances} advances for 5,490 references \
+             ({before_the_grant} before the grant); re-pin if the tape model moved"
+        );
+    }
 }
