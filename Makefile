@@ -86,14 +86,16 @@ ingest-smoke:
 # and drive one short run per pinned engine (closed-mixed pins
 # HierarchySimulator, svc-loopback the live service, open-small
 # MssSimulator). Each run prints one JSON line last; `"failed": 0`
-# there means every output matched its pin. svc-loopback runs at the
-# held-out seed 2024 as well: a change to the daemon↔origin protocol
-# must hold on the pin it was not developed against.
+# there means every output matched its pin. svc-loopback and
+# closed-mixed run at the held-out seed 2024 as well: a change to the
+# daemon↔origin protocol, or to the closed-loop engine (event queue,
+# fault schedule, kinetic ranking), must hold on the pin it was not
+# developed against.
 BENCHMARK = $(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
 benchmark-check:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
-	set -e; for ws in closed-mixed:1993 svc-loopback:1993 svc-loopback:2024 open-small:1993; do \
+	set -e; for ws in closed-mixed:1993 closed-mixed:2024 svc-loopback:1993 svc-loopback:2024 open-small:1993; do \
 		w=$${ws%:*}; seed=$${ws#*:}; \
 		echo "== benchmark $$w seed $$seed =="; \
 		$(BENCHMARK) --workload $$w --seed $$seed --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed": *0[,}]'; \

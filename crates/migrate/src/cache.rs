@@ -67,14 +67,17 @@
 //! the cache ranks them with a kinetic tournament
 //! (`crate::rank::KineticTournament`): each
 //! internal node caches its winner plus a certificate (the earliest
-//! instant the comparison could flip), so a purge replays only expired
-//! subtrees and each entry mutation one root-to-leaf path — amortized
-//! `O(log n)` where the pre-kinetic implementation re-ranked all `n`
-//! residents per purge. Only policies with *neither* form (or broken
-//! contracts, or a backwards clock) take the exact rescan, which stays
-//! NaN-proof via `f64::total_cmp` and `sort_unstable`. All paths
-//! produce bit-identical victim sequences; `tests/mrc_index.rs` and
-//! `tests/kinetic_index.rs` property-test that equivalence.
+//! instant the comparison could flip). A touch only marks its leaf —
+//! O(1), no policy evaluation — and a purge settles the distinct leaves
+//! marked since the previous one (one evaluation and one root-to-leaf
+//! replay each), then replays only expired subtrees: amortized
+//! `O(log n)` per touched file where the pre-kinetic implementation
+//! re-ranked all `n` residents per purge. Only policies with *neither*
+//! form (or broken contracts, or a backwards clock) take the exact
+//! rescan, which stays NaN-proof via `f64::total_cmp` and
+//! `sort_unstable`. All paths produce bit-identical victim sequences;
+//! `tests/mrc_index.rs` and `tests/kinetic_index.rs` property-test
+//! that equivalence.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
@@ -765,12 +768,14 @@ impl<'p> DiskCache<'p> {
     }
 
     /// Mirrors one resident entry's mutation into whichever index is
-    /// active — an affine key push, or a kinetic leaf upsert — and
-    /// degrades to the rescan if the policy withdraws the form or
-    /// violates its contract. `e` is the entry's state *after* the
+    /// active — an affine key push, or a kinetic leaf *mark* (the leaf
+    /// is re-evaluated when the next purge advances the tournament, so
+    /// a withdrawn kinetic form degrades there, not here) — and
+    /// degrades to the rescan if the policy withdraws the affine form
+    /// or violates its contract. `e` is the entry's state *after* the
     /// mutation being mirrored; every mutation site stamps
-    /// `e.last_ref = now`, so it doubles as the evaluation time for the
-    /// kinetic leaf.
+    /// `e.last_ref = now`, so it doubles as the tournament's clock for
+    /// an insert that has to grow the leaf space.
     fn index_upsert(&mut self, id: FileId, e: Entry) {
         match &mut self.index {
             IndexState::Active(idx) => match self.policy.affine(&view(id, &e)) {
@@ -1567,6 +1572,49 @@ mod tests {
         }
         assert!(c.uses_kinetic_index(), "kinetic index survives churn");
         assert!((0..9).any(|i| c.slot_epoch(i) > 1), "slots were recycled");
+    }
+
+    #[test]
+    fn a_form_withdrawn_on_a_touched_file_degrades_at_the_next_purge() {
+        /// STP that stops shipping a kinetic form for a file on its
+        /// third reference — a refusal only a *touched* leaf can hit.
+        struct Withdrawing(Stp);
+        impl MigrationPolicy for Withdrawing {
+            fn name(&self) -> String {
+                "withdrawing".into()
+            }
+            fn priority(&self, file: &FileView, now: i64) -> f64 {
+                self.0.priority(file, now)
+            }
+            fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+                if file.ref_count < 3 {
+                    self.0.kinetic(file, now)
+                } else {
+                    None
+                }
+            }
+        }
+        let p = Withdrawing(Stp::classic());
+        let mut c = DiskCache::with_eviction_mode(cfg(1000), &p, EvictionMode::Indexed);
+        for i in 0..10 {
+            c.write(i, 100, i as i64, None);
+        }
+        assert!(c.uses_kinetic_index());
+        assert!(c.contains(9u64));
+        // The touches that withdraw the form only mark the leaf ...
+        c.read(9u64, 100, 20, None);
+        c.read(9u64, 100, 21, None);
+        assert!(c.uses_kinetic_index(), "a touch evaluates nothing");
+        // ... and the refusal surfaces when the next purge settles it.
+        let evictions = c.stats().evictions;
+        for i in 10..20 {
+            c.write(i, 100, 30 + i as i64, None);
+        }
+        assert!(c.stats().evictions > evictions);
+        assert!(!c.uses_kinetic_index(), "degraded to the rescan");
+        // Same victims, counters and survivors as the rescan throughout
+        // (the churn references most files three times and more).
+        assert_modes_agree(&p, &churny_sequence());
     }
 
     #[test]

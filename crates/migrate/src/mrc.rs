@@ -320,7 +320,8 @@ impl Stack {
 
     /// Mirrors a touched/inserted resident's mutation into whichever
     /// index this stack runs — an affine key push or a kinetic leaf
-    /// upsert — exactly like `DiskCache::index_upsert`. Returns `true`
+    /// mark (settled when `maybe_purge` next advances the tournament) —
+    /// exactly like `DiskCache::index_upsert`. Returns `true`
     /// when stale affine keys dominate and the caller should rebuild the
     /// heap from the resident set (the caller holds the file table the
     /// rebuild needs); the kinetic tournament mirrors exactly and never

@@ -22,8 +22,12 @@
 //!   node of a tournament tree caches its winner together with a
 //!   *certificate* ([`crate::policy::certify_order`]): the earliest
 //!   instant the cached comparison could flip. Advancing the clock
-//!   recomputes only subtrees whose certificate minimum has expired;
-//!   an entry mutation replays one root-to-leaf path.
+//!   recomputes only subtrees whose certificate minimum has expired.
+//!   An entry mutation only *marks* its leaf: a winner is read at a
+//!   purge, hundreds of references apart, so the re-evaluation and the
+//!   root-to-leaf replay are owed once per touched leaf per purge —
+//!   [`KineticTournament::advance`] settles the marked leaves before
+//!   it looks at certificates.
 //!
 //! Staleness is resolved when a key surfaces: the caller's `validate`
 //! closure checks the candidate against live state and answers
@@ -269,13 +273,16 @@ const EMPTY_NODE: KNode = KNode {
 
 /// One leaf: a resident file's dense index, its priority and kinetic
 /// form as of `stamp`. Leaves refresh lazily — only when a recompute
-/// actually compares them at a newer time.
+/// actually compares them at a newer time, or when the entry mutated
+/// since (`stale`: the cached value describes a state that no longer
+/// exists, whatever its stamp says).
 #[derive(Debug, Clone, Copy)]
 struct KLeaf {
     file: u32,
     priority: f64,
     form: KineticForm,
     stamp: i64,
+    stale: bool,
 }
 
 const EMPTY_LEAF: KLeaf = KLeaf {
@@ -283,6 +290,7 @@ const EMPTY_LEAF: KLeaf = KLeaf {
     priority: 0.0,
     form: KineticForm::PiecewiseConstant { until: i64::MAX },
     stamp: i64::MIN,
+    stale: false,
 };
 
 /// A kinetic tournament over the resident set: an implicit perfect
@@ -294,7 +302,11 @@ const EMPTY_LEAF: KLeaf = KLeaf {
 /// [`crate::policy::MigrationPolicy::priority`] value, which is all the
 /// tournament ever compares (forms only schedule re-checks), so the
 /// winner sequence is bit-identical to the rescan's
-/// `(priority desc, id asc)` order by construction. `eval` returning
+/// `(priority desc, id asc)` order by construction. Between two
+/// [`KineticTournament::advance`] calls the tree may lag the entries:
+/// [`KineticTournament::upsert`] queues the mutated leaf on `dirty`
+/// and the next `advance` settles the queue, so a file touched `k`
+/// times between purges is evaluated once. `eval` returning
 /// `None` (entry missing, policy refusing a form) makes the mutating
 /// call answer `false`: the caller must discard the tournament and
 /// degrade to the exact rescan, mirroring [`Candidate::Abort`].
@@ -309,6 +321,11 @@ pub(crate) struct KineticTournament {
     /// Dense file index → leaf slot ([`NO_SLOT`] when untracked).
     slot_of: Vec<u32>,
     free: Vec<u32>,
+    /// Leaf slots mutated since the last `advance`, each owed one
+    /// re-evaluation and one path replay. A slot whose file was evicted
+    /// (or replaced) in the meantime stays listed; settling it replays
+    /// an already-current path, which is harmless.
+    dirty: Vec<u32>,
     len: usize,
     now: i64,
 }
@@ -322,6 +339,7 @@ impl KineticTournament {
             leaves: vec![EMPTY_LEAF; cap],
             slot_of: Vec::new(),
             free: (0..cap as u32).rev().collect(),
+            dirty: Vec::new(),
             len: 0,
             now: i64::MIN,
         }
@@ -344,6 +362,7 @@ impl KineticTournament {
                 priority,
                 form,
                 stamp: now,
+                stale: false,
             };
             let fi = f as usize;
             if fi >= t.slot_of.len() {
@@ -363,9 +382,10 @@ impl KineticTournament {
         self.len
     }
 
-    /// Moves the tournament clock to `now`, replaying exactly the
-    /// subtrees whose certificates have expired. `false` aborts (see
-    /// the type docs).
+    /// Moves the tournament clock to `now`: settles every leaf mutated
+    /// since the last call (one evaluation and one path replay each),
+    /// then replays exactly the subtrees whose certificates have
+    /// expired. `false` aborts (see the type docs).
     pub fn advance(
         &mut self,
         now: i64,
@@ -374,12 +394,24 @@ impl KineticTournament {
         debug_assert!(now >= self.now, "kinetic clocks are monotone");
         self.now = now;
         let mut ok = true;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for slot in dirty.drain(..) {
+            self.refresh(slot, now, eval, &mut ok);
+            self.reseat(slot, now, eval, &mut ok);
+            if !ok {
+                return false;
+            }
+        }
+        self.dirty = dirty; // keep the allocation
         self.advance_node(1, now, eval, &mut ok);
         ok
     }
 
-    /// Inserts or re-evaluates one file (any entry mutation: touch,
-    /// resize, insert), replaying its root-to-leaf path.
+    /// Registers one file's mutation (touch, resize, insert): assigns
+    /// a leaf slot if the file has none and marks the leaf for the next
+    /// [`KineticTournament::advance`]. O(1), no evaluation, no replay —
+    /// except an insert that outgrows the leaf space, which doubles it
+    /// and rebuilds (amortised O(1) evaluations per insert).
     pub fn upsert(
         &mut self,
         file: u32,
@@ -390,12 +422,12 @@ impl KineticTournament {
         if fi >= self.slot_of.len() {
             self.slot_of.resize(fi + 1, NO_SLOT);
         }
-        let mut ok = true;
         let slot = match self.slot_of[fi] {
             NO_SLOT => {
                 let slot = match self.free.pop() {
                     Some(s) => s,
                     None => {
+                        let mut ok = true;
                         self.grow(now, eval, &mut ok);
                         if !ok {
                             return false;
@@ -404,24 +436,18 @@ impl KineticTournament {
                     }
                 };
                 self.slot_of[fi] = slot;
+                self.leaves[slot as usize].file = file;
                 self.len += 1;
                 slot
             }
             s => s,
         };
-        match eval(file, now) {
-            Some((priority, form)) => {
-                self.leaves[slot as usize] = KLeaf {
-                    file,
-                    priority,
-                    form,
-                    stamp: now,
-                };
-            }
-            None => return false,
+        let leaf = &mut self.leaves[slot as usize];
+        if !leaf.stale {
+            leaf.stale = true;
+            self.dirty.push(slot);
         }
-        self.reseat(slot, now, eval, &mut ok);
-        ok
+        true
     }
 
     /// Unregisters an evicted file, replaying its root-to-leaf path.
@@ -478,7 +504,8 @@ impl KineticTournament {
         }
     }
 
-    /// Re-evaluates a leaf if its cached value predates `now`.
+    /// Re-evaluates a leaf if its cached value predates `now` or the
+    /// entry mutated since it was cached (possibly at this same `now`).
     fn refresh(
         &mut self,
         slot: u32,
@@ -487,7 +514,7 @@ impl KineticTournament {
         ok: &mut bool,
     ) {
         let leaf = &mut self.leaves[slot as usize];
-        if leaf.stamp == now || leaf.file == NO_SLOT {
+        if (leaf.stamp == now && !leaf.stale) || leaf.file == NO_SLOT {
             return;
         }
         match eval(leaf.file, now) {
@@ -495,6 +522,7 @@ impl KineticTournament {
                 leaf.priority = priority;
                 leaf.form = form;
                 leaf.stamp = now;
+                leaf.stale = false;
             }
             None => *ok = false,
         }
@@ -872,6 +900,15 @@ mod kinetic_tests {
                 }
                 _ => {}
             }
+            // Mutations settle at the next advance (the documented
+            // contract for reading a winner).
+            {
+                let mut eval = |f: u32, at: i64| {
+                    let v = state[f as usize].as_ref()?;
+                    Some((p.priority(v, at), p.kinetic(v, at)?))
+                };
+                assert!(t.advance(now, &mut eval));
+            }
             assert_eq!(
                 t.winner().map(|(f, _, _)| f),
                 naive_best(p, &state, now),
@@ -900,6 +937,183 @@ mod kinetic_tests {
     #[test]
     fn tournament_matches_rescan_for_stp_lat() {
         churn_matches_rescan(&StpLat::classic(), 300);
+    }
+
+    /// The `eval` hook over a test's file table.
+    fn eval_over<'a>(
+        p: &'a dyn MigrationPolicy,
+        state: &'a [Option<FileView>],
+    ) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
+        move |f, at| {
+            let v = state[f as usize].as_ref()?;
+            Some((p.priority(v, at), p.kinetic(v, at)?))
+        }
+    }
+
+    fn touch(state: &mut [Option<FileView>], f: u32, now: i64) {
+        let v = state[f as usize]
+            .as_mut()
+            .expect("touched files are resident");
+        v.last_ref = now;
+        v.ref_count += 1;
+    }
+
+    #[test]
+    fn touches_between_advances_cost_one_evaluation_at_the_advance() {
+        let p = Stp::classic();
+        let mut state: Vec<Option<FileView>> = (0..16u32)
+            .map(|i| Some(view(i, 100 + i as u64 * 37, i as i64 * 3, 1)))
+            .collect();
+        let files: Vec<u32> = (0..16).collect();
+        let mut t = KineticTournament::build(&files, 100, &mut eval_over(&p, &state)).unwrap();
+        assert!(t.advance(200, &mut eval_over(&p, &state)));
+        // Five touches of one hot file: nothing is evaluated.
+        for now in [210, 220, 230, 240, 250] {
+            touch(&mut state, 3, now);
+            let mut eval = |_: u32, _: i64| -> Option<(f64, KineticForm)> {
+                panic!("a touch must not evaluate");
+            };
+            assert!(t.upsert(3, now, &mut eval));
+        }
+        // The advance pays for the hot file exactly once.
+        let mut evals_of_3 = 0;
+        let mut inner = eval_over(&p, &state);
+        let mut eval = |f: u32, at: i64| {
+            evals_of_3 += usize::from(f == 3);
+            inner(f, at)
+        };
+        assert!(t.advance(300, &mut eval));
+        assert_eq!(evals_of_3, 1);
+        assert_eq!(t.winner().map(|w| w.0), naive_best(&p, &state, 300));
+    }
+
+    #[test]
+    fn a_touch_in_the_second_a_neighbour_refreshed_the_leaf_still_counts() {
+        let p = Stp::classic();
+        // File 1 is old and huge: the standing winner. Files 0 and 1
+        // occupy sibling leaves.
+        let mut state: Vec<Option<FileView>> = vec![
+            Some(view(0, 500, 10, 1)),
+            Some(view(1, 1_000_000, 0, 1)),
+            Some(view(2, 400, 20, 1)),
+            Some(view(3, 300, 30, 1)),
+        ];
+        let mut t =
+            KineticTournament::build(&[0, 1, 2, 3], 50, &mut eval_over(&p, &state)).unwrap();
+        let now = 100;
+        // Settling file 0's touch replays its path, which refreshes its
+        // sibling — file 1's leaf is now stamped `now`.
+        touch(&mut state, 0, now);
+        assert!(t.upsert(0, now, &mut eval_over(&p, &state)));
+        assert!(t.advance(now, &mut eval_over(&p, &state)));
+        assert_eq!(t.winner().map(|w| w.0), Some(1));
+        // File 1 is touched in that same second: its age drops to zero
+        // and it must lose, although its leaf's stamp already says `now`.
+        touch(&mut state, 1, now);
+        assert!(t.upsert(1, now, &mut eval_over(&p, &state)));
+        assert!(t.advance(now, &mut eval_over(&p, &state)));
+        let best = naive_best(&p, &state, now);
+        assert_ne!(best, Some(1));
+        assert_eq!(t.winner().map(|w| w.0), best);
+    }
+
+    #[test]
+    fn a_marked_leaf_evicted_and_reused_before_the_advance_settles_cleanly() {
+        let p = Stp::classic();
+        let mut state: Vec<Option<FileView>> = (0..4u32)
+            .map(|i| Some(view(i, 100 + i as u64 * 11, i as i64, 1)))
+            .collect();
+        state.resize(8, None);
+        let mut t =
+            KineticTournament::build(&[0, 1, 2, 3], 40, &mut eval_over(&p, &state)).unwrap();
+        // Touch file 2, evict it before any advance, and let file 6
+        // take over its (marked) slot.
+        touch(&mut state, 2, 50);
+        assert!(t.upsert(2, 50, &mut eval_over(&p, &state)));
+        state[2] = None;
+        assert!(t.remove(2, 50, &mut eval_over(&p, &state)));
+        state[6] = Some(view(6, 9_000, 50, 1));
+        assert!(t.upsert(6, 50, &mut eval_over(&p, &state)));
+        assert_eq!(t.len(), 4);
+        // Settles to the rescan order over {0, 1, 3, 6}, all the way down.
+        let now = 90;
+        let mut got = Vec::new();
+        let mut expected = Vec::new();
+        while t.len() > 0 {
+            assert!(t.advance(now, &mut eval_over(&p, &state)));
+            let (f, _, _) = t.winner().expect("residents remain");
+            expected.push(naive_best(&p, &state, now).unwrap());
+            got.push(f);
+            state[f as usize] = None;
+            assert!(t.remove(f, now, &mut eval_over(&p, &state)));
+        }
+        assert_eq!(got, expected);
+        assert_eq!(got.len(), 4);
+    }
+
+    #[test]
+    fn batches_of_mutations_settle_to_the_rescan_winner() {
+        // Many leaves marked between two advances — touches, inserts
+        // (growth included), evictions of arbitrary residents, slots
+        // reused — replay overlapping paths in one settle.
+        let policies: [&dyn MigrationPolicy; 4] = [
+            &Stp::classic(),
+            &Saac,
+            &RandomEvict { salt: 7 },
+            &StpLat::classic(),
+        ];
+        for p in policies {
+            let mut state: Vec<Option<FileView>> = (0..40u32)
+                .map(|i| {
+                    Some(view(
+                        i,
+                        1 + (i as u64 * 7919) % 50_000,
+                        (i as i64 * 131) % 600,
+                        1 + i % 4,
+                    ))
+                })
+                .collect();
+            state.resize(96, None);
+            let files: Vec<u32> = (0..40).collect();
+            let mut now = 600;
+            let mut t = KineticTournament::build(&files, now, &mut eval_over(p, &state)).unwrap();
+            let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            for round in 0..200 {
+                for _ in 0..next() % 24 {
+                    now += (next() % 3) as i64;
+                    let f = (next() % 96) as u32;
+                    match (state[f as usize].is_some(), next() % 3) {
+                        (true, 0) => {
+                            state[f as usize] = None;
+                            assert!(t.remove(f, now, &mut eval_over(p, &state)));
+                        }
+                        (true, _) => {
+                            touch(&mut state, f, now);
+                            assert!(t.upsert(f, now, &mut eval_over(p, &state)));
+                        }
+                        (false, _) => {
+                            state[f as usize] = Some(view(f, 1 + next() % 1_000_000, now, 1));
+                            assert!(t.upsert(f, now, &mut eval_over(p, &state)));
+                        }
+                    }
+                }
+                now += [0, 1, 977, 43_200][(next() % 4) as usize];
+                assert!(t.advance(now, &mut eval_over(p, &state)));
+                assert_eq!(
+                    t.winner().map(|w| w.0),
+                    naive_best(p, &state, now),
+                    "{}: winner diverged in round {round}, now {now}",
+                    p.name()
+                );
+                assert_eq!(t.len(), state.iter().flatten().count());
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! an empty plan materializes to an inert schedule, a zero-fault run is
 //! **bit-identical** to a run of the pre-fault engine — the property
 //! `tests/golden_report.rs` and `tests/fault_injection.rs` pin.
+//!
+//! The engine asks the schedule two questions on every tape grant —
+//! which rate factor holds now, and how much of a queue wait overlapped
+//! an outage of the job's tier — so the schedule is **indexed once** at
+//! construction: slow windows are a sorted disjoint list
+//! ([`FaultSchedule::rate_factor_at`] is one `partition_point`), and
+//! each tier's outage windows are merged into their union with a running
+//! covered-milliseconds prefix ([`FaultSchedule::outage_overlap_ms`] is
+//! `covered(to) − covered(from)`, two binary searches). Both are
+//! property-tested against the linear scans they replaced.
 
 use fmig_trace::DeviceClass;
 use rand::rngs::SmallRng;
@@ -152,11 +162,55 @@ pub struct OutageWindow {
     pub end_ms: SimMs,
 }
 
+/// One tape tier's outage windows merged into disjoint intervals, with
+/// the milliseconds covered *before* each interval as a running prefix:
+/// the union measure of any span is then two binary searches.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct OutageCover {
+    /// `(start, end, covered before start)`, sorted, pairwise disjoint
+    /// and non-abutting.
+    spans: Vec<(SimMs, SimMs, SimMs)>,
+}
+
+impl OutageCover {
+    /// Merges the windows `sorted` by start into their union.
+    fn of(sorted: impl Iterator<Item = (SimMs, SimMs)>) -> Self {
+        let mut spans: Vec<(SimMs, SimMs, SimMs)> = Vec::new();
+        for (start, end) in sorted {
+            match spans.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ if end > start => {
+                    let before = spans.last().map_or(0, |l| l.2 + (l.1 - l.0));
+                    spans.push((start, end, before));
+                }
+                _ => {}
+            }
+        }
+        OutageCover { spans }
+    }
+
+    /// Milliseconds of `(-∞, t)` the union covers.
+    fn covered_before(&self, t: SimMs) -> SimMs {
+        match self.spans.partition_point(|s| s.0 < t) {
+            0 => 0,
+            i => {
+                let (start, end, before) = self.spans[i - 1];
+                before + (end.min(t) - start)
+            }
+        }
+    }
+}
+
 /// The concrete, deterministic schedule an engine run consumes; see the
 /// module docs for how determinism is obtained.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
+    /// Sorted by `(start, end)`: the order `OutageStart` events are
+    /// scheduled (and numbered) in.
     windows: Vec<OutageWindow>,
+    /// The union of `windows` per tape tier, `[silo, manual]`.
+    cover: [OutageCover; 2],
+    /// Sorted and pairwise disjoint (one renewal process emits them).
     slow: Vec<(SimMs, SimMs)>,
     slow_factor: f64,
     read_error_prob: f64,
@@ -226,8 +280,6 @@ impl FaultSchedule {
                 t += down_ms;
             }
         }
-        windows.sort_by_key(|w| (w.start_ms, w.end_ms));
-
         let mut slow = Vec::new();
         let mut slow_factor = 1.0;
         if let Some(clause) = plan.slow_drive {
@@ -249,14 +301,34 @@ impl FaultSchedule {
         }
 
         FaultSchedule {
-            windows,
             slow,
             slow_factor,
             read_error_prob: plan.read_error_prob.clamp(0.0, 1.0),
             max_read_retries: plan.max_read_retries,
             retry_backoff_ms: (plan.retry_backoff_s.max(0.0) * MS as f64) as SimMs,
             seed,
+            ..Self::with_windows(windows)
+        }
+    }
+
+    /// The one way outage windows enter a schedule: sorts them into
+    /// event order and derives the per-tier union index
+    /// [`Self::outage_overlap_ms`] reads. Everything else is inert.
+    fn with_windows(mut windows: Vec<OutageWindow>) -> Self {
+        windows.sort_by_key(|w| (w.start_ms, w.end_ms));
+        let cover = [Tier::Silo, Tier::Manual].map(|tier| {
+            OutageCover::of(
+                windows
+                    .iter()
+                    .filter(|w| w.target.tape_tier() == tier)
+                    .map(|w| (w.start_ms, w.end_ms)),
+            )
+        });
+        FaultSchedule {
+            windows,
+            cover,
             active: true,
+            ..Self::default()
         }
     }
 
@@ -294,18 +366,16 @@ impl FaultSchedule {
     /// `device`; disks never degrade and a healthy instant is exactly
     /// `1.0`.
     pub fn rate_factor_at(&self, device: DeviceClass, t_ms: SimMs) -> f64 {
-        if device == DeviceClass::Disk || self.slow.is_empty() {
+        if device == DeviceClass::Disk {
             return 1.0;
         }
-        for &(s, e) in &self.slow {
-            if t_ms >= s && t_ms < e {
-                return self.slow_factor;
-            }
-            if t_ms < s {
-                break;
-            }
+        // Slow windows are sorted and disjoint, so the only candidate
+        // is the first one still open after `t_ms`.
+        let i = self.slow.partition_point(|&(_, end)| end <= t_ms);
+        match self.slow.get(i) {
+            Some(&(start, _)) if start <= t_ms => self.slow_factor,
+            _ => 1.0,
         }
-        1.0
     }
 
     /// Milliseconds of `[from_ms, to_ms)` overlapping the **union** of
@@ -316,9 +386,34 @@ impl FaultSchedule {
     /// millisecond twice, or the attributed wait could exceed the wait
     /// itself.
     pub fn outage_overlap_ms(&self, tier: DeviceClass, from_ms: SimMs, to_ms: SimMs) -> SimMs {
-        if self.windows.is_empty() || to_ms <= from_ms {
+        let Some(tier) = Tier::of(tier) else {
+            return 0;
+        };
+        if to_ms <= from_ms {
             return 0;
         }
+        let cover = &self.cover[tier.slot()];
+        cover.covered_before(to_ms) - cover.covered_before(from_ms)
+    }
+}
+
+/// The pre-index linear scans, kept as the oracles the indexed lookups
+/// are property-tested against.
+#[cfg(test)]
+impl FaultSchedule {
+    fn rate_factor_at_scan(&self, device: DeviceClass, t_ms: SimMs) -> f64 {
+        if device == DeviceClass::Disk {
+            return 1.0;
+        }
+        for &(s, e) in &self.slow {
+            if t_ms >= s && t_ms < e {
+                return self.slow_factor;
+            }
+        }
+        1.0
+    }
+
+    fn outage_overlap_ms_scan(&self, tier: DeviceClass, from_ms: SimMs, to_ms: SimMs) -> SimMs {
         // Windows are sorted by start, so a cursor past each counted
         // interval's end computes the union in one pass.
         let mut overlap = 0;
@@ -459,24 +554,22 @@ mod tests {
         assert!((0.15..0.55).contains(&share), "degraded share {share}");
     }
 
+    pub(super) fn window(target: FaultTarget, start_ms: SimMs, end_ms: SimMs) -> OutageWindow {
+        OutageWindow {
+            target,
+            start_ms,
+            end_ms,
+        }
+    }
+
     #[test]
     fn outage_overlap_attributes_by_tier() {
-        let s = FaultSchedule {
-            windows: vec![
-                OutageWindow {
-                    target: FaultTarget::SiloDrive,
-                    start_ms: 100,
-                    end_ms: 200,
-                },
-                OutageWindow {
-                    target: FaultTarget::Operator,
-                    start_ms: 150,
-                    end_ms: 400,
-                },
-            ],
-            active: true,
-            ..FaultSchedule::none()
-        };
+        // Handed over out of order: the constructor sorts.
+        let s = FaultSchedule::with_windows(vec![
+            window(FaultTarget::Operator, 150, 400),
+            window(FaultTarget::SiloDrive, 100, 200),
+        ]);
+        assert_eq!(s.windows()[0].target, FaultTarget::SiloDrive);
         // Silo wait overlapping [50, 250): only the silo window counts.
         assert_eq!(s.outage_overlap_ms(DeviceClass::TapeSilo, 50, 250), 100);
         // Manual wait overlapping the same span: the operator window.
@@ -491,46 +584,134 @@ mod tests {
         // Two silo-tier windows (a drive and the robot arm) overlap on
         // [150, 200): a wait spanning both must count each millisecond
         // once, never twice.
-        let s = FaultSchedule {
-            windows: vec![
-                OutageWindow {
-                    target: FaultTarget::SiloDrive,
-                    start_ms: 100,
-                    end_ms: 200,
-                },
-                OutageWindow {
-                    target: FaultTarget::RobotArm,
-                    start_ms: 150,
-                    end_ms: 300,
-                },
-            ],
-            active: true,
-            ..FaultSchedule::none()
-        };
+        let s = FaultSchedule::with_windows(vec![
+            window(FaultTarget::SiloDrive, 100, 200),
+            window(FaultTarget::RobotArm, 150, 300),
+        ]);
         // Union over [0, 1000) is [100, 300) = 200 ms, not 250.
         assert_eq!(s.outage_overlap_ms(DeviceClass::TapeSilo, 0, 1000), 200);
         // A wait inside the doubly-covered region counts once.
         assert_eq!(s.outage_overlap_ms(DeviceClass::TapeSilo, 150, 200), 50);
         // A window fully inside an already-counted one adds nothing.
-        let nested = FaultSchedule {
-            windows: vec![
-                OutageWindow {
-                    target: FaultTarget::SiloDrive,
-                    start_ms: 100,
-                    end_ms: 400,
-                },
-                OutageWindow {
-                    target: FaultTarget::SiloDrive,
-                    start_ms: 150,
-                    end_ms: 250,
-                },
-            ],
-            active: true,
-            ..FaultSchedule::none()
-        };
+        let nested = FaultSchedule::with_windows(vec![
+            window(FaultTarget::SiloDrive, 100, 400),
+            window(FaultTarget::SiloDrive, 150, 250),
+        ]);
         assert_eq!(
             nested.outage_overlap_ms(DeviceClass::TapeSilo, 0, 1000),
             300
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::window;
+    use super::*;
+    use proptest::prelude::*;
+
+    const TARGETS: [FaultTarget; 4] = [
+        FaultTarget::SiloDrive,
+        FaultTarget::RobotArm,
+        FaultTarget::ManualDrive,
+        FaultTarget::Operator,
+    ];
+    const DEVICES: [DeviceClass; 3] = [
+        DeviceClass::Disk,
+        DeviceClass::TapeSilo,
+        DeviceClass::TapeManual,
+    ];
+
+    /// Instants worth probing: every window edge and its neighbours
+    /// (abutting and nested windows meet there), plus the span's ends.
+    fn edges(s: &FaultSchedule, start_ms: SimMs, end_ms: SimMs) -> Vec<SimMs> {
+        let mut at = vec![start_ms - 1, start_ms, end_ms, end_ms + 1];
+        let windows = s.windows.iter().map(|w| (w.start_ms, w.end_ms));
+        for (a, b) in windows.chain(s.slow.iter().copied()) {
+            at.extend([a - 1, a, a + 1, b - 1, b, b + 1]);
+        }
+        at
+    }
+
+    proptest! {
+        /// The indexed lookups equal the linear scans exactly, for
+        /// materialized plans (SiloDrive and RobotArm share the silo
+        /// tier, so same-tier windows nest and overlap) …
+        #[test]
+        fn indexed_lookups_equal_the_linear_scans(
+            seed in any::<u64>(),
+            clauses in proptest::collection::vec((0usize..4, 20.0f64..400.0, 1.0f64..300.0, 0.0f64..0.9), 0..5),
+            slow in (0.05f64..1.0, 20.0f64..400.0, 1.0f64..200.0),
+            start_ms in -50_000i64..50_000,
+            len_ms in 0i64..3_000_000,
+            probes in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..40),
+        ) {
+            let plan = FaultPlan {
+                outages: clauses
+                    .iter()
+                    .map(|&(t, mean_up_s, down_s, jitter)| OutageClause {
+                        target: TARGETS[t],
+                        mean_up_s,
+                        down_s,
+                        jitter,
+                    })
+                    // Two clauses that always share a tier.
+                    .chain([
+                        OutageClause { target: FaultTarget::SiloDrive, mean_up_s: 90.0, down_s: 120.0, jitter: 0.5 },
+                        OutageClause { target: FaultTarget::RobotArm, mean_up_s: 60.0, down_s: 200.0, jitter: 0.0 },
+                    ])
+                    .collect(),
+                slow_drive: Some(SlowDriveClause { rate_factor: slow.0, mean_up_s: slow.1, down_s: slow.2 }),
+                ..FaultPlan::none()
+            };
+            let end_ms = start_ms + len_ms;
+            let s = FaultSchedule::materialize(&plan, seed, start_ms, end_ms);
+            let mut at = edges(&s, start_ms, end_ms);
+            // Random instants inside and up to a quarter span beyond.
+            let reach = len_ms + len_ms / 2 + 2;
+            at.extend(probes.iter().flat_map(|&(a, b)| {
+                [a, b].map(|r| start_ms - len_ms / 4 - 1 + (r % reach as u64) as SimMs)
+            }));
+            for device in DEVICES {
+                for &t in &at {
+                    prop_assert_eq!(
+                        s.rate_factor_at(device, t).to_bits(),
+                        s.rate_factor_at_scan(device, t).to_bits()
+                    );
+                }
+                // Neighbouring probes as a span, both ways round and empty.
+                for pair in at.windows(2) {
+                    for (from, to) in [(pair[0], pair[1]), (pair[1], pair[0]), (pair[0], pair[0])] {
+                        prop_assert_eq!(
+                            s.outage_overlap_ms(device, from, to),
+                            s.outage_overlap_ms_scan(device, from, to)
+                        );
+                    }
+                }
+            }
+        }
+
+        /// … and for hand-placed windows no renewal process would emit:
+        /// unsorted, nested, abutting, empty.
+        #[test]
+        fn arbitrary_window_sets_equal_the_linear_scan(
+            raw in proptest::collection::vec((0usize..4, 0i64..400, 0i64..120), 0..24),
+            spans in proptest::collection::vec((-20i64..560, -20i64..560), 1..60),
+        ) {
+            let s = FaultSchedule::with_windows(
+                raw.iter()
+                    // Starts snap to a coarse grid so windows abut.
+                    .map(|&(t, start, len)| window(TARGETS[t], start / 20 * 20, start / 20 * 20 + len / 20 * 20 + len % 3))
+                    .collect(),
+            );
+            for device in DEVICES {
+                for &(from, to) in &spans {
+                    prop_assert_eq!(
+                        s.outage_overlap_ms(device, from, to),
+                        s.outage_overlap_ms_scan(device, from, to)
+                    );
+                }
+            }
+        }
     }
 }

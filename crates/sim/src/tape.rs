@@ -63,6 +63,14 @@ impl Tier {
             Tier::Manual => DeviceClass::TapeManual,
         }
     }
+
+    /// Index of this tier in a per-tier `[silo, manual]` array.
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            Tier::Silo => 0,
+            Tier::Manual => 1,
+        }
+    }
 }
 
 /// Events of the tape half. Payloads are job indices handed out by
@@ -235,7 +243,9 @@ impl TapeHalf {
 
     /// Schedules the fault plan's outage windows; call once, before the
     /// first job. An inert schedule schedules nothing, so a healthy
-    /// run's event stream is exactly the fault-free one.
+    /// run's event stream is exactly the fault-free one. The windows go
+    /// out in start order, which is what keeps all of them in an
+    /// [`crate::event::EventQueue`]'s sorted lane and out of its heap.
     pub fn schedule_outages<H: TapeHost>(&self, host: &mut H) {
         for (w, window) in self.schedule.windows().iter().enumerate() {
             host.schedule(window.start_ms, TapeEv::OutageStart(w));
@@ -447,7 +457,7 @@ impl TapeHalf {
         }
         self.attribute_outage_wait(job.tier, job.queued_ms, now);
         if let Kind::Flush { .. } = job.kind {
-            if self.cart_remaining[cart_slot(job.tier)] >= job.size {
+            if self.cart_remaining[job.tier.slot()] >= job.size {
                 // Append to the mounted cartridge: no mount, no seek.
                 if self.tape_movers.acquire(j, now) {
                     self.mover_granted(j, now, host)?;
@@ -521,7 +531,7 @@ impl TapeHalf {
         let key = || noise_key(job.kind, noise::STAGE_SEEK);
         let d = if let Kind::Flush { .. } = job.kind {
             // Fresh append cartridge: position to start of tape.
-            self.cart_remaining[cart_slot(job.tier)] = self.cfg.cartridge_bytes;
+            self.cart_remaining[job.tier.slot()] = self.cfg.cartridge_bytes;
             host.noise().jitter_ms(key, 3.0, 0.3)
         } else {
             // Fresh mount: land at a uniform tape position.
@@ -577,7 +587,7 @@ impl TapeHalf {
             }
             Kind::Flush { .. } => {
                 host.append_started(job.id, now);
-                let slot = cart_slot(job.tier);
+                let slot = job.tier.slot();
                 self.cart_remaining[slot] = self.cart_remaining[slot].saturating_sub(job.size);
             }
             Kind::Hold { .. } => unreachable!("holds never reach a mover"),
@@ -672,13 +682,6 @@ fn noise_key(kind: Kind, stage: u64) -> u64 {
         Kind::Recall { seq, attempts, .. } => noise::recall_key(seq, attempts, stage),
         Kind::Flush { seq } => noise::flush_key(seq, stage),
         Kind::Hold { .. } => unreachable!("holds draw no noise"),
-    }
-}
-
-fn cart_slot(tier: Tier) -> usize {
-    match tier {
-        Tier::Silo => 0,
-        Tier::Manual => 1,
     }
 }
 
