@@ -64,8 +64,9 @@ bench-scaling:
 # The live-service oracle gate: boots the real fmig-origin/fmig-served/
 # fmig-loadgen binaries over loopback, replays the tiny-preset cell
 # healthy and degraded-peak, and fails unless the live miss counters
-# exactly equal the hierarchy simulator's and the p99 read wait lands
-# within ±15% of its prediction. The healthy run's throughput is
+# and the p99 read wait exactly equal the hierarchy simulator's
+# (daemon and simulator host the same disk half, fmig_sim::disk, so no
+# tolerance is needed). The healthy run's throughput is
 # recorded as service_refs_per_sec in the artifact (report-only — not
 # gated; absolute socket throughput shifts with runner generations).
 service-smoke:
@@ -84,18 +85,19 @@ ingest-smoke:
 # The benchmark package (benchmark/, see BENCHMARK.json) is a workspace
 # of its own, so no other target compiles it: build it, run its tests,
 # and drive one short run per pinned engine (closed-mixed pins
-# HierarchySimulator, svc-loopback the live service, open-small
-# MssSimulator). Each run prints one JSON line last; `"failed": 0`
-# there means every output matched its pin. svc-loopback and
-# closed-mixed run at the held-out seed 2024 as well: a change to the
-# daemon↔origin protocol, or to the closed-loop engine (event queue,
-# fault schedule, kinetic ranking), must hold on the pin it was not
-# developed against.
+# HierarchySimulator, svc-loopback the live service, open-small and
+# open-large MssSimulator — its disk path is the shared
+# fmig_sim::disk::DiskPath, held at both scales). Each run prints one
+# JSON line last; `"failed": 0` there means every output matched its
+# pin. svc-loopback and closed-mixed run at the held-out seed 2024 as
+# well: a change to the daemon↔origin protocol, or to the closed-loop
+# engine (event queue, fault schedule, kinetic ranking, either device
+# half), must hold on the pin it was not developed against.
 BENCHMARK = $(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
 benchmark-check:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
-	set -e; for ws in closed-mixed:1993 closed-mixed:2024 svc-loopback:1993 svc-loopback:2024 open-small:1993; do \
+	set -e; for ws in closed-mixed:1993 closed-mixed:2024 svc-loopback:1993 svc-loopback:2024 open-small:1993 open-large:1993; do \
 		w=$${ws%:*}; seed=$${ws#*:}; \
 		echo "== benchmark $$w seed $$seed =="; \
 		$(BENCHMARK) --workload $$w --seed $$seed --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed": *0[,}]'; \

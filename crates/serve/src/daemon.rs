@@ -1,9 +1,13 @@
 //! `fmig-served`: the HSM cache daemon.
 //!
-//! Owns a policy-driven [`ShardedCache`] plus the *disk half* of the
-//! device model — MSCP dispatch, spindles, channel movers, stall-flush
-//! gates — and schedules every miss as a recall against the origin
-//! server, which owns the tape half ([`crate::origin`]). The two halves
+//! Hosts [`fmig_sim::disk::DiskHalf`] — the single statement of the disk
+//! half of the device model: cache classification, recall coalescing,
+//! MSCP dispatch, spindles, channel movers, stall-flush gates — over a
+//! policy-driven [`ShardedCache`], the same code the simulators run.
+//! This host keeps the half's events in a queue of its own, draws keyed
+//! noise, carries every recall and flush to the origin server as a
+//! frame (the origin hosts the tape half, [`crate::origin`]) and
+//! answers each resolved reference with a `Done`. The two halves
 //! stay causally consistent through a watermark protocol: before the
 //! daemon processes anything at virtual time `t`, the origin must have
 //! processed everything up to `t` and the daemon must have applied every
@@ -20,9 +24,16 @@
 //! session with an error.
 //!
 //! Client connections are validated where their frames enter: a frame
-//! that only a daemon sends, a file id outside the dense `u32` space, or
-//! a request time outside `0..=DRAIN_HORIZON_VMS / MS` drops that
-//! connection; the daemon and every other connection carry on.
+//! that only a daemon sends, a file id outside the dense `u32` space, a
+//! request time outside `0..=DRAIN_HORIZON_VMS / MS`, or a file id
+//! further past the highest named so far than first-appearance order
+//! allows (one new file per request still due) drops that connection;
+//! the daemon and every other connection carry on. A request the
+//! degraded mode sheds still counts as naming its file. Origin frames
+//! are outside input too: job ids are checked against the tables of
+//! jobs in flight, and an answer the disk half refuses (a first byte
+//! twice, a drain report that disagrees with the `FlushDone`s) ends
+//! the session with an error.
 //!
 //! # Robustness core
 //!
@@ -42,8 +53,9 @@
 //!
 //! In simulator-compat mode (no deadline, compat retry, breaker
 //! disabled, one shard) a replay of a prepared trace reproduces
-//! [`fmig_sim::HierarchySimulator`]'s cache decisions exactly — that is
-//! the oracle contract `repro service-smoke` enforces.
+//! [`fmig_sim::HierarchySimulator`]'s cache decisions and first-byte
+//! waits exactly — that is the oracle contract `repro service-smoke`
+//! enforces.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, BufWriter, Write};
@@ -55,13 +67,16 @@ use std::thread;
 use std::time::Duration;
 
 use fmig_core::{FaultScenarioId, PolicyId};
-use fmig_migrate::cache::{CacheConfig, CacheOp, ReadResult};
-use fmig_migrate::{LatencyFeedback, ShardedCache};
+use fmig_migrate::cache::CacheConfig;
+use fmig_migrate::eval::PreparedRef;
+use fmig_migrate::ShardedCache;
 use fmig_sim::config::SimConfig;
+use fmig_sim::disk::{
+    DiskEv, DiskHalf, DiskHost, FlushOrder, LinkFault, RecallOrder, Resolved, ServedBy,
+};
 use fmig_sim::event::{EventQueue, SimMs, MS};
-use fmig_sim::noise;
-use fmig_sim::Pool;
-use fmig_trace::{DeviceClass, FileId};
+use fmig_sim::noise::Noise;
+use fmig_trace::FileId;
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{should_shed, CircuitBreaker};
@@ -144,111 +159,42 @@ enum CoreMsg {
     Gone(u64),
 }
 
-/// A client request that passed [`Request::checked`].
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    req: u64,
-    id: FileId,
-    size: u64,
-    time_s: i64,
-    next_use: Option<i64>,
-    device: DeviceClass,
-    write: bool,
-}
-
-impl Request {
-    /// The request in a `ReadReq`/`WriteReq` frame, or `None` when the
-    /// frame is anything else, names a file outside the dense id space,
-    /// or carries a time whose milliseconds the origin would refuse.
-    fn checked(frame: Frame) -> Option<Request> {
-        let (req, file, size, time_s, next_use, device, write) = match frame {
-            Frame::ReadReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            } => (req, file, size, time_s, next_use, device, false),
-            Frame::WriteReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            } => (req, file, size, time_s, next_use, device, true),
-            _ => return None,
-        };
-        if !(0..=DRAIN_HORIZON_VMS / MS).contains(&time_s) {
-            return None;
-        }
-        Some(Request {
+/// The request id and reference in a `ReadReq`/`WriteReq` frame, or
+/// `None` when the frame is anything else, names a file outside the
+/// dense id space, or carries a time whose milliseconds the origin
+/// would refuse.
+fn checked_request(frame: Frame) -> Option<(u64, PreparedRef)> {
+    let (req, file, size, time, next_use, device, write) = match frame {
+        Frame::ReadReq {
             req,
-            id: FileId::from(u32::try_from(file).ok()?),
+            file,
             size,
             time_s,
-            next_use: (next_use != NO_NEXT_USE).then_some(next_use),
+            next_use,
             device,
-            write,
-        })
+        } => (req, file, size, time_s, next_use, device, false),
+        Frame::WriteReq {
+            req,
+            file,
+            size,
+            time_s,
+            next_use,
+            device,
+        } => (req, file, size, time_s, next_use, device, true),
+        _ => return None,
+    };
+    if !(0..=DRAIN_HORIZON_VMS / MS).contains(&time) {
+        return None;
     }
-}
-
-/// Local (disk-half) events.
-#[derive(Debug, Clone, Copy)]
-enum LEv {
-    /// MSCP dispatch overhead elapsed for reference `r`.
-    Dispatch(usize),
-    /// Disk transfer finished for disk job `j`.
-    DiskDone(usize),
-}
-
-/// Per-reference state, the daemon's `RefState`.
-#[derive(Debug, Clone, Copy)]
-struct RefSt {
-    arrival_vms: SimMs,
-    id: FileId,
-    size: u64,
-    write: bool,
-    served: ServedKind,
-    /// Tape tier behind the file (recalls), or `Disk`.
-    device: DeviceClass,
-    done: bool,
-    /// Outstanding stall-flushes gating this reference's disk start.
-    gate: u32,
-    /// Dispatched and waiting only on its gate.
-    ready: bool,
-    recall_seq: u64,
-    conn: u64,
-    req: u64,
-}
-
-/// A foreground disk service job.
-#[derive(Debug, Clone, Copy)]
-struct DJob {
-    r: usize,
-    spindle: usize,
-}
-
-/// A coalesced in-flight recall (the daemon's `OutstandingRecall`).
-#[derive(Debug, Clone, Default)]
-struct Outst {
-    first_byte_vms: Option<SimMs>,
-    waiters: Vec<usize>,
-}
-
-/// An in-flight recall job at the origin.
-#[derive(Debug, Clone, Copy)]
-struct RecallJob {
-    r: usize,
-    file: FileId,
-}
-
-/// An in-flight flush job at the origin.
-#[derive(Debug, Clone, Copy)]
-struct FlushJob {
-    gated: Option<usize>,
+    let reference = PreparedRef {
+        id: FileId::from(u32::try_from(file).ok()?),
+        size,
+        write,
+        time,
+        next_use: (next_use != NO_NEXT_USE).then_some(next_use),
+        device,
+    };
+    Some((req, reference))
 }
 
 /// The origin's end-of-run fault accounting.
@@ -259,28 +205,27 @@ struct OriginReport {
     slow_transfers: u64,
 }
 
-struct Core<'p> {
+/// One daemon session: the shared disk half and the host it runs on.
+struct Daemon<'p> {
+    disk: DiskHalf<ShardedCache<'p>>,
+    core: Core,
+}
+
+/// What is the daemon's alone — the disk half's host: its event queue
+/// and keyed noise, the client connections, and the link to the origin.
+struct Core {
     cfg: DaemonConfig,
-    sim: SimConfig,
-    cache: ShardedCache<'p>,
-    feedback: LatencyFeedback,
-    queue: EventQueue<LEv>,
-    spindles: Vec<Pool>,
-    movers: Pool,
-    states: Vec<RefSt>,
-    djobs: Vec<DJob>,
-    outstanding: Vec<Option<Outst>>,
-    file_tape: Vec<Option<DeviceClass>>,
-    recall_tbl: HashMap<u64, RecallJob>,
-    flush_tbl: HashMap<u64, FlushJob>,
+    queue: EventQueue<DiskEv>,
+    noise: Noise,
+    /// `(connection, request id)` of each reference, by reference index.
+    clients: Vec<(u64, u64)>,
+    /// Recalls in flight at the origin: job id → requesting reference.
+    /// Origin-supplied job ids are only ever looked up here.
+    recall_tbl: HashMap<u64, usize>,
+    /// Flushes in flight at the origin: job id → the reference stalled
+    /// on it, if any.
+    flush_tbl: HashMap<u64, Option<usize>>,
     next_job: u64,
-    next_recall_seq: u64,
-    requests: u64,
-    recalls: u64,
-    delayed_hits: u64,
-    flush_jobs: u64,
-    flush_bytes: u64,
-    abandoned: u64,
     acked_writes: u64,
     acked_write_bytes: u64,
     origin_flushed_bytes: u64,
@@ -293,13 +238,16 @@ struct Core<'p> {
     origin_report: Option<OriginReport>,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
-    live_recalls: usize,
     draining: bool,
     conns: HashMap<u64, Sender<Frame>>,
-    /// Reorder buffer: requests process in global `req` order so a
-    /// multi-connection replay is trace-order deterministic.
-    pending: BTreeMap<u64, (u64, Request)>,
+    /// Reorder buffer, request id → (connection, reference): requests
+    /// process in global `req` order so a multi-connection replay is
+    /// trace-order deterministic.
+    pending: BTreeMap<u64, (u64, PreparedRef)>,
     next_req: u64,
+    /// One past the highest file id a request has named so far, shed
+    /// requests included.
+    files_seen: usize,
 }
 
 /// Runs the daemon on `listener` until a client sends `Shutdown`.
@@ -335,7 +283,11 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
     }
 
     let policy = cfg.policy.build();
-    let sim = SimConfig::default().with_seed(cfg.seed);
+    // The service always runs the replayable noise mode: recall
+    // identities are assigned in arrival order, as the oracle does.
+    let sim = SimConfig::default()
+        .with_seed(cfg.seed)
+        .with_counter_noise(true);
     let cache = ShardedCache::new(
         CacheConfig::with_capacity(cfg.capacity),
         policy.as_ref(),
@@ -353,42 +305,31 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
         thread::spawn(move || accept_loop(listener, tx, stop));
     }
 
-    let mut core = Core {
-        retry: cfg.retry,
-        breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
-        spindles: (0..sim.disk_spindles).map(|_| Pool::new(1)).collect(),
-        movers: Pool::new(sim.movers),
-        cfg,
-        sim,
-        cache,
-        feedback: LatencyFeedback::new(),
-        queue: EventQueue::new(),
-        states: Vec::new(),
-        djobs: Vec::new(),
-        outstanding: Vec::new(),
-        file_tape: Vec::new(),
-        recall_tbl: HashMap::new(),
-        flush_tbl: HashMap::new(),
-        next_job: 0,
-        next_recall_seq: 0,
-        requests: 0,
-        recalls: 0,
-        delayed_hits: 0,
-        flush_jobs: 0,
-        flush_bytes: 0,
-        abandoned: 0,
-        acked_writes: 0,
-        acked_write_bytes: 0,
-        origin_flushed_bytes: 0,
-        origin_r,
-        origin_w,
-        origin_clock: SimMs::MIN,
-        origin_report: None,
-        live_recalls: 0,
-        draining: false,
-        conns: HashMap::new(),
-        pending: BTreeMap::new(),
-        next_req: 0,
+    let mut daemon = Daemon {
+        disk: DiskHalf::new(&sim, cache),
+        core: Core {
+            retry: cfg.retry,
+            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
+            noise: Noise::Keyed(cfg.seed),
+            cfg,
+            queue: EventQueue::new(),
+            clients: Vec::new(),
+            recall_tbl: HashMap::new(),
+            flush_tbl: HashMap::new(),
+            next_job: 0,
+            acked_writes: 0,
+            acked_write_bytes: 0,
+            origin_flushed_bytes: 0,
+            origin_r,
+            origin_w,
+            origin_clock: SimMs::MIN,
+            origin_report: None,
+            draining: false,
+            conns: HashMap::new(),
+            pending: BTreeMap::new(),
+            next_req: 0,
+            files_seen: 0,
+        },
     };
 
     let result = loop {
@@ -397,14 +338,14 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
         };
         match msg {
             CoreMsg::NewConn(id, sender) => {
-                core.conns.insert(id, sender);
+                daemon.core.conns.insert(id, sender);
             }
             CoreMsg::Gone(id) => {
-                core.conns.remove(&id);
+                daemon.core.conns.remove(&id);
             }
-            CoreMsg::Msg(id, frame) => match core.handle_client(id, frame) {
+            CoreMsg::Msg(id, frame) => match daemon.handle_client(id, frame) {
                 Ok(true) => {}
-                Ok(false) => break Ok(core.stats()),
+                Ok(false) => break Ok(daemon.stats()),
                 Err(e) => break Err(e),
             },
         }
@@ -501,65 +442,7 @@ fn write_replies(
     Ok(())
 }
 
-impl Core<'_> {
-    /// Handles one client frame. Returns `Ok(false)` on `Shutdown`.
-    /// A frame no well-behaved client sends drops its connection — the
-    /// writer thread ends with the sender and shuts the socket down —
-    /// and anything still queued from a dropped connection is ignored.
-    fn handle_client(&mut self, conn: u64, frame: Frame) -> Result<bool, String> {
-        if !self.conns.contains_key(&conn) {
-            return Ok(true);
-        }
-        match frame {
-            Frame::Hello { .. } => {
-                self.send(
-                    conn,
-                    Frame::HelloAck {
-                        version: PROTO_VERSION,
-                    },
-                );
-            }
-            Frame::ReadReq { .. } | Frame::WriteReq { .. } => {
-                let Some(request) = Request::checked(frame) else {
-                    self.conns.remove(&conn);
-                    return Ok(true);
-                };
-                if self.draining {
-                    self.send(
-                        conn,
-                        Frame::Rejected {
-                            req: request.req,
-                            reason: RejectReason::Draining,
-                        },
-                    );
-                    return Ok(true);
-                }
-                self.pending.insert(request.req, (conn, request));
-                while let Some((conn, request)) = self.pending.remove(&self.next_req) {
-                    self.next_req += 1;
-                    self.process_request(conn, request)?;
-                }
-            }
-            Frame::StatsReq => {
-                let stats = self.stats();
-                self.send(conn, Frame::Stats(stats));
-            }
-            Frame::Drain => {
-                let done = self.drain()?;
-                self.send(conn, done);
-            }
-            Frame::Shutdown => {
-                let _ = Frame::Shutdown.write_to(&mut self.origin_w);
-                let _ = self.origin_w.flush();
-                return Ok(false);
-            }
-            _ => {
-                self.conns.remove(&conn);
-            }
-        }
-        Ok(true)
-    }
-
+impl Core {
     fn send(&mut self, conn: u64, frame: Frame) {
         // A vanished client only loses its own replies.
         if let Some(s) = self.conns.get(&conn) {
@@ -567,219 +450,14 @@ impl Core<'_> {
         }
     }
 
-    fn process_request(&mut self, conn: u64, request: Request) -> Result<(), String> {
-        let Request {
-            req,
-            id,
-            size,
-            time_s,
-            next_use,
-            device,
-            write,
-        } = request;
-        let t_vms = time_s * MS;
-        self.advance_to(t_vms)?;
-        if !write {
-            let resident = self.cache.contains(id);
-            if should_shed(
-                resident,
-                self.breaker.is_open(t_vms),
-                self.live_recalls,
-                self.cfg.queue_bound,
-            ) {
-                self.send(
-                    conn,
-                    Frame::Rejected {
-                        req,
-                        reason: RejectReason::Shedding,
-                    },
-                );
-                return Ok(());
-            }
-        }
-        self.requests += 1;
-        self.arrive(conn, req, id, size, write, time_s, next_use, device, t_vms)
-    }
-
-    /// Classifies one reference through the cache and turns its side
-    /// effects into device traffic — the daemon's half of the engine's
-    /// `arrive`.
-    #[allow(clippy::too_many_arguments)]
-    fn arrive(
-        &mut self,
-        conn: u64,
-        req: u64,
-        id: FileId,
-        size: u64,
-        write: bool,
-        time_s: i64,
-        next_use: Option<i64>,
-        device: DeviceClass,
-        t_vms: SimMs,
-    ) -> Result<(), String> {
-        let tape = match device {
-            DeviceClass::TapeManual => DeviceClass::TapeManual,
-            _ => DeviceClass::TapeSilo,
-        };
-        if id.index() >= self.file_tape.len() {
-            self.file_tape.resize(id.index() + 1, None);
-            self.outstanding.resize_with(self.file_tape.len(), || None);
-        }
-        self.file_tape[id.index()] = Some(tape);
-        // Publish the current miss-wait estimate before classification,
-        // exactly like the closed-loop engine: the touch stamps it onto
-        // the entry for latency-aware victim ranking.
-        let est = self.feedback.estimate(tape, size);
-        let mut ops = Vec::new();
-        let coalescing = self.sim.recall_coalescing;
-        let served = if write {
-            self.cache
-                .write_with(id, size, time_s, next_use, est, &mut |op| ops.push(op));
-            ServedKind::Write
-        } else {
-            match self
-                .cache
-                .read_with(id, size, time_s, next_use, est, &mut |op| ops.push(op))
-            {
-                ReadResult::Hit => ServedKind::Hit,
-                ReadResult::DelayedHit if coalescing => {
-                    if self.outstanding[id.index()].is_some() {
-                        ServedKind::DelayedHit
-                    } else {
-                        // Live-mode abandon aftermath: the cache still
-                        // thinks a fetch is in flight but the recall was
-                        // abandoned. Re-issue it. Never taken in compat
-                        // mode, where recalls are never abandoned.
-                        ServedKind::Recall
-                    }
-                }
-                // Coalescing off: a delayed hit pays its own fetch.
-                ReadResult::DelayedHit => ServedKind::Recall,
-                ReadResult::Miss if coalescing && self.outstanding[id.index()].is_some() => {
-                    // Evicted while its recall is still in flight: the
-                    // bytes are already on the way, the re-miss
-                    // coalesces too.
-                    ServedKind::DelayedHit
-                }
-                ReadResult::Miss => ServedKind::Recall,
-            }
-        };
-        let device_served = match served {
-            ServedKind::Hit | ServedKind::Write => DeviceClass::Disk,
-            _ => tape,
-        };
-        // Counter-noise identity: recall sequence numbers are assigned
-        // in arrival order, which is exactly what the oracle does in
-        // counter-noise mode.
-        let recall_seq = if served == ServedKind::Recall {
-            self.next_recall_seq += 1;
-            self.next_recall_seq - 1
-        } else {
-            0
-        };
-        let i = self.states.len();
-        self.states.push(RefSt {
-            arrival_vms: t_vms,
-            id,
-            size,
-            write,
-            served,
-            device: device_served,
-            done: false,
-            gate: 0,
-            ready: false,
-            recall_seq,
-            conn,
-            req,
-        });
-
-        // Cache side effects become tape traffic at the origin.
-        for &op in &ops {
-            match op {
-                CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
-                CacheOp::Writeback { id, bytes } => {
-                    let at = t_vms + (self.sim.writeback_delay_s * MS as f64) as SimMs;
-                    self.spawn_flush(id, bytes, None, at)?;
-                }
-                CacheOp::StallFlush { id, bytes } => {
-                    // Only disk-served foregrounds stall on the flush; a
-                    // miss's recall is the longer pole and proceeds.
-                    let gated = if served == ServedKind::Write || served == ServedKind::Hit {
-                        self.states[i].gate += 1;
-                        Some(i)
-                    } else {
-                        None
-                    };
-                    self.spawn_flush(id, bytes, gated, t_vms)?;
-                }
-                CacheOp::PurgeFlush { id, bytes } => {
-                    self.spawn_flush(id, bytes, None, t_vms)?;
-                }
-            }
-        }
-
-        match served {
-            ServedKind::Hit | ServedKind::Write | ServedKind::Recall => {
-                let d = noise::lognormal_ms(
-                    self.sim.seed,
-                    noise::dispatch_key(i as u64),
-                    self.sim.mscp_overhead_median_s,
-                    self.sim.mscp_overhead_sigma,
-                );
-                self.queue.push(t_vms + d, LEv::Dispatch(i));
-                if served == ServedKind::Recall && coalescing {
-                    self.outstanding[id.index()] = Some(Outst::default());
-                }
-            }
-            ServedKind::DelayedHit => {
-                self.delayed_hits += 1;
-                let o = self.outstanding[id.index()]
-                    .as_mut()
-                    .expect("delayed hit implies an outstanding recall");
-                match o.first_byte_vms {
-                    // Data already streaming to disk: served on arrival.
-                    Some(fb) => self.resolve_ref(i, fb),
-                    None => o.waiters.push(i),
-                }
-            }
-            ServedKind::Failed => unreachable!("arrivals are never pre-failed"),
-        }
-        Ok(())
-    }
-
-    /// Ships a background tape flush to the origin (the engine's
-    /// `spawn_flush` + `FlushReady`).
-    fn spawn_flush(
-        &mut self,
-        file: FileId,
-        bytes: u64,
-        gated: Option<usize>,
-        at: SimMs,
-    ) -> Result<(), String> {
-        let tape = self
-            .file_tape
-            .get(file.index())
-            .copied()
-            .flatten()
-            .unwrap_or(DeviceClass::TapeSilo);
-        let seq = self.flush_jobs;
-        self.flush_jobs += 1;
-        self.flush_bytes += bytes;
-        let job = self.next_job;
-        self.next_job += 1;
-        self.flush_tbl.insert(job, FlushJob { gated });
-        Frame::Flush {
-            job,
-            file: file.index() as u64,
-            seq,
-            size: bytes,
-            tier: tape,
-            ready_vms: at,
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("flush send: {e}"))?;
-        self.origin_enqueued(at);
-        Ok(())
+    /// Dense ids arrive in first-appearance order: taken in `req`
+    /// order, each request names at most one file never seen before.
+    /// True when request `req` names a file further ahead than the
+    /// requests still due before it could have introduced — admitted,
+    /// one such frame would size the per-file arenas.
+    fn skips_ahead(&self, req: u64, file: FileId) -> bool {
+        let due_before = usize::try_from(req.saturating_sub(self.next_req)).unwrap_or(usize::MAX);
+        file.index() > self.files_seen.saturating_add(due_before)
     }
 
     /// A job joining the origin's queue at `at` was just sent: whatever
@@ -788,24 +466,211 @@ impl Core<'_> {
         self.origin_clock = self.origin_clock.min(at - 1);
     }
 
+    /// Ships a dispatched miss to the origin as a recall job entering
+    /// its drive queue at `now`.
+    fn send_recall(&mut self, order: RecallOrder, now: SimMs) -> Result<(), String> {
+        let job = self.next_job;
+        self.next_job += 1;
+        self.recall_tbl.insert(job, order.r);
+        Frame::Recall {
+            job,
+            file: order.file.index() as u64,
+            seq: order.seq,
+            size: order.size,
+            tier: order.tier.device(),
+            enter_vms: now,
+            deadline_vms: self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| now + d),
+        }
+        .write_to(&mut self.origin_w)
+        .map_err(|e| format!("recall send: {e}"))?;
+        self.origin_enqueued(now);
+        Ok(())
+    }
+
+    /// Ships a background tape flush to the origin, ready at `at`.
+    fn send_flush(&mut self, order: FlushOrder, at: SimMs) -> Result<(), String> {
+        let job = self.next_job;
+        self.next_job += 1;
+        self.flush_tbl.insert(job, order.gated);
+        Frame::Flush {
+            job,
+            file: order.file.index() as u64,
+            seq: order.seq,
+            size: order.bytes,
+            tier: order.tier.device(),
+            ready_vms: at,
+        }
+        .write_to(&mut self.origin_w)
+        .map_err(|e| format!("flush send: {e}"))?;
+        self.origin_enqueued(at);
+        Ok(())
+    }
+
+    /// Sends the origin a frame it is blocked on.
+    fn send_origin(&mut self, what: &str, frame: Frame) -> Result<(), String> {
+        frame
+            .write_to(&mut self.origin_w)
+            .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
+            .map_err(|e| format!("{what}: {e}"))
+    }
+}
+
+/// The live host: the half's events wait in the daemon's own queue, and
+/// a resolved reference is a `Done` to the client that asked.
+impl DiskHost for Core {
+    fn schedule(&mut self, at: SimMs, ev: DiskEv) {
+        self.queue.push(at, ev);
+    }
+
+    fn noise(&mut self) -> &mut Noise {
+        &mut self.noise
+    }
+
+    fn resolved(&mut self, r: usize, outcome: Resolved) {
+        if outcome.write {
+            self.acked_writes += 1;
+            self.acked_write_bytes += outcome.size;
+        }
+        let served = match outcome.served {
+            // The recall it waited on was abandoned.
+            _ if outcome.failed => ServedKind::Failed,
+            ServedBy::DiskHit => ServedKind::Hit,
+            ServedBy::DelayedHit => ServedKind::DelayedHit,
+            ServedBy::Recall => ServedKind::Recall,
+            ServedBy::DiskWrite => ServedKind::Write,
+        };
+        let (conn, req) = self.clients[r];
+        self.send(
+            conn,
+            Frame::Done {
+                req,
+                wait_vms: outcome.wait_ms,
+                served,
+            },
+        );
+    }
+}
+
+/// An origin answer the disk half refused ends the session.
+fn link_err(fault: LinkFault) -> String {
+    format!("origin broke the link contract: {fault:?}")
+}
+
+impl Daemon<'_> {
+    /// Handles one client frame. Returns `Ok(false)` on `Shutdown`.
+    /// A frame no well-behaved client sends drops its connection — the
+    /// writer thread ends with the sender and shuts the socket down —
+    /// and anything still queued from a dropped connection is ignored.
+    fn handle_client(&mut self, conn: u64, frame: Frame) -> Result<bool, String> {
+        let core = &mut self.core;
+        if !core.conns.contains_key(&conn) {
+            return Ok(true);
+        }
+        match frame {
+            Frame::Hello { .. } => {
+                core.send(
+                    conn,
+                    Frame::HelloAck {
+                        version: PROTO_VERSION,
+                    },
+                );
+            }
+            Frame::ReadReq { .. } | Frame::WriteReq { .. } => {
+                let Some((req, reference)) = checked_request(frame) else {
+                    core.conns.remove(&conn);
+                    return Ok(true);
+                };
+                if core.draining {
+                    let reason = RejectReason::Draining;
+                    core.send(conn, Frame::Rejected { req, reason });
+                    return Ok(true);
+                }
+                // Judged on entry, whatever slot it asks for, and again
+                // when its slot comes up and the bound is exact.
+                if core.skips_ahead(req, reference.id) {
+                    core.conns.remove(&conn);
+                    return Ok(true);
+                }
+                core.pending.insert(req, (conn, reference));
+                while let Some((conn, reference)) = self.core.pending.remove(&self.core.next_req) {
+                    let core = &mut self.core;
+                    let req = core.next_req;
+                    if core.skips_ahead(req, reference.id) {
+                        // The slot stays open for the request that
+                        // belongs in it.
+                        core.conns.remove(&conn);
+                        break;
+                    }
+                    // Counted before the shed decision: a shed file was
+                    // still named, and the next new one follows it.
+                    core.files_seen = core.files_seen.max(reference.id.index() + 1);
+                    core.next_req += 1;
+                    self.process_request(conn, req, reference)?;
+                }
+            }
+            Frame::StatsReq => {
+                let stats = self.stats();
+                self.core.send(conn, Frame::Stats(stats));
+            }
+            Frame::Drain => {
+                let done = self.drain()?;
+                self.core.send(conn, done);
+            }
+            Frame::Shutdown => {
+                let _ = core.send_origin("shutdown", Frame::Shutdown);
+                return Ok(false);
+            }
+            _ => {
+                core.conns.remove(&conn);
+            }
+        }
+        Ok(true)
+    }
+
+    fn process_request(
+        &mut self,
+        conn: u64,
+        req: u64,
+        reference: PreparedRef,
+    ) -> Result<(), String> {
+        let t_vms = reference.time * MS;
+        self.advance_to(t_vms)?;
+        let core = &mut self.core;
+        if !reference.write
+            && should_shed(
+                self.disk.cache().contains(reference.id),
+                core.breaker.is_open(t_vms),
+                core.recall_tbl.len(),
+                core.cfg.queue_bound,
+            )
+        {
+            let reason = RejectReason::Shedding;
+            core.send(conn, Frame::Rejected { req, reason });
+            return Ok(());
+        }
+        core.clients.push((conn, req));
+        self.disk.arrive(&reference, core, Core::send_flush)?;
+        Ok(())
+    }
+
     /// Processes every local event up to `t`, keeping the origin's
     /// clock at or ahead of every local event handled — the watermark
     /// protocol that makes the split engine causally consistent. The
     /// origin is consulted only when its grant has run out.
     fn advance_to(&mut self, t: SimMs) -> Result<(), String> {
         loop {
-            let next_local = self.queue.peek_time().filter(|&lt| lt <= t);
+            let next_local = self.core.queue.peek_time().filter(|&lt| lt <= t);
             let target = next_local.unwrap_or(t);
-            if self.origin_clock < target {
+            if self.core.origin_clock < target {
                 self.origin_advance(target)?;
                 continue;
             }
-            match next_local {
-                Some(_) => {
-                    let (now, ev) = self.queue.pop().expect("peeked event");
-                    self.handle_local(now, ev)?;
-                }
-                None => return Ok(()),
+            if next_local.is_none() {
+                return Ok(());
+            }
+            let (now, ev) = self.core.queue.pop().expect("peeked event");
+            if let Some(order) = self.disk.handle(now, ev, &mut self.core) {
+                self.core.send_recall(order, now)?;
             }
         }
     }
@@ -813,18 +678,16 @@ impl Core<'_> {
     /// Advances the origin to `until`, applies every tape event it
     /// emits on the way, and holds on to the grant it answers with.
     fn origin_advance(&mut self, until: SimMs) -> Result<(), String> {
-        Frame::Advance { until_vms: until }
-            .write_to(&mut self.origin_w)
-            .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-            .map_err(|e| format!("advance send: {e}"))?;
+        self.core
+            .send_origin("advance send", Frame::Advance { until_vms: until })?;
         // A job sent by a handler below would reach the origin after it
         // computed the grant, so the grant is taken as a `min` with what
         // `origin_enqueued` records meanwhile. (No handler sends one
         // today; retry verdicts are scheduled before the grant.)
-        self.origin_clock = SimMs::MAX;
+        self.core.origin_clock = SimMs::MAX;
         let grant = loop {
-            let frame =
-                Frame::read_from(&mut self.origin_r).map_err(|e| format!("origin read: {e}"))?;
+            let frame = Frame::read_from(&mut self.core.origin_r)
+                .map_err(|e| format!("origin read: {e}"))?;
             match frame {
                 Frame::AdvanceDone { now_vms } => {
                     if !(until..=DRAIN_HORIZON_VMS).contains(&now_vms) {
@@ -835,8 +698,18 @@ impl Core<'_> {
                     }
                     break now_vms;
                 }
-                Frame::RecallFirstByte { job, fb_vms } => self.recall_first_byte(job, fb_vms)?,
-                Frame::RecallDone { job, done_vms } => self.recall_done(job, done_vms)?,
+                Frame::RecallFirstByte { job, fb_vms } => {
+                    let r = self.recall_in_flight(job)?;
+                    self.disk
+                        .first_byte(r, fb_vms, &mut self.core)
+                        .map_err(link_err)?;
+                }
+                Frame::RecallDone { job, done_vms: _ } => {
+                    let r = self.recall_in_flight(job)?;
+                    self.disk.recall_done(r).map_err(link_err)?;
+                    self.core.recall_tbl.remove(&job);
+                    self.core.breaker.record_success();
+                }
                 Frame::RecallFailed {
                     job,
                     attempt,
@@ -847,49 +720,34 @@ impl Core<'_> {
                     job,
                     done_vms,
                     bytes,
-                } => self.flush_done(job, done_vms, bytes)?,
+                } => {
+                    let gated = self
+                        .core
+                        .flush_tbl
+                        .remove(&job)
+                        .ok_or_else(|| format!("completion for unknown flush job {job}"))?;
+                    // The writeback bytes are durable now.
+                    self.core.origin_flushed_bytes += bytes;
+                    self.disk.flush_done(gated, done_vms, &mut self.core);
+                }
                 other => return Err(format!("unexpected origin frame: {other:?}")),
             }
         };
-        self.origin_clock = self.origin_clock.min(grant);
+        self.core.origin_clock = self.core.origin_clock.min(grant);
         Ok(())
     }
 
-    /// The recall's transfer began: serve the requester and every
-    /// coalesced waiter at the first byte.
-    fn recall_first_byte(&mut self, job: u64, fb_vms: SimMs) -> Result<(), String> {
-        let rj = *self
+    /// The reference behind an origin-supplied recall job id.
+    fn recall_in_flight(&self, job: u64) -> Result<usize, String> {
+        self.core
             .recall_tbl
             .get(&job)
-            .ok_or_else(|| format!("first byte for unknown recall job {job}"))?;
-        self.resolve_ref(rj.r, fb_vms);
-        if let Some(o) = self.outstanding[rj.file.index()].as_mut() {
-            o.first_byte_vms = Some(fb_vms);
-            let waiters = std::mem::take(&mut o.waiters);
-            for w in waiters {
-                self.resolve_ref(w, fb_vms);
-            }
-        }
-        Ok(())
+            .copied()
+            .ok_or_else(|| format!("origin named unknown recall job {job}"))
     }
 
-    /// The file is fully staged: further reads are plain hits.
-    fn recall_done(&mut self, job: u64, _done_vms: SimMs) -> Result<(), String> {
-        let rj = self
-            .recall_tbl
-            .remove(&job)
-            .ok_or_else(|| format!("completion for unknown recall job {job}"))?;
-        self.cache.fetch_complete(rj.file);
-        if let Some(o) = self.outstanding[rj.file.index()].take() {
-            debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-        }
-        self.breaker.record_success();
-        self.live_recalls = self.live_recalls.saturating_sub(1);
-        Ok(())
-    }
-
-    /// A recall attempt failed (media error or deadline): re-arm the
-    /// cache's outstanding-fetch state and decide retry vs abandon.
+    /// A recall attempt failed (media error or deadline): decide retry
+    /// vs abandon and give the blocked origin its verdict.
     fn recall_failed(
         &mut self,
         job: u64,
@@ -897,197 +755,38 @@ impl Core<'_> {
         failed_vms: SimMs,
         drive_free_vms: SimMs,
     ) -> Result<(), String> {
-        let rj = *self
-            .recall_tbl
-            .get(&job)
-            .ok_or_else(|| format!("failure for unknown recall job {job}"))?;
-        self.cache.fetch_failed(rj.file);
-        self.breaker.record_failure(failed_vms);
-        if self.retry.allows(attempt) {
-            let rejoin = drive_free_vms + self.retry.backoff_ms(job, attempt);
-            Frame::RecallRetry {
-                job,
-                rejoin_vms: rejoin,
-            }
-            .write_to(&mut self.origin_w)
-            .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-            .map_err(|e| format!("retry verdict: {e}"))?;
+        let r = self.recall_in_flight(job)?;
+        self.disk.recall_failed(r);
+        let core = &mut self.core;
+        core.breaker.record_failure(failed_vms);
+        if core.retry.allows(attempt) {
+            let rejoin_vms = drive_free_vms + core.retry.backoff_ms(job, attempt);
+            core.send_origin("retry verdict", Frame::RecallRetry { job, rejoin_vms })
         } else {
-            self.abandoned += 1;
-            Frame::RecallAbandon { job }
-                .write_to(&mut self.origin_w)
-                .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-                .map_err(|e| format!("abandon verdict: {e}"))?;
-            // The requester and every coalesced waiter fail now; the
-            // cache entry stays re-missable (see `arrive`'s downgrade).
-            self.states[rj.r].served = ServedKind::Failed;
-            self.resolve_ref(rj.r, failed_vms);
-            if let Some(o) = self.outstanding[rj.file.index()].take() {
-                for w in o.waiters {
-                    self.states[w].served = ServedKind::Failed;
-                    self.resolve_ref(w, failed_vms);
-                }
-            }
-            self.recall_tbl.remove(&job);
-            self.live_recalls = self.live_recalls.saturating_sub(1);
+            // The requester and every coalesced waiter get `Done(Failed)`.
+            self.disk.abandon(r, failed_vms, core).map_err(link_err)?;
+            self.core.recall_tbl.remove(&job);
+            self.core
+                .send_origin("abandon verdict", Frame::RecallAbandon { job })
         }
-        Ok(())
-    }
-
-    /// A background flush landed on tape: release its gate (and count
-    /// the writeback bytes as durable).
-    fn flush_done(&mut self, job: u64, done_vms: SimMs, bytes: u64) -> Result<(), String> {
-        let fj = self
-            .flush_tbl
-            .remove(&job)
-            .ok_or_else(|| format!("completion for unknown flush job {job}"))?;
-        self.origin_flushed_bytes += bytes;
-        if let Some(r) = fj.gated {
-            self.states[r].gate -= 1;
-            if self.states[r].gate == 0 && self.states[r].ready {
-                self.start_disk(r, done_vms);
-            }
-        }
-        Ok(())
-    }
-
-    fn handle_local(&mut self, now: SimMs, ev: LEv) -> Result<(), String> {
-        match ev {
-            LEv::Dispatch(r) => match self.states[r].served {
-                ServedKind::Hit | ServedKind::Write => {
-                    self.states[r].ready = true;
-                    if self.states[r].gate == 0 {
-                        self.start_disk(r, now);
-                    }
-                    Ok(())
-                }
-                ServedKind::Recall => self.issue_recall(r, now),
-                ServedKind::DelayedHit | ServedKind::Failed => {
-                    unreachable!("delayed hits and failures are never dispatched")
-                }
-            },
-            LEv::DiskDone(j) => {
-                if let Some(n) = self.movers.release(now) {
-                    self.disk_mover_granted(n, now);
-                }
-                let spindle = self.djobs[j].spindle;
-                if let Some(n) = self.spindles[spindle].release(now) {
-                    self.spindle_granted(n, now);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Ships a dispatched miss to the origin as a recall job.
-    fn issue_recall(&mut self, r: usize, now: SimMs) -> Result<(), String> {
-        let st = self.states[r];
-        let job = self.next_job;
-        self.next_job += 1;
-        self.recall_tbl.insert(job, RecallJob { r, file: st.id });
-        self.recalls += 1;
-        self.live_recalls += 1;
-        let deadline_vms = self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| now + d);
-        Frame::Recall {
-            job,
-            file: st.id.index() as u64,
-            seq: st.recall_seq,
-            size: st.size,
-            tier: st.device,
-            enter_vms: now,
-            deadline_vms,
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("recall send: {e}"))?;
-        self.origin_enqueued(now);
-        Ok(())
-    }
-
-    /// Foreground disk service: queue on the file's spindle.
-    fn start_disk(&mut self, r: usize, now: SimMs) {
-        let j = self.djobs.len();
-        self.djobs.push(DJob {
-            r,
-            spindle: self.states[r].id.index() % self.spindles.len(),
-        });
-        let spindle = self.djobs[j].spindle;
-        if self.spindles[spindle].acquire(j, now) {
-            self.spindle_granted(j, now);
-        }
-    }
-
-    /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, j: usize, now: SimMs) {
-        if self.movers.acquire(j, now) {
-            self.disk_mover_granted(j, now);
-        }
-    }
-
-    /// Disk transfer begins: the reference's first byte follows the
-    /// seek, and the transfer's end frees the mover and spindle.
-    fn disk_mover_granted(&mut self, j: usize, now: SimMs) {
-        let r = self.djobs[j].r;
-        let size = self.states[r].size;
-        let first_byte = now + (self.sim.disk_seek_s * MS as f64) as SimMs;
-        self.resolve_ref(r, first_byte);
-        let jitter = 1.0
-            + noise::range(
-                self.sim.seed,
-                noise::disk_key(r as u64, noise::STAGE_RATE),
-                -self.sim.rate_jitter,
-                self.sim.rate_jitter,
-            );
-        let xfer_ms = (size as f64 / (self.sim.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), LEv::DiskDone(j));
-    }
-
-    /// Finalizes a reference's first byte, records its wait, and sends
-    /// the client its `Done`.
-    fn resolve_ref(&mut self, i: usize, first_byte_vms: SimMs) {
-        let (arrival, served, conn, req) = {
-            let st = &self.states[i];
-            debug_assert!(!st.done, "reference resolved twice");
-            (st.arrival_vms, st.served, st.conn, st.req)
-        };
-        let fb = first_byte_vms.max(arrival);
-        self.states[i].done = true;
-        let wait_vms = fb - arrival;
-        if served == ServedKind::Recall {
-            // The feedback loop closes here, exactly like the engine: a
-            // measured recall wait updates the estimate future victim
-            // rankings will see.
-            let st = self.states[i];
-            self.feedback
-                .record(st.device, st.size, wait_vms as f64 / MS as f64);
-        }
-        if self.states[i].write {
-            self.acked_writes += 1;
-            self.acked_write_bytes += self.states[i].size;
-        }
-        self.send(
-            conn,
-            Frame::Done {
-                req,
-                wait_vms,
-                served,
-            },
-        );
     }
 
     /// Graceful shutdown: stop admitting, drain every in-flight recall
     /// and flush, and report the writeback accounting.
     fn drain(&mut self) -> Result<Frame, String> {
-        self.draining = true;
+        self.core.draining = true;
         self.advance_to(DRAIN_HORIZON_VMS)?;
-        debug_assert!(self.recall_tbl.is_empty(), "recalls survived the drain");
-        debug_assert!(self.flush_tbl.is_empty(), "flushes survived the drain");
-        if self.origin_report.is_none() {
-            Frame::Drain
-                .write_to(&mut self.origin_w)
-                .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-                .map_err(|e| format!("origin drain: {e}"))?;
-            match Frame::read_from(&mut self.origin_r) {
+        let core = &mut self.core;
+        if !(core.recall_tbl.is_empty() && core.flush_tbl.is_empty()) {
+            return Err(format!(
+                "origin granted the drain horizon with {} recalls and {} flushes in flight",
+                core.recall_tbl.len(),
+                core.flush_tbl.len()
+            ));
+        }
+        if core.origin_report.is_none() {
+            core.send_origin("origin drain", Frame::Drain)?;
+            match Frame::read_from(&mut core.origin_r) {
                 Ok(Frame::OriginDrainDone {
                     outage_events,
                     outage_wait_vms,
@@ -1096,11 +795,14 @@ impl Core<'_> {
                     recalls_completed: _,
                     read_failures: _,
                 }) => {
-                    debug_assert_eq!(
-                        flushed_bytes, self.origin_flushed_bytes,
-                        "flush accounting diverged"
-                    );
-                    self.origin_report = Some(OriginReport {
+                    if flushed_bytes != core.origin_flushed_bytes {
+                        return Err(format!(
+                            "flush accounting diverged: origin reports {flushed_bytes} bytes \
+                             landed, its FlushDone frames carried {}",
+                            core.origin_flushed_bytes
+                        ));
+                    }
+                    core.origin_report = Some(OriginReport {
                         outage_events,
                         outage_wait_vms,
                         slow_transfers,
@@ -1110,20 +812,22 @@ impl Core<'_> {
                 Err(e) => return Err(format!("origin drain read: {e}")),
             }
         }
+        let traffic = self.disk.counters();
         Ok(Frame::DrainDone {
-            acked_writes: self.acked_writes,
-            acked_write_bytes: self.acked_write_bytes,
-            flush_jobs: self.flush_jobs,
-            flush_bytes: self.flush_bytes,
-            origin_flushed_bytes: self.origin_flushed_bytes,
+            acked_writes: core.acked_writes,
+            acked_write_bytes: core.acked_write_bytes,
+            flush_jobs: traffic.flush_jobs,
+            flush_bytes: traffic.flush_bytes,
+            origin_flushed_bytes: core.origin_flushed_bytes,
         })
     }
 
     fn stats(&self) -> ServiceStats {
-        let cs = self.cache.stats();
-        let rep = self.origin_report.unwrap_or_default();
+        let cs = self.disk.cache().stats();
+        let traffic = self.disk.counters();
+        let rep = self.core.origin_report.unwrap_or_default();
         ServiceStats {
-            requests: self.requests,
+            requests: self.disk.references() as u64,
             read_hits: cs.read_hits,
             read_misses: cs.read_misses,
             read_hit_bytes: cs.read_hit_bytes,
@@ -1134,12 +838,12 @@ impl Core<'_> {
             stall_bytes: cs.stall_bytes,
             purge_flush_bytes: cs.purge_flush_bytes,
             writeback_bytes: cs.writeback_bytes,
-            fetch_retries: self.cache.fetch_retries(),
-            recalls: self.recalls,
-            delayed_hits: self.delayed_hits,
-            flush_jobs: self.flush_jobs,
-            flush_bytes: self.flush_bytes,
-            abandoned: self.abandoned,
+            fetch_retries: self.disk.cache().fetch_retries(),
+            recalls: traffic.recalls,
+            delayed_hits: traffic.delayed_hits,
+            flush_jobs: traffic.flush_jobs,
+            flush_bytes: traffic.flush_bytes,
+            abandoned: traffic.abandoned,
             outage_events: rep.outage_events,
             outage_wait_vms: rep.outage_wait_vms,
             slow_transfers: rep.slow_transfers,

@@ -1,12 +1,14 @@
 //! Live HSM cache service: the closed-loop hierarchy engine split into
 //! three cooperating processes that talk a hand-rolled TCP protocol.
 //!
-//! * **`fmig-served`** ([`daemon`]) — the cache daemon. It owns a
-//!   policy-driven sharded disk cache plus the *disk half* of the device
-//!   model (MSCP dispatch, spindles, channel movers) and schedules every
-//!   miss as a recall against the origin. Its robustness core wraps each
-//!   recall in a deadline, a jittered-exponential-backoff retry budget
-//!   ([`backoff`]), and an origin circuit breaker ([`breaker`]).
+//! * **`fmig-served`** ([`daemon`]) — the cache daemon. It hosts
+//!   [`fmig_sim::disk::DiskHalf`], the one disk-half state machine the
+//!   simulators run (cache classification, recall coalescing, MSCP
+//!   dispatch, spindles, channel movers, stall gates), over a sharded
+//!   cache, and carries every miss to the origin as a recall. Its
+//!   robustness core wraps each recall in a deadline, a
+//!   jittered-exponential-backoff retry budget ([`backoff`]), and an
+//!   origin circuit breaker ([`breaker`]).
 //! * **`fmig-origin`** ([`origin`]) — the "tape" server. It hosts
 //!   [`fmig_sim::tape::TapeHalf`], the one tape-half state machine the
 //!   simulators run (drives, robot arms, operators, seeks, cartridge
@@ -23,12 +25,12 @@
 //! virtual milliseconds on exactly the clock
 //! [`fmig_sim::HierarchySimulator`] uses, and every stochastic stage
 //! delay is a keyed draw from [`fmig_sim::noise`] — a pure function of
-//! (seed, job identity, stage). A live replay of a trace therefore
-//! reproduces the counter-noise simulator's cache decisions **exactly**
-//! (same miss ratio, same eviction stream, same retry counters) and its
-//! wait distributions up to event tie-ordering, which is what lets
-//! `repro service-smoke` assert measured p99 against the simulator's
-//! prediction within ±15% in both healthy and degraded-peak runs. See
+//! (seed, job identity, stage). Both halves are the simulator's own
+//! code, so a live replay of a trace reproduces the counter-noise
+//! simulator's cache decisions **exactly** (same miss ratio, same
+//! eviction stream, same retry counters) and its wait distribution to
+//! the bucket: `repro service-smoke` asserts the measured p99 equals
+//! the simulator's prediction in both healthy and degraded-peak runs. See
 //! `docs/architecture.md` ("Live service") for the topology and the
 //! degradation order.
 

@@ -136,7 +136,15 @@ pub enum Frame {
         /// Global trace-order sequence number; the daemon serves
         /// requests in this order regardless of connection.
         req: u64,
-        /// Dense file id.
+        /// Dense file id, in first-appearance order: taken in `req`
+        /// order, a file never seen before is exactly one past the
+        /// highest id so far. The daemon drops a connection whose
+        /// request skips ahead — its per-file arenas are indexed by
+        /// this number. This narrows what a client may send (any id
+        /// below 2^32 used to be admitted) without changing the frame
+        /// layout, so [`PROTO_VERSION`] stands: `fmig-loadgen` and the
+        /// store importer already number files this way, a client that
+        /// does not is refused.
         file: u64,
         /// File size in bytes.
         size: u64,
@@ -152,7 +160,7 @@ pub enum Frame {
     WriteReq {
         /// Global trace-order sequence number.
         req: u64,
-        /// Dense file id.
+        /// Dense file id, in first-appearance order.
         file: u64,
         /// File size in bytes.
         size: u64,

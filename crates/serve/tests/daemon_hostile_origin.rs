@@ -1,9 +1,12 @@
 //! Hostile origins: the lookahead grant in `AdvanceDone` steers the
 //! daemon's clock, so a grant short of the requested watermark or past
 //! `DRAIN_HORIZON_VMS` must end the daemon session with an `Err` —
-//! never a panic, never a hang. An origin that merely echoes the
-//! watermark (the pre-grant behaviour) is a grant of zero lookahead and
-//! stays a valid peer.
+//! never a panic, never a hang. So must an answer the shared disk half
+//! refuses — a recall's first byte delivered twice would resolve its
+//! reference twice — and a drain report whose `flushed_bytes` disagrees
+//! with the `FlushDone` frames the daemon counted. An origin that merely
+//! echoes the watermark (the pre-grant behaviour) is a grant of zero
+//! lookahead and stays a valid peer.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -20,7 +23,9 @@ use fmig_trace::DeviceClass;
 
 /// A scripted origin: handshakes, swallows enqueues, and answers every
 /// `Advance { until_vms }` with `AdvanceDone { now_vms: grant(until_vms) }`
-/// until the daemon hangs up.
+/// until the daemon hangs up. The first `Advance` after a `Recall` is
+/// answered with that recall's first byte — twice — and a `Drain` with
+/// a report of one flushed byte, which no `FlushDone` ever carried.
 fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) {
     let (stream, _) = listener.accept().expect("daemon connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -35,22 +40,60 @@ fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) {
     .write_to(&mut writer)
     .expect("hello ack");
     writer.flush().expect("flush ack");
+    let mut recalled = None;
     while let Ok(frame) = Frame::read_from(&mut reader) {
-        if let Frame::Advance { until_vms } = frame {
-            let done = Frame::AdvanceDone {
-                now_vms: grant(until_vms),
-            };
-            if done.write_to(&mut writer).is_err() || writer.flush().is_err() {
+        let mut replies = Vec::new();
+        match frame {
+            Frame::Recall { job, .. } => recalled = Some(job),
+            Frame::Advance { until_vms } => {
+                if let Some(job) = recalled.take() {
+                    let first_byte = Frame::RecallFirstByte {
+                        job,
+                        fb_vms: until_vms,
+                    };
+                    replies.extend([first_byte.clone(), first_byte]);
+                }
+                replies.push(Frame::AdvanceDone {
+                    now_vms: grant(until_vms),
+                });
+            }
+            Frame::Drain => replies.push(Frame::OriginDrainDone {
+                outage_events: 0,
+                outage_wait_vms: 0,
+                slow_transfers: 0,
+                flushed_bytes: 1,
+                recalls_completed: 0,
+                read_failures: 0,
+            }),
+            _ => {}
+        }
+        for reply in replies {
+            if reply.write_to(&mut writer).is_err() {
                 return;
             }
+        }
+        if writer.flush().is_err() {
+            return;
         }
     }
 }
 
-/// Boots a live `daemon::serve` against the scripted origin, sends two
-/// write requests, optionally waits for the first one's `Done` and
-/// sends `Shutdown`, and returns how the daemon session ended.
-fn session_result(grant: fn(i64) -> i64, expect_done: bool) -> Result<ServiceStats, String> {
+/// What the client does once it has said hello.
+#[derive(Clone, Copy)]
+enum Client {
+    /// Two writes; nothing is read back.
+    Writes,
+    /// Two writes, then wait for the first one's `Done` and shut down.
+    WritesThenShutdown,
+    /// Two reads of missing files.
+    Reads,
+    /// A `Drain` of the idle daemon.
+    Drain,
+}
+
+/// Boots a live `daemon::serve` against the scripted origin, plays the
+/// client's part, and returns how the daemon session ended.
+fn session_result(grant: fn(i64) -> i64, client: Client) -> Result<ServiceStats, String> {
     let origin_listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let origin_addr = origin_listener.local_addr().expect("origin addr");
     let origin = thread::spawn(move || fake_origin(origin_listener, grant));
@@ -83,23 +126,42 @@ fn session_result(grant: fn(i64) -> i64, expect_done: bool) -> Result<ServiceSta
     }
     .write_to(&mut writer)
     .expect("hello");
-    // The first write's arrival forces an `Advance`; the second, later
-    // in virtual time, runs the daemon's clock past the first's disk
-    // service so its `Done` goes out.
-    for (req, time_s) in [(0, 10), (1, 100)] {
-        Frame::WriteReq {
-            req,
-            file: req + 1,
-            size: 1_000_000,
-            time_s,
-            next_use: NO_NEXT_USE,
-            device: DeviceClass::TapeSilo,
+    // The first request's arrival forces an `Advance`; the second,
+    // later in virtual time, runs the daemon's clock past the first's
+    // dispatch — a write's disk service, so its `Done` goes out; a
+    // read's recall, so the next `Advance` reaches the origin after it.
+    // Dense file ids in first-appearance order, as every client sends.
+    let requests = [(0, 10), (1, 100)].map(|(req, time_s)| {
+        let (file, size, next_use, device) = (req, 1_000_000, NO_NEXT_USE, DeviceClass::TapeSilo);
+        if let Client::Reads = client {
+            Frame::ReadReq {
+                req,
+                file,
+                size,
+                time_s,
+                next_use,
+                device,
+            }
+        } else {
+            Frame::WriteReq {
+                req,
+                file,
+                size,
+                time_s,
+                next_use,
+                device,
+            }
         }
-        .write_to(&mut writer)
-        .expect("request");
+    });
+    let frames = match client {
+        Client::Drain => &[Frame::Drain][..],
+        _ => &requests[..],
+    };
+    for frame in frames {
+        frame.write_to(&mut writer).expect("request");
     }
     writer.flush().expect("flush");
-    if expect_done {
+    if let Client::WritesThenShutdown = client {
         match Frame::read_from(&mut reader).expect("hello ack") {
             Frame::HelloAck { .. } => {}
             other => panic!("expected HelloAck, got {other:?}"),
@@ -125,18 +187,32 @@ fn session_result(grant: fn(i64) -> i64, expect_done: bool) -> Result<ServiceSta
 
 #[test]
 fn an_echoing_origin_is_a_grant_of_zero_lookahead() {
-    let stats = session_result(|until| until, true).expect("echo is a valid grant");
+    let stats =
+        session_result(|until| until, Client::WritesThenShutdown).expect("echo is a valid grant");
     assert_eq!(stats.requests, 2);
 }
 
 #[test]
 fn a_grant_short_of_the_watermark_ends_the_session_with_an_error() {
-    let err = session_result(|until| until - 1, false).expect_err("short grant");
+    let err = session_result(|until| until - 1, Client::Writes).expect_err("short grant");
     assert!(err.contains("origin granted"), "{err}");
 }
 
 #[test]
 fn a_grant_past_the_horizon_ends_the_session_with_an_error() {
-    let err = session_result(|_| DRAIN_HORIZON_VMS + 1, false).expect_err("over-horizon grant");
+    let err =
+        session_result(|_| DRAIN_HORIZON_VMS + 1, Client::Writes).expect_err("over-horizon grant");
     assert!(err.contains("origin granted"), "{err}");
+}
+
+#[test]
+fn a_first_byte_delivered_twice_ends_the_session_with_an_error() {
+    let err = session_result(|until| until, Client::Reads).expect_err("double first byte");
+    assert!(err.contains("ResolvedTwice"), "{err}");
+}
+
+#[test]
+fn a_drain_report_that_disagrees_on_flushed_bytes_ends_the_session_with_an_error() {
+    let err = session_result(|until| until, Client::Drain).expect_err("wrong flushed_bytes");
+    assert!(err.contains("flush accounting diverged"), "{err}");
 }

@@ -1,9 +1,9 @@
 //! In-process oracle contract: the daemon/origin split replaying the
 //! tiny-preset cell must reproduce the counter-noise hierarchy engine's
-//! cache decisions exactly and its wait distribution within tolerance —
-//! healthy and under degraded-peak chaos. This is the same contract
-//! `make service-smoke` enforces through the real binaries, kept in
-//! tier-1 so `cargo test` covers it without process spawning.
+//! cache decisions and its p99 read wait exactly — healthy and under
+//! degraded-peak chaos, over one connection and two. This is the same
+//! contract `make service-smoke` enforces through the real binaries,
+//! kept in tier-1 so `cargo test` covers it without process spawning.
 
 use std::net::TcpListener;
 use std::thread;
@@ -115,14 +115,14 @@ fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64
     );
     assert_eq!(drain.acked_writes, c.writes, "every write acked");
 
-    // Wait distribution vs the oracle. The virtual-time split preserves
-    // event causality exactly, so the histograms should agree to the
-    // bucket; the smoke-level guarantee is ±15% on p99.
-    let oracle_p99 = oracle.read_wait().quantile(0.99);
-    let live_p99 = report.read_waits.quantile(0.99);
-    assert!(
-        (live_p99 - oracle_p99).abs() <= 0.15 * oracle_p99.max(1.0),
-        "p99 read wait {live_p99}s vs oracle {oracle_p99}s"
+    // Wait distribution vs the oracle. Daemon and engine host the same
+    // disk half and the virtual-time split preserves event causality,
+    // so the p99 bucket is the oracle's — this is the guard that the
+    // shared half reordered no tie.
+    assert_eq!(
+        report.read_waits.quantile(0.99),
+        oracle.read_wait().quantile(0.99),
+        "p99 read wait"
     );
     assert_eq!(
         report.read_waits.count(),

@@ -11,13 +11,14 @@
 //! same device queues the recall traffic loads:
 //!
 //! * a [`DiskCache`] driven by any [`MigrationPolicy`] classifies every
-//!   reference — hits are served at disk latency through the
-//!   spindle/mover path;
+//!   reference inside [`crate::disk`] — the single statement of the
+//!   staging-disk logic and the MSCP / spindle / channel-mover path
+//!   hits and writes are served through;
 //! * misses enqueue a **tape recall** into [`crate::tape`] — the single
 //!   statement of the drive / robot-or-operator / seek / tape-mover
-//!   physics, which this engine hosts with its events merged into the
-//!   disk half's queue — and the requester's first byte is the recall's
-//!   first byte (cut-through staging);
+//!   physics — and the requester's first byte is the recall's first
+//!   byte (cut-through staging); this engine hosts both halves, their
+//!   events merged into one queue;
 //! * references to a file whose recall is still outstanding **coalesce**
 //!   onto it (*delayed hits*, after the Atre et al. "Caching with
 //!   Delayed Hits" observation): exactly one recall is issued and no
@@ -35,15 +36,12 @@
 //!
 //! # Timing model
 //!
-//! Foreground references pay a lognormal MSCP dispatch overhead, then:
-//! hits and writes queue on their file's spindle and a channel mover
-//! (plus the disk seek); misses dispatch a recall into the tape path.
-//! Delayed hits skip dispatch — they join an already-dispatched recall
-//! whose catalog work is done — and reach their first byte at
-//! `max(arrival, recall first byte)`, which bounds their wait by the
-//! wait of the miss that issued the fetch. In lazy write-back mode a
-//! reference whose admission forced a dirty **stall** eviction cannot
-//! start its disk service until that flush lands on tape.
+//! [`crate::disk`] states it: foreground references pay the MSCP
+//! dispatch overhead, delayed hits skip it and reach their first byte
+//! at `max(arrival, recall first byte)` — which bounds their wait by
+//! the wait of the miss that issued the fetch — and a disk-served
+//! reference whose admission forced dirty **stall** evictions cannot
+//! start its disk service until those flushes land on tape.
 //!
 //! # Determinism
 //!
@@ -54,7 +52,7 @@
 
 use std::convert::Infallible;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
+use fmig_migrate::cache::{CacheConfig, CacheStats, DiskCache};
 use fmig_migrate::eval::{
     DegradedOutcome, EvalConfig, LatencyOutcome, PolicyOutcome, PreparedRef, PreparedTrace,
 };
@@ -66,27 +64,15 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
+use crate::disk::{DiskEv, DiskHalf, DiskHost, LinkFault, Resolved};
 use crate::event::{EventQueue, SimMs, MS};
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::metrics::{LatencyHistogram, Utilisation};
-use crate::noise::{self, Noise};
-use crate::pool::Pool;
-use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost, Tier};
+use crate::noise::Noise;
+use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost};
 
+pub use crate::disk::ServedBy;
 pub use crate::fault::FAULT_HORIZON_SLACK_MS;
-
-/// How one reference reached its first byte in the closed loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServedBy {
-    /// Read hit on fully resident data, served at disk latency.
-    DiskHit,
-    /// Read coalesced onto an outstanding tape recall (delayed hit).
-    DelayedHit,
-    /// Read miss served by its own tape recall.
-    Recall,
-    /// Write absorbed by the staging disk.
-    DiskWrite,
-}
 
 /// One reference's closed-loop outcome, handed to the streaming sink in
 /// arrival order.
@@ -336,101 +322,53 @@ impl HierarchySimulator {
     }
 }
 
-/// Events of the closed-loop engine: the disk half's own, plus the
-/// tape half's riding the same queue so both keep one push sequence.
+/// Events of the closed-loop engine: both halves' events ride one
+/// queue, so they keep one push sequence.
 #[derive(Debug, Clone, Copy)]
 enum HEv {
-    /// MSCP overhead elapsed for foreground reference `r`.
-    Dispatch(usize),
-    /// Reference `r`'s disk transfer finished.
-    DiskDone(usize),
+    /// A disk-half event.
+    Disk(DiskEv),
     /// A tape-half event.
     Tape(TapeEv),
 }
 
-/// The tape-job id of a flush no reference is stalled on.
+/// The tape-job id of a flush no reference is stalled on; a gated
+/// flush is named by the stalled reference, a recall by its requester.
 const UNGATED: u64 = u64::MAX;
 
-/// Per-reference progress state.
-#[derive(Debug, Clone, Copy)]
-struct RefState {
-    arrival_ms: SimMs,
-    first_byte_ms: SimMs,
-    id: FileId,
-    size: u64,
-    write: bool,
-    served: ServedBy,
-    device: DeviceClass,
-    done: bool,
-    /// Stall flushes that must land on tape before disk service starts.
-    gate: u32,
-    /// MSCP dispatch finished while gated; start when the gate clears.
-    ready: bool,
-    /// Counter-noise mode only: the recall sequence number assigned at
-    /// *arrival* for `Recall`-served references, so a distributed
-    /// replica that classifies in trace order assigns the same
-    /// identities. Legacy mode assigns at dispatch and ignores this.
-    recall_seq: u64,
-}
-
-/// An in-flight recall that references may coalesce onto.
-#[derive(Debug, Default)]
-struct OutstandingRecall {
-    first_byte_ms: Option<SimMs>,
-    waiters: Vec<usize>,
-}
-
-struct Engine<'a, 'p> {
-    front: Front<'a, 'p>,
+struct Engine<'p> {
+    front: Front<'p>,
     tape: TapeHalf,
 }
 
-/// Everything but the tape half: the cache, the reference table, the
-/// merged event queue, the disk path (spindle → channel mover → seek,
-/// one job per disk-served reference, named by its index), and the
-/// listener the tape half reports to. Recalls are named by the
-/// reference that issued them, flushes by the reference stalled on them
-/// (or [`UNGATED`]).
-struct Front<'a, 'p> {
-    cfg: &'a SimConfig,
-    cache: DiskCache<'p>,
+/// Everything but the tape half — the disk half and what both halves
+/// are hosted on — and so the listener the tape half reports to.
+struct Front<'p> {
+    host: Host,
+    disk: DiskHalf<DiskCache<'p>>,
+}
+
+/// The merged event queue, the one noise sampler, and the wait
+/// histograms every resolved reference lands in.
+struct Host {
     noise: Noise,
     queue: EventQueue<HEv>,
     /// Backoff before a failed recall re-queues (the fault plan's).
     retry_backoff_ms: SimMs,
-    states: Vec<RefState>,
-    /// Recalls in flight (only with coalescing on): a dense arena
-    /// indexed by [`FileId`], grown on demand — `Some` exactly while a
-    /// recall for that file is outstanding.
-    outstanding: Vec<Option<OutstandingRecall>>,
-    /// Each file's tape tier, from the trace's device annotations, in
-    /// the same [`FileId`]-indexed arena layout.
-    file_tape: Vec<Option<Tier>>,
-    /// Live miss-latency estimator: fed by every resolved recall,
-    /// consulted (via the cache's hint) before every reference.
-    feedback: LatencyFeedback,
-    /// Reusable buffer for cache side effects.
-    ops: Vec<CacheOp>,
-    /// Counter-noise mode: next arrival-order recall sequence number.
-    next_recall_seq: u64,
     next_emit: usize,
-    spindles: Vec<Pool>,
-    movers: Pool,
     metrics: HierarchyMetrics,
     first_ms: SimMs,
     last_ms: SimMs,
 }
 
-impl<'a, 'p> Engine<'a, 'p> {
+impl<'p> Engine<'p> {
     fn new(
-        cfg: &'a SimConfig,
+        cfg: &SimConfig,
         cache_cfg: CacheConfig,
         policy: &'p dyn MigrationPolicy,
         schedule: FaultSchedule,
     ) -> Self {
-        let front = Front {
-            cfg,
-            cache: DiskCache::new(cache_cfg, policy),
+        let host = Host {
             noise: if cfg.counter_noise {
                 Noise::Keyed(cfg.seed)
             } else {
@@ -438,21 +376,14 @@ impl<'a, 'p> Engine<'a, 'p> {
             },
             queue: EventQueue::new(),
             retry_backoff_ms: schedule.retry_backoff_ms(),
-            states: Vec::new(),
-            outstanding: Vec::new(),
-            file_tape: Vec::new(),
-            feedback: LatencyFeedback::new(),
-            ops: Vec::new(),
-            next_recall_seq: 0,
             next_emit: 0,
-            spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            movers: Pool::new(cfg.movers),
             metrics: HierarchyMetrics::new(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
         };
+        let disk = DiskHalf::new(cfg, DiskCache::new(cache_cfg, policy));
         Engine {
-            front,
+            front: Front { host, disk },
             tape: TapeHalf::new(cfg, schedule),
         }
     }
@@ -461,29 +392,43 @@ impl<'a, 'p> Engine<'a, 'p> {
         // Fault windows become ordinary events in the same queue.
         self.tape.schedule_outages(&mut self.front);
         let mut prev_ms = SimMs::MIN;
-        for (i, pr) in refs.iter().enumerate() {
+        for pr in refs {
             let t_ms = pr.time * MS;
             assert!(t_ms >= prev_ms, "references must be sorted by time");
             prev_ms = t_ms;
-            self.front.first_ms = self.front.first_ms.min(t_ms);
-            while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
+            self.front.host.first_ms = self.front.host.first_ms.min(t_ms);
+            while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
                 self.handle(now, ev);
             }
-            self.arrive(i, pr, t_ms);
+            // A flush is a tape write that joins its drive queue at `at`.
+            let Front { host, disk } = &mut self.front;
+            let tape = &mut self.tape;
+            let carried = disk.arrive(pr, host, |host, order, at| {
+                let id = order.gated.map_or(UNGATED, |r| r as u64);
+                let j = tape.flush(id, order.seq, order.bytes, order.tier);
+                host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
+                Ok::<(), Infallible>(())
+            });
+            carried.unwrap_or_else(|never| match never {});
             self.front.emit_finished(&mut sink);
         }
-        while let Some((now, ev)) = self.front.queue.pop() {
+        while let Some((now, ev)) = self.front.host.queue.pop() {
             self.handle(now, ev);
         }
         self.front.emit_finished(&mut sink);
-        let front = self.front;
-        debug_assert_eq!(front.next_emit, front.states.len());
+        let Front { host, disk } = self.front;
+        debug_assert_eq!(host.next_emit, disk.references());
 
-        let mut metrics = front.metrics;
-        metrics.requests = front.states.len() as u64;
-        metrics.cache = *front.cache.stats();
-        metrics.cache_fetch_retries = front.cache.fetch_retries();
-        metrics.latency_feedback = front.feedback;
+        let mut metrics = host.metrics;
+        metrics.requests = disk.references() as u64;
+        let traffic = disk.counters();
+        metrics.delayed_hits = traffic.delayed_hits;
+        metrics.recalls = traffic.recalls;
+        metrics.flush_jobs = traffic.flush_jobs;
+        metrics.flush_bytes = traffic.flush_bytes;
+        metrics.cache = *disk.cache().stats();
+        metrics.cache_fetch_retries = disk.cache().fetch_retries();
+        metrics.latency_feedback = disk.feedback().clone();
         let counters = self.tape.counters();
         metrics.fault = self.tape.degraded().then_some(DegradedOutcome {
             read_retries: counters.read_failures,
@@ -492,174 +437,28 @@ impl<'a, 'p> Engine<'a, 'p> {
             slow_transfers: counters.slow_transfers,
         });
         let span = (
-            front.first_ms.min(front.last_ms),
-            front.last_ms.max(front.first_ms),
+            host.first_ms.min(host.last_ms),
+            host.last_ms.max(host.first_ms),
         );
         metrics.utilisation = self.tape.utilisation(span.0, span.1);
-        metrics.utilisation.disk_spindles = front
-            .spindles
-            .iter()
-            .map(|p| p.utilisation(span.0, span.1))
-            .sum();
-        metrics.utilisation.movers += front.movers.utilisation(span.0, span.1);
+        disk.path()
+            .add_utilisation(&mut metrics.utilisation, span.0, span.1);
         metrics
     }
 
-    /// Classifies one reference through the cache and turns its side
-    /// effects into device traffic.
-    fn arrive(&mut self, i: usize, pr: &PreparedRef, t_ms: SimMs) {
-        let front = &mut self.front;
-        let tape = tape_of(pr.device);
-        if pr.id.index() >= front.file_tape.len() {
-            front.file_tape.resize(pr.id.index() + 1, None);
-            front
-                .outstanding
-                .resize_with(front.file_tape.len(), || None);
-        }
-        front.file_tape[pr.id.index()] = Some(tape);
-        // Publish the current miss-wait estimate for this file's tier
-        // and size before the cache classifies the reference: the touch
-        // stamps it onto the entry, where latency-aware policies read
-        // it at the next purge. Latency-blind policies ignore the hint,
-        // which keeps their closed loop exactly equal to open loop.
-        front
-            .cache
-            .set_est_miss_wait_s(front.feedback.estimate(tape.device(), pr.size));
-        let mut ops = std::mem::take(&mut front.ops);
-        ops.clear();
-        let served = if pr.write {
-            front
-                .cache
-                .write_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op));
-            ServedBy::DiskWrite
-        } else {
-            match front
-                .cache
-                .read_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op))
-            {
-                ReadResult::Hit => ServedBy::DiskHit,
-                ReadResult::DelayedHit if front.cfg.recall_coalescing => ServedBy::DelayedHit,
-                // Coalescing off: a delayed hit pays its own fetch.
-                ReadResult::DelayedHit => ServedBy::Recall,
-                ReadResult::Miss
-                    if front.cfg.recall_coalescing
-                        && front.outstanding[pr.id.index()].is_some() =>
-                {
-                    // The file was evicted (or bypassed the cache) while
-                    // its recall is still in flight: the bytes are
-                    // already on the way, so the re-miss coalesces too.
-                    ServedBy::DelayedHit
-                }
-                ReadResult::Miss => ServedBy::Recall,
-            }
-        };
-        let device = match served {
-            ServedBy::DiskHit | ServedBy::DiskWrite => DeviceClass::Disk,
-            ServedBy::DelayedHit | ServedBy::Recall => tape.device(),
-        };
-        debug_assert_eq!(i, front.states.len());
-        // Counter-noise mode fixes the recall's identity here, in
-        // arrival order — classification order is what a distributed
-        // replica can reproduce; legacy dispatch order depends on the
-        // lognormal overhead draws.
-        let recall_seq = if front.cfg.counter_noise && served == ServedBy::Recall {
-            front.next_recall_seq += 1;
-            front.next_recall_seq - 1
-        } else {
-            0
-        };
-        front.states.push(RefState {
-            arrival_ms: t_ms,
-            first_byte_ms: t_ms,
-            id: pr.id,
-            size: pr.size,
-            write: pr.write,
-            served,
-            device,
-            done: false,
-            gate: 0,
-            ready: false,
-            recall_seq,
-        });
-
-        // Cache side effects become tape traffic.
-        for &op in &ops {
-            match op {
-                CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
-                CacheOp::Writeback { id, bytes } => {
-                    let at = t_ms + (self.front.cfg.writeback_delay_s * MS as f64) as SimMs;
-                    self.spawn_flush(id, bytes, UNGATED, at);
-                }
-                CacheOp::StallFlush { id, bytes } => {
-                    // Only disk-served foregrounds stall on the flush; a
-                    // miss's recall is the longer pole and proceeds.
-                    let gated = if served == ServedBy::DiskWrite || served == ServedBy::DiskHit {
-                        self.front.states[i].gate += 1;
-                        i as u64
-                    } else {
-                        UNGATED
-                    };
-                    self.spawn_flush(id, bytes, gated, t_ms);
-                }
-                CacheOp::PurgeFlush { id, bytes } => {
-                    self.spawn_flush(id, bytes, UNGATED, t_ms);
-                }
-            }
-        }
-        let front = &mut self.front;
-        front.ops = ops;
-
-        match served {
-            ServedBy::DiskHit | ServedBy::DiskWrite | ServedBy::Recall => {
-                let d = front.noise.lognormal_ms(
-                    || noise::dispatch_key(i as u64),
-                    front.cfg.mscp_overhead_median_s,
-                    front.cfg.mscp_overhead_sigma,
-                );
-                front.queue.push(t_ms + d, HEv::Dispatch(i));
-                if served == ServedBy::Recall && front.cfg.recall_coalescing {
-                    front.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
-                }
-            }
-            ServedBy::DelayedHit => {
-                front.metrics.delayed_hits += 1;
-                let o = front.outstanding[pr.id.index()]
-                    .as_mut()
-                    .expect("delayed hit implies an outstanding recall");
-                match o.first_byte_ms {
-                    // Data already streaming to disk: served on arrival.
-                    Some(fb) => front.resolve_ref(i, fb),
-                    None => o.waiters.push(i),
-                }
-            }
-        }
-    }
-
-    /// Creates a background tape flush that joins its drive queue at
-    /// `at`; `gated` names the reference stalled on it.
-    fn spawn_flush(&mut self, file: FileId, bytes: u64, gated: u64, at: SimMs) {
-        let front = &mut self.front;
-        let tier = front
-            .file_tape
-            .get(file.index())
-            .copied()
-            .flatten()
-            .unwrap_or(Tier::Silo);
-        // Spawn order is classification order, which both the legacy
-        // engine and a trace-order replica agree on: it is the flush's
-        // keyed-noise identity.
-        let seq = front.metrics.flush_jobs;
-        front.metrics.flush_jobs += 1;
-        front.metrics.flush_bytes += bytes;
-        let j = self.tape.flush(gated, seq, bytes, tier);
-        front.queue.push(at, HEv::Tape(TapeEv::Join(j)));
-    }
-
     fn handle(&mut self, now: SimMs, ev: HEv) {
-        self.front.last_ms = self.front.last_ms.max(now);
+        let Front { host, disk } = &mut self.front;
+        host.last_ms = host.last_ms.max(now);
         match ev {
-            HEv::Dispatch(r) => self.dispatched(r, now),
-            HEv::DiskDone(r) => self.front.disk_done(r, now),
+            HEv::Disk(ev) => {
+                // A dispatched miss enters its drive queue at once.
+                if let Some(order) = disk.handle(now, ev, host) {
+                    let j =
+                        self.tape
+                            .recall(order.r as u64, order.seq, order.size, order.tier, None);
+                    self.tape_event(now, TapeEv::Join(j));
+                }
+            }
             HEv::Tape(ev) => self.tape_event(now, ev),
         }
     }
@@ -669,182 +468,84 @@ impl<'a, 'p> Engine<'a, 'p> {
             .handle(now, ev, &mut self.front)
             .unwrap_or_else(|never| match never {});
     }
-
-    /// MSCP work done: start disk service or issue the recall.
-    fn dispatched(&mut self, r: usize, now: SimMs) {
-        let front = &mut self.front;
-        let st = front.states[r];
-        match st.served {
-            ServedBy::DiskHit | ServedBy::DiskWrite => {
-                front.states[r].ready = true;
-                if st.gate == 0 {
-                    front.start_disk(r, now);
-                }
-            }
-            ServedBy::Recall => {
-                // The issue-order sequence number keys the fault
-                // schedule's counter-based read-error decisions.
-                // Counter-noise mode pinned it at arrival; legacy
-                // issues it here, in dispatch order.
-                let seq = if front.cfg.counter_noise {
-                    st.recall_seq
-                } else {
-                    front.metrics.recalls
-                };
-                front.metrics.recalls += 1;
-                let j = self
-                    .tape
-                    .recall(r as u64, seq, st.size, tape_of(st.device), None);
-                self.tape_event(now, TapeEv::Join(j));
-            }
-            ServedBy::DelayedHit => unreachable!("delayed hits are never dispatched"),
-        }
-    }
 }
 
-impl Front<'_, '_> {
+/// The tape half lives in this process: an answer of its that
+/// contradicts the reference table is a bug here, not bad input.
+fn linked(answer: Result<(), LinkFault>) {
+    answer.unwrap_or_else(|fault| panic!("the tape half broke the link contract: {fault:?}"))
+}
+
+impl Front<'_> {
     /// Emits every resolved reference, in arrival order.
     fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
-        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
-            let st = self.states[self.next_emit];
+        while let Some(o) = self.disk.outcome(self.host.next_emit) {
             sink(RefOutcome {
-                index: self.next_emit,
-                id: st.id,
-                write: st.write,
-                served: st.served,
-                device: st.device,
-                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
+                index: self.host.next_emit,
+                id: o.id,
+                write: o.write,
+                served: o.served,
+                device: o.device,
+                wait_s: o.wait_ms as f64 / MS as f64,
             });
-            self.next_emit += 1;
-        }
-    }
-
-    fn spindle_of(&self, r: usize) -> usize {
-        self.states[r].id.index() % self.spindles.len()
-    }
-
-    /// Foreground disk service: queue on the file's spindle.
-    fn start_disk(&mut self, r: usize, now: SimMs) {
-        let spindle = self.spindle_of(r);
-        if self.spindles[spindle].acquire(r, now) {
-            self.spindle_granted(r, now);
-        }
-    }
-
-    /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, r: usize, now: SimMs) {
-        if self.movers.acquire(r, now) {
-            self.disk_mover_granted(r, now);
-        }
-    }
-
-    /// The disk transfer begins — the reference's first byte.
-    fn disk_mover_granted(&mut self, r: usize, now: SimMs) {
-        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
-        self.resolve_ref(r, first_byte);
-        let jitter = 1.0
-            + self.noise.range(
-                || noise::disk_key(r as u64, noise::STAGE_RATE),
-                -self.cfg.rate_jitter,
-                self.cfg.rate_jitter,
-            );
-        let xfer_ms =
-            (self.states[r].size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), HEv::DiskDone(r));
-    }
-
-    /// Disk transfer complete: release the mover, then the spindle.
-    fn disk_done(&mut self, r: usize, now: SimMs) {
-        if let Some(n) = self.movers.release(now) {
-            self.disk_mover_granted(n, now);
-        }
-        let spindle = self.spindle_of(r);
-        if let Some(n) = self.spindles[spindle].release(now) {
-            self.spindle_granted(n, now);
-        }
-    }
-
-    /// Finalizes a reference's first byte and records its wait.
-    fn resolve_ref(&mut self, i: usize, first_byte_ms: SimMs) {
-        let (arrival, served) = {
-            let st = &self.states[i];
-            debug_assert!(!st.done, "reference resolved twice");
-            (st.arrival_ms, st.served)
-        };
-        let fb = first_byte_ms.max(arrival);
-        self.states[i].first_byte_ms = fb;
-        self.states[i].done = true;
-        let wait_s = (fb - arrival) as f64 / MS as f64;
-        match served {
-            ServedBy::DiskHit => self.metrics.hit_wait.record(wait_s),
-            ServedBy::DelayedHit => self.metrics.delayed_hit_wait.record(wait_s),
-            ServedBy::Recall => {
-                self.metrics.miss_wait.record(wait_s);
-                // The feedback loop closes here: a measured recall wait
-                // (retries, outages, and queueing included) updates the
-                // estimate future victim rankings will see. `device` is
-                // the recall's tape tier for a `Recall`-served ref.
-                let st = &self.states[i];
-                self.feedback.record(st.device, st.size, wait_s);
-            }
-            ServedBy::DiskWrite => self.metrics.write_wait.record(wait_s),
+            self.host.next_emit += 1;
         }
     }
 }
 
-/// The closed-loop listener: completions feed the cache and the
-/// reference table synchronously, inside the event that caused them.
-impl TapeHost for Front<'_, '_> {
-    type Error = Infallible;
-
-    fn schedule(&mut self, at: SimMs, ev: TapeEv) {
-        self.queue.push(at, HEv::Tape(ev));
+impl DiskHost for Host {
+    fn schedule(&mut self, at: SimMs, ev: DiskEv) {
+        self.queue.push(at, HEv::Disk(ev));
     }
 
     fn noise(&mut self) -> &mut Noise {
         &mut self.noise
     }
 
-    /// The requester and every coalesced waiter are served together.
-    fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), Infallible> {
-        let r = job as usize;
-        self.resolve_ref(r, at);
-        if let Some(o) = self.outstanding[self.states[r].id.index()].as_mut() {
-            o.first_byte_ms = Some(at);
-            let waiters = std::mem::take(&mut o.waiters);
-            for w in waiters {
-                self.resolve_ref(w, at);
-            }
+    fn resolved(&mut self, _r: usize, o: Resolved) {
+        let wait_s = o.wait_ms as f64 / MS as f64;
+        let m = &mut self.metrics;
+        match o.served {
+            ServedBy::DiskHit => m.hit_wait.record(wait_s),
+            ServedBy::DelayedHit => m.delayed_hit_wait.record(wait_s),
+            ServedBy::Recall => m.miss_wait.record(wait_s),
+            ServedBy::DiskWrite => m.write_wait.record(wait_s),
         }
+    }
+}
+
+/// The closed-loop link back from the tape half: its events join the
+/// merged queue, and its answers feed the disk half synchronously,
+/// inside the event that caused them.
+impl TapeHost for Front<'_> {
+    type Error = Infallible;
+
+    fn schedule(&mut self, at: SimMs, ev: TapeEv) {
+        self.host.queue.push(at, HEv::Tape(ev));
+    }
+
+    fn noise(&mut self) -> &mut Noise {
+        &mut self.host.noise
+    }
+
+    fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), Infallible> {
+        linked(self.disk.first_byte(job as usize, at, &mut self.host));
         Ok(())
     }
 
-    /// The file is fully staged: further reads are plain hits.
     fn done(&mut self, job: u64, _at: SimMs) -> Result<(), Infallible> {
-        let file = self.states[job as usize].id;
-        self.cache.fetch_complete(file);
-        if let Some(o) = self.outstanding[file.index()].take() {
-            debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-        }
+        linked(self.disk.recall_done(job as usize));
         Ok(())
     }
 
     fn flush_done(&mut self, job: u64, at: SimMs, _bytes: u64) -> Result<(), Infallible> {
-        if job != UNGATED {
-            let r = job as usize;
-            self.states[r].gate -= 1;
-            if self.states[r].gate == 0 && self.states[r].ready {
-                self.start_disk(r, at);
-            }
-        }
+        let gated = (job != UNGATED).then_some(job as usize);
+        self.disk.flush_done(gated, at, &mut self.host);
         Ok(())
     }
 
-    /// Media read error: the bytes on disk are garbage. Re-arm the
-    /// cache's outstanding-fetch state (reads keep coalescing) and
-    /// rejoin the queue after the plan's backoff — waiters parked on
-    /// the outstanding recall ride along to the retry.
+    /// Media read error: rejoin the queue after the plan's backoff —
+    /// the simulated operator never gives up.
     fn failed(
         &mut self,
         job: u64,
@@ -852,24 +553,16 @@ impl TapeHost for Front<'_, '_> {
         _failed_ms: SimMs,
         drive_free_ms: SimMs,
     ) -> Result<RetryVerdict, Infallible> {
-        self.cache.fetch_failed(self.states[job as usize].id);
+        self.disk.recall_failed(job as usize);
         Ok(RetryVerdict::Retry {
-            rejoin_ms: drive_free_ms + self.retry_backoff_ms,
+            rejoin_ms: drive_free_ms + self.host.retry_backoff_ms,
         })
     }
 
     fn flush_drive_wait(&mut self, waited_ms: SimMs) {
-        self.metrics
-            .flush_queue_wait
-            .record(waited_ms.max(0) as f64 / MS as f64);
+        let wait_s = waited_ms.max(0) as f64 / MS as f64;
+        self.host.metrics.flush_queue_wait.record(wait_s);
     }
-}
-
-/// A file's archival tape tier: shelf files restage from the shelf,
-/// everything else (including files the trace saw on disk) lives in the
-/// silo.
-fn tape_of(device: DeviceClass) -> Tier {
-    Tier::of(device).unwrap_or(Tier::Silo)
 }
 
 #[cfg(test)]

@@ -8,6 +8,13 @@
 //! robot arms, human operators, and a bounded pool of bitfile movers, all
 //! driven by a trace.
 //!
+//! Each half of that structure is stated once — [`disk`] (MSCP
+//! dispatch, spindles, channel movers, and the staging-disk logic of
+//! the closed loop) and [`tape`] (drives, mounts, seeks, tape movers) —
+//! and hosted by every engine: [`MssSimulator`] and
+//! [`HierarchySimulator`] here, the live daemon and origin in
+//! `fmig-serve`.
+//!
 //! Feeding the synthetic workload through [`MssSimulator`] regenerates
 //! Figure 3 (per-device latency CDFs) and the Table 3 latency rows, and
 //! supports the §6 ablations (write-behind, dividing point).
@@ -34,6 +41,7 @@
 
 pub mod config;
 pub mod cutthrough;
+pub mod disk;
 pub mod event;
 pub mod fault;
 pub mod hierarchy;

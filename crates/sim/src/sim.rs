@@ -5,20 +5,20 @@
 //!
 //! 1. **MSCP dispatch** — the UNICOS `lread`/`lwrite` message reaches the
 //!    IBM 3090 control processor (lognormal overhead);
-//! 2. **device service** — disk requests queue FCFS on their file's
-//!    spindle, then on a channel mover (the global transfer-concurrency
-//!    limit), and pay a millisecond seek; tape requests enter
-//!    [`crate::tape`] — drive queue, robot or operator mount, seek,
-//!    tape-mover transfer, unload — which is the single statement of the
-//!    tape physics. Tape writes append to the currently mounted
-//!    cartridge and only remount when it fills (which is why Table 3
-//!    shows writes reaching the first byte faster than reads).
+//! 2. **device service** — disk requests enter [`crate::disk::DiskPath`]
+//!    — their directory's spindle, a channel mover, a millisecond seek —
+//!    and tape requests enter [`crate::tape`] — drive queue, robot or
+//!    operator mount, seek, tape-mover transfer, unload. Those two
+//!    modules are the single statement of the device physics. Tape
+//!    writes append to the currently mounted cartridge and only remount
+//!    when it fills (which is why Table 3 shows writes reaching the
+//!    first byte faster than reads).
 //!
-//! This engine is the open-loop host of the tape half: every tape
-//! request is a plain read or append, no cache is consulted, and noise
-//! comes from one sequential RNG stream. The simulator annotates every
-//! record with its achieved startup latency and transfer time and
-//! aggregates Figure 3 latency histograms.
+//! This engine is the open-loop host of both halves: every request is a
+//! plain read or write on the device its record names, no cache is
+//! consulted, and noise comes from one sequential RNG stream. The
+//! simulator annotates every record with its achieved startup latency
+//! and transfer time and aggregates Figure 3 latency histograms.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -29,11 +29,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::config::SimConfig;
+use crate::disk::DiskPath;
 use crate::event::{EventQueue, SimMs, MS};
 use crate::fault::FaultSchedule;
 use crate::metrics::Metrics;
 use crate::noise::{self, Noise};
-use crate::pool::Pool;
 use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost, Tier};
 
 /// A finished simulation: the annotated trace plus aggregate metrics.
@@ -122,11 +122,12 @@ struct Req {
 
 struct Engine<'a> {
     front: Front<'a>,
+    disk: DiskPath,
     tape: TapeHalf,
 }
 
-/// Everything but the tape half: the request table, the event queue,
-/// the disk path, and the listener the tape half reports to.
+/// What both halves are hosted on: the request table, the event queue,
+/// and the listener first bytes are reported to.
 struct Front<'a> {
     cfg: &'a SimConfig,
     noise: Noise,
@@ -139,8 +140,6 @@ struct Front<'a> {
     pending: VecDeque<TraceRecord>,
     /// Next request index to hand to the sink.
     next_emit: usize,
-    spindles: Vec<Pool>,
-    movers: Pool,
     metrics: Metrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -157,12 +156,11 @@ impl<'a> Engine<'a> {
                 done: Vec::new(),
                 pending: VecDeque::new(),
                 next_emit: 0,
-                spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-                movers: Pool::new(cfg.movers),
                 metrics: Metrics::new(),
                 first_ms: SimMs::MAX,
                 last_ms: SimMs::MIN,
             },
+            disk: DiskPath::new(cfg),
             tape: TapeHalf::new(cfg, FaultSchedule::none()),
         }
     }
@@ -182,7 +180,7 @@ impl<'a> Engine<'a> {
             while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
                 self.handle(now, ev);
             }
-            self.front.arrive(&rec, t_ms);
+            self.front.arrive(&rec, t_ms, self.disk.spindles());
             self.front.pending.push_back(rec);
             self.front.emit_finished(&mut sink);
         }
@@ -193,8 +191,6 @@ impl<'a> Engine<'a> {
         let Front {
             reqs,
             next_emit,
-            spindles,
-            movers,
             mut metrics,
             first_ms,
             last_ms,
@@ -205,9 +201,8 @@ impl<'a> Engine<'a> {
         metrics.requests = reqs.len() as u64;
         let span = (first_ms, last_ms.max(first_ms));
         metrics.utilisation = self.tape.utilisation(span.0, span.1);
-        metrics.utilisation.disk_spindles =
-            spindles.iter().map(|p| p.utilisation(span.0, span.1)).sum();
-        metrics.utilisation.movers += movers.utilisation(span.0, span.1);
+        self.disk
+            .add_utilisation(&mut metrics.utilisation, span.0, span.1);
         metrics
     }
 
@@ -217,7 +212,10 @@ impl<'a> Engine<'a> {
             Ev::Dispatch(r) => {
                 let req = self.front.reqs[r];
                 match Tier::of(req.device) {
-                    None => self.front.join_spindle(r, now),
+                    None => {
+                        let started = self.disk.join(r, req.spindle, now);
+                        self.front.start_transfer(&self.disk, started, now);
+                    }
                     Some(tier) => {
                         let j = match req.dir {
                             Direction::Read => {
@@ -229,7 +227,10 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            Ev::DiskDone(r) => self.front.disk_done(r, now),
+            Ev::DiskDone(r) => {
+                let started = self.disk.done(self.front.reqs[r].spindle, now);
+                self.front.start_transfer(&self.disk, started, now);
+            }
             Ev::ErrorDone(r) => self.front.first_byte_at(r, now),
             Ev::Tape(ev) => self.tape_event(now, ev),
         }
@@ -262,7 +263,7 @@ impl Front<'_> {
         }
     }
 
-    fn arrive(&mut self, rec: &TraceRecord, t_ms: SimMs) {
+    fn arrive(&mut self, rec: &TraceRecord, t_ms: SimMs, spindles: usize) {
         let idx = self.reqs.len();
         // Files of one directory share a 3380 volume, so a session
         // re-reading a dataset queues on one spindle — the source of
@@ -276,7 +277,7 @@ impl Front<'_> {
             size: rec.file_size,
             dir: rec.direction(),
             device: rec.mss_device().unwrap_or(DeviceClass::Disk),
-            spindle: fnv1a64(dir.as_bytes()) as usize % self.spindles.len(),
+            spindle: fnv1a64(dir.as_bytes()) as usize % spindles,
             first_byte_ms: t_ms,
         });
         self.done.push(false);
@@ -316,41 +317,12 @@ impl Front<'_> {
         );
     }
 
-    /// Disk service: queue on the spindle that holds the data.
-    fn join_spindle(&mut self, r: usize, now: SimMs) {
-        if self.spindles[self.reqs[r].spindle].acquire(r, now) {
-            self.spindle_granted(r, now);
-        }
-    }
-
-    /// Spindle held: no mount; contend for a channel mover directly.
-    fn spindle_granted(&mut self, r: usize, now: SimMs) {
-        if self.movers.acquire(r, now) {
-            self.disk_mover_granted(r, now);
-        }
-    }
-
-    fn disk_mover_granted(&mut self, r: usize, now: SimMs) {
-        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
-        self.served(r, first_byte);
-        let jitter = 1.0
-            + self.noise.range(
-                || noise::disk_key(r as u64, noise::STAGE_RATE),
-                -self.cfg.rate_jitter,
-                self.cfg.rate_jitter,
-            );
-        let xfer_ms = (self.reqs[r].size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), Ev::DiskDone(r));
-    }
-
-    /// Disk transfer complete: release the mover, then the spindle.
-    fn disk_done(&mut self, r: usize, now: SimMs) {
-        if let Some(n) = self.movers.release(now) {
-            self.disk_mover_granted(n, now);
-        }
-        if let Some(n) = self.spindles[self.reqs[r].spindle].release(now) {
-            self.spindle_granted(n, now);
+    /// The disk job that reached a channel mover begins its transfer.
+    fn start_transfer(&mut self, disk: &DiskPath, started: Option<usize>, now: SimMs) {
+        if let Some(r) = started {
+            let (first_byte, end) = disk.transfer(r, self.reqs[r].size, now, &mut self.noise);
+            self.served(r, first_byte);
+            self.queue.push(end, Ev::DiskDone(r));
         }
     }
 }
