@@ -1,0 +1,94 @@
+//! The `repro` binary, run as a user runs it.
+//!
+//! * `repro sweep` writes exactly the report `run_sweep` returns: the
+//!   same golden fixtures `tests/golden_report.rs` holds the library to;
+//! * a bad flag or a missing store is a one-line reason plus the usage
+//!   text and a non-zero exit, never a panic;
+//! * a reader that goes away (`repro all | head`) ends the run cleanly.
+
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn golden(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name);
+    std::fs::read_to_string(path).expect("golden fixture exists")
+}
+
+/// Runs `repro sweep --preset tiny --faults none <extra> --out F` and
+/// returns the bytes it wrote.
+fn tiny_sweep(tag: &str, extra: &[&str]) -> String {
+    let out =
+        std::env::temp_dir().join(format!("fmig-repro-cli-{tag}-{}.json", std::process::id()));
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    let mut args = vec!["sweep", "--preset", "tiny", "--faults", "none"];
+    args.extend_from_slice(extra);
+    args.extend_from_slice(&["--out", out_arg]);
+    let run = repro(&args);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let written = std::fs::read_to_string(&out).expect("sweep wrote --out");
+    std::fs::remove_file(&out).expect("cleanup");
+    written
+}
+
+#[test]
+fn tiny_sweep_writes_the_golden_open_loop_report() {
+    assert_eq!(tiny_sweep("open", &[]), golden("golden_tiny_open.json"));
+}
+
+#[test]
+fn tiny_latency_sweep_writes_the_golden_closed_loop_report() {
+    assert_eq!(
+        tiny_sweep("latency", &["--latency"]),
+        golden("golden_tiny_latency.json")
+    );
+}
+
+#[test]
+fn bad_sweep_arguments_fail_with_a_reason_and_no_panic() {
+    for (args, reason) in [
+        (
+            &["sweep", "--trace", "/nonexistent"][..],
+            "trace store /nonexistent",
+        ),
+        (
+            &["sweep", "--scaling"][..],
+            "unknown sweep flag `--scaling`",
+        ),
+    ] {
+        let run = repro(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(reason), "{args:?}: first line {first:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_reader_ends_the_run_cleanly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "0.002", "--no-sim", "table1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    // Close the read end before the first experiment prints.
+    drop(child.stdout.take());
+    let run = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -405,8 +405,8 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// The smoke-test matrix CI benchmarks: five policies (including
-    /// both latency-aware entrants) on the NCAR preset at a tiny scale,
+    /// The smoke-test matrix: five policies (including both
+    /// latency-aware entrants) on the NCAR preset at a tiny scale,
     /// one cache point, healthy plus one compound fault scenario —
     /// 10 cells, 1 shard.
     pub fn tiny() -> Self {
@@ -860,7 +860,7 @@ impl SweepReport {
     /// Serializes the report as deterministic JSON: fixed key order,
     /// shortest-round-trip float formatting, no timing or host data. Two
     /// runs of the same matrix — at any worker count — produce identical
-    /// bytes, which is what the CI artifact diff and the determinism test
+    /// bytes, which is what the golden fixtures and the determinism tests
     /// key on.
     pub fn to_json(&self) -> String {
         let fault_mode = self.fault_mode();

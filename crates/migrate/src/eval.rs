@@ -350,9 +350,8 @@ impl PreparedTrace {
     }
 
     /// The pre-index capacity sweep: one full replay per capacity with
-    /// the sort-based rescan. Kept as the oracle and benchmark baseline
-    /// for the single-pass engine; see
-    /// [`crate::mrc::sweep_capacities_naive`].
+    /// the sort-based rescan. Kept as the oracle for the single-pass
+    /// engine; see [`crate::mrc::sweep_capacities_naive`].
     pub fn capacity_sweep_naive(
         &self,
         policy: &dyn MigrationPolicy,

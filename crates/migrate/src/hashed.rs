@@ -6,20 +6,12 @@
 //! the rescan purge path allocates a fresh ranking `Vec` per purge. The
 //! live implementation ([`crate::cache::DiskCache`]) replaced all of
 //! that with [`fmig_trace::FileId`]-indexed arenas; this copy is kept
-//! for two jobs:
-//!
-//! 1. **The scaling gate.** `repro sweep` replays the same prepared
-//!    trace through both implementations and records
-//!    `scaling_refs_per_sec` (dense) next to `hashed_refs_per_sec`
-//!    (this module) in `BENCH_sweep.json`; `ci/check_bench.py` gates on
-//!    the ratio, so a regression that quietly reintroduces hashing to
-//!    the hot path fails CI.
-//! 2. **The equivalence oracle.** Identity assignment here is the same
-//!    first-appearance interning order [`fmig_trace::FileTable`] uses,
-//!    and every tie-break keys on the raw id value, so the two
-//!    implementations must produce bit-identical hit/miss/eviction
-//!    sequences on any trace. `tests/dense_identity.rs` property-tests
-//!    that equivalence across every shipped policy.
+//! as the **equivalence oracle**. Identity assignment here is the same
+//! first-appearance interning order [`fmig_trace::FileTable`] uses, and
+//! every tie-break keys on the raw id value, so the two implementations
+//! must produce bit-identical hit/miss/eviction sequences on any trace.
+//! `tests/dense_identity.rs` property-tests that equivalence across
+//! every shipped policy.
 //!
 //! Because the two implementations share the public vocabulary types
 //! ([`CacheConfig`], [`CacheStats`], [`CacheOp`], [`ReadResult`],
@@ -29,7 +21,7 @@
 //! *are* the old interned u64s, narrowed).
 //!
 //! Nothing else in the workspace should depend on this module; it is a
-//! measurement instrument, not an API.
+//! test reference, not an API.
 
 use std::collections::HashMap;
 
@@ -38,7 +30,7 @@ use fmig_trace::{Direction, FileId, TraceRecord};
 use crate::cache::{
     CacheConfig, CacheOp, CacheStats, EvictionMode, ReadResult, INDEX_MIN_RESIDENTS,
 };
-use crate::eval::{EvalConfig, PreparedRef};
+use crate::eval::EvalConfig;
 use crate::policy::{FileView, MigrationPolicy};
 use crate::rank::{Candidate, Popped, RankKey, VictimRank};
 
@@ -577,31 +569,6 @@ pub fn replay_records(
         }
     }
     (*cache.stats(), ops)
-}
-
-/// Replays an already-prepared reference stream through the hashed
-/// baseline cache — the `hashed_refs_per_sec` leg of the scaling gate.
-///
-/// Takes the same [`PreparedRef`] slice the dense replay consumes
-/// (ids widen back to u64), so the benchmark isolates exactly the
-/// identity-plumbing cost: hash + probe per reference versus an array
-/// index.
-pub fn replay_prepared(
-    refs: &[PreparedRef],
-    policy: &dyn MigrationPolicy,
-    config: &EvalConfig,
-) -> CacheStats {
-    let mut cache = HashedDiskCache::new(config.cache, policy);
-    cache.set_est_miss_wait_s(config.wait_s_per_miss);
-    for r in refs {
-        let id = u64::from(r.id);
-        if r.write {
-            cache.write(id, r.size, r.time, r.next_use);
-        } else {
-            cache.read(id, r.size, r.time, r.next_use);
-        }
-    }
-    *cache.stats()
 }
 
 #[cfg(test)]

@@ -819,8 +819,8 @@ pub fn sweep_capacities_streaming(
 /// with the sort-based rescan ranking every purge.
 ///
 /// Kept as the oracle the single-pass engine is property-tested against
-/// and as the baseline `examples/capacity_planning.rs` and
-/// `benches/eviction.rs` measure speedups over.
+/// (`tests/mrc_index.rs`) and `examples/capacity_planning.rs` checks its
+/// curve with.
 pub fn sweep_capacities_naive(
     refs: &[PreparedRef],
     policy: &dyn MigrationPolicy,

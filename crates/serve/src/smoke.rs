@@ -41,10 +41,8 @@ pub struct SmokeOutcome {
     pub refs_per_sec: f64,
 }
 
-/// Runs the full service smoke. `bench_path`, when given, has the
-/// healthy run's `service_refs_per_sec` recorded into it (report-only;
-/// the CI baseline keeps it ungated).
-pub fn run_service_smoke(bench_path: Option<&str>) -> Result<Vec<SmokeOutcome>, String> {
+/// Runs the full service smoke.
+pub fn run_service_smoke() -> Result<Vec<SmokeOutcome>, String> {
     let bin_dir = std::env::current_exe()
         .map_err(|e| format!("current_exe: {e}"))?
         .parent()
@@ -64,14 +62,6 @@ pub fn run_service_smoke(bench_path: Option<&str>) -> Result<Vec<SmokeOutcome>, 
             outcome.refs_per_sec
         );
         outcomes.push(outcome);
-    }
-    if let Some(path) = bench_path {
-        let healthy = &outcomes[0];
-        record_bench(path, healthy.refs_per_sec)?;
-        eprintln!(
-            "service-smoke: recorded service_refs_per_sec {:.0} in {path}",
-            healthy.refs_per_sec
-        );
     }
     Ok(outcomes)
 }
@@ -319,32 +309,4 @@ fn json_raw(json: &str, key: &str) -> Result<String, String> {
         .find([',', '}'])
         .ok_or_else(|| format!("{key} unterminated"))?;
     Ok(rest[..end].trim().to_string())
-}
-
-/// Inserts (or replaces) `service_refs_per_sec` in the benchmark
-/// artifact without disturbing its other fields.
-fn record_bench(path: &str, refs_per_sec: f64) -> Result<(), String> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(_) => {
-            let fresh = format!("{{\n  \"service_refs_per_sec\": {refs_per_sec:?}\n}}\n");
-            return std::fs::write(path, fresh).map_err(|e| format!("writing {path}: {e}"));
-        }
-    };
-    let kept: Vec<&str> = body
-        .lines()
-        .filter(|l| !l.contains("\"service_refs_per_sec\""))
-        .collect();
-    let mut out = Vec::with_capacity(kept.len() + 1);
-    let mut inserted = false;
-    for line in kept {
-        out.push(line.to_string());
-        if !inserted && line.trim_start().starts_with('{') {
-            out.push(format!("  \"service_refs_per_sec\": {refs_per_sec:?},"));
-            inserted = true;
-        }
-    }
-    let mut text = out.join("\n");
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
 }
