@@ -8,11 +8,19 @@
 //! intervals are computed. The raw repeats are retained separately,
 //! because §6 uses them ("about one third of all requests came within
 //! eight hours of another request for the same file").
+//!
+//! The census itself is [`IdFileTracker`], a `Vec` of per-file state
+//! indexed by a caller-assigned slot; [`FileTracker`] is the path-keyed
+//! front that interns each `mss_path` to a slot and delegates. A slot
+//! space and interned paths cannot meet on one accumulator: the front
+//! owns its path map and lends the core out read-only, and the core has
+//! no path method.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use fmig_trace::time::{DAY, HOUR};
-use fmig_trace::{Direction, TraceRecord};
+use fmig_trace::{Direction, Request, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LogHistogram;
@@ -31,21 +39,86 @@ struct FileState {
     last_raw: i64,
 }
 
-/// Aggregate per-file statistics for the whole trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// "Never": far enough back that no request is within any window of it.
+const NEVER: i64 = i64::MIN / 2;
+
+impl FileState {
+    /// A slot no request has named yet; `last_raw` leaves [`NEVER`] on
+    /// the first one.
+    const UNSEEN: FileState = FileState {
+        size: 0,
+        reads: 0,
+        writes: 0,
+        last_counted_read: NEVER,
+        last_counted_write: NEVER,
+        last_counted_any: NEVER,
+        last_raw: NEVER,
+    };
+}
+
+/// Aggregate per-file statistics for the whole trace, keyed by path.
+///
+/// Reads through to the [`IdFileTracker`] it fills (`Deref`), so every
+/// aggregate is written once, there.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FileTracker {
-    files: HashMap<Box<str>, FileState>,
+    /// Path → slot, in first-appearance order. A map of its own, not a
+    /// [`fmig_trace::FileTable`]: nothing here maps a slot back to its
+    /// path, so each path is kept once.
+    paths: HashMap<Box<str>, u32>,
+    census: IdFileTracker,
+}
+
+impl FileTracker {
+    /// Creates an empty tracker.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds one successful record.
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        // Look up before inserting: a known path costs no allocation.
+        let slot = match self.paths.get(rec.mss_path.as_str()) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.paths.len() as u32;
+                self.paths.insert(rec.mss_path.as_str().into(), slot);
+                slot
+            }
+        };
+        self.census.observe(slot, rec);
+    }
+}
+
+impl Deref for FileTracker {
+    type Target = IdFileTracker;
+
+    fn deref(&self) -> &IdFileTracker {
+        &self.census
+    }
+}
+
+/// The per-file census, keyed by caller-assigned slot; see the module
+/// docs. Memory is one entry per slot up to the highest one named.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct IdFileTracker {
+    /// Per-slot state; slots no request named stay [`FileState::UNSEEN`]
+    /// and count toward nothing.
+    slots: Vec<FileState>,
+    /// Slots named at least once.
+    seen: usize,
     /// Interreference intervals between counted accesses, in seconds.
     intervals: LogHistogram,
     raw_requests: u64,
     raw_repeats_within_8h: u64,
 }
 
-impl FileTracker {
+impl IdFileTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
-        FileTracker {
-            files: HashMap::new(),
+        IdFileTracker {
+            slots: Vec::new(),
+            seen: 0,
             // 1 minute to ~2 years.
             intervals: LogHistogram::new(60.0, 7.0e7, 4),
             raw_requests: 0,
@@ -53,22 +126,22 @@ impl FileTracker {
         }
     }
 
-    /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        let t = rec.start.as_unix();
+    /// Feeds one request for the file in slot `file`; errored requests
+    /// name no file and are skipped.
+    pub fn observe(&mut self, file: u32, rec: &impl Request) {
+        if rec.error().is_some() {
+            return;
+        }
+        let t = rec.start().as_unix();
         self.raw_requests += 1;
-        let state = self
-            .files
-            .entry(rec.mss_path.as_str().into())
-            .or_insert(FileState {
-                size: rec.file_size,
-                reads: 0,
-                writes: 0,
-                last_counted_read: i64::MIN / 2,
-                last_counted_write: i64::MIN / 2,
-                last_counted_any: i64::MIN / 2,
-                last_raw: i64::MIN / 2,
-            });
+        if file as usize >= self.slots.len() {
+            self.slots.resize(file as usize + 1, FileState::UNSEEN);
+        }
+        let state = &mut self.slots[file as usize];
+        if state.last_raw == NEVER {
+            self.seen += 1;
+            state.size = rec.file_size();
+        }
         // §6 statistic: raw repeats within eight hours.
         if t - state.last_raw <= DEDUP_WINDOW_S {
             self.raw_repeats_within_8h += 1;
@@ -76,7 +149,7 @@ impl FileTracker {
         state.last_raw = t;
         // Writes may grow the file; keep the latest size.
         if rec.direction() == Direction::Write {
-            state.size = rec.file_size;
+            state.size = rec.file_size();
         }
         // §5.3 dedup rule, per direction.
         let counted = match rec.direction() {
@@ -100,7 +173,7 @@ impl FileTracker {
             }
         };
         if counted {
-            if state.last_counted_any > i64::MIN / 4 {
+            if state.last_counted_any != NEVER {
                 let gap = (t - state.last_counted_any).max(60) as f64;
                 self.intervals.record_count(gap);
             }
@@ -108,36 +181,39 @@ impl FileTracker {
         }
     }
 
+    /// The files referenced so far, in slot order. Every aggregate
+    /// below is a sum, a count or a sort over these, so none depends on
+    /// how slots were numbered.
+    fn files(&self) -> impl Iterator<Item = &FileState> {
+        self.slots.iter().filter(|f| f.last_raw != NEVER)
+    }
+
     /// Number of distinct files referenced.
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.seen
     }
 
     /// Total referenced bytes (each file counted once at its final size).
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.size).sum()
+        self.files().map(|f| f.size).sum()
     }
 
     /// Average file size in MB (Table 4's "average file size").
     pub fn avg_file_mb(&self) -> f64 {
-        if self.files.is_empty() {
+        if self.seen == 0 {
             0.0
         } else {
-            self.total_bytes() as f64 / 1e6 / self.files.len() as f64
+            self.total_bytes() as f64 / 1e6 / self.seen as f64
         }
     }
 
     /// Fraction of files satisfying a predicate over (reads, writes).
     pub fn fraction_where(&self, pred: impl Fn(u32, u32) -> bool) -> f64 {
-        if self.files.is_empty() {
+        if self.seen == 0 {
             return 0.0;
         }
-        let hits = self
-            .files
-            .values()
-            .filter(|f| pred(f.reads, f.writes))
-            .count();
-        hits as f64 / self.files.len() as f64
+        let hits = self.files().filter(|f| pred(f.reads, f.writes)).count();
+        hits as f64 / self.seen as f64
     }
 
     /// Figure 8 headline: fraction of files with zero counted reads.
@@ -173,10 +249,10 @@ impl FileTracker {
     /// Median total reference count (the paper reports 1, versus
     /// Smith's 2 at SLAC).
     pub fn median_references(&self) -> u32 {
-        if self.files.is_empty() {
+        if self.seen == 0 {
             return 0;
         }
-        let mut counts: Vec<u32> = self.files.values().map(|f| f.reads + f.writes).collect();
+        let mut counts: Vec<u32> = self.files().map(|f| f.reads + f.writes).collect();
         counts.sort_unstable();
         counts[counts.len() / 2]
     }
@@ -184,7 +260,7 @@ impl FileTracker {
     /// CDF of per-file total reference counts `(count, fraction_le)`
     /// for Figure 8's "total" curve.
     pub fn reference_count_cdf(&self) -> Vec<(u32, f64)> {
-        let mut counts: Vec<u32> = self.files.values().map(|f| f.reads + f.writes).collect();
+        let mut counts: Vec<u32> = self.files().map(|f| f.reads + f.writes).collect();
         counts.sort_unstable();
         let n = counts.len();
         let mut out = Vec::new();
@@ -204,8 +280,7 @@ impl FileTracker {
     /// Per-direction reference-count CDF for Figure 8's read/write curves.
     pub fn direction_count_cdf(&self, dir: Direction) -> Vec<(u32, f64)> {
         let mut counts: Vec<u32> = self
-            .files
-            .values()
+            .files()
             .map(|f| match dir {
                 Direction::Read => f.reads,
                 Direction::Write => f.writes,
@@ -256,14 +331,14 @@ impl FileTracker {
     /// Static (per-file, counted once) size histogram for Figure 11.
     pub fn size_histogram(&self) -> LogHistogram {
         let mut h = LogHistogram::new(1e3, 4.0e8, 4);
-        for f in self.files.values() {
+        for f in self.files() {
             h.record_weighted_by_value(f.size.max(1) as f64);
         }
         h
     }
 }
 
-impl Default for FileTracker {
+impl Default for IdFileTracker {
     fn default() -> Self {
         Self::new()
     }
@@ -300,9 +375,51 @@ mod tests {
         let mut ft = FileTracker::new();
         ft.observe(&write("/a", 0, 10));
         ft.observe(&read("/a", 60, 10)); // a read within 8h of a write still counts
-        let f = ft.files.get("/a").unwrap();
-        assert_eq!(f.reads, 1);
-        assert_eq!(f.writes, 1);
+        assert_eq!(ft.file_count(), 1);
+        assert_eq!(ft.fraction_where(|r, w| (r, w) == (1, 1)), 1.0);
+    }
+
+    #[test]
+    fn path_front_and_id_core_agree_record_for_record() {
+        // Revisits, a re-write at a new size, an errored request, and
+        // slots handed out in an order first appearance would not give.
+        let mut gone = read("/never-there", 70, 0);
+        gone.error = Some(fmig_trace::ErrorKind::FileNotFound);
+        let trace = [
+            (7, write("/a", 0, 10)),
+            (2, read("/b", 50, 5)),
+            (7, read("/a", 60, 10)),
+            (u32::MAX, gone),
+            (7, write("/a", 9 * HOUR, 30)),
+            (2, read("/b", 10 * HOUR, 5)),
+            (4, read("/c", 10 * HOUR + 5, 8)),
+            (2, read("/b", 10 * HOUR + 9, 5)),
+        ];
+        let mut by_path = FileTracker::new();
+        let mut by_id = IdFileTracker::new();
+        for (slot, rec) in &trace {
+            // The analyzer keeps errored records from the path front;
+            // the core drops them itself.
+            if rec.is_ok() {
+                by_path.observe(rec);
+            }
+            by_id.observe(*slot, rec);
+            assert_eq!(by_path.file_count(), by_id.file_count());
+            assert_eq!(by_path.total_bytes(), by_id.total_bytes());
+            assert_eq!(by_path.never_read(), by_id.never_read());
+            assert_eq!(by_path.accessed_once(), by_id.accessed_once());
+            assert_eq!(
+                by_path.repeat_within_8h_fraction(),
+                by_id.repeat_within_8h_fraction()
+            );
+            assert_eq!(by_path.intervals(), by_id.intervals());
+            assert_eq!(by_path.reference_count_cdf(), by_id.reference_count_cdf());
+        }
+        assert_eq!(by_id.file_count(), 3);
+        assert_eq!(by_id.total_bytes(), 30 + 5 + 8);
+        assert_eq!(by_id.median_references(), 2);
+        // Slots 0, 1, 3, 5, 6 were never named and count toward nothing.
+        assert_eq!(by_id.size_histogram().count(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! directly through [`LatencyAnalysis::observe_wait`] and compare
 //! policies side by side with [`PolicyLatencyReport`].
 
-use fmig_trace::{DeviceClass, Direction, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, Request};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::{LogHistogram, Welford};
@@ -45,19 +45,19 @@ impl LatencyAnalysis {
     }
 
     /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
+    pub fn observe(&mut self, rec: &impl Request) {
         let Some(device) = rec.mss_device() else {
             return;
         };
-        if rec.error.is_some() {
+        if rec.error().is_some() {
             return;
         }
-        self.observe_wait(rec.direction(), device, rec.startup_latency_s as f64);
+        self.observe_wait(rec.direction(), device, rec.startup_latency_s() as f64);
     }
 
     /// Feeds one first-byte wait directly — the closed-loop hierarchy
     /// engine's per-reference outcomes carry waits without a
-    /// [`TraceRecord`] to wrap them in.
+    /// [`fmig_trace::TraceRecord`] to wrap them in.
     pub fn observe_wait(&mut self, dir: Direction, device: DeviceClass, wait_s: f64) {
         let cell = &mut self.cells[dir_index(dir)][dev_index(device)];
         cell.hist.record_count(wait_s.max(0.5));
@@ -246,7 +246,7 @@ fn dev_index(device: DeviceClass) -> usize {
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
+    use fmig_trace::{Endpoint, TraceRecord};
 
     fn rec(ep: Endpoint, read: bool, latency: u32) -> TraceRecord {
         let mut r = if read {

@@ -49,7 +49,7 @@ pub use analyzer::Analyzer;
 pub use attribution::Attribution;
 pub use availability::{AvailabilityReport, AvailabilityRow};
 pub use dirs::DirStats;
-pub use filetrack::FileTracker;
+pub use filetrack::{FileTracker, IdFileTracker};
 pub use hist::{LogHistogram, Welford};
 pub use interref::GapTracker;
 pub use latency::{LatencyAnalysis, PolicyLatencyReport};

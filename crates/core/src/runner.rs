@@ -9,9 +9,11 @@
 //! report:
 //!
 //! 1. **Shard preparation** — each shard generates its workload and
-//!    streams it once through the device simulator (or a plain pass)
-//!    into the incremental [`Analyzer`] and the policy-replay
-//!    preparation ([`TracePrep`]). The full annotated
+//!    streams it once, as path-free [`IdRecord`]s, through the device
+//!    simulator (or a plain pass) into the three accumulators the
+//!    report reads — [`TraceStats`], [`IdFileTracker`],
+//!    [`LatencyAnalysis`] — and the policy-replay preparation
+//!    ([`IdTracePrep`]). No path string is built, and the full annotated
 //!    `Vec<TraceRecord>` that [`crate::Study::run`] keeps for the
 //!    experiment registry is never materialized, which is what makes
 //!    wide matrices affordable.
@@ -34,12 +36,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fmig_analysis::Analyzer;
-use fmig_migrate::eval::{EvalConfig, PreparedRef, PreparedTrace, TracePrep};
+use fmig_analysis::{IdFileTracker, LatencyAnalysis};
+use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedRef, PreparedTrace};
 use fmig_migrate::mrc::{sweep_capacities_streaming, MissRatioCurve};
 use fmig_sim::{HierarchySimulator, MssSimulator, SimConfig};
 use fmig_trace::ingest::store::{StoreReader, StoreRow, CHUNK_RECORDS};
-use fmig_trace::Direction;
+use fmig_trace::{Direction, IdRecord, TraceStats};
 use fmig_workload::{PaperTargets, Workload};
 
 use crate::sweep::{
@@ -160,7 +162,7 @@ struct PreparedShard {
 /// Where a shard's replayable references live: in memory for generated
 /// workloads, on disk for imported traces.
 enum ShardData {
-    /// A generated trace, fully materialized by [`TracePrep`].
+    /// A generated trace, fully materialized by [`IdTracePrep`].
     Generated(PreparedTrace),
     /// An imported trace in the columnar replay store; phase 2 streams
     /// it chunk by chunk, so the references never materialize.
@@ -291,25 +293,25 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
     let files = workload.files().len() as u64;
     let referenced_bytes: u64 = workload.files().iter().map(|f| f.size).sum();
 
-    // One streaming pass: simulator → (analysis, policy prep).
-    let mut analysis = Analyzer::new();
-    let mut prep = TracePrep::new();
-    let records = if config.simulate_devices {
-        let sim = MssSimulator::new(SimConfig::default().with_seed(sim_seed));
-        let metrics = sim.run_streaming(workload.into_records(), |rec| {
-            analysis.observe(&rec);
-            prep.observe(&rec);
-        });
-        metrics.requests
-    } else {
-        let mut n = 0u64;
-        for rec in workload.into_records() {
-            analysis.observe(&rec);
-            prep.observe(&rec);
-            n += 1;
-        }
-        n
+    // One streaming pass: simulator → (analysis, policy prep). Each
+    // accumulator skips errored records where the paper does.
+    let mut stats = TraceStats::new();
+    let mut tracked = IdFileTracker::new();
+    let mut latency = LatencyAnalysis::new();
+    let mut prep = IdTracePrep::new();
+    let sink = |rec: IdRecord| {
+        stats.observe(&rec);
+        tracked.observe(rec.file, &rec);
+        latency.observe(&rec);
+        prep.observe(rec.file, &rec);
     };
+    let requests = workload.into_requests();
+    let records = requests.len() as u64;
+    if config.simulate_devices {
+        MssSimulator::new(SimConfig::default().with_seed(sim_seed)).run_streaming(requests, sink);
+    } else {
+        requests.for_each(sink);
+    }
     let prepared = prep.finish();
     let capacities: Vec<u64> = config
         .cache_fractions
@@ -331,32 +333,32 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
             delta(
                 "read_share",
                 targets.read_share(),
-                analysis.stats.read_reference_share(),
+                stats.read_reference_share(),
             ),
             delta(
                 "error_fraction",
                 targets.error_fraction(),
-                analysis.stats.error_fraction(),
+                stats.error_fraction(),
             ),
             delta(
                 "files_never_read",
                 targets.files_never_read,
-                analysis.files.never_read(),
+                tracked.never_read(),
             ),
             delta(
                 "files_accessed_once",
                 targets.files_accessed_once,
-                analysis.files.accessed_once(),
+                tracked.accessed_once(),
             ),
             delta(
                 "requests_within_8h",
                 targets.requests_within_8h_of_same_file,
-                analysis.files.repeat_within_8h_fraction(),
+                tracked.repeat_within_8h_fraction(),
             ),
             delta(
                 "file_gap_under_1d",
                 targets.file_gap_under_1d,
-                analysis.files.intervals_under_1d(),
+                tracked.intervals_under_1d(),
             ),
         ]
     } else {
@@ -369,9 +371,9 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
         records,
         files,
         referenced_bytes,
-        read_share: analysis.stats.read_reference_share(),
-        mean_read_latency_s: analysis.latency.direction_mean(Direction::Read),
-        mean_write_latency_s: analysis.latency.direction_mean(Direction::Write),
+        read_share: stats.read_reference_share(),
+        mean_read_latency_s: latency.direction_mean(Direction::Read),
+        mean_write_latency_s: latency.direction_mean(Direction::Write),
         paper_deltas,
         data: ShardData::Generated(prepared),
         capacities,

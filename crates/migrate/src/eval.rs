@@ -15,7 +15,7 @@
 //! degraded index — pays the O(n) purge rescan.
 
 use fmig_trace::time::TRACE_DAYS;
-use fmig_trace::{DeviceClass, Direction, FileId, FileTable, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, FileId, FileTable, Request, TraceRecord};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -172,15 +172,15 @@ pub struct PreparedRef {
 /// off a generator or the simulator's streaming sink, no `Vec` of
 /// records needed), then [`TracePrep::finish`] into a [`PreparedTrace`].
 ///
-/// Paths are interned to dense [`FileId`]s through one shared
-/// [`FileTable`] as they arrive; the Belady next-use oracle is a reverse
-/// sweep, so it runs once at `finish`. The per-record state kept here is
-/// a compact `Copy` struct plus one owned path string per *unique* file
-/// — far lighter than the records themselves.
+/// This is the path-keyed front: it interns each reference's MSS path
+/// through its own [`FileTable`] and hands the slot to the
+/// [`IdTracePrep`] it fills, which does the rest. The per-record state
+/// kept is a compact `Copy` struct plus one owned path string per
+/// *unique* file — far lighter than the records themselves.
 #[derive(Debug, Default)]
 pub struct TracePrep {
-    table: FileTable,
-    refs: Vec<PreparedRef>,
+    paths: FileTable,
+    prep: IdTracePrep,
 }
 
 impl TracePrep {
@@ -191,15 +191,64 @@ impl TracePrep {
 
     /// Feeds one record; errored references are skipped, as in §6.
     pub fn observe(&mut self, rec: &TraceRecord) {
-        if rec.error.is_some() {
+        if rec.is_ok() {
+            let slot = self.paths.intern(&rec.mss_path);
+            self.prep.observe(slot.raw(), rec);
+        }
+    }
+
+    /// Runs the reverse next-use sweep and seals the trace for replay.
+    pub fn finish(self) -> PreparedTrace {
+        self.prep.finish()
+    }
+}
+
+/// [`TracePrep`]'s engine, for sources that already name each file by a
+/// slot of their own (a generated shard's [`fmig_trace::IdRecord`]s):
+/// no path is read, and there is no path method to mix the two key
+/// spaces through.
+///
+/// Whatever the slot numbering, the trace gets dense [`FileId`]s in
+/// **first-appearance order among non-errored references** — the order
+/// [`FileTable`] interns paths in, which replay tie-breaks depend on
+/// (see [`fmig_trace::ident`]).
+#[derive(Debug, Default)]
+pub struct IdTracePrep {
+    /// Slot → dense id; [`UNASSIGNED`] until the slot's first
+    /// non-errored reference.
+    dense: Vec<u32>,
+    /// Dense ids handed out so far.
+    file_count: u32,
+    refs: Vec<PreparedRef>,
+}
+
+const UNASSIGNED: u32 = u32::MAX;
+
+impl IdTracePrep {
+    /// Creates an empty preparation pass.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds one reference to the file in slot `file`; errored
+    /// references are skipped, as in §6.
+    pub fn observe(&mut self, file: u32, rec: &impl Request) {
+        if rec.error().is_some() {
             return;
         }
-        let id = self.table.intern(rec.mss_path.as_str());
+        if file as usize >= self.dense.len() {
+            self.dense.resize(file as usize + 1, UNASSIGNED);
+        }
+        let id = &mut self.dense[file as usize];
+        if *id == UNASSIGNED {
+            *id = self.file_count;
+            self.file_count += 1;
+        }
         self.refs.push(PreparedRef {
-            id,
-            size: rec.file_size.max(1),
+            id: FileId::new(*id),
+            size: rec.file_size().max(1),
             write: rec.direction() == Direction::Write,
-            time: rec.start.as_unix(),
+            time: rec.start().as_unix(),
             next_use: None,
             device: rec.mss_device().unwrap_or(DeviceClass::Disk),
         });
@@ -213,7 +262,7 @@ impl TracePrep {
         let mut refs = self.refs;
         // Trace times are non-negative Unix seconds, so MIN is free as
         // the "not seen yet" sentinel.
-        let mut next_seen = vec![i64::MIN; self.table.len()];
+        let mut next_seen = vec![i64::MIN; self.file_count as usize];
         for r in refs.iter_mut().rev() {
             let slot = &mut next_seen[r.id.index()];
             r.next_use = (*slot != i64::MIN).then_some(*slot);
@@ -221,8 +270,7 @@ impl TracePrep {
         }
         PreparedTrace {
             refs,
-            file_count: self.table.len(),
-            table: self.table,
+            file_count: self.file_count as usize,
         }
     }
 }
@@ -231,7 +279,6 @@ impl TracePrep {
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
     refs: Vec<PreparedRef>,
-    table: FileTable,
     file_count: usize,
 }
 
@@ -256,13 +303,6 @@ impl PreparedTrace {
     /// every [`FileId`] in [`PreparedTrace::refs`] indexes into.
     pub fn file_count(&self) -> usize {
         self.file_count
-    }
-
-    /// The interner that assigned the dense ids; maps a [`FileId`] back
-    /// to its MSS path. Empty for traces built by
-    /// [`PreparedTrace::from_refs`].
-    pub fn files(&self) -> &FileTable {
-        &self.table
     }
 
     /// Replays one policy over the trace.
@@ -370,11 +410,7 @@ impl PreparedTrace {
             .map(|r| r.id.index() + 1)
             .max()
             .unwrap_or_default();
-        PreparedTrace {
-            refs,
-            table: FileTable::new(),
-            file_count,
-        }
+        PreparedTrace { refs, file_count }
     }
 }
 
@@ -565,6 +601,56 @@ mod tests {
         }
         let streamed = prep.finish().evaluate(&suite, &config);
         assert_eq!(batch, streamed);
+    }
+
+    #[test]
+    fn path_front_and_id_core_agree_record_for_record() {
+        // Revisits, a re-write at a new size, an errored first reference
+        // to a file that succeeds later, and slots numbered against
+        // first-appearance order: dense ids must not follow them.
+        let at = |t: i64| TRACE_EPOCH.add_secs(t);
+        let mut early = TraceRecord::read(Endpoint::MssDisk, at(1), 4, "/c", 1);
+        early.error = Some(fmig_trace::ErrorKind::MediaError);
+        let trace = [
+            (9, TraceRecord::write(Endpoint::MssDisk, at(0), 10, "/a", 1)),
+            (0, early),
+            (
+                5,
+                TraceRecord::read(Endpoint::MssTapeSilo, at(2), 7, "/b", 1),
+            ),
+            (9, TraceRecord::read(Endpoint::MssDisk, at(3), 10, "/a", 1)),
+            (0, TraceRecord::read(Endpoint::MssDisk, at(4), 4, "/c", 1)),
+            (9, TraceRecord::write(Endpoint::MssDisk, at(5), 30, "/a", 1)),
+            (
+                5,
+                TraceRecord::read(Endpoint::MssTapeSilo, at(6), 0, "/b", 1),
+            ),
+        ];
+        let mut by_path = TracePrep::new();
+        let mut by_id = IdTracePrep::new();
+        for (slot, rec) in &trace {
+            by_path.observe(rec);
+            by_id.observe(*slot, rec);
+        }
+        let (by_path, by_id) = (by_path.finish(), by_id.finish());
+        assert_eq!(by_path.refs(), by_id.refs());
+        assert_eq!(by_path.file_count(), by_id.file_count());
+        let seen: Vec<_> = by_id
+            .refs()
+            .iter()
+            .map(|r| (r.id.raw(), r.size, r.next_use.map(|t| t - at(0).as_unix())))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (0, 10, Some(3)),
+                (1, 7, Some(6)),
+                (0, 10, Some(5)),
+                (2, 4, None),
+                (0, 30, None),
+                (1, 1, None),
+            ]
+        );
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use feedback::LatencyFeedback;
 pub use hashed::{HashedDiskCache, HashedInterner};
 
 pub use eval::{
-    evaluate_policies, EvalConfig, LatencyOutcome, PolicyOutcome, PreparedRef, PreparedTrace,
-    ReplaySession, TracePrep,
+    evaluate_policies, EvalConfig, IdTracePrep, LatencyOutcome, PolicyOutcome, PreparedRef,
+    PreparedTrace, ReplaySession, TracePrep,
 };
 pub use mrc::{MissRatioCurve, MrcPoint};
 pub use policy::{

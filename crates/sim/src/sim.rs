@@ -23,8 +23,7 @@
 use std::collections::VecDeque;
 use std::convert::Infallible;
 
-use fmig_trace::ingest::fnv1a64;
-use fmig_trace::{DeviceClass, Direction, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, Request, TraceRecord};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -86,13 +85,18 @@ impl MssSimulator {
     /// records is buffered (requests whose first byte the simulation has
     /// not reached yet).
     ///
+    /// One engine over either record type: [`TraceRecord`]s, or the
+    /// path-free [`fmig_trace::IdRecord`]s a sweep shard streams. The
+    /// model reads a record only through [`Request`], so equal streams
+    /// yield equal metrics and latencies.
+    ///
     /// # Panics
     ///
     /// Panics if records are not sorted by start time.
-    pub fn run_streaming(
+    pub fn run_streaming<R: Request>(
         &self,
-        records: impl IntoIterator<Item = TraceRecord>,
-        sink: impl FnMut(TraceRecord),
+        records: impl IntoIterator<Item = R>,
+        sink: impl FnMut(R),
     ) -> Metrics {
         Engine::new(&self.config).run(records, sink)
     }
@@ -120,15 +124,15 @@ struct Req {
     first_byte_ms: SimMs,
 }
 
-struct Engine<'a> {
-    front: Front<'a>,
+struct Engine<'a, R> {
+    front: Front<'a, R>,
     disk: DiskPath,
     tape: TapeHalf,
 }
 
 /// What both halves are hosted on: the request table, the event queue,
 /// and the listener first bytes are reported to.
-struct Front<'a> {
+struct Front<'a, R> {
     cfg: &'a SimConfig,
     noise: Noise,
     queue: EventQueue<Ev>,
@@ -137,7 +141,7 @@ struct Front<'a> {
     /// has been reached, or it errored at the MSCP).
     done: Vec<bool>,
     /// Records awaiting emission; front is request `next_emit`.
-    pending: VecDeque<TraceRecord>,
+    pending: VecDeque<R>,
     /// Next request index to hand to the sink.
     next_emit: usize,
     metrics: Metrics,
@@ -145,7 +149,7 @@ struct Front<'a> {
     last_ms: SimMs,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, R: Request> Engine<'a, R> {
     fn new(cfg: &'a SimConfig) -> Self {
         Engine {
             front: Front {
@@ -165,14 +169,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(
-        mut self,
-        records: impl IntoIterator<Item = TraceRecord>,
-        mut sink: impl FnMut(TraceRecord),
-    ) -> Metrics {
+    fn run(mut self, records: impl IntoIterator<Item = R>, mut sink: impl FnMut(R)) -> Metrics {
         let mut prev_ms = SimMs::MIN;
         for rec in records {
-            let t_ms = rec.start.as_unix() * MS;
+            let t_ms = rec.start().as_unix() * MS;
             assert!(t_ms >= prev_ms, "records must be sorted by start time");
             prev_ms = t_ms;
             self.front.first_ms = self.front.first_ms.min(t_ms);
@@ -243,46 +243,42 @@ impl<'a> Engine<'a> {
     }
 }
 
-impl Front<'_> {
+impl<R: Request> Front<'_, R> {
     /// Annotates and emits every record whose latency is final, in
     /// arrival order.
-    fn emit_finished(&mut self, sink: &mut impl FnMut(TraceRecord)) {
+    fn emit_finished(&mut self, sink: &mut impl FnMut(R)) {
         while self.next_emit < self.done.len() && self.done[self.next_emit] {
             let mut rec = self.pending.pop_front().expect("pending record");
             let req = &self.reqs[self.next_emit];
             let latency_ms = (req.first_byte_ms - req.arrival_ms).max(0);
-            rec.startup_latency_s = (latency_ms / MS) as u32;
-            if rec.is_ok() {
+            let transfer_ms = if rec.error().is_none() {
                 let rate = self.cfg.rate_of(req.device);
-                rec.transfer_ms = (req.size as f64 / rate * 1000.0) as u64;
+                (req.size as f64 / rate * 1000.0) as u64
             } else {
-                rec.transfer_ms = 0;
-            }
+                0
+            };
+            rec.annotate((latency_ms / MS) as u32, transfer_ms);
             sink(rec);
             self.next_emit += 1;
         }
     }
 
-    fn arrive(&mut self, rec: &TraceRecord, t_ms: SimMs, spindles: usize) {
+    fn arrive(&mut self, rec: &R, t_ms: SimMs, spindles: usize) {
         let idx = self.reqs.len();
-        // Files of one directory share a 3380 volume, so a session
-        // re-reading a dataset queues on one spindle — the source of
-        // the paper's long disk-latency tail (§5.1).
-        let dir = rec
-            .mss_path
-            .rsplit_once('/')
-            .map_or(rec.mss_path.as_str(), |(d, _)| d);
         self.reqs.push(Req {
             arrival_ms: t_ms,
-            size: rec.file_size,
+            size: rec.file_size(),
             dir: rec.direction(),
             device: rec.mss_device().unwrap_or(DeviceClass::Disk),
-            spindle: fnv1a64(dir.as_bytes()) as usize % spindles,
+            // Files of one directory share a 3380 volume, so a session
+            // re-reading a dataset queues on one spindle — the source of
+            // the paper's long disk-latency tail (§5.1).
+            spindle: rec.volume_hash() as usize % spindles,
             first_byte_ms: t_ms,
         });
         self.done.push(false);
         let key = || noise::dispatch_key(idx as u64);
-        if rec.error.is_some() {
+        if rec.error().is_some() {
             self.metrics.errors += 1;
             let d = self
                 .noise
@@ -330,7 +326,7 @@ impl Front<'_> {
 /// The open-loop listener: tape jobs are named by their request index,
 /// reads and appends alike are served at their first byte, and nothing
 /// ever fails — there is no fault schedule and no deadline.
-impl TapeHost for Front<'_> {
+impl<R: Request> TapeHost for Front<'_, R> {
     type Error = Infallible;
 
     fn schedule(&mut self, at: SimMs, ev: TapeEv) {

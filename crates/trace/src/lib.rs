@@ -54,6 +54,6 @@ pub use ident::{FileId, FileTable};
 pub use ingest::{FormatId, IngestConfig, IngestStream, Sampler};
 pub use line::MAX_LINE_BYTES;
 pub use merge::{merge_sorted, MergedTrace};
-pub use record::{DeviceClass, Direction, Endpoint, ErrorKind, TraceRecord};
+pub use record::{DeviceClass, Direction, Endpoint, ErrorKind, IdRecord, Request, TraceRecord};
 pub use stats::{DeviceBreakdown, DirectionStats, TraceStats};
 pub use time::{CivilDate, Holiday, Timestamp, Weekday, TRACE_EPOCH, TRACE_SECONDS};

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::ingest::fnv1a64;
 use crate::time::Timestamp;
 
 /// One endpoint of a transfer — either the Cray or one of the three MSS
@@ -316,6 +317,136 @@ impl TraceRecord {
     }
 }
 
+/// What the device model, [`crate::TraceStats`], the per-file census and
+/// policy-replay preparation read of one request — everything in a
+/// [`TraceRecord`] except the names. Implemented by [`TraceRecord`] and
+/// by the path-free [`IdRecord`], so each of those layers is one engine
+/// over either.
+pub trait Request {
+    /// Instant the request was issued on the Cray.
+    fn start(&self) -> Timestamp;
+    /// File size in bytes.
+    fn file_size(&self) -> u64;
+    /// Transfer direction.
+    fn direction(&self) -> Direction;
+    /// The MSS storage class serving this request, if it names one.
+    fn mss_device(&self) -> Option<DeviceClass>;
+    /// Failure recorded for this request, if any.
+    fn error(&self) -> Option<ErrorKind>;
+    /// Seconds from request issue until the first byte moved.
+    fn startup_latency_s(&self) -> u32;
+    /// [`fnv1a64`] of the MSS directory the file lives in (the path up
+    /// to its last `/`). Files of one directory share a 3380 volume, so
+    /// the device model picks the spindle from this.
+    fn volume_hash(&self) -> u64;
+    /// Records the timing the device model measured.
+    fn annotate(&mut self, startup_latency_s: u32, transfer_ms: u64);
+}
+
+impl Request for TraceRecord {
+    fn start(&self) -> Timestamp {
+        self.start
+    }
+
+    fn file_size(&self) -> u64 {
+        self.file_size
+    }
+
+    fn direction(&self) -> Direction {
+        TraceRecord::direction(self)
+    }
+
+    fn mss_device(&self) -> Option<DeviceClass> {
+        TraceRecord::mss_device(self)
+    }
+
+    fn error(&self) -> Option<ErrorKind> {
+        self.error
+    }
+
+    fn startup_latency_s(&self) -> u32 {
+        self.startup_latency_s
+    }
+
+    fn volume_hash(&self) -> u64 {
+        let dir = self
+            .mss_path
+            .rsplit_once('/')
+            .map_or(self.mss_path.as_str(), |(d, _)| d);
+        fnv1a64(dir.as_bytes())
+    }
+
+    fn annotate(&mut self, startup_latency_s: u32, transfer_ms: u64) {
+        self.startup_latency_s = startup_latency_s;
+        self.transfer_ms = transfer_ms;
+    }
+}
+
+/// A request whose file is named by a caller-assigned slot instead of a
+/// path: what a source that already knows its files' identities (the
+/// workload generator) hands the sweep, so no layer builds, hashes or
+/// frees a string per record. `Copy`, 40 bytes. The slot space belongs
+/// to whoever built the record; the id-keyed accumulators index by it
+/// directly and take no paths, so the two cannot mix on one of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdRecord {
+    /// Instant the request was issued on the Cray.
+    pub start: Timestamp,
+    /// [`Request::volume_hash`] of the file's directory.
+    pub volume: u64,
+    /// File size in bytes.
+    pub file_size: u64,
+    /// The file's slot: equal for two records exactly when a
+    /// [`TraceRecord`] rendering would give them one `mss_path`.
+    /// Meaningless (`u32::MAX`) on errored records, which name files
+    /// that never existed.
+    pub file: u32,
+    /// Seconds from request issue until the first byte moved.
+    pub startup_latency_s: u32,
+    /// Transfer direction.
+    pub direction: Direction,
+    /// MSS storage class serving the request.
+    pub device: DeviceClass,
+    /// Failure recorded for this request, if any.
+    pub error: Option<ErrorKind>,
+}
+
+impl Request for IdRecord {
+    fn start(&self) -> Timestamp {
+        self.start
+    }
+
+    fn file_size(&self) -> u64 {
+        self.file_size
+    }
+
+    fn direction(&self) -> Direction {
+        self.direction
+    }
+
+    fn mss_device(&self) -> Option<DeviceClass> {
+        Some(self.device)
+    }
+
+    fn error(&self) -> Option<ErrorKind> {
+        self.error
+    }
+
+    fn startup_latency_s(&self) -> u32 {
+        self.startup_latency_s
+    }
+
+    fn volume_hash(&self) -> u64 {
+        self.volume
+    }
+
+    /// Keeps the latency; nothing downstream of the device model reads
+    /// an id record's transfer time.
+    fn annotate(&mut self, startup_latency_s: u32, _transfer_ms: u64) {
+        self.startup_latency_s = startup_latency_s;
+    }
+}
+
 /// Derives the Cray-local scratch path the paper's Table 2 pairs with each
 /// MSS bitfile name.
 fn derive_local_path(mss_path: &str) -> String {
@@ -346,6 +477,39 @@ mod tests {
         assert_eq!(r.local_path, "/tmp/wk/day004");
         let r2 = TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH, 1, "bare", 7);
         assert_eq!(r2.local_path, "/tmp/wk/bare");
+    }
+
+    #[test]
+    fn id_record_reads_like_the_record_it_stands_for() {
+        let mut rec = TraceRecord::write(Endpoint::MssTapeSilo, TRACE_EPOCH, 9, "/u1/run/f0001", 7);
+        let mut id = IdRecord {
+            start: TRACE_EPOCH,
+            volume: fnv1a64(b"/u1/run"),
+            file_size: 9,
+            file: 3,
+            startup_latency_s: 0,
+            direction: Direction::Write,
+            device: DeviceClass::TapeSilo,
+            error: None,
+        };
+        assert_eq!(std::mem::size_of::<IdRecord>(), 40);
+        rec.annotate(12, 3400);
+        id.annotate(12, 3400);
+        assert_eq!((rec.startup_latency_s, rec.transfer_ms), (12, 3400));
+        // Through the trait, so the record's inherent methods stay out.
+        fn same(a: &impl Request, b: &impl Request) {
+            assert_eq!(a.start(), b.start());
+            assert_eq!(a.file_size(), b.file_size());
+            assert_eq!(a.direction(), b.direction());
+            assert_eq!(a.mss_device(), b.mss_device());
+            assert_eq!(a.error(), b.error());
+            assert_eq!(a.startup_latency_s(), b.startup_latency_s());
+            assert_eq!(a.volume_hash(), b.volume_hash());
+        }
+        same(&rec, &id);
+        // A path without a directory is its own volume.
+        let bare = TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH, 1, "bare", 7);
+        assert_eq!(bare.volume_hash(), fnv1a64(b"bare"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{DeviceClass, Direction, ErrorKind, TraceRecord};
+use crate::record::{DeviceClass, Direction, ErrorKind, Request, TraceRecord};
 
 /// Accumulator for one (direction × device) cell of Table 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -22,10 +22,10 @@ pub struct Accum {
 }
 
 impl Accum {
-    fn observe(&mut self, rec: &TraceRecord) {
+    fn observe(&mut self, rec: &impl Request) {
         self.references += 1;
-        self.bytes += rec.file_size;
-        self.latency_sum_s += rec.startup_latency_s as f64;
+        self.bytes += rec.file_size();
+        self.latency_sum_s += rec.startup_latency_s() as f64;
     }
 
     /// Adds another accumulator into this one.
@@ -112,9 +112,9 @@ impl TraceStats {
     }
 
     /// Feeds one record; errored records count only toward the error census.
-    pub fn observe(&mut self, rec: &TraceRecord) {
+    pub fn observe(&mut self, rec: &impl Request) {
         self.raw_references += 1;
-        if let Some(kind) = rec.error {
+        if let Some(kind) = rec.error() {
             self.errors[(kind.code() - 1) as usize] += 1;
             return;
         }

@@ -24,8 +24,13 @@
 //!   warm, larger files go to tape; cold data migrates to shelved
 //!   cartridges needing an operator mount (§3.1, §6).
 
+use std::collections::HashMap;
+
+use fmig_trace::ingest::fnv1a64;
 use fmig_trace::time::{Timestamp, DAY, HOUR, TRACE_END, TRACE_EPOCH, TRACE_SECONDS};
-use fmig_trace::{DeviceClass, Endpoint, ErrorKind, FileId, FileTable, TraceRecord};
+use fmig_trace::{
+    DeviceClass, Direction, Endpoint, ErrorKind, FileId, FileTable, IdRecord, TraceRecord,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -37,6 +42,11 @@ use crate::preset::WorkloadConfig;
 use crate::rate::RateModel;
 
 /// Immutable metadata for one generated file.
+///
+/// An entry is not an identity: a file *is* its MSS path, which is
+/// `(dir_ids[dir], name_seq)`, and two entries whose directories render
+/// one path (see [`Workload::file_path`]) are one file referenced at
+/// two sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileMeta {
     /// Directory (dataset) id in the namespace.
@@ -287,6 +297,12 @@ impl Workload {
 
     /// The MSS path of a generated file.
     ///
+    /// Not injective once a namespace has a few thousand directories
+    /// (scale ≳ 0.02): directory names are `{theme}{id % 1000:03}`, so two
+    /// nodes under one parent can render the same directory path, and
+    /// then equal `name_seq`s under them are one path — one file as far
+    /// as every consumer of the trace can tell.
+    ///
     /// # Panics
     ///
     /// Panics if `file` is out of range.
@@ -317,6 +333,79 @@ impl Workload {
             events: self.events.into_iter(),
             seq: 0,
         }
+    }
+
+    /// Consumes the workload into an owning stream of path-free
+    /// [`IdRecord`]s: the requests [`Workload::into_records`] renders,
+    /// minus the names, the user, and the synthesised transfer time.
+    ///
+    /// `IdRecord::file` is the index of the first [`FileMeta`] that
+    /// renders the record's path, so two records share a slot exactly
+    /// when their rendered `mss_path`s are equal (each keeps its own
+    /// entry's size); `IdRecord::volume` hashes the rendered directory.
+    /// Both are worked out here, once per file, never per record.
+    pub fn into_requests(self) -> impl ExactSizeIterator<Item = IdRecord> {
+        /// What the stream keeps of one [`FileMeta`].
+        #[derive(Clone, Copy)]
+        struct FileSlot {
+            file: u32,
+            size: u64,
+            volume: u64,
+        }
+        let volumes: Vec<u64> = self
+            .dirs
+            .iter()
+            .map(|(_, path)| fnv1a64(path.as_bytes()))
+            .collect();
+        // Only a namespace where two directories share a path can alias.
+        let aliased = self.dirs.len() < self.dir_ids.len();
+        let mut first: HashMap<(FileId, u32), u32> = HashMap::new();
+        let files: Vec<FileSlot> = (0u32..)
+            .zip(&self.files)
+            .map(|(i, meta)| {
+                let dir = self.dir_ids[meta.dir as usize];
+                let file = if aliased {
+                    *first.entry((dir, meta.name_seq)).or_insert(i)
+                } else {
+                    i
+                };
+                FileSlot {
+                    file,
+                    size: meta.size,
+                    volume: volumes[dir.index()],
+                }
+            })
+            .collect();
+        // An errored event mirrors `render_event`: a read of nothing
+        // from `/scratch/lost+NNNNNNN`, on disk.
+        let lost = FileSlot {
+            file: u32::MAX,
+            size: 0,
+            volume: fnv1a64(b"/scratch"),
+        };
+        self.events.into_iter().map(move |ev| {
+            let (slot, direction, device) = match ev.err {
+                0 => (
+                    files[ev.file as usize],
+                    match ev.kind {
+                        EventKind::Read => Direction::Read,
+                        EventKind::Write => Direction::Write,
+                    },
+                    ev.device_class(),
+                ),
+                _ => (lost, Direction::Read, DeviceClass::Disk),
+            };
+            IdRecord {
+                start: Timestamp::from_unix(ev.time),
+                volume: slot.volume,
+                file_size: slot.size,
+                file: slot.file,
+                startup_latency_s: 0,
+                direction,
+                device,
+                error: ErrorKind::from_code(ev.err),
+            }
+        })
     }
 }
 
@@ -851,7 +940,57 @@ mod tests {
     }
 
     #[test]
-    fn paths_are_unique_per_file_and_stable() {
+    fn id_stream_carries_what_the_records_carry() {
+        let w = small_workload();
+        let ids: Vec<IdRecord> = w.clone().into_requests().collect();
+        assert_eq!(ids.len(), w.len());
+        for (i, (id, rec)) in ids.iter().zip(w.records()).enumerate() {
+            assert_eq!(id.start, rec.start);
+            assert_eq!(id.file_size, rec.file_size);
+            assert_eq!(id.error, rec.error);
+            assert_eq!(id.direction, rec.direction());
+            assert_eq!(Some(id.device), rec.mss_device());
+            assert_eq!(id.volume, fmig_trace::Request::volume_hash(&rec));
+            // No directory path repeats at this scale, so a file's slot
+            // is its `files` index.
+            let expected = match w.events()[i].err {
+                0 => w.events()[i].file,
+                _ => u32::MAX,
+            };
+            assert_eq!(id.file, expected);
+        }
+    }
+
+    #[test]
+    fn aliased_directories_make_two_entries_one_file() {
+        // Directory names repeat modulo 1000, so at a few thousand
+        // directories two nodes under one parent render one path.
+        let w = Workload::generate(&WorkloadConfig {
+            scale: 0.03,
+            seed: 3,
+            ..WorkloadConfig::default()
+        });
+        let mut first_with_path = HashMap::new();
+        let slot_of: Vec<u32> = (0..w.files().len() as u32)
+            .map(|f| *first_with_path.entry(w.file_path(f)).or_insert(f))
+            .collect();
+        let aliased = (0u32..).zip(&slot_of).filter(|(f, s)| f != *s).count();
+        assert!(aliased > 0, "this config no longer aliases any path");
+        // The id stream names the path, not the entry — and keeps each
+        // entry's own size, as the rendered records do.
+        let mut hit = 0;
+        for (id, ev) in w.clone().into_requests().zip(w.events()) {
+            if ev.err == 0 {
+                assert_eq!(id.file, slot_of[ev.file as usize]);
+                assert_eq!(id.file_size, w.files()[ev.file as usize].size);
+                hit += usize::from(id.file != ev.file);
+            }
+        }
+        assert!(hit > 0, "no aliased entry is ever referenced");
+    }
+
+    #[test]
+    fn first_500_paths_of_a_small_workload_are_distinct_and_stable() {
         let w = small_workload();
         let n = w.files().len().min(500);
         let mut seen = std::collections::HashSet::new();

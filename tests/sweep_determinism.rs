@@ -5,13 +5,18 @@
 //!   `workers = N` produce byte-identical JSON reports;
 //! * every streaming variant (owning workload stream, simulator sink,
 //!   incremental policy prep) is observationally equal to its
-//!   materializing counterpart.
+//!   materializing counterpart;
+//! * the path-free id route a sweep shard takes is observationally equal
+//!   to the `TraceRecord` route, aliased paths included.
 
 use fmig::{run_sweep, FaultScenarioId, PolicyId, PresetId, SweepConfig};
-use fmig_migrate::eval::{evaluate_policies, EvalConfig, TracePrep};
+use std::collections::HashSet;
+
+use fmig_analysis::{FileTracker, IdFileTracker, LatencyAnalysis};
+use fmig_migrate::eval::{evaluate_policies, EvalConfig, IdTracePrep, TracePrep};
 use fmig_migrate::policy::standard_suite;
 use fmig_sim::{MssSimulator, SimConfig};
-use fmig_trace::TraceRecord;
+use fmig_trace::{TraceRecord, TraceStats};
 use fmig_workload::{Workload, WorkloadConfig};
 
 fn sweep_matrix() -> SweepConfig {
@@ -179,6 +184,89 @@ fn policy_prep_streaming_matches_batch_evaluation() {
     }
     let streamed = prep.finish().evaluate(&suite, &config);
     assert_eq!(batch, streamed);
+}
+
+/// Runs one workload down both routes — rendered `TraceRecord`s into
+/// the path-keyed accumulators, `IdRecord`s into the id-keyed ones —
+/// and holds every output a sweep shard reads to equality. Returns how
+/// many `FileMeta` entries alias an earlier entry's path.
+fn assert_id_route_equals_string_route(config: &WorkloadConfig) -> usize {
+    let workload = Workload::generate(config);
+    let paths: HashSet<String> = (0..workload.files().len() as u32)
+        .map(|f| workload.file_path(f))
+        .collect();
+    let aliased = workload.files().len() - paths.len();
+    let sim = MssSimulator::new(SimConfig::default().with_seed(77));
+
+    let mut s_stats = TraceStats::new();
+    let mut s_files = FileTracker::new();
+    let mut s_latency = LatencyAnalysis::new();
+    let mut s_prep = TracePrep::new();
+    let mut s_waits = Vec::new();
+    let s_metrics = sim.run_streaming(workload.clone().into_records(), |rec| {
+        s_waits.push(rec.startup_latency_s);
+        s_stats.observe(&rec);
+        if rec.is_ok() {
+            s_files.observe(&rec);
+        }
+        s_latency.observe(&rec);
+        s_prep.observe(&rec);
+    });
+
+    let mut i_stats = TraceStats::new();
+    let mut i_files = IdFileTracker::new();
+    let mut i_latency = LatencyAnalysis::new();
+    let mut i_prep = IdTracePrep::new();
+    let mut i_waits = Vec::new();
+    let i_metrics = sim.run_streaming(workload.into_requests(), |rec| {
+        i_waits.push(rec.startup_latency_s);
+        i_stats.observe(&rec);
+        i_files.observe(rec.file, &rec);
+        i_latency.observe(&rec);
+        i_prep.observe(rec.file, &rec);
+    });
+
+    assert!(s_metrics.requests > 0 && s_stats.total_errors() > 0);
+    assert_eq!(s_metrics, i_metrics);
+    assert_eq!(s_waits, i_waits);
+    assert_eq!(s_stats, i_stats);
+    assert_eq!(s_files.file_count(), i_files.file_count());
+    assert_eq!(s_files.total_bytes(), i_files.total_bytes());
+    assert_eq!(s_files.never_read(), i_files.never_read());
+    assert_eq!(s_files.accessed_once(), i_files.accessed_once());
+    assert_eq!(
+        s_files.repeat_within_8h_fraction(),
+        i_files.repeat_within_8h_fraction()
+    );
+    assert_eq!(s_files.intervals(), i_files.intervals());
+    assert_eq!(s_latency, i_latency);
+    let (s_trace, i_trace) = (s_prep.finish(), i_prep.finish());
+    assert_eq!(s_trace.file_count(), i_trace.file_count());
+    assert_eq!(s_trace.refs(), i_trace.refs());
+    aliased
+}
+
+#[test]
+fn id_route_matches_string_route_on_an_aliasing_namespace() {
+    // At this scale two namespace nodes under one parent render the
+    // same directory path, so several `FileMeta` entries are one file.
+    // Taking identity from the `files` index splits those files (file
+    // counts, dedup windows and next-use times move); taking dense ids
+    // from generator order instead of first appearance moves every
+    // `PreparedRef::id`.
+    let aliased = assert_id_route_equals_string_route(&WorkloadConfig {
+        scale: 0.03,
+        seed: 3,
+        ..WorkloadConfig::default()
+    });
+    assert!(aliased > 0, "this config no longer aliases any path");
+    // And the common case, where every entry is its own file.
+    let aliased = assert_id_route_equals_string_route(&WorkloadConfig {
+        scale: 0.002,
+        seed: 23,
+        ..WorkloadConfig::default()
+    });
+    assert_eq!(aliased, 0);
 }
 
 #[test]
