@@ -60,18 +60,19 @@ service-smoke:
 # open-large MssSimulator — its disk path is the shared
 # fmig_sim::disk::DiskPath, held at both scales — and ingest-msr the
 # import-then-sweep path). Each run prints one JSON line last;
-# `"failed": 0` there means every output matched its pin. Every sweep
-# and the service run at the held-out seed 2024 as well: a change to
-# the daemon↔origin protocol, to the closed-loop engine (event queue,
-# fault schedule, kinetic ranking, either device half), or to the
+# `"failed": 0` there means every output matched its pin. Every
+# workload runs at the held-out seed 2024 as well: a change to the
+# daemon↔origin protocol, to the closed-loop engine (event queue,
+# fault schedule, kinetic ranking, either device half), to the
 # open-loop front half (generator stream, sim::sim, file census, prep —
-# the path-free id route run_sweep takes since PR 19) must hold on the
-# pin it was not developed against.
+# the path-free id route run_sweep takes since PR 19), or to the MRC
+# stacks on the store-streaming path (ingest-msr runs them under
+# affine policies) must hold on the pin it was not developed against.
 BENCHMARK = $(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
 benchmark-check:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
-	set -e; for ws in closed-mixed:1993 closed-mixed:2024 svc-loopback:1993 svc-loopback:2024 open-small:1993 open-small:2024 open-large:1993 open-large:2024 ingest-msr:1993; do \
+	set -e; for ws in closed-mixed:1993 closed-mixed:2024 svc-loopback:1993 svc-loopback:2024 open-small:1993 open-small:2024 open-large:1993 open-large:2024 ingest-msr:1993 ingest-msr:2024; do \
 		w=$${ws%:*}; seed=$${ws#*:}; \
 		echo "== benchmark $$w seed $$seed =="; \
 		$(BENCHMARK) --workload $$w --seed $$seed --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed": *0[,}]'; \

@@ -126,36 +126,6 @@ impl PolicyId {
     pub fn latency_aware(&self) -> bool {
         self.build().latency_aware()
     }
-
-    /// Which victim-ranking regime the replay core runs this policy
-    /// under, probed through the same contract hooks the cache uses:
-    /// `"affine"` (incremental monotone-queue/lazy-heap index),
-    /// `"kinetic"` (certificate-carrying tournament for time-varying
-    /// priorities), or `"rescan"` (the exact O(n) fallback — reachable
-    /// for shipped policies only by degradation, never as a default;
-    /// a test enforces that). Recency-keyed policies additionally take
-    /// the shared-log fast path in the MRC engine, but rank as
-    /// `"affine"` in a lone cache.
-    pub fn rank_regime(&self) -> &'static str {
-        use fmig_trace::FileId;
-        let policy = self.build();
-        let probe = fmig_migrate::policy::FileView {
-            id: FileId::new(0),
-            size: 1 << 20,
-            last_ref: 60,
-            created: 0,
-            ref_count: 1,
-            next_use: None,
-            est_miss_wait_s: 0.0,
-        };
-        if policy.affine(&probe).is_some() {
-            "affine"
-        } else if policy.kinetic(&probe, 61).is_some() {
-            "kinetic"
-        } else {
-            "rescan"
-        }
-    }
 }
 
 /// A named workload shape: the NCAR calibration with a documented twist.
@@ -1158,26 +1128,46 @@ mod tests {
 
     #[test]
     fn no_shipped_policy_defaults_to_the_rescan() {
+        use fmig_migrate::cache::{CacheConfig, DiskCache, EvictionMode};
         // The acceptance bar for the kinetic index: every policy in the
         // sweep matrix ranks victims through an index regime; the exact
-        // rescan is reachable only by degradation.
+        // rescan is reachable only by degradation. Asked of a real
+        // cache: drive one purge and see which index it built.
+        let regime = |p: PolicyId| {
+            let policy = p.build();
+            let mut cache = DiskCache::with_eviction_mode(
+                CacheConfig::with_capacity(1000),
+                policy.as_ref(),
+                EvictionMode::Indexed,
+            );
+            for i in 0..10u64 {
+                cache.write(i, 100, 60 + i as i64, None);
+            }
+            assert!(cache.stats().evictions > 0, "{}: no purge ran", p.name());
+            (cache.uses_eviction_index(), cache.uses_kinetic_index())
+        };
         for p in PolicyId::ALL {
             assert_ne!(
-                p.rank_regime(),
-                "rescan",
+                regime(p),
+                (false, false),
                 "{} would pay the O(n) purge rescan",
                 p.name()
             );
         }
         // Spot-check the split: time-varying policies are kinetic, the
         // rest affine.
-        assert_eq!(PolicyId::Stp14.rank_regime(), "kinetic");
-        assert_eq!(PolicyId::Saac.rank_regime(), "kinetic");
-        assert_eq!(PolicyId::Random.rank_regime(), "kinetic");
-        assert_eq!(PolicyId::StpLat.rank_regime(), "kinetic");
-        assert_eq!(PolicyId::LruMad.rank_regime(), "kinetic");
-        assert_eq!(PolicyId::Lru.rank_regime(), "affine");
-        assert_eq!(PolicyId::Belady.rank_regime(), "affine");
+        for p in [
+            PolicyId::Stp14,
+            PolicyId::Saac,
+            PolicyId::Random,
+            PolicyId::StpLat,
+            PolicyId::LruMad,
+        ] {
+            assert_eq!(regime(p), (false, true), "{} is kinetic", p.name());
+        }
+        for p in [PolicyId::Lru, PolicyId::Belady] {
+            assert_eq!(regime(p), (true, false), "{} is affine", p.name());
+        }
     }
 
     #[test]

@@ -47,43 +47,24 @@
 //!
 //! # Victim ranking
 //!
-//! A watermark purge must evict files in `(priority desc, id asc)`
-//! order. Historically that meant re-ranking and sorting *every*
-//! resident file on *every* purge — `O(n log n)` on the replay hot path.
-//! When the policy advertises an affine priority
-//! ([`MigrationPolicy::affine`]: `slope · now + intercept` with one
-//! shared slope), pairwise order is independent of `now`, so the cache
-//! keeps an incremental [`EvictionMode::Auto`] index — a monotone queue
-//! that self-degrades to a lazy max-heap (see the `rank` module) — and
-//! each purge pops victims in O(1) on the monotone fast path (LRU,
-//! FIFO) and amortized `O(log n)` otherwise. Policies whose read
-//! touches never raise their key ([`MigrationPolicy::
-//! read_touch_monotone`]) skip index maintenance on the hit path
-//! entirely.
-//!
-//! Policies whose pairwise order *drifts with the clock* (STP, SAAC,
-//! salted random, the latency-aware pair) can never be keyed once, but
-//! they advertise a [`MigrationPolicy::kinetic`] closed-form curve, and
-//! the cache ranks them with a kinetic tournament
-//! (`crate::rank::KineticTournament`): each
-//! internal node caches its winner plus a certificate (the earliest
-//! instant the comparison could flip). A touch only marks its leaf —
-//! O(1), no policy evaluation — and a purge settles the distinct leaves
-//! marked since the previous one (one evaluation and one root-to-leaf
-//! replay each), then replays only expired subtrees: amortized
-//! `O(log n)` per touched file where the pre-kinetic implementation
-//! re-ranked all `n` residents per purge. Only policies with *neither*
-//! form (or broken contracts, or a backwards clock) take the exact
-//! rescan, which stays NaN-proof via `f64::total_cmp` and
-//! `sort_unstable`. All paths produce bit-identical victim sequences;
-//! `tests/mrc_index.rs` and `tests/kinetic_index.rs` property-test
-//! that equivalence.
+//! A watermark purge evicts in `(priority desc, id asc)` order. Which
+//! file that is — and how cheaply it is found: monotone queue, lazy
+//! heap, kinetic tournament or the exact rescan, chosen per
+//! [`EvictionMode`] from what the policy promises — is the `rank`
+//! module's one lifecycle (`crate::rank::Ranking`; its module docs in
+//! `rank.rs` are the reference). This cache is one of its two hosts: it
+//! shows the ranking its arena in ascending-id order, reports every
+//! entry mutation except read hits under
+//! [`MigrationPolicy::read_touch_monotone`] policies, steps it down to
+//! the rescan when the clock runs backwards, and keeps the eviction
+//! bookkeeping (stall vs background flush, [`CacheOp`]s) to itself.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{FileView, KineticForm, MigrationPolicy};
-use crate::rank::{Candidate, KineticTournament, Popped, RankKey, VictimRank};
+use crate::policy::{FileView, MigrationPolicy};
+pub use crate::rank::INDEX_MIN_RESIDENTS;
+use crate::rank::{Ranking, Residents};
 
 /// Configuration of the simulated disk cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,6 +89,25 @@ impl CacheConfig {
             low_watermark: 0.80,
             eager_writeback: true,
         }
+    }
+
+    /// The `(high, low)` watermarks in bytes: a purge triggers when
+    /// usage exceeds `high` and evicts until it is at most `low`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the watermarks are not `0 < low <= high <= 1`.
+    pub fn watermarks(&self) -> (u64, u64) {
+        assert!(
+            self.low_watermark > 0.0
+                && self.low_watermark <= self.high_watermark
+                && self.high_watermark <= 1.0,
+            "bad watermarks {} / {}",
+            self.low_watermark,
+            self.high_watermark
+        );
+        let bytes = |mark: f64| (self.capacity as f64 * mark) as u64;
+        (bytes(self.high_watermark), bytes(self.low_watermark))
     }
 }
 
@@ -279,91 +279,22 @@ pub enum EvictionMode {
     Rescan,
 }
 
-/// Resident-set size at which [`EvictionMode::Auto`] switches from the
-/// rescan to the incremental index. Sorting a few dozen candidates per
-/// purge is cheaper than a heap push per reference; re-ranking hundreds
-/// or thousands is not.
-pub const INDEX_MIN_RESIDENTS: usize = 128;
-
-/// Incremental victim ranking for affine-priority policies.
-///
-/// Because an affine policy's slope is shared by every file, pairwise
-/// priority order never changes with `now`, so a key pushed once stays
-/// correct until the entry itself mutates — and mutations just push the
-/// new key into a [`VictimRank`] (a monotone queue that self-degrades
-/// to a lazy max-heap; see [`crate::rank`]). Stale keys are resolved at
-/// pop time against the live entry; occasional compaction squeezes them
-/// out. On the monotone fast path (LRU, FIFO) every operation is O(1);
-/// the general affine case is amortized `O(log n)` — against the
-/// rescan's `O(n log n)` per purge.
-#[derive(Debug)]
-struct EvictionIndex {
-    /// Bit pattern of the policy's shared slope; a differing slope on
-    /// any later file is a contract violation that degrades the cache
-    /// back to the rescan.
-    slope_bits: u64,
-    rank: VictimRank<()>,
-}
-
-/// Where the cache currently is in the index lifecycle.
-#[derive(Debug)]
-enum IndexState {
-    /// `Auto`/`Indexed` before the activating purge: nothing is
-    /// maintained, so purge-free (and small-resident-set) runs pay no
-    /// index overhead.
-    Unprobed,
-    /// The policy proved affine at the activating purge; the index
-    /// mirrors the resident set from here on.
-    Active(EvictionIndex),
-    /// The policy declined `affine()` but shipped a kinetic form at the
-    /// activating purge: victims rank through a certificate-carrying
-    /// tournament tree instead of the rescan.
-    Kinetic(KineticTournament),
-    /// Forced ([`EvictionMode::Rescan`]), a policy with neither closed
-    /// form, or degraded (slope drift / backwards clock / failed
-    /// pop-time validation): every purge does the exact rescan.
-    /// Terminal.
-    Rescan,
-}
-
-/// Builds the evaluation hook a [`KineticTournament`] calls to
-/// (re-)score a leaf: dense file index + time → the policy's *true*
-/// priority at that time, plus the kinetic form certifying how long a
-/// comparison against it stays settled. `None` (entry gone, or the
-/// policy refuses the form for this state) makes the tournament report
-/// failure, which the caller turns into rescan degradation.
-fn kinetic_eval<'a>(
-    policy: &'a dyn MigrationPolicy,
-    slots: &'a [Option<Entry>],
-) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
-    move |fidx, at| {
-        let id = FileId::new(fidx);
-        let e = slots.get(id.index())?.as_ref()?;
-        let v = view(id, e);
-        let form = policy.kinetic(&v, at)?;
-        Some((policy.priority(&v, at), form))
-    }
-}
-
 /// A policy-driven disk cache with arena-backed per-file state.
 pub struct DiskCache<'p> {
     config: CacheConfig,
+    /// `config`'s `(high, low)` watermarks in bytes.
+    marks: (u64, u64),
     policy: &'p dyn MigrationPolicy,
-    /// Per-file entry arena indexed by [`FileId`]; `None` = not
-    /// resident. Slots are reused across an evict/re-create cycle.
-    slots: Vec<Option<Entry>>,
-    /// Per-slot (re-)creation counter, parallel to `slots`; survives
-    /// eviction, so a test can observe that a purge + re-create reused
-    /// the slot instead of aliasing the old incarnation.
+    arena: Arena,
+    /// Per-slot (re-)creation counter, parallel to `arena.slots`;
+    /// survives eviction, so a test can observe that a purge +
+    /// re-create reused the slot instead of aliasing the old
+    /// incarnation.
     epochs: Vec<u32>,
-    /// Files currently resident (`slots` is mostly `None` at scale).
-    resident: usize,
     usage: u64,
     stats: CacheStats,
-    index: IndexState,
-    /// `Indexed` mode: activate at the first purge, resident count be
-    /// damned.
-    eager_index: bool,
+    /// Victim ranking over `arena`.
+    rank: Ranking<'p>,
     /// Cached [`MigrationPolicy::read_touch_monotone`]: read hits skip
     /// the index push entirely (stale keys only overestimate; the purge
     /// re-pushes current keys as it discovers them).
@@ -376,10 +307,6 @@ pub struct DiskCache<'p> {
     /// feedback), under which latency-aware policies degrade to their
     /// latency-blind counterparts exactly.
     est_miss_wait_s: f64,
-    /// Rescan-purge scratch: the ranked candidate list is built here so
-    /// repeated purges reuse one allocation instead of paying a fresh
-    /// `Vec` each time.
-    scratch: Vec<(f64, FileId)>,
     /// Failed recall attempts ([`DiskCache::fetch_failed`] calls); kept
     /// outside [`CacheStats`] so degraded runs keep decision counters
     /// byte-identical to healthy ones. See [`DiskCache::fetch_retries`].
@@ -395,6 +322,43 @@ fn view(id: FileId, e: &Entry) -> FileView {
         ref_count: e.ref_count,
         next_use: e.next_use,
         est_miss_wait_s: e.est_miss_wait_s,
+    }
+}
+
+/// The entry arena, which is also what the ranking sees of the cache:
+/// its resident files in ascending-id order.
+struct Arena {
+    /// Per-file entries indexed by [`FileId`]; `None` = not resident.
+    /// Slots are reused across an evict/re-create cycle.
+    slots: Vec<Option<Entry>>,
+    /// Files currently resident (`slots` is mostly `None` at scale).
+    resident: usize,
+}
+
+impl Arena {
+    fn get(&self, id: FileId) -> Option<&Entry> {
+        self.slots.get(id.index())?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: FileId) -> Option<&mut Entry> {
+        self.slots.get_mut(id.index())?.as_mut()
+    }
+}
+
+impl Residents for Arena {
+    fn view(&self, file: u32) -> Option<FileView> {
+        let id = FileId::new(file);
+        self.get(id).map(|e| view(id, e))
+    }
+
+    fn len(&self) -> usize {
+        self.resident
+    }
+
+    fn files(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(file, slot)| slot.is_some().then_some(file))
     }
 }
 
@@ -419,31 +383,21 @@ impl<'p> DiskCache<'p> {
         policy: &'p dyn MigrationPolicy,
         mode: EvictionMode,
     ) -> Self {
-        assert!(
-            config.low_watermark > 0.0
-                && config.low_watermark <= config.high_watermark
-                && config.high_watermark <= 1.0,
-            "bad watermarks {} / {}",
-            config.low_watermark,
-            config.high_watermark
-        );
         DiskCache {
+            marks: config.watermarks(),
             config,
             policy,
-            slots: Vec::new(),
+            arena: Arena {
+                slots: Vec::new(),
+                resident: 0,
+            },
             epochs: Vec::new(),
-            resident: 0,
             usage: 0,
             stats: CacheStats::default(),
-            index: match mode {
-                EvictionMode::Auto | EvictionMode::Indexed => IndexState::Unprobed,
-                EvictionMode::Rescan => IndexState::Rescan,
-            },
-            eager_index: mode == EvictionMode::Indexed,
+            rank: Ranking::new(policy, mode),
             skip_read_touch: policy.read_touch_monotone(),
             max_now: i64::MIN,
             est_miss_wait_s: 0.0,
-            scratch: Vec::new(),
             fetch_retries: 0,
         }
     }
@@ -453,8 +407,8 @@ impl<'p> DiskCache<'p> {
     /// avoiding growth reallocations during replay. Purely an
     /// optimization — the arena grows on demand either way.
     pub fn reserve_files(&mut self, files: usize) {
-        if files > self.slots.len() {
-            self.slots.resize(files, None);
+        if files > self.arena.slots.len() {
+            self.arena.slots.resize(files, None);
             self.epochs.resize(files, 0);
         }
     }
@@ -487,14 +441,14 @@ impl<'p> DiskCache<'p> {
     /// True while the incremental eviction index is ranking victims
     /// (`Auto` mode, affine policy, at least one purge seen).
     pub fn uses_eviction_index(&self) -> bool {
-        matches!(self.index, IndexState::Active(_))
+        self.rank.is_affine()
     }
 
     /// True while the kinetic tournament is ranking victims (`Auto`
     /// mode, a policy shipping [`MigrationPolicy::kinetic`] forms, at
     /// least one purge seen).
     pub fn uses_kinetic_index(&self) -> bool {
-        matches!(self.index, IndexState::Kinetic(_))
+        self.rank.is_kinetic()
     }
 
     /// Current bytes resident.
@@ -504,12 +458,12 @@ impl<'p> DiskCache<'p> {
 
     /// Files resident.
     pub fn len(&self) -> usize {
-        self.resident
+        self.arena.resident
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        self.arena.resident == 0
     }
 
     /// Accumulated statistics.
@@ -519,7 +473,7 @@ impl<'p> DiskCache<'p> {
 
     /// True if the file is resident.
     pub fn contains(&self, id: impl Into<FileId>) -> bool {
-        self.slot(id.into()).is_some()
+        self.arena.get(id.into()).is_some()
     }
 
     /// Times `id`'s arena slot has been (re-)created, counting the
@@ -531,10 +485,6 @@ impl<'p> DiskCache<'p> {
     /// index validation is by value, not by slot generation).
     pub fn slot_epoch(&self, id: impl Into<FileId>) -> u32 {
         self.epochs.get(id.into().index()).copied().unwrap_or(0)
-    }
-
-    fn slot(&self, id: FileId) -> Option<&Entry> {
-        self.slots.get(id.index()).and_then(Option::as_ref)
     }
 
     /// Processes a read reference; returns `true` on a hit.
@@ -578,22 +528,22 @@ impl<'p> DiskCache<'p> {
         let id = id.into();
         self.note_time(now);
         let est = self.est_miss_wait_s;
-        if let Some(e) = self.slots.get_mut(id.index()).and_then(Option::as_mut) {
+        if let Some(e) = self.arena.get_mut(id) {
             e.last_ref = now;
             e.ref_count += 1;
             e.next_use = next_use;
             e.est_miss_wait_s = est;
             self.stats.read_hits += 1;
             self.stats.read_hit_bytes += e.size;
-            let snapshot = *e;
+            let fetching = e.fetching;
             // Read hits are the hot path: when the policy promises a
             // read touch never raises its intercept, the stale key
             // already in the heap safely overestimates and the push is
             // skipped (the purge repairs lazily).
             if !self.skip_read_touch {
-                self.index_upsert(id, snapshot);
+                self.rank.touched(&self.arena, id.raw(), now);
             }
-            return if snapshot.fetching {
+            return if fetching {
                 ReadResult::DelayedHit
             } else {
                 ReadResult::Hit
@@ -633,7 +583,7 @@ impl<'p> DiskCache<'p> {
             ops(CacheOp::Writeback { id, bytes: size });
         }
         let est = self.est_miss_wait_s;
-        if let Some(e) = self.slots.get_mut(id.index()).and_then(Option::as_mut) {
+        if let Some(e) = self.arena.get_mut(id) {
             let old_size = e.size;
             e.size = size;
             e.last_ref = now;
@@ -641,9 +591,8 @@ impl<'p> DiskCache<'p> {
             e.next_use = next_use;
             e.est_miss_wait_s = est;
             e.dirty = !self.config.eager_writeback;
-            let snapshot = *e;
             self.usage = self.usage - old_size + size;
-            self.index_upsert(id, snapshot);
+            self.rank.touched(&self.arena, id.raw(), now);
             self.maybe_purge(now, ops);
             return;
         }
@@ -657,11 +606,7 @@ impl<'p> DiskCache<'p> {
     /// — it may have been evicted while the recall was in flight, or
     /// bypassed the cache entirely.
     pub fn fetch_complete(&mut self, id: impl Into<FileId>) -> bool {
-        match self
-            .slots
-            .get_mut(id.into().index())
-            .and_then(Option::as_mut)
-        {
+        match self.arena.get_mut(id.into()) {
             Some(e) => {
                 let was = e.fetching;
                 e.fetching = false;
@@ -690,11 +635,7 @@ impl<'p> DiskCache<'p> {
     /// retry's delivery will be a no-op too.
     pub fn fetch_failed(&mut self, id: impl Into<FileId>) -> bool {
         self.fetch_retries += 1;
-        match self
-            .slots
-            .get_mut(id.into().index())
-            .and_then(Option::as_mut)
-        {
+        match self.arena.get_mut(id.into()) {
             Some(e) => {
                 e.fetching = true;
                 true
@@ -741,16 +682,19 @@ impl<'p> DiskCache<'p> {
             next_use,
             est_miss_wait_s: self.est_miss_wait_s,
         };
-        if id.index() >= self.slots.len() {
-            self.slots.resize(id.index() + 1, None);
+        if id.index() >= self.arena.slots.len() {
+            self.arena.slots.resize(id.index() + 1, None);
             self.epochs.resize(id.index() + 1, 0);
         }
-        debug_assert!(self.slots[id.index()].is_none(), "insert over a resident");
-        self.slots[id.index()] = Some(entry);
+        debug_assert!(
+            self.arena.slots[id.index()].is_none(),
+            "insert over a resident"
+        );
+        self.arena.slots[id.index()] = Some(entry);
         self.epochs[id.index()] += 1;
-        self.resident += 1;
+        self.arena.resident += 1;
         self.usage += size;
-        self.index_upsert(id, entry);
+        self.rank.touched(&self.arena, id.raw(), now);
         self.maybe_purge(now, ops);
     }
 
@@ -761,318 +705,38 @@ impl<'p> DiskCache<'p> {
     /// degrades this cache to the exact rescan, which is always correct.
     fn note_time(&mut self, now: i64) {
         if now < self.max_now {
-            self.index = IndexState::Rescan;
+            self.rank.degrade();
         } else {
             self.max_now = now;
         }
     }
 
-    /// Mirrors one resident entry's mutation into whichever index is
-    /// active — an affine key push, or a kinetic leaf *mark* (the leaf
-    /// is re-evaluated when the next purge advances the tournament, so
-    /// a withdrawn kinetic form degrades there, not here) — and
-    /// degrades to the rescan if the policy withdraws the affine form
-    /// or violates its contract. `e` is the entry's state *after* the
-    /// mutation being mirrored; every mutation site stamps
-    /// `e.last_ref = now`, so it doubles as the tournament's clock for
-    /// an insert that has to grow the leaf space.
-    fn index_upsert(&mut self, id: FileId, e: Entry) {
-        match &mut self.index {
-            IndexState::Active(idx) => match self.policy.affine(&view(id, &e)) {
-                Some(a) if a.slope.to_bits() == idx.slope_bits => {
-                    idx.rank.push(RankKey {
-                        intercept: a.intercept,
-                        id: u64::from(id),
-                        payload: (),
-                    });
-                    // Stale keys (older keys of mutated or evicted files)
-                    // are resolved at pop time; once they dominate, rebuild
-                    // from the resident set so memory and pop cost stay
-                    // proportional to it.
-                    if idx.rank.len() > self.resident * 2 + 64 {
-                        self.index = self.build_index(e.last_ref);
-                    }
-                }
-                _ => self.index = IndexState::Rescan,
-            },
-            IndexState::Kinetic(t) => {
-                let mut eval = kinetic_eval(self.policy, &self.slots);
-                let ok = t.upsert(id.raw(), e.last_ref, &mut eval);
-                if !ok {
-                    self.index = IndexState::Rescan;
-                }
-            }
-            IndexState::Unprobed | IndexState::Rescan => {}
-        }
-    }
-
     fn maybe_purge(&mut self, now: i64, ops: &mut impl FnMut(CacheOp)) {
-        let high = (self.config.capacity as f64 * self.config.high_watermark) as u64;
+        let (high, low) = self.marks;
         if self.usage <= high {
             return;
         }
-        let low = (self.config.capacity as f64 * self.config.low_watermark) as u64;
-        // First eligible purge in Auto/Indexed mode: probe the policy
-        // and build the index from the resident set, or settle on the
-        // rescan. Auto waits for a resident set big enough that the
-        // rescan actually hurts; until then the (cheap) rescan runs and
-        // no index is maintained.
-        if matches!(self.index, IndexState::Unprobed)
-            && (self.eager_index || self.resident >= INDEX_MIN_RESIDENTS)
-        {
-            self.index = self.build_index(now);
-        }
-        match self.index {
-            IndexState::Active(_) => self.purge_indexed(now, high, low, ops),
-            IndexState::Kinetic(_) => self.purge_kinetic(now, high, low, ops),
-            _ => self.purge_rescan(now, high, low, ops),
-        }
-    }
-
-    /// Probes the resident set for an index: every file's affine form
-    /// first (the cheaper regime), then the kinetic form; a policy that
-    /// refuses both — or violates the shared-slope contract — means the
-    /// exact rescan (terminal).
-    fn build_index(&self, now: i64) -> IndexState {
-        if let Some(idx) = self.build_affine_index() {
-            return IndexState::Active(idx);
-        }
-        let files: Vec<u32> = self.residents().map(|(id, _)| id.raw()).collect();
-        if files.is_empty() {
-            return IndexState::Rescan;
-        }
-        let mut eval = kinetic_eval(self.policy, &self.slots);
-        match KineticTournament::build(&files, now, &mut eval) {
-            Some(t) => IndexState::Kinetic(t),
-            None => IndexState::Rescan,
-        }
-    }
-
-    /// Probes every resident file's affine form; `None` on any refusal
-    /// or slope disagreement.
-    fn build_affine_index(&self) -> Option<EvictionIndex> {
-        let mut slope_bits = None;
-        let mut keys = Vec::with_capacity(self.resident);
-        for (id, e) in self.residents() {
-            let a = self.policy.affine(&view(id, e))?;
-            if *slope_bits.get_or_insert(a.slope.to_bits()) != a.slope.to_bits() {
-                return None;
-            }
-            keys.push(RankKey {
-                intercept: a.intercept,
-                id: u64::from(id),
-                payload: (),
-            });
-        }
-        slope_bits.map(|slope_bits| EvictionIndex {
-            slope_bits,
-            rank: VictimRank::from_keys(keys),
-        })
-    }
-
-    /// Iterates the resident entries in ascending-id (arena) order.
-    fn residents(&self) -> impl Iterator<Item = (FileId, &Entry)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|e| (FileId::from(i), e)))
-    }
-
-    /// Amortized-log purge: pop victims off the incremental index until
-    /// usage reaches the low watermark. Because affine order is
-    /// time-invariant, the live-element pop sequence equals the rescan's
-    /// `(priority desc, id asc)` order at `now` exactly.
-    fn purge_indexed(&mut self, now: i64, high: u64, low: u64, ops: &mut impl FnMut(CacheOp)) {
+        self.rank.begin_purge(&self.arena, now);
         while self.usage > low {
-            let IndexState::Active(idx) = &mut self.index else {
-                unreachable!("purge_indexed runs only in Active state");
-            };
-            // The rank resolves staleness as keys surface: a popped key
-            // counts only if the file is still resident with exactly
-            // that intercept. Keys only ever overestimate (mutations
-            // that can raise a key push eagerly; skipped read-touch
-            // pushes only lower it), so deflating stale keys converges
-            // on the exact maximum with the id tie-break intact. The
-            // value-based check also covers arena slot reuse: a key
-            // from a victim's previous incarnation either equals the
-            // re-created entry's current intercept (then it is the
-            // correct current key) or deflates like any stale key.
-            let slope_bits = idx.slope_bits;
-            let slots = &self.slots;
-            let policy = self.policy;
-            let popped = idx.rank.pop_best(|key| {
-                let id = FileId::new(key.id as u32);
-                match slots.get(id.index()).and_then(Option::as_ref) {
-                    None => Candidate::Gone, // evicted since this key was pushed
-                    Some(e) => match policy.affine(&view(id, e)) {
-                        Some(a)
-                            if a.slope.to_bits() == slope_bits
-                                && a.intercept.to_bits() == key.intercept.to_bits() =>
-                        {
-                            Candidate::Live
-                        }
-                        Some(a) if a.slope.to_bits() == slope_bits => Candidate::Moved(a.intercept),
-                        // The policy withdrew the form or moved the slope
-                        // mid-run: contract violation.
-                        _ => Candidate::Abort,
-                    },
-                }
-            });
-            match popped {
-                Popped::Victim(key) => self.evict(FileId::new(key.id as u32), now, high, ops),
-                // Dry with residents left, or a contract violation:
-                // degrade to the always-correct rescan rather than
-                // under-purge. Unreachable for well-behaved policies.
-                Popped::Dry | Popped::Aborted => {
-                    self.index = IndexState::Rescan;
-                    self.purge_rescan(now, high, low, ops);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Certificate-driven purge: advance the tournament clock (which
-    /// replays only subtrees whose certificates expired), then
-    /// repeatedly take the root winner — the exact `(priority desc, id
-    /// asc)` maximum at `now` by construction, because internal nodes
-    /// compare *true* priorities and certificates only schedule
-    /// re-checks — and evict it. Mirrors `purge_indexed`'s pop-time
-    /// revalidation and degradation story: the cached winner score must
-    /// match the live entry bit for bit, a mismatch gets one repair
-    /// chance (a leaf re-upsert), and anything persistent aborts to the
-    /// always-correct exact rescan.
-    fn purge_kinetic(&mut self, now: i64, high: u64, low: u64, ops: &mut impl FnMut(CacheOp)) {
-        enum Step {
-            Evict(FileId),
-            Repaired,
-            Degrade,
-        }
-        // A validation mismatch means a missed leaf update — a bug, not
-        // a workload property (every mutation site upserts) — so repairs
-        // are bounded and persistent trouble degrades. The step is
-        // computed inside the match block so the tournament's `&mut` and
-        // the eval hook's slot borrow both end before the cache mutates.
-        let mut repairs = 0usize;
-        while self.usage > low {
-            let step = match &mut self.index {
-                IndexState::Kinetic(t) => {
-                    debug_assert_eq!(
-                        t.len(),
-                        self.resident,
-                        "tournament mirrors the resident set exactly"
-                    );
-                    let policy = self.policy;
-                    let slots = &self.slots;
-                    let mut eval = kinetic_eval(policy, slots);
-                    // First iteration pays the real advance; later ones
-                    // see every certificate > `now` and return at the
-                    // root. Dry with residents left (or an eval refusal)
-                    // would under-purge: degrade instead. Unreachable
-                    // for well-behaved policies.
-                    let winner = if t.advance(now, &mut eval) {
-                        t.winner()
-                    } else {
-                        None
-                    };
-                    match winner {
-                        None => Step::Degrade,
-                        Some((fidx, cached, stamp)) => {
-                            let id = FileId::new(fidx);
-                            // Pop-time revalidation by value, like the
-                            // affine index: the winner leaf's cached
-                            // score must equal the live entry's score at
-                            // the leaf's own evaluation time, bit for
-                            // bit. This also covers arena slot reuse — a
-                            // re-created file either scores identically
-                            // (then the leaf is current) or fails
-                            // validation like any stale leaf.
-                            let live = slots
-                                .get(id.index())
-                                .and_then(Option::as_ref)
-                                .map(|e| policy.priority(&view(id, e), stamp));
-                            match live {
-                                Some(p) if p.to_bits() == cached.to_bits() => Step::Evict(id),
-                                Some(_) if repairs < 32 => {
-                                    repairs += 1;
-                                    if t.upsert(fidx, now, &mut eval) {
-                                        Step::Repaired
-                                    } else {
-                                        Step::Degrade
-                                    }
-                                }
-                                _ => Step::Degrade,
-                            }
-                        }
-                    }
-                }
-                // `evict` degraded mid-purge (a leaf removal's path
-                // repair failed); finish this purge on the exact path.
-                _ => Step::Degrade,
-            };
-            match step {
-                Step::Evict(id) => self.evict(id, now, high, ops),
-                Step::Repaired => {}
-                Step::Degrade => {
-                    self.index = IndexState::Rescan;
-                    self.purge_rescan(now, high, low, ops);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The exact fallback: rank every resident file by eviction priority
-    /// at `now`, highest first, and evict down to the low watermark.
-    fn purge_rescan(&mut self, now: i64, high: u64, low: u64, ops: &mut impl FnMut(CacheOp)) {
-        let mut ranked = std::mem::take(&mut self.scratch);
-        ranked.clear();
-        ranked.extend(
-            self.residents()
-                .map(|(id, e)| (self.policy.priority(&view(id, e), now), id)),
-        );
-        // Total order: priority descending, then id ascending. The id
-        // tie-break matters — policies produce tied priorities routinely
-        // (LRU under equal timestamps, Belady's never-used-again class)
-        // and the victim sequence must be reproducible. The arena
-        // already iterates in ascending-id order, but the sort must
-        // still encode the tie-break to stay a total order.
-        // `total_cmp` keeps the sort panic-free even for a NaN priority
-        // (NaN ranks above +inf, i.e. leaves first), and the unstable
-        // sort is safe because the order is total.
-        ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, id) in &ranked {
-            if self.usage <= low {
+            let Some(victim) = self.rank.next_victim(&self.arena, now) else {
                 break;
-            }
-            self.evict(id, now, high, ops);
+            };
+            self.evict(FileId::new(victim), now, high, ops);
         }
-        // Hand the allocation back for the next purge.
-        self.scratch = ranked;
     }
 
-    /// Shared eviction bookkeeping for all purge paths.
+    /// Removes a victim the ranking named and books the eviction.
     fn evict(&mut self, id: FileId, now: i64, high: u64, ops: &mut impl FnMut(CacheOp)) {
-        // The kinetic tournament mirrors the resident set exactly (no
-        // lazy stale keys), so the victim's leaf comes out here; the
-        // affine rank's stale keys deflate at pop time instead.
-        let degrade = match &mut self.index {
-            IndexState::Kinetic(t) => {
-                let mut eval = kinetic_eval(self.policy, &self.slots);
-                !t.remove(id.raw(), now, &mut eval)
-            }
-            _ => false,
-        };
-        if degrade {
-            self.index = IndexState::Rescan;
-        }
+        self.rank.evicted(&self.arena, id.raw(), now);
         // Victims chosen while still above the high watermark free
         // space the triggering reference needs *now*: a dirty flush
         // there is a stall. Once back under the high mark the rest
         // of the purge (down to the low mark) is background cleanup.
         let stall = self.usage > high;
-        let e = self.slots[id.index()].take().expect("victim is resident");
-        self.resident -= 1;
+        let e = self.arena.slots[id.index()]
+            .take()
+            .expect("victim is resident");
+        self.arena.resident -= 1;
         self.usage -= e.size;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += e.size;
@@ -1096,7 +760,7 @@ impl core::fmt::Debug for DiskCache<'_> {
         f.debug_struct("DiskCache")
             .field("policy", &self.policy.name())
             .field("usage", &self.usage)
-            .field("files", &self.resident)
+            .field("files", &self.arena.resident)
             .field("indexed", &self.uses_eviction_index())
             .field("kinetic", &self.uses_kinetic_index())
             .finish()
@@ -1106,7 +770,7 @@ impl core::fmt::Debug for DiskCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Lru, SmallestFirst, Stp};
+    use crate::policy::{KineticForm, Lru, SmallestFirst, Stp};
 
     fn cfg(capacity: u64) -> CacheConfig {
         CacheConfig {

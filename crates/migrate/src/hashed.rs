@@ -52,7 +52,7 @@ struct Entry {
 #[derive(Debug)]
 struct EvictionIndex {
     slope_bits: u64,
-    rank: VictimRank<()>,
+    rank: VictimRank,
 }
 
 #[derive(Debug)]
@@ -342,7 +342,6 @@ impl<'p> HashedDiskCache<'p> {
                 idx.rank.push(RankKey {
                     intercept: a.intercept,
                     id,
-                    payload: (),
                 });
                 if idx.rank.len() > self.entries.len() * 2 + 64 {
                     self.index = self.build_index();
@@ -382,7 +381,6 @@ impl<'p> HashedDiskCache<'p> {
                     keys.push(RankKey {
                         intercept: a.intercept,
                         id,
-                        payload: (),
                     });
                 }
                 None => return IndexState::Rescan,

@@ -29,7 +29,13 @@
 //! every touch in every cache that holds the file, so they live once
 //! per file.
 //!
-//! Victim ranking is tiered by how much the policy promises:
+//! Victim ranking is the `rank` module's one lifecycle
+//! (`crate::rank::Ranking`, documented in `rank.rs`): each capacity's
+//! stack hosts its own instance under [`EvictionMode::Auto`] — the same
+//! affine queue/heap, kinetic tournament or exact rescan a lone
+//! [`DiskCache`] at that capacity would run, activated by the same
+//! resident-count gate — and shows it that capacity's resident list.
+//! One tier sits above it and is this engine's own:
 //!
 //! * **Pure recency** ([`MigrationPolicy::recency_keyed`], LRU): the
 //!   victim order is the same global recency order for *every*
@@ -38,17 +44,6 @@
 //!   for the whole grid, no floats, no virtual calls. This is the
 //!   closest exact analogue of Mattson's single stack that watermark
 //!   batch purging admits.
-//! * **Affine** ([`MigrationPolicy::affine`]): per-capacity incremental
-//!   index with the same adaptive machinery as [`DiskCache`] (monotone
-//!   queue / lazy heap, resident-count gate
-//!   [`crate::cache::INDEX_MIN_RESIDENTS`]).
-//! * **Kinetic** ([`MigrationPolicy::kinetic`], STP/SAAC/RandomEvict
-//!   and the latency-aware pair): a per-capacity kinetic tournament
-//!   (`crate::rank::KineticTournament`) whose certificates schedule the
-//!   only re-comparisons a clock advance needs, so each stack pays
-//!   amortized `O(log n)` per purge instead of re-ranking all residents
-//!   at every capacity.
-//! * **Everything else**: the exact `total_cmp` rescan.
 //!
 //! The result is **bit-identical** to replaying the trace once per
 //! capacity (property-tested in `tests/mrc_index.rs` across every
@@ -62,10 +57,10 @@
 
 use fmig_trace::FileId;
 
-use crate::cache::{CacheConfig, CacheStats, DiskCache, EvictionMode, INDEX_MIN_RESIDENTS};
+use crate::cache::{CacheConfig, CacheStats, DiskCache, EvictionMode};
 use crate::eval::{EvalConfig, PolicyOutcome, PreparedRef};
-use crate::policy::{FileView, KineticForm, MigrationPolicy};
-use crate::rank::{Candidate, KineticTournament, Popped, RankKey, VictimRank};
+use crate::policy::{FileView, MigrationPolicy};
+use crate::rank::{Ranking, Residents};
 
 /// One point of a miss-ratio curve: a capacity and the full cache
 /// counters measured there.
@@ -173,59 +168,16 @@ impl SubState {
     };
 }
 
-/// How one capacity's stack currently ranks victims — the same
-/// lifecycle as `DiskCache`'s `Auto` mode. The payload of each
-/// [`RankKey`] is the file's dense index.
-#[derive(Debug)]
-enum RankMode {
-    Unprobed,
-    Active {
-        slope_bits: u64,
-        rank: VictimRank<u32>,
-    },
-    /// The policy declined `affine()` but ships a kinetic form: this
-    /// capacity's victims rank through a certificate-carrying tournament
-    /// over its resident set, as in `DiskCache`.
-    Kinetic(KineticTournament),
-    Rescan,
-}
-
-/// The evaluation hook one stack's [`KineticTournament`] calls to
-/// (re-)score a leaf, mirroring `cache::kinetic_eval` over this
-/// engine's split (global, per-capacity) file state. `None` (not
-/// resident in this capacity, or the policy refuses the form) degrades
-/// the stack to the rescan.
-fn stack_kinetic_eval<'a>(
-    policy: &'a dyn MigrationPolicy,
-    globals: &'a [GlobalState],
-    subs: &'a [SubState],
-    grid: usize,
-    ci: usize,
-    est: f64,
-) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
-    move |fidx, at| {
-        let sub = subs.get(fidx as usize * grid + ci)?;
-        if !sub.resident {
-            return None;
-        }
-        let g = globals.get(fidx as usize)?;
-        let v = sub_view(fidx, g, sub, est);
-        let form = policy.kinetic(&v, at)?;
-        Some((policy.priority(&v, at), form))
-    }
-}
-
 /// One capacity's priority stack: watermarks, usage, counters, resident
 /// list, and victim-ranking state.
-#[derive(Debug)]
-struct Stack {
+struct Stack<'p> {
     capacity: u64,
     high: u64,
     low: u64,
     usage: u64,
     stats: CacheStats,
     residents: Vec<u32>,
-    rank: RankMode,
+    rank: Ranking<'p>,
     /// This stack's clock hand into the shared recency log
     /// (recency-keyed policies only): everything before it is dead *for
     /// this capacity*.
@@ -247,16 +199,64 @@ fn sub_view(fidx: u32, g: &GlobalState, sub: &SubState, est_miss_wait_s: f64) ->
     }
 }
 
-impl Stack {
-    fn new(capacity: u64, base: &CacheConfig) -> Self {
+/// One capacity's column of the shared file state: everything a
+/// stack's [`StackView`] holds that a purge does not mutate. `Copy`, so
+/// the view is rebuilt from it around every eviction.
+#[derive(Clone, Copy)]
+struct Column<'a> {
+    globals: &'a [GlobalState],
+    grid: usize,
+    ci: usize,
+    est: f64,
+}
+
+impl<'a> Column<'a> {
+    fn view(self, subs: &'a [SubState], residents: &'a [u32]) -> StackView<'a> {
+        StackView {
+            col: self,
+            subs,
+            residents,
+        }
+    }
+}
+
+/// One capacity's resident set as the ranking sees it: the stack's
+/// resident list (swap-remove order) over the engine's split (global,
+/// per-capacity) file state.
+struct StackView<'a> {
+    col: Column<'a>,
+    subs: &'a [SubState],
+    residents: &'a [u32],
+}
+
+impl Residents for StackView<'_> {
+    fn view(&self, file: u32) -> Option<FileView> {
+        let col = self.col;
+        let sub = self.subs.get(file as usize * col.grid + col.ci)?;
+        let g = col.globals.get(file as usize)?;
+        sub.resident.then(|| sub_view(file, g, sub, col.est))
+    }
+
+    fn len(&self) -> usize {
+        self.residents.len()
+    }
+
+    fn files(&self) -> impl Iterator<Item = u32> + '_ {
+        self.residents.iter().copied()
+    }
+}
+
+impl<'p> Stack<'p> {
+    fn new(config: CacheConfig, policy: &'p dyn MigrationPolicy) -> Self {
+        let (high, low) = config.watermarks();
         Stack {
-            capacity,
-            high: (capacity as f64 * base.high_watermark) as u64,
-            low: (capacity as f64 * base.low_watermark) as u64,
+            capacity: config.capacity,
+            high,
+            low,
             usage: 0,
             stats: CacheStats::default(),
             residents: Vec::new(),
-            rank: RankMode::Unprobed,
+            rank: Ranking::new(policy, EvictionMode::Auto),
             cursor: 0,
         }
     }
@@ -318,118 +318,6 @@ impl Stack {
         }
     }
 
-    /// Mirrors a touched/inserted resident's mutation into whichever
-    /// index this stack runs — an affine key push or a kinetic leaf
-    /// mark (settled when `maybe_purge` next advances the tournament) —
-    /// exactly like `DiskCache::index_upsert`. Returns `true`
-    /// when stale affine keys dominate and the caller should rebuild the
-    /// heap from the resident set (the caller holds the file table the
-    /// rebuild needs); the kinetic tournament mirrors exactly and never
-    /// asks for a rebuild.
-    #[must_use]
-    #[expect(clippy::too_many_arguments)]
-    fn index_upsert(
-        &mut self,
-        policy: &dyn MigrationPolicy,
-        fidx: u32,
-        globals: &[GlobalState],
-        subs: &[SubState],
-        grid: usize,
-        ci: usize,
-        now: i64,
-        est: f64,
-    ) -> bool {
-        match &mut self.rank {
-            RankMode::Active { slope_bits, rank } => {
-                let g = &globals[fidx as usize];
-                let sub = &subs[fidx as usize * grid + ci];
-                match policy.affine(&sub_view(fidx, g, sub, est)) {
-                    Some(a) if a.slope.to_bits() == *slope_bits => {
-                        rank.push(RankKey {
-                            intercept: a.intercept,
-                            id: u64::from(fidx),
-                            payload: fidx,
-                        });
-                        rank.len() > self.residents.len() * 2 + 64
-                    }
-                    _ => {
-                        self.rank = RankMode::Rescan;
-                        false
-                    }
-                }
-            }
-            RankMode::Kinetic(t) => {
-                let mut eval = stack_kinetic_eval(policy, globals, subs, grid, ci, est);
-                let ok = t.upsert(fidx, now, &mut eval);
-                if !ok {
-                    self.rank = RankMode::Rescan;
-                }
-                false
-            }
-            RankMode::Unprobed | RankMode::Rescan => false,
-        }
-    }
-
-    /// Probes the resident set for an index — every file's affine form
-    /// first, then the kinetic form — or settles on the rescan;
-    /// `DiskCache::build_index` for one stack.
-    #[expect(clippy::too_many_arguments)]
-    fn build_index(
-        &self,
-        policy: &dyn MigrationPolicy,
-        globals: &[GlobalState],
-        subs: &[SubState],
-        grid: usize,
-        ci: usize,
-        now: i64,
-        est: f64,
-    ) -> RankMode {
-        if let Some(mode) = self.build_affine_index(policy, globals, subs, grid, ci, est) {
-            return mode;
-        }
-        if self.residents.is_empty() {
-            return RankMode::Rescan;
-        }
-        let mut eval = stack_kinetic_eval(policy, globals, subs, grid, ci, est);
-        match KineticTournament::build(&self.residents, now, &mut eval) {
-            Some(t) => RankMode::Kinetic(t),
-            None => RankMode::Rescan,
-        }
-    }
-
-    /// Probes every resident's affine form; `None` on any refusal or
-    /// slope disagreement.
-    fn build_affine_index(
-        &self,
-        policy: &dyn MigrationPolicy,
-        globals: &[GlobalState],
-        subs: &[SubState],
-        grid: usize,
-        ci: usize,
-        est: f64,
-    ) -> Option<RankMode> {
-        let mut slope_bits = None;
-        let mut keys = Vec::with_capacity(self.residents.len());
-        for &fidx in &self.residents {
-            let g = &globals[fidx as usize];
-            let sub = &subs[fidx as usize * grid + ci];
-            let a = policy.affine(&sub_view(fidx, g, sub, est))?;
-            let bits = a.slope.to_bits();
-            if *slope_bits.get_or_insert(bits) != bits {
-                return None;
-            }
-            keys.push(RankKey {
-                intercept: a.intercept,
-                id: u64::from(fidx),
-                payload: fidx,
-            });
-        }
-        slope_bits.map(|slope_bits| RankMode::Active {
-            slope_bits,
-            rank: VictimRank::from_keys(keys),
-        })
-    }
-
     /// Inserts `fidx` (not currently resident) with the given state.
     fn insert(&mut self, fidx: u32, sub: &mut SubState) {
         sub.resident = true;
@@ -464,170 +352,21 @@ impl Stack {
         }
     }
 
-    /// Watermark purge with the same dispatch as `DiskCache`: activate
-    /// the index when eligible, pop victims off it, or fall back to the
-    /// exact rescan.
-    #[expect(clippy::too_many_arguments)]
-    fn maybe_purge(
-        &mut self,
-        policy: &dyn MigrationPolicy,
-        globals: &[GlobalState],
-        subs: &mut [SubState],
-        grid: usize,
-        ci: usize,
-        now: i64,
-        est: f64,
-    ) {
+    /// Watermark purge through the stack's ranking: evict the victims
+    /// it names until usage reaches the low mark.
+    fn maybe_purge(&mut self, col: Column, subs: &mut [SubState], now: i64) {
         if self.usage <= self.high {
             return;
         }
-        if matches!(self.rank, RankMode::Unprobed) && self.residents.len() >= INDEX_MIN_RESIDENTS {
-            self.rank = self.build_index(policy, globals, subs, grid, ci, now, est);
-        }
-        if matches!(self.rank, RankMode::Active { .. }) {
-            while self.usage > self.low {
-                let RankMode::Active { slope_bits, rank } = &mut self.rank else {
-                    unreachable!("checked above");
-                };
-                // The rank resolves staleness as keys surface; stale
-                // keys only ever overestimate (read-touch pushes are
-                // skipped exactly when they could only lower the key),
-                // so deflation converges on the exact maximum.
-                let slope_bits = *slope_bits;
-                let popped = rank.pop_best(|key| {
-                    let sub = &subs[key.payload as usize * grid + ci];
-                    if !sub.resident {
-                        return Candidate::Gone; // evicted since pushed
-                    }
-                    let g = &globals[key.payload as usize];
-                    match policy.affine(&sub_view(key.payload, g, sub, est)) {
-                        Some(a)
-                            if a.slope.to_bits() == slope_bits
-                                && a.intercept.to_bits() == key.intercept.to_bits() =>
-                        {
-                            Candidate::Live
-                        }
-                        Some(a) if a.slope.to_bits() == slope_bits => Candidate::Moved(a.intercept),
-                        _ => Candidate::Abort, // contract violation
-                    }
-                });
-                match popped {
-                    Popped::Victim(key) => self.evict(key.payload, subs, grid, ci),
-                    Popped::Dry | Popped::Aborted => {
-                        self.rank = RankMode::Rescan;
-                        break;
-                    }
-                }
-            }
-            if self.usage <= self.low {
-                return;
-            }
-            // Fell through: the index degraded mid-purge.
-        }
-        if matches!(self.rank, RankMode::Kinetic(_)) {
-            // `DiskCache::purge_kinetic` for one stack: advance the
-            // tournament clock, take the root winner (the exact
-            // `(priority desc, id asc)` maximum — internal nodes compare
-            // true priorities; certificates only schedule re-checks),
-            // revalidate it by value, and evict. A validation mismatch
-            // means a missed leaf update, so repairs are bounded and
-            // persistent trouble degrades to the rescan below. The step
-            // is computed inside the match so the tournament's `&mut`
-            // and the eval hook's borrows end before the stack mutates.
-            enum Step {
-                Evict(u32),
-                Repaired,
-                Degrade,
-            }
-            let mut repairs = 0usize;
-            while self.usage > self.low {
-                let step = match &mut self.rank {
-                    RankMode::Kinetic(t) => {
-                        let mut eval = stack_kinetic_eval(policy, globals, subs, grid, ci, est);
-                        let winner = if t.advance(now, &mut eval) {
-                            t.winner()
-                        } else {
-                            None
-                        };
-                        match winner {
-                            None => Step::Degrade,
-                            Some((fidx, cached, stamp)) => {
-                                // Pop-time revalidation by value: the
-                                // winner leaf's cached score must equal
-                                // the live resident's score at the
-                                // leaf's own evaluation time, bit for
-                                // bit.
-                                let sub = &subs[fidx as usize * grid + ci];
-                                let live = sub.resident.then(|| {
-                                    let g = &globals[fidx as usize];
-                                    policy.priority(&sub_view(fidx, g, sub, est), stamp)
-                                });
-                                match live {
-                                    Some(p) if p.to_bits() == cached.to_bits() => Step::Evict(fidx),
-                                    Some(_) if repairs < 32 => {
-                                        repairs += 1;
-                                        if t.upsert(fidx, now, &mut eval) {
-                                            Step::Repaired
-                                        } else {
-                                            Step::Degrade
-                                        }
-                                    }
-                                    _ => Step::Degrade,
-                                }
-                            }
-                        }
-                    }
-                    _ => Step::Degrade,
-                };
-                match step {
-                    Step::Evict(fidx) => {
-                        self.evict(fidx, subs, grid, ci);
-                        // Unlike the affine rank's lazy stale keys, the
-                        // tournament mirrors the resident set exactly:
-                        // the victim's leaf comes out now.
-                        let removed = match &mut self.rank {
-                            RankMode::Kinetic(t) => {
-                                let mut eval =
-                                    stack_kinetic_eval(policy, globals, subs, grid, ci, est);
-                                t.remove(fidx, now, &mut eval)
-                            }
-                            _ => true,
-                        };
-                        if !removed {
-                            self.rank = RankMode::Rescan;
-                        }
-                    }
-                    Step::Repaired => {}
-                    Step::Degrade => {
-                        self.rank = RankMode::Rescan;
-                        break;
-                    }
-                }
-            }
-            if self.usage <= self.low {
-                return;
-            }
-            // Fell through: the tournament degraded mid-purge.
-        }
-        // Exact rescan: rank every resident at `now`, highest priority
-        // first, id-ascending tie-break — identical to
-        // `DiskCache::purge_rescan`.
-        let mut ranked: Vec<(f64, u32)> = self
-            .residents
-            .iter()
-            .map(|&fidx| {
-                let g = &globals[fidx as usize];
-                let sub = &subs[fidx as usize * grid + ci];
-                (policy.priority(&sub_view(fidx, g, sub, est), now), fidx)
-            })
-            .collect();
-        // Priority descending, then dense id (== index) ascending.
-        ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (_, fidx) in ranked {
-            if self.usage <= self.low {
+        self.rank.begin_purge(&col.view(subs, &self.residents), now);
+        while self.usage > self.low {
+            let host = col.view(subs, &self.residents);
+            let Some(victim) = self.rank.next_victim(&host, now) else {
                 break;
-            }
-            self.evict(fidx, subs, grid, ci);
+            };
+            self.evict(victim, subs, col.grid, col.ci);
+            self.rank
+                .evicted(&col.view(subs, &self.residents), victim, now);
         }
     }
 }
@@ -675,18 +414,17 @@ pub fn sweep_capacities_streaming(
     capacities: &[u64],
     base: &EvalConfig,
 ) -> MissRatioCurve {
-    assert!(
-        base.cache.low_watermark > 0.0
-            && base.cache.low_watermark <= base.cache.high_watermark
-            && base.cache.high_watermark <= 1.0,
-        "bad watermarks {} / {}",
-        base.cache.low_watermark,
-        base.cache.high_watermark
-    );
+    base.cache.watermarks(); // rejects bad watermarks even on an empty grid
     let grid = capacities.len();
     let mut stacks: Vec<Stack> = capacities
         .iter()
-        .map(|&capacity| Stack::new(capacity, &base.cache))
+        .map(|&capacity| {
+            let config = CacheConfig {
+                capacity,
+                ..base.cache
+            };
+            Stack::new(config, policy)
+        })
         .collect();
     let skip_read_touch = policy.read_touch_monotone();
     // The open-loop miss-latency fallback: every FileView this pass
@@ -715,7 +453,7 @@ pub fn sweep_capacities_streaming(
             // Monotone-clock guard, as in `DiskCache::note_time`: the
             // affine contract is void, every stack degrades for good.
             for stack in &mut stacks {
-                stack.rank = RankMode::Rescan;
+                stack.rank.degrade();
             }
             recency = false;
         } else {
@@ -731,6 +469,12 @@ pub fn sweep_capacities_streaming(
             g.last_seq = log.len() as u32;
             log.push((r.time, fidx));
         }
+        let column = |ci| Column {
+            globals: &globals,
+            grid,
+            ci,
+            est,
+        };
         let row = fidx as usize * grid;
         for (ci, stack) in stacks.iter_mut().enumerate() {
             let sub = &mut subs[row + ci];
@@ -766,11 +510,9 @@ pub fn sweep_capacities_streaming(
                 stack.stats.read_hits += 1;
                 stack.stats.read_hit_bytes += sub.size;
                 sub.ref_count += 1;
-                if !skip_read_touch
-                    && !recency
-                    && stack.index_upsert(policy, fidx, &globals, &subs, grid, ci, r.time, est)
-                {
-                    stack.rank = stack.build_index(policy, &globals, &subs, grid, ci, r.time, est);
+                if !skip_read_touch && !recency {
+                    let host = column(ci).view(&subs, &stack.residents);
+                    stack.rank.touched(&host, fidx, r.time);
                 }
                 continue;
             } else {
@@ -796,10 +538,9 @@ pub fn sweep_capacities_streaming(
                 stack.maybe_purge_recency(&log, &globals, &mut subs, grid, ci);
                 continue;
             }
-            if stack.index_upsert(policy, fidx, &globals, &subs, grid, ci, r.time, est) {
-                stack.rank = stack.build_index(policy, &globals, &subs, grid, ci, r.time, est);
-            }
-            stack.maybe_purge(policy, &globals, &mut subs, grid, ci, r.time, est);
+            let host = column(ci).view(&subs, &stack.residents);
+            stack.rank.touched(&host, fidx, r.time);
+            stack.maybe_purge(column(ci), &mut subs, r.time);
         }
     }
     MissRatioCurve {

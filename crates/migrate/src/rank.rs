@@ -1,23 +1,44 @@
-//! The incremental victim-ranking structures behind the eviction
-//! index: a monotone queue that self-degrades to a lazy max-heap, and a
-//! kinetic tournament for time-varying priorities.
+//! Victim ranking: *which resident file leaves next*, decided once for
+//! every host.
 //!
-//! Affine policies push one key per relevant entry mutation and pop
-//! victims in `(intercept desc, id asc)` order with pop-time
-//! revalidation against live state. Three structural regimes:
+//! A watermark purge must evict files in `(priority desc, id asc)`
+//! order at the purge instant. [`Ranking`] is the one state machine that
+//! produces that order; [`crate::cache::DiskCache`] hosts it over its
+//! entry arena and each capacity stack of [`crate::mrc`] over its
+//! resident list, and a host shows it nothing but its resident set
+//! ([`Residents`]). Every regime yields the **bit-identical** victim
+//! sequence — `tests/mrc_index.rs` and `tests/kinetic_index.rs`
+//! property-test that — so the lifecycle only ever decides cost:
 //!
-//! * **Monotone queue.** Policies whose keys never rise over time (LRU
-//!   pushes `−now`, FIFO pushes `−created = −insert time`) emit pushes
-//!   in nonincreasing order, so a plain deque *is* the priority order:
-//!   `push_back` and front pops are O(1) — no sift, no comparisons.
-//!   This is the regime the replay hot path lives in.
-//! * **Lazy max-heap.** The first out-of-order push (Belady's
-//!   `next_use`, size keys) converts the deque into a binary heap in
-//!   one O(n) heapify, and everything continues with O(log n) ops.
-//! * **Kinetic tournament** ([`KineticTournament`]). Policies whose
-//!   pairwise order *drifts with the clock* (STP's per-file slope,
-//!   SAAC's activity discount, salted-random's day reshuffle, the
-//!   latency-aware pair) cannot be keyed once at all — but they ship a
+//! ```text
+//! Unprobed ──first purge past the gate──▶ Affine ──┐
+//!     │                              └──▶ Kinetic ─┤ degrade
+//!     └────────────── neither form ────────────────┴──▶ Rescan (terminal)
+//! ```
+//!
+//! * **Unprobed.** Nothing is maintained; a purge ranks by rescan. The
+//!   first purge that sees [`INDEX_MIN_RESIDENTS`] files (any purge
+//!   under [`EvictionMode::Indexed`]) probes the policy over the whole
+//!   resident set: every file's [`MigrationPolicy::affine`] form first
+//!   (the cheaper regime), then [`MigrationPolicy::kinetic`], else the
+//!   rescan for good.
+//! * **Affine** ([`VictimRank`]). `slope · now + intercept` with one
+//!   shared slope: pairwise order is independent of `now`, so a key
+//!   pushed once stays correct until the entry mutates, and mutations
+//!   just push the new key. Policies whose keys never rise over time
+//!   (LRU pushes `−now`, FIFO `−created`) emit pushes in nonincreasing
+//!   order, so a plain deque *is* the priority order — O(1) push and
+//!   pop, the regime the replay hot path lives in. The first
+//!   out-of-order push (Belady's `next_use`, size keys) heapifies the
+//!   deque once and continues as a lazy max-heap at `O(log n)`. Hosts
+//!   skip [`Ranking::touched`] on read hits for policies that promise
+//!   [`MigrationPolicy::read_touch_monotone`]: the stale key only
+//!   overestimates. Once stale keys outnumber residents two to one the
+//!   index is rebuilt from the resident set.
+//! * **Kinetic** ([`KineticTournament`]). Policies whose pairwise order
+//!   *drifts with the clock* (STP's per-file slope, SAAC's activity
+//!   discount, salted-random's day reshuffle, the latency-aware pair)
+//!   cannot be keyed once at all — but they ship a
 //!   [`crate::policy::KineticForm`] closed-form curve, so each internal
 //!   node of a tournament tree caches its winner together with a
 //!   *certificate* ([`crate::policy::certify_order`]): the earliest
@@ -27,38 +48,352 @@
 //!   purge, hundreds of references apart, so the re-evaluation and the
 //!   root-to-leaf replay are owed once per touched leaf per purge —
 //!   [`KineticTournament::advance`] settles the marked leaves before
-//!   it looks at certificates.
+//!   it looks at certificates. Amortized `O(log n)` per touched file
+//!   where the rescan re-ranks all `n` residents per purge.
+//! * **Rescan.** Rank every resident at `now`, sort, evict in order:
+//!   `O(n log n)` per purge, NaN-proof through `f64::total_cmp`, always
+//!   correct. Forced by [`EvictionMode::Rescan`], the home of policies
+//!   with neither form, and where every broken promise lands: a
+//!   withdrawn form, a drifting slope, a rank gone dry with residents
+//!   left, a tournament leaf that fails revalidation past the repair
+//!   budget, a clock stepping backwards (the host reports that one —
+//!   [`Ranking::degrade`] — because both closed forms assume
+//!   non-decreasing reference times). A regime that degrades mid-purge
+//!   hands the *same* purge to the rescan, so nothing under-purges.
 //!
-//! Staleness is resolved when a key surfaces: the caller's `validate`
-//! closure checks the candidate against live state and answers
+//! Both indexes revalidate **by value** when a victim surfaces. An
+//! affine key surfacing from the rank is checked through [`Candidate`]:
 //! [`Candidate::Live`] (evict it), [`Candidate::Gone`] (file left the
 //! cache; drop the key), [`Candidate::Moved`] (resident but the key is
 //! a stale overestimate; re-rank at the current, **never higher**,
-//! intercept), or [`Candidate::Abort`] (contract violation; the caller
-//! degrades to the exact rescan). Because every mutation that could
-//! *raise* a key pushes eagerly, a popped maximum is always an upper
-//! bound, and deflating stale keys until a live one surfaces yields the
-//! exact `(priority desc, id asc)` victim order the sort-based rescan
-//! would produce — ties included, since tied keys are compared by id
-//! before any is returned.
+//! intercept), or [`Candidate::Abort`] (contract violation). Because
+//! every mutation that could *raise* a key pushes eagerly, a popped
+//! maximum is always an upper bound, and deflating stale keys until a
+//! live one surfaces yields the exact `(priority desc, id asc)` victim
+//! order the sort-based rescan would produce — ties included, since
+//! tied keys are compared by id before any is returned. A tournament
+//! winner counts only if its cached score equals the live file's score
+//! at the leaf's own evaluation time, bit for bit. Value checks also
+//! cover a host reusing a file's slot: a key or leaf from a previous
+//! incarnation either matches the re-created file's current score
+//! (then it *is* current) or is stale like any other.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::policy::{certify_order, KineticForm};
+use crate::cache::EvictionMode;
+use crate::policy::{certify_order, FileView, KineticForm, MigrationPolicy};
 
-/// One ranked key: a file's affine intercept at push time plus the
-/// caller's payload (e.g. a dense file index). Ordered by
-/// `(intercept, id desc)` so that a max-structure pops
-/// `(intercept desc, id asc)`; the payload never participates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankKey<P> {
-    pub intercept: f64,
-    pub id: u64,
-    pub payload: P,
+/// Resident-set size at which [`EvictionMode::Auto`] switches from the
+/// rescan to the incremental index. Sorting a few dozen candidates per
+/// purge is cheaper than a heap push per reference; re-ranking hundreds
+/// or thousands is not.
+pub const INDEX_MIN_RESIDENTS: usize = 128;
+
+/// Tournament winners that may fail revalidation in one purge before
+/// the ranking degrades. A mismatch means a missed leaf update — a bug,
+/// not a workload property (every mutation site calls
+/// [`Ranking::touched`]) — so each gets one repair (a leaf re-mark) and
+/// persistent trouble takes the always-correct rescan.
+const REPAIR_BUDGET: usize = 32;
+
+/// What a host shows the ranking: its resident set, nothing else. Files
+/// are named by dense index ([`fmig_trace::FileId::raw`]).
+pub(crate) trait Residents {
+    /// The policy's view of `file`; `None` if it is not resident.
+    fn view(&self, file: u32) -> Option<FileView>;
+    /// Files resident.
+    fn len(&self) -> usize;
+    /// Every resident file, in the host's own (deterministic) order.
+    fn files(&self) -> impl Iterator<Item = u32> + '_;
 }
 
-impl<P> Ord for RankKey<P> {
+/// Where a ranking is in its lifecycle; see the module docs.
+#[derive(Debug)]
+enum Regime {
+    Unprobed,
+    Affine {
+        /// Bit pattern of the policy's shared slope; a differing slope
+        /// on any later file is a contract violation.
+        slope_bits: u64,
+        rank: VictimRank,
+    },
+    Kinetic(KineticTournament),
+    Rescan,
+}
+
+/// The victim-ranking lifecycle of one resident set under one policy;
+/// see the module docs. The host reports every mutation
+/// ([`Ranking::touched`]), brackets a purge with
+/// [`Ranking::begin_purge`], pulls victims one at a time
+/// ([`Ranking::next_victim`]) and reports each eviction
+/// ([`Ranking::evicted`]) before it pulls the next.
+pub(crate) struct Ranking<'p> {
+    policy: &'p dyn MigrationPolicy,
+    regime: Regime,
+    /// [`EvictionMode::Indexed`]: probe at the first purge, resident
+    /// count be damned.
+    eager: bool,
+    /// Repairs spent in the current purge, against [`REPAIR_BUDGET`].
+    repairs: usize,
+    /// The rescan's ranked list for the current purge, best victim
+    /// first, and how much of it has been handed out; one allocation
+    /// reused across purges.
+    ranked: Vec<(f64, u32)>,
+    ranked_next: usize,
+}
+
+/// The hook a [`KineticTournament`] calls to (re-)score a leaf: the
+/// policy's *true* priority at that time, plus the kinetic form
+/// certifying how long a comparison against it stays settled. `None`
+/// (file not resident, or the policy refuses the form for this state)
+/// makes the tournament report failure, which degrades the ranking.
+fn leaf_eval<'a>(
+    policy: &'a dyn MigrationPolicy,
+    host: &'a impl Residents,
+) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
+    move |file, at| {
+        let v = host.view(file)?;
+        let form = policy.kinetic(&v, at)?;
+        Some((policy.priority(&v, at), form))
+    }
+}
+
+impl<'p> Ranking<'p> {
+    pub fn new(policy: &'p dyn MigrationPolicy, mode: EvictionMode) -> Self {
+        Ranking {
+            policy,
+            regime: match mode {
+                EvictionMode::Auto | EvictionMode::Indexed => Regime::Unprobed,
+                EvictionMode::Rescan => Regime::Rescan,
+            },
+            eager: mode == EvictionMode::Indexed,
+            repairs: 0,
+            ranked: Vec::new(),
+            ranked_next: 0,
+        }
+    }
+
+    /// True while the affine index is ranking victims.
+    pub fn is_affine(&self) -> bool {
+        matches!(self.regime, Regime::Affine { .. })
+    }
+
+    /// True while the kinetic tournament is ranking victims.
+    pub fn is_kinetic(&self) -> bool {
+        matches!(self.regime, Regime::Kinetic(_))
+    }
+
+    /// Drops whatever index is kept (or would have been) for the exact
+    /// rescan, for good.
+    pub fn degrade(&mut self) {
+        self.regime = Regime::Rescan;
+    }
+
+    /// Mirrors one resident file's mutation (touch, resize, insert) at
+    /// `now` into whichever index is active: an affine key push, or a
+    /// kinetic leaf *mark* — the leaf is re-evaluated when the next
+    /// purge advances the tournament, so a withdrawn kinetic form
+    /// degrades there, not here.
+    pub fn touched(&mut self, host: &impl Residents, file: u32, now: i64) {
+        match &mut self.regime {
+            Regime::Affine { slope_bits, rank } => {
+                match host.view(file).and_then(|v| self.policy.affine(&v)) {
+                    Some(a) if a.slope.to_bits() == *slope_bits => {
+                        rank.push(RankKey {
+                            intercept: a.intercept,
+                            id: u64::from(file),
+                        });
+                        // Stale keys (older keys of mutated or evicted
+                        // files) are resolved at pop time; once they
+                        // dominate, rebuild from the resident set so
+                        // memory and pop cost stay proportional to it.
+                        if rank.len() > host.len() * 2 + 64 {
+                            self.regime = self.probe(host, now);
+                        }
+                    }
+                    _ => self.degrade(),
+                }
+            }
+            Regime::Kinetic(t) => {
+                if !t.upsert(file, now, &mut leaf_eval(self.policy, host)) {
+                    self.degrade();
+                }
+            }
+            Regime::Unprobed | Regime::Rescan => {}
+        }
+    }
+
+    /// Opens a purge at `now`. The first one past the gate probes the
+    /// policy and builds an index from the resident set, or settles on
+    /// the rescan; until then no index is maintained, so purge-free and
+    /// small-resident-set runs pay nothing for one.
+    pub fn begin_purge(&mut self, host: &impl Residents, now: i64) {
+        self.repairs = 0;
+        self.ranked.clear();
+        self.ranked_next = 0;
+        if matches!(self.regime, Regime::Unprobed)
+            && (self.eager || host.len() >= INDEX_MIN_RESIDENTS)
+        {
+            self.regime = self.probe(host, now);
+        }
+    }
+
+    /// Probes the resident set for an index: every file's affine form
+    /// first, then the kinetic form; a policy that refuses both — or
+    /// violates the shared-slope contract — means the rescan.
+    fn probe(&self, host: &impl Residents, now: i64) -> Regime {
+        if let Some(regime) = self.probe_affine(host) {
+            return regime;
+        }
+        let files: Vec<u32> = host.files().collect();
+        if files.is_empty() {
+            return Regime::Rescan;
+        }
+        match KineticTournament::build(&files, now, &mut leaf_eval(self.policy, host)) {
+            Some(t) => Regime::Kinetic(t),
+            None => Regime::Rescan,
+        }
+    }
+
+    /// `None` on any refusal or slope disagreement.
+    fn probe_affine(&self, host: &impl Residents) -> Option<Regime> {
+        let mut slope_bits = None;
+        let mut keys = Vec::with_capacity(host.len());
+        for file in host.files() {
+            let a = self.policy.affine(&host.view(file)?)?;
+            let bits = a.slope.to_bits();
+            if *slope_bits.get_or_insert(bits) != bits {
+                return None;
+            }
+            keys.push(RankKey {
+                intercept: a.intercept,
+                id: u64::from(file),
+            });
+        }
+        slope_bits.map(|slope_bits| Regime::Affine {
+            slope_bits,
+            rank: VictimRank::from_keys(keys),
+        })
+    }
+
+    /// The exact next victim in `(priority desc, id asc)` order at
+    /// `now`, or `None` once no resident is left. The host evicts it
+    /// and calls [`Ranking::evicted`] before asking again. Each regime
+    /// falls through to the next on degradation, so the purge that
+    /// discovers a broken contract still completes, exactly.
+    pub fn next_victim(&mut self, host: &impl Residents, now: i64) -> Option<u32> {
+        let policy = self.policy;
+        if let Regime::Affine { slope_bits, rank } = &mut self.regime {
+            // A popped key counts only if the file is still resident
+            // with exactly that intercept; see the module docs.
+            let slope_bits = *slope_bits;
+            let popped = rank.pop_best(|key| {
+                let Some(v) = host.view(key.id as u32) else {
+                    return Candidate::Gone; // evicted since this key was pushed
+                };
+                match policy.affine(&v) {
+                    Some(a)
+                        if a.slope.to_bits() == slope_bits
+                            && a.intercept.to_bits() == key.intercept.to_bits() =>
+                    {
+                        Candidate::Live
+                    }
+                    Some(a) if a.slope.to_bits() == slope_bits => Candidate::Moved(a.intercept),
+                    // The policy withdrew the form or moved the slope
+                    // mid-run: contract violation.
+                    _ => Candidate::Abort,
+                }
+            });
+            match popped {
+                Popped::Victim(key) => return Some(key.id as u32),
+                // Dry with residents left, or a contract violation:
+                // rescan rather than under-purge. Unreachable for
+                // well-behaved policies.
+                Popped::Dry | Popped::Aborted => self.degrade(),
+            }
+        }
+        if let Regime::Kinetic(t) = &mut self.regime {
+            debug_assert_eq!(
+                t.len(),
+                host.len(),
+                "tournament mirrors the resident set exactly"
+            );
+            let mut eval = leaf_eval(policy, host);
+            // The first call of a purge pays the real advance; later
+            // ones see every certificate > `now` and return at the
+            // root. The root winner is the exact maximum by
+            // construction: internal nodes compare *true* priorities,
+            // certificates only schedule re-checks.
+            while t.advance(now, &mut eval) {
+                // Dry with residents left would under-purge: degrade.
+                let Some((file, cached, stamp)) = t.winner() else {
+                    break;
+                };
+                match host.view(file).map(|v| policy.priority(&v, stamp)) {
+                    Some(live) if live.to_bits() == cached.to_bits() => return Some(file),
+                    Some(_) if self.repairs < REPAIR_BUDGET => {
+                        self.repairs += 1;
+                        if !t.upsert(file, now, &mut eval) {
+                            break;
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            self.degrade();
+        }
+        // The rescan: rank every resident at `now`, once per purge. The
+        // cursor meets the end of the list when nothing is ranked yet
+        // (`begin_purge` empties it) and again only when every resident
+        // it held has been handed out.
+        if self.ranked_next == self.ranked.len() {
+            self.ranked.clear();
+            self.ranked.extend(host.files().map(|file| {
+                let v = host.view(file).expect("a listed file is resident");
+                (policy.priority(&v, now), file)
+            }));
+            // Total order: priority descending, then id ascending. The
+            // id tie-break matters — policies produce tied priorities
+            // routinely (LRU under equal timestamps, Belady's
+            // never-used-again class) and the victim sequence must be
+            // reproducible whatever order the host lists files in.
+            // `total_cmp` keeps the sort panic-free even for a NaN
+            // priority (NaN ranks above +inf, i.e. leaves first), and
+            // the unstable sort is safe because the order is total.
+            self.ranked
+                .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            self.ranked_next = 0;
+        }
+        let &(_, file) = self.ranked.get(self.ranked_next)?;
+        self.ranked_next += 1;
+        Some(file)
+    }
+
+    /// Unregisters an evicted file. The tournament mirrors the resident
+    /// set exactly, so the victim's leaf comes out now (the leaf is
+    /// emptied before its path replays, so it does not matter whether
+    /// the host still shows the file); the affine rank's stale keys
+    /// deflate at pop time instead.
+    pub fn evicted(&mut self, host: &impl Residents, file: u32, now: i64) {
+        if let Regime::Kinetic(t) = &mut self.regime {
+            if !t.remove(file, now, &mut leaf_eval(self.policy, host)) {
+                self.degrade();
+            }
+        }
+    }
+}
+
+/// One ranked key: a file's affine intercept at push time. Ordered by
+/// `(intercept, id desc)` so that a max-structure pops
+/// `(intercept desc, id asc)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankKey {
+    pub intercept: f64,
+    pub id: u64,
+}
+
+impl Ord for RankKey {
     fn cmp(&self, other: &Self) -> Ordering {
         self.intercept
             .total_cmp(&other.intercept)
@@ -66,19 +401,19 @@ impl<P> Ord for RankKey<P> {
     }
 }
 
-impl<P> PartialOrd for RankKey<P> {
+impl PartialOrd for RankKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<P> PartialEq for RankKey<P> {
+impl PartialEq for RankKey {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<P> Eq for RankKey<P> {}
+impl Eq for RankKey {}
 
 /// The caller's verdict on a candidate key surfacing from the rank.
 pub(crate) enum Candidate {
@@ -97,9 +432,9 @@ pub(crate) enum Candidate {
 }
 
 /// Result of one victim search.
-pub(crate) enum Popped<P> {
+pub(crate) enum Popped {
     /// The exact next victim in `(priority desc, id asc)` order.
-    Victim(RankKey<P>),
+    Victim(RankKey),
     /// No resident keys remain.
     Dry,
     /// `validate` answered [`Candidate::Abort`].
@@ -108,19 +443,19 @@ pub(crate) enum Popped<P> {
 
 /// Monotone queue / lazy heap hybrid; see the module docs.
 #[derive(Debug)]
-pub(crate) struct VictimRank<P> {
+pub(crate) struct VictimRank {
     /// Monotone regime: sorted nonincreasing by intercept, ties
     /// contiguous (id order resolved at pop time).
-    queue: VecDeque<RankKey<P>>,
+    queue: VecDeque<RankKey>,
     /// Heap regime, entered on the first out-of-order push.
-    heap: BinaryHeap<RankKey<P>>,
+    heap: BinaryHeap<RankKey>,
     monotone: bool,
 }
 
-impl<P: Copy> VictimRank<P> {
+impl VictimRank {
     /// Builds a rank from an arbitrary key set (index activation and
     /// compaction): sorts once and starts in the monotone regime.
-    pub fn from_keys(mut keys: Vec<RankKey<P>>) -> Self {
+    pub fn from_keys(mut keys: Vec<RankKey>) -> Self {
         keys.sort_unstable_by(|a, b| b.cmp(a));
         VictimRank {
             queue: keys.into(),
@@ -136,7 +471,7 @@ impl<P: Copy> VictimRank<P> {
     }
 
     /// Records a (possibly updated) key for `id`.
-    pub fn push(&mut self, key: RankKey<P>) {
+    pub fn push(&mut self, key: RankKey) {
         if self.monotone {
             match self.queue.back() {
                 Some(back) if key.intercept.total_cmp(&back.intercept) == Ordering::Greater => {
@@ -156,7 +491,7 @@ impl<P: Copy> VictimRank<P> {
     /// Re-files a deflated key at its sorted position (monotone regime
     /// only). Stale keys deflate toward the *front* region of equal or
     /// older intercepts, so the shift is short in practice.
-    fn sorted_insert(&mut self, key: RankKey<P>) {
+    fn sorted_insert(&mut self, key: RankKey) {
         let pos = self
             .queue
             .partition_point(|k| k.intercept.total_cmp(&key.intercept) == Ordering::Greater);
@@ -165,7 +500,7 @@ impl<P: Copy> VictimRank<P> {
 
     /// Pops the exact next victim, resolving staleness through
     /// `validate`; see [`Candidate`].
-    pub fn pop_best(&mut self, mut validate: impl FnMut(&RankKey<P>) -> Candidate) -> Popped<P> {
+    pub fn pop_best(&mut self, mut validate: impl FnMut(&RankKey) -> Candidate) -> Popped {
         if !self.monotone {
             while let Some(top) = self.heap.pop() {
                 match validate(&top) {
@@ -209,9 +544,9 @@ impl<P: Copy> VictimRank<P> {
             // id, so the whole group must be inspected before any
             // member is returned. Survivors keep their (equal) rank;
             // deflated keys re-file behind the group.
-            let mut best: Option<RankKey<P>> = None;
-            let mut survivors: Vec<RankKey<P>> = Vec::new();
-            let mut moved: Vec<RankKey<P>> = Vec::new();
+            let mut best: Option<RankKey> = None;
+            let mut survivors: Vec<RankKey> = Vec::new();
+            let mut moved: Vec<RankKey> = Vec::new();
             while let Some(k) = self.queue.front() {
                 if k.intercept.to_bits() != bits {
                     break;
@@ -684,17 +1019,13 @@ impl KineticTournament {
 mod tests {
     use super::*;
 
-    fn key(intercept: f64, id: u64) -> RankKey<()> {
-        RankKey {
-            intercept,
-            id,
-            payload: (),
-        }
+    fn key(intercept: f64, id: u64) -> RankKey {
+        RankKey { intercept, id }
     }
 
     /// Pops everything, validating against a "current" table: ids
     /// absent are Gone, ids whose value differs are Moved.
-    fn drain(rank: &mut VictimRank<()>, current: &mut Vec<(u64, f64)>) -> Vec<u64> {
+    fn drain(rank: &mut VictimRank, current: &mut Vec<(u64, f64)>) -> Vec<u64> {
         let mut out = Vec::new();
         loop {
             let popped = rank.pop_best(|k| match current.iter().find(|(id, _)| *id == k.id) {
@@ -759,8 +1090,7 @@ mod tests {
 
     #[test]
     fn from_keys_sorts_and_restores_the_monotone_regime() {
-        let rank: VictimRank<()> =
-            VictimRank::from_keys(vec![key(1.0, 9), key(7.0, 2), key(4.0, 5)]);
+        let rank: VictimRank = VictimRank::from_keys(vec![key(1.0, 9), key(7.0, 2), key(4.0, 5)]);
         assert!(rank.monotone);
         assert_eq!(rank.len(), 3);
         let mut rank = rank;

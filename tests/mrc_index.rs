@@ -8,18 +8,24 @@
 //!   sequence** to the sort-based rescan oracle: same `CacheOp` stream,
 //!   same counters, same survivors.
 //!
-//! Traces are random but well-formed: times never decrease and
-//! `next_use` comes from a real reverse sweep, the invariants every
-//! replay in this workspace provides (and the affine forms assume).
+//! The property traces are random but well-formed: times never
+//! decrease and `next_use` comes from a real reverse sweep, the
+//! invariants every replay in this workspace provides (and the affine
+//! forms assume). They draw at most 40 files, so every MRC stack there
+//! stays under `INDEX_MIN_RESIDENTS` and purges by rescan; three
+//! deterministic cases at the end hold hundreds of residents per
+//! capacity, so the stacks build their affine ranks and tournaments —
+//! and then lose them again, to a clock stepping backwards and to a
+//! policy withdrawing its kinetic form mid-stream.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode};
+use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, INDEX_MIN_RESIDENTS};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
-use fmig_migrate::policy::{standard_suite, Belady, MigrationPolicy};
+use fmig_migrate::policy::{standard_suite, Belady, FileView, KineticForm, MigrationPolicy, Stp};
 use fmig_trace::{DeviceClass, FileId};
 
 /// One raw reference: (write?, file id, size, time step).
@@ -155,4 +161,145 @@ proptest! {
             }
         }
     }
+}
+
+// The MRC host of the shared ranking lifecycle, past its activation gate.
+
+const BIG_FILES: u64 = 1200;
+const BIG_HOT_FILES: u64 = 30;
+const BIG_MAX_SIZE: u64 = 4000;
+
+/// 6000 xorshift-drawn references over [`BIG_FILES`] files, every third
+/// one to the next of [`BIG_HOT_FILES`] hot files in turn (so a hot
+/// file's reference count is a known function of the position). Sizes
+/// vary per reference (writes resize); steps mix exact ties, short hops
+/// and half-day jumps. `backstep_at` makes that one reference arrive
+/// 3000 s before its predecessor; the stream then resumes where it was.
+fn big_refs(backstep_at: Option<usize>) -> Vec<PreparedRef> {
+    let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let specs: Vec<Spec> = (0..6000usize)
+        .map(|i| {
+            let dt = match next() % 40 {
+                0 => 43_200,
+                1..=5 => 0,
+                n => n as i64,
+            };
+            let dt = match backstep_at {
+                Some(at) if i == at => -3_000,
+                Some(at) if i == at + 1 => dt + 3_000,
+                _ => dt,
+            };
+            let id = if i % 3 == 0 {
+                (i / 3) as u64 % BIG_HOT_FILES
+            } else {
+                BIG_HOT_FILES + next() % (BIG_FILES - BIG_HOT_FILES)
+            };
+            (next() % 4 == 0, id, 1 + next() % BIG_MAX_SIZE, dt)
+        })
+        .collect();
+    build_refs(&specs)
+}
+
+/// Three capacities (30/55/80 % of the bytes the trace's files add up
+/// to at the mean size) that all churn, each guaranteed to hold more
+/// than `INDEX_MIN_RESIDENTS` files whenever a purge starts.
+fn big_grid() -> Vec<u64> {
+    let high = EvalConfig::with_capacity(0).cache.high_watermark;
+    [30u64, 55, 80]
+        .iter()
+        .map(|&pct| {
+            let capacity = BIG_FILES * (BIG_MAX_SIZE / 2) * pct / 100;
+            assert!(
+                (capacity as f64 * high) as u64 / BIG_MAX_SIZE >= INDEX_MIN_RESIDENTS as u64,
+                "a purge at {pct}% could start under the activation gate"
+            );
+            capacity
+        })
+        .collect()
+}
+
+fn assert_fused_equals_naive(refs: &[PreparedRef], policy: &dyn MigrationPolicy) {
+    let capacities = big_grid();
+    let base = EvalConfig::with_capacity(0);
+    let fused = sweep_capacities(refs, policy, &capacities, &base);
+    assert!(
+        fused.points.iter().all(|p| p.stats.evictions > 0),
+        "{}: a capacity never purged",
+        policy.name()
+    );
+    let naive = sweep_capacities_naive(refs, policy, &capacities, &base);
+    assert_eq!(fused, naive, "{} diverged", policy.name());
+}
+
+#[test]
+fn mrc_stacks_past_the_gate_equal_per_capacity_replay() {
+    let refs = big_refs(None);
+    assert!(refs.windows(2).all(|w| w[0].time <= w[1].time));
+    for policy in all_policies() {
+        assert_fused_equals_naive(&refs, policy.as_ref());
+    }
+}
+
+#[test]
+fn mrc_stacks_survive_a_backwards_clock_step() {
+    let refs = big_refs(Some(3000));
+    assert_eq!(
+        refs.windows(2).filter(|w| w[0].time > w[1].time).count(),
+        1,
+        "exactly one reference arrives out of order"
+    );
+    for policy in all_policies() {
+        assert_fused_equals_naive(&refs, policy.as_ref());
+    }
+}
+
+#[test]
+fn mrc_stacks_survive_a_withdrawn_kinetic_form() {
+    /// STP that stops shipping a kinetic form for a file from its 48th
+    /// reference on. Only the hot files get there, two thirds into the
+    /// stream (each is referenced every 90 positions): a tournament
+    /// builds over a young resident set and meets the refusal later,
+    /// at a touched leaf.
+    struct Withdrawing(Stp);
+    impl MigrationPolicy for Withdrawing {
+        fn name(&self) -> String {
+            "withdrawing".into()
+        }
+        fn priority(&self, file: &FileView, now: i64) -> f64 {
+            self.0.priority(file, now)
+        }
+        fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+            if file.ref_count < 48 {
+                self.0.kinetic(file, now)
+            } else {
+                None
+            }
+        }
+    }
+    let policy = Withdrawing(Stp::classic());
+    let refs = big_refs(None);
+    // Precondition, observed on the ranking's other host (a lone `Auto`
+    // cache runs the same lifecycle as the stack at its capacity): the
+    // tournament is built at every capacity, and lost before the end.
+    for &capacity in &big_grid() {
+        let mut cache = DiskCache::new(CacheConfig::with_capacity(capacity), &policy);
+        let mut was_kinetic = false;
+        for r in &refs {
+            if r.write {
+                cache.write(r.id, r.size, r.time, r.next_use);
+            } else {
+                cache.read(r.id, r.size, r.time, r.next_use);
+            }
+            was_kinetic |= cache.uses_kinetic_index();
+        }
+        assert!(was_kinetic, "no tournament was built at {capacity}");
+        assert!(!cache.uses_kinetic_index(), "never withdrawn at {capacity}");
+    }
+    assert_fused_equals_naive(&refs, &policy);
 }
