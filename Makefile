@@ -18,6 +18,10 @@ test:
 # stream seeds on top of the default `make test` leg. PROPTEST_CASES
 # overrides the default per-property budget; FMIG_PROPTEST_SEED re-derives
 # every property's RNG stream (corpus replay ignores both by design).
+# Properties on the default budget ride both legs — among them
+# tests/cache_spec.rs's random_streams_agree_with_the_spec, which holds
+# DiskCache in all three eviction modes and the MRC point to the naive
+# cache specification (tests/spec/mod.rs) for every shipped policy.
 test-matrix:
 	PROPTEST_CASES=128 FMIG_PROPTEST_SEED=20260729 $(CARGO) test --workspace -q
 	PROPTEST_CASES=32 FMIG_PROPTEST_SEED=424242 $(CARGO) test --workspace -q

@@ -1140,8 +1140,8 @@ mod tests {
                 policy.as_ref(),
                 EvictionMode::Indexed,
             );
-            for i in 0..10u64 {
-                cache.write(i, 100, 60 + i as i64, None);
+            for i in 0..10u32 {
+                cache.write(i, 100, 60 + i64::from(i), None);
             }
             assert!(cache.stats().evictions > 0, "{}: no purge ran", p.name());
             (cache.uses_eviction_index(), cache.uses_kinetic_index())

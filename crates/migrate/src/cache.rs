@@ -32,18 +32,17 @@
 //! in a flat arena (`Vec<Option<Entry>>` addressed by `id.index()`), so
 //! the replay hot path never hashes: a hit is one bounds check and one
 //! array load. A slot is vacated on eviction and *reused* when the same
-//! file re-enters; a per-slot epoch counts (re-)creations
-//! ([`DiskCache::slot_epoch`]) as the observable arena invariant. Slot
-//! reuse cannot alias stale eviction-index keys onto a re-created entry
-//! (no ABA): pop-time validation is by *value* — a popped key counts
-//! only if the live entry's current affine intercept equals the key's
-//! bit-for-bit — so a stale key for a previous incarnation either
-//! matches the new intercept (then it *is* the correct current key) or
-//! is discarded, exactly as if the entry had mutated in place.
+//! file re-enters, as a fresh entry. Slot reuse cannot alias stale
+//! eviction-index keys onto a re-created entry (no ABA): pop-time
+//! validation is by *value* — a popped key counts only if the live
+//! entry's current affine intercept equals the key's bit-for-bit — so a
+//! stale key for a previous incarnation either matches the new
+//! intercept (then it *is* the correct current key) or is discarded,
+//! exactly as if the entry had mutated in place.
 //!
-//! The convenience [`From`] conversions on [`FileId`] keep integer-
-//! literal call sites (`cache.read(7, ...)`) compiling; they are the
-//! thin interning adapter over the old `u64`-keyed API.
+//! What a reference and a purge *do* is stated once, naively, in
+//! `tests/spec/mod.rs`; `tests/cache_spec.rs` holds this cache to it,
+//! bit for bit, in every [`EvictionMode`].
 //!
 //! # Victim ranking
 //!
@@ -286,11 +285,6 @@ pub struct DiskCache<'p> {
     marks: (u64, u64),
     policy: &'p dyn MigrationPolicy,
     arena: Arena,
-    /// Per-slot (re-)creation counter, parallel to `arena.slots`;
-    /// survives eviction, so a test can observe that a purge +
-    /// re-create reused the slot instead of aliasing the old
-    /// incarnation.
-    epochs: Vec<u32>,
     usage: u64,
     stats: CacheStats,
     /// Victim ranking over `arena`.
@@ -391,7 +385,6 @@ impl<'p> DiskCache<'p> {
                 slots: Vec::new(),
                 resident: 0,
             },
-            epochs: Vec::new(),
             usage: 0,
             stats: CacheStats::default(),
             rank: Ranking::new(policy, mode),
@@ -409,7 +402,6 @@ impl<'p> DiskCache<'p> {
     pub fn reserve_files(&mut self, files: usize) {
         if files > self.arena.slots.len() {
             self.arena.slots.resize(files, None);
-            self.epochs.resize(files, 0);
         }
     }
 
@@ -474,17 +466,6 @@ impl<'p> DiskCache<'p> {
     /// True if the file is resident.
     pub fn contains(&self, id: impl Into<FileId>) -> bool {
         self.arena.get(id.into()).is_some()
-    }
-
-    /// Times `id`'s arena slot has been (re-)created, counting the
-    /// initial insert: `0` for a file never cached, `1` after its first
-    /// insert, `2` after an evict + re-insert, and so on. The counter
-    /// survives eviction — it is the observable half of the arena's
-    /// slot-reuse invariant (a re-created file occupies the *same* slot
-    /// under a fresh epoch; identity never aliases because pop-time
-    /// index validation is by value, not by slot generation).
-    pub fn slot_epoch(&self, id: impl Into<FileId>) -> u32 {
-        self.epochs.get(id.into().index()).copied().unwrap_or(0)
     }
 
     /// Processes a read reference; returns `true` on a hit.
@@ -684,14 +665,12 @@ impl<'p> DiskCache<'p> {
         };
         if id.index() >= self.arena.slots.len() {
             self.arena.slots.resize(id.index() + 1, None);
-            self.epochs.resize(id.index() + 1, 0);
         }
         debug_assert!(
             self.arena.slots[id.index()].is_none(),
             "insert over a resident"
         );
         self.arena.slots[id.index()] = Some(entry);
-        self.epochs[id.index()] += 1;
         self.arena.resident += 1;
         self.usage += size;
         self.rank.touched(&self.arena, id.raw(), now);
@@ -910,7 +889,7 @@ mod tests {
             for i in 0..10 {
                 c.write(i, 100, 42, None);
             }
-            let mut survivors: Vec<u64> = (0..10).filter(|&i| c.contains(i)).collect();
+            let mut survivors: Vec<u32> = (0..10).filter(|&i| c.contains(i)).collect();
             survivors.sort_unstable();
             survivors
         };
@@ -1050,8 +1029,8 @@ mod tests {
         // produce identical counters (the closed loop's correctness
         // anchor).
         let lru = Lru;
-        let seq: Vec<(bool, u64, u64)> = (0..60)
-            .map(|i| ((i % 3) == 0, i % 7, 100 + (i % 5) * 60))
+        let seq: Vec<(bool, u32, u64)> = (0..60u32)
+            .map(|i| ((i % 3) == 0, i % 7, 100 + u64::from(i % 5) * 60))
             .collect();
         let mut open = DiskCache::new(cfg(1000), &lru);
         let mut event = DiskCache::new(cfg(1000), &lru);
@@ -1071,47 +1050,9 @@ mod tests {
         assert_eq!(open.stats(), event.stats());
     }
 
-    #[test]
-    fn slot_reuse_counts_epochs_and_keeps_identity_fresh() {
-        // Create-after-purge regression: a file evicted by a purge and
-        // re-created later must reuse its arena slot under a bumped
-        // epoch, with the re-created entry starting from fresh state
-        // (no ABA onto the evicted incarnation).
-        let lru = Lru;
-        let mut c = DiskCache::new(cfg(1000), &lru);
-        assert_eq!(c.slot_epoch(0), 0, "untouched slot has epoch 0");
-        for i in 0..10 {
-            c.write(i, 100, i as i64, None);
-        }
-        // The purge evicted the oldest files; file 0 is gone.
-        assert!(!c.contains(0));
-        assert_eq!(c.slot_epoch(0), 1, "eviction does not clear the epoch");
-        let residents_before = c.len();
-        // Re-create file 0: same slot, next epoch, fresh entry state.
-        c.write(0, 120, 50, None);
-        assert!(c.contains(0));
-        assert_eq!(c.slot_epoch(0), 2);
-        assert_eq!(c.len(), residents_before + 1);
-        // The re-created incarnation is fresh: its ref_count restarted,
-        // so an immediately following purge ranks it by the *new*
-        // last_ref (t=50, the youngest), not the dead incarnation's.
-        for i in 20..26 {
-            c.write(i, 100, 60 + i as i64, None);
-        }
-        assert!(
-            c.contains(0),
-            "re-created file ranked by its new recency, not its old one"
-        );
-        // A survivor that never left still sits at epoch 1.
-        let survivor = (0..10).find(|&i| i > 0 && c.contains(i));
-        if let Some(s) = survivor {
-            assert_eq!(c.slot_epoch(s), 1);
-        }
-    }
-
     /// Replays one op sequence through an indexed and a rescan cache and
     /// asserts identical side-effect streams, counters, and survivors.
-    fn assert_modes_agree(policy: &dyn MigrationPolicy, seq: &[(bool, u64, u64, i64)]) {
+    fn assert_modes_agree(policy: &dyn MigrationPolicy, seq: &[(bool, u32, u64, i64)]) {
         let mut auto = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
         let mut rescan = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Rescan);
         let mut auto_ops = Vec::new();
@@ -1127,17 +1068,18 @@ mod tests {
         }
         assert_eq!(auto_ops, rescan_ops, "victim sequences diverged");
         assert_eq!(auto.stats(), rescan.stats());
-        let mut survivors: Vec<u64> = (0..200).filter(|&i| auto.contains(i)).collect();
-        let rescan_survivors: Vec<u64> = (0..200).filter(|&i| rescan.contains(i)).collect();
+        let mut survivors: Vec<u32> = (0..200).filter(|&i| auto.contains(i)).collect();
+        let rescan_survivors: Vec<u32> = (0..200).filter(|&i| rescan.contains(i)).collect();
         survivors.sort_unstable();
         assert_eq!(survivors, rescan_survivors);
     }
 
-    fn churny_sequence() -> Vec<(bool, u64, u64, i64)> {
-        (0..160)
+    fn churny_sequence() -> Vec<(bool, u32, u64, i64)> {
+        (0..160u32)
             .map(|i| {
                 let id = (i * 7 + i / 11) % 23;
-                ((i % 3) == 0, id, 60 + (i % 9) * 45, (i * 5) as i64)
+                let size = 60 + u64::from(i % 9) * 45;
+                ((i % 3) == 0, id, size, i64::from(i * 5))
             })
             .collect()
     }
@@ -1174,8 +1116,8 @@ mod tests {
             ..cfg(1000)
         };
         let mut big = DiskCache::new(roomy, &lru);
-        for i in 0..(3 * INDEX_MIN_RESIDENTS as u64) {
-            big.write(i, 100, i as i64, None);
+        for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
+            big.write(i, 100, i64::from(i), None);
         }
         assert!(big.stats().evictions > 0);
         assert!(big.uses_eviction_index());
@@ -1219,10 +1161,11 @@ mod tests {
         // Drive a kinetic-indexed cache through purge → re-create cycles
         // (arena slot reuse) and check it still matches the rescan.
         let stp = Stp::classic();
-        let seq: Vec<(bool, u64, u64, i64)> = (0..240)
+        let seq: Vec<(bool, u32, u64, i64)> = (0..240u32)
             .map(|i| {
                 let id = (i * 11 + i / 7) % 9; // small universe: heavy reuse
-                ((i % 2) == 0, id, 150 + (i % 5) * 80, (i * 37) as i64)
+                let size = 150 + u64::from(i % 5) * 80;
+                ((i % 2) == 0, id, size, i64::from(i * 37))
             })
             .collect();
         assert_modes_agree(&stp, &seq);
@@ -1235,7 +1178,6 @@ mod tests {
             }
         }
         assert!(c.uses_kinetic_index(), "kinetic index survives churn");
-        assert!((0..9).any(|i| c.slot_epoch(i) > 1), "slots were recycled");
     }
 
     #[test]
@@ -1264,10 +1206,10 @@ mod tests {
             c.write(i, 100, i as i64, None);
         }
         assert!(c.uses_kinetic_index());
-        assert!(c.contains(9u64));
+        assert!(c.contains(9));
         // The touches that withdraw the form only mark the leaf ...
-        c.read(9u64, 100, 20, None);
-        c.read(9u64, 100, 21, None);
+        c.read(9, 100, 20, None);
+        c.read(9, 100, 21, None);
         assert!(c.uses_kinetic_index(), "a touch evaluates nothing");
         // ... and the refusal surfaces when the next purge settles it.
         let evictions = c.stats().evictions;

@@ -6,7 +6,8 @@
 //! * [`policy`] — STP (Smith's space-time product), LRU, FIFO,
 //!   size-ordered, SAAC, random, and Belady's clairvoyant bound;
 //! * [`cache`] — a watermark-driven disk-cache simulator measuring miss
-//!   ratios and write-back stalls under any policy;
+//!   ratios and write-back stalls under any policy (`tests/spec/mod.rs`
+//!   states its semantics, the oracle every cache engine is held to);
 //! * [`eval`] — the Smith/Lawrie comparison harness (parallel across
 //!   policies) plus capacity sweeps;
 //! * [`mrc`] — single-pass miss-ratio curves: a whole capacity grid from
@@ -14,8 +15,6 @@
 //! * [`feedback`] — the miss-latency feedback channel: an EWMA of
 //!   measured recall waits per (tape tier, size class) that the
 //!   closed-loop engine publishes to latency-aware policies;
-//! * [`hashed`] — the frozen pre-dense-identity cache baseline, kept
-//!   as the scaling gate's reference and the equivalence oracle;
 //! * [`dedup`] — §6's eight-hour same-file request deduplication;
 //! * [`writeback`] — §6's lazy write-behind trace transformation;
 //! * [`prefetch`] — sequential (day-1 → day-2) prefetch predictability;
@@ -41,7 +40,6 @@ pub mod dedup;
 pub mod dividing;
 pub mod eval;
 pub mod feedback;
-pub mod hashed;
 pub mod mrc;
 pub mod policy;
 pub mod prefetch;
@@ -55,13 +53,11 @@ pub use cache::{
 };
 pub use dedup::DedupReport;
 pub use dividing::{DeviceModel, DividingPointStudy, DividingRow};
-pub use feedback::LatencyFeedback;
-pub use hashed::{HashedDiskCache, HashedInterner};
-
 pub use eval::{
     evaluate_policies, EvalConfig, IdTracePrep, LatencyOutcome, PolicyOutcome, PreparedRef,
     PreparedTrace, ReplaySession, TracePrep,
 };
+pub use feedback::LatencyFeedback;
 pub use mrc::{MissRatioCurve, MrcPoint};
 pub use policy::{
     aggregate_delay, standard_suite, AffinePriority, Belady, Fifo, FileView, LargestFirst, Lru,

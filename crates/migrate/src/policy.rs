@@ -168,7 +168,7 @@ impl KineticForm {
     /// the ascending-id tie-break decides their order forever.
     ///
     /// Deliberately false for [`KineticForm::PiecewiseConstant`] (the
-    /// form carries no value, so equal epochs say nothing about equal
+    /// form carries no value, so an equal epoch says nothing about equal
     /// priorities) and across variants.
     fn same_bits(&self, other: &KineticForm) -> bool {
         use KineticForm::*;
@@ -1008,9 +1008,9 @@ pub fn standard_suite() -> Vec<Box<dyn MigrationPolicy>> {
 mod tests {
     use super::*;
 
-    fn file(id: u64, size: u64, last_ref: i64, ref_count: u32) -> FileView {
+    fn file(id: u32, size: u64, last_ref: i64, ref_count: u32) -> FileView {
         FileView {
-            id: FileId::from(id),
+            id: FileId::new(id),
             size,
             last_ref,
             created: 0,

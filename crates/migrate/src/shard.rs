@@ -82,11 +82,13 @@ impl<'p> ShardedCache<'p> {
     }
 
     fn local(&self, id: FileId) -> FileId {
-        FileId::from(id.index() / self.shards.len())
+        // A quotient of a u32 id: the narrowing cannot lose bits.
+        FileId::new((id.index() / self.shards.len()) as u32)
     }
 
+    /// Inverse of [`Self::local`]: rebuilds the (u32) global id.
     fn global(&self, local: FileId, shard: usize) -> FileId {
-        FileId::from(local.index() * self.shards.len() + shard)
+        FileId::new((local.index() * self.shards.len() + shard) as u32)
     }
 
     /// Classifies a read against the owning shard, publishing the
@@ -240,13 +242,13 @@ mod tests {
 
     /// A deterministic mixed read/write sequence over a strided id
     /// space (so multi-shard runs spread files across shards).
-    fn drive(n_files: usize, rounds: usize) -> Vec<(u64, u64, bool, i64)> {
+    fn drive(n_files: usize, rounds: usize) -> Vec<(u32, u64, bool, i64)> {
         let mut seq = Vec::new();
         let mut t = 0i64;
         for round in 0..rounds {
             for f in 0..n_files {
                 t += 30;
-                let id = f as u64;
+                let id = f as u32;
                 let size = 100_000 + 50_000 * ((f as u64 + round as u64) % 7);
                 let write = (f + round) % 5 == 0;
                 seq.push((id, size, write, t));
@@ -290,8 +292,8 @@ mod tests {
         let sharded = ShardedCache::new(cfg, &policy, 4);
         assert_eq!(sharded.shard_count(), 4);
         // Insert a handful of small files; all stay resident.
-        for id in 0u64..16 {
-            sharded.write_with(id, 1_000, 10 + id as i64, None, 0.0, &mut |_| {});
+        for id in 0u32..16 {
+            sharded.write_with(id, 1_000, 10 + i64::from(id), None, 0.0, &mut |_| {});
         }
         assert_eq!(sharded.len(), 16);
         assert_eq!(sharded.usage(), 16_000);
@@ -306,17 +308,17 @@ mod tests {
     fn fetch_state_and_retries_route_to_the_owning_shard() {
         let policy = Lru;
         let sharded = ShardedCache::new(CacheConfig::with_capacity(10_000_000), &policy, 3);
-        let miss = sharded.read_with(7u64, 5_000, 100, None, 0.0, &mut |_| {});
+        let miss = sharded.read_with(7, 5_000, 100, None, 0.0, &mut |_| {});
         assert_eq!(miss, ReadResult::Miss);
         // Outstanding fetch: a re-read is a delayed hit on the shard.
-        let again = sharded.read_with(7u64, 5_000, 130, None, 0.0, &mut |_| {});
+        let again = sharded.read_with(7, 5_000, 130, None, 0.0, &mut |_| {});
         assert_eq!(again, ReadResult::DelayedHit);
-        assert!(sharded.fetch_failed(7u64));
+        assert!(sharded.fetch_failed(7));
         assert_eq!(sharded.fetch_retries(), 1);
-        assert!(sharded.fetch_complete(7u64));
-        let hit = sharded.read_with(7u64, 5_000, 160, None, 0.0, &mut |_| {});
+        assert!(sharded.fetch_complete(7));
+        let hit = sharded.read_with(7, 5_000, 160, None, 0.0, &mut |_| {});
         assert_eq!(hit, ReadResult::Hit);
-        assert!(sharded.contains(7u64));
-        assert!(!sharded.contains(8u64));
+        assert!(sharded.contains(7));
+        assert!(!sharded.contains(8));
     }
 }

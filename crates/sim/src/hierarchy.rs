@@ -574,7 +574,7 @@ mod tests {
     use fmig_trace::time::TRACE_EPOCH;
     use fmig_trace::{Endpoint, TraceRecord};
 
-    fn silo_read(id: u64, t: i64, size: u64) -> PreparedRef {
+    fn silo_read(id: u32, t: i64, size: u64) -> PreparedRef {
         PreparedRef {
             id: id.into(),
             size,
@@ -585,7 +585,7 @@ mod tests {
         }
     }
 
-    fn disk_write(id: u64, t: i64, size: u64) -> PreparedRef {
+    fn disk_write(id: u32, t: i64, size: u64) -> PreparedRef {
         PreparedRef {
             id: id.into(),
             size,
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn writebacks_generate_real_tape_traffic() {
         let refs: Vec<PreparedRef> = (0..30)
-            .map(|k| disk_write(k as u64, k * 40, 10_000_000))
+            .map(|k| disk_write(k as u32, k * 40, 10_000_000))
             .collect();
         let lru = Lru;
         let m = HierarchySimulator::new(SimConfig::default()).run(cache_cfg(1 << 30), &lru, &refs);
@@ -773,8 +773,8 @@ mod tests {
         let mut with_writes = Vec::new();
         let mut reads_only = Vec::new();
         for k in 0..25i64 {
-            with_writes.push(disk_write(1000 + k as u64, k * 20, 60_000_000));
-            let rd = silo_read(k as u64, k * 20 + 10, 1_000_000);
+            with_writes.push(disk_write(1000 + k as u32, k * 20, 60_000_000));
+            let rd = silo_read(k as u32, k * 20 + 10, 1_000_000);
             with_writes.push(rd);
             reads_only.push(rd);
         }
@@ -807,7 +807,7 @@ mod tests {
             low_watermark: 0.5,
             eager_writeback: false,
         };
-        let refs: Vec<PreparedRef> = (0..10).map(|k| disk_write(k as u64, k, 100)).collect();
+        let refs: Vec<PreparedRef> = (0..10).map(|k| disk_write(k as u32, k, 100)).collect();
         let lru = Lru;
         let m = HierarchySimulator::new(SimConfig::uncontended()).run(cache, &lru, &refs);
         assert!(m.cache.stall_bytes > 0, "trace must produce a stall");
@@ -986,7 +986,7 @@ mod tests {
         // One silo drive, an outage process that is practically always
         // down: recalls queue behind the parked drive.
         let refs: Vec<PreparedRef> = (0..6)
-            .map(|k| silo_read(k as u64, k * 30, 2_000_000))
+            .map(|k| silo_read(k as u32, k * 30, 2_000_000))
             .collect();
         let lru = Lru;
         let cfg = SimConfig {

@@ -62,30 +62,6 @@ impl From<u32> for FileId {
     }
 }
 
-impl From<u64> for FileId {
-    /// Convenience for literal-heavy test code; panics if the value
-    /// does not fit the dense `u32` space.
-    fn from(raw: u64) -> Self {
-        FileId(u32::try_from(raw).expect("file id exceeds the dense u32 space"))
-    }
-}
-
-impl From<i32> for FileId {
-    /// Convenience for bare integer literals (which Rust infers as
-    /// `i32`); panics on negative values.
-    fn from(raw: i32) -> Self {
-        FileId(u32::try_from(raw).expect("file ids are non-negative"))
-    }
-}
-
-impl From<usize> for FileId {
-    /// Convenience for index-derived ids; panics if the value does not
-    /// fit the dense `u32` space.
-    fn from(raw: usize) -> Self {
-        FileId(u32::try_from(raw).expect("file id exceeds the dense u32 space"))
-    }
-}
-
 impl From<FileId> for u64 {
     fn from(id: FileId) -> u64 {
         u64::from(id.0)
@@ -127,7 +103,8 @@ impl FileTable {
         if let Some(&id) = self.index.get(path) {
             return id;
         }
-        let id = FileId::from(self.names.len());
+        // Dense u32 by design (see `FileId`): no more paths than names.
+        let id = FileId(u32::try_from(self.names.len()).expect("more files than dense ids"));
         self.names.push(path.to_owned());
         self.index.insert(path.to_owned(), id);
         id
@@ -156,10 +133,9 @@ impl FileTable {
 
     /// Iterates `(id, path)` in dense-id order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (FileId::from(i), s.as_str()))
+        (0u32..)
+            .zip(&self.names)
+            .map(|(i, s)| (FileId(i), s.as_str()))
     }
 }
 
@@ -182,7 +158,7 @@ mod tests {
 
     #[test]
     fn ids_convert_and_order_like_their_raw_index() {
-        let a = FileId::from(7u64);
+        let a = FileId::new(7);
         let b = FileId::from(9u32);
         assert!(a < b);
         assert_eq!(a.index(), 7);
@@ -197,11 +173,5 @@ mod tests {
         t.intern("/y");
         let pairs: Vec<_> = t.iter().collect();
         assert_eq!(pairs, vec![(FileId::new(0), "/x"), (FileId::new(1), "/y")]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense u32 space")]
-    fn oversized_u64_ids_panic() {
-        let _ = FileId::from(u64::from(u32::MAX) + 1);
     }
 }

@@ -75,7 +75,7 @@ fn eager_writeback_removes_eviction_stalls() {
         );
         let mut id_of = std::collections::HashMap::new();
         for rec in records.iter().filter(|r| r.is_ok()) {
-            let next = id_of.len() as u64;
+            let next = id_of.len() as u32;
             let id = *id_of.entry(rec.mss_path.clone()).or_insert(next);
             match rec.direction() {
                 fmig_trace::Direction::Read => {

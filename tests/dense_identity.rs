@@ -1,27 +1,29 @@
 //! Dense-identity equivalence: the [`fmig_trace::FileId`] / arena
-//! replay path must be **bit-identical** to the historical string-keyed
-//! path it replaced.
+//! replay path (`TracePrep` → `DiskCache`) must be **bit-identical** to
+//! the naive cache specification (`tests/spec/mod.rs`) fed the same
+//! records.
 //!
-//! The redesign's contract is that interning assigns ids in first
-//! appearance order exactly as the old `HashMap<String, u64>` plumbing
-//! did, and that every downstream tie-break keys on the same raw value
-//! — so swapping hash probes for arena indexing must change *nothing*
-//! observable: not one miss, not one victim, not one byte of the
-//! report. The frozen pre-redesign implementation lives in
-//! [`fmig_migrate::hashed`] as the oracle; these tests replay the same
-//! traces through both and compare stats, full side-effect op streams
-//! (which embed the victim sequence), and the rendered report line.
+//! The contract is that interning assigns ids in first-appearance
+//! order, that the reverse next-use sweep finds what a forward scan
+//! finds, and that every downstream tie-break keys on the same raw id —
+//! so arena indexing, the eviction indexes and the prepared trace must
+//! change *nothing* observable: not one miss, not one victim, not one
+//! byte of the report. These tests replay the same traces through both
+//! and compare stats (every float a sweep cell renders is a function of
+//! them) and full op streams (which embed the victim sequence).
 
 use proptest::prelude::*;
 
 use fmig::PresetId;
 use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
 use fmig_migrate::eval::{prepare, EvalConfig};
-use fmig_migrate::hashed;
 use fmig_migrate::policy::{standard_suite, Belady, Lru, MigrationPolicy, Stp};
 use fmig_trace::time::TRACE_EPOCH;
 use fmig_trace::{Endpoint, TraceRecord};
 use fmig_workload::Workload;
+
+mod spec;
+use spec::{spec_refs, spec_replay};
 
 /// Open-loop dense replay with the op stream captured — the live
 /// pipeline (`TracePrep` → `DiskCache`) making exactly the decisions
@@ -47,20 +49,6 @@ fn dense_replay(
     (*cache.stats(), ops)
 }
 
-/// The per-policy report line a sweep cell renders from these stats:
-/// if every float formats identically the JSON cell is byte-identical.
-fn report_line(name: &str, stats: &CacheStats, config: &EvalConfig) -> String {
-    format!(
-        "{{\"policy\":\"{}\",\"miss_ratio\":{},\"byte_miss_ratio\":{},\"person_minutes_per_day\":{},\"evictions\":{},\"stall_bytes\":{}}}",
-        name,
-        stats.miss_ratio(),
-        stats.byte_miss_ratio(),
-        stats.person_minutes_per_day(config.wait_s_per_miss, config.trace_days),
-        stats.evictions,
-        stats.stall_bytes,
-    )
-}
-
 fn eval_config(capacity: u64) -> EvalConfig {
     EvalConfig {
         cache: CacheConfig::with_capacity(capacity),
@@ -71,8 +59,8 @@ fn eval_config(capacity: u64) -> EvalConfig {
 
 /// The satellite requirement verbatim: on the tiny sweep preset, every
 /// shipped policy replays bit-identically through the dense path and
-/// the string-keyed oracle — miss ratios, victim sequence (op stream),
-/// and the rendered report.
+/// the specification — counters (hence miss ratios and the rendered
+/// report) and victim sequence (op stream).
 #[test]
 fn tiny_preset_replay_is_bit_identical_across_all_shipped_policies() {
     let workload = Workload::generate(&PresetId::Ncar.workload(0.002, 0x1D_EA_11));
@@ -84,13 +72,14 @@ fn tiny_preset_replay_is_bit_identical_across_all_shipped_policies() {
     let referenced: u64 = records.iter().map(|r| r.file_size.max(1)).sum();
     // Small enough to force heavy purge traffic on every policy.
     let config = eval_config((referenced / 50).max(1));
+    let refs = spec_refs(&records);
 
     for policy in standard_suite() {
         let (dense_stats, dense_ops) = dense_replay(&records, policy.as_ref(), &config);
-        let (hashed_stats, hashed_ops) = hashed::replay_records(&records, policy.as_ref(), &config);
+        let (spec_stats, spec_ops) = spec_replay(&refs, policy.as_ref(), &config);
         assert_eq!(
             dense_stats,
-            hashed_stats,
+            spec_stats,
             "stats diverged under {}",
             policy.name()
         );
@@ -101,14 +90,8 @@ fn tiny_preset_replay_is_bit_identical_across_all_shipped_policies() {
         );
         assert_eq!(
             dense_ops,
-            hashed_ops,
+            spec_ops,
             "op stream (victim sequence) diverged under {}",
-            policy.name()
-        );
-        assert_eq!(
-            report_line(&policy.name(), &dense_stats, &config),
-            report_line(&policy.name(), &hashed_stats, &config),
-            "rendered report diverged under {}",
             policy.name()
         );
     }
@@ -161,12 +144,13 @@ proptest! {
         let records = build_records(&specs);
         let referenced: u64 = records.iter().map(|r| r.file_size.max(1)).sum();
         let config = eval_config((referenced / cap_divisor).max(1));
+        let refs = spec_refs(&records);
         let policies: [&dyn MigrationPolicy; 3] = [&Lru, &Stp::classic(), &Belady];
         for policy in policies {
             let (dense_stats, dense_ops) = dense_replay(&records, policy, &config);
-            let (hashed_stats, hashed_ops) = hashed::replay_records(&records, policy, &config);
-            prop_assert_eq!(dense_stats, hashed_stats);
-            prop_assert_eq!(dense_ops, hashed_ops);
+            let (spec_stats, spec_ops) = spec_replay(&refs, policy, &config);
+            prop_assert_eq!(dense_stats, spec_stats);
+            prop_assert_eq!(dense_ops, spec_ops);
         }
     }
 }

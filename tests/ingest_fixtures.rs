@@ -2,13 +2,19 @@
 //! sample per supported format, each imported end to end and held to
 //! its pinned outcome. The pins cover the full import pipeline — line
 //! parsing, skip/error discipline, normalization, and the store's
-//! manifest arithmetic — so a drift in any layer fails here.
+//! manifest arithmetic — so a drift in any layer fails here. The rows
+//! the store streams back are held to the cache specification's
+//! `spec_refs` (`tests/spec/mod.rs`): interning order and the import
+//! path's next-use sweep against a forward scan of the parsed records.
 
 use std::io::BufReader;
 use std::path::Path;
 
-use fmig_trace::ingest::store::{import, StoreReader};
-use fmig_trace::{FormatId, IngestConfig};
+use fmig_trace::ingest::store::{import, StoreReader, StoreRow};
+use fmig_trace::{FormatId, IngestConfig, TraceRecord};
+
+mod spec;
+use spec::{spec_refs, SpecRef};
 
 struct IngestFixture {
     format: FormatId,
@@ -99,6 +105,18 @@ fn every_format_fixture_imports_to_its_pinned_stats_and_reopens() {
         );
         let reopened = StoreReader::open(&dir).expect("imported store reopens");
         assert_eq!(reopened.manifest(), m, "{}: reopened manifest", fx.file);
+        let file = std::fs::File::open(fixtures.join(fx.file)).expect("fixture exists");
+        let stream = fx
+            .format
+            .stream(BufReader::new(file), IngestConfig::default());
+        let parsed: Vec<TraceRecord> = stream.filter_map(Result::ok).collect();
+        let of_row = |r: &StoreRow| (r.file, r.size, r.write, r.start, r.next_use);
+        let rows = reopened.read_all().expect("store rows");
+        let rows: Vec<_> = rows.iter().map(of_row).collect();
+        let of_ref = |r: &SpecRef| (r.id, r.size, r.write, r.time, r.next_use);
+        let want: Vec<_> = spec_refs(&parsed).iter().map(of_ref).collect();
+        assert!(want.iter().any(|r| r.4.is_some()), "no re-reference");
+        assert_eq!(rows, want, "{}: store rows", fx.file);
     }
     std::fs::remove_dir_all(&tmp).expect("cleanup");
 }

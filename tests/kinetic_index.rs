@@ -14,7 +14,7 @@
 //! Traces are adversarial for certificates: sizes span orders of
 //! magnitude and timestamps mix zero steps (exact ties), short hops
 //! (crossing-heavy STP windows) and half-day jumps (RandomEvict's
-//! piecewise-constant epochs flip mid-trace). Latency-aware policies
+//! piecewise-constant epoch flips mid-trace). Latency-aware policies
 //! get a nonzero recall-wait hint so their priority actually uses it.
 
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ use fmig_migrate::policy::{LruMad, MigrationPolicy, RandomEvict, Saac, Stp, StpL
 use fmig_trace::{DeviceClass, FileId};
 
 /// One raw reference: (write?, file id, size, time step).
-type Spec = (bool, u64, u64, i64);
+type Spec = (bool, u32, u64, i64);
 
 /// Every shipped policy whose priority drifts with the clock — exactly
 /// the set that ranks through the kinetic tournament (one entry per
@@ -47,8 +47,8 @@ fn kinetic_suite() -> Vec<Box<dyn MigrationPolicy>> {
 }
 
 /// Turns raw specs into a prepared reference stream: monotone times
-/// (with a half-day hop every `day_stride` refs so piecewise-constant
-/// epochs roll over mid-trace) and an oracle-consistent `next_use`
+/// (with a half-day hop every `day_stride` refs so the piecewise-constant
+/// epoch rolls over mid-trace) and an oracle-consistent `next_use`
 /// reverse sweep.
 fn build_refs(specs: &[Spec], day_stride: usize) -> Vec<PreparedRef> {
     let mut t = 0i64;
@@ -91,7 +91,7 @@ proptest! {
         specs in proptest::collection::vec(
             (
                 any::<bool>(),
-                0u64..40,
+                0u32..40,
                 1u64..600_000,
                 0i64..400, // zero steps: equal-timestamp ties
             ),
@@ -166,7 +166,7 @@ proptest! {
         specs in proptest::collection::vec(
             (
                 any::<bool>(),
-                0u64..400, // wide id space: hundreds of residents
+                0u32..400, // wide id space: hundreds of residents
                 1u64..4_000,
                 0i64..60,
             ),
@@ -208,8 +208,8 @@ fn stp_replay_engages_the_kinetic_tournament() {
     let mut rescan = DiskCache::with_eviction_mode(config, &policy, EvictionMode::Rescan);
     let mut a: Vec<CacheOp> = Vec::new();
     let mut b: Vec<CacheOp> = Vec::new();
-    for i in 0..4_000u64 {
-        let (id, size, now) = (i % 600, 1_000 + (i % 13) * 700, (i * 5) as i64);
+    for i in 0..4_000u32 {
+        let (id, size, now) = (i % 600, 1_000 + u64::from(i % 13) * 700, i64::from(i * 5));
         indexed.write_with(id, size, now, None, &mut |op| a.push(op));
         rescan.write_with(id, size, now, None, &mut |op| b.push(op));
     }

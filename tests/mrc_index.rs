@@ -29,13 +29,13 @@ use fmig_migrate::policy::{standard_suite, Belady, FileView, KineticForm, Migrat
 use fmig_trace::{DeviceClass, FileId};
 
 /// One raw reference: (write?, file id, size, time step).
-type Spec = (bool, u64, u64, i64);
+type Spec = (bool, u32, u64, i64);
 
 fn arb_specs() -> impl Strategy<Value = Vec<Spec>> {
     proptest::collection::vec(
         (
             any::<bool>(),
-            0u64..40,
+            0u32..40,
             1u64..600_000,
             0i64..400, // occasional zero steps: equal-timestamp ties
         ),
@@ -200,7 +200,7 @@ fn big_refs(backstep_at: Option<usize>) -> Vec<PreparedRef> {
             } else {
                 BIG_HOT_FILES + next() % (BIG_FILES - BIG_HOT_FILES)
             };
-            (next() % 4 == 0, id, 1 + next() % BIG_MAX_SIZE, dt)
+            (next() % 4 == 0, id as u32, 1 + next() % BIG_MAX_SIZE, dt)
         })
         .collect();
     build_refs(&specs)

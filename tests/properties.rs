@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn cache_invariants_hold_under_random_ops(
         ops in proptest::collection::vec(
-            (any::<bool>(), 0u64..30, 1u64..800, 0i64..100_000),
+            (any::<bool>(), 0u32..30, 1u64..800, 0i64..100_000),
             1..300,
         ),
         capacity in 500u64..5_000,
@@ -137,12 +137,12 @@ proptest! {
     #[test]
     fn zero_feedback_lru_mad_evicts_in_lru_order(
         ops in proptest::collection::vec(
-            (any::<bool>(), 0u64..30, 1u64..800, 0i64..100_000),
+            (any::<bool>(), 0u32..30, 1u64..800, 0i64..100_000),
             1..300,
         ),
         capacity in 500u64..5_000,
     ) {
-        fn victims(policy: &dyn MigrationPolicy, ops: &[(bool, u64, u64, i64)], capacity: u64)
+        fn victims(policy: &dyn MigrationPolicy, ops: &[(bool, u32, u64, i64)], capacity: u64)
             -> (Vec<fmig_trace::FileId>, u64, u64)
         {
             let mut cache = DiskCache::new(CacheConfig::with_capacity(capacity), policy);
@@ -177,7 +177,7 @@ proptest! {
     /// (no evictions => identical hit sequences).
     #[test]
     fn policies_agree_when_nothing_is_evicted(
-        ids in proptest::collection::vec(0u64..10, 1..80)
+        ids in proptest::collection::vec(0u32..10, 1..80)
     ) {
         let lru = Lru;
         let stp = Stp::classic();
