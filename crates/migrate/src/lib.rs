@@ -6,7 +6,8 @@
 //! * [`policy`] — STP (Smith's space-time product), LRU, FIFO,
 //!   size-ordered, SAAC, random, and Belady's clairvoyant bound;
 //! * [`cache`] — a watermark-driven disk-cache simulator measuring miss
-//!   ratios and write-back stalls under any policy (`tests/spec/mod.rs`
+//!   ratios and write-back stalls under any policy, and the one staging
+//!   cache every host runs, the live daemon included (`tests/spec/mod.rs`
 //!   states its semantics, the oracle every cache engine is held to);
 //! * [`eval`] — the Smith/Lawrie comparison harness (parallel across
 //!   policies) plus capacity sweeps;
@@ -45,7 +46,6 @@ pub mod policy;
 pub mod prefetch;
 mod rank;
 pub mod residency;
-pub mod shard;
 pub mod writeback;
 
 pub use cache::{
@@ -65,5 +65,4 @@ pub use policy::{
 };
 pub use prefetch::PrefetchReport;
 pub use residency::{ResidencyCostModel, ResidencyOutcome, ResidencyPolicy};
-pub use shard::ShardedCache;
 pub use writeback::{defer_writes, deferral_report, DeferralReport};

@@ -16,7 +16,7 @@ use fmig_serve::daemon::{serve, DaemonConfig};
 
 const USAGE: &str = "usage: fmig-served --origin HOST:PORT --capacity BYTES \
                      [--addr HOST:PORT] [--policy NAME] [--seed N] [--scenario NAME] \
-                     [--span-start VMS] [--span-end VMS] [--shards N] \
+                     [--span-start VMS] [--span-end VMS] \
                      [--deadline VMS] [--retry-budget N] [--breaker THRESH:COOLDOWN_VMS] \
                      [--queue-bound N]";
 
@@ -29,7 +29,6 @@ fn run() -> Result<(), String> {
     let mut scenario = FaultScenarioId::None;
     let mut span_start = 0i64;
     let mut span_end = 0i64;
-    let mut shards = 1usize;
     let mut deadline: Option<i64> = None;
     let mut retry_budget: Option<u32> = None;
     let mut breaker: Option<(u32, i64)> = None;
@@ -69,11 +68,6 @@ fn run() -> Result<(), String> {
                 span_end = val("--span-end")?
                     .parse()
                     .map_err(|e| format!("bad --span-end: {e}"))?
-            }
-            "--shards" => {
-                shards = val("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?
             }
             "--deadline" => {
                 deadline = Some(
@@ -121,7 +115,6 @@ fn run() -> Result<(), String> {
     let mut cfg = DaemonConfig::compat(
         origin, capacity, policy, scenario, seed, span_start, span_end,
     );
-    cfg.shards = shards;
     cfg.deadline_ms = deadline;
     if let Some(budget) = retry_budget {
         cfg.retry = RetryPolicy {

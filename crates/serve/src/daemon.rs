@@ -2,8 +2,9 @@
 //!
 //! Hosts [`fmig_sim::disk::DiskHalf`] — the single statement of the disk
 //! half of the device model: cache classification, recall coalescing,
-//! MSCP dispatch, spindles, channel movers, stall-flush gates — over a
-//! policy-driven [`ShardedCache`], the same code the simulators run.
+//! MSCP dispatch, spindles, channel movers, stall-flush gates — over one
+//! policy-driven [`DiskCache`], the same code and the same cache the
+//! simulators run.
 //! This host keeps the half's events in a queue of its own, draws keyed
 //! noise, carries every recall and flush to the origin server as a
 //! frame (the origin hosts the tape half, [`crate::origin`]) and
@@ -52,7 +53,7 @@
 //! flushes all dirty writeback bytes before acknowledging.
 //!
 //! In simulator-compat mode (no deadline, compat retry, breaker
-//! disabled, one shard) a replay of a prepared trace reproduces
+//! disabled) a replay of a prepared trace reproduces
 //! [`fmig_sim::HierarchySimulator`]'s cache decisions and first-byte
 //! waits exactly — that is the oracle contract `repro service-smoke`
 //! enforces.
@@ -67,9 +68,8 @@ use std::thread;
 use std::time::Duration;
 
 use fmig_core::{FaultScenarioId, PolicyId};
-use fmig_migrate::cache::CacheConfig;
+use fmig_migrate::cache::{CacheConfig, DiskCache};
 use fmig_migrate::eval::PreparedRef;
-use fmig_migrate::ShardedCache;
 use fmig_sim::config::SimConfig;
 use fmig_sim::disk::{
     DiskEv, DiskHalf, DiskHost, FlushOrder, LinkFault, RecallOrder, Resolved, ServedBy,
@@ -94,7 +94,7 @@ pub struct DaemonConfig {
     pub origin_addr: String,
     /// Staging-disk capacity in bytes.
     pub capacity: u64,
-    /// Victim-ranking policy; runs unmodified behind the shard adapter.
+    /// Victim-ranking policy; runs unmodified in the one cache.
     pub policy: PolicyId,
     /// Chaos scenario the origin materializes.
     pub scenario: FaultScenarioId,
@@ -104,8 +104,6 @@ pub struct DaemonConfig {
     pub span_start_vms: SimMs,
     /// Fault-schedule span end (last reference + slack), virtual ms.
     pub span_end_vms: SimMs,
-    /// Cache shards (1 for oracle-exact replays).
-    pub shards: usize,
     /// Recall first-byte deadline relative to issue; `None` disables.
     pub deadline_ms: Option<SimMs>,
     /// Retry backoff policy for failed recalls.
@@ -121,7 +119,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// The simulator-oracle configuration: no deadline, the fault
-    /// plan's fixed unbounded backoff, breaker disabled, one shard.
+    /// plan's fixed unbounded backoff, breaker disabled.
     pub fn compat(
         origin_addr: String,
         capacity: u64,
@@ -139,7 +137,6 @@ impl DaemonConfig {
             seed,
             span_start_vms,
             span_end_vms,
-            shards: 1,
             deadline_ms: None,
             retry: RetryPolicy::compat(&scenario.plan(), seed),
             breaker_threshold: 0,
@@ -207,7 +204,7 @@ struct OriginReport {
 
 /// One daemon session: the shared disk half and the host it runs on.
 struct Daemon<'p> {
-    disk: DiskHalf<ShardedCache<'p>>,
+    disk: DiskHalf<'p>,
     core: Core,
 }
 
@@ -288,11 +285,7 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
     let sim = SimConfig::default()
         .with_seed(cfg.seed)
         .with_counter_noise(true);
-    let cache = ShardedCache::new(
-        CacheConfig::with_capacity(cfg.capacity),
-        policy.as_ref(),
-        cfg.shards.max(1),
-    );
+    let cache = DiskCache::new(CacheConfig::with_capacity(cfg.capacity), policy.as_ref());
 
     let local_addr = listener
         .local_addr()

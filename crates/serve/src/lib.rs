@@ -4,8 +4,9 @@
 //! * **`fmig-served`** ([`daemon`]) — the cache daemon. It hosts
 //!   [`fmig_sim::disk::DiskHalf`], the one disk-half state machine the
 //!   simulators run (cache classification, recall coalescing, MSCP
-//!   dispatch, spindles, channel movers, stall gates), over a sharded
-//!   cache, and carries every miss to the origin as a recall. Its
+//!   dispatch, spindles, channel movers, stall gates), over the one
+//!   `DiskCache` they run, and carries every miss to the origin as a
+//!   recall. Its
 //!   robustness core wraps each recall in a deadline, a
 //!   jittered-exponential-backoff retry budget ([`backoff`]), and an
 //!   origin circuit breaker ([`breaker`]).

@@ -12,6 +12,7 @@
 //! still-pending reply and reports the writeback accounting.
 
 use std::io::{BufReader, BufWriter, Write};
+use std::mem;
 use std::net::TcpStream;
 use std::sync::mpsc::{self, Sender};
 use std::thread;
@@ -268,12 +269,14 @@ fn hello(
 }
 
 /// One replay connection: writes its deal of the trace plus the
-/// `StatsReq` barrier, then reads until every reply is in.
+/// `StatsReq` barrier, then reads until every reply is in. A reply for
+/// a request this connection never sent, or a second reply for one, is
+/// an error: the daemon's ids are outside input.
 fn worker(
     addr: String,
     conn: u32,
     items: Vec<(u64, PreparedRef)>,
-    barrier: Sender<()>,
+    barrier: &Sender<Result<(), String>>,
 ) -> Result<Vec<(u64, Outcome)>, String> {
     let stream = connect(&addr)?;
     stream.set_nodelay(true).ok();
@@ -311,23 +314,33 @@ fn worker(
         .map_err(|e| format!("barrier: {e}"))?;
 
     let mut outcomes = Vec::with_capacity(items.len());
+    // One flag per item; `items` is sorted by request id.
+    let mut answered = vec![false; items.len()];
     let mut seen_stats = false;
     while outcomes.len() < items.len() || !seen_stats {
-        match Frame::read_from(&mut reader).map_err(|e| format!("conn {conn} read: {e}"))? {
+        let frame = Frame::read_from(&mut reader).map_err(|e| format!("conn {conn} read: {e}"))?;
+        let (req, outcome) = match frame {
             Frame::Done {
                 req,
                 wait_vms,
                 served,
-            } => outcomes.push((req, Outcome::Served { wait_vms, served })),
-            Frame::Rejected { req, reason } => outcomes.push((req, Outcome::Rejected(reason))),
+            } => (req, Outcome::Served { wait_vms, served }),
+            Frame::Rejected { req, reason } => (req, Outcome::Rejected(reason)),
             Frame::Stats(_) => {
                 seen_stats = true;
                 // The daemon has admitted everything this connection
                 // sent; tell the controller.
-                let _ = barrier.send(());
+                let _ = barrier.send(Ok(()));
+                continue;
             }
             other => return Err(format!("unexpected reply: {other:?}")),
+        };
+        let k = items.binary_search_by_key(&req, |&(req, _)| req);
+        let k = k.map_err(|_| format!("conn {conn}: reply for request {req} it did not send"))?;
+        if mem::replace(&mut answered[k], true) {
+            return Err(format!("conn {conn}: request {req} answered twice"));
         }
+        outcomes.push((req, outcome));
     }
     Ok(outcomes)
 }
@@ -352,12 +365,15 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
             .collect();
         let addr = cfg.addr.clone();
         let btx = btx.clone();
-        handles.push(thread::spawn(move || worker(addr, k as u32, items, btx)));
+        handles.push(thread::spawn(move || {
+            // An error reaches the controller if it still waits at the barrier.
+            worker(addr, k as u32, items, &btx).inspect_err(|e| drop(btx.send(Err(e.clone()))))
+        }));
     }
     drop(btx);
     for _ in 0..n {
         brx.recv()
-            .map_err(|_| "a replay connection died before the barrier".to_string())?;
+            .map_err(|_| "a replay connection died before the barrier".to_string())??;
     }
 
     // All requests are admitted: drain, then read the final stats.

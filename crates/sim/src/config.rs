@@ -80,11 +80,6 @@ pub struct SimConfig {
     /// the §6 write-behind recommendation; the open-loop trace replay
     /// ignores this knob.
     pub writeback_delay_s: f64,
-    /// Closed-loop hierarchy engine only: coalesce references to a file
-    /// with an outstanding tape recall onto that recall (delayed hits)
-    /// instead of issuing an independent fetch per reference. On by
-    /// default; turning it off is the ablation baseline.
-    pub recall_coalescing: bool,
     /// Closed-loop hierarchy engine only: draw every timing noise value
     /// from the keyed, counter-free hashes in [`crate::noise`] instead
     /// of the shared RNG stream, and assign recall sequence numbers in
@@ -124,7 +119,6 @@ impl Default for SimConfig {
             tape_unload_s: 5.0,
             error_latency_median_s: 2.0,
             writeback_delay_s: 30.0,
-            recall_coalescing: true,
             counter_noise: false,
         }
     }

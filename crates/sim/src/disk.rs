@@ -10,11 +10,11 @@
 //!   job's spindle, so the open-loop [`crate::MssSimulator`] keeps one
 //!   volume per directory while the closed loop spreads dense file ids.
 //! * [`DiskHalf`] wraps the staging-disk logic around it: classify each
-//!   reference through the cache, coalesce re-references onto an
-//!   outstanding recall (*delayed hits*), gate a disk-served reference
-//!   on the stall flushes its admission forced, turn write-backs and
-//!   purges into tape writes, and feed every measured recall wait back
-//!   to the victim ranker.
+//!   reference through its one [`DiskCache`], coalesce re-references
+//!   onto an outstanding recall (*delayed hits*), gate a disk-served
+//!   reference on the stall flushes its admission forced, turn
+//!   write-backs and purges into tape writes, and feed every measured
+//!   recall wait back to the victim ranker.
 //!
 //! Neither owns *where an event is queued*, *where noise comes from*,
 //! *how a recall or flush reaches the tape half* or *who hears that a
@@ -23,9 +23,9 @@
 //! [`crate::HierarchySimulator`] (disk and tape events share one queue,
 //! the link is a call into [`crate::tape::TapeHalf`]) and the live
 //! `fmig-served` daemon (its own queue, the link is frames to
-//! `fmig-origin`) — and every decision runs the same code under all of
-//! them, which is why the service reproduces the simulator's waits
-//! exactly.
+//! `fmig-origin`) — and every decision runs the same code, over the same
+//! cache, under all of them, which is why the service reproduces the
+//! simulator's waits exactly.
 //!
 //! The tape half answers through [`DiskHalf::first_byte`],
 //! [`DiskHalf::recall_done`], [`DiskHalf::recall_failed`],
@@ -39,7 +39,6 @@ use std::mem;
 use fmig_migrate::cache::{CacheOp, DiskCache, ReadResult};
 use fmig_migrate::eval::PreparedRef;
 use fmig_migrate::feedback::LatencyFeedback;
-use fmig_migrate::ShardedCache;
 use fmig_trace::{DeviceClass, FileId};
 use serde::{Deserialize, Serialize};
 
@@ -232,75 +231,6 @@ pub trait DiskHost {
     fn resolved(&mut self, r: usize, outcome: Resolved);
 }
 
-/// The staging cache behind a [`DiskHalf`]: the calls [`DiskCache`] and
-/// [`ShardedCache`] share.
-pub trait StagingCache {
-    /// Publishes the miss-wait estimate `est_s`, then classifies the
-    /// reference — `None` for a write — appending side effects to `ops`.
-    fn classify(
-        &mut self,
-        r: &PreparedRef,
-        est_s: f64,
-        ops: &mut Vec<CacheOp>,
-    ) -> Option<ReadResult>;
-
-    /// The file's recall delivered: further reads are plain hits.
-    fn fetch_complete(&mut self, id: FileId);
-
-    /// A recall attempt failed: reads keep coalescing until a retry
-    /// delivers.
-    fn fetch_failed(&mut self, id: FileId);
-}
-
-impl StagingCache for DiskCache<'_> {
-    fn classify(
-        &mut self,
-        r: &PreparedRef,
-        est_s: f64,
-        ops: &mut Vec<CacheOp>,
-    ) -> Option<ReadResult> {
-        self.set_est_miss_wait_s(est_s);
-        let ops = &mut |op| ops.push(op);
-        if r.write {
-            self.write_with(r.id, r.size, r.time, r.next_use, ops);
-            return None;
-        }
-        Some(self.read_with(r.id, r.size, r.time, r.next_use, ops))
-    }
-
-    fn fetch_complete(&mut self, id: FileId) {
-        DiskCache::fetch_complete(self, id);
-    }
-
-    fn fetch_failed(&mut self, id: FileId) {
-        DiskCache::fetch_failed(self, id);
-    }
-}
-
-impl StagingCache for ShardedCache<'_> {
-    fn classify(
-        &mut self,
-        r: &PreparedRef,
-        est_s: f64,
-        ops: &mut Vec<CacheOp>,
-    ) -> Option<ReadResult> {
-        let ops = &mut |op| ops.push(op);
-        if r.write {
-            self.write_with(r.id, r.size, r.time, r.next_use, est_s, ops);
-            return None;
-        }
-        Some(self.read_with(r.id, r.size, r.time, r.next_use, est_s, ops))
-    }
-
-    fn fetch_complete(&mut self, id: FileId) {
-        ShardedCache::fetch_complete(self, id);
-    }
-
-    fn fetch_failed(&mut self, id: FileId) {
-        ShardedCache::fetch_failed(self, id);
-    }
-}
-
 /// Traffic counts of one [`DiskHalf`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCounters {
@@ -343,16 +273,16 @@ struct OutstandingRecall {
     waiters: Vec<usize>,
 }
 
-/// The staging-disk state machine; see the module docs.
+/// The staging-disk state machine over one [`DiskCache`]; see the module docs.
 #[derive(Debug)]
-pub struct DiskHalf<C> {
+pub struct DiskHalf<'p> {
     cfg: SimConfig,
     path: DiskPath,
-    cache: C,
+    cache: DiskCache<'p>,
     refs: Vec<RefState>,
-    /// Recalls in flight (only with coalescing on): a dense arena
-    /// indexed by [`FileId`], grown on demand — `Some` exactly while a
-    /// recall for that file is outstanding.
+    /// Recalls in flight: a dense arena indexed by [`FileId`], grown on
+    /// demand — `Some` exactly while a recall for that file is
+    /// outstanding.
     outstanding: Vec<Option<OutstandingRecall>>,
     /// Each file's tape tier, from the references' device annotations,
     /// in the same [`FileId`]-indexed arena layout.
@@ -367,9 +297,9 @@ pub struct DiskHalf<C> {
     counters: DiskCounters,
 }
 
-impl<C: StagingCache> DiskHalf<C> {
+impl<'p> DiskHalf<'p> {
     /// A disk half over `cfg`'s hardware with `cache` in its data path.
-    pub fn new(cfg: &SimConfig, cache: C) -> Self {
+    pub fn new(cfg: &SimConfig, cache: DiskCache<'p>) -> Self {
         DiskHalf {
             cfg: cfg.clone(),
             path: DiskPath::new(cfg),
@@ -385,7 +315,7 @@ impl<C: StagingCache> DiskHalf<C> {
     }
 
     /// The cache in the data path.
-    pub fn cache(&self) -> &C {
+    pub fn cache(&self) -> &DiskCache<'p> {
         &self.cache
     }
 
@@ -421,16 +351,16 @@ impl<C: StagingCache> DiskHalf<C> {
     /// Every tape write the admission causes goes out through `flush`
     /// with the time it joins its drive queue.
     ///
-    /// | cache says   | coalescing and a recall outstanding | otherwise |
-    /// |--------------|-------------------------------------|-----------|
-    /// | `Hit`        | disk hit                            | disk hit  |
-    /// | `DelayedHit` | delayed hit                         | recall    |
-    /// | `Miss`       | delayed hit                         | recall    |
+    /// | cache says   | a recall outstanding | otherwise |
+    /// |--------------|----------------------|-----------|
+    /// | `Hit`        | disk hit             | disk hit  |
+    /// | `DelayedHit` | delayed hit          | recall    |
+    /// | `Miss`       | delayed hit          | recall    |
     ///
     /// A `Miss` coalesces when the file was evicted (or bypassed the
     /// cache) while its recall is still in flight: the bytes are already
-    /// on the way. A `DelayedHit` pays its own fetch with coalescing
-    /// off, or when the recall the cache still counts on was abandoned.
+    /// on the way. A `DelayedHit` pays its own fetch when the recall the
+    /// cache still counts on was abandoned.
     pub fn arrive<H: DiskHost, E>(
         &mut self,
         pr: &PreparedRef,
@@ -453,11 +383,19 @@ impl<C: StagingCache> DiskHalf<C> {
         // it at the next purge. Latency-blind policies ignore the hint,
         // which keeps their closed loop exactly equal to open loop.
         let est = self.feedback.estimate(tape.device(), pr.size);
+        self.cache.set_est_miss_wait_s(est);
         let mut ops = mem::take(&mut self.ops);
         ops.clear();
-        let coalescing = self.cfg.recall_coalescing;
-        let joinable = coalescing && self.outstanding[file].is_some();
-        let (served, device) = match self.cache.classify(pr, est, &mut ops) {
+        let joinable = self.outstanding[file].is_some();
+        let (id, size, time, next_use) = (pr.id, pr.size, pr.time, pr.next_use);
+        let sink = &mut |op| ops.push(op);
+        let read = if pr.write {
+            self.cache.write_with(id, size, time, next_use, sink);
+            None
+        } else {
+            Some(self.cache.read_with(id, size, time, next_use, sink))
+        };
+        let (served, device) = match read {
             None => (ServedBy::DiskWrite, DeviceClass::Disk),
             Some(ReadResult::Hit) => (ServedBy::DiskHit, DeviceClass::Disk),
             Some(_) if joinable => (ServedBy::DelayedHit, tape.device()),
@@ -545,7 +483,7 @@ impl<C: StagingCache> DiskHalf<C> {
                 self.cfg.mscp_overhead_sigma,
             );
             host.schedule(t_ms + d, DiskEv::Dispatch(i));
-            if served == ServedBy::Recall && coalescing {
+            if served == ServedBy::Recall {
                 self.outstanding[file] = Some(OutstandingRecall::default());
             }
         }
@@ -807,8 +745,6 @@ mod tests {
         assert_eq!(disk.first_bytes[n + 1], (n + 1, freed + 40));
     }
 
-    type Half<'p> = DiskHalf<DiskCache<'p>>;
-
     /// A host with a queue of its own that records what it hears — the
     /// shape of the live daemon, minus the sockets. The tape half is
     /// whatever the test scripts through the link-facing calls.
@@ -829,7 +765,7 @@ mod tests {
             }
         }
 
-        fn arrive(&mut self, half: &mut Half, pr: PreparedRef) -> usize {
+        fn arrive(&mut self, half: &mut DiskHalf, pr: PreparedRef) -> usize {
             half.arrive(&pr, self, |host, order, at| {
                 host.flushes.push((order, at));
                 Ok::<(), Infallible>(())
@@ -839,7 +775,7 @@ mod tests {
 
         /// Runs every event at or before `until`; returns the recalls
         /// dispatched on the way.
-        fn advance(&mut self, half: &mut Half, until: SimMs) -> Vec<RecallOrder> {
+        fn advance(&mut self, half: &mut DiskHalf, until: SimMs) -> Vec<RecallOrder> {
             let mut issued = Vec::new();
             while let Some((now, ev)) = self.queue.pop_due(until) {
                 issued.extend(half.handle(now, ev, self));
@@ -867,7 +803,7 @@ mod tests {
         }
     }
 
-    fn half<'p>(policy: &'p Lru, capacity: u64, eager_writeback: bool) -> Half<'p> {
+    fn half<'p>(policy: &'p Lru, capacity: u64, eager_writeback: bool) -> DiskHalf<'p> {
         let cache = CacheConfig {
             capacity,
             high_watermark: 0.9,
@@ -957,7 +893,7 @@ mod tests {
     /// Three dirty files, then a 500-byte newcomer: two victims go
     /// while usage is above the high mark (stall flushes), the third
     /// below it (a purge flush).
-    fn three_dirty_files(half: &mut Half, host: &mut Recorder) {
+    fn three_dirty_files(half: &mut DiskHalf, host: &mut Recorder) {
         for (id, size) in [(0, 300), (1, 300), (2, 250)] {
             host.arrive(half, write(id, i64::from(id), size));
         }

@@ -345,7 +345,7 @@ struct Engine<'p> {
 /// are hosted on — and so the listener the tape half reports to.
 struct Front<'p> {
     host: Host,
-    disk: DiskHalf<DiskCache<'p>>,
+    disk: DiskHalf<'p>,
 }
 
 /// The merged event queue, the one noise sampler, and the wait
@@ -705,24 +705,6 @@ mod tests {
                 o.wait_s
             );
         }
-    }
-
-    #[test]
-    fn coalescing_off_issues_independent_fetches() {
-        let refs: Vec<PreparedRef> = (0..4).map(|k| silo_read(7, k, 40_000_000)).collect();
-        let lru = Lru;
-        let cfg = SimConfig {
-            recall_coalescing: false,
-            ..SimConfig::uncontended()
-        };
-        let m = HierarchySimulator::new(cfg).run(cache_cfg(1 << 30), &lru, &refs);
-        // The first miss inserts the file; later references are delayed
-        // hits at the cache but each pays its own fetch.
-        assert_eq!(m.recalls, 4);
-        assert_eq!(m.delayed_hits, 0);
-        // Cache decisions are unchanged by the engine knob.
-        assert_eq!(m.cache.read_misses, 1);
-        assert_eq!(m.cache.read_hits, 3);
     }
 
     #[test]

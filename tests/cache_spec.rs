@@ -7,7 +7,8 @@
 //!   monotone clocks and one step backwards, with recalls landing late
 //!   so delayed hits occur;
 //! * `mrc::sweep_capacities`, point by point;
-//! * `ShardedCache` at one shard, under a per-reference estimate.
+//! * `DiskCache` under an estimate republished before every reference,
+//!   as `DiskHalf::arrive` does in every host, the live daemon included.
 //!
 //! The policies come from `standard_suite()` (+ `Belady`), so a newly
 //! shipped policy is held to the spec without editing this file. The
@@ -23,7 +24,6 @@ use fmig_migrate::mrc::sweep_capacities;
 use fmig_migrate::policy::{
     standard_suite, AffinePriority, Belady, Fifo, FileView, Lru, MigrationPolicy, Stp,
 };
-use fmig_migrate::shard::ShardedCache;
 use fmig_trace::{DeviceClass, FileId};
 
 mod spec;
@@ -49,23 +49,6 @@ impl Cache for DiskCache<'_> {
     }
     fn snapshot(&self) -> (CacheStats, u64, usize) {
         (*self.stats(), self.usage(), self.len())
-    }
-}
-
-impl Cache for ShardedCache<'_> {
-    fn reference(&mut self, r: &SpecRef, est: f64, ops: &mut Vec<CacheOp>) -> Option<ReadResult> {
-        let mut sink = |op| ops.push(op);
-        if r.write {
-            self.write_with(r.id, r.size, r.time, r.next_use, est, &mut sink);
-            return None;
-        }
-        Some(self.read_with(r.id, r.size, r.time, r.next_use, est, &mut sink))
-    }
-    fn landed(&mut self, id: FileId) -> bool {
-        self.fetch_complete(id)
-    }
-    fn snapshot(&self) -> (CacheStats, u64, usize) {
-        (self.stats(), self.usage(), self.len())
     }
 }
 
@@ -248,15 +231,16 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
 }
 
 #[test]
-fn a_sharded_cache_at_one_shard_equals_the_spec() {
+fn a_disk_cache_under_a_per_reference_estimate_equals_the_spec() {
     let refs = seeded_stream(0xD15C, 2_000, 300, 200_000, false);
     for eager in [true, false] {
         for policy in all_policies() {
             let (config, policy) = (config(200_000, eager), policy.as_ref());
             let want = drive(&mut SpecCache::new(config, policy), &refs, 1, true);
-            let got = drive(&mut ShardedCache::new(config, policy, 1), &refs, 1, true);
+            let got = drive(&mut DiskCache::new(config, policy), &refs, 1, true);
             assert!(want.stats.evictions > 0 && want.results.contains(&ReadResult::DelayedHit));
-            assert_same(&got, &want, &format!("{} at one shard", policy.name()));
+            let what = format!("{} under a per-reference estimate", policy.name());
+            assert_same(&got, &want, &what);
         }
     }
 }

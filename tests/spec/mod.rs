@@ -1,9 +1,9 @@
 //! The staging-disk cache, specified: what a reference does, and what a
 //! purge does, written once and deliberately naively. This module is the
 //! reference statement of the purge semantics; `DiskCache` (in each
-//! `EvictionMode`, i.e. `rank::Ranking` in each regime), the MRC stacks,
-//! `ShardedCache` and the store's row stream are each held to it, bit
-//! for bit, by `tests/cache_spec.rs`, `tests/dense_identity.rs` and
+//! `EvictionMode`, i.e. `rank::Ranking` in each regime, and under the
+//! per-reference estimate every `DiskHalf` host publishes), the MRC
+//! stacks and the store's row stream are each held to it, bit for bit, by `tests/cache_spec.rs`, `tests/dense_identity.rs` and
 //! `tests/ingest_fixtures.rs`. Shared by `mod spec;`, linked into no
 //! binary, and built from plain data and `&dyn MigrationPolicy` alone:
 //! residents are a `Vec` found by linear search, usage is a sum over it,
