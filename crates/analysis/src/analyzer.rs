@@ -7,7 +7,6 @@
 
 use fmig_trace::{TraceRecord, TraceStats};
 
-use crate::attribution::Attribution;
 use crate::dirs::DirStats;
 use crate::filetrack::FileTracker;
 use crate::interref::GapTracker;
@@ -36,8 +35,6 @@ pub struct Analyzer {
     pub dirs: DirStats,
     /// Figure 3 / Table 3 latency rows (needs annotated latencies).
     pub latency: LatencyAnalysis,
-    /// §5.2 human/machine attribution of each direction.
-    pub attribution: Attribution,
 }
 
 impl Analyzer {
@@ -60,7 +57,6 @@ impl Analyzer {
         self.dynamic_sizes.observe(rec);
         self.dirs.observe(rec);
         self.latency.observe(rec);
-        self.attribution.observe(rec);
     }
 
     /// Convenience: analyzes an entire record stream.

@@ -15,8 +15,8 @@
 //! | Figure 11 (static sizes) | [`filetrack`] |
 //! | Figure 12 (directories) | [`dirs`] |
 //!
-//! [`report`] renders text tables and ASCII CDF plots for the `repro`
-//! harness.
+//! [`availability`] scores the sweep's fault cells, and [`report`]
+//! renders text tables and ASCII CDF plots for the `repro` harness.
 //!
 //! # Examples
 //!
@@ -34,7 +34,6 @@
 //! ```
 
 pub mod analyzer;
-pub mod attribution;
 pub mod availability;
 pub mod dirs;
 pub mod filetrack;
@@ -46,7 +45,6 @@ pub mod sizes;
 pub mod timeseries;
 
 pub use analyzer::Analyzer;
-pub use attribution::Attribution;
 pub use availability::{AvailabilityReport, AvailabilityRow};
 pub use dirs::DirStats;
 pub use filetrack::{FileTracker, IdFileTracker};

@@ -5,11 +5,10 @@
 //! repro sweep [--preset tiny|small|large|huge] [--latency] [--faults S1,S2,...] [--out PATH]
 //! ```
 //!
-//! Experiments: table1..table4, fig3..fig12, topology, policies, dedup,
-//! dividing, writeback, prefetch. `all` runs everything (EXPERIMENTS.md
-//! is produced from this output). Scale 1.0 reproduces the full two-year
-//! trace volume (~3.5 M references); the default 0.05 keeps runtime and
-//! memory modest while preserving every distribution's shape.
+//! `repro list` prints every experiment id in paper order; `all` runs
+//! them all. Scale 1.0 reproduces the full two-year trace volume
+//! (~3.5 M references); the default 0.05 keeps runtime and memory
+//! modest while preserving every distribution's shape.
 //!
 //! `sweep` runs the parallel scenario-sweep engine once and writes the
 //! deterministic [`fmig_core::sweep`] report as JSON: the same bytes for

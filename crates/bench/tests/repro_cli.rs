@@ -2,8 +2,9 @@
 //!
 //! * `repro sweep` writes exactly the report `run_sweep` returns: the
 //!   same golden fixtures `tests/golden_report.rs` holds the library to;
-//! * a bad flag or a missing store is a one-line reason plus the usage
-//!   text and a non-zero exit, never a panic;
+//! * `repro list` names the paper's experiments, in paper order;
+//! * a bad flag, an unknown experiment or a missing store is a one-line
+//!   reason plus the usage text and a non-zero exit, never a panic;
 //! * a reader that goes away (`repro all | head`) ends the run cleanly.
 
 use std::path::PathBuf;
@@ -74,6 +75,37 @@ fn bad_sweep_arguments_fail_with_a_reason_and_no_panic() {
         let first = stderr.lines().next().unwrap_or("");
         assert!(first.contains(reason), "{args:?}: first line {first:?}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn list_prints_the_paper_experiments_in_order() {
+    let run = repro(&["list"]);
+    assert!(run.status.success());
+    let ids = "topology table1 table2 table3 table4 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
+               fig11 fig12 policies dedup dividing writeback";
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout),
+        ids.replace(' ', "\n") + "\n"
+    );
+}
+
+#[test]
+fn an_unknown_experiment_fails_before_generating_a_study() {
+    for id in [
+        "prefetch",
+        "residency",
+        "cutthrough",
+        "attribution",
+        "striping",
+    ] {
+        let run = repro(&["--scale", "0.002", "--no-sim", id]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{id}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert_eq!(first, format!("unknown experiment `{id}`"));
+        assert!(!stderr.contains("panicked"), "{id}: {stderr}");
+        assert!(!stderr.contains("generating study"), "{id}: {stderr}");
     }
 }
 

@@ -1,23 +1,20 @@
 //! The experiment registry: one entry per table and figure of the paper,
-//! plus the §6 design-implication studies.
+//! plus §6's four design-implication studies (the policy comparison,
+//! eight-hour dedup, the dividing point and write-behind).
 //!
 //! Every experiment renders a text report and a set of paper-vs-measured
-//! [`Comparison`] rows; `repro <id>` prints them and EXPERIMENTS.md
-//! records them. Absolute magnitudes depend on the synthetic substrate,
+//! [`Comparison`] rows; `repro <id>` prints them and `repro list` names
+//! every id. Absolute magnitudes depend on the synthetic substrate,
 //! so the comparisons focus on the *shape* claims the paper actually
 //! makes (shares, ratios, crossover points, orderings).
 
 use fmig_analysis::report::{ascii_cdf, fmt_count, fmt_f1, fmt_f2, fmt_pct, render_comparisons};
 use fmig_analysis::{Comparison, TextTable};
-use fmig_migrate::{
-    dedup, dividing::DividingPointStudy, eval, policy, prefetch, residency, writeback,
-};
-use fmig_sim::{cutthrough, striping};
+use fmig_migrate::{dedup, dividing::DividingPointStudy, eval, policy, writeback};
 use fmig_sim::{MssSimulator, SimConfig};
 use fmig_trace::time::{CivilDate, Timestamp, TRACE_EPOCH};
 use fmig_trace::{DeviceClass, Direction, Endpoint, TraceRecord, TraceWriter, VerboseLogWriter};
 use fmig_workload::rate::{READ_DIURNAL, READ_WEEKLY};
-use rand::SeedableRng;
 
 use crate::study::StudyOutput;
 
@@ -46,68 +43,67 @@ impl ExperimentResult {
     }
 }
 
+/// Renders one experiment from a completed study.
+type Renderer = fn(&StudyOutput) -> ExperimentResult;
+
+/// The registry: every experiment id and its renderer, in paper order.
+const EXPERIMENTS: &[(&str, Renderer)] = &[
+    ("topology", topology),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("policies", policies),
+    ("dedup", dedup_exp),
+    ("dividing", dividing_exp),
+    ("writeback", writeback_exp),
+];
+
+/// The ids of [`EXPERIMENTS`], in its order.
+static IDS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
+
 /// All experiment ids, in paper order.
 pub fn experiment_ids() -> &'static [&'static str] {
-    &[
-        "topology",
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "policies",
-        "dedup",
-        "dividing",
-        "writeback",
-        "prefetch",
-        "residency",
-        "cutthrough",
-        "attribution",
-        "striping",
-    ]
+    &IDS
 }
 
 /// Runs one experiment against a completed study.
 ///
 /// Returns `None` for unknown ids.
 pub fn run_experiment(id: &str, study: &StudyOutput) -> Option<ExperimentResult> {
-    let result = match id {
-        "topology" => topology(study),
-        "table1" => table1(study),
-        "table2" => table2(study),
-        "table3" => table3(study),
-        "table4" => table4(study),
-        "fig3" => fig3(study),
-        "fig4" => fig4(study),
-        "fig5" => fig5(study),
-        "fig6" => fig6(study),
-        "fig7" => fig7(study),
-        "fig8" => fig8(study),
-        "fig9" => fig9(study),
-        "fig10" => fig10(study),
-        "fig11" => fig11(study),
-        "fig12" => fig12(study),
-        "policies" => policies(study),
-        "dedup" => dedup_exp(study),
-        "dividing" => dividing_exp(study),
-        "writeback" => writeback_exp(study),
-        "prefetch" => prefetch_exp(study),
-        "residency" => residency_exp(study),
-        "cutthrough" => cutthrough_exp(study),
-        "attribution" => attribution_exp(study),
-        "striping" => striping_exp(study),
-        _ => return None,
-    };
-    Some(result)
+    let &(key, render) = EXPERIMENTS.iter().find(|(key, _)| *key == id)?;
+    Some(ExperimentResult {
+        id: key.into(),
+        ..render(study)
+    })
+}
+
+/// A renderer's result; [`run_experiment`] stamps the registry id on it.
+fn rendered(title: &str, text: String, comparisons: Vec<Comparison>) -> ExperimentResult {
+    ExperimentResult {
+        id: String::new(),
+        title: title.into(),
+        text,
+        comparisons,
+    }
 }
 
 /// Figures 1–2: the storage pyramid and NCAR network as built here.
@@ -139,12 +135,7 @@ fn topology(study: &StudyOutput) -> ExperimentResult {
         sim.mscp_overhead_median_s,
         sim.movers,
     );
-    ExperimentResult {
-        id: "topology".into(),
-        title: "Figures 1-2: storage hierarchy and data path".into(),
-        text,
-        comparisons: vec![],
-    }
+    rendered("Figures 1-2: storage hierarchy and data path", text, vec![])
 }
 
 /// Table 1: device characteristics, measured on uncontended hardware.
@@ -221,12 +212,7 @@ fn table1(_study: &StudyOutput) -> ExperimentResult {
             lat[2] / lat[1].max(1e-9),
         ),
     ];
-    ExperimentResult {
-        id: "table1".into(),
-        title: "Table 1: storage device characteristics".into(),
-        text,
-        comparisons,
-    }
+    rendered("Table 1: storage device characteristics", text, comparisons)
 }
 
 /// Table 2: the trace format and its compaction ratio.
@@ -267,12 +253,11 @@ fn table2(study: &StudyOutput) -> ExperimentResult {
         per_rec,
     );
     let comparisons = vec![Comparison::new("log-to-trace compaction ratio", 4.8, ratio)];
-    ExperimentResult {
-        id: "table2".into(),
-        title: "Table 2: trace record format and compaction".into(),
+    rendered(
+        "Table 2: trace record format and compaction",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Table 3: overall trace statistics.
@@ -388,12 +373,7 @@ fn table3(study: &StudyOutput) -> ExperimentResult {
             lat.direction_mean(Direction::Write) / lat.direction_mean(Direction::Read).max(1e-9),
         ),
     ];
-    ExperimentResult {
-        id: "table3".into(),
-        title: "Table 3: overall trace statistics".into(),
-        text,
-        comparisons,
-    }
+    rendered("Table 3: overall trace statistics", text, comparisons)
 }
 
 /// Table 4: the referenced file store.
@@ -460,12 +440,11 @@ fn table4(study: &StudyOutput) -> ExperimentResult {
             files.total_bytes() as f64 / 1e12,
         ),
     ];
-    ExperimentResult {
-        id: "table4".into(),
-        title: "Table 4: statistics of the referenced file store".into(),
-        text: t.render(),
+    rendered(
+        "Table 4: statistics of the referenced file store",
+        t.render(),
         comparisons,
-    }
+    )
 }
 
 /// Figure 3: latency to first byte per device.
@@ -509,12 +488,11 @@ fn fig3(study: &StudyOutput) -> ExperimentResult {
             1.0 - lat.device_fraction_le(DeviceClass::TapeSilo, 400.0),
         ),
     ];
-    ExperimentResult {
-        id: "fig3".into(),
-        title: "Figure 3: latency to first byte by device".into(),
+    rendered(
+        "Figure 3: latency to first byte by device",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 4: data rate over the day.
@@ -554,12 +532,11 @@ fn fig4(study: &StudyOutput) -> ExperimentResult {
             read_series[10] / write_series[10].max(1e-9),
         ),
     ];
-    ExperimentResult {
-        id: "fig4".into(),
-        title: "Figure 4: average data transfer rate over a day".into(),
+    rendered(
+        "Figure 4: average data transfer rate over a day",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 5: data rate over the week.
@@ -588,12 +565,11 @@ fn fig5(study: &StudyOutput) -> ExperimentResult {
         Comparison::new("weekend/weekday read rate", paper_read_weekend, read_ratio),
         Comparison::new("weekend/weekday write rate", 0.97, write_ratio),
     ];
-    ExperimentResult {
-        id: "fig5".into(),
-        title: "Figure 5: average data transfer rate over a week".into(),
+    rendered(
+        "Figure 5: average data transfer rate over a week",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 6: two-year weekly series with growth and holiday dips.
@@ -639,12 +615,11 @@ fn fig6(study: &StudyOutput) -> ExperimentResult {
         Comparison::new("mean holiday read dip", 0.75, read_dip_sum / 4.0),
         Comparison::new("mean holiday write dip", 1.0, write_dip_sum / 4.0),
     ];
-    ExperimentResult {
-        id: "fig6".into(),
-        title: "Figure 6: weekly data rate across the two-year trace".into(),
+    rendered(
+        "Figure 6: weekly data rate across the two-year trace",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 7: intervals between MSS requests.
@@ -673,12 +648,11 @@ fn fig7(study: &StudyOutput) -> ExperimentResult {
             g.mean_gap_s(),
         ),
     ];
-    ExperimentResult {
-        id: "fig7".into(),
-        title: "Figure 7: intervals between Cray references to the MSS".into(),
+    rendered(
+        "Figure 7: intervals between Cray references to the MSS",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 8: per-file reference counts.
@@ -752,12 +726,11 @@ fn fig8(study: &StudyOutput) -> ExperimentResult {
         ),
         Comparison::new("median reference count", 1.0, f.median_references() as f64),
     ];
-    ExperimentResult {
-        id: "fig8".into(),
-        title: "Figure 8: distribution of file reference counts".into(),
+    rendered(
+        "Figure 8: distribution of file reference counts",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 9: per-file interreference intervals.
@@ -793,12 +766,11 @@ fn fig9(study: &StudyOutput) -> ExperimentResult {
             f64::from(over_100d > 0.005),
         ),
     ];
-    ExperimentResult {
-        id: "fig9".into(),
-        title: "Figure 9: intervals between references to the same file".into(),
+    rendered(
+        "Figure 9: intervals between references to the same file",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 10: dynamic (per-access) size distribution.
@@ -837,12 +809,11 @@ fn fig10(study: &StudyOutput) -> ExperimentResult {
                 - d.histogram(Direction::Write).fraction_le(5e6),
         ),
     ];
-    ExperimentResult {
-        id: "fig10".into(),
-        title: "Figure 10: size distribution of transfers".into(),
+    rendered(
+        "Figure 10: size distribution of transfers",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 11: static (per-file) size distribution.
@@ -880,12 +851,11 @@ fn fig11(study: &StudyOutput) -> ExperimentResult {
             h.mean() / 1e6,
         ),
     ];
-    ExperimentResult {
-        id: "fig11".into(),
-        title: "Figure 11: distribution of file sizes on the MSS".into(),
+    rendered(
+        "Figure 11: distribution of file sizes on the MSS",
         text,
         comparisons,
-    }
+    )
 }
 
 /// Figure 12: directory sizes.
@@ -935,12 +905,11 @@ fn fig12(study: &StudyOutput) -> ExperimentResult {
             d.files_in_dirs_larger_than(100),
         ),
     ];
-    ExperimentResult {
-        id: "fig12".into(),
-        title: "Figure 12: distribution of directory sizes".into(),
+    rendered(
+        "Figure 12: distribution of directory sizes",
         text,
         comparisons,
-    }
+    )
 }
 
 /// §6-a: migration policy comparison.
@@ -1003,12 +972,11 @@ fn policies(study: &StudyOutput) -> ExperimentResult {
             best.miss_ratio / stp.miss_ratio.max(1e-9),
         ),
     ];
-    ExperimentResult {
-        id: "policies".into(),
-        title: "§6-a: migration policy comparison (Smith/Lawrie rerun)".into(),
+    rendered(
+        "§6-a: migration policy comparison (Smith/Lawrie rerun)",
         text,
         comparisons,
-    }
+    )
 }
 
 /// §6-b: eight-hour request deduplication.
@@ -1038,12 +1006,7 @@ fn dedup_exp(study: &StudyOutput) -> ExperimentResult {
         study.targets.requests_within_8h_of_same_file,
         eight.savings(),
     )];
-    ExperimentResult {
-        id: "dedup".into(),
-        title: "§6-b: same-file request deduplication".into(),
-        text,
-        comparisons,
-    }
+    rendered("§6-b: same-file request deduplication", text, comparisons)
 }
 
 /// §6-c: the disk/tape dividing point.
@@ -1083,7 +1046,7 @@ fn dividing_exp(study: &StudyOutput) -> ExperimentResult {
             },
         ]);
     }
-    let best = s.best_feasible(&static_sizes, &access_sizes, &thresholds);
+    let best = DividingPointStudy::best_feasible(&rows);
     let best_mb = best.map(|b| b.threshold / 1_000_000).unwrap_or(0);
     let text = format!(
         "{}\nbest feasible threshold under STATIC placement: {} MB.\n\
@@ -1110,12 +1073,7 @@ fn dividing_exp(study: &StudyOutput) -> ExperimentResult {
             ),
         ),
     ];
-    ExperimentResult {
-        id: "dividing".into(),
-        title: "§6-c: the disk/tape dividing point".into(),
-        text,
-        comparisons,
-    }
+    rendered("§6-c: the disk/tape dividing point", text, comparisons)
 }
 
 /// §6-d: lazy write-behind.
@@ -1168,265 +1126,9 @@ fn writeback_exp(study: &StudyOutput) -> ExperimentResult {
         Comparison::new("writes flushed at night", 0.90, report.night_fraction),
         Comparison::new("perceived write wait after write-behind (s)", 0.0, 0.0),
     ];
-    ExperimentResult {
-        id: "writeback".into(),
-        title: "§6-d: lazy write-behind and read-optimised scheduling".into(),
+    rendered(
+        "§6-d: lazy write-behind and read-optimised scheduling",
         text,
         comparisons,
-    }
-}
-
-/// Bonus §6: sequential prefetch predictability.
-fn prefetch_exp(study: &StudyOutput) -> ExperimentResult {
-    let daily = prefetch::daily(study.records.iter());
-    let hourly = prefetch::analyze(study.records.iter(), 3600);
-    let text = format!(
-        "sequential (day-N -> day-N+1) predictability of reads:\n\
-         24-hour window: {} of {} reads predicted ({}), waste {}\n\
-         1-hour window:  {} predicted ({})\n",
-        fmt_count(daily.predicted),
-        fmt_count(daily.reads),
-        fmt_pct(daily.hit_fraction()),
-        fmt_pct(daily.waste_fraction()),
-        fmt_count(hourly.predicted),
-        fmt_pct(hourly.hit_fraction()),
-    );
-    let comparisons = vec![
-        // The paper argues sessions step through sequential dataset
-        // files; a sizeable fraction of reads should be predictable.
-        Comparison::new("sequentially predictable reads", 0.3, daily.hit_fraction()),
-    ];
-    ExperimentResult {
-        id: "prefetch".into(),
-        title: "§6: sequential prefetch predictability".into(),
-        text,
-        comparisons,
-    }
-}
-
-/// Extension: the MSS-internal residency-window study (§3.1, §6).
-fn residency_exp(study: &StudyOutput) -> ExperimentResult {
-    let cost = residency::ResidencyCostModel::ncar();
-    let sweep = residency::window_sweep(
-        &study.records,
-        &[5.0, 15.0, 30.0, 60.0, 120.0, 240.0],
-        &cost,
-    );
-    let mut t = TextTable::new([
-        "disk window",
-        "disk share",
-        "silo share",
-        "shelf share",
-        "mean response (s)",
-        "peak staging",
-    ]);
-    for (days, out) in &sweep {
-        t.row([
-            format!("{days:.0} d"),
-            fmt_pct(out.share(DeviceClass::Disk)),
-            fmt_pct(out.share(DeviceClass::TapeSilo)),
-            fmt_pct(out.share(DeviceClass::TapeManual)),
-            fmt_f1(out.mean_response_s),
-            format!("{:.2} GB", out.peak_disk_bytes as f64 / 1e9),
-        ]);
-    }
-    // NCAR's observed shares (Table 3) arise from windows near 60 days.
-    let near_ncar = &sweep[3].1;
-    let budget_gb = 100.0 * study.config.workload.scale;
-    let feasible_window = sweep
-        .iter()
-        .rev()
-        .find(|(_, o)| o.peak_disk_bytes as f64 / 1e9 <= budget_gb)
-        .map(|(d, _)| *d)
-        .unwrap_or(0.0);
-    let text = format!(
-        "{}\nAt the ~60-day window the replayed shares approximate Table 3's\n\
-         read mix. The (scaled) 100 GB staging farm here is {budget_gb:.1} GB,\n\
-         which affords a window of about {feasible_window:.0} days — the\n\
-         response/staging trade-off the internal migration policy walks.\n",
-        t.render(),
-    );
-    let peaks_monotone = sweep
-        .windows(2)
-        .all(|w| w[1].1.peak_disk_bytes >= w[0].1.peak_disk_bytes);
-    let responses_monotone = sweep
-        .windows(2)
-        .all(|w| w[1].1.mean_response_s <= w[0].1.mean_response_s + 1e-9);
-    let comparisons = vec![
-        Comparison::new(
-            "disk read share at 60-day window",
-            0.61,
-            near_ncar.share(DeviceClass::Disk),
-        ),
-        Comparison::new(
-            "shelf read share at 60-day window",
-            0.19,
-            near_ncar.share(DeviceClass::TapeManual),
-        ),
-        Comparison::new(
-            "staging grows with the window",
-            1.0,
-            f64::from(peaks_monotone),
-        ),
-        Comparison::new(
-            "response improves with the window",
-            1.0,
-            f64::from(responses_monotone),
-        ),
-    ];
-    ExperimentResult {
-        id: "residency".into(),
-        title: "Extension: MSS-internal residency-window migration".into(),
-        text,
-        comparisons,
-    }
-}
-
-/// Extension: §5.1.1's cut-through overlap optimization.
-fn cutthrough_exp(study: &StudyOutput) -> ExperimentResult {
-    let viz = cutthrough::CutThroughModel::visualization();
-    let fast = cutthrough::CutThroughModel {
-        consume_bps: 5.0e6,
-        setup_s: 0.5,
-    };
-    let viz_report = cutthrough::analyze(study.records.iter(), &viz);
-    let fast_report = cutthrough::analyze(study.records.iter(), &fast);
-    let mut t = TextTable::new(["consumer", "stall without (s)", "stall with (s)", "speedup"]);
-    for (label, r) in [
-        ("1 MB/s (visualization)", &viz_report),
-        ("5 MB/s (copy)", &fast_report),
-    ] {
-        t.row([
-            label.to_string(),
-            fmt_f1(r.mean_stall_without_s),
-            fmt_f1(r.mean_stall_with_s),
-            format!("{:.2}x", r.speedup()),
-        ]);
-    }
-    let text = format!(
-        "{}\nCut-through returns from open immediately and overlaps the\n\
-         application with the staging transfer; it helps exactly because\n\
-         \"applications often do not read data as fast as the MSS can\n\
-         deliver it\" (§5.1.1).\n",
-        t.render()
-    );
-    let comparisons = vec![
-        Comparison::new(
-            "cut-through speedup (1 MB/s consumer)",
-            1.4,
-            viz_report.speedup(),
-        ),
-        Comparison::new(
-            "speedup shrinks for faster consumers",
-            1.0,
-            f64::from(fast_report.speedup() <= viz_report.speedup() + 1e-9),
-        ),
-    ];
-    ExperimentResult {
-        id: "cutthrough".into(),
-        title: "Extension: cut-through read overlap (§5.1.1)".into(),
-        text,
-        comparisons,
-    }
-}
-
-/// Extension: explicit human/machine attribution (§5.2).
-fn attribution_exp(study: &StudyOutput) -> ExperimentResult {
-    let a = &study.analysis.attribution;
-    let read_human = a.human_share(Direction::Read);
-    let write_human = a.human_share(Direction::Write);
-    let text = format!(
-        "Decomposing each direction's hourly profile into a flat machine\n\
-         floor plus a human-shaped surplus:\n\n\
-         \x20 reads : {} human-attributed ({} machine floor)\n\
-         \x20 writes: {} human-attributed\n\n\
-         The paper's inference — reads are human-driven, writes machine-\n\
-         driven — appears as a large human share for reads and a small\n\
-         one for writes.\n",
-        fmt_pct(read_human),
-        fmt_count(a.machine_floor(Direction::Read)),
-        fmt_pct(write_human),
-    );
-    let comparisons = vec![
-        Comparison::new("human share of reads", 0.7, read_human),
-        Comparison::new("human share of writes", 0.25, write_human),
-        Comparison::new(
-            "reads more human than writes",
-            1.0,
-            f64::from(read_human > write_human),
-        ),
-    ];
-    ExperimentResult {
-        id: "attribution".into(),
-        title: "Extension: human vs machine request attribution (§5.2)".into(),
-        text,
-        comparisons,
-    }
-}
-
-/// Extension: striped tape arrays (the paper's reference [4]).
-fn striping_exp(study: &StudyOutput) -> ExperimentResult {
-    let s = striping::StripingStudy::new(study.config.sim.clone());
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(study.config.workload.seed ^ 0x57);
-    // The tape-read population: accesses that actually hit tape.
-    let tape_sizes: Vec<u64> = study
-        .records
-        .iter()
-        .filter(|r| {
-            r.is_ok()
-                && r.direction() == Direction::Read
-                && r.mss_device() != Some(DeviceClass::Disk)
-        })
-        .map(|r| r.file_size)
-        .collect();
-    let sample: Vec<u64> = tape_sizes.iter().copied().take(20_000).collect();
-    let rows = s.sweep(&mut rng, &sample, &[1, 2, 4, 8]);
-    let mut t = TextTable::new([
-        "stripe width",
-        "mean response (s)",
-        "first byte (s)",
-        "drive-s/access",
-    ]);
-    for r in &rows {
-        t.row([
-            r.width.to_string(),
-            fmt_f1(r.mean_response_s),
-            fmt_f1(r.mean_first_byte_s),
-            fmt_f1(r.mean_drive_seconds),
-        ]);
-    }
-    let be2 = s.break_even_size(2);
-    let text = format!(
-        "{}\nOver today's tape-read mix (mean {:.0} MB), striping width 2 breaks\n\
-         even at {:.0} MB: mounts and worst-of-k seeks eat the bandwidth win\n\
-         below that. Wider arrays trade drive-seconds for response time —\n\
-         reference [4]'s design point for the next generation of MSS.\n",
-        t.render(),
-        sample.iter().map(|&x| x as f64).sum::<f64>() / sample.len().max(1) as f64 / 1e6,
-        be2 / 1e6,
-    );
-    let w1 = rows[0].mean_response_s;
-    let w2 = rows[1].mean_response_s;
-    let comparisons = vec![
-        // With ~70 MB average tape reads near the 2-wide break-even, the
-        // response change from striping is small either way.
-        Comparison::new("2-wide over 1-wide response ratio", 1.0, w2 / w1.max(1e-9)),
-        // Analytic: extra worst-of-2 seek (~13 s) over the halved
-        // per-byte time at 2.2 MB/s gives ~59 MB.
-        Comparison::new("2-wide break-even (MB)", 59.0, be2 / 1e6),
-        Comparison::new(
-            "drive cost grows with width",
-            1.0,
-            f64::from(
-                rows.windows(2)
-                    .all(|w| w[1].mean_drive_seconds > w[0].mean_drive_seconds),
-            ),
-        ),
-    ];
-    ExperimentResult {
-        id: "striping".into(),
-        title: "Extension: striped tape arrays (ref [4])".into(),
-        text,
-        comparisons,
-    }
+    )
 }

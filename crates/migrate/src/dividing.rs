@@ -116,22 +116,15 @@ impl DividingPointStudy {
             .collect()
     }
 
-    /// The largest feasible threshold (best response time under the
-    /// budget, since response time is monotone in the threshold).
-    pub fn best_feasible(
-        &self,
-        static_sizes: &[u64],
-        access_sizes: &[u64],
-        thresholds: &[u64],
-    ) -> Option<DividingRow> {
-        self.sweep(static_sizes, access_sizes, thresholds)
-            .into_iter()
-            .filter(|r| r.feasible)
-            .min_by(|a, b| {
-                a.mean_response_s
-                    .partial_cmp(&b.mean_response_s)
-                    .expect("finite response times")
-            })
+    /// The feasible row of a [`sweep`](Self::sweep) with the best
+    /// response time: the largest feasible threshold, since response
+    /// time is monotone in the threshold.
+    pub fn best_feasible(rows: &[DividingRow]) -> Option<DividingRow> {
+        rows.iter().copied().filter(|r| r.feasible).min_by(|a, b| {
+            a.mean_response_s
+                .partial_cmp(&b.mean_response_s)
+                .expect("finite response times")
+        })
     }
 
     /// The break-even file size at which tape matches disk response
@@ -190,9 +183,7 @@ mod tests {
         let rows = s.sweep(&static_sizes, &static_sizes, &[6_000_000, 20_000_000]);
         assert!(rows[0].feasible, "9 MB resident fits 10 MB budget");
         assert!(!rows[1].feasible, "18 MB resident exceeds budget");
-        let best = s
-            .best_feasible(&static_sizes, &static_sizes, &[6_000_000, 20_000_000])
-            .unwrap();
+        let best = DividingPointStudy::best_feasible(&rows).unwrap();
         assert_eq!(best.threshold, 6_000_000);
     }
 

@@ -18,9 +18,7 @@
 //!   closed-loop engine publishes to latency-aware policies;
 //! * [`dedup`] — §6's eight-hour same-file request deduplication;
 //! * [`writeback`] — §6's lazy write-behind trace transformation;
-//! * [`prefetch`] — sequential (day-1 → day-2) prefetch predictability;
-//! * [`residency`] — the MSS-internal residency-window migration study;
-//! * [`dividing`] — the disk/tape dividing-point study.
+//! * [`dividing`] — §6's disk/tape dividing-point study.
 //!
 //! # Examples
 //!
@@ -43,9 +41,7 @@ pub mod eval;
 pub mod feedback;
 pub mod mrc;
 pub mod policy;
-pub mod prefetch;
 mod rank;
-pub mod residency;
 pub mod writeback;
 
 pub use cache::{
@@ -63,6 +59,4 @@ pub use policy::{
     aggregate_delay, standard_suite, AffinePriority, Belady, Fifo, FileView, LargestFirst, Lru,
     LruMad, MigrationPolicy, RandomEvict, Saac, SmallestFirst, Stp, StpLat,
 };
-pub use prefetch::PrefetchReport;
-pub use residency::{ResidencyCostModel, ResidencyOutcome, ResidencyPolicy};
 pub use writeback::{defer_writes, deferral_report, DeferralReport};

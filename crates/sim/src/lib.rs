@@ -16,8 +16,8 @@
 //! `fmig-serve`.
 //!
 //! Feeding the synthetic workload through [`MssSimulator`] regenerates
-//! Figure 3 (per-device latency CDFs) and the Table 3 latency rows, and
-//! supports the §6 ablations (write-behind, dividing point).
+//! Figure 3 (per-device latency CDFs) and the Table 3 latency rows; the
+//! §6-d write-behind study replays the deferred trace through it.
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod cutthrough;
 pub mod disk;
 pub mod event;
 pub mod fault;
@@ -49,15 +48,12 @@ pub mod metrics;
 pub mod noise;
 pub mod pool;
 pub mod sim;
-pub mod striping;
 pub mod tape;
 
 pub use config::SimConfig;
-pub use cutthrough::{CutThroughModel, CutThroughReport};
 pub use event::{EventQueue, SimMs};
 pub use fault::{FaultPlan, FaultSchedule, FaultTarget, OutageClause, SlowDriveClause};
 pub use hierarchy::{HierarchyMetrics, HierarchySimulator, RefOutcome, ServedBy};
 pub use metrics::{LatencyHistogram, Metrics, Utilisation};
 pub use pool::Pool;
 pub use sim::{MssSimulator, SimRun};
-pub use striping::{StripeRow, StripingStudy};

@@ -6,8 +6,8 @@
 //! `huge` preset scales (~10^6 distinct files, ~10^6..10^7 references)
 //! per-reference hashing is the dominant constant factor in the replay
 //! hot path. A dense id turns every per-file lookup in the cache, the
-//! MRC engine, the hierarchy engine, and residency replay into an array
-//! index. The single-pass MRC engine (PR 4) proved this locally with its
+//! MRC engine and the hierarchy engine into an array index. The
+//! single-pass MRC engine proved this locally with its
 //! private `IdMap`; this module is the workspace-wide generalization,
 //! and the per-module copies are gone.
 //!
@@ -73,11 +73,11 @@ impl From<FileId> for u64 {
 ///
 /// This is the single id-assignment authority for the workspace.
 /// Trace preparation interns each reference's MSS path through one of
-/// these; the workload generator interns its directory paths; residency
-/// replay interns per-file state. Ids are never reused for a different
-/// path, so an id is a stable name for the file for the lifetime of the
-/// table — arenas indexed by it may reuse *slots* when a file leaves
-/// and re-enters a cache, but the identity itself never aliases.
+/// these; the workload generator interns its directory paths. Ids are
+/// never reused for a different path, so an id is a stable name for the
+/// file for the lifetime of the table — arenas indexed by it may reuse
+/// *slots* when a file leaves and re-enters a cache, but the identity
+/// itself never aliases.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileTable {
     names: Vec<String>,

@@ -104,7 +104,8 @@ fn main() {
             "  {:>10} {:>16} {:>12} {:>10}",
             "threshold", "mean response", "disk bytes", "feasible"
         );
-        for row in study.sweep(&static_sizes, &access_sizes, &thresholds) {
+        let rows = study.sweep(&static_sizes, &access_sizes, &thresholds);
+        for row in &rows {
             println!(
                 "  {:>7} MB {:>14.1} s {:>9.2} GB {:>10}",
                 row.threshold / 1_000_000,
@@ -113,8 +114,7 @@ fn main() {
                 if row.feasible { "yes" } else { "no" }
             );
         }
-        let best = study.best_feasible(&static_sizes, &access_sizes, &thresholds);
-        match best {
+        match DividingPointStudy::best_feasible(&rows) {
             Some(b) => println!(
                 "  -> best feasible threshold: {} MB (NCAR ran 30 MB); tape hides its\n\
                  \x20    mount beyond {:.0} MB transfers",

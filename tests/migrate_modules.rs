@@ -1,11 +1,9 @@
-//! Dedicated integration coverage for the four `fmig-migrate` study
-//! modules that previously had none outside their own unit tests:
-//! request dedup (§6-b), sequential prefetch (§5.2.1), lazy write-behind
-//! (§6-d), and the disk/tape dividing point (§6-c). Each gets targeted
-//! scenario tests plus at least one property test over randomized
-//! traces.
+//! Dedicated integration coverage for the three `fmig-migrate` §6 study
+//! modules: request dedup (§6-b), the disk/tape dividing point (§6-c),
+//! and lazy write-behind (§6-d). Each gets targeted scenario tests plus
+//! at least one property test over randomized traces.
 
-use fmig_migrate::{dedup, dividing, prefetch, writeback};
+use fmig_migrate::{dedup, dividing, writeback};
 use fmig_trace::time::{HOUR, TRACE_EPOCH};
 use fmig_trace::{Direction, Endpoint, TraceRecord};
 use proptest::prelude::*;
@@ -90,46 +88,6 @@ proptest! {
         for pair in dedup::window_sweep(&records, &windows).windows(2) {
             prop_assert!(pair[1].duplicates >= pair[0].duplicates);
         }
-    }
-}
-
-// ------------------------------------------------------------- prefetch
-
-#[test]
-fn prefetch_credits_resumed_sequences_once_per_step() {
-    // day000..day004 read in order, then the sequence resumes after a
-    // long gap: the stale step must not be credited.
-    let mut records: Vec<_> = (0..5)
-        .map(|i| read(&format!("/ccm/day{i:03}"), i * 600))
-        .collect();
-    records.push(read("/ccm/day005", 5 * 600 + 72 * HOUR));
-    let r = prefetch::daily(records.iter());
-    assert_eq!(r.reads, 6);
-    assert_eq!(r.predicted, 4, "the post-gap step is stale");
-}
-
-proptest! {
-    /// Prefetch invariants: predictions and waste are bounded by the
-    /// read count, and the sequence parser round-trips any well-formed
-    /// `dir/stem###` path it could have produced.
-    #[test]
-    fn prefetch_counts_are_bounded_and_parser_round_trips(
-        steps in proptest::collection::vec((0u8..4, 0u8..14, any::<bool>()), 0..120),
-        seq in 0u64..100_000,
-        stem in "[a-z]{1,8}",
-    ) {
-        let records = random_trace(&steps);
-        let r = prefetch::analyze(records.iter(), 24 * HOUR);
-        prop_assert!(r.predicted <= r.reads);
-        prop_assert!(r.wasted <= r.reads);
-        prop_assert!((0.0..=1.0).contains(&r.hit_fraction()));
-        prop_assert!((0.0..=1.0).contains(&r.waste_fraction()));
-        // Round-trip: a canonical sequence path parses back exactly.
-        let path = format!("/a/b/{stem}{seq:05}");
-        prop_assert_eq!(
-            prefetch::sequence_of(&path),
-            Some(("/a/b", stem.as_str(), seq))
-        );
     }
 }
 
@@ -249,9 +207,7 @@ fn dividing_point_feasibility_is_monotone_in_the_threshold() {
         seen_infeasible |= !row.feasible;
     }
     assert!(seen_infeasible, "the budget must bind somewhere");
-    let best = study
-        .best_feasible(&static_sizes, &static_sizes, &thresholds)
-        .expect("a feasible row exists");
+    let best = dividing::DividingPointStudy::best_feasible(&rows).expect("a feasible row exists");
     assert!(best.feasible);
 }
 
@@ -281,7 +237,7 @@ proptest! {
                 prop_assert!(!pair[1].feasible);
             }
         }
-        if let Some(best) = study.best_feasible(&sizes, &sizes, &thresholds) {
+        if let Some(best) = dividing::DividingPointStudy::best_feasible(&rows) {
             prop_assert!(best.feasible);
             for row in rows.iter().filter(|r| r.feasible) {
                 prop_assert!(best.mean_response_s <= row.mean_response_s + 1e-9);
