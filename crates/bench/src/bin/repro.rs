@@ -3,6 +3,7 @@
 //! ```text
 //! repro [--scale S] [--seed N] [--no-sim] <experiment>|all|list
 //! repro sweep [--preset tiny|small|large|huge] [--latency] [--faults S1,S2,...] [--out PATH]
+//! repro sweep --trace STORE_DIR [--latency] [--faults S1,S2,...] [--out PATH]
 //! ```
 //!
 //! `repro list` prints every experiment id in paper order; `all` runs
@@ -73,7 +74,8 @@ fn usage() -> String {
         "usage: repro [--scale S] [--seed N] [--no-sim] <experiment>|all|list\n\
          \x20      repro sweep [--preset tiny|small|large|huge] [--workers N] [--seed N]\n\
          \x20                  [--latency] [--faults S1,S2,...] [--out PATH]\n\
-         \x20      repro sweep --trace STORE_DIR [--workers N] [--seed N] [--out PATH]\n\
+         \x20      repro sweep --trace STORE_DIR [--workers N] [--seed N]\n\
+         \x20                  [--latency] [--faults S1,S2,...] [--out PATH]\n\
          \x20      repro ingest --format msr|clf|ibm-kv --input PATH --out STORE_DIR\n\
          \x20                  [--sample K/M] [--sample-seed N] [--error-budget N]\n\
          \x20      repro ingest-gen --out PATH [--records N] [--files N]\n\
@@ -102,12 +104,13 @@ fn stdout_ok(written: std::io::Result<()>) -> Result<(), String> {
 /// `repro sweep`: run one scenario matrix through the sweep engine and
 /// write [`fmig_core::SweepReport::to_json`] to `--out`.
 ///
-/// The matrix is a generated preset (`--preset`, optionally closed-loop
-/// with `--latency` and widened with `--faults`) or, with `--trace`, the
-/// open-loop [`SweepConfig::imported`] matrix over a columnar store. An
-/// imported store is streamed chunk by chunk, so multi-GB traces replay
-/// under bounded memory. Either way the report is a pure function of the
-/// matrix and the seed: byte-identical at any worker count.
+/// The matrix is a generated preset (`--preset`) or, with `--trace`, the
+/// [`SweepConfig::imported`] matrix over a columnar store. Either one is
+/// closed-loop with `--latency` and widened with `--faults`. An imported
+/// store is streamed chunk by chunk; open-loop cells replay a multi-GB
+/// trace in O(files) memory, while closed-loop cells keep per-reference
+/// state. Either way the report is a pure function of the matrix and the
+/// seed: byte-identical at any worker count.
 fn run_sweep_command(args: &[String], _stdout: &mut StdoutLock) -> Result<(), String> {
     let mut preset: Option<String> = None;
     let mut workers = 0usize;
@@ -146,12 +149,8 @@ fn run_sweep_command(args: &[String], _stdout: &mut StdoutLock) -> Result<(), St
         }
     }
     let (label, mut config) = if let Some(dir) = &trace {
-        if preset.is_some() || latency || faults.is_some() {
-            return Err(
-                "--trace replays an imported store open-loop; it takes no --preset, \
-                 --latency, or --faults"
-                    .into(),
-            );
+        if preset.is_some() {
+            return Err("--trace replays an imported store; it takes no --preset".into());
         }
         // Open once up front for a friendly error and the progress line;
         // the runner re-opens per shard.

@@ -2,6 +2,8 @@
 //!
 //! * `repro sweep` writes exactly the report `run_sweep` returns: the
 //!   same golden fixtures `tests/golden_report.rs` holds the library to;
+//! * `repro sweep --trace` runs latency and fault cells over a store
+//!   `repro ingest` wrote;
 //! * `repro list` names the paper's experiments, in paper order;
 //! * a bad flag, an unknown experiment or a missing store is a one-line
 //!   reason plus the usage text and a non-zero exit, never a panic;
@@ -57,12 +59,69 @@ fn tiny_latency_sweep_writes_the_golden_closed_loop_report() {
     );
 }
 
+/// Imports the pinned MSR fixture with `repro ingest` and returns the
+/// store directory.
+fn fixture_store(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("fmig-repro-cli-store-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let input = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/ingest/msr_sample.csv");
+    let run = repro(&[
+        "ingest",
+        "--format",
+        "msr",
+        "--input",
+        input.to_str().expect("utf-8 path"),
+        "--out",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    dir
+}
+
+#[test]
+fn trace_sweep_runs_closed_loop_cells_under_faults() {
+    let store = fixture_store("closed");
+    let out = store.join("sweep.json");
+    let run = repro(&[
+        "sweep",
+        "--trace",
+        store.to_str().expect("utf-8 temp path"),
+        "--latency",
+        "--faults",
+        "none,degraded-peak",
+        "--out",
+        out.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let json = std::fs::read_to_string(&out).expect("sweep wrote --out");
+    assert!(json.contains("\"latency_mode\": true"), "{json}");
+    assert!(json.contains("\"fault\": \"degraded-peak\""), "{json}");
+    assert!(json.contains("\"degraded\": {"), "{json}");
+    std::fs::remove_dir_all(&store).expect("cleanup");
+}
+
 #[test]
 fn bad_sweep_arguments_fail_with_a_reason_and_no_panic() {
+    let store = fixture_store("preset");
+    let store_arg = store.to_str().expect("utf-8 temp path");
     for (args, reason) in [
         (
             &["sweep", "--trace", "/nonexistent"][..],
             "trace store /nonexistent",
+        ),
+        (
+            &["sweep", "--trace", store_arg, "--preset", "tiny"][..],
+            "--trace replays an imported store; it takes no --preset",
         ),
         (
             &["sweep", "--scaling"][..],
@@ -76,6 +135,7 @@ fn bad_sweep_arguments_fail_with_a_reason_and_no_panic() {
         assert!(first.contains(reason), "{args:?}: first line {first:?}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    std::fs::remove_dir_all(&store).expect("cleanup");
 }
 
 #[test]

@@ -16,7 +16,8 @@
 //!    ([`IdTracePrep`]). No path string is built, and the full annotated
 //!    `Vec<TraceRecord>` that [`crate::Study::run`] keeps for the
 //!    experiment registry is never materialized, which is what makes
-//!    wide matrices affordable.
+//!    wide matrices affordable. An imported shard instead opens its
+//!    columnar replay store and reads only the import-time census.
 //! 2. **Cell execution** — the matrix is split into *cell units* that
 //!    draw from one global queue: a closed-loop unit is a single
 //!    (fault, cache, policy) hierarchy-engine run, an open-loop unit is
@@ -27,6 +28,9 @@
 //!    scaling preset, or a latency sweep — still spreads across every
 //!    worker, and each unit's result lands in a pre-assigned slot that
 //!    phase 3's purely serial assembly reads back in matrix order.
+//!    Every unit reads its shard as one stream of [`PreparedRef`]s — the
+//!    in-memory slice of a generated shard or the chunked store of an
+//!    imported one — so either kind runs either unit.
 //!
 //! The assembled report is therefore a pure function of the config:
 //! any worker count yields byte-identical [`SweepReport::to_json`]
@@ -39,7 +43,8 @@ use std::sync::Mutex;
 use fmig_analysis::{IdFileTracker, LatencyAnalysis};
 use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedRef, PreparedTrace};
 use fmig_migrate::mrc::{sweep_capacities_streaming, MissRatioCurve};
-use fmig_sim::{HierarchySimulator, MssSimulator, SimConfig};
+use fmig_sim::fault::fault_horizon;
+use fmig_sim::{HierarchySimulator, MssSimulator, SimConfig, SimMs};
 use fmig_trace::ingest::store::{StoreReader, StoreRow, CHUNK_RECORDS};
 use fmig_trace::{Direction, IdRecord, TraceStats};
 use fmig_workload::{PaperTargets, Workload};
@@ -69,14 +74,6 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
         assert!(
             config.trace_store.is_some(),
             "the `imported` preset needs `trace_store` to point at a replay store"
-        );
-        assert!(
-            !config.latency
-                && config
-                    .fault_axis()
-                    .iter()
-                    .all(|&f| f == FaultScenarioId::None),
-            "imported traces replay open-loop only (no latency mode, no fault axis)"
         );
     }
     let coords: Vec<(usize, usize)> = (0..config.presets.len())
@@ -157,6 +154,9 @@ struct PreparedShard {
     paper_deltas: Vec<PaperDelta>,
     data: ShardData,
     capacities: Vec<u64>,
+    /// Fault-schedule horizon of the shard's references (virtual ms),
+    /// known before the stream is read.
+    horizon: (SimMs, SimMs),
 }
 
 /// Where a shard's replayable references live: in memory for generated
@@ -199,6 +199,9 @@ impl StoreRefStream {
 impl Iterator for StoreRefStream {
     type Item = PreparedRef;
 
+    // Both engines' per-reference loops call this, and with two callers
+    // the compiler stops inlining it on its own.
+    #[inline]
     fn next(&mut self) -> Option<PreparedRef> {
         if self.pos == self.buf.len() {
             let more = self
@@ -212,14 +215,7 @@ impl Iterator for StoreRefStream {
         }
         let row = self.buf[self.pos];
         self.pos += 1;
-        Some(PreparedRef {
-            id: row.file,
-            size: row.size,
-            write: row.write,
-            time: row.start,
-            next_use: row.next_use,
-            device: row.device,
-        })
+        Some(row.into())
     }
 }
 
@@ -263,6 +259,7 @@ fn prepare_imported_shard(
         paper_deltas: Vec::new(),
         data: ShardData::Imported(store),
         capacities,
+        horizon: fault_horizon(manifest.epoch, manifest.last),
     }
 }
 
@@ -313,6 +310,11 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
         requests.for_each(sink);
     }
     let prepared = prep.finish();
+    let refs = prepared.refs();
+    let horizon = fault_horizon(
+        refs.first().map_or(0, |r| r.time),
+        refs.last().map_or(0, |r| r.time),
+    );
     let capacities: Vec<u64> = config
         .cache_fractions
         .iter()
@@ -377,6 +379,7 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
         paper_deltas,
         data: ShardData::Generated(prepared),
         capacities,
+        horizon,
     }
 }
 
@@ -442,33 +445,43 @@ fn expand_units(config: &SweepConfig, shards: usize) -> Vec<CellUnit> {
     units
 }
 
-/// Executes one cell unit against its prepared shard.
+/// Executes one cell unit against its prepared shard. The shard kind is
+/// matched here, once, where its reference stream opens; both unit
+/// kinds then consume that stream through [`run_unit_over`].
 fn run_unit(
     config: &SweepConfig,
     unit: &CellUnit,
     shard: &PreparedShard,
     coords: &[(usize, usize)],
 ) -> UnitOutput {
-    let faults = config.fault_axis();
-    match *unit {
-        CellUnit::Curve { policy_idx, .. } => {
-            let base = EvalConfig::with_capacity(0);
-            let policy = config.policies[policy_idx].build();
-            UnitOutput::Curve(match &shard.data {
-                ShardData::Generated(prepared) => {
-                    prepared.miss_ratio_curve(policy.as_ref(), &shard.capacities, &base)
-                }
-                // Stream the store through the same fused single-pass
-                // engine: one disk walk per policy covers the whole
-                // capacity grid, and the references never materialize.
-                ShardData::Imported(store) => sweep_capacities_streaming(
-                    StoreRefStream::open(store),
-                    policy.as_ref(),
-                    &shard.capacities,
-                    &base,
-                ),
-            })
+    match &shard.data {
+        ShardData::Generated(prepared) => {
+            run_unit_over(config, unit, shard, coords, prepared.refs().iter().copied())
         }
+        // Chunk by chunk off disk: the references never materialize.
+        ShardData::Imported(store) => {
+            run_unit_over(config, unit, shard, coords, StoreRefStream::open(store))
+        }
+    }
+}
+
+/// One cell unit over its shard's reference stream — monomorphic per
+/// stream type, so the engines' per-reference loops stay static calls.
+fn run_unit_over(
+    config: &SweepConfig,
+    unit: &CellUnit,
+    shard: &PreparedShard,
+    coords: &[(usize, usize)],
+    refs: impl IntoIterator<Item = PreparedRef>,
+) -> UnitOutput {
+    match *unit {
+        // One pass per policy covers the whole capacity grid.
+        CellUnit::Curve { policy_idx, .. } => UnitOutput::Curve(sweep_capacities_streaming(
+            refs,
+            config.policies[policy_idx].build().as_ref(),
+            &shard.capacities,
+            &EvalConfig::with_capacity(0),
+        )),
         CellUnit::Closed {
             shard: shard_idx,
             fault_idx,
@@ -476,26 +489,19 @@ fn run_unit(
             policy_idx,
         } => {
             let (preset_idx, scale_idx) = coords[shard_idx];
-            let scenario = faults[fault_idx];
-            let plan = scenario.plan();
-            let eval_config = EvalConfig::with_capacity(shard.capacities[cache_idx]);
+            let scenario = config.fault_axis()[fault_idx];
             let cell_seed = config.cell_fault_seed(
                 preset_idx, scale_idx, cache_idx, policy_idx, fault_idx, scenario,
             );
-            let hierarchy = HierarchySimulator::new(SimConfig::default().with_seed(cell_seed));
             let policy = config.policies[policy_idx];
-            let ShardData::Generated(prepared) = &shard.data else {
-                // run_sweep rejects latency/fault matrices over imported
-                // presets, so no closed-loop unit is ever scheduled on a
-                // store-backed shard.
-                unreachable!("imported shards are open-loop only")
-            };
-            let outcome = hierarchy.evaluate_with_faults(
-                prepared,
-                policy.build().as_ref(),
-                &eval_config,
-                &plan,
-            );
+            let outcome = HierarchySimulator::new(SimConfig::default().with_seed(cell_seed))
+                .evaluate_with_faults(
+                    refs,
+                    shard.horizon,
+                    policy.build().as_ref(),
+                    &EvalConfig::with_capacity(shard.capacities[cache_idx]),
+                    &scenario.plan(),
+                );
             UnitOutput::Closed(CellResult {
                 policy,
                 fault: scenario,

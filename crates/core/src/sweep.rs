@@ -121,7 +121,7 @@ impl PolicyId {
     ///
     /// Latency-aware cells diverge between open-loop and closed-loop
     /// evaluation: the closed loop feeds them live recall-wait EWMAs
-    /// while the open loop only offers the `wait_s_per_miss` constant,
+    /// while the open loop offers just the `wait_s_per_miss` constant,
     /// so their victim choices — and hence miss ratios — may differ.
     pub fn latency_aware(&self) -> bool {
         self.build().latency_aware()
@@ -369,8 +369,9 @@ pub struct SweepConfig {
     /// JSON as a `"trace"` config key only then — generated matrices
     /// keep the pre-ingestion schema byte for byte. Imported shards
     /// replay the store in streaming chunks, so even multi-GB traces
-    /// never materialize in memory; they support open-loop evaluation
-    /// only (no `latency`, no fault axis).
+    /// never materialize in memory; `latency` and the fault axis apply
+    /// to them as to generated shards (closed-loop cells keep
+    /// per-reference state).
     pub trace_store: Option<String>,
 }
 
@@ -455,10 +456,11 @@ impl SweepConfig {
         }
     }
 
-    /// An open-loop matrix over one imported trace store: the five
-    /// comparison policies at the classic cache fractions. Imported
-    /// shards carry no generator scale — the axis is pinned to `1.0` so
-    /// seed derivation and report keys stay well-defined.
+    /// A matrix over one imported trace store: the five comparison
+    /// policies at the classic cache fractions, open-loop until
+    /// `latency` or `faults` say otherwise. Imported shards carry no
+    /// generator scale — the axis is pinned to `1.0` so seed derivation
+    /// and report keys stay well-defined.
     pub fn imported(store_dir: &str) -> Self {
         SweepConfig {
             policies: vec![

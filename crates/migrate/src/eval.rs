@@ -14,6 +14,7 @@
 //! explicit [`crate::cache::EvictionMode::Rescan`] oracle mode — or a
 //! degraded index — pays the O(n) purge rescan.
 
+use fmig_trace::ingest::store::StoreRow;
 use fmig_trace::time::TRACE_DAYS;
 use fmig_trace::{DeviceClass, Direction, FileId, FileTable, Request, TraceRecord};
 use parking_lot::Mutex;
@@ -166,6 +167,21 @@ pub struct PreparedRef {
     /// Storage class the original record was served from; closed-loop
     /// replay recalls misses from the matching tape tier.
     pub device: DeviceClass,
+}
+
+/// A columnar replay-store row is already a prepared reference: import
+/// interned its path and filled its next-use time.
+impl From<StoreRow> for PreparedRef {
+    fn from(row: StoreRow) -> Self {
+        PreparedRef {
+            id: row.file,
+            size: row.size,
+            write: row.write,
+            time: row.start,
+            next_use: row.next_use,
+            device: row.device,
+        }
+    }
 }
 
 /// Incremental trace preparation: feed records one at a time (straight

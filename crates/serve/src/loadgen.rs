@@ -22,7 +22,7 @@ use fmig_core::{FaultScenarioId, SweepConfig};
 use fmig_migrate::eval::{PreparedRef, TracePrep};
 use fmig_sim::config::SimConfig;
 use fmig_sim::event::{SimMs, MS};
-use fmig_sim::fault::FAULT_HORIZON_SLACK_MS;
+use fmig_sim::fault::fault_horizon;
 use fmig_sim::{LatencyHistogram, MssSimulator};
 use fmig_workload::Workload;
 
@@ -73,8 +73,10 @@ pub fn tiny_cell(scenario: FaultScenarioId) -> CellSetup {
         .position(|s| *s == scenario)
         .unwrap_or(0);
     let seed = config.cell_fault_seed(0, 0, 0, 0, fault_idx, scenario);
-    let span_start_vms = refs.first().map_or(0, |r| r.time * MS);
-    let span_end_vms = refs.last().map_or(0, |r| r.time * MS) + FAULT_HORIZON_SLACK_MS;
+    let (span_start_vms, span_end_vms) = fault_horizon(
+        refs.first().map_or(0, |r| r.time),
+        refs.last().map_or(0, |r| r.time),
+    );
     CellSetup {
         scenario,
         refs,

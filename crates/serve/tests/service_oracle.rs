@@ -1,27 +1,58 @@
-//! In-process oracle contract: the daemon/origin split replaying the
-//! tiny-preset cell must reproduce the counter-noise hierarchy engine's
+//! In-process oracle contract: the daemon/origin split replaying a
+//! sweep cell must reproduce the counter-noise hierarchy engine's
 //! cache decisions and its p99 read wait exactly — healthy and under
-//! degraded-peak chaos, over one connection and two. This is the same
-//! contract `make service-smoke` enforces through the real binaries,
-//! kept in tier-1 so `cargo test` covers it without process spawning.
+//! degraded-peak chaos, over one connection and two, on the tiny-preset
+//! cell and on a cell imported from a real-format trace. This is the
+//! same contract `make service-smoke` enforces through the real
+//! binaries, kept in tier-1 so `cargo test` covers it without process
+//! spawning.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::net::TcpListener;
+use std::path::Path;
 use std::thread;
 
-use fmig_core::{FaultScenarioId, SweepConfig};
+use fmig_core::{FaultScenarioId, PolicyId, SweepConfig};
 use fmig_migrate::cache::CacheConfig;
+use fmig_migrate::eval::PreparedRef;
 use fmig_serve::daemon::{self, DaemonConfig};
-use fmig_serve::loadgen::{self, LoadgenConfig};
+use fmig_serve::loadgen::{self, CellSetup, LoadgenConfig};
 use fmig_serve::origin::{self, SessionSummary};
+use fmig_serve::protocol::ServiceStats;
 use fmig_sim::config::SimConfig;
+use fmig_sim::fault::fault_horizon;
 use fmig_sim::HierarchySimulator;
+use fmig_trace::ingest::store::{import, StoreReader};
+use fmig_trace::{FormatId, IngestConfig};
 
-/// Replays the tiny cell live, holds it to the oracle, and returns the
-/// origin's link counts with the number of references replayed.
-fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64) {
+/// Replays the tiny cell live and holds it to the oracle; a degraded
+/// scenario must also bite. Returns the origin's link counts with the
+/// number of references replayed.
+fn replay_tiny(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64) {
     let setup = loadgen::tiny_cell(scenario);
+    let (link, sent, stats) = replay(&setup, SweepConfig::tiny().policies[0], connections);
+    // Degraded mode actually degraded: the chaos run exercises the
+    // retry path.
+    if scenario != FaultScenarioId::None {
+        assert!(stats.fetch_retries > 0, "chaos produced no read retries");
+        let budget = scenario.plan().max_read_retries as u64 * stats.recalls;
+        assert!(stats.fetch_retries <= budget, "retries exceed budget");
+        assert!(stats.outage_events > 0, "chaos produced no outages");
+    }
+    (link, sent)
+}
 
-    let policy = SweepConfig::tiny().policies[0].build();
+/// Replays `setup` live under `policy`, holds it to the oracle, and
+/// returns the origin's link counts, the number of references replayed
+/// and the daemon's final counters.
+fn replay(
+    setup: &CellSetup,
+    policy_id: PolicyId,
+    connections: usize,
+) -> (SessionSummary, u64, ServiceStats) {
+    let scenario = setup.scenario;
+    let policy = policy_id.build();
     let oracle = HierarchySimulator::new(
         SimConfig::default()
             .with_seed(setup.seed)
@@ -43,7 +74,7 @@ fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64
     let cfg = DaemonConfig::compat(
         origin_addr.to_string(),
         setup.capacity,
-        SweepConfig::tiny().policies[0],
+        policy_id,
         scenario,
         setup.seed,
         setup.span_start_vms,
@@ -60,7 +91,7 @@ fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64
             stats: true,
             shutdown: true,
         },
-        &setup,
+        setup,
     )
     .expect("loadgen run");
 
@@ -129,31 +160,78 @@ fn replay(scenario: FaultScenarioId, connections: usize) -> (SessionSummary, u64
         oracle.read_wait().count(),
         "read wait sample counts"
     );
+    (link, report.sent, stats)
+}
 
-    // Degraded mode actually degraded: the chaos run exercises the
-    // retry path.
-    if scenario != FaultScenarioId::None {
-        assert!(stats.fetch_retries > 0, "chaos produced no read retries");
-        let budget = scenario.plan().max_read_retries as u64 * stats.recalls;
-        assert!(stats.fetch_retries <= budget, "retries exceed budget");
-        assert!(stats.outage_events > 0, "chaos produced no outages");
-    }
-    (link, report.sent)
+/// The first cell (cache 0, policy 0) of the `imported` sweep matrix
+/// with fault axis `[scenario]`, over a store imported from the pinned
+/// MSR fixture: its rows, cache capacity, fault seed, horizon and
+/// policy, exactly as the sweep runner derives them.
+fn fixture_cell(scenario: FaultScenarioId) -> (CellSetup, PolicyId) {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/ingest/msr_sample.csv");
+    let dir = std::env::temp_dir().join(format!(
+        "fmig-service-oracle-{}-{}",
+        scenario.name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let input = BufReader::new(File::open(fixture).expect("fixture exists"));
+    // The fixture's two malformed lines are diagnostics, not failures.
+    import(FormatId::Msr, input, IngestConfig::default(), &dir, |_| {}).expect("import");
+    let store = StoreReader::open(&dir).expect("open store");
+    let refs: Vec<PreparedRef> = store
+        .read_all()
+        .expect("read store")
+        .into_iter()
+        .map(PreparedRef::from)
+        .collect();
+    let manifest = store.manifest().clone();
+    let config = SweepConfig {
+        faults: vec![scenario],
+        ..SweepConfig::imported(dir.to_str().expect("utf-8 temp path"))
+    };
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let capacity = ((manifest.referenced_bytes as f64 * config.cache_fractions[0]) as u64).max(1);
+    let (span_start_vms, span_end_vms) = fault_horizon(manifest.epoch, manifest.last);
+    let setup = CellSetup {
+        scenario,
+        refs,
+        capacity,
+        seed: config.cell_fault_seed(0, 0, 0, 0, 0, scenario),
+        span_start_vms,
+        span_end_vms,
+    };
+    (setup, config.policies[0])
 }
 
 #[test]
 fn healthy_replay_matches_the_simulator_oracle() {
-    replay(FaultScenarioId::None, 2);
+    replay_tiny(FaultScenarioId::None, 2);
 }
 
 #[test]
 fn degraded_peak_replay_matches_the_simulator_oracle() {
-    replay(FaultScenarioId::DegradedPeak, 2);
+    replay_tiny(FaultScenarioId::DegradedPeak, 2);
 }
 
 #[test]
 fn single_connection_replay_matches_too() {
-    replay(FaultScenarioId::None, 1);
+    replay_tiny(FaultScenarioId::None, 1);
+}
+
+/// A cell of a real-format trace, imported into the columnar store and
+/// served live, is held to the same exact oracle as the tiny cell.
+#[test]
+fn imported_trace_replay_matches_the_simulator_oracle() {
+    for scenario in [FaultScenarioId::None, FaultScenarioId::DegradedPeak] {
+        let (setup, policy) = fixture_cell(scenario);
+        let (_, sent, stats) = replay(&setup, policy, 2);
+        assert_eq!(sent, 16, "the fixture imports 16 replayable records");
+        // The cell is not trivial: it recalls, and coalesces onto a recall.
+        assert!(stats.recalls > 0 && stats.delayed_hits > 0, "{stats:?}");
+    }
 }
 
 /// The lookahead grant, as an exact count: the daemon asks the origin
@@ -167,8 +245,8 @@ fn advance_round_trips_stay_below_one_per_reference() {
         (FaultScenarioId::DegradedPeak, 2_958, 15_733),
     ];
     for (scenario, advances, before_the_grant) in pinned {
-        let (one, refs) = replay(scenario, 1);
-        let (two, _) = replay(scenario, 2);
+        let (one, refs) = replay_tiny(scenario, 1);
+        let (two, _) = replay_tiny(scenario, 2);
         assert_eq!(one, two, "{scenario:?}: link counts moved with connections");
         assert!(
             one.advances < refs,

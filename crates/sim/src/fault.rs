@@ -50,6 +50,14 @@ use crate::tape::Tier;
 /// both materialize schedules over the identical horizon.
 pub const FAULT_HORIZON_SLACK_MS: SimMs = 4 * 3600 * MS;
 
+/// The fault-schedule horizon `[start_ms, end_ms)` of a trace whose
+/// first and last references start at `first_s` and `last_s` (Unix
+/// seconds): from the first reference to [`FAULT_HORIZON_SLACK_MS`]
+/// past the last, in virtual ms. An empty trace passes `(0, 0)`.
+pub fn fault_horizon(first_s: i64, last_s: i64) -> (SimMs, SimMs) {
+    (first_s * MS, last_s * MS + FAULT_HORIZON_SLACK_MS)
+}
+
 /// A resource class a fault clause can take units away from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultTarget {

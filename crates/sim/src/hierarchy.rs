@@ -53,9 +53,7 @@
 use std::convert::Infallible;
 
 use fmig_migrate::cache::{CacheConfig, CacheStats, DiskCache};
-use fmig_migrate::eval::{
-    DegradedOutcome, EvalConfig, LatencyOutcome, PolicyOutcome, PreparedRef, PreparedTrace,
-};
+use fmig_migrate::eval::{DegradedOutcome, EvalConfig, LatencyOutcome, PolicyOutcome, PreparedRef};
 use fmig_migrate::feedback::LatencyFeedback;
 use fmig_migrate::policy::MigrationPolicy;
 use fmig_trace::{DeviceClass, FileId};
@@ -66,19 +64,18 @@ use serde::{Deserialize, Serialize};
 use crate::config::SimConfig;
 use crate::disk::{DiskEv, DiskHalf, DiskHost, LinkFault, Resolved};
 use crate::event::{EventQueue, SimMs, MS};
-use crate::fault::{FaultPlan, FaultSchedule};
+use crate::fault::{fault_horizon, FaultPlan, FaultSchedule};
 use crate::metrics::{LatencyHistogram, Utilisation};
 use crate::noise::Noise;
 use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost};
 
 pub use crate::disk::ServedBy;
-pub use crate::fault::FAULT_HORIZON_SLACK_MS;
 
 /// One reference's closed-loop outcome, handed to the streaming sink in
 /// arrival order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RefOutcome {
-    /// Index of the reference in the input slice.
+    /// Position of the reference in the input stream.
     pub index: usize,
     /// Dense file id (see [`fmig_trace::FileTable`]).
     pub id: FileId,
@@ -94,7 +91,7 @@ pub struct RefOutcome {
 }
 
 /// Aggregate metrics of one closed-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyMetrics {
     /// References simulated.
     pub requests: u64,
@@ -149,26 +146,6 @@ pub struct HierarchyMetrics {
 }
 
 impl HierarchyMetrics {
-    fn new() -> Self {
-        HierarchyMetrics {
-            requests: 0,
-            delayed_hits: 0,
-            recalls: 0,
-            flush_jobs: 0,
-            flush_bytes: 0,
-            hit_wait: LatencyHistogram::new(),
-            delayed_hit_wait: LatencyHistogram::new(),
-            miss_wait: LatencyHistogram::new(),
-            write_wait: LatencyHistogram::new(),
-            flush_queue_wait: LatencyHistogram::new(),
-            utilisation: Utilisation::default(),
-            cache: CacheStats::default(),
-            latency_feedback: LatencyFeedback::new(),
-            fault: None,
-            cache_fetch_retries: 0,
-        }
-    }
-
     /// All read waits combined (hits, delayed hits, and misses).
     pub fn read_wait(&self) -> LatencyHistogram {
         let mut h = self.hit_wait.clone();
@@ -196,6 +173,14 @@ impl HierarchyMetrics {
 
 /// The closed-loop hierarchy simulator: device model from a
 /// [`SimConfig`], cache geometry and policy supplied per run.
+///
+/// Three entry points share one engine loop:
+/// [`run_streaming_with_faults`](Self::run_streaming_with_faults) over
+/// any reference stream and its fault horizon,
+/// [`run_with_faults`](Self::run_with_faults) over a slice, and
+/// [`evaluate_with_faults`](Self::evaluate_with_faults), the sweep
+/// cell's latency-true [`PolicyOutcome`]. A healthy run passes
+/// [`FaultPlan::none`].
 #[derive(Debug, Clone)]
 pub struct HierarchySimulator {
     config: SimConfig,
@@ -212,42 +197,40 @@ impl HierarchySimulator {
         &self.config
     }
 
-    /// Runs the closed loop over a prepared reference sequence.
+    /// Runs the closed loop over a reference stream under a
+    /// degraded-mode [`FaultPlan`], handing every reference's
+    /// [`RefOutcome`] to `sink` in arrival order as soon as its first
+    /// byte is reached. A slice, a generated sweep shard and an imported
+    /// replay store all arrive here as a stream of [`PreparedRef`]s,
+    /// walked once, in order.
+    ///
+    /// Drive and mounter outages park pool units, recalls suffer
+    /// bounded-retry media read errors (waiters stay coalesced across
+    /// retries), and slow-drive windows stretch tape transfers. The
+    /// plan's concrete schedule is materialized over `horizon` (virtual
+    /// ms, `[start, end)`; see [`crate::fault::fault_horizon`]) from
+    /// [`SimConfig::seed`], so equal seeds replay byte-identically; an
+    /// empty plan ([`FaultPlan::none`]) is the healthy system.
     ///
     /// # Panics
     ///
-    /// Panics if references are not sorted by time.
-    pub fn run(
+    /// Panics if references are not sorted by time, or if one starts
+    /// outside `horizon`.
+    pub fn run_streaming_with_faults(
         &self,
         cache: CacheConfig,
         policy: &dyn MigrationPolicy,
-        refs: &[PreparedRef],
-    ) -> HierarchyMetrics {
-        self.run_streaming(cache, policy, refs, |_| {})
-    }
-
-    /// Runs the closed loop, handing every reference's [`RefOutcome`] to
-    /// `sink` in arrival order as soon as its first byte is reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if references are not sorted by time.
-    pub fn run_streaming(
-        &self,
-        cache: CacheConfig,
-        policy: &dyn MigrationPolicy,
-        refs: &[PreparedRef],
+        refs: impl IntoIterator<Item = PreparedRef>,
+        horizon: (SimMs, SimMs),
+        plan: &FaultPlan,
         sink: impl FnMut(RefOutcome),
     ) -> HierarchyMetrics {
-        self.run_streaming_with_faults(cache, policy, refs, &FaultPlan::none(), sink)
+        let schedule = FaultSchedule::materialize(plan, self.config.seed, horizon.0, horizon.1);
+        Engine::new(&self.config, cache, policy, schedule).run(refs, horizon, sink)
     }
 
-    /// Runs the closed loop under a degraded-mode [`FaultPlan`]: drive
-    /// and mounter outages park pool units, recalls suffer bounded-retry
-    /// media read errors (waiters stay coalesced across retries), and
-    /// slow-drive windows stretch tape transfers. The plan's concrete
-    /// schedule derives from [`SimConfig::seed`], so equal seeds replay
-    /// byte-identically; an empty plan is bit-identical to [`Self::run`].
+    /// [`Self::run_streaming_with_faults`] over a slice, with the
+    /// horizon taken from its first and last reference.
     ///
     /// # Panics
     ///
@@ -259,54 +242,34 @@ impl HierarchySimulator {
         refs: &[PreparedRef],
         plan: &FaultPlan,
     ) -> HierarchyMetrics {
-        self.run_streaming_with_faults(cache, policy, refs, plan, |_| {})
+        let horizon = fault_horizon(
+            refs.first().map_or(0, |r| r.time),
+            refs.last().map_or(0, |r| r.time),
+        );
+        self.run_streaming_with_faults(cache, policy, refs.iter().copied(), horizon, plan, |_| {})
     }
 
-    /// Streaming variant of [`Self::run_with_faults`].
+    /// Evaluates one policy latency-true over a reference stream: the
+    /// closed-loop run supplies both the cache counters (identical to
+    /// open-loop replay, with or without faults — faults move time, not
+    /// decisions) and the wait distributions measured in the possibly
+    /// degraded world. The person-minutes cost derives from the measured
+    /// mean miss wait instead of [`EvalConfig::wait_s_per_miss`], and
+    /// [`LatencyOutcome::degraded`] attributes the damage.
     ///
     /// # Panics
     ///
-    /// Panics if references are not sorted by time.
-    pub fn run_streaming_with_faults(
-        &self,
-        cache: CacheConfig,
-        policy: &dyn MigrationPolicy,
-        refs: &[PreparedRef],
-        plan: &FaultPlan,
-        sink: impl FnMut(RefOutcome),
-    ) -> HierarchyMetrics {
-        let start_ms = refs.first().map_or(0, |r| r.time * MS);
-        let end_ms = refs.last().map_or(0, |r| r.time * MS) + FAULT_HORIZON_SLACK_MS;
-        let schedule = FaultSchedule::materialize(plan, self.config.seed, start_ms, end_ms);
-        Engine::new(&self.config, cache, policy, schedule).run(refs, sink)
-    }
-
-    /// Evaluates one policy latency-true: the closed-loop run supplies
-    /// both the cache counters (identical to open-loop replay) and the
-    /// measured wait distributions, and the person-minutes cost is
-    /// derived from the measured mean miss wait instead of
-    /// [`EvalConfig::wait_s_per_miss`].
-    pub fn evaluate(
-        &self,
-        prepared: &PreparedTrace,
-        policy: &dyn MigrationPolicy,
-        eval: &EvalConfig,
-    ) -> PolicyOutcome {
-        self.evaluate_with_faults(prepared, policy, eval, &FaultPlan::none())
-    }
-
-    /// [`Self::evaluate`] under a [`FaultPlan`]: identical cache
-    /// counters and miss ratios (faults move time, not decisions), wait
-    /// distributions and person-minutes measured in the degraded world,
-    /// and [`LatencyOutcome::degraded`] attributing the damage.
+    /// As [`Self::run_streaming_with_faults`].
     pub fn evaluate_with_faults(
         &self,
-        prepared: &PreparedTrace,
+        refs: impl IntoIterator<Item = PreparedRef>,
+        horizon: (SimMs, SimMs),
         policy: &dyn MigrationPolicy,
         eval: &EvalConfig,
         plan: &FaultPlan,
     ) -> PolicyOutcome {
-        let metrics = self.run_with_faults(eval.cache, policy, prepared.refs(), plan);
+        let metrics =
+            self.run_streaming_with_faults(eval.cache, policy, refs, horizon, plan, |_| {});
         let stats = metrics.cache;
         let mut outcome = PolicyOutcome {
             name: policy.name(),
@@ -377,7 +340,7 @@ impl<'p> Engine<'p> {
             queue: EventQueue::new(),
             retry_backoff_ms: schedule.retry_backoff_ms(),
             next_emit: 0,
-            metrics: HierarchyMetrics::new(),
+            metrics: HierarchyMetrics::default(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
         };
@@ -388,13 +351,22 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn run(mut self, refs: &[PreparedRef], mut sink: impl FnMut(RefOutcome)) -> HierarchyMetrics {
+    fn run(
+        mut self,
+        refs: impl IntoIterator<Item = PreparedRef>,
+        (start_ms, end_ms): (SimMs, SimMs),
+        mut sink: impl FnMut(RefOutcome),
+    ) -> HierarchyMetrics {
         // Fault windows become ordinary events in the same queue.
         self.tape.schedule_outages(&mut self.front);
         let mut prev_ms = SimMs::MIN;
         for pr in refs {
             let t_ms = pr.time * MS;
             assert!(t_ms >= prev_ms, "references must be sorted by time");
+            assert!(
+                (start_ms..end_ms).contains(&t_ms),
+                "reference at {t_ms} ms lies outside the fault horizon [{start_ms}, {end_ms})"
+            );
             prev_ms = t_ms;
             self.front.host.first_ms = self.front.host.first_ms.min(t_ms);
             while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
@@ -403,7 +375,7 @@ impl<'p> Engine<'p> {
             // A flush is a tape write that joins its drive queue at `at`.
             let Front { host, disk } = &mut self.front;
             let tape = &mut self.tape;
-            let carried = disk.arrive(pr, host, |host, order, at| {
+            let carried = disk.arrive(&pr, host, |host, order, at| {
                 let id = order.gated.map_or(UNGATED, |r| r as u64);
                 let j = tape.flush(id, order.seq, order.bytes, order.tier);
                 host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
@@ -569,10 +541,40 @@ impl TapeHost for Front<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultTarget;
-    use fmig_migrate::eval::TracePrep;
+    use fmig_migrate::eval::{PreparedTrace, TracePrep};
     use fmig_migrate::policy::{Lru, Stp};
     use fmig_trace::time::TRACE_EPOCH;
     use fmig_trace::{Endpoint, TraceRecord};
+
+    /// The horizon [`HierarchySimulator::run_with_faults`] derives from
+    /// a non-empty slice.
+    fn horizon(refs: &[PreparedRef]) -> (SimMs, SimMs) {
+        fault_horizon(refs[0].time, refs[refs.len() - 1].time)
+    }
+
+    /// The healthy closed loop over a slice under LRU.
+    pub(super) fn healthy_run(
+        sim: &HierarchySimulator,
+        cache: CacheConfig,
+        refs: &[PreparedRef],
+    ) -> HierarchyMetrics {
+        sim.run_with_faults(cache, &Lru, refs, &FaultPlan::none())
+    }
+
+    /// The stream form over a slice under LRU and `plan`, with every
+    /// reference's outcome collected.
+    pub(super) fn streamed(
+        sim: &HierarchySimulator,
+        cache: CacheConfig,
+        refs: &[PreparedRef],
+        plan: &FaultPlan,
+    ) -> (HierarchyMetrics, Vec<RefOutcome>) {
+        let mut outcomes = Vec::new();
+        let sink = |o| outcomes.push(o);
+        let m =
+            sim.run_streaming_with_faults(cache, &Lru, refs.to_vec(), horizon(refs), plan, sink);
+        (m, outcomes)
+    }
 
     fn silo_read(id: u32, t: i64, size: u64) -> PreparedRef {
         PreparedRef {
@@ -648,7 +650,13 @@ mod tests {
         for policy in [&Stp::classic() as &dyn MigrationPolicy, &Lru] {
             let open = prepared.replay(policy, &eval);
             let sim = HierarchySimulator::new(SimConfig::default());
-            let closed = sim.evaluate(&prepared, policy, &eval);
+            let closed = sim.evaluate_with_faults(
+                prepared.refs().iter().copied(),
+                horizon(prepared.refs()),
+                policy,
+                &eval,
+                &FaultPlan::none(),
+            );
             assert_eq!(open.stats, closed.stats, "{} diverged", policy.name());
             assert_eq!(open.miss_ratio, closed.miss_ratio);
             assert_eq!(open.byte_miss_ratio, closed.byte_miss_ratio);
@@ -667,9 +675,14 @@ mod tests {
             wait_s_per_miss: 60.0,
             ..EvalConfig::with_capacity(5_000_000)
         };
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::default());
-        let closed = sim.evaluate(&prepared, &lru, &eval);
+        let closed = sim.evaluate_with_faults(
+            prepared.refs().iter().copied(),
+            horizon(prepared.refs()),
+            &Lru,
+            &eval,
+            &FaultPlan::none(),
+        );
         let lat = closed.latency.unwrap();
         let expected = closed
             .stats
@@ -677,17 +690,15 @@ mod tests {
         assert!((closed.person_minutes_per_day - expected).abs() < 1e-12);
         assert_eq!(closed.wait_s_per_miss(&eval), lat.mean_miss_wait_s);
         // The open-loop outcome still charges the constant.
-        let open = prepared.replay(&lru, &eval);
+        let open = prepared.replay(&Lru, &eval);
         assert_eq!(open.wait_s_per_miss(&eval), 60.0);
     }
 
     #[test]
     fn concurrent_misses_coalesce_onto_one_recall() {
         let refs: Vec<PreparedRef> = (0..5).map(|k| silo_read(7, k, 40_000_000)).collect();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::uncontended());
-        let mut outcomes = Vec::new();
-        let m = sim.run_streaming(cache_cfg(1 << 30), &lru, &refs, |o| outcomes.push(o));
+        let (m, outcomes) = streamed(&sim, cache_cfg(1 << 30), &refs, &FaultPlan::none());
         assert_eq!(m.recalls, 1, "all references share one recall");
         assert_eq!(m.delayed_hits, 4);
         assert_eq!(m.cache.read_misses, 1);
@@ -713,15 +724,14 @@ mod tests {
         // large file) before its transfer completes is served on the
         // spot: the data is already streaming to disk.
         let size = 150_000_000; // ~68 s of transfer at silo rate
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::uncontended());
         // Learn this seed's recall first byte, then join mid-stream (the
         // delayed hit consumes no RNG draws, so the recall replays
         // identically in the second run).
-        let probe = sim.run(cache_cfg(1 << 30), &lru, &[silo_read(1, 0, size)]);
+        let probe = healthy_run(&sim, cache_cfg(1 << 30), &[silo_read(1, 0, size)]);
         let first_byte_s = probe.miss_wait.mean().ceil() as i64;
         let refs = vec![silo_read(1, 0, size), silo_read(1, first_byte_s + 5, size)];
-        let m = sim.run(cache_cfg(1 << 30), &lru, &refs);
+        let m = healthy_run(&sim, cache_cfg(1 << 30), &refs);
         assert_eq!(m.recalls, 1);
         assert_eq!(m.delayed_hits, 1);
         assert!(
@@ -736,8 +746,11 @@ mod tests {
         let refs: Vec<PreparedRef> = (0..30)
             .map(|k| disk_write(k as u32, k * 40, 10_000_000))
             .collect();
-        let lru = Lru;
-        let m = HierarchySimulator::new(SimConfig::default()).run(cache_cfg(1 << 30), &lru, &refs);
+        let m = healthy_run(
+            &HierarchySimulator::new(SimConfig::default()),
+            cache_cfg(1 << 30),
+            &refs,
+        );
         assert_eq!(m.flush_jobs, 30, "every eager write flushes");
         assert_eq!(m.flush_bytes, 300_000_000);
         assert!(
@@ -760,15 +773,14 @@ mod tests {
             with_writes.push(rd);
             reads_only.push(rd);
         }
-        let lru = Lru;
         let cfg = SimConfig {
             silo_drives: 1,
             writeback_delay_s: 0.0,
             ..SimConfig::default()
         };
         let sim = HierarchySimulator::new(cfg);
-        let loaded = sim.run(cache_cfg(1 << 40), &lru, &with_writes);
-        let idle = sim.run(cache_cfg(1 << 40), &lru, &reads_only);
+        let loaded = healthy_run(&sim, cache_cfg(1 << 40), &with_writes);
+        let idle = healthy_run(&sim, cache_cfg(1 << 40), &reads_only);
         assert!(
             loaded.miss_wait.mean() > idle.miss_wait.mean(),
             "contended {} vs idle {}",
@@ -790,8 +802,11 @@ mod tests {
             eager_writeback: false,
         };
         let refs: Vec<PreparedRef> = (0..10).map(|k| disk_write(k as u32, k, 100)).collect();
-        let lru = Lru;
-        let m = HierarchySimulator::new(SimConfig::uncontended()).run(cache, &lru, &refs);
+        let m = healthy_run(
+            &HierarchySimulator::new(SimConfig::uncontended()),
+            cache,
+            &refs,
+        );
         assert!(m.cache.stall_bytes > 0, "trace must produce a stall");
         // The stalled write pays a tape mount inside its "disk" wait;
         // un-stalled writes finish in a few seconds.
@@ -805,13 +820,12 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let prepared = skewed_prepared();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::default().with_seed(99));
-        let a = sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
-        let b = sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
+        let a = healthy_run(&sim, cache_cfg(5_000_000), prepared.refs());
+        let b = healthy_run(&sim, cache_cfg(5_000_000), prepared.refs());
         assert_eq!(a, b);
         let other = HierarchySimulator::new(SimConfig::default().with_seed(100));
-        let c = other.run(cache_cfg(5_000_000), &lru, prepared.refs());
+        let c = healthy_run(&other, cache_cfg(5_000_000), prepared.refs());
         assert_ne!(
             a.miss_wait, c.miss_wait,
             "distinct seeds must decorrelate the noise"
@@ -821,14 +835,15 @@ mod tests {
     #[test]
     fn outcomes_stream_in_arrival_order() {
         let prepared = skewed_prepared();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::default());
-        let mut indices = Vec::new();
-        let m = sim.run_streaming(cache_cfg(5_000_000), &lru, prepared.refs(), |o| {
-            indices.push(o.index);
-        });
-        assert_eq!(indices.len(), prepared.len());
-        assert!(indices.windows(2).all(|w| w[0] + 1 == w[1]));
+        let (m, outcomes) = streamed(
+            &sim,
+            cache_cfg(5_000_000),
+            prepared.refs(),
+            &FaultPlan::none(),
+        );
+        assert_eq!(outcomes.len(), prepared.len());
+        assert!(outcomes.iter().enumerate().all(|(i, o)| o.index == i));
         assert_eq!(m.requests, prepared.len() as u64);
     }
 
@@ -836,8 +851,40 @@ mod tests {
     #[should_panic(expected = "sorted by time")]
     fn unsorted_references_are_rejected() {
         let refs = vec![silo_read(1, 100, 1), silo_read(2, 0, 1)];
-        let lru = Lru;
-        let _ = HierarchySimulator::new(SimConfig::default()).run(cache_cfg(1000), &lru, &refs);
+        let _ = healthy_run(
+            &HierarchySimulator::new(SimConfig::default()),
+            cache_cfg(1000),
+            &refs,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the fault horizon")]
+    fn references_past_the_declared_horizon_are_rejected() {
+        // The schedule covers [0 s, 50 s); the second reference is past it.
+        let refs = [silo_read(1, 0, 1), silo_read(2, 100, 1)];
+        let _ = HierarchySimulator::new(SimConfig::default()).run_streaming_with_faults(
+            cache_cfg(1000),
+            &Lru,
+            refs,
+            (0, 50 * MS),
+            &FaultPlan::none(),
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the fault horizon")]
+    fn references_before_the_declared_horizon_are_rejected() {
+        let refs = [silo_read(1, 10, 1)];
+        let _ = HierarchySimulator::new(SimConfig::default()).run_streaming_with_faults(
+            cache_cfg(1000),
+            &Lru,
+            refs,
+            fault_horizon(20, 20),
+            &FaultPlan::none(),
+            |_| {},
+        );
     }
 
     fn flaky_reads(prob: f64, retries: u32, backoff_s: f64) -> FaultPlan {
@@ -850,18 +897,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_plan_is_bit_identical_to_the_plain_run() {
+    fn slice_and_owned_stream_replay_bit_identically() {
+        // The slice form is the stream form over a borrowed iterator: an
+        // owned stream of the same references under the same horizon
+        // replays to equal metrics, and an empty plan records no faults.
         let prepared = skewed_prepared();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::default().with_seed(7));
-        let plain = sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
-        let faulted = sim.run_with_faults(
+        let plain = healthy_run(&sim, cache_cfg(5_000_000), prepared.refs());
+        let (owned, _) = streamed(
+            &sim,
             cache_cfg(5_000_000),
-            &lru,
             prepared.refs(),
             &FaultPlan::none(),
         );
-        assert_eq!(plain, faulted);
+        assert_eq!(plain, owned);
         assert!(plain.fault.is_none());
     }
 
@@ -873,13 +922,15 @@ mod tests {
     #[test]
     fn counter_noise_mode_preserves_cache_decisions() {
         let prepared = skewed_prepared();
-        let lru = Lru;
         let cfg = SimConfig::default().with_seed(21);
-        let legacy =
-            HierarchySimulator::new(cfg.clone()).run(cache_cfg(5_000_000), &lru, prepared.refs());
+        let legacy = healthy_run(
+            &HierarchySimulator::new(cfg.clone()),
+            cache_cfg(5_000_000),
+            prepared.refs(),
+        );
         let keyed_sim = HierarchySimulator::new(cfg.with_counter_noise(true));
-        let keyed = keyed_sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
-        let replay = keyed_sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
+        let keyed = healthy_run(&keyed_sim, cache_cfg(5_000_000), prepared.refs());
+        let replay = healthy_run(&keyed_sim, cache_cfg(5_000_000), prepared.refs());
         assert_eq!(keyed, replay, "counter-noise runs replay identically");
         assert_eq!(legacy.cache, keyed.cache, "decisions must not move");
         assert_eq!(legacy.requests, keyed.requests);
@@ -887,7 +938,7 @@ mod tests {
 
         let plan = flaky_reads(0.4, 2, 30.0);
         let degraded =
-            keyed_sim.run_with_faults(cache_cfg(5_000_000), &lru, prepared.refs(), &plan);
+            keyed_sim.run_with_faults(cache_cfg(5_000_000), &Lru, prepared.refs(), &plan);
         assert_eq!(
             degraded.cache, keyed.cache,
             "faults move time, never decisions — in keyed mode too"
@@ -898,18 +949,10 @@ mod tests {
     #[test]
     fn read_errors_retry_with_backoff_and_eventually_serve() {
         let prepared = skewed_prepared();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::uncontended().with_seed(11));
-        let healthy = sim.run(cache_cfg(5_000_000), &lru, prepared.refs());
+        let healthy = healthy_run(&sim, cache_cfg(5_000_000), prepared.refs());
         let plan = flaky_reads(0.5, 3, 60.0);
-        let mut outcomes = Vec::new();
-        let degraded = sim.run_streaming_with_faults(
-            cache_cfg(5_000_000),
-            &lru,
-            prepared.refs(),
-            &plan,
-            |o| outcomes.push(o),
-        );
+        let (degraded, outcomes) = streamed(&sim, cache_cfg(5_000_000), prepared.refs(), &plan);
         // Every reference still reaches its first byte, in order.
         assert_eq!(outcomes.len(), prepared.len());
         let fault = degraded.fault.expect("fault metrics recorded");
@@ -941,13 +984,9 @@ mod tests {
         // concurrent readers of the file must still share one recall and
         // resolve together at the successful attempt's first byte.
         let refs: Vec<PreparedRef> = (0..5).map(|k| silo_read(7, k, 10_000_000)).collect();
-        let lru = Lru;
         let sim = HierarchySimulator::new(SimConfig::uncontended().with_seed(3));
         let plan = flaky_reads(1.0, 2, 30.0);
-        let mut outcomes = Vec::new();
-        let m = sim.run_streaming_with_faults(cache_cfg(1 << 30), &lru, &refs, &plan, |o| {
-            outcomes.push(o)
-        });
+        let (m, outcomes) = streamed(&sim, cache_cfg(1 << 30), &refs, &plan);
         assert_eq!(m.recalls, 1, "retries must not issue extra recalls");
         assert_eq!(m.delayed_hits, 4);
         assert_eq!(m.fault.expect("fault metrics").read_retries, 2);
@@ -970,13 +1009,12 @@ mod tests {
         let refs: Vec<PreparedRef> = (0..6)
             .map(|k| silo_read(k as u32, k * 30, 2_000_000))
             .collect();
-        let lru = Lru;
         let cfg = SimConfig {
             silo_drives: 2,
             ..SimConfig::uncontended()
         };
         let sim = HierarchySimulator::new(cfg.with_seed(5));
-        let healthy = sim.run(cache_cfg(1 << 30), &lru, &refs);
+        let healthy = healthy_run(&sim, cache_cfg(1 << 30), &refs);
         let plan = FaultPlan {
             outages: vec![crate::fault::OutageClause {
                 target: FaultTarget::SiloDrive,
@@ -986,7 +1024,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let degraded = sim.run_with_faults(cache_cfg(1 << 30), &lru, &refs, &plan);
+        let degraded = sim.run_with_faults(cache_cfg(1 << 30), &Lru, &refs, &plan);
         let fault = degraded.fault.expect("fault metrics");
         assert!(fault.outage_events > 0, "outage windows must park a unit");
         assert!(
@@ -1008,13 +1046,12 @@ mod tests {
         // slow window, the first transfer occupies the drive ~4x longer,
         // so the second recall's first byte arrives later.
         let refs = vec![silo_read(1, 0, 60_000_000), silo_read(2, 1, 60_000_000)];
-        let lru = Lru;
         let cfg = SimConfig {
             silo_drives: 1,
             ..SimConfig::uncontended()
         };
         let sim = HierarchySimulator::new(cfg.with_seed(9));
-        let healthy = sim.run(cache_cfg(1 << 30), &lru, &refs);
+        let healthy = healthy_run(&sim, cache_cfg(1 << 30), &refs);
         let plan = FaultPlan {
             slow_drive: Some(crate::fault::SlowDriveClause {
                 rate_factor: 0.25,
@@ -1023,7 +1060,7 @@ mod tests {
             }),
             ..FaultPlan::none()
         };
-        let degraded = sim.run_with_faults(cache_cfg(1 << 30), &lru, &refs, &plan);
+        let degraded = sim.run_with_faults(cache_cfg(1 << 30), &Lru, &refs, &plan);
         let fault = degraded.fault.expect("fault metrics");
         assert!(fault.slow_transfers > 0, "transfers must hit the window");
         assert!(
@@ -1042,9 +1079,11 @@ mod tests {
             next_use: None,
             device: DeviceClass::TapeManual,
         }];
-        let lru = Lru;
-        let m =
-            HierarchySimulator::new(SimConfig::uncontended()).run(cache_cfg(1 << 30), &lru, &refs);
+        let m = healthy_run(
+            &HierarchySimulator::new(SimConfig::uncontended()),
+            cache_cfg(1 << 30),
+            &refs,
+        );
         assert_eq!(m.recalls, 1);
         assert!(
             m.miss_wait.mean() >= 30.0,
@@ -1057,6 +1096,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{healthy_run, streamed};
     use super::*;
     use crate::fault::{FaultTarget, OutageClause, SlowDriveClause};
     use fmig_migrate::policy::Lru;
@@ -1100,13 +1140,12 @@ mod proptests {
                     down_s: 90.0,
                 }),
             };
-            let lru = Lru;
-            let sim = HierarchySimulator::new(SimConfig::uncontended().with_seed(seed));
-            let a = sim.run_with_faults(CacheConfig::with_capacity(1 << 24), &lru, &refs, &plan);
-            let b = sim.run_with_faults(CacheConfig::with_capacity(1 << 24), &lru, &refs, &plan);
+                let sim = HierarchySimulator::new(SimConfig::uncontended().with_seed(seed));
+            let a = sim.run_with_faults(CacheConfig::with_capacity(1 << 24), &Lru, &refs, &plan);
+            let b = sim.run_with_faults(CacheConfig::with_capacity(1 << 24), &Lru, &refs, &plan);
             prop_assert_eq!(&a, &b);
             prop_assert!(a.fault.is_some());
-            let healthy = sim.run(CacheConfig::with_capacity(1 << 24), &lru, &refs);
+            let healthy = healthy_run(&sim, CacheConfig::with_capacity(1 << 24), &refs);
             prop_assert_eq!(a.cache, healthy.cache);
             // Slower recalls can only absorb more re-misses, not fewer.
             prop_assert!(a.recalls <= healthy.recalls);
@@ -1140,15 +1179,9 @@ mod proptests {
                     device: DeviceClass::TapeSilo,
                 })
                 .collect();
-            let lru = Lru;
             let sim = HierarchySimulator::new(SimConfig::uncontended().with_seed(seed));
-            let mut outcomes = Vec::new();
-            let m = sim.run_streaming(
-                CacheConfig::with_capacity(1 << 34),
-                &lru,
-                &refs,
-                |o| outcomes.push(o),
-            );
+            let cache = CacheConfig::with_capacity(1 << 34);
+            let (m, outcomes) = streamed(&sim, cache, &refs, &FaultPlan::none());
             prop_assert_eq!(m.recalls, 1);
             prop_assert_eq!(m.cache.read_misses, 1);
             prop_assert_eq!(m.delayed_hits, refs.len() as u64 - 1);

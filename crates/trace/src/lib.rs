@@ -42,7 +42,6 @@ pub mod flags;
 pub mod ident;
 pub mod ingest;
 pub mod line;
-pub mod merge;
 pub mod record;
 pub mod stats;
 pub mod time;
@@ -53,7 +52,6 @@ pub use flags::FlagWord;
 pub use ident::{FileId, FileTable};
 pub use ingest::{FormatId, IngestConfig, IngestStream, Sampler};
 pub use line::MAX_LINE_BYTES;
-pub use merge::{merge_sorted, MergedTrace};
 pub use record::{DeviceClass, Direction, Endpoint, ErrorKind, IdRecord, Request, TraceRecord};
 pub use stats::{DeviceBreakdown, DirectionStats, TraceStats};
 pub use time::{CivilDate, Holiday, Timestamp, Weekday, TRACE_EPOCH, TRACE_SECONDS};

@@ -15,7 +15,8 @@
 use fmig::analysis::PolicyLatencyReport;
 use fmig::migrate::eval::{EvalConfig, TracePrep};
 use fmig::migrate::policy::{Lru, LruMad, MigrationPolicy, Stp, StpLat};
-use fmig::sim::{HierarchySimulator, SimConfig};
+use fmig::sim::fault::{fault_horizon, FaultPlan};
+use fmig::sim::{HierarchySimulator, RefOutcome, SimConfig};
 use fmig::trace::Direction;
 use fmig_workload::{Workload, WorkloadConfig};
 
@@ -47,20 +48,26 @@ fn main() {
     let stp_lat = StpLat::classic();
     let policies: [&dyn MigrationPolicy; 4] = [&Stp::classic(), &Lru, &lru_mad, &stp_lat];
     let sim = HierarchySimulator::new(SimConfig::default());
+    let refs = prepared.refs();
+    let horizon = fault_horizon(refs[0].time, refs[refs.len() - 1].time);
+    let healthy = FaultPlan::none();
     let mut report = PolicyLatencyReport::new();
     let mut p99 = Vec::new();
     for policy in policies {
         // One closed-loop pass per policy: the sink feeds this policy's
         // latency cell and the run's metrics carry everything else.
         let cell = report.cell(policy.name());
-        let metrics = sim.run_streaming(eval.cache, policy, prepared.refs(), |o| {
+        let sink = |o: RefOutcome| {
             let dir = if o.write {
                 Direction::Write
             } else {
                 Direction::Read
             };
             cell.observe_wait(dir, o.device, o.wait_s);
-        });
+        };
+        let stream = refs.iter().copied();
+        let metrics =
+            sim.run_streaming_with_faults(eval.cache, policy, stream, horizon, &healthy, sink);
         let lat = metrics.latency_outcome();
         p99.push((policy.name(), lat.p99_read_wait_s));
         println!(
