@@ -36,6 +36,26 @@
 //! twice, a drain report that disagrees with the `FlushDone`s) ends
 //! the session with an error.
 //!
+//! # Threads and hand-offs
+//!
+//! One core thread owns all of the above; each client connection adds a
+//! reader thread and a writer thread, joined to the core by channels.
+//! What crosses a channel is a batch, never a single frame, because on
+//! one CPU every hand-off is a context switch:
+//!
+//! - after each blocking read, the reader also decodes every whole
+//!   frame already in its buffer and sends them as one message;
+//! - the core queues replies in a per-connection outbox and hands each
+//!   non-empty outbox to its writer as one message at three points: the
+//!   end of every input batch, the moment a connection is dropped
+//!   (before its sender is), and before [`serve`] returns (the end of
+//!   the batch that carried `Shutdown` or hit an error);
+//! - the writer writes a batch and every batch queued behind it, then
+//!   flushes once.
+//!
+//! No reply waits for more input, and each connection's replies keep
+//! the order the core produced them in.
+//!
 //! # Robustness core
 //!
 //! Every recall carries a first-byte **deadline** (`deadline_ms`); an
@@ -59,7 +79,7 @@
 //! enforces.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -81,9 +101,14 @@ use fmig_trace::FileId;
 use crate::backoff::RetryPolicy;
 use crate::breaker::{should_shed, CircuitBreaker};
 use crate::protocol::{
-    Frame, ProtoError, RejectReason, ServedKind, ServiceStats, DRAIN_HORIZON_VMS, NO_DEADLINE,
-    NO_NEXT_USE, PROTO_VERSION,
+    Frame, ProtoError, RejectReason, ServedKind, ServiceStats, DRAIN_HORIZON_VMS, MAX_FRAME,
+    NO_DEADLINE, NO_NEXT_USE, PROTO_VERSION,
 };
+
+/// Pause before retrying a failed `accept`. A persistent failure
+/// (`EMFILE`: out of descriptors) fails every call at once, and retrying
+/// without a pause would take the CPU the core runs on.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 /// Daemon configuration. [`DaemonConfig::compat`] is the
 /// simulator-oracle mode the smoke test runs; the public fields let a
@@ -148,12 +173,60 @@ impl DaemonConfig {
 
 /// Messages from connection threads into the single-threaded core.
 enum CoreMsg {
-    /// New client connection and the sender feeding its writer thread.
-    NewConn(u64, Sender<Frame>),
-    /// A frame read from a client connection.
-    Msg(u64, Frame),
-    /// The client connection closed or errored.
+    /// New client connection and the sender feeding its writer thread,
+    /// one reply batch per message.
+    NewConn(u64, Sender<Vec<Frame>>),
+    /// One input batch: a frame the reader blocked for, then every whole
+    /// frame that was already buffered behind it.
+    Msg(u64, Vec<Frame>),
+    /// The client connection closed or errored; any good frames read
+    /// before that came first.
     Gone(u64),
+}
+
+/// A client connection as the core holds it.
+struct Conn {
+    /// Feeds the connection's writer thread.
+    writer: Sender<Vec<Frame>>,
+    /// Replies queued since the last hand-off to the writer.
+    outbox: Vec<Frame>,
+}
+
+impl Conn {
+    /// Hands the queued replies to the writer as one batch.
+    fn hand_off(&mut self) {
+        if !self.outbox.is_empty() {
+            // A vanished client only loses its own replies.
+            let _ = self.writer.send(std::mem::take(&mut self.outbox));
+        }
+    }
+}
+
+/// True when `buf` starts with a whole length-prefixed frame, so that
+/// decoding it cannot block on the socket. A length above [`MAX_FRAME`]
+/// is never whole: [`Frame::read_from`] is left to refuse it.
+fn holds_whole_frame(buf: &[u8]) -> bool {
+    let Some((prefix, body)) = buf.split_first_chunk::<4>() else {
+        return false;
+    };
+    let len = u32::from_le_bytes(*prefix);
+    len <= MAX_FRAME && body.len() >= len as usize
+}
+
+/// Blocks for one frame, then takes every whole frame already buffered
+/// behind it. The flag is set when the stream ended or a frame was bad;
+/// the frames read before that are good and still returned.
+fn read_batch<R: Read>(reader: &mut BufReader<R>) -> (Vec<Frame>, bool) {
+    let mut batch = Vec::new();
+    loop {
+        match Frame::read_from(reader) {
+            Ok(frame) => batch.push(frame),
+            Err(_) => return (batch, true),
+        }
+        if !holds_whole_frame(reader.buffer()) {
+            return (batch, false);
+        }
+    }
 }
 
 /// The request id and reference in a `ReadReq`/`WriteReq` frame, or
@@ -236,7 +309,7 @@ struct Core {
     retry: RetryPolicy,
     breaker: CircuitBreaker,
     draining: bool,
-    conns: HashMap<u64, Sender<Frame>>,
+    conns: HashMap<u64, Conn>,
     /// Reorder buffer, request id → (connection, reference): requests
     /// process in global `req` order so a multi-connection replay is
     /// trace-order deterministic.
@@ -330,17 +403,21 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             break Err("all connection threads vanished".to_string());
         };
         match msg {
-            CoreMsg::NewConn(id, sender) => {
-                daemon.core.conns.insert(id, sender);
+            CoreMsg::NewConn(id, writer) => {
+                let outbox = Vec::new();
+                daemon.core.conns.insert(id, Conn { writer, outbox });
             }
-            CoreMsg::Gone(id) => {
-                daemon.core.conns.remove(&id);
+            CoreMsg::Gone(id) => daemon.core.drop_conn(id),
+            CoreMsg::Msg(id, frames) => {
+                let outcome = daemon.handle_batch(id, frames);
+                // Also the last hand-off when the batch ends the session.
+                daemon.core.flush_outboxes();
+                match outcome {
+                    Ok(true) => {}
+                    Ok(false) => break Ok(daemon.stats()),
+                    Err(e) => break Err(e),
+                }
             }
-            CoreMsg::Msg(id, frame) => match daemon.handle_client(id, frame) {
-                Ok(true) => {}
-                Ok(false) => break Ok(daemon.stats()),
-                Err(e) => break Err(e),
-            },
         }
     };
 
@@ -371,6 +448,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<CoreMsg>, stop: Arc<AtomicBool>
             if stop.load(Ordering::SeqCst) {
                 return;
             }
+            thread::sleep(ACCEPT_RETRY_PAUSE);
             continue;
         };
         if stop.load(Ordering::SeqCst) {
@@ -379,7 +457,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<CoreMsg>, stop: Arc<AtomicBool>
         stream.set_nodelay(true).ok();
         let id = next_id;
         next_id += 1;
-        let (wtx, wrx) = mpsc::channel::<Frame>();
+        let (wtx, wrx) = mpsc::channel();
         // NewConn is sent before the reader thread exists, so the core
         // always learns the connection before its first frame.
         if tx.send(CoreMsg::NewConn(id, wtx)).is_err() {
@@ -393,16 +471,13 @@ fn accept_loop(listener: TcpListener, tx: Sender<CoreMsg>, stop: Arc<AtomicBool>
         thread::spawn(move || {
             let mut reader = BufReader::new(rstream);
             loop {
-                match Frame::read_from(&mut reader) {
-                    Ok(frame) => {
-                        if rtx.send(CoreMsg::Msg(id, frame)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        let _ = rtx.send(CoreMsg::Gone(id));
-                        return;
-                    }
+                let (batch, ended) = read_batch(&mut reader);
+                if !batch.is_empty() && rtx.send(CoreMsg::Msg(id, batch)).is_err() {
+                    return;
+                }
+                if ended {
+                    let _ = rtx.send(CoreMsg::Gone(id));
+                    return;
                 }
             }
         });
@@ -416,19 +491,17 @@ fn accept_loop(listener: TcpListener, tx: Sender<CoreMsg>, stop: Arc<AtomicBool>
     }
 }
 
-/// A connection's writer loop: each wake-up writes the reply it was
-/// woken for and every reply queued behind it, then flushes once.
+/// A connection's writer loop: each wake-up writes the reply batch it
+/// was woken for and every batch the core queued behind it, then
+/// flushes once. The loop ends when the core drops the sender, after
+/// the last batch it handed off.
 fn write_replies(
-    replies: &Receiver<Frame>,
+    replies: &Receiver<Vec<Frame>>,
     writer: &mut BufWriter<TcpStream>,
 ) -> Result<(), ProtoError> {
-    while let Ok(mut frame) = replies.recv() {
-        loop {
+    while let Ok(batch) = replies.recv() {
+        for frame in std::iter::once(batch).chain(replies.try_iter()).flatten() {
             frame.write_to(writer)?;
-            match replies.try_recv() {
-                Ok(next) => frame = next,
-                Err(_) => break,
-            }
         }
         writer.flush()?;
     }
@@ -436,10 +509,28 @@ fn write_replies(
 }
 
 impl Core {
+    /// Queues a reply in the connection's outbox; see the module docs
+    /// for when outboxes go to the writers.
     fn send(&mut self, conn: u64, frame: Frame) {
         // A vanished client only loses its own replies.
-        if let Some(s) = self.conns.get(&conn) {
-            let _ = s.send(frame);
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.outbox.push(frame);
+        }
+    }
+
+    /// Hands every non-empty outbox to its writer.
+    fn flush_outboxes(&mut self) {
+        for c in self.conns.values_mut() {
+            c.hand_off();
+        }
+    }
+
+    /// Drops a client connection. The replies it earned first still go
+    /// out: the writer writes them, then sees the sender gone and shuts
+    /// the socket down.
+    fn drop_conn(&mut self, conn: u64) {
+        if let Some(mut c) = self.conns.remove(&conn) {
+            c.hand_off();
         }
     }
 
@@ -550,10 +641,22 @@ fn link_err(fault: LinkFault) -> String {
 }
 
 impl Daemon<'_> {
+    /// Handles one input batch in order. Returns `Ok(false)` on
+    /// `Shutdown`; the frames behind it are not looked at.
+    fn handle_batch(&mut self, conn: u64, frames: Vec<Frame>) -> Result<bool, String> {
+        for frame in frames {
+            if !self.handle_client(conn, frame)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Handles one client frame. Returns `Ok(false)` on `Shutdown`.
     /// A frame no well-behaved client sends drops its connection — the
-    /// writer thread ends with the sender and shuts the socket down —
-    /// and anything still queued from a dropped connection is ignored.
+    /// writer thread writes the replies already earned, ends with the
+    /// sender and shuts the socket down — and anything still queued
+    /// from a dropped connection is ignored.
     fn handle_client(&mut self, conn: u64, frame: Frame) -> Result<bool, String> {
         let core = &mut self.core;
         if !core.conns.contains_key(&conn) {
@@ -570,7 +673,7 @@ impl Daemon<'_> {
             }
             Frame::ReadReq { .. } | Frame::WriteReq { .. } => {
                 let Some((req, reference)) = checked_request(frame) else {
-                    core.conns.remove(&conn);
+                    core.drop_conn(conn);
                     return Ok(true);
                 };
                 if core.draining {
@@ -581,7 +684,7 @@ impl Daemon<'_> {
                 // Judged on entry, whatever slot it asks for, and again
                 // when its slot comes up and the bound is exact.
                 if core.skips_ahead(req, reference.id) {
-                    core.conns.remove(&conn);
+                    core.drop_conn(conn);
                     return Ok(true);
                 }
                 core.pending.insert(req, (conn, reference));
@@ -591,7 +694,7 @@ impl Daemon<'_> {
                     if core.skips_ahead(req, reference.id) {
                         // The slot stays open for the request that
                         // belongs in it.
-                        core.conns.remove(&conn);
+                        core.drop_conn(conn);
                         break;
                     }
                     // Counted before the shed decision: a shed file was
@@ -602,7 +705,7 @@ impl Daemon<'_> {
                 }
             }
             Frame::StatsReq => {
-                let stats = self.stats();
+                let stats = Box::new(self.stats());
                 self.core.send(conn, Frame::Stats(stats));
             }
             Frame::Drain => {
@@ -614,7 +717,7 @@ impl Daemon<'_> {
                 return Ok(false);
             }
             _ => {
-                core.conns.remove(&conn);
+                core.drop_conn(conn);
             }
         }
         Ok(true)
@@ -841,5 +944,61 @@ impl Daemon<'_> {
             outage_wait_vms: rep.outage_wait_vms,
             slow_transfers: rep.slow_transfers,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for f in frames {
+            f.write_to(&mut buf).unwrap();
+        }
+        buf
+    }
+
+    #[test]
+    fn a_frame_is_whole_only_when_every_byte_is_buffered() {
+        let one = wire(&[Frame::Advance { until_vms: 7 }]);
+        let two = wire(&[Frame::Advance { until_vms: 7 }, Frame::Drain]);
+        assert!(!holds_whole_frame(&[]), "empty buffer");
+        assert!(!holds_whole_frame(&one[..3]), "3 bytes");
+        assert!(!holds_whole_frame(&one[..4]), "length prefix only");
+        assert!(!holds_whole_frame(&one[..one.len() - 1]), "one byte short");
+        assert!(holds_whole_frame(&one), "exact");
+        assert!(
+            holds_whole_frame(&two[..two.len() - 1]),
+            "exact plus a partial next frame"
+        );
+    }
+
+    #[test]
+    fn an_oversized_length_is_never_whole_and_still_refused() {
+        let mut buf = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        buf.resize(4 + MAX_FRAME as usize + 1, 0);
+        assert!(!holds_whole_frame(&buf));
+        assert_eq!(
+            Frame::read_from(&mut &buf[..]),
+            Err(ProtoError::Oversized(MAX_FRAME + 1))
+        );
+    }
+
+    #[test]
+    fn a_batch_takes_every_buffered_whole_frame_and_keeps_good_frames_on_error() {
+        let frames = [Frame::StatsReq, Frame::Drain, Frame::Shutdown];
+        let mut bytes = wire(&frames);
+        // The start of a fourth frame, cut short by end of stream.
+        bytes.extend_from_slice(&wire(&[Frame::Advance { until_vms: 1 }])[..6]);
+        let mut reader = BufReader::new(&bytes[..]);
+        assert_eq!(read_batch(&mut reader), (frames.to_vec(), false));
+        assert_eq!(read_batch(&mut reader), (Vec::new(), true));
+
+        // A whole frame of an unknown type behind two good ones.
+        let mut bad = wire(&frames[..2]);
+        bad.extend_from_slice(&[1, 0, 0, 0, 0xEE]);
+        let mut reader = BufReader::new(&bad[..]);
+        assert_eq!(read_batch(&mut reader), (frames[..2].to_vec(), true));
     }
 }

@@ -415,7 +415,7 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
             .and_then(|()| cwriter.flush().map_err(ProtoError::from))
             .map_err(|e| format!("stats: {e}"))?;
         match Frame::read_from(&mut creader) {
-            Ok(Frame::Stats(s)) => Some(s),
+            Ok(Frame::Stats(s)) => Some(*s),
             Ok(other) => return Err(format!("bad stats reply: {other:?}")),
             Err(e) => return Err(format!("stats reply: {e}")),
         }

@@ -207,8 +207,9 @@ pub enum Frame {
     StatsReq,
     /// The daemon's counters; cache fields match `CacheStats` and the
     /// rest mirror `HierarchyMetrics`, which is what lets the smoke
-    /// test compare them to the oracle field by field.
-    Stats(ServiceStats),
+    /// test compare them to the oracle field by field. Boxed: the
+    /// 160-byte payload would otherwise size every queued frame.
+    Stats(Box<ServiceStats>),
     /// Terminate the daemon (after a drain).
     Shutdown,
 
@@ -592,7 +593,7 @@ impl Frame {
                 }
             }
             Frame::StatsReq => b.push(T_STATS_REQ),
-            Frame::Stats(s) => {
+            Frame::Stats(ref s) => {
                 b.push(T_STATS);
                 for v in [
                     s.requests,
@@ -798,7 +799,7 @@ impl Frame {
                 origin_flushed_bytes: r.u64()?,
             },
             T_STATS_REQ => Frame::StatsReq,
-            T_STATS => Frame::Stats(ServiceStats {
+            T_STATS => Frame::Stats(Box::new(ServiceStats {
                 requests: r.u64()?,
                 read_hits: r.u64()?,
                 read_misses: r.u64()?,
@@ -819,7 +820,7 @@ impl Frame {
                 outage_events: r.u64()?,
                 outage_wait_vms: r.i64()?,
                 slow_transfers: r.u64()?,
-            }),
+            })),
             T_SHUTDOWN => Frame::Shutdown,
             T_ORIGIN_HELLO => Frame::OriginHello {
                 version: r.u32()?,
@@ -939,11 +940,11 @@ mod tests {
                 served: ServedKind::Recall,
             },
             Frame::Drain,
-            Frame::Stats(ServiceStats {
+            Frame::Stats(Box::new(ServiceStats {
                 requests: 5764,
                 read_hits: 100,
                 ..ServiceStats::default()
-            }),
+            })),
         ];
         let mut buf = Vec::new();
         for f in &frames {
@@ -953,6 +954,13 @@ mod tests {
         for f in &frames {
             assert_eq!(&Frame::read_from(&mut cursor).unwrap(), f);
         }
+    }
+
+    #[test]
+    fn a_queued_frame_stays_small() {
+        // Every request and reply crossing the daemon's channels is one
+        // of these; `Stats` is boxed so its payload does not size them.
+        assert!(std::mem::size_of::<Frame>() <= 64);
     }
 
     #[test]

@@ -39,7 +39,10 @@ fn read_req(file: u64, time_s: i64) -> Frame {
     }
 }
 
-/// Says hello, sends `frame`, and waits for the daemon to hang up.
+/// Says hello, asks for stats, sends `frame` — all in one write — and
+/// waits for the daemon to hang up. The replies earned before the
+/// hostile frame still arrive: dropping a connection hands its queued
+/// replies to the writer first.
 fn hostile_connection(daemon: SocketAddr, what: &str, frame: Frame) {
     let stream = TcpStream::connect(daemon).expect("connect");
     stream
@@ -53,11 +56,16 @@ fn hostile_connection(daemon: SocketAddr, what: &str, frame: Frame) {
     }
     .write_to(&mut writer)
     .expect("hello");
+    Frame::StatsReq.write_to(&mut writer).expect("stats req");
     frame.write_to(&mut writer).expect("hostile frame");
     writer.flush().expect("flush");
-    match Frame::read_from(&mut reader).expect("hello ack") {
-        Frame::HelloAck { .. } => {}
+    match Frame::read_from(&mut reader) {
+        Ok(Frame::HelloAck { .. }) => {}
         other => panic!("{what}: expected HelloAck, got {other:?}"),
+    }
+    match Frame::read_from(&mut reader) {
+        Ok(Frame::Stats(_)) => {}
+        other => panic!("{what}: expected Stats, got {other:?}"),
     }
     let after = Frame::read_from(&mut reader);
     assert!(after.is_err(), "{what}: connection survived: {after:?}");

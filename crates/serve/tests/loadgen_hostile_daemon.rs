@@ -13,7 +13,7 @@ use std::time::Duration;
 use fmig_core::FaultScenarioId;
 use fmig_migrate::eval::PreparedRef;
 use fmig_serve::loadgen::{self, CellSetup, LoadgenConfig};
-use fmig_serve::protocol::{Frame, ServedKind, ServiceStats, PROTO_VERSION};
+use fmig_serve::protocol::{Frame, ServedKind, PROTO_VERSION};
 use fmig_trace::{DeviceClass, FileId};
 
 /// Answers `Hello`, swallows requests, and at the `StatsReq` barrier
@@ -34,7 +34,7 @@ fn serve_conn(stream: TcpStream, answers: &[u64]) {
                     wait_vms: 0,
                     served: ServedKind::Write,
                 })
-                .chain([Frame::Stats(ServiceStats::default())])
+                .chain([Frame::Stats(Box::default())])
                 .collect(),
             _ => continue,
         };

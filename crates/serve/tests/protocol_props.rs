@@ -90,7 +90,7 @@ fn frame_from(sel: u8, w: &[u64]) -> Frame {
             origin_flushed_bytes: g(4),
         },
         8 => Frame::StatsReq,
-        9 => Frame::Stats(stats),
+        9 => Frame::Stats(Box::new(stats)),
         10 => Frame::Shutdown,
         11 => Frame::OriginHello {
             version: g(0) as u32,
