@@ -105,7 +105,9 @@ const KINETIC_MARGIN: f64 = 1e-9;
 /// Unlike [`AffinePriority`], a kinetic form is **never used to compare
 /// two files** — the kinetic tournament always compares the true
 /// `priority` values, so victim order is bit-identical to the rescan by
-/// construction. The form's only job is *scheduling*: given two curves
+/// construction. (A [`KineticForm::PowerAge`] curve may supply that
+/// value, because by contract it *is* the priority.) The form's only
+/// job is *scheduling*: given two curves
 /// and their current values, [`certify_order`] computes how long the
 /// current comparison outcome is guaranteed to hold, so the tournament
 /// re-checks a pair only when its certificate expires. A conservative
@@ -124,6 +126,13 @@ pub enum KineticForm {
     },
     /// `priority(t) = coeff·(t − anchor)^exponent` for `t ≥ anchor`.
     /// STP is the shipped example: `coeff = size`, `anchor = last_ref`.
+    ///
+    /// The curve **is** the priority, bit for bit: a policy returning
+    /// this variant promises that `priority(file, t)` equals
+    /// [`power_age`]`(coeff, anchor, exponent, t)` for every `t` until
+    /// the entry's next mutation (STP's `priority` calls that function).
+    /// The kinetic tournament therefore reprices an unmarked leaf from
+    /// its form instead of asking the host.
     PowerAge {
         /// Multiplier on the aged term (must be ≥ 0).
         coeff: f64,
@@ -131,6 +140,10 @@ pub enum KineticForm {
         anchor: i64,
         /// Exponent on the age (must be > 0, shared per policy instance).
         exponent: f64,
+        /// `coeff.powf(1.0 / exponent)`, computed once when the form is
+        /// cut: [`certify_order`] compares these roots, so certifying a
+        /// pair costs no `powf`.
+        root: f64,
     },
     /// `priority(t) = coeff·(t − anchor)^exponent
     ///              / (base + decay / max(t − created, 1))`
@@ -188,11 +201,13 @@ impl KineticForm {
                     coeff: a,
                     anchor: b,
                     exponent: c,
+                    ..
                 },
                 PowerAge {
                     coeff: d,
                     anchor: e,
                     exponent: f,
+                    ..
                 },
             ) => a.to_bits() == d.to_bits() && b == e && c.to_bits() == f.to_bits(),
             (
@@ -222,6 +237,47 @@ impl KineticForm {
             }
             _ => false,
         }
+    }
+}
+
+/// The [`KineticForm::PowerAge`] curve at `t`: `coeff·(t − anchor)^exponent`,
+/// the age clamped at zero. [`Stp`]'s priority is this function, so a
+/// leaf repriced from its form matches the policy bit for bit.
+pub fn power_age(coeff: f64, anchor: i64, exponent: f64, t: i64) -> f64 {
+    let age = (t - anchor).max(0) as f64;
+    age.powf(exponent) * coeff
+}
+
+/// `(1 − KINETIC_MARGIN)^(1/e)` for the last [`KineticForm::PowerAge`]
+/// exponent `e` [`certify_order`] saw: the certificate margin as a
+/// factor on coefficient roots. The exponent is shared per policy
+/// instance, so a caller that keeps one of these (the kinetic
+/// tournament keeps one) pays its `powf` once.
+#[derive(Debug, Clone, Copy)]
+pub struct MarginRoot {
+    exponent: f64,
+    root: f64,
+}
+
+impl Default for MarginRoot {
+    fn default() -> Self {
+        // x^(1/1) is x exactly.
+        MarginRoot {
+            exponent: 1.0,
+            root: 1.0 - KINETIC_MARGIN,
+        }
+    }
+}
+
+impl MarginRoot {
+    fn of(&mut self, exponent: f64) -> f64 {
+        if exponent.to_bits() != self.exponent.to_bits() {
+            *self = MarginRoot {
+                exponent,
+                root: (1.0 - KINETIC_MARGIN).powf(1.0 / exponent),
+            };
+        }
+        self.root
     }
 }
 
@@ -262,6 +318,8 @@ fn expiry_before(now: i64, t_cross: f64) -> i64 {
 /// `E > now` at which the comparison outcome could change: for every
 /// integer evaluation time `t` with `now ≤ t < E`, re-evaluating both
 /// priorities at `t` yields the same `total_cmp`-plus-id ordering.
+/// `margin` carries the PowerAge arm's per-exponent constant from one
+/// call to the next ([`MarginRoot`]).
 ///
 /// Soundness is the load-bearing property — a certificate must never
 /// outlive a possible order flip, while expiring early merely costs one
@@ -281,8 +339,10 @@ fn expiry_before(now: i64, t_cross: f64) -> i64 {
 ///   ratio `(c_l/c_w)·((t−a_l)/(t−a_w))^e` is monotone in `t`, so it
 ///   crosses the `1 − margin` threshold at most once, at
 ///   `t = (a_l − k·a_w)/(1 − k)` with
-///   `k = ((1−margin)·c_w/c_l)^(1/e)` — the ISSUE's closed-form
-///   crossing time with the margin folded into `k`. A ratio limit
+///   `k = ((1−margin)·c_w/c_l)^(1/e) = margin_root · root_w / root_l`,
+///   the closed-form crossing time with the margin folded into `k`.
+///   The coefficient roots come with the forms and `margin_root` from
+///   `margin`, so the arm is a few flops. A ratio limit
 ///   `c_l/c_w ≤ 1 − margin` can never reach the threshold: certificate
 ///   `i64::MAX`.
 /// * **PowerAgeLat × PowerAgeLat** — both curves are non-decreasing
@@ -301,6 +361,7 @@ pub fn certify_order(
     loser: &KineticForm,
     loser_value: f64,
     now: i64,
+    margin: &mut MarginRoot,
 ) -> i64 {
     use KineticForm::*;
     // Identical parameter bits ⇒ identical evaluations at every future
@@ -339,11 +400,13 @@ pub fn certify_order(
                 coeff: cw,
                 anchor: aw,
                 exponent: ew,
+                root: rw,
             },
             PowerAge {
                 coeff: cl,
                 anchor: al,
                 exponent: el,
+                root: rl,
             },
         ) => {
             if ew.to_bits() != el.to_bits() || !(*ew > 0.0) || !(*cw > 0.0) || !(*cl >= 0.0) {
@@ -361,9 +424,13 @@ pub fn certify_order(
                 // check); it can never reach 1 − margin.
                 return i64::MAX;
             }
-            // Age-ratio at the margin threshold; r_inf > 1 − margin
-            // keeps k strictly below 1.
-            let k = ((1.0 - KINETIC_MARGIN) / r_inf).powf(1.0 / ew);
+            // Age ratio at the margin threshold. r_inf > 1 − margin
+            // keeps the real k below 1; a rounded (or NaN) k that is
+            // not gets a one-tick certificate.
+            let k = margin.of(*ew) * rw / rl;
+            if !(k < 1.0) {
+                return now + 1;
+            }
             let t_cross = (*al as f64 - k * *aw as f64) / (1.0 - k);
             expiry_before(now, t_cross)
         }
@@ -479,7 +546,8 @@ pub trait MigrationPolicy: Send + Sync {
     ///    curve to within ~1e-13 relative error (the slack
     ///    [`certify_order`]'s margin absorbs) — and exactly for
     ///    [`KineticForm::PiecewiseConstant`], whose value must be
-    ///    bit-frozen for `t < until`.
+    ///    bit-frozen for `t < until`, and for [`KineticForm::PowerAge`],
+    ///    whose curve [`power_age`] must *be* `priority`, bit for bit.
     /// 2. **Shape invariants.** The variant's parameter bounds hold
     ///    (`coeff ≥ 0`, `exponent > 0`, `base ≥ 1`, `decay ≥ 0`); the
     ///    solver's single-crossing and monotone-envelope arguments rely
@@ -592,8 +660,7 @@ impl MigrationPolicy for Stp {
     }
 
     fn priority(&self, file: &FileView, now: i64) -> f64 {
-        let age = (now - file.last_ref).max(0) as f64;
-        age.powf(self.exponent) * file.size as f64
+        power_age(file.size as f64, file.last_ref, self.exponent, now)
     }
 
     // No affine form: even at exponent 1.0 the priority is
@@ -607,10 +674,12 @@ impl MigrationPolicy for Stp {
         if !self.exponent.is_finite() || self.exponent <= 0.0 {
             return None;
         }
+        let coeff = file.size as f64;
         Some(KineticForm::PowerAge {
-            coeff: file.size as f64,
+            coeff,
             anchor: file.last_ref,
             exponent: self.exponent,
+            root: coeff.powf(1.0 / self.exponent),
         })
     }
 }
@@ -1305,6 +1374,7 @@ mod tests {
             &fl,
             policy.priority(l, now),
             now,
+            &mut MarginRoot::default(),
         );
         assert!(e > now, "{}: expiry must be in the future", policy.name());
         // Dense probes near `now`, geometric probes toward the expiry,
@@ -1419,6 +1489,13 @@ mod tests {
         let fresh_small = file(2, 1 << 10, 990, 1);
         let e = check_certified_pair(&p, &old_large, &fresh_small, 1000);
         assert!(e > 1_010, "expiry {e} too conservative");
+        // A loser with the larger coefficient overtakes at t ≈ 1006.2:
+        // the crossing arm must certify right up to it.
+        let old_tiny = file(3, 1, 0, 1);
+        let fresh_big = file(4, 1000, 999, 1);
+        let e = check_certified_pair(&p, &old_tiny, &fresh_big, 1000);
+        assert_eq!(e, 1007);
+        assert!(order_holds(&p, &fresh_big, &old_tiny, e));
     }
 
     #[test]
@@ -1438,6 +1515,40 @@ mod tests {
             order_holds(&p, &fresh_huge, &old_tiny, e),
             "the loser overtakes right at the certified expiry"
         );
+    }
+
+    proptest::proptest! {
+        /// STP's priority *is* its PowerAge curve, bit for bit (the
+        /// promise that lets the tournament reprice an unmarked leaf
+        /// from its form), the form's root is `coeff^(1/e)`, and the
+        /// root-based certificate never outlives an order flip.
+        #[test]
+        fn stp_priority_is_its_power_age_curve_and_certifies_soundly(
+            sizes in (0u64..1 << 40, 0u64..1 << 40),
+            last_refs in (0i64..1_000_000, 0i64..1_000_000),
+            wait in 0i64..100_000,
+            e in 0usize..3,
+        ) {
+            let p = Stp { exponent: [1.0, 1.4, 2.0][e] };
+            let a = file(1, sizes.0, last_refs.0, 1);
+            let b = file(2, sizes.1, last_refs.1, 1);
+            let now = last_refs.0.max(last_refs.1) + wait;
+            for f in [&a, &b] {
+                let Some(KineticForm::PowerAge { coeff, anchor, exponent, root }) =
+                    p.kinetic(f, now)
+                else {
+                    panic!("STP ships the PowerAge form");
+                };
+                proptest::prop_assert_eq!(root.to_bits(), coeff.powf(1.0 / exponent).to_bits());
+                for t in [anchor, now, now + 1, now + 86_400] {
+                    proptest::prop_assert_eq!(
+                        p.priority(f, t).to_bits(),
+                        power_age(coeff, anchor, exponent, t).to_bits()
+                    );
+                }
+            }
+            check_certified_pair(&p, &a, &b, now);
+        }
     }
 
     #[test]

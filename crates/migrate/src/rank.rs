@@ -48,8 +48,12 @@
 //!   purge, hundreds of references apart, so the re-evaluation and the
 //!   root-to-leaf replay are owed once per touched leaf per purge —
 //!   [`KineticTournament::advance`] settles the marked leaves before
-//!   it looks at certificates. Amortized `O(log n)` per touched file
-//!   where the rescan re-ranks all `n` residents per purge.
+//!   it looks at certificates. Only a marked leaf asks the host for a
+//!   fresh value and form; an unmarked STP leaf is repriced from the
+//!   form it holds ([`crate::policy::power_age`], which *is* STP's
+//!   priority), and its coefficient root makes each certificate a few
+//!   flops. Amortized `O(log n)` per touched file where the rescan
+//!   re-ranks all `n` residents per purge.
 //! * **Rescan.** Rank every resident at `now`, sort, evict in order:
 //!   `O(n log n)` per purge, NaN-proof through `f64::total_cmp`, always
 //!   correct. Forced by [`EvictionMode::Rescan`], the home of policies
@@ -82,7 +86,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::EvictionMode;
-use crate::policy::{certify_order, FileView, KineticForm, MigrationPolicy};
+use crate::policy::{certify_order, power_age, FileView, KineticForm, MarginRoot, MigrationPolicy};
 
 /// Resident-set size at which [`EvictionMode::Auto`] switches from the
 /// rescan to the incremental index. Sorting a few dozen candidates per
@@ -610,7 +614,9 @@ const EMPTY_NODE: KNode = KNode {
 /// form as of `stamp`. Leaves refresh lazily — only when a recompute
 /// actually compares them at a newer time, or when the entry mutated
 /// since (`stale`: the cached value describes a state that no longer
-/// exists, whatever its stamp says).
+/// exists, whatever its stamp says). Kept at 80 bytes, pinned by a
+/// test: a wider leaf slows every tournament, so per-form constants
+/// ride in the form's spare payload, not here.
 #[derive(Debug, Clone, Copy)]
 struct KLeaf {
     file: u32,
@@ -635,7 +641,9 @@ const EMPTY_LEAF: KLeaf = KLeaf {
 /// The caller supplies one `eval` closure mapping a dense file index
 /// and a time to `(priority, kinetic form)` — the *true*
 /// [`crate::policy::MigrationPolicy::priority`] value, which is all the
-/// tournament ever compares (forms only schedule re-checks), so the
+/// tournament ever compares (forms only schedule re-checks — except
+/// that an unmarked [`KineticForm::PowerAge`] leaf is repriced from its
+/// form, whose curve is that same value by contract), so the
 /// winner sequence is bit-identical to the rescan's
 /// `(priority desc, id asc)` order by construction. Between two
 /// [`KineticTournament::advance`] calls the tree may lag the entries:
@@ -663,6 +671,8 @@ pub(crate) struct KineticTournament {
     dirty: Vec<u32>,
     len: usize,
     now: i64,
+    /// The certificate margin's per-exponent constant, computed once.
+    margin: MarginRoot,
 }
 
 impl KineticTournament {
@@ -677,6 +687,7 @@ impl KineticTournament {
             dirty: Vec::new(),
             len: 0,
             now: i64::MIN,
+            margin: MarginRoot::default(),
         }
     }
 
@@ -841,6 +852,10 @@ impl KineticTournament {
 
     /// Re-evaluates a leaf if its cached value predates `now` or the
     /// entry mutated since it was cached (possibly at this same `now`).
+    /// A marked leaf asks the host; an unmarked
+    /// [`KineticForm::PowerAge`] leaf is repriced from its form, whose
+    /// curve is the policy's priority bit for bit; any other leaf asks
+    /// the host too.
     fn refresh(
         &mut self,
         slot: u32,
@@ -850,6 +865,20 @@ impl KineticTournament {
     ) {
         let leaf = &mut self.leaves[slot as usize];
         if (leaf.stamp == now && !leaf.stale) || leaf.file == NO_SLOT {
+            return;
+        }
+        if let (
+            false,
+            KineticForm::PowerAge {
+                coeff,
+                anchor,
+                exponent,
+                ..
+            },
+        ) = (leaf.stale, leaf.form)
+        {
+            leaf.priority = power_age(coeff, anchor, exponent, now);
+            leaf.stamp = now;
             return;
         }
         match eval(leaf.file, now) {
@@ -896,7 +925,14 @@ impl KineticTournament {
                 let (slot, w, l) = if a_wins { (a, la, lb) } else { (b, lb, la) };
                 (
                     slot,
-                    certify_order(&w.form, w.priority, &l.form, l.priority, now),
+                    certify_order(
+                        &w.form,
+                        w.priority,
+                        &l.form,
+                        l.priority,
+                        now,
+                        &mut self.margin,
+                    ),
                 )
             }
         };
@@ -1450,15 +1486,47 @@ mod kinetic_tests {
     fn eval_refusal_aborts() {
         let p = Stp::classic();
         let state = [Some(view(0, 10, 0, 1)), Some(view(1, 20, 0, 1))];
-        let mut t = {
-            let mut eval = |f: u32, at: i64| {
-                let v = state[f as usize].as_ref()?;
-                Some((p.priority(v, at), p.kinetic(v, at)?))
-            };
-            KineticTournament::build(&[0, 1], 0, &mut eval).unwrap()
-        };
-        // An eval that refuses mid-advance must surface as `false`.
+        let mut t = KineticTournament::build(&[0, 1], 0, &mut eval_over(&p, &state)).unwrap();
+        // A touch marks the leaf; settling it asks the host, and a
+        // refusal there must surface as `false`.
+        assert!(t.upsert(0, 1, &mut |_, _| None));
         assert!(!t.advance(1, &mut |_, _| None));
+    }
+
+    #[test]
+    fn an_unmarked_power_age_leaf_is_repriced_without_the_host() {
+        let p = Stp::classic();
+        // File 0 is old and tiny, file 1 huge and just touched: file 0
+        // leads at the build, file 1 overtakes near t ≈ 108.
+        let state: Vec<Option<FileView>> = vec![
+            Some(view(0, 1, 0, 1)),
+            Some(view(1, 1_000, 100, 1)),
+            Some(view(2, 1, 50, 1)),
+            Some(view(3, 1, 80, 1)),
+        ];
+        let mut t =
+            KineticTournament::build(&[0, 1, 2, 3], 100, &mut eval_over(&p, &state)).unwrap();
+        assert_eq!(t.winner().map(|w| w.0), Some(0));
+        let mut evals = 0;
+        let now = 500;
+        assert!(t.advance(now, &mut |f, at| {
+            evals += 1;
+            eval_over(&p, &state)(f, at)
+        }));
+        assert_eq!(evals, 0, "no leaf was marked: nothing asks the host");
+        let (file, _, stamp) = t.winner().expect("residents remain");
+        assert_eq!(Some(file), naive_best(&p, &state, now));
+        assert_eq!(stamp, now, "the expired root repriced both finalists");
+        // Every cached value, repriced or not, is STP's priority to the bit.
+        for leaf in t.leaves.iter().filter(|l| l.file != NO_SLOT) {
+            let v = state[leaf.file as usize].as_ref().unwrap();
+            assert_eq!(leaf.priority.to_bits(), p.priority(v, leaf.stamp).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_leaf_stays_eighty_bytes() {
+        assert!(std::mem::size_of::<KLeaf>() <= 80);
     }
 
     #[test]
