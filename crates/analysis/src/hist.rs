@@ -68,6 +68,8 @@ impl Welford {
 pub struct LogHistogram {
     lo: f64,
     ratio: f64,
+    /// `ratio.log10()`, taken once: every record divides by it.
+    log_ratio: f64,
     counts: Vec<u64>,
     weights: Vec<f64>,
     total_count: u64,
@@ -94,6 +96,7 @@ impl LogHistogram {
         LogHistogram {
             lo,
             ratio,
+            log_ratio: ratio.log10(),
             counts: vec![0; n + 1], // last slot is the overflow bucket
             weights: vec![0.0; n + 1],
             total_count: 0,
@@ -127,7 +130,7 @@ impl LogHistogram {
         if x < self.lo {
             return 0;
         }
-        let idx = (x / self.lo).log10() / self.ratio.log10();
+        let idx = (x / self.lo).log10() / self.log_ratio;
         (idx as usize + 1).min(self.counts.len() - 1)
     }
 

@@ -78,7 +78,7 @@
 //! waits exactly — that is the oracle contract `repro service-smoke`
 //! enforces.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -275,6 +275,32 @@ struct OriginReport {
     slow_transfers: u64,
 }
 
+/// Who asked for each reference in the disk half's window: its
+/// `(connection, request id)`, trimmed in step with the window.
+#[derive(Debug, Default)]
+struct Clients {
+    /// The reference at the front of `asked`.
+    base: usize,
+    asked: VecDeque<(u64, u64)>,
+}
+
+impl Clients {
+    /// Who asked for reference `r`, which is still in the window: only
+    /// its resolution asks, and it resolves before it can retire.
+    fn of(&self, r: usize) -> (u64, u64) {
+        self.asked[r - self.base]
+    }
+
+    /// Retires every reference `disk` can let go of, and forgets who
+    /// asked for it. Replies go out as references resolve, in any
+    /// order, so no outcome is kept for a reader.
+    fn retire(&mut self, disk: &mut DiskHalf) {
+        let base = disk.retire(disk.references());
+        self.asked.drain(..base - self.base);
+        self.base = base;
+    }
+}
+
 /// One daemon session: the shared disk half and the host it runs on.
 struct Daemon<'p> {
     disk: DiskHalf<'p>,
@@ -287,10 +313,12 @@ struct Core {
     cfg: DaemonConfig,
     queue: EventQueue<DiskEv>,
     noise: Noise,
-    /// `(connection, request id)` of each reference, by reference index.
-    clients: Vec<(u64, u64)>,
+    /// Who asked for each reference in the disk half's window.
+    clients: Clients,
     /// Recalls in flight at the origin: job id → requesting reference.
-    /// Origin-supplied job ids are only ever looked up here.
+    /// Origin-supplied job ids are only ever looked up here, and a
+    /// reference with a recall in flight stays in the disk half's
+    /// window until this table lets go of it.
     recall_tbl: HashMap<u64, usize>,
     /// Flushes in flight at the origin: job id → the reference stalled
     /// on it, if any.
@@ -379,7 +407,7 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             noise: Noise::Keyed(cfg.seed),
             cfg,
             queue: EventQueue::new(),
-            clients: Vec::new(),
+            clients: Clients::default(),
             recall_tbl: HashMap::new(),
             flush_tbl: HashMap::new(),
             next_job: 0,
@@ -410,6 +438,7 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             CoreMsg::Gone(id) => daemon.core.drop_conn(id),
             CoreMsg::Msg(id, frames) => {
                 let outcome = daemon.handle_batch(id, frames);
+                daemon.core.clients.retire(&mut daemon.disk);
                 // Also the last hand-off when the batch ends the session.
                 daemon.core.flush_outboxes();
                 match outcome {
@@ -623,7 +652,7 @@ impl DiskHost for Core {
             ServedBy::Recall => ServedKind::Recall,
             ServedBy::DiskWrite => ServedKind::Write,
         };
-        let (conn, req) = self.clients[r];
+        let (conn, req) = self.clients.of(r);
         self.send(
             conn,
             Frame::Done {
@@ -744,7 +773,7 @@ impl Daemon<'_> {
             core.send(conn, Frame::Rejected { req, reason });
             return Ok(());
         }
-        core.clients.push((conn, req));
+        core.clients.asked.push_back((conn, req));
         self.disk.arrive(&reference, core, Core::send_flush)?;
         Ok(())
     }
@@ -949,7 +978,98 @@ impl Daemon<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
+    use fmig_migrate::policy::Lru;
+    use fmig_trace::DeviceClass;
+
     use super::*;
+
+    /// The daemon's disk-half host minus the sockets: resolutions become
+    /// replies to whoever asked.
+    struct Host {
+        queue: EventQueue<DiskEv>,
+        noise: Noise,
+        clients: Clients,
+        replies: Vec<(u64, u64)>,
+    }
+
+    impl DiskHost for Host {
+        fn schedule(&mut self, at: SimMs, ev: DiskEv) {
+            self.queue.push(at, ev);
+        }
+
+        fn noise(&mut self) -> &mut Noise {
+            &mut self.noise
+        }
+
+        fn resolved(&mut self, r: usize, _: Resolved) {
+            self.replies.push(self.clients.of(r));
+        }
+    }
+
+    #[test]
+    fn the_window_and_its_clients_retire_in_step_as_replies_go_out_of_order() {
+        let lru = Lru;
+        let sim = SimConfig::default().with_counter_noise(true);
+        let mut disk = DiskHalf::new(
+            &sim,
+            DiskCache::new(CacheConfig::with_capacity(1 << 40), &lru),
+        );
+        let mut host = Host {
+            queue: EventQueue::new(),
+            noise: Noise::Keyed(7),
+            clients: Clients::default(),
+            replies: Vec::new(),
+        };
+        let mut req = 0u64;
+        for round in 0..2_000u32 {
+            let t = i64::from(round) * 600;
+            let t_ms = t * MS;
+            // Per round: a miss, two writes, and another miss, from
+            // four connections; each file is new.
+            let mut recalls = Vec::new();
+            for (k, write) in [false, true, true, false].into_iter().enumerate() {
+                let reference = PreparedRef {
+                    id: FileId::from(4 * round + k as u32),
+                    size: 1_000_000,
+                    write,
+                    time: t,
+                    next_use: None,
+                    device: DeviceClass::TapeSilo,
+                };
+                host.clients.asked.push_back((k as u64, req));
+                req += 1;
+                let no_flushes = |_: &mut Host, _, _| Ok::<(), Infallible>(());
+                let r = disk.arrive(&reference, &mut host, no_flushes).unwrap();
+                if !write {
+                    recalls.push(r);
+                }
+            }
+            while let Some((now, ev)) = host.queue.pop_due(t_ms + 300_000) {
+                disk.handle(now, ev, &mut host);
+            }
+            host.clients.retire(&mut disk);
+            // The later miss is answered first; the earlier one holds
+            // the window's front until its own answer.
+            let (early, late) = (recalls[0], recalls[1]);
+            let before = host.replies.len();
+            for r in [late, early] {
+                disk.first_byte(r, t_ms + 400_000, &mut host).unwrap();
+                disk.recall_done(r).unwrap();
+                host.clients.retire(&mut disk);
+                assert_eq!(host.clients.base <= early, r == late);
+            }
+            let answered = &host.replies[before..];
+            let asked = |r: usize| (r as u64 % 4, r as u64);
+            assert_eq!(answered, [asked(late), asked(early)]);
+            let window = disk.references() - host.clients.base;
+            assert_eq!(host.clients.asked.len(), window);
+            assert!(window <= 4, "{window} references held after round {round}");
+            assert_eq!(disk.outcome(early), None, "retired");
+        }
+        assert_eq!(host.replies.len(), 8_000);
+    }
 
     fn wire(frames: &[Frame]) -> Vec<u8> {
         let mut buf = Vec::new();

@@ -33,7 +33,25 @@
 //! those answers are outside input: the host checks *which* job they
 //! name, and one that resolves a reference out of turn comes back as a
 //! [`LinkFault`], never a panic.
+//!
+//! # The reference window
+//!
+//! [`DiskHalf`] keeps per-reference state for a window of references,
+//! not for the whole run, and the host trims it with
+//! [`DiskHalf::retire`]. A reference may leave once it is resolved and
+//! nothing can name it any more: its disk transfer's end
+//! ([`DiskEv::DiskDone`]) has been handled, and its own recall, if it
+//! issued one, has been answered by [`DiskHalf::recall_done`] or
+//! [`DiskHalf::abandon`]. Every other name a reference has — its
+//! dispatch, a stall flush gating it, a place among a recall's waiters
+//! or in a disk queue — lapses when it resolves. Retiring only below
+//! the caller's `upto` lets a host that reports outcomes in arrival
+//! order keep the ones it has not read yet; a host that reports them as
+//! they resolve retires everything it can. The window runs from the
+//! oldest reference still held to the newest arrival, so its size
+//! follows what is in flight, not the length of the run.
 
+use std::collections::VecDeque;
 use std::mem;
 
 use fmig_migrate::cache::{CacheOp, DiskCache, ReadResult};
@@ -255,6 +273,11 @@ struct RefState {
     outcome: Resolved,
     arrival_ms: SimMs,
     done: bool,
+    /// Its [`DiskEv::DiskDone`] is still queued.
+    transferring: bool,
+    /// Its own recall is in flight: issued, and neither done nor
+    /// abandoned.
+    recalling: bool,
     /// Stall flushes that must land on tape before disk service starts.
     gate: u32,
     /// MSCP dispatch finished while gated; start when the gate clears.
@@ -279,7 +302,11 @@ pub struct DiskHalf<'p> {
     cfg: SimConfig,
     path: DiskPath,
     cache: DiskCache<'p>,
-    refs: Vec<RefState>,
+    /// The reference window (see the module docs): references `base..`,
+    /// in arrival order.
+    refs: VecDeque<RefState>,
+    /// Index of the window's front.
+    base: usize,
     /// Recalls in flight: a dense arena indexed by [`FileId`], grown on
     /// demand — `Some` exactly while a recall for that file is
     /// outstanding.
@@ -304,7 +331,8 @@ impl<'p> DiskHalf<'p> {
             cfg: cfg.clone(),
             path: DiskPath::new(cfg),
             cache,
-            refs: Vec::new(),
+            refs: VecDeque::new(),
+            base: 0,
             outstanding: Vec::new(),
             file_tape: Vec::new(),
             feedback: LatencyFeedback::new(),
@@ -337,13 +365,47 @@ impl<'p> DiskHalf<'p> {
 
     /// References that have arrived; the next one gets this index.
     pub fn references(&self) -> usize {
+        self.base + self.refs.len()
+    }
+
+    /// Reference `r`'s outcome once it is resolved; `None` before that,
+    /// and again once it is retired.
+    pub fn outcome(&self, r: usize) -> Option<Resolved> {
+        let st = self.refs.get(r.checked_sub(self.base)?)?;
+        st.done.then_some(st.outcome)
+    }
+
+    /// Drops the state of every reference below `upto` that nothing can
+    /// name any more, oldest first, stopping at the first that must
+    /// stay (see the module docs). Returns the new front of the window:
+    /// every reference below it is retired.
+    pub fn retire(&mut self, upto: usize) -> usize {
+        while self.base < upto
+            && self
+                .refs
+                .front()
+                .is_some_and(|st| st.done && !st.transferring && !st.recalling)
+        {
+            self.refs.pop_front();
+            self.base += 1;
+        }
+        self.base
+    }
+
+    /// References held in the window.
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> usize {
         self.refs.len()
     }
 
-    /// Reference `r`'s outcome once it is resolved.
-    pub fn outcome(&self, r: usize) -> Option<Resolved> {
-        let st = self.refs.get(r)?;
-        st.done.then_some(st.outcome)
+    /// The state of reference `r`, which must still be in the window.
+    /// Nothing retired can reach here: an event names a reference only
+    /// while it holds it in the window, and an outside answer reaches
+    /// one only through the host's table of recalls in flight (or of
+    /// the flushes gating an unresolved reference), which names each
+    /// until its `recall_done` or `abandon`.
+    fn st(&mut self, r: usize) -> &mut RefState {
+        &mut self.refs[r - self.base]
     }
 
     /// Classifies one reference through the cache at `pr.time` and
@@ -412,8 +474,8 @@ impl<'p> DiskHalf<'p> {
         } else {
             0
         };
-        let i = self.refs.len();
-        self.refs.push(RefState {
+        let i = self.references();
+        self.refs.push_back(RefState {
             outcome: Resolved {
                 id: pr.id,
                 size: pr.size,
@@ -425,6 +487,8 @@ impl<'p> DiskHalf<'p> {
             },
             arrival_ms: t_ms,
             done: false,
+            transferring: false,
+            recalling: false,
             gate: 0,
             ready: false,
             recall_seq,
@@ -441,7 +505,7 @@ impl<'p> DiskHalf<'p> {
                 // Only disk-served foregrounds stall on the flush; a
                 // miss's recall is the longer pole and proceeds.
                 CacheOp::StallFlush { id, bytes } if disk_served => {
-                    self.refs[i].gate += 1;
+                    self.st(i).gate += 1;
                     (id, bytes, Some(i), t_ms)
                 }
                 CacheOp::StallFlush { id, bytes } | CacheOp::PurgeFlush { id, bytes } => {
@@ -501,11 +565,11 @@ impl<'p> DiskHalf<'p> {
     ) -> Option<RecallOrder> {
         match ev {
             DiskEv::Dispatch(r) => {
-                let st = self.refs[r];
+                let st = *self.st(r);
                 if st.outcome.served != ServedBy::Recall {
                     // MSCP work done: start disk service unless stall
                     // flushes still gate it.
-                    self.refs[r].ready = true;
+                    self.st(r).ready = true;
                     if st.gate == 0 {
                         self.join_disk(r, now, host);
                     }
@@ -519,6 +583,7 @@ impl<'p> DiskHalf<'p> {
                     self.counters.recalls
                 };
                 self.counters.recalls += 1;
+                self.st(r).recalling = true;
                 Some(RecallOrder {
                     r,
                     seq,
@@ -528,7 +593,9 @@ impl<'p> DiskHalf<'p> {
                 })
             }
             DiskEv::DiskDone(r) => {
-                let started = self.path.done(self.spindle_of(r), now);
+                self.st(r).transferring = false;
+                let spindle = self.spindle_of(r);
+                let started = self.path.done(spindle, now);
                 self.start_transfer(started, now, host);
                 None
             }
@@ -536,12 +603,13 @@ impl<'p> DiskHalf<'p> {
     }
 
     /// Disk-served references spread over the spindles by file id.
-    fn spindle_of(&self, r: usize) -> usize {
-        self.refs[r].outcome.id.index() % self.path.spindles()
+    fn spindle_of(&mut self, r: usize) -> usize {
+        self.st(r).outcome.id.index() % self.path.spindles()
     }
 
     fn join_disk<H: DiskHost>(&mut self, r: usize, now: SimMs, host: &mut H) {
-        let started = self.path.join(r, self.spindle_of(r), now);
+        let spindle = self.spindle_of(r);
+        let started = self.path.join(r, spindle, now);
         self.start_transfer(started, now, host);
     }
 
@@ -549,7 +617,9 @@ impl<'p> DiskHalf<'p> {
     /// reference's first byte follows the seek.
     fn start_transfer<H: DiskHost>(&mut self, started: Option<usize>, now: SimMs, host: &mut H) {
         let Some(r) = started else { return };
-        let bytes = self.refs[r].outcome.size;
+        let st = self.st(r);
+        st.transferring = true;
+        let bytes = st.outcome.size;
         let (first_byte, end) = self.path.transfer(r, bytes, now, host.noise());
         self.resolve(r, first_byte, false, host);
         host.schedule(end, DiskEv::DiskDone(r));
@@ -565,7 +635,8 @@ impl<'p> DiskHalf<'p> {
     ) -> Result<(), LinkFault> {
         self.unresolved(r)?;
         self.resolve(r, at, false, host);
-        if let Some(o) = self.outstanding[self.refs[r].outcome.id.index()].as_mut() {
+        let file = self.st(r).outcome.id.index();
+        if let Some(o) = self.outstanding[file].as_mut() {
             o.first_byte_ms = Some(at);
             for w in mem::take(&mut o.waiters) {
                 self.resolve(w, at, false, host);
@@ -576,10 +647,11 @@ impl<'p> DiskHalf<'p> {
 
     /// Recall `r`'s file is fully staged: further reads are plain hits.
     pub fn recall_done(&mut self, r: usize) -> Result<(), LinkFault> {
-        let st = self.refs[r];
+        let st = *self.st(r);
         if !st.done {
             return Err(LinkFault::DoneBeforeFirstByte(r));
         }
+        self.st(r).recalling = false;
         self.cache.fetch_complete(st.outcome.id);
         if let Some(o) = self.outstanding[st.outcome.id.index()].take() {
             debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
@@ -593,7 +665,8 @@ impl<'p> DiskHalf<'p> {
     /// waiters parked on the recall ride along to the retry, or to
     /// [`Self::abandon`].
     pub fn recall_failed(&mut self, r: usize) {
-        self.cache.fetch_failed(self.refs[r].outcome.id);
+        let file = self.st(r).outcome.id;
+        self.cache.fetch_failed(file);
     }
 
     /// Recall `r` is given up on at `at`: the requester and every
@@ -609,7 +682,10 @@ impl<'p> DiskHalf<'p> {
         self.unresolved(r)?;
         self.resolve(r, at, true, host);
         self.counters.abandoned += 1;
-        if let Some(o) = self.outstanding[self.refs[r].outcome.id.index()].take() {
+        let st = self.st(r);
+        st.recalling = false;
+        let file = st.outcome.id.index();
+        if let Some(o) = self.outstanding[file].take() {
             for w in o.waiters {
                 self.resolve(w, at, true, host);
             }
@@ -622,7 +698,7 @@ impl<'p> DiskHalf<'p> {
     /// when its last flush lands, if its dispatch is already through.
     pub fn flush_done<H: DiskHost>(&mut self, gated: Option<usize>, at: SimMs, host: &mut H) {
         let Some(r) = gated else { return };
-        let st = &mut self.refs[r];
+        let st = self.st(r);
         st.gate -= 1;
         if st.gate == 0 && st.ready {
             self.join_disk(r, at, host);
@@ -632,8 +708,8 @@ impl<'p> DiskHalf<'p> {
     /// A recall's requester waits for its first byte exactly once; an
     /// answer for one that already has it (or already failed) is the
     /// tape half resolving a reference twice.
-    fn unresolved(&self, r: usize) -> Result<(), LinkFault> {
-        if self.refs[r].done {
+    fn unresolved(&mut self, r: usize) -> Result<(), LinkFault> {
+        if self.st(r).done {
             return Err(LinkFault::ResolvedTwice(r));
         }
         Ok(())
@@ -642,7 +718,7 @@ impl<'p> DiskHalf<'p> {
     /// Finalizes a reference's first byte (or its failure) and tells
     /// the host.
     fn resolve<H: DiskHost>(&mut self, r: usize, first_byte_ms: SimMs, failed: bool, host: &mut H) {
-        let st = &mut self.refs[r];
+        let st = self.st(r);
         debug_assert!(!st.done, "reference {r} resolved twice");
         st.done = true;
         st.outcome.failed = failed;
@@ -989,6 +1065,60 @@ mod tests {
         assert_eq!((issued[0].r, issued[0].seq), (again, 1));
         assert_eq!(half.counters().recalls, 2);
         assert_eq!(half.counters().delayed_hits, 2);
+    }
+
+    #[test]
+    fn the_window_stays_bounded_through_retries_abandons_and_stall_flushes() {
+        let lru = Lru;
+        let mut half = half(&lru, 1000, false);
+        let mut host = Recorder::new();
+        let (mut emitted, mut answered, mut high_water) = (0, 0, 0);
+        for round in 0..1_000u32 {
+            let t = i64::from(round) * 10_000;
+            let id = |k: u32| 8 * round + k;
+            // Three dirty files, then a write whose admission stalls on
+            // them; then two misses, each with a waiter.
+            for (k, size) in [(0, 300), (1, 300), (2, 250), (3, 500)] {
+                host.arrive(&mut half, write(id(k), t + i64::from(k), size));
+            }
+            for (k, dt) in [(4, 4), (4, 5), (5, 6), (5, 7)] {
+                host.arrive(&mut half, read(id(k), t + dt, 100));
+            }
+            high_water = high_water.max(half.window());
+            // Every recall fails once; then the first is retried and
+            // served, the second abandoned.
+            let issued = host.advance(&mut half, (t + 2_000) * MS);
+            assert_eq!(issued.len(), 2);
+            for (n, order) in issued.into_iter().enumerate() {
+                half.recall_failed(order.r);
+                let at = (t + 2_000) * MS;
+                if n == 0 {
+                    half.first_byte(order.r, at, &mut host).unwrap();
+                    half.recall_done(order.r).unwrap();
+                } else {
+                    half.abandon(order.r, at, &mut host).unwrap();
+                }
+            }
+            let flushes: Vec<_> = host.flushes[answered..].iter().map(|&(o, _)| o).collect();
+            answered = host.flushes.len();
+            for order in flushes {
+                half.flush_done(order.gated, (t + 3_000) * MS, &mut host);
+            }
+            host.advance(&mut half, (t + 5_000) * MS);
+            // The host reads outcomes in arrival order, then retires.
+            while half.outcome(emitted).is_some() {
+                emitted += 1;
+            }
+            assert_eq!(half.retire(emitted), emitted, "round {round}");
+            assert_eq!(half.outcome(emitted - 1), None, "retired");
+            assert_eq!(host.outcome(emitted - 1).len(), 1);
+        }
+        assert_eq!(emitted, 8_000);
+        assert_eq!(half.references(), 8_000);
+        assert!(host.flushes.iter().any(|(o, _)| o.gated.is_some()));
+        assert_eq!(half.cache().fetch_retries(), 2_000);
+        assert_eq!(half.counters().abandoned, 1_000);
+        assert_eq!(high_water, 8, "a round's references, no more");
     }
 
     #[test]

@@ -368,26 +368,38 @@ impl<'p> Engine<'p> {
                 "reference at {t_ms} ms lies outside the fault horizon [{start_ms}, {end_ms})"
             );
             prev_ms = t_ms;
-            self.front.host.first_ms = self.front.host.first_ms.min(t_ms);
-            while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
-                self.handle(now, ev);
-            }
-            // A flush is a tape write that joins its drive queue at `at`.
-            let Front { host, disk } = &mut self.front;
-            let tape = &mut self.tape;
-            let carried = disk.arrive(&pr, host, |host, order, at| {
-                let id = order.gated.map_or(UNGATED, |r| r as u64);
-                let j = tape.flush(id, order.seq, order.bytes, order.tier);
-                host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
-                Ok::<(), Infallible>(())
-            });
-            carried.unwrap_or_else(|never| match never {});
-            self.front.emit_finished(&mut sink);
+            self.feed(&pr, &mut sink);
         }
+        self.finish(&mut sink)
+    }
+
+    /// Catches the simulation up to `pr`'s arrival, classifies it, and
+    /// emits every outcome that is now final.
+    fn feed(&mut self, pr: &PreparedRef, sink: &mut impl FnMut(RefOutcome)) {
+        let t_ms = pr.time * MS;
+        self.front.host.first_ms = self.front.host.first_ms.min(t_ms);
+        while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
+            self.handle(now, ev);
+        }
+        // A flush is a tape write that joins its drive queue at `at`.
+        let Front { host, disk } = &mut self.front;
+        let tape = &mut self.tape;
+        let carried = disk.arrive(pr, host, |host, order, at| {
+            let id = order.gated.map_or(UNGATED, |r| r as u64);
+            let j = tape.flush(id, order.seq, order.bytes, order.tier);
+            host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
+            Ok::<(), Infallible>(())
+        });
+        carried.unwrap_or_else(|never| match never {});
+        self.front.emit_finished(sink);
+    }
+
+    /// Runs the simulation dry, emits the rest, and totals the run.
+    fn finish(mut self, sink: &mut impl FnMut(RefOutcome)) -> HierarchyMetrics {
         while let Some((now, ev)) = self.front.host.queue.pop() {
             self.handle(now, ev);
         }
-        self.front.emit_finished(&mut sink);
+        self.front.emit_finished(sink);
         let Front { host, disk } = self.front;
         debug_assert_eq!(host.next_emit, disk.references());
 
@@ -449,7 +461,8 @@ fn linked(answer: Result<(), LinkFault>) {
 }
 
 impl Front<'_> {
-    /// Emits every resolved reference, in arrival order.
+    /// Emits every resolved reference, in arrival order, and retires
+    /// what has been emitted from the disk half's window.
     fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
         while let Some(o) = self.disk.outcome(self.host.next_emit) {
             sink(RefOutcome {
@@ -462,6 +475,7 @@ impl Front<'_> {
             });
             self.host.next_emit += 1;
         }
+        self.disk.retire(self.host.next_emit);
     }
 }
 
@@ -1067,6 +1081,52 @@ mod tests {
             degraded.miss_wait.quantile(1.0) > healthy.miss_wait.quantile(1.0),
             "a slow drive must delay the queued recall"
         );
+    }
+
+    #[test]
+    fn the_disk_window_stays_bounded_on_a_long_degraded_stream() {
+        // A week of references, one every 30 s over 500 silo files with
+        // every fifth a write: a lazy write-back cache of 25 files stalls
+        // writes on dirty victims, and flaky reads plus drive outages
+        // retry recalls. What is in flight stays in the tens.
+        const REFS: usize = 20_000;
+        let refs = (0..REFS).map(|k| PreparedRef {
+            id: FileId::new((k * 7 % 500) as u32),
+            size: 2_000_000,
+            write: k % 5 == 0,
+            time: k as i64 * 30,
+            next_use: None,
+            device: DeviceClass::TapeSilo,
+        });
+        let cache = CacheConfig {
+            eager_writeback: false,
+            ..cache_cfg(50_000_000)
+        };
+        let plan = FaultPlan {
+            outages: vec![crate::fault::OutageClause {
+                target: FaultTarget::SiloDrive,
+                mean_up_s: 3_600.0,
+                down_s: 600.0,
+                jitter: 0.2,
+            }],
+            ..flaky_reads(0.3, 3, 30.0)
+        };
+        let cfg = SimConfig::default().with_seed(3);
+        let (start, end) = fault_horizon(0, REFS as i64 * 30);
+        let schedule = FaultSchedule::materialize(&plan, cfg.seed, start, end);
+        let mut engine = Engine::new(&cfg, cache, &Lru, schedule);
+        engine.tape.schedule_outages(&mut engine.front);
+        let (mut emitted, mut high_water) = (0, 0);
+        let mut sink = |_: RefOutcome| emitted += 1;
+        for pr in refs {
+            engine.feed(&pr, &mut sink);
+            high_water = high_water.max(engine.front.disk.window());
+        }
+        let m = engine.finish(&mut sink);
+        assert_eq!(emitted, REFS);
+        assert!(m.cache.stall_bytes > 0, "no write stalled");
+        assert!(m.fault.expect("an active plan").read_retries > 0);
+        assert!(high_water < 64, "{high_water} references held at once");
     }
 
     #[test]

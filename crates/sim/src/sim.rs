@@ -19,6 +19,17 @@
 //! consulted, and noise comes from one sequential RNG stream. The
 //! simulator annotates every record with its achieved startup latency
 //! and transfer time and aggregates Figure 3 latency histograms.
+//!
+//! # The request window
+//!
+//! Requests are numbered in arrival order, and records are emitted in
+//! that order once their startup latency is final. The engine keeps a
+//! window over the requests from the oldest one not yet emitted to the
+//! newest arrival, so its memory follows what is in flight, not the
+//! length of the trace. A request leaves the window when its record is
+//! emitted. No event names it after that: a disk transfer's end names
+//! its spindle, and the tape half hears about a request only before its
+//! first byte.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -106,8 +117,8 @@ impl MssSimulator {
 enum Ev {
     /// MSCP overhead elapsed; join the device queue.
     Dispatch(usize),
-    /// A disk transfer finished.
-    DiskDone(usize),
+    /// A disk transfer on this spindle finished.
+    DiskDone { spindle: usize },
     /// An errored request was answered at the MSCP.
     ErrorDone(usize),
     /// A tape-half event.
@@ -122,28 +133,33 @@ struct Req {
     device: DeviceClass,
     spindle: usize,
     first_byte_ms: SimMs,
+    /// The startup latency is final: the first byte has been reached,
+    /// or the request errored at the MSCP.
+    done: bool,
 }
 
 struct Engine<'a, R> {
     front: Front<'a, R>,
     disk: DiskPath,
     tape: TapeHalf,
+    /// Start of the latest arrival.
+    prev_ms: SimMs,
 }
 
-/// What both halves are hosted on: the request table, the event queue,
+/// What both halves are hosted on: the request window, the event queue,
 /// and the listener first bytes are reported to.
 struct Front<'a, R> {
     cfg: &'a SimConfig,
     noise: Noise,
     queue: EventQueue<Ev>,
-    reqs: Vec<Req>,
-    /// Whether each request's startup latency is final (its first byte
-    /// has been reached, or it errored at the MSCP).
-    done: Vec<bool>,
-    /// Records awaiting emission; front is request `next_emit`.
+    /// The request window (see the module docs): requests `base..`, in
+    /// arrival order.
+    reqs: VecDeque<Req>,
+    /// Their records, awaiting emission.
     pending: VecDeque<R>,
-    /// Next request index to hand to the sink.
-    next_emit: usize,
+    /// Index of the window's front: the next request to hand to the
+    /// sink.
+    base: usize,
     metrics: Metrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -156,49 +172,58 @@ impl<'a, R: Request> Engine<'a, R> {
                 cfg,
                 noise: Noise::Sequential(SmallRng::seed_from_u64(cfg.seed)),
                 queue: EventQueue::new(),
-                reqs: Vec::new(),
-                done: Vec::new(),
+                reqs: VecDeque::new(),
                 pending: VecDeque::new(),
-                next_emit: 0,
+                base: 0,
                 metrics: Metrics::new(),
                 first_ms: SimMs::MAX,
                 last_ms: SimMs::MIN,
             },
             disk: DiskPath::new(cfg),
             tape: TapeHalf::new(cfg, FaultSchedule::none()),
+            prev_ms: SimMs::MIN,
         }
     }
 
     fn run(mut self, records: impl IntoIterator<Item = R>, mut sink: impl FnMut(R)) -> Metrics {
-        let mut prev_ms = SimMs::MIN;
         for rec in records {
-            let t_ms = rec.start().as_unix() * MS;
-            assert!(t_ms >= prev_ms, "records must be sorted by start time");
-            prev_ms = t_ms;
-            self.front.first_ms = self.front.first_ms.min(t_ms);
-            // Catch the simulation up to this arrival.
-            while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
-                self.handle(now, ev);
-            }
-            self.front.arrive(&rec, t_ms, self.disk.spindles());
-            self.front.pending.push_back(rec);
-            self.front.emit_finished(&mut sink);
+            self.feed(rec, &mut sink);
         }
+        self.finish(&mut sink)
+    }
+
+    /// Catches the simulation up to `rec`'s arrival, admits it, and
+    /// emits every record whose latency is now final.
+    fn feed(&mut self, rec: R, sink: &mut impl FnMut(R)) {
+        let t_ms = rec.start().as_unix() * MS;
+        assert!(t_ms >= self.prev_ms, "records must be sorted by start time");
+        self.prev_ms = t_ms;
+        self.front.first_ms = self.front.first_ms.min(t_ms);
+        while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
+            self.handle(now, ev);
+        }
+        self.front.arrive(&rec, t_ms, self.disk.spindles());
+        self.front.pending.push_back(rec);
+        self.front.emit_finished(sink);
+    }
+
+    /// Runs the simulation dry and emits the rest.
+    fn finish(mut self, sink: &mut impl FnMut(R)) -> Metrics {
         while let Some((now, ev)) = self.front.queue.pop() {
             self.handle(now, ev);
         }
-        self.front.emit_finished(&mut sink);
+        self.front.emit_finished(sink);
         let Front {
             reqs,
-            next_emit,
+            base,
             mut metrics,
             first_ms,
             last_ms,
             ..
         } = self.front;
-        debug_assert_eq!(next_emit, reqs.len());
+        debug_assert!(reqs.is_empty());
 
-        metrics.requests = reqs.len() as u64;
+        metrics.requests = base as u64;
         let span = (first_ms, last_ms.max(first_ms));
         metrics.utilisation = self.tape.utilisation(span.0, span.1);
         self.disk
@@ -210,7 +235,7 @@ impl<'a, R: Request> Engine<'a, R> {
         self.front.last_ms = self.front.last_ms.max(now);
         match ev {
             Ev::Dispatch(r) => {
-                let req = self.front.reqs[r];
+                let req = *self.front.req(r);
                 match Tier::of(req.device) {
                     None => {
                         let started = self.disk.join(r, req.spindle, now);
@@ -227,8 +252,8 @@ impl<'a, R: Request> Engine<'a, R> {
                     }
                 }
             }
-            Ev::DiskDone(r) => {
-                let started = self.disk.done(self.front.reqs[r].spindle, now);
+            Ev::DiskDone { spindle } => {
+                let started = self.disk.done(spindle, now);
                 self.front.start_transfer(&self.disk, started, now);
             }
             Ev::ErrorDone(r) => self.front.first_byte_at(r, now),
@@ -244,12 +269,19 @@ impl<'a, R: Request> Engine<'a, R> {
 }
 
 impl<R: Request> Front<'_, R> {
+    /// Request `r`, which has not been emitted yet: every event naming a
+    /// request comes before its first byte, and emission after.
+    fn req(&mut self, r: usize) -> &mut Req {
+        &mut self.reqs[r - self.base]
+    }
+
     /// Annotates and emits every record whose latency is final, in
-    /// arrival order.
+    /// arrival order; each leaves the window.
     fn emit_finished(&mut self, sink: &mut impl FnMut(R)) {
-        while self.next_emit < self.done.len() && self.done[self.next_emit] {
+        while self.reqs.front().is_some_and(|req| req.done) {
+            let req = self.reqs.pop_front().expect("a finished request");
             let mut rec = self.pending.pop_front().expect("pending record");
-            let req = &self.reqs[self.next_emit];
+            self.base += 1;
             let latency_ms = (req.first_byte_ms - req.arrival_ms).max(0);
             let transfer_ms = if rec.error().is_none() {
                 let rate = self.cfg.rate_of(req.device);
@@ -259,13 +291,12 @@ impl<R: Request> Front<'_, R> {
             };
             rec.annotate((latency_ms / MS) as u32, transfer_ms);
             sink(rec);
-            self.next_emit += 1;
         }
     }
 
     fn arrive(&mut self, rec: &R, t_ms: SimMs, spindles: usize) {
-        let idx = self.reqs.len();
-        self.reqs.push(Req {
+        let idx = self.base + self.reqs.len();
+        self.reqs.push_back(Req {
             arrival_ms: t_ms,
             size: rec.file_size(),
             dir: rec.direction(),
@@ -275,8 +306,8 @@ impl<R: Request> Front<'_, R> {
             // the paper's long disk-latency tail (§5.1).
             spindle: rec.volume_hash() as usize % spindles,
             first_byte_ms: t_ms,
+            done: false,
         });
-        self.done.push(false);
         let key = || noise::dispatch_key(idx as u64);
         if rec.error().is_some() {
             self.metrics.errors += 1;
@@ -298,14 +329,15 @@ impl<R: Request> Front<'_, R> {
     /// function of size and device, so the record can be emitted even
     /// though its transfer is still in flight.
     fn first_byte_at(&mut self, r: usize, first_byte: SimMs) {
-        self.reqs[r].first_byte_ms = first_byte;
-        self.done[r] = true;
+        let req = self.req(r);
+        req.first_byte_ms = first_byte;
+        req.done = true;
     }
 
     /// The transfer begins — this is "the first byte".
     fn served(&mut self, r: usize, first_byte: SimMs) {
         self.first_byte_at(r, first_byte);
-        let req = &self.reqs[r];
+        let req = *self.req(r);
         self.metrics.record_latency(
             req.dir,
             req.device,
@@ -316,9 +348,10 @@ impl<R: Request> Front<'_, R> {
     /// The disk job that reached a channel mover begins its transfer.
     fn start_transfer(&mut self, disk: &DiskPath, started: Option<usize>, now: SimMs) {
         if let Some(r) = started {
-            let (first_byte, end) = disk.transfer(r, self.reqs[r].size, now, &mut self.noise);
+            let Req { size, spindle, .. } = *self.req(r);
+            let (first_byte, end) = disk.transfer(r, size, now, &mut self.noise);
             self.served(r, first_byte);
-            self.queue.push(end, Ev::DiskDone(r));
+            self.queue.push(end, Ev::DiskDone { spindle });
         }
     }
 }
@@ -541,6 +574,32 @@ mod tests {
         assert!(run.metrics.utilisation.movers > 0.0);
         assert!(run.metrics.utilisation.silo_drives > 0.0);
         assert!(run.metrics.utilisation.robot_arms > 0.0);
+    }
+
+    #[test]
+    fn the_request_window_stays_small_over_a_long_tape_heavy_stream() {
+        // One record every 20 s for two weeks: silo and shelf reads,
+        // appends and disk reads in turn, well inside every pool's
+        // capacity. Requests in flight number in the tens.
+        const RECORDS: usize = 60_000;
+        let cfg = SimConfig::default();
+        let mut engine = Engine::new(&cfg);
+        let (mut emitted, mut high_water) = (0, 0);
+        let mut sink = |_: TraceRecord| emitted += 1;
+        for i in 0..RECORDS {
+            let t = i as i64 * 20;
+            let rec = match i % 4 {
+                0 => read_at(Endpoint::MssTapeSilo, t, 20_000_000, "/s/a"),
+                1 => write_at(Endpoint::MssTapeSilo, t, 5_000_000, "/w/b"),
+                2 => read_at(Endpoint::MssDisk, t, 5_000_000, &format!("/d/{}", i % 7)),
+                _ => read_at(Endpoint::MssTapeManual, t, 20_000_000, "/m/c"),
+            };
+            engine.feed(rec, &mut sink);
+            high_water = high_water.max(engine.front.reqs.len());
+        }
+        let metrics = engine.finish(&mut sink);
+        assert_eq!((emitted, metrics.requests), (RECORDS, RECORDS as u64));
+        assert!(high_water < 256, "{high_water} requests held at once");
     }
 
     #[test]

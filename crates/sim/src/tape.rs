@@ -26,6 +26,19 @@
 //! `fmig-origin` server (its own queue drained by watermarks,
 //! completions become frames on a socket) — and every stage runs the
 //! same code under all of them.
+//!
+//! # Job slots
+//!
+//! The half keeps one slot per job *in flight*, not per job ever made.
+//! The index [`TapeHalf::recall`] / [`TapeHalf::flush`] return names a
+//! job until its last event, then goes back on a free list for the next
+//! job to take: a recall's or flush's last event is the
+//! [`TapeEv::DriveFree`] after it completed or was abandoned (a retried
+//! recall keeps its slot across attempts), and an outage hold's is its
+//! release. No event names a slot after that, so reuse cannot change
+//! what a host hears: events pop in `(time, seq)` order, keyed noise
+//! names a job by its `seq`, and callbacks name it by the host's own
+//! `id` — never by the index.
 
 use fmig_trace::DeviceClass;
 
@@ -181,6 +194,9 @@ struct TapeJob {
     /// When the job entered the queue it is waiting in (drive, then
     /// mounter): outage attribution and the flush contention metric.
     queued_ms: SimMs,
+    /// The pending [`TapeEv::DriveFree`] is the job's last event: it
+    /// completed, or was abandoned.
+    finished: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -211,7 +227,10 @@ enum Kind {
 pub struct TapeHalf {
     cfg: SimConfig,
     schedule: FaultSchedule,
+    /// Job slots; see the module docs.
     jobs: Vec<TapeJob>,
+    /// Slots whose job has had its last event, ready for reuse.
+    free: Vec<usize>,
     silo: Pool,
     manual: Pool,
     robot: Pool,
@@ -229,6 +248,7 @@ impl TapeHalf {
     pub fn new(cfg: &SimConfig, schedule: FaultSchedule) -> Self {
         TapeHalf {
             jobs: Vec::new(),
+            free: Vec::new(),
             silo: Pool::new(cfg.silo_drives),
             manual: Pool::new(cfg.manual_drives),
             robot: Pool::new(cfg.robot_arms),
@@ -276,9 +296,10 @@ impl TapeHalf {
     }
 
     /// Creates a recall of `size` bytes from `tier` and returns its job
-    /// index. It enters the drive queue when the host hands
-    /// [`TapeEv::Join`] of that index to [`Self::handle`] — directly,
-    /// or through its queue at a later time.
+    /// index, valid until the job's last event (see the module docs).
+    /// It enters the drive queue when the host hands [`TapeEv::Join`]
+    /// of that index to [`Self::handle`] — directly, or through its
+    /// queue at a later time.
     pub fn recall(
         &mut self,
         id: u64,
@@ -307,14 +328,24 @@ impl TapeHalf {
     }
 
     fn push_job(&mut self, id: u64, kind: Kind, tier: Tier, size: u64) -> usize {
-        self.jobs.push(TapeJob {
+        let job = TapeJob {
             id,
             kind,
             tier,
             size,
             queued_ms: 0,
-        });
-        self.jobs.len() - 1
+            finished: false,
+        };
+        match self.free.pop() {
+            Some(j) => {
+                self.jobs[j] = job;
+                j
+            }
+            None => {
+                self.jobs.push(job);
+                self.jobs.len() - 1
+            }
+        }
     }
 
     /// Runs one event at time `now`.
@@ -428,6 +459,8 @@ impl TapeHalf {
                 }
             }
         }
+        // The hold's last event.
+        self.free.push(j);
         Ok(())
     }
 
@@ -642,16 +675,18 @@ impl TapeHalf {
                     RetryVerdict::Retry { rejoin_ms } => {
                         host.schedule(rejoin_ms.max(drive_free_ms), TapeEv::Join(j));
                     }
-                    RetryVerdict::Abandon => {}
+                    RetryVerdict::Abandon => self.jobs[j].finished = true,
                 }
             }
             Kind::Recall { .. } => {
                 self.counters.recalls_completed += 1;
+                self.jobs[j].finished = true;
                 host.done(job.id, now)?;
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
             }
             Kind::Flush { .. } => {
                 self.counters.flushed_bytes = self.counters.flushed_bytes.saturating_add(job.size);
+                self.jobs[j].finished = true;
                 host.flush_done(job.id, now, job.size)?;
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
             }
@@ -660,14 +695,18 @@ impl TapeHalf {
         Ok(())
     }
 
-    /// Drive unloaded: pass it to the next queued job.
+    /// Drive unloaded: pass it to the next queued job. A job that is
+    /// finished gives up its slot here.
     fn drive_free<H: TapeHost>(
         &mut self,
         j: usize,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        let tier = self.jobs[j].tier;
+        let TapeJob { tier, finished, .. } = self.jobs[j];
+        if finished {
+            self.free.push(j);
+        }
         if let Some(n) = self.drives(tier).release(now) {
             self.drive_granted(n, now, host)?;
         }
@@ -686,10 +725,11 @@ fn noise_key(kind: Kind, stage: u64) -> u64 {
 }
 
 /// A host with a queue of its own that records every callback — the
-/// shape of the live origin, minus the socket.
+/// shape of the live origin, minus the socket. It also checks the slot
+/// contract of the module docs on every event it hands back.
 #[cfg(test)]
 mod recorder {
-    use std::collections::VecDeque;
+    use std::collections::{HashSet, VecDeque};
     use std::convert::Infallible;
 
     use super::*;
@@ -704,12 +744,49 @@ mod recorder {
         Failed(u64, u32, SimMs, SimMs),
     }
 
+    /// Who a job is, whatever slot it sits in: the host's id plus its
+    /// keyed-noise identity (a hold's is its repair time).
+    type Identity = (u64, u64);
+
+    fn identity(job: &TapeJob) -> Identity {
+        match job.kind {
+            Kind::Recall { seq, .. } | Kind::Flush { seq } => (job.id, seq),
+            Kind::Hold { end_ms, .. } => (u64::MAX, end_ms as u64),
+        }
+    }
+
+    /// The slot an event names; `None` for a fault window.
+    fn slot(ev: TapeEv) -> Option<usize> {
+        match ev {
+            TapeEv::Join(j)
+            | TapeEv::MountDone(j)
+            | TapeEv::SeekDone(j)
+            | TapeEv::TransferDone(j)
+            | TapeEv::DriveFree(j)
+            | TapeEv::OutageEnd(j) => Some(j),
+            TapeEv::OutageStart(_) => None,
+        }
+    }
+
     pub(super) struct Recorder {
-        pub queue: EventQueue<TapeEv>,
+        /// Each event with its push number.
+        pub queue: EventQueue<(TapeEv, usize)>,
         noise: Noise,
         pub calls: Vec<Call>,
         /// Answers to `failed`, in order; `Abandon` once exhausted.
         pub verdicts: VecDeque<RetryVerdict>,
+        /// Every event scheduled, by push number.
+        scheduled: Vec<TapeEv>,
+        /// The job each scheduled event was meant for, read from its
+        /// slot right after the call that scheduled it.
+        addressee: Vec<Option<Identity>>,
+        /// Host ids whose next `DriveFree` is their last event.
+        finished: HashSet<u64>,
+        /// Jobs made and not yet past their last event, counting a hold
+        /// until its `OutageEnd` (one released in its queue counts on).
+        pub live: usize,
+        /// The most `live` ever was.
+        pub peak_live: usize,
     }
 
     impl Recorder {
@@ -719,15 +796,59 @@ mod recorder {
                 noise: Noise::Keyed(seed),
                 calls: Vec::new(),
                 verdicts: verdicts.into_iter().collect(),
+                scheduled: Vec::new(),
+                addressee: Vec::new(),
+                finished: HashSet::new(),
+                live: 0,
+                peak_live: 0,
+            }
+        }
+
+        /// The test made a job.
+        pub fn made(&mut self) {
+            self.live += 1;
+            self.peak_live = self.peak_live.max(self.live);
+        }
+
+        /// Notes who every event scheduled since the last call is for.
+        fn address(&mut self, half: &TapeHalf) {
+            for &ev in &self.scheduled[self.addressee.len()..] {
+                self.addressee
+                    .push(slot(ev).map(|j| identity(&half.jobs[j])));
             }
         }
 
         /// Runs every event at or before `until` — the origin's
         /// `Advance` watermark.
+        ///
+        /// # Panics
+        ///
+        /// Panics if an event reaches a slot that was freed, or that now
+        /// holds a job other than the one the event was meant for.
         pub fn advance(&mut self, half: &mut TapeHalf, until: SimMs) {
-            while let Some((now, ev)) = self.queue.pop_due(until) {
+            self.address(half);
+            while let Some((now, (ev, n))) = self.queue.pop_due(until) {
+                if let Some(j) = slot(ev) {
+                    assert!(!half.free.contains(&j), "{ev:?} reached a free slot");
+                    let meant_for = self.addressee[n];
+                    assert_eq!(Some(identity(&half.jobs[j])), meant_for, "{ev:?}");
+                }
                 half.handle(now, ev, self)
                     .unwrap_or_else(|never| match never {});
+                self.address(half);
+                // A test that does not count the jobs it makes leaves
+                // `live` at zero.
+                match ev {
+                    TapeEv::OutageStart(_) => self.made(),
+                    TapeEv::OutageEnd(_) => self.live = self.live.saturating_sub(1),
+                    TapeEv::DriveFree(_) => {
+                        let (id, _) = self.addressee[n].expect("a job event");
+                        if self.finished.remove(&id) {
+                            self.live = self.live.saturating_sub(1);
+                        }
+                    }
+                    _ => {}
+                }
             }
         }
     }
@@ -736,7 +857,8 @@ mod recorder {
         type Error = Infallible;
 
         fn schedule(&mut self, at: SimMs, ev: TapeEv) {
-            self.queue.push(at, ev);
+            self.queue.push(at, (ev, self.scheduled.len()));
+            self.scheduled.push(ev);
         }
 
         fn noise(&mut self) -> &mut Noise {
@@ -750,11 +872,13 @@ mod recorder {
 
         fn done(&mut self, job: u64, at: SimMs) -> Result<(), Infallible> {
             self.calls.push(Call::Done(job, at));
+            self.finished.insert(job);
             Ok(())
         }
 
         fn flush_done(&mut self, job: u64, at: SimMs, bytes: u64) -> Result<(), Infallible> {
             self.calls.push(Call::FlushDone(job, at, bytes));
+            self.finished.insert(job);
             Ok(())
         }
 
@@ -767,7 +891,11 @@ mod recorder {
         ) -> Result<RetryVerdict, Infallible> {
             self.calls
                 .push(Call::Failed(job, attempts, failed_ms, drive_free_ms));
-            Ok(self.verdicts.pop_front().unwrap_or(RetryVerdict::Abandon))
+            let verdict = self.verdicts.pop_front().unwrap_or(RetryVerdict::Abandon);
+            if verdict == RetryVerdict::Abandon {
+                self.finished.insert(job);
+            }
+            Ok(verdict)
         }
     }
 }
@@ -869,6 +997,28 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_reused_once_its_job_has_had_its_last_event() {
+        let mut half = half(FaultSchedule::none());
+        let mut host = Recorder::new(7, []);
+        let mut first = [
+            half.recall(1, 0, 1_000_000, Tier::Silo, None),
+            half.flush(2, 0, 1_000_000, Tier::Silo),
+        ];
+        for j in first {
+            host.schedule(0, TapeEv::Join(j));
+        }
+        host.advance(&mut half, FOREVER);
+        let mut second = [
+            half.recall(3, 1, 1_000_000, Tier::Silo, None),
+            half.flush(4, 1, 1_000_000, Tier::Silo),
+        ];
+        first.sort_unstable();
+        second.sort_unstable();
+        assert_eq!(first, second, "finished jobs hand their slots on");
+        assert_eq!(half.jobs.len(), 2);
+    }
+
+    #[test]
     fn a_deadline_in_the_past_fails_the_attempt() {
         let mut half = half(FaultSchedule::none());
         // Deadline 1 ms after entry: mount+seek always overshoot it.
@@ -897,12 +1047,19 @@ mod proptests {
     /// its enter time, so against a partly drained queue. With
     /// `skip_idle`, a step whose watermark falls short of the next
     /// queued event is not taken at all — the steps a lookahead grant
-    /// saves.
+    /// saves. `retries` answers the failed attempts in order (`true`
+    /// retries at once, `false` abandons), and abandons once it runs
+    /// out.
+    ///
+    /// The recorder checks every event against the slot it reaches, and
+    /// the run checks that the slots never outnumber the jobs that were
+    /// live at once.
     fn replay(
         seed: u64,
         jobs: &[(bool, bool, u64, SimMs)],
         watermarks: &[SimMs],
         skip_idle: bool,
+        retries: &[bool],
     ) -> Vec<Call> {
         const HORIZON: SimMs = 100_000_000;
         let plan = FaultPlan {
@@ -923,10 +1080,11 @@ mod proptests {
             ..SimConfig::default().with_seed(seed)
         };
         let mut half = TapeHalf::new(&cfg, FaultSchedule::materialize(&plan, seed, 0, HORIZON));
-        // Every failure retries as soon as the drive is free; the plan
-        // bounds each recall at two failures.
-        let retry = RetryVerdict::Retry { rejoin_ms: 0 };
-        let mut host = Recorder::new(seed, vec![retry; 2 * jobs.len()]);
+        let verdicts = retries.iter().map(|&retry| match retry {
+            true => RetryVerdict::Retry { rejoin_ms: 0 },
+            false => RetryVerdict::Abandon,
+        });
+        let mut host = Recorder::new(seed, verdicts);
         half.schedule_outages(&mut host);
         let mut sent = vec![false; jobs.len()];
         for &t in watermarks.iter().chain([&HORIZON]) {
@@ -941,6 +1099,7 @@ mod proptests {
                 } else {
                     half.recall(i as u64, i as u64, size, tier, None)
                 };
+                host.made();
                 host.schedule(at, TapeEv::Join(j));
             }
             if skip_idle && host.queue.peek_time().is_none_or(|next| next > t) {
@@ -949,6 +1108,12 @@ mod proptests {
             host.advance(&mut half, t);
         }
         assert!(host.queue.is_empty(), "the horizon must drain everything");
+        assert!(
+            half.jobs.len() <= host.peak_live,
+            "{} slots for at most {} live jobs",
+            half.jobs.len(),
+            host.peak_live
+        );
         host.calls
     }
 
@@ -957,15 +1122,18 @@ mod proptests {
         /// how the horizon is cut into `advance` steps — one step, many
         /// steps with jobs arriving in between, or only the steps that
         /// have something due — never changes what the host hears:
-        /// same callbacks, same jobs, same times, same order.
+        /// same callbacks, same jobs, same times, same order. Slots are
+        /// reused as jobs finish, retried or abandoned alike, and no
+        /// event ever reaches a job it was not meant for.
         #[test]
         fn watermark_slicing_never_changes_the_callback_sequence(
             seed in 0u64..1000,
             jobs in proptest::collection::vec(
                 (any::<bool>(), any::<bool>(), 1_000_000u64..150_000_000, 0i64..2_000_000),
-                1..14,
+                1..24,
             ),
             steps in proptest::collection::vec(1i64..600_000, 0..20),
+            retries in proptest::collection::vec(any::<bool>(), 0..24),
         ) {
             let watermarks: Vec<SimMs> = steps
                 .iter()
@@ -974,9 +1142,9 @@ mod proptests {
                     Some(*t)
                 })
                 .collect();
-            let whole = replay(seed, &jobs, &[], false);
-            let sliced = replay(seed, &jobs, &watermarks, false);
-            let granted = replay(seed, &jobs, &watermarks, true);
+            let whole = replay(seed, &jobs, &[], false, &retries);
+            let sliced = replay(seed, &jobs, &watermarks, false, &retries);
+            let granted = replay(seed, &jobs, &watermarks, true, &retries);
             prop_assert!(whole.len() >= jobs.len(), "every job must be heard from");
             prop_assert_eq!(&whole, &sliced);
             prop_assert_eq!(sliced, granted);
