@@ -39,11 +39,17 @@
 //!
 //! * **Pure recency** ([`MigrationPolicy::recency_keyed`], LRU): the
 //!   victim order is the same global recency order for *every*
-//!   capacity, so all stacks share **one** append-only touch log and
-//!   each walks it with its own clock-hand cursor — O(1) per reference
-//!   for the whole grid, no floats, no virtual calls. This is the
-//!   closest exact analogue of Mattson's single stack that watermark
-//!   batch purging admits.
+//!   capacity, so all stacks share **one** touch log, compacted to its
+//!   live entries (≤ 2·files + 1024), and each walks it with its own
+//!   clock-hand cursor — amortised O(1) per reference for the whole
+//!   grid, no floats, no virtual calls. This is the closest exact
+//!   analogue of Mattson's single stack that watermark batch purging
+//!   admits.
+//!
+//! Memory is O(files × capacities) whatever the trace's length: the
+//! shared and per-capacity file rows, plus the touch log, which
+//! `compact_recency_log` trims back to at most one entry per file
+//! whenever it reaches twice the file count plus a fixed slack.
 //!
 //! The result is **bit-identical** to replaying the trace once per
 //! capacity (property-tested in `tests/mrc_index.rs` across every
@@ -131,8 +137,9 @@ struct GlobalState {
     next_use: Option<i64>,
     /// Index of the file's latest entry in the shared recency log
     /// (recency-keyed policies only): a log entry is live iff it is the
-    /// file's latest.
-    last_seq: u32,
+    /// file's latest. Stale once compaction has dropped every entry of
+    /// the file, which is harmless: no entry names the file any more.
+    last_seq: usize,
 }
 
 impl GlobalState {
@@ -286,13 +293,22 @@ impl<'p> Stack<'p> {
         }
         while self.usage > self.low {
             let live = |fidx: u32, seq: usize, subs: &[SubState]| {
-                subs[fidx as usize * grid + ci].resident
-                    && globals[fidx as usize].last_seq == seq as u32
+                subs[fidx as usize * grid + ci].resident && globals[fidx as usize].last_seq == seq
             };
             // Advance the hand past dead entries to the oldest live one.
             let (time, mut victim) = loop {
                 let Some(&(time, fidx)) = log.get(self.cursor) else {
-                    return; // no live entry left: nothing to purge
+                    // Every resident's latest entry is at or past the
+                    // hand, so a dry log means an empty stack — which
+                    // cannot be above its low mark. A compaction that
+                    // lost a live entry would land here as a quiet
+                    // under-purge.
+                    debug_assert!(
+                        self.residents.is_empty(),
+                        "touch log ran dry with {} files resident",
+                        self.residents.len()
+                    );
+                    return;
                 };
                 if live(fidx, self.cursor, subs) {
                     break (time, fidx);
@@ -371,6 +387,53 @@ impl<'p> Stack<'p> {
     }
 }
 
+/// How far the recency log may grow past twice the file count before
+/// [`compact_recency_log`] runs, so a small file set does not compact
+/// every few references.
+const LOG_SLACK: usize = 1024;
+
+/// Trims the shared recency log to the entries some stack could still
+/// find live: those at or past the slowest clock hand that are still
+/// their file's latest touch. Everything else is an entry
+/// `maybe_purge_recency` would step over: behind a hand, an entry stays
+/// dead for that stack (re-entry appends a fresh one), and a superseded
+/// entry is dead for every stack.
+///
+/// Survivors keep their order — so the victim order and the
+/// equal-timestamp groups do not change — and move to the front; each
+/// survivor's `last_seq` and each hand are renumbered to match. At most
+/// one entry per file survives, so triggering at `2 · files + slack`
+/// entries makes the pass amortised O(1) per reference.
+fn compact_recency_log(
+    log: &mut Vec<(i64, u32)>,
+    globals: &mut [GlobalState],
+    stacks: &mut [Stack],
+) {
+    let mut hands: Vec<&mut usize> = stacks.iter_mut().map(|s| &mut s.cursor).collect();
+    hands.sort_unstable_by_key(|hand| **hand);
+    let mut hands = hands.into_iter().peekable();
+    let floor = hands.peek().map_or(log.len(), |hand| **hand);
+    let mut kept = 0;
+    for seq in floor..log.len() {
+        // A hand on `seq` moves to that entry's new index if it
+        // survives, else to the next survivor's.
+        while let Some(hand) = hands.next_if(|hand| **hand == seq) {
+            *hand = kept;
+        }
+        let (time, fidx) = log[seq];
+        let g = &mut globals[fidx as usize];
+        if g.last_seq == seq {
+            g.last_seq = kept;
+            log[kept] = (time, fidx);
+            kept += 1;
+        }
+    }
+    for hand in hands {
+        *hand = kept; // hands at the end of the log stay there
+    }
+    log.truncate(kept);
+}
+
 /// Computes the exact miss-ratio curve for `policy` over `capacities` in
 /// a single pass over the prepared trace.
 ///
@@ -400,7 +463,8 @@ pub fn sweep_capacities(
 /// readers hand references straight from disk, so a multi-GB trace
 /// sweeps a whole capacity grid without ever materializing as a
 /// `Vec<PreparedRef>`. Peak memory is the grid's per-file state
-/// (`O(files × capacities)`) plus whatever the iterator buffers.
+/// (`O(files × capacities)`, LRU's touch log included: it holds at most
+/// `2 · files + 1024` entries) plus whatever the iterator buffers.
 /// Feeding the same sequence is bit-identical to the slice entry, which
 /// is implemented on top of this.
 ///
@@ -459,16 +523,21 @@ pub fn sweep_capacities_streaming(
         } else {
             max_now = r.time;
         }
+        if recency {
+            if log.len() >= 2 * globals.len() + LOG_SLACK {
+                compact_recency_log(&mut log, &mut globals, &mut stacks);
+            }
+            globals[fidx as usize].last_seq = log.len();
+            log.push((r.time, fidx));
+            #[cfg(test)]
+            tests::LOG_HIGH_WATER.with(|high| high.set(high.get().max(log.len())));
+        }
         // Every touch writes these in every stack that ends up holding
         // the file (hits refresh them, misses insert with them), so the
         // shared copy is exact.
         let g = &mut globals[fidx as usize];
         g.last_ref = r.time;
         g.next_use = r.next_use;
-        if recency {
-            g.last_seq = log.len() as u32;
-            log.push((r.time, fidx));
-        }
         let column = |ci| Column {
             globals: &globals,
             grid,
@@ -601,11 +670,14 @@ pub fn sweep_capacities_naive(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::collections::HashMap;
+
     use super::*;
     use crate::eval::prepare;
     use crate::policy::{standard_suite, Belady, Lru};
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::{Endpoint, TraceRecord};
+    use fmig_trace::{DeviceClass, Endpoint, TraceRecord};
 
     fn skewed_refs() -> Vec<PreparedRef> {
         let mut records = Vec::new();
@@ -677,6 +749,121 @@ mod tests {
         let trace = crate::eval::PreparedTrace::from_refs(refs);
         let direct = trace.replay(&Lru, &config);
         assert_eq!(point, direct);
+    }
+
+    /// A long LRU stream over few files, built from raw
+    /// `(write, file, size, step)` specs: times never decrease, steps
+    /// `0..=4` of `0..8` are ties (runs of equal timestamps), and writes
+    /// resize their file.
+    fn lru_stream(files: u32, specs: &[(bool, u32, u64, i64)]) -> Vec<PreparedRef> {
+        let mut t = 0;
+        let mut refs: Vec<PreparedRef> = specs
+            .iter()
+            .map(|&(write, id, size, step)| {
+                t += (step - 4).max(0);
+                PreparedRef {
+                    id: (id % files).into(),
+                    size,
+                    write,
+                    time: t,
+                    next_use: None,
+                    device: DeviceClass::Disk,
+                }
+            })
+            .collect();
+        let mut next_seen: HashMap<FileId, i64> = HashMap::new();
+        for r in refs.iter_mut().rev() {
+            r.next_use = next_seen.insert(r.id, r.time);
+        }
+        refs
+    }
+
+    const MAX_SIZE: u64 = 1000;
+
+    /// The grid the compaction tests sweep: one capacity that holds
+    /// every file, one smaller than most files, and `pcts` of the first
+    /// in between.
+    fn compaction_grid(files: u32, pcts: &[u64]) -> Vec<u64> {
+        let everything = u64::from(files) * MAX_SIZE * 2;
+        let mut grid = vec![everything, MAX_SIZE / 4];
+        grid.extend(pcts.iter().map(|&pct| (everything * pct / 100).max(1)));
+        grid
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Streams 20× longer than the file count outgrow the log's
+        /// slack, so the touch log compacts (several times on the longer
+        /// draws) — and the curve still equals one naive replay per
+        /// capacity, bit for bit.
+        #[test]
+        fn a_compacting_touch_log_matches_naive_replay(
+            files in 1u32..=64,
+            specs in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), 0u32..64, 1u64..=MAX_SIZE, 0i64..8),
+                1300..4000,
+            ),
+            pcts in proptest::collection::vec(1u64..100, 1..4),
+        ) {
+            let refs = lru_stream(files, &specs);
+            let grid = compaction_grid(files, &pcts);
+            let base = EvalConfig::with_capacity(0);
+            let fused = sweep_capacities(&refs, &Lru, &grid, &base);
+            let naive = sweep_capacities_naive(&refs, &Lru, &grid, &base);
+            proptest::prop_assert_eq!(fused, naive);
+        }
+    }
+
+    thread_local! {
+        /// The longest the recency log has been on this thread.
+        pub(super) static LOG_HIGH_WATER: Cell<usize> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn the_touch_log_stays_bounded_by_the_file_count() {
+        const FILES: u32 = 2000;
+        let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let specs: Vec<_> = (0..4 * 10 * FILES)
+            .map(|_| {
+                let x = next();
+                (
+                    x % 5 == 0,
+                    (x >> 8) as u32 % FILES,
+                    1 + (x >> 24) % MAX_SIZE,
+                    (x >> 40) as i64 % 8,
+                )
+            })
+            .collect();
+        let grid = compaction_grid(FILES, &[5, 30, 70]);
+        let base = EvalConfig::with_capacity(0);
+        let bound = 2 * FILES as usize + LOG_SLACK;
+        for len in [specs.len() / 4, specs.len()] {
+            let refs = lru_stream(FILES, &specs[..len]);
+            LOG_HIGH_WATER.with(|high| high.set(0));
+            let fused = sweep_capacities(&refs, &Lru, &grid, &base);
+            let high = LOG_HIGH_WATER.with(Cell::get);
+            assert!(
+                high <= bound,
+                "{len} references: log reached {high} > {bound}"
+            );
+            assert!(
+                high > FILES as usize,
+                "{len} references never filled the log"
+            );
+            assert_eq!(fused, sweep_capacities_naive(&refs, &Lru, &grid, &base));
+        }
+    }
+
+    #[test]
+    fn a_file_row_stays_thirty_two_bytes() {
+        assert!(std::mem::size_of::<GlobalState>() <= 32);
     }
 
     #[test]

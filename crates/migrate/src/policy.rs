@@ -598,9 +598,10 @@ pub trait MigrationPolicy: Send + Sync {
     /// touch in **every** cache that holds the file, the key stream is
     /// capacity-independent, and the multi-capacity replay engine
     /// ([`crate::mrc`]) ranks victims for an entire capacity grid from
-    /// **one** shared append-only touch log with a cursor per capacity —
-    /// no per-capacity heaps, no floating point, O(1) per reference for
-    /// the whole grid. Only LRU among the shipped policies qualifies;
+    /// **one** shared touch log, compacted to its live entries
+    /// (≤ 2·files + 1024), with a cursor per capacity — no per-capacity
+    /// heaps, no floating point, amortised O(1) per reference for the
+    /// whole grid. Only LRU among the shipped policies qualifies;
     /// the default is the safe `false`.
     fn recency_keyed(&self) -> bool {
         false
