@@ -57,6 +57,6 @@ pub use feedback::LatencyFeedback;
 pub use mrc::{MissRatioCurve, MrcPoint};
 pub use policy::{
     aggregate_delay, standard_suite, AffinePriority, Belady, Fifo, FileView, LargestFirst, Lru,
-    LruMad, MigrationPolicy, RandomEvict, Saac, SmallestFirst, Stp, StpLat,
+    LruMad, MigrationPolicy, RandomEvict, Saac, SharedKey, SmallestFirst, Stp, StpLat,
 };
 pub use writeback::{defer_writes, deferral_report, DeferralReport};

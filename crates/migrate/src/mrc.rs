@@ -29,27 +29,47 @@
 //! every touch in every cache that holds the file, so they live once
 //! per file.
 //!
-//! Victim ranking is the `rank` module's one lifecycle
-//! (`crate::rank::Ranking`, documented in `rank.rs`): each capacity's
-//! stack hosts its own instance under [`EvictionMode::Auto`] — the same
-//! affine queue/heap, kinetic tournament or exact rescan a lone
-//! [`DiskCache`] at that capacity would run, activated by the same
-//! resident-count gate — and shows it that capacity's resident list.
-//! One tier sits above it and is this engine's own:
+//! Victim ranking takes one of three tiers per sweep, named by
+//! [`MigrationPolicy::shared_key`]:
 //!
-//! * **Pure recency** ([`MigrationPolicy::recency_keyed`], LRU): the
-//!   victim order is the same global recency order for *every*
-//!   capacity, so all stacks share **one** touch log, compacted to its
-//!   live entries (≤ 2·files + 1024), and each walks it with its own
-//!   clock-hand cursor — amortised O(1) per reference for the whole
-//!   grid, no floats, no virtual calls. This is the closest exact
-//!   analogue of Mattson's single stack that watermark batch purging
-//!   admits.
+//! * **Recency** ([`SharedKey::Recency`], LRU): the victim order is the
+//!   same global recency order for *every* capacity, so all stacks
+//!   share **one** touch log and each walks it with its own clock hand.
+//!   Each equal-timestamp group of the log is sorted by id once, when
+//!   it closes (the first later timestamp arrives), so a hand evicts
+//!   the first live entry it meets. Only the newest group is still
+//!   open; a stack whose hand reaches it ranks it through a min-heap of
+//!   its entries, built when the hand first gets there and topped up
+//!   as the group grows. Amortised O(1) per reference for the whole
+//!   grid, plus O(log g) per entry of a g-entry tie group; no floats,
+//!   no virtual calls. This is the closest exact analogue of Mattson's
+//!   single stack that watermark batch purging admits.
+//! * **Next use** ([`SharedKey::NextUse`], Belady): each stack keeps a
+//!   max-heap of `(key, id)` pairs whose integer key orders exactly
+//!   like the affine intercept `next_use as f64` under `total_cmp`
+//!   (never-again as +∞), so ties break by ascending id as the rescan
+//!   breaks them. Every touch that leaves a file resident under a new
+//!   key pushes it; a purge pops pairs and drops the ones that no
+//!   longer match their file's row; past `2 · residents + 64` pairs the
+//!   heap keeps only the live ones.
+//! * **Ranked** (every other policy): the `rank` module's one lifecycle
+//!   (`crate::rank::Ranking`, documented in `rank.rs`). Each capacity's
+//!   stack hosts its own instance under [`EvictionMode::Auto`] — the
+//!   same affine queue/heap, kinetic tournament or exact rescan a lone
+//!   [`DiskCache`] at that capacity would run, activated by the same
+//!   resident-count gate — and shows it that capacity's resident list.
+//!
+//! The first two tiers rank straight off the shared file row: no
+//! [`FileView`], no resident list, only a count. A clock that steps
+//! backwards voids both keys' contracts, as it voids the ranking's
+//! closed forms; every stack then rebuilds its resident list from the
+//! rows, once, and ranks by the exact rescan for good.
 //!
 //! Memory is O(files × capacities) whatever the trace's length: the
 //! shared and per-capacity file rows, plus the touch log, which
 //! `compact_recency_log` trims back to at most one entry per file
-//! whenever it reaches twice the file count plus a fixed slack.
+//! whenever it reaches twice the file count plus a fixed slack, or the
+//! next-use heaps, each at most `2 · residents + 64` pairs.
 //!
 //! The result is **bit-identical** to replaying the trace once per
 //! capacity (property-tested in `tests/mrc_index.rs` across every
@@ -61,11 +81,14 @@
 //! latency cells still replay individually, since the device model's
 //! feedback is per-cell.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use fmig_trace::FileId;
 
 use crate::cache::{CacheConfig, CacheStats, DiskCache, EvictionMode};
 use crate::eval::{EvalConfig, PolicyOutcome, PreparedRef};
-use crate::policy::{FileView, MigrationPolicy};
+use crate::policy::{FileView, MigrationPolicy, SharedKey};
 use crate::rank::{Ranking, Residents};
 
 /// One point of a miss-ratio curve: a capacity and the full cache
@@ -136,7 +159,7 @@ struct GlobalState {
     last_ref: i64,
     next_use: Option<i64>,
     /// Index of the file's latest entry in the shared recency log
-    /// (recency-keyed policies only): a log entry is live iff it is the
+    /// (recency tier only): a log entry is live iff it is the
     /// file's latest. Stale once compaction has dropped every entry of
     /// the file, which is harmless: no entry names the file any more.
     last_seq: usize,
@@ -160,7 +183,8 @@ struct SubState {
     size: u64,
     created: i64,
     ref_count: u32,
-    /// Position in the stack's resident list, for O(1) removal.
+    /// Position in the stack's resident list, for O(1) removal (ranked
+    /// tier only).
     pos: u32,
 }
 
@@ -175,20 +199,75 @@ impl SubState {
     };
 }
 
+/// Belady's victim key for a file row: the bits of the affine intercept
+/// `next_use as f64` (never again = +∞), remapped so that unsigned
+/// integer order is `f64::total_cmp` order — the same ranking, ties
+/// included, without a float compare.
+fn next_use_key(next_use: Option<i64>) -> u64 {
+    let bits = next_use.map_or(f64::INFINITY, |t| t as f64).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// One stack's view of the touch log's open group, which is not sorted
+/// yet: its entries `(id, seq)` from the hand on, as a min-heap built
+/// when a purge first reaches the group and topped up by later ones.
+/// It names entries by index, so it starts over when the indices
+/// change: eagerly when the log compacts, and lazily, at its next use,
+/// once the group it was built for has closed.
+#[derive(Default)]
+struct OpenGroup {
+    heap: BinaryHeap<Reverse<(u32, usize)>>,
+    /// The open group's start when the heap was built.
+    base: usize,
+    /// Log length the heap has taken entries up to.
+    upto: usize,
+}
+
+impl OpenGroup {
+    fn reset(&mut self, base: usize) {
+        self.heap.clear();
+        self.base = base;
+        self.upto = base;
+    }
+}
+
+/// How one capacity's stack finds its victims; see the module docs.
+enum Order<'p> {
+    /// [`SharedKey::Recency`]: a clock hand into the shared touch log.
+    Recency {
+        /// Everything before the hand is dead *for this capacity*. It
+        /// walks the closed (sorted) groups only, so it never passes
+        /// the open group's start.
+        cursor: usize,
+        open: OpenGroup,
+    },
+    /// [`SharedKey::NextUse`]: `(next_use_key, id)` pairs, the victim
+    /// on top; pairs that no longer match their row are dropped when
+    /// they surface.
+    NextUse(BinaryHeap<(u64, Reverse<u32>)>),
+    /// Every other policy: the shared ranking lifecycle over the
+    /// resident list (swap-remove order; `SubState::pos` indexes it).
+    Ranked {
+        residents: Vec<u32>,
+        rank: Ranking<'p>,
+    },
+}
+
 /// One capacity's priority stack: watermarks, usage, counters, resident
-/// list, and victim-ranking state.
+/// count, and victim-ranking state.
 struct Stack<'p> {
     capacity: u64,
     high: u64,
     low: u64,
     usage: u64,
     stats: CacheStats,
-    residents: Vec<u32>,
-    rank: Ranking<'p>,
-    /// This stack's clock hand into the shared recency log
-    /// (recency-keyed policies only): everything before it is dead *for
-    /// this capacity*.
-    cursor: usize,
+    /// Files resident.
+    len: usize,
+    order: Order<'p>,
 }
 
 fn sub_view(fidx: u32, g: &GlobalState, sub: &SubState, est_miss_wait_s: f64) -> FileView {
@@ -206,12 +285,16 @@ fn sub_view(fidx: u32, g: &GlobalState, sub: &SubState, est_miss_wait_s: f64) ->
     }
 }
 
-/// One capacity's column of the shared file state: everything a
-/// stack's [`StackView`] holds that a purge does not mutate. `Copy`, so
-/// the view is rebuilt from it around every eviction.
+/// One capacity's column of the shared state: everything a purge reads
+/// and does not mutate. `Copy`, so the ranked tier's view is rebuilt
+/// from it around every eviction.
 #[derive(Clone, Copy)]
 struct Column<'a> {
     globals: &'a [GlobalState],
+    /// The shared touch log (recency tier; empty otherwise) and the
+    /// index its open group starts at.
+    log: &'a [(i64, u32)],
+    open_start: usize,
     grid: usize,
     ci: usize,
     est: f64,
@@ -224,6 +307,23 @@ impl<'a> Column<'a> {
             subs,
             residents,
         }
+    }
+
+    fn resident(self, subs: &[SubState], fidx: u32) -> bool {
+        subs[fidx as usize * self.grid + self.ci].resident
+    }
+
+    /// A touch-log entry is live iff it is its file's latest and the
+    /// file is resident here. (The shared row first: most dead entries
+    /// are superseded ones, which it settles alone.)
+    fn entry_is_live(self, subs: &[SubState], fidx: u32, seq: usize) -> bool {
+        self.globals[fidx as usize].last_seq == seq && self.resident(subs, fidx)
+    }
+
+    /// A next-use pair is live iff its key is the one the file's row
+    /// gives now and the file is resident here.
+    fn key_is_live(self, subs: &[SubState], fidx: u32, key: u64) -> bool {
+        next_use_key(self.globals[fidx as usize].next_use) == key && self.resident(subs, fidx)
     }
 }
 
@@ -253,8 +353,61 @@ impl Residents for StackView<'_> {
     }
 }
 
+impl Order<'_> {
+    /// The stack's next victim at `now` in `(priority desc, id asc)`
+    /// order, or `None` once nothing is resident. The caller evicts it
+    /// before asking again.
+    fn next_victim(&mut self, col: Column, subs: &[SubState], now: i64) -> Option<u32> {
+        match self {
+            Order::Recency { cursor, open } => {
+                // Closed groups are sorted by id, and every resident's
+                // latest entry is at or past the hand (the hand passes
+                // only entries dead for this capacity, and a re-entry
+                // appends a fresh one): the first live entry is the
+                // oldest resident, lowest id among its ties.
+                while *cursor < col.open_start {
+                    let (_, fidx) = col.log[*cursor];
+                    if col.entry_is_live(subs, fidx, *cursor) {
+                        return Some(fidx);
+                    }
+                    *cursor += 1;
+                }
+                // Every closed entry is dead here: the victim is the
+                // open group's lowest live id. A popped dead entry
+                // stays dead until the heap starts over.
+                if open.base != col.open_start {
+                    open.reset(col.open_start);
+                }
+                for seq in open.upto..col.log.len() {
+                    open.heap.push(Reverse((col.log[seq].1, seq)));
+                    #[cfg(test)]
+                    tests::note_tie_work(1);
+                }
+                open.upto = col.log.len();
+                while let Some(Reverse((fidx, seq))) = open.heap.pop() {
+                    #[cfg(test)]
+                    tests::note_tie_work(1);
+                    if col.entry_is_live(subs, fidx, seq) {
+                        return Some(fidx);
+                    }
+                }
+                None
+            }
+            Order::NextUse(heap) => {
+                while let Some((key, Reverse(fidx))) = heap.pop() {
+                    if col.key_is_live(subs, fidx, key) {
+                        return Some(fidx);
+                    }
+                }
+                None
+            }
+            Order::Ranked { residents, rank } => rank.next_victim(&col.view(subs, residents), now),
+        }
+    }
+}
+
 impl<'p> Stack<'p> {
-    fn new(config: CacheConfig, policy: &'p dyn MigrationPolicy) -> Self {
+    fn new(config: CacheConfig, policy: &'p dyn MigrationPolicy, key: Option<SharedKey>) -> Self {
         let (high, low) = config.watermarks();
         Stack {
             capacity: config.capacity,
@@ -262,88 +415,89 @@ impl<'p> Stack<'p> {
             low,
             usage: 0,
             stats: CacheStats::default(),
-            residents: Vec::new(),
-            rank: Ranking::new(policy, EvictionMode::Auto),
-            cursor: 0,
+            len: 0,
+            order: match key {
+                Some(SharedKey::Recency) => Order::Recency {
+                    cursor: 0,
+                    open: OpenGroup::default(),
+                },
+                Some(SharedKey::NextUse) => Order::NextUse(BinaryHeap::new()),
+                None => Order::Ranked {
+                    residents: Vec::new(),
+                    rank: Ranking::new(policy, EvictionMode::Auto),
+                },
+            },
         }
     }
 
-    /// Watermark purge off the shared recency log: advance this stack's
-    /// clock hand past dead entries (file gone from this capacity, or a
-    /// later touch exists) and evict live ones oldest-first, resolving
-    /// equal-timestamp groups by ascending id — exactly the
-    /// `(priority desc, id asc)` order LRU's rescan would produce,
-    /// without a single float or virtual call.
-    ///
-    /// Every resident's latest log entry is always at or past the
-    /// cursor (the hand only passes an entry once it is dead for this
-    /// capacity, and any later re-entry appends a fresh entry), so the
-    /// walk is exhaustive and each stack traverses the log at most once
-    /// per run.
-    fn maybe_purge_recency(
+    /// The clock stepped backwards: both shared keys' contracts and
+    /// the ranking's closed forms are void, so the stack ranks by the
+    /// exact rescan for good — over a resident list rebuilt from the
+    /// rows, once, if its tier kept none.
+    fn degrade(
         &mut self,
-        log: &[(i64, u32)],
-        globals: &[GlobalState],
+        policy: &'p dyn MigrationPolicy,
         subs: &mut [SubState],
         grid: usize,
         ci: usize,
     ) {
-        if self.usage <= self.high {
+        if let Order::Ranked { rank, .. } = &mut self.order {
+            rank.degrade();
             return;
         }
-        while self.usage > self.low {
-            let live = |fidx: u32, seq: usize, subs: &[SubState]| {
-                subs[fidx as usize * grid + ci].resident && globals[fidx as usize].last_seq == seq
-            };
-            // Advance the hand past dead entries to the oldest live one.
-            let (time, mut victim) = loop {
-                let Some(&(time, fidx)) = log.get(self.cursor) else {
-                    // Every resident's latest entry is at or past the
-                    // hand, so a dry log means an empty stack — which
-                    // cannot be above its low mark. A compaction that
-                    // lost a live entry would land here as a quiet
-                    // under-purge.
-                    debug_assert!(
-                        self.residents.is_empty(),
-                        "touch log ran dry with {} files resident",
-                        self.residents.len()
-                    );
-                    return;
-                };
-                if live(fidx, self.cursor, subs) {
-                    break (time, fidx);
-                }
-                self.cursor += 1;
-            };
-            // Equal-timestamp group: the oracle breaks the priority tie
-            // by ascending id, so pick the smallest live id among the
-            // group. The hand stays on the group until it is all dead.
-            let mut j = self.cursor + 1;
-            while let Some(&(t2, f2)) = log.get(j) {
-                if t2 != time {
-                    break;
-                }
-                // The dense index is the id, so this *is* the ascending-
-                // id tie-break.
-                if live(f2, j, subs) && f2 < victim {
-                    victim = f2;
-                }
-                j += 1;
+        let mut residents = Vec::with_capacity(self.len);
+        for (fidx, sub) in subs.iter_mut().skip(ci).step_by(grid).enumerate() {
+            if sub.resident {
+                sub.pos = residents.len() as u32;
+                residents.push(fidx as u32);
             }
-            self.evict(victim, subs, grid, ci);
         }
+        self.order = Order::Ranked {
+            residents,
+            rank: Ranking::new(policy, EvictionMode::Rescan),
+        };
     }
 
     /// Inserts `fidx` (not currently resident) with the given state.
     fn insert(&mut self, fidx: u32, sub: &mut SubState) {
         sub.resident = true;
-        sub.pos = self.residents.len() as u32;
-        self.residents.push(fidx);
+        if let Order::Ranked { residents, .. } = &mut self.order {
+            sub.pos = residents.len() as u32;
+            residents.push(fidx);
+        }
+        self.len += 1;
         self.usage += sub.size;
     }
 
-    /// Removes a victim from the resident list and books the eviction —
-    /// `DiskCache::evict` for one stack.
+    /// Mirrors a touch that leaves `fidx` resident into the stack's
+    /// order (the recency tier's log entry is already appended).
+    /// `new_key` is false only for a file that was resident and whose
+    /// `next_use` did not change: its current next-use pair is then
+    /// still in the heap, since a live pair leaves it only by eviction.
+    /// Inlined: it runs on every insert, and for LRU it is empty.
+    #[inline(always)]
+    fn touched(&mut self, col: Column, subs: &[SubState], fidx: u32, now: i64, new_key: bool) {
+        match &mut self.order {
+            Order::Recency { .. } => {}
+            Order::NextUse(heap) => {
+                if new_key {
+                    let key = next_use_key(col.globals[fidx as usize].next_use);
+                    heap.push((key, Reverse(fidx)));
+                    if heap.len() > 2 * self.len + 64 {
+                        heap.retain(|&(key, Reverse(f))| col.key_is_live(subs, f, key));
+                    }
+                    #[cfg(test)]
+                    tests::note_heap(heap.len(), self.len);
+                }
+            }
+            Order::Ranked { residents, rank } => {
+                rank.touched(&col.view(subs, residents), fidx, now);
+            }
+        }
+    }
+
+    /// Removes a victim and books the eviction — `DiskCache::evict`
+    /// for one stack.
     fn evict(&mut self, fidx: u32, subs: &mut [SubState], grid: usize, ci: usize) {
         let stall = self.usage > self.high;
         let sub = &mut subs[fidx as usize * grid + ci];
@@ -351,14 +505,18 @@ impl<'p> Stack<'p> {
         sub.resident = false;
         let pos = sub.pos as usize;
         let size = sub.size;
-        self.residents.swap_remove(pos);
-        if let Some(&moved) = self.residents.get(pos) {
-            subs[moved as usize * grid + ci].pos = pos as u32;
+        let dirty = sub.dirty;
+        if let Order::Ranked { residents, .. } = &mut self.order {
+            residents.swap_remove(pos);
+            if let Some(&moved) = residents.get(pos) {
+                subs[moved as usize * grid + ci].pos = pos as u32;
+            }
         }
+        self.len -= 1;
         self.usage -= size;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += size;
-        if subs[fidx as usize * grid + ci].dirty {
+        if dirty {
             self.stats.writeback_bytes += size;
             if stall {
                 self.stats.stall_bytes += size;
@@ -368,21 +526,38 @@ impl<'p> Stack<'p> {
         }
     }
 
-    /// Watermark purge through the stack's ranking: evict the victims
-    /// it names until usage reaches the low mark.
+    /// Watermark purge, if usage is past the high mark. The check is
+    /// the per-insert cost; the purge itself stays out of line.
+    #[inline(always)]
     fn maybe_purge(&mut self, col: Column, subs: &mut [SubState], now: i64) {
-        if self.usage <= self.high {
-            return;
+        if self.usage > self.high {
+            self.purge(col, subs, now);
         }
-        self.rank.begin_purge(&col.view(subs, &self.residents), now);
+    }
+
+    /// Evicts the victims the stack's order names until usage reaches
+    /// the low mark.
+    fn purge(&mut self, col: Column, subs: &mut [SubState], now: i64) {
+        if let Order::Ranked { residents, rank } = &mut self.order {
+            rank.begin_purge(&col.view(subs, residents), now);
+        }
         while self.usage > self.low {
-            let host = col.view(subs, &self.residents);
-            let Some(victim) = self.rank.next_victim(&host, now) else {
-                break;
+            let Some(victim) = self.order.next_victim(col, subs, now) else {
+                // Every tier finds each resident, so running dry means
+                // an empty stack — which cannot be above its low mark.
+                // A compaction that lost a live entry would land here
+                // as a quiet under-purge.
+                debug_assert!(
+                    self.len == 0,
+                    "victims ran out with {} files resident",
+                    self.len
+                );
+                return;
             };
             self.evict(victim, subs, col.grid, col.ci);
-            self.rank
-                .evicted(&col.view(subs, &self.residents), victim, now);
+            if let Order::Ranked { residents, rank } = &mut self.order {
+                rank.evicted(&col.view(subs, residents), victim, now);
+            }
         }
     }
 }
@@ -392,24 +567,57 @@ impl<'p> Stack<'p> {
 /// every few references.
 const LOG_SLACK: usize = 1024;
 
+/// Closes the touch log's open group: a later timestamp has arrived,
+/// so the group's membership is final. Sorting it by id once puts the
+/// equal-timestamp class in victim order (oldest first, ties by
+/// ascending id), so a hand evicts the first live entry it meets
+/// instead of searching the group at every eviction.
+///
+/// The moved entries' `last_seq` follow them (their rows were just
+/// touched, so they are warm); a file touched twice in the group keeps
+/// one live entry, the last of its now adjacent copies. No hand is
+/// inside the group — hands stop at its start — so none moves.
+fn close_open_group(log: &mut [(i64, u32)], open_start: &mut usize, globals: &mut [GlobalState]) {
+    let group = &mut log[*open_start..];
+    if group.len() > 1 {
+        group.sort_unstable_by_key(|&(_, fidx)| fidx);
+        #[cfg(test)]
+        tests::note_tie_work(group.len() * (usize::BITS - group.len().leading_zeros()) as usize);
+        for (seq, &(_, fidx)) in (*open_start..).zip(group.iter()) {
+            globals[fidx as usize].last_seq = seq;
+        }
+    }
+    *open_start = log.len();
+}
+
 /// Trims the shared recency log to the entries some stack could still
 /// find live: those at or past the slowest clock hand that are still
-/// their file's latest touch. Everything else is an entry
-/// `maybe_purge_recency` would step over: behind a hand, an entry stays
-/// dead for that stack (re-entry appends a fresh one), and a superseded
-/// entry is dead for every stack.
+/// their file's latest touch. Everything else is an entry the purge
+/// would step over: behind a hand, an entry stays dead for that stack
+/// (re-entry appends a fresh one), and a superseded entry is dead for
+/// every stack.
 ///
-/// Survivors keep their order — so the victim order and the
+/// Survivors keep their order — so the victim order and the sorted
 /// equal-timestamp groups do not change — and move to the front; each
-/// survivor's `last_seq` and each hand are renumbered to match. At most
+/// survivor's `last_seq`, each hand and the open group's start are
+/// renumbered to match, and the open-group heaps start over. At most
 /// one entry per file survives, so triggering at `2 · files + slack`
 /// entries makes the pass amortised O(1) per reference.
 fn compact_recency_log(
     log: &mut Vec<(i64, u32)>,
+    open_start: &mut usize,
     globals: &mut [GlobalState],
     stacks: &mut [Stack],
 ) {
-    let mut hands: Vec<&mut usize> = stacks.iter_mut().map(|s| &mut s.cursor).collect();
+    // The open group's start moves like a hand; no hand is past it, so
+    // it never lowers the floor.
+    let mut hands: Vec<&mut usize> = vec![open_start];
+    for stack in stacks.iter_mut() {
+        if let Order::Recency { cursor, open } = &mut stack.order {
+            open.reset(0);
+            hands.push(cursor);
+        }
+    }
     hands.sort_unstable_by_key(|hand| **hand);
     let mut hands = hands.into_iter().peekable();
     let floor = hands.peek().map_or(log.len(), |hand| **hand);
@@ -440,7 +648,8 @@ fn compact_recency_log(
 /// Each capacity's counters are bit-identical to what
 /// [`sweep_capacities_naive`] (one full replay per capacity) measures;
 /// the pass shares the file table, the id lookup, and the next-use
-/// oracle across the grid, and each stack purges through the adaptive
+/// oracle across the grid; LRU and Belady rank straight off the shared
+/// file row, and every other policy's stacks purge through the adaptive
 /// eviction index wherever the policy is affine.
 ///
 /// # Panics
@@ -464,7 +673,8 @@ pub fn sweep_capacities(
 /// sweeps a whole capacity grid without ever materializing as a
 /// `Vec<PreparedRef>`. Peak memory is the grid's per-file state
 /// (`O(files × capacities)`, LRU's touch log included: it holds at most
-/// `2 · files + 1024` entries) plus whatever the iterator buffers.
+/// `2 · files + 1024` entries; each of Belady's next-use heaps at most
+/// `2 · residents + 64` pairs) plus whatever the iterator buffers.
 /// Feeding the same sequence is bit-identical to the slice entry, which
 /// is implemented on top of this.
 ///
@@ -480,6 +690,9 @@ pub fn sweep_capacities_streaming(
 ) -> MissRatioCurve {
     base.cache.watermarks(); // rejects bad watermarks even on an empty grid
     let grid = capacities.len();
+    // LRU and Belady rank every capacity straight off the shared file
+    // row; everything else through a `Ranking` per capacity.
+    let mut key = policy.shared_key();
     let mut stacks: Vec<Stack> = capacities
         .iter()
         .map(|&capacity| {
@@ -487,20 +700,22 @@ pub fn sweep_capacities_streaming(
                 capacity,
                 ..base.cache
             };
-            Stack::new(config, policy)
+            Stack::new(config, policy, key)
         })
         .collect();
-    let skip_read_touch = policy.read_touch_monotone();
+    // A next-use key rises on every read touch, whatever the policy
+    // promises the affine index.
+    let skip_read_touch = policy.read_touch_monotone() && key != Some(SharedKey::NextUse);
     // The open-loop miss-latency fallback: every FileView this pass
     // hands to the policy carries the same flat estimate the naive
     // per-capacity replay stamps on its entries (see
     // `DiskCache::set_est_miss_wait_s`), keeping the two bit-identical
     // for latency-aware policies too.
     let est = base.wait_s_per_miss;
-    // Pure-recency policies (LRU) rank victims for the whole grid off
-    // one shared chronological touch log; see `maybe_purge_recency`.
-    let mut recency = policy.recency_keyed();
+    // The recency tier's shared touch log; entries before `open_start`
+    // are in closed, id-sorted equal-timestamp groups.
     let mut log: Vec<(i64, u32)> = Vec::new();
+    let mut open_start = 0;
     let mut globals: Vec<GlobalState> = Vec::new();
     let mut subs: Vec<SubState> = Vec::new();
     let mut max_now = i64::MIN;
@@ -514,18 +729,22 @@ pub fn sweep_capacities_streaming(
             subs.resize(globals.len() * grid, SubState::EMPTY);
         }
         if r.time < max_now {
-            // Monotone-clock guard, as in `DiskCache::note_time`: the
-            // affine contract is void, every stack degrades for good.
-            for stack in &mut stacks {
-                stack.rank.degrade();
+            // Monotone-clock guard, as in `DiskCache::note_time`: every
+            // contract that ranks ahead of time is void, every stack
+            // degrades for good.
+            for (ci, stack) in stacks.iter_mut().enumerate() {
+                stack.degrade(policy, &mut subs, grid, ci);
             }
-            recency = false;
+            key = None;
         } else {
             max_now = r.time;
         }
-        if recency {
+        if key == Some(SharedKey::Recency) {
             if log.len() >= 2 * globals.len() + LOG_SLACK {
-                compact_recency_log(&mut log, &mut globals, &mut stacks);
+                compact_recency_log(&mut log, &mut open_start, &mut globals, &mut stacks);
+            }
+            if log.last().is_some_and(|&(time, _)| time != r.time) {
+                close_open_group(&mut log, &mut open_start, &mut globals);
             }
             globals[fidx as usize].last_seq = log.len();
             log.push((r.time, fidx));
@@ -536,10 +755,13 @@ pub fn sweep_capacities_streaming(
         // the file (hits refresh them, misses insert with them), so the
         // shared copy is exact.
         let g = &mut globals[fidx as usize];
+        let new_key = g.next_use != r.next_use;
         g.last_ref = r.time;
         g.next_use = r.next_use;
         let column = |ci| Column {
             globals: &globals,
+            log: &log,
+            open_start,
             grid,
             ci,
             est,
@@ -547,6 +769,7 @@ pub fn sweep_capacities_streaming(
         let row = fidx as usize * grid;
         for (ci, stack) in stacks.iter_mut().enumerate() {
             let sub = &mut subs[row + ci];
+            let was_resident = sub.resident;
             if r.write {
                 stack.stats.writes += 1;
                 if base.cache.eager_writeback {
@@ -579,9 +802,8 @@ pub fn sweep_capacities_streaming(
                 stack.stats.read_hits += 1;
                 stack.stats.read_hit_bytes += sub.size;
                 sub.ref_count += 1;
-                if !skip_read_touch && !recency {
-                    let host = column(ci).view(&subs, &stack.residents);
-                    stack.rank.touched(&host, fidx, r.time);
+                if !skip_read_touch {
+                    stack.touched(column(ci), &subs, fidx, r.time, new_key);
                 }
                 continue;
             } else {
@@ -603,12 +825,7 @@ pub fn sweep_capacities_streaming(
             // Only writes and inserts reach here, the ops that can grow
             // usage past the watermark — same reachability as
             // `DiskCache`.
-            if recency {
-                stack.maybe_purge_recency(&log, &globals, &mut subs, grid, ci);
-                continue;
-            }
-            let host = column(ci).view(&subs, &stack.residents);
-            stack.rank.touched(&host, fidx, r.time);
+            stack.touched(column(ci), &subs, fidx, r.time, new_key || !was_resident);
             stack.maybe_purge(column(ci), &mut subs, r.time);
         }
     }
@@ -780,6 +997,24 @@ mod tests {
 
     const MAX_SIZE: u64 = 1000;
 
+    /// `n` xorshift-drawn `lru_stream` specs over `files` files: one in
+    /// five a write, sizes up to [`MAX_SIZE`], steps `0..8`.
+    fn random_specs(files: u32, n: u32, mut rng: u64) -> Vec<(bool, u32, u64, i64)> {
+        (0..n)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (
+                    rng.is_multiple_of(5),
+                    (rng >> 8) as u32 % files,
+                    1 + (rng >> 24) % MAX_SIZE,
+                    (rng >> 40) as i64 % 8,
+                )
+            })
+            .collect()
+    }
+
     /// The grid the compaction tests sweep: one capacity that holds
     /// every file, one smaller than most files, and `pcts` of the first
     /// in between.
@@ -818,29 +1053,97 @@ mod tests {
     thread_local! {
         /// The longest the recency log has been on this thread.
         pub(super) static LOG_HIGH_WATER: Cell<usize> = const { Cell::new(0) };
+        /// Tie-ordering work on this thread, in entry steps: `g·⌈log₂(g+1)⌉`
+        /// per sort of a closed g-entry group, one per open-group heap
+        /// push or pop.
+        static TIE_WORK: Cell<usize> = const { Cell::new(0) };
+        /// Next-use heaps on this thread: the most pairs one held, and
+        /// the most it held beyond twice its stack's residents.
+        static HEAP_HIGH_WATER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn note_tie_work(steps: usize) {
+        TIE_WORK.with(|work| work.set(work.get() + steps));
+    }
+
+    pub(super) fn note_heap(len: usize, residents: usize) {
+        HEAP_HIGH_WATER.with(|high| {
+            let (most, excess) = high.get();
+            high.set((most.max(len), excess.max(len.saturating_sub(2 * residents))));
+        });
+    }
+
+    /// Every reference in one second — 10 k at `t = 0`, 10 k at `t = 1`
+    /// — cycling through the files by descending id, so every purge
+    /// meets a tie group thousands of entries long: first open, then
+    /// closed and sorted, then open again. Searching the group at every
+    /// eviction would take about `evictions × files` steps; the sort
+    /// and the open-group heaps stay within `O(n log n)`.
+    #[test]
+    fn a_long_tie_group_costs_n_log_n_and_matches_naive() {
+        const FILES: u32 = 2000;
+        const N: u32 = 20_000;
+        let specs: Vec<_> = (0..N)
+            .map(|i| {
+                let id = FILES - 1 - i % FILES;
+                let size = 1 + u64::from(i.wrapping_mul(7919)) % MAX_SIZE;
+                // `lru_stream` steps by `step - 4`: one step of 5 at the
+                // midpoint, none elsewhere.
+                let step = if i == N / 2 { 5 } else { 0 };
+                (i % 5 == 0, id, size, step)
+            })
+            .collect();
+        let refs = lru_stream(FILES, &specs);
+        assert_eq!(refs.last().map(|r| r.time), Some(1));
+        // Fractions of the files' mean total size: all three churn.
+        let total = u64::from(FILES) * MAX_SIZE / 2;
+        let grid: Vec<u64> = [10, 30, 60].iter().map(|pct| total * pct / 100).collect();
+        let base = EvalConfig::with_capacity(0);
+        TIE_WORK.with(|work| work.set(0));
+        let fused = sweep_capacities(&refs, &Lru, &grid, &base);
+        let work = TIE_WORK.with(Cell::get);
+        assert_eq!(fused, sweep_capacities_naive(&refs, &Lru, &grid, &base));
+        assert!(
+            fused.points.iter().all(|p| p.stats.evictions > 1000),
+            "every capacity churns: {:?}",
+            fused.points
+        );
+        let n = N as usize;
+        let bound = 2 * n * (usize::BITS - n.leading_zeros()) as usize;
+        assert!(work <= bound, "tie-ordering work {work} > {bound}");
+        assert!(work > n, "the tie groups were never ordered");
+        // Belady's never-again and equal-next-use classes are just as
+        // large here.
+        assert_eq!(
+            sweep_capacities(&refs, &Belady, &grid, &base),
+            sweep_capacities_naive(&refs, &Belady, &grid, &base)
+        );
+    }
+
+    #[test]
+    fn the_next_use_heap_stays_bounded_by_the_residents() {
+        const FILES: u32 = 2000;
+        let refs = lru_stream(
+            FILES,
+            &random_specs(FILES, 40 * FILES, 0x6A09_E667_F3BC_C909),
+        );
+        let grid = compaction_grid(FILES, &[5, 30, 70]);
+        let base = EvalConfig::with_capacity(0);
+        HEAP_HIGH_WATER.with(|high| high.set((0, 0)));
+        let fused = sweep_capacities(&refs, &Belady, &grid, &base);
+        let (most, excess) = HEAP_HIGH_WATER.with(Cell::get);
+        assert!(
+            excess <= 64,
+            "a heap held {excess} pairs past 2 · residents + 64"
+        );
+        assert!(most > FILES as usize, "the heaps never filled: {most}");
+        assert_eq!(fused, sweep_capacities_naive(&refs, &Belady, &grid, &base));
     }
 
     #[test]
     fn the_touch_log_stays_bounded_by_the_file_count() {
         const FILES: u32 = 2000;
-        let mut rng = 0x2545_F491_4F6C_DD1D_u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let specs: Vec<_> = (0..4 * 10 * FILES)
-            .map(|_| {
-                let x = next();
-                (
-                    x % 5 == 0,
-                    (x >> 8) as u32 % FILES,
-                    1 + (x >> 24) % MAX_SIZE,
-                    (x >> 40) as i64 % 8,
-                )
-            })
-            .collect();
+        let specs = random_specs(FILES, 40 * FILES, 0x2545_F491_4F6C_DD1D);
         let grid = compaction_grid(FILES, &[5, 30, 70]);
         let base = EvalConfig::with_capacity(0);
         let bound = 2 * FILES as usize + LOG_SLACK;
@@ -858,6 +1161,43 @@ mod tests {
                 "{len} references never filled the log"
             );
             assert_eq!(fused, sweep_capacities_naive(&refs, &Lru, &grid, &base));
+        }
+    }
+
+    #[test]
+    fn the_next_use_key_orders_like_beladys_affine_intercept() {
+        let intercept = |next_use| {
+            let file = FileView {
+                id: FileId::new(0),
+                size: 1,
+                last_ref: 0,
+                created: 0,
+                ref_count: 1,
+                next_use,
+                est_miss_wait_s: 0.0,
+            };
+            Belady.affine(&file).expect("Belady is affine").intercept
+        };
+        // Both signs, zero, ties past 2^53 (two i64s, one f64), the
+        // extremes, and never-again.
+        let stamps = [
+            None,
+            Some(i64::MIN),
+            Some(-7),
+            Some(0),
+            Some(1),
+            Some(1 << 53),
+            Some((1 << 53) + 1),
+            Some(i64::MAX),
+        ];
+        for a in stamps {
+            for b in stamps {
+                assert_eq!(
+                    next_use_key(a).cmp(&next_use_key(b)),
+                    intercept(a).total_cmp(&intercept(b)),
+                    "{a:?} vs {b:?}"
+                );
+            }
         }
     }
 

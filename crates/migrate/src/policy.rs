@@ -31,7 +31,7 @@
 //!
 //! The full contract family — `priority`, the `affine` exactness
 //! contract, the `kinetic` time-varying form behind the tournament
-//! index, `read_touch_monotone`, `recency_keyed`, `latency_aware` —
+//! index, `read_touch_monotone`, `shared_key`, `latency_aware` —
 //! is documented in `docs/policy-contract.md`.
 
 use fmig_trace::FileId;
@@ -478,6 +478,17 @@ pub fn certify_order(
     }
 }
 
+/// A victim key that is a pure function of a file's shared row, named
+/// by [`MigrationPolicy::shared_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SharedKey {
+    /// Oldest `last_ref` first, ties by ascending id (LRU).
+    Recency,
+    /// Latest `next_use` first — never-again (`None`) before any —
+    /// ties by ascending id (Belady).
+    NextUse,
+}
+
 /// An eviction policy: higher [`MigrationPolicy::priority`] leaves first.
 pub trait MigrationPolicy: Send + Sync {
     /// Short display name ("STP(1.4)", "LRU", ...).
@@ -588,23 +599,36 @@ pub trait MigrationPolicy: Send + Sync {
         false
     }
 
-    /// True if the policy is *pure recency*: under a monotone clock its
-    /// victim order is exactly "oldest `last_ref` first, ties by
-    /// ascending id" — equivalently, its affine form is slope `1`,
-    /// intercept `−last_ref`, for every file.
+    /// The shared-row key this policy's victim order *is*, if it is
+    /// one: under a monotone clock, the rescan's `(priority desc, id
+    /// asc)` order over any resident set equals the order of the key,
+    /// ties broken by ascending id.
     ///
-    /// This is the strongest contract of the family and unlocks the
-    /// biggest optimization: because `last_ref` is written by **every**
-    /// touch in **every** cache that holds the file, the key stream is
-    /// capacity-independent, and the multi-capacity replay engine
-    /// ([`crate::mrc`]) ranks victims for an entire capacity grid from
-    /// **one** shared touch log, compacted to its live entries
-    /// (≤ 2·files + 1024), with a cursor per capacity — no per-capacity
-    /// heaps, no floating point, amortised O(1) per reference for the
-    /// whole grid. Only LRU among the shipped policies qualifies;
-    /// the default is the safe `false`.
-    fn recency_keyed(&self) -> bool {
-        false
+    /// This is the strongest contract of the family. The key must be a
+    /// pure function of `last_ref` ([`SharedKey::Recency`]) or
+    /// `next_use` ([`SharedKey::NextUse`]) — the two fields **every**
+    /// touch writes the same in **every** cache that holds the file —
+    /// so the key stream is capacity-independent and the
+    /// multi-capacity replay engine ([`crate::mrc`]) ranks every
+    /// capacity of a grid straight off its one shared per-file row:
+    /// integer keys, no [`FileView`], no virtual call, no per-capacity
+    /// resident list. `Recency` shares one touch log across the grid,
+    /// compacted to its live entries (≤ 2·files + 1024), each
+    /// equal-timestamp group sorted by id once it closes, with a clock
+    /// hand per capacity — amortised O(1) per reference for the whole
+    /// grid. `NextUse` keeps a heap of integer keys per capacity,
+    /// ordered exactly like [`MigrationPolicy::affine`]'s intercept
+    /// `next_use as f64` under `total_cmp` (never-again as +∞).
+    ///
+    /// `NextUse` inherits `affine`'s clause 3 precondition: the oracle
+    /// is consistent, so a resident file's `next_use` is never in the
+    /// past. A forward-scan oracle that sees across a later backwards
+    /// clock step breaks it *before* the step, where no engine can
+    /// detect it; the engine falls back to the exact rescan only from
+    /// the step on. Only LRU (`Recency`) and Belady (`NextUse`) among
+    /// the shipped policies qualify; the default is the safe `None`.
+    fn shared_key(&self) -> Option<SharedKey> {
+        None
     }
 
     /// True if the policy consults [`FileView::est_miss_wait_s`] — the
@@ -711,8 +735,8 @@ impl MigrationPolicy for Lru {
         true // recency only ever lowers −last_ref
     }
 
-    fn recency_keyed(&self) -> bool {
-        true // LRU *is* the recency order
+    fn shared_key(&self) -> Option<SharedKey> {
+        Some(SharedKey::Recency) // LRU *is* the recency order
     }
 }
 
@@ -897,6 +921,10 @@ impl MigrationPolicy for Belady {
             intercept: file.next_use.map_or(f64::INFINITY, |t| t as f64),
         })
     }
+
+    fn shared_key(&self) -> Option<SharedKey> {
+        Some(SharedKey::NextUse) // farthest next use first is Belady
+    }
 }
 
 /// Aggregate-delay-aware LRU (LRU-MAD, after Atre et al., "Caching
@@ -956,7 +984,7 @@ impl MigrationPolicy for LruMad {
         true
     }
 
-    // No affine form and not recency-keyed: the feedback estimate can
+    // No affine form and no shared key: the feedback estimate can
     // change between touches (EWMA drift), bending pairwise order in a
     // way no frozen intercept reproduces exactly.
 
@@ -1241,6 +1269,20 @@ mod tests {
         let before = Lru.affine(&file(1, 10, 100, 1)).unwrap();
         let after = Lru.affine(&file(1, 10, 500, 2)).unwrap();
         assert!(after.intercept <= before.intercept);
+    }
+
+    #[test]
+    fn only_lru_and_belady_name_a_shared_key() {
+        let mut suite = standard_suite();
+        suite.push(Box::new(Belady));
+        for policy in &suite {
+            let expected = match policy.name().as_str() {
+                "LRU" => Some(SharedKey::Recency),
+                "Belady (offline)" => Some(SharedKey::NextUse),
+                _ => None,
+            };
+            assert_eq!(policy.shared_key(), expected, "{}", policy.name());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! The property traces are random but well-formed: times never
 //! decrease and `next_use` comes from a real reverse sweep, the
 //! invariants every replay in this workspace provides (and the affine
-//! forms assume). They draw at most 40 files, so every MRC stack there
+//! forms assume). Half their time steps are zero, so equal timestamps —
+//! LRU's tie groups, Belady's equal-next-use classes — are common. They draw at most 40 files, so every MRC stack there
 //! stays under `INDEX_MIN_RESIDENTS` and purges by rescan; three
 //! deterministic cases at the end hold hundreds of residents per
 //! capacity, so the stacks build their affine ranks and tournaments —
@@ -37,7 +38,10 @@ fn arb_specs() -> impl Strategy<Value = Vec<Spec>> {
             any::<bool>(),
             0u32..40,
             1u64..600_000,
-            0i64..400, // occasional zero steps: equal-timestamp ties
+            // A zero step half the time: equal-timestamp ties are the
+            // rule, so LRU's tie groups and Belady's equal-next-use
+            // classes are large.
+            prop_oneof![Just(0i64), 1i64..400],
         ),
         20..220,
     )
@@ -172,8 +176,8 @@ const BIG_MAX_SIZE: u64 = 4000;
 /// 6000 xorshift-drawn references over [`BIG_FILES`] files, every third
 /// one to the next of [`BIG_HOT_FILES`] hot files in turn (so a hot
 /// file's reference count is a known function of the position). Sizes
-/// vary per reference (writes resize); steps mix exact ties, short hops
-/// and half-day jumps. `backstep_at` makes that one reference arrive
+/// vary per reference (writes resize); steps mix exact ties (half of
+/// them), short hops and half-day jumps. `backstep_at` makes that one reference arrive
 /// 3000 s before its predecessor; the stream then resumes where it was.
 fn big_refs(backstep_at: Option<usize>) -> Vec<PreparedRef> {
     let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
@@ -187,7 +191,7 @@ fn big_refs(backstep_at: Option<usize>) -> Vec<PreparedRef> {
         .map(|i| {
             let dt = match next() % 40 {
                 0 => 43_200,
-                1..=5 => 0,
+                1..=20 => 0,
                 n => n as i64,
             };
             let dt = match backstep_at {
