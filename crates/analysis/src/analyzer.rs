@@ -5,6 +5,8 @@
 //! error census and the global request-gap distribution (they did reach
 //! the MSS) but are excluded from everything else, exactly as in §5.1.
 
+use std::borrow::Borrow;
+
 use fmig_trace::{TraceRecord, TraceStats};
 
 use crate::dirs::DirStats;
@@ -59,20 +61,12 @@ impl Analyzer {
         self.latency.observe(rec);
     }
 
-    /// Convenience: analyzes an entire record stream.
-    pub fn analyze<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
+    /// Convenience: analyzes an entire record stream, borrowed or owned
+    /// (e.g. a generator).
+    pub fn analyze(records: impl IntoIterator<Item = impl Borrow<TraceRecord>>) -> Self {
         let mut a = Self::new();
         for rec in records {
-            a.observe(rec);
-        }
-        a
-    }
-
-    /// Convenience: analyzes an owning record stream (e.g. a generator).
-    pub fn analyze_owned(records: impl IntoIterator<Item = TraceRecord>) -> Self {
-        let mut a = Self::new();
-        for rec in records {
-            a.observe(&rec);
+            a.observe(rec.borrow());
         }
         a
     }
@@ -127,7 +121,7 @@ mod tests {
     fn analyze_helpers_agree() {
         let recs = vec![ok_read(0, "/a/b"), ok_read(5, "/a/c")];
         let by_ref = Analyzer::analyze(recs.iter());
-        let by_val = Analyzer::analyze_owned(recs.clone());
+        let by_val = Analyzer::analyze(recs.clone());
         assert_eq!(by_ref.stats, by_val.stats);
         assert_eq!(by_ref.files.file_count(), by_val.files.file_count());
     }

@@ -1,5 +1,5 @@
-//! Per-file reference tracking: Figures 8 and 9, Figure 11, and the §6
-//! eight-hour repeat statistic.
+//! Per-file reference tracking: Figures 8 and 9, Figure 11, and §6-b's
+//! same-file repeat table.
 //!
 //! §5.3's method is applied verbatim: "this part of the analysis included
 //! at most one read and one write from any eight hour period" — each
@@ -7,7 +7,9 @@
 //! (write) are folded away before reference counts and interreference
 //! intervals are computed. The raw repeats are retained separately,
 //! because §6 uses them ("about one third of all requests came within
-//! eight hours of another request for the same file").
+//! eight hours of another request for the same file"): each is counted
+//! under every window of [`REPEAT_WINDOWS_H`] its gap fits, which is the
+//! table `repro dedup` prints.
 //!
 //! The census itself is [`IdFileTracker`], a `Vec` of per-file state
 //! indexed by a caller-assigned slot; [`FileTracker`] is the path-keyed
@@ -26,6 +28,15 @@ use serde::{Deserialize, Serialize};
 use crate::hist::LogHistogram;
 
 const DEDUP_WINDOW_S: i64 = 8 * HOUR;
+
+/// §6-b's repeat windows, in hours: entry `i` of
+/// [`IdFileTracker::repeats_within`] counts the raw requests that came
+/// within `REPEAT_WINDOWS_H[i]` hours of the previous request for the
+/// same file.
+pub const REPEAT_WINDOWS_H: [i64; 5] = [1, 2, 4, 8, 24];
+
+/// The eight-hour entry of [`REPEAT_WINDOWS_H`] (§6's "about one third").
+const EIGHT_H: usize = 3;
 
 /// Per-file running state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,7 +121,9 @@ pub struct IdFileTracker {
     /// Interreference intervals between counted accesses, in seconds.
     intervals: LogHistogram,
     raw_requests: u64,
-    raw_repeats_within_8h: u64,
+    /// Raw repeats by the narrowest window of [`REPEAT_WINDOWS_H`] their
+    /// gap fits; [`IdFileTracker::repeats_within`] sums them up.
+    repeats_by_window: [u64; REPEAT_WINDOWS_H.len()],
 }
 
 impl IdFileTracker {
@@ -122,7 +135,7 @@ impl IdFileTracker {
             // 1 minute to ~2 years.
             intervals: LogHistogram::new(60.0, 7.0e7, 4),
             raw_requests: 0,
-            raw_repeats_within_8h: 0,
+            repeats_by_window: [0; REPEAT_WINDOWS_H.len()],
         }
     }
 
@@ -142,9 +155,10 @@ impl IdFileTracker {
             self.seen += 1;
             state.size = rec.file_size();
         }
-        // §6 statistic: raw repeats within eight hours.
-        if t - state.last_raw <= DEDUP_WINDOW_S {
-            self.raw_repeats_within_8h += 1;
+        // §6-b: the raw repeat's gap, by the narrowest window it fits.
+        let gap = t - state.last_raw;
+        if let Some(w) = REPEAT_WINDOWS_H.iter().position(|&h| gap <= h * HOUR) {
+            self.repeats_by_window[w] += 1;
         }
         state.last_raw = t;
         // Writes may grow the file; keep the latest size.
@@ -260,46 +274,19 @@ impl IdFileTracker {
     /// CDF of per-file total reference counts `(count, fraction_le)`
     /// for Figure 8's "total" curve.
     pub fn reference_count_cdf(&self) -> Vec<(u32, f64)> {
-        let mut counts: Vec<u32> = self.files().map(|f| f.reads + f.writes).collect();
-        counts.sort_unstable();
-        let n = counts.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let v = counts[i];
-            let mut j = i;
-            while j < n && counts[j] == v {
-                j += 1;
-            }
-            out.push((v, j as f64 / n as f64));
-            i = j;
-        }
-        out
+        count_cdf(self.files().map(|f| f.reads + f.writes).collect())
     }
 
     /// Per-direction reference-count CDF for Figure 8's read/write curves.
     pub fn direction_count_cdf(&self, dir: Direction) -> Vec<(u32, f64)> {
-        let mut counts: Vec<u32> = self
-            .files()
-            .map(|f| match dir {
-                Direction::Read => f.reads,
-                Direction::Write => f.writes,
-            })
-            .collect();
-        counts.sort_unstable();
-        let n = counts.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let v = counts[i];
-            let mut j = i;
-            while j < n && counts[j] == v {
-                j += 1;
-            }
-            out.push((v, j as f64 / n as f64));
-            i = j;
-        }
-        out
+        count_cdf(
+            self.files()
+                .map(|f| match dir {
+                    Direction::Read => f.reads,
+                    Direction::Write => f.writes,
+                })
+                .collect(),
+        )
     }
 
     /// Fraction of counted per-file interreference intervals at or below
@@ -318,14 +305,30 @@ impl IdFileTracker {
         &self.intervals
     }
 
-    /// §6: fraction of raw requests within eight hours of a previous
-    /// request for the same file (paper: about one third).
-    pub fn repeat_within_8h_fraction(&self) -> f64 {
+    /// §6-b's table: for each window of [`REPEAT_WINDOWS_H`], the raw
+    /// requests within it of the previous request for the same file.
+    pub fn repeats_within(&self) -> [u64; REPEAT_WINDOWS_H.len()] {
+        let mut total = 0;
+        self.repeats_by_window.map(|n| {
+            total += n;
+            total
+        })
+    }
+
+    /// Fraction of raw requests that `repeats` makes up (0 before any
+    /// request).
+    pub fn repeat_fraction(&self, repeats: u64) -> f64 {
         if self.raw_requests == 0 {
             0.0
         } else {
-            self.raw_repeats_within_8h as f64 / self.raw_requests as f64
+            repeats as f64 / self.raw_requests as f64
         }
+    }
+
+    /// §6: fraction of raw requests within eight hours of a previous
+    /// request for the same file (paper: about one third).
+    pub fn repeat_within_8h_fraction(&self) -> f64 {
+        self.repeat_fraction(self.repeats_within()[EIGHT_H])
     }
 
     /// Static (per-file, counted once) size histogram for Figure 11.
@@ -342,6 +345,25 @@ impl Default for IdFileTracker {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The run-length CDF of `counts`: each distinct count with the fraction
+/// of entries at or below it, in ascending order.
+fn count_cdf(mut counts: Vec<u32>) -> Vec<(u32, f64)> {
+    counts.sort_unstable();
+    let n = counts.len();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < n {
+        let v = counts[i];
+        let mut j = i;
+        while j < n && counts[j] == v {
+            j += 1;
+        }
+        out.push((v, j as f64 / n as f64));
+        i = j;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -408,6 +430,7 @@ mod tests {
             assert_eq!(by_path.total_bytes(), by_id.total_bytes());
             assert_eq!(by_path.never_read(), by_id.never_read());
             assert_eq!(by_path.accessed_once(), by_id.accessed_once());
+            assert_eq!(by_path.repeats_within(), by_id.repeats_within());
             assert_eq!(
                 by_path.repeat_within_8h_fraction(),
                 by_id.repeat_within_8h_fraction()
@@ -418,6 +441,8 @@ mod tests {
         assert_eq!(by_id.file_count(), 3);
         assert_eq!(by_id.total_bytes(), 30 + 5 + 8);
         assert_eq!(by_id.median_references(), 2);
+        // Gaps 60 s, 9 h − 60 s, 10 h − 50 s and 9 s.
+        assert_eq!(by_id.repeats_within(), [2, 2, 2, 2, 4]);
         // Slots 0, 1, 3, 5, 6 were never named and count toward nothing.
         assert_eq!(by_id.size_histogram().count(), 3);
     }
@@ -448,6 +473,31 @@ mod tests {
         ft.observe(&read("/b", 300, 10));
         // Two of four raw requests repeat /a within 8 hours.
         assert!((ft.repeat_within_8h_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeat_windows_nest_and_the_eight_hour_entry_is_the_headline() {
+        let mut ft = FileTracker::new();
+        // Gaps on /a: 100 s, 3 h, 7 h, 20 h, then 2 days.
+        for t in [0, 100, 100 + 3 * HOUR, 100 + 10 * HOUR, 100 + 30 * HOUR] {
+            ft.observe(&read("/a", t, 10));
+        }
+        ft.observe(&read("/a", 100 + 78 * HOUR, 10));
+        let mut gone = read("/a", 100 + 78 * HOUR + 1, 10);
+        gone.error = Some(fmig_trace::ErrorKind::FileNotFound);
+        ft.observe(&gone); // errored: neither a request nor a repeat
+        ft.observe(&read("/b", 5, 10));
+        let within = ft.repeats_within();
+        assert_eq!(within, [1, 1, 2, 3, 4]);
+        for pair in within.windows(2) {
+            assert!(pair[0] <= pair[1], "{within:?}");
+        }
+        let eight = REPEAT_WINDOWS_H.iter().position(|&h| h == 8).unwrap();
+        assert_eq!(
+            ft.repeat_within_8h_fraction(),
+            ft.repeat_fraction(within[eight])
+        );
+        assert!((ft.repeat_within_8h_fraction() - 3.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -503,6 +553,7 @@ mod tests {
         assert_eq!(ft.never_read(), 0.0);
         assert_eq!(ft.median_references(), 0);
         assert_eq!(ft.repeat_within_8h_fraction(), 0.0);
+        assert_eq!(ft.repeats_within(), [0; REPEAT_WINDOWS_H.len()]);
         assert!(ft.reference_count_cdf().is_empty());
     }
 }

@@ -5,14 +5,12 @@
 //! either real measurements or the output of `fmig-sim`. Keeping this
 //! analysis independent of the simulator lets it run on externally
 //! collected traces too. Closed-loop policy runs feed measured waits in
-//! directly through [`LatencyAnalysis::observe_wait`] and compare
-//! policies side by side with [`PolicyLatencyReport`].
+//! directly through [`LatencyAnalysis::observe_wait`].
 
 use fmig_trace::{DeviceClass, Direction, Request};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::{LogHistogram, Welford};
-use crate::report::TextTable;
 
 /// Per (direction × device) latency distributions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,98 +125,6 @@ impl LatencyAnalysis {
         h.merge(&self.cells[1][dev_index(device)].hist);
         h.cdf_points().into_iter().map(|(e, f, _)| (e, f)).collect()
     }
-
-    /// Approximate `p`-quantile of one direction's waits across all
-    /// devices (e.g. the p99 first-byte read wait).
-    pub fn direction_quantile(&self, dir: Direction, p: f64) -> f64 {
-        let cells = &self.cells[dir_index(dir)];
-        let mut h = cells[0].hist.clone();
-        h.merge(&cells[1].hist);
-        h.merge(&cells[2].hist);
-        if h.count() == 0 {
-            return 0.0;
-        }
-        h.quantile(p)
-    }
-
-    /// Observations in one direction across all devices.
-    pub fn direction_count(&self, dir: Direction) -> u64 {
-        self.cells[dir_index(dir)]
-            .iter()
-            .map(|c| c.moments.count())
-            .sum()
-    }
-}
-
-/// Per-policy latency cells: one [`LatencyAnalysis`] per migration
-/// policy, fed by closed-loop runs, rendered as a comparison table of
-/// simulated first-byte waits (the latency-true counterpart of the
-/// miss-ratio winner tables).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PolicyLatencyReport {
-    cells: Vec<(String, LatencyAnalysis)>,
-}
-
-impl PolicyLatencyReport {
-    /// Creates an empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a policy's cell and returns its analysis for feeding.
-    pub fn cell(&mut self, policy: impl Into<String>) -> &mut LatencyAnalysis {
-        self.cells.push((policy.into(), LatencyAnalysis::new()));
-        &mut self.cells.last_mut().expect("just pushed").1
-    }
-
-    /// The policies in insertion order with their analyses.
-    pub fn cells(&self) -> impl Iterator<Item = (&str, &LatencyAnalysis)> {
-        self.cells.iter().map(|(n, a)| (n.as_str(), a))
-    }
-
-    /// Number of policy cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if no policy has been added.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The policy with the lowest p99 first-byte read wait, paired
-    /// with that wait in seconds — the tail-latency winner column that
-    /// sits next to the miss-ratio winner in the sweep report. Ties
-    /// keep the earliest-inserted policy; `None` until some cell has
-    /// read observations.
-    pub fn best_by_p99(&self) -> Option<(&str, f64)> {
-        self.cells
-            .iter()
-            .filter(|(_, a)| a.direction_count(Direction::Read) > 0)
-            .map(|(n, a)| (n.as_str(), a.direction_quantile(Direction::Read, 0.99)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Renders mean / median / p99 read waits per policy.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new([
-            "policy",
-            "reads",
-            "mean read wait (s)",
-            "median (s)",
-            "p99 (s)",
-        ]);
-        for (name, a) in &self.cells {
-            t.row([
-                name.clone(),
-                a.direction_count(Direction::Read).to_string(),
-                format!("{:.1}", a.direction_mean(Direction::Read)),
-                format!("{:.1}", a.direction_quantile(Direction::Read, 0.5)),
-                format!("{:.1}", a.direction_quantile(Direction::Read, 0.99)),
-            ]);
-        }
-        t.render()
-    }
 }
 
 impl Default for LatencyAnalysis {
@@ -311,8 +217,7 @@ mod tests {
         assert_eq!(a.mean(Direction::Read, DeviceClass::Disk), 0.0);
         assert_eq!(a.device_mean(DeviceClass::Disk), 0.0);
         assert_eq!(a.device_fraction_le(DeviceClass::Disk, 100.0), 0.0);
-        assert_eq!(a.direction_quantile(Direction::Read, 0.99), 0.0);
-        assert_eq!(a.direction_count(Direction::Write), 0);
+        assert_eq!(a.count(Direction::Write, DeviceClass::Disk), 0);
     }
 
     #[test]
@@ -324,52 +229,6 @@ mod tests {
             by_wait.observe_wait(Direction::Read, DeviceClass::TapeSilo, lat as f64);
         }
         assert_eq!(by_record, by_wait);
-        assert_eq!(by_wait.direction_count(Direction::Read), 3);
-        assert!(by_wait.direction_quantile(Direction::Read, 0.99) >= 100.0);
-    }
-
-    #[test]
-    fn policy_latency_report_renders_per_policy_rows() {
-        let mut report = PolicyLatencyReport::new();
-        assert!(report.is_empty());
-        let stp = report.cell("STP(1.4)");
-        for w in [2.0, 4.0, 90.0] {
-            stp.observe_wait(Direction::Read, DeviceClass::TapeSilo, w);
-        }
-        let lru = report.cell("LRU");
-        for w in [5.0, 8.0, 300.0] {
-            lru.observe_wait(Direction::Read, DeviceClass::TapeSilo, w);
-        }
-        assert_eq!(report.len(), 2);
-        let text = report.render();
-        assert!(text.contains("STP(1.4)"));
-        assert!(text.contains("LRU"));
-        assert!(text.contains("p99"));
-        // Cells are independent: STP's mean (32.0) vs LRU's (104.3).
-        let names: Vec<&str> = report.cells().map(|(n, _)| n).collect();
-        assert_eq!(names, ["STP(1.4)", "LRU"]);
-        let means: Vec<f64> = report
-            .cells()
-            .map(|(_, a)| a.direction_mean(Direction::Read))
-            .collect();
-        assert!(means[0] < means[1]);
-    }
-
-    #[test]
-    fn best_by_p99_picks_the_tail_winner() {
-        let mut report = PolicyLatencyReport::new();
-        assert_eq!(report.best_by_p99(), None);
-        let a = report.cell("LRU");
-        for w in [10.0, 20.0, 400.0] {
-            a.observe_wait(Direction::Read, DeviceClass::TapeSilo, w);
-        }
-        // Worse mean but a far better tail: the p99 column must pick it.
-        let b = report.cell("LRU-MAD");
-        for w in [60.0, 70.0, 80.0] {
-            b.observe_wait(Direction::Read, DeviceClass::TapeSilo, w);
-        }
-        let (name, p99) = report.best_by_p99().expect("two populated cells");
-        assert_eq!(name, "LRU-MAD");
-        assert!(p99 < 100.0);
+        assert_eq!(by_wait.count(Direction::Read, DeviceClass::TapeSilo), 3);
     }
 }

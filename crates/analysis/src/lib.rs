@@ -14,9 +14,10 @@
 //! | Figure 10 (dynamic sizes) | [`sizes`] |
 //! | Figure 11 (static sizes) | [`filetrack`] |
 //! | Figure 12 (directories) | [`dirs`] |
+//! | §6-b (same-file repeats) | [`filetrack`] |
 //!
-//! [`availability`] scores the sweep's fault cells, and [`report`]
-//! renders text tables and ASCII CDF plots for the `repro` harness.
+//! [`report`] renders text tables and ASCII CDF plots for the `repro`
+//! harness.
 //!
 //! # Examples
 //!
@@ -34,7 +35,6 @@
 //! ```
 
 pub mod analyzer;
-pub mod availability;
 pub mod dirs;
 pub mod filetrack;
 pub mod hist;
@@ -45,12 +45,11 @@ pub mod sizes;
 pub mod timeseries;
 
 pub use analyzer::Analyzer;
-pub use availability::{AvailabilityReport, AvailabilityRow};
 pub use dirs::DirStats;
-pub use filetrack::{FileTracker, IdFileTracker};
+pub use filetrack::{FileTracker, IdFileTracker, REPEAT_WINDOWS_H};
 pub use hist::{LogHistogram, Welford};
 pub use interref::GapTracker;
-pub use latency::{LatencyAnalysis, PolicyLatencyReport};
+pub use latency::LatencyAnalysis;
 pub use report::{ascii_cdf, render_comparisons, Comparison, TextTable};
 pub use sizes::DynamicSizes;
 pub use timeseries::{HourlyProfile, WeekSeries, WeeklyProfile};

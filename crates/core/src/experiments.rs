@@ -1,6 +1,8 @@
 //! The experiment registry: one entry per table and figure of the paper,
 //! plus §6's four design-implication studies (the policy comparison,
-//! eight-hour dedup, the dividing point and write-behind).
+//! eight-hour dedup, the dividing point and write-behind). Dedup reads
+//! the file census the figures use; the other three run
+//! `fmig-migrate`'s studies over the study's trace.
 //!
 //! Every experiment renders a text report and a set of paper-vs-measured
 //! [`Comparison`] rows; `repro <id>` prints them and `repro list` names
@@ -9,8 +11,8 @@
 //! makes (shares, ratios, crossover points, orderings).
 
 use fmig_analysis::report::{ascii_cdf, fmt_count, fmt_f1, fmt_f2, fmt_pct, render_comparisons};
-use fmig_analysis::{Comparison, TextTable};
-use fmig_migrate::{dedup, dividing::DividingPointStudy, eval, policy, writeback};
+use fmig_analysis::{Comparison, TextTable, REPEAT_WINDOWS_H};
+use fmig_migrate::{dividing::DividingPointStudy, eval, policy, writeback};
 use fmig_sim::{MssSimulator, SimConfig};
 use fmig_trace::time::{CivilDate, Timestamp, TRACE_EPOCH};
 use fmig_trace::{DeviceClass, Direction, Endpoint, TraceRecord, TraceWriter, VerboseLogWriter};
@@ -979,32 +981,29 @@ fn policies(study: &StudyOutput) -> ExperimentResult {
     )
 }
 
-/// §6-b: eight-hour request deduplication.
+/// §6-b: eight-hour request deduplication, read off the file census.
 fn dedup_exp(study: &StudyOutput) -> ExperimentResult {
-    let hour = 3600i64;
-    let sweep = dedup::window_sweep(
-        &study.records,
-        &[hour, 2 * hour, 4 * hour, 8 * hour, 24 * hour],
-    );
+    let files = &study.analysis.files;
+    let repeats = files.repeats_within();
     let mut t = TextTable::new(["window", "duplicate requests", "savings"]);
-    for r in &sweep {
+    for (hours, &n) in REPEAT_WINDOWS_H.iter().zip(&repeats) {
         t.row([
-            format!("{} h", r.window_s / hour),
-            fmt_count(r.duplicates),
-            fmt_pct(r.savings()),
+            format!("{hours} h"),
+            fmt_count(n),
+            fmt_pct(files.repeat_fraction(n)),
         ]);
     }
-    let eight = &sweep[3];
+    let eight = files.repeat_within_8h_fraction();
     let text = format!(
         "{}\nAn integrated Cray-MSS cache absorbing same-file requests within\n\
          8 hours would save {} of all MSS requests (paper: about one third).\n",
         t.render(),
-        fmt_pct(eight.savings()),
+        fmt_pct(eight),
     );
     let comparisons = vec![Comparison::new(
         "requests saved by 8-hour dedup",
         study.targets.requests_within_8h_of_same_file,
-        eight.savings(),
+        eight,
     )];
     rendered("§6-b: same-file request deduplication", text, comparisons)
 }

@@ -8,9 +8,10 @@
 //!   trace (the original logs are unavailable);
 //! * [`fmig_sim`] replays it against a discrete-event model of the NCAR
 //!   MSS (disk farm, StorageTek silo, operator-mounted shelf tape);
-//! * [`fmig_analysis`] regenerates every table and figure;
-//! * [`fmig_migrate`] runs the §6 algorithm studies (STP/LRU/SAAC
-//!   comparison, request dedup, dividing point, write-behind).
+//! * [`fmig_analysis`] regenerates every table and figure, and §6-b's
+//!   same-file repeat table from its file census;
+//! * [`fmig_migrate`] runs the other §6 algorithm studies (STP/LRU/SAAC
+//!   comparison, dividing point, write-behind).
 //!
 //! [`Study`] runs the pipeline; [`experiments`] maps each paper artefact
 //! (`table1`..`table4`, `fig3`..`fig12`, `policies`, `dedup`, ...) to a

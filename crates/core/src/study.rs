@@ -59,7 +59,7 @@ pub struct StudyOutput {
     pub records: Vec<TraceRecord>,
     /// Figure/table analyses over `records`.
     pub analysis: Analyzer,
-    /// Simulator metrics (latency histograms, utilisation), if it ran.
+    /// Simulator metrics (latency histograms), if it ran.
     pub sim_metrics: Option<Metrics>,
     /// The paper's published values for comparison.
     pub targets: PaperTargets,

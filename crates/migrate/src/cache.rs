@@ -608,8 +608,8 @@ impl<'p> DiskCache<'p> {
     /// bumps the separate [`DiskCache::fetch_retries`] counter, which
     /// lives outside `CacheStats` precisely so degraded and healthy
     /// runs keep byte-identical decision counters while the retry toll
-    /// still surfaces (in availability reports and the live service's
-    /// degraded accounting).
+    /// still surfaces (in the sweep's degraded cells and the live
+    /// service's degraded accounting).
     ///
     /// Returns `true` if the file is resident (fetch re-armed); `false`
     /// when it was evicted mid-recall or bypassed the cache, where a
@@ -632,8 +632,8 @@ impl<'p> DiskCache<'p> {
     /// healthy `CacheStats` equal, and this counter is exactly the part
     /// of a degraded run that must still be visible. The closed-loop
     /// engine's `DegradedOutcome::read_retries` and this counter agree
-    /// by construction; the live daemon (`fmig-serve`) reports it into
-    /// the same availability rows simulated runs fill.
+    /// by construction; the live daemon (`fmig-serve`) reports it next
+    /// to the same counter simulated runs fill.
     pub fn fetch_retries(&self) -> u64 {
         self.fetch_retries
     }

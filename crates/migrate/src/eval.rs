@@ -17,7 +17,6 @@
 use fmig_trace::ingest::store::StoreRow;
 use fmig_trace::time::TRACE_DAYS;
 use fmig_trace::{DeviceClass, Direction, FileId, FileTable, Request, TraceRecord};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheConfig, CacheStats, DiskCache};
@@ -335,86 +334,23 @@ impl PreparedTrace {
         }
     }
 
-    /// Replays every policy sequentially, in input order.
-    ///
-    /// Sweep cells use this: the sweep runner already parallelizes at
-    /// the trace-shard level (all of a shard's policy × cache cells
-    /// replay on that shard's worker), so nesting a thread per policy
-    /// underneath would only oversubscribe the pool once a matrix has
-    /// several shards.
+    /// Replays every policy on a worker thread per policy; outcomes come
+    /// back in the input policy order.
     pub fn evaluate(
         &self,
         policies: &[Box<dyn MigrationPolicy>],
         config: &EvalConfig,
     ) -> Vec<PolicyOutcome> {
-        policies
-            .iter()
-            .map(|p| self.replay(p.as_ref(), config))
-            .collect()
-    }
-
-    /// Replays every policy on a worker thread per policy; outcomes come
-    /// back in the input policy order.
-    pub fn evaluate_parallel(
-        &self,
-        policies: &[Box<dyn MigrationPolicy>],
-        config: &EvalConfig,
-    ) -> Vec<PolicyOutcome> {
-        let results: Mutex<Vec<Option<PolicyOutcome>>> = Mutex::new(vec![None; policies.len()]);
         std::thread::scope(|scope| {
-            for (i, policy) in policies.iter().enumerate() {
-                let results = &results;
-                scope.spawn(move || {
-                    let outcome = self.replay(policy.as_ref(), config);
-                    results.lock()[i] = Some(outcome);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .into_iter()
-            .map(|o| o.expect("every policy produces an outcome"))
-            .collect()
-    }
-
-    /// Sweeps cache capacity for one policy, for miss-ratio-vs-size
-    /// curves.
-    ///
-    /// Since the single-pass engine landed this is a thin wrapper over
-    /// [`PreparedTrace::miss_ratio_curve`]: one trace walk produces the
-    /// whole grid, with results bit-identical to the per-capacity
-    /// replays this method used to run.
-    pub fn capacity_sweep(
-        &self,
-        policy: &dyn MigrationPolicy,
-        capacities: &[u64],
-        base: &EvalConfig,
-    ) -> Vec<(u64, f64)> {
-        self.miss_ratio_curve(policy, capacities, base)
-            .miss_ratios()
-    }
-
-    /// Computes the exact miss-ratio curve for one policy at a grid of
-    /// capacities in a single pass; see [`crate::mrc`].
-    pub fn miss_ratio_curve(
-        &self,
-        policy: &dyn MigrationPolicy,
-        capacities: &[u64],
-        base: &EvalConfig,
-    ) -> crate::mrc::MissRatioCurve {
-        crate::mrc::sweep_capacities(&self.refs, policy, capacities, base)
-    }
-
-    /// The pre-index capacity sweep: one full replay per capacity with
-    /// the sort-based rescan. Kept as the oracle for the single-pass
-    /// engine; see [`crate::mrc::sweep_capacities_naive`].
-    pub fn capacity_sweep_naive(
-        &self,
-        policy: &dyn MigrationPolicy,
-        capacities: &[u64],
-        base: &EvalConfig,
-    ) -> Vec<(u64, f64)> {
-        crate::mrc::sweep_capacities_naive(&self.refs, policy, capacities, base).miss_ratios()
+            let workers: Vec<_> = policies
+                .iter()
+                .map(|policy| scope.spawn(move || self.replay(policy.as_ref(), config)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
     }
 
     /// Wraps already-prepared references for replay. The caller vouches
@@ -506,17 +442,7 @@ pub fn evaluate_policies(
     policies: &[Box<dyn MigrationPolicy>],
     config: &EvalConfig,
 ) -> Vec<PolicyOutcome> {
-    prepare(records).evaluate_parallel(policies, config)
-}
-
-/// Sweeps cache capacity for one policy, for miss-ratio-vs-size curves.
-pub fn capacity_sweep(
-    records: &[TraceRecord],
-    policy: &dyn MigrationPolicy,
-    capacities: &[u64],
-    base: &EvalConfig,
-) -> Vec<(u64, f64)> {
-    prepare(records).capacity_sweep(policy, capacities, base)
+    prepare(records).evaluate(policies, config)
 }
 
 #[cfg(test)]
@@ -587,12 +513,13 @@ mod tests {
     #[test]
     fn bigger_caches_miss_less() {
         let trace = skewed_trace();
-        let sweep = capacity_sweep(
-            &trace,
+        let sweep = crate::mrc::sweep_capacities(
+            prepare(&trace).refs(),
             &Stp::classic(),
             &[1_000_000, 4_000_000, 16_000_000, 64_000_000],
-            &EvalConfig::with_capacity(0).clone(),
-        );
+            &EvalConfig::with_capacity(0),
+        )
+        .miss_ratios();
         for w in sweep.windows(2) {
             assert!(
                 w[1].1 <= w[0].1 + 1e-9,

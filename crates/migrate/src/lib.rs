@@ -9,14 +9,13 @@
 //!   ratios and write-back stalls under any policy, and the one staging
 //!   cache every host runs, the live daemon included (`tests/spec/mod.rs`
 //!   states its semantics, the oracle every cache engine is held to);
-//! * [`eval`] — the Smith/Lawrie comparison harness (parallel across
-//!   policies) plus capacity sweeps;
+//! * [`eval`] — the Smith/Lawrie comparison harness, parallel across
+//!   policies;
 //! * [`mrc`] — single-pass miss-ratio curves: a whole capacity grid from
 //!   one trace walk, exact against per-capacity replay;
 //! * [`feedback`] — the miss-latency feedback channel: an EWMA of
 //!   measured recall waits per (tape tier, size class) that the
 //!   closed-loop engine publishes to latency-aware policies;
-//! * [`dedup`] — §6's eight-hour same-file request deduplication;
 //! * [`writeback`] — §6's lazy write-behind trace transformation;
 //! * [`dividing`] — §6's disk/tape dividing-point study.
 //!
@@ -35,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod dedup;
 pub mod dividing;
 pub mod eval;
 pub mod feedback;
@@ -47,7 +45,6 @@ pub mod writeback;
 pub use cache::{
     CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, ReadResult, INDEX_MIN_RESIDENTS,
 };
-pub use dedup::DedupReport;
 pub use dividing::{DeviceModel, DividingPointStudy, DividingRow};
 pub use eval::{
     evaluate_policies, EvalConfig, IdTracePrep, LatencyOutcome, PolicyOutcome, PreparedRef,

@@ -62,7 +62,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 use crate::event::{SimMs, MS};
-use crate::metrics::Utilisation;
 use crate::noise::{self, Noise};
 use crate::pool::Pool;
 use crate::tape::Tier;
@@ -101,18 +100,18 @@ impl DiskPath {
     /// Disk service for job `r` starts: queue on `spindle`. With the
     /// spindle held there is no mount; the job contends for a channel
     /// mover directly.
-    pub fn join(&mut self, r: usize, spindle: usize, now: SimMs) -> Option<usize> {
-        (self.spindles[spindle].acquire(r, now) && self.movers.acquire(r, now)).then_some(r)
+    pub fn join(&mut self, r: usize, spindle: usize) -> Option<usize> {
+        (self.spindles[spindle].acquire(r) && self.movers.acquire(r)).then_some(r)
     }
 
     /// A transfer on `spindle` is complete: release the mover, then the
     /// spindle, each to the next job in line. One mover came free, so
     /// one job at most starts: a mover handed straight to a waiter
     /// leaves the pool full, and the spindle's next job queues.
-    pub fn done(&mut self, spindle: usize, now: SimMs) -> Option<usize> {
-        let handed_on = self.movers.release(now);
-        let next = self.spindles[spindle].release(now);
-        let next = next.filter(|&n| self.movers.acquire(n, now));
+    pub fn done(&mut self, spindle: usize) -> Option<usize> {
+        let handed_on = self.movers.release();
+        let next = self.spindles[spindle].release();
+        let next = next.filter(|&n| self.movers.acquire(n));
         debug_assert!(handed_on.is_none() || next.is_none());
         handed_on.or(next)
     }
@@ -129,17 +128,6 @@ impl DiskPath {
             );
         let xfer_ms = (bytes as f64 / (self.rate * jitter) * 1000.0) as SimMs;
         (first_byte, first_byte + xfer_ms.max(1))
-    }
-
-    /// Adds the mean busy spindles and channel movers over
-    /// `[start_ms, end_ms]` to `u` (the tape half reports its movers in
-    /// the same field).
-    pub fn add_utilisation(&self, u: &mut Utilisation, start_ms: SimMs, end_ms: SimMs) {
-        let spindles = self.spindles.iter();
-        u.disk_spindles += spindles
-            .map(|p| p.utilisation(start_ms, end_ms))
-            .sum::<f64>();
-        u.movers += self.movers.utilisation(start_ms, end_ms);
     }
 }
 
@@ -356,11 +344,6 @@ impl<'p> DiskHalf<'p> {
     /// measured recall waits per (tape tier, size class).
     pub fn feedback(&self) -> &LatencyFeedback {
         &self.feedback
-    }
-
-    /// The device chain, for utilisation reporting.
-    pub fn path(&self) -> &DiskPath {
-        &self.path
     }
 
     /// References that have arrived; the next one gets this index.
@@ -595,7 +578,7 @@ impl<'p> DiskHalf<'p> {
             DiskEv::DiskDone(r) => {
                 self.st(r).transferring = false;
                 let spindle = self.spindle_of(r);
-                let started = self.path.done(spindle, now);
+                let started = self.path.done(spindle);
                 self.start_transfer(started, now, host);
                 None
             }
@@ -609,7 +592,7 @@ impl<'p> DiskHalf<'p> {
 
     fn join_disk<H: DiskHost>(&mut self, r: usize, now: SimMs, host: &mut H) {
         let spindle = self.spindle_of(r);
-        let started = self.path.join(r, spindle, now);
+        let started = self.path.join(r, spindle);
         self.start_transfer(started, now, host);
     }
 
@@ -767,7 +750,7 @@ mod tests {
                 ends: EventQueue::new(),
             };
             for r in 0..driver.jobs.len() {
-                let started = driver.path.join(r, driver.jobs[r].0, 0);
+                let started = driver.path.join(r, driver.jobs[r].0);
                 driver.start(started, 0);
             }
             driver
@@ -785,7 +768,7 @@ mod tests {
         /// Completes the transfer that ends next; returns when it ended.
         fn finish_next(&mut self) -> SimMs {
             let (now, r) = self.ends.pop().expect("a transfer in flight");
-            let started = self.path.done(self.jobs[r].0, now);
+            let started = self.path.done(self.jobs[r].0);
             self.start(started, now);
             now
         }

@@ -65,7 +65,7 @@ use crate::config::SimConfig;
 use crate::disk::{DiskEv, DiskHalf, DiskHost, LinkFault, Resolved};
 use crate::event::{EventQueue, SimMs, MS};
 use crate::fault::{fault_horizon, FaultPlan, FaultSchedule};
-use crate::metrics::{LatencyHistogram, Utilisation};
+use crate::metrics::LatencyHistogram;
 use crate::noise::Noise;
 use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost};
 
@@ -116,8 +116,6 @@ pub struct HierarchyMetrics {
     /// Time flush jobs spent queued for a tape drive, seconds — the
     /// write-back contention reads feel.
     pub flush_queue_wait: LatencyHistogram,
-    /// Mean busy units per resource over the run.
-    pub utilisation: Utilisation,
     /// The cache's own counters. For latency-blind policies these are
     /// identical to what open-loop replay of the same trace under the
     /// same policy produces — with or without a fault plan, since
@@ -320,8 +318,6 @@ struct Host {
     retry_backoff_ms: SimMs,
     next_emit: usize,
     metrics: HierarchyMetrics,
-    first_ms: SimMs,
-    last_ms: SimMs,
 }
 
 impl<'p> Engine<'p> {
@@ -341,8 +337,6 @@ impl<'p> Engine<'p> {
             retry_backoff_ms: schedule.retry_backoff_ms(),
             next_emit: 0,
             metrics: HierarchyMetrics::default(),
-            first_ms: SimMs::MAX,
-            last_ms: SimMs::MIN,
         };
         let disk = DiskHalf::new(cfg, DiskCache::new(cache_cfg, policy));
         Engine {
@@ -377,7 +371,6 @@ impl<'p> Engine<'p> {
     /// emits every outcome that is now final.
     fn feed(&mut self, pr: &PreparedRef, sink: &mut impl FnMut(RefOutcome)) {
         let t_ms = pr.time * MS;
-        self.front.host.first_ms = self.front.host.first_ms.min(t_ms);
         while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
             self.handle(now, ev);
         }
@@ -420,19 +413,11 @@ impl<'p> Engine<'p> {
             outage_wait_s: counters.outage_wait_s,
             slow_transfers: counters.slow_transfers,
         });
-        let span = (
-            host.first_ms.min(host.last_ms),
-            host.last_ms.max(host.first_ms),
-        );
-        metrics.utilisation = self.tape.utilisation(span.0, span.1);
-        disk.path()
-            .add_utilisation(&mut metrics.utilisation, span.0, span.1);
         metrics
     }
 
     fn handle(&mut self, now: SimMs, ev: HEv) {
         let Front { host, disk } = &mut self.front;
-        host.last_ms = host.last_ms.max(now);
         match ev {
             HEv::Disk(ev) => {
                 // A dispatched miss enters its drive queue at once.
@@ -767,10 +752,6 @@ mod tests {
         );
         assert_eq!(m.flush_jobs, 30, "every eager write flushes");
         assert_eq!(m.flush_bytes, 300_000_000);
-        assert!(
-            m.utilisation.silo_drives > 0.0,
-            "flushes must occupy tape drives"
-        );
         assert!(m.flush_queue_wait.count() == 30);
     }
 
@@ -1150,7 +1131,6 @@ mod tests {
             "operator mount missing: {}",
             m.miss_wait.mean()
         );
-        assert!(m.utilisation.operators > 0.0);
     }
 }
 

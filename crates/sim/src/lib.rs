@@ -54,6 +54,6 @@ pub use config::SimConfig;
 pub use event::{EventQueue, SimMs};
 pub use fault::{FaultPlan, FaultSchedule, FaultTarget, OutageClause, SlowDriveClause};
 pub use hierarchy::{HierarchyMetrics, HierarchySimulator, RefOutcome, ServedBy};
-pub use metrics::{LatencyHistogram, Metrics, Utilisation};
+pub use metrics::{LatencyHistogram, Metrics};
 pub use pool::Pool;
 pub use sim::{MssSimulator, SimRun};

@@ -1,4 +1,4 @@
-//! Latency and utilisation metrics collected by the simulator (Figure 3
+//! Latency metrics collected by the simulator (Figure 3
 //! and the Table 3 "secs to first byte" rows).
 
 use fmig_trace::{DeviceClass, Direction};
@@ -130,29 +130,10 @@ pub struct Metrics {
     /// Latency to first byte, indexed `[direction][device]` in
     /// [`Direction::ALL`] × [`DeviceClass::ALL`] order.
     pub latency: Vec<Vec<LatencyHistogram>>,
-    /// Mean units busy for the headline resources over the run.
-    pub utilisation: Utilisation,
     /// Requests simulated (including errors).
     pub requests: u64,
     /// Errored requests (answered at the MSCP, no device activity).
     pub errors: u64,
-}
-
-/// Mean busy units per resource class over the simulated interval.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Utilisation {
-    /// Mean busy disk spindles.
-    pub disk_spindles: f64,
-    /// Mean busy silo drives (read + write).
-    pub silo_drives: f64,
-    /// Mean busy shelf drives (read + write).
-    pub manual_drives: f64,
-    /// Mean busy robot arms.
-    pub robot_arms: f64,
-    /// Mean busy operators.
-    pub operators: f64,
-    /// Mean busy movers.
-    pub movers: f64,
 }
 
 impl Metrics {
@@ -163,7 +144,6 @@ impl Metrics {
                 vec![LatencyHistogram::new(); 3],
                 vec![LatencyHistogram::new(); 3],
             ],
-            utilisation: Utilisation::default(),
             requests: 0,
             errors: 0,
         }

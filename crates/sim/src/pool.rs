@@ -14,9 +14,6 @@ pub struct Pool {
     capacity: u32,
     in_use: u32,
     queue: VecDeque<usize>,
-    /// Cumulative busy unit-milliseconds, for utilisation reporting.
-    busy_ms: u64,
-    last_change_ms: i64,
 }
 
 impl Pool {
@@ -26,8 +23,6 @@ impl Pool {
             capacity,
             in_use: 0,
             queue: VecDeque::new(),
-            busy_ms: 0,
-            last_change_ms: 0,
         }
     }
 
@@ -36,9 +31,8 @@ impl Pool {
     /// Returns `true` when granted immediately; otherwise the request is
     /// appended to the FIFO queue and will be returned by a later
     /// [`Pool::release`].
-    pub fn acquire(&mut self, req: usize, now: i64) -> bool {
+    pub fn acquire(&mut self, req: usize) -> bool {
         if self.in_use < self.capacity {
-            self.tick(now);
             self.in_use += 1;
             true
         } else {
@@ -53,13 +47,12 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if the pool has no units in use.
-    pub fn release(&mut self, now: i64) -> Option<usize> {
+    pub fn release(&mut self) -> Option<usize> {
         assert!(self.in_use > 0, "release on an idle pool");
         if let Some(next) = self.queue.pop_front() {
             // Unit transfers directly; busy count is unchanged.
             Some(next)
         } else {
-            self.tick(now);
             self.in_use -= 1;
             None
         }
@@ -79,24 +72,6 @@ impl Pool {
     pub fn capacity(&self) -> u32 {
         self.capacity
     }
-
-    /// Cumulative busy unit-milliseconds up to the last state change.
-    pub fn busy_ms(&self) -> u64 {
-        self.busy_ms
-    }
-
-    /// Mean utilisation over `[start, end]`, in `0..=capacity`.
-    pub fn utilisation(&self, start_ms: i64, end_ms: i64) -> f64 {
-        let span = (end_ms - start_ms).max(1) as f64;
-        let tail = (end_ms - self.last_change_ms).max(0) as u64 * self.in_use as u64;
-        (self.busy_ms + tail) as f64 / span
-    }
-
-    fn tick(&mut self, now: i64) {
-        let dt = (now - self.last_change_ms).max(0) as u64;
-        self.busy_ms += dt * self.in_use as u64;
-        self.last_change_ms = now;
-    }
 }
 
 #[cfg(test)]
@@ -106,10 +81,10 @@ mod tests {
     #[test]
     fn grants_until_capacity_then_queues() {
         let mut p = Pool::new(2);
-        assert!(p.acquire(1, 0));
-        assert!(p.acquire(2, 0));
-        assert!(!p.acquire(3, 0));
-        assert!(!p.acquire(4, 0));
+        assert!(p.acquire(1));
+        assert!(p.acquire(2));
+        assert!(!p.acquire(3));
+        assert!(!p.acquire(4));
         assert_eq!(p.in_use(), 2);
         assert_eq!(p.queued(), 2);
     }
@@ -117,12 +92,12 @@ mod tests {
     #[test]
     fn release_hands_over_fifo() {
         let mut p = Pool::new(1);
-        assert!(p.acquire(10, 0));
-        assert!(!p.acquire(11, 0));
-        assert!(!p.acquire(12, 0));
-        assert_eq!(p.release(5), Some(11));
-        assert_eq!(p.release(9), Some(12));
-        assert_eq!(p.release(12), None);
+        assert!(p.acquire(10));
+        assert!(!p.acquire(11));
+        assert!(!p.acquire(12));
+        assert_eq!(p.release(), Some(11));
+        assert_eq!(p.release(), Some(12));
+        assert_eq!(p.release(), None);
         assert_eq!(p.in_use(), 0);
     }
 
@@ -130,25 +105,13 @@ mod tests {
     #[should_panic(expected = "release on an idle pool")]
     fn release_on_idle_pool_panics() {
         let mut p = Pool::new(1);
-        let _ = p.release(0);
-    }
-
-    #[test]
-    fn utilisation_integrates_busy_time() {
-        let mut p = Pool::new(2);
-        assert!(p.acquire(1, 0));
-        // One unit busy from t=0ms to t=1000ms.
-        let _ = p.release(1000);
-        assert_eq!(p.busy_ms(), 1000);
-        // Over [0, 2000], one of two units busy half the time => 0.5 units.
-        let u = p.utilisation(0, 2000);
-        assert!((u - 0.5).abs() < 1e-9, "utilisation {u}");
+        let _ = p.release();
     }
 
     #[test]
     fn zero_capacity_pool_queues_everything() {
         let mut p = Pool::new(0);
-        assert!(!p.acquire(7, 0));
+        assert!(!p.acquire(7));
         assert_eq!(p.queued(), 1);
     }
 }

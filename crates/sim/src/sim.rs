@@ -52,7 +52,7 @@ pub struct SimRun {
     /// Input records with `startup_latency_s` and `transfer_ms` filled in
     /// from the simulation, in completion of arrival order.
     pub records: Vec<TraceRecord>,
-    /// Latency histograms and resource utilisation.
+    /// Latency histograms and request counts.
     pub metrics: Metrics,
 }
 
@@ -161,8 +161,6 @@ struct Front<'a, R> {
     /// sink.
     base: usize,
     metrics: Metrics,
-    first_ms: SimMs,
-    last_ms: SimMs,
 }
 
 impl<'a, R: Request> Engine<'a, R> {
@@ -176,8 +174,6 @@ impl<'a, R: Request> Engine<'a, R> {
                 pending: VecDeque::new(),
                 base: 0,
                 metrics: Metrics::new(),
-                first_ms: SimMs::MAX,
-                last_ms: SimMs::MIN,
             },
             disk: DiskPath::new(cfg),
             tape: TapeHalf::new(cfg, FaultSchedule::none()),
@@ -198,7 +194,6 @@ impl<'a, R: Request> Engine<'a, R> {
         let t_ms = rec.start().as_unix() * MS;
         assert!(t_ms >= self.prev_ms, "records must be sorted by start time");
         self.prev_ms = t_ms;
-        self.front.first_ms = self.front.first_ms.min(t_ms);
         while let Some((now, ev)) = self.front.queue.pop_due(t_ms) {
             self.handle(now, ev);
         }
@@ -217,28 +212,20 @@ impl<'a, R: Request> Engine<'a, R> {
             reqs,
             base,
             mut metrics,
-            first_ms,
-            last_ms,
             ..
         } = self.front;
         debug_assert!(reqs.is_empty());
-
         metrics.requests = base as u64;
-        let span = (first_ms, last_ms.max(first_ms));
-        metrics.utilisation = self.tape.utilisation(span.0, span.1);
-        self.disk
-            .add_utilisation(&mut metrics.utilisation, span.0, span.1);
         metrics
     }
 
     fn handle(&mut self, now: SimMs, ev: Ev) {
-        self.front.last_ms = self.front.last_ms.max(now);
         match ev {
             Ev::Dispatch(r) => {
                 let req = *self.front.req(r);
                 match Tier::of(req.device) {
                     None => {
-                        let started = self.disk.join(r, req.spindle, now);
+                        let started = self.disk.join(r, req.spindle);
                         self.front.start_transfer(&self.disk, started, now);
                     }
                     Some(tier) => {
@@ -253,7 +240,7 @@ impl<'a, R: Request> Engine<'a, R> {
                 }
             }
             Ev::DiskDone { spindle } => {
-                let started = self.disk.done(spindle, now);
+                let started = self.disk.done(spindle);
                 self.front.start_transfer(&self.disk, started, now);
             }
             Ev::ErrorDone(r) => self.front.first_byte_at(r, now),
@@ -563,17 +550,6 @@ mod tests {
             read_at(Endpoint::MssDisk, 0, 1, "/b"),
         ];
         let _ = sim().run(records);
-    }
-
-    #[test]
-    fn utilisation_is_positive_under_load() {
-        let records: Vec<_> = (0..200)
-            .map(|i| read_at(Endpoint::MssTapeSilo, i, 80_000_000, "/d"))
-            .collect();
-        let run = sim().run(records);
-        assert!(run.metrics.utilisation.movers > 0.0);
-        assert!(run.metrics.utilisation.silo_drives > 0.0);
-        assert!(run.metrics.utilisation.robot_arms > 0.0);
     }
 
     #[test]

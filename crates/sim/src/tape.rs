@@ -45,7 +45,6 @@ use fmig_trace::DeviceClass;
 use crate::config::SimConfig;
 use crate::event::{SimMs, MS};
 use crate::fault::{FaultSchedule, FaultTarget};
-use crate::metrics::Utilisation;
 use crate::noise::{self, Noise};
 use crate::pool::Pool;
 
@@ -282,19 +281,6 @@ impl TapeHalf {
         self.counters
     }
 
-    /// Mean busy tape units over `[start_ms, end_ms]`; `movers` counts
-    /// the tape movers only and `disk_spindles` is zero.
-    pub fn utilisation(&self, start_ms: SimMs, end_ms: SimMs) -> Utilisation {
-        Utilisation {
-            disk_spindles: 0.0,
-            silo_drives: self.silo.utilisation(start_ms, end_ms),
-            manual_drives: self.manual.utilisation(start_ms, end_ms),
-            robot_arms: self.robot.utilisation(start_ms, end_ms),
-            operators: self.operators.utilisation(start_ms, end_ms),
-            movers: self.tape_movers.utilisation(start_ms, end_ms),
-        }
-    }
-
     /// Creates a recall of `size` bytes from `tier` and returns its job
     /// index, valid until the job's last event (see the module docs).
     /// It enters the drive queue when the host hands [`TapeEv::Join`]
@@ -402,8 +388,8 @@ impl TapeHalf {
             0,
         );
         let granted = match window.target {
-            FaultTarget::SiloDrive | FaultTarget::ManualDrive => self.drives(tier).acquire(j, now),
-            FaultTarget::RobotArm | FaultTarget::Operator => self.mounters(tier).acquire(j, now),
+            FaultTarget::SiloDrive | FaultTarget::ManualDrive => self.drives(tier).acquire(j),
+            FaultTarget::RobotArm | FaultTarget::Operator => self.mounters(tier).acquire(j),
         };
         if granted {
             self.hold_granted(j, now, host)?;
@@ -449,12 +435,12 @@ impl TapeHalf {
         };
         match target {
             FaultTarget::SiloDrive | FaultTarget::ManualDrive => {
-                if let Some(n) = self.drives(tier).release(now) {
+                if let Some(n) = self.drives(tier).release() {
                     self.drive_granted(n, now, host)?;
                 }
             }
             FaultTarget::RobotArm | FaultTarget::Operator => {
-                if let Some(n) = self.mounters(tier).release(now) {
+                if let Some(n) = self.mounters(tier).release() {
                     self.mount_started(n, now, host)?;
                 }
             }
@@ -468,7 +454,7 @@ impl TapeHalf {
     fn join<H: TapeHost>(&mut self, j: usize, now: SimMs, host: &mut H) -> Result<(), H::Error> {
         self.jobs[j].queued_ms = now;
         let tier = self.jobs[j].tier;
-        if self.drives(tier).acquire(j, now) {
+        if self.drives(tier).acquire(j) {
             self.drive_granted(j, now, host)?;
         }
         Ok(())
@@ -492,7 +478,7 @@ impl TapeHalf {
         if let Kind::Flush { .. } = job.kind {
             if self.cart_remaining[job.tier.slot()] >= job.size {
                 // Append to the mounted cartridge: no mount, no seek.
-                if self.tape_movers.acquire(j, now) {
+                if self.tape_movers.acquire(j) {
                     self.mover_granted(j, now, host)?;
                 }
                 return Ok(());
@@ -503,7 +489,7 @@ impl TapeHalf {
         // queue-entry time: the mounter queue is a separate
         // outage-attribution interval.
         self.jobs[j].queued_ms = now;
-        if self.mounters(job.tier).acquire(j, now) {
+        if self.mounters(job.tier).acquire(j) {
             self.mount_started(j, now, host)?;
         }
         Ok(())
@@ -558,7 +544,7 @@ impl TapeHalf {
         host: &mut H,
     ) -> Result<(), H::Error> {
         let job = self.jobs[j];
-        if let Some(n) = self.mounters(job.tier).release(now) {
+        if let Some(n) = self.mounters(job.tier).release() {
             self.mount_started(n, now, host)?;
         }
         let key = || noise_key(job.kind, noise::STAGE_SEEK);
@@ -584,7 +570,7 @@ impl TapeHalf {
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        if self.tape_movers.acquire(j, now) {
+        if self.tape_movers.acquire(j) {
             self.mover_granted(j, now, host)?;
         }
         Ok(())
@@ -653,7 +639,7 @@ impl TapeHalf {
         host: &mut H,
     ) -> Result<(), H::Error> {
         let job = self.jobs[j];
-        if let Some(n) = self.tape_movers.release(now) {
+        if let Some(n) = self.tape_movers.release() {
             self.mover_granted(n, now, host)?;
         }
         let drive_free_ms = now + (self.cfg.tape_unload_s * MS as f64) as SimMs;
@@ -707,7 +693,7 @@ impl TapeHalf {
         if finished {
             self.free.push(j);
         }
-        if let Some(n) = self.drives(tier).release(now) {
+        if let Some(n) = self.drives(tier).release() {
             self.drive_granted(n, now, host)?;
         }
         Ok(())

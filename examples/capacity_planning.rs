@@ -15,9 +15,10 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use fmig_migrate::dedup;
+use fmig_analysis::{Analyzer, REPEAT_WINDOWS_H};
 use fmig_migrate::dividing::{DeviceModel, DividingPointStudy};
 use fmig_migrate::eval::{prepare, EvalConfig};
+use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
 use fmig_migrate::policy::Lru;
 use fmig_workload::{Workload, WorkloadConfig};
 
@@ -54,8 +55,8 @@ fn main() {
         .map(|f| ((store_bytes as f64 * f) as u64).max(1))
         .collect();
     let base = EvalConfig::with_capacity(0);
-    let curve = prepared.miss_ratio_curve(&Lru, &capacities, &base);
-    let naive = prepared.capacity_sweep_naive(&Lru, &capacities, &base);
+    let curve = sweep_capacities(prepared.refs(), &Lru, &capacities, &base);
+    let naive = sweep_capacities_naive(prepared.refs(), &Lru, &capacities, &base);
 
     println!(
         "\nmiss ratio vs staging-disk capacity (LRU, {} refs):",
@@ -74,7 +75,7 @@ fn main() {
             point.byte_miss_ratio() * 100.0
         );
     }
-    assert_eq!(curve.miss_ratios(), naive, "MRC must equal naive replay");
+    assert_eq!(curve, naive, "MRC must equal naive replay");
 
     // --- §6-c: the dividing point, for three tape technologies ---
     let thresholds: Vec<u64> = [1u64, 3, 10, 30, 100, 200]
@@ -126,14 +127,14 @@ fn main() {
     }
 
     // --- §6-b: how much would an integrated Cray-MSS cache absorb? ---
+    // The file census counts each request's gap to the previous
+    // request for the same file.
     println!("\nrequest deduplication (an integrated cache would absorb):");
-    let hour = 3600;
-    for report in dedup::window_sweep(&records, &[hour, 4 * hour, 8 * hour, 24 * hour]) {
+    let files = Analyzer::analyze(&records).files;
+    for (hours, &n) in REPEAT_WINDOWS_H.iter().zip(&files.repeats_within()) {
         println!(
-            "  window {:>2} h: {:>6} duplicate requests = {:.1}% of traffic",
-            report.window_s / hour,
-            report.duplicates,
-            report.savings() * 100.0
+            "  window {hours:>2} h: {n:>6} duplicate requests = {:.1}% of traffic",
+            files.repeat_fraction(n) * 100.0
         );
     }
     println!(

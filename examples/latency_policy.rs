@@ -12,12 +12,10 @@
 //! cargo run --release --example latency_policy
 //! ```
 
-use fmig::analysis::PolicyLatencyReport;
 use fmig::migrate::eval::{EvalConfig, TracePrep};
 use fmig::migrate::policy::{Lru, LruMad, MigrationPolicy, Stp, StpLat};
-use fmig::sim::fault::{fault_horizon, FaultPlan};
-use fmig::sim::{HierarchySimulator, RefOutcome, SimConfig};
-use fmig::trace::Direction;
+use fmig::sim::fault::FaultPlan;
+use fmig::sim::{HierarchySimulator, SimConfig};
 use fmig_workload::{Workload, WorkloadConfig};
 
 fn main() {
@@ -48,26 +46,12 @@ fn main() {
     let stp_lat = StpLat::classic();
     let policies: [&dyn MigrationPolicy; 4] = [&Stp::classic(), &Lru, &lru_mad, &stp_lat];
     let sim = HierarchySimulator::new(SimConfig::default());
-    let refs = prepared.refs();
-    let horizon = fault_horizon(refs[0].time, refs[refs.len() - 1].time);
     let healthy = FaultPlan::none();
-    let mut report = PolicyLatencyReport::new();
     let mut p99 = Vec::new();
     for policy in policies {
-        // One closed-loop pass per policy: the sink feeds this policy's
-        // latency cell and the run's metrics carry everything else.
-        let cell = report.cell(policy.name());
-        let sink = |o: RefOutcome| {
-            let dir = if o.write {
-                Direction::Write
-            } else {
-                Direction::Read
-            };
-            cell.observe_wait(dir, o.device, o.wait_s);
-        };
-        let stream = refs.iter().copied();
-        let metrics =
-            sim.run_streaming_with_faults(eval.cache, policy, stream, horizon, &healthy, sink);
+        // One closed-loop pass per policy; its metrics carry the exact
+        // waits.
+        let metrics = sim.run_with_faults(eval.cache, policy, prepared.refs(), &healthy);
         let lat = metrics.latency_outcome();
         p99.push((policy.name(), lat.p99_read_wait_s));
         println!(
@@ -84,11 +68,10 @@ fn main() {
         );
     }
 
-    println!("\nper-policy latency cells:\n{}", report.render());
     let best = p99.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
     let worst = p99.iter().map(|&(_, v)| v).fold(0.0, f64::max);
     println!(
-        "p99 first-byte spread across the suite: {:.1}s ({:.0}% of the slowest policy)",
+        "\np99 first-byte spread across the suite: {:.1}s ({:.0}% of the slowest policy)",
         worst - best,
         if worst > 0.0 {
             (worst - best) / worst * 100.0
@@ -96,7 +79,8 @@ fn main() {
             0.0
         }
     );
-    if let Some((name, wait)) = report.best_by_p99() {
+    // Ties keep the earlier policy.
+    if let Some((name, wait)) = p99.iter().reduce(|a, b| if b.1 < a.1 { b } else { a }) {
         println!("tail-latency winner: {name} at p99 {wait:.1}s");
     }
 }

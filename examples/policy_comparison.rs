@@ -10,8 +10,9 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use fmig_migrate::eval::{capacity_sweep, evaluate_policies, EvalConfig};
-use fmig_migrate::policy::{standard_suite, Belady, MigrationPolicy, Stp};
+use fmig_migrate::eval::{evaluate_policies, prepare, EvalConfig};
+use fmig_migrate::mrc::sweep_capacities;
+use fmig_migrate::policy::{standard_suite, Belady, Stp};
 use fmig_workload::{Workload, WorkloadConfig};
 
 fn main() {
@@ -80,14 +81,8 @@ fn main() {
         .iter()
         .map(|f| (total_bytes as f64 * f) as u64)
         .collect();
-    let stp_policy = Stp::classic();
-    let sweep = capacity_sweep(
-        &records,
-        &stp_policy as &dyn MigrationPolicy,
-        &caps,
-        &config,
-    );
-    for (cap, miss) in sweep {
+    let sweep = sweep_capacities(prepare(&records).refs(), &Stp::classic(), &caps, &config);
+    for (cap, miss) in sweep.miss_ratios() {
         println!(
             "  {:6.2} GB ({:4.1}% of store)  miss {:5.2}%",
             cap as f64 / 1e9,

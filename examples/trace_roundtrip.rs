@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("read back {read_back} records");
 
     // The round-tripped analysis must match the in-memory one.
-    let in_memory = Analyzer::analyze_owned(workload.records());
+    let in_memory = Analyzer::analyze(workload.records());
     assert_eq!(in_memory.stats, from_disk.stats, "Table 3 stats diverged");
     assert_eq!(
         in_memory.files.file_count(),

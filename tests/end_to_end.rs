@@ -6,8 +6,7 @@
 //! small-scale synthetic run but tight enough to catch a broken model.
 
 use fmig_core::{Study, StudyConfig};
-use fmig_migrate::dedup;
-use fmig_trace::time::{CivilDate, Timestamp, HOUR};
+use fmig_trace::time::{CivilDate, Timestamp};
 use fmig_trace::{DeviceClass, Direction};
 
 fn study() -> fmig_core::StudyOutput {
@@ -211,15 +210,4 @@ fn eight_hour_repeats_match_section_6() {
     let out = study();
     let frac = out.analysis.files.repeat_within_8h_fraction();
     assert!((0.20..0.47).contains(&frac), "8h repeat fraction {frac}");
-}
-
-#[test]
-fn dedup_savings_equal_the_census_repeat_fraction() {
-    // Two implementations state §6-b's headline: `repro dedup` reads the
-    // dedup pass, the sweep's `requests_within_8h` delta the file census.
-    let out = study();
-    assert_eq!(
-        dedup::analyze(&out.records, 8 * HOUR).savings(),
-        out.analysis.files.repeat_within_8h_fraction()
-    );
 }

@@ -7,11 +7,10 @@
 //!   here we pin the cell-by-cell equivalence against a fresh run);
 //! * faults move *time*, never *decisions*: every fault cell's miss
 //!   ratios equal its healthy twin's, exactly;
-//! * the degraded measurements feed `fmig_analysis::AvailabilityReport`
-//!   end to end.
+//! * the degraded measurements feed the sweep report's robustness
+//!   winner end to end.
 
 use fmig::{run_sweep, FaultScenarioId, PolicyId, PresetId, SweepConfig};
-use fmig_analysis::{AvailabilityReport, AvailabilityRow};
 use proptest::prelude::*;
 
 fn fault_matrix() -> SweepConfig {
@@ -117,59 +116,44 @@ fn zero_fault_axis_equals_an_axis_free_run_cell_by_cell() {
 fn degraded_measurements_feed_the_availability_report() {
     let mut config = fault_matrix();
     config.presets = vec![PresetId::Ncar];
-    config.latency = true; // healthy cells measure too → baselines exist
+    config.latency = true; // healthy cells measure too
     let report = run_sweep(&config);
-    let mut availability = AvailabilityReport::new();
-    for cell in &report.shards[0].cells {
-        let lat = cell.latency.expect("latency mode measures every cell");
-        let d = lat.degraded.unwrap_or_default();
-        availability.push(AvailabilityRow {
-            policy: cell.policy.name().to_string(),
-            scenario: cell.fault.name().to_string(),
-            recalls: lat.recalls,
-            read_retries: d.read_retries,
-            outage_events: d.outage_events,
-            outage_wait_s: d.outage_wait_s,
-            mean_read_wait_s: lat.mean_read_wait_s,
-            p99_read_wait_s: lat.p99_read_wait_s,
-        });
+    let cells = &report.shards[0].cells;
+    // Every fault cell's attribution reaches the rendered report.
+    let text = report.render();
+    assert!(text.contains("[degraded-peak: retries "));
+    assert!(text.contains(" | degraded-p99 "));
+    for cell in cells.iter().filter(|c| c.fault != FaultScenarioId::None) {
+        let d = cell.latency.and_then(|l| l.degraded);
+        assert!(d.is_some(), "{} lacks attribution", cell.fault.name());
     }
-    assert_eq!(availability.len(), report.shards[0].cells.len());
-    // Baselines resolve and the degraded tail is no better than the
-    // healthy one for at least one scenario row.
-    let text = availability.render();
-    assert!(text.contains("degraded-peak"));
-    assert!(text.contains("retry rate"));
-    assert!(availability
-        .most_robust(FaultScenarioId::DegradedPeak.name())
-        .is_some());
     // The winner's by_degraded_p99 column must agree with the same
     // worst-case-across-scenarios ranking computed independently from
-    // the availability rows (first-seen order breaks ties, matching the
-    // matrix policy order the winner uses).
-    let mut expected: Option<(String, f64)> = None;
-    let mut seen: Vec<&str> = Vec::new();
-    for row in availability.rows().iter().filter(|r| r.scenario != "none") {
-        if seen.contains(&row.policy.as_str()) {
+    // the cells (first-seen order breaks ties, matching the matrix
+    // policy order the winner uses).
+    let p99 = |c: &fmig::CellResult| c.latency.expect("latency mode").p99_read_wait_s;
+    let faulty = || cells.iter().filter(|c| c.fault != FaultScenarioId::None);
+    let mut expected: Option<(PolicyId, f64)> = None;
+    let mut seen: Vec<PolicyId> = Vec::new();
+    for cell in faulty() {
+        if seen.contains(&cell.policy) {
             continue;
         }
-        seen.push(&row.policy);
-        let worst = availability
-            .rows()
-            .iter()
-            .filter(|r2| r2.policy == row.policy && r2.scenario != "none")
-            .map(|r2| r2.p99_read_wait_s)
+        seen.push(cell.policy);
+        let worst = faulty()
+            .filter(|c| c.policy == cell.policy)
+            .map(p99)
             .fold(f64::NEG_INFINITY, f64::max);
-        match &expected {
-            Some((_, best)) if *best <= worst => {}
-            _ => expected = Some((row.policy.clone(), worst)),
+        match expected {
+            Some((_, best)) if best <= worst => {}
+            _ => expected = Some((cell.policy, worst)),
         }
     }
-    let expected = expected.expect("fault rows exist").0;
+    let expected = expected.expect("fault cells exist").0;
     let winner = report.winners[0]
         .by_degraded_p99
         .expect("fault matrix fills the robustness column");
-    assert_eq!(winner.name(), expected, "winner column diverged from rows");
+    assert_eq!(winner, expected, "winner column diverged from cells");
 }
 
 #[test]
@@ -212,8 +196,8 @@ fn retry_counters_pin_the_failed_retried_completed_recall_path() {
     // Engine level: the closed-loop simulator's degraded attribution
     // and the cache-level counter are the same number — the engine
     // fails a fetch exactly when a tape read errors — so a live run
-    // surfacing `fetch_retries` feeds AvailabilityReport rows that
-    // agree with simulated `DegradedOutcome::read_retries`.
+    // surfacing `fetch_retries` reports the same number as simulated
+    // `DegradedOutcome::read_retries`.
     let mut config = fault_matrix();
     config.presets = vec![PresetId::Ncar];
     config.faults = vec![FaultScenarioId::FlakyReads];

@@ -1,9 +1,11 @@
-//! Dedicated integration coverage for the three `fmig-migrate` §6 study
-//! modules: request dedup (§6-b), the disk/tape dividing point (§6-c),
-//! and lazy write-behind (§6-d). Each gets targeted scenario tests plus
-//! at least one property test over randomized traces.
+//! Integration coverage for §6's studies: request dedup (§6-b, read off
+//! `fmig-analysis`'s file census), and the two `fmig-migrate` study
+//! modules, the disk/tape dividing point (§6-c) and lazy write-behind
+//! (§6-d). Each module gets targeted scenario tests plus at least one
+//! property test over randomized traces.
 
-use fmig_migrate::{dedup, dividing, writeback};
+use fmig_analysis::FileTracker;
+use fmig_migrate::{dividing, writeback};
 use fmig_trace::time::{HOUR, TRACE_EPOCH};
 use fmig_trace::{Direction, Endpoint, TraceRecord};
 use proptest::prelude::*;
@@ -43,52 +45,17 @@ fn random_trace(steps: &[(u8, u8, bool)]) -> Vec<TraceRecord> {
 #[test]
 fn dedup_savings_follow_the_batch_script_shape() {
     // A "batch script" pattern: every job re-requests the same input
-    // three times within minutes — two thirds of those are absorbable.
-    let mut records = Vec::new();
+    // three times within minutes — two thirds of those fit a one-hour
+    // window, and the jobs' two-hour spacing puts every request but the
+    // first inside the two-hour one.
+    let mut files = FileTracker::new();
     for job in 0..20i64 {
         for burst in 0..3 {
-            records.push(read("/input/data", job * 2 * HOUR + burst * 300));
+            files.observe(&read("/input/data", job * 2 * HOUR + burst * 300));
         }
     }
-    let report = dedup::eight_hour(records.iter());
-    assert_eq!(report.total, 60);
-    assert!(report.savings() > 0.6, "savings {}", report.savings());
-    // Filtering at the same window leaves nothing more to save.
-    let filtered = dedup::filter(&records, 8 * HOUR);
-    assert_eq!(dedup::eight_hour(filtered.iter()).duplicates, 0);
-}
-
-proptest! {
-    /// Dedup invariants on arbitrary traces: duplicates never exceed
-    /// examined requests, filtering is idempotent and exactly removes
-    /// the counted duplicates, and widening the window only finds more.
-    #[test]
-    fn dedup_filter_is_idempotent_and_consistent_with_analyze(
-        steps in proptest::collection::vec((0u8..4, 0u8..14, any::<bool>()), 0..120),
-        window_idx in 0usize..4,
-    ) {
-        let windows = [0i64, HOUR, 8 * HOUR, 48 * HOUR];
-        let window = windows[window_idx];
-        let records = random_trace(&steps);
-        let report = dedup::analyze(records.iter(), window);
-        prop_assert!(report.duplicates <= report.total);
-        let filtered = dedup::filter(&records, window);
-        // Every record filter drops is within the window of the last
-        // *kept* record, hence also of its previous occurrence — so
-        // filter can never drop more than analyze counted. (It can drop
-        // fewer: analyze slides its anchor along chained duplicates,
-        // filter keeps it at the cluster head.)
-        let ok = |rs: &[TraceRecord]| rs.iter().filter(|r| r.error.is_none()).count() as u64;
-        prop_assert!(ok(&filtered) >= report.total - report.duplicates);
-        prop_assert!(ok(&filtered) <= report.total);
-        prop_assert_eq!(dedup::analyze(filtered.iter(), window).duplicates, 0);
-        let refiltered = dedup::filter(&filtered, window);
-        prop_assert_eq!(&refiltered, &filtered);
-        // Monotone in the window.
-        for pair in dedup::window_sweep(&records, &windows).windows(2) {
-            prop_assert!(pair[1].duplicates >= pair[0].duplicates);
-        }
-    }
+    assert_eq!(files.repeats_within(), [40, 59, 59, 59, 59]);
+    assert_eq!(files.repeat_within_8h_fraction(), 59.0 / 60.0);
 }
 
 // ------------------------------------------------------------ writeback

@@ -34,7 +34,7 @@ fn codec_roundtrip_preserves_all_analyses() {
     let records = records.expect("all records parse");
     assert_eq!(records.len(), workload.len());
 
-    let direct = Analyzer::analyze_owned(workload.records());
+    let direct = Analyzer::analyze(workload.records());
     let roundtrip = Analyzer::analyze(records.iter());
     assert_eq!(direct.stats, roundtrip.stats);
     assert_eq!(direct.files.file_count(), roundtrip.files.file_count());
@@ -88,26 +88,6 @@ fn every_experiment_runs_and_renders() {
         }
     }
     assert_eq!(run_experiment("nonsense", &output).map(|r| r.id), None);
-}
-
-#[test]
-fn deduped_trace_feeds_back_through_the_simulator() {
-    // §6-b end to end: dedup the trace, re-simulate, and confirm the MSS
-    // sees strictly less work with no lost files.
-    let workload = small_workload();
-    let records: Vec<_> = workload.records().collect();
-    let deduped = fmig_migrate::dedup::filter(&records, 8 * 3600);
-    assert!(deduped.len() < records.len());
-    let before = Analyzer::analyze(records.iter());
-    let after = Analyzer::analyze(deduped.iter());
-    // Dedup never loses a file, only repeat requests.
-    assert_eq!(before.files.file_count(), after.files.file_count());
-    // And the deduped trace still simulates cleanly.
-    let run = MssSimulator::new(SimConfig::default()).run(deduped);
-    assert_eq!(
-        run.metrics.requests as usize,
-        after.stats.raw_references as usize
-    );
 }
 
 #[test]
