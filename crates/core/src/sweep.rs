@@ -1130,8 +1130,8 @@ mod tests {
 
     #[test]
     fn no_shipped_policy_defaults_to_the_rescan() {
-        use fmig_migrate::cache::{CacheConfig, DiskCache, EvictionMode};
-        // The acceptance bar for the kinetic index: every policy in the
+        use fmig_migrate::cache::{CacheConfig, DiskCache, EvictionMode, RankingRegime};
+        // The acceptance bar for the victim indexes: every policy in the
         // sweep matrix ranks victims through an index regime; the exact
         // rescan is reachable only by degradation. Asked of a real
         // cache: drive one purge and see which index it built.
@@ -1146,29 +1146,31 @@ mod tests {
                 cache.write(i, 100, 60 + i64::from(i), None);
             }
             assert!(cache.stats().evictions > 0, "{}: no purge ran", p.name());
-            (cache.uses_eviction_index(), cache.uses_kinetic_index())
+            cache.ranking_regime()
         };
         for p in PolicyId::ALL {
-            assert_ne!(
-                regime(p),
-                (false, false),
-                "{} would pay the O(n) purge rescan",
+            assert!(
+                !matches!(regime(p), RankingRegime::Rescan | RankingRegime::Unprobed),
+                "{} would pay the O(n log n) purge rescan",
                 p.name()
             );
         }
-        // Spot-check the split: time-varying policies are kinetic, the
-        // rest affine.
+        // Spot-check the split: STP's power-age forms take the scan,
+        // the other time-varying policies the tournament, the rest the
+        // affine index.
+        for p in [PolicyId::Stp14, PolicyId::Stp10, PolicyId::Stp20] {
+            assert_eq!(regime(p), RankingRegime::PowerScan, "{} scans", p.name());
+        }
         for p in [
-            PolicyId::Stp14,
             PolicyId::Saac,
             PolicyId::Random,
             PolicyId::StpLat,
             PolicyId::LruMad,
         ] {
-            assert_eq!(regime(p), (false, true), "{} is kinetic", p.name());
+            assert_eq!(regime(p), RankingRegime::Kinetic, "{} is kinetic", p.name());
         }
         for p in [PolicyId::Lru, PolicyId::Belady] {
-            assert_eq!(regime(p), (true, false), "{} is affine", p.name());
+            assert_eq!(regime(p), RankingRegime::Affine, "{} is affine", p.name());
         }
     }
 

@@ -48,8 +48,8 @@
 //!
 //! A watermark purge evicts in `(priority desc, id asc)` order. Which
 //! file that is — and how cheaply it is found: monotone queue, lazy
-//! heap, kinetic tournament or the exact rescan, chosen per
-//! [`EvictionMode`] from what the policy promises — is the `rank`
+//! heap, power-age scan, kinetic tournament or the exact rescan, chosen
+//! per [`EvictionMode`] from what the policy promises — is the `rank`
 //! module's one lifecycle (`crate::rank::Ranking`; its module docs in
 //! `rank.rs` are the reference). This cache is one of its two hosts: it
 //! shows the ranking its arena in ascending-id order, reports every
@@ -62,8 +62,8 @@ use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{FileView, MigrationPolicy};
-pub use crate::rank::INDEX_MIN_RESIDENTS;
 use crate::rank::{Ranking, Residents};
+pub use crate::rank::{RankingRegime, INDEX_MIN_RESIDENTS};
 
 /// Configuration of the simulated disk cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -430,17 +430,11 @@ impl<'p> DiskCache<'p> {
         self.est_miss_wait_s
     }
 
-    /// True while the incremental eviction index is ranking victims
-    /// (`Auto` mode, affine policy, at least one purge seen).
-    pub fn uses_eviction_index(&self) -> bool {
-        self.rank.is_affine()
-    }
-
-    /// True while the kinetic tournament is ranking victims (`Auto`
-    /// mode, a policy shipping [`MigrationPolicy::kinetic`] forms, at
-    /// least one purge seen).
-    pub fn uses_kinetic_index(&self) -> bool {
-        self.rank.is_kinetic()
+    /// The victim-ranking regime in force: [`RankingRegime::Unprobed`]
+    /// until the first purge past the activation gate, then the index
+    /// the policy's forms allow, or the rescan once it degrades.
+    pub fn ranking_regime(&self) -> RankingRegime {
+        self.rank.regime()
     }
 
     /// Current bytes resident.
@@ -740,8 +734,7 @@ impl core::fmt::Debug for DiskCache<'_> {
             .field("policy", &self.policy.name())
             .field("usage", &self.usage)
             .field("files", &self.arena.resident)
-            .field("indexed", &self.uses_eviction_index())
-            .field("kinetic", &self.uses_kinetic_index())
+            .field("ranking", &self.ranking_regime())
             .finish()
     }
 }
@@ -749,7 +742,8 @@ impl core::fmt::Debug for DiskCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{KineticForm, Lru, SmallestFirst, Stp};
+    use crate::policy::{KineticForm, Lru, Saac, SmallestFirst, Stp};
+    use RankingRegime::{Affine, Kinetic, PowerScan, Rescan, Unprobed};
 
     fn cfg(capacity: u64) -> CacheConfig {
         CacheConfig {
@@ -1089,11 +1083,11 @@ mod tests {
         let lru = Lru;
         assert_modes_agree(&lru, &churny_sequence());
         let mut c = DiskCache::with_eviction_mode(cfg(1000), &lru, EvictionMode::Indexed);
-        assert!(!c.uses_eviction_index(), "index is lazy until a purge");
+        assert_eq!(c.ranking_regime(), Unprobed, "index is lazy until a purge");
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
-        assert!(c.uses_eviction_index(), "LRU purge should activate it");
+        assert_eq!(c.ranking_regime(), Affine, "LRU purge should activate it");
     }
 
     #[test]
@@ -1106,7 +1100,7 @@ mod tests {
             small.write(i, 100, i as i64, None);
         }
         assert!(small.stats().evictions > 0);
-        assert!(!small.uses_eviction_index());
+        assert_eq!(small.ranking_regime(), Unprobed);
         // ...but once a purge sees INDEX_MIN_RESIDENTS files, the
         // re-rank per purge dominates and the index switches on.
         // 100-byte files, high mark at 0.9 × 200·N bytes: the purge
@@ -1120,20 +1114,42 @@ mod tests {
             big.write(i, 100, i64::from(i), None);
         }
         assert!(big.stats().evictions > 0);
-        assert!(big.uses_eviction_index());
+        assert_eq!(big.ranking_regime(), Affine);
     }
 
-    #[test]
-    fn time_varying_policies_rank_through_the_kinetic_tournament() {
-        let stp = Stp::classic();
-        assert_modes_agree(&stp, &churny_sequence());
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &stp, EvictionMode::Indexed);
+    /// A purge under `Indexed` builds the regime the policy's forms
+    /// call for, and the victims equal the rescan's.
+    fn engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
+        assert_modes_agree(policy, &churny_sequence());
+        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
         assert!(c.stats().evictions > 0);
-        assert!(!c.uses_eviction_index(), "STP has no affine form");
-        assert!(c.uses_kinetic_index(), "STP ships a kinetic form");
+        assert_eq!(c.ranking_regime(), regime, "{}", policy.name());
+    }
+
+    #[test]
+    fn time_varying_policies_rank_through_the_kinetic_tournament() {
+        engages(&Saac, Kinetic);
+    }
+
+    #[test]
+    fn power_age_policies_rank_through_the_scan() {
+        engages(&Stp::classic(), PowerScan);
+        // Past the `Auto` gate too: a purge that sees more than
+        // INDEX_MIN_RESIDENTS files (see the affine gate test).
+        let stp = Stp::classic();
+        let roomy = CacheConfig {
+            capacity: 200 * INDEX_MIN_RESIDENTS as u64,
+            ..cfg(1000)
+        };
+        let mut big = DiskCache::new(roomy, &stp);
+        for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
+            big.write(i, 100 + u64::from(i % 7), i64::from(i), None);
+        }
+        assert!(big.stats().evictions > 0);
+        assert_eq!(big.ranking_regime(), PowerScan);
     }
 
     #[test]
@@ -1156,11 +1172,9 @@ mod tests {
         assert_modes_agree(&StpLat::classic(), &seq);
     }
 
-    #[test]
-    fn kinetic_index_survives_eviction_and_reinsertion() {
-        // Drive a kinetic-indexed cache through purge → re-create cycles
-        // (arena slot reuse) and check it still matches the rescan.
-        let stp = Stp::classic();
+    /// Purge → re-create cycles (arena slot reuse) keep the regime and
+    /// the rescan's victims.
+    fn survives_eviction_and_reinsertion(policy: &dyn MigrationPolicy, regime: RankingRegime) {
         let seq: Vec<(bool, u32, u64, i64)> = (0..240u32)
             .map(|i| {
                 let id = (i * 11 + i / 7) % 9; // small universe: heavy reuse
@@ -1168,8 +1182,8 @@ mod tests {
                 ((i % 2) == 0, id, size, i64::from(i * 37))
             })
             .collect();
-        assert_modes_agree(&stp, &seq);
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &stp, EvictionMode::Indexed);
+        assert_modes_agree(policy, &seq);
+        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
         for &(write, id, size, now) in &seq {
             if write {
                 c.write(id, size, now, None);
@@ -1177,71 +1191,100 @@ mod tests {
                 c.read(id, size, now, None);
             }
         }
-        assert!(c.uses_kinetic_index(), "kinetic index survives churn");
+        assert_eq!(c.ranking_regime(), regime, "index survives churn");
     }
 
     #[test]
-    fn a_form_withdrawn_on_a_touched_file_degrades_at_the_next_purge() {
-        /// STP that stops shipping a kinetic form for a file on its
-        /// third reference — a refusal only a *touched* leaf can hit.
-        struct Withdrawing(Stp);
-        impl MigrationPolicy for Withdrawing {
-            fn name(&self) -> String {
-                "withdrawing".into()
-            }
-            fn priority(&self, file: &FileView, now: i64) -> f64 {
-                self.0.priority(file, now)
-            }
-            fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
-                if file.ref_count < 3 {
-                    self.0.kinetic(file, now)
-                } else {
-                    None
-                }
+    fn kinetic_index_survives_eviction_and_reinsertion() {
+        survives_eviction_and_reinsertion(&Saac, Kinetic);
+    }
+
+    #[test]
+    fn power_scan_survives_eviction_and_reinsertion() {
+        survives_eviction_and_reinsertion(&Stp::classic(), PowerScan);
+    }
+
+    /// A kinetic policy that stops shipping its form for a file on its
+    /// third reference — a refusal only a *touched* file can hit.
+    struct Withdrawing<P>(P);
+
+    impl<P: MigrationPolicy> MigrationPolicy for Withdrawing<P> {
+        fn name(&self) -> String {
+            "withdrawing".into()
+        }
+        fn priority(&self, file: &FileView, now: i64) -> f64 {
+            self.0.priority(file, now)
+        }
+        fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+            if file.ref_count < 3 {
+                self.0.kinetic(file, now)
+            } else {
+                None
             }
         }
-        let p = Withdrawing(Stp::classic());
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &p, EvictionMode::Indexed);
+    }
+
+    fn withdrawn_form_degrades_at_the_next_purge(p: &dyn MigrationPolicy, regime: RankingRegime) {
+        let mut c = DiskCache::with_eviction_mode(cfg(1000), p, EvictionMode::Indexed);
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
-        assert!(c.uses_kinetic_index());
+        assert_eq!(c.ranking_regime(), regime);
         assert!(c.contains(9));
-        // The touches that withdraw the form only mark the leaf ...
+        // The touches that withdraw the form only mark the file ...
         c.read(9, 100, 20, None);
         c.read(9, 100, 21, None);
-        assert!(c.uses_kinetic_index(), "a touch evaluates nothing");
+        assert_eq!(c.ranking_regime(), regime, "a touch evaluates nothing");
         // ... and the refusal surfaces when the next purge settles it.
         let evictions = c.stats().evictions;
         for i in 10..20 {
             c.write(i, 100, 30 + i as i64, None);
         }
         assert!(c.stats().evictions > evictions);
-        assert!(!c.uses_kinetic_index(), "degraded to the rescan");
+        assert_eq!(c.ranking_regime(), Rescan, "degraded to the rescan");
         // Same victims, counters and survivors as the rescan throughout
         // (the churn references most files three times and more).
-        assert_modes_agree(&p, &churny_sequence());
+        assert_modes_agree(p, &churny_sequence());
+    }
+
+    #[test]
+    fn a_form_withdrawn_on_a_touched_file_degrades_at_the_next_purge() {
+        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Saac), Kinetic);
+    }
+
+    #[test]
+    fn a_form_withdrawn_on_a_touched_file_degrades_the_scan_at_the_next_purge() {
+        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Stp::classic()), PowerScan);
+    }
+
+    /// A step backwards drops a kinetic-form index for good; a replay
+    /// with such a step still equals the rescan.
+    fn backwards_clock_degrades(policy: &dyn MigrationPolicy, regime: RankingRegime) {
+        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
+        for i in 0..10 {
+            c.write(i, 100, 100 + i as i64, None);
+        }
+        assert_eq!(c.ranking_regime(), regime);
+        // The kinetic contract assumes a monotone clock.
+        c.write(50, 100, 5, None);
+        assert_eq!(c.ranking_regime(), Rescan);
+        for i in 60..70 {
+            c.write(i, 100, 200 + i as i64, None);
+        }
+        assert_eq!(c.ranking_regime(), Rescan, "degradation is terminal");
+        let mut seq = churny_sequence();
+        seq[80].3 = 0;
+        assert_modes_agree(policy, &seq);
     }
 
     #[test]
     fn backwards_clock_degrades_the_kinetic_index() {
-        let stp = Stp::classic();
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &stp, EvictionMode::Indexed);
-        for i in 0..10 {
-            c.write(i, 100, 100 + i as i64, None);
-        }
-        assert!(c.uses_kinetic_index());
-        // The kinetic contract assumes a monotone clock; a step
-        // backwards drops the tournament for good.
-        c.write(50, 100, 5, None);
-        assert!(!c.uses_kinetic_index());
-        for i in 60..70 {
-            c.write(i, 100, 200 + i as i64, None);
-        }
-        assert!(!c.uses_kinetic_index(), "degradation is terminal");
-        let mut seq = churny_sequence();
-        seq[80].3 = 0;
-        assert_modes_agree(&stp, &seq);
+        backwards_clock_degrades(&Saac, Kinetic);
+    }
+
+    #[test]
+    fn backwards_clock_degrades_the_power_scan() {
+        backwards_clock_degrades(&Stp::classic(), PowerScan);
     }
 
     #[test]
@@ -1251,15 +1294,15 @@ mod tests {
         for i in 0..10 {
             c.write(i, 100, 100 + i as i64, None);
         }
-        assert!(c.uses_eviction_index());
+        assert_eq!(c.ranking_regime(), Affine);
         // Time steps backwards: the affine contract is void, so the
         // cache must drop the index for good...
         c.write(50, 100, 5, None);
-        assert!(!c.uses_eviction_index());
+        assert_eq!(c.ranking_regime(), Rescan);
         for i in 60..70 {
             c.write(i, 100, 200 + i as i64, None);
         }
-        assert!(!c.uses_eviction_index(), "degradation is terminal");
+        assert_eq!(c.ranking_regime(), Rescan, "degradation is terminal");
         // ...and a full replay with such a step still matches the rescan
         // oracle, because both run the same fallback.
         let mut seq = churny_sequence();

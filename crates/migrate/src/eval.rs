@@ -9,10 +9,11 @@
 //!
 //! Replay cost per reference is sub-linear in the resident set for
 //! every shipped policy: affine policies rank through the incremental
-//! eviction index, time-varying ones (STP/SAAC/RandomEvict and the
-//! latency-aware pair) through the kinetic tournament, and only the
-//! explicit [`crate::cache::EvictionMode::Rescan`] oracle mode — or a
-//! degraded index — pays the O(n) purge rescan.
+//! eviction index, STP through the power-age scan, the other
+//! time-varying ones (SAAC/RandomEvict and the latency-aware pair)
+//! through the kinetic tournament, and only the explicit
+//! [`crate::cache::EvictionMode::Rescan`] oracle mode — or a degraded
+//! index — pays the O(n log n) purge rescan.
 
 use fmig_trace::ingest::store::StoreRow;
 use fmig_trace::time::TRACE_DAYS;

@@ -43,7 +43,8 @@ mod rank;
 pub mod writeback;
 
 pub use cache::{
-    CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, ReadResult, INDEX_MIN_RESIDENTS,
+    CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, RankingRegime, ReadResult,
+    INDEX_MIN_RESIDENTS,
 };
 pub use dividing::{DeviceModel, DividingPointStudy, DividingRow};
 pub use eval::{

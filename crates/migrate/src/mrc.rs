@@ -55,9 +55,9 @@
 //! * **Ranked** (every other policy): the `rank` module's one lifecycle
 //!   (`crate::rank::Ranking`, documented in `rank.rs`). Each capacity's
 //!   stack hosts its own instance under [`EvictionMode::Auto`] — the
-//!   same affine queue/heap, kinetic tournament or exact rescan a lone
-//!   [`DiskCache`] at that capacity would run, activated by the same
-//!   resident-count gate — and shows it that capacity's resident list.
+//!   affine queue/heap, power-age scan, kinetic tournament or rescan a
+//!   lone [`DiskCache`] at that capacity would run, activated by the
+//!   same resident-count gate — and shows it its resident list.
 //!
 //! The first two tiers rank straight off the shared file row: no
 //! [`FileView`], no resident list, only a count. A clock that steps

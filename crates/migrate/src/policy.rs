@@ -87,7 +87,8 @@ pub struct AffinePriority {
     pub intercept: f64,
 }
 
-/// Relative safety margin for kinetic certificates.
+/// Relative safety margin for kinetic certificates, and the power-age
+/// scan's near-tie band.
 ///
 /// Pairs whose closed-form priority curves come within this *relative*
 /// distance of each other are re-checked every step instead of trusted.
@@ -96,22 +97,22 @@ pub struct AffinePriority {
 /// `powf`), so a 1e-9 margin leaves about four orders of magnitude of
 /// slack: a certificate may expire *early* (costing one extra
 /// comparison), never *late* (which would corrupt the victim order).
-const KINETIC_MARGIN: f64 = 1e-9;
+pub(crate) const KINETIC_MARGIN: f64 = 1e-9;
 
 /// A *kinetic* description of a file's eviction priority: a closed-form
 /// curve in the purge time `now` that stays faithful to
 /// [`MigrationPolicy::priority`] until the entry's next mutation.
 ///
 /// Unlike [`AffinePriority`], a kinetic form is **never used to compare
-/// two files** — the kinetic tournament always compares the true
+/// two files** by the kinetic tournament — it always compares the true
 /// `priority` values, so victim order is bit-identical to the rescan by
-/// construction. (A [`KineticForm::PowerAge`] curve may supply that
-/// value, because by contract it *is* the priority.) The form's only
-/// job is *scheduling*: given two curves
-/// and their current values, [`certify_order`] computes how long the
-/// current comparison outcome is guaranteed to hold, so the tournament
-/// re-checks a pair only when its certificate expires. A conservative
-/// form costs speed, never exactness.
+/// construction. The form's only job there is *scheduling*: given two
+/// curves and their current values, [`certify_order`] computes how long
+/// the current comparison outcome is guaranteed to hold, so the
+/// tournament re-checks a pair only when its certificate expires. A
+/// conservative form costs speed, never exactness. (The power-age scan
+/// does key files by their [`KineticForm::PowerAge`] roots, and settles
+/// every pair the keys cannot separate by true `priority`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KineticForm {
     /// `priority(t) = slope·t + intercept`, with a **per-file** slope
@@ -127,12 +128,12 @@ pub enum KineticForm {
     /// `priority(t) = coeff·(t − anchor)^exponent` for `t ≥ anchor`.
     /// STP is the shipped example: `coeff = size`, `anchor = last_ref`.
     ///
-    /// The curve **is** the priority, bit for bit: a policy returning
-    /// this variant promises that `priority(file, t)` equals
-    /// [`power_age`]`(coeff, anchor, exponent, t)` for every `t` until
-    /// the entry's next mutation (STP's `priority` calls that function).
-    /// The kinetic tournament therefore reprices an unmarked leaf from
-    /// its form instead of asking the host.
+    /// A policy returning this variant promises that `priority(file, t)`
+    /// is [`power_age`]`(coeff, anchor, exponent, t)` up to rounding for
+    /// every `t` until the entry's next mutation, with one exponent per
+    /// policy instance (STP's `priority` calls that function). The
+    /// power-age scan ranks by `root·(t − anchor)`, the curve's
+    /// `exponent`-th root, on that promise.
     PowerAge {
         /// Multiplier on the aged term (must be ≥ 0).
         coeff: f64,
@@ -141,8 +142,8 @@ pub enum KineticForm {
         /// Exponent on the age (must be > 0, shared per policy instance).
         exponent: f64,
         /// `coeff.powf(1.0 / exponent)`, computed once when the form is
-        /// cut: [`certify_order`] compares these roots, so certifying a
-        /// pair costs no `powf`.
+        /// cut: the power-age scan's key coefficient, so keying a file
+        /// costs no `powf`.
         root: f64,
     },
     /// `priority(t) = coeff·(t − anchor)^exponent
@@ -182,7 +183,8 @@ impl KineticForm {
     ///
     /// Deliberately false for [`KineticForm::PiecewiseConstant`] (the
     /// form carries no value, so an equal epoch says nothing about equal
-    /// priorities) and across variants.
+    /// priorities), for [`KineticForm::PowerAge`] (its pairs rank
+    /// through the power-age scan) and across variants.
     fn same_bits(&self, other: &KineticForm) -> bool {
         use KineticForm::*;
         match (self, other) {
@@ -196,20 +198,6 @@ impl KineticForm {
                     intercept: d,
                 },
             ) => a.to_bits() == c.to_bits() && b.to_bits() == d.to_bits(),
-            (
-                PowerAge {
-                    coeff: a,
-                    anchor: b,
-                    exponent: c,
-                    ..
-                },
-                PowerAge {
-                    coeff: d,
-                    anchor: e,
-                    exponent: f,
-                    ..
-                },
-            ) => a.to_bits() == d.to_bits() && b == e && c.to_bits() == f.to_bits(),
             (
                 PowerAgeLat {
                     coeff: a,
@@ -241,44 +229,10 @@ impl KineticForm {
 }
 
 /// The [`KineticForm::PowerAge`] curve at `t`: `coeff·(t − anchor)^exponent`,
-/// the age clamped at zero. [`Stp`]'s priority is this function, so a
-/// leaf repriced from its form matches the policy bit for bit.
+/// the age clamped at zero. [`Stp`]'s priority is this function.
 pub fn power_age(coeff: f64, anchor: i64, exponent: f64, t: i64) -> f64 {
     let age = (t - anchor).max(0) as f64;
     age.powf(exponent) * coeff
-}
-
-/// `(1 − KINETIC_MARGIN)^(1/e)` for the last [`KineticForm::PowerAge`]
-/// exponent `e` [`certify_order`] saw: the certificate margin as a
-/// factor on coefficient roots. The exponent is shared per policy
-/// instance, so a caller that keeps one of these (the kinetic
-/// tournament keeps one) pays its `powf` once.
-#[derive(Debug, Clone, Copy)]
-pub struct MarginRoot {
-    exponent: f64,
-    root: f64,
-}
-
-impl Default for MarginRoot {
-    fn default() -> Self {
-        // x^(1/1) is x exactly.
-        MarginRoot {
-            exponent: 1.0,
-            root: 1.0 - KINETIC_MARGIN,
-        }
-    }
-}
-
-impl MarginRoot {
-    fn of(&mut self, exponent: f64) -> f64 {
-        if exponent.to_bits() != self.exponent.to_bits() {
-            *self = MarginRoot {
-                exponent,
-                root: (1.0 - KINETIC_MARGIN).powf(1.0 / exponent),
-            };
-        }
-        self.root
-    }
 }
 
 /// First re-check instant when the pair is safe through `now + dt`
@@ -318,8 +272,6 @@ fn expiry_before(now: i64, t_cross: f64) -> i64 {
 /// `E > now` at which the comparison outcome could change: for every
 /// integer evaluation time `t` with `now ≤ t < E`, re-evaluating both
 /// priorities at `t` yields the same `total_cmp`-plus-id ordering.
-/// `margin` carries the PowerAge arm's per-exponent constant from one
-/// call to the next ([`MarginRoot`]).
 ///
 /// Soundness is the load-bearing property — a certificate must never
 /// outlive a possible order flip, while expiring early merely costs one
@@ -335,22 +287,16 @@ fn expiry_before(now: i64, t_cross: f64) -> i64 {
 ///   `max(loser_slope − winner_slope, 0)` while the evaluation fuzz
 ///   grows at most at rate `margin·max(|slope|)`; solve the linear
 ///   inequality for the last safe `Δt`.
-/// * **PowerAge × PowerAge** (shared exponent `e`) — the loser/winner
-///   ratio `(c_l/c_w)·((t−a_l)/(t−a_w))^e` is monotone in `t`, so it
-///   crosses the `1 − margin` threshold at most once, at
-///   `t = (a_l − k·a_w)/(1 − k)` with
-///   `k = ((1−margin)·c_w/c_l)^(1/e) = margin_root · root_w / root_l`,
-///   the closed-form crossing time with the margin folded into `k`.
-///   The coefficient roots come with the forms and `margin_root` from
-///   `margin`, so the arm is a few flops. A ratio limit
-///   `c_l/c_w ≤ 1 − margin` can never reach the threshold: certificate
-///   `i64::MAX`.
 /// * **PowerAgeLat × PowerAgeLat** — both curves are non-decreasing
 ///   (numerator grows, denominator shrinks), so a flip needs the loser
 ///   to reach the winner's *current* value; bound the loser by its
 ///   envelope `c·(t−a)^e / base` and solve for the threshold time.
 /// * **PiecewiseConstant × PiecewiseConstant** — both values are frozen
 ///   until the earlier `until`; exact, no margin.
+///
+/// [`KineticForm::PowerAge`] pairs rank through the power-age scan,
+/// not the tournament; one that reaches it (an exponent the scan
+/// refuses) gets the mixed-variant `now + 1`.
 // Negated comparisons are deliberate throughout: `!(x > 0.0)` is true
 // for NaN where `x <= 0.0` is not, and every NaN must land in the
 // conservative `now + 1` branch.
@@ -361,7 +307,6 @@ pub fn certify_order(
     loser: &KineticForm,
     loser_value: f64,
     now: i64,
-    margin: &mut MarginRoot,
 ) -> i64 {
     use KineticForm::*;
     // Identical parameter bits ⇒ identical evaluations at every future
@@ -394,45 +339,6 @@ pub fn certify_order(
             }
             // Safe while d − gain·Δt > margin·(mag + mmax·Δt).
             expiry_after(now, (d - KINETIC_MARGIN * mag) / denom)
-        }
-        (
-            PowerAge {
-                coeff: cw,
-                anchor: aw,
-                exponent: ew,
-                root: rw,
-            },
-            PowerAge {
-                coeff: cl,
-                anchor: al,
-                exponent: el,
-                root: rl,
-            },
-        ) => {
-            if ew.to_bits() != el.to_bits() || !(*ew > 0.0) || !(*cw > 0.0) || !(*cl >= 0.0) {
-                return now + 1;
-            }
-            if *cl == 0.0 {
-                // Loser is identically zero; the winner's curve is
-                // non-decreasing and already above the fuzz.
-                return i64::MAX;
-            }
-            let r_inf = cl / cw;
-            if r_inf <= 1.0 - KINETIC_MARGIN {
-                // The loser/winner ratio is monotone with limit r_inf
-                // and is below the threshold at `now` (the near-tie
-                // check); it can never reach 1 − margin.
-                return i64::MAX;
-            }
-            // Age ratio at the margin threshold. r_inf > 1 − margin
-            // keeps the real k below 1; a rounded (or NaN) k that is
-            // not gets a one-tick certificate.
-            let k = margin.of(*ew) * rw / rl;
-            if !(k < 1.0) {
-                return now + 1;
-            }
-            let t_cross = (*al as f64 - k * *aw as f64) / (1.0 - k);
-            expiry_before(now, t_cross)
         }
         (
             PowerAgeLat {
@@ -472,8 +378,9 @@ pub fn certify_order(
                 *al as f64 + ((bl * (1.0 - KINETIC_MARGIN) * winner_value) / cl).powf(1.0 / el);
             expiry_before(now, t_cross)
         }
-        // Mixed variants: sound, never fast. Shipped policies emit one
-        // variant per instance, so this only guards hypothetical mixes.
+        // Mixed variants and PowerAge pairs: sound, never fast. Shipped
+        // policies emit one variant per instance, and STP's pairs rank
+        // through the power-age scan.
         _ => now + 1,
     }
 }
@@ -543,9 +450,9 @@ pub trait MigrationPolicy: Send + Sync {
     }
 
     /// The priority as a *kinetic* (time-varying) closed form of `now`,
-    /// when the policy has one — the hook behind the cache's kinetic
-    /// tournament index, consulted only when [`MigrationPolicy::affine`]
-    /// returns `None`.
+    /// when the policy has one — the hook behind the power-age scan and
+    /// the kinetic tournament, consulted only when
+    /// [`MigrationPolicy::affine`] returns `None`.
     ///
     /// # Contract
     ///
@@ -557,8 +464,9 @@ pub trait MigrationPolicy: Send + Sync {
     ///    curve to within ~1e-13 relative error (the slack
     ///    [`certify_order`]'s margin absorbs) — and exactly for
     ///    [`KineticForm::PiecewiseConstant`], whose value must be
-    ///    bit-frozen for `t < until`, and for [`KineticForm::PowerAge`],
-    ///    whose curve [`power_age`] must *be* `priority`, bit for bit.
+    ///    bit-frozen for `t < until`. A [`KineticForm::PowerAge`] form
+    ///    carries `root = coeff^(1/exponent)`, and its exponent is the
+    ///    same for every file of the instance.
     /// 2. **Shape invariants.** The variant's parameter bounds hold
     ///    (`coeff ≥ 0`, `exponent > 0`, `base ≥ 1`, `decay ≥ 0`); the
     ///    solver's single-crossing and monotone-envelope arguments rely
@@ -570,11 +478,13 @@ pub trait MigrationPolicy: Send + Sync {
     /// 4. **Monotone clocks**, exactly as [`MigrationPolicy::affine`]'s
     ///    clause 3.
     ///
-    /// Unlike the affine hook, comparisons never go *through* the form:
-    /// the tournament compares true `priority` values, so the victim
+    /// Unlike the affine hook, the tournament never compares *through*
+    /// the form: it compares true `priority` values, so the victim
     /// sequence is bit-identical to the rescan by construction, and the
-    /// form's only job is scheduling re-checks. Policies with neither an
-    /// affine nor a kinetic form replay through the exact rescan.
+    /// form's only job is scheduling re-checks. The power-age scan keys
+    /// by the form's root and settles near ties by true `priority`.
+    /// Policies with neither an affine nor a kinetic form replay
+    /// through the exact rescan.
     fn kinetic(&self, _file: &FileView, _now: i64) -> Option<KineticForm> {
         None
     }
@@ -693,9 +603,8 @@ impl MigrationPolicy for Stp {
     // drifts with time (a small old file overtakes a large fresh one).
 
     fn kinetic(&self, file: &FileView, _now: i64) -> Option<KineticForm> {
-        // `age^e · size` is exactly the PowerAge curve: for any two
-        // files it crosses its rival at most once (monotone age ratio),
-        // which is what lets the tournament certify pairs ahead of time.
+        // `age^e · size` is exactly the PowerAge curve, and it orders
+        // like its root `size^(1/e) · age`: the power-age scan's key.
         if !self.exponent.is_finite() || self.exponent <= 0.0 {
             return None;
         }
@@ -1417,7 +1326,6 @@ mod tests {
             &fl,
             policy.priority(l, now),
             now,
-            &mut MarginRoot::default(),
         );
         assert!(e > now, "{}: expiry must be in the future", policy.name());
         // Dense probes near `now`, geometric probes toward the expiry,
@@ -1488,11 +1396,11 @@ mod tests {
 
     #[test]
     fn identical_states_certify_forever() {
-        // Same (size, last_ref) ⇒ bit-identical forms ⇒ the id
-        // tie-break is permanent.
+        // Same (size, last_ref, ref_count) ⇒ bit-identical forms ⇒
+        // the id tie-break is permanent.
         let a = file(1, 100, 10, 1);
         let b = file(2, 100, 10, 1);
-        let p = Stp::classic();
+        let p = Saac;
         let e = check_certified_pair(&p, &a, &b, 500);
         assert_eq!(e, i64::MAX);
     }
@@ -1523,50 +1431,12 @@ mod tests {
         assert_eq!(e, 2 * 86_400);
     }
 
-    #[test]
-    fn stp_certificates_are_not_vacuously_short() {
-        // A well-separated pair must certify past now + 1, or the
-        // tournament degenerates into a per-step rescan.
-        let p = Stp::classic();
-        let old_large = file(1, 1 << 30, 0, 1);
-        let fresh_small = file(2, 1 << 10, 990, 1);
-        let e = check_certified_pair(&p, &old_large, &fresh_small, 1000);
-        assert!(e > 1_010, "expiry {e} too conservative");
-        // A loser with the larger coefficient overtakes at t ≈ 1006.2:
-        // the crossing arm must certify right up to it.
-        let old_tiny = file(3, 1, 0, 1);
-        let fresh_big = file(4, 1000, 999, 1);
-        let e = check_certified_pair(&p, &old_tiny, &fresh_big, 1000);
-        assert_eq!(e, 1007);
-        assert!(order_holds(&p, &fresh_big, &old_tiny, e));
-    }
-
-    #[test]
-    fn stp_crossing_expires_the_certificate_in_time() {
-        // Old tiny winner vs a just-touched huge loser: the loser
-        // overtakes at t ≈ 1005.005 (the closed-form crossing), so the
-        // certificate must expire by 1006 — and the order really flips
-        // there.
-        let p = Stp { exponent: 1.0 };
-        let old_tiny = file(1, 1, 0, 1);
-        let fresh_huge = file(2, 1000, 1004, 1);
-        let now = 1005;
-        assert!(order_holds(&p, &old_tiny, &fresh_huge, now));
-        let e = check_certified_pair(&p, &old_tiny, &fresh_huge, now);
-        assert_eq!(e, 1006);
-        assert!(
-            order_holds(&p, &fresh_huge, &old_tiny, e),
-            "the loser overtakes right at the certified expiry"
-        );
-    }
-
     proptest::proptest! {
-        /// STP's priority *is* its PowerAge curve, bit for bit (the
-        /// promise that lets the tournament reprice an unmarked leaf
-        /// from its form), the form's root is `coeff^(1/e)`, and the
-        /// root-based certificate never outlives an order flip.
+        /// STP's priority *is* its PowerAge curve, bit for bit, and the
+        /// form's root — the power-age scan's key coefficient — is
+        /// `coeff^(1/e)`.
         #[test]
-        fn stp_priority_is_its_power_age_curve_and_certifies_soundly(
+        fn stp_priority_is_its_power_age_curve(
             sizes in (0u64..1 << 40, 0u64..1 << 40),
             last_refs in (0i64..1_000_000, 0i64..1_000_000),
             wait in 0i64..100_000,
@@ -1590,7 +1460,6 @@ mod tests {
                     );
                 }
             }
-            check_certified_pair(&p, &a, &b, now);
         }
     }
 

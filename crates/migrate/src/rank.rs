@@ -11,17 +11,20 @@
 //! property-test that — so the lifecycle only ever decides cost:
 //!
 //! ```text
-//! Unprobed ──first purge past the gate──▶ Affine ──┐
-//!     │                              └──▶ Kinetic ─┤ degrade
-//!     └────────────── neither form ────────────────┴──▶ Rescan (terminal)
+//! Unprobed ──first purge past the gate──▶ Affine ────┐
+//!     │                              ├──▶ PowerScan ─┤ degrade
+//!     │                              └──▶ Kinetic ───┤
+//!     └──────────────── no form ─────────────────────┴──▶ Rescan (terminal)
 //! ```
 //!
 //! * **Unprobed.** Nothing is maintained; a purge ranks by rescan. The
 //!   first purge that sees [`INDEX_MIN_RESIDENTS`] files (any purge
 //!   under [`EvictionMode::Indexed`]) probes the policy over the whole
 //!   resident set: every file's [`MigrationPolicy::affine`] form first
-//!   (the cheaper regime), then [`MigrationPolicy::kinetic`], else the
-//!   rescan for good.
+//!   (the cheapest regime), then its [`MigrationPolicy::kinetic`] form —
+//!   the power-age scan if every form is a keyable
+//!   [`KineticForm::PowerAge`] with one exponent, the tournament
+//!   otherwise — else the rescan for good.
 //! * **Affine** ([`VictimRank`]). `slope · now + intercept` with one
 //!   shared slope: pairwise order is independent of `now`, so a key
 //!   pushed once stays correct until the entry mutates, and mutations
@@ -35,10 +38,18 @@
 //!   [`MigrationPolicy::read_touch_monotone`]: the stale key only
 //!   overestimates. Once stale keys outnumber residents two to one the
 //!   index is rebuilt from the resident set.
+//! * **PowerScan** ([`PowerScan`]). `coeff·age^e` with one exponent
+//!   (STP) orders like its root `root·age`, `root = coeff^(1/e)` riding
+//!   in the form. A mutation marks the file's row; a purge settles the
+//!   marked rows (one `kinetic` call each), keys every resident with a
+//!   multiply, heapifies once and pops victims, settling near ties by
+//!   exact `priority`: O(n) per purge plus O(log n) per victim, cheaper
+//!   than the tournament's O(log n) per touched file when a purge (0.95
+//!   → 0.80 of capacity) evicts about one resident in forty.
 //! * **Kinetic** ([`KineticTournament`]). Policies whose pairwise order
-//!   *drifts with the clock* (STP's per-file slope, SAAC's activity
-//!   discount, salted-random's day reshuffle, the latency-aware pair)
-//!   cannot be keyed once at all — but they ship a
+//!   *drifts with the clock* in other shapes (SAAC's activity discount,
+//!   salted-random's day reshuffle, the latency-aware pair) cannot be
+//!   keyed once at all — but they ship a
 //!   [`crate::policy::KineticForm`] closed-form curve, so each internal
 //!   node of a tournament tree caches its winner together with a
 //!   *certificate* ([`crate::policy::certify_order`]): the earliest
@@ -48,25 +59,23 @@
 //!   purge, hundreds of references apart, so the re-evaluation and the
 //!   root-to-leaf replay are owed once per touched leaf per purge —
 //!   [`KineticTournament::advance`] settles the marked leaves before
-//!   it looks at certificates. Only a marked leaf asks the host for a
-//!   fresh value and form; an unmarked STP leaf is repriced from the
-//!   form it holds ([`crate::policy::power_age`], which *is* STP's
-//!   priority), and its coefficient root makes each certificate a few
-//!   flops. Amortized `O(log n)` per touched file where the rescan
-//!   re-ranks all `n` residents per purge.
+//!   it looks at certificates. Amortized `O(log n)` per touched file
+//!   where the rescan re-ranks all `n` residents per purge.
 //! * **Rescan.** Rank every resident at `now`, sort, evict in order:
 //!   `O(n log n)` per purge, NaN-proof through `f64::total_cmp`, always
 //!   correct. Forced by [`EvictionMode::Rescan`], the home of policies
 //!   with neither form, and where every broken promise lands: a
-//!   withdrawn form, a drifting slope, a rank gone dry with residents
-//!   left, a tournament leaf that fails revalidation past the repair
-//!   budget, a clock stepping backwards (the host reports that one —
-//!   [`Ranking::degrade`] — because both closed forms assume
+//!   withdrawn form, a drifting slope or exponent, a rank gone dry with
+//!   residents left, a tournament leaf that fails revalidation past the
+//!   repair budget, a clock stepping backwards (the host reports that
+//!   one — [`Ranking::degrade`] — because every closed form assumes
 //!   non-decreasing reference times). A regime that degrades mid-purge
 //!   hands the *same* purge to the rescan, so nothing under-purges.
 //!
-//! Both indexes revalidate **by value** when a victim surfaces. An
-//! affine key surfacing from the rank is checked through [`Candidate`]:
+//! The affine and tournament indexes revalidate **by value** when a
+//! victim surfaces (the scan keys every row afresh at each purge, so it
+//! holds nothing stale). An affine key surfacing from the rank is
+//! checked through [`Candidate`]:
 //! [`Candidate::Live`] (evict it), [`Candidate::Gone`] (file left the
 //! cache; drop the key), [`Candidate::Moved`] (resident but the key is
 //! a stale overestimate; re-rank at the current, **never higher**,
@@ -82,11 +91,11 @@
 //! incarnation either matches the re-created file's current score
 //! (then it *is* current) or is stale like any other.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::EvictionMode;
-use crate::policy::{certify_order, power_age, FileView, KineticForm, MarginRoot, MigrationPolicy};
+use crate::policy::{certify_order, FileView, KineticForm, MigrationPolicy, KINETIC_MARGIN};
 
 /// Resident-set size at which [`EvictionMode::Auto`] switches from the
 /// rescan to the incremental index. Sorting a few dozen candidates per
@@ -122,7 +131,23 @@ enum Regime {
         slope_bits: u64,
         rank: VictimRank,
     },
+    PowerScan(PowerScan),
     Kinetic(KineticTournament),
+    Rescan,
+}
+
+/// Where a ranking is in its lifecycle, as a host reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RankingRegime {
+    /// No purge has passed the activation gate yet; purges rescan.
+    Unprobed,
+    /// Shared-slope affine keys in a monotone queue or lazy heap.
+    Affine,
+    /// One key per resident by power-age root, ranked once per purge.
+    PowerScan,
+    /// The kinetic tournament over certified pairwise comparisons.
+    Kinetic,
+    /// The exact rescan, for good.
     Rescan,
 }
 
@@ -178,14 +203,15 @@ impl<'p> Ranking<'p> {
         }
     }
 
-    /// True while the affine index is ranking victims.
-    pub fn is_affine(&self) -> bool {
-        matches!(self.regime, Regime::Affine { .. })
-    }
-
-    /// True while the kinetic tournament is ranking victims.
-    pub fn is_kinetic(&self) -> bool {
-        matches!(self.regime, Regime::Kinetic(_))
+    /// The regime ranking victims now.
+    pub fn regime(&self) -> RankingRegime {
+        match self.regime {
+            Regime::Unprobed => RankingRegime::Unprobed,
+            Regime::Affine { .. } => RankingRegime::Affine,
+            Regime::PowerScan(_) => RankingRegime::PowerScan,
+            Regime::Kinetic(_) => RankingRegime::Kinetic,
+            Regime::Rescan => RankingRegime::Rescan,
+        }
     }
 
     /// Drops whatever index is kept (or would have been) for the exact
@@ -196,9 +222,9 @@ impl<'p> Ranking<'p> {
 
     /// Mirrors one resident file's mutation (touch, resize, insert) at
     /// `now` into whichever index is active: an affine key push, or a
-    /// kinetic leaf *mark* — the leaf is re-evaluated when the next
-    /// purge advances the tournament, so a withdrawn kinetic form
-    /// degrades there, not here.
+    /// scan row or kinetic leaf *mark* — the file is re-evaluated when
+    /// the next purge opens, so a withdrawn form degrades there, not
+    /// here.
     pub fn touched(&mut self, host: &impl Residents, file: u32, now: i64) {
         match &mut self.regime {
             Regime::Affine { slope_bits, rank } => {
@@ -219,6 +245,7 @@ impl<'p> Ranking<'p> {
                     _ => self.degrade(),
                 }
             }
+            Regime::PowerScan(scan) => scan.touched(file),
             Regime::Kinetic(t) => {
                 if !t.upsert(file, now, &mut leaf_eval(self.policy, host)) {
                     self.degrade();
@@ -239,16 +266,24 @@ impl<'p> Ranking<'p> {
         if matches!(self.regime, Regime::Unprobed)
             && (self.eager || host.len() >= INDEX_MIN_RESIDENTS)
         {
-            self.regime = self.probe(host, now);
+            self.regime = self.probe(host, now); // a new scan is keyed at `now`
+        } else if let Regime::PowerScan(scan) = &mut self.regime {
+            if !scan.open_purge(self.policy, host, now) {
+                self.degrade();
+            }
         }
     }
 
     /// Probes the resident set for an index: every file's affine form
-    /// first, then the kinetic form; a policy that refuses both — or
-    /// violates the shared-slope contract — means the rescan.
+    /// first, then the kinetic form (the scan before the tournament); a
+    /// policy that refuses both — or violates the shared-slope contract
+    /// — means the rescan.
     fn probe(&self, host: &impl Residents, now: i64) -> Regime {
         if let Some(regime) = self.probe_affine(host) {
             return regime;
+        }
+        if let Some(scan) = PowerScan::build(self.policy, host, now) {
+            return Regime::PowerScan(scan);
         }
         let files: Vec<u32> = host.files().collect();
         if files.is_empty() {
@@ -317,6 +352,13 @@ impl<'p> Ranking<'p> {
                 Popped::Dry | Popped::Aborted => self.degrade(),
             }
         }
+        if let Regime::PowerScan(scan) = &mut self.regime {
+            debug_assert_eq!(scan.rows.len(), host.len(), "one row per resident");
+            match scan.next_victim(policy, host, now) {
+                Some(file) => return Some(file),
+                None => self.degrade(), // rescan rather than under-purge
+            }
+        }
         if let Regime::Kinetic(t) = &mut self.regime {
             debug_assert_eq!(
                 t.len(),
@@ -374,12 +416,15 @@ impl<'p> Ranking<'p> {
         Some(file)
     }
 
-    /// Unregisters an evicted file. The tournament mirrors the resident
-    /// set exactly, so the victim's leaf comes out now (the leaf is
-    /// emptied before its path replays, so it does not matter whether
-    /// the host still shows the file); the affine rank's stale keys
-    /// deflate at pop time instead.
+    /// Unregisters an evicted file. The scan and the tournament mirror
+    /// the resident set exactly, so the victim's row or leaf comes out
+    /// now (neither asks the host about the victim, so it does not
+    /// matter whether the host still shows the file); the affine rank's
+    /// stale keys deflate at pop time instead.
     pub fn evicted(&mut self, host: &impl Residents, file: u32, now: i64) {
+        if let Regime::PowerScan(scan) = &mut self.regime {
+            scan.evicted(file);
+        }
         if let Regime::Kinetic(t) = &mut self.regime {
             if !t.remove(file, now, &mut leaf_eval(self.policy, host)) {
                 self.degrade();
@@ -586,6 +631,186 @@ impl VictimRank {
     }
 }
 
+/// One resident under the power-age scan: its form's root and anchor
+/// as of its last settle, and whether it mutated since.
+#[derive(Debug, Clone, Copy)]
+struct ScanRow {
+    root: f64,
+    anchor: i64,
+    file: u32,
+    marked: bool,
+}
+
+/// The power-age scan (see the module docs): one key per resident,
+/// ranked once per purge.
+///
+/// **Why the root order is the rescan order.** Priorities are
+/// `coeff·age^e` with one `e`, and `x ↦ x^(1/e)` is increasing, so they
+/// order like the real keys `coeff^(1/e)·age`. In `f64`, with the same
+/// age `(now − anchor).max(0) as f64` on both sides:
+///
+/// * `root = fl(coeff^fl(1/e))` is within `(|ln coeff|/e + 1)·2⁻⁵³` of
+///   `coeff^(1/e)` (the rounding of `1/e`, scaled by `ln coeff / e`),
+///   and `fl(root·age)` adds half an ulp: ≈ 4e-15 relative for STP's
+///   byte sizes at `e = 1.4`, below 1e-10 over the accepted forms;
+/// * [`crate::policy::power_age`] is within a few ulps of the real
+///   priority;
+/// * so keys more than [`KINETIC_MARGIN`] (1e-9) apart are real
+///   priorities more than ≈ `0.8e-9·e` ≥ 7e-13 apart, far beyond the
+///   `f64` priorities' ≈ 1e-15 rounding: those order the same way.
+///
+/// Keys within the margin of the top are a *near tie*, settled by exact
+/// `priority`, ties by ascending id. A top key of `+0` needs no band:
+/// age or coefficient 0 means priority `+0`, and the heap breaks those
+/// ties by id. Accepted forms keep every nonzero priority normal
+/// (`coeff` normal, `age ≥ 1`); a key past `(f64::MAX / 4)^(1/e)`
+/// degrades the ranking.
+#[derive(Debug)]
+pub(crate) struct PowerScan {
+    /// The policy's shared exponent.
+    exponent: f64,
+    rows: Vec<ScanRow>,
+    /// Dense file index → row ([`NO_SLOT`] when not resident).
+    slot_of: Vec<u32>,
+    /// The purge's `(key bits, Reverse(file))`: largest key on top,
+    /// lowest id among equal keys.
+    heap: BinaryHeap<(u64, Reverse<u32>)>,
+}
+
+impl PowerScan {
+    /// A scan keyed at `now`, if every resident's form is keyable
+    /// under the first one's exponent.
+    fn build(policy: &dyn MigrationPolicy, host: &impl Residents, now: i64) -> Option<Self> {
+        let first = host.view(host.files().next()?)?;
+        let Some(KineticForm::PowerAge { exponent: e, .. }) = policy.kinetic(&first, now) else {
+            return None;
+        };
+        let mut scan = PowerScan {
+            exponent: e,
+            rows: Vec::with_capacity(host.len()),
+            slot_of: Vec::new(),
+            heap: BinaryHeap::new(),
+        };
+        host.files().for_each(|file| scan.touched(file));
+        // Below 2⁻¹⁰ the rounding of `1/e` in `root` could outgrow the
+        // band; past 16 a zero coefficient's `age^e` could reach `∞·0`.
+        let keyed = (1.0 / 1024.0..=16.0).contains(&e) && scan.open_purge(policy, host, now);
+        keyed.then_some(scan)
+    }
+
+    /// Marks `file`'s row, adding one if the file is new.
+    fn touched(&mut self, file: u32) {
+        let fi = file as usize;
+        if fi >= self.slot_of.len() {
+            self.slot_of.resize(fi + 1, NO_SLOT);
+        }
+        match self.slot_of[fi] {
+            NO_SLOT => {
+                self.slot_of[fi] = self.rows.len() as u32;
+                let row = ScanRow {
+                    root: 0.0,
+                    anchor: 0,
+                    file,
+                    marked: true,
+                };
+                self.rows.push(row);
+            }
+            slot => self.rows[slot as usize].marked = true,
+        }
+    }
+
+    /// Swap-removes `file`'s row; unknown files are a no-op.
+    fn evicted(&mut self, file: u32) {
+        let slot = self.slot_of.get_mut(file as usize);
+        let slot = slot.map_or(NO_SLOT, |s| std::mem::replace(s, NO_SLOT));
+        if slot != NO_SLOT {
+            self.rows.swap_remove(slot as usize);
+            if let Some(moved) = self.rows.get(slot as usize) {
+                self.slot_of[moved.file as usize] = slot;
+            }
+        }
+    }
+
+    /// Settles every marked row with one `kinetic` call, keys every
+    /// row at `now` and heapifies the keys. `false` on a form it cannot
+    /// key (refused, another variant or exponent) or a key past `hi`
+    /// (see the type docs): the rescan takes this purge.
+    fn open_purge(
+        &mut self,
+        policy: &dyn MigrationPolicy,
+        host: &impl Residents,
+        now: i64,
+    ) -> bool {
+        let hi = (f64::MAX / 4.0).powf(1.0 / self.exponent);
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.clear();
+        for row in &mut self.rows {
+            if row.marked {
+                let form = host.view(row.file).and_then(|v| policy.kinetic(&v, now));
+                let Some(KineticForm::PowerAge {
+                    coeff,
+                    anchor,
+                    exponent,
+                    root,
+                }) = form
+                else {
+                    return false;
+                };
+                // Positive normal `coeff` and `root` (every nonzero
+                // priority is then normal, as `age ≥ 1`), or both `+0`.
+                let keyable = match coeff > 0.0 {
+                    true => coeff.is_normal() && root.is_normal() && root > 0.0,
+                    false => coeff.to_bits() == 0 && root.to_bits() == 0,
+                };
+                if !keyable || exponent.to_bits() != self.exponent.to_bits() {
+                    return false;
+                }
+                (row.root, row.anchor, row.marked) = (root, anchor, false);
+            }
+            let key = row.root * (now - row.anchor).max(0) as f64;
+            if key > hi {
+                return false;
+            }
+            keys.push((key.to_bits(), Reverse(row.file)));
+        }
+        self.heap = BinaryHeap::from(keys);
+        true
+    }
+
+    /// The exact next victim at the purge's `now`, or `None` when the
+    /// heap is dry or a near-tie file is not resident (both broken
+    /// promises: the ranking degrades).
+    fn next_victim(
+        &mut self,
+        policy: &dyn MigrationPolicy,
+        host: &impl Residents,
+        now: i64,
+    ) -> Option<u32> {
+        let (top_bits, Reverse(top)) = self.heap.pop()?;
+        let floor = f64::from_bits(top_bits) * (1.0 - KINETIC_MARGIN);
+        let near =
+            move |&(bits, _): &(u64, Reverse<u32>)| top_bits != 0 && f64::from_bits(bits) >= floor;
+        if !self.heap.peek().is_some_and(near) {
+            return Some(top);
+        }
+        #[cfg(test)]
+        scan_tests::note_band();
+        let priority = |file: u32| host.view(file).map(|v| policy.priority(&v, now));
+        let (mut best, mut losers) = ((priority(top)?, top_bits, top), Vec::new());
+        while let Some(&(bits, Reverse(file))) = self.heap.peek().filter(|e| near(e)) {
+            self.heap.pop();
+            let mut entry = (priority(file)?, bits, file);
+            // Rescan order: priority descending, then id ascending.
+            if entry.0.total_cmp(&best.0).then(best.2.cmp(&file)).is_gt() {
+                std::mem::swap(&mut entry, &mut best);
+            }
+            losers.push((entry.1, Reverse(entry.2)));
+        }
+        self.heap.extend(losers);
+        Some(best.2)
+    }
+}
+
 /// Sentinel leaf slot / winner / file mapping: "none".
 const NO_SLOT: u32 = u32::MAX;
 
@@ -641,9 +866,7 @@ const EMPTY_LEAF: KLeaf = KLeaf {
 /// The caller supplies one `eval` closure mapping a dense file index
 /// and a time to `(priority, kinetic form)` — the *true*
 /// [`crate::policy::MigrationPolicy::priority`] value, which is all the
-/// tournament ever compares (forms only schedule re-checks — except
-/// that an unmarked [`KineticForm::PowerAge`] leaf is repriced from its
-/// form, whose curve is that same value by contract), so the
+/// tournament ever compares (forms only schedule re-checks), so the
 /// winner sequence is bit-identical to the rescan's
 /// `(priority desc, id asc)` order by construction. Between two
 /// [`KineticTournament::advance`] calls the tree may lag the entries:
@@ -671,8 +894,6 @@ pub(crate) struct KineticTournament {
     dirty: Vec<u32>,
     len: usize,
     now: i64,
-    /// The certificate margin's per-exponent constant, computed once.
-    margin: MarginRoot,
 }
 
 impl KineticTournament {
@@ -687,7 +908,6 @@ impl KineticTournament {
             dirty: Vec::new(),
             len: 0,
             now: i64::MIN,
-            margin: MarginRoot::default(),
         }
     }
 
@@ -850,12 +1070,9 @@ impl KineticTournament {
         }
     }
 
-    /// Re-evaluates a leaf if its cached value predates `now` or the
-    /// entry mutated since it was cached (possibly at this same `now`).
-    /// A marked leaf asks the host; an unmarked
-    /// [`KineticForm::PowerAge`] leaf is repriced from its form, whose
-    /// curve is the policy's priority bit for bit; any other leaf asks
-    /// the host too.
+    /// Re-evaluates a leaf through the host if its cached value
+    /// predates `now` or the entry mutated since it was cached
+    /// (possibly at this same `now`).
     fn refresh(
         &mut self,
         slot: u32,
@@ -865,20 +1082,6 @@ impl KineticTournament {
     ) {
         let leaf = &mut self.leaves[slot as usize];
         if (leaf.stamp == now && !leaf.stale) || leaf.file == NO_SLOT {
-            return;
-        }
-        if let (
-            false,
-            KineticForm::PowerAge {
-                coeff,
-                anchor,
-                exponent,
-                ..
-            },
-        ) = (leaf.stale, leaf.form)
-        {
-            leaf.priority = power_age(coeff, anchor, exponent, now);
-            leaf.stamp = now;
             return;
         }
         match eval(leaf.file, now) {
@@ -925,14 +1128,7 @@ impl KineticTournament {
                 let (slot, w, l) = if a_wins { (a, la, lb) } else { (b, lb, la) };
                 (
                     slot,
-                    certify_order(
-                        &w.form,
-                        w.priority,
-                        &l.form,
-                        l.priority,
-                        now,
-                        &mut self.margin,
-                    ),
+                    certify_order(&w.form, w.priority, &l.form, l.priority, now),
                 )
             }
         };
@@ -1494,37 +1690,6 @@ mod kinetic_tests {
     }
 
     #[test]
-    fn an_unmarked_power_age_leaf_is_repriced_without_the_host() {
-        let p = Stp::classic();
-        // File 0 is old and tiny, file 1 huge and just touched: file 0
-        // leads at the build, file 1 overtakes near t ≈ 108.
-        let state: Vec<Option<FileView>> = vec![
-            Some(view(0, 1, 0, 1)),
-            Some(view(1, 1_000, 100, 1)),
-            Some(view(2, 1, 50, 1)),
-            Some(view(3, 1, 80, 1)),
-        ];
-        let mut t =
-            KineticTournament::build(&[0, 1, 2, 3], 100, &mut eval_over(&p, &state)).unwrap();
-        assert_eq!(t.winner().map(|w| w.0), Some(0));
-        let mut evals = 0;
-        let now = 500;
-        assert!(t.advance(now, &mut |f, at| {
-            evals += 1;
-            eval_over(&p, &state)(f, at)
-        }));
-        assert_eq!(evals, 0, "no leaf was marked: nothing asks the host");
-        let (file, _, stamp) = t.winner().expect("residents remain");
-        assert_eq!(Some(file), naive_best(&p, &state, now));
-        assert_eq!(stamp, now, "the expired root repriced both finalists");
-        // Every cached value, repriced or not, is STP's priority to the bit.
-        for leaf in t.leaves.iter().filter(|l| l.file != NO_SLOT) {
-            let v = state[leaf.file as usize].as_ref().unwrap();
-            assert_eq!(leaf.priority.to_bits(), p.priority(v, leaf.stamp).to_bits());
-        }
-    }
-
-    #[test]
     fn a_leaf_stays_eighty_bytes() {
         assert!(std::mem::size_of::<KLeaf>() <= 80);
     }
@@ -1564,5 +1729,144 @@ mod kinetic_tests {
         }
         assert_eq!(got, expected);
         assert_eq!(t.len(), 0);
+    }
+}
+
+#[cfg(test)]
+mod scan_tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::policy::{FileView, MigrationPolicy, Stp};
+    use fmig_trace::FileId;
+
+    thread_local! {
+        /// Near-tie bands the scan settled on this thread.
+        static BANDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_band() {
+        BANDS.with(|bands| bands.set(bands.get() + 1));
+    }
+
+    /// A resident set as a table of optional views, indexed by file.
+    struct Table(Vec<Option<FileView>>);
+
+    impl Residents for Table {
+        fn view(&self, file: u32) -> Option<FileView> {
+            self.0.get(file as usize).copied().flatten()
+        }
+        fn len(&self) -> usize {
+            self.0.iter().flatten().count()
+        }
+        fn files(&self) -> impl Iterator<Item = u32> + '_ {
+            (0..self.0.len() as u32).filter(|&f| self.0[f as usize].is_some())
+        }
+    }
+
+    fn view(id: u32, size: u64, last_ref: i64) -> FileView {
+        FileView {
+            id: FileId::new(id),
+            size,
+            last_ref,
+            created: 0,
+            ref_count: 1,
+            next_use: None,
+            est_miss_wait_s: 0.0,
+        }
+    }
+
+    /// Evicts everything in one purge at `now`: the victim sequence,
+    /// and the regime that named the last victim (asking past the last
+    /// resident degrades any index, as the hosts never do).
+    fn drain(
+        policy: &dyn MigrationPolicy,
+        mode: EvictionMode,
+        files: &[FileView],
+        now: i64,
+    ) -> (Vec<u32>, RankingRegime) {
+        let mut host = Table(files.iter().map(|&v| Some(v)).collect());
+        let mut rank = Ranking::new(policy, mode);
+        rank.begin_purge(&host, now);
+        let (mut victims, mut regime) = (Vec::new(), rank.regime());
+        while let Some(file) = rank.next_victim(&host, now) {
+            regime = rank.regime();
+            rank.evicted(&host, file, now);
+            host.0[file as usize] = None;
+            victims.push(file);
+        }
+        (victims, regime)
+    }
+
+    #[test]
+    fn a_near_tie_band_settles_what_the_root_keys_cannot_order() {
+        let now = 1 << 20;
+        // Every (size, age) of a small grid, sorted by root key: a
+        // neighbour pair whose f64 priorities order another way is one
+        // only the band can rank. Exact real ties make them: STP(1.4)'s
+        // 128·1^1.4 against 1·32^1.4 share a key but not a priority,
+        // and STP(2)'s 2·3² against 18·1² share a priority but not a
+        // key.
+        for p in [Stp::classic(), Stp { exponent: 2.0 }] {
+            let key = |v: &FileView| match p.kinetic(v, now) {
+                Some(KineticForm::PowerAge { root, anchor, .. }) => root * (now - anchor) as f64,
+                _ => unreachable!("STP ships PowerAge"),
+            };
+            let mut grid: Vec<FileView> = (1..=256u64)
+                .flat_map(|size| (1..=64i64).map(move |age| view(0, size, now - age)))
+                .collect();
+            grid.sort_by(|a, b| key(a).total_cmp(&key(b)));
+            let disagree = |w: &[FileView]| {
+                key(&w[0]).total_cmp(&key(&w[1]))
+                    != p.priority(&w[0], now).total_cmp(&p.priority(&w[1], now))
+            };
+            let pairs: Vec<&[FileView]> = grid.windows(2).filter(|w| disagree(w)).collect();
+            assert!(!pairs.is_empty(), "{}: no pair the keys misorder", p.name());
+            // Those pairs, equal (size, last_ref) twins, age-0 files
+            // and size-0 files, under one purge.
+            let mut files = Vec::new();
+            for w in pairs.iter().take(24) {
+                files.extend_from_slice(w);
+            }
+            files.extend([view(0, 500, now - 9), view(0, 500, now - 9)]);
+            files.extend([view(0, 900, now), view(0, 10, now)]);
+            files.extend([view(0, 0, now - 50), view(0, 0, 0)]);
+            for (id, v) in files.iter_mut().enumerate() {
+                v.id = FileId::new(id as u32);
+            }
+            let before = BANDS.with(Cell::get);
+            let (got, regime) = drain(&p, EvictionMode::Indexed, &files, now);
+            assert_eq!(regime, RankingRegime::PowerScan, "{}", p.name());
+            assert!(BANDS.with(Cell::get) > before, "{}: no band", p.name());
+            assert_eq!(got, drain(&p, EvictionMode::Rescan, &files, now).0);
+            assert_eq!(got.len(), files.len());
+        }
+    }
+
+    #[test]
+    fn exponents_and_keys_outside_the_domain_leave_the_scan() {
+        // An exponent past the ceiling takes the tournament.
+        let files = [view(0, 10, 0), view(1, 20, 5)];
+        let (_, regime) = drain(&Stp { exponent: 20.0 }, EvictionMode::Indexed, &files, 100);
+        assert_eq!(regime, RankingRegime::Kinetic);
+        // STP(16): a scan built at t = 10 meets t = 2^62, where files 0
+        // and 1 price at ∞ and tie by id though their root keys differ.
+        // The keys are past `hi`: the purge degrades, the rescan takes it.
+        let p = Stp { exponent: 16.0 };
+        let (then, now) = (10, 1 << 62);
+        let files = [view(0, 1 << 40, 0), view(1, 1 << 41, 0), view(2, 3, 9)];
+        let mut host = Table(files.iter().map(|&v| Some(v)).collect());
+        let mut rank = Ranking::new(&p, EvictionMode::Indexed);
+        rank.begin_purge(&host, then);
+        assert_eq!(rank.regime(), RankingRegime::PowerScan);
+        rank.begin_purge(&host, now);
+        assert_eq!(rank.regime(), RankingRegime::Rescan);
+        let mut got = Vec::new();
+        while let Some(file) = rank.next_victim(&host, now) {
+            host.0[file as usize] = None;
+            got.push(file);
+        }
+        assert_eq!(got, [0, 1, 2]);
+        assert_eq!(got, drain(&p, EvictionMode::Rescan, &files, now).0);
     }
 }

@@ -18,7 +18,9 @@
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, ReadResult};
+use fmig_migrate::cache::{
+    CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, RankingRegime, ReadResult,
+};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::sweep_capacities;
 use fmig_migrate::policy::{
@@ -30,6 +32,7 @@ mod spec;
 use spec::{Cache, SpecCache, SpecRef};
 
 use EvictionMode::{Auto, Indexed, Rescan};
+use RankingRegime::{Affine, Unprobed};
 
 /// The flat miss-wait estimate (what open-loop replay and the MRC use).
 const EST: f64 = 58.0;
@@ -223,7 +226,7 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
             for mode in [Auto, Indexed] {
                 let mut cache = DiskCache::with_eviction_mode(config, policy, mode);
                 drive(&mut cache, &refs, 1, false);
-                let indexed = cache.uses_eviction_index() || cache.uses_kinetic_index();
+                let indexed = !matches!(cache.ranking_regime(), Unprobed | RankingRegime::Rescan);
                 assert_eq!(indexed, !backstep, "{name} {mode:?}");
             }
         }
@@ -257,7 +260,17 @@ proptest! {
         backstep in 0usize..600,
         late in 0usize..3,
     ) {
-        let mut specs = specs;
+        // Odd draws take one of four sizes and about half the time
+        // steps are zero: equal (size, stamp) pairs are common, so
+        // STP's exact ties reach the power-age scan in both hosts.
+        let small = |size: u64| [64, 128, 256, 512][(size / 2 % 4) as usize];
+        let mut specs: Vec<_> = specs
+            .into_iter()
+            .map(|(id, size, write, dt)| {
+                let size = if size % 2 == 1 { small(size) } else { size };
+                (id, size, write, (dt - 150).max(0))
+            })
+            .collect();
         // Past the end of the stream (half the draws): no step back.
         if let Some(spec) = specs.get_mut(backstep) {
             spec.3 = -1_000;
@@ -386,9 +399,13 @@ fn a_slope_that_moves_mid_run_aborts_the_affine_purge_and_the_rescan_finishes_it
     let refs = refs_of(specs.chain((10..15).map(|i| (i, 100, true, 1))));
     let mut cache = DiskCache::with_eviction_mode(config(1000, true), &DriftingSlope, Indexed);
     drive(&mut cache, &refs[..12], 0, false);
-    assert!(cache.uses_eviction_index(), "read hits pushed no key");
+    assert_eq!(cache.ranking_regime(), Affine, "read hits pushed no key");
     drive(&mut cache, &refs[12..], 0, false);
-    assert!(!cache.uses_eviction_index(), "that purge degraded");
+    assert_eq!(
+        cache.ranking_regime(),
+        RankingRegime::Rescan,
+        "that purge degraded"
+    );
     // File 5 leaves last, not first.
     let run = check(&DriftingSlope, config(1000, true), &refs, 0);
     assert_eq!(victims(&run), [0, 1, 2, 3, 4, 6, 7, 8, 9, 5]);

@@ -1,7 +1,7 @@
-//! Exactness properties of the kinetic victim-ranking path: for every
-//! time-varying shipped policy, replaying through the kinetic
-//! tournament must be **observationally identical** to the sort-based
-//! rescan oracle —
+//! Exactness properties of the time-varying victim-ranking paths: for
+//! every time-varying shipped policy, replaying through the power-age
+//! scan (STP) or the kinetic tournament (the rest) must be
+//! **observationally identical** to the sort-based rescan oracle —
 //!
 //! * the full `CacheOp` stream (every victim, in order, with its stall
 //!   classification), the counters, and the survivor set of a
@@ -9,7 +9,7 @@
 //! * the single-pass miss-ratio-curve engine against one naive full
 //!   replay per capacity, at resident counts large enough to clear the
 //!   `INDEX_MIN_RESIDENTS` activation gate so the MRC stacks actually
-//!   rank through their tournaments.
+//!   rank through their scans and tournaments.
 //!
 //! Traces are adversarial for certificates: sizes span orders of
 //! magnitude and timestamps mix zero steps (exact ties), short hops
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode};
+use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
 use fmig_migrate::policy::{LruMad, MigrationPolicy, RandomEvict, Saac, Stp, StpLat};
@@ -31,9 +31,9 @@ use fmig_trace::{DeviceClass, FileId};
 type Spec = (bool, u32, u64, i64);
 
 /// Every shipped policy whose priority drifts with the clock — exactly
-/// the set that ranks through the kinetic tournament (one entry per
-/// [`fmig_migrate::policy::KineticForm`] variant, plus the exponent
-/// spread that stresses the shared-exponent crossing solver).
+/// the set that ranks through the power-age scan or the kinetic
+/// tournament (one entry per [`fmig_migrate::policy::KineticForm`]
+/// variant, plus STP's exponent spread).
 fn kinetic_suite() -> Vec<Box<dyn MigrationPolicy>> {
     vec![
         Box::new(Stp { exponent: 1.0 }),
@@ -191,21 +191,19 @@ proptest! {
     }
 }
 
-/// Engagement guard at the public-API level: a purge-heavy STP replay
-/// under `Indexed` mode must actually be ranking through the kinetic
-/// tournament (not silently degraded to the rescan), and the victim
-/// stream must still match the oracle.
-#[test]
-fn stp_replay_engages_the_kinetic_tournament() {
+/// Engagement guard at the public-API level: a purge-heavy replay
+/// under `Indexed` mode must actually be ranking through the regime
+/// the policy's forms call for (not silently degraded to the rescan),
+/// and the victim stream must still match the oracle.
+fn replay_engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
     let config = CacheConfig {
         capacity: 1 << 20,
         high_watermark: 0.9,
         low_watermark: 0.7,
         eager_writeback: true,
     };
-    let policy = Stp::classic();
-    let mut indexed = DiskCache::with_eviction_mode(config, &policy, EvictionMode::Indexed);
-    let mut rescan = DiskCache::with_eviction_mode(config, &policy, EvictionMode::Rescan);
+    let mut indexed = DiskCache::with_eviction_mode(config, policy, EvictionMode::Indexed);
+    let mut rescan = DiskCache::with_eviction_mode(config, policy, EvictionMode::Rescan);
     let mut a: Vec<CacheOp> = Vec::new();
     let mut b: Vec<CacheOp> = Vec::new();
     for i in 0..4_000u32 {
@@ -213,8 +211,17 @@ fn stp_replay_engages_the_kinetic_tournament() {
         indexed.write_with(id, size, now, None, &mut |op| a.push(op));
         rescan.write_with(id, size, now, None, &mut |op| b.push(op));
     }
-    assert!(indexed.uses_kinetic_index(), "STP must rank kinetically");
-    assert!(!indexed.uses_eviction_index());
+    assert_eq!(indexed.ranking_regime(), regime, "{}", policy.name());
     assert_eq!(a, b);
     assert_eq!(indexed.stats(), rescan.stats());
+}
+
+#[test]
+fn saac_replay_engages_the_kinetic_tournament() {
+    replay_engages(&Saac, RankingRegime::Kinetic);
+}
+
+#[test]
+fn stp_replay_engages_the_power_scan() {
+    replay_engages(&Stp::classic(), RankingRegime::PowerScan);
 }

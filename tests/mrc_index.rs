@@ -23,10 +23,14 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, INDEX_MIN_RESIDENTS};
+use fmig_migrate::cache::{
+    CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime, INDEX_MIN_RESIDENTS,
+};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
-use fmig_migrate::policy::{standard_suite, Belady, FileView, KineticForm, MigrationPolicy, Stp};
+use fmig_migrate::policy::{
+    standard_suite, Belady, FileView, KineticForm, MigrationPolicy, Saac, Stp,
+};
 use fmig_trace::{DeviceClass, FileId};
 
 /// One raw reference: (write?, file id, size, time step).
@@ -263,47 +267,58 @@ fn mrc_stacks_survive_a_backwards_clock_step() {
     }
 }
 
-#[test]
-fn mrc_stacks_survive_a_withdrawn_kinetic_form() {
-    /// STP that stops shipping a kinetic form for a file from its 48th
-    /// reference on. Only the hot files get there, two thirds into the
-    /// stream (each is referenced every 90 positions): a tournament
-    /// builds over a young resident set and meets the refusal later,
-    /// at a touched leaf.
-    struct Withdrawing(Stp);
-    impl MigrationPolicy for Withdrawing {
-        fn name(&self) -> String {
-            "withdrawing".into()
-        }
-        fn priority(&self, file: &FileView, now: i64) -> f64 {
-            self.0.priority(file, now)
-        }
-        fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
-            if file.ref_count < 48 {
-                self.0.kinetic(file, now)
-            } else {
-                None
-            }
+/// A kinetic policy that stops shipping its form for a file from its
+/// 48th reference on. Only the hot files get there, two thirds into
+/// the stream (each is referenced every 90 positions): an index builds
+/// over a young resident set and meets the refusal later, at a touched
+/// file.
+struct Withdrawing<P>(P);
+
+impl<P: MigrationPolicy> MigrationPolicy for Withdrawing<P> {
+    fn name(&self) -> String {
+        "withdrawing".into()
+    }
+    fn priority(&self, file: &FileView, now: i64) -> f64 {
+        self.0.priority(file, now)
+    }
+    fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+        if file.ref_count < 48 {
+            self.0.kinetic(file, now)
+        } else {
+            None
         }
     }
-    let policy = Withdrawing(Stp::classic());
+}
+
+fn mrc_stacks_survive_a_withdrawn_form(policy: &dyn MigrationPolicy, regime: RankingRegime) {
     let refs = big_refs(None);
     // Precondition, observed on the ranking's other host (a lone `Auto`
     // cache runs the same lifecycle as the stack at its capacity): the
-    // tournament is built at every capacity, and lost before the end.
+    // index is built at every capacity, and lost before the end.
     for &capacity in &big_grid() {
-        let mut cache = DiskCache::new(CacheConfig::with_capacity(capacity), &policy);
-        let mut was_kinetic = false;
+        let mut cache = DiskCache::new(CacheConfig::with_capacity(capacity), policy);
+        let mut was_built = false;
         for r in &refs {
             if r.write {
                 cache.write(r.id, r.size, r.time, r.next_use);
             } else {
                 cache.read(r.id, r.size, r.time, r.next_use);
             }
-            was_kinetic |= cache.uses_kinetic_index();
+            was_built |= cache.ranking_regime() == regime;
         }
-        assert!(was_kinetic, "no tournament was built at {capacity}");
-        assert!(!cache.uses_kinetic_index(), "never withdrawn at {capacity}");
+        assert!(was_built, "no {regime:?} index was built at {capacity}");
+        let end = cache.ranking_regime();
+        assert_eq!(end, RankingRegime::Rescan, "never withdrawn at {capacity}");
     }
-    assert_fused_equals_naive(&refs, &policy);
+    assert_fused_equals_naive(&refs, policy);
+}
+
+#[test]
+fn mrc_stacks_survive_a_withdrawn_kinetic_form() {
+    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Saac), RankingRegime::Kinetic);
+}
+
+#[test]
+fn mrc_stacks_survive_a_withdrawn_power_age_form() {
+    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Stp::classic()), RankingRegime::PowerScan);
 }
