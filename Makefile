@@ -67,7 +67,7 @@ service-smoke:
 # `"failed": 0` there means every output matched its pin. Every
 # workload runs at the held-out seed 2024 as well: a change to the
 # daemon↔origin protocol, to the closed-loop engine (event queue,
-# fault schedule, kinetic ranking, either device half), to the
+# fault schedule, victim ranking, either device half), to the
 # open-loop front half (generator stream, sim::sim, file census, prep —
 # the path-free id route run_sweep takes since PR 19), or to the MRC
 # stacks on the store-streaming path (ingest-msr runs them under

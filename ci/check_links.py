@@ -6,11 +6,13 @@ Usage: check_links.py [FILE_OR_DIR ...]   (default: README.md docs/)
 Scans markdown files for inline links and images (`[text](target)`),
 skips external schemes (http/https/mailto) — the build must stay
 offline — and fails if a relative target, resolved against the linking
-file's directory, does not exist in the worktree. Anchors are stripped
-before the existence check; a bare-anchor link (`#section`) is accepted
-as long as the heading slug exists in the same file.
+file's directory, does not exist in the worktree. An anchor must name
+a heading slug of the file it points into: the linking file itself for
+a bare `#section`, the target for `other.md#section` (anchors into
+files that are not markdown are not checked).
 """
 
+import functools
 import os
 import re
 import sys
@@ -21,30 +23,37 @@ SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*:", re.IGNORECASE)
 
 
 def slug(heading: str) -> str:
-    """GitHub-style anchor slug for a heading line."""
-    text = re.sub(r"[`*_\[\]()]", "", heading.strip().lower())
+    """GitHub-style anchor slug for a heading line (keeps `_`, as GitHub
+    does)."""
+    text = re.sub(r"[`*\[\]()]", "", heading.strip().lower())
     text = re.sub(r"[^\w\- ]", "", text)
     return text.replace(" ", "-")
 
 
-def check_file(path: str) -> list[str]:
+def read_markdown(path: str) -> str:
+    """The file's text without fenced code blocks, which hold example
+    paths and comment lines, not links or headings."""
     with open(path, encoding="utf-8") as f:
-        text = f.read()
-    # Fenced code blocks contain example paths, not links.
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    slugs = {slug(h) for h in HEADING.findall(text)}
+        return re.sub(r"```.*?```", "", f.read(), flags=re.DOTALL)
+
+
+@functools.cache
+def slugs(path: str) -> frozenset[str]:
+    """Anchor slugs of every heading in the markdown file at `path`."""
+    return frozenset(slug(h) for h in HEADING.findall(read_markdown(path)))
+
+
+def check_file(path: str) -> list[str]:
     errors = []
-    for target in LINK.findall(text):
+    for target in LINK.findall(read_markdown(path)):
         if SCHEME.match(target):
             continue
         base, _, anchor = target.partition("#")
-        if not base:
-            if anchor not in slugs:
-                errors.append(f"{path}: broken anchor #{anchor}")
-            continue
-        resolved = os.path.normpath(os.path.join(os.path.dirname(path), base))
+        resolved = os.path.normpath(os.path.join(os.path.dirname(path), base)) if base else path
         if not os.path.exists(resolved):
             errors.append(f"{path}: broken link {target} -> {resolved}")
+        elif anchor and resolved.endswith(".md") and anchor not in slugs(resolved):
+            errors.append(f"{path}: broken anchor {target}")
     return errors
 
 

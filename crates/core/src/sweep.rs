@@ -1129,12 +1129,10 @@ mod tests {
     }
 
     #[test]
-    fn no_shipped_policy_defaults_to_the_rescan() {
+    fn every_shipped_policy_ranks_through_its_regime() {
         use fmig_migrate::cache::{CacheConfig, DiskCache, EvictionMode, RankingRegime};
-        // The acceptance bar for the victim indexes: every policy in the
-        // sweep matrix ranks victims through an index regime; the exact
-        // rescan is reachable only by degradation. Asked of a real
-        // cache: drive one purge and see which index it built.
+        // The regime table, asked of a real cache: drive one purge and
+        // see which ranking it built.
         let regime = |p: PolicyId| {
             let policy = p.build();
             let mut cache = DiskCache::with_eviction_mode(
@@ -1149,28 +1147,20 @@ mod tests {
             cache.ranking_regime()
         };
         for p in PolicyId::ALL {
-            assert!(
-                !matches!(regime(p), RankingRegime::Rescan | RankingRegime::Unprobed),
-                "{} would pay the O(n log n) purge rescan",
-                p.name()
-            );
-        }
-        // Spot-check the split: STP's power-age forms take the scan,
-        // the other time-varying policies the tournament, the rest the
-        // affine index.
-        for p in [PolicyId::Stp14, PolicyId::Stp10, PolicyId::Stp20] {
-            assert_eq!(regime(p), RankingRegime::PowerScan, "{} scans", p.name());
-        }
-        for p in [
-            PolicyId::Saac,
-            PolicyId::Random,
-            PolicyId::StpLat,
-            PolicyId::LruMad,
-        ] {
-            assert_eq!(regime(p), RankingRegime::Kinetic, "{} is kinetic", p.name());
-        }
-        for p in [PolicyId::Lru, PolicyId::Belady] {
-            assert_eq!(regime(p), RankingRegime::Affine, "{} is affine", p.name());
+            let want = match p {
+                // Power-age forms (SAAC at exponent 1) take the scan.
+                PolicyId::Stp14 | PolicyId::Stp10 | PolicyId::Stp20 | PolicyId::Saac => {
+                    RankingRegime::PowerScan
+                }
+                PolicyId::Lru
+                | PolicyId::Fifo
+                | PolicyId::LargestFirst
+                | PolicyId::SmallestFirst
+                | PolicyId::Belady => RankingRegime::Affine,
+                // Neither form: every resident keyed once per purge.
+                PolicyId::Random | PolicyId::StpLat | PolicyId::LruMad => RankingRegime::Rescan,
+            };
+            assert_eq!(regime(p), want, "{}", p.name());
         }
     }
 

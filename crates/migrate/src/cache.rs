@@ -48,8 +48,8 @@
 //!
 //! A watermark purge evicts in `(priority desc, id asc)` order. Which
 //! file that is — and how cheaply it is found: monotone queue, lazy
-//! heap, power-age scan, kinetic tournament or the exact rescan, chosen
-//! per [`EvictionMode`] from what the policy promises — is the `rank`
+//! heap, power-age scan or the exact rescan, chosen per
+//! [`EvictionMode`] from what the policy promises — is the `rank`
 //! module's one lifecycle (`crate::rank::Ranking`; its module docs in
 //! `rank.rs` are the reference). This cache is one of its two hosts: it
 //! shows the ranking its arena in ascending-id order, reports every
@@ -259,22 +259,23 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionMode {
     /// Keep an incremental eviction index when the policy advertises an
-    /// affine priority ([`MigrationPolicy::affine`]) or a kinetic one
-    /// ([`MigrationPolicy::kinetic`]) *and* the resident set is big
-    /// enough for the rescan to hurt (the index activates at the first
-    /// purge that sees [`INDEX_MIN_RESIDENTS`] files — below that,
-    /// sorting a short list beats maintaining a tree). Policies with
-    /// neither form fall back to the exact rescan automatically.
+    /// affine priority ([`MigrationPolicy::affine`]) or a power-age one
+    /// ([`MigrationPolicy::power_age_form`]) *and* the resident set is
+    /// big enough for the rescan to hurt (the index activates at the
+    /// first purge that sees [`INDEX_MIN_RESIDENTS`] files — below
+    /// that, ranking a short list beats maintaining an index). Policies
+    /// with neither form fall back to the exact rescan automatically.
     #[default]
     Auto,
     /// Like `Auto` but with no resident-count gate: the index activates
     /// at the very first purge. For tests and benchmarks that want the
     /// indexed path exercised regardless of scale.
     Indexed,
-    /// Always rank victims with the full rescan + sort — the pre-index
-    /// cost model, kept selectable for benchmarks and as the oracle the
-    /// index is property-tested against. The victim sequence is
-    /// identical to the other modes by construction.
+    /// Always rank victims with the full rescan (every resident's
+    /// priority, heapified per purge) — the pre-index cost model, kept
+    /// selectable for benchmarks and as the oracle the index is
+    /// property-tested against. The victim sequence is identical to the
+    /// other modes by construction.
     Rescan,
 }
 
@@ -671,10 +672,10 @@ impl<'p> DiskCache<'p> {
         self.maybe_purge(now, ops);
     }
 
-    /// Tracks clock monotonicity. The affine and kinetic forms the
+    /// Tracks clock monotonicity. The affine and power-age forms the
     /// eviction indexes rely on are only guaranteed for non-decreasing
     /// reference times (see [`MigrationPolicy::affine`] and
-    /// [`MigrationPolicy::kinetic`]); a step backwards permanently
+    /// [`MigrationPolicy::power_age_form`]); a step backwards permanently
     /// degrades this cache to the exact rescan, which is always correct.
     fn note_time(&mut self, now: i64) {
         if now < self.max_now {
@@ -694,13 +695,13 @@ impl<'p> DiskCache<'p> {
             let Some(victim) = self.rank.next_victim(&self.arena, now) else {
                 break;
             };
-            self.evict(FileId::new(victim), now, high, ops);
+            self.evict(FileId::new(victim), high, ops);
         }
     }
 
     /// Removes a victim the ranking named and books the eviction.
-    fn evict(&mut self, id: FileId, now: i64, high: u64, ops: &mut impl FnMut(CacheOp)) {
-        self.rank.evicted(&self.arena, id.raw(), now);
+    fn evict(&mut self, id: FileId, high: u64, ops: &mut impl FnMut(CacheOp)) {
+        self.rank.evicted(id.raw());
         // Victims chosen while still above the high watermark free
         // space the triggering reference needs *now*: a dirty flush
         // there is a stall. Once back under the high mark the rest
@@ -742,8 +743,8 @@ impl core::fmt::Debug for DiskCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{KineticForm, Lru, Saac, SmallestFirst, Stp};
-    use RankingRegime::{Affine, Kinetic, PowerScan, Rescan, Unprobed};
+    use crate::policy::{Lru, PowerAgeForm, Saac, SmallestFirst, Stp};
+    use RankingRegime::{Affine, PowerScan, Rescan, Unprobed};
 
     fn cfg(capacity: u64) -> CacheConfig {
         CacheConfig {
@@ -1130,36 +1131,30 @@ mod tests {
     }
 
     #[test]
-    fn time_varying_policies_rank_through_the_kinetic_tournament() {
-        engages(&Saac, Kinetic);
-    }
-
-    #[test]
     fn power_age_policies_rank_through_the_scan() {
-        engages(&Stp::classic(), PowerScan);
-        // Past the `Auto` gate too: a purge that sees more than
-        // INDEX_MIN_RESIDENTS files (see the affine gate test).
-        let stp = Stp::classic();
-        let roomy = CacheConfig {
-            capacity: 200 * INDEX_MIN_RESIDENTS as u64,
-            ..cfg(1000)
-        };
-        let mut big = DiskCache::new(roomy, &stp);
-        for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
-            big.write(i, 100 + u64::from(i % 7), i64::from(i), None);
+        let (stp, saac) = (Stp::classic(), Saac);
+        for p in [&stp as &dyn MigrationPolicy, &saac] {
+            engages(p, PowerScan);
+            // Past the `Auto` gate too: a purge that sees more than
+            // INDEX_MIN_RESIDENTS files (see the affine gate test).
+            let roomy = CacheConfig {
+                capacity: 200 * INDEX_MIN_RESIDENTS as u64,
+                ..cfg(1000)
+            };
+            let mut big = DiskCache::new(roomy, p);
+            for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
+                big.write(i, 100 + u64::from(i % 7), i64::from(i), None);
+            }
+            assert!(big.stats().evictions > 0);
+            assert_eq!(big.ranking_regime(), PowerScan, "{}", p.name());
         }
-        assert!(big.stats().evictions > 0);
-        assert_eq!(big.ranking_regime(), PowerScan);
     }
 
     #[test]
-    fn kinetic_policies_match_the_rescan_oracle() {
-        use crate::policy::{RandomEvict, Saac, StpLat};
+    fn power_age_policies_match_the_rescan_oracle() {
         // Crossing-heavy churn with day-scale gaps: a jump every 13 ops
-        // carries the replay across RandomEvict reshuffle boundaries and
-        // STP crossings, so tournament certificates actually expire
-        // mid-run. The offset is non-decreasing in `i`, so the clock
-        // stays monotone.
+        // lets small old files overtake large fresh ones mid-run. The
+        // offset is non-decreasing in `i`, so the clock stays monotone.
         let mut seq = churny_sequence();
         for (i, op) in seq.iter_mut().enumerate() {
             op.3 += 86_400 * (i as i64 / 13);
@@ -1168,8 +1163,6 @@ mod tests {
         assert_modes_agree(&Stp { exponent: 1.0 }, &seq);
         assert_modes_agree(&Stp { exponent: 2.0 }, &seq);
         assert_modes_agree(&Saac, &seq);
-        assert_modes_agree(&RandomEvict { salt: 7 }, &seq);
-        assert_modes_agree(&StpLat::classic(), &seq);
     }
 
     /// Purge → re-create cycles (arena slot reuse) keep the regime and
@@ -1195,17 +1188,13 @@ mod tests {
     }
 
     #[test]
-    fn kinetic_index_survives_eviction_and_reinsertion() {
-        survives_eviction_and_reinsertion(&Saac, Kinetic);
-    }
-
-    #[test]
     fn power_scan_survives_eviction_and_reinsertion() {
         survives_eviction_and_reinsertion(&Stp::classic(), PowerScan);
+        survives_eviction_and_reinsertion(&Saac, PowerScan);
     }
 
-    /// A kinetic policy that stops shipping its form for a file on its
-    /// third reference — a refusal only a *touched* file can hit.
+    /// A power-age policy that stops shipping its form for a file on
+    /// its third reference — a refusal only a *touched* file can hit.
     struct Withdrawing<P>(P);
 
     impl<P: MigrationPolicy> MigrationPolicy for Withdrawing<P> {
@@ -1215,9 +1204,9 @@ mod tests {
         fn priority(&self, file: &FileView, now: i64) -> f64 {
             self.0.priority(file, now)
         }
-        fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+        fn power_age_form(&self, file: &FileView) -> Option<PowerAgeForm> {
             if file.ref_count < 3 {
-                self.0.kinetic(file, now)
+                self.0.power_age_form(file)
             } else {
                 None
             }
@@ -1248,24 +1237,20 @@ mod tests {
     }
 
     #[test]
-    fn a_form_withdrawn_on_a_touched_file_degrades_at_the_next_purge() {
-        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Saac), Kinetic);
-    }
-
-    #[test]
     fn a_form_withdrawn_on_a_touched_file_degrades_the_scan_at_the_next_purge() {
         withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Stp::classic()), PowerScan);
+        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Saac), PowerScan);
     }
 
-    /// A step backwards drops a kinetic-form index for good; a replay
-    /// with such a step still equals the rescan.
+    /// A step backwards drops a power-age index for good; a replay with
+    /// such a step still equals the rescan.
     fn backwards_clock_degrades(policy: &dyn MigrationPolicy, regime: RankingRegime) {
         let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
         for i in 0..10 {
             c.write(i, 100, 100 + i as i64, None);
         }
         assert_eq!(c.ranking_regime(), regime);
-        // The kinetic contract assumes a monotone clock.
+        // The power-age contract assumes a monotone clock.
         c.write(50, 100, 5, None);
         assert_eq!(c.ranking_regime(), Rescan);
         for i in 60..70 {
@@ -1278,13 +1263,9 @@ mod tests {
     }
 
     #[test]
-    fn backwards_clock_degrades_the_kinetic_index() {
-        backwards_clock_degrades(&Saac, Kinetic);
-    }
-
-    #[test]
     fn backwards_clock_degrades_the_power_scan() {
         backwards_clock_degrades(&Stp::classic(), PowerScan);
+        backwards_clock_degrades(&Saac, PowerScan);
     }
 
     #[test]
@@ -1312,28 +1293,63 @@ mod tests {
 
     #[test]
     fn nan_priorities_no_longer_panic_the_purge() {
-        struct NanPolicy;
-        impl MigrationPolicy for NanPolicy {
+        // Signed NaNs and infinities, signed zeros, negative finite
+        // values and exact ties (3.0 twice, −2.0 twice), by file id.
+        const PRIORITY: [f64; 12] = [
+            3.0,
+            -0.0,
+            f64::NAN,
+            -2.0,
+            f64::NEG_INFINITY,
+            3.0,
+            -f64::NAN,
+            0.0,
+            -2.0,
+            f64::INFINITY,
+            -1.5,
+            -7.25,
+        ];
+        struct Table;
+        impl MigrationPolicy for Table {
             fn name(&self) -> String {
-                "NaN".into()
+                "table".into()
             }
             fn priority(&self, file: &FileView, _now: i64) -> f64 {
-                if file.id.raw().is_multiple_of(2) {
-                    f64::NAN
-                } else {
-                    f64::from(file.id.raw())
-                }
+                PRIORITY[file.id.index()]
             }
         }
-        let p = NanPolicy;
-        let mut c = DiskCache::new(cfg(1000), &p);
-        for i in 0..10 {
-            c.write(i, 100, i as i64, None);
+        // The rescan's order: `total_cmp` descending (so +NaN above +∞
+        // and −NaN below −∞), ties by ascending id.
+        let mut want: Vec<u32> = (0..PRIORITY.len() as u32).collect();
+        want.sort_by(|&a, &b| {
+            PRIORITY[b as usize]
+                .total_cmp(&PRIORITY[a as usize])
+                .then(a.cmp(&b))
+        });
+        // 12 × 80 bytes crosses the high mark at the last write; the
+        // one-byte low mark makes that purge evict every file.
+        let config = CacheConfig {
+            low_watermark: 0.001,
+            ..cfg(1000)
+        };
+        for mode in [
+            EvictionMode::Auto,
+            EvictionMode::Indexed,
+            EvictionMode::Rescan,
+        ] {
+            let mut c = DiskCache::with_eviction_mode(config, &Table, mode);
+            let mut victims = Vec::new();
+            for i in 0..PRIORITY.len() as u32 {
+                c.write_with(i, 80, i64::from(i), None, &mut |op| match op {
+                    CacheOp::Drop { id, .. }
+                    | CacheOp::StallFlush { id, .. }
+                    | CacheOp::PurgeFlush { id, .. } => victims.push(id.raw()),
+                    _ => {}
+                });
+            }
+            assert_eq!(victims, want, "{mode:?}");
+            assert_eq!(c.usage(), 0);
         }
-        // total_cmp ranks NaN above +inf, so the NaN half leaves first;
-        // the point is simply that the purge completes.
-        assert!(c.usage() <= 500);
-        assert!(c.stats().evictions >= 5);
     }
 
     #[test]

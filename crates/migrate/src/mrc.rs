@@ -55,9 +55,9 @@
 //! * **Ranked** (every other policy): the `rank` module's one lifecycle
 //!   (`crate::rank::Ranking`, documented in `rank.rs`). Each capacity's
 //!   stack hosts its own instance under [`EvictionMode::Auto`] — the
-//!   affine queue/heap, power-age scan, kinetic tournament or rescan a
-//!   lone [`DiskCache`] at that capacity would run, activated by the
-//!   same resident-count gate — and shows it its resident list.
+//!   affine queue/heap, power-age scan or rescan a lone [`DiskCache`]
+//!   at that capacity would run, activated by the same resident-count
+//!   gate — and shows it its resident list.
 //!
 //! The first two tiers rank straight off the shared file row: no
 //! [`FileView`], no resident list, only a count. A clock that steps
@@ -555,8 +555,8 @@ impl<'p> Stack<'p> {
                 return;
             };
             self.evict(victim, subs, col.grid, col.ci);
-            if let Order::Ranked { residents, rank } = &mut self.order {
-                rank.evicted(&col.view(subs, residents), victim, now);
+            if let Order::Ranked { rank, .. } = &mut self.order {
+                rank.evicted(victim);
             }
         }
     }
@@ -843,7 +843,7 @@ pub fn sweep_capacities_streaming(
 }
 
 /// The pre-index cost model: replays the full trace once per capacity
-/// with the sort-based rescan ranking every purge.
+/// with the rescan ranking every purge.
 ///
 /// Kept as the oracle the single-pass engine is property-tested against
 /// (`tests/mrc_index.rs`) and `examples/capacity_planning.rs` checks its

@@ -30,9 +30,9 @@
 //! evicts highest-priority files first.
 //!
 //! The full contract family — `priority`, the `affine` exactness
-//! contract, the `kinetic` time-varying form behind the tournament
-//! index, `read_touch_monotone`, `shared_key`, `latency_aware` —
-//! is documented in `docs/policy-contract.md`.
+//! contract, the `power_age_form` key recipe behind the power-age
+//! scan, `read_touch_monotone`, `shared_key`, `latency_aware` — is
+//! documented in `docs/policy-contract.md`.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
@@ -87,302 +87,34 @@ pub struct AffinePriority {
     pub intercept: f64,
 }
 
-/// Relative safety margin for kinetic certificates, and the power-age
-/// scan's near-tie band.
+/// A *power-age* description of a file's eviction priority:
+/// `priority(t) = coeff·(t − anchor)^exponent`, the age clamped at zero,
+/// for every purge time `t` until the entry's next mutation.
 ///
-/// Pairs whose closed-form priority curves come within this *relative*
-/// distance of each other are re-checked every step instead of trusted.
-/// Evaluated `f64` priorities track the real-valued curve models to
-/// roughly 1e-13 relative error (a handful of roundings plus one
-/// `powf`), so a 1e-9 margin leaves about four orders of magnitude of
-/// slack: a certificate may expire *early* (costing one extra
-/// comparison), never *late* (which would corrupt the victim order).
-pub(crate) const KINETIC_MARGIN: f64 = 1e-9;
-
-/// A *kinetic* description of a file's eviction priority: a closed-form
-/// curve in the purge time `now` that stays faithful to
-/// [`MigrationPolicy::priority`] until the entry's next mutation.
-///
-/// Unlike [`AffinePriority`], a kinetic form is **never used to compare
-/// two files** by the kinetic tournament — it always compares the true
-/// `priority` values, so victim order is bit-identical to the rescan by
-/// construction. The form's only job there is *scheduling*: given two
-/// curves and their current values, [`certify_order`] computes how long
-/// the current comparison outcome is guaranteed to hold, so the
-/// tournament re-checks a pair only when its certificate expires. A
-/// conservative form costs speed, never exactness. (The power-age scan
-/// does key files by their [`KineticForm::PowerAge`] roots, and settles
-/// every pair the keys cannot separate by true `priority`.)
+/// The power-age scan keys a file once per purge by the curve's
+/// `exponent`-th root, `root·(t − anchor)`, and settles every pair those
+/// keys cannot separate by true [`MigrationPolicy::priority`]; see
+/// [`MigrationPolicy::power_age_form`] for the contract. STP (`coeff =
+/// size`) and SAAC (`coeff = size/(1+refs)`, `exponent = 1`) ship it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KineticForm {
-    /// `priority(t) = slope·t + intercept`, with a **per-file** slope
-    /// (what [`AffinePriority`]'s shared-slope contract forbids).
-    /// SAAC is the shipped example: `age·size/(1+refs)` has slope
-    /// `size/(1+refs)`.
-    Affine {
-        /// Coefficient on `t`.
-        slope: f64,
-        /// Constant term.
-        intercept: f64,
-    },
-    /// `priority(t) = coeff·(t − anchor)^exponent` for `t ≥ anchor`.
-    /// STP is the shipped example: `coeff = size`, `anchor = last_ref`.
-    ///
-    /// A policy returning this variant promises that `priority(file, t)`
-    /// is [`power_age`]`(coeff, anchor, exponent, t)` up to rounding for
-    /// every `t` until the entry's next mutation, with one exponent per
-    /// policy instance (STP's `priority` calls that function). The
-    /// power-age scan ranks by `root·(t − anchor)`, the curve's
-    /// `exponent`-th root, on that promise.
-    PowerAge {
-        /// Multiplier on the aged term (must be ≥ 0).
-        coeff: f64,
-        /// Time the age is measured from (≤ every future purge time).
-        anchor: i64,
-        /// Exponent on the age (must be > 0, shared per policy instance).
-        exponent: f64,
-        /// `coeff.powf(1.0 / exponent)`, computed once when the form is
-        /// cut: the power-age scan's key coefficient, so keying a file
-        /// costs no `powf`.
-        root: f64,
-    },
-    /// `priority(t) = coeff·(t − anchor)^exponent
-    ///              / (base + decay / max(t − created, 1))`
-    /// — a power-age numerator over a denominator that *decreases*
-    /// toward `base ≥ 1` as the tenure grows. STP-lat and LRU-MAD fit:
-    /// their `1 + w·aggregate_delay` denominator is
-    /// `1 + w·est + w·est²·refs/tenure` between touches.
-    PowerAgeLat {
-        /// Multiplier on the aged term (must be ≥ 0).
-        coeff: f64,
-        /// Time the age is measured from.
-        anchor: i64,
-        /// Exponent on the age (must be > 0).
-        exponent: f64,
-        /// Asymptotic denominator (must be ≥ 1).
-        base: f64,
-        /// Numerator of the vanishing denominator term (must be ≥ 0).
-        decay: f64,
-        /// Time the tenure is measured from.
-        created: i64,
-    },
-    /// Constant until `until` (exclusive), then free to jump
-    /// arbitrarily. RandomEvict is the shipped example: its salted hash
-    /// is keyed on the `now / 86 400` day bucket, so the order is
-    /// frozen inside a day and reshuffles at the boundary.
-    PiecewiseConstant {
-        /// First instant at which the value may change.
-        until: i64,
-    },
+pub struct PowerAgeForm {
+    /// Multiplier on the aged term (must be ≥ 0).
+    pub coeff: f64,
+    /// Time the age is measured from (≤ every future purge time).
+    pub anchor: i64,
+    /// Exponent on the age (must be > 0, shared per policy instance).
+    pub exponent: f64,
+    /// `coeff.powf(1.0 / exponent)`, computed once when the form is
+    /// cut: the power-age scan's key coefficient, so keying a file
+    /// costs no `powf`.
+    pub root: f64,
 }
 
-impl KineticForm {
-    /// Bitwise parameter equality — identical bits mean the two files'
-    /// priority *evaluations* are identical at every future time, so
-    /// the ascending-id tie-break decides their order forever.
-    ///
-    /// Deliberately false for [`KineticForm::PiecewiseConstant`] (the
-    /// form carries no value, so an equal epoch says nothing about equal
-    /// priorities), for [`KineticForm::PowerAge`] (its pairs rank
-    /// through the power-age scan) and across variants.
-    fn same_bits(&self, other: &KineticForm) -> bool {
-        use KineticForm::*;
-        match (self, other) {
-            (
-                Affine {
-                    slope: a,
-                    intercept: b,
-                },
-                Affine {
-                    slope: c,
-                    intercept: d,
-                },
-            ) => a.to_bits() == c.to_bits() && b.to_bits() == d.to_bits(),
-            (
-                PowerAgeLat {
-                    coeff: a,
-                    anchor: b,
-                    exponent: c,
-                    base: d,
-                    decay: e,
-                    created: f,
-                },
-                PowerAgeLat {
-                    coeff: g,
-                    anchor: h,
-                    exponent: i,
-                    base: j,
-                    decay: k,
-                    created: l,
-                },
-            ) => {
-                a.to_bits() == g.to_bits()
-                    && b == h
-                    && c.to_bits() == i.to_bits()
-                    && d.to_bits() == j.to_bits()
-                    && e.to_bits() == k.to_bits()
-                    && f == l
-            }
-            _ => false,
-        }
-    }
-}
-
-/// The [`KineticForm::PowerAge`] curve at `t`: `coeff·(t − anchor)^exponent`,
+/// The [`PowerAgeForm`] curve at `t`: `coeff·(t − anchor)^exponent`,
 /// the age clamped at zero. [`Stp`]'s priority is this function.
 pub fn power_age(coeff: f64, anchor: i64, exponent: f64, t: i64) -> f64 {
     let age = (t - anchor).max(0) as f64;
     age.powf(exponent) * coeff
-}
-
-/// First re-check instant when the pair is safe through `now + dt`
-/// inclusive (real-valued `dt ≥ 0`).
-fn expiry_after(now: i64, dt: f64) -> i64 {
-    if dt.is_nan() {
-        return now + 1;
-    }
-    let t = now as f64 + dt;
-    if t >= i64::MAX as f64 {
-        return i64::MAX;
-    }
-    (t.floor() as i64)
-        .saturating_add(1)
-        .max(now.saturating_add(1))
-}
-
-/// First re-check instant when the pair is safe strictly *before*
-/// `t_cross`.
-fn expiry_before(now: i64, t_cross: f64) -> i64 {
-    if t_cross.is_nan() {
-        return now + 1;
-    }
-    if t_cross >= i64::MAX as f64 {
-        return i64::MAX;
-    }
-    (t_cross.ceil() as i64).max(now.saturating_add(1))
-}
-
-/// Certify how long `winner ≥ loser` (priority descending, ties by
-/// ascending id — the rescan order) is guaranteed to keep holding.
-///
-/// `winner_value`/`loser_value` are the *evaluated*
-/// [`MigrationPolicy::priority`] values at `now` (the exact `f64`s the
-/// rescan would sort by), and the forms are the matching
-/// [`MigrationPolicy::kinetic`] curves. Returns the earliest instant
-/// `E > now` at which the comparison outcome could change: for every
-/// integer evaluation time `t` with `now ≤ t < E`, re-evaluating both
-/// priorities at `t` yields the same `total_cmp`-plus-id ordering.
-///
-/// Soundness is the load-bearing property — a certificate must never
-/// outlive a possible order flip, while expiring early merely costs one
-/// re-comparison. The solver therefore brackets every closed form with
-/// the `KINETIC_MARGIN` relative fuzz (covering the ~1e-13 gap
-/// between the real-valued curve model and its `f64` evaluation) and
-/// answers `now + 1` whenever a pair's curves are too close, too weird
-/// (NaN/∞), or of mixed variants.
-///
-/// The shipped closed forms:
-///
-/// * **Affine × Affine** — the value gap shrinks at most at rate
-///   `max(loser_slope − winner_slope, 0)` while the evaluation fuzz
-///   grows at most at rate `margin·max(|slope|)`; solve the linear
-///   inequality for the last safe `Δt`.
-/// * **PowerAgeLat × PowerAgeLat** — both curves are non-decreasing
-///   (numerator grows, denominator shrinks), so a flip needs the loser
-///   to reach the winner's *current* value; bound the loser by its
-///   envelope `c·(t−a)^e / base` and solve for the threshold time.
-/// * **PiecewiseConstant × PiecewiseConstant** — both values are frozen
-///   until the earlier `until`; exact, no margin.
-///
-/// [`KineticForm::PowerAge`] pairs rank through the power-age scan,
-/// not the tournament; one that reaches it (an exponent the scan
-/// refuses) gets the mixed-variant `now + 1`.
-// Negated comparisons are deliberate throughout: `!(x > 0.0)` is true
-// for NaN where `x <= 0.0` is not, and every NaN must land in the
-// conservative `now + 1` branch.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn certify_order(
-    winner: &KineticForm,
-    winner_value: f64,
-    loser: &KineticForm,
-    loser_value: f64,
-    now: i64,
-) -> i64 {
-    use KineticForm::*;
-    // Identical parameter bits ⇒ identical evaluations at every future
-    // time ⇒ the ascending-id tie-break decides forever.
-    if winner.same_bits(loser) {
-        return i64::MAX;
-    }
-    // Epoch-frozen pairs are exact: no fuzz, no near-tie handling.
-    if let (PiecewiseConstant { until: uw }, PiecewiseConstant { until: ul }) = (winner, loser) {
-        return (*uw).min(*ul).max(now.saturating_add(1));
-    }
-    // Near-tie (or NaN/∞): within the fuzz where rounding could already
-    // flip the comparison — re-check at every step.
-    let d = winner_value - loser_value;
-    let mag = winner_value.abs().max(loser_value.abs());
-    if !d.is_finite() || !(d > KINETIC_MARGIN * mag) {
-        return now + 1;
-    }
-    match (winner, loser) {
-        (Affine { slope: mw, .. }, Affine { slope: ml, .. }) => {
-            let gain = (ml - mw).max(0.0);
-            let mmax = mw.abs().max(ml.abs());
-            let denom = gain + KINETIC_MARGIN * mmax;
-            if denom.is_nan() {
-                return now + 1;
-            }
-            if denom == 0.0 {
-                // Two constants, separated beyond the fuzz: safe forever.
-                return i64::MAX;
-            }
-            // Safe while d − gain·Δt > margin·(mag + mmax·Δt).
-            expiry_after(now, (d - KINETIC_MARGIN * mag) / denom)
-        }
-        (
-            PowerAgeLat {
-                coeff: cw,
-                exponent: ew,
-                base: bw,
-                decay: dw,
-                ..
-            },
-            PowerAgeLat {
-                coeff: cl,
-                anchor: al,
-                exponent: el,
-                base: bl,
-                decay: dl,
-                ..
-            },
-        ) => {
-            let sane = *cw >= 0.0
-                && *cl >= 0.0
-                && *ew > 0.0
-                && *el > 0.0
-                && *bw >= 1.0
-                && *bl >= 1.0
-                && *dw >= 0.0
-                && *dl >= 0.0;
-            if !sane {
-                return now + 1;
-            }
-            if *cl == 0.0 {
-                return i64::MAX;
-            }
-            // The winner never falls below winner_value; the loser never
-            // exceeds its envelope c_l·(t−a_l)^e / b_l. Solve
-            // envelope(t) = (1 − margin)·winner_value.
-            let t_cross =
-                *al as f64 + ((bl * (1.0 - KINETIC_MARGIN) * winner_value) / cl).powf(1.0 / el);
-            expiry_before(now, t_cross)
-        }
-        // Mixed variants and PowerAge pairs: sound, never fast. Shipped
-        // policies emit one variant per instance, and STP's pairs rank
-        // through the power-age scan.
-        _ => now + 1,
-    }
 }
 
 /// A victim key that is a pure function of a file's shared row, named
@@ -442,50 +174,41 @@ pub trait MigrationPolicy: Send + Sync {
     /// Policies whose priority bends with age (`STP` with exponent ≠ 1),
     /// whose slope would vary per file (`STP(1.0)`'s `size·now`, SAAC's
     /// activity discount), or whose ordering reshuffles over time
-    /// (salted random) must return `None`; the cache then keeps the
-    /// exact sort-based rescan, and the victim sequence is identical
-    /// either way.
+    /// (salted random) must return `None`; the cache then ranks through
+    /// the power-age scan or the exact rescan, and the victim sequence
+    /// is identical either way.
     fn affine(&self, _file: &FileView) -> Option<AffinePriority> {
         None
     }
 
-    /// The priority as a *kinetic* (time-varying) closed form of `now`,
-    /// when the policy has one — the hook behind the power-age scan and
-    /// the kinetic tournament, consulted only when
-    /// [`MigrationPolicy::affine`] returns `None`.
+    /// The priority as a power-age curve of the purge time, when the
+    /// policy has one — the hook behind the power-age scan, consulted
+    /// only when [`MigrationPolicy::affine`] returns `None`.
     ///
     /// # Contract
     ///
-    /// Returning `Some` promises, for this exact `file` state at query
-    /// time `now`:
+    /// Returning `Some` promises, for this exact `file` state:
     ///
-    /// 1. **Faithful curve.** For every purge time `t ≥ now` until the
-    ///    entry's next mutation, `priority(file, t)` equals the form's
-    ///    curve to within ~1e-13 relative error (the slack
-    ///    [`certify_order`]'s margin absorbs) — and exactly for
-    ///    [`KineticForm::PiecewiseConstant`], whose value must be
-    ///    bit-frozen for `t < until`. A [`KineticForm::PowerAge`] form
-    ///    carries `root = coeff^(1/exponent)`, and its exponent is the
-    ///    same for every file of the instance.
-    /// 2. **Shape invariants.** The variant's parameter bounds hold
-    ///    (`coeff ≥ 0`, `exponent > 0`, `base ≥ 1`, `decay ≥ 0`); the
-    ///    solver's single-crossing and monotone-envelope arguments rely
-    ///    on them. Parameterizations that break them (e.g. a negative
-    ///    `delay_weight`) must return `None`.
-    /// 3. **Homogeneous variant.** One policy instance always answers
-    ///    with the same [`KineticForm`] variant; mixed pairs degrade to
-    ///    per-step certificates (correct but slow).
+    /// 1. **Faithful curve.** For every purge time `t` from the entry's
+    ///    last mutation until its next one, `priority(file, t)` is
+    ///    [`power_age`]`(coeff, anchor, exponent, t)` to within a few
+    ///    ulps — far inside the scan's 1e-9 near-tie band.
+    /// 2. **Shape.** `coeff ≥ 0`, `exponent > 0`, and `root` is
+    ///    `coeff^(1/exponent)` (exactly `coeff` at `exponent = 1`).
+    ///    Parameterizations that break them must return `None`.
+    /// 3. **Shared exponent.** The exponent is the same for every file
+    ///    the policy instance is asked about, so one root order is the
+    ///    priority order.
     /// 4. **Monotone clocks**, exactly as [`MigrationPolicy::affine`]'s
     ///    clause 3.
     ///
-    /// Unlike the affine hook, the tournament never compares *through*
-    /// the form: it compares true `priority` values, so the victim
-    /// sequence is bit-identical to the rescan by construction, and the
-    /// form's only job is scheduling re-checks. The power-age scan keys
-    /// by the form's root and settles near ties by true `priority`.
-    /// Policies with neither an affine nor a kinetic form replay
-    /// through the exact rescan.
-    fn kinetic(&self, _file: &FileView, _now: i64) -> Option<KineticForm> {
+    /// The scan keys each resident by `root·(t − anchor)` once per
+    /// purge and settles keys within the band of the top by true
+    /// `priority`, so the victim sequence is the rescan's exactly; a
+    /// form that is withdrawn or moves its exponent mid-run degrades
+    /// the ranking to the rescan. Policies with neither an affine nor
+    /// a power-age form replay through the exact rescan.
+    fn power_age_form(&self, _file: &FileView) -> Option<PowerAgeForm> {
         None
     }
 
@@ -602,14 +325,14 @@ impl MigrationPolicy for Stp {
     // `size·now − size·last_ref`, a *per-file* slope, so pairwise order
     // drifts with time (a small old file overtakes a large fresh one).
 
-    fn kinetic(&self, file: &FileView, _now: i64) -> Option<KineticForm> {
-        // `age^e · size` is exactly the PowerAge curve, and it orders
+    fn power_age_form(&self, file: &FileView) -> Option<PowerAgeForm> {
+        // `age^e · size` is exactly the power-age curve, and it orders
         // like its root `size^(1/e) · age`: the power-age scan's key.
         if !self.exponent.is_finite() || self.exponent <= 0.0 {
             return None;
         }
         let coeff = file.size as f64;
-        Some(KineticForm::PowerAge {
+        Some(PowerAgeForm {
             coeff,
             anchor: file.last_ref,
             exponent: self.exponent,
@@ -742,13 +465,15 @@ impl MigrationPolicy for Saac {
     }
 
     // No affine form: `size/(1+refs)` is a per-file slope, violating
-    // the shared-slope contract — but that makes SAAC *per-file affine*,
-    // exactly what the kinetic Affine variant describes.
-    fn kinetic(&self, file: &FileView, _now: i64) -> Option<KineticForm> {
-        let slope = file.size as f64 / (1.0 + file.ref_count as f64);
-        Some(KineticForm::Affine {
-            slope,
-            intercept: -(file.last_ref as f64) * slope,
+    // the shared-slope contract — but that makes SAAC a power-age curve
+    // at exponent 1, whose root is its coefficient.
+    fn power_age_form(&self, file: &FileView) -> Option<PowerAgeForm> {
+        let coeff = file.size as f64 / (1.0 + file.ref_count as f64);
+        Some(PowerAgeForm {
+            coeff,
+            anchor: file.last_ref,
+            exponent: 1.0,
+            root: coeff,
         })
     }
 }
@@ -758,10 +483,9 @@ impl MigrationPolicy for Saac {
 /// **Reshuffle period: one day (86 400 s).** The priority hashes
 /// `(id, salt, now / 86_400)`, so the victim order is *frozen* within a
 /// day bucket and reshuffles only when the clock crosses a day
-/// boundary. That makes the priority piecewise-constant in `now` —
-/// [`KineticForm::PiecewiseConstant`] — so the kinetic index serves
-/// purges out of cached comparisons all day and pays a rebuild-scale
-/// re-certification only at the boundary.
+/// boundary. A hash has neither an affine nor a power-age form, so
+/// Random ranks through the rescan: every resident hashed once per
+/// purge, heapified, victims popped.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RandomEvict {
     /// Salt mixed into the per-file hash.
@@ -781,20 +505,6 @@ impl MigrationPolicy for RandomEvict {
         x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         x ^= x >> 33;
         (x >> 11) as f64
-    }
-
-    fn kinetic(&self, _file: &FileView, now: i64) -> Option<KineticForm> {
-        // The value is bit-frozen while `now / 86_400` (truncating
-        // division, as in `priority`) keeps its value. For non-negative
-        // clocks the bucket ends at the next day multiple; truncation
-        // makes negative buckets end one second after one.
-        let k = now / 86_400;
-        let until = if k < 0 {
-            k.saturating_mul(86_400).saturating_add(1)
-        } else {
-            k.saturating_add(1).saturating_mul(86_400)
-        };
-        Some(KineticForm::PiecewiseConstant { until })
     }
 }
 
@@ -859,11 +569,11 @@ impl MigrationPolicy for Belady {
 ///
 /// Declines [`MigrationPolicy::affine`]: the estimate drifts between
 /// touches under live feedback, so no intercept frozen at push time can
-/// meet the exact-comparison contract. It does ship a
-/// [`MigrationPolicy::kinetic`] form — between touches the frozen
-/// estimate makes the priority `age / (base + decay/tenure)` — so both
-/// the cache and the single-pass MRC engine rank it through the kinetic
-/// tournament instead of the per-purge rescan.
+/// meet the exact-comparison contract. It declines
+/// [`MigrationPolicy::power_age_form`] too: the tenure term in the
+/// denominator bends the curve off a pure power of age. Both the cache
+/// and the single-pass MRC engine rank it through the rescan, which
+/// heapifies every resident's priority once per purge.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LruMad {
     /// Weight on the aggregate-delay term, in 1/(waiter-seconds);
@@ -895,31 +605,8 @@ impl MigrationPolicy for LruMad {
 
     // No affine form and no shared key: the feedback estimate can
     // change between touches (EWMA drift), bending pairwise order in a
-    // way no frozen intercept reproduces exactly.
-
-    fn kinetic(&self, file: &FileView, _now: i64) -> Option<KineticForm> {
-        // Between touches the estimate is frozen on the entry, so the
-        // denominator 1 + w·aggregate_delay unrolls to
-        // base + decay / tenure with base = 1 + w·est ≥ 1 and
-        // decay = w·est²·refs ≥ 0 — the PowerAgeLat shape (age
-        // numerator with coeff 1, exponent 1). EWMA drift re-stamps the
-        // entry only through a touch, which re-issues the form.
-        if !self.delay_weight.is_finite() || self.delay_weight < 0.0 {
-            return None;
-        }
-        let est = file.est_miss_wait_s.max(0.0);
-        if !est.is_finite() {
-            return None;
-        }
-        Some(KineticForm::PowerAgeLat {
-            coeff: 1.0,
-            anchor: file.last_ref,
-            exponent: 1.0,
-            base: 1.0 + self.delay_weight * est,
-            decay: self.delay_weight * est * est * file.ref_count as f64,
-            created: file.created,
-        })
-    }
+    // way no frozen intercept reproduces exactly. No power-age form:
+    // the tenure in `aggregate_delay` moves the denominator with `now`.
 }
 
 /// Latency-aware space-time product: Smith's STP discounted by the
@@ -933,9 +620,9 @@ impl MigrationPolicy for LruMad {
 /// With zero latency feedback the denominator is exactly `1.0` and the
 /// policy is bit-identical to [`Stp`] at the same exponent. Declines
 /// [`MigrationPolicy::affine`] for the same reasons as [`Stp`] (per-file
-/// slope) and [`LruMad`] (feedback drift), but ships the
-/// [`MigrationPolicy::kinetic`] PowerAgeLat form, so it ranks through
-/// the kinetic tournament instead of the per-purge rescan.
+/// slope) and [`LruMad`] (feedback drift), and
+/// [`MigrationPolicy::power_age_form`] for [`LruMad`]'s (the tenure
+/// term), so it ranks through the rescan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StpLat {
     /// Exponent on the age term, as in [`Stp`].
@@ -967,29 +654,6 @@ impl MigrationPolicy for StpLat {
 
     fn latency_aware(&self) -> bool {
         true
-    }
-
-    fn kinetic(&self, file: &FileView, _now: i64) -> Option<KineticForm> {
-        // Same denominator unroll as LRU-MAD, with STP's power-age
-        // numerator on top.
-        if !self.exponent.is_finite() || self.exponent <= 0.0 {
-            return None;
-        }
-        if !self.delay_weight.is_finite() || self.delay_weight < 0.0 {
-            return None;
-        }
-        let est = file.est_miss_wait_s.max(0.0);
-        if !est.is_finite() {
-            return None;
-        }
-        Some(KineticForm::PowerAgeLat {
-            coeff: file.size as f64,
-            anchor: file.last_ref,
-            exponent: self.exponent,
-            base: 1.0 + self.delay_weight * est,
-            decay: self.delay_weight * est * est * file.ref_count as f64,
-            created: file.created,
-        })
     }
 }
 
@@ -1292,166 +956,32 @@ mod tests {
         );
     }
 
-    /// True if `w` beats `l` at `t` in rescan order (priority
-    /// descending, ties by ascending id).
-    fn order_holds(policy: &dyn MigrationPolicy, w: &FileView, l: &FileView, t: i64) -> bool {
-        match policy.priority(w, t).total_cmp(&policy.priority(l, t)) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => w.id < l.id,
-        }
-    }
-
-    /// Checks [`certify_order`] soundness for one pair at one probe
-    /// time: the certified winner must keep winning at every sampled
-    /// instant strictly before the expiry. Returns the expiry.
-    fn check_certified_pair(
-        policy: &dyn MigrationPolicy,
-        a: &FileView,
-        b: &FileView,
-        now: i64,
-    ) -> i64 {
-        let (w, l) = if order_holds(policy, a, b, now) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let fw = policy
-            .kinetic(w, now)
-            .expect("policy advertises a kinetic form");
-        let fl = policy.kinetic(l, now).unwrap();
-        let e = certify_order(
-            &fw,
-            policy.priority(w, now),
-            &fl,
-            policy.priority(l, now),
-            now,
-        );
-        assert!(e > now, "{}: expiry must be in the future", policy.name());
-        // Dense probes near `now`, geometric probes toward the expiry,
-        // and the last instant the certificate still covers.
-        let mut probes: Vec<i64> = (now..(now + 512).min(e)).collect();
-        let mut step = 512i64;
-        while step < 1 << 40 && now.saturating_add(step) < e {
-            probes.push(now + step);
-            probes.push((now + step).min(e - 1));
-            step *= 2;
-        }
-        if e < i64::MAX {
-            probes.push(e - 1);
-        }
-        for t in probes {
-            assert!(
-                order_holds(policy, w, l, t),
-                "{}: certified order flipped at t={t} (now={now}, expiry={e}, {} vs {})",
-                policy.name(),
-                w.id,
-                l.id
-            );
-        }
-        e
-    }
-
-    fn assert_kinetic_contract(policy: &dyn MigrationPolicy, files: &[FileView]) {
-        let latest = files
-            .iter()
-            .map(|f| f.last_ref.max(f.created))
-            .max()
-            .unwrap();
-        // Probe right after the last touch, mid-interval, and just
-        // before a day boundary (RandomEvict's reshuffle point).
-        for now in [latest, latest + 13, 86_399.max(latest)] {
-            for (i, a) in files.iter().enumerate() {
-                for b in files.iter().skip(i + 1) {
-                    check_certified_pair(policy, a, b, now);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kinetic_certificates_never_outlive_an_order_flip() {
-        let mut files = vec![
-            file(1, 100, 10, 1),
-            file(2, 100, 10, 3),
-            file(3, 7, 250, 9),
-            file(4, 1 << 40, 0, 1),
-            file(5, 1 << 40, 99, 2),
-            file(6, 1, 299, 1),  // tiny and fresh: crossing-heavy vs 4/5
-            file(7, 100, 10, 1), // same state as id 1: permanent tie
-        ];
-        files[2].created = 50;
-        for f in &mut files {
-            f.est_miss_wait_s = 7.5;
-        }
-        files[3].est_miss_wait_s = 600.0;
-        assert_kinetic_contract(&Stp::classic(), &files);
-        assert_kinetic_contract(&Stp { exponent: 1.0 }, &files);
-        assert_kinetic_contract(&Stp { exponent: 2.0 }, &files);
-        assert_kinetic_contract(&Saac, &files);
-        assert_kinetic_contract(&RandomEvict { salt: 0xA5A5 }, &files);
-        assert_kinetic_contract(&LruMad::classic(), &files);
-        assert_kinetic_contract(&StpLat::classic(), &files);
-    }
-
-    #[test]
-    fn identical_states_certify_forever() {
-        // Same (size, last_ref, ref_count) ⇒ bit-identical forms ⇒
-        // the id tie-break is permanent.
-        let a = file(1, 100, 10, 1);
-        let b = file(2, 100, 10, 1);
-        let p = Saac;
-        let e = check_certified_pair(&p, &a, &b, 500);
-        assert_eq!(e, i64::MAX);
-    }
-
-    #[test]
-    fn near_ties_stay_hot() {
-        // Stp(1.0): 200·age vs 100·2·age — equal values, different
-        // forms. The solver must re-check every step.
-        let p = Stp { exponent: 1.0 };
-        let a = file(1, 200, 100, 1);
-        let b = file(2, 100, 0, 1);
-        let now = 200; // ages 100 and 200: both priorities 20_000
-        assert_eq!(p.priority(&a, now).to_bits(), p.priority(&b, now).to_bits());
-        let e = check_certified_pair(&p, &a, &b, now);
-        assert_eq!(e, now + 1);
-    }
-
-    #[test]
-    fn random_evict_certificates_end_at_the_day_boundary() {
-        let p = RandomEvict { salt: 7 };
-        let a = file(1, 10, 0, 1);
-        let b = file(2, 10, 0, 1);
-        let e = check_certified_pair(&p, &a, &b, 100);
-        assert_eq!(e, 86_400, "frozen exactly until the next day bucket");
-        let e = check_certified_pair(&p, &a, &b, 86_399);
-        assert_eq!(e, 86_400);
-        let e = check_certified_pair(&p, &a, &b, 86_400);
-        assert_eq!(e, 2 * 86_400);
+    /// How many `f64` steps apart two non-negative finite values are.
+    fn ulps_apart(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
     }
 
     proptest::proptest! {
-        /// STP's priority *is* its PowerAge curve, bit for bit, and the
+        /// STP's priority *is* its power-age curve, bit for bit, and the
         /// form's root — the power-age scan's key coefficient — is
-        /// `coeff^(1/e)`.
+        /// `coeff^(1/e)`. SAAC's priority rounds in another order than
+        /// its curve (`age·size/(1+refs)` against `coeff·age`), so it is
+        /// held to 4 ulps, with `root = coeff` exactly at `e = 1`.
         #[test]
         fn stp_priority_is_its_power_age_curve(
             sizes in (0u64..1 << 40, 0u64..1 << 40),
             last_refs in (0i64..1_000_000, 0i64..1_000_000),
+            refs in (0u32..1 << 20, 0u32..1 << 20),
             wait in 0i64..100_000,
             e in 0usize..3,
         ) {
             let p = Stp { exponent: [1.0, 1.4, 2.0][e] };
-            let a = file(1, sizes.0, last_refs.0, 1);
-            let b = file(2, sizes.1, last_refs.1, 1);
+            let a = file(1, sizes.0, last_refs.0, refs.0);
+            let b = file(2, sizes.1, last_refs.1, refs.1);
             let now = last_refs.0.max(last_refs.1) + wait;
             for f in [&a, &b] {
-                let Some(KineticForm::PowerAge { coeff, anchor, exponent, root }) =
-                    p.kinetic(f, now)
-                else {
-                    panic!("STP ships the PowerAge form");
-                };
+                let form = p.power_age_form(f).expect("STP ships a power-age form");
+                let PowerAgeForm { coeff, anchor, exponent, root } = form;
                 proptest::prop_assert_eq!(root.to_bits(), coeff.powf(1.0 / exponent).to_bits());
                 for t in [anchor, now, now + 1, now + 86_400] {
                     proptest::prop_assert_eq!(
@@ -1459,39 +989,14 @@ mod tests {
                         power_age(coeff, anchor, exponent, t).to_bits()
                     );
                 }
+                let form = Saac.power_age_form(f).expect("SAAC ships a power-age form");
+                let PowerAgeForm { coeff, anchor, exponent, root } = form;
+                proptest::prop_assert_eq!((exponent, root.to_bits()), (1.0, coeff.to_bits()));
+                for t in [anchor, now, now + 1, now + 86_400] {
+                    let (got, curve) = (Saac.priority(f, t), power_age(coeff, anchor, 1.0, t));
+                    proptest::prop_assert!(ulps_apart(got, curve) <= 4, "{got} vs {curve}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn kinetic_policies_ship_exactly_one_variant() {
-        let f = file(1, 100, 10, 2);
-        let g = file(2, 1 << 30, 500, 9);
-        for (p, want_affine) in [
-            (&Stp::classic() as &dyn MigrationPolicy, false),
-            (&Saac, true),
-            (&RandomEvict { salt: 1 }, false),
-            (&LruMad::classic(), false),
-            (&StpLat::classic(), false),
-        ] {
-            let (ka, kb) = (p.kinetic(&f, 10).unwrap(), p.kinetic(&g, 500).unwrap());
-            assert_eq!(
-                std::mem::discriminant(&ka),
-                std::mem::discriminant(&kb),
-                "{}: one instance, one variant",
-                p.name()
-            );
-            assert_eq!(
-                matches!(ka, KineticForm::Affine { .. }),
-                want_affine,
-                "{}",
-                p.name()
-            );
-            // Kinetic is the fallback tier: these all decline affine.
-            assert!(p.affine(&f).is_none());
-        }
-        // And the affine tier does not need the kinetic hook.
-        assert!(Lru.kinetic(&f, 10).is_none());
-        assert!(Belady.kinetic(&f, 10).is_none());
     }
 }

@@ -12,8 +12,7 @@
 //!
 //! ```text
 //! Unprobed ──first purge past the gate──▶ Affine ────┐
-//!     │                              ├──▶ PowerScan ─┤ degrade
-//!     │                              └──▶ Kinetic ───┤
+//!     │                              └──▶ PowerScan ─┤ degrade
 //!     └──────────────── no form ─────────────────────┴──▶ Rescan (terminal)
 //! ```
 //!
@@ -21,10 +20,9 @@
 //!   first purge that sees [`INDEX_MIN_RESIDENTS`] files (any purge
 //!   under [`EvictionMode::Indexed`]) probes the policy over the whole
 //!   resident set: every file's [`MigrationPolicy::affine`] form first
-//!   (the cheapest regime), then its [`MigrationPolicy::kinetic`] form —
-//!   the power-age scan if every form is a keyable
-//!   [`KineticForm::PowerAge`] with one exponent, the tournament
-//!   otherwise — else the rescan for good.
+//!   (the cheapest regime), then its [`MigrationPolicy::power_age_form`]
+//!   (the scan, if every form shares one exponent) — else the rescan
+//!   for good.
 //! * **Affine** ([`VictimRank`]). `slope · now + intercept` with one
 //!   shared slope: pairwise order is independent of `now`, so a key
 //!   pushed once stays correct until the entry mutates, and mutations
@@ -39,76 +37,52 @@
 //!   overestimates. Once stale keys outnumber residents two to one the
 //!   index is rebuilt from the resident set.
 //! * **PowerScan** ([`PowerScan`]). `coeff·age^e` with one exponent
-//!   (STP) orders like its root `root·age`, `root = coeff^(1/e)` riding
-//!   in the form. A mutation marks the file's row; a purge settles the
-//!   marked rows (one `kinetic` call each), keys every resident with a
-//!   multiply, heapifies once and pops victims, settling near ties by
-//!   exact `priority`: O(n) per purge plus O(log n) per victim, cheaper
-//!   than the tournament's O(log n) per touched file when a purge (0.95
-//!   → 0.80 of capacity) evicts about one resident in forty.
-//! * **Kinetic** ([`KineticTournament`]). Policies whose pairwise order
-//!   *drifts with the clock* in other shapes (SAAC's activity discount,
-//!   salted-random's day reshuffle, the latency-aware pair) cannot be
-//!   keyed once at all — but they ship a
-//!   [`crate::policy::KineticForm`] closed-form curve, so each internal
-//!   node of a tournament tree caches its winner together with a
-//!   *certificate* ([`crate::policy::certify_order`]): the earliest
-//!   instant the cached comparison could flip. Advancing the clock
-//!   recomputes only subtrees whose certificate minimum has expired.
-//!   An entry mutation only *marks* its leaf: a winner is read at a
-//!   purge, hundreds of references apart, so the re-evaluation and the
-//!   root-to-leaf replay are owed once per touched leaf per purge —
-//!   [`KineticTournament::advance`] settles the marked leaves before
-//!   it looks at certificates. Amortized `O(log n)` per touched file
-//!   where the rescan re-ranks all `n` residents per purge.
-//! * **Rescan.** Rank every resident at `now`, sort, evict in order:
-//!   `O(n log n)` per purge, NaN-proof through `f64::total_cmp`, always
-//!   correct. Forced by [`EvictionMode::Rescan`], the home of policies
-//!   with neither form, and where every broken promise lands: a
-//!   withdrawn form, a drifting slope or exponent, a rank gone dry with
-//!   residents left, a tournament leaf that fails revalidation past the
-//!   repair budget, a clock stepping backwards (the host reports that
-//!   one — [`Ranking::degrade`] — because every closed form assumes
-//!   non-decreasing reference times). A regime that degrades mid-purge
-//!   hands the *same* purge to the rescan, so nothing under-purges.
+//!   (STP, and SAAC at `e = 1`) orders like its root `root·age`,
+//!   `root = coeff^(1/e)` riding in the form. A mutation marks the
+//!   file's row; a purge settles the marked rows (one `power_age_form`
+//!   call each), keys every resident with a multiply, heapifies once
+//!   and pops victims, settling near ties by exact `priority`: O(n) per
+//!   purge plus O(log n) per victim, where a purge (0.95 → 0.80 of
+//!   capacity) evicts about one resident in forty.
+//! * **Rescan.** Rank every resident by `priority` at `now`, heapify
+//!   the `total_cmp`-order keys once, pop victims: `O(n)` per purge plus
+//!   `O(log n)` per victim, NaN-proof, always correct. Forced by
+//!   [`EvictionMode::Rescan`], the home of policies with neither form
+//!   (Random, LRU-MAD, STP-lat), and where every broken promise lands:
+//!   a withdrawn form, a drifting slope or exponent, a rank gone dry
+//!   with residents left, a clock stepping backwards (the host reports
+//!   that one — [`Ranking::degrade`] — because every closed form
+//!   assumes non-decreasing reference times). A regime that degrades
+//!   mid-purge hands the *same* purge to the rescan, so nothing
+//!   under-purges.
 //!
-//! The affine and tournament indexes revalidate **by value** when a
-//! victim surfaces (the scan keys every row afresh at each purge, so it
-//! holds nothing stale). An affine key surfacing from the rank is
-//! checked through [`Candidate`]:
-//! [`Candidate::Live`] (evict it), [`Candidate::Gone`] (file left the
-//! cache; drop the key), [`Candidate::Moved`] (resident but the key is
-//! a stale overestimate; re-rank at the current, **never higher**,
-//! intercept), or [`Candidate::Abort`] (contract violation). Because
-//! every mutation that could *raise* a key pushes eagerly, a popped
-//! maximum is always an upper bound, and deflating stale keys until a
-//! live one surfaces yields the exact `(priority desc, id asc)` victim
-//! order the sort-based rescan would produce — ties included, since
-//! tied keys are compared by id before any is returned. A tournament
-//! winner counts only if its cached score equals the live file's score
-//! at the leaf's own evaluation time, bit for bit. Value checks also
-//! cover a host reusing a file's slot: a key or leaf from a previous
-//! incarnation either matches the re-created file's current score
-//! (then it *is* current) or is stale like any other.
+//! The affine index revalidates **by value** when a victim surfaces (the
+//! scan and the rescan key every row afresh at each purge, so they hold
+//! nothing stale). An affine key surfacing from the rank is checked
+//! through [`Candidate`]: [`Candidate::Live`] (evict it),
+//! [`Candidate::Gone`] (file left the cache; drop the key),
+//! [`Candidate::Moved`] (resident but the key is a stale overestimate;
+//! re-rank at the current, **never higher**, intercept), or
+//! [`Candidate::Abort`] (contract violation). Because every mutation
+//! that could *raise* a key pushes eagerly, a popped maximum is always
+//! an upper bound, and deflating stale keys until a live one surfaces
+//! yields the exact `(priority desc, id asc)` victim order — ties
+//! included, since tied keys are compared by id before any is returned.
+//! Value checks also cover a host reusing a file's slot: a key from a
+//! previous incarnation either matches the re-created file's current
+//! intercept (then it *is* current) or is stale like any other.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::EvictionMode;
-use crate::policy::{certify_order, FileView, KineticForm, MigrationPolicy, KINETIC_MARGIN};
+use crate::policy::{FileView, MigrationPolicy, PowerAgeForm};
 
 /// Resident-set size at which [`EvictionMode::Auto`] switches from the
-/// rescan to the incremental index. Sorting a few dozen candidates per
+/// rescan to the incremental index. Ranking a few dozen candidates per
 /// purge is cheaper than a heap push per reference; re-ranking hundreds
 /// or thousands is not.
 pub const INDEX_MIN_RESIDENTS: usize = 128;
-
-/// Tournament winners that may fail revalidation in one purge before
-/// the ranking degrades. A mismatch means a missed leaf update — a bug,
-/// not a workload property (every mutation site calls
-/// [`Ranking::touched`]) — so each gets one repair (a leaf re-mark) and
-/// persistent trouble takes the always-correct rescan.
-const REPAIR_BUDGET: usize = 32;
 
 /// What a host shows the ranking: its resident set, nothing else. Files
 /// are named by dense index ([`fmig_trace::FileId::raw`]).
@@ -132,7 +106,6 @@ enum Regime {
         rank: VictimRank,
     },
     PowerScan(PowerScan),
-    Kinetic(KineticTournament),
     Rescan,
 }
 
@@ -145,8 +118,6 @@ pub enum RankingRegime {
     Affine,
     /// One key per resident by power-age root, ranked once per purge.
     PowerScan,
-    /// The kinetic tournament over certified pairwise comparisons.
-    Kinetic,
     /// The exact rescan, for good.
     Rescan,
 }
@@ -163,28 +134,21 @@ pub(crate) struct Ranking<'p> {
     /// [`EvictionMode::Indexed`]: probe at the first purge, resident
     /// count be damned.
     eager: bool,
-    /// Repairs spent in the current purge, against [`REPAIR_BUDGET`].
-    repairs: usize,
-    /// The rescan's ranked list for the current purge, best victim
-    /// first, and how much of it has been handed out; one allocation
-    /// reused across purges.
-    ranked: Vec<(f64, u32)>,
-    ranked_next: usize,
+    /// The rescan's heap for the current purge, `(total_key(priority),
+    /// Reverse(file))`: best victim on top; one allocation reused
+    /// across purges.
+    ranked: BinaryHeap<(u64, Reverse<u32>)>,
 }
 
-/// The hook a [`KineticTournament`] calls to (re-)score a leaf: the
-/// policy's *true* priority at that time, plus the kinetic form
-/// certifying how long a comparison against it stays settled. `None`
-/// (file not resident, or the policy refuses the form for this state)
-/// makes the tournament report failure, which degrades the ranking.
-fn leaf_eval<'a>(
-    policy: &'a dyn MigrationPolicy,
-    host: &'a impl Residents,
-) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
-    move |file, at| {
-        let v = host.view(file)?;
-        let form = policy.kinetic(&v, at)?;
-        Some((policy.priority(&v, at), form))
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp`'s:
+/// flip every bit of a negative, only the sign bit of a positive. So
+/// `-NaN < -∞ < … < -0 < +0 < … < +∞ < +NaN`.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -197,9 +161,7 @@ impl<'p> Ranking<'p> {
                 EvictionMode::Rescan => Regime::Rescan,
             },
             eager: mode == EvictionMode::Indexed,
-            repairs: 0,
-            ranked: Vec::new(),
-            ranked_next: 0,
+            ranked: BinaryHeap::new(),
         }
     }
 
@@ -209,7 +171,6 @@ impl<'p> Ranking<'p> {
             Regime::Unprobed => RankingRegime::Unprobed,
             Regime::Affine { .. } => RankingRegime::Affine,
             Regime::PowerScan(_) => RankingRegime::PowerScan,
-            Regime::Kinetic(_) => RankingRegime::Kinetic,
             Regime::Rescan => RankingRegime::Rescan,
         }
     }
@@ -222,9 +183,8 @@ impl<'p> Ranking<'p> {
 
     /// Mirrors one resident file's mutation (touch, resize, insert) at
     /// `now` into whichever index is active: an affine key push, or a
-    /// scan row or kinetic leaf *mark* — the file is re-evaluated when
-    /// the next purge opens, so a withdrawn form degrades there, not
-    /// here.
+    /// scan row *mark* — the file is re-evaluated when the next purge
+    /// opens, so a withdrawn form degrades there, not here.
     pub fn touched(&mut self, host: &impl Residents, file: u32, now: i64) {
         match &mut self.regime {
             Regime::Affine { slope_bits, rank } => {
@@ -246,11 +206,6 @@ impl<'p> Ranking<'p> {
                 }
             }
             Regime::PowerScan(scan) => scan.touched(file),
-            Regime::Kinetic(t) => {
-                if !t.upsert(file, now, &mut leaf_eval(self.policy, host)) {
-                    self.degrade();
-                }
-            }
             Regime::Unprobed | Regime::Rescan => {}
         }
     }
@@ -260,9 +215,7 @@ impl<'p> Ranking<'p> {
     /// the rescan; until then no index is maintained, so purge-free and
     /// small-resident-set runs pay nothing for one.
     pub fn begin_purge(&mut self, host: &impl Residents, now: i64) {
-        self.repairs = 0;
         self.ranked.clear();
-        self.ranked_next = 0;
         if matches!(self.regime, Regime::Unprobed)
             && (self.eager || host.len() >= INDEX_MIN_RESIDENTS)
         {
@@ -275,22 +228,15 @@ impl<'p> Ranking<'p> {
     }
 
     /// Probes the resident set for an index: every file's affine form
-    /// first, then the kinetic form (the scan before the tournament); a
-    /// policy that refuses both — or violates the shared-slope contract
-    /// — means the rescan.
+    /// first, then the power-age form; a policy that refuses both — or
+    /// violates the shared-slope or shared-exponent contract — means
+    /// the rescan.
     fn probe(&self, host: &impl Residents, now: i64) -> Regime {
         if let Some(regime) = self.probe_affine(host) {
             return regime;
         }
-        if let Some(scan) = PowerScan::build(self.policy, host, now) {
-            return Regime::PowerScan(scan);
-        }
-        let files: Vec<u32> = host.files().collect();
-        if files.is_empty() {
-            return Regime::Rescan;
-        }
-        match KineticTournament::build(&files, now, &mut leaf_eval(self.policy, host)) {
-            Some(t) => Regime::Kinetic(t),
+        match PowerScan::build(self.policy, host, now) {
+            Some(scan) => Regime::PowerScan(scan),
             None => Regime::Rescan,
         }
     }
@@ -359,76 +305,30 @@ impl<'p> Ranking<'p> {
                 None => self.degrade(), // rescan rather than under-purge
             }
         }
-        if let Regime::Kinetic(t) = &mut self.regime {
-            debug_assert_eq!(
-                t.len(),
-                host.len(),
-                "tournament mirrors the resident set exactly"
-            );
-            let mut eval = leaf_eval(policy, host);
-            // The first call of a purge pays the real advance; later
-            // ones see every certificate > `now` and return at the
-            // root. The root winner is the exact maximum by
-            // construction: internal nodes compare *true* priorities,
-            // certificates only schedule re-checks.
-            while t.advance(now, &mut eval) {
-                // Dry with residents left would under-purge: degrade.
-                let Some((file, cached, stamp)) = t.winner() else {
-                    break;
-                };
-                match host.view(file).map(|v| policy.priority(&v, stamp)) {
-                    Some(live) if live.to_bits() == cached.to_bits() => return Some(file),
-                    Some(_) if self.repairs < REPAIR_BUDGET => {
-                        self.repairs += 1;
-                        if !t.upsert(file, now, &mut eval) {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            self.degrade();
-        }
-        // The rescan: rank every resident at `now`, once per purge. The
-        // cursor meets the end of the list when nothing is ranked yet
-        // (`begin_purge` empties it) and again only when every resident
-        // it held has been handed out.
-        if self.ranked_next == self.ranked.len() {
-            self.ranked.clear();
-            self.ranked.extend(host.files().map(|file| {
+        // The rescan: key every resident at `now`, once per purge. The
+        // heap is empty when nothing is ranked yet (`begin_purge`
+        // empties it) and again only when every resident it held has
+        // been handed out. The id tie-break matters — policies produce
+        // tied priorities routinely (LRU under equal timestamps,
+        // Belady's never-used-again class) and the victim sequence must
+        // be reproducible whatever order the host lists files in.
+        if self.ranked.is_empty() {
+            let mut keys = std::mem::take(&mut self.ranked).into_vec();
+            keys.extend(host.files().map(|file| {
                 let v = host.view(file).expect("a listed file is resident");
-                (policy.priority(&v, now), file)
+                (total_key(policy.priority(&v, now)), Reverse(file))
             }));
-            // Total order: priority descending, then id ascending. The
-            // id tie-break matters — policies produce tied priorities
-            // routinely (LRU under equal timestamps, Belady's
-            // never-used-again class) and the victim sequence must be
-            // reproducible whatever order the host lists files in.
-            // `total_cmp` keeps the sort panic-free even for a NaN
-            // priority (NaN ranks above +inf, i.e. leaves first), and
-            // the unstable sort is safe because the order is total.
-            self.ranked
-                .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            self.ranked_next = 0;
+            self.ranked = BinaryHeap::from(keys);
         }
-        let &(_, file) = self.ranked.get(self.ranked_next)?;
-        self.ranked_next += 1;
-        Some(file)
+        self.ranked.pop().map(|(_, Reverse(file))| file)
     }
 
-    /// Unregisters an evicted file. The scan and the tournament mirror
-    /// the resident set exactly, so the victim's row or leaf comes out
-    /// now (neither asks the host about the victim, so it does not
-    /// matter whether the host still shows the file); the affine rank's
+    /// Unregisters an evicted file. The scan mirrors the resident set
+    /// exactly, so the victim's row comes out now; the affine rank's
     /// stale keys deflate at pop time instead.
-    pub fn evicted(&mut self, host: &impl Residents, file: u32, now: i64) {
+    pub fn evicted(&mut self, file: u32) {
         if let Regime::PowerScan(scan) = &mut self.regime {
             scan.evicted(file);
-        }
-        if let Regime::Kinetic(t) = &mut self.regime {
-            if !t.remove(file, now, &mut leaf_eval(self.policy, host)) {
-                self.degrade();
-            }
         }
     }
 }
@@ -641,6 +541,13 @@ struct ScanRow {
     marked: bool,
 }
 
+/// The power-age scan's near-tie band, relative: keys of a purge that
+/// come within this distance of its top key are settled by exact
+/// `priority`. Evaluated `f64` priorities and keys track the real
+/// curve to roughly 1e-13 relative error (a handful of roundings plus
+/// one `powf`), so 1e-9 leaves about four orders of magnitude of slack.
+const NEAR_TIE_MARGIN: f64 = 1e-9;
+
 /// The power-age scan (see the module docs): one key per resident,
 /// ranked once per purge.
 ///
@@ -652,10 +559,14 @@ struct ScanRow {
 /// * `root = fl(coeff^fl(1/e))` is within `(|ln coeff|/e + 1)·2⁻⁵³` of
 ///   `coeff^(1/e)` (the rounding of `1/e`, scaled by `ln coeff / e`),
 ///   and `fl(root·age)` adds half an ulp: ≈ 4e-15 relative for STP's
-///   byte sizes at `e = 1.4`, below 1e-10 over the accepted forms;
-/// * [`crate::policy::power_age`] is within a few ulps of the real
-///   priority;
-/// * so keys more than [`KINETIC_MARGIN`] (1e-9) apart are real
+///   byte sizes at `e = 1.4`, below 1e-10 over the accepted forms. At
+///   `e = 1` (SAAC, `STP(1.0)`) `root = coeff` is exact, and the key is
+///   one rounding from `coeff·age`;
+/// * the policy's `priority` is within a few ulps of the real curve
+///   (STP's is [`crate::policy::power_age`]; SAAC's `age·size/(1+refs)`
+///   rounds in another order than `coeff·age`, so the two differ by a
+///   few ulps);
+/// * so keys more than [`NEAR_TIE_MARGIN`] (1e-9) apart are real
 ///   priorities more than ≈ `0.8e-9·e` ≥ 7e-13 apart, far beyond the
 ///   `f64` priorities' ≈ 1e-15 rounding: those order the same way.
 ///
@@ -682,9 +593,7 @@ impl PowerScan {
     /// under the first one's exponent.
     fn build(policy: &dyn MigrationPolicy, host: &impl Residents, now: i64) -> Option<Self> {
         let first = host.view(host.files().next()?)?;
-        let Some(KineticForm::PowerAge { exponent: e, .. }) = policy.kinetic(&first, now) else {
-            return None;
-        };
+        let e = policy.power_age_form(&first)?.exponent;
         let mut scan = PowerScan {
             exponent: e,
             rows: Vec::with_capacity(host.len()),
@@ -731,9 +640,9 @@ impl PowerScan {
         }
     }
 
-    /// Settles every marked row with one `kinetic` call, keys every
-    /// row at `now` and heapifies the keys. `false` on a form it cannot
-    /// key (refused, another variant or exponent) or a key past `hi`
+    /// Settles every marked row with one `power_age_form` call, keys
+    /// every row at `now` and heapifies the keys. `false` on a form it
+    /// cannot key (refused, or another exponent) or a key past `hi`
     /// (see the type docs): the rescan takes this purge.
     fn open_purge(
         &mut self,
@@ -746,8 +655,8 @@ impl PowerScan {
         keys.clear();
         for row in &mut self.rows {
             if row.marked {
-                let form = host.view(row.file).and_then(|v| policy.kinetic(&v, now));
-                let Some(KineticForm::PowerAge {
+                let form = host.view(row.file).and_then(|v| policy.power_age_form(&v));
+                let Some(PowerAgeForm {
                     coeff,
                     anchor,
                     exponent,
@@ -787,7 +696,7 @@ impl PowerScan {
         now: i64,
     ) -> Option<u32> {
         let (top_bits, Reverse(top)) = self.heap.pop()?;
-        let floor = f64::from_bits(top_bits) * (1.0 - KINETIC_MARGIN);
+        let floor = f64::from_bits(top_bits) * (1.0 - NEAR_TIE_MARGIN);
         let near =
             move |&(bits, _): &(u64, Reverse<u32>)| top_bits != 0 && f64::from_bits(bits) >= floor;
         if !self.heap.peek().is_some_and(near) {
@@ -811,441 +720,8 @@ impl PowerScan {
     }
 }
 
-/// Sentinel leaf slot / winner / file mapping: "none".
+/// Sentinel `slot_of` entry: "not resident".
 const NO_SLOT: u32 = u32::MAX;
-
-/// One internal tournament node: the winning leaf slot of the subtree,
-/// the node's *own* certificate (when the cached finalist comparison
-/// could flip), and the minimum expiry over the whole subtree. The
-/// subtree minimum lets [`KineticTournament::advance`] skip every
-/// subtree whose cached comparisons are still guaranteed; keeping the
-/// own certificate separate lets both `advance` and a reseat *recombine*
-/// a node — refresh `min_expiry` from stored fields with zero policy
-/// evaluations — whenever its finalist pair is known to be unchanged.
-#[derive(Debug, Clone, Copy)]
-struct KNode {
-    winner: u32,
-    own_expiry: i64,
-    min_expiry: i64,
-}
-
-const EMPTY_NODE: KNode = KNode {
-    winner: NO_SLOT,
-    own_expiry: i64::MAX,
-    min_expiry: i64::MAX,
-};
-
-/// One leaf: a resident file's dense index, its priority and kinetic
-/// form as of `stamp`. Leaves refresh lazily — only when a recompute
-/// actually compares them at a newer time, or when the entry mutated
-/// since (`stale`: the cached value describes a state that no longer
-/// exists, whatever its stamp says). Kept at 80 bytes, pinned by a
-/// test: a wider leaf slows every tournament, so per-form constants
-/// ride in the form's spare payload, not here.
-#[derive(Debug, Clone, Copy)]
-struct KLeaf {
-    file: u32,
-    priority: f64,
-    form: KineticForm,
-    stamp: i64,
-    stale: bool,
-}
-
-const EMPTY_LEAF: KLeaf = KLeaf {
-    file: NO_SLOT,
-    priority: 0.0,
-    form: KineticForm::PiecewiseConstant { until: i64::MAX },
-    stamp: i64::MIN,
-    stale: false,
-};
-
-/// A kinetic tournament over the resident set: an implicit perfect
-/// binary tree whose internal nodes cache `(winner, certificate)` pairs
-/// (see the module docs for the regime overview).
-///
-/// The caller supplies one `eval` closure mapping a dense file index
-/// and a time to `(priority, kinetic form)` — the *true*
-/// [`crate::policy::MigrationPolicy::priority`] value, which is all the
-/// tournament ever compares (forms only schedule re-checks), so the
-/// winner sequence is bit-identical to the rescan's
-/// `(priority desc, id asc)` order by construction. Between two
-/// [`KineticTournament::advance`] calls the tree may lag the entries:
-/// [`KineticTournament::upsert`] queues the mutated leaf on `dirty`
-/// and the next `advance` settles the queue, so a file touched `k`
-/// times between purges is evaluated once. `eval` returning
-/// `None` (entry missing, policy refusing a form) makes the mutating
-/// call answer `false`: the caller must discard the tournament and
-/// degrade to the exact rescan, mirroring [`Candidate::Abort`].
-///
-/// Layout: `tree.len() == leaves.len() == cap`, a power of two;
-/// `tree[0]` is unused, the root is `tree[1]`, node `i`'s children are
-/// `2i`/`2i+1`, and a child index `c ≥ cap` denotes leaf `c − cap`.
-#[derive(Debug)]
-pub(crate) struct KineticTournament {
-    tree: Vec<KNode>,
-    leaves: Vec<KLeaf>,
-    /// Dense file index → leaf slot ([`NO_SLOT`] when untracked).
-    slot_of: Vec<u32>,
-    free: Vec<u32>,
-    /// Leaf slots mutated since the last `advance`, each owed one
-    /// re-evaluation and one path replay. A slot whose file was evicted
-    /// (or replaced) in the meantime stays listed; settling it replays
-    /// an already-current path, which is harmless.
-    dirty: Vec<u32>,
-    len: usize,
-    now: i64,
-}
-
-impl KineticTournament {
-    /// An empty tournament with room for `n` leaves before growing.
-    pub fn with_capacity(n: usize) -> Self {
-        let cap = n.next_power_of_two().max(2);
-        KineticTournament {
-            tree: vec![EMPTY_NODE; cap],
-            leaves: vec![EMPTY_LEAF; cap],
-            slot_of: Vec::new(),
-            free: (0..cap as u32).rev().collect(),
-            dirty: Vec::new(),
-            len: 0,
-            now: i64::MIN,
-        }
-    }
-
-    /// Builds over a resident set in one bottom-up O(n) pass. `None`
-    /// if the policy refuses a form for any resident.
-    pub fn build(
-        files: &[u32],
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-    ) -> Option<Self> {
-        let mut t = Self::with_capacity(files.len());
-        t.now = now;
-        for &f in files {
-            let slot = t.free.pop().expect("capacity covers the build set");
-            let (priority, form) = eval(f, now)?;
-            t.leaves[slot as usize] = KLeaf {
-                file: f,
-                priority,
-                form,
-                stamp: now,
-                stale: false,
-            };
-            let fi = f as usize;
-            if fi >= t.slot_of.len() {
-                t.slot_of.resize(fi + 1, NO_SLOT);
-            }
-            debug_assert_eq!(t.slot_of[fi], NO_SLOT, "duplicate file in build set");
-            t.slot_of[fi] = slot;
-        }
-        t.len = files.len();
-        let mut ok = true;
-        t.rebuild(now, eval, &mut ok);
-        ok.then_some(t)
-    }
-
-    /// Tracked (resident) leaves.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Moves the tournament clock to `now`: settles every leaf mutated
-    /// since the last call (one evaluation and one path replay each),
-    /// then replays exactly the subtrees whose certificates have
-    /// expired. `false` aborts (see the type docs).
-    pub fn advance(
-        &mut self,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-    ) -> bool {
-        debug_assert!(now >= self.now, "kinetic clocks are monotone");
-        self.now = now;
-        let mut ok = true;
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for slot in dirty.drain(..) {
-            self.refresh(slot, now, eval, &mut ok);
-            self.reseat(slot, now, eval, &mut ok);
-            if !ok {
-                return false;
-            }
-        }
-        self.dirty = dirty; // keep the allocation
-        self.advance_node(1, now, eval, &mut ok);
-        ok
-    }
-
-    /// Registers one file's mutation (touch, resize, insert): assigns
-    /// a leaf slot if the file has none and marks the leaf for the next
-    /// [`KineticTournament::advance`]. O(1), no evaluation, no replay —
-    /// except an insert that outgrows the leaf space, which doubles it
-    /// and rebuilds (amortised O(1) evaluations per insert).
-    pub fn upsert(
-        &mut self,
-        file: u32,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-    ) -> bool {
-        let fi = file as usize;
-        if fi >= self.slot_of.len() {
-            self.slot_of.resize(fi + 1, NO_SLOT);
-        }
-        let slot = match self.slot_of[fi] {
-            NO_SLOT => {
-                let slot = match self.free.pop() {
-                    Some(s) => s,
-                    None => {
-                        let mut ok = true;
-                        self.grow(now, eval, &mut ok);
-                        if !ok {
-                            return false;
-                        }
-                        self.free.pop().expect("grow doubles the leaf space")
-                    }
-                };
-                self.slot_of[fi] = slot;
-                self.leaves[slot as usize].file = file;
-                self.len += 1;
-                slot
-            }
-            s => s,
-        };
-        let leaf = &mut self.leaves[slot as usize];
-        if !leaf.stale {
-            leaf.stale = true;
-            self.dirty.push(slot);
-        }
-        true
-    }
-
-    /// Unregisters an evicted file, replaying its root-to-leaf path.
-    /// Unknown files are a no-op (`true`).
-    pub fn remove(
-        &mut self,
-        file: u32,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-    ) -> bool {
-        let Some(&slot) = self.slot_of.get(file as usize) else {
-            return true;
-        };
-        if slot == NO_SLOT {
-            return true;
-        }
-        self.slot_of[file as usize] = NO_SLOT;
-        self.leaves[slot as usize] = EMPTY_LEAF;
-        self.free.push(slot);
-        self.len -= 1;
-        let mut ok = true;
-        self.reseat(slot, now, eval, &mut ok);
-        ok
-    }
-
-    /// The overall winner as `(file, cached priority, eval stamp)` —
-    /// the exact next victim in `(priority desc, id asc)` order,
-    /// provided [`KineticTournament::advance`] has been called at the
-    /// query time. The cached priority is the policy's value *at
-    /// `stamp`* (≤ the query time): certificates freeze comparison
-    /// outcomes, not values.
-    pub fn winner(&self) -> Option<(u32, f64, i64)> {
-        let w = self.tree[1].winner;
-        if w == NO_SLOT {
-            return None;
-        }
-        let leaf = self.leaves[w as usize];
-        Some((leaf.file, leaf.priority, leaf.stamp))
-    }
-
-    /// `(winner slot, subtree min expiry)` of child position `c`.
-    fn child_state(&self, c: usize) -> (u32, i64) {
-        if c < self.tree.len() {
-            let n = self.tree[c];
-            (n.winner, n.min_expiry)
-        } else {
-            let s = c - self.tree.len();
-            let w = if self.leaves[s].file != NO_SLOT {
-                s as u32
-            } else {
-                NO_SLOT
-            };
-            (w, i64::MAX)
-        }
-    }
-
-    /// Re-evaluates a leaf through the host if its cached value
-    /// predates `now` or the entry mutated since it was cached
-    /// (possibly at this same `now`).
-    fn refresh(
-        &mut self,
-        slot: u32,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) {
-        let leaf = &mut self.leaves[slot as usize];
-        if (leaf.stamp == now && !leaf.stale) || leaf.file == NO_SLOT {
-            return;
-        }
-        match eval(leaf.file, now) {
-            Some((priority, form)) => {
-                leaf.priority = priority;
-                leaf.form = form;
-                leaf.stamp = now;
-                leaf.stale = false;
-            }
-            None => *ok = false,
-        }
-    }
-
-    /// Recomputes one internal node from its (current) children:
-    /// refresh both finalists to `now`, compare true priorities with
-    /// the ascending-id tie-break, certify the outcome.
-    fn recompute(
-        &mut self,
-        i: usize,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) {
-        if !*ok {
-            return;
-        }
-        let (lw, lm) = self.child_state(2 * i);
-        let (rw, rm) = self.child_state(2 * i + 1);
-        let (winner, own) = match (lw, rw) {
-            (NO_SLOT, NO_SLOT) => (NO_SLOT, i64::MAX),
-            (w, NO_SLOT) | (NO_SLOT, w) => (w, i64::MAX),
-            (a, b) => {
-                self.refresh(a, now, eval, ok);
-                self.refresh(b, now, eval, ok);
-                if !*ok {
-                    return;
-                }
-                let (la, lb) = (self.leaves[a as usize], self.leaves[b as usize]);
-                let a_wins = match la.priority.total_cmp(&lb.priority) {
-                    Ordering::Greater => true,
-                    Ordering::Less => false,
-                    Ordering::Equal => la.file < lb.file,
-                };
-                let (slot, w, l) = if a_wins { (a, la, lb) } else { (b, lb, la) };
-                (
-                    slot,
-                    certify_order(&w.form, w.priority, &l.form, l.priority, now),
-                )
-            }
-        };
-        self.tree[i] = KNode {
-            winner,
-            own_expiry: own,
-            min_expiry: own.min(lm).min(rm),
-        };
-    }
-
-    /// Refreshes a node's subtree minimum from stored fields alone —
-    /// the no-eval counterpart of [`KineticTournament::recompute`],
-    /// sound whenever the node's finalist pair (both child winners,
-    /// forms included) is unchanged since its own certificate was cut.
-    fn recombine(&mut self, i: usize) {
-        let (_, lm) = self.child_state(2 * i);
-        let (_, rm) = self.child_state(2 * i + 1);
-        let n = &mut self.tree[i];
-        n.min_expiry = n.own_expiry.min(lm).min(rm);
-    }
-
-    /// Replays expired subtrees below `i`; answers whether the
-    /// subtree's presented winner changed, so the parent can recombine
-    /// instead of recomputing when its own certificate still stands and
-    /// both children came back unchanged.
-    fn advance_node(
-        &mut self,
-        i: usize,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) -> bool {
-        if !*ok || self.tree[i].min_expiry > now {
-            return false;
-        }
-        let l = 2 * i;
-        let mut child_changed = false;
-        if l < self.tree.len() {
-            child_changed |= self.advance_node(l, now, eval, ok);
-            child_changed |= self.advance_node(l + 1, now, eval, ok);
-        }
-        if !*ok {
-            return false;
-        }
-        let old = self.tree[i].winner;
-        if child_changed || self.tree[i].own_expiry <= now {
-            self.recompute(i, now, eval, ok);
-        } else {
-            self.recombine(i);
-        }
-        self.tree[i].winner != old
-    }
-
-    /// Replays the root-to-leaf path above `slot`. Once the mutated
-    /// leaf has lost and a recomputed node presents the same winner as
-    /// before, the mutation can no longer influence any ancestor's
-    /// finalist pair — the remaining path only recombines subtree
-    /// minima, with zero policy evaluations. (Fresh inserts under
-    /// age-based policies start at priority ~0 and lose at the first
-    /// comparison, making the common insert near-O(1) in evals.)
-    fn reseat(
-        &mut self,
-        slot: u32,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) {
-        let mut i = (self.tree.len() + slot as usize) / 2;
-        let mut settled = false;
-        while i >= 1 {
-            if settled {
-                self.recombine(i);
-            } else {
-                let old = self.tree[i].winner;
-                self.recompute(i, now, eval, ok);
-                if !*ok {
-                    return;
-                }
-                // `old != slot` matters: if the mutated leaf itself
-                // stays the winner, ancestor certificates were cut
-                // against its *old* form and must be recut.
-                settled = self.tree[i].winner == old && old != slot;
-            }
-            i /= 2;
-        }
-    }
-
-    /// Doubles the leaf space and rebuilds bottom-up.
-    fn grow(
-        &mut self,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) {
-        let cap = self.tree.len() * 2;
-        self.leaves.resize(cap, EMPTY_LEAF);
-        for s in (cap / 2..cap).rev() {
-            self.free.push(s as u32);
-        }
-        self.tree = vec![EMPTY_NODE; cap];
-        self.rebuild(now, eval, ok);
-    }
-
-    fn rebuild(
-        &mut self,
-        now: i64,
-        eval: &mut impl FnMut(u32, i64) -> Option<(f64, KineticForm)>,
-        ok: &mut bool,
-    ) {
-        for i in (1..self.tree.len()).rev() {
-            self.recompute(i, now, eval, ok);
-            if !*ok {
-                return;
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1342,402 +818,11 @@ mod tests {
 }
 
 #[cfg(test)]
-mod kinetic_tests {
-    use super::*;
-    use crate::policy::{FileView, MigrationPolicy, RandomEvict, Saac, Stp, StpLat};
-    use fmig_trace::FileId;
-
-    fn view(id: u32, size: u64, last_ref: i64, ref_count: u32) -> FileView {
-        FileView {
-            id: FileId::new(id),
-            size,
-            last_ref,
-            created: 0,
-            ref_count,
-            next_use: None,
-            est_miss_wait_s: 4.0,
-        }
-    }
-
-    /// The rescan oracle: argmax by `(priority desc, id asc)`.
-    fn naive_best(p: &dyn MigrationPolicy, state: &[Option<FileView>], now: i64) -> Option<u32> {
-        state
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (p.priority(v, now), i as u32)))
-            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
-            .map(|(_, i)| i)
-    }
-
-    /// Drives one policy through a deterministic churn of advances,
-    /// touches, inserts, and winner evictions, asserting the tournament
-    /// winner equals the rescan argmax at every step.
-    fn churn_matches_rescan(p: &dyn MigrationPolicy, steps: usize) {
-        let universe = 48u32;
-        let mut state: Vec<Option<FileView>> = (0..universe)
-            .map(|i| {
-                Some(view(
-                    i,
-                    1 + (i as u64 * 7919) % 100_000,
-                    (i as i64 * 131) % 900,
-                    1 + i % 5,
-                ))
-            })
-            .collect();
-        let files: Vec<u32> = (0..universe).collect();
-        let mut rng = 0x9E37_79B9_u64;
-        let mut step_rng = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut now = 900i64;
-        let mut t = {
-            let mut eval = |f: u32, at: i64| {
-                let v = state[f as usize].as_ref()?;
-                Some((p.priority(v, at), p.kinetic(v, at)?))
-            };
-            KineticTournament::build(&files, now, &mut eval).expect("suite policies have forms")
-        };
-        for step in 0..steps {
-            // Jumps both short (crossing-heavy) and day-scale.
-            now += match step_rng() % 7 {
-                0 => 0,
-                1..=4 => (step_rng() % 13) as i64,
-                5 => 977,
-                _ => 86_400 / 2,
-            };
-            {
-                let mut eval = |f: u32, at: i64| {
-                    let v = state[f as usize].as_ref()?;
-                    Some((p.priority(v, at), p.kinetic(v, at)?))
-                };
-                assert!(t.advance(now, &mut eval));
-            }
-            assert_eq!(
-                t.winner().map(|(f, _, _)| f),
-                naive_best(p, &state, now),
-                "{}: winner diverged at step {step}, now {now}",
-                p.name()
-            );
-            match step_rng() % 4 {
-                0 => {
-                    // Touch a random resident file.
-                    let f = (step_rng() % universe as u64) as u32;
-                    if let Some(v) = state[f as usize].as_mut() {
-                        v.last_ref = now;
-                        v.ref_count += 1;
-                        let mut eval = |f: u32, at: i64| {
-                            let v = state[f as usize].as_ref()?;
-                            Some((p.priority(v, at), p.kinetic(v, at)?))
-                        };
-                        assert!(t.upsert(f, now, &mut eval));
-                    }
-                }
-                1 => {
-                    // Evict the winner (the purge path).
-                    if let Some((f, _, _)) = t.winner() {
-                        state[f as usize] = None;
-                        let mut eval = |f: u32, at: i64| {
-                            let v = state[f as usize].as_ref()?;
-                            Some((p.priority(v, at), p.kinetic(v, at)?))
-                        };
-                        assert!(t.remove(f, now, &mut eval));
-                    }
-                }
-                2 => {
-                    // (Re)insert a file, possibly beyond the original
-                    // universe to force growth.
-                    let f = (step_rng() % (universe as u64 + 16)) as u32;
-                    if state.len() <= f as usize {
-                        state.resize(f as usize + 1, None);
-                    }
-                    state[f as usize] = Some(view(f, 1 + (step_rng() % 1_000_000), now, 1));
-                    let mut eval = |f: u32, at: i64| {
-                        let v = state[f as usize].as_ref()?;
-                        Some((p.priority(v, at), p.kinetic(v, at)?))
-                    };
-                    assert!(t.upsert(f, now, &mut eval));
-                }
-                _ => {}
-            }
-            // Mutations settle at the next advance (the documented
-            // contract for reading a winner).
-            {
-                let mut eval = |f: u32, at: i64| {
-                    let v = state[f as usize].as_ref()?;
-                    Some((p.priority(v, at), p.kinetic(v, at)?))
-                };
-                assert!(t.advance(now, &mut eval));
-            }
-            assert_eq!(
-                t.winner().map(|(f, _, _)| f),
-                naive_best(p, &state, now),
-                "{}: winner diverged after mutation at step {step}",
-                p.name()
-            );
-        }
-    }
-
-    #[test]
-    fn tournament_matches_rescan_for_stp() {
-        churn_matches_rescan(&Stp::classic(), 300);
-        churn_matches_rescan(&Stp { exponent: 1.0 }, 300);
-    }
-
-    #[test]
-    fn tournament_matches_rescan_for_saac() {
-        churn_matches_rescan(&Saac, 300);
-    }
-
-    #[test]
-    fn tournament_matches_rescan_for_random_evict() {
-        churn_matches_rescan(&RandomEvict { salt: 0xA5A5 }, 300);
-    }
-
-    #[test]
-    fn tournament_matches_rescan_for_stp_lat() {
-        churn_matches_rescan(&StpLat::classic(), 300);
-    }
-
-    /// The `eval` hook over a test's file table.
-    fn eval_over<'a>(
-        p: &'a dyn MigrationPolicy,
-        state: &'a [Option<FileView>],
-    ) -> impl FnMut(u32, i64) -> Option<(f64, KineticForm)> + 'a {
-        move |f, at| {
-            let v = state[f as usize].as_ref()?;
-            Some((p.priority(v, at), p.kinetic(v, at)?))
-        }
-    }
-
-    fn touch(state: &mut [Option<FileView>], f: u32, now: i64) {
-        let v = state[f as usize]
-            .as_mut()
-            .expect("touched files are resident");
-        v.last_ref = now;
-        v.ref_count += 1;
-    }
-
-    #[test]
-    fn touches_between_advances_cost_one_evaluation_at_the_advance() {
-        let p = Stp::classic();
-        let mut state: Vec<Option<FileView>> = (0..16u32)
-            .map(|i| Some(view(i, 100 + i as u64 * 37, i as i64 * 3, 1)))
-            .collect();
-        let files: Vec<u32> = (0..16).collect();
-        let mut t = KineticTournament::build(&files, 100, &mut eval_over(&p, &state)).unwrap();
-        assert!(t.advance(200, &mut eval_over(&p, &state)));
-        // Five touches of one hot file: nothing is evaluated.
-        for now in [210, 220, 230, 240, 250] {
-            touch(&mut state, 3, now);
-            let mut eval = |_: u32, _: i64| -> Option<(f64, KineticForm)> {
-                panic!("a touch must not evaluate");
-            };
-            assert!(t.upsert(3, now, &mut eval));
-        }
-        // The advance pays for the hot file exactly once.
-        let mut evals_of_3 = 0;
-        let mut inner = eval_over(&p, &state);
-        let mut eval = |f: u32, at: i64| {
-            evals_of_3 += usize::from(f == 3);
-            inner(f, at)
-        };
-        assert!(t.advance(300, &mut eval));
-        assert_eq!(evals_of_3, 1);
-        assert_eq!(t.winner().map(|w| w.0), naive_best(&p, &state, 300));
-    }
-
-    #[test]
-    fn a_touch_in_the_second_a_neighbour_refreshed_the_leaf_still_counts() {
-        let p = Stp::classic();
-        // File 1 is old and huge: the standing winner. Files 0 and 1
-        // occupy sibling leaves.
-        let mut state: Vec<Option<FileView>> = vec![
-            Some(view(0, 500, 10, 1)),
-            Some(view(1, 1_000_000, 0, 1)),
-            Some(view(2, 400, 20, 1)),
-            Some(view(3, 300, 30, 1)),
-        ];
-        let mut t =
-            KineticTournament::build(&[0, 1, 2, 3], 50, &mut eval_over(&p, &state)).unwrap();
-        let now = 100;
-        // Settling file 0's touch replays its path, which refreshes its
-        // sibling — file 1's leaf is now stamped `now`.
-        touch(&mut state, 0, now);
-        assert!(t.upsert(0, now, &mut eval_over(&p, &state)));
-        assert!(t.advance(now, &mut eval_over(&p, &state)));
-        assert_eq!(t.winner().map(|w| w.0), Some(1));
-        // File 1 is touched in that same second: its age drops to zero
-        // and it must lose, although its leaf's stamp already says `now`.
-        touch(&mut state, 1, now);
-        assert!(t.upsert(1, now, &mut eval_over(&p, &state)));
-        assert!(t.advance(now, &mut eval_over(&p, &state)));
-        let best = naive_best(&p, &state, now);
-        assert_ne!(best, Some(1));
-        assert_eq!(t.winner().map(|w| w.0), best);
-    }
-
-    #[test]
-    fn a_marked_leaf_evicted_and_reused_before_the_advance_settles_cleanly() {
-        let p = Stp::classic();
-        let mut state: Vec<Option<FileView>> = (0..4u32)
-            .map(|i| Some(view(i, 100 + i as u64 * 11, i as i64, 1)))
-            .collect();
-        state.resize(8, None);
-        let mut t =
-            KineticTournament::build(&[0, 1, 2, 3], 40, &mut eval_over(&p, &state)).unwrap();
-        // Touch file 2, evict it before any advance, and let file 6
-        // take over its (marked) slot.
-        touch(&mut state, 2, 50);
-        assert!(t.upsert(2, 50, &mut eval_over(&p, &state)));
-        state[2] = None;
-        assert!(t.remove(2, 50, &mut eval_over(&p, &state)));
-        state[6] = Some(view(6, 9_000, 50, 1));
-        assert!(t.upsert(6, 50, &mut eval_over(&p, &state)));
-        assert_eq!(t.len(), 4);
-        // Settles to the rescan order over {0, 1, 3, 6}, all the way down.
-        let now = 90;
-        let mut got = Vec::new();
-        let mut expected = Vec::new();
-        while t.len() > 0 {
-            assert!(t.advance(now, &mut eval_over(&p, &state)));
-            let (f, _, _) = t.winner().expect("residents remain");
-            expected.push(naive_best(&p, &state, now).unwrap());
-            got.push(f);
-            state[f as usize] = None;
-            assert!(t.remove(f, now, &mut eval_over(&p, &state)));
-        }
-        assert_eq!(got, expected);
-        assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn batches_of_mutations_settle_to_the_rescan_winner() {
-        // Many leaves marked between two advances — touches, inserts
-        // (growth included), evictions of arbitrary residents, slots
-        // reused — replay overlapping paths in one settle.
-        let policies: [&dyn MigrationPolicy; 4] = [
-            &Stp::classic(),
-            &Saac,
-            &RandomEvict { salt: 7 },
-            &StpLat::classic(),
-        ];
-        for p in policies {
-            let mut state: Vec<Option<FileView>> = (0..40u32)
-                .map(|i| {
-                    Some(view(
-                        i,
-                        1 + (i as u64 * 7919) % 50_000,
-                        (i as i64 * 131) % 600,
-                        1 + i % 4,
-                    ))
-                })
-                .collect();
-            state.resize(96, None);
-            let files: Vec<u32> = (0..40).collect();
-            let mut now = 600;
-            let mut t = KineticTournament::build(&files, now, &mut eval_over(p, &state)).unwrap();
-            let mut rng = 0x2545_F491_4F6C_DD1D_u64;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            for round in 0..200 {
-                for _ in 0..next() % 24 {
-                    now += (next() % 3) as i64;
-                    let f = (next() % 96) as u32;
-                    match (state[f as usize].is_some(), next() % 3) {
-                        (true, 0) => {
-                            state[f as usize] = None;
-                            assert!(t.remove(f, now, &mut eval_over(p, &state)));
-                        }
-                        (true, _) => {
-                            touch(&mut state, f, now);
-                            assert!(t.upsert(f, now, &mut eval_over(p, &state)));
-                        }
-                        (false, _) => {
-                            state[f as usize] = Some(view(f, 1 + next() % 1_000_000, now, 1));
-                            assert!(t.upsert(f, now, &mut eval_over(p, &state)));
-                        }
-                    }
-                }
-                now += [0, 1, 977, 43_200][(next() % 4) as usize];
-                assert!(t.advance(now, &mut eval_over(p, &state)));
-                assert_eq!(
-                    t.winner().map(|w| w.0),
-                    naive_best(p, &state, now),
-                    "{}: winner diverged in round {round}, now {now}",
-                    p.name()
-                );
-                assert_eq!(t.len(), state.iter().flatten().count());
-            }
-        }
-    }
-
-    #[test]
-    fn eval_refusal_aborts() {
-        let p = Stp::classic();
-        let state = [Some(view(0, 10, 0, 1)), Some(view(1, 20, 0, 1))];
-        let mut t = KineticTournament::build(&[0, 1], 0, &mut eval_over(&p, &state)).unwrap();
-        // A touch marks the leaf; settling it asks the host, and a
-        // refusal there must surface as `false`.
-        assert!(t.upsert(0, 1, &mut |_, _| None));
-        assert!(!t.advance(1, &mut |_, _| None));
-    }
-
-    #[test]
-    fn a_leaf_stays_eighty_bytes() {
-        assert!(std::mem::size_of::<KLeaf>() <= 80);
-    }
-
-    #[test]
-    fn draining_every_winner_yields_the_full_rescan_sequence() {
-        let p = Stp::classic();
-        let mut state: Vec<Option<FileView>> = (0..33u32)
-            .map(|i| Some(view(i, 1 + (i as u64 * 37) % 500, (i as i64 * 17) % 200, 1)))
-            .collect();
-        let files: Vec<u32> = (0..33).collect();
-        let now = 200;
-        let mut expected = Vec::new();
-        {
-            let mut s = state.clone();
-            while let Some(f) = naive_best(&p, &s, now) {
-                expected.push(f);
-                s[f as usize] = None;
-            }
-        }
-        let mut t = {
-            let mut eval = |f: u32, at: i64| {
-                let v = state[f as usize].as_ref()?;
-                Some((p.priority(v, at), p.kinetic(v, at)?))
-            };
-            KineticTournament::build(&files, now, &mut eval).unwrap()
-        };
-        let mut got = Vec::new();
-        while let Some((f, _, _)) = t.winner() {
-            got.push(f);
-            state[f as usize] = None;
-            let mut eval = |f: u32, at: i64| {
-                let v = state[f as usize].as_ref()?;
-                Some((p.priority(v, at), p.kinetic(v, at)?))
-            };
-            assert!(t.remove(f, now, &mut eval));
-        }
-        assert_eq!(got, expected);
-        assert_eq!(t.len(), 0);
-    }
-}
-
-#[cfg(test)]
 mod scan_tests {
     use std::cell::Cell;
 
     use super::*;
-    use crate::policy::{FileView, MigrationPolicy, Stp};
+    use crate::policy::{FileView, MigrationPolicy, Saac, Stp};
     use fmig_trace::FileId;
 
     thread_local! {
@@ -1764,13 +849,13 @@ mod scan_tests {
         }
     }
 
-    fn view(id: u32, size: u64, last_ref: i64) -> FileView {
+    fn view(id: u32, size: u64, last_ref: i64, ref_count: u32) -> FileView {
         FileView {
             id: FileId::new(id),
             size,
             last_ref,
             created: 0,
-            ref_count: 1,
+            ref_count,
             next_use: None,
             est_miss_wait_s: 0.0,
         }
@@ -1791,7 +876,7 @@ mod scan_tests {
         let (mut victims, mut regime) = (Vec::new(), rank.regime());
         while let Some(file) = rank.next_victim(&host, now) {
             regime = rank.regime();
-            rank.evicted(&host, file, now);
+            rank.evicted(file);
             host.0[file as usize] = None;
             victims.push(file);
         }
@@ -1801,20 +886,34 @@ mod scan_tests {
     #[test]
     fn a_near_tie_band_settles_what_the_root_keys_cannot_order() {
         let now = 1 << 20;
-        // Every (size, age) of a small grid, sorted by root key: a
-        // neighbour pair whose f64 priorities order another way is one
-        // only the band can rank. Exact real ties make them: STP(1.4)'s
-        // 128·1^1.4 against 1·32^1.4 share a key but not a priority,
-        // and STP(2)'s 2·3² against 18·1² share a priority but not a
-        // key.
-        for p in [Stp::classic(), Stp { exponent: 2.0 }] {
-            let key = |v: &FileView| match p.kinetic(v, now) {
-                Some(KineticForm::PowerAge { root, anchor, .. }) => root * (now - anchor) as f64,
-                _ => unreachable!("STP ships PowerAge"),
+        // Every (size, refs, age) of a small grid for SAAC and every
+        // (size, age) for STP, sorted by root key: a neighbour pair
+        // whose f64 priorities order another way is one only the band
+        // can rank. Exact real ties make them: SAAC's (1, 9, 3) against
+        // (3, 9, 1) key at 0.30000000000000004 and 0.3 but both price at
+        // exactly 0.3; STP(1.4)'s 128·1^1.4 against 1·32^1.4 share a key
+        // but not a priority, and STP(2)'s 2·3² against 18·1² share a
+        // priority but not a key.
+        let saac_grid: Vec<FileView> = (1..=32u64)
+            .flat_map(|size| {
+                (0..16).flat_map(move |refs| (1..=32).map(move |age| (size, refs, age)))
+            })
+            .map(|(size, refs, age)| view(0, size, now - age, refs))
+            .collect();
+        let stp_grid: Vec<FileView> = (1..=256u64)
+            .flat_map(|size| (1..=64i64).map(move |age| view(0, size, now - age, 1)))
+            .collect();
+        let cases: [(&dyn MigrationPolicy, &[FileView]); 3] = [
+            (&Saac, &saac_grid),
+            (&Stp::classic(), &stp_grid),
+            (&Stp { exponent: 2.0 }, &stp_grid),
+        ];
+        for (p, grid) in cases {
+            let key = |v: &FileView| {
+                let form = p.power_age_form(v).expect("a power-age policy");
+                form.root * (now - form.anchor) as f64
             };
-            let mut grid: Vec<FileView> = (1..=256u64)
-                .flat_map(|size| (1..=64i64).map(move |age| view(0, size, now - age)))
-                .collect();
+            let mut grid = grid.to_vec();
             grid.sort_by(|a, b| key(a).total_cmp(&key(b)));
             let disagree = |w: &[FileView]| {
                 key(&w[0]).total_cmp(&key(&w[1]))
@@ -1828,33 +927,46 @@ mod scan_tests {
             for w in pairs.iter().take(24) {
                 files.extend_from_slice(w);
             }
-            files.extend([view(0, 500, now - 9), view(0, 500, now - 9)]);
-            files.extend([view(0, 900, now), view(0, 10, now)]);
-            files.extend([view(0, 0, now - 50), view(0, 0, 0)]);
+            files.extend([view(0, 500, now - 9, 1), view(0, 500, now - 9, 1)]);
+            files.extend([view(0, 900, now, 1), view(0, 10, now, 1)]);
+            files.extend([view(0, 0, now - 50, 1), view(0, 0, 0, 1)]);
             for (id, v) in files.iter_mut().enumerate() {
                 v.id = FileId::new(id as u32);
             }
             let before = BANDS.with(Cell::get);
-            let (got, regime) = drain(&p, EvictionMode::Indexed, &files, now);
+            let (got, regime) = drain(p, EvictionMode::Indexed, &files, now);
             assert_eq!(regime, RankingRegime::PowerScan, "{}", p.name());
             assert!(BANDS.with(Cell::get) > before, "{}: no band", p.name());
-            assert_eq!(got, drain(&p, EvictionMode::Rescan, &files, now).0);
+            let want = drain(p, EvictionMode::Rescan, &files, now).0;
+            assert_eq!(got, want, "{}", p.name());
             assert_eq!(got.len(), files.len());
         }
+        // The SAAC pair named above, exactly.
+        let (a, b) = (view(0, 1, now - 3, 9), view(1, 3, now - 1, 9));
+        let key = |v: &FileView| {
+            let form = Saac.power_age_form(v).expect("SAAC ships a power-age form");
+            form.root * (now - form.anchor) as f64
+        };
+        assert_eq!((key(&a), key(&b)), (0.30000000000000004, 0.3));
+        assert_eq!((Saac.priority(&a, now), Saac.priority(&b, now)), (0.3, 0.3));
     }
 
     #[test]
     fn exponents_and_keys_outside_the_domain_leave_the_scan() {
-        // An exponent past the ceiling takes the tournament.
-        let files = [view(0, 10, 0), view(1, 20, 5)];
+        // An exponent past the ceiling takes the rescan.
+        let files = [view(0, 10, 0, 1), view(1, 20, 5, 1)];
         let (_, regime) = drain(&Stp { exponent: 20.0 }, EvictionMode::Indexed, &files, 100);
-        assert_eq!(regime, RankingRegime::Kinetic);
+        assert_eq!(regime, RankingRegime::Rescan);
         // STP(16): a scan built at t = 10 meets t = 2^62, where files 0
         // and 1 price at ∞ and tie by id though their root keys differ.
         // The keys are past `hi`: the purge degrades, the rescan takes it.
         let p = Stp { exponent: 16.0 };
         let (then, now) = (10, 1 << 62);
-        let files = [view(0, 1 << 40, 0), view(1, 1 << 41, 0), view(2, 3, 9)];
+        let files = [
+            view(0, 1 << 40, 0, 1),
+            view(1, 1 << 41, 0, 1),
+            view(2, 3, 9, 1),
+        ];
         let mut host = Table(files.iter().map(|&v| Some(v)).collect());
         let mut rank = Ranking::new(&p, EvictionMode::Indexed);
         rank.begin_purge(&host, then);

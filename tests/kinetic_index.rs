@@ -1,7 +1,7 @@
-//! Exactness properties of the time-varying victim-ranking paths: for
-//! every time-varying shipped policy, replaying through the power-age
-//! scan (STP) or the kinetic tournament (the rest) must be
-//! **observationally identical** to the sort-based rescan oracle —
+//! Exactness properties of the power-age scan: for every shipped
+//! policy that ranks through it (STP at three exponents, SAAC at
+//! exponent 1), replaying through the scan must be **observationally
+//! identical** to the rescan oracle —
 //!
 //! * the full `CacheOp` stream (every victim, in order, with its stall
 //!   classification), the counters, and the survivor set of a
@@ -9,13 +9,14 @@
 //! * the single-pass miss-ratio-curve engine against one naive full
 //!   replay per capacity, at resident counts large enough to clear the
 //!   `INDEX_MIN_RESIDENTS` activation gate so the MRC stacks actually
-//!   rank through their scans and tournaments.
+//!   rank through their scans.
 //!
-//! Traces are adversarial for certificates: sizes span orders of
+//! Traces are adversarial for root keys: sizes span orders of
 //! magnitude and timestamps mix zero steps (exact ties), short hops
-//! (crossing-heavy STP windows) and half-day jumps (RandomEvict's
-//! piecewise-constant epoch flips mid-trace). Latency-aware policies
-//! get a nonzero recall-wait hint so their priority actually uses it.
+//! (crossing-heavy STP windows) and half-day jumps. The policies
+//! without a form rank through the rescan in every mode, so here they
+//! would meet only themselves; `tests/cache_spec.rs` holds them to the
+//! independent spec.
 
 use std::collections::HashMap;
 
@@ -24,32 +25,28 @@ use proptest::prelude::*;
 use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
-use fmig_migrate::policy::{LruMad, MigrationPolicy, RandomEvict, Saac, Stp, StpLat};
+use fmig_migrate::policy::{MigrationPolicy, Saac, Stp};
 use fmig_trace::{DeviceClass, FileId};
 
 /// One raw reference: (write?, file id, size, time step).
 type Spec = (bool, u32, u64, i64);
 
-/// Every shipped policy whose priority drifts with the clock — exactly
-/// the set that ranks through the power-age scan or the kinetic
-/// tournament (one entry per [`fmig_migrate::policy::KineticForm`]
-/// variant, plus STP's exponent spread).
-fn kinetic_suite() -> Vec<Box<dyn MigrationPolicy>> {
+/// Every shipped policy that ships a
+/// [`fmig_migrate::policy::PowerAgeForm`]: exactly the set that ranks
+/// through the power-age scan.
+fn power_age_suite() -> Vec<Box<dyn MigrationPolicy>> {
     vec![
         Box::new(Stp { exponent: 1.0 }),
         Box::new(Stp::classic()),
         Box::new(Stp { exponent: 2.0 }),
         Box::new(Saac),
-        Box::new(RandomEvict { salt: 0xD1CE }),
-        Box::new(LruMad::classic()),
-        Box::new(StpLat::classic()),
     ]
 }
 
 /// Turns raw specs into a prepared reference stream: monotone times
-/// (with a half-day hop every `day_stride` refs so the piecewise-constant
-/// epoch rolls over mid-trace) and an oracle-consistent `next_use`
-/// reverse sweep.
+/// (with a half-day hop every `day_stride` refs, so small old files
+/// overtake large fresh ones mid-trace) and an oracle-consistent
+/// `next_use` reverse sweep.
 fn build_refs(specs: &[Spec], day_stride: usize) -> Vec<PreparedRef> {
     let mut t = 0i64;
     let mut refs: Vec<PreparedRef> = specs
@@ -81,11 +78,11 @@ fn build_refs(specs: &[Spec], day_stride: usize) -> Vec<PreparedRef> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The kinetic tournament replays the identical victim sequence to
-    /// the sort-based rescan oracle for every time-varying policy: same
-    /// `CacheOp` stream, same counters, same survivors — ties included,
-    /// since zero time steps produce exact priority collisions resolved
-    /// by ascending id on both sides.
+    /// The power-age scan replays the identical victim sequence to the
+    /// rescan oracle for every power-age policy: same `CacheOp` stream,
+    /// same counters, same survivors — ties included, since zero time
+    /// steps produce exact priority collisions resolved by ascending id
+    /// on both sides.
     #[test]
     fn kinetic_index_matches_sort_oracle_victim_sequence(
         specs in proptest::collection::vec(
@@ -99,7 +96,6 @@ proptest! {
         ),
         capacity_pct in 2u64..40,
         day_stride in 5usize..40,
-        est_ds in 0u32..300,
     ) {
         let refs = build_refs(&specs, day_stride);
         let total: u64 = refs.iter().map(|r| r.size).sum();
@@ -109,14 +105,11 @@ proptest! {
             low_watermark: 0.6,
             eager_writeback: false, // dirty evictions: ops carry stalls
         };
-        let est = f64::from(est_ds) / 10.0;
-        for policy in kinetic_suite() {
+        for policy in power_age_suite() {
             let mut indexed =
                 DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Indexed);
             let mut rescan =
                 DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Rescan);
-            indexed.set_est_miss_wait_s(est);
-            rescan.set_est_miss_wait_s(est);
             let mut indexed_ops: Vec<CacheOp> = Vec::new();
             let mut rescan_ops: Vec<CacheOp> = Vec::new();
             for r in &refs {
@@ -154,13 +147,13 @@ proptest! {
 
 proptest! {
     // Heavier cases (hundreds of residents so the MRC stacks clear the
-    // `INDEX_MIN_RESIDENTS` gate and rank through their tournaments),
-    // so fewer of them.
+    // `INDEX_MIN_RESIDENTS` gate and rank through their scans), so
+    // fewer of them.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The fused single-pass miss-ratio curve equals one naive full
-    /// replay per capacity for every kinetic policy, at scales where
-    /// the per-stack kinetic tournaments actually activate.
+    /// replay per capacity for every power-age policy, at scales where
+    /// the per-stack scans actually activate.
     #[test]
     fn mrc_kinetic_stacks_equal_per_capacity_replay(
         specs in proptest::collection::vec(
@@ -183,7 +176,7 @@ proptest! {
             .map(|&pct| (total * pct / 100).max(1))
             .collect();
         let base = EvalConfig::with_capacity(0);
-        for policy in kinetic_suite() {
+        for policy in power_age_suite() {
             let fused = sweep_capacities(&refs, policy.as_ref(), &capacities, &base);
             let naive = sweep_capacities_naive(&refs, policy.as_ref(), &capacities, &base);
             prop_assert!(fused == naive, "{} diverged", policy.name());
@@ -217,11 +210,7 @@ fn replay_engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
 }
 
 #[test]
-fn saac_replay_engages_the_kinetic_tournament() {
-    replay_engages(&Saac, RankingRegime::Kinetic);
-}
-
-#[test]
 fn stp_replay_engages_the_power_scan() {
     replay_engages(&Stp::classic(), RankingRegime::PowerScan);
+    replay_engages(&Saac, RankingRegime::PowerScan);
 }

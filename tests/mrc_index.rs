@@ -5,8 +5,8 @@
 //!   counters, hence same miss ratios and byte miss ratios — for every
 //!   shipped policy and any capacity grid;
 //! * the incremental eviction index must produce the **identical victim
-//!   sequence** to the sort-based rescan oracle: same `CacheOp` stream,
-//!   same counters, same survivors.
+//!   sequence** to the rescan oracle: same `CacheOp` stream, same
+//!   counters, same survivors.
 //!
 //! The property traces are random but well-formed: times never
 //! decrease and `next_use` comes from a real reverse sweep, the
@@ -15,9 +15,9 @@
 //! LRU's tie groups, Belady's equal-next-use classes — are common. They draw at most 40 files, so every MRC stack there
 //! stays under `INDEX_MIN_RESIDENTS` and purges by rescan; three
 //! deterministic cases at the end hold hundreds of residents per
-//! capacity, so the stacks build their affine ranks and tournaments —
-//! and then lose them again, to a clock stepping backwards and to a
-//! policy withdrawing its kinetic form mid-stream.
+//! capacity, so the stacks build their affine ranks and power-age
+//! scans — and then lose them again, to a clock stepping backwards and
+//! to a policy withdrawing its power-age form mid-stream.
 
 use std::collections::HashMap;
 
@@ -29,7 +29,7 @@ use fmig_migrate::cache::{
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
 use fmig_migrate::policy::{
-    standard_suite, Belady, FileView, KineticForm, MigrationPolicy, Saac, Stp,
+    standard_suite, Belady, FileView, MigrationPolicy, PowerAgeForm, Saac, Stp,
 };
 use fmig_trace::{DeviceClass, FileId};
 
@@ -115,8 +115,8 @@ proptest! {
     }
 
     /// The incremental eviction index replays the identical victim
-    /// sequence to the sort-based rescan oracle: the full `CacheOp`
-    /// stream (which spells out every victim, in order, with its stall
+    /// sequence to the rescan oracle: the full `CacheOp` stream (which
+    /// spells out every victim, in order, with its stall
     /// classification), the counters, and the survivor set all match.
     #[test]
     fn eviction_index_matches_sort_oracle_victim_sequence(
@@ -267,7 +267,7 @@ fn mrc_stacks_survive_a_backwards_clock_step() {
     }
 }
 
-/// A kinetic policy that stops shipping its form for a file from its
+/// A power-age policy that stops shipping its form for a file from its
 /// 48th reference on. Only the hot files get there, two thirds into
 /// the stream (each is referenced every 90 positions): an index builds
 /// over a young resident set and meets the refusal later, at a touched
@@ -281,9 +281,9 @@ impl<P: MigrationPolicy> MigrationPolicy for Withdrawing<P> {
     fn priority(&self, file: &FileView, now: i64) -> f64 {
         self.0.priority(file, now)
     }
-    fn kinetic(&self, file: &FileView, now: i64) -> Option<KineticForm> {
+    fn power_age_form(&self, file: &FileView) -> Option<PowerAgeForm> {
         if file.ref_count < 48 {
-            self.0.kinetic(file, now)
+            self.0.power_age_form(file)
         } else {
             None
         }
@@ -314,11 +314,7 @@ fn mrc_stacks_survive_a_withdrawn_form(policy: &dyn MigrationPolicy, regime: Ran
 }
 
 #[test]
-fn mrc_stacks_survive_a_withdrawn_kinetic_form() {
-    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Saac), RankingRegime::Kinetic);
-}
-
-#[test]
 fn mrc_stacks_survive_a_withdrawn_power_age_form() {
     mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Stp::classic()), RankingRegime::PowerScan);
+    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Saac), RankingRegime::PowerScan);
 }
