@@ -10,16 +10,24 @@ file's directory, does not exist in the worktree. An anchor must name
 a heading slug of the file it points into: the linking file itself for
 a bare `#section`, the target for `other.md#section` (anchors into
 files that are not markdown are not checked).
+
+It also fails on a stale code name: a backticked snake_case identifier
+with at least three underscores (the last segment of a `a::b::name`
+path, so test and function names) that occurs as a word in no `*.rs`
+file git tracks, such as a test cited by name that was renamed or never
+written.
 """
 
 import functools
 import os
 import re
+import subprocess
 import sys
 
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
 SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*:", re.IGNORECASE)
+CODE_NAME = re.compile(r"`(?:\w+::)*([a-z][a-z0-9]*(?:_[a-z0-9]+){3,})(?:\(\))?`")
 
 
 def slug(heading: str) -> str:
@@ -43,8 +51,24 @@ def slugs(path: str) -> frozenset[str]:
     return frozenset(slug(h) for h in HEADING.findall(read_markdown(path)))
 
 
+@functools.cache
+def rust_words() -> frozenset[str]:
+    """Every word of every `*.rs` file git tracks."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "*.rs"], capture_output=True, text=True, check=True
+    ).stdout
+    words = set()
+    for name in filter(None, listed.split("\0")):
+        with open(name, encoding="utf-8") as f:
+            words.update(re.findall(r"\w+", f.read()))
+    return frozenset(words)
+
+
 def check_file(path: str) -> list[str]:
     errors = []
+    for name in CODE_NAME.findall(read_markdown(path)):
+        if name not in rust_words():
+            errors.append(f"{path}: `{name}` names nothing in a tracked *.rs file")
     for target in LINK.findall(read_markdown(path)):
         if SCHEME.match(target):
             continue
@@ -81,7 +105,7 @@ def main() -> int:
         print(f"FAIL: {e}")
     if errors:
         return 1
-    print(f"OK: {len(files)} files, all relative links resolve")
+    print(f"OK: {len(files)} files, all relative links resolve, all code names exist")
     return 0
 
 

@@ -1193,6 +1193,43 @@ mod tests {
         survives_eviction_and_reinsertion(&Saac, PowerScan);
     }
 
+    #[test]
+    fn create_after_purge_reuses_the_slot_cleanly() {
+        // File 0 leaves in the first purge and is re-created, larger
+        // and later, before the next one: its arena slot holds a fresh
+        // entry, and the scan ranks it from a fresh row.
+        let stp = Stp::classic();
+        for eager_writeback in [true, false] {
+            let config = CacheConfig {
+                eager_writeback,
+                ..cfg(1000)
+            };
+            let mut next_purge = Vec::new();
+            for mode in [EvictionMode::Indexed, EvictionMode::Rescan] {
+                let mut c = DiskCache::with_eviction_mode(config, &stp, mode);
+                for i in 0..10u32 {
+                    c.write(i, 100, i64::from(i), None);
+                }
+                assert!(!c.contains(0u32), "the first purge took file 0");
+                c.write(0u32, 150, 50, None);
+                let e = c.arena.get(FileId::new(0)).expect("re-created");
+                let fresh = (e.size, e.created, e.last_ref, e.ref_count, e.dirty);
+                assert_eq!(fresh, (150, 50, 50, 1, !eager_writeback));
+                c.read(0u32, 150, 52, None); // marked again before the purge
+                let mut ops = Vec::new();
+                for i in 20..26u32 {
+                    c.write_with(i, 100, 50 + i64::from(i), None, &mut |op| ops.push(op));
+                }
+                assert!(c.stats().evictions > 5, "no second purge");
+                if mode == EvictionMode::Indexed {
+                    assert_eq!(c.ranking_regime(), PowerScan);
+                }
+                next_purge.push(ops);
+            }
+            assert_eq!(next_purge[0], next_purge[1], "eager {eager_writeback}");
+        }
+    }
+
     /// A power-age policy that stops shipping its form for a file on
     /// its third reference — a refusal only a *touched* file can hit.
     struct Withdrawing<P>(P);

@@ -11,7 +11,8 @@
 //! rank through the incremental eviction index, STP and SAAC through
 //! the power-age scan, and the rest (RandomEvict and the latency-aware
 //! pair) through the rescan. The last two key every resident once per
-//! purge and heapify — O(n) plus O(log n) per victim, a fair price
+//! purge — the rescan heapifies every key, the scan only those at or
+//! above a sampled cut — O(n) plus O(log n) per victim, a fair price
 //! when a purge (0.95 → 0.80 of capacity) evicts about one resident in
 //! forty.
 

@@ -39,11 +39,13 @@
 //! * **PowerScan** ([`PowerScan`]). `coeff·age^e` with one exponent
 //!   (STP, and SAAC at `e = 1`) orders like its root `root·age`,
 //!   `root = coeff^(1/e)` riding in the form. A mutation marks the
-//!   file's row; a purge settles the marked rows (one `power_age_form`
-//!   call each), keys every resident with a multiply, heapifies once
-//!   and pops victims, settling near ties by exact `priority`: O(n) per
-//!   purge plus O(log n) per victim, where a purge (0.95 → 0.80 of
-//!   capacity) evicts about one resident in forty.
+//!   file's row and lists it as dirty; a purge settles the dirty rows
+//!   (one `power_age_form` call each), keys every row in one
+//!   multiply-and-compare pass, heapifies only the `c` keys at or above
+//!   a sampled cut and pops victims, settling near ties by exact
+//!   `priority`: O(dirty + n + c) per purge plus O(log c) per victim,
+//!   where a purge (0.95 → 0.80 of capacity) evicts about one resident
+//!   in forty; see [`PowerScan`] for the cut and its refills.
 //! * **Rescan.** Rank every resident by `priority` at `now`, heapify
 //!   the `total_cmp`-order keys once, pop victims: `O(n)` per purge plus
 //!   `O(log n)` per victim, NaN-proof, always correct. Forced by
@@ -105,7 +107,7 @@ enum Regime {
         slope_bits: u64,
         rank: VictimRank,
     },
-    PowerScan(PowerScan),
+    PowerScan(Box<PowerScan>),
     Rescan,
 }
 
@@ -236,7 +238,7 @@ impl<'p> Ranking<'p> {
             return regime;
         }
         match PowerScan::build(self.policy, host, now) {
-            Some(scan) => Regime::PowerScan(scan),
+            Some(scan) => Regime::PowerScan(Box::new(scan)),
             None => Regime::Rescan,
         }
     }
@@ -299,7 +301,7 @@ impl<'p> Ranking<'p> {
             }
         }
         if let Regime::PowerScan(scan) = &mut self.regime {
-            debug_assert_eq!(scan.rows.len(), host.len(), "one row per resident");
+            debug_assert_eq!(scan.files.len(), host.len(), "one row per resident");
             match scan.next_victim(policy, host, now) {
                 Some(file) => return Some(file),
                 None => self.degrade(), // rescan rather than under-purge
@@ -531,16 +533,6 @@ impl VictimRank {
     }
 }
 
-/// One resident under the power-age scan: its form's root and anchor
-/// as of its last settle, and whether it mutated since.
-#[derive(Debug, Clone, Copy)]
-struct ScanRow {
-    root: f64,
-    anchor: i64,
-    file: u32,
-    marked: bool,
-}
-
 /// The power-age scan's near-tie band, relative: keys of a purge that
 /// come within this distance of its top key are settled by exact
 /// `priority`. Evaluated `f64` priorities and keys track the real
@@ -548,8 +540,11 @@ struct ScanRow {
 /// one `powf`), so 1e-9 leaves about four orders of magnitude of slack.
 const NEAR_TIE_MARGIN: f64 = 1e-9;
 
-/// The power-age scan (see the module docs): one key per resident,
-/// ranked once per purge.
+/// Rows between two keys of the scan's cut sample.
+const SAMPLE_STRIDE: usize = 32;
+
+/// The power-age scan (see the module docs): one row per resident,
+/// keyed at each purge, only the keys at or above a cut heapified.
 ///
 /// **Why the root order is the rescan order.** Priorities are
 /// `coeff·age^e` with one `e`, and `x ↦ x^(1/e)` is increasing, so they
@@ -576,16 +571,46 @@ const NEAR_TIE_MARGIN: f64 = 1e-9;
 /// ties by id. Accepted forms keep every nonzero priority normal
 /// (`coeff` normal, `age ≥ 1`); a key past `(f64::MAX / 4)^(1/e)`
 /// degrades the ranking.
-#[derive(Debug)]
+///
+/// **Why the cut changes nothing.** A purge evicts about one resident
+/// in forty, so it heapifies only the rows keyed at or above `floor =
+/// cut·(1 − NEAR_TIE_MARGIN)`, where the cut is a key of a stride
+/// sample about twice the last purge's victim count down. A top is
+/// handed out only while it is at or above the cut: then its whole band
+/// and every larger key are in the heap, and the purge pops what the
+/// full heap would. A top below the cut lowers it to the sample rank
+/// twice as deep (past the sample's end, to 0) and pushes the rows keyed
+/// in `[new floor, old floor)`; the rest are in the heap already. The
+/// cut is a real row's key, so the heap's top is the purge's largest
+/// key, which the `hi` domain check reads.
+#[derive(Debug, Default)]
 pub(crate) struct PowerScan {
     /// The policy's shared exponent.
     exponent: f64,
-    rows: Vec<ScanRow>,
+    /// One row per resident, in parallel columns: the form's root and
+    /// anchor as of the row's last settle, the file, and whether the
+    /// file mutated since.
+    roots: Vec<f64>,
+    anchors: Vec<i64>,
+    files: Vec<u32>,
+    marked: Vec<bool>,
+    /// Files whose row was marked since the last purge opened; a row's
+    /// mark keeps it off the list twice.
+    dirty: Vec<u32>,
     /// Dense file index → row ([`NO_SLOT`] when not resident).
     slot_of: Vec<u32>,
-    /// The purge's `(key bits, Reverse(file))`: largest key on top,
-    /// lowest id among equal keys.
+    /// The purge's `(key bits, Reverse(file))` for every remaining row
+    /// keyed at or above `floor`: largest key on top, lowest id among
+    /// equal keys.
     heap: BinaryHeap<(u64, Reverse<u32>)>,
+    /// Key bits of every [`SAMPLE_STRIDE`]th row, partitioned
+    /// descending about `cut_rank`.
+    sample: Vec<u64>,
+    cut_rank: usize,
+    cut: f64,
+    floor: f64,
+    /// Victims handed out since the purge opened.
+    victims: usize,
 }
 
 impl PowerScan {
@@ -596,9 +621,7 @@ impl PowerScan {
         let e = policy.power_age_form(&first)?.exponent;
         let mut scan = PowerScan {
             exponent: e,
-            rows: Vec::with_capacity(host.len()),
-            slot_of: Vec::new(),
-            heap: BinaryHeap::new(),
+            ..PowerScan::default()
         };
         host.files().for_each(|file| scan.touched(file));
         // Below 2⁻¹⁰ the rounding of `1/e` in `root` could outgrow the
@@ -615,17 +638,16 @@ impl PowerScan {
         }
         match self.slot_of[fi] {
             NO_SLOT => {
-                self.slot_of[fi] = self.rows.len() as u32;
-                let row = ScanRow {
-                    root: 0.0,
-                    anchor: 0,
-                    file,
-                    marked: true,
-                };
-                self.rows.push(row);
+                self.slot_of[fi] = self.files.len() as u32;
+                self.roots.push(0.0);
+                self.anchors.push(0);
+                self.files.push(file);
+                self.marked.push(true);
             }
-            slot => self.rows[slot as usize].marked = true,
+            slot if self.marked[slot as usize] => return,
+            slot => self.marked[slot as usize] = true,
         }
+        self.dirty.push(file);
     }
 
     /// Swap-removes `file`'s row; unknown files are a no-op.
@@ -633,56 +655,109 @@ impl PowerScan {
         let slot = self.slot_of.get_mut(file as usize);
         let slot = slot.map_or(NO_SLOT, |s| std::mem::replace(s, NO_SLOT));
         if slot != NO_SLOT {
-            self.rows.swap_remove(slot as usize);
-            if let Some(moved) = self.rows.get(slot as usize) {
-                self.slot_of[moved.file as usize] = slot;
+            let at = slot as usize;
+            self.roots.swap_remove(at);
+            self.anchors.swap_remove(at);
+            self.files.swap_remove(at);
+            self.marked.swap_remove(at);
+            if let Some(&moved) = self.files.get(at) {
+                self.slot_of[moved as usize] = slot;
             }
         }
     }
 
-    /// Settles every marked row with one `power_age_form` call, keys
-    /// every row at `now` and heapifies the keys. `false` on a form it
-    /// cannot key (refused, or another exponent) or a key past `hi`
-    /// (see the type docs): the rescan takes this purge.
+    /// Settles every dirty row with one `power_age_form` call, sets the
+    /// cut from the last purge's victim count and heapifies the rows
+    /// keyed at `now` above its floor. `false` on a form it cannot key
+    /// (refused, or another exponent) or a key past `hi` (see the type
+    /// docs): the rescan takes this purge.
     fn open_purge(
         &mut self,
         policy: &dyn MigrationPolicy,
         host: &impl Residents,
         now: i64,
     ) -> bool {
-        let hi = (f64::MAX / 4.0).powf(1.0 / self.exponent);
-        let mut keys = std::mem::take(&mut self.heap).into_vec();
-        keys.clear();
-        for row in &mut self.rows {
-            if row.marked {
-                let form = host.view(row.file).and_then(|v| policy.power_age_form(&v));
-                let Some(PowerAgeForm {
-                    coeff,
-                    anchor,
-                    exponent,
-                    root,
-                }) = form
-                else {
-                    return false;
-                };
-                // Positive normal `coeff` and `root` (every nonzero
-                // priority is then normal, as `age ≥ 1`), or both `+0`.
-                let keyable = match coeff > 0.0 {
-                    true => coeff.is_normal() && root.is_normal() && root > 0.0,
-                    false => coeff.to_bits() == 0 && root.to_bits() == 0,
-                };
-                if !keyable || exponent.to_bits() != self.exponent.to_bits() {
-                    return false;
-                }
-                (row.root, row.anchor, row.marked) = (root, anchor, false);
+        for i in 0..self.dirty.len() {
+            let file = self.dirty[i];
+            let slot = self.slot_of[file as usize] as usize;
+            // Evicted since it was marked, or listed again on re-entry.
+            if slot == NO_SLOT as usize || !self.marked[slot] {
+                continue;
             }
-            let key = row.root * (now - row.anchor).max(0) as f64;
-            if key > hi {
+            let form = host.view(file).and_then(|v| policy.power_age_form(&v));
+            let Some(PowerAgeForm {
+                coeff,
+                anchor,
+                exponent,
+                root,
+            }) = form
+            else {
+                return false;
+            };
+            // Positive normal `coeff` and `root` (every nonzero
+            // priority is then normal, as `age ≥ 1`), or both `+0`.
+            let keyable = match coeff > 0.0 {
+                true => coeff.is_normal() && root.is_normal() && root > 0.0,
+                false => coeff.to_bits() == 0 && root.to_bits() == 0,
+            };
+            if !keyable || exponent.to_bits() != self.exponent.to_bits() {
                 return false;
             }
-            keys.push((key.to_bits(), Reverse(row.file)));
+            (self.roots[slot], self.anchors[slot], self.marked[slot]) = (root, anchor, false);
         }
-        self.heap = BinaryHeap::from(keys);
+        self.dirty.clear();
+        self.sample.clear();
+        for i in (0..self.files.len()).step_by(SAMPLE_STRIDE) {
+            let key = key_bits(self.roots[i], self.anchors[i], now);
+            self.sample.push(key);
+        }
+        let rank = 2 * std::mem::take(&mut self.victims) / SAMPLE_STRIDE;
+        self.cut_at(0, rank);
+        self.heap.clear();
+        self.push_rows(now, u64::MAX);
+        let hi = (f64::MAX / 4.0).powf(1.0 / self.exponent);
+        self.heap.peek().is_none_or(|e| e.0 <= hi.to_bits())
+    }
+
+    /// Moves the cut to the sample's `rank`th largest key, selecting in
+    /// the part of the sample from `from` on (every earlier rank is
+    /// placed already), or to 0 past the sample's end.
+    fn cut_at(&mut self, from: usize, rank: usize) {
+        self.cut = match self.sample.get_mut(from..) {
+            Some(rest) if rank - from < rest.len() => {
+                let (_, &mut cut, _) = rest.select_nth_unstable_by(rank - from, |a, b| b.cmp(a));
+                f64::from_bits(cut)
+            }
+            _ => 0.0,
+        };
+        (self.cut_rank, self.floor) = (rank, self.cut * (1.0 - NEAR_TIE_MARGIN));
+    }
+
+    /// Heap-pushes every row keyed at `now` at or above `floor`, whose
+    /// key bits are below `below`: one multiply-and-compare per row.
+    fn push_rows(&mut self, now: i64, below: u64) {
+        let floor = self.floor.to_bits();
+        let rows = self.roots.iter().zip(&self.anchors).zip(&self.files);
+        let keyed = rows
+            .map(|((&root, &anchor), &file)| (key_bits(root, anchor, now), Reverse(file)))
+            .filter(|(bits, _)| (floor..below).contains(bits));
+        self.heap.extend(keyed);
+    }
+
+    /// Lowers the cut to the sample rank twice as deep until the floor
+    /// falls and pushes the rows that crossed it. `false` once the
+    /// floor is 0: every remaining row is in the heap.
+    fn refill(&mut self, now: i64) -> bool {
+        let old = self.floor;
+        if old == 0.0 {
+            return false;
+        }
+        #[cfg(test)]
+        scan_tests::note_refill();
+        while self.floor == old {
+            self.cut_at(self.cut_rank + 1, 2 * self.cut_rank + 1);
+        }
+        self.push_rows(now, old.to_bits());
         true
     }
 
@@ -695,7 +770,11 @@ impl PowerScan {
         host: &impl Residents,
         now: i64,
     ) -> Option<u32> {
+        // A top below the cut may have rows of its band, or above it,
+        // outside the heap.
+        while self.heap.peek().is_none_or(|e| e.0 < self.cut.to_bits()) && self.refill(now) {}
         let (top_bits, Reverse(top)) = self.heap.pop()?;
+        self.victims += 1;
         let floor = f64::from_bits(top_bits) * (1.0 - NEAR_TIE_MARGIN);
         let near =
             move |&(bits, _): &(u64, Reverse<u32>)| top_bits != 0 && f64::from_bits(bits) >= floor;
@@ -718,6 +797,12 @@ impl PowerScan {
         self.heap.extend(losers);
         Some(best.2)
     }
+}
+
+/// A scan row's key at `now`, as bits: nonnegative, so they order like
+/// the key.
+fn key_bits(root: f64, anchor: i64, now: i64) -> u64 {
+    (root * (now - anchor).max(0) as f64).to_bits()
 }
 
 /// Sentinel `slot_of` entry: "not resident".
@@ -830,8 +915,17 @@ mod scan_tests {
         static BANDS: Cell<usize> = const { Cell::new(0) };
     }
 
+    thread_local! {
+        /// Cuts the scan lowered mid-purge on this thread.
+        static REFILLS: Cell<usize> = const { Cell::new(0) };
+    }
+
     pub(super) fn note_band() {
         BANDS.with(|bands| bands.set(bands.get() + 1));
+    }
+
+    pub(super) fn note_refill() {
+        REFILLS.with(|refills| refills.set(refills.get() + 1));
     }
 
     /// A resident set as a table of optional views, indexed by file.
@@ -949,6 +1043,63 @@ mod scan_tests {
         };
         assert_eq!((key(&a), key(&b)), (0.30000000000000004, 0.3));
         assert_eq!((Saac.priority(&a, now), Saac.priority(&b, now)), (0.3, 0.3));
+    }
+
+    /// SAAC's near-tie pair from the band test: `(size 1, refs 9, age
+    /// 3)` keys at 0.30000000000000004 and `(3, 9, 1)` at 0.3, and both
+    /// price at exactly 0.3.
+    fn saac_pair(now: i64, larger: u32, smaller: u32) -> [FileView; 2] {
+        [view(larger, 1, now - 3, 9), view(smaller, 3, now - 1, 9)]
+    }
+
+    /// `n` SAAC files: `pair` at its ids, 0.1-keyed files at every
+    /// other sampled row, the rest keyed from 0.2 up to about 4800.
+    fn saac_files(now: i64, n: u32, pair: [FileView; 2]) -> Vec<FileView> {
+        let mut files: Vec<FileView> = (0..n)
+            .map(|id| match id as usize % SAMPLE_STRIDE {
+                0 => view(id, 1, now - 1, 9),
+                _ => {
+                    let size = 1 + u64::from(id * 7919 % 97);
+                    view(id, size, now - 1 - i64::from(id * 31 % 50), id % 5)
+                }
+            })
+            .collect();
+        for v in pair {
+            files[v.id.index()] = v;
+        }
+        files
+    }
+
+    #[test]
+    fn a_purge_that_outruns_its_cut_refills_and_stays_exact() {
+        // The pair's larger key sits on row 0, above every other
+        // sampled key, so it is the first purge's cut. It goes first by
+        // id and leaves the smaller key, within its band, below the cut:
+        // the top that lowers it.
+        let now = 1 << 20;
+        let files = saac_files(now, 200, saac_pair(now, 0, 1));
+        let before = REFILLS.with(Cell::get);
+        let (got, regime) = drain(&Saac, EvictionMode::Indexed, &files, now);
+        assert_eq!(regime, RankingRegime::PowerScan);
+        assert!(REFILLS.with(Cell::get) > before, "the first cut held");
+        assert_eq!(got, drain(&Saac, EvictionMode::Rescan, &files, now).0);
+        assert_eq!(got.len(), files.len());
+    }
+
+    #[test]
+    fn a_near_tie_pair_straddling_the_cut_settles_in_the_band() {
+        // The pair's larger key is row 32's, the purge's cut; the
+        // smaller one, on the lower id, is a row below the cut but
+        // inside its band, so it is in the heap and goes first.
+        let now = 1 << 20;
+        let files = saac_files(now, 40, saac_pair(now, 32, 31));
+        let before = BANDS.with(Cell::get);
+        let (got, regime) = drain(&Saac, EvictionMode::Indexed, &files, now);
+        assert_eq!(regime, RankingRegime::PowerScan);
+        assert!(BANDS.with(Cell::get) > before, "no band");
+        assert_eq!(got, drain(&Saac, EvictionMode::Rescan, &files, now).0);
+        let at = |file: u32| got.iter().position(|&f| f == file);
+        assert_eq!(at(31).map(|i| i + 1), at(32), "the lower id goes first");
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! Exactness properties of the power-age scan: for every shipped
 //! policy that ranks through it (STP at three exponents, SAAC at
 //! exponent 1), replaying through the scan must be **observationally
-//! identical** to the rescan oracle —
+//! identical** to the naive cache specification (`tests/spec/mod.rs`),
+//! which shares no code with it —
 //!
 //! * the full `CacheOp` stream (every victim, in order, with its stall
-//!   classification), the counters, and the survivor set of a
-//!   [`DiskCache`] replay;
-//! * the single-pass miss-ratio-curve engine against one naive full
-//!   replay per capacity, at resident counts large enough to clear the
+//!   classification), the read results, the counters, and the survivor
+//!   set of a [`DiskCache`] replay;
+//! * the single-pass miss-ratio-curve engine against one spec replay
+//!   per capacity, at resident counts large enough to clear the
 //!   `INDEX_MIN_RESIDENTS` activation gate so the MRC stacks actually
 //!   rank through their scans.
 //!
 //! Traces are adversarial for root keys: sizes span orders of
 //! magnitude and timestamps mix zero steps (exact ties), short hops
 //! (crossing-heavy STP windows) and half-day jumps. The policies
-//! without a form rank through the rescan in every mode, so here they
-//! would meet only themselves; `tests/cache_spec.rs` holds them to the
-//! independent spec.
+//! without a form rank through the rescan in every mode;
+//! `tests/cache_spec.rs` holds them, and every regime, to the same
+//! spec on shorter streams.
 
 use std::collections::HashMap;
 
@@ -24,9 +25,12 @@ use proptest::prelude::*;
 
 use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
-use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
+use fmig_migrate::mrc::{sweep_capacities, MissRatioCurve, MrcPoint};
 use fmig_migrate::policy::{MigrationPolicy, Saac, Stp};
 use fmig_trace::{DeviceClass, FileId};
+
+mod spec;
+use spec::{spec_replay, Cache, SpecCache, SpecRef};
 
 /// One raw reference: (write?, file id, size, time step).
 type Spec = (bool, u32, u64, i64);
@@ -75,14 +79,26 @@ fn build_refs(specs: &[Spec], day_stride: usize) -> Vec<PreparedRef> {
     refs
 }
 
+/// The spec's view of a prepared stream.
+fn as_spec_refs(refs: &[PreparedRef]) -> Vec<SpecRef> {
+    let spec_ref = |r: &PreparedRef| SpecRef {
+        id: r.id,
+        size: r.size,
+        write: r.write,
+        time: r.time,
+        next_use: r.next_use,
+    };
+    refs.iter().map(spec_ref).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The power-age scan replays the identical victim sequence to the
-    /// rescan oracle for every power-age policy: same `CacheOp` stream,
-    /// same counters, same survivors — ties included, since zero time
-    /// steps produce exact priority collisions resolved by ascending id
-    /// on both sides.
+    /// spec for every power-age policy: same `CacheOp` stream, same read
+    /// results, same counters, same survivors — ties included, since
+    /// zero time steps produce exact priority collisions resolved by
+    /// ascending id on both sides.
     #[test]
     fn kinetic_index_matches_sort_oracle_victim_sequence(
         specs in proptest::collection::vec(
@@ -97,7 +113,7 @@ proptest! {
         capacity_pct in 2u64..40,
         day_stride in 5usize..40,
     ) {
-        let refs = build_refs(&specs, day_stride);
+        let refs = as_spec_refs(&build_refs(&specs, day_stride));
         let total: u64 = refs.iter().map(|r| r.size).sum();
         let config = CacheConfig {
             capacity: (total * capacity_pct / 100).max(1),
@@ -108,38 +124,33 @@ proptest! {
         for policy in power_age_suite() {
             let mut indexed =
                 DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Indexed);
-            let mut rescan =
-                DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Rescan);
+            let mut spec = SpecCache::new(config, policy.as_ref());
             let mut indexed_ops: Vec<CacheOp> = Vec::new();
-            let mut rescan_ops: Vec<CacheOp> = Vec::new();
+            let mut spec_ops: Vec<CacheOp> = Vec::new();
             for r in &refs {
+                // The cache's estimate stays at its default, 0.
+                let want = spec.reference(r, 0.0, &mut spec_ops);
                 if r.write {
                     indexed.write_with(r.id, r.size, r.time, r.next_use, &mut |op| {
                         indexed_ops.push(op)
                     });
-                    rescan.write_with(r.id, r.size, r.time, r.next_use, &mut |op| {
-                        rescan_ops.push(op)
-                    });
                 } else {
-                    let a = indexed.read_with(r.id, r.size, r.time, r.next_use, &mut |op| {
+                    let got = indexed.read_with(r.id, r.size, r.time, r.next_use, &mut |op| {
                         indexed_ops.push(op)
                     });
-                    let b = rescan.read_with(r.id, r.size, r.time, r.next_use, &mut |op| {
-                        rescan_ops.push(op)
-                    });
-                    prop_assert!(a == b, "{}: read result diverged", policy.name());
+                    prop_assert!(Some(got) == want, "{}: read result diverged", policy.name());
                     indexed.fetch_complete(r.id);
-                    rescan.fetch_complete(r.id);
+                    spec.landed(r.id);
                 }
             }
             prop_assert!(
-                indexed_ops == rescan_ops,
+                indexed_ops == spec_ops,
                 "{}: victim sequences diverged",
                 policy.name()
             );
-            prop_assert_eq!(indexed.stats(), rescan.stats());
+            prop_assert_eq!(*indexed.stats(), spec.snapshot().0);
             for r in &refs {
-                prop_assert_eq!(indexed.contains(r.id), rescan.contains(r.id));
+                prop_assert_eq!(indexed.contains(r.id), spec.contains(r.id));
             }
         }
     }
@@ -151,9 +162,9 @@ proptest! {
     // fewer of them.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The fused single-pass miss-ratio curve equals one naive full
-    /// replay per capacity for every power-age policy, at scales where
-    /// the per-stack scans actually activate.
+    /// The fused single-pass miss-ratio curve equals one spec replay
+    /// per capacity for every power-age policy, at scales where the
+    /// per-stack scans actually activate.
     #[test]
     fn mrc_kinetic_stacks_equal_per_capacity_replay(
         specs in proptest::collection::vec(
@@ -176,9 +187,17 @@ proptest! {
             .map(|&pct| (total * pct / 100).max(1))
             .collect();
         let base = EvalConfig::with_capacity(0);
+        let spec_refs = as_spec_refs(&refs);
         for policy in power_age_suite() {
             let fused = sweep_capacities(&refs, policy.as_ref(), &capacities, &base);
-            let naive = sweep_capacities_naive(&refs, policy.as_ref(), &capacities, &base);
+            let point = |capacity: u64| {
+                let cache = CacheConfig { capacity, ..base.cache };
+                let config = EvalConfig { cache, ..base };
+                let stats = spec_replay(&spec_refs, policy.as_ref(), &config).0;
+                MrcPoint { capacity, stats }
+            };
+            let points = capacities.iter().map(|&capacity| point(capacity)).collect();
+            let naive = MissRatioCurve { policy: policy.name(), points };
             prop_assert!(fused == naive, "{} diverged", policy.name());
         }
     }
@@ -187,7 +206,7 @@ proptest! {
 /// Engagement guard at the public-API level: a purge-heavy replay
 /// under `Indexed` mode must actually be ranking through the regime
 /// the policy's forms call for (not silently degraded to the rescan),
-/// and the victim stream must still match the oracle.
+/// and the victim stream must still match the spec.
 fn replay_engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
     let config = CacheConfig {
         capacity: 1 << 20,
@@ -196,17 +215,24 @@ fn replay_engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
         eager_writeback: true,
     };
     let mut indexed = DiskCache::with_eviction_mode(config, policy, EvictionMode::Indexed);
-    let mut rescan = DiskCache::with_eviction_mode(config, policy, EvictionMode::Rescan);
+    let mut spec = SpecCache::new(config, policy);
     let mut a: Vec<CacheOp> = Vec::new();
     let mut b: Vec<CacheOp> = Vec::new();
     for i in 0..4_000u32 {
         let (id, size, now) = (i % 600, 1_000 + u64::from(i % 13) * 700, i64::from(i * 5));
         indexed.write_with(id, size, now, None, &mut |op| a.push(op));
-        rescan.write_with(id, size, now, None, &mut |op| b.push(op));
+        let r = SpecRef {
+            id: FileId::new(id),
+            size,
+            write: true,
+            time: now,
+            next_use: None,
+        };
+        spec.reference(&r, 0.0, &mut b);
     }
     assert_eq!(indexed.ranking_regime(), regime, "{}", policy.name());
     assert_eq!(a, b);
-    assert_eq!(indexed.stats(), rescan.stats());
+    assert_eq!(*indexed.stats(), spec.snapshot().0);
 }
 
 #[test]

@@ -119,6 +119,11 @@ impl<'p> SpecCache<'p> {
         }
     }
 
+    /// True if `id` is resident.
+    pub fn contains(&self, id: FileId) -> bool {
+        self.residents.iter().any(|f| f.view.id == id)
+    }
+
     fn usage(&self) -> u64 {
         self.residents.iter().map(|f| f.view.size).sum()
     }
