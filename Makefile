@@ -20,8 +20,8 @@ test:
 # every property's RNG stream (corpus replay ignores both by design).
 # Properties on the default budget ride both legs — among them
 # tests/cache_spec.rs's random_streams_agree_with_the_spec, which holds
-# DiskCache in all three eviction modes and the MRC point to the naive
-# cache specification (tests/spec/mod.rs) for every shipped policy.
+# DiskCache in both eviction modes and the MRC point to the naive cache
+# specification (tests/spec/mod.rs) for every shipped policy.
 test-matrix:
 	PROPTEST_CASES=128 FMIG_PROPTEST_SEED=20260729 $(CARGO) test --workspace -q
 	PROPTEST_CASES=32 FMIG_PROPTEST_SEED=424242 $(CARGO) test --workspace -q
@@ -35,10 +35,11 @@ lint:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
-# doc plus the prose: every relative link in README.md and docs/*.md
-# must resolve (ci/check_links.py).
+# doc plus the prose: every relative link in README.md, docs/*.md and
+# the verify skill's checklists must resolve, and every code name they
+# cite must exist in a tracked *.rs file (ci/check_links.py).
 docs: doc
-	python3 ci/check_links.py README.md docs
+	python3 ci/check_links.py README.md docs .claude/skills/verify/SKILL.md
 
 examples:
 	set -e; for ex in examples/*.rs; do \

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that every relative markdown link in the repo docs resolves.
 
-Usage: check_links.py [FILE_OR_DIR ...]   (default: README.md docs/)
+Usage: check_links.py [FILE_OR_DIR ...]
+       (default: README.md docs/ .claude/skills/verify/SKILL.md)
 
 Scans markdown files for inline links and images (`[text](target)`),
 skips external schemes (http/https/mailto) — the build must stay
@@ -11,11 +12,17 @@ a heading slug of the file it points into: the linking file itself for
 a bare `#section`, the target for `other.md#section` (anchors into
 files that are not markdown are not checked).
 
-It also fails on a stale code name: a backticked snake_case identifier
-with at least three underscores (the last segment of a `a::b::name`
-path, so test and function names) that occurs as a word in no `*.rs`
-file git tracks, such as a test cited by name that was renamed or never
-written.
+It also fails on a stale code name, checked against the `*.rs` files
+git tracks:
+
+* a backticked snake_case identifier with at least three underscores
+  (the last segment of a `a::b::name` path, so test and function names)
+  that occurs as a word in none of them, such as a test cited by name
+  that was renamed or never written;
+* a backticked SCREAMING_SNAKE constant (`NAME_WITH_UNDERSCORES`, the
+  last segment of a path) that occurs as a word in none of them;
+* a backticked `Type::Variant` path, both segments capitalised, that
+  occurs literally in none of them, such as a deleted enum variant.
 """
 
 import functools
@@ -28,6 +35,8 @@ LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
 SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*:", re.IGNORECASE)
 CODE_NAME = re.compile(r"`(?:\w+::)*([a-z][a-z0-9]*(?:_[a-z0-9]+){3,})(?:\(\))?`")
+CONSTANT = re.compile(r"`(?:\w+::)*([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`")
+VARIANT = re.compile(r"`([A-Z][A-Za-z0-9]*::[A-Z][A-Za-z0-9]*)`")
 
 
 def slug(heading: str) -> str:
@@ -52,23 +61,32 @@ def slugs(path: str) -> frozenset[str]:
 
 
 @functools.cache
-def rust_words() -> frozenset[str]:
-    """Every word of every `*.rs` file git tracks."""
+def rust_text() -> str:
+    """Every `*.rs` file git tracks, concatenated."""
     listed = subprocess.run(
         ["git", "ls-files", "-z", "*.rs"], capture_output=True, text=True, check=True
     ).stdout
-    words = set()
+    texts = []
     for name in filter(None, listed.split("\0")):
         with open(name, encoding="utf-8") as f:
-            words.update(re.findall(r"\w+", f.read()))
-    return frozenset(words)
+            texts.append(f.read())
+    return "\n".join(texts)
+
+
+@functools.cache
+def rust_words() -> frozenset[str]:
+    """Every word of every `*.rs` file git tracks."""
+    return frozenset(re.findall(r"\w+", rust_text()))
 
 
 def check_file(path: str) -> list[str]:
     errors = []
-    for name in CODE_NAME.findall(read_markdown(path)):
-        if name not in rust_words():
-            errors.append(f"{path}: `{name}` names nothing in a tracked *.rs file")
+    text = read_markdown(path)
+    names = CODE_NAME.findall(text) + CONSTANT.findall(text)
+    stale = [n for n in names if n not in rust_words()]
+    stale += [p for p in VARIANT.findall(text) if p not in rust_text()]
+    for name in stale:
+        errors.append(f"{path}: `{name}` names nothing in a tracked *.rs file")
     for target in LINK.findall(read_markdown(path)):
         if SCHEME.match(target):
             continue
@@ -93,7 +111,7 @@ def collect(arg: str) -> list[str]:
 
 
 def main() -> int:
-    args = sys.argv[1:] or ["README.md", "docs"]
+    args = sys.argv[1:] or ["README.md", "docs", ".claude/skills/verify/SKILL.md"]
     files = [f for a in args for f in collect(a)]
     if not files:
         print("FAIL: no markdown files found", file=sys.stderr)

@@ -1130,33 +1130,34 @@ mod tests {
 
     #[test]
     fn every_shipped_policy_ranks_through_its_regime() {
-        use fmig_migrate::cache::{CacheConfig, DiskCache, EvictionMode, RankingRegime};
-        // The regime table, asked of a real cache: drive one purge and
-        // see which ranking it built.
+        use fmig_migrate::cache::{CacheConfig, DiskCache, RankingRegime};
+        // The regime table, asked of a real cache: drive a few purges
+        // with sizes and next uses that arrive out of order, and see
+        // which ranking each policy ends on.
         let regime = |p: PolicyId| {
             let policy = p.build();
-            let mut cache = DiskCache::with_eviction_mode(
-                CacheConfig::with_capacity(1000),
-                policy.as_ref(),
-                EvictionMode::Indexed,
-            );
-            for i in 0..10u32 {
-                cache.write(i, 100, 60 + i64::from(i), None);
+            let mut cache = DiskCache::new(CacheConfig::with_capacity(1000), policy.as_ref());
+            for i in 0..30u32 {
+                let size = 60 + u64::from(i * 37 % 61);
+                let next_use = 500 + i64::from(i * 53 % 97);
+                cache.write(i, size, 60 + i64::from(i), Some(next_use));
             }
             assert!(cache.stats().evictions > 0, "{}: no purge ran", p.name());
             cache.ranking_regime()
         };
         for p in PolicyId::ALL {
             let want = match p {
-                // Power-age forms (SAAC at exponent 1) take the scan.
-                PolicyId::Stp14 | PolicyId::Stp10 | PolicyId::Stp20 | PolicyId::Saac => {
-                    RankingRegime::PowerScan
-                }
-                PolicyId::Lru
-                | PolicyId::Fifo
+                // Power-age forms (SAAC at exponent 1), and the affine
+                // policies whose keys arrive out of order.
+                PolicyId::Stp14
+                | PolicyId::Stp10
+                | PolicyId::Stp20
+                | PolicyId::Saac
                 | PolicyId::LargestFirst
                 | PolicyId::SmallestFirst
-                | PolicyId::Belady => RankingRegime::Affine,
+                | PolicyId::Belady => RankingRegime::Scan,
+                // Keys that never rise: the deque.
+                PolicyId::Lru | PolicyId::Fifo => RankingRegime::Monotone,
                 // Neither form: every resident keyed once per purge.
                 PolicyId::Random | PolicyId::StpLat | PolicyId::LruMad => RankingRegime::Rescan,
             };

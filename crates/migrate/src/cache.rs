@@ -33,12 +33,13 @@
 //! the replay hot path never hashes: a hit is one bounds check and one
 //! array load. A slot is vacated on eviction and *reused* when the same
 //! file re-enters, as a fresh entry. Slot reuse cannot alias stale
-//! eviction-index keys onto a re-created entry (no ABA): pop-time
-//! validation is by *value* — a popped key counts only if the live
-//! entry's current affine intercept equals the key's bit-for-bit — so a
-//! stale key for a previous incarnation either matches the new
-//! intercept (then it *is* the correct current key) or is discarded,
-//! exactly as if the entry had mutated in place.
+//! deque keys onto a re-created entry (no ABA): pop-time validation is
+//! by *value* — a popped key counts only if the live entry's current
+//! affine intercept equals the key's bit-for-bit — so a stale key for a
+//! previous incarnation either matches the new intercept (then it *is*
+//! the correct current key) or is discarded, exactly as if the entry
+//! had mutated in place. The scan's row for the file goes with the
+//! eviction and comes back marked with the re-entry.
 //!
 //! What a reference and a purge *do* is stated once, naively, in
 //! `tests/spec/mod.rs`; `tests/cache_spec.rs` holds this cache to it,
@@ -47,23 +48,24 @@
 //! # Victim ranking
 //!
 //! A watermark purge evicts in `(priority desc, id asc)` order. Which
-//! file that is — and how cheaply it is found: monotone queue, lazy
-//! heap, power-age scan or the exact rescan, chosen per
-//! [`EvictionMode`] from what the policy promises — is the `rank`
-//! module's one lifecycle (`crate::rank::Ranking`; its module docs in
-//! `rank.rs` are the reference). This cache is one of its two hosts: it
-//! shows the ranking its arena in ascending-id order, reports every
-//! entry mutation except read hits under
-//! [`MigrationPolicy::read_touch_monotone`] policies, steps it down to
-//! the rescan when the clock runs backwards, and keeps the eviction
-//! bookkeeping (stall vs background flush, [`CacheOp`]s) to itself.
+//! file that is — and how cheaply it is found: the monotone deque, the
+//! scan keyed by exact intercepts or power-age roots, or the exact
+//! rescan, chosen per [`EvictionMode`] from what the policy promises —
+//! is the `rank` module's one lifecycle (`crate::rank::Ranking`; its
+//! module docs in `rank.rs` are the reference). This cache is one of
+//! its two hosts: the ranking keeps a row per resident, the arena shows
+//! it each entry's view, the cache reports every insert, write and read
+//! hit (the ranking skips a read hit only while it is on the deque),
+//! steps it down to the rescan when the clock runs backwards, and keeps
+//! the eviction bookkeeping (stall vs background flush, [`CacheOp`]s) to
+//! itself.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{FileView, MigrationPolicy};
+pub use crate::rank::RankingRegime;
 use crate::rank::{Ranking, Residents};
-pub use crate::rank::{RankingRegime, INDEX_MIN_RESIDENTS};
 
 /// Configuration of the simulated disk cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -258,24 +260,19 @@ struct Entry {
 /// How [`DiskCache`] ranks purge victims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionMode {
-    /// Keep an incremental eviction index when the policy advertises an
-    /// affine priority ([`MigrationPolicy::affine`]) or a power-age one
-    /// ([`MigrationPolicy::power_age_form`]) *and* the resident set is
-    /// big enough for the rescan to hurt (the index activates at the
-    /// first purge that sees [`INDEX_MIN_RESIDENTS`] files — below
-    /// that, ranking a short list beats maintaining an index). Policies
-    /// with neither form fall back to the exact rescan automatically.
+    /// Probe the policy at the first purge: a shared-slope affine
+    /// priority ([`MigrationPolicy::affine`]) ranks through the
+    /// monotone deque until its first out-of-order key, then through the
+    /// scan; a power-age one ([`MigrationPolicy::power_age_form`])
+    /// through the scan. Policies with neither form fall back to the
+    /// exact rescan automatically.
     #[default]
     Auto,
-    /// Like `Auto` but with no resident-count gate: the index activates
-    /// at the very first purge. For tests and benchmarks that want the
-    /// indexed path exercised regardless of scale.
-    Indexed,
-    /// Always rank victims with the full rescan (every resident's
-    /// priority, heapified per purge) — the pre-index cost model, kept
-    /// selectable for benchmarks and as the oracle the index is
-    /// property-tested against. The victim sequence is identical to the
-    /// other modes by construction.
+    /// Always rank victims by the rescan (every resident's priority at
+    /// the purge instant) — the cost model with no closed form, kept
+    /// selectable for benchmarks; `tests/cache_spec.rs` holds it to the
+    /// spec like `Auto`. The victim sequence is identical to `Auto`'s by
+    /// construction.
     Rescan,
 }
 
@@ -288,14 +285,10 @@ pub struct DiskCache<'p> {
     arena: Arena,
     usage: u64,
     stats: CacheStats,
-    /// Victim ranking over `arena`.
+    /// Victim ranking over `arena`: one row per resident.
     rank: Ranking<'p>,
-    /// Cached [`MigrationPolicy::read_touch_monotone`]: read hits skip
-    /// the index push entirely (stale keys only overestimate; the purge
-    /// re-pushes current keys as it discovers them).
-    skip_read_touch: bool,
     /// Latest reference time seen; the affine forms assume a monotone
-    /// clock, so a step backwards degrades the index (see `note_time`).
+    /// clock, so a step backwards degrades the ranking (see `note_time`).
     max_now: i64,
     /// The miss-latency hint stamped onto entries at every touch; see
     /// [`DiskCache::set_est_miss_wait_s`]. Defaults to `0.0` (no
@@ -321,13 +314,11 @@ fn view(id: FileId, e: &Entry) -> FileView {
 }
 
 /// The entry arena, which is also what the ranking sees of the cache:
-/// its resident files in ascending-id order.
+/// each resident's view.
 struct Arena {
     /// Per-file entries indexed by [`FileId`]; `None` = not resident.
     /// Slots are reused across an evict/re-create cycle.
     slots: Vec<Option<Entry>>,
-    /// Files currently resident (`slots` is mostly `None` at scale).
-    resident: usize,
 }
 
 impl Arena {
@@ -344,16 +335,6 @@ impl Residents for Arena {
     fn view(&self, file: u32) -> Option<FileView> {
         let id = FileId::new(file);
         self.get(id).map(|e| view(id, e))
-    }
-
-    fn len(&self) -> usize {
-        self.resident
-    }
-
-    fn files(&self) -> impl Iterator<Item = u32> + '_ {
-        (0u32..)
-            .zip(&self.slots)
-            .filter_map(|(file, slot)| slot.is_some().then_some(file))
     }
 }
 
@@ -382,14 +363,10 @@ impl<'p> DiskCache<'p> {
             marks: config.watermarks(),
             config,
             policy,
-            arena: Arena {
-                slots: Vec::new(),
-                resident: 0,
-            },
+            arena: Arena { slots: Vec::new() },
             usage: 0,
             stats: CacheStats::default(),
             rank: Ranking::new(policy, mode),
-            skip_read_touch: policy.read_touch_monotone(),
             max_now: i64::MIN,
             est_miss_wait_s: 0.0,
             fetch_retries: 0,
@@ -432,8 +409,8 @@ impl<'p> DiskCache<'p> {
     }
 
     /// The victim-ranking regime in force: [`RankingRegime::Unprobed`]
-    /// until the first purge past the activation gate, then the index
-    /// the policy's forms allow, or the rescan once it degrades.
+    /// until the first purge, then the path the policy's forms allow
+    /// (the deque or the scan), or the rescan once it degrades.
     pub fn ranking_regime(&self) -> RankingRegime {
         self.rank.regime()
     }
@@ -445,12 +422,12 @@ impl<'p> DiskCache<'p> {
 
     /// Files resident.
     pub fn len(&self) -> usize {
-        self.arena.resident
+        self.rank.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.arena.resident == 0
+        self.len() == 0
     }
 
     /// Accumulated statistics.
@@ -512,13 +489,7 @@ impl<'p> DiskCache<'p> {
             self.stats.read_hits += 1;
             self.stats.read_hit_bytes += e.size;
             let fetching = e.fetching;
-            // Read hits are the hot path: when the policy promises a
-            // read touch never raises its intercept, the stale key
-            // already in the heap safely overestimates and the push is
-            // skipped (the purge repairs lazily).
-            if !self.skip_read_touch {
-                self.rank.touched(&self.arena, id.raw(), now);
-            }
+            self.rank.read_hit(&self.arena, id.raw());
             return if fetching {
                 ReadResult::DelayedHit
             } else {
@@ -568,7 +539,7 @@ impl<'p> DiskCache<'p> {
             e.est_miss_wait_s = est;
             e.dirty = !self.config.eager_writeback;
             self.usage = self.usage - old_size + size;
-            self.rank.touched(&self.arena, id.raw(), now);
+            self.rank.touched(&self.arena, id.raw());
             self.maybe_purge(now, ops);
             return;
         }
@@ -666,14 +637,13 @@ impl<'p> DiskCache<'p> {
             "insert over a resident"
         );
         self.arena.slots[id.index()] = Some(entry);
-        self.arena.resident += 1;
         self.usage += size;
-        self.rank.touched(&self.arena, id.raw(), now);
+        self.rank.touched(&self.arena, id.raw());
         self.maybe_purge(now, ops);
     }
 
     /// Tracks clock monotonicity. The affine and power-age forms the
-    /// eviction indexes rely on are only guaranteed for non-decreasing
+    /// deque and the scan rely on are only guaranteed for non-decreasing
     /// reference times (see [`MigrationPolicy::affine`] and
     /// [`MigrationPolicy::power_age_form`]); a step backwards permanently
     /// degrades this cache to the exact rescan, which is always correct.
@@ -710,7 +680,6 @@ impl<'p> DiskCache<'p> {
         let e = self.arena.slots[id.index()]
             .take()
             .expect("victim is resident");
-        self.arena.resident -= 1;
         self.usage -= e.size;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += e.size;
@@ -734,7 +703,7 @@ impl core::fmt::Debug for DiskCache<'_> {
         f.debug_struct("DiskCache")
             .field("policy", &self.policy.name())
             .field("usage", &self.usage)
-            .field("files", &self.arena.resident)
+            .field("files", &self.len())
             .field("ranking", &self.ranking_regime())
             .finish()
     }
@@ -744,7 +713,7 @@ impl core::fmt::Debug for DiskCache<'_> {
 mod tests {
     use super::*;
     use crate::policy::{Lru, PowerAgeForm, Saac, SmallestFirst, Stp};
-    use RankingRegime::{Affine, PowerScan, Rescan, Unprobed};
+    use RankingRegime::{Monotone, Rescan, Scan, Unprobed};
 
     fn cfg(capacity: u64) -> CacheConfig {
         CacheConfig {
@@ -1045,10 +1014,10 @@ mod tests {
         assert_eq!(open.stats(), event.stats());
     }
 
-    /// Replays one op sequence through an indexed and a rescan cache and
+    /// Replays one op sequence through an `Auto` and a rescan cache and
     /// asserts identical side-effect streams, counters, and survivors.
     fn assert_modes_agree(policy: &dyn MigrationPolicy, seq: &[(bool, u32, u64, i64)]) {
-        let mut auto = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
+        let mut auto = DiskCache::new(cfg(1000), policy);
         let mut rescan = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Rescan);
         let mut auto_ops = Vec::new();
         let mut rescan_ops = Vec::new();
@@ -1080,49 +1049,22 @@ mod tests {
     }
 
     #[test]
-    fn index_activates_for_affine_policies_and_matches_rescan() {
+    fn the_first_purge_probes_and_lru_ranks_through_the_deque() {
         let lru = Lru;
         assert_modes_agree(&lru, &churny_sequence());
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &lru, EvictionMode::Indexed);
-        assert_eq!(c.ranking_regime(), Unprobed, "index is lazy until a purge");
+        let mut c = DiskCache::new(cfg(1000), &lru);
+        assert_eq!(c.ranking_regime(), Unprobed, "probed at the first purge");
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
-        assert_eq!(c.ranking_regime(), Affine, "LRU purge should activate it");
+        assert_eq!(c.ranking_regime(), Monotone, "LRU ranks on the deque");
     }
 
-    #[test]
-    fn auto_mode_gates_activation_on_resident_count() {
-        // A handful of residents: sorting them is cheaper than heap
-        // upkeep, so Auto stays on the rescan...
-        let lru = Lru;
-        let mut small = DiskCache::new(cfg(1000), &lru);
-        for i in 0..10 {
-            small.write(i, 100, i as i64, None);
-        }
-        assert!(small.stats().evictions > 0);
-        assert_eq!(small.ranking_regime(), Unprobed);
-        // ...but once a purge sees INDEX_MIN_RESIDENTS files, the
-        // re-rank per purge dominates and the index switches on.
-        // 100-byte files, high mark at 0.9 × 200·N bytes: the purge
-        // triggers with ~1.8·N residents, comfortably past the gate.
-        let roomy = CacheConfig {
-            capacity: 200 * INDEX_MIN_RESIDENTS as u64,
-            ..cfg(1000)
-        };
-        let mut big = DiskCache::new(roomy, &lru);
-        for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
-            big.write(i, 100, i64::from(i), None);
-        }
-        assert!(big.stats().evictions > 0);
-        assert_eq!(big.ranking_regime(), Affine);
-    }
-
-    /// A purge under `Indexed` builds the regime the policy's forms
-    /// call for, and the victims equal the rescan's.
+    /// A purge builds the regime the policy's forms call for, and the
+    /// victims equal the rescan's.
     fn engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
         assert_modes_agree(policy, &churny_sequence());
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
+        let mut c = DiskCache::new(cfg(1000), policy);
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
@@ -1132,22 +1074,8 @@ mod tests {
 
     #[test]
     fn power_age_policies_rank_through_the_scan() {
-        let (stp, saac) = (Stp::classic(), Saac);
-        for p in [&stp as &dyn MigrationPolicy, &saac] {
-            engages(p, PowerScan);
-            // Past the `Auto` gate too: a purge that sees more than
-            // INDEX_MIN_RESIDENTS files (see the affine gate test).
-            let roomy = CacheConfig {
-                capacity: 200 * INDEX_MIN_RESIDENTS as u64,
-                ..cfg(1000)
-            };
-            let mut big = DiskCache::new(roomy, p);
-            for i in 0..(3 * INDEX_MIN_RESIDENTS as u32) {
-                big.write(i, 100 + u64::from(i % 7), i64::from(i), None);
-            }
-            assert!(big.stats().evictions > 0);
-            assert_eq!(big.ranking_regime(), PowerScan, "{}", p.name());
-        }
+        engages(&Stp::classic(), Scan);
+        engages(&Saac, Scan);
     }
 
     #[test]
@@ -1176,7 +1104,7 @@ mod tests {
             })
             .collect();
         assert_modes_agree(policy, &seq);
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
+        let mut c = DiskCache::new(cfg(1000), policy);
         for &(write, id, size, now) in &seq {
             if write {
                 c.write(id, size, now, None);
@@ -1189,8 +1117,8 @@ mod tests {
 
     #[test]
     fn power_scan_survives_eviction_and_reinsertion() {
-        survives_eviction_and_reinsertion(&Stp::classic(), PowerScan);
-        survives_eviction_and_reinsertion(&Saac, PowerScan);
+        survives_eviction_and_reinsertion(&Stp::classic(), Scan);
+        survives_eviction_and_reinsertion(&Saac, Scan);
     }
 
     #[test]
@@ -1205,7 +1133,7 @@ mod tests {
                 ..cfg(1000)
             };
             let mut next_purge = Vec::new();
-            for mode in [EvictionMode::Indexed, EvictionMode::Rescan] {
+            for mode in [EvictionMode::Auto, EvictionMode::Rescan] {
                 let mut c = DiskCache::with_eviction_mode(config, &stp, mode);
                 for i in 0..10u32 {
                     c.write(i, 100, i64::from(i), None);
@@ -1221,8 +1149,8 @@ mod tests {
                     c.write_with(i, 100, 50 + i64::from(i), None, &mut |op| ops.push(op));
                 }
                 assert!(c.stats().evictions > 5, "no second purge");
-                if mode == EvictionMode::Indexed {
-                    assert_eq!(c.ranking_regime(), PowerScan);
+                if mode == EvictionMode::Auto {
+                    assert_eq!(c.ranking_regime(), Scan);
                 }
                 next_purge.push(ops);
             }
@@ -1251,7 +1179,7 @@ mod tests {
     }
 
     fn withdrawn_form_degrades_at_the_next_purge(p: &dyn MigrationPolicy, regime: RankingRegime) {
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), p, EvictionMode::Indexed);
+        let mut c = DiskCache::new(cfg(1000), p);
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
@@ -1275,14 +1203,14 @@ mod tests {
 
     #[test]
     fn a_form_withdrawn_on_a_touched_file_degrades_the_scan_at_the_next_purge() {
-        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Stp::classic()), PowerScan);
-        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Saac), PowerScan);
+        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Stp::classic()), Scan);
+        withdrawn_form_degrades_at_the_next_purge(&Withdrawing(Saac), Scan);
     }
 
     /// A step backwards drops a power-age index for good; a replay with
     /// such a step still equals the rescan.
     fn backwards_clock_degrades(policy: &dyn MigrationPolicy, regime: RankingRegime) {
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), policy, EvictionMode::Indexed);
+        let mut c = DiskCache::new(cfg(1000), policy);
         for i in 0..10 {
             c.write(i, 100, 100 + i as i64, None);
         }
@@ -1301,18 +1229,18 @@ mod tests {
 
     #[test]
     fn backwards_clock_degrades_the_power_scan() {
-        backwards_clock_degrades(&Stp::classic(), PowerScan);
-        backwards_clock_degrades(&Saac, PowerScan);
+        backwards_clock_degrades(&Stp::classic(), Scan);
+        backwards_clock_degrades(&Saac, Scan);
     }
 
     #[test]
     fn backwards_clock_degrades_to_rescan() {
         let lru = Lru;
-        let mut c = DiskCache::with_eviction_mode(cfg(1000), &lru, EvictionMode::Indexed);
+        let mut c = DiskCache::new(cfg(1000), &lru);
         for i in 0..10 {
             c.write(i, 100, 100 + i as i64, None);
         }
-        assert_eq!(c.ranking_regime(), Affine);
+        assert_eq!(c.ranking_regime(), Monotone);
         // Time steps backwards: the affine contract is void, so the
         // cache must drop the index for good...
         c.write(50, 100, 5, None);
@@ -1369,11 +1297,7 @@ mod tests {
             low_watermark: 0.001,
             ..cfg(1000)
         };
-        for mode in [
-            EvictionMode::Auto,
-            EvictionMode::Indexed,
-            EvictionMode::Rescan,
-        ] {
+        for mode in [EvictionMode::Auto, EvictionMode::Rescan] {
             let mut c = DiskCache::with_eviction_mode(config, &Table, mode);
             let mut victims = Vec::new();
             for i in 0..PRIORITY.len() as u32 {

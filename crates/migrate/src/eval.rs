@@ -7,12 +7,13 @@
 //! next-use time so Belady's clairvoyant bound runs as an ordinary
 //! policy. Policies are evaluated on worker threads (one per policy).
 //!
-//! No shipped policy sorts its residents at a purge: affine policies
-//! rank through the incremental eviction index, STP and SAAC through
-//! the power-age scan, and the rest (RandomEvict and the latency-aware
-//! pair) through the rescan. The last two key every resident once per
-//! purge — the rescan heapifies every key, the scan only those at or
-//! above a sampled cut — O(n) plus O(log n) per victim, a fair price
+//! No shipped policy sorts its residents at a purge. LRU and FIFO rank
+//! through the monotone deque; every other policy through the
+//! purge-time scan, keyed by exact affine intercepts (Belady, the size
+//! pair), power-age roots (STP, SAAC) or, for the rest (RandomEvict and
+//! the latency-aware pair), by `priority` itself — the rescan. The scan
+//! keys every resident once per purge and heapifies only the keys at or
+//! above a sampled cut: O(n) plus O(log n) per victim, a fair price
 //! when a purge (0.95 → 0.80 of capacity) evicts about one resident in
 //! forty.
 

@@ -44,7 +44,6 @@ pub mod writeback;
 
 pub use cache::{
     CacheConfig, CacheOp, CacheStats, DiskCache, EvictionMode, RankingRegime, ReadResult,
-    INDEX_MIN_RESIDENTS,
 };
 pub use dividing::{DeviceModel, DividingPointStudy, DividingRow};
 pub use eval::{

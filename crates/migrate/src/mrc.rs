@@ -55,15 +55,15 @@
 //! * **Ranked** (every other policy): the `rank` module's one lifecycle
 //!   (`crate::rank::Ranking`, documented in `rank.rs`). Each capacity's
 //!   stack hosts its own instance under [`EvictionMode::Auto`] — the
-//!   affine queue/heap, power-age scan or rescan a lone [`DiskCache`]
-//!   at that capacity would run, activated by the same resident-count
-//!   gate — and shows it its resident list.
+//!   monotone deque, the scan or the rescan a lone [`DiskCache`] at that
+//!   capacity would run, probed at the same first purge. The ranking
+//!   keeps its own row per resident; the stack shows it file views.
 //!
 //! The first two tiers rank straight off the shared file row: no
 //! [`FileView`], no resident list, only a count. A clock that steps
 //! backwards voids both keys' contracts, as it voids the ranking's
-//! closed forms; every stack then rebuilds its resident list from the
-//! rows, once, and ranks by the exact rescan for good.
+//! closed forms; every stack then hands its residents, found in the
+//! rows once, to a ranking on the exact rescan for good.
 //!
 //! Memory is O(files × capacities) whatever the trace's length: the
 //! shared and per-capacity file rows, plus the touch log, which
@@ -183,9 +183,6 @@ struct SubState {
     size: u64,
     created: i64,
     ref_count: u32,
-    /// Position in the stack's resident list, for O(1) removal (ranked
-    /// tier only).
-    pos: u32,
 }
 
 impl SubState {
@@ -195,7 +192,6 @@ impl SubState {
         size: 0,
         created: 0,
         ref_count: 0,
-        pos: 0,
     };
 }
 
@@ -249,12 +245,9 @@ enum Order<'p> {
     /// on top; pairs that no longer match their row are dropped when
     /// they surface.
     NextUse(BinaryHeap<(u64, Reverse<u32>)>),
-    /// Every other policy: the shared ranking lifecycle over the
-    /// resident list (swap-remove order; `SubState::pos` indexes it).
-    Ranked {
-        residents: Vec<u32>,
-        rank: Ranking<'p>,
-    },
+    /// Every other policy: the shared ranking lifecycle, which keeps a
+    /// row per resident.
+    Ranked(Box<Ranking<'p>>),
 }
 
 /// One capacity's priority stack: watermarks, usage, counters, resident
@@ -301,12 +294,8 @@ struct Column<'a> {
 }
 
 impl<'a> Column<'a> {
-    fn view(self, subs: &'a [SubState], residents: &'a [u32]) -> StackView<'a> {
-        StackView {
-            col: self,
-            subs,
-            residents,
-        }
+    fn view(self, subs: &'a [SubState]) -> StackView<'a> {
+        StackView { col: self, subs }
     }
 
     fn resident(self, subs: &[SubState], fidx: u32) -> bool {
@@ -327,13 +316,11 @@ impl<'a> Column<'a> {
     }
 }
 
-/// One capacity's resident set as the ranking sees it: the stack's
-/// resident list (swap-remove order) over the engine's split (global,
-/// per-capacity) file state.
+/// One capacity's resident set as the ranking sees it: a file's view
+/// from the engine's split (global, per-capacity) file state.
 struct StackView<'a> {
     col: Column<'a>,
     subs: &'a [SubState],
-    residents: &'a [u32],
 }
 
 impl Residents for StackView<'_> {
@@ -342,14 +329,6 @@ impl Residents for StackView<'_> {
         let sub = self.subs.get(file as usize * col.grid + col.ci)?;
         let g = col.globals.get(file as usize)?;
         sub.resident.then(|| sub_view(file, g, sub, col.est))
-    }
-
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn files(&self) -> impl Iterator<Item = u32> + '_ {
-        self.residents.iter().copied()
     }
 }
 
@@ -401,7 +380,7 @@ impl Order<'_> {
                 }
                 None
             }
-            Order::Ranked { residents, rank } => rank.next_victim(&col.view(subs, residents), now),
+            Order::Ranked(rank) => rank.next_victim(&col.view(subs), now),
         }
     }
 }
@@ -422,49 +401,34 @@ impl<'p> Stack<'p> {
                     open: OpenGroup::default(),
                 },
                 Some(SharedKey::NextUse) => Order::NextUse(BinaryHeap::new()),
-                None => Order::Ranked {
-                    residents: Vec::new(),
-                    rank: Ranking::new(policy, EvictionMode::Auto),
-                },
+                None => Order::Ranked(Box::new(Ranking::new(policy, EvictionMode::Auto))),
             },
         }
     }
 
     /// The clock stepped backwards: both shared keys' contracts and
     /// the ranking's closed forms are void, so the stack ranks by the
-    /// exact rescan for good — over a resident list rebuilt from the
-    /// rows, once, if its tier kept none.
-    fn degrade(
-        &mut self,
-        policy: &'p dyn MigrationPolicy,
-        subs: &mut [SubState],
-        grid: usize,
-        ci: usize,
-    ) {
-        if let Order::Ranked { rank, .. } = &mut self.order {
+    /// exact rescan for good — through a new ranking handed the
+    /// residents found in the rows, once, if its tier kept none.
+    fn degrade(&mut self, policy: &'p dyn MigrationPolicy, col: Column, subs: &[SubState]) {
+        if let Order::Ranked(rank) = &mut self.order {
             rank.degrade();
             return;
         }
-        let mut residents = Vec::with_capacity(self.len);
-        for (fidx, sub) in subs.iter_mut().skip(ci).step_by(grid).enumerate() {
+        let mut rank = Ranking::new(policy, EvictionMode::Rescan);
+        let view = col.view(subs);
+        for (fidx, sub) in subs.iter().skip(col.ci).step_by(col.grid).enumerate() {
             if sub.resident {
-                sub.pos = residents.len() as u32;
-                residents.push(fidx as u32);
+                rank.touched(&view, fidx as u32);
             }
         }
-        self.order = Order::Ranked {
-            residents,
-            rank: Ranking::new(policy, EvictionMode::Rescan),
-        };
+        self.order = Order::Ranked(Box::new(rank));
     }
 
-    /// Inserts `fidx` (not currently resident) with the given state.
-    fn insert(&mut self, fidx: u32, sub: &mut SubState) {
+    /// Inserts `fidx`'s row (not currently resident) with the given
+    /// state; the ranked tier's row comes with the touch that follows.
+    fn insert(&mut self, sub: &mut SubState) {
         sub.resident = true;
-        if let Order::Ranked { residents, .. } = &mut self.order {
-            sub.pos = residents.len() as u32;
-            residents.push(fidx);
-        }
         self.len += 1;
         self.usage += sub.size;
     }
@@ -474,9 +438,18 @@ impl<'p> Stack<'p> {
     /// `new_key` is false only for a file that was resident and whose
     /// `next_use` did not change: its current next-use pair is then
     /// still in the heap, since a live pair leaves it only by eviction.
-    /// Inlined: it runs on every insert, and for LRU it is empty.
+    /// `read_hit` is true for a read of a resident, which the ranked
+    /// tier may skip (see `Ranking::read_hit`). Inlined: it runs on
+    /// every reference, and for LRU it is empty.
     #[inline(always)]
-    fn touched(&mut self, col: Column, subs: &[SubState], fidx: u32, now: i64, new_key: bool) {
+    fn touched(
+        &mut self,
+        col: Column,
+        subs: &[SubState],
+        fidx: u32,
+        new_key: bool,
+        read_hit: bool,
+    ) {
         match &mut self.order {
             Order::Recency { .. } => {}
             Order::NextUse(heap) => {
@@ -490,9 +463,8 @@ impl<'p> Stack<'p> {
                     tests::note_heap(heap.len(), self.len);
                 }
             }
-            Order::Ranked { residents, rank } => {
-                rank.touched(&col.view(subs, residents), fidx, now);
-            }
+            Order::Ranked(rank) if read_hit => rank.read_hit(&col.view(subs), fidx),
+            Order::Ranked(rank) => rank.touched(&col.view(subs), fidx),
         }
     }
 
@@ -503,14 +475,10 @@ impl<'p> Stack<'p> {
         let sub = &mut subs[fidx as usize * grid + ci];
         debug_assert!(sub.resident, "victim is resident");
         sub.resident = false;
-        let pos = sub.pos as usize;
         let size = sub.size;
         let dirty = sub.dirty;
-        if let Order::Ranked { residents, .. } = &mut self.order {
-            residents.swap_remove(pos);
-            if let Some(&moved) = residents.get(pos) {
-                subs[moved as usize * grid + ci].pos = pos as u32;
-            }
+        if let Order::Ranked(rank) = &mut self.order {
+            rank.evicted(fidx);
         }
         self.len -= 1;
         self.usage -= size;
@@ -538,8 +506,8 @@ impl<'p> Stack<'p> {
     /// Evicts the victims the stack's order names until usage reaches
     /// the low mark.
     fn purge(&mut self, col: Column, subs: &mut [SubState], now: i64) {
-        if let Order::Ranked { residents, rank } = &mut self.order {
-            rank.begin_purge(&col.view(subs, residents), now);
+        if let Order::Ranked(rank) = &mut self.order {
+            rank.begin_purge(&col.view(subs), now);
         }
         while self.usage > self.low {
             let Some(victim) = self.order.next_victim(col, subs, now) else {
@@ -555,9 +523,6 @@ impl<'p> Stack<'p> {
                 return;
             };
             self.evict(victim, subs, col.grid, col.ci);
-            if let Order::Ranked { rank, .. } = &mut self.order {
-                rank.evicted(victim);
-            }
         }
     }
 }
@@ -649,8 +614,8 @@ fn compact_recency_log(
 /// [`sweep_capacities_naive`] (one full replay per capacity) measures;
 /// the pass shares the file table, the id lookup, and the next-use
 /// oracle across the grid; LRU and Belady rank straight off the shared
-/// file row, and every other policy's stacks purge through the adaptive
-/// eviction index wherever the policy is affine.
+/// file row, and every other policy's stacks purge through the ranking
+/// lifecycle a lone [`DiskCache`] runs.
 ///
 /// # Panics
 ///
@@ -703,9 +668,6 @@ pub fn sweep_capacities_streaming(
             Stack::new(config, policy, key)
         })
         .collect();
-    // A next-use key rises on every read touch, whatever the policy
-    // promises the affine index.
-    let skip_read_touch = policy.read_touch_monotone() && key != Some(SharedKey::NextUse);
     // The open-loop miss-latency fallback: every FileView this pass
     // hands to the policy carries the same flat estimate the naive
     // per-capacity replay stamps on its entries (see
@@ -733,7 +695,15 @@ pub fn sweep_capacities_streaming(
             // contract that ranks ahead of time is void, every stack
             // degrades for good.
             for (ci, stack) in stacks.iter_mut().enumerate() {
-                stack.degrade(policy, &mut subs, grid, ci);
+                let col = Column {
+                    globals: &globals,
+                    log: &log,
+                    open_start,
+                    grid,
+                    ci,
+                    est,
+                };
+                stack.degrade(policy, col, &subs);
             }
             key = None;
         } else {
@@ -790,21 +760,16 @@ pub fn sweep_capacities_streaming(
                         size: r.size,
                         created: r.time,
                         ref_count: 1,
-                        pos: 0,
                     };
-                    stack.insert(fidx, sub);
+                    stack.insert(sub);
                 }
             } else if sub.resident {
-                // Read hit — the hot path. Usage is unchanged (no purge
-                // can trigger) and for read-touch-monotone policies the
-                // stale index key safely overestimates, so the whole
-                // index interaction is skipped.
+                // Read hit — the hot path. Usage is unchanged, so no
+                // purge can trigger.
                 stack.stats.read_hits += 1;
                 stack.stats.read_hit_bytes += sub.size;
                 sub.ref_count += 1;
-                if !skip_read_touch {
-                    stack.touched(column(ci), &subs, fidx, r.time, new_key);
-                }
+                stack.touched(column(ci), &subs, fidx, new_key, true);
                 continue;
             } else {
                 stack.stats.read_misses += 1;
@@ -818,14 +783,13 @@ pub fn sweep_capacities_streaming(
                     size: r.size,
                     created: r.time,
                     ref_count: 1,
-                    pos: 0,
                 };
-                stack.insert(fidx, sub);
+                stack.insert(sub);
             }
             // Only writes and inserts reach here, the ops that can grow
             // usage past the watermark — same reachability as
             // `DiskCache`.
-            stack.touched(column(ci), &subs, fidx, r.time, new_key || !was_resident);
+            stack.touched(column(ci), &subs, fidx, new_key || !was_resident, false);
             stack.maybe_purge(column(ci), &mut subs, r.time);
         }
     }
@@ -845,9 +809,9 @@ pub fn sweep_capacities_streaming(
 /// The pre-index cost model: replays the full trace once per capacity
 /// with the rescan ranking every purge.
 ///
-/// Kept as the oracle the single-pass engine is property-tested against
-/// (`tests/mrc_index.rs`) and `examples/capacity_planning.rs` checks its
-/// curve with.
+/// Kept as the oracle this module's unit tests and
+/// `examples/capacity_planning.rs` check the single-pass curve with
+/// (`tests/mrc_index.rs` holds it to the naive cache spec instead).
 pub fn sweep_capacities_naive(
     refs: &[PreparedRef],
     policy: &dyn MigrationPolicy,

@@ -72,8 +72,8 @@ pub struct FileView {
 /// `now` the cache will evaluate it at.
 ///
 /// See [`MigrationPolicy::affine`] for the exactness contract that lets
-/// the cache's incremental eviction index replace the per-purge full
-/// rescan with an amortized-log heap.
+/// the cache's victim ranking replace the per-purge call to `priority`
+/// with a key: a monotone deque, or exact intercepts on the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AffinePriority {
     /// Coefficient on `now`. Must be identical for every file the policy
@@ -143,7 +143,7 @@ pub trait MigrationPolicy: Send + Sync {
     }
 
     /// The priority as an affine function of `now`, when the policy has
-    /// one — the hook behind the cache's incremental eviction index.
+    /// one — the hook behind the ranking's deque and intercept keys.
     ///
     /// # Contract
     ///
@@ -216,18 +216,19 @@ pub trait MigrationPolicy: Send + Sync {
     /// `ref_count`, and `next_use`) can never **raise** this policy's
     /// affine intercept.
     ///
-    /// When it holds, the eviction index skips the per-hit key push
-    /// entirely — the read hot path's most frequent operation — because
-    /// a stale key then only ever *overestimates* a file's priority:
-    /// the purge pops it, sees the mismatch with the recomputed current
-    /// key, re-pushes the current one, and continues, which converges on
-    /// the exact victim. LRU qualifies (recency only lowers eviction
-    /// priority), as do FIFO and the size policies (read touches don't
-    /// move their intercepts at all). Belady does **not**: a read hit
-    /// advances `next_use` further into the future, raising the
-    /// intercept, so its hits must push eagerly. Only consulted when
-    /// [`MigrationPolicy::affine`] returns `Some`; the default is the
-    /// safe `false`.
+    /// When it holds, the ranking's monotone deque skips the per-hit key
+    /// push entirely — the read hot path's most frequent operation —
+    /// because a stale key then only ever *overestimates* a file's
+    /// priority: the purge pops it, sees the mismatch with the
+    /// recomputed current key, re-files the current one, and continues,
+    /// which converges on the exact victim. LRU qualifies (recency only
+    /// lowers eviction priority), as do FIFO and the size policies (read
+    /// touches don't move their intercepts at all). Belady does **not**:
+    /// a read hit advances `next_use` further into the future, raising
+    /// the intercept, so its hits must push eagerly. Only consulted
+    /// while the ranking is on the deque, the one regime that
+    /// revalidates at pop time; the scan marks every read hit's row.
+    /// The default is the safe `false`.
     fn read_touch_monotone(&self) -> bool {
         false
     }

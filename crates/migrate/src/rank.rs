@@ -3,143 +3,127 @@
 //!
 //! A watermark purge must evict files in `(priority desc, id asc)`
 //! order at the purge instant. [`Ranking`] is the one state machine that
-//! produces that order; [`crate::cache::DiskCache`] hosts it over its
-//! entry arena and each capacity stack of [`crate::mrc`] over its
-//! resident list, and a host shows it nothing but its resident set
-//! ([`Residents`]). Every regime yields the **bit-identical** victim
-//! sequence — `tests/mrc_index.rs` and `tests/kinetic_index.rs`
-//! property-test that — so the lifecycle only ever decides cost:
+//! produces that order for both hosts, [`crate::cache::DiskCache`] and
+//! each capacity stack of [`crate::mrc`]. It keeps one row per resident
+//! in every regime (filled by [`Ranking::touched`] on insert, emptied by
+//! [`Ranking::evicted`]), so a host shows it nothing but a resident's
+//! view ([`Residents`]). Every regime yields the **bit-identical** victim
+//! sequence — `tests/cache_spec.rs`, `tests/scan_index.rs` and
+//! `tests/mrc_index.rs` hold both hosts to the naive spec — so the
+//! lifecycle only ever decides cost. Two paths rank over the rows:
 //!
 //! ```text
-//! Unprobed ──first purge past the gate──▶ Affine ────┐
-//!     │                              └──▶ PowerScan ─┤ degrade
-//!     └──────────────── no form ─────────────────────┴──▶ Rescan (terminal)
+//! Unprobed ─first purge─┬─ shared slope ──▶ Monotone ─out-of-order push─▶ Scan ─┐
+//!                       ├─ shared exponent ─────────────────────────────▶ Scan ─┤ degrade
+//!                       └─ neither ─────────────────────────────────────▶ Rescan ◀┘
 //! ```
 //!
-//! * **Unprobed.** Nothing is maintained; a purge ranks by rescan. The
-//!   first purge that sees [`INDEX_MIN_RESIDENTS`] files (any purge
-//!   under [`EvictionMode::Indexed`]) probes the policy over the whole
-//!   resident set: every file's [`MigrationPolicy::affine`] form first
-//!   (the cheapest regime), then its [`MigrationPolicy::power_age_form`]
-//!   (the scan, if every form shares one exponent) — else the rescan
-//!   for good.
-//! * **Affine** ([`VictimRank`]). `slope · now + intercept` with one
-//!   shared slope: pairwise order is independent of `now`, so a key
-//!   pushed once stays correct until the entry mutates, and mutations
-//!   just push the new key. Policies whose keys never rise over time
-//!   (LRU pushes `−now`, FIFO `−created`) emit pushes in nonincreasing
-//!   order, so a plain deque *is* the priority order — O(1) push and
-//!   pop, the regime the replay hot path lives in. The first
-//!   out-of-order push (Belady's `next_use`, size keys) heapifies the
-//!   deque once and continues as a lazy max-heap at `O(log n)`. Hosts
-//!   skip [`Ranking::touched`] on read hits for policies that promise
-//!   [`MigrationPolicy::read_touch_monotone`]: the stale key only
-//!   overestimates. Once stale keys outnumber residents two to one the
-//!   index is rebuilt from the resident set.
-//! * **PowerScan** ([`PowerScan`]). `coeff·age^e` with one exponent
-//!   (STP, and SAAC at `e = 1`) orders like its root `root·age`,
-//!   `root = coeff^(1/e)` riding in the form. A mutation marks the
-//!   file's row and lists it as dirty; a purge settles the dirty rows
-//!   (one `power_age_form` call each), keys every row in one
-//!   multiply-and-compare pass, heapifies only the `c` keys at or above
-//!   a sampled cut and pops victims, settling near ties by exact
-//!   `priority`: O(dirty + n + c) per purge plus O(log c) per victim,
-//!   where a purge (0.95 → 0.80 of capacity) evicts about one resident
-//!   in forty; see [`PowerScan`] for the cut and its refills.
-//! * **Rescan.** Rank every resident by `priority` at `now`, heapify
-//!   the `total_cmp`-order keys once, pop victims: `O(n)` per purge plus
-//!   `O(log n)` per victim, NaN-proof, always correct. Forced by
+//! * **Monotone** ([`VictimRank`]): `slope · now + intercept` with one
+//!   shared slope orders by intercept alone, so a key pushed once stays
+//!   correct until the entry mutates. LRU and FIFO push in nonincreasing
+//!   order, so a plain deque *is* the priority order: O(1) push and pop.
+//!   It is the one regime that revalidates at pop time (below), so the
+//!   only one where [`Ranking::read_hit`] skips the read hits of a
+//!   [`MigrationPolicy::read_touch_monotone`] policy. The first
+//!   out-of-order push (Belady's `next_use`, the size pair) moves the
+//!   ranking onto the scan with intercept keys.
+//! * **Scan** ([`Scan`]): a mutation marks the row and lists it as dirty;
+//!   a purge settles the dirty rows, keys every row, heapifies only the
+//!   keys at or above a sampled cut and pops victims — O(dirty + n + c)
+//!   per purge plus O(log c) per victim, where a purge (0.95 → 0.80 of
+//!   capacity) evicts about one resident in forty. Keys come from one of
+//!   three recipes: exact affine *intercepts* (one
+//!   [`MigrationPolicy::affine`] call per dirty row); *power-age* roots
+//!   `root·age` for `coeff·age^e` with one exponent (STP, SAAC at
+//!   `e = 1`; one [`MigrationPolicy::power_age_form`] call per dirty row,
+//!   near ties settled by exact `priority`); or *priorities*, the rescan.
+//! * **Rescan**: every row's `priority` at the purge instant, read
+//!   through the host at most once per row per purge, in `total_cmp`
+//!   order: NaN-proof and always correct. Forced by
 //!   [`EvictionMode::Rescan`], the home of policies with neither form
-//!   (Random, LRU-MAD, STP-lat), and where every broken promise lands:
-//!   a withdrawn form, a drifting slope or exponent, a rank gone dry
-//!   with residents left, a clock stepping backwards (the host reports
-//!   that one — [`Ranking::degrade`] — because every closed form
-//!   assumes non-decreasing reference times). A regime that degrades
-//!   mid-purge hands the *same* purge to the rescan, so nothing
-//!   under-purges.
+//!   (Random, LRU-MAD, STP-lat), and where every broken promise lands: a
+//!   withdrawn form, a drifting slope or exponent, a rank gone dry with
+//!   residents left, a clock stepping backwards (the host reports that
+//!   one — [`Ranking::degrade`] — because every closed form assumes
+//!   non-decreasing reference times). Degrades are one-way, and a purge
+//!   that degrades is finished by the rescan, so nothing under-purges.
 //!
-//! The affine index revalidates **by value** when a victim surfaces (the
-//! scan and the rescan key every row afresh at each purge, so they hold
-//! nothing stale). An affine key surfacing from the rank is checked
-//! through [`Candidate`]: [`Candidate::Live`] (evict it),
-//! [`Candidate::Gone`] (file left the cache; drop the key),
-//! [`Candidate::Moved`] (resident but the key is a stale overestimate;
-//! re-rank at the current, **never higher**, intercept), or
-//! [`Candidate::Abort`] (contract violation). Because every mutation
-//! that could *raise* a key pushes eagerly, a popped maximum is always
-//! an upper bound, and deflating stale keys until a live one surfaces
-//! yields the exact `(priority desc, id asc)` victim order — ties
-//! included, since tied keys are compared by id before any is returned.
-//! Value checks also cover a host reusing a file's slot: a key from a
-//! previous incarnation either matches the re-created file's current
-//! intercept (then it *is* current) or is stale like any other.
+//! The deque revalidates **by value** when a key surfaces, through
+//! [`Candidate`]: [`Candidate::Live`] (evict it), [`Candidate::Gone`]
+//! (file left the cache), [`Candidate::Moved`] (a stale overestimate;
+//! re-file at the current, **never higher**, intercept), or
+//! [`Candidate::Abort`] (contract violation). Every mutation that could
+//! *raise* a key pushes eagerly, so a popped maximum is an upper bound,
+//! and deflating stale keys until a live one surfaces yields the exact
+//! victim order, ties included. A key from a slot's previous incarnation
+//! either matches the re-created file's intercept (then it *is* current)
+//! or is stale like any other.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::RangeBounds;
 
 use crate::cache::EvictionMode;
 use crate::policy::{FileView, MigrationPolicy, PowerAgeForm};
 
-/// Resident-set size at which [`EvictionMode::Auto`] switches from the
-/// rescan to the incremental index. Ranking a few dozen candidates per
-/// purge is cheaper than a heap push per reference; re-ranking hundreds
-/// or thousands is not.
-pub const INDEX_MIN_RESIDENTS: usize = 128;
-
-/// What a host shows the ranking: its resident set, nothing else. Files
-/// are named by dense index ([`fmig_trace::FileId::raw`]).
+/// What a host shows the ranking: a resident file's view, nothing
+/// else. Files are named by dense index ([`fmig_trace::FileId::raw`]).
 pub(crate) trait Residents {
     /// The policy's view of `file`; `None` if it is not resident.
     fn view(&self, file: u32) -> Option<FileView>;
-    /// Files resident.
-    fn len(&self) -> usize;
-    /// Every resident file, in the host's own (deterministic) order.
-    fn files(&self) -> impl Iterator<Item = u32> + '_;
+}
+
+/// How the scan keys its rows; see the module docs.
+#[derive(Debug, Clone, Copy)]
+enum Recipe {
+    /// Affine intercepts under one shared slope (its bit pattern).
+    Intercept { slope_bits: u64 },
+    /// Power-age roots times age, under one shared exponent.
+    PowerAge { exponent: f64 },
+    /// The policy's priority at the purge instant: the rescan.
+    Priority,
 }
 
 /// Where a ranking is in its lifecycle; see the module docs.
 #[derive(Debug)]
 enum Regime {
     Unprobed,
-    Affine {
+    Monotone {
         /// Bit pattern of the policy's shared slope; a differing slope
         /// on any later file is a contract violation.
         slope_bits: u64,
-        rank: VictimRank,
+        deque: VictimRank,
     },
-    PowerScan(Box<PowerScan>),
-    Rescan,
+    Scan(Recipe),
 }
 
 /// Where a ranking is in its lifecycle, as a host reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankingRegime {
-    /// No purge has passed the activation gate yet; purges rescan.
+    /// No purge has run yet: only the rows are kept.
     Unprobed,
-    /// Shared-slope affine keys in a monotone queue or lazy heap.
-    Affine,
-    /// One key per resident by power-age root, ranked once per purge.
-    PowerScan,
-    /// The exact rescan, for good.
+    /// Shared-slope affine keys pushed in nonincreasing order.
+    Monotone,
+    /// Intercept or power-age keys, ranked once per purge.
+    Scan,
+    /// The exact rescan by priority, for good.
     Rescan,
 }
 
 /// The victim-ranking lifecycle of one resident set under one policy;
-/// see the module docs. The host reports every mutation
-/// ([`Ranking::touched`]), brackets a purge with
-/// [`Ranking::begin_purge`], pulls victims one at a time
-/// ([`Ranking::next_victim`]) and reports each eviction
+/// see the module docs. The host reports every insert and write
+/// ([`Ranking::touched`]) and read hit ([`Ranking::read_hit`]),
+/// brackets a purge with [`Ranking::begin_purge`], pulls victims one at
+/// a time ([`Ranking::next_victim`]) and reports each eviction
 /// ([`Ranking::evicted`]) before it pulls the next.
 pub(crate) struct Ranking<'p> {
     policy: &'p dyn MigrationPolicy,
+    /// Cached [`MigrationPolicy::read_touch_monotone`].
+    read_touch_monotone: bool,
     regime: Regime,
-    /// [`EvictionMode::Indexed`]: probe at the first purge, resident
-    /// count be damned.
-    eager: bool,
-    /// The rescan's heap for the current purge, `(total_key(priority),
-    /// Reverse(file))`: best victim on top; one allocation reused
-    /// across purges.
-    ranked: BinaryHeap<(u64, Reverse<u32>)>,
+    /// One row per resident, and the purge state the scan keys them
+    /// with.
+    scan: Scan,
 }
 
 /// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp`'s:
@@ -158,12 +142,12 @@ impl<'p> Ranking<'p> {
     pub fn new(policy: &'p dyn MigrationPolicy, mode: EvictionMode) -> Self {
         Ranking {
             policy,
+            read_touch_monotone: policy.read_touch_monotone(),
             regime: match mode {
-                EvictionMode::Auto | EvictionMode::Indexed => Regime::Unprobed,
-                EvictionMode::Rescan => Regime::Rescan,
+                EvictionMode::Auto => Regime::Unprobed,
+                EvictionMode::Rescan => Regime::Scan(Recipe::Priority),
             },
-            eager: mode == EvictionMode::Indexed,
-            ranked: BinaryHeap::new(),
+            scan: Scan::default(),
         }
     }
 
@@ -171,83 +155,119 @@ impl<'p> Ranking<'p> {
     pub fn regime(&self) -> RankingRegime {
         match self.regime {
             Regime::Unprobed => RankingRegime::Unprobed,
-            Regime::Affine { .. } => RankingRegime::Affine,
-            Regime::PowerScan(_) => RankingRegime::PowerScan,
-            Regime::Rescan => RankingRegime::Rescan,
+            Regime::Monotone { .. } => RankingRegime::Monotone,
+            Regime::Scan(Recipe::Priority) => RankingRegime::Rescan,
+            Regime::Scan(_) => RankingRegime::Scan,
         }
     }
 
-    /// Drops whatever index is kept (or would have been) for the exact
+    /// Files resident: one row each.
+    pub fn len(&self) -> usize {
+        self.scan.files.len()
+    }
+
+    /// Drops whatever keys are kept (or would have been) for the exact
     /// rescan, for good.
     pub fn degrade(&mut self) {
-        self.regime = Regime::Rescan;
+        self.regime = Regime::Scan(Recipe::Priority);
     }
 
-    /// Mirrors one resident file's mutation (touch, resize, insert) at
-    /// `now` into whichever index is active: an affine key push, or a
-    /// scan row *mark* — the file is re-evaluated when the next purge
-    /// opens, so a withdrawn form degrades there, not here.
-    pub fn touched(&mut self, host: &impl Residents, file: u32, now: i64) {
-        match &mut self.regime {
-            Regime::Affine { slope_bits, rank } => {
-                match host.view(file).and_then(|v| self.policy.affine(&v)) {
-                    Some(a) if a.slope.to_bits() == *slope_bits => {
-                        rank.push(RankKey {
-                            intercept: a.intercept,
-                            id: u64::from(file),
-                        });
-                        // Stale keys (older keys of mutated or evicted
-                        // files) are resolved at pop time; once they
-                        // dominate, rebuild from the resident set so
-                        // memory and pop cost stay proportional to it.
-                        if rank.len() > host.len() * 2 + 64 {
-                            self.regime = self.probe(host, now);
-                        }
-                    }
-                    _ => self.degrade(),
+    /// Mirrors one resident file's insert or write into the rows and
+    /// the active index: a deque key push, or a scan row *mark* — the
+    /// file is re-evaluated when the next purge opens, so a withdrawn
+    /// form degrades there, not here.
+    pub fn touched(&mut self, host: &impl Residents, file: u32) {
+        let keyed = matches!(
+            self.regime,
+            Regime::Scan(Recipe::Intercept { .. } | Recipe::PowerAge { .. })
+        );
+        self.scan.touched(file, keyed);
+        let Regime::Monotone { slope_bits, deque } = &mut self.regime else {
+            return;
+        };
+        let slope_bits = *slope_bits;
+        match host.view(file).and_then(|v| self.policy.affine(&v)) {
+            Some(a) if a.slope.to_bits() == slope_bits => {
+                let key = RankKey {
+                    intercept: a.intercept,
+                    id: u64::from(file),
+                };
+                if !deque.push(key) {
+                    // The first out-of-order push: every row is keyed
+                    // by its intercept at the next purge.
+                    self.regime = Regime::Scan(Recipe::Intercept { slope_bits });
+                    self.scan.mark_all();
+                } else if deque.len() > self.scan.files.len() * 2 + 64 {
+                    // Stale keys (older keys of mutated or evicted
+                    // files) are resolved at pop time; once they
+                    // dominate, rebuild from the rows so memory and pop
+                    // cost stay proportional to the resident set.
+                    self.regime = self.probe(host);
                 }
             }
-            Regime::PowerScan(scan) => scan.touched(file),
-            Regime::Unprobed | Regime::Rescan => {}
+            _ => self.degrade(),
         }
     }
 
-    /// Opens a purge at `now`. The first one past the gate probes the
-    /// policy and builds an index from the resident set, or settles on
-    /// the rescan; until then no index is maintained, so purge-free and
-    /// small-resident-set runs pay nothing for one.
+    /// Mirrors a read hit on `file`: skipped on the deque when the
+    /// policy promises a read touch never raises its key (a stale key
+    /// only overestimates, and the deque revalidates at pop time). A
+    /// scan row must be settled exactly, so it is marked.
+    pub fn read_hit(&mut self, host: &impl Residents, file: u32) {
+        if !(self.read_touch_monotone && matches!(self.regime, Regime::Monotone { .. })) {
+            self.touched(host, file);
+        }
+    }
+
+    /// Opens a purge at `now`. The first one probes the policy over the
+    /// rows; a scan settles and keys them, and a promise broken there
+    /// hands this purge to the rescan.
     pub fn begin_purge(&mut self, host: &impl Residents, now: i64) {
-        self.ranked.clear();
-        if matches!(self.regime, Regime::Unprobed)
-            && (self.eager || host.len() >= INDEX_MIN_RESIDENTS)
-        {
-            self.regime = self.probe(host, now); // a new scan is keyed at `now`
-        } else if let Regime::PowerScan(scan) = &mut self.regime {
-            if !scan.open_purge(self.policy, host, now) {
-                self.degrade();
+        if let Regime::Unprobed = self.regime {
+            self.regime = self.probe(host);
+        }
+        if let Regime::Scan(recipe) = self.regime {
+            if !self.scan.open_purge(recipe, self.policy, host, now) {
+                self.rescan(host, now);
             }
         }
     }
 
-    /// Probes the resident set for an index: every file's affine form
-    /// first, then the power-age form; a policy that refuses both — or
-    /// violates the shared-slope or shared-exponent contract — means
-    /// the rescan.
-    fn probe(&self, host: &impl Residents, now: i64) -> Regime {
-        if let Some(regime) = self.probe_affine(host) {
-            return regime;
+    /// Degrades for good and keys the open purge by priority.
+    fn rescan(&mut self, host: &impl Residents, now: i64) {
+        self.degrade();
+        self.scan
+            .open_purge(Recipe::Priority, self.policy, host, now);
+    }
+
+    /// Probes the rows for an index: every file's affine form first,
+    /// then the first file's power-age exponent; a policy that refuses
+    /// both — or violates the shared-slope contract — means the rescan.
+    fn probe(&mut self, host: &impl Residents) -> Regime {
+        if let Some((slope_bits, deque)) = self.probe_affine(host) {
+            return Regime::Monotone { slope_bits, deque };
         }
-        match PowerScan::build(self.policy, host, now) {
-            Some(scan) => Regime::PowerScan(Box::new(scan)),
-            None => Regime::Rescan,
+        let first = self.scan.files.first().and_then(|&file| host.view(file));
+        match first.and_then(|v| self.policy.power_age_form(&v)) {
+            // Below 2⁻¹⁰ the rounding of `1/e` in `root` could outgrow
+            // the band; past 16 a zero coefficient's `age^e` could reach
+            // `∞·0`. Every row's exponent is checked at settle.
+            Some(form) if (1.0 / 1024.0..=16.0).contains(&form.exponent) => {
+                self.scan.mark_all();
+                Regime::Scan(Recipe::PowerAge {
+                    exponent: form.exponent,
+                })
+            }
+            _ => Regime::Scan(Recipe::Priority),
         }
     }
 
-    /// `None` on any refusal or slope disagreement.
-    fn probe_affine(&self, host: &impl Residents) -> Option<Regime> {
+    /// The slope bits and a sorted deque, or `None` on any refusal or
+    /// slope disagreement.
+    fn probe_affine(&self, host: &impl Residents) -> Option<(u64, VictimRank)> {
         let mut slope_bits = None;
-        let mut keys = Vec::with_capacity(host.len());
-        for file in host.files() {
+        let mut keys = Vec::with_capacity(self.scan.files.len());
+        for &file in &self.scan.files {
             let a = self.policy.affine(&host.view(file)?)?;
             let bits = a.slope.to_bits();
             if *slope_bits.get_or_insert(bits) != bits {
@@ -258,24 +278,21 @@ impl<'p> Ranking<'p> {
                 id: u64::from(file),
             });
         }
-        slope_bits.map(|slope_bits| Regime::Affine {
-            slope_bits,
-            rank: VictimRank::from_keys(keys),
-        })
+        slope_bits.map(|bits| (bits, VictimRank::from_keys(keys)))
     }
 
     /// The exact next victim in `(priority desc, id asc)` order at
     /// `now`, or `None` once no resident is left. The host evicts it
-    /// and calls [`Ranking::evicted`] before asking again. Each regime
-    /// falls through to the next on degradation, so the purge that
-    /// discovers a broken contract still completes, exactly.
+    /// and calls [`Ranking::evicted`] before asking again. A broken
+    /// contract found here degrades to the rescan, which finishes the
+    /// purge exactly.
     pub fn next_victim(&mut self, host: &impl Residents, now: i64) -> Option<u32> {
         let policy = self.policy;
-        if let Regime::Affine { slope_bits, rank } = &mut self.regime {
+        if let Regime::Monotone { slope_bits, deque } = &mut self.regime {
             // A popped key counts only if the file is still resident
             // with exactly that intercept; see the module docs.
             let slope_bits = *slope_bits;
-            let popped = rank.pop_best(|key| {
+            let popped = deque.pop_best(|key| {
                 let Some(v) = host.view(key.id as u32) else {
                     return Candidate::Gone; // evicted since this key was pushed
                 };
@@ -293,45 +310,28 @@ impl<'p> Ranking<'p> {
                 }
             });
             match popped {
-                Popped::Victim(key) => return Some(key.id as u32),
-                // Dry with residents left, or a contract violation:
-                // rescan rather than under-purge. Unreachable for
-                // well-behaved policies.
-                Popped::Dry | Popped::Aborted => self.degrade(),
+                Some(key) => return Some(key.id as u32),
+                // Dry with residents left, or a contract violation.
+                // Unreachable for well-behaved policies.
+                None => self.rescan(host, now),
             }
         }
-        if let Regime::PowerScan(scan) = &mut self.regime {
-            debug_assert_eq!(scan.files.len(), host.len(), "one row per resident");
-            match scan.next_victim(policy, host, now) {
-                Some(file) => return Some(file),
-                None => self.degrade(), // rescan rather than under-purge
-            }
+        if let Some(file) = self.scan.next_victim(policy, host, now) {
+            return Some(file);
         }
-        // The rescan: key every resident at `now`, once per purge. The
-        // heap is empty when nothing is ranked yet (`begin_purge`
-        // empties it) and again only when every resident it held has
-        // been handed out. The id tie-break matters — policies produce
-        // tied priorities routinely (LRU under equal timestamps,
-        // Belady's never-used-again class) and the victim sequence must
-        // be reproducible whatever order the host lists files in.
-        if self.ranked.is_empty() {
-            let mut keys = std::mem::take(&mut self.ranked).into_vec();
-            keys.extend(host.files().map(|file| {
-                let v = host.view(file).expect("a listed file is resident");
-                (total_key(policy.priority(&v, now)), Reverse(file))
-            }));
-            self.ranked = BinaryHeap::from(keys);
+        if self.len() == 0 || self.regime() == RankingRegime::Rescan {
+            return None; // every row is handed out
         }
-        self.ranked.pop().map(|(_, Reverse(file))| file)
+        // Dry with residents left, or a near-tie file not resident:
+        // rescan rather than under-purge.
+        self.rescan(host, now);
+        self.scan.next_victim(policy, host, now)
     }
 
-    /// Unregisters an evicted file. The scan mirrors the resident set
-    /// exactly, so the victim's row comes out now; the affine rank's
-    /// stale keys deflate at pop time instead.
+    /// Removes an evicted file's row. The deque's stale keys deflate at
+    /// pop time instead.
     pub fn evicted(&mut self, file: u32) {
-        if let Regime::PowerScan(scan) = &mut self.regime {
-            scan.evicted(file);
-        }
+        self.scan.evicted(file);
     }
 }
 
@@ -366,7 +366,7 @@ impl PartialEq for RankKey {
 
 impl Eq for RankKey {}
 
-/// The caller's verdict on a candidate key surfacing from the rank.
+/// The caller's verdict on a candidate key surfacing from the deque.
 pub(crate) enum Candidate {
     /// Still resident and the key matches the current intercept bits:
     /// this is the next victim.
@@ -375,73 +375,50 @@ pub(crate) enum Candidate {
     Gone,
     /// Resident, but the key is stale. The argument is the *current*
     /// intercept, which must never exceed the popped key (raising
-    /// mutations push eagerly); the rank re-files it and keeps looking.
+    /// mutations push eagerly); the deque re-files it and keeps looking.
     Moved(f64),
     /// The policy broke its affine contract: stop, the caller falls
     /// back to the exact rescan.
     Abort,
 }
 
-/// Result of one victim search.
-pub(crate) enum Popped {
-    /// The exact next victim in `(priority desc, id asc)` order.
-    Victim(RankKey),
-    /// No resident keys remain.
-    Dry,
-    /// `validate` answered [`Candidate::Abort`].
-    Aborted,
-}
-
-/// Monotone queue / lazy heap hybrid; see the module docs.
+/// The monotone deque: keys sorted nonincreasing by intercept, ties
+/// contiguous (id order resolved at pop time); see the module docs.
 #[derive(Debug)]
 pub(crate) struct VictimRank {
-    /// Monotone regime: sorted nonincreasing by intercept, ties
-    /// contiguous (id order resolved at pop time).
     queue: VecDeque<RankKey>,
-    /// Heap regime, entered on the first out-of-order push.
-    heap: BinaryHeap<RankKey>,
-    monotone: bool,
 }
 
 impl VictimRank {
-    /// Builds a rank from an arbitrary key set (index activation and
-    /// compaction): sorts once and starts in the monotone regime.
+    /// Builds a deque from an arbitrary key set (the probe and the
+    /// rebuild): sorts once.
     pub fn from_keys(mut keys: Vec<RankKey>) -> Self {
         keys.sort_unstable_by(|a, b| b.cmp(a));
-        VictimRank {
-            queue: keys.into(),
-            heap: BinaryHeap::new(),
-            monotone: true,
-        }
+        VictimRank { queue: keys.into() }
     }
 
-    /// Keys currently held, stale ones included — the caller's
-    /// compaction trigger compares this against its live count.
+    /// Keys currently held, stale ones included — the caller's rebuild
+    /// trigger compares this against its row count.
     pub fn len(&self) -> usize {
-        self.queue.len() + self.heap.len()
+        self.queue.len()
     }
 
-    /// Records a (possibly updated) key for `id`.
-    pub fn push(&mut self, key: RankKey) {
-        if self.monotone {
-            match self.queue.back() {
-                Some(back) if key.intercept.total_cmp(&back.intercept) == Ordering::Greater => {
-                    // First out-of-order push: one O(n) heapify, then
-                    // stay in the heap regime.
-                    self.heap = std::mem::take(&mut self.queue).into_iter().collect();
-                    self.monotone = false;
-                    self.heap.push(key);
-                }
-                _ => self.queue.push_back(key),
-            }
-        } else {
-            self.heap.push(key);
+    /// Appends a (possibly updated) key for `id`, unless it is larger
+    /// than the last one: then nothing is appended and the caller moves
+    /// the ranking onto the scan.
+    #[must_use]
+    pub fn push(&mut self, key: RankKey) -> bool {
+        let back = self.queue.back();
+        if back.is_some_and(|b| key.intercept.total_cmp(&b.intercept) == Ordering::Greater) {
+            return false;
         }
+        self.queue.push_back(key);
+        true
     }
 
-    /// Re-files a deflated key at its sorted position (monotone regime
-    /// only). Stale keys deflate toward the *front* region of equal or
-    /// older intercepts, so the shift is short in practice.
+    /// Re-files a deflated key at its sorted position. Stale keys
+    /// deflate toward the *front* region of equal or older intercepts,
+    /// so the shift is short in practice.
     fn sorted_insert(&mut self, key: RankKey) {
         let pos = self
             .queue
@@ -449,27 +426,12 @@ impl VictimRank {
         self.queue.insert(pos, key);
     }
 
-    /// Pops the exact next victim, resolving staleness through
-    /// `validate`; see [`Candidate`].
-    pub fn pop_best(&mut self, mut validate: impl FnMut(&RankKey) -> Candidate) -> Popped {
-        if !self.monotone {
-            while let Some(top) = self.heap.pop() {
-                match validate(&top) {
-                    Candidate::Live => return Popped::Victim(top),
-                    Candidate::Gone => {}
-                    Candidate::Moved(current) => self.heap.push(RankKey {
-                        intercept: current,
-                        ..top
-                    }),
-                    Candidate::Abort => return Popped::Aborted,
-                }
-            }
-            return Popped::Dry;
-        }
+    /// Pops the exact next victim in `(priority desc, id asc)` order,
+    /// resolving staleness through `validate` (see [`Candidate`]), or
+    /// `None` once no key remains or `validate` aborts.
+    pub fn pop_best(&mut self, mut validate: impl FnMut(&RankKey) -> Candidate) -> Option<RankKey> {
         loop {
-            let Some(front) = self.queue.front() else {
-                return Popped::Dry;
-            };
+            let front = self.queue.front()?;
             let bits = front.intercept.to_bits();
             // Fast path: a lone front key (no intercept tie behind it).
             let tied = self
@@ -479,7 +441,7 @@ impl VictimRank {
             if !tied {
                 let key = self.queue.pop_front().expect("front exists");
                 match validate(&key) {
-                    Candidate::Live => return Popped::Victim(key),
+                    Candidate::Live => return Some(key),
                     Candidate::Gone => continue,
                     Candidate::Moved(current) => {
                         self.sorted_insert(RankKey {
@@ -488,7 +450,7 @@ impl VictimRank {
                         });
                         continue;
                     }
-                    Candidate::Abort => return Popped::Aborted,
+                    Candidate::Abort => return None,
                 }
             }
             // Tie group: the oracle breaks intercept ties by ascending
@@ -517,7 +479,7 @@ impl VictimRank {
                         intercept: current,
                         ..key
                     }),
-                    Candidate::Abort => return Popped::Aborted,
+                    Candidate::Abort => return None,
                 }
             }
             for key in survivors.into_iter().rev() {
@@ -527,13 +489,13 @@ impl VictimRank {
                 self.sorted_insert(key);
             }
             if let Some(best) = best {
-                return Popped::Victim(best);
+                return Some(best);
             }
         }
     }
 }
 
-/// The power-age scan's near-tie band, relative: keys of a purge that
+/// The power-age keys' near-tie band, relative: keys of a purge that
 /// come within this distance of its top key are settled by exact
 /// `priority`. Evaluated `f64` priorities and keys track the real
 /// curve to roughly 1e-13 relative error (a handful of roundings plus
@@ -543,8 +505,11 @@ const NEAR_TIE_MARGIN: f64 = 1e-9;
 /// Rows between two keys of the scan's cut sample.
 const SAMPLE_STRIDE: usize = 32;
 
-/// The power-age scan (see the module docs): one row per resident,
-/// keyed at each purge, only the keys at or above a cut heapified.
+/// The rows and the purge-time scan over them (see the module docs):
+/// one row per resident, keyed at each purge, only the keys at or above
+/// a cut heapified. Keys are `u64`s in the order of the value they
+/// encode: `total_key` of an intercept or a priority, or the bits of a
+/// nonnegative power-age key.
 ///
 /// **Why the root order is the rescan order.** Priorities are
 /// `coeff·age^e` with one `e`, and `x ↦ x^(1/e)` is increasing, so they
@@ -570,84 +535,83 @@ const SAMPLE_STRIDE: usize = 32;
 /// age or coefficient 0 means priority `+0`, and the heap breaks those
 /// ties by id. Accepted forms keep every nonzero priority normal
 /// (`coeff` normal, `age ≥ 1`); a key past `(f64::MAX / 4)^(1/e)`
-/// degrades the ranking.
+/// degrades the ranking. Intercept and priority keys are exact: they
+/// need no band, and their floor is the cut.
 ///
 /// **Why the cut changes nothing.** A purge evicts about one resident
-/// in forty, so it heapifies only the rows keyed at or above `floor =
-/// cut·(1 − NEAR_TIE_MARGIN)`, where the cut is a key of a stride
-/// sample about twice the last purge's victim count down. A top is
-/// handed out only while it is at or above the cut: then its whole band
-/// and every larger key are in the heap, and the purge pops what the
-/// full heap would. A top below the cut lowers it to the sample rank
-/// twice as deep (past the sample's end, to 0) and pushes the rows keyed
-/// in `[new floor, old floor)`; the rest are in the heap already. The
-/// cut is a real row's key, so the heap's top is the purge's largest
-/// key, which the `hi` domain check reads.
+/// in forty, so it heapifies only the rows keyed at or above the floor
+/// — `cut·(1 − NEAR_TIE_MARGIN)` for power-age keys, the cut itself for
+/// exact ones — where the cut is a key of a stride sample about twice
+/// the last purge's victim count down. A top is handed out only while
+/// it is at or above the cut: then its whole band and every larger key
+/// are in the heap, and the purge pops what the full heap would. A top
+/// below the cut lowers it to the sample rank twice as deep (past the
+/// sample's end, to 0) and pushes the rows keyed in `[new floor, old
+/// floor)`; the rest are in the heap already. The cut is a real row's
+/// key, so the heap's top is the purge's largest key, which the `hi`
+/// domain check reads.
 #[derive(Debug, Default)]
-pub(crate) struct PowerScan {
-    /// The policy's shared exponent.
-    exponent: f64,
-    /// One row per resident, in parallel columns: the form's root and
-    /// anchor as of the row's last settle, the file, and whether the
-    /// file mutated since.
+pub(crate) struct Scan {
+    /// One row per resident, in parallel columns: the file, its key at
+    /// the open purge, the power-age root and anchor as of the row's
+    /// last settle, and whether the file mutated since (keyed scans
+    /// only).
+    files: Vec<u32>,
+    keys: Vec<u64>,
     roots: Vec<f64>,
     anchors: Vec<i64>,
-    files: Vec<u32>,
     marked: Vec<bool>,
     /// Files whose row was marked since the last purge opened; a row's
     /// mark keeps it off the list twice.
     dirty: Vec<u32>,
     /// Dense file index → row ([`NO_SLOT`] when not resident).
     slot_of: Vec<u32>,
-    /// The purge's `(key bits, Reverse(file))` for every remaining row
-    /// keyed at or above `floor`: largest key on top, lowest id among
-    /// equal keys.
+    /// The purge's `(key, Reverse(file))` for every remaining row keyed
+    /// at or above `floor`: largest key on top, lowest id among equal
+    /// keys.
     heap: BinaryHeap<(u64, Reverse<u32>)>,
-    /// Key bits of every [`SAMPLE_STRIDE`]th row, partitioned
-    /// descending about `cut_rank`.
+    /// Every [`SAMPLE_STRIDE`]th row's key, partitioned descending
+    /// about `cut_rank`.
     sample: Vec<u64>,
     cut_rank: usize,
-    cut: f64,
-    floor: f64,
+    cut: u64,
+    floor: u64,
+    /// The open purge's keys are power-age keys: near ties are settled
+    /// by exact priority, and the floor sits a band below the cut.
+    band: bool,
     /// Victims handed out since the purge opened.
     victims: usize,
 }
 
-impl PowerScan {
-    /// A scan keyed at `now`, if every resident's form is keyable
-    /// under the first one's exponent.
-    fn build(policy: &dyn MigrationPolicy, host: &impl Residents, now: i64) -> Option<Self> {
-        let first = host.view(host.files().next()?)?;
-        let e = policy.power_age_form(&first)?.exponent;
-        let mut scan = PowerScan {
-            exponent: e,
-            ..PowerScan::default()
-        };
-        host.files().for_each(|file| scan.touched(file));
-        // Below 2⁻¹⁰ the rounding of `1/e` in `root` could outgrow the
-        // band; past 16 a zero coefficient's `age^e` could reach `∞·0`.
-        let keyed = (1.0 / 1024.0..=16.0).contains(&e) && scan.open_purge(policy, host, now);
-        keyed.then_some(scan)
-    }
-
-    /// Marks `file`'s row, adding one if the file is new.
-    fn touched(&mut self, file: u32) {
+impl Scan {
+    /// Adds a row for `file` if it has none, and marks it when `mark`.
+    fn touched(&mut self, file: u32, mark: bool) {
         let fi = file as usize;
         if fi >= self.slot_of.len() {
             self.slot_of.resize(fi + 1, NO_SLOT);
         }
-        match self.slot_of[fi] {
+        let slot = match self.slot_of[fi] {
             NO_SLOT => {
                 self.slot_of[fi] = self.files.len() as u32;
+                self.files.push(file);
+                self.keys.push(0);
                 self.roots.push(0.0);
                 self.anchors.push(0);
-                self.files.push(file);
-                self.marked.push(true);
+                self.marked.push(false);
+                self.files.len() - 1
             }
-            slot if self.marked[slot as usize] => return,
-            slot => self.marked[slot as usize] = true,
+            slot => slot as usize,
+        };
+        if mark && !self.marked[slot] {
+            self.marked[slot] = true;
+            self.dirty.push(file);
         }
-        self.dirty.push(file);
+    }
+
+    /// Marks every row: a keyed scan starts from nothing settled.
+    fn mark_all(&mut self) {
+        self.marked.fill(true);
+        self.dirty.clone_from(&self.files);
     }
 
     /// Swap-removes `file`'s row; unknown files are a no-op.
@@ -656,9 +620,10 @@ impl PowerScan {
         let slot = slot.map_or(NO_SLOT, |s| std::mem::replace(s, NO_SLOT));
         if slot != NO_SLOT {
             let at = slot as usize;
+            self.files.swap_remove(at);
+            self.keys.swap_remove(at);
             self.roots.swap_remove(at);
             self.anchors.swap_remove(at);
-            self.files.swap_remove(at);
             self.marked.swap_remove(at);
             if let Some(&moved) = self.files.get(at) {
                 self.slot_of[moved as usize] = slot;
@@ -666,16 +631,12 @@ impl PowerScan {
         }
     }
 
-    /// Settles every dirty row with one `power_age_form` call, sets the
-    /// cut from the last purge's victim count and heapifies the rows
-    /// keyed at `now` above its floor. `false` on a form it cannot key
-    /// (refused, or another exponent) or a key past `hi` (see the type
-    /// docs): the rescan takes this purge.
-    fn open_purge(
+    /// Settles every dirty row through `settle(scan, row, view)`; on
+    /// the first `false` (a form it cannot key) stops with `false`.
+    fn settle(
         &mut self,
-        policy: &dyn MigrationPolicy,
         host: &impl Residents,
-        now: i64,
+        mut settle: impl FnMut(&mut Self, usize, FileView) -> bool,
     ) -> bool {
         for i in 0..self.dirty.len() {
             let file = self.dirty[i];
@@ -684,39 +645,97 @@ impl PowerScan {
             if slot == NO_SLOT as usize || !self.marked[slot] {
                 continue;
             }
-            let form = host.view(file).and_then(|v| policy.power_age_form(&v));
-            let Some(PowerAgeForm {
-                coeff,
-                anchor,
-                exponent,
-                root,
-            }) = form
-            else {
-                return false;
-            };
-            // Positive normal `coeff` and `root` (every nonzero
-            // priority is then normal, as `age ≥ 1`), or both `+0`.
-            let keyable = match coeff > 0.0 {
-                true => coeff.is_normal() && root.is_normal() && root > 0.0,
-                false => coeff.to_bits() == 0 && root.to_bits() == 0,
-            };
-            if !keyable || exponent.to_bits() != self.exponent.to_bits() {
-                return false;
+            match host.view(file) {
+                Some(v) if settle(self, slot, v) => self.marked[slot] = false,
+                _ => return false,
             }
-            (self.roots[slot], self.anchors[slot], self.marked[slot]) = (root, anchor, false);
         }
         self.dirty.clear();
-        self.sample.clear();
-        for i in (0..self.files.len()).step_by(SAMPLE_STRIDE) {
-            let key = key_bits(self.roots[i], self.anchors[i], now);
-            self.sample.push(key);
+        true
+    }
+
+    /// Keys every row at `now` by `recipe` (settling the dirty rows
+    /// first), sets the cut from the last purge's victim count and
+    /// heapifies the rows keyed above its floor. `false` on a form it
+    /// cannot key (refused, or another slope or exponent) or a key past
+    /// `hi` (see the type docs): the rescan takes this purge.
+    fn open_purge(
+        &mut self,
+        recipe: Recipe,
+        policy: &dyn MigrationPolicy,
+        host: &impl Residents,
+        now: i64,
+    ) -> bool {
+        let settled = match recipe {
+            Recipe::Intercept { slope_bits } => {
+                self.settle(host, |scan, slot, v| match policy.affine(&v) {
+                    Some(a) if a.slope.to_bits() == slope_bits => {
+                        scan.keys[slot] = total_key(a.intercept);
+                        true
+                    }
+                    _ => false,
+                })
+            }
+            Recipe::PowerAge { exponent } => {
+                let settled = self.settle(host, |scan, slot, v| {
+                    let Some(PowerAgeForm {
+                        coeff,
+                        anchor,
+                        exponent: e,
+                        root,
+                    }) = policy.power_age_form(&v)
+                    else {
+                        return false;
+                    };
+                    // Positive normal `coeff` and `root` (every nonzero
+                    // priority is then normal, as `age ≥ 1`), or both
+                    // `+0`.
+                    let keyable = match coeff > 0.0 {
+                        true => coeff.is_normal() && root.is_normal() && root > 0.0,
+                        false => coeff.to_bits() == 0 && root.to_bits() == 0,
+                    };
+                    let ok = keyable && e.to_bits() == exponent.to_bits();
+                    if ok {
+                        (scan.roots[slot], scan.anchors[slot]) = (root, anchor);
+                    }
+                    ok
+                });
+                if !settled {
+                    return false;
+                }
+                let rows = self.roots.iter().zip(&self.anchors);
+                for (key, (&root, &anchor)) in self.keys.iter_mut().zip(rows) {
+                    *key = key_bits(root, anchor, now);
+                }
+                true
+            }
+            Recipe::Priority => {
+                self.dirty.clear();
+                for (key, &file) in self.keys.iter_mut().zip(&self.files) {
+                    let v = host.view(file).expect("a row is resident");
+                    *key = total_key(policy.priority(&v, now));
+                }
+                true
+            }
+        };
+        if !settled {
+            return false;
         }
+        self.band = matches!(recipe, Recipe::PowerAge { .. });
+        self.sample.clear();
+        self.sample
+            .extend(self.keys.iter().step_by(SAMPLE_STRIDE).copied());
         let rank = 2 * std::mem::take(&mut self.victims) / SAMPLE_STRIDE;
         self.cut_at(0, rank);
         self.heap.clear();
-        self.push_rows(now, u64::MAX);
-        let hi = (f64::MAX / 4.0).powf(1.0 / self.exponent);
-        self.heap.peek().is_none_or(|e| e.0 <= hi.to_bits())
+        self.push_rows(self.floor..);
+        match recipe {
+            Recipe::PowerAge { exponent } => {
+                let hi = (f64::MAX / 4.0).powf(1.0 / exponent);
+                self.heap.peek().is_none_or(|e| e.0 <= hi.to_bits())
+            }
+            Recipe::Intercept { .. } | Recipe::Priority => true,
+        }
     }
 
     /// Moves the cut to the sample's `rank`th largest key, selecting in
@@ -725,31 +744,32 @@ impl PowerScan {
     fn cut_at(&mut self, from: usize, rank: usize) {
         self.cut = match self.sample.get_mut(from..) {
             Some(rest) if rank - from < rest.len() => {
-                let (_, &mut cut, _) = rest.select_nth_unstable_by(rank - from, |a, b| b.cmp(a));
-                f64::from_bits(cut)
+                *rest.select_nth_unstable_by(rank - from, |a, b| b.cmp(a)).1
             }
-            _ => 0.0,
+            _ => 0,
         };
-        (self.cut_rank, self.floor) = (rank, self.cut * (1.0 - NEAR_TIE_MARGIN));
+        self.floor = match self.band {
+            true => (f64::from_bits(self.cut) * (1.0 - NEAR_TIE_MARGIN)).to_bits(),
+            false => self.cut,
+        };
+        self.cut_rank = rank;
     }
 
-    /// Heap-pushes every row keyed at `now` at or above `floor`, whose
-    /// key bits are below `below`: one multiply-and-compare per row.
-    fn push_rows(&mut self, now: i64, below: u64) {
-        let floor = self.floor.to_bits();
-        let rows = self.roots.iter().zip(&self.anchors).zip(&self.files);
+    /// Heap-pushes every row whose key is in `range`.
+    fn push_rows(&mut self, range: impl RangeBounds<u64>) {
+        let rows = self.keys.iter().zip(&self.files);
         let keyed = rows
-            .map(|((&root, &anchor), &file)| (key_bits(root, anchor, now), Reverse(file)))
-            .filter(|(bits, _)| (floor..below).contains(bits));
+            .filter(|(key, _)| range.contains(key))
+            .map(|(&key, &file)| (key, Reverse(file)));
         self.heap.extend(keyed);
     }
 
     /// Lowers the cut to the sample rank twice as deep until the floor
     /// falls and pushes the rows that crossed it. `false` once the
     /// floor is 0: every remaining row is in the heap.
-    fn refill(&mut self, now: i64) -> bool {
+    fn refill(&mut self) -> bool {
         let old = self.floor;
-        if old == 0.0 {
+        if old == 0 {
             return false;
         }
         #[cfg(test)]
@@ -757,13 +777,13 @@ impl PowerScan {
         while self.floor == old {
             self.cut_at(self.cut_rank + 1, 2 * self.cut_rank + 1);
         }
-        self.push_rows(now, old.to_bits());
+        self.push_rows(self.floor..old);
         true
     }
 
     /// The exact next victim at the purge's `now`, or `None` when the
-    /// heap is dry or a near-tie file is not resident (both broken
-    /// promises: the ranking degrades).
+    /// heap is dry or a near-tie file is not resident (with residents
+    /// left, both are broken promises: the ranking degrades).
     fn next_victim(
         &mut self,
         policy: &dyn MigrationPolicy,
@@ -772,13 +792,13 @@ impl PowerScan {
     ) -> Option<u32> {
         // A top below the cut may have rows of its band, or above it,
         // outside the heap.
-        while self.heap.peek().is_none_or(|e| e.0 < self.cut.to_bits()) && self.refill(now) {}
+        while self.heap.peek().is_none_or(|e| e.0 < self.cut) && self.refill() {}
         let (top_bits, Reverse(top)) = self.heap.pop()?;
         self.victims += 1;
         let floor = f64::from_bits(top_bits) * (1.0 - NEAR_TIE_MARGIN);
         let near =
             move |&(bits, _): &(u64, Reverse<u32>)| top_bits != 0 && f64::from_bits(bits) >= floor;
-        if !self.heap.peek().is_some_and(near) {
+        if !self.band || !self.heap.peek().is_some_and(near) {
             return Some(top);
         }
         #[cfg(test)]
@@ -799,8 +819,8 @@ impl PowerScan {
     }
 }
 
-/// A scan row's key at `now`, as bits: nonnegative, so they order like
-/// the key.
+/// A power-age row's key at `now`, as bits: nonnegative, so they order
+/// like the key.
 fn key_bits(root: f64, anchor: i64, now: i64) -> u64 {
     (root * (now - anchor).max(0) as f64).to_bits()
 }
@@ -826,14 +846,17 @@ mod tests {
                 Some(&(_, v)) if v.to_bits() == k.intercept.to_bits() => Candidate::Live,
                 Some(&(_, v)) => Candidate::Moved(v),
             });
-            match popped {
-                Popped::Victim(k) => {
-                    current.retain(|(id, _)| *id != k.id);
-                    out.push(k.id);
-                }
-                Popped::Dry => return out,
-                Popped::Aborted => panic!("no abort in this test"),
-            }
+            let Some(k) = popped else {
+                return out;
+            };
+            current.retain(|(id, _)| *id != k.id);
+            out.push(k.id);
+        }
+    }
+
+    fn push_all(rank: &mut VictimRank, keys: &[(f64, u64)]) {
+        for &(v, id) in keys {
+            assert!(rank.push(key(v, id)), "({v}, {id}) is in order");
         }
     }
 
@@ -841,30 +864,25 @@ mod tests {
     fn monotone_pushes_pop_in_priority_order_with_id_ties() {
         let mut rank = VictimRank::from_keys(Vec::new());
         // Nonincreasing pushes, with an intercept tie (ids 7 and 3).
-        for (v, id) in [(9.0, 1), (5.0, 7), (5.0, 3), (2.0, 2)] {
-            rank.push(key(v, id));
-        }
-        assert!(rank.monotone);
+        push_all(&mut rank, &[(9.0, 1), (5.0, 7), (5.0, 3), (2.0, 2)]);
         let mut current = vec![(1, 9.0), (7, 5.0), (3, 5.0), (2, 2.0)];
         assert_eq!(drain(&mut rank, &mut current), [1, 3, 7, 2]);
     }
 
     #[test]
-    fn out_of_order_push_degrades_to_heap_and_stays_exact() {
+    fn an_out_of_order_push_is_refused_and_leaves_the_deque_as_it_was() {
         let mut rank = VictimRank::from_keys(Vec::new());
-        rank.push(key(5.0, 1));
-        rank.push(key(9.0, 2)); // violates monotonicity
-        assert!(!rank.monotone);
-        rank.push(key(7.0, 3));
-        let mut current = vec![(1, 5.0), (2, 9.0), (3, 7.0)];
-        assert_eq!(drain(&mut rank, &mut current), [2, 3, 1]);
+        assert!(rank.push(key(5.0, 1)));
+        assert!(!rank.push(key(9.0, 2)), "9 after 5 is out of order");
+        assert_eq!(rank.len(), 1);
+        let mut current = vec![(1, 5.0)];
+        assert_eq!(drain(&mut rank, &mut current), [1]);
     }
 
     #[test]
     fn stale_keys_deflate_and_refile() {
         let mut rank = VictimRank::from_keys(Vec::new());
-        rank.push(key(9.0, 1));
-        rank.push(key(8.0, 2));
+        push_all(&mut rank, &[(9.0, 1), (8.0, 2)]);
         // id 1 was touched since: its live value is now 3.0, so id 2
         // must pop first, then the deflated id 1.
         let mut current = vec![(1, 3.0), (2, 8.0)];
@@ -874,19 +892,16 @@ mod tests {
     #[test]
     fn gone_and_duplicate_keys_are_skipped() {
         let mut rank = VictimRank::from_keys(Vec::new());
-        rank.push(key(9.0, 1));
-        rank.push(key(9.0, 1)); // duplicate push, same value
-        rank.push(key(4.0, 2));
+        // A duplicate push, same value.
+        push_all(&mut rank, &[(9.0, 1), (9.0, 1), (4.0, 2)]);
         let mut current = vec![(1, 9.0), (2, 4.0)];
         assert_eq!(drain(&mut rank, &mut current), [1, 2]);
     }
 
     #[test]
-    fn from_keys_sorts_and_restores_the_monotone_regime() {
-        let rank: VictimRank = VictimRank::from_keys(vec![key(1.0, 9), key(7.0, 2), key(4.0, 5)]);
-        assert!(rank.monotone);
+    fn from_keys_sorts() {
+        let mut rank = VictimRank::from_keys(vec![key(1.0, 9), key(7.0, 2), key(4.0, 5)]);
         assert_eq!(rank.len(), 3);
-        let mut rank = rank;
         let mut current = vec![(9, 1.0), (2, 7.0), (5, 4.0)];
         assert_eq!(drain(&mut rank, &mut current), [2, 5, 9]);
     }
@@ -894,11 +909,9 @@ mod tests {
     #[test]
     fn abort_propagates() {
         let mut rank = VictimRank::from_keys(Vec::new());
-        rank.push(key(1.0, 1));
-        match rank.pop_best(|_| Candidate::Abort) {
-            Popped::Aborted => {}
-            _ => panic!("expected abort"),
-        }
+        assert!(rank.push(key(1.0, 1)));
+        assert!(rank.pop_best(|_| Candidate::Abort).is_none());
+        assert_eq!(rank.len(), 0, "the aborted key was popped");
     }
 }
 
@@ -907,7 +920,7 @@ mod scan_tests {
     use std::cell::Cell;
 
     use super::*;
-    use crate::policy::{FileView, MigrationPolicy, Saac, Stp};
+    use crate::policy::{FileView, LargestFirst, MigrationPolicy, Saac, Stp};
     use fmig_trace::FileId;
 
     thread_local! {
@@ -935,12 +948,6 @@ mod scan_tests {
         fn view(&self, file: u32) -> Option<FileView> {
             self.0.get(file as usize).copied().flatten()
         }
-        fn len(&self) -> usize {
-            self.0.iter().flatten().count()
-        }
-        fn files(&self) -> impl Iterator<Item = u32> + '_ {
-            (0..self.0.len() as u32).filter(|&f| self.0[f as usize].is_some())
-        }
     }
 
     fn view(id: u32, size: u64, last_ref: i64, ref_count: u32) -> FileView {
@@ -955,26 +962,54 @@ mod scan_tests {
         }
     }
 
-    /// Evicts everything in one purge at `now`: the victim sequence,
-    /// and the regime that named the last victim (asking past the last
-    /// resident degrades any index, as the hosts never do).
-    fn drain(
-        policy: &dyn MigrationPolicy,
-        mode: EvictionMode,
-        files: &[FileView],
-        now: i64,
-    ) -> (Vec<u32>, RankingRegime) {
-        let mut host = Table(files.iter().map(|&v| Some(v)).collect());
-        let mut rank = Ranking::new(policy, mode);
-        rank.begin_purge(&host, now);
-        let (mut victims, mut regime) = (Vec::new(), rank.regime());
-        while let Some(file) = rank.next_victim(&host, now) {
-            regime = rank.regime();
+    /// The oracle, sharing no code with the ranking: every file by
+    /// `priority` at `now`, descending under `total_cmp`, ties by
+    /// ascending id.
+    fn sorted(policy: &dyn MigrationPolicy, files: &[FileView], now: i64) -> Vec<u32> {
+        let mut scored: Vec<(f64, u32)> = files
+            .iter()
+            .map(|v| (policy.priority(v, now), v.id.raw()))
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// A ranking with one row per file of `files` (file `i` at index
+    /// `i`), and its host.
+    fn ranking<'p>(policy: &'p dyn MigrationPolicy, files: &[FileView]) -> (Ranking<'p>, Table) {
+        let host = Table(files.iter().map(|&v| Some(v)).collect());
+        let mut rank = Ranking::new(policy, EvictionMode::Auto);
+        for file in 0..files.len() as u32 {
+            rank.touched(&host, file);
+        }
+        (rank, host)
+    }
+
+    /// Takes up to `n` victims in the purge open at `now`.
+    fn take(rank: &mut Ranking, host: &mut Table, now: i64, n: usize) -> Vec<u32> {
+        let mut victims = Vec::new();
+        while victims.len() < n {
+            let Some(file) = rank.next_victim(host, now) else {
+                break;
+            };
             rank.evicted(file);
             host.0[file as usize] = None;
             victims.push(file);
         }
-        (victims, regime)
+        victims
+    }
+
+    /// Evicts everything in one purge at `now`: the victim sequence,
+    /// and the regime that named the last victim.
+    fn drain(
+        policy: &dyn MigrationPolicy,
+        files: &[FileView],
+        now: i64,
+    ) -> (Vec<u32>, RankingRegime) {
+        let (mut rank, mut host) = ranking(policy, files);
+        rank.begin_purge(&host, now);
+        let victims = take(&mut rank, &mut host, now, files.len() + 1);
+        (victims, rank.regime())
     }
 
     #[test]
@@ -1028,12 +1063,10 @@ mod scan_tests {
                 v.id = FileId::new(id as u32);
             }
             let before = BANDS.with(Cell::get);
-            let (got, regime) = drain(p, EvictionMode::Indexed, &files, now);
-            assert_eq!(regime, RankingRegime::PowerScan, "{}", p.name());
+            let (got, regime) = drain(p, &files, now);
+            assert_eq!(regime, RankingRegime::Scan, "{}", p.name());
             assert!(BANDS.with(Cell::get) > before, "{}: no band", p.name());
-            let want = drain(p, EvictionMode::Rescan, &files, now).0;
-            assert_eq!(got, want, "{}", p.name());
-            assert_eq!(got.len(), files.len());
+            assert_eq!(got, sorted(p, &files, now), "{}", p.name());
         }
         // The SAAC pair named above, exactly.
         let (a, b) = (view(0, 1, now - 3, 9), view(1, 3, now - 1, 9));
@@ -1079,11 +1112,10 @@ mod scan_tests {
         let now = 1 << 20;
         let files = saac_files(now, 200, saac_pair(now, 0, 1));
         let before = REFILLS.with(Cell::get);
-        let (got, regime) = drain(&Saac, EvictionMode::Indexed, &files, now);
-        assert_eq!(regime, RankingRegime::PowerScan);
+        let (got, regime) = drain(&Saac, &files, now);
+        assert_eq!(regime, RankingRegime::Scan);
         assert!(REFILLS.with(Cell::get) > before, "the first cut held");
-        assert_eq!(got, drain(&Saac, EvictionMode::Rescan, &files, now).0);
-        assert_eq!(got.len(), files.len());
+        assert_eq!(got, sorted(&Saac, &files, now));
     }
 
     #[test]
@@ -1094,19 +1126,81 @@ mod scan_tests {
         let now = 1 << 20;
         let files = saac_files(now, 40, saac_pair(now, 32, 31));
         let before = BANDS.with(Cell::get);
-        let (got, regime) = drain(&Saac, EvictionMode::Indexed, &files, now);
-        assert_eq!(regime, RankingRegime::PowerScan);
+        let (got, regime) = drain(&Saac, &files, now);
+        assert_eq!(regime, RankingRegime::Scan);
         assert!(BANDS.with(Cell::get) > before, "no band");
-        assert_eq!(got, drain(&Saac, EvictionMode::Rescan, &files, now).0);
+        assert_eq!(got, sorted(&Saac, &files, now));
         let at = |file: u32| got.iter().position(|&f| f == file);
         assert_eq!(at(31).map(|i| i + 1), at(32), "the lower id goes first");
+    }
+
+    #[test]
+    fn an_out_of_order_push_moves_the_deque_onto_exact_intercept_keys() {
+        // Largest-first over 300 files whose sizes repeat (exact ties):
+        // the first purge builds a sorted deque, a larger newcomer is
+        // the out-of-order push, and the next purges rank intercept
+        // keys on the scan, refilling as they outrun their cuts.
+        let now = 1000;
+        let size = |id: u32| 1 + u64::from(id * 7919 % 61);
+        let mut files: Vec<FileView> = (0..300).map(|id| view(id, size(id), 0, 1)).collect();
+        let (mut rank, mut host) = ranking(&LargestFirst, &files[..299]);
+        rank.begin_purge(&host, now);
+        assert_eq!(rank.regime(), RankingRegime::Monotone);
+        let mut got = take(&mut rank, &mut host, now, 10);
+        files[299].size = 500;
+        host.0.push(Some(files[299]));
+        rank.touched(&host, 299);
+        assert_eq!(rank.regime(), RankingRegime::Scan);
+        let before = REFILLS.with(Cell::get);
+        for _ in 0..3 {
+            rank.begin_purge(&host, now);
+            got.extend(take(&mut rank, &mut host, now, 40));
+        }
+        assert!(REFILLS.with(Cell::get) > before, "no purge outran its cut");
+        rank.begin_purge(&host, now);
+        got.extend(take(&mut rank, &mut host, now, files.len()));
+        assert_eq!(rank.regime(), RankingRegime::Scan);
+        // The first ten left before file 299 arrived.
+        let mut want = sorted(&LargestFirst, &files[..299], now)[..10].to_vec();
+        let rest: Vec<FileView> = files
+            .iter()
+            .filter(|v| !want.contains(&v.id.raw()))
+            .copied()
+            .collect();
+        want.extend(sorted(&LargestFirst, &rest, now));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn the_rescan_keys_each_row_once_per_purge() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        // Random's priority hashes the id; a purge of every file must
+        // ask for each priority once, refills included.
+        struct Counting(AtomicUsize);
+        impl MigrationPolicy for Counting {
+            fn name(&self) -> String {
+                "counting".into()
+            }
+            fn priority(&self, file: &FileView, _now: i64) -> f64 {
+                self.0.fetch_add(1, Relaxed);
+                f64::from(file.id.raw().wrapping_mul(2_654_435_761) % 1000)
+            }
+        }
+        let p = Counting(AtomicUsize::new(0));
+        let files: Vec<FileView> = (0..500).map(|id| view(id, 1, 0, 1)).collect();
+        let before = REFILLS.with(Cell::get);
+        let (got, regime) = drain(&p, &files, 10);
+        assert_eq!(regime, RankingRegime::Rescan);
+        assert!(REFILLS.with(Cell::get) > before, "no refill");
+        assert_eq!(p.0.load(Relaxed), files.len(), "priority calls");
+        assert_eq!(got, sorted(&p, &files, 10));
     }
 
     #[test]
     fn exponents_and_keys_outside_the_domain_leave_the_scan() {
         // An exponent past the ceiling takes the rescan.
         let files = [view(0, 10, 0, 1), view(1, 20, 5, 1)];
-        let (_, regime) = drain(&Stp { exponent: 20.0 }, EvictionMode::Indexed, &files, 100);
+        let (_, regime) = drain(&Stp { exponent: 20.0 }, &files, 100);
         assert_eq!(regime, RankingRegime::Rescan);
         // STP(16): a scan built at t = 10 meets t = 2^62, where files 0
         // and 1 price at ∞ and tie by id though their root keys differ.
@@ -1118,18 +1212,13 @@ mod scan_tests {
             view(1, 1 << 41, 0, 1),
             view(2, 3, 9, 1),
         ];
-        let mut host = Table(files.iter().map(|&v| Some(v)).collect());
-        let mut rank = Ranking::new(&p, EvictionMode::Indexed);
+        let (mut rank, mut host) = ranking(&p, &files);
         rank.begin_purge(&host, then);
-        assert_eq!(rank.regime(), RankingRegime::PowerScan);
+        assert_eq!(rank.regime(), RankingRegime::Scan);
         rank.begin_purge(&host, now);
         assert_eq!(rank.regime(), RankingRegime::Rescan);
-        let mut got = Vec::new();
-        while let Some(file) = rank.next_victim(&host, now) {
-            host.0[file as usize] = None;
-            got.push(file);
-        }
+        let got = take(&mut rank, &mut host, now, files.len());
         assert_eq!(got, [0, 1, 2]);
-        assert_eq!(got, drain(&p, EvictionMode::Rescan, &files, now).0);
+        assert_eq!(got, sorted(&p, &files, now));
     }
 }

@@ -2,16 +2,17 @@
 //! (`tests/spec/mod.rs`), bit for bit: op stream, read results, recall
 //! deliveries, counters, usage and resident count.
 //!
-//! * `DiskCache` under each `EvictionMode` — `rank::Ranking` in its
-//!   gated, eager and rescan regimes — eager and lazy write-back,
-//!   monotone clocks and one step backwards, with recalls landing late
-//!   so delayed hits occur;
+//! * `DiskCache` under each `EvictionMode` — `rank::Ranking` probed at
+//!   the first purge (the deque, the scan) and on the rescan — eager and
+//!   lazy write-back, monotone clocks and one step backwards, with
+//!   recalls landing late so delayed hits occur;
 //! * `mrc::sweep_capacities`, point by point;
 //! * `DiskCache` under an estimate republished before every reference,
 //!   as `DiskHalf::arrive` does in every host, the live daemon included.
 //!
 //! The policies come from `standard_suite()` (+ `Belady`), so a newly
-//! shipped policy is held to the spec without editing this file. The
+//! shipped policy is held to the spec without editing this file; the
+//! random streams add one test-only policy, `AgePlusSize`. The
 //! edges — a purge at, and one byte past, each mark; the stall boundary;
 //! tied stamps; a backwards step; a re-created file; the affine
 //! mid-purge abort — are hand-built cases at the end.
@@ -31,8 +32,8 @@ use fmig_trace::{DeviceClass, FileId};
 mod spec;
 use spec::{Cache, SpecCache, SpecRef};
 
-use EvictionMode::{Auto, Indexed, Rescan};
-use RankingRegime::{Affine, Unprobed};
+use EvictionMode::{Auto, Rescan};
+use RankingRegime::{Monotone, Unprobed};
 
 /// The flat miss-wait estimate (what open-loop replay and the MRC use).
 const EST: f64 = 58.0;
@@ -103,12 +104,12 @@ fn assert_same(got: &Run, want: &Run, what: &str) {
     assert!(got == want, "{what}: read results or recall deliveries");
 }
 
-/// Runs the spec, holds `DiskCache` to it in all three modes and the
-/// MRC point at this capacity to its counters; returns the spec's run.
+/// Runs the spec, holds `DiskCache` to it in both modes and the MRC
+/// point at this capacity to its counters; returns the spec's run.
 fn check(policy: &dyn MigrationPolicy, config: CacheConfig, refs: &[SpecRef], late: usize) -> Run {
     let what = format!("{} {config:?}", policy.name());
     let want = drive(&mut SpecCache::new(config, policy), refs, late, false);
-    for mode in [Auto, Indexed, Rescan] {
+    for mode in [Auto, Rescan] {
         let mut cache = DiskCache::with_eviction_mode(config, policy, mode);
         let got = drive(&mut cache, refs, late, false);
         assert_same(&got, &want, &format!("{what} {mode:?}"));
@@ -203,8 +204,7 @@ fn seeded_stream(seed: u64, n: usize, files: u64, capacity: u64, backstep: bool)
 }
 
 /// Every policy × mode × write-back × clock, and the MRC at three
-/// capacities. 400 kB of ≈ 2 kB files is ≈ 180 residents at a purge,
-/// past `Auto`'s 128-resident gate: the modes are three regimes here.
+/// capacities. 400 kB of ≈ 2 kB files is ≈ 180 residents at a purge.
 #[test]
 fn every_engine_equals_the_spec_on_a_seeded_stream() {
     const CAPACITY: u64 = 400_000;
@@ -222,19 +222,18 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
                 let want = check(policy, CacheConfig { capacity, ..config }, &refs, 0);
                 assert!(want.stats.evictions > 0, "{name} never purged");
             }
-            // On a monotone clock the index, once built, is kept; the
-            // policies with neither form rescan from the first probe.
+            // On a monotone clock the deque or scan, once built, is
+            // kept; the policies with neither form rescan from the first
+            // probe.
             let formless = matches!(name.as_str(), "Random" | "LRU-MAD" | "STP-lat(1.4)");
-            for mode in [Auto, Indexed] {
-                let mut cache = DiskCache::with_eviction_mode(config, policy, mode);
-                drive(&mut cache, &refs, 1, false);
-                let regime = cache.ranking_regime();
-                if formless {
-                    assert_eq!(regime, RankingRegime::Rescan, "{name} {mode:?}");
-                } else {
-                    let indexed = !matches!(regime, Unprobed | RankingRegime::Rescan);
-                    assert_eq!(indexed, !backstep, "{name} {mode:?}");
-                }
+            let mut cache = DiskCache::new(config, policy);
+            drive(&mut cache, &refs, 1, false);
+            let regime = cache.ranking_regime();
+            if formless {
+                assert_eq!(regime, RankingRegime::Rescan, "{name}");
+            } else {
+                let indexed = !matches!(regime, Unprobed | RankingRegime::Rescan);
+                assert_eq!(indexed, !backstep, "{name}");
             }
         }
     }
@@ -255,10 +254,35 @@ fn a_disk_cache_under_a_per_reference_estimate_equals_the_spec() {
     }
 }
 
+/// Priority `age + size`: affine (slope 1, intercept `size − last_ref`)
+/// and read-touch-monotone, since a read hit only lowers the intercept.
+/// Its inserts arrive out of order, so it ranks on the scan, where —
+/// in both hosts — a skipped read touch would leave a row stale.
+struct AgePlusSize;
+
+impl MigrationPolicy for AgePlusSize {
+    fn name(&self) -> String {
+        "age+size".into()
+    }
+    fn priority(&self, file: &FileView, now: i64) -> f64 {
+        (now - file.last_ref).max(0) as f64 + file.size as f64
+    }
+    fn affine(&self, file: &FileView) -> Option<AffinePriority> {
+        Some(AffinePriority {
+            slope: 1.0,
+            intercept: file.size as f64 - file.last_ref as f64,
+        })
+    }
+    fn read_touch_monotone(&self) -> bool {
+        true
+    }
+}
+
 proptest! {
     /// Short random streams — zero time steps, an optional step
     /// backwards, both write-back settings — through every shipped
-    /// policy: spec = `DiskCache` × 3 modes = the MRC point.
+    /// policy and `AgePlusSize`: spec = `DiskCache` × 2 modes = the MRC
+    /// point.
     #[test]
     fn random_streams_agree_with_the_spec(
         specs in proptest::collection::vec((0u32..40, 1u64..5_000, any::<bool>(), 0i64..300), 1..300),
@@ -286,6 +310,7 @@ proptest! {
         for policy in all_policies() {
             check(policy.as_ref(), config(capacity, eager), &refs, late);
         }
+        check(&AgePlusSize, config(capacity, eager), &refs, late);
     }
 }
 
@@ -374,9 +399,9 @@ fn a_file_evicted_and_read_again_is_a_fresh_entry_at_the_next_purge() {
 }
 
 /// LRU, except that a file's third reference moves its "shared" slope.
-/// It promises `read_touch_monotone`, so the hosts skip the index push
-/// on read hits and the moved slope is first seen by pop-time
-/// validation, mid-purge: `Candidate::Abort` in `rank.rs`.
+/// It promises `read_touch_monotone`, so the deque skips read hits and
+/// the moved slope is first seen by pop-time validation, mid-purge:
+/// `Candidate::Abort` in `rank.rs`.
 struct DriftingSlope;
 
 impl MigrationPolicy for DriftingSlope {
@@ -398,15 +423,15 @@ impl MigrationPolicy for DriftingSlope {
 
 #[test]
 fn a_slope_that_moves_mid_run_aborts_the_affine_purge_and_the_rescan_finishes_it() {
-    // The first purge (0..4 leave) builds the index; two read hits take
+    // The first purge (0..4 leave) builds the deque; two read hits take
     // file 5 to three references, its stale key still the oldest; five
     // more writes, and the purge pops that key first and aborts.
     let specs = (0..10).map(|i| (i, 100, true, 1));
     let specs = specs.chain([(5, 100, false, 10), (5, 100, false, 1)]);
     let refs = refs_of(specs.chain((10..15).map(|i| (i, 100, true, 1))));
-    let mut cache = DiskCache::with_eviction_mode(config(1000, true), &DriftingSlope, Indexed);
+    let mut cache = DiskCache::new(config(1000, true), &DriftingSlope);
     drive(&mut cache, &refs[..12], 0, false);
-    assert_eq!(cache.ranking_regime(), Affine, "read hits pushed no key");
+    assert_eq!(cache.ranking_regime(), Monotone, "read hits pushed no key");
     drive(&mut cache, &refs[12..], 0, false);
     assert_eq!(
         cache.ranking_regime(),

@@ -6,7 +6,7 @@
 //! The contract is that interning assigns ids in first-appearance
 //! order, that the reverse next-use sweep finds what a forward scan
 //! finds, and that every downstream tie-break keys on the same raw id —
-//! so arena indexing, the eviction indexes and the prepared trace must
+//! so arena indexing, the ranking rows and the prepared trace must
 //! change *nothing* observable: not one miss, not one victim, not one
 //! byte of the report. These tests replay the same traces through both
 //! and compare stats (every float a sweep cell renders is a function of

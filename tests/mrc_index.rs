@@ -1,37 +1,41 @@
-//! Exactness properties of the replay hot path's two new engines:
+//! Exactness properties of the replay hot path's two engines, both held
+//! to the naive cache specification (`tests/spec/mod.rs`), which shares
+//! no code with them:
 //!
 //! * the single-pass miss-ratio-curve engine (`fmig_migrate::mrc`) must
-//!   reproduce per-capacity naive replay **bit-identically** — same
+//!   reproduce one spec replay per capacity **bit-identically** — same
 //!   counters, hence same miss ratios and byte miss ratios — for every
 //!   shipped policy and any capacity grid;
-//! * the incremental eviction index must produce the **identical victim
-//!   sequence** to the rescan oracle: same `CacheOp` stream, same
-//!   counters, same survivors.
+//! * `DiskCache`'s victim ranking must produce the spec's **identical
+//!   victim sequence**: same `CacheOp` stream, same counters, same
+//!   survivors.
 //!
 //! The property traces are random but well-formed: times never
 //! decrease and `next_use` comes from a real reverse sweep, the
 //! invariants every replay in this workspace provides (and the affine
 //! forms assume). Half their time steps are zero, so equal timestamps —
-//! LRU's tie groups, Belady's equal-next-use classes — are common. They draw at most 40 files, so every MRC stack there
-//! stays under `INDEX_MIN_RESIDENTS` and purges by rescan; three
+//! LRU's tie groups, Belady's equal-next-use classes — are common. They
+//! draw at most 40 files, so every MRC stack there ranks a few dozen
+//! residents, through the same deque, scan or rescan as at scale; three
 //! deterministic cases at the end hold hundreds of residents per
-//! capacity, so the stacks build their affine ranks and power-age
-//! scans — and then lose them again, to a clock stepping backwards and
-//! to a policy withdrawing its power-age form mid-stream.
+//! capacity, so the stacks build their deques and scans — and then lose
+//! them again, to a clock stepping backwards and to a policy
+//! withdrawing its power-age form mid-stream.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{
-    CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime, INDEX_MIN_RESIDENTS,
-};
+use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
-use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
+use fmig_migrate::mrc::{sweep_capacities, MissRatioCurve, MrcPoint};
 use fmig_migrate::policy::{
     standard_suite, Belady, FileView, MigrationPolicy, PowerAgeForm, Saac, Stp,
 };
 use fmig_trace::{DeviceClass, FileId};
+
+mod spec;
+use spec::{spec_replay, Cache, SpecCache, SpecRef};
 
 /// One raw reference: (write?, file id, size, time step).
 type Spec = (bool, u32, u64, i64);
@@ -85,11 +89,45 @@ fn all_policies() -> Vec<Box<dyn MigrationPolicy>> {
     policies
 }
 
+/// The spec's view of a prepared reference.
+fn spec_ref(r: &PreparedRef) -> SpecRef {
+    SpecRef {
+        id: r.id,
+        size: r.size,
+        write: r.write,
+        time: r.time,
+        next_use: r.next_use,
+    }
+}
+
+/// One spec replay per capacity, as a curve.
+fn spec_curve(
+    refs: &[PreparedRef],
+    policy: &dyn MigrationPolicy,
+    capacities: &[u64],
+    base: &EvalConfig,
+) -> MissRatioCurve {
+    let spec_refs: Vec<SpecRef> = refs.iter().map(spec_ref).collect();
+    let point = |capacity: u64| {
+        let cache = CacheConfig {
+            capacity,
+            ..base.cache
+        };
+        let config = EvalConfig { cache, ..*base };
+        let stats = spec_replay(&spec_refs, policy, &config).0;
+        MrcPoint { capacity, stats }
+    };
+    MissRatioCurve {
+        policy: policy.name(),
+        points: capacities.iter().map(|&capacity| point(capacity)).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fused single-pass curve equals one naive full replay per
-    /// capacity, exactly, for every shipped policy on a random grid.
+    /// The fused single-pass curve equals one spec replay per capacity,
+    /// exactly, for every shipped policy on a random grid.
     #[test]
     fn mrc_single_pass_equals_per_capacity_replay(
         specs in arb_specs(),
@@ -105,8 +143,8 @@ proptest! {
         let base = EvalConfig::with_capacity(0);
         for policy in all_policies() {
             let fused = sweep_capacities(&refs, policy.as_ref(), &capacities, &base);
-            let naive = sweep_capacities_naive(&refs, policy.as_ref(), &capacities, &base);
-            prop_assert!(fused == naive, "{} diverged", policy.name());
+            let spec = spec_curve(&refs, policy.as_ref(), &capacities, &base);
+            prop_assert!(fused == spec, "{} diverged", policy.name());
             for point in &fused.points {
                 prop_assert!((0.0..=1.0).contains(&point.miss_ratio()));
                 prop_assert!((0.0..=1.0).contains(&point.byte_miss_ratio()));
@@ -114,10 +152,10 @@ proptest! {
         }
     }
 
-    /// The incremental eviction index replays the identical victim
-    /// sequence to the rescan oracle: the full `CacheOp` stream (which
-    /// spells out every victim, in order, with its stall
-    /// classification), the counters, and the survivor set all match.
+    /// `DiskCache` replays the identical victim sequence to the spec:
+    /// the full `CacheOp` stream (which spells out every victim, in
+    /// order, with its stall classification), the counters, and the
+    /// survivor set all match.
     #[test]
     fn eviction_index_matches_sort_oracle_victim_sequence(
         specs in arb_specs(),
@@ -132,46 +170,40 @@ proptest! {
             eager_writeback: false, // dirty evictions: ops carry stalls
         };
         for policy in all_policies() {
-            let mut indexed =
-                DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Indexed);
-            let mut rescan =
-                DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Rescan);
+            let mut indexed = DiskCache::new(config, policy.as_ref());
+            let mut spec = SpecCache::new(config, policy.as_ref());
             let mut indexed_ops: Vec<CacheOp> = Vec::new();
-            let mut rescan_ops: Vec<CacheOp> = Vec::new();
+            let mut spec_ops: Vec<CacheOp> = Vec::new();
             for r in &refs {
+                // The cache's estimate stays at its default, 0.
+                let b = spec.reference(&spec_ref(r), 0.0, &mut spec_ops);
                 if r.write {
                     indexed.write_with(r.id, r.size, r.time, r.next_use, &mut |op| {
                         indexed_ops.push(op)
-                    });
-                    rescan.write_with(r.id, r.size, r.time, r.next_use, &mut |op| {
-                        rescan_ops.push(op)
                     });
                 } else {
                     let a = indexed.read_with(r.id, r.size, r.time, r.next_use, &mut |op| {
                         indexed_ops.push(op)
                     });
-                    let b = rescan.read_with(r.id, r.size, r.time, r.next_use, &mut |op| {
-                        rescan_ops.push(op)
-                    });
-                    prop_assert!(a == b, "{}: read result diverged", policy.name());
+                    prop_assert!(Some(a) == b, "{}: read result diverged", policy.name());
                     indexed.fetch_complete(r.id);
-                    rescan.fetch_complete(r.id);
+                    spec.landed(r.id);
                 }
             }
             prop_assert!(
-                indexed_ops == rescan_ops,
+                indexed_ops == spec_ops,
                 "{}: victim sequences diverged",
                 policy.name()
             );
-            prop_assert_eq!(indexed.stats(), rescan.stats());
+            prop_assert_eq!(*indexed.stats(), spec.snapshot().0);
             for r in &refs {
-                prop_assert_eq!(indexed.contains(r.id), rescan.contains(r.id));
+                prop_assert_eq!(indexed.contains(r.id), spec.contains(r.id));
             }
         }
     }
 }
 
-// The MRC host of the shared ranking lifecycle, past its activation gate.
+// The MRC host of the shared ranking lifecycle, at hundreds of residents.
 
 const BIG_FILES: u64 = 1200;
 const BIG_HOT_FILES: u64 = 30;
@@ -214,9 +246,12 @@ fn big_refs(backstep_at: Option<usize>) -> Vec<PreparedRef> {
     build_refs(&specs)
 }
 
+/// Files every purge of [`big_grid`] starts with, at least.
+const BIG_MIN_RESIDENTS: u64 = 128;
+
 /// Three capacities (30/55/80 % of the bytes the trace's files add up
 /// to at the mean size) that all churn, each guaranteed to hold more
-/// than `INDEX_MIN_RESIDENTS` files whenever a purge starts.
+/// than [`BIG_MIN_RESIDENTS`] files whenever a purge starts.
 fn big_grid() -> Vec<u64> {
     let high = EvalConfig::with_capacity(0).cache.high_watermark;
     [30u64, 55, 80]
@@ -224,15 +259,15 @@ fn big_grid() -> Vec<u64> {
         .map(|&pct| {
             let capacity = BIG_FILES * (BIG_MAX_SIZE / 2) * pct / 100;
             assert!(
-                (capacity as f64 * high) as u64 / BIG_MAX_SIZE >= INDEX_MIN_RESIDENTS as u64,
-                "a purge at {pct}% could start under the activation gate"
+                (capacity as f64 * high) as u64 / BIG_MAX_SIZE >= BIG_MIN_RESIDENTS,
+                "a purge at {pct}% could start under {BIG_MIN_RESIDENTS} residents"
             );
             capacity
         })
         .collect()
 }
 
-fn assert_fused_equals_naive(refs: &[PreparedRef], policy: &dyn MigrationPolicy) {
+fn assert_fused_equals_spec(refs: &[PreparedRef], policy: &dyn MigrationPolicy) {
     let capacities = big_grid();
     let base = EvalConfig::with_capacity(0);
     let fused = sweep_capacities(refs, policy, &capacities, &base);
@@ -241,8 +276,8 @@ fn assert_fused_equals_naive(refs: &[PreparedRef], policy: &dyn MigrationPolicy)
         "{}: a capacity never purged",
         policy.name()
     );
-    let naive = sweep_capacities_naive(refs, policy, &capacities, &base);
-    assert_eq!(fused, naive, "{} diverged", policy.name());
+    let spec = spec_curve(refs, policy, &capacities, &base);
+    assert_eq!(fused, spec, "{} diverged", policy.name());
 }
 
 #[test]
@@ -250,7 +285,7 @@ fn mrc_stacks_past_the_gate_equal_per_capacity_replay() {
     let refs = big_refs(None);
     assert!(refs.windows(2).all(|w| w[0].time <= w[1].time));
     for policy in all_policies() {
-        assert_fused_equals_naive(&refs, policy.as_ref());
+        assert_fused_equals_spec(&refs, policy.as_ref());
     }
 }
 
@@ -263,7 +298,7 @@ fn mrc_stacks_survive_a_backwards_clock_step() {
         "exactly one reference arrives out of order"
     );
     for policy in all_policies() {
-        assert_fused_equals_naive(&refs, policy.as_ref());
+        assert_fused_equals_spec(&refs, policy.as_ref());
     }
 }
 
@@ -310,11 +345,11 @@ fn mrc_stacks_survive_a_withdrawn_form(policy: &dyn MigrationPolicy, regime: Ran
         let end = cache.ranking_regime();
         assert_eq!(end, RankingRegime::Rescan, "never withdrawn at {capacity}");
     }
-    assert_fused_equals_naive(&refs, policy);
+    assert_fused_equals_spec(&refs, policy);
 }
 
 #[test]
 fn mrc_stacks_survive_a_withdrawn_power_age_form() {
-    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Stp::classic()), RankingRegime::PowerScan);
-    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Saac), RankingRegime::PowerScan);
+    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Stp::classic()), RankingRegime::Scan);
+    mrc_stacks_survive_a_withdrawn_form(&Withdrawing(Saac), RankingRegime::Scan);
 }

@@ -1,16 +1,16 @@
-//! Exactness properties of the power-age scan: for every shipped
-//! policy that ranks through it (STP at three exponents, SAAC at
-//! exponent 1), replaying through the scan must be **observationally
-//! identical** to the naive cache specification (`tests/spec/mod.rs`),
-//! which shares no code with it —
+//! Exactness properties of the purge-time scan: for every shipped
+//! policy that ranks through it — STP at three exponents and SAAC at
+//! exponent 1 on power-age keys, Belady and the size pair on exact
+//! intercept keys once their keys arrive out of order — replaying
+//! through the scan must be **observationally identical** to the naive
+//! cache specification (`tests/spec/mod.rs`), which shares no code with
+//! it:
 //!
 //! * the full `CacheOp` stream (every victim, in order, with its stall
 //!   classification), the read results, the counters, and the survivor
 //!   set of a [`DiskCache`] replay;
 //! * the single-pass miss-ratio-curve engine against one spec replay
-//!   per capacity, at resident counts large enough to clear the
-//!   `INDEX_MIN_RESIDENTS` activation gate so the MRC stacks actually
-//!   rank through their scans.
+//!   per capacity, at hundreds of residents per stack.
 //!
 //! Traces are adversarial for root keys: sizes span orders of
 //! magnitude and timestamps mix zero steps (exact ties), short hops
@@ -23,10 +23,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, EvictionMode, RankingRegime};
+use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, MissRatioCurve, MrcPoint};
-use fmig_migrate::policy::{MigrationPolicy, Saac, Stp};
+use fmig_migrate::policy::{Belady, LargestFirst, MigrationPolicy, Saac, SmallestFirst, Stp};
 use fmig_trace::{DeviceClass, FileId};
 
 mod spec;
@@ -35,15 +35,18 @@ use spec::{spec_replay, Cache, SpecCache, SpecRef};
 /// One raw reference: (write?, file id, size, time step).
 type Spec = (bool, u32, u64, i64);
 
-/// Every shipped policy that ships a
-/// [`fmig_migrate::policy::PowerAgeForm`]: exactly the set that ranks
-/// through the power-age scan.
-fn power_age_suite() -> Vec<Box<dyn MigrationPolicy>> {
+/// Every shipped policy that ranks on the scan: those that ship a
+/// [`fmig_migrate::policy::PowerAgeForm`], and the affine ones whose
+/// keys can arrive out of order.
+fn scan_suite() -> Vec<Box<dyn MigrationPolicy>> {
     vec![
         Box::new(Stp { exponent: 1.0 }),
         Box::new(Stp::classic()),
         Box::new(Stp { exponent: 2.0 }),
         Box::new(Saac),
+        Box::new(Belady),
+        Box::new(LargestFirst),
+        Box::new(SmallestFirst),
     ]
 }
 
@@ -94,13 +97,13 @@ fn as_spec_refs(refs: &[PreparedRef]) -> Vec<SpecRef> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The power-age scan replays the identical victim sequence to the
-    /// spec for every power-age policy: same `CacheOp` stream, same read
+    /// The scan replays the identical victim sequence to the spec for
+    /// every policy that ranks on it: same `CacheOp` stream, same read
     /// results, same counters, same survivors — ties included, since
     /// zero time steps produce exact priority collisions resolved by
     /// ascending id on both sides.
     #[test]
-    fn kinetic_index_matches_sort_oracle_victim_sequence(
+    fn scan_matches_the_spec_victim_sequence(
         specs in proptest::collection::vec(
             (
                 any::<bool>(),
@@ -121,9 +124,8 @@ proptest! {
             low_watermark: 0.6,
             eager_writeback: false, // dirty evictions: ops carry stalls
         };
-        for policy in power_age_suite() {
-            let mut indexed =
-                DiskCache::with_eviction_mode(config, policy.as_ref(), EvictionMode::Indexed);
+        for policy in scan_suite() {
+            let mut indexed = DiskCache::new(config, policy.as_ref());
             let mut spec = SpecCache::new(config, policy.as_ref());
             let mut indexed_ops: Vec<CacheOp> = Vec::new();
             let mut spec_ops: Vec<CacheOp> = Vec::new();
@@ -157,16 +159,14 @@ proptest! {
 }
 
 proptest! {
-    // Heavier cases (hundreds of residents so the MRC stacks clear the
-    // `INDEX_MIN_RESIDENTS` gate and rank through their scans), so
-    // fewer of them.
+    // Heavier cases (hundreds of residents per stack), so fewer of them.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The fused single-pass miss-ratio curve equals one spec replay
-    /// per capacity for every power-age policy, at scales where the
-    /// per-stack scans actually activate.
+    /// per capacity for every policy that ranks on the scan (Belady's
+    /// stacks rank on the MRC's next-use tier instead).
     #[test]
-    fn mrc_kinetic_stacks_equal_per_capacity_replay(
+    fn mrc_scan_stacks_equal_per_capacity_replay(
         specs in proptest::collection::vec(
             (
                 any::<bool>(),
@@ -180,15 +180,15 @@ proptest! {
     ) {
         let refs = build_refs(&specs, day_stride);
         let total: u64 = refs.iter().map(|r| r.size).sum();
-        // The top capacity holds nearly every distinct file — far past
-        // the 128-resident activation gate — while the low one churns.
+        // The top capacity holds nearly every distinct file — hundreds
+        // of residents — while the low one churns.
         let capacities: Vec<u64> = [20u64, 60, 95]
             .iter()
             .map(|&pct| (total * pct / 100).max(1))
             .collect();
         let base = EvalConfig::with_capacity(0);
         let spec_refs = as_spec_refs(&refs);
-        for policy in power_age_suite() {
+        for policy in scan_suite() {
             let fused = sweep_capacities(&refs, policy.as_ref(), &capacities, &base);
             let point = |capacity: u64| {
                 let cache = CacheConfig { capacity, ..base.cache };
@@ -204,39 +204,48 @@ proptest! {
 }
 
 /// Engagement guard at the public-API level: a purge-heavy replay
-/// under `Indexed` mode must actually be ranking through the regime
-/// the policy's forms call for (not silently degraded to the rescan),
-/// and the victim stream must still match the spec.
-fn replay_engages(policy: &dyn MigrationPolicy, regime: RankingRegime) {
+/// whose sizes and next uses arrive out of order must be ranking
+/// through the scan (not still on the deque, nor silently degraded to
+/// the rescan), and the victim stream must still match the spec.
+fn replay_engages(policy: &dyn MigrationPolicy) {
     let config = CacheConfig {
         capacity: 1 << 20,
         high_watermark: 0.9,
         low_watermark: 0.7,
         eager_writeback: true,
     };
-    let mut indexed = DiskCache::with_eviction_mode(config, policy, EvictionMode::Indexed);
+    let mut cache = DiskCache::new(config, policy);
     let mut spec = SpecCache::new(config, policy);
     let mut a: Vec<CacheOp> = Vec::new();
     let mut b: Vec<CacheOp> = Vec::new();
-    for i in 0..4_000u32 {
+    const N: u32 = 4_000;
+    for i in 0..N {
         let (id, size, now) = (i % 600, 1_000 + u64::from(i % 13) * 700, i64::from(i * 5));
-        indexed.write_with(id, size, now, None, &mut |op| a.push(op));
+        // File `id` comes back 600 references later, until the end.
+        let next_use = (i + 600 < N).then(|| i64::from((i + 600) * 5));
+        cache.write_with(id, size, now, next_use, &mut |op| a.push(op));
         let r = SpecRef {
             id: FileId::new(id),
             size,
             write: true,
             time: now,
-            next_use: None,
+            next_use,
         };
         spec.reference(&r, 0.0, &mut b);
     }
-    assert_eq!(indexed.ranking_regime(), regime, "{}", policy.name());
-    assert_eq!(a, b);
-    assert_eq!(*indexed.stats(), spec.snapshot().0);
+    assert_eq!(
+        cache.ranking_regime(),
+        RankingRegime::Scan,
+        "{}",
+        policy.name()
+    );
+    assert_eq!(a, b, "{}", policy.name());
+    assert_eq!(*cache.stats(), spec.snapshot().0);
 }
 
 #[test]
-fn stp_replay_engages_the_power_scan() {
-    replay_engages(&Stp::classic(), RankingRegime::PowerScan);
-    replay_engages(&Saac, RankingRegime::PowerScan);
+fn replay_engages_the_scan() {
+    for policy in scan_suite() {
+        replay_engages(policy.as_ref());
+    }
 }
