@@ -12,65 +12,50 @@ use serde::{Deserialize, Serialize};
 
 use crate::hist::{LogHistogram, Welford};
 
-/// Per (direction × device) latency distributions.
+/// Per (direction × device) latency distributions: a histogram per
+/// cell for the CDF and quantile rows, plus the [`LatencyMoments`] every
+/// mean comes from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyAnalysis {
-    cells: Vec<Vec<Cell>>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Cell {
-    hist: LogHistogram,
-    moments: Welford,
-}
-
-impl Cell {
-    fn new() -> Self {
-        Cell {
-            // 1 second to ~half a day.
-            hist: LogHistogram::new(1.0, 40_000.0, 6),
-            moments: Welford::new(),
-        }
-    }
+    hists: [[LogHistogram; 3]; 2],
+    moments: LatencyMoments,
 }
 
 impl LatencyAnalysis {
     /// Creates an empty analysis.
     pub fn new() -> Self {
+        // 1 second to ~half a day.
+        let hist = || LogHistogram::new(1.0, 40_000.0, 6);
         LatencyAnalysis {
-            cells: vec![vec![Cell::new(); 3], vec![Cell::new(); 3]],
+            hists: [[hist(), hist(), hist()], [hist(), hist(), hist()]],
+            moments: LatencyMoments::new(),
         }
     }
 
     /// Feeds one successful record.
     pub fn observe(&mut self, rec: &impl Request) {
-        let Some(device) = rec.mss_device() else {
-            return;
-        };
-        if rec.error().is_some() {
-            return;
+        if let Some((dir, device, wait_s)) = first_byte_wait(rec) {
+            self.observe_wait(dir, device, wait_s);
         }
-        self.observe_wait(rec.direction(), device, rec.startup_latency_s() as f64);
     }
 
     /// Feeds one first-byte wait directly — the closed-loop hierarchy
     /// engine's per-reference outcomes carry waits without a
     /// [`fmig_trace::TraceRecord`] to wrap them in.
     pub fn observe_wait(&mut self, dir: Direction, device: DeviceClass, wait_s: f64) {
-        let cell = &mut self.cells[dir_index(dir)][dev_index(device)];
-        cell.hist.record_count(wait_s.max(0.5));
-        cell.moments.push(wait_s);
+        self.hists[dir_index(dir)][dev_index(device)].record_count(wait_s.max(0.5));
+        self.moments.observe_wait(dir, device, wait_s);
     }
 
     /// Mean seconds to first byte for a cell (a Table 3 row).
     pub fn mean(&self, dir: Direction, device: DeviceClass) -> f64 {
-        self.cells[dir_index(dir)][dev_index(device)].moments.mean()
+        self.moments.cell(dir, device).mean()
     }
 
     /// Mean over both directions for one device.
     pub fn device_mean(&self, device: DeviceClass) -> f64 {
-        let r = &self.cells[0][dev_index(device)].moments;
-        let w = &self.cells[1][dev_index(device)].moments;
+        let r = self.moments.cell(Direction::Read, device);
+        let w = self.moments.cell(Direction::Write, device);
         let n = r.count() + w.count();
         if n == 0 {
             0.0
@@ -81,23 +66,14 @@ impl LatencyAnalysis {
 
     /// Mean over all devices for one direction (Table 3's top latency row).
     pub fn direction_mean(&self, dir: Direction) -> f64 {
-        let cells = &self.cells[dir_index(dir)];
-        let n: u64 = cells.iter().map(|c| c.moments.count()).sum();
-        if n == 0 {
-            return 0.0;
-        }
-        cells
-            .iter()
-            .map(|c| c.moments.mean() * c.moments.count() as f64)
-            .sum::<f64>()
-            / n as f64
+        self.moments.direction_mean(dir)
     }
 
     /// Fraction of requests to `device` (both directions) that reached
     /// the first byte within `s` seconds — Figure 3's CDF.
     pub fn device_fraction_le(&self, device: DeviceClass, s: f64) -> f64 {
-        let r = &self.cells[0][dev_index(device)].hist;
-        let w = &self.cells[1][dev_index(device)].hist;
+        let r = &self.hists[0][dev_index(device)];
+        let w = &self.hists[1][dev_index(device)];
         let n = r.count() + w.count();
         if n == 0 {
             return 0.0;
@@ -107,23 +83,25 @@ impl LatencyAnalysis {
 
     /// Approximate median latency for a device.
     pub fn device_median(&self, device: DeviceClass) -> f64 {
-        let mut h = self.cells[0][dev_index(device)].hist.clone();
-        h.merge(&self.cells[1][dev_index(device)].hist);
-        h.quantile(0.5)
+        self.device_hist(device).quantile(0.5)
     }
 
     /// Observations in a cell.
     pub fn count(&self, dir: Direction, device: DeviceClass) -> u64 {
-        self.cells[dir_index(dir)][dev_index(device)]
-            .moments
-            .count()
+        self.moments.cell(dir, device).count()
     }
 
     /// Figure 3 CDF points for one device `(latency_s, fraction)`.
     pub fn device_cdf(&self, device: DeviceClass) -> Vec<(f64, f64)> {
-        let mut h = self.cells[0][dev_index(device)].hist.clone();
-        h.merge(&self.cells[1][dev_index(device)].hist);
+        let h = self.device_hist(device);
         h.cdf_points().into_iter().map(|(e, f, _)| (e, f)).collect()
+    }
+
+    /// Both directions' histograms for one device, merged.
+    fn device_hist(&self, device: DeviceClass) -> LogHistogram {
+        let mut h = self.hists[0][dev_index(device)].clone();
+        h.merge(&self.hists[1][dev_index(device)]);
+        h
     }
 }
 
@@ -131,6 +109,63 @@ impl Default for LatencyAnalysis {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The (direction × device) mean and count of first-byte waits: the
+/// part of [`LatencyAnalysis`] a sweep shard reports, kept on its own
+/// by a sink that needs no histograms.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LatencyMoments {
+    cells: [[Welford; 3]; 2],
+}
+
+impl LatencyMoments {
+    /// Creates empty moments.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds one successful record; errored and off-MSS records are
+    /// skipped, as in [`LatencyAnalysis::observe`].
+    pub fn observe(&mut self, rec: &impl Request) {
+        if let Some((dir, device, wait_s)) = first_byte_wait(rec) {
+            self.observe_wait(dir, device, wait_s);
+        }
+    }
+
+    /// Feeds one first-byte wait directly.
+    pub(crate) fn observe_wait(&mut self, dir: Direction, device: DeviceClass, wait_s: f64) {
+        self.cells[dir_index(dir)][dev_index(device)].push(wait_s);
+    }
+
+    /// One cell's accumulator.
+    pub(crate) fn cell(&self, dir: Direction, device: DeviceClass) -> &Welford {
+        &self.cells[dir_index(dir)][dev_index(device)]
+    }
+
+    /// Mean over all devices for one direction (Table 3's top latency row).
+    pub fn direction_mean(&self, dir: Direction) -> f64 {
+        let cells = &self.cells[dir_index(dir)];
+        let n: u64 = cells.iter().map(Welford::count).sum();
+        if n == 0 {
+            return 0.0;
+        }
+        cells
+            .iter()
+            .map(|c| c.mean() * c.count() as f64)
+            .sum::<f64>()
+            / n as f64
+    }
+}
+
+/// The wait a record contributes: its direction, device and seconds to
+/// first byte, or `None` for an errored or off-MSS record.
+fn first_byte_wait(rec: &impl Request) -> Option<(Direction, DeviceClass, f64)> {
+    let device = rec.mss_device()?;
+    if rec.error().is_some() {
+        return None;
+    }
+    Some((rec.direction(), device, rec.startup_latency_s() as f64))
 }
 
 fn dir_index(dir: Direction) -> usize {
@@ -218,6 +253,30 @@ mod tests {
         assert_eq!(a.device_mean(DeviceClass::Disk), 0.0);
         assert_eq!(a.device_fraction_le(DeviceClass::Disk, 100.0), 0.0);
         assert_eq!(a.count(Direction::Write, DeviceClass::Disk), 0);
+    }
+
+    #[test]
+    fn moments_alone_match_the_full_analysis() {
+        let mut full = LatencyAnalysis::new();
+        let mut moments = LatencyMoments::new();
+        let mut bad = rec(Endpoint::MssDisk, true, 5);
+        bad.error = Some(fmig_trace::ErrorKind::FileNotFound);
+        for r in [
+            rec(Endpoint::MssDisk, true, 3),
+            rec(Endpoint::MssTapeSilo, false, 90),
+            rec(Endpoint::MssTapeManual, true, 400),
+            bad,
+        ] {
+            full.observe(&r);
+            moments.observe(&r);
+        }
+        assert_eq!(full.moments, moments);
+        for dir in [Direction::Read, Direction::Write] {
+            assert_eq!(
+                full.direction_mean(dir).to_bits(),
+                moments.direction_mean(dir).to_bits()
+            );
+        }
     }
 
     #[test]

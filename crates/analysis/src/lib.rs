@@ -49,7 +49,7 @@ pub use dirs::DirStats;
 pub use filetrack::{FileTracker, IdFileTracker, REPEAT_WINDOWS_H};
 pub use hist::{LogHistogram, Welford};
 pub use interref::GapTracker;
-pub use latency::LatencyAnalysis;
+pub use latency::{LatencyAnalysis, LatencyMoments};
 pub use report::{ascii_cdf, render_comparisons, Comparison, TextTable};
 pub use sizes::DynamicSizes;
 pub use timeseries::{HourlyProfile, WeekSeries, WeeklyProfile};

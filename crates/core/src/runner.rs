@@ -10,14 +10,15 @@
 //!
 //! 1. **Shard preparation** — each shard generates its workload and
 //!    streams it once, as path-free [`IdRecord`]s, through the device
-//!    simulator (or a plain pass) into the three accumulators the
-//!    report reads — [`TraceStats`], [`IdFileTracker`],
-//!    [`LatencyAnalysis`] — and the policy-replay preparation
-//!    ([`IdTracePrep`]). No path string is built, and the full annotated
-//!    `Vec<TraceRecord>` that [`crate::Study::run`] keeps for the
-//!    experiment registry is never materialized, which is what makes
-//!    wide matrices affordable. An imported shard instead opens its
-//!    columnar replay store and reads only the import-time census.
+//!    simulator (or a plain pass) into the accumulators the report
+//!    reads — [`TraceStats`], the [`IdFileTracker`] census (NCAR shards
+//!    only: it feeds just the paper deltas) and the [`LatencyMoments`]
+//!    behind the two mean-latency columns — and the policy-replay
+//!    preparation ([`IdTracePrep`]). No path string is built, and the
+//!    full annotated `Vec<TraceRecord>` that [`crate::Study::run`] keeps
+//!    for the experiment registry is never materialized, which is what
+//!    makes wide matrices affordable. An imported shard instead opens
+//!    its columnar replay store and reads only the import-time census.
 //! 2. **Cell execution** — the matrix is split into *cell units* that
 //!    draw from one global queue: a closed-loop unit is a single
 //!    (fault, cache, policy) hierarchy-engine run, an open-loop unit is
@@ -40,7 +41,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fmig_analysis::{IdFileTracker, LatencyAnalysis};
+use fmig_analysis::{IdFileTracker, LatencyMoments};
 use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedRef, PreparedTrace};
 use fmig_migrate::mrc::{sweep_capacities_streaming, MissRatioCurve};
 use fmig_sim::fault::fault_horizon;
@@ -291,19 +292,23 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
     let referenced_bytes: u64 = workload.files().iter().map(|f| f.size).sum();
 
     // One streaming pass: simulator → (analysis, policy prep). Each
-    // accumulator skips errored records where the paper does.
+    // accumulator skips errored records where the paper does. The file
+    // census feeds only the NCAR paper deltas below, so other presets
+    // skip it.
     let mut stats = TraceStats::new();
-    let mut tracked = IdFileTracker::new();
-    let mut latency = LatencyAnalysis::new();
-    let mut prep = IdTracePrep::new();
+    let mut tracked = (preset == PresetId::Ncar).then(IdFileTracker::new);
+    let mut latency = LatencyMoments::new();
+    let requests = workload.into_requests();
+    let records = requests.len() as u64;
+    let mut prep = IdTracePrep::with_capacity(files as usize, requests.len());
     let sink = |rec: IdRecord| {
         stats.observe(&rec);
-        tracked.observe(rec.file, &rec);
+        if let Some(tracked) = &mut tracked {
+            tracked.observe(rec.file, &rec);
+        }
         latency.observe(&rec);
         prep.observe(rec.file, &rec);
     };
-    let requests = workload.into_requests();
-    let records = requests.len() as u64;
     if config.simulate_devices {
         MssSimulator::new(SimConfig::default().with_seed(sim_seed)).run_streaming(requests, sink);
     } else {
@@ -324,7 +329,7 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
     // Published-vs-measured rows only make sense where the generator
     // runs its NCAR calibration; the other presets twist those very
     // knobs on purpose, so deltas there would read as fidelity failures.
-    let paper_deltas = if preset == crate::sweep::PresetId::Ncar {
+    let paper_deltas = if let Some(tracked) = tracked {
         let targets = PaperTargets::ncar();
         let delta = |metric: &str, paper: f64, measured: f64| PaperDelta {
             metric: metric.to_string(),
@@ -674,6 +679,50 @@ mod tests {
             assert!(healthy.latency.is_none(), "healthy cells follow the flag");
         }
         assert!(report.winners[0].by_degraded_p99.is_some());
+    }
+
+    #[test]
+    fn shard_sink_keeps_what_the_full_accumulators_report() {
+        let mut config = SweepConfig::tiny();
+        config.presets = PresetId::ALL.to_vec();
+        for (preset_idx, &preset) in config.presets.iter().enumerate() {
+            let shard = prepare_shard(&config, preset_idx, 0);
+            // The same stream into the full accumulators.
+            let workload = Workload::generate(
+                &preset.workload(config.scales[0], config.workload_seed(preset_idx, 0)),
+            );
+            let sim =
+                MssSimulator::new(SimConfig::default().with_seed(config.sim_seed(preset_idx, 0)));
+            let mut latency = fmig_analysis::LatencyAnalysis::new();
+            let mut tracked = IdFileTracker::new();
+            sim.run_streaming(workload.into_requests(), |rec| {
+                latency.observe(&rec);
+                tracked.observe(rec.file, &rec);
+            });
+            assert_eq!(
+                shard.mean_read_latency_s.to_bits(),
+                latency.direction_mean(Direction::Read).to_bits(),
+                "{preset:?}"
+            );
+            assert_eq!(
+                shard.mean_write_latency_s.to_bits(),
+                latency.direction_mean(Direction::Write).to_bits(),
+                "{preset:?}"
+            );
+            if preset == PresetId::Ncar {
+                let never_read = shard
+                    .paper_deltas
+                    .iter()
+                    .find(|d| d.metric == "files_never_read")
+                    .expect("NCAR shards carry the census deltas");
+                assert_eq!(
+                    never_read.measured.to_bits(),
+                    tracked.never_read().to_bits()
+                );
+            } else {
+                assert!(shard.paper_deltas.is_empty(), "{preset:?}");
+            }
+        }
     }
 
     #[test]

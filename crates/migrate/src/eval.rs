@@ -248,6 +248,16 @@ impl IdTracePrep {
         Self::default()
     }
 
+    /// Creates an empty pass sized for `slots` file slots and up to
+    /// `refs` references, so neither table grows while it is fed.
+    pub fn with_capacity(slots: usize, refs: usize) -> Self {
+        IdTracePrep {
+            dense: vec![UNASSIGNED; slots],
+            file_count: 0,
+            refs: Vec::with_capacity(refs),
+        }
+    }
+
     /// Feeds one reference to the file in slot `file`; errored
     /// references are skipped, as in §6.
     pub fn observe(&mut self, file: u32, rec: &impl Request) {

@@ -99,6 +99,11 @@ pub struct BoundedPareto {
     alpha: f64,
     lo: f64,
     hi: f64,
+    /// `lo^-alpha`, `hi^-alpha` and `-1/alpha`: the inverse CDF's
+    /// constants, computed once here instead of per sample.
+    lo_pow: f64,
+    hi_pow: f64,
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
@@ -110,7 +115,14 @@ impl BoundedPareto {
     pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
         assert!(alpha > 0.0, "bad alpha {alpha}");
         assert!(0.0 < lo && lo < hi, "bad bounds [{lo}, {hi}]");
-        BoundedPareto { alpha, lo, hi }
+        BoundedPareto {
+            alpha,
+            lo,
+            hi,
+            lo_pow: lo.powf(-alpha),
+            hi_pow: hi.powf(-alpha),
+            neg_inv_alpha: -1.0 / alpha,
+        }
     }
 
     /// The analytic mean of the truncated distribution.
@@ -130,10 +142,8 @@ impl BoundedPareto {
 impl Sample for BoundedPareto {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
-        let (a, l, h) = (self.alpha, self.lo, self.hi);
-        let la = l.powf(-a);
-        let ha = h.powf(-a);
-        (la - u * (la - ha)).powf(-1.0 / a)
+        let (la, ha) = (self.lo_pow, self.hi_pow);
+        (la - u * (la - ha)).powf(self.neg_inv_alpha)
     }
 }
 
@@ -182,6 +192,8 @@ impl Discrete {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, the inverse CDF's divisor.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -192,7 +204,10 @@ impl Geometric {
     /// Panics unless `0 < p <= 1`.
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "bad geometric p {p}");
-        Geometric { p }
+        Geometric {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
     }
 
     /// Draws the number of failures before the first success (>= 0).
@@ -202,7 +217,7 @@ impl Geometric {
         }
         // Inverse CDF: floor(ln U / ln(1-p)).
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - self.p).ln()).floor() as u32
+        (u.ln() / self.ln_q).floor() as u32
     }
 
     /// Expected number of failures, `(1-p)/p`.
@@ -391,6 +406,40 @@ mod proptests {
             for _ in 0..32 {
                 let x = d.sample(&mut r);
                 prop_assert!(x >= lo * 0.999 && x <= hi * 1.001, "x = {}", x);
+            }
+        }
+
+        /// The precomputed inverse-CDF constants give the per-sample
+        /// formula's value bit for bit.
+        #[test]
+        fn hoisted_pareto_constants_are_exact(
+            alpha in 0.1f64..4.0,
+            lo in 0.1f64..100.0,
+            span in 1.0f64..1e5,
+            seed in any::<u64>(),
+        ) {
+            let (lo, hi) = (lo, lo + span);
+            let d = BoundedPareto::new(alpha, lo, hi);
+            let mut hoisted = SmallRng::seed_from_u64(seed);
+            let mut per_call = hoisted.clone();
+            for _ in 0..32 {
+                let u: f64 = per_call.gen();
+                let (la, ha) = (lo.powf(-alpha), hi.powf(-alpha));
+                let x = (la - u * (la - ha)).powf(-1.0 / alpha);
+                prop_assert_eq!(d.sample(&mut hoisted).to_bits(), x.to_bits());
+            }
+        }
+
+        /// Likewise for the geometric's `ln(1 - p)`.
+        #[test]
+        fn hoisted_geometric_constant_is_exact(p in 0.001f64..1.0, seed in any::<u64>()) {
+            let g = Geometric::new(p);
+            let mut hoisted = SmallRng::seed_from_u64(seed);
+            let mut per_call = hoisted.clone();
+            for _ in 0..32 {
+                let u: f64 = per_call.gen::<f64>().max(f64::MIN_POSITIVE);
+                let k = (u.ln() / (1.0 - p).ln()).floor() as u32;
+                prop_assert_eq!(g.sample_count(&mut hoisted), k);
             }
         }
 

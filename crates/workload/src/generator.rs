@@ -24,8 +24,6 @@
 //!   warm, larger files go to tape; cold data migrates to shelved
 //!   cartridges needing an operator mount (§3.1, §6).
 
-use std::collections::HashMap;
-
 use fmig_trace::ingest::fnv1a64;
 use fmig_trace::time::{Timestamp, DAY, HOUR, TRACE_END, TRACE_EPOCH, TRACE_SECONDS};
 use fmig_trace::{
@@ -37,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dist::{Discrete, Exp, LogNormal, Sample};
 use crate::namespace::Namespace;
-use crate::population::{build_dataset_files, sessions_needed, FileSpec, SizeModel};
+use crate::population::{build_dataset_files, sessions_needed, ClassModel, FileSpec, SizeModel};
 use crate::preset::WorkloadConfig;
 use crate::rate::RateModel;
 
@@ -121,15 +119,18 @@ impl Workload {
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let namespace = Namespace::generate(config, &mut rng);
         let mut dirs = FileTable::with_capacity(namespace.len());
-        let dir_ids: Vec<FileId> = (0..namespace.len() as u32)
-            .map(|d| dirs.intern(&namespace.path(d)))
+        let dir_ids: Vec<FileId> = namespace
+            .paths()
+            .iter()
+            .map(|path| dirs.intern(path))
             .collect();
+        let classes = ClassModel::ncar();
         let sizes = SizeModel::ncar(config.max_file_bytes);
         let read_model = RateModel::read(config.read_growth);
         let write_model = RateModel::write();
         let n_users = config.target_users();
 
-        let mut files: Vec<FileMeta> = Vec::new();
+        let mut files: Vec<FileMeta> = Vec::with_capacity(namespace.total_files() as usize);
         let mut events: Vec<RawEvent> = Vec::new();
         let mut dataset_births: Vec<i64> = Vec::with_capacity(namespace.len());
 
@@ -176,7 +177,8 @@ impl Workload {
                     ((birth - TRACE_EPOCH.as_unix()) as f64 / TRACE_SECONDS as f64).clamp(0.0, 1.0);
                 0.55 + 1.15 * frac
             };
-            let specs = build_dataset_files(&mut rng, dir.file_count, pre, read_scale, &sizes);
+            let specs =
+                build_dataset_files(&mut rng, dir.file_count, pre, read_scale, &classes, &sizes);
             let base = files.len() as u32;
             for (i, spec) in specs.iter().enumerate() {
                 files.push(FileMeta {
@@ -251,7 +253,7 @@ impl Workload {
         // Drop anything outside the observation window, then order by time.
         events.retain(|e| e.time >= TRACE_EPOCH.as_unix() && e.time < TRACE_END.as_unix());
         inject_errors(&mut rng, &mut events, config, n_users);
-        events.sort_by_key(|e| e.time);
+        sort_by_time(&mut events);
 
         assign_devices(&mut rng, &mut events, config, &files, &dataset_births);
 
@@ -358,14 +360,38 @@ impl Workload {
             .map(|(_, path)| fnv1a64(path.as_bytes()))
             .collect();
         // Only a namespace where two directories share a path can alias.
+        // Then each rendered directory gets a run of `first`, one cell
+        // per `name_seq` up to its widest alias, holding the first entry
+        // that renders that path.
         let aliased = self.dirs.len() < self.dir_ids.len();
-        let mut first: HashMap<(FileId, u32), u32> = HashMap::new();
+        let mut run_start: Vec<usize> = Vec::new();
+        let mut first: Vec<u32> = Vec::new();
+        if aliased {
+            let mut width = vec![0usize; self.dirs.len()];
+            for meta in &self.files {
+                let w = &mut width[self.dir_ids[meta.dir as usize].index()];
+                *w = (*w).max(meta.name_seq as usize + 1);
+            }
+            run_start = width
+                .iter()
+                .scan(0, |next, &w| {
+                    let start = *next;
+                    *next += w;
+                    Some(start)
+                })
+                .collect();
+            first = vec![u32::MAX; width.iter().sum()];
+        }
         let files: Vec<FileSlot> = (0u32..)
             .zip(&self.files)
             .map(|(i, meta)| {
                 let dir = self.dir_ids[meta.dir as usize];
                 let file = if aliased {
-                    *first.entry((dir, meta.name_seq)).or_insert(i)
+                    let cell = &mut first[run_start[dir.index()] + meta.name_seq as usize];
+                    if *cell == u32::MAX {
+                        *cell = i;
+                    }
+                    *cell
                 } else {
                     i
                 };
@@ -771,6 +797,51 @@ fn inject_errors<R: Rng + ?Sized>(
     }
 }
 
+/// Stably sorts in-window events by time, as `sort_by_key(|e| e.time)`
+/// would: an LSD radix sort on the offset from [`TRACE_EPOCH`], two
+/// 13-bit digits.
+///
+/// # Panics
+///
+/// Panics if an event lies outside `[TRACE_EPOCH, TRACE_EPOCH + 2²⁶)`.
+fn sort_by_time(events: &mut [RawEvent]) {
+    const BITS: usize = 13;
+    const LOW: usize = (1 << BITS) - 1;
+    const _: () = assert!(TRACE_SECONDS <= 1 << (2 * BITS));
+    let offset = |e: &RawEvent| {
+        usize::try_from(e.time - TRACE_EPOCH.as_unix()).expect("event before the epoch")
+    };
+    // Both digits' histograms in one pass; the high digit is not
+    // masked, so an offset past 2²⁶ fails the index instead of wrapping.
+    let mut counts = vec![[0usize; 2]; 1 << BITS];
+    for e in events.iter() {
+        let t = offset(e);
+        counts[t & LOW][0] += 1;
+        counts[t >> BITS][1] += 1;
+    }
+    let mut starts = counts;
+    let mut next = [0usize; 2];
+    for cell in &mut starts {
+        for (start, next) in cell.iter_mut().zip(&mut next) {
+            let n = *start;
+            *start = *next;
+            *next += n;
+        }
+    }
+    // Low digit into `buf`, then high digit back; each pass is stable.
+    let mut buf = events.to_vec();
+    for e in events.iter() {
+        let pos = &mut starts[offset(e) & LOW][0];
+        buf[*pos] = *e;
+        *pos += 1;
+    }
+    for e in &buf {
+        let pos = &mut starts[offset(e) >> BITS][1];
+        events[*pos] = *e;
+        *pos += 1;
+    }
+}
+
 /// Chronological device-placement pass (§3.1 policy + internal migration).
 fn assign_devices<R: Rng + ?Sized>(
     rng: &mut R,
@@ -837,6 +908,8 @@ fn assign_devices<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use fmig_trace::Direction;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn small_workload() -> Workload {
         Workload::generate(&WorkloadConfig {
@@ -1016,7 +1089,6 @@ mod tests {
     #[test]
     fn echoes_create_same_file_re_requests_within_8h() {
         let w = small_workload();
-        use std::collections::HashMap;
         let mut last_seen: HashMap<u32, i64> = HashMap::new();
         let mut within_8h = 0usize;
         let mut total = 0usize;
@@ -1035,5 +1107,43 @@ mod tests {
             (0.18..0.50).contains(&frac),
             "8-hour repeat fraction {frac}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The radix sort is the stable `sort_by_key` it replaces: equal
+        /// times keep their input order, which `file` records here.
+        #[test]
+        fn radix_sort_by_time_is_a_stable_sort(
+            picks in proptest::collection::vec((0u8..4, 0i64..TRACE_SECONDS), 0..600),
+        ) {
+            // Offsets from a handful of hot values (ties), the window's
+            // two ends, and anywhere in between.
+            let events: Vec<RawEvent> = (0u32..)
+                .zip(&picks)
+                .map(|(i, &(kind, anywhere))| {
+                    let offset = match kind {
+                        0 => 0,
+                        1 => TRACE_SECONDS - 1,
+                        2 => [17, 8191, 8192, 1 << 20][i as usize % 4],
+                        _ => anywhere,
+                    };
+                    RawEvent {
+                        time: TRACE_EPOCH.as_unix() + offset,
+                        file: i,
+                        uid: 0,
+                        kind: EventKind::Read,
+                        device: 0,
+                        err: 0,
+                    }
+                })
+                .collect();
+            let mut radix = events.clone();
+            sort_by_time(&mut radix);
+            let mut stable = events;
+            stable.sort_by_key(|e| e.time);
+            prop_assert_eq!(radix, stable);
+        }
     }
 }

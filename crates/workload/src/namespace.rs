@@ -176,6 +176,19 @@ impl Namespace {
         out
     }
 
+    /// Every directory's path, index = directory id: [`Namespace::path`]
+    /// for all of them at once, each built from its parent's.
+    pub(crate) fn paths(&self) -> Vec<String> {
+        let mut paths: Vec<String> = Vec::with_capacity(self.dirs.len());
+        for node in &self.dirs {
+            // `generate` only ever attaches a directory to an earlier one.
+            let parent = node.parent.map_or("", |p| paths[p as usize].as_str());
+            let path = format!("{parent}/{}", node.name);
+            paths.push(path);
+        }
+        paths
+    }
+
     /// Fraction of directories with at most `n` files.
     pub fn fraction_with_at_most(&self, n: u32) -> f64 {
         if self.dirs.is_empty() {
@@ -257,6 +270,16 @@ mod tests {
             assert!(p.starts_with('/'), "unrooted path {p}");
             let depth = p.matches('/').count() as u32;
             assert_eq!(depth, ns.dirs()[id as usize].depth, "path {p}");
+        }
+    }
+
+    #[test]
+    fn all_paths_at_once_equal_each_path() {
+        let ns = namespace(0.03, 6);
+        let paths = ns.paths();
+        assert_eq!(paths.len(), ns.len());
+        for (id, p) in (0u32..).zip(&paths) {
+            assert_eq!(*p, ns.path(id));
         }
     }
 

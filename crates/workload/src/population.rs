@@ -10,7 +10,7 @@
 //! * 44% written once and never read; 65% written exactly once;
 //! * ~5% referenced more than ten times (Figure 8 runs to 250).
 //!
-//! Solving those marginals gives the class table in [`sample_class`]:
+//! Solving those marginals gives the class table in [`ClassModel`]:
 //!
 //! | writes | reads | probability |
 //! |---|---|---|
@@ -45,12 +45,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::dist::{BoundedPareto, Discrete, Geometric, LogNormal, Sample};
 
-/// Read/write count tail: bounded Pareto on `[1, 250]` with shape 0.85,
-/// giving Figure 8's few-percent of files referenced more than ten times.
-fn count_tail<R: Rng + ?Sized>(rng: &mut R) -> u32 {
-    BoundedPareto::new(0.85, 1.0, 250.0).sample(rng).floor() as u32
-}
-
 /// A sampled per-file behaviour: dedup-rule reference counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClassSample {
@@ -60,66 +54,69 @@ pub struct ClassSample {
     pub reads: u32,
 }
 
-/// Draws a reference class, conditioned on whether the file pre-dates the
-/// trace window (pre-trace files can only show `writes = 0`).
-pub fn sample_class<R: Rng + ?Sized>(rng: &mut R, pre_existing: bool) -> ClassSample {
-    if pre_existing {
-        // Conditional on w = 0 (marginal mass 0.21): rows (0,1), (0,2), (0,3+).
-        let mix = Discrete::new(&[0.13, 0.04, 0.04]);
-        match mix.index(rng) {
-            0 => ClassSample {
-                writes: 0,
-                reads: 1,
-            },
-            1 => ClassSample {
-                writes: 0,
-                reads: 2,
-            },
-            _ => ClassSample {
-                writes: 0,
-                reads: 2 + count_tail(rng),
-            },
+/// The reference-class table as samplers, built once per workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClassModel {
+    /// Conditional on w = 0 (marginal mass 0.21): rows (0,1), (0,2), (0,3+).
+    pre_trace: Discrete,
+    /// Conditional on w >= 1 (marginal mass 0.79).
+    in_trace: Discrete,
+    /// Extra writes beyond a class's floor.
+    extra_writes: Geometric,
+    /// Read/write count tail: bounded Pareto on `[1, 250]` with shape
+    /// 0.85, giving Figure 8's few-percent of files referenced more
+    /// than ten times.
+    count_tail: BoundedPareto,
+}
+
+impl ClassModel {
+    /// The calibrated NCAR class table.
+    pub fn ncar() -> Self {
+        ClassModel {
+            pre_trace: Discrete::new(&[0.13, 0.04, 0.04]),
+            in_trace: Discrete::new(&[0.44, 0.11, 0.04, 0.02, 0.01, 0.10, 0.07]),
+            extra_writes: Geometric::new(0.5),
+            count_tail: BoundedPareto::new(0.85, 1.0, 250.0),
         }
-    } else {
-        // Conditional on w >= 1 (marginal mass 0.79).
-        let mix = Discrete::new(&[0.44, 0.11, 0.04, 0.02, 0.01, 0.10, 0.07]);
-        let extra_w = Geometric::new(0.5);
-        match mix.index(rng) {
-            0 => ClassSample {
-                writes: 1,
-                reads: 0,
-            },
-            1 => ClassSample {
-                writes: 1,
-                reads: 1,
-            },
-            2 => ClassSample {
-                writes: 2,
-                reads: 0,
-            },
-            3 => ClassSample {
-                writes: 3 + extra_w.sample_count(rng),
-                reads: 0,
-            },
-            4 => ClassSample {
-                writes: 2 + extra_w.sample_count(rng),
-                reads: 1,
-            },
-            5 => ClassSample {
-                writes: 1,
-                reads: 1 + count_tail(rng),
-            },
-            _ => ClassSample {
-                writes: 2 + extra_w.sample_count(rng),
-                reads: 1 + count_tail(rng),
-            },
-        }
+    }
+
+    fn count_tail<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        self.count_tail.sample(rng).floor() as u32
+    }
+
+    /// Draws a reference class, conditioned on whether the file
+    /// pre-dates the trace window (pre-trace files can only show
+    /// `writes = 0`).
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, pre_existing: bool) -> ClassSample {
+        let (writes, reads) = if pre_existing {
+            match self.pre_trace.index(rng) {
+                0 => (0, 1),
+                1 => (0, 2),
+                _ => (0, 2 + self.count_tail(rng)),
+            }
+        } else {
+            match self.in_trace.index(rng) {
+                0 => (1, 0),
+                1 => (1, 1),
+                2 => (2, 0),
+                3 => (3 + self.extra_writes.sample_count(rng), 0),
+                4 => (2 + self.extra_writes.sample_count(rng), 1),
+                5 => (1, 1 + self.count_tail(rng)),
+                _ => (
+                    2 + self.extra_writes.sample_count(rng),
+                    1 + self.count_tail(rng),
+                ),
+            }
+        };
+        ClassSample { writes, reads }
     }
 }
 
 /// The three-component file-size mixture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeModel {
+    /// Component weights per [`SizeBias`], in declaration order.
+    mixes: [Discrete; 3],
     small: LogNormal,
     large: LogNormal,
     bump: LogNormal,
@@ -131,6 +128,11 @@ impl SizeModel {
     /// The calibrated NCAR size model with the given MSS file-size cap.
     pub fn ncar(cap: u64) -> Self {
         SizeModel {
+            mixes: [
+                Discrete::new(&[0.40, 0.30, 0.30]),
+                Discrete::new(&[0.58, 0.37, 0.05]),
+                Discrete::new(&[0.45, 0.46, 0.09]),
+            ],
             small: LogNormal::from_median(0.5e6, 1.6),
             large: LogNormal::from_median(40.0e6, 1.0),
             bump: LogNormal::from_median(8.0e6, 0.35),
@@ -145,13 +147,7 @@ impl SizeModel {
     /// most of the 8 MB bump (Figure 10's write bump); hot re-read files
     /// skew large (Table 3: average read 27 MB > average write 20 MB).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, bias: SizeBias) -> u64 {
-        let weights: [f64; 3] = match bias {
-            SizeBias::Archive => [0.40, 0.30, 0.30],
-            SizeBias::Normal => [0.58, 0.37, 0.05],
-            SizeBias::HotRead => [0.45, 0.46, 0.09],
-        };
-        let mix = Discrete::new(&weights);
-        let raw = match mix.index(rng) {
+        let raw = match self.mixes[bias as usize].index(rng) {
             0 => self.small.sample(rng),
             1 => self.large.sample(rng),
             _ => self.bump.sample(rng),
@@ -196,6 +192,7 @@ pub fn build_dataset_files<R: Rng + ?Sized>(
     count: u32,
     pre_existing: bool,
     read_scale: f64,
+    classes: &ClassModel,
     sizes: &SizeModel,
 ) -> Vec<FileSpec> {
     let start_offset = Geometric::new(0.55);
@@ -208,7 +205,7 @@ pub fn build_dataset_files<R: Rng + ?Sized>(
     entries
         .into_iter()
         .map(|first_session| {
-            let class = sample_class(rng, pre_existing);
+            let class = classes.sample(rng, pre_existing);
             let bias = if class.writes >= 1 && class.reads == 0 {
                 SizeBias::Archive
             } else if class.reads >= 2 {
@@ -260,10 +257,11 @@ mod tests {
     /// calibrated 21% pre-trace file share.
     fn marginal_samples(n: usize) -> Vec<ClassSample> {
         let mut r = rng();
+        let classes = ClassModel::ncar();
         (0..n)
             .map(|_| {
                 let pre = r.gen::<f64>() < 0.21;
-                sample_class(&mut r, pre)
+                classes.sample(&mut r, pre)
             })
             .collect()
     }
@@ -318,7 +316,7 @@ mod tests {
     fn pre_existing_files_are_never_written() {
         let mut r = rng();
         for _ in 0..5_000 {
-            let c = sample_class(&mut r, true);
+            let c = ClassModel::ncar().sample(&mut r, true);
             assert_eq!(c.writes, 0);
             assert!(c.reads >= 1);
         }
@@ -328,7 +326,7 @@ mod tests {
     fn in_trace_files_are_always_written() {
         let mut r = rng();
         for _ in 0..5_000 {
-            let c = sample_class(&mut r, false);
+            let c = ClassModel::ncar().sample(&mut r, false);
             assert!(c.writes >= 1);
         }
     }
@@ -388,7 +386,7 @@ mod tests {
     fn dataset_files_and_sessions() {
         let m = SizeModel::ncar(200_000_000);
         let mut r = rng();
-        let files = build_dataset_files(&mut r, 200, false, 1.0, &m);
+        let files = build_dataset_files(&mut r, 200, false, 1.0, &ClassModel::ncar(), &m);
         assert_eq!(files.len(), 200);
         let s = sessions_needed(&files);
         // Every reading file's span fits within the session count.
@@ -401,5 +399,76 @@ mod tests {
         let cold: Vec<FileSpec> = files.iter().map(|f| FileSpec { reads: 0, ..*f }).collect();
         assert_eq!(sessions_needed(&cold), 0);
         assert_eq!(sessions_needed(&[]), 0);
+    }
+
+    /// The class draw as written before its samplers were hoisted into
+    /// [`ClassModel`]: every mix, geometric and tail built per call.
+    fn per_call_class(rng: &mut SmallRng, pre_existing: bool) -> ClassSample {
+        let tail =
+            |rng: &mut SmallRng| BoundedPareto::new(0.85, 1.0, 250.0).sample(rng).floor() as u32;
+        let (writes, reads) = if pre_existing {
+            match Discrete::new(&[0.13, 0.04, 0.04]).index(rng) {
+                0 => (0, 1),
+                1 => (0, 2),
+                _ => (0, 2 + tail(rng)),
+            }
+        } else {
+            let mix = Discrete::new(&[0.44, 0.11, 0.04, 0.02, 0.01, 0.10, 0.07]);
+            let extra_w = Geometric::new(0.5);
+            match mix.index(rng) {
+                0 => (1, 0),
+                1 => (1, 1),
+                2 => (2, 0),
+                3 => (3 + extra_w.sample_count(rng), 0),
+                4 => (2 + extra_w.sample_count(rng), 1),
+                5 => (1, 1 + tail(rng)),
+                _ => (2 + extra_w.sample_count(rng), 1 + tail(rng)),
+            }
+        };
+        ClassSample { writes, reads }
+    }
+
+    /// The size draw with its mix built per call, as before hoisting.
+    fn per_call_size(m: &SizeModel, rng: &mut SmallRng, bias: SizeBias) -> u64 {
+        let weights: [f64; 3] = match bias {
+            SizeBias::Archive => [0.40, 0.30, 0.30],
+            SizeBias::Normal => [0.58, 0.37, 0.05],
+            SizeBias::HotRead => [0.45, 0.46, 0.09],
+        };
+        let raw = match Discrete::new(&weights).index(rng) {
+            0 => m.small.sample(rng),
+            1 => m.large.sample(rng),
+            _ => m.bump.sample(rng),
+        };
+        (raw as u64).clamp(m.floor, m.cap)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Hoisted samplers draw what per-call construction draws, from
+        /// the same stream, leaving it in the same state.
+        #[test]
+        fn hoisted_samplers_equal_per_call_construction(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let classes = ClassModel::ncar();
+            let sizes = SizeModel::ncar(200_000_000);
+            let mut hoisted = SmallRng::seed_from_u64(seed);
+            let mut per_call = hoisted.clone();
+            for i in 0..256 {
+                let pre = i % 3 == 0;
+                proptest::prop_assert_eq!(
+                    classes.sample(&mut hoisted, pre),
+                    per_call_class(&mut per_call, pre)
+                );
+                let bias = [SizeBias::Archive, SizeBias::Normal, SizeBias::HotRead][i % 3];
+                proptest::prop_assert_eq!(
+                    sizes.sample(&mut hoisted, bias),
+                    per_call_size(&sizes, &mut per_call, bias)
+                );
+            }
+            proptest::prop_assert_eq!(hoisted.gen::<u64>(), per_call.gen::<u64>());
+        }
     }
 }

@@ -16,7 +16,9 @@
 //! `w(t) ∈ (0, 1]` used to thin nominal event times into calendar-aware
 //! ones (see [`RateModel::modulate`]).
 
-use fmig_trace::time::{Timestamp, Weekday, HOUR, TRACE_SECONDS};
+use fmig_trace::time::{
+    Holiday, Timestamp, Weekday, DAY, HOUR, TRACE_END, TRACE_EPOCH, TRACE_SECONDS,
+};
 use rand::Rng;
 
 use crate::dist::{Exp, Sample};
@@ -51,6 +53,14 @@ pub const WRITE_WEEKLY: [f64; 7] = [0.95, 0.93, 1.00, 1.00, 0.99, 0.98, 0.96];
 /// Extra Monday-early-morning read suppression (before 6 AM).
 const MONDAY_MORNING_FACTOR: f64 = 0.55;
 
+/// Days on either side of the trace window that [`RateModel`]'s holiday
+/// table covers: thinning and pacing can carry a candidate a few days
+/// past either end. Days outside it fall back to the calendar.
+const HOLIDAY_MARGIN_DAYS: i64 = 64;
+
+/// First day (since the Unix epoch) of the holiday table.
+const HOLIDAY_FIRST_DAY: i64 = TRACE_EPOCH.as_unix() / DAY - HOLIDAY_MARGIN_DAYS;
+
 /// Which direction's periodicity profile to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateKind {
@@ -67,14 +77,21 @@ pub struct RateModel {
     /// Total growth multiplier applied linearly across the trace window
     /// (reads ~2.0, writes 1.0).
     growth: f64,
+    /// Read-rate holiday factor per day from [`HOLIDAY_FIRST_DAY`], 1.0
+    /// on ordinary days; empty for writes, which ignore holidays.
+    holiday_factors: Vec<f64>,
 }
 
 impl RateModel {
     /// Read-side model with the given end-of-trace growth factor.
     pub fn read(growth: f64) -> Self {
+        let last_day = TRACE_END.as_unix() / DAY + HOLIDAY_MARGIN_DAYS;
         RateModel {
             kind: RateKind::Read,
             growth: growth.max(1.0),
+            holiday_factors: (HOLIDAY_FIRST_DAY..last_day)
+                .map(|day| calendar_holiday_factor(Timestamp::from_unix(day * DAY)))
+                .collect(),
         }
     }
 
@@ -83,7 +100,16 @@ impl RateModel {
         RateModel {
             kind: RateKind::Write,
             growth: 1.0,
+            holiday_factors: Vec::new(),
         }
+    }
+
+    /// The read-rate factor of the holiday `t` falls on, 1.0 if none.
+    fn holiday_factor(&self, t: Timestamp) -> f64 {
+        usize::try_from(t.as_unix().div_euclid(DAY) - HOLIDAY_FIRST_DAY)
+            .ok()
+            .and_then(|day| self.holiday_factors.get(day).copied())
+            .unwrap_or_else(|| calendar_holiday_factor(t))
     }
 
     /// The dimensionless intensity weight at instant `t`, in `(0, 1]`
@@ -99,9 +125,8 @@ impl RateModel {
             if dow == Weekday::Monday && hour < 6 {
                 w *= MONDAY_MORNING_FACTOR;
             }
-            if let Some(holiday) = t.holiday() {
-                w *= holiday.read_rate_factor();
-            }
+            // On an ordinary day this multiplies by exactly 1.0.
+            w *= self.holiday_factor(t);
             w *= self.growth_factor(t);
         }
         w
@@ -180,6 +205,11 @@ impl RateModel {
     }
 }
 
+/// The read-rate factor of the holiday `t` falls on, from the calendar.
+fn calendar_holiday_factor(t: Timestamp) -> f64 {
+    t.holiday().map_or(1.0, Holiday::read_rate_factor)
+}
+
 /// Convenience: true during the 9 AM–5 PM working window on a weekday.
 pub fn is_working_hours(t: Timestamp) -> bool {
     !t.weekday().is_weekend() && (9..17).contains(&t.hour_of_day())
@@ -200,7 +230,7 @@ pub fn integrate_weight(model: &RateModel, start: Timestamp, end: Timestamp) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmig_trace::time::{CivilDate, DAY, TRACE_EPOCH};
+    use fmig_trace::time::{CivilDate, TRACE_DAYS};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -257,6 +287,27 @@ mod tests {
         assert!(r.weight(xmas) < 0.5 * r.weight(week_before));
         let w = RateModel::write();
         assert!((w.weight(xmas) - w.weight(week_before)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_holiday_table_agrees_with_the_calendar() {
+        let m = RateModel::read(2.0);
+        // Every hour from well before the table to well after it.
+        let first = Timestamp::from_unix((HOLIDAY_FIRST_DAY - 3) * DAY);
+        let hours = (TRACE_DAYS + 2 * HOLIDAY_MARGIN_DAYS + 6) * 24;
+        for h in 0..hours {
+            let t = first.add_secs(h * HOUR + 1234);
+            let mut w =
+                READ_DIURNAL[t.hour_of_day() as usize] * READ_WEEKLY[t.weekday().index() as usize];
+            if t.weekday() == Weekday::Monday && t.hour_of_day() < 6 {
+                w *= MONDAY_MORNING_FACTOR;
+            }
+            if let Some(holiday) = t.holiday() {
+                w *= holiday.read_rate_factor();
+            }
+            w *= m.growth_factor(t);
+            assert_eq!(m.weight(t).to_bits(), w.to_bits(), "at {t}");
+        }
     }
 
     #[test]
