@@ -418,7 +418,7 @@ mod proptests {
             span in 1.0f64..1e5,
             seed in any::<u64>(),
         ) {
-            let (lo, hi) = (lo, lo + span);
+            let hi = lo + span;
             let d = BoundedPareto::new(alpha, lo, hi);
             let mut hoisted = SmallRng::seed_from_u64(seed);
             let mut per_call = hoisted.clone();

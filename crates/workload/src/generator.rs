@@ -360,38 +360,23 @@ impl Workload {
             .map(|(_, path)| fnv1a64(path.as_bytes()))
             .collect();
         // Only a namespace where two directories share a path can alias.
-        // Then each rendered directory gets a run of `first`, one cell
-        // per `name_seq` up to its widest alias, holding the first entry
-        // that renders that path.
+        // Then each rendered directory lists, by `name_seq`, the first
+        // entry that renders each of its paths.
         let aliased = self.dirs.len() < self.dir_ids.len();
-        let mut run_start: Vec<usize> = Vec::new();
-        let mut first: Vec<u32> = Vec::new();
-        if aliased {
-            let mut width = vec![0usize; self.dirs.len()];
-            for meta in &self.files {
-                let w = &mut width[self.dir_ids[meta.dir as usize].index()];
-                *w = (*w).max(meta.name_seq as usize + 1);
-            }
-            run_start = width
-                .iter()
-                .scan(0, |next, &w| {
-                    let start = *next;
-                    *next += w;
-                    Some(start)
-                })
-                .collect();
-            first = vec![u32::MAX; width.iter().sum()];
-        }
+        let mut first: Vec<Vec<u32>> = vec![Vec::new(); if aliased { self.dirs.len() } else { 0 }];
         let files: Vec<FileSlot> = (0u32..)
             .zip(&self.files)
             .map(|(i, meta)| {
                 let dir = self.dir_ids[meta.dir as usize];
                 let file = if aliased {
-                    let cell = &mut first[run_start[dir.index()] + meta.name_seq as usize];
-                    if *cell == u32::MAX {
-                        *cell = i;
+                    // A directory's entries arrive in `name_seq` order
+                    // from 0, so a name not seen yet extends the list.
+                    let names = &mut first[dir.index()];
+                    let seq = meta.name_seq as usize;
+                    if seq == names.len() {
+                        names.push(i);
                     }
-                    *cell
+                    names[seq]
                 } else {
                     i
                 };
@@ -819,14 +804,12 @@ fn sort_by_time(events: &mut [RawEvent]) {
         counts[t & LOW][0] += 1;
         counts[t >> BITS][1] += 1;
     }
+    // Exclusive prefix sums: where each digit value's run starts.
     let mut starts = counts;
-    let mut next = [0usize; 2];
-    for cell in &mut starts {
-        for (start, next) in cell.iter_mut().zip(&mut next) {
-            let n = *start;
-            *start = *next;
-            *next += n;
-        }
+    let (mut low, mut high) = (0, 0);
+    for s in &mut starts {
+        (s[0], low) = (low, low + s[0]);
+        (s[1], high) = (high, high + s[1]);
     }
     // Low digit into `buf`, then high digit back; each pass is stable.
     let mut buf = events.to_vec();
