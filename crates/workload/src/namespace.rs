@@ -183,8 +183,7 @@ impl Namespace {
         for node in &self.dirs {
             // `generate` only ever attaches a directory to an earlier one.
             let parent = node.parent.map_or("", |p| paths[p as usize].as_str());
-            let path = format!("{parent}/{}", node.name);
-            paths.push(path);
+            paths.push(format!("{parent}/{}", node.name));
         }
         paths
     }
