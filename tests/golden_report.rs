@@ -1,8 +1,10 @@
-//! Golden-report snapshot: the tiny-preset sweep JSON, byte for byte.
+//! Golden-report snapshots: the tiny-preset sweep JSON and the paper's
+//! report (every experiment of `repro all` at scale 0.002, with and
+//! without device simulation), byte for byte.
 //!
-//! The fixtures under `tests/fixtures/` were generated from the
+//! The sweep fixtures under `tests/fixtures/` were generated from the
 //! closed-loop engine *before* the fault-injection subsystem landed, so
-//! this test is simultaneously
+//! they are simultaneously
 //!
 //! * a schema pin — any accidental field rename, float-formatting drift,
 //!   or ordering change in [`fmig::SweepReport::to_json`] fails here
@@ -18,10 +20,12 @@
 //! UPDATE_GOLDEN=1 cargo test -q --test golden_report
 //! ```
 //!
-//! then commit the rewritten `tests/fixtures/golden_tiny_*.json`
-//! alongside the change that motivated it.
+//! then commit the rewritten `tests/fixtures/golden_*` files alongside
+//! the change that motivated it.
 
-use fmig::{run_sweep, FaultScenarioId, SweepConfig};
+use fmig::{
+    experiment_ids, run_experiment, run_sweep, FaultScenarioId, Study, StudyConfig, SweepConfig,
+};
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -86,4 +90,31 @@ fn tiny_latency_report_matches_golden() {
     config.latency = true;
     let report = run_sweep(&config);
     check_or_update("golden_tiny_latency.json", &report.to_json());
+}
+
+/// `repro [--no-sim] --scale 0.002 all` at its default seed: every
+/// experiment's rendering, each followed by a blank line, exactly as
+/// the binary prints them.
+fn paper_report(simulate_devices: bool) -> String {
+    let mut config = StudyConfig::at_scale(0.002);
+    config.workload.seed = 0x4E43_4152;
+    config.simulate_devices = simulate_devices;
+    let study = Study::new(config).run();
+    experiment_ids()
+        .iter()
+        .map(|id| {
+            let result = run_experiment(id, &study).expect("registered id");
+            format!("{}\n\n", result.render())
+        })
+        .collect()
+}
+
+#[test]
+fn paper_report_matches_golden() {
+    check_or_update("golden_repro_0.002.txt", &paper_report(true));
+}
+
+#[test]
+fn paper_report_without_device_simulation_matches_golden() {
+    check_or_update("golden_repro_0.002_nosim.txt", &paper_report(false));
 }
