@@ -1,7 +1,9 @@
 //! Directory statistics (Figure 12 and the Table 4 namespace rows).
 //!
-//! Directories are reconstructed from the MSS paths in the trace: every
-//! proper prefix of a referenced file's path is a directory. The paper
+//! Directories are reconstructed from the MSS paths of the referenced
+//! files: every proper prefix of a file's path is a directory. The
+//! census takes each file once, with its size when first referenced
+//! (see [`crate::Analyzer`]). The paper
 //! finds 75% of directories hold zero or one file (intermediate nodes
 //! with only subdirectories count as zero), 90% hold ten or fewer, yet
 //! 5% of directories hold about half of all files and data — and the
@@ -9,7 +11,6 @@
 
 use std::collections::HashMap;
 
-use fmig_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 /// Per-directory accumulation.
@@ -23,8 +24,7 @@ struct DirEntry {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DirStats {
     dirs: HashMap<Box<str>, DirEntry>,
-    /// First-seen guard so each file contributes once.
-    seen_files: HashMap<Box<str>, u64>,
+    files: usize,
     max_depth: u32,
 }
 
@@ -34,22 +34,18 @@ impl DirStats {
         Self::default()
     }
 
-    /// Feeds one successful record; only the first reference to a path
-    /// contributes (Figure 12 counts each file once).
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        if self.seen_files.contains_key(rec.mss_path.as_str()) {
-            return;
-        }
-        self.seen_files
-            .insert(rec.mss_path.as_str().into(), rec.file_size);
-        let Some((dir, _file)) = rec.mss_path.rsplit_once('/') else {
+    /// Adds one file of `size` bytes at `path`. Figure 12 counts each
+    /// file once, so the caller adds a file only on its first reference.
+    pub fn add_file(&mut self, path: &str, size: u64) {
+        self.files += 1;
+        let Some((dir, _file)) = path.rsplit_once('/') else {
             return;
         };
         let dir = if dir.is_empty() { "/" } else { dir };
         // Credit the containing directory with the file...
         let entry = self.dirs.entry(dir.into()).or_default();
         entry.files += 1;
-        entry.bytes += rec.file_size;
+        entry.bytes += size;
         // ...and make sure every ancestor exists as a (possibly empty)
         // directory.
         let mut depth = 0u32;
@@ -70,9 +66,9 @@ impl DirStats {
         self.dirs.len()
     }
 
-    /// Number of distinct files seen.
+    /// Number of files added.
     pub fn file_count(&self) -> usize {
-        self.seen_files.len()
+        self.files
     }
 
     /// Files in the fullest directory (Table 4: 24,926 at full scale).
@@ -186,20 +182,13 @@ impl DirStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
-
-    fn rec(path: &str, size: u64) -> TraceRecord {
-        TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH, size, path, 1)
-    }
 
     #[test]
-    fn counts_files_once_and_finds_ancestors() {
+    fn counts_files_and_finds_ancestors() {
         let mut d = DirStats::new();
-        d.observe(&rec("/u1/ccm/run1/day001", 100));
-        d.observe(&rec("/u1/ccm/run1/day001", 100)); // re-reference ignored
-        d.observe(&rec("/u1/ccm/run1/day002", 100));
-        d.observe(&rec("/u1/notes", 50));
+        d.add_file("/u1/ccm/run1/day001", 100);
+        d.add_file("/u1/ccm/run1/day002", 100);
+        d.add_file("/u1/notes", 50);
         // Dirs: /u1, /u1/ccm, /u1/ccm/run1.
         assert_eq!(d.dir_count(), 3);
         assert_eq!(d.file_count(), 3);
@@ -213,9 +202,9 @@ mod tests {
     fn large_dir_share() {
         let mut d = DirStats::new();
         for i in 0..150 {
-            d.observe(&rec(&format!("/u1/big/f{i}"), 10));
+            d.add_file(&format!("/u1/big/f{i}"), 10);
         }
-        d.observe(&rec("/u2/small/x", 1000));
+        d.add_file("/u2/small/x", 1000);
         assert!((d.files_in_dirs_larger_than(100) - 150.0 / 151.0).abs() < 1e-9);
         // Data share counts bytes: 1500 vs 1000.
         assert!((d.data_in_dirs_larger_than(100) - 0.6).abs() < 1e-9);
@@ -227,7 +216,7 @@ mod tests {
     fn curves_monotone_complete() {
         let mut d = DirStats::new();
         for i in 0..20 {
-            d.observe(&rec(&format!("/u/d{}/f{}", i % 4, i), 5));
+            d.add_file(&format!("/u/d{}/f{}", i % 4, i), 5);
         }
         let c = d.curves();
         let last = c.last().unwrap();
@@ -243,10 +232,10 @@ mod tests {
     #[test]
     fn rootless_paths_are_tolerated() {
         let mut d = DirStats::new();
-        d.observe(&rec("bare-name", 1));
+        d.add_file("bare-name", 1);
         assert_eq!(d.dir_count(), 0);
         assert_eq!(d.file_count(), 1);
-        d.observe(&rec("/top", 1));
+        d.add_file("/top", 1);
         // "/top" lives in the root directory "/".
         assert_eq!(d.dir_count(), 1);
     }

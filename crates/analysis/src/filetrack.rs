@@ -11,18 +11,13 @@
 //! under every window of [`REPEAT_WINDOWS_H`] its gap fits, which is the
 //! table `repro dedup` prints.
 //!
-//! The census itself is [`IdFileTracker`], a `Vec` of per-file state
-//! indexed by a caller-assigned slot; [`FileTracker`] is the path-keyed
-//! front that interns each `mss_path` to a slot and delegates. A slot
-//! space and interned paths cannot meet on one accumulator: the front
-//! owns its path map and lends the core out read-only, and the core has
-//! no path method.
-
-use std::collections::HashMap;
-use std::ops::Deref;
+//! The census is [`IdFileTracker`], a `Vec` of per-file state indexed
+//! by a caller-assigned slot. It has no path method: a source that names
+//! files by path (a rendered [`fmig_trace::TraceRecord`] stream) maps
+//! each path to a slot first, as [`crate::Analyzer::observe`] does.
 
 use fmig_trace::time::{DAY, HOUR};
-use fmig_trace::{Direction, Request, TraceRecord};
+use fmig_trace::{Direction, Request};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LogHistogram;
@@ -67,48 +62,6 @@ impl FileState {
     };
 }
 
-/// Aggregate per-file statistics for the whole trace, keyed by path.
-///
-/// Reads through to the [`IdFileTracker`] it fills (`Deref`), so every
-/// aggregate is written once, there.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FileTracker {
-    /// Path → slot, in first-appearance order. A map of its own, not a
-    /// [`fmig_trace::FileTable`]: nothing here maps a slot back to its
-    /// path, so each path is kept once.
-    paths: HashMap<Box<str>, u32>,
-    census: IdFileTracker,
-}
-
-impl FileTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        // Look up before inserting: a known path costs no allocation.
-        let slot = match self.paths.get(rec.mss_path.as_str()) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.paths.len() as u32;
-                self.paths.insert(rec.mss_path.as_str().into(), slot);
-                slot
-            }
-        };
-        self.census.observe(slot, rec);
-    }
-}
-
-impl Deref for FileTracker {
-    type Target = IdFileTracker;
-
-    fn deref(&self) -> &IdFileTracker {
-        &self.census
-    }
-}
-
 /// The per-file census, keyed by caller-assigned slot; see the module
 /// docs. Memory is one entry per slot up to the highest one named.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -140,10 +93,11 @@ impl IdFileTracker {
     }
 
     /// Feeds one request for the file in slot `file`; errored requests
-    /// name no file and are skipped.
-    pub fn observe(&mut self, file: u32, rec: &impl Request) {
+    /// name no file and are skipped. True when this is the first request
+    /// the slot has seen.
+    pub fn observe(&mut self, file: u32, rec: &impl Request) -> bool {
         if rec.error().is_some() {
-            return;
+            return false;
         }
         let t = rec.start().as_unix();
         self.raw_requests += 1;
@@ -151,7 +105,8 @@ impl IdFileTracker {
             self.slots.resize(file as usize + 1, FileState::UNSEEN);
         }
         let state = &mut self.slots[file as usize];
-        if state.last_raw == NEVER {
+        let first = state.last_raw == NEVER;
+        if first {
             self.seen += 1;
             state.size = rec.file_size();
         }
@@ -193,6 +148,7 @@ impl IdFileTracker {
             }
             state.last_counted_any = t;
         }
+        first
     }
 
     /// The files referenced so far, in slot order. Every aggregate
@@ -370,22 +326,40 @@ fn count_cdf(mut counts: Vec<u32>) -> Vec<(u32, f64)> {
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
+    use fmig_trace::{Endpoint, ErrorKind, TraceRecord};
 
-    fn read(path: &str, t: i64, size: u64) -> TraceRecord {
-        TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH.add_secs(t), size, path, 1)
+    // The census reads a record only through `Request`; the path these
+    // records render is never consulted, the slot each is fed with is.
+    fn read(t: i64, size: u64) -> TraceRecord {
+        TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH.add_secs(t), size, "", 1)
     }
 
-    fn write(path: &str, t: i64, size: u64) -> TraceRecord {
-        TraceRecord::write(Endpoint::MssDisk, TRACE_EPOCH.add_secs(t), size, path, 1)
+    fn write(t: i64, size: u64) -> TraceRecord {
+        TraceRecord::write(Endpoint::MssDisk, TRACE_EPOCH.add_secs(t), size, "", 1)
+    }
+
+    fn failed(t: i64) -> TraceRecord {
+        let mut rec = read(t, 0);
+        rec.error = Some(ErrorKind::FileNotFound);
+        rec
+    }
+
+    /// A census fed `(slot, record)` pairs in order.
+    fn tracked(trace: &[(u32, TraceRecord)]) -> IdFileTracker {
+        let mut ft = IdFileTracker::new();
+        for (slot, rec) in trace {
+            ft.observe(*slot, rec);
+        }
+        ft
     }
 
     #[test]
     fn dedup_folds_requests_within_eight_hours() {
-        let mut ft = FileTracker::new();
-        ft.observe(&read("/a", 0, 10));
-        ft.observe(&read("/a", 100, 10)); // within 8h: not counted
-        ft.observe(&read("/a", 9 * HOUR, 10)); // counted
+        let ft = tracked(&[
+            (0, read(0, 10)),
+            (0, read(100, 10)),      // within 8h: not counted
+            (0, read(9 * HOUR, 10)), // counted
+        ]);
         assert_eq!(ft.file_count(), 1);
         assert!((ft.fraction_where(|r, _| r == 2) - 1.0).abs() < 1e-12);
         // One counted interval (0 -> 9h).
@@ -394,66 +368,48 @@ mod tests {
 
     #[test]
     fn reads_and_writes_dedup_independently() {
-        let mut ft = FileTracker::new();
-        ft.observe(&write("/a", 0, 10));
-        ft.observe(&read("/a", 60, 10)); // a read within 8h of a write still counts
+        // A read within 8h of a write still counts.
+        let ft = tracked(&[(0, write(0, 10)), (0, read(60, 10))]);
         assert_eq!(ft.file_count(), 1);
         assert_eq!(ft.fraction_where(|r, w| (r, w) == (1, 1)), 1.0);
     }
 
     #[test]
-    fn path_front_and_id_core_agree_record_for_record() {
+    fn slots_need_not_follow_first_appearance() {
         // Revisits, a re-write at a new size, an errored request, and
         // slots handed out in an order first appearance would not give.
-        let mut gone = read("/never-there", 70, 0);
-        gone.error = Some(fmig_trace::ErrorKind::FileNotFound);
+        let mut ft = IdFileTracker::new();
         let trace = [
-            (7, write("/a", 0, 10)),
-            (2, read("/b", 50, 5)),
-            (7, read("/a", 60, 10)),
-            (u32::MAX, gone),
-            (7, write("/a", 9 * HOUR, 30)),
-            (2, read("/b", 10 * HOUR, 5)),
-            (4, read("/c", 10 * HOUR + 5, 8)),
-            (2, read("/b", 10 * HOUR + 9, 5)),
+            (7, write(0, 10), true),
+            (2, read(50, 5), true),
+            (7, read(60, 10), false),
+            (u32::MAX, failed(70), false),
+            (7, write(9 * HOUR, 30), false),
+            (2, read(10 * HOUR, 5), false),
+            (4, read(10 * HOUR + 5, 8), true),
+            (2, read(10 * HOUR + 9, 5), false),
         ];
-        let mut by_path = FileTracker::new();
-        let mut by_id = IdFileTracker::new();
-        for (slot, rec) in &trace {
-            // The analyzer keeps errored records from the path front;
-            // the core drops them itself.
-            if rec.is_ok() {
-                by_path.observe(rec);
-            }
-            by_id.observe(*slot, rec);
-            assert_eq!(by_path.file_count(), by_id.file_count());
-            assert_eq!(by_path.total_bytes(), by_id.total_bytes());
-            assert_eq!(by_path.never_read(), by_id.never_read());
-            assert_eq!(by_path.accessed_once(), by_id.accessed_once());
-            assert_eq!(by_path.repeats_within(), by_id.repeats_within());
-            assert_eq!(
-                by_path.repeat_within_8h_fraction(),
-                by_id.repeat_within_8h_fraction()
-            );
-            assert_eq!(by_path.intervals(), by_id.intervals());
-            assert_eq!(by_path.reference_count_cdf(), by_id.reference_count_cdf());
+        for (slot, rec, first) in &trace {
+            assert_eq!(ft.observe(*slot, rec), *first, "slot {slot}");
         }
-        assert_eq!(by_id.file_count(), 3);
-        assert_eq!(by_id.total_bytes(), 30 + 5 + 8);
-        assert_eq!(by_id.median_references(), 2);
+        assert_eq!(ft.file_count(), 3);
+        assert_eq!(ft.total_bytes(), 30 + 5 + 8);
+        assert_eq!(ft.median_references(), 2);
         // Gaps 60 s, 9 h − 60 s, 10 h − 50 s and 9 s.
-        assert_eq!(by_id.repeats_within(), [2, 2, 2, 2, 4]);
+        assert_eq!(ft.repeats_within(), [2, 2, 2, 2, 4]);
         // Slots 0, 1, 3, 5, 6 were never named and count toward nothing.
-        assert_eq!(by_id.size_histogram().count(), 3);
+        assert_eq!(ft.size_histogram().count(), 3);
     }
 
     #[test]
     fn headline_fractions() {
-        let mut ft = FileTracker::new();
-        ft.observe(&write("/w-only", 0, 10));
-        ft.observe(&read("/r-only", 0, 10));
-        ft.observe(&write("/both", 0, 10));
-        ft.observe(&read("/both", 10 * HOUR, 10));
+        // Slots: 0 write-only, 1 read-only, 2 both.
+        let ft = tracked(&[
+            (0, write(0, 10)),
+            (1, read(0, 10)),
+            (2, write(0, 10)),
+            (2, read(10 * HOUR, 10)),
+        ]);
         assert_eq!(ft.file_count(), 3);
         assert!((ft.never_read() - 1.0 / 3.0).abs() < 1e-12);
         assert!((ft.never_written() - 1.0 / 3.0).abs() < 1e-12);
@@ -466,27 +422,27 @@ mod tests {
 
     #[test]
     fn raw_repeats_counted_against_dedup() {
-        let mut ft = FileTracker::new();
-        ft.observe(&read("/a", 0, 10));
-        ft.observe(&read("/a", 100, 10));
-        ft.observe(&read("/a", 200, 10));
-        ft.observe(&read("/b", 300, 10));
-        // Two of four raw requests repeat /a within 8 hours.
+        let ft = tracked(&[
+            (0, read(0, 10)),
+            (0, read(100, 10)),
+            (0, read(200, 10)),
+            (1, read(300, 10)),
+        ]);
+        // Two of four raw requests repeat slot 0 within 8 hours.
         assert!((ft.repeat_within_8h_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn repeat_windows_nest_and_the_eight_hour_entry_is_the_headline() {
-        let mut ft = FileTracker::new();
-        // Gaps on /a: 100 s, 3 h, 7 h, 20 h, then 2 days.
+        let mut ft = IdFileTracker::new();
+        // Gaps on slot 0: 100 s, 3 h, 7 h, 20 h, then 2 days.
         for t in [0, 100, 100 + 3 * HOUR, 100 + 10 * HOUR, 100 + 30 * HOUR] {
-            ft.observe(&read("/a", t, 10));
+            ft.observe(0, &read(t, 10));
         }
-        ft.observe(&read("/a", 100 + 78 * HOUR, 10));
-        let mut gone = read("/a", 100 + 78 * HOUR + 1, 10);
-        gone.error = Some(fmig_trace::ErrorKind::FileNotFound);
-        ft.observe(&gone); // errored: neither a request nor a repeat
-        ft.observe(&read("/b", 5, 10));
+        ft.observe(0, &read(100 + 78 * HOUR, 10));
+        // Errored: neither a request nor a repeat.
+        ft.observe(0, &failed(100 + 78 * HOUR + 1));
+        ft.observe(1, &read(5, 10));
         let within = ft.repeats_within();
         assert_eq!(within, [1, 1, 2, 3, 4]);
         for pair in within.windows(2) {
@@ -502,10 +458,11 @@ mod tests {
 
     #[test]
     fn sizes_take_latest_write() {
-        let mut ft = FileTracker::new();
-        ft.observe(&write("/a", 0, 1_000_000));
-        ft.observe(&write("/a", 10 * HOUR, 2_000_000));
-        ft.observe(&read("/b", 0, 5_000_000));
+        let ft = tracked(&[
+            (0, write(0, 1_000_000)),
+            (0, write(10 * HOUR, 2_000_000)),
+            (1, read(0, 5_000_000)),
+        ]);
         assert_eq!(ft.total_bytes(), 7_000_000);
         assert!((ft.avg_file_mb() - 3.5).abs() < 1e-9);
         let h = ft.size_histogram();
@@ -514,10 +471,10 @@ mod tests {
 
     #[test]
     fn reference_count_cdf_is_monotone_and_ends_at_one() {
-        let mut ft = FileTracker::new();
-        for (i, n) in [1u32, 1, 2, 5, 40].iter().enumerate() {
-            for k in 0..*n {
-                ft.observe(&read(&format!("/f{i}"), (k as i64) * 9 * HOUR, 10));
+        let mut ft = IdFileTracker::new();
+        for (slot, n) in (0u32..).zip([1i64, 1, 2, 5, 40]) {
+            for k in 0..n {
+                ft.observe(slot, &read(k * 9 * HOUR, 10));
             }
         }
         let cdf = ft.reference_count_cdf();
@@ -535,9 +492,7 @@ mod tests {
 
     #[test]
     fn direction_cdfs_split_reads_and_writes() {
-        let mut ft = FileTracker::new();
-        ft.observe(&write("/a", 0, 1));
-        ft.observe(&read("/b", 0, 1));
+        let ft = tracked(&[(0, write(0, 1)), (1, read(0, 1))]);
         let reads = ft.direction_count_cdf(Direction::Read);
         // Half the files have 0 reads.
         assert_eq!(reads[0], (0, 0.5));
@@ -547,7 +502,7 @@ mod tests {
 
     #[test]
     fn empty_tracker_is_zero() {
-        let ft = FileTracker::new();
+        let ft = IdFileTracker::new();
         assert_eq!(ft.file_count(), 0);
         assert_eq!(ft.avg_file_mb(), 0.0);
         assert_eq!(ft.never_read(), 0.0);

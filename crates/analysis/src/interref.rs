@@ -5,7 +5,7 @@
 //! in clusters (multi-file programs and batch scripts).
 
 use fmig_trace::time::Timestamp;
-use fmig_trace::TraceRecord;
+use fmig_trace::Request;
 use serde::{Deserialize, Serialize};
 
 use crate::hist::{LogHistogram, Welford};
@@ -30,13 +30,13 @@ impl GapTracker {
     }
 
     /// Feeds one record (errored requests still hit the MSS and count).
-    pub fn observe(&mut self, rec: &TraceRecord) {
+    pub fn observe(&mut self, rec: &impl Request) {
         if let Some(prev) = self.last {
-            let gap = rec.start.seconds_since(prev).max(0) as f64;
+            let gap = rec.start().seconds_since(prev).max(0) as f64;
             self.gaps.record_count(gap.max(0.5));
             self.moments.push(gap);
         }
-        self.last = Some(rec.start);
+        self.last = Some(rec.start());
     }
 
     /// Number of gaps observed (requests - 1).
@@ -79,7 +79,7 @@ impl Default for GapTracker {
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
+    use fmig_trace::{Endpoint, TraceRecord};
 
     fn at(t: i64) -> TraceRecord {
         TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH.add_secs(t), 1, "/f", 1)

@@ -46,7 +46,7 @@ pub mod timeseries;
 
 pub use analyzer::Analyzer;
 pub use dirs::DirStats;
-pub use filetrack::{FileTracker, IdFileTracker, REPEAT_WINDOWS_H};
+pub use filetrack::{IdFileTracker, REPEAT_WINDOWS_H};
 pub use hist::{LogHistogram, Welford};
 pub use interref::GapTracker;
 pub use latency::{LatencyAnalysis, LatencyMoments};

@@ -6,7 +6,7 @@
 //! for files of 1 MB or less, yet such files carry under 1% of the data —
 //! and writes show a bump near 8 MB.
 
-use fmig_trace::{Direction, TraceRecord};
+use fmig_trace::{Direction, Request};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LogHistogram;
@@ -28,12 +28,12 @@ impl DynamicSizes {
     }
 
     /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
+    pub fn observe(&mut self, rec: &impl Request) {
         let h = match rec.direction() {
             Direction::Read => &mut self.read,
             Direction::Write => &mut self.write,
         };
-        h.record_weighted_by_value(rec.file_size.max(1) as f64);
+        h.record_weighted_by_value(rec.file_size().max(1) as f64);
     }
 
     /// The histogram for one direction.
@@ -110,7 +110,7 @@ impl Default for DynamicSizes {
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
+    use fmig_trace::{Endpoint, TraceRecord};
 
     fn read(size: u64) -> TraceRecord {
         TraceRecord::read(Endpoint::MssDisk, TRACE_EPOCH, size, "/f", 1)

@@ -7,7 +7,7 @@
 //!   showing read growth and holiday dips (Figure 6).
 
 use fmig_trace::time::Timestamp;
-use fmig_trace::{Direction, TraceRecord};
+use fmig_trace::{Direction, Request};
 use serde::{Deserialize, Serialize};
 
 /// Bytes and request counts accumulated into hour-of-day bins.
@@ -34,12 +34,12 @@ impl HourlyProfile {
     }
 
     /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        let hour = rec.start.hour_of_day() as usize;
+    pub fn observe(&mut self, rec: &impl Request) {
+        let hour = rec.start().hour_of_day() as usize;
         let dir = dir_index(rec.direction());
-        self.bytes[dir][hour] += rec.file_size;
+        self.bytes[dir][hour] += rec.file_size();
         self.requests[dir][hour] += 1;
-        let day = rec.start.trace_day();
+        let day = rec.start().trace_day();
         if self.first_day.is_none() {
             self.first_day = Some(day);
         }
@@ -120,12 +120,12 @@ impl WeeklyProfile {
     }
 
     /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        let dow = rec.start.weekday().index() as usize;
+    pub fn observe(&mut self, rec: &impl Request) {
+        let dow = rec.start().weekday().index() as usize;
         let dir = dir_index(rec.direction());
-        self.bytes[dir][dow] += rec.file_size;
+        self.bytes[dir][dow] += rec.file_size();
         self.requests[dir][dow] += 1;
-        let day = rec.start.trace_day();
+        let day = rec.start().trace_day();
         if self.first_day.is_none() {
             self.first_day = Some(day);
         }
@@ -182,8 +182,8 @@ impl WeekSeries {
     }
 
     /// Feeds one successful record.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        let week = rec.start.trace_week();
+    pub fn observe(&mut self, rec: &impl Request) {
+        let week = rec.start().trace_week();
         if week < 0 {
             return;
         }
@@ -192,7 +192,7 @@ impl WeekSeries {
         if v.len() <= week as usize {
             v.resize(week as usize + 1, 0);
         }
-        v[week as usize] += rec.file_size;
+        v[week as usize] += rec.file_size();
     }
 
     /// Number of weeks with any observation.
@@ -257,7 +257,7 @@ fn dir_index(dir: Direction) -> usize {
 mod tests {
     use super::*;
     use fmig_trace::time::{DAY, HOUR, TRACE_EPOCH};
-    use fmig_trace::Endpoint;
+    use fmig_trace::{Endpoint, TraceRecord};
 
     fn read_gb(t: i64, gb: f64) -> TraceRecord {
         TraceRecord::read(

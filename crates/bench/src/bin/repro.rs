@@ -491,7 +491,7 @@ fn run_experiments_command(raw: &[String], stdout: &mut StdoutLock) -> Result<()
     config.workload.seed = args.seed;
     config.simulate_devices = args.simulate;
     eprintln!(
-        "generating study: scale {}, seed {:#x}, simulation {} ...",
+        "generating study: scale {}, seed {}, simulation {} ...",
         args.scale,
         args.seed,
         if args.simulate { "on" } else { "off" }
@@ -500,7 +500,7 @@ fn run_experiments_command(raw: &[String], stdout: &mut StdoutLock) -> Result<()
     let output = Study::new(config).run();
     eprintln!(
         "study ready: {} records, {} files, {} dirs ({:.1} s)",
-        output.records.len(),
+        output.workload.len(),
         output.analysis.files.file_count(),
         output.analysis.dirs.dir_count(),
         started.elapsed().as_secs_f64()

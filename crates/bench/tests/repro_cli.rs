@@ -5,6 +5,7 @@
 //! * `repro sweep --trace` runs latency and fault cells over a store
 //!   `repro ingest` wrote;
 //! * `repro list` names the paper's experiments, in paper order;
+//! * the seed a study run prints is one `--seed` reads back;
 //! * a bad flag, an unknown experiment or a missing store is a one-line
 //!   reason plus the usage text and a non-zero exit, never a panic;
 //! * a reader that goes away (`repro all | head`) ends the run cleanly.
@@ -148,6 +149,31 @@ fn list_prints_the_paper_experiments_in_order() {
         String::from_utf8_lossy(&run.stdout),
         ids.replace(' ', "\n") + "\n"
     );
+}
+
+#[test]
+fn the_printed_seed_reads_back_as_the_same_study() {
+    let first = repro(&["--scale", "0.002", "table3"]);
+    let stderr = String::from_utf8_lossy(&first.stderr);
+    assert!(first.status.success(), "{stderr}");
+    let seed = stderr
+        .split("seed ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap_or_else(|| panic!("no seed in the progress line: {stderr}"));
+    let again = repro(&["--scale", "0.002", "--seed", seed, "table3"]);
+    assert!(
+        again.status.success(),
+        "--seed {seed}: {}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&again.stdout),
+        String::from_utf8_lossy(&first.stdout),
+        "--seed {seed} ran another study"
+    );
+    let other = repro(&["--scale", "0.002", "--seed", "7", "table3"]);
+    assert_ne!(other.stdout, first.stdout, "the seed changes nothing");
 }
 
 #[test]

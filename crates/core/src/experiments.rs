@@ -13,12 +13,14 @@
 use fmig_analysis::report::{ascii_cdf, fmt_count, fmt_f1, fmt_f2, fmt_pct, render_comparisons};
 use fmig_analysis::{Comparison, TextTable, REPEAT_WINDOWS_H};
 use fmig_migrate::{dividing::DividingPointStudy, eval, policy, writeback};
-use fmig_sim::{MssSimulator, SimConfig};
+use fmig_sim::{Metrics, MssSimulator, SimConfig};
 use fmig_trace::time::{CivilDate, Timestamp, TRACE_EPOCH};
-use fmig_trace::{DeviceClass, Direction, Endpoint, TraceRecord, TraceWriter, VerboseLogWriter};
+use fmig_trace::{
+    DeviceClass, Direction, Endpoint, IdRecord, Request, TraceRecord, TraceWriter, VerboseLogWriter,
+};
 use fmig_workload::rate::{READ_DIURNAL, READ_WEEKLY};
 
-use crate::study::StudyOutput;
+use crate::study::{StudyOutput, TABLE2_SAMPLE};
 
 /// One regenerated table or figure.
 #[derive(Debug, Clone)]
@@ -163,11 +165,12 @@ fn table1(_study: &StudyOutput) -> ExperimentResult {
             ));
         }
     }
-    let run = sim.run(records);
+    let mut annotated = Vec::with_capacity(records.len());
+    sim.run_streaming(records, |rec| annotated.push(rec));
     let mut t = TextTable::new(["category", "disk", "tape (silo)", "tape (manual)"]);
     let mut lat = [0.0f64; 3];
     let mut rate = [0.0f64; 3];
-    for rec in &run.records {
+    for rec in &annotated {
         let d = match rec.mss_device().expect("mss device") {
             DeviceClass::Disk => 0,
             DeviceClass::TapeSilo => 1,
@@ -217,14 +220,23 @@ fn table1(_study: &StudyOutput) -> ExperimentResult {
     rendered("Table 1: storage device characteristics", text, comparisons)
 }
 
-/// Table 2: the trace format and its compaction ratio.
+/// Table 2: the trace format and its compaction ratio, over the first
+/// [`TABLE2_SAMPLE`] records rendered from the workload. A simulated
+/// study annotates each with its simulated startup latency and the
+/// transfer time the simulator gives it; otherwise the rendered records
+/// carry the generator's own timings.
 fn table2(study: &StudyOutput) -> ExperimentResult {
-    let n = study.records.len().min(50_000);
+    let n = study.workload.len().min(TABLE2_SAMPLE);
     let mut compact = TraceWriter::new(Vec::new(), TRACE_EPOCH).expect("vec writer");
     let mut verbose = VerboseLogWriter::new(Vec::new());
-    for rec in &study.records[..n] {
-        compact.write_record(rec).expect("vec writer");
-        verbose.write_record(rec).expect("vec writer");
+    let simulated = study.sim_metrics.is_some();
+    for (i, mut rec) in study.workload.records().take(n).enumerate() {
+        if simulated {
+            let transfer_ms = study.config.sim.transfer_ms(&rec);
+            rec.annotate(study.latencies[i], transfer_ms);
+        }
+        compact.write_record(&rec).expect("vec writer");
+        verbose.write_record(&rec).expect("vec writer");
     }
     let ratio = verbose.bytes_written() as f64 / compact.bytes_written().max(1) as f64;
     let per_rec = compact.bytes_written() as f64 / n.max(1) as f64;
@@ -922,7 +934,7 @@ fn policies(study: &StudyOutput) -> ExperimentResult {
     let capacity = (total_bytes as f64 * 0.015) as u64;
     let suite = policy::standard_suite();
     let config = eval::EvalConfig::with_capacity(capacity.max(1_000_000));
-    let outcomes = eval::evaluate_policies(&study.records, &suite, &config);
+    let outcomes = study.prepared.evaluate(&suite, &config);
     let mut t = TextTable::new(["policy", "miss ratio", "byte miss", "person-min/day"]);
     for o in &outcomes {
         t.row([
@@ -1012,9 +1024,9 @@ fn dedup_exp(study: &StudyOutput) -> ExperimentResult {
 fn dividing_exp(study: &StudyOutput) -> ExperimentResult {
     let static_sizes: Vec<u64> = study.workload.files().iter().map(|f| f.size).collect();
     let access_sizes: Vec<u64> = study
-        .records
-        .iter()
-        .filter(|r| r.is_ok())
+        .workload
+        .requests()
+        .filter(|r| r.error.is_none())
         .map(|r| r.file_size)
         .collect();
     let mut s = DividingPointStudy::ncar();
@@ -1077,17 +1089,17 @@ fn dividing_exp(study: &StudyOutput) -> ExperimentResult {
 
 /// §6-d: lazy write-behind.
 fn writeback_exp(study: &StudyOutput) -> ExperimentResult {
-    let base_records: Vec<TraceRecord> = study.workload.records().collect();
-    let deferred = writeback::defer_writes(&base_records);
-    let report = writeback::deferral_report(&base_records, &deferred);
+    let base: Vec<IdRecord> = study.workload.requests().collect();
+    let deferred = writeback::defer_writes(&base);
+    let report = writeback::deferral_report(&base, &deferred);
+    drop(base);
     // Use hardware scaled to the workload so the tape drives are as
     // contended as NCAR's were; on full-size hardware a scaled trace
     // leaves the drives idle and deferral has nothing to relieve.
     let sim = MssSimulator::new(SimConfig::scaled(study.config.workload.scale));
-    let before = sim.run(base_records);
-    let after = sim.run(deferred);
-    let read_mean = |run: &fmig_sim::SimRun| {
-        let m = &run.metrics;
+    let before = sim.run_streaming(study.workload.requests(), drop);
+    let after = sim.run_streaming(deferred, drop);
+    let read_mean = |m: &Metrics| {
         let h = m.latency_of(Direction::Read, DeviceClass::TapeSilo);
         let g = m.latency_of(Direction::Read, DeviceClass::TapeManual);
         let n = h.count() + g.count();

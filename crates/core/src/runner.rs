@@ -14,10 +14,10 @@
 //!    reads — [`TraceStats`], the [`IdFileTracker`] census (NCAR shards
 //!    only: it feeds just the paper deltas) and the [`LatencyMoments`]
 //!    behind the two mean-latency columns — and the policy-replay
-//!    preparation ([`IdTracePrep`]). No path string is built, and the
-//!    full annotated `Vec<TraceRecord>` that [`crate::Study::run`] keeps
-//!    for the experiment registry is never materialized, which is what
-//!    makes wide matrices affordable. An imported shard instead opens
+//!    preparation ([`IdTracePrep`]) — the same pass [`crate::Study::run`]
+//!    makes for the experiment registry. No path string is built and no
+//!    annotated record is kept, which is what makes wide matrices
+//!    affordable. An imported shard instead opens
 //!    its columnar replay store and reads only the import-time census.
 //! 2. **Cell execution** — the matrix is split into *cell units* that
 //!    draw from one global queue: a closed-loop unit is a single
@@ -298,9 +298,8 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
     let mut stats = TraceStats::new();
     let mut tracked = (preset == PresetId::Ncar).then(IdFileTracker::new);
     let mut latency = LatencyMoments::new();
-    let requests = workload.into_requests();
-    let records = requests.len() as u64;
-    let mut prep = IdTracePrep::with_capacity(files as usize, requests.len());
+    let records = workload.len() as u64;
+    let mut prep = IdTracePrep::with_capacity(files as usize, workload.len());
     let sink = |rec: IdRecord| {
         stats.observe(&rec);
         if let Some(tracked) = &mut tracked {
@@ -310,10 +309,13 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
         prep.observe(rec.file, &rec);
     };
     if config.simulate_devices {
-        MssSimulator::new(SimConfig::default().with_seed(sim_seed)).run_streaming(requests, sink);
+        MssSimulator::new(SimConfig::default().with_seed(sim_seed))
+            .run_streaming(workload.requests(), sink);
     } else {
-        requests.for_each(sink);
+        workload.requests().for_each(sink);
     }
+    // Nothing reads the workload after its one pass.
+    drop(workload);
     let prepared = prep.finish();
     let refs = prepared.refs();
     let horizon = fault_horizon(
@@ -695,7 +697,7 @@ mod tests {
                 MssSimulator::new(SimConfig::default().with_seed(config.sim_seed(preset_idx, 0)));
             let mut latency = fmig_analysis::LatencyAnalysis::new();
             let mut tracked = IdFileTracker::new();
-            sim.run_streaming(workload.into_requests(), |rec| {
+            sim.run_streaming(workload.requests(), |rec| {
                 latency.observe(&rec);
                 tracked.observe(rec.file, &rec);
             });

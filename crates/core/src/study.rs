@@ -7,8 +7,9 @@
 //! table and figure.
 
 use fmig_analysis::Analyzer;
+use fmig_migrate::eval::{IdTracePrep, PreparedTrace};
 use fmig_sim::{Metrics, MssSimulator, SimConfig};
-use fmig_trace::TraceRecord;
+use fmig_trace::IdRecord;
 use fmig_workload::{PaperTargets, Workload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 
@@ -47,18 +48,25 @@ impl Default for StudyConfig {
     }
 }
 
+/// How many leading records Table 2 renders through the trace codec,
+/// and so how many startup latencies a simulated study keeps.
+pub const TABLE2_SAMPLE: usize = 50_000;
+
 /// Everything a study run produces.
 #[derive(Debug)]
 pub struct StudyOutput {
     /// The configuration that produced this output.
     pub config: StudyConfig,
-    /// The generated workload (namespace, file population, events).
+    /// The generated workload (namespace, file population, events): the
+    /// source every experiment re-streams requests or records from.
     pub workload: Workload,
-    /// The trace, annotated with simulated latencies when device
-    /// simulation ran.
-    pub records: Vec<TraceRecord>,
-    /// Figure/table analyses over `records`.
+    /// Figure/table analyses over the (simulated) request stream.
     pub analysis: Analyzer,
+    /// The request stream prepared for policy replay.
+    pub prepared: PreparedTrace,
+    /// The simulated startup latencies of the first [`TABLE2_SAMPLE`]
+    /// requests, in trace order; empty when device simulation is off.
+    pub latencies: Vec<u32>,
     /// Simulator metrics (latency histograms), if it ran.
     pub sim_metrics: Option<Metrics>,
     /// The paper's published values for comparison.
@@ -84,35 +92,41 @@ impl Study {
 
     /// Runs the full pipeline.
     ///
-    /// The analysis pass is fed record by record from the simulator's
-    /// streaming sink, so analysis never requires a second sweep over the
-    /// trace; the records themselves are kept because [`StudyOutput`]
-    /// exposes them to the experiment registry. Sweep cells, which only
-    /// need the aggregates, skip this type entirely and stream records
-    /// straight into their accumulators (see [`crate::sweep`]).
+    /// One pass streams the workload's path-free requests through the
+    /// device simulator (when it runs) into the analysis and the
+    /// policy-replay preparation, as a sweep shard does (see
+    /// [`crate::runner`]); a file's path is rendered once, for the
+    /// directory census. No per-record string is built or kept.
     pub fn run(&self) -> StudyOutput {
         let workload = Workload::generate(&self.config.workload);
         let mut analysis = Analyzer::new();
-        let mut records = Vec::with_capacity(workload.len());
+        let mut prep = IdTracePrep::with_capacity(workload.files().len(), workload.len());
+        let sample = if self.config.simulate_devices {
+            TABLE2_SAMPLE.min(workload.len())
+        } else {
+            0
+        };
+        let mut latencies = Vec::with_capacity(sample);
+        let sink = |rec: IdRecord| {
+            analysis.observe_file(rec.file, &rec, |file| workload.file_path(file));
+            prep.observe(rec.file, &rec);
+            if latencies.len() < sample {
+                latencies.push(rec.startup_latency_s);
+            }
+        };
         let sim_metrics = if self.config.simulate_devices {
             let sim = MssSimulator::new(self.config.sim.clone());
-            let metrics = sim.run_streaming(workload.records(), |rec| {
-                analysis.observe(&rec);
-                records.push(rec);
-            });
-            Some(metrics)
+            Some(sim.run_streaming(workload.requests(), sink))
         } else {
-            for rec in workload.records() {
-                analysis.observe(&rec);
-                records.push(rec);
-            }
+            workload.requests().for_each(sink);
             None
         };
         StudyOutput {
             config: self.config.clone(),
             workload,
-            records,
             analysis,
+            prepared: prep.finish(),
+            latencies,
             sim_metrics,
             targets: PaperTargets::ncar(),
         }
@@ -133,26 +147,29 @@ mod tests {
     #[test]
     fn pipeline_produces_consistent_artifacts() {
         let out = tiny();
-        assert!(!out.records.is_empty());
-        assert_eq!(out.records.len(), out.workload.len());
-        assert_eq!(out.analysis.stats.raw_references, out.records.len() as u64);
+        assert!(!out.workload.is_empty());
+        assert_eq!(out.analysis.stats.raw_references, out.workload.len() as u64);
+        let ok = out.workload.requests().filter(|r| r.error.is_none());
+        assert_eq!(out.prepared.len(), ok.count());
+        assert_eq!(out.prepared.file_count(), out.analysis.files.file_count());
+        assert_eq!(
+            out.analysis.dirs.file_count(),
+            out.analysis.files.file_count()
+        );
+        assert_eq!(out.latencies.len(), out.workload.len().min(TABLE2_SAMPLE));
         assert!(out.sim_metrics.is_some());
     }
 
     #[test]
     fn simulation_fills_latencies() {
         let out = tiny();
-        let with_latency = out
-            .records
-            .iter()
-            .filter(|r| r.is_ok() && r.startup_latency_s > 0)
-            .count();
-        // The vast majority of successful requests should have a
-        // non-zero simulated startup latency.
+        let with_latency = out.latencies.iter().filter(|&&l| l > 0).count();
+        // The vast majority of requests should have a non-zero simulated
+        // startup latency.
         assert!(
-            with_latency as f64 > 0.5 * out.records.len() as f64,
-            "only {with_latency} of {} records have latency",
-            out.records.len()
+            with_latency as f64 > 0.5 * out.latencies.len() as f64,
+            "only {with_latency} of {} requests have latency",
+            out.latencies.len()
         );
         // And the analysis sees them.
         assert!(out.analysis.latency.direction_mean(Direction::Read) > 0.0);
@@ -164,7 +181,8 @@ mod tests {
         config.simulate_devices = false;
         let out = Study::new(config).run();
         assert!(out.sim_metrics.is_none());
-        assert!(out.records.iter().all(|r| r.startup_latency_s == 0));
+        assert!(out.latencies.is_empty());
+        assert_eq!(out.analysis.latency.direction_mean(Direction::Read), 0.0);
         // Non-latency analyses still work.
         assert!(out.analysis.files.file_count() > 0);
     }
@@ -173,6 +191,8 @@ mod tests {
     fn runs_are_deterministic() {
         let a = tiny();
         let b = tiny();
-        assert_eq!(a.records, b.records);
+        assert_eq!(a.latencies, b.latencies);
+        assert_eq!(a.prepared.refs(), b.prepared.refs());
+        assert_eq!(a.analysis.stats, b.analysis.stats);
     }
 }

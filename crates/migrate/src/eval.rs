@@ -379,15 +379,6 @@ impl PreparedTrace {
     }
 }
 
-/// Pre-processes a borrowed trace for replay.
-pub fn prepare<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> PreparedTrace {
-    let mut prep = TracePrep::new();
-    for rec in records {
-        prep.observe(rec);
-    }
-    prep.finish()
-}
-
 fn replay(
     prepared: &[PreparedRef],
     file_count: usize,
@@ -448,16 +439,6 @@ impl<'p> ReplaySession<'p> {
     }
 }
 
-/// Runs every policy over the trace, in parallel, and returns outcomes
-/// in the input policy order.
-pub fn evaluate_policies(
-    records: &[TraceRecord],
-    policies: &[Box<dyn MigrationPolicy>],
-    config: &EvalConfig,
-) -> Vec<PolicyOutcome> {
-    prepare(records).evaluate(policies, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,13 +474,19 @@ mod tests {
         records
     }
 
+    fn prepare(records: &[TraceRecord]) -> PreparedTrace {
+        let mut prep = TracePrep::new();
+        records.iter().for_each(|rec| prep.observe(rec));
+        prep.finish()
+    }
+
     #[test]
     fn belady_is_a_lower_bound() {
         let trace = skewed_trace();
         let policies: Vec<Box<dyn MigrationPolicy>> =
             vec![Box::new(Belady), Box::new(Lru), Box::new(Stp::classic())];
         let config = EvalConfig::with_capacity(6_000_000);
-        let out = evaluate_policies(&trace, &policies, &config);
+        let out = prepare(&trace).evaluate(&policies, &config);
         let belady = out[0].miss_ratio;
         for o in &out[1..] {
             assert!(
@@ -515,7 +502,7 @@ mod tests {
     fn outcomes_follow_input_order_and_have_names() {
         let trace = skewed_trace();
         let suite = standard_suite();
-        let out = evaluate_policies(&trace, &suite, &EvalConfig::with_capacity(5_000_000));
+        let out = prepare(&trace).evaluate(&suite, &EvalConfig::with_capacity(5_000_000));
         assert_eq!(out.len(), suite.len());
         for (o, p) in out.iter().zip(suite.iter()) {
             assert_eq!(o.name, p.name());
@@ -543,20 +530,6 @@ mod tests {
         let full = sweep.last().unwrap().1;
         let cold = 6.0 / (6.0 * 60.0) + 60.0 / (60.0 * 7.0) * 0.0; // loose sanity bound
         assert!(full <= 0.2, "full-cache miss ratio {full} (cold ~{cold})");
-    }
-
-    #[test]
-    fn streamed_prep_matches_batch_evaluation() {
-        let trace = skewed_trace();
-        let suite = standard_suite();
-        let config = EvalConfig::with_capacity(5_000_000);
-        let batch = evaluate_policies(&trace, &suite, &config);
-        let mut prep = TracePrep::new();
-        for rec in &trace {
-            prep.observe(rec);
-        }
-        let streamed = prep.finish().evaluate(&suite, &config);
-        assert_eq!(batch, streamed);
     }
 
     #[test]
@@ -615,8 +588,7 @@ mod tests {
         let mut bad = trace[0].clone();
         bad.error = Some(fmig_trace::ErrorKind::FileNotFound);
         trace.insert(0, bad);
-        let out = evaluate_policies(
-            &trace,
+        let out = prepare(&trace).evaluate(
             &[Box::new(Lru) as Box<dyn MigrationPolicy>],
             &EvalConfig::with_capacity(5_000_000),
         );
@@ -627,8 +599,7 @@ mod tests {
     #[test]
     fn person_minutes_scale_with_misses() {
         let trace = skewed_trace();
-        let out = evaluate_policies(
-            &trace,
+        let out = prepare(&trace).evaluate(
             &[Box::new(Lru) as Box<dyn MigrationPolicy>],
             &EvalConfig {
                 wait_s_per_miss: 60.0,

@@ -47,8 +47,8 @@ pub use cache::{
 };
 pub use dividing::{DeviceModel, DividingPointStudy, DividingRow};
 pub use eval::{
-    evaluate_policies, EvalConfig, IdTracePrep, LatencyOutcome, PolicyOutcome, PreparedRef,
-    PreparedTrace, ReplaySession, TracePrep,
+    EvalConfig, IdTracePrep, LatencyOutcome, PolicyOutcome, PreparedRef, PreparedTrace,
+    ReplaySession, TracePrep,
 };
 pub use feedback::LatencyFeedback;
 pub use mrc::{MissRatioCurve, MrcPoint};

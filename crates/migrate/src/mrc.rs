@@ -855,7 +855,7 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use crate::eval::prepare;
+    use crate::eval::TracePrep;
     use crate::policy::{standard_suite, Belady, Lru};
     use fmig_trace::time::TRACE_EPOCH;
     use fmig_trace::{DeviceClass, Endpoint, TraceRecord};
@@ -883,7 +883,9 @@ mod tests {
                 1,
             ));
         }
-        prepare(records.iter()).refs().to_vec()
+        let mut prep = TracePrep::new();
+        records.iter().for_each(|rec| prep.observe(rec));
+        prep.finish().refs().to_vec()
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! on the original and deferred traces quantifies how much read latency
 //! the daytime tape-drive contention was costing.
 
-use std::collections::HashMap;
-
 use fmig_trace::time::{Timestamp, DAY, HOUR};
-use fmig_trace::{Direction, TraceRecord};
+use fmig_trace::{Direction, IdRecord};
 
 /// Start hour of the quiet window (inclusive).
 const NIGHT_START_H: i64 = 22;
@@ -42,38 +40,34 @@ pub fn next_night(t: Timestamp) -> Timestamp {
 ///
 /// Each write keeps its identity but its start time moves to the next
 /// night window (plus a spreading offset), clamped so it still lands
-/// before any later read of the same file. Reads and errors are
-/// untouched. The result is re-sorted by start time.
-pub fn defer_writes(records: &[TraceRecord]) -> Vec<TraceRecord> {
-    // Pass 1 (reverse): the next read time of each path after each index.
-    let mut next_read_after: Vec<Option<i64>> = vec![None; records.len()];
-    let mut next_read: HashMap<&str, i64> = HashMap::new();
-    for (i, rec) in records.iter().enumerate().rev() {
-        next_read_after[i] = next_read.get(rec.mss_path.as_str()).copied();
-        if rec.is_ok() && rec.direction() == Direction::Read {
-            next_read.insert(rec.mss_path.as_str(), rec.start.as_unix());
-        }
-    }
-
-    // Pass 2: move writes into the night, spreading them out within the
-    // window so the flush itself does not become a convoy.
-    let mut out: Vec<TraceRecord> = Vec::with_capacity(records.len());
-    let mut spread: i64 = 0;
-    for (i, rec) in records.iter().enumerate() {
-        if !rec.is_ok() || rec.direction() != Direction::Write {
-            out.push(rec.clone());
+/// before any later read of the same file. Files are named by
+/// `IdRecord::file`; reads and errored records are untouched, and an
+/// errored record's slot is never looked up. The result is re-sorted by
+/// start time.
+pub fn defer_writes(records: &[IdRecord]) -> Vec<IdRecord> {
+    let ok = || records.iter().filter(|r| r.error.is_none());
+    let slots = ok().map(|r| r.file as usize + 1).max().unwrap_or(0);
+    let mut writes = ok().filter(|r| r.direction == Direction::Write).count() as i64;
+    // One reverse pass: each file's next read is known at each write.
+    let mut next_read: Vec<Option<i64>> = vec![None; slots];
+    let mut out = records.to_vec();
+    for rec in out.iter_mut().rev().filter(|r| r.error.is_none()) {
+        let start = rec.start.as_unix();
+        let next = &mut next_read[rec.file as usize];
+        if rec.direction == Direction::Read {
+            *next = Some(start);
             continue;
         }
-        let night = next_night(rec.start).as_unix();
-        spread = (spread + 97) % (6 * HOUR);
-        let mut flush = night.max(rec.start.as_unix()) + spread % (4 * HOUR);
-        if let Some(read_t) = next_read_after[i] {
+        // Writes are spread out within the window so the flush itself
+        // does not become a convoy: the k-th write of the trace is
+        // offset by 97·k seconds, modulo six hours.
+        let spread = 97 * writes % (6 * HOUR);
+        writes -= 1;
+        let mut flush = next_night(rec.start).as_unix().max(start) + spread % (4 * HOUR);
+        if let Some(read_t) = *next {
             flush = flush.min(read_t - 1);
         }
-        flush = flush.max(rec.start.as_unix());
-        let mut deferred = rec.clone();
-        deferred.start = Timestamp::from_unix(flush);
-        out.push(deferred);
+        rec.start = Timestamp::from_unix(flush.max(start));
     }
     out.sort_by_key(|r| r.start);
     out
@@ -97,20 +91,18 @@ pub struct DeferralReport {
 /// The mean deferral is computed from aggregate start-time sums, which is
 /// pairing-independent (repeat writes of one file would otherwise make
 /// one-to-one matching ambiguous).
-pub fn deferral_report(before: &[TraceRecord], after: &[TraceRecord]) -> DeferralReport {
+pub fn deferral_report(before: &[IdRecord], after: &[IdRecord]) -> DeferralReport {
+    let is_write = |r: &&IdRecord| r.error.is_none() && r.direction == Direction::Write;
     let mut before_sorted: Vec<i64> = before
         .iter()
-        .filter(|r| r.is_ok() && r.direction() == Direction::Write)
+        .filter(is_write)
         .map(|r| r.start.as_unix())
         .collect();
     before_sorted.sort_unstable();
     let mut after_sorted: Vec<i64> = Vec::with_capacity(before_sorted.len());
     let mut writes = 0u64;
     let mut night = 0u64;
-    for rec in after
-        .iter()
-        .filter(|r| r.is_ok() && r.direction() == Direction::Write)
-    {
+    for rec in after.iter().filter(is_write) {
         writes += 1;
         if in_night_window(rec.start) {
             night += 1;
@@ -149,14 +141,35 @@ pub fn deferral_report(before: &[TraceRecord], after: &[TraceRecord]) -> Deferra
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::Endpoint;
+    use fmig_trace::{DeviceClass, ErrorKind};
 
-    fn read(path: &str, t: i64) -> TraceRecord {
-        TraceRecord::read(Endpoint::MssTapeSilo, TRACE_EPOCH.add_secs(t), 10, path, 1)
+    fn request(file: u32, t: i64, direction: Direction) -> IdRecord {
+        IdRecord {
+            start: TRACE_EPOCH.add_secs(t),
+            volume: 0,
+            file_size: 10,
+            file,
+            startup_latency_s: 0,
+            direction,
+            device: DeviceClass::TapeSilo,
+            error: None,
+        }
     }
 
-    fn write(path: &str, t: i64) -> TraceRecord {
-        TraceRecord::write(Endpoint::MssTapeSilo, TRACE_EPOCH.add_secs(t), 10, path, 1)
+    fn read(file: u32, t: i64) -> IdRecord {
+        request(file, t, Direction::Read)
+    }
+
+    fn write(file: u32, t: i64) -> IdRecord {
+        request(file, t, Direction::Write)
+    }
+
+    /// An errored request: it names no file, so its slot is `u32::MAX`.
+    fn lost(t: i64) -> IdRecord {
+        IdRecord {
+            error: Some(ErrorKind::FileNotFound),
+            ..read(u32::MAX, t)
+        }
     }
 
     #[test]
@@ -173,7 +186,7 @@ mod tests {
 
     #[test]
     fn daytime_writes_move_to_night() {
-        let records = vec![write("/a", 10 * HOUR), write("/b", 11 * HOUR)];
+        let records = vec![write(0, 10 * HOUR), write(1, 11 * HOUR)];
         let deferred = defer_writes(&records);
         for rec in &deferred {
             assert!(in_night_window(rec.start), "write at {}", rec.start);
@@ -187,43 +200,68 @@ mod tests {
     }
 
     #[test]
+    fn writes_spread_by_97_seconds_each() {
+        let records: Vec<_> = (0..3).map(|f| write(f, 10 * HOUR)).collect();
+        let deferred = defer_writes(&records);
+        let night = TRACE_EPOCH.add_secs(22 * HOUR).as_unix();
+        let starts: Vec<i64> = deferred.iter().map(|r| r.start.as_unix() - night).collect();
+        assert_eq!(starts, [97, 194, 291]);
+        assert_eq!(
+            deferred.iter().map(|r| r.file).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+    }
+
+    #[test]
     fn flush_lands_before_the_next_read() {
         // Write at 10:00, read back at 14:00: the flush cannot wait for
         // night.
-        let records = vec![write("/a", 10 * HOUR), read("/a", 14 * HOUR)];
+        let records = vec![write(0, 10 * HOUR), read(0, 14 * HOUR)];
         let deferred = defer_writes(&records);
-        let w = deferred
-            .iter()
-            .find(|r| r.direction() == Direction::Write)
-            .unwrap();
-        let r = deferred
-            .iter()
-            .find(|r| r.direction() == Direction::Read)
-            .unwrap();
-        assert!(w.start < r.start, "flush after the read-back");
+        assert_eq!(deferred[0].direction, Direction::Write);
+        assert_eq!(deferred[0].start, TRACE_EPOCH.add_secs(14 * HOUR - 1));
+        assert_eq!(deferred[1], records[1]);
+    }
+
+    #[test]
+    fn errored_records_between_a_write_and_its_read_back_change_nothing() {
+        // Two errored requests (slot u32::MAX) sit between the write and
+        // its read-back: they neither move nor stand in for the read.
+        let clean = vec![write(0, 10 * HOUR), read(0, 14 * HOUR)];
+        let noisy = vec![
+            write(0, 10 * HOUR),
+            lost(11 * HOUR),
+            lost(13 * HOUR),
+            read(0, 14 * HOUR),
+        ];
+        let deferred = defer_writes(&noisy);
+        let flushed = IdRecord {
+            start: TRACE_EPOCH.add_secs(14 * HOUR - 1),
+            ..noisy[0]
+        };
+        assert_eq!(deferred, [noisy[1], noisy[2], flushed, noisy[3]]);
+        assert_eq!(defer_writes(&clean), [flushed, clean[1]]);
+        assert_eq!(
+            deferral_report(&noisy, &deferred),
+            deferral_report(&clean, &defer_writes(&clean))
+        );
     }
 
     #[test]
     fn reads_and_errors_are_untouched() {
-        let mut bad = read("/gone", 9 * HOUR);
-        bad.error = Some(fmig_trace::ErrorKind::FileNotFound);
-        let records = vec![read("/a", 9 * HOUR), bad.clone(), write("/b", 10 * HOUR)];
+        let records = vec![read(0, 9 * HOUR), lost(9 * HOUR), write(1, 10 * HOUR)];
         let deferred = defer_writes(&records);
-        assert!(deferred
-            .iter()
-            .any(|r| r.mss_path == "/a" && r.start == records[0].start));
-        assert!(deferred
-            .iter()
-            .any(|r| r.error.is_some() && r.start == bad.start));
+        assert!(deferred.contains(&records[0]));
+        assert!(deferred.contains(&records[1]));
     }
 
     #[test]
     fn output_is_sorted() {
         let records = vec![
-            write("/a", 10 * HOUR),
-            read("/x", 11 * HOUR),
-            write("/b", 12 * HOUR),
-            read("/y", 23 * HOUR),
+            write(0, 10 * HOUR),
+            read(2, 11 * HOUR),
+            write(1, 12 * HOUR),
+            read(3, 23 * HOUR),
         ];
         let deferred = defer_writes(&records);
         for w in deferred.windows(2) {
@@ -234,7 +272,7 @@ mod tests {
 
     #[test]
     fn night_writes_stay_near_their_slot() {
-        let records = vec![write("/a", 23 * HOUR)];
+        let records = vec![write(0, 23 * HOUR)];
         let deferred = defer_writes(&records);
         // Already in the window: may spread forward but stays in-window
         // or close to it, and never moves backwards.

@@ -19,7 +19,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fmig_core::{FaultScenarioId, SweepConfig};
-use fmig_migrate::eval::{PreparedRef, TracePrep};
+use fmig_migrate::eval::{IdTracePrep, PreparedRef};
 use fmig_sim::config::SimConfig;
 use fmig_sim::event::{SimMs, MS};
 use fmig_sim::fault::fault_horizon;
@@ -61,9 +61,9 @@ pub fn tiny_cell(scenario: FaultScenarioId) -> CellSetup {
 
     let workload = Workload::generate(&preset.workload(scale, workload_seed));
     let referenced_bytes: u64 = workload.files().iter().map(|f| f.size).sum();
-    let mut prep = TracePrep::new();
+    let mut prep = IdTracePrep::with_capacity(workload.files().len(), workload.len());
     let sim = MssSimulator::new(SimConfig::default().with_seed(sim_seed));
-    sim.run_streaming(workload.into_records(), |rec| prep.observe(&rec));
+    sim.run_streaming(workload.requests(), |rec| prep.observe(rec.file, &rec));
     let refs = prep.finish().refs().to_vec();
 
     let capacity = ((referenced_bytes as f64 * config.cache_fractions[0]) as u64).max(1);

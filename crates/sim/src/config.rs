@@ -10,7 +10,7 @@
 //! * both disks and tape drives stream at a ~3 MB/s peak but ~2 MB/s
 //!   observed (§5.1.1).
 
-use fmig_trace::DeviceClass;
+use fmig_trace::{DeviceClass, Request};
 use serde::{Deserialize, Serialize};
 
 /// All tunables of the MSS simulator.
@@ -128,7 +128,7 @@ impl SimConfig {
     /// The same hardware with a different RNG seed for mount/seek/service
     /// noise.
     ///
-    /// [`crate::MssSimulator::run`] takes `&self` and re-seeds its engine
+    /// [`crate::MssSimulator::run_streaming`] takes `&self` and re-seeds its engine
     /// from `self.seed` on every call, so two runs of one simulator are
     /// identical by design. Anything executing *multiple* configurations
     /// — a sweep cell per scenario, for instance — must thread a distinct
@@ -145,6 +145,17 @@ impl SimConfig {
             DeviceClass::TapeSilo => self.silo_rate,
             DeviceClass::TapeManual => self.manual_rate,
         }
+    }
+
+    /// The transfer time the open-loop simulator annotates `rec` with:
+    /// its size at [`Self::rate_of`] its device, in whole milliseconds,
+    /// and 0 for an errored request, which moves no data.
+    pub fn transfer_ms(&self, rec: &impl Request) -> u64 {
+        if rec.error().is_some() {
+            return 0;
+        }
+        let rate = self.rate_of(rec.mss_device().unwrap_or(DeviceClass::Disk));
+        (rec.file_size() as f64 / rate * 1000.0) as u64
     }
 
     /// The same hardware with [`Self::counter_noise`] switched: keyed

@@ -32,9 +32,12 @@
 //!     "/CCM/run1/day001",
 //!     42,
 //! );
-//! let run = MssSimulator::new(SimConfig::default()).run(vec![rec]);
+//! let mut annotated = Vec::new();
+//! let metrics = MssSimulator::new(SimConfig::default())
+//!     .run_streaming([rec], |rec| annotated.push(rec));
 //! // A silo read pays robot mount plus tape seek before the first byte.
-//! assert!(run.records[0].startup_latency_s > 10);
+//! assert!(annotated[0].startup_latency_s > 10);
+//! assert_eq!(metrics.requests, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,4 +59,4 @@ pub use fault::{FaultPlan, FaultSchedule, FaultTarget, OutageClause, SlowDriveCl
 pub use hierarchy::{HierarchyMetrics, HierarchySimulator, RefOutcome, ServedBy};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use pool::Pool;
-pub use sim::{MssSimulator, SimRun};
+pub use sim::MssSimulator;

@@ -34,7 +34,7 @@
 use std::collections::VecDeque;
 use std::convert::Infallible;
 
-use fmig_trace::{DeviceClass, Direction, Request, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, Request};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -45,16 +45,6 @@ use crate::fault::FaultSchedule;
 use crate::metrics::Metrics;
 use crate::noise::{self, Noise};
 use crate::tape::{RetryVerdict, TapeEv, TapeHalf, TapeHost, Tier};
-
-/// A finished simulation: the annotated trace plus aggregate metrics.
-#[derive(Debug, Clone)]
-pub struct SimRun {
-    /// Input records with `startup_latency_s` and `transfer_ms` filled in
-    /// from the simulation, in completion of arrival order.
-    pub records: Vec<TraceRecord>,
-    /// Latency histograms and request counts.
-    pub metrics: Metrics,
-}
 
 /// The MSS simulator.
 #[derive(Debug)]
@@ -73,31 +63,16 @@ impl MssSimulator {
         &self.config
     }
 
-    /// Runs the simulation over a time-ordered record stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if records are not sorted by start time.
-    pub fn run(&self, records: impl IntoIterator<Item = TraceRecord>) -> SimRun {
-        let mut out = Vec::new();
-        let metrics = self.run_streaming(records, |rec| out.push(rec));
-        SimRun {
-            records: out,
-            metrics,
-        }
-    }
-
     /// Runs the simulation as a pipeline stage: every record is handed to
     /// `sink` in arrival order as soon as its startup latency is known,
     /// so the caller never holds the full annotated trace in memory.
     ///
-    /// `run` is this with a `Vec::push` sink; sweep cells instead feed an
-    /// incremental analysis accumulator. Only the in-flight window of
-    /// records is buffered (requests whose first byte the simulation has
-    /// not reached yet).
+    /// Only the in-flight window of records is buffered (requests whose
+    /// first byte the simulation has not reached yet).
     ///
-    /// One engine over either record type: [`TraceRecord`]s, or the
-    /// path-free [`fmig_trace::IdRecord`]s a sweep shard streams. The
+    /// One engine over either record type: the path-free
+    /// [`fmig_trace::IdRecord`]s a study or a sweep shard streams, or
+    /// [`fmig_trace::TraceRecord`]s. The
     /// model reads a record only through [`Request`], so equal streams
     /// yield equal metrics and latencies.
     ///
@@ -270,12 +245,7 @@ impl<R: Request> Front<'_, R> {
             let mut rec = self.pending.pop_front().expect("pending record");
             self.base += 1;
             let latency_ms = (req.first_byte_ms - req.arrival_ms).max(0);
-            let transfer_ms = if rec.error().is_none() {
-                let rate = self.cfg.rate_of(req.device);
-                (req.size as f64 / rate * 1000.0) as u64
-            } else {
-                0
-            };
+            let transfer_ms = self.cfg.transfer_ms(&rec);
             rec.annotate((latency_ms / MS) as u32, transfer_ms);
             sink(rec);
         }
@@ -383,7 +353,7 @@ impl<R: Request> TapeHost for Front<'_, R> {
 mod tests {
     use super::*;
     use fmig_trace::time::TRACE_EPOCH;
-    use fmig_trace::{Endpoint, ErrorKind};
+    use fmig_trace::{Endpoint, ErrorKind, TraceRecord};
 
     fn read_at(device: Endpoint, t: i64, size: u64, path: &str) -> TraceRecord {
         TraceRecord::read(device, TRACE_EPOCH.add_secs(t), size, path, 1)
@@ -393,20 +363,32 @@ mod tests {
         TraceRecord::write(device, TRACE_EPOCH.add_secs(t), size, path, 1)
     }
 
-    fn sim() -> MssSimulator {
-        MssSimulator::new(SimConfig::default())
+    /// The annotated records and the metrics of one run.
+    struct Run {
+        records: Vec<TraceRecord>,
+        metrics: Metrics,
+    }
+
+    fn run(records: Vec<TraceRecord>) -> Run {
+        let mut out = Vec::new();
+        let metrics =
+            MssSimulator::new(SimConfig::default()).run_streaming(records, |rec| out.push(rec));
+        Run {
+            records: out,
+            metrics,
+        }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let run = sim().run(Vec::new());
+        let run = run(Vec::new());
         assert!(run.records.is_empty());
         assert_eq!(run.metrics.requests, 0);
     }
 
     #[test]
     fn lone_disk_read_is_fast() {
-        let run = sim().run(vec![read_at(Endpoint::MssDisk, 0, 1_000_000, "/a/b")]);
+        let run = run(vec![read_at(Endpoint::MssDisk, 0, 1_000_000, "/a/b")]);
         let rec = &run.records[0];
         // MSCP overhead plus sub-second disk work: single-digit seconds.
         assert!(
@@ -425,7 +407,7 @@ mod tests {
 
     #[test]
     fn lone_silo_read_pays_mount_and_seek() {
-        let run = sim().run(vec![read_at(Endpoint::MssTapeSilo, 0, 80_000_000, "/a/b")]);
+        let run = run(vec![read_at(Endpoint::MssTapeSilo, 0, 80_000_000, "/a/b")]);
         let lat = run.records[0].startup_latency_s;
         // ~7s mount + 10..90s seek + overhead.
         assert!((15..150).contains(&lat), "latency {lat}");
@@ -433,7 +415,7 @@ mod tests {
 
     #[test]
     fn lone_manual_read_pays_operator_mount() {
-        let run = sim().run(vec![read_at(Endpoint::MssTapeManual, 0, 80_000_000, "/a")]);
+        let run = run(vec![read_at(Endpoint::MssTapeManual, 0, 80_000_000, "/a")]);
         let lat = run.records[0].startup_latency_s;
         assert!(lat >= 30, "latency {lat}");
     }
@@ -451,7 +433,7 @@ mod tests {
             ));
         }
         records.sort_by_key(|r| r.start);
-        let run = sim().run(records);
+        let run = run(records);
         let silo = run
             .metrics
             .latency_of(Direction::Read, DeviceClass::TapeSilo)
@@ -471,7 +453,7 @@ mod tests {
         let records: Vec<_> = (0..6)
             .map(|i| write_at(Endpoint::MssTapeSilo, i * 1200, 10_000_000, "/w"))
             .collect();
-        let run = sim().run(records);
+        let run = run(records);
         let first = run.records[0].startup_latency_s;
         let rest_max = run.records[1..]
             .iter()
@@ -490,7 +472,7 @@ mod tests {
         let records: Vec<_> = (0..4)
             .map(|i| write_at(Endpoint::MssTapeSilo, i * 1200, 90_000_000, "/w"))
             .collect();
-        let run = sim().run(records);
+        let run = run(records);
         let l: Vec<u32> = run.records.iter().map(|r| r.startup_latency_s).collect();
         // Writes 1 and 3 mount (cartridge empty, then full); 2 and 4 append.
         assert!(l[1] < l[0], "append {l:?}");
@@ -505,7 +487,7 @@ mod tests {
             read_at(Endpoint::MssDisk, 0, 24_000_000, "/same/file"),
             read_at(Endpoint::MssDisk, 0, 24_000_000, "/same/file"),
         ];
-        let run = sim().run(records);
+        let run = run(records);
         let mut lats: Vec<u32> = run.records.iter().map(|r| r.startup_latency_s).collect();
         lats.sort_unstable();
         // 24 MB at 2.4 MB/s is 10 s of service; the third in line waits
@@ -517,7 +499,7 @@ mod tests {
     fn errors_resolve_quickly_without_devices() {
         let mut rec = read_at(Endpoint::MssDisk, 0, 0, "/gone");
         rec.error = Some(ErrorKind::FileNotFound);
-        let run = sim().run(vec![rec]);
+        let run = run(vec![rec]);
         assert_eq!(run.metrics.errors, 1);
         assert!(run.records[0].startup_latency_s < 30);
         assert_eq!(run.records[0].transfer_ms, 0);
@@ -535,8 +517,8 @@ mod tests {
         let records: Vec<_> = (0..50)
             .map(|i| read_at(Endpoint::MssTapeSilo, i * 30, 50_000_000, "/d"))
             .collect();
-        let a = sim().run(records.clone());
-        let b = sim().run(records);
+        let a = run(records.clone());
+        let b = run(records);
         let la: Vec<u32> = a.records.iter().map(|r| r.startup_latency_s).collect();
         let lb: Vec<u32> = b.records.iter().map(|r| r.startup_latency_s).collect();
         assert_eq!(la, lb);
@@ -549,7 +531,7 @@ mod tests {
             read_at(Endpoint::MssDisk, 100, 1, "/a"),
             read_at(Endpoint::MssDisk, 0, 1, "/b"),
         ];
-        let _ = sim().run(records);
+        let _ = run(records);
     }
 
     #[test]
@@ -585,7 +567,7 @@ mod tests {
         let records: Vec<_> = (0..40)
             .map(|i| read_at(Endpoint::MssTapeSilo, i * 3, 80_000_000, "/d"))
             .collect();
-        let run = sim().run(records);
+        let run = run(records);
         let h = run
             .metrics
             .latency_of(Direction::Read, DeviceClass::TapeSilo);

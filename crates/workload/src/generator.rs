@@ -323,30 +323,34 @@ impl Workload {
     /// Consumes the workload into an owning record stream.
     ///
     /// Renders exactly what [`Workload::records`] renders, but without a
-    /// live borrow: a sweep cell can hand the stream to the simulator or
-    /// the analysis pass and let the per-record [`TraceRecord`]s (path
-    /// strings included) be built and dropped one at a time instead of
-    /// materializing the full annotated `Vec<TraceRecord>`.
-    pub fn into_records(self) -> RecordStream {
-        RecordStream {
-            files: self.files,
-            dirs: self.dirs,
-            dir_ids: self.dir_ids,
-            events: self.events.into_iter(),
-            seq: 0,
-        }
+    /// live borrow: the per-record [`TraceRecord`]s (path strings
+    /// included) are built and dropped one at a time instead of
+    /// materializing the full `Vec<TraceRecord>`.
+    pub fn into_records(self) -> impl ExactSizeIterator<Item = TraceRecord> {
+        let Workload {
+            dirs,
+            dir_ids,
+            files,
+            events,
+            ..
+        } = self;
+        events
+            .into_iter()
+            .enumerate()
+            .map(move |(i, ev)| render_event(&files, &dirs, &dir_ids, i, &ev))
     }
 
-    /// Consumes the workload into an owning stream of path-free
-    /// [`IdRecord`]s: the requests [`Workload::into_records`] renders,
-    /// minus the names, the user, and the synthesised transfer time.
+    /// Streams the workload as path-free [`IdRecord`]s: the requests
+    /// [`Workload::records`] renders, minus the names, the user, and the
+    /// synthesised transfer time.
     ///
     /// `IdRecord::file` is the index of the first [`FileMeta`] that
     /// renders the record's path, so two records share a slot exactly
     /// when their rendered `mss_path`s are equal (each keeps its own
-    /// entry's size); `IdRecord::volume` hashes the rendered directory.
-    /// Both are worked out here, once per file, never per record.
-    pub fn into_requests(self) -> impl ExactSizeIterator<Item = IdRecord> {
+    /// entry's size), and [`Workload::file_path`] of the slot is that
+    /// path; `IdRecord::volume` hashes the rendered directory. Both are
+    /// worked out here, once per file, never per record.
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = IdRecord> + '_ {
         /// What the stream keeps of one [`FileMeta`].
         #[derive(Clone, Copy)]
         struct FileSlot {
@@ -394,7 +398,7 @@ impl Workload {
             size: 0,
             volume: fnv1a64(b"/scratch"),
         };
-        self.events.into_iter().map(move |ev| {
+        self.events.iter().map(move |ev| {
             let (slot, direction, device) = match ev.err {
                 0 => (
                     files[ev.file as usize],
@@ -419,33 +423,6 @@ impl Workload {
         })
     }
 }
-
-/// Owning time-ordered record stream; see [`Workload::into_records`].
-#[derive(Debug, Clone)]
-pub struct RecordStream {
-    files: Vec<FileMeta>,
-    dirs: FileTable,
-    dir_ids: Vec<FileId>,
-    events: std::vec::IntoIter<RawEvent>,
-    seq: usize,
-}
-
-impl Iterator for RecordStream {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        let ev = self.events.next()?;
-        let rec = render_event(&self.files, &self.dirs, &self.dir_ids, self.seq, &ev);
-        self.seq += 1;
-        Some(rec)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.events.size_hint()
-    }
-}
-
-impl ExactSizeIterator for RecordStream {}
 
 fn file_path_of(files: &[FileMeta], dirs: &FileTable, dir_ids: &[FileId], file: u32) -> String {
     let meta = &files[file as usize];
@@ -998,7 +975,7 @@ mod tests {
     #[test]
     fn id_stream_carries_what_the_records_carry() {
         let w = small_workload();
-        let ids: Vec<IdRecord> = w.clone().into_requests().collect();
+        let ids: Vec<IdRecord> = w.requests().collect();
         assert_eq!(ids.len(), w.len());
         for (i, (id, rec)) in ids.iter().zip(w.records()).enumerate() {
             assert_eq!(id.start, rec.start);
@@ -1035,7 +1012,7 @@ mod tests {
         // The id stream names the path, not the entry — and keeps each
         // entry's own size, as the rendered records do.
         let mut hit = 0;
-        for (id, ev) in w.clone().into_requests().zip(w.events()) {
+        for (id, ev) in w.requests().zip(w.events()) {
             if ev.err == 0 {
                 assert_eq!(id.file, slot_of[ev.file as usize]);
                 assert_eq!(id.file_size, w.files()[ev.file as usize].size);

@@ -13,8 +13,9 @@
 //!   reference behaviour (Figure 8, §5.3);
 //! * [`generator`] schedules batch write jobs, clustered read sessions,
 //!   within-8-hours echo requests (§6), error references (§5.1), and the
-//!   disk/silo/shelf placement policy (§3.1), emitting a time-ordered
-//!   [`fmig_trace::TraceRecord`] stream.
+//!   disk/silo/shelf placement policy (§3.1), streaming the time-ordered
+//!   requests as path-free [`fmig_trace::IdRecord`]s or as rendered
+//!   [`fmig_trace::TraceRecord`]s.
 //!
 //! # Examples
 //!
@@ -41,7 +42,7 @@ pub mod population;
 pub mod preset;
 pub mod rate;
 
-pub use generator::{EventKind, FileMeta, RawEvent, RecordStream, Workload};
+pub use generator::{EventKind, FileMeta, RawEvent, Workload};
 pub use namespace::Namespace;
 pub use population::{ClassSample, FileSpec, SizeModel};
 pub use preset::{PaperTargets, WorkloadConfig};

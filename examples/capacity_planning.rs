@@ -15,9 +15,9 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use fmig_analysis::{Analyzer, REPEAT_WINDOWS_H};
+use fmig_analysis::{IdFileTracker, REPEAT_WINDOWS_H};
 use fmig_migrate::dividing::{DeviceModel, DividingPointStudy};
-use fmig_migrate::eval::{prepare, EvalConfig};
+use fmig_migrate::eval::{EvalConfig, IdTracePrep};
 use fmig_migrate::mrc::{sweep_capacities, sweep_capacities_naive};
 use fmig_migrate::policy::Lru;
 use fmig_workload::{Workload, WorkloadConfig};
@@ -28,11 +28,19 @@ fn main() {
         seed: 7,
         ..WorkloadConfig::default()
     });
-    let records: Vec<_> = workload.records().collect();
+    // One pass over the path-free request stream feeds the replay
+    // preparation and the file census.
+    let mut prep = IdTracePrep::new();
+    let mut files = IdFileTracker::new();
+    for rec in workload.requests() {
+        prep.observe(rec.file, &rec);
+        files.observe(rec.file, &rec);
+    }
+    let prepared = prep.finish();
     let static_sizes: Vec<u64> = workload.files().iter().map(|f| f.size).collect();
-    let access_sizes: Vec<u64> = records
-        .iter()
-        .filter(|r| r.is_ok())
+    let access_sizes: Vec<u64> = workload
+        .requests()
+        .filter(|r| r.error.is_none())
         .map(|r| r.file_size)
         .collect();
     let store_gb: f64 = static_sizes.iter().map(|&s| s as f64).sum::<f64>() / 1e9;
@@ -47,7 +55,6 @@ fn main() {
     // One single-pass MRC walk answers for the whole capacity grid;
     // the naive sweep replays the trace once per grid point with the
     // sort-based purge rescan (the pre-index cost model).
-    let prepared = prepare(records.iter());
     let store_bytes: u64 = static_sizes.iter().sum();
     let fractions = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08];
     let capacities: Vec<u64> = fractions
@@ -130,7 +137,6 @@ fn main() {
     // The file census counts each request's gap to the previous
     // request for the same file.
     println!("\nrequest deduplication (an integrated cache would absorb):");
-    let files = Analyzer::analyze(&records).files;
     for (hours, &n) in REPEAT_WINDOWS_H.iter().zip(&files.repeats_within()) {
         println!(
             "  window {hours:>2} h: {n:>6} duplicate requests = {:.1}% of traffic",

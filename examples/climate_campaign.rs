@@ -12,9 +12,9 @@
 //! ```
 
 use fmig_migrate::writeback;
-use fmig_sim::{MssSimulator, SimConfig};
+use fmig_sim::{Metrics, MssSimulator, SimConfig};
 use fmig_trace::time::{DAY, HOUR, TRACE_EPOCH};
-use fmig_trace::{DeviceClass, Direction, Endpoint, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, Endpoint, FileTable, IdRecord, Request, TraceRecord};
 
 /// One nightly model run: 60 history files of ~8 MB plus 4 restart files
 /// of ~150 MB, written starting at 2 AM.
@@ -90,9 +90,35 @@ fn retrospective(day: i64) -> Vec<TraceRecord> {
     records
 }
 
-fn mean_latency(records: &[TraceRecord], dir: Direction) -> f64 {
+/// The campaign as path-free requests, each path interned to a slot:
+/// what the simulator and the write-behind planner take.
+fn requests(records: &[TraceRecord]) -> Vec<IdRecord> {
+    let mut paths = FileTable::new();
+    records
+        .iter()
+        .map(|r| IdRecord {
+            start: r.start,
+            volume: r.volume_hash(),
+            file_size: r.file_size,
+            file: paths.intern(&r.mss_path).raw(),
+            startup_latency_s: 0,
+            direction: r.direction(),
+            device: r.mss_device().expect("an MSS device"),
+            error: r.error,
+        })
+        .collect()
+}
+
+/// Simulates `requests`, returning them annotated and the metrics.
+fn simulate(sim: &MssSimulator, requests: Vec<IdRecord>) -> (Vec<IdRecord>, Metrics) {
+    let mut annotated = Vec::with_capacity(requests.len());
+    let metrics = sim.run_streaming(requests, |rec| annotated.push(rec));
+    (annotated, metrics)
+}
+
+fn mean_latency(requests: &[IdRecord], dir: Direction) -> f64 {
     let (mut sum, mut n) = (0.0, 0u64);
-    for r in records.iter().filter(|r| r.direction() == dir) {
+    for r in requests.iter().filter(|r| r.direction == dir) {
         sum += r.startup_latency_s as f64;
         n += 1;
     }
@@ -122,26 +148,25 @@ fn main() {
         records.len()
     );
 
+    let requests = requests(&records);
     let sim = MssSimulator::new(SimConfig::default());
-    let base = sim.run(records.clone());
+    let (base, m) = simulate(&sim, requests.clone());
     println!(
         "\nas-is         : reads wait {:5.1}s, writes wait {:5.1}s (mean to first byte)",
-        mean_latency(&base.records, Direction::Read),
-        mean_latency(&base.records, Direction::Write),
+        mean_latency(&base, Direction::Read),
+        mean_latency(&base, Direction::Write),
     );
 
     // §6: write lazily at night, keep daytime devices free for readers.
-    let deferred = writeback::defer_writes(&records);
-    let lazy = sim.run(deferred);
+    let (lazy, _) = simulate(&sim, writeback::defer_writes(&requests));
     println!(
         "write-behind  : reads wait {:5.1}s (perceived write wait ~0: the MSS\n\
          \x20               acknowledges writes and flushes during the night window)",
-        mean_latency(&lazy.records, Direction::Read),
+        mean_latency(&lazy, Direction::Read),
     );
 
     // Where does read time go? Mostly tape mounts: the silo mounts for
     // every fresh cartridge while disk reads fly.
-    let m = &base.metrics;
     println!("\nlatency by device (reads, as-is):");
     for device in DeviceClass::ALL {
         let h = m.latency_of(Direction::Read, device);

@@ -12,7 +12,7 @@
 //! cargo run --release --example latency_policy
 //! ```
 
-use fmig::migrate::eval::{EvalConfig, TracePrep};
+use fmig::migrate::eval::{EvalConfig, IdTracePrep};
 use fmig::migrate::policy::{Lru, LruMad, MigrationPolicy, Stp, StpLat};
 use fmig::sim::fault::FaultPlan;
 use fmig::sim::{HierarchySimulator, SimConfig};
@@ -27,9 +27,9 @@ fn main() {
         ..WorkloadConfig::default()
     });
     let referenced: u64 = workload.files().iter().map(|f| f.size).sum();
-    let mut prep = TracePrep::new();
-    for rec in workload.records() {
-        prep.observe(&rec);
+    let mut prep = IdTracePrep::new();
+    for rec in workload.requests() {
+        prep.observe(rec.file, &rec);
     }
     let prepared = prep.finish();
     let eval = EvalConfig::with_capacity(((referenced as f64) * 0.015) as u64);

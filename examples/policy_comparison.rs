@@ -10,7 +10,7 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use fmig_migrate::eval::{evaluate_policies, prepare, EvalConfig};
+use fmig_migrate::eval::{EvalConfig, IdTracePrep};
 use fmig_migrate::mrc::sweep_capacities;
 use fmig_migrate::policy::{standard_suite, Belady, Stp};
 use fmig_workload::{Workload, WorkloadConfig};
@@ -21,11 +21,15 @@ fn main() {
         seed: 1993,
         ..WorkloadConfig::default()
     });
-    let records: Vec<_> = workload.records().collect();
+    let mut prep = IdTracePrep::new();
+    workload
+        .requests()
+        .for_each(|rec| prep.observe(rec.file, &rec));
+    let trace = prep.finish();
     let total_bytes: u64 = workload.files().iter().map(|f| f.size).sum();
     println!(
         "trace: {} requests, {} files, {:.1} GB referenced",
-        records.len(),
+        workload.len(),
         workload.files().len(),
         total_bytes as f64 / 1e9
     );
@@ -40,7 +44,7 @@ fn main() {
     let mut suite = standard_suite();
     suite.push(Box::new(Belady));
     let config = EvalConfig::with_capacity(capacity);
-    let outcomes = evaluate_policies(&records, &suite, &config);
+    let outcomes = trace.evaluate(&suite, &config);
 
     println!(
         "{:<18} {:>10} {:>10} {:>14}",
@@ -81,7 +85,7 @@ fn main() {
         .iter()
         .map(|f| (total_bytes as f64 * f) as u64)
         .collect();
-    let sweep = sweep_capacities(prepare(&records).refs(), &Stp::classic(), &caps, &config);
+    let sweep = sweep_capacities(trace.refs(), &Stp::classic(), &caps, &config);
     for (cap, miss) in sweep.miss_ratios() {
         println!(
             "  {:6.2} GB ({:4.1}% of store)  miss {:5.2}%",

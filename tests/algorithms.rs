@@ -6,29 +6,38 @@ use std::collections::HashMap;
 
 use fmig_migrate::cache::{CacheConfig, DiskCache};
 use fmig_migrate::dividing::DividingPointStudy;
-use fmig_migrate::eval::{evaluate_policies, EvalConfig};
+use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedTrace};
 use fmig_migrate::policy::{standard_suite, Belady, MigrationPolicy, Stp};
 use fmig_trace::time::HOUR;
 use fmig_workload::{EventKind, Workload, WorkloadConfig};
 
-fn trace() -> Vec<fmig_trace::TraceRecord> {
+fn workload() -> Workload {
     Workload::generate(&WorkloadConfig {
         scale: 0.004,
         seed: 23,
         ..WorkloadConfig::default()
     })
-    .records()
-    .collect()
+}
+
+/// The workload's requests prepared for replay, and their total size.
+fn trace() -> (PreparedTrace, u64) {
+    let workload = workload();
+    let mut prep = IdTracePrep::new();
+    let mut total = 0;
+    for rec in workload.requests() {
+        prep.observe(rec.file, &rec);
+        total += rec.file_size;
+    }
+    (prep.finish(), total)
 }
 
 #[test]
 fn belady_never_loses_on_the_synthetic_trace() {
-    let records = trace();
+    let (trace, total) = trace();
     let mut policies: Vec<Box<dyn MigrationPolicy>> = vec![Box::new(Belady)];
     policies.extend(standard_suite());
-    let total: u64 = records.iter().map(|r| r.file_size).sum();
     let config = EvalConfig::with_capacity((total as f64 * 0.01) as u64);
-    let outcomes = evaluate_policies(&records, &policies, &config);
+    let outcomes = trace.evaluate(&policies, &config);
     let belady = outcomes[0].miss_ratio;
     for o in &outcomes[1..] {
         assert!(
@@ -44,11 +53,10 @@ fn belady_never_loses_on_the_synthetic_trace() {
 fn space_time_policies_beat_naive_ones_on_ncar_traffic() {
     // The Smith/Lawrie result: space-time-product style policies beat
     // pure-size and random orderings on supercomputer reference streams.
-    let records = trace();
+    let (trace, total) = trace();
     let suite = standard_suite();
-    let total: u64 = records.iter().map(|r| r.file_size).sum();
     let config = EvalConfig::with_capacity((total as f64 * 0.015) as u64);
-    let outcomes = evaluate_policies(&records, &suite, &config);
+    let outcomes = trace.evaluate(&suite, &config);
     let get = |name: &str| {
         outcomes
             .iter()
@@ -65,8 +73,7 @@ fn space_time_policies_beat_naive_ones_on_ncar_traffic() {
 
 #[test]
 fn eager_writeback_removes_eviction_stalls() {
-    let records = trace();
-    let total: u64 = records.iter().map(|r| r.file_size).sum();
+    let (trace, total) = trace();
     let capacity = (total as f64 * 0.01) as u64;
     let stp = Stp::classic();
     let run = |eager: bool| {
@@ -77,17 +84,11 @@ fn eager_writeback_removes_eviction_stalls() {
             },
             &stp,
         );
-        let mut id_of = std::collections::HashMap::new();
-        for rec in records.iter().filter(|r| r.is_ok()) {
-            let next = id_of.len() as u32;
-            let id = *id_of.entry(rec.mss_path.clone()).or_insert(next);
-            match rec.direction() {
-                fmig_trace::Direction::Read => {
-                    cache.read(id, rec.file_size.max(1), rec.start.as_unix(), None);
-                }
-                fmig_trace::Direction::Write => {
-                    cache.write(id, rec.file_size.max(1), rec.start.as_unix(), None);
-                }
+        for r in trace.refs() {
+            if r.write {
+                cache.write(r.id, r.size, r.time, None);
+            } else {
+                cache.read(r.id, r.size, r.time, None);
             }
         }
         *cache.stats()
@@ -107,15 +108,11 @@ fn eager_writeback_removes_eviction_stalls() {
 
 #[test]
 fn dividing_point_response_is_monotone_while_feasible() {
-    let workload = Workload::generate(&WorkloadConfig {
-        scale: 0.004,
-        seed: 23,
-        ..WorkloadConfig::default()
-    });
+    let workload = workload();
     let static_sizes: Vec<u64> = workload.files().iter().map(|f| f.size).collect();
     let accesses: Vec<u64> = workload
-        .records()
-        .filter(|r| r.is_ok())
+        .requests()
+        .filter(|r| r.error.is_none())
         .map(|r| r.file_size)
         .collect();
     let study = DividingPointStudy::ncar();
@@ -132,11 +129,7 @@ fn dividing_point_response_is_monotone_while_feasible() {
 
 #[test]
 fn prefetcher_sees_the_sequential_sessions() {
-    let workload = Workload::generate(&WorkloadConfig {
-        scale: 0.004,
-        seed: 23,
-        ..WorkloadConfig::default()
-    });
+    let workload = workload();
     // Sessions step through dataset files in order (day 1, then day 2),
     // so a healthy share of reads follows a read of the preceding file
     // of the same dataset within 24 h: what a sequential prefetcher

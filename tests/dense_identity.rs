@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use fmig::PresetId;
 use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
-use fmig_migrate::eval::{prepare, EvalConfig};
+use fmig_migrate::eval::{EvalConfig, TracePrep};
 use fmig_migrate::policy::{standard_suite, Belady, Lru, MigrationPolicy, Stp};
 use fmig_trace::time::TRACE_EPOCH;
 use fmig_trace::{Endpoint, TraceRecord};
@@ -33,7 +33,9 @@ fn dense_replay(
     policy: &dyn MigrationPolicy,
     config: &EvalConfig,
 ) -> (CacheStats, Vec<CacheOp>) {
-    let prepared = prepare(records.iter());
+    let mut prep = TracePrep::new();
+    records.iter().for_each(|rec| prep.observe(rec));
+    let prepared = prep.finish();
     let mut cache = DiskCache::new(config.cache, policy);
     cache.set_est_miss_wait_s(config.wait_s_per_miss);
     let mut ops = Vec::new();

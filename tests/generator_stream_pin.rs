@@ -4,9 +4,9 @@
 //! that moves a `uid`, swaps two events with equal timestamps or
 //! perturbs one size by a rounding step can pass every report check.
 //! These hashes cover every field of every event and every
-//! `FileMeta`, plus the path-free `into_requests` stream the sweep
-//! runner consumes, for the four generator presets at two seeds. A
-//! generator speed-up must leave all of them unchanged.
+//! `FileMeta`, plus the path-free `requests` stream the sweep
+//! runner and the study consume, for the four generator presets at two
+//! seeds. A generator speed-up must leave all of them unchanged.
 
 use fmig_core::PresetId;
 use fmig_trace::IdRecord;
@@ -50,7 +50,7 @@ fn stream_hashes(config: &WorkloadConfig) -> (u64, u64) {
         raw.u64(f.size);
     }
     let mut ids = Fnv::new();
-    for r in w.into_requests() {
+    for r in w.requests() {
         let IdRecord {
             start,
             volume,
@@ -101,7 +101,7 @@ fn generator_streams_match_their_pins() {
 }
 
 /// At a few thousand directories two namespace nodes render one path,
-/// so `into_requests` folds aliased entries onto one slot; pin that
+/// so `requests` folds aliased entries onto one slot; pin that
 /// path too.
 #[test]
 fn an_aliasing_namespace_streams_match_their_pin() {

@@ -4,38 +4,55 @@
 //! (§6-d). Each module gets targeted scenario tests plus at least one
 //! property test over randomized traces.
 
-use fmig_analysis::FileTracker;
+use fmig_analysis::IdFileTracker;
 use fmig_migrate::{dividing, writeback};
 use fmig_trace::time::{HOUR, TRACE_EPOCH};
-use fmig_trace::{Direction, Endpoint, TraceRecord};
+use fmig_trace::{DeviceClass, Direction, ErrorKind, IdRecord};
 use proptest::prelude::*;
 
-fn read(path: &str, t: i64) -> TraceRecord {
-    TraceRecord::read(Endpoint::MssTapeSilo, TRACE_EPOCH.add_secs(t), 10, path, 1)
+fn request(file: u32, t: i64, direction: Direction) -> IdRecord {
+    IdRecord {
+        start: TRACE_EPOCH.add_secs(t),
+        volume: 0,
+        file_size: 10,
+        file,
+        startup_latency_s: 0,
+        direction,
+        device: DeviceClass::TapeSilo,
+        error: None,
+    }
 }
 
-fn write(path: &str, t: i64) -> TraceRecord {
-    TraceRecord::write(Endpoint::MssTapeSilo, TRACE_EPOCH.add_secs(t), 10, path, 1)
+fn read(file: u32, t: i64) -> IdRecord {
+    request(file, t, Direction::Read)
 }
 
-/// A randomized, time-sorted trace over a small path population, with a
-/// sprinkling of writes and errored records.
-fn random_trace(steps: &[(u8, u8, bool)]) -> Vec<TraceRecord> {
+fn write(file: u32, t: i64) -> IdRecord {
+    request(file, t, Direction::Write)
+}
+
+/// A randomized, time-sorted trace over a small file population, with a
+/// sprinkling of writes and errored records (which name no file: slot
+/// `u32::MAX`).
+fn random_trace(steps: &[(u8, u8, bool)]) -> Vec<IdRecord> {
     let mut t = 0i64;
     steps
         .iter()
         .map(|&(gap, file, is_write)| {
             t += i64::from(gap) * 1200;
-            let path = format!("/exp/run{:03}", file % 12);
-            let mut rec = if is_write {
-                write(&path, t)
+            let direction = if is_write {
+                Direction::Write
             } else {
-                read(&path, t)
+                Direction::Read
             };
             if file == 255 {
-                rec.error = Some(fmig_trace::ErrorKind::FileNotFound);
+                IdRecord {
+                    error: Some(ErrorKind::FileNotFound),
+                    ..request(u32::MAX, t, direction)
+                }
+            } else {
+                request(u32::from(file % 12), t, direction)
             }
-            rec
         })
         .collect()
 }
@@ -48,10 +65,10 @@ fn dedup_savings_follow_the_batch_script_shape() {
     // three times within minutes — two thirds of those fit a one-hour
     // window, and the jobs' two-hour spacing puts every request but the
     // first inside the two-hour one.
-    let mut files = FileTracker::new();
+    let mut files = IdFileTracker::new();
     for job in 0..20i64 {
         for burst in 0..3 {
-            files.observe(&read("/input/data", job * 2 * HOUR + burst * 300));
+            files.observe(0, &read(0, job * 2 * HOUR + burst * 300));
         }
     }
     assert_eq!(files.repeats_within(), [40, 59, 59, 59, 59]);
@@ -64,18 +81,15 @@ fn dedup_savings_follow_the_batch_script_shape() {
 fn deferred_writes_respect_reads_even_through_midnight_chains() {
     // Write at 21:00, read back at 23:30 (inside the night window):
     // the flush must still land before the read.
-    let records = vec![
-        write("/model/out", 21 * HOUR),
-        read("/model/out", 23 * HOUR + 1800),
-    ];
+    let records = vec![write(0, 21 * HOUR), read(0, 23 * HOUR + 1800)];
     let deferred = writeback::defer_writes(&records);
     let w = deferred
         .iter()
-        .find(|r| r.direction() == Direction::Write)
+        .find(|r| r.direction == Direction::Write)
         .unwrap();
     let r = deferred
         .iter()
-        .find(|r| r.direction() == Direction::Read)
+        .find(|r| r.direction == Direction::Read)
         .unwrap();
     assert!(w.start < r.start);
     let report = writeback::deferral_report(&records, &deferred);
@@ -87,7 +101,7 @@ proptest! {
     /// is a same-length, time-sorted permutation in which reads and
     /// errors are untouched, no write moved backwards (rank-wise), and
     /// every successful write still lands before the next read of its
-    /// path.
+    /// file.
     #[test]
     fn defer_writes_preserves_reads_and_read_back_ordering(
         steps in proptest::collection::vec((0u8..6, 0u8..10, any::<bool>()), 0..100),
@@ -98,22 +112,23 @@ proptest! {
         for pair in deferred.windows(2) {
             prop_assert!(pair[0].start <= pair[1].start);
         }
+        let ok = |r: &IdRecord| r.error.is_none();
         // Reads and errors pass through as a multiset.
-        let untouched = |rs: &[TraceRecord]| {
-            let mut v: Vec<(i64, String)> = rs
+        let untouched = |rs: &[IdRecord]| {
+            let mut v: Vec<(i64, u32, bool)> = rs
                 .iter()
-                .filter(|r| !r.is_ok() || r.direction() == Direction::Read)
-                .map(|r| (r.start.as_unix(), r.mss_path.clone()))
+                .filter(|r| !ok(r) || r.direction == Direction::Read)
+                .map(|r| (r.start.as_unix(), r.file, ok(r)))
                 .collect();
             v.sort();
             v
         };
         prop_assert_eq!(untouched(&records), untouched(&deferred));
         // Rank-wise, no write moves earlier.
-        let write_times = |rs: &[TraceRecord]| {
+        let write_times = |rs: &[IdRecord]| {
             let mut v: Vec<i64> = rs
                 .iter()
-                .filter(|r| r.is_ok() && r.direction() == Direction::Write)
+                .filter(|r| ok(r) && r.direction == Direction::Write)
                 .map(|r| r.start.as_unix())
                 .collect();
             v.sort_unstable();
@@ -123,31 +138,31 @@ proptest! {
             prop_assert!(after >= *before);
         }
         // Read-back safety: in the deferred trace, every successful
-        // read of a path that was written earlier in the *original*
+        // read of a file that was written earlier in the *original*
         // trace still sees the write flushed no later than the read
         // (equality only when write and read shared a timestamp to
         // begin with — the clamp is `next_read - 1`, floored at the
         // write's own start).
         for (i, rec) in records.iter().enumerate() {
-            if !rec.is_ok() || rec.direction() != Direction::Write {
+            if !ok(rec) || rec.direction != Direction::Write {
                 continue;
             }
             let next_read = records[i + 1..]
                 .iter()
-                .find(|r| r.is_ok() && r.direction() == Direction::Read && r.mss_path == rec.mss_path);
+                .find(|r| ok(r) && r.direction == Direction::Read && r.file == rec.file);
             if let Some(read_rec) = next_read {
                 let flushed = deferred
                     .iter()
                     .filter(|r| {
-                        r.is_ok()
-                            && r.direction() == Direction::Write
-                            && r.mss_path == rec.mss_path
+                        ok(r)
+                            && r.direction == Direction::Write
+                            && r.file == rec.file
                             && r.start <= read_rec.start
                     })
                     .count();
                 prop_assert!(
                     flushed > 0,
-                    "write of {} lost before its read-back", rec.mss_path
+                    "write of file {} lost before its read-back", rec.file
                 );
             }
         }

@@ -49,9 +49,10 @@ fn codec_roundtrip_preserves_all_analyses() {
 fn simulation_preserves_record_identity_and_order() {
     let workload = small_workload();
     let input: Vec<_> = workload.records().collect();
-    let run = MssSimulator::new(SimConfig::default()).run(input.clone());
-    assert_eq!(run.records.len(), input.len());
-    for (out, inp) in run.records.iter().zip(input.iter()) {
+    let mut output = Vec::new();
+    MssSimulator::new(SimConfig::default()).run_streaming(input.clone(), |rec| output.push(rec));
+    assert_eq!(output.len(), input.len());
+    for (out, inp) in output.iter().zip(input.iter()) {
         assert_eq!(out.start, inp.start);
         assert_eq!(out.mss_path, inp.mss_path);
         assert_eq!(out.file_size, inp.file_size);
@@ -59,8 +60,7 @@ fn simulation_preserves_record_identity_and_order() {
         assert_eq!(out.error, inp.error);
     }
     // Successful requests got a transfer time consistent with ~2 MB/s.
-    for rec in run
-        .records
+    for rec in output
         .iter()
         .filter(|r| r.is_ok() && r.file_size > 1_000_000)
     {
@@ -93,15 +93,15 @@ fn every_experiment_runs_and_renders() {
 #[test]
 fn deferred_writes_trace_is_valid_and_complete() {
     let workload = small_workload();
-    let records: Vec<_> = workload.records().collect();
-    let deferred = fmig_migrate::writeback::defer_writes(&records);
-    assert_eq!(deferred.len(), records.len());
+    let requests: Vec<_> = workload.requests().collect();
+    let deferred = fmig_migrate::writeback::defer_writes(&requests);
+    assert_eq!(deferred.len(), requests.len());
     // Still sorted, still simulable.
     for w in deferred.windows(2) {
         assert!(w[0].start <= w[1].start);
     }
-    let run = MssSimulator::new(SimConfig::default()).run(deferred);
-    assert_eq!(run.records.len(), records.len());
+    let metrics = MssSimulator::new(SimConfig::default()).run_streaming(deferred, drop);
+    assert_eq!(metrics.requests, requests.len() as u64);
 }
 
 #[test]

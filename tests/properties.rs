@@ -58,9 +58,11 @@ proptest! {
             rec.error = err;
             records.push(rec);
         }
-        let run = MssSimulator::new(SimConfig::default()).run(records.clone());
-        prop_assert_eq!(run.records.len(), records.len());
-        for (out, inp) in run.records.iter().zip(records.iter()) {
+        let mut annotated = Vec::new();
+        let metrics = MssSimulator::new(SimConfig::default())
+            .run_streaming(records.clone(), |rec| annotated.push(rec));
+        prop_assert_eq!(annotated.len(), records.len());
+        for (out, inp) in annotated.iter().zip(records.iter()) {
             prop_assert_eq!(&out.mss_path, &inp.mss_path);
             // First byte never precedes the request.
             prop_assert!(out.first_byte_at() >= out.start);
@@ -70,7 +72,7 @@ proptest! {
                 prop_assert_eq!(out.transfer_ms, 0);
             }
         }
-        prop_assert_eq!(run.metrics.requests, records.len() as u64);
+        prop_assert_eq!(metrics.requests, records.len() as u64);
     }
 
     /// Arbitrary bytes never panic the trace parser: every line either

@@ -3,20 +3,18 @@
 //!
 //! * a sweep is a pure function of its matrix — `workers = 1` and
 //!   `workers = N` produce byte-identical JSON reports;
-//! * every streaming variant (owning workload stream, simulator sink,
-//!   incremental policy prep) is observationally equal to its
-//!   materializing counterpart;
-//! * the path-free id route a sweep shard takes is observationally equal
-//!   to the `TraceRecord` route, aliased paths included.
+//! * the owning workload stream renders what the borrowing one does;
+//! * the path-free id route a study and a sweep shard take is
+//!   observationally equal to the `TraceRecord` route, aliased paths
+//!   included.
 
 use fmig::{run_sweep, FaultScenarioId, PolicyId, PresetId, SweepConfig};
 use std::collections::HashSet;
 
-use fmig_analysis::{FileTracker, IdFileTracker, LatencyAnalysis};
-use fmig_migrate::eval::{evaluate_policies, EvalConfig, IdTracePrep, TracePrep};
-use fmig_migrate::policy::standard_suite;
+use fmig_analysis::Analyzer;
+use fmig_migrate::eval::{IdTracePrep, TracePrep};
 use fmig_sim::{MssSimulator, SimConfig};
-use fmig_trace::{TraceRecord, TraceStats};
+use fmig_trace::{Direction, Request, TraceRecord};
 use fmig_workload::{Workload, WorkloadConfig};
 
 fn sweep_matrix() -> SweepConfig {
@@ -148,101 +146,95 @@ fn workload_streaming_matches_materialized_records() {
     assert_eq!(materialized, streamed);
 }
 
-#[test]
-fn simulator_streaming_matches_batch_run() {
-    let workload = Workload::generate(&WorkloadConfig {
-        scale: 0.002,
-        seed: 31,
-        ..WorkloadConfig::default()
-    });
-    let sim = MssSimulator::new(SimConfig::default().with_seed(77));
-    let batch = sim.run(workload.records());
-    let mut streamed = Vec::new();
-    let metrics = sim.run_streaming(workload.records(), |rec| streamed.push(rec));
-    assert_eq!(batch.records, streamed);
-    assert_eq!(batch.metrics, metrics);
-    assert!(metrics.requests > 0);
-}
-
-#[test]
-fn policy_prep_streaming_matches_batch_evaluation() {
-    let workload = Workload::generate(&WorkloadConfig {
-        scale: 0.002,
-        seed: 41,
-        ..WorkloadConfig::default()
-    });
-    let records: Vec<TraceRecord> = workload.records().collect();
-    let total: u64 = workload.files().iter().map(|f| f.size).sum();
-    let config = EvalConfig::with_capacity((total as f64 * 0.015) as u64);
-    let suite = standard_suite();
-
-    let batch = evaluate_policies(&records, &suite, &config);
-    // Stream the records one at a time, as a sweep cell's sink does.
-    let mut prep = TracePrep::new();
-    for rec in workload.records() {
-        prep.observe(&rec);
-    }
-    let streamed = prep.finish().evaluate(&suite, &config);
-    assert_eq!(batch, streamed);
-}
-
 /// Runs one workload down both routes — rendered `TraceRecord`s into
-/// the path-keyed accumulators, `IdRecord`s into the id-keyed ones —
-/// and holds every output a sweep shard reads to equality. Returns how
-/// many `FileMeta` entries alias an earlier entry's path.
+/// the path-keyed entries (`Analyzer::observe`, `TracePrep`),
+/// `IdRecord`s into the slot-keyed ones, as a study's pass feeds them —
+/// and holds every analysis, the prepared trace and the annotated
+/// Table 2 records to equality. Returns how many `FileMeta` entries
+/// alias an earlier entry's path.
 fn assert_id_route_equals_string_route(config: &WorkloadConfig) -> usize {
     let workload = Workload::generate(config);
     let paths: HashSet<String> = (0..workload.files().len() as u32)
         .map(|f| workload.file_path(f))
         .collect();
     let aliased = workload.files().len() - paths.len();
-    let sim = MssSimulator::new(SimConfig::default().with_seed(77));
+    let sim_config = SimConfig::default().with_seed(77);
+    let sim = MssSimulator::new(sim_config.clone());
 
-    let mut s_stats = TraceStats::new();
-    let mut s_files = FileTracker::new();
-    let mut s_latency = LatencyAnalysis::new();
+    let mut s = Analyzer::new();
     let mut s_prep = TracePrep::new();
-    let mut s_waits = Vec::new();
+    let mut s_records = Vec::new();
     let s_metrics = sim.run_streaming(workload.clone().into_records(), |rec| {
-        s_waits.push(rec.startup_latency_s);
-        s_stats.observe(&rec);
-        if rec.is_ok() {
-            s_files.observe(&rec);
-        }
-        s_latency.observe(&rec);
+        s.observe(&rec);
         s_prep.observe(&rec);
+        s_records.push(rec);
     });
 
-    let mut i_stats = TraceStats::new();
-    let mut i_files = IdFileTracker::new();
-    let mut i_latency = LatencyAnalysis::new();
+    let mut i = Analyzer::new();
     let mut i_prep = IdTracePrep::new();
     let mut i_waits = Vec::new();
-    let i_metrics = sim.run_streaming(workload.into_requests(), |rec| {
-        i_waits.push(rec.startup_latency_s);
-        i_stats.observe(&rec);
-        i_files.observe(rec.file, &rec);
-        i_latency.observe(&rec);
+    let mut rendered = 0;
+    let i_metrics = sim.run_streaming(workload.requests(), |rec| {
+        i.observe_file(rec.file, &rec, |file| {
+            rendered += 1;
+            workload.file_path(file)
+        });
         i_prep.observe(rec.file, &rec);
+        i_waits.push(rec.startup_latency_s);
     });
 
-    assert!(s_metrics.requests > 0 && s_stats.total_errors() > 0);
+    assert!(s_metrics.requests > 0 && s.stats.total_errors() > 0);
     assert_eq!(s_metrics, i_metrics);
-    assert_eq!(s_waits, i_waits);
-    assert_eq!(s_stats, i_stats);
-    assert_eq!(s_files.file_count(), i_files.file_count());
-    assert_eq!(s_files.total_bytes(), i_files.total_bytes());
-    assert_eq!(s_files.never_read(), i_files.never_read());
-    assert_eq!(s_files.accessed_once(), i_files.accessed_once());
-    assert_eq!(
-        s_files.repeat_within_8h_fraction(),
-        i_files.repeat_within_8h_fraction()
-    );
-    assert_eq!(s_files.intervals(), i_files.intervals());
-    assert_eq!(s_latency, i_latency);
+    assert_eq!(s.stats, i.stats);
+    assert_eq!(s.hourly, i.hourly);
+    assert_eq!(s.weekly, i.weekly);
+    assert_eq!(s.weeks, i.weeks);
+    assert_eq!(s.gaps, i.gaps);
+    assert_eq!(s.dynamic_sizes, i.dynamic_sizes);
+    assert_eq!(s.latency, i.latency);
+    // The census numbers its slots differently on each route, so every
+    // aggregate it reports is compared instead.
+    let (sf, f) = (&s.files, &i.files);
+    assert_eq!(sf.file_count(), f.file_count());
+    assert_eq!(f.file_count(), paths.len().min(f.file_count()));
+    assert_eq!(rendered, f.file_count(), "one path rendered per file");
+    assert_eq!(sf.total_bytes(), f.total_bytes());
+    assert_eq!(sf.never_read(), f.never_read());
+    assert_eq!(sf.never_written(), f.never_written());
+    assert_eq!(sf.accessed_once(), f.accessed_once());
+    assert_eq!(sf.write_once_never_read(), f.write_once_never_read());
+    assert_eq!(sf.median_references(), f.median_references());
+    assert_eq!(sf.reference_count_cdf(), f.reference_count_cdf());
+    for dir in [Direction::Read, Direction::Write] {
+        assert_eq!(sf.direction_count_cdf(dir), f.direction_count_cdf(dir));
+    }
+    assert_eq!(sf.repeats_within(), f.repeats_within());
+    assert_eq!(sf.intervals(), f.intervals());
+    assert_eq!(sf.size_histogram(), f.size_histogram());
+    // The directory census: every count, every curve.
+    assert_eq!(s.dirs, i.dirs);
+    assert_eq!(s.dirs.file_count(), f.file_count());
+    assert_eq!(s.dirs.dir_count(), i.dirs.dir_count());
+    assert_eq!(s.dirs.largest_dir(), i.dirs.largest_dir());
+    assert_eq!(s.dirs.max_depth(), i.dirs.max_depth());
+    assert_eq!(s.dirs.curves(), i.dirs.curves());
     let (s_trace, i_trace) = (s_prep.finish(), i_prep.finish());
     assert_eq!(s_trace.file_count(), i_trace.file_count());
     assert_eq!(s_trace.refs(), i_trace.refs());
+    // Table 2's records: rendered on demand and annotated with the id
+    // route's latencies and the simulator's transfer time, they are the
+    // string route's annotated records.
+    assert_eq!(i_waits.len(), s_records.len());
+    let sample: Vec<TraceRecord> = workload
+        .records()
+        .zip(&i_waits)
+        .map(|(mut rec, &wait)| {
+            let transfer_ms = sim_config.transfer_ms(&rec);
+            rec.annotate(wait, transfer_ms);
+            rec
+        })
+        .collect();
+    assert_eq!(sample, s_records);
     aliased
 }
 
@@ -251,9 +243,9 @@ fn id_route_matches_string_route_on_an_aliasing_namespace() {
     // At this scale two namespace nodes under one parent render the
     // same directory path, so several `FileMeta` entries are one file.
     // Taking identity from the `files` index splits those files (file
-    // counts, dedup windows and next-use times move); taking dense ids
-    // from generator order instead of first appearance moves every
-    // `PreparedRef::id`.
+    // counts, dedup windows, directory sizes and next-use times move);
+    // taking dense ids from generator order instead of first appearance
+    // moves every `PreparedRef::id`.
     let aliased = assert_id_route_equals_string_route(&WorkloadConfig {
         scale: 0.03,
         seed: 3,
@@ -278,13 +270,13 @@ fn distinct_sim_seeds_give_distinct_latency_noise() {
         seed: 53,
         ..WorkloadConfig::default()
     });
-    let base = SimConfig::default();
-    let a = MssSimulator::new(base.clone().with_seed(1)).run(workload.records());
-    let b = MssSimulator::new(base.clone().with_seed(2)).run(workload.records());
-    let same = MssSimulator::new(base.with_seed(1)).run(workload.records());
-    let lat = |run: &fmig_sim::SimRun| -> Vec<u32> {
-        run.records.iter().map(|r| r.startup_latency_s).collect()
+    let lat = |seed: u64| -> Vec<u32> {
+        let mut waits = Vec::new();
+        MssSimulator::new(SimConfig::default().with_seed(seed))
+            .run_streaming(workload.requests(), |rec| waits.push(rec.startup_latency_s));
+        waits
     };
-    assert_eq!(lat(&a), lat(&same), "equal seeds must replay identically");
-    assert_ne!(lat(&a), lat(&b), "distinct seeds must decorrelate");
+    let (a, b, same) = (lat(1), lat(2), lat(1));
+    assert_eq!(a, same, "equal seeds must replay identically");
+    assert_ne!(a, b, "distinct seeds must decorrelate");
 }

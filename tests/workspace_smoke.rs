@@ -4,14 +4,16 @@
 //!    analysis) runs end-to-end on a tiny preset and feeds the
 //!    experiment registry.
 //! 2. The compact trace codec (`fmig_trace::codec`) is lossless over a
-//!    generated trace: write → read back reproduces every record
-//!    exactly.
+//!    generated, simulated trace: write → read back reproduces every
+//!    record exactly.
 
 use std::io::Cursor;
 
 use fmig_core::{experiment_ids, run_experiment, Study, StudyConfig};
+use fmig_sim::MssSimulator;
 use fmig_trace::time::TRACE_EPOCH;
 use fmig_trace::{TraceReader, TraceWriter};
+use fmig_workload::Workload;
 
 /// Small enough to finish in seconds, large enough to exercise every
 /// stage (generation, simulation, analysis, experiments).
@@ -22,12 +24,12 @@ fn study_pipeline_runs_end_to_end_on_a_tiny_preset() {
     let output = Study::new(StudyConfig::at_scale(SMOKE_SCALE)).run();
 
     assert!(
-        !output.records.is_empty(),
+        !output.workload.is_empty(),
         "tiny study generated no records"
     );
     assert_eq!(
         output.analysis.stats.raw_references,
-        output.records.len() as u64,
+        output.workload.len() as u64,
         "analysis did not observe every record"
     );
     assert!(output.analysis.files.file_count() > 0);
@@ -46,7 +48,14 @@ fn study_pipeline_runs_end_to_end_on_a_tiny_preset() {
 
 #[test]
 fn trace_codec_round_trip_is_lossless() {
-    let records = Study::new(StudyConfig::at_scale(SMOKE_SCALE)).run().records;
+    // The records a study's pass sees, rendered and annotated by the
+    // device simulator.
+    let config = StudyConfig::at_scale(SMOKE_SCALE);
+    let mut records = Vec::new();
+    MssSimulator::new(config.sim)
+        .run_streaming(Workload::generate(&config.workload).into_records(), |rec| {
+            records.push(rec)
+        });
     assert!(!records.is_empty());
 
     let mut writer = TraceWriter::new(Vec::new(), TRACE_EPOCH).expect("writer on Vec");
