@@ -36,7 +36,7 @@ impl DirStats {
 
     /// Adds one file of `size` bytes at `path`. Figure 12 counts each
     /// file once, so the caller adds a file only on its first reference.
-    pub fn add_file(&mut self, path: &str, size: u64) {
+    pub(crate) fn add_file(&mut self, path: &str, size: u64) {
         self.files += 1;
         let Some((dir, _file)) = path.rsplit_once('/') else {
             return;

@@ -229,11 +229,10 @@ fn table2(study: &StudyOutput) -> ExperimentResult {
     let n = study.workload.len().min(TABLE2_SAMPLE);
     let mut compact = TraceWriter::new(Vec::new(), TRACE_EPOCH).expect("vec writer");
     let mut verbose = VerboseLogWriter::new(Vec::new());
-    let simulated = study.sim_metrics.is_some();
     for (i, mut rec) in study.workload.records().take(n).enumerate() {
-        if simulated {
+        if let Some(&wait) = study.latencies.get(i) {
             let transfer_ms = study.config.sim.transfer_ms(&rec);
-            rec.annotate(study.latencies[i], transfer_ms);
+            rec.annotate(wait, transfer_ms);
         }
         compact.write_record(&rec).expect("vec writer");
         verbose.write_record(&rec).expect("vec writer");

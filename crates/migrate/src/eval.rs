@@ -186,9 +186,9 @@ impl From<StoreRow> for PreparedRef {
     }
 }
 
-/// Incremental trace preparation: feed records one at a time (straight
-/// off a generator or the simulator's streaming sink, no `Vec` of
-/// records needed), then [`TracePrep::finish`] into a [`PreparedTrace`].
+/// Incremental trace preparation for rendered [`TraceRecord`]s (a
+/// decoded trace file): feed records one at a time, then
+/// [`TracePrep::finish`] into a [`PreparedTrace`].
 ///
 /// This is the path-keyed front: it interns each reference's MSS path
 /// through its own [`FileTable`] and hands the slot to the

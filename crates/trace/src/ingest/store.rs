@@ -718,7 +718,7 @@ mod tests {
         // Stats survive the text roundtrip exactly.
         let stats = reader.stats().unwrap();
         let mut expect = TraceStats::new();
-        expect.observe_all(&recs);
+        recs.iter().for_each(|r| expect.observe(r));
         assert_eq!(stats, expect);
         fs::remove_dir_all(&dir).unwrap();
     }

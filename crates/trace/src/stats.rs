@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{DeviceClass, Direction, ErrorKind, Request, TraceRecord};
+use crate::record::{DeviceClass, Direction, ErrorKind, Request};
 
 /// Accumulator for one (direction × device) cell of Table 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -127,13 +127,6 @@ impl TraceStats {
         };
         dir.total.observe(rec);
         dir.by_device[device_index(device)].observe(rec);
-    }
-
-    /// Consumes an iterator of records.
-    pub fn observe_all<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
-        for rec in records {
-            self.observe(rec);
-        }
     }
 
     /// Statistics for one direction.
@@ -318,11 +311,11 @@ mod tests {
             })
             .collect();
         let mut all = TraceStats::new();
-        all.observe_all(&recs);
+        recs.iter().for_each(|r| all.observe(r));
         let mut a = TraceStats::new();
         let mut b = TraceStats::new();
-        a.observe_all(&recs[..5]);
-        b.observe_all(&recs[5..]);
+        recs[..5].iter().for_each(|r| a.observe(r));
+        recs[5..].iter().for_each(|r| b.observe(r));
         a.merge(&b);
         assert_eq!(a, all);
     }

@@ -1,5 +1,6 @@
 //! The synthetic trace generator: ties namespace, population, and rate
-//! models into a time-ordered stream of [`TraceRecord`]s.
+//! models into a time-ordered request stream: path-free [`IdRecord`]s,
+//! or the [`TraceRecord`]s they render as.
 //!
 //! # Generative model
 //!
