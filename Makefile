@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-matrix fmt lint doc docs examples service-smoke benchmark-check benchmark clean
+.PHONY: ci build test test-matrix fmt lint doc docs examples service-smoke paper-scale benchmark-check benchmark clean
 
-ci: build test test-matrix fmt lint docs examples service-smoke benchmark-check
+ci: build test test-matrix fmt lint docs examples service-smoke paper-scale benchmark-check
 
 build:
 	$(CARGO) build --release --workspace --all-targets
@@ -57,6 +57,15 @@ examples:
 service-smoke:
 	$(CARGO) build --release -p fmig-serve -p fmig-bench
 	$(CARGO) run --release -p fmig-bench --bin repro -- service-smoke
+
+# The paper-scale memory guard: the whole report at scale 1 on two
+# CPUs must peak at most 800 MiB resident (VmHWM via getrusage,
+# ci/peak_rss.py). The study holds each trace once and every fan-out
+# runs on the bounded pool, whose width taskset fixes, so the bound
+# does not depend on the host's CPU count.
+paper-scale:
+	$(CARGO) build --release -p fmig-bench --bin repro
+	taskset -c 0,1 python3 ci/peak_rss.py 800 target/release/repro --scale 1 all
 
 # The benchmark package (benchmark/, see BENCHMARK.json) is a workspace
 # of its own, so no other target compiles it: build it, run its tests,

@@ -52,11 +52,6 @@ impl Welford {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Log-bucketed histogram with per-bucket counts and weights.
@@ -266,7 +261,6 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-12);
         // Sample variance of this classic set is 32/7.
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-9);
-        assert!((w.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-9);
     }
 
     #[test]

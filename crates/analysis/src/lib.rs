@@ -50,6 +50,6 @@ pub use filetrack::{IdFileTracker, REPEAT_WINDOWS_H};
 pub use hist::{LogHistogram, Welford};
 pub use interref::GapTracker;
 pub use latency::{LatencyAnalysis, LatencyMoments};
-pub use report::{ascii_cdf, render_comparisons, Comparison, TextTable};
+pub use report::{ascii_cdf, render_comparisons, render_paper_rows, Comparison, TextTable};
 pub use sizes::DynamicSizes;
 pub use timeseries::{HourlyProfile, WeekSeries, WeeklyProfile};

@@ -4,6 +4,8 @@
 //! padded text table (the paper's Tables 1–4) and a log-x ASCII CDF plot
 //! (its Figures 3 and 7–12).
 
+use serde::{Deserialize, Serialize};
+
 /// A simple right-padded text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -206,7 +208,7 @@ fn format_axis(x: f64) -> String {
 }
 
 /// One paper-vs-measured comparison row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Comparison {
     /// What is being compared.
     pub metric: String,
@@ -252,6 +254,19 @@ pub fn render_comparisons(title: &str, rows: &[Comparison]) -> String {
         ]);
     }
     format!("{title}\n{}", t.render())
+}
+
+/// Renders comparisons as the sweep's and the importer's one-line
+/// rows: `  paper <metric> <paper> measured <measured>`.
+pub fn render_paper_rows(rows: &[Comparison]) -> String {
+    rows.iter()
+        .map(|c| {
+            format!(
+                "  paper {:<28} {:>8.3} measured {:>8.3}\n",
+                c.metric, c.paper, c.measured
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -317,6 +332,10 @@ mod tests {
         assert!((c.ratio() - 0.69 / 0.66).abs() < 1e-12);
         let z = Comparison::new("zero", 0.0, 0.0);
         assert_eq!(z.ratio(), 1.0);
+        assert_eq!(
+            render_paper_rows(std::slice::from_ref(&c)),
+            "  paper read share                      0.660 measured    0.690\n"
+        );
         let table = render_comparisons("check", &[c, z]);
         assert!(table.contains("read share"));
         assert!(table.contains("1.00x"));

@@ -21,6 +21,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use fmig_core::analysis::{render_paper_rows, Comparison};
 use fmig_core::{
     experiment_ids, run_experiment, run_sweep, FaultScenarioId, Study, StudyConfig, SweepConfig,
 };
@@ -326,26 +327,19 @@ fn render_ingest_report(
 fn paper_delta_table(stats: &TraceStats) -> String {
     let targets = PaperTargets::ncar();
     let paper_byte_share = targets.gb_read / (targets.gb_read + targets.gb_written);
-    let rows = [
-        (
+    render_paper_rows(&[
+        Comparison::new(
             "read_share",
             targets.read_share(),
             stats.read_reference_share(),
         ),
-        (
+        Comparison::new(
             "error_fraction",
             targets.error_fraction(),
             stats.error_fraction(),
         ),
-        ("read_byte_share", paper_byte_share, stats.read_byte_share()),
-    ];
-    let mut text = String::new();
-    for (metric, paper, measured) in rows {
-        text.push_str(&format!(
-            "  paper {metric:<28} {paper:>8.3} measured {measured:>8.3}\n"
-        ));
-    }
-    text
+        Comparison::new("read_byte_share", paper_byte_share, stats.read_byte_share()),
+    ])
 }
 
 /// `repro ingest-gen`: write a synthetic MSR-format CSV trace big enough

@@ -16,7 +16,7 @@ use fmig_migrate::{dividing::DividingPointStudy, eval, policy, writeback};
 use fmig_sim::{Metrics, MssSimulator, SimConfig};
 use fmig_trace::time::{CivilDate, Timestamp, TRACE_EPOCH};
 use fmig_trace::{
-    DeviceClass, Direction, Endpoint, IdRecord, Request, TraceRecord, TraceWriter, VerboseLogWriter,
+    DeviceClass, Direction, Endpoint, Request, TraceRecord, TraceWriter, VerboseLogWriter,
 };
 use fmig_workload::rate::{READ_DIURNAL, READ_WEEKLY};
 
@@ -1088,10 +1088,8 @@ fn dividing_exp(study: &StudyOutput) -> ExperimentResult {
 
 /// §6-d: lazy write-behind.
 fn writeback_exp(study: &StudyOutput) -> ExperimentResult {
-    let base: Vec<IdRecord> = study.workload.requests().collect();
-    let deferred = writeback::defer_writes(&base);
-    let report = writeback::deferral_report(&base, &deferred);
-    drop(base);
+    let deferred = writeback::defer_writes(study.workload.requests().collect());
+    let report = writeback::deferral_report(study.workload.requests(), &deferred);
     // Use hardware scaled to the workload so the tape drives are as
     // contended as NCAR's were; on full-size hardware a scaled trace
     // leaves the drives idle and deferral has nothing to relieve.

@@ -39,8 +39,7 @@ pub use experiments::{experiment_ids, run_experiment, ExperimentResult};
 pub use runner::run_sweep;
 pub use study::{Study, StudyConfig, StudyOutput};
 pub use sweep::{
-    CellResult, FaultScenarioId, PaperDelta, PolicyId, PresetId, ShardReport, SweepConfig,
-    SweepReport, Winner,
+    CellResult, FaultScenarioId, PolicyId, PresetId, ShardReport, SweepConfig, SweepReport, Winner,
 };
 
 pub use fmig_analysis as analysis;

@@ -1,9 +1,10 @@
 //! The deterministic parallel sweep runner.
 //!
 //! [`run_sweep`] expands a [`SweepConfig`] into trace shards (one per
-//! preset × scale coordinate) and runs them in **two phases** on a
-//! `std::thread::scope` worker pool. Workers pull indices from an
-//! atomic counter — classic self-scheduling fan-out, the same shape the
+//! preset × scale coordinate) and runs them in **two phases** on the
+//! workspace's bounded worker pool ([`parallel_indexed`], shared with
+//! `PreparedTrace::evaluate`). Workers pull indices from an atomic
+//! counter — classic self-scheduling fan-out, the same shape the
 //! `ptexec` family used for parallel Unix commands — and write results
 //! into the task's own slot, so scheduling order never leaks into the
 //! report:
@@ -38,21 +39,18 @@
 //! output, pinned by a tier-1 test.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use fmig_analysis::{IdFileTracker, LatencyMoments};
+use fmig_analysis::{Comparison, IdFileTracker, LatencyMoments};
 use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedRef, PreparedTrace};
 use fmig_migrate::mrc::{sweep_capacities_streaming, MissRatioCurve};
+use fmig_migrate::pool::parallel_indexed;
 use fmig_sim::fault::fault_horizon;
 use fmig_sim::{HierarchySimulator, MssSimulator, SimConfig, SimMs};
 use fmig_trace::ingest::store::{StoreReader, StoreRow, CHUNK_RECORDS};
 use fmig_trace::{Direction, IdRecord, TraceStats};
 use fmig_workload::{PaperTargets, Workload};
 
-use crate::sweep::{
-    CellResult, FaultScenarioId, PaperDelta, PresetId, ShardReport, SweepConfig, SweepReport,
-};
+use crate::sweep::{CellResult, FaultScenarioId, PresetId, ShardReport, SweepConfig, SweepReport};
 
 /// Expands the matrix and runs every cell; see the module docs.
 ///
@@ -107,41 +105,6 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     report
 }
 
-/// Runs `f(0..n)` on a self-scheduling worker pool and returns results
-/// in index order. The indexed slots make the output independent of
-/// which worker ran which task.
-fn parallel_indexed<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = effective_workers(workers, n);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                results.lock().expect("no panicked worker")[i] = Some(out);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("no panicked worker")
-        .into_iter()
-        .map(|s| s.expect("every task produces a result"))
-        .collect()
-}
-
-/// Resolves the worker-count knob: 0 means one per available CPU, and no
-/// pool is ever wider than its phase's task list.
-fn effective_workers(requested: usize, tasks: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n = if requested == 0 { hw } else { requested };
-    n.clamp(1, tasks.max(1))
-}
-
 /// One prepared trace shard plus the analysis-derived report skeleton.
 struct PreparedShard {
     preset_idx: usize,
@@ -152,7 +115,7 @@ struct PreparedShard {
     read_share: f64,
     mean_read_latency_s: f64,
     mean_write_latency_s: f64,
-    paper_deltas: Vec<PaperDelta>,
+    paper_deltas: Vec<Comparison>,
     data: ShardData,
     capacities: Vec<u64>,
     /// Fault-schedule horizon of the shard's references (virtual ms),
@@ -333,38 +296,33 @@ fn prepare_shard(config: &SweepConfig, preset_idx: usize, scale_idx: usize) -> P
     // knobs on purpose, so deltas there would read as fidelity failures.
     let paper_deltas = if let Some(tracked) = tracked {
         let targets = PaperTargets::ncar();
-        let delta = |metric: &str, paper: f64, measured: f64| PaperDelta {
-            metric: metric.to_string(),
-            paper,
-            measured,
-        };
         vec![
-            delta(
+            Comparison::new(
                 "read_share",
                 targets.read_share(),
                 stats.read_reference_share(),
             ),
-            delta(
+            Comparison::new(
                 "error_fraction",
                 targets.error_fraction(),
                 stats.error_fraction(),
             ),
-            delta(
+            Comparison::new(
                 "files_never_read",
                 targets.files_never_read,
                 tracked.never_read(),
             ),
-            delta(
+            Comparison::new(
                 "files_accessed_once",
                 targets.files_accessed_once,
                 tracked.accessed_once(),
             ),
-            delta(
+            Comparison::new(
                 "requests_within_8h",
                 targets.requests_within_8h_of_same_file,
                 tracked.repeat_within_8h_fraction(),
             ),
-            delta(
+            Comparison::new(
                 "file_gap_under_1d",
                 targets.file_gap_under_1d,
                 tracked.intervals_under_1d(),
@@ -823,14 +781,6 @@ mod tests {
                 assert!(w[1] <= w[0] + 1e-12, "{}: {series:?}", policy.name());
             }
         }
-    }
-
-    #[test]
-    fn effective_workers_clamps() {
-        assert_eq!(effective_workers(1, 8), 1);
-        assert_eq!(effective_workers(100, 3), 3);
-        assert!(effective_workers(0, 8) >= 1);
-        assert_eq!(effective_workers(4, 0), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use fmig_analysis::Analyzer;
 use fmig_migrate::eval::{IdTracePrep, PreparedTrace};
-use fmig_sim::{Metrics, MssSimulator, SimConfig};
+use fmig_sim::{MssSimulator, SimConfig};
 use fmig_trace::IdRecord;
 use fmig_workload::{PaperTargets, Workload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
@@ -67,8 +67,6 @@ pub struct StudyOutput {
     /// The simulated startup latencies of the first [`TABLE2_SAMPLE`]
     /// requests, in trace order; empty when device simulation is off.
     pub latencies: Vec<u32>,
-    /// Simulator metrics (latency histograms), if it ran.
-    pub sim_metrics: Option<Metrics>,
     /// The paper's published values for comparison.
     pub targets: PaperTargets,
 }
@@ -114,20 +112,18 @@ impl Study {
                 latencies.push(rec.startup_latency_s);
             }
         };
-        let sim_metrics = if self.config.simulate_devices {
+        if self.config.simulate_devices {
             let sim = MssSimulator::new(self.config.sim.clone());
-            Some(sim.run_streaming(workload.requests(), sink))
+            sim.run_streaming(workload.requests(), sink);
         } else {
             workload.requests().for_each(sink);
-            None
-        };
+        }
         StudyOutput {
             config: self.config.clone(),
             workload,
             analysis,
             prepared: prep.finish(),
             latencies,
-            sim_metrics,
             targets: PaperTargets::ncar(),
         }
     }
@@ -157,7 +153,6 @@ mod tests {
             out.analysis.files.file_count()
         );
         assert_eq!(out.latencies.len(), out.workload.len().min(TABLE2_SAMPLE));
-        assert!(out.sim_metrics.is_some());
     }
 
     #[test]
@@ -180,7 +175,6 @@ mod tests {
         let mut config = StudyConfig::at_scale(0.002);
         config.simulate_devices = false;
         let out = Study::new(config).run();
-        assert!(out.sim_metrics.is_none());
         assert!(out.latencies.is_empty());
         assert_eq!(out.analysis.latency.direction_mean(Direction::Read), 0.0);
         // Non-latency analyses still work.

@@ -20,6 +20,7 @@
 //! for both the generator and the device simulator (threaded through
 //! [`WorkloadConfig::seed`] and [`fmig_sim::SimConfig::with_seed`]).
 
+use fmig_analysis::{render_paper_rows, Comparison};
 use fmig_migrate::eval::LatencyOutcome;
 use fmig_migrate::policy::{
     Belady, Fifo, LargestFirst, Lru, LruMad, MigrationPolicy, RandomEvict, Saac, SmallestFirst,
@@ -582,25 +583,6 @@ impl Default for SweepConfig {
 // the fault schedule so every derived stream has a single definition.
 use fmig_sim::fault::seed_mix as mix;
 
-/// One paper-figure delta: the published value against this shard's
-/// measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PaperDelta {
-    /// Which published number.
-    pub metric: String,
-    /// The paper's value.
-    pub paper: f64,
-    /// This shard's measured value.
-    pub measured: f64,
-}
-
-impl PaperDelta {
-    /// Measured minus paper.
-    pub fn delta(&self) -> f64 {
-        self.measured - self.paper
-    }
-}
-
 /// One cell's outcome: a policy under a cache budget on a shard's trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
@@ -653,7 +635,7 @@ pub struct ShardReport {
     /// Populated only for the NCAR-calibrated preset; the other presets
     /// deviate from the paper's knobs by design, so a delta there would
     /// be noise dressed up as a fidelity check.
-    pub paper_deltas: Vec<PaperDelta>,
+    pub paper_deltas: Vec<Comparison>,
     /// One result per (fault, cache fraction, policy) cell, in matrix
     /// order (fault-scenario major, then cache fraction, then policy).
     pub cells: Vec<CellResult>,
@@ -930,12 +912,7 @@ impl SweepReport {
                 shard.referenced_gb,
                 shard.read_share * 100.0,
             ));
-            for delta in &shard.paper_deltas {
-                out.push_str(&format!(
-                    "  paper {:<28} {:>8.3} measured {:>8.3}\n",
-                    delta.metric, delta.paper, delta.measured
-                ));
-            }
+            out.push_str(&render_paper_rows(&shard.paper_deltas));
             for cell in &shard.cells {
                 out.push_str(&format!(
                     "  cache {:>5.2}% {:<9} miss {:>6.2}% byte-miss {:>6.2}% person-min/day {:>10.1}",

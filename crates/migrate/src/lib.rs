@@ -11,6 +11,8 @@
 //!   states its semantics, the oracle every cache engine is held to);
 //! * [`eval`] — the Smith/Lawrie comparison harness, parallel across
 //!   policies;
+//! * [`pool`] — the bounded worker pool the sweep runner's phases and
+//!   [`PreparedTrace::evaluate`] run on;
 //! * [`mrc`] — single-pass miss-ratio curves: a whole capacity grid from
 //!   one trace walk, exact against per-capacity replay;
 //! * [`feedback`] — the miss-latency feedback channel: an EWMA of
@@ -39,6 +41,7 @@ pub mod eval;
 pub mod feedback;
 pub mod mrc;
 pub mod policy;
+pub mod pool;
 mod rank;
 pub mod writeback;
 

@@ -36,22 +36,22 @@ pub fn next_night(t: Timestamp) -> Timestamp {
     Timestamp::from_unix(day_start + NIGHT_START_H * HOUR)
 }
 
-/// Rewrites a sorted trace so every write is flushed lazily.
+/// Rewrites a sorted trace in place so every write is flushed lazily.
 ///
 /// Each write keeps its identity but its start time moves to the next
 /// night window (plus a spreading offset), clamped so it still lands
 /// before any later read of the same file. Files are named by
 /// `IdRecord::file`; reads and errored records are untouched, and an
 /// errored record's slot is never looked up. The result is re-sorted by
-/// start time.
-pub fn defer_writes(records: &[IdRecord]) -> Vec<IdRecord> {
+/// start time. A caller that compares before and after keeps its own
+/// copy (or regenerates the stream, as [`deferral_report`] allows).
+pub fn defer_writes(mut records: Vec<IdRecord>) -> Vec<IdRecord> {
     let ok = || records.iter().filter(|r| r.error.is_none());
     let slots = ok().map(|r| r.file as usize + 1).max().unwrap_or(0);
     let mut writes = ok().filter(|r| r.direction == Direction::Write).count() as i64;
     // One reverse pass: each file's next read is known at each write.
     let mut next_read: Vec<Option<i64>> = vec![None; slots];
-    let mut out = records.to_vec();
-    for rec in out.iter_mut().rev().filter(|r| r.error.is_none()) {
+    for rec in records.iter_mut().rev().filter(|r| r.error.is_none()) {
         let start = rec.start.as_unix();
         let next = &mut next_read[rec.file as usize];
         if rec.direction == Direction::Read {
@@ -69,8 +69,8 @@ pub fn defer_writes(records: &[IdRecord]) -> Vec<IdRecord> {
         }
         rec.start = Timestamp::from_unix(flush.max(start));
     }
-    out.sort_by_key(|r| r.start);
-    out
+    records.sort_by_key(|r| r.start);
+    records
 }
 
 /// Summary of how far writes moved.
@@ -86,15 +86,18 @@ pub struct DeferralReport {
     pub night_fraction: f64,
 }
 
-/// Compares a trace with its deferred version.
+/// Compares a trace, streamed in any order, with its deferred version.
 ///
 /// The mean deferral is computed from aggregate start-time sums, which is
 /// pairing-independent (repeat writes of one file would otherwise make
 /// one-to-one matching ambiguous).
-pub fn deferral_report(before: &[IdRecord], after: &[IdRecord]) -> DeferralReport {
-    let is_write = |r: &&IdRecord| r.error.is_none() && r.direction == Direction::Write;
+pub fn deferral_report(
+    before: impl IntoIterator<Item = IdRecord>,
+    after: &[IdRecord],
+) -> DeferralReport {
+    let is_write = |r: &IdRecord| r.error.is_none() && r.direction == Direction::Write;
     let mut before_sorted: Vec<i64> = before
-        .iter()
+        .into_iter()
         .filter(is_write)
         .map(|r| r.start.as_unix())
         .collect();
@@ -102,7 +105,7 @@ pub fn deferral_report(before: &[IdRecord], after: &[IdRecord]) -> DeferralRepor
     let mut after_sorted: Vec<i64> = Vec::with_capacity(before_sorted.len());
     let mut writes = 0u64;
     let mut night = 0u64;
-    for rec in after.iter().filter(is_write) {
+    for rec in after.iter().filter(|r| is_write(r)) {
         writes += 1;
         if in_night_window(rec.start) {
             night += 1;
@@ -187,12 +190,12 @@ mod tests {
     #[test]
     fn daytime_writes_move_to_night() {
         let records = vec![write(0, 10 * HOUR), write(1, 11 * HOUR)];
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records.clone());
         for rec in &deferred {
             assert!(in_night_window(rec.start), "write at {}", rec.start);
             assert!(rec.start.as_unix() >= 10 * HOUR + TRACE_EPOCH.as_unix());
         }
-        let report = deferral_report(&records, &deferred);
+        let report = deferral_report(records, &deferred);
         assert_eq!(report.writes, 2);
         assert_eq!(report.moved, 2);
         assert!(report.night_fraction > 0.99);
@@ -202,7 +205,7 @@ mod tests {
     #[test]
     fn writes_spread_by_97_seconds_each() {
         let records: Vec<_> = (0..3).map(|f| write(f, 10 * HOUR)).collect();
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records);
         let night = TRACE_EPOCH.add_secs(22 * HOUR).as_unix();
         let starts: Vec<i64> = deferred.iter().map(|r| r.start.as_unix() - night).collect();
         assert_eq!(starts, [97, 194, 291]);
@@ -217,7 +220,7 @@ mod tests {
         // Write at 10:00, read back at 14:00: the flush cannot wait for
         // night.
         let records = vec![write(0, 10 * HOUR), read(0, 14 * HOUR)];
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records.clone());
         assert_eq!(deferred[0].direction, Direction::Write);
         assert_eq!(deferred[0].start, TRACE_EPOCH.add_secs(14 * HOUR - 1));
         assert_eq!(deferred[1], records[1]);
@@ -234,23 +237,23 @@ mod tests {
             lost(13 * HOUR),
             read(0, 14 * HOUR),
         ];
-        let deferred = defer_writes(&noisy);
+        let deferred = defer_writes(noisy.clone());
         let flushed = IdRecord {
             start: TRACE_EPOCH.add_secs(14 * HOUR - 1),
             ..noisy[0]
         };
         assert_eq!(deferred, [noisy[1], noisy[2], flushed, noisy[3]]);
-        assert_eq!(defer_writes(&clean), [flushed, clean[1]]);
+        assert_eq!(defer_writes(clean.clone()), [flushed, clean[1]]);
         assert_eq!(
-            deferral_report(&noisy, &deferred),
-            deferral_report(&clean, &defer_writes(&clean))
+            deferral_report(noisy, &deferred),
+            deferral_report(clean.clone(), &defer_writes(clean))
         );
     }
 
     #[test]
     fn reads_and_errors_are_untouched() {
         let records = vec![read(0, 9 * HOUR), lost(9 * HOUR), write(1, 10 * HOUR)];
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records.clone());
         assert!(deferred.contains(&records[0]));
         assert!(deferred.contains(&records[1]));
     }
@@ -263,7 +266,7 @@ mod tests {
             write(1, 12 * HOUR),
             read(3, 23 * HOUR),
         ];
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records.clone());
         for w in deferred.windows(2) {
             assert!(w[0].start <= w[1].start);
         }
@@ -273,7 +276,7 @@ mod tests {
     #[test]
     fn night_writes_stay_near_their_slot() {
         let records = vec![write(0, 23 * HOUR)];
-        let deferred = defer_writes(&records);
+        let deferred = defer_writes(records.clone());
         // Already in the window: may spread forward but stays in-window
         // or close to it, and never moves backwards.
         assert!(deferred[0].start.as_unix() >= records[0].start.as_unix());

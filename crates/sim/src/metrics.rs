@@ -158,13 +158,6 @@ impl Metrics {
     pub fn record_latency(&mut self, dir: Direction, device: DeviceClass, latency_s: f64) {
         self.latency[dir_index(dir)][device_index(device)].record(latency_s);
     }
-
-    /// Combined (reads + writes) histogram for a device, for Figure 3.
-    pub fn device_latency(&self, device: DeviceClass) -> LatencyHistogram {
-        let mut h = self.latency[0][device_index(device)].clone();
-        h.merge(&self.latency[1][device_index(device)]);
-        h
-    }
 }
 
 impl Default for Metrics {
@@ -253,9 +246,6 @@ mod tests {
             1
         );
         assert_eq!(m.latency_of(Direction::Read, DeviceClass::Disk).count(), 0);
-        let combined = m.device_latency(DeviceClass::TapeSilo);
-        assert_eq!(combined.count(), 2);
-        assert!((combined.mean() - 62.5).abs() < 1e-9);
     }
 
     #[test]

@@ -295,11 +295,6 @@ impl TraceRecord {
         self.error.is_none()
     }
 
-    /// File size in megabytes (10^6 bytes, as the paper reports sizes).
-    pub fn size_mb(&self) -> f64 {
-        self.file_size as f64 / 1.0e6
-    }
-
     /// Instant the first byte moved.
     pub fn first_byte_at(&self) -> Timestamp {
         self.start.add_secs(self.startup_latency_s as i64)
@@ -541,7 +536,6 @@ mod tests {
         r.transfer_ms = 40_000;
         assert_eq!(r.first_byte_at(), TRACE_EPOCH.add_secs(85));
         assert_eq!(r.completed_at(), TRACE_EPOCH.add_secs(125));
-        assert!((r.size_mb() - 80.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{DeviceClass, Direction, ErrorKind, Request};
+use crate::record::{DeviceClass, Direction, Request};
 
 /// Accumulator for one (direction × device) cell of Table 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -154,11 +154,6 @@ impl TraceStats {
         self.errors.iter().sum()
     }
 
-    /// Errors for one kind.
-    pub fn errors_of(&self, kind: ErrorKind) -> u64 {
-        self.errors[(kind.code() - 1) as usize]
-    }
-
     /// Fraction of raw references that errored (the paper's 4.76%).
     pub fn error_fraction(&self) -> f64 {
         if self.raw_references == 0 {
@@ -221,7 +216,7 @@ fn device_index(class: DeviceClass) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
+    use crate::record::{ErrorKind, TraceRecord};
     use crate::time::TRACE_EPOCH;
 
     fn rec(dir: Direction, dev: DeviceClass, size: u64, lat: u32) -> TraceRecord {
@@ -263,7 +258,6 @@ mod tests {
         assert_eq!(s.raw_references, 2);
         assert_eq!(s.total_references(), 1);
         assert_eq!(s.total_errors(), 1);
-        assert_eq!(s.errors_of(ErrorKind::FileNotFound), 1);
         assert!((s.error_fraction() - 0.5).abs() < 1e-12);
     }
 

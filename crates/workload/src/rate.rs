@@ -191,28 +191,11 @@ impl RateModel {
         }
         candidate
     }
-
-    /// Mean weight over one canonical (non-holiday) week, used to convert
-    /// desired event counts into nominal gap lengths.
-    pub fn mean_weekly_weight(&self) -> f64 {
-        let (diurnal, weekly) = match self.kind {
-            RateKind::Read => (&READ_DIURNAL, &READ_WEEKLY),
-            RateKind::Write => (&WRITE_DIURNAL, &WRITE_WEEKLY),
-        };
-        let d_mean: f64 = diurnal.iter().sum::<f64>() / 24.0;
-        let w_mean: f64 = weekly.iter().sum::<f64>() / 7.0;
-        d_mean * w_mean
-    }
 }
 
 /// The read-rate factor of the holiday `t` falls on, from the calendar.
 fn calendar_holiday_factor(t: Timestamp) -> f64 {
     t.holiday().map_or(1.0, Holiday::read_rate_factor)
-}
-
-/// Convenience: true during the 9 AM–5 PM working window on a weekday.
-pub fn is_working_hours(t: Timestamp) -> bool {
-    !t.weekday().is_weekend() && (9..17).contains(&t.hour_of_day())
 }
 
 /// Integrates a model's weight over `[start, end)` with hourly steps —
@@ -362,6 +345,5 @@ mod tests {
         // Write mass is much closer to its ceiling than read mass.
         assert!(week0 / (7.0 * 24.0) < 0.7);
         assert!(week0_w / (7.0 * 24.0) > 0.85);
-        assert!((read.mean_weekly_weight() - week0 / (7.0 * 24.0)).abs() < 0.05);
     }
 }

@@ -158,7 +158,7 @@ fn main() {
     );
 
     // §6: write lazily at night, keep daytime devices free for readers.
-    let (lazy, _) = simulate(&sim, writeback::defer_writes(&requests));
+    let (lazy, _) = simulate(&sim, writeback::defer_writes(requests));
     println!(
         "write-behind  : reads wait {:5.1}s (perceived write wait ~0: the MSS\n\
          \x20               acknowledges writes and flushes during the night window)",

@@ -82,7 +82,7 @@ fn deferred_writes_respect_reads_even_through_midnight_chains() {
     // Write at 21:00, read back at 23:30 (inside the night window):
     // the flush must still land before the read.
     let records = vec![write(0, 21 * HOUR), read(0, 23 * HOUR + 1800)];
-    let deferred = writeback::defer_writes(&records);
+    let deferred = writeback::defer_writes(records.clone());
     let w = deferred
         .iter()
         .find(|r| r.direction == Direction::Write)
@@ -92,7 +92,7 @@ fn deferred_writes_respect_reads_even_through_midnight_chains() {
         .find(|r| r.direction == Direction::Read)
         .unwrap();
     assert!(w.start < r.start);
-    let report = writeback::deferral_report(&records, &deferred);
+    let report = writeback::deferral_report(records, &deferred);
     assert_eq!(report.writes, 1);
 }
 
@@ -107,7 +107,7 @@ proptest! {
         steps in proptest::collection::vec((0u8..6, 0u8..10, any::<bool>()), 0..100),
     ) {
         let records = random_trace(&steps);
-        let deferred = writeback::defer_writes(&records);
+        let deferred = writeback::defer_writes(records.clone());
         prop_assert_eq!(deferred.len(), records.len());
         for pair in deferred.windows(2) {
             prop_assert!(pair[0].start <= pair[1].start);

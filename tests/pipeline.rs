@@ -94,7 +94,7 @@ fn every_experiment_runs_and_renders() {
 fn deferred_writes_trace_is_valid_and_complete() {
     let workload = small_workload();
     let requests: Vec<_> = workload.requests().collect();
-    let deferred = fmig_migrate::writeback::defer_writes(&requests);
+    let deferred = fmig_migrate::writeback::defer_writes(requests.clone());
     assert_eq!(deferred.len(), requests.len());
     // Still sorted, still simulable.
     for w in deferred.windows(2) {
