@@ -58,14 +58,19 @@ service-smoke:
 	$(CARGO) build --release -p fmig-serve -p fmig-bench
 	$(CARGO) run --release -p fmig-bench --bin repro -- service-smoke
 
-# The paper-scale memory guard: the whole report at scale 1 on two
-# CPUs must peak at most 800 MiB resident (VmHWM via getrusage,
-# ci/peak_rss.py). The study holds each trace once and every fan-out
-# runs on the bounded pool, whose width taskset fixes, so the bound
-# does not depend on the host's CPU count.
+# The paper-scale guard: the whole report at scale 1 on two CPUs must
+# peak at most 800 MiB resident (VmHWM via getrusage, ci/peak_rss.py)
+# and print exactly the report whose SHA-256 ci/paper-scale.sha256
+# holds. The study holds each trace once and every fan-out runs on the
+# bounded pool, whose width taskset fixes, so the bound does not depend
+# on the host's CPU count. A change that means to move the report
+# re-bases the digest file.
 paper-scale:
 	$(CARGO) build --release -p fmig-bench --bin repro
-	taskset -c 0,1 python3 ci/peak_rss.py 800 target/release/repro --scale 1 all
+	taskset -c 0,1 python3 ci/peak_rss.py 800 target/release/repro --scale 1 all \
+		> target/paper-scale.txt; status=$$?; cat target/paper-scale.txt; exit $$status
+	grep -qx "stdout sha256 $$(cat ci/paper-scale.sha256)" target/paper-scale.txt || \
+		{ echo "the scale-1 report's digest differs from ci/paper-scale.sha256" >&2; exit 1; }
 
 # The benchmark package (benchmark/, see BENCHMARK.json) is a workspace
 # of its own, so no other target compiles it: build it, run its tests,

@@ -1124,17 +1124,16 @@ mod tests {
         };
         for p in PolicyId::ALL {
             let want = match p {
-                // Power-age forms (SAAC at exponent 1), and the affine
-                // policies whose keys arrive out of order.
+                // Power-age forms (SAAC at exponent 1) and affine ones.
                 PolicyId::Stp14
                 | PolicyId::Stp10
                 | PolicyId::Stp20
                 | PolicyId::Saac
+                | PolicyId::Lru
+                | PolicyId::Fifo
                 | PolicyId::LargestFirst
                 | PolicyId::SmallestFirst
                 | PolicyId::Belady => RankingRegime::Scan,
-                // Keys that never rise: the deque.
-                PolicyId::Lru | PolicyId::Fifo => RankingRegime::Monotone,
                 // Neither form: every resident keyed once per purge.
                 PolicyId::Random | PolicyId::StpLat | PolicyId::LruMad => RankingRegime::Rescan,
             };

@@ -32,14 +32,10 @@
 //! in a flat arena (`Vec<Option<Entry>>` addressed by `id.index()`), so
 //! the replay hot path never hashes: a hit is one bounds check and one
 //! array load. A slot is vacated on eviction and *reused* when the same
-//! file re-enters, as a fresh entry. Slot reuse cannot alias stale
-//! deque keys onto a re-created entry (no ABA): pop-time validation is
-//! by *value* — a popped key counts only if the live entry's current
-//! affine intercept equals the key's bit-for-bit — so a stale key for a
-//! previous incarnation either matches the new intercept (then it *is*
-//! the correct current key) or is discarded, exactly as if the entry
-//! had mutated in place. The scan's row for the file goes with the
-//! eviction and comes back marked with the re-entry.
+//! file re-enters, as a fresh entry. The ranking's row for the file goes
+//! with the eviction and comes back with the re-entry, marked for the
+//! next purge to key afresh, so no key of a previous incarnation
+//! survives (no ABA).
 //!
 //! What a reference and a purge *do* is stated once, naively, in
 //! `tests/spec/mod.rs`; `tests/cache_spec.rs` holds this cache to it,
@@ -48,14 +44,13 @@
 //! # Victim ranking
 //!
 //! A watermark purge evicts in `(priority desc, id asc)` order. Which
-//! file that is — and how cheaply it is found: the monotone deque, the
-//! scan keyed by exact intercepts or power-age roots, or the exact
-//! rescan, chosen per [`EvictionMode`] from what the policy promises —
-//! is the `rank` module's one lifecycle (`crate::rank::Ranking`; its
-//! module docs in `rank.rs` are the reference). This cache is one of
-//! its two hosts: the ranking keeps a row per resident, the arena shows
-//! it each entry's view, the cache reports every insert, write and read
-//! hit (the ranking skips a read hit only while it is on the deque),
+//! file that is — and how cheaply it is found: the scan keyed by exact
+//! intercepts or power-age roots, or the exact rescan, chosen per
+//! [`EvictionMode`] from what the policy promises — is the `rank`
+//! module's one lifecycle (`crate::rank::Ranking`; its module docs in
+//! `rank.rs` are the reference). This cache is one of its two hosts:
+//! the ranking keeps a row per resident, the arena shows it each
+//! entry's view, the cache reports every insert, write and read hit,
 //! steps it down to the rescan when the clock runs backwards, and keeps
 //! the eviction bookkeeping (stall vs background flush, [`CacheOp`]s) to
 //! itself.
@@ -261,11 +256,11 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionMode {
     /// Probe the policy at the first purge: a shared-slope affine
-    /// priority ([`MigrationPolicy::affine`]) ranks through the
-    /// monotone deque until its first out-of-order key, then through the
-    /// scan; a power-age one ([`MigrationPolicy::power_age_form`])
-    /// through the scan. Policies with neither form fall back to the
-    /// exact rescan automatically.
+    /// priority ([`MigrationPolicy::affine`]) ranks through the scan on
+    /// intercept keys, a power-age one
+    /// ([`MigrationPolicy::power_age_form`]) through the scan on
+    /// power-age keys. Policies with neither form fall back to the exact
+    /// rescan automatically.
     #[default]
     Auto,
     /// Always rank victims by the rescan (every resident's priority at
@@ -409,8 +404,8 @@ impl<'p> DiskCache<'p> {
     }
 
     /// The victim-ranking regime in force: [`RankingRegime::Unprobed`]
-    /// until the first purge, then the path the policy's forms allow
-    /// (the deque or the scan), or the rescan once it degrades.
+    /// until the first purge, then the scan if the policy has a form,
+    /// or the rescan if it has none or once it degrades.
     pub fn ranking_regime(&self) -> RankingRegime {
         self.rank.regime()
     }
@@ -489,7 +484,7 @@ impl<'p> DiskCache<'p> {
             self.stats.read_hits += 1;
             self.stats.read_hit_bytes += e.size;
             let fetching = e.fetching;
-            self.rank.read_hit(&self.arena, id.raw());
+            self.rank.touched(id.raw());
             return if fetching {
                 ReadResult::DelayedHit
             } else {
@@ -539,7 +534,7 @@ impl<'p> DiskCache<'p> {
             e.est_miss_wait_s = est;
             e.dirty = !self.config.eager_writeback;
             self.usage = self.usage - old_size + size;
-            self.rank.touched(&self.arena, id.raw());
+            self.rank.touched(id.raw());
             self.maybe_purge(now, ops);
             return;
         }
@@ -638,12 +633,12 @@ impl<'p> DiskCache<'p> {
         );
         self.arena.slots[id.index()] = Some(entry);
         self.usage += size;
-        self.rank.touched(&self.arena, id.raw());
+        self.rank.touched(id.raw());
         self.maybe_purge(now, ops);
     }
 
     /// Tracks clock monotonicity. The affine and power-age forms the
-    /// deque and the scan rely on are only guaranteed for non-decreasing
+    /// scan relies on are only guaranteed for non-decreasing
     /// reference times (see [`MigrationPolicy::affine`] and
     /// [`MigrationPolicy::power_age_form`]); a step backwards permanently
     /// degrades this cache to the exact rescan, which is always correct.
@@ -713,7 +708,7 @@ impl core::fmt::Debug for DiskCache<'_> {
 mod tests {
     use super::*;
     use crate::policy::{Lru, PowerAgeForm, Saac, SmallestFirst, Stp};
-    use RankingRegime::{Monotone, Rescan, Scan, Unprobed};
+    use RankingRegime::{Rescan, Scan, Unprobed};
 
     fn cfg(capacity: u64) -> CacheConfig {
         CacheConfig {
@@ -1049,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_purge_probes_and_lru_ranks_through_the_deque() {
+    fn the_first_purge_probes_and_lru_ranks_through_the_scan() {
         let lru = Lru;
         assert_modes_agree(&lru, &churny_sequence());
         let mut c = DiskCache::new(cfg(1000), &lru);
@@ -1057,7 +1052,7 @@ mod tests {
         for i in 0..10 {
             c.write(i, 100, i as i64, None);
         }
-        assert_eq!(c.ranking_regime(), Monotone, "LRU ranks on the deque");
+        assert_eq!(c.ranking_regime(), Scan, "LRU ranks on intercept keys");
     }
 
     /// A purge builds the regime the policy's forms call for, and the
@@ -1240,7 +1235,7 @@ mod tests {
         for i in 0..10 {
             c.write(i, 100, 100 + i as i64, None);
         }
-        assert_eq!(c.ranking_regime(), Monotone);
+        assert_eq!(c.ranking_regime(), Scan);
         // Time steps backwards: the affine contract is void, so the
         // cache must drop the index for good...
         c.write(50, 100, 5, None);

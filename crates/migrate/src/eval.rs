@@ -8,11 +8,11 @@
 //! policy. Policies are evaluated on the bounded worker pool
 //! ([`crate::pool`]), at most one worker per policy.
 //!
-//! No shipped policy sorts its residents at a purge. LRU and FIFO rank
-//! through the monotone deque; every other policy through the
-//! purge-time scan, keyed by exact affine intercepts (Belady, the size
-//! pair), power-age roots (STP, SAAC) or, for the rest (RandomEvict and
-//! the latency-aware pair), by `priority` itself — the rescan. The scan
+//! No shipped policy sorts its residents at a purge. Every policy ranks
+//! through the purge-time scan, keyed by exact affine intercepts (LRU,
+//! FIFO, Belady, the size pair), power-age roots (STP, SAAC) or, for the
+//! rest (RandomEvict and the latency-aware pair), by `priority` itself —
+//! the rescan. The scan
 //! keys every resident once per purge and heapifies only the keys at or
 //! above a sampled cut: O(n) plus O(log n) per victim, a fair price
 //! when a purge (0.95 → 0.80 of capacity) evicts about one resident in

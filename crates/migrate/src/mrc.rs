@@ -55,8 +55,8 @@
 //! * **Ranked** (every other policy): the `rank` module's one lifecycle
 //!   (`crate::rank::Ranking`, documented in `rank.rs`). Each capacity's
 //!   stack hosts its own instance under [`EvictionMode::Auto`] — the
-//!   monotone deque, the scan or the rescan a lone [`DiskCache`] at that
-//!   capacity would run, probed at the same first purge. The ranking
+//!   scan or the rescan a lone [`DiskCache`] at that capacity would run,
+//!   probed at the same first purge. The ranking
 //!   keeps its own row per resident; the stack shows it file views.
 //!
 //! The first two tiers rank straight off the shared file row: no
@@ -416,10 +416,9 @@ impl<'p> Stack<'p> {
             return;
         }
         let mut rank = Ranking::new(policy, EvictionMode::Rescan);
-        let view = col.view(subs);
         for (fidx, sub) in subs.iter().skip(col.ci).step_by(col.grid).enumerate() {
             if sub.resident {
-                rank.touched(&view, fidx as u32);
+                rank.touched(fidx as u32);
             }
         }
         self.order = Order::Ranked(Box::new(rank));
@@ -438,18 +437,9 @@ impl<'p> Stack<'p> {
     /// `new_key` is false only for a file that was resident and whose
     /// `next_use` did not change: its current next-use pair is then
     /// still in the heap, since a live pair leaves it only by eviction.
-    /// `read_hit` is true for a read of a resident, which the ranked
-    /// tier may skip (see `Ranking::read_hit`). Inlined: it runs on
-    /// every reference, and for LRU it is empty.
+    /// Inlined: it runs on every reference, and for LRU it is empty.
     #[inline(always)]
-    fn touched(
-        &mut self,
-        col: Column,
-        subs: &[SubState],
-        fidx: u32,
-        new_key: bool,
-        read_hit: bool,
-    ) {
+    fn touched(&mut self, col: Column, subs: &[SubState], fidx: u32, new_key: bool) {
         match &mut self.order {
             Order::Recency { .. } => {}
             Order::NextUse(heap) => {
@@ -463,8 +453,7 @@ impl<'p> Stack<'p> {
                     tests::note_heap(heap.len(), self.len);
                 }
             }
-            Order::Ranked(rank) if read_hit => rank.read_hit(&col.view(subs), fidx),
-            Order::Ranked(rank) => rank.touched(&col.view(subs), fidx),
+            Order::Ranked(rank) => rank.touched(fidx),
         }
     }
 
@@ -769,7 +758,7 @@ pub fn sweep_capacities_streaming(
                 stack.stats.read_hits += 1;
                 stack.stats.read_hit_bytes += sub.size;
                 sub.ref_count += 1;
-                stack.touched(column(ci), &subs, fidx, new_key, true);
+                stack.touched(column(ci), &subs, fidx, new_key);
                 continue;
             } else {
                 stack.stats.read_misses += 1;
@@ -789,7 +778,7 @@ pub fn sweep_capacities_streaming(
             // Only writes and inserts reach here, the ops that can grow
             // usage past the watermark — same reachability as
             // `DiskCache`.
-            stack.touched(column(ci), &subs, fidx, new_key || !was_resident, false);
+            stack.touched(column(ci), &subs, fidx, new_key || !was_resident);
             stack.maybe_purge(column(ci), &mut subs, r.time);
         }
     }

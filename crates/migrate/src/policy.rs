@@ -31,8 +31,8 @@
 //!
 //! The full contract family — `priority`, the `affine` exactness
 //! contract, the `power_age_form` key recipe behind the power-age
-//! scan, `read_touch_monotone`, `shared_key`, `latency_aware` — is
-//! documented in `docs/policy-contract.md`.
+//! scan, `shared_key`, `latency_aware` — is documented in
+//! `docs/policy-contract.md`.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,7 @@ pub struct FileView {
 ///
 /// See [`MigrationPolicy::affine`] for the exactness contract that lets
 /// the cache's victim ranking replace the per-purge call to `priority`
-/// with a key: a monotone deque, or exact intercepts on the scan.
+/// with a key: exact intercepts on the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AffinePriority {
     /// Coefficient on `now`. Must be identical for every file the policy
@@ -143,7 +143,7 @@ pub trait MigrationPolicy: Send + Sync {
     }
 
     /// The priority as an affine function of `now`, when the policy has
-    /// one — the hook behind the ranking's deque and intercept keys.
+    /// one — the hook behind the ranking's intercept keys.
     ///
     /// # Contract
     ///
@@ -210,27 +210,6 @@ pub trait MigrationPolicy: Send + Sync {
     /// a power-age form replay through the exact rescan.
     fn power_age_form(&self, _file: &FileView) -> Option<PowerAgeForm> {
         None
-    }
-
-    /// True if a *read touch* (a read hit updating `last_ref`,
-    /// `ref_count`, and `next_use`) can never **raise** this policy's
-    /// affine intercept.
-    ///
-    /// When it holds, the ranking's monotone deque skips the per-hit key
-    /// push entirely — the read hot path's most frequent operation —
-    /// because a stale key then only ever *overestimates* a file's
-    /// priority: the purge pops it, sees the mismatch with the
-    /// recomputed current key, re-files the current one, and continues,
-    /// which converges on the exact victim. LRU qualifies (recency only
-    /// lowers eviction priority), as do FIFO and the size policies (read
-    /// touches don't move their intercepts at all). Belady does **not**:
-    /// a read hit advances `next_use` further into the future, raising
-    /// the intercept, so its hits must push eagerly. Only consulted
-    /// while the ranking is on the deque, the one regime that
-    /// revalidates at pop time; the scan marks every read hit's row.
-    /// The default is the safe `false`.
-    fn read_touch_monotone(&self) -> bool {
-        false
     }
 
     /// The shared-row key this policy's victim order *is*, if it is
@@ -364,10 +343,6 @@ impl MigrationPolicy for Lru {
         })
     }
 
-    fn read_touch_monotone(&self) -> bool {
-        true // recency only ever lowers −last_ref
-    }
-
     fn shared_key(&self) -> Option<SharedKey> {
         Some(SharedKey::Recency) // LRU *is* the recency order
     }
@@ -392,10 +367,6 @@ impl MigrationPolicy for Fifo {
             intercept: -(file.created as f64),
         })
     }
-
-    fn read_touch_monotone(&self) -> bool {
-        true // reads never move the entry time
-    }
 }
 
 /// Migrate the largest files first (frees space fastest).
@@ -419,10 +390,6 @@ impl MigrationPolicy for LargestFirst {
             intercept: file.size as f64,
         })
     }
-
-    fn read_touch_monotone(&self) -> bool {
-        true // reads never resize the entry
-    }
 }
 
 /// Migrate the smallest files first (a deliberately bad baseline).
@@ -443,10 +410,6 @@ impl MigrationPolicy for SmallestFirst {
             slope: 0.0,
             intercept: -(file.size as f64),
         })
-    }
-
-    fn read_touch_monotone(&self) -> bool {
-        true // reads never resize the entry
     }
 }
 
@@ -827,22 +790,6 @@ mod tests {
         belady_files.push(never_a);
         belady_files.push(never_b);
         assert_affine_contract(&Belady, &belady_files);
-    }
-
-    #[test]
-    fn read_touch_monotonicity_is_declared_correctly() {
-        // A read touch updates last_ref/ref_count/next_use. The flag
-        // promises the affine intercept never rises across such a touch.
-        assert!(Lru.read_touch_monotone());
-        assert!(Fifo.read_touch_monotone());
-        assert!(LargestFirst.read_touch_monotone());
-        assert!(SmallestFirst.read_touch_monotone());
-        // Belady's next_use jumps forward on every hit: intercept rises.
-        assert!(!Belady.read_touch_monotone());
-        // Spot-check the promise for LRU: touching later only lowers it.
-        let before = Lru.affine(&file(1, 10, 100, 1)).unwrap();
-        let after = Lru.affine(&file(1, 10, 500, 2)).unwrap();
-        assert!(after.intercept <= before.intercept);
     }
 
     #[test]

@@ -10,33 +10,27 @@
 //! view ([`Residents`]). Every regime yields the **bit-identical** victim
 //! sequence — `tests/cache_spec.rs`, `tests/scan_index.rs` and
 //! `tests/mrc_index.rs` hold both hosts to the naive spec — so the
-//! lifecycle only ever decides cost. Two paths rank over the rows:
+//! lifecycle only ever decides cost. One path ranks over the rows:
 //!
 //! ```text
-//! Unprobed ─first purge─┬─ shared slope ──▶ Monotone ─out-of-order push─▶ Scan ─┐
-//!                       ├─ shared exponent ─────────────────────────────▶ Scan ─┤ degrade
-//!                       └─ neither ─────────────────────────────────────▶ Rescan ◀┘
+//! Unprobed ─first purge─┬─ affine ─────────▶ Scan (intercepts) ─┐
+//!                       ├─ power-age ──────▶ Scan (roots · age) ┤ degrade
+//!                       └─ neither ────────▶ Rescan ◀───────────┘
 //! ```
 //!
-//! * **Monotone** ([`VictimRank`]): `slope · now + intercept` with one
-//!   shared slope orders by intercept alone, so a key pushed once stays
-//!   correct until the entry mutates. LRU and FIFO push in nonincreasing
-//!   order, so a plain deque *is* the priority order: O(1) push and pop.
-//!   It is the one regime that revalidates at pop time (below), so the
-//!   only one where [`Ranking::read_hit`] skips the read hits of a
-//!   [`MigrationPolicy::read_touch_monotone`] policy. The first
-//!   out-of-order push (Belady's `next_use`, the size pair) moves the
-//!   ranking onto the scan with intercept keys.
 //! * **Scan** ([`Scan`]): a mutation marks the row and lists it as dirty;
 //!   a purge settles the dirty rows, keys every row, heapifies only the
 //!   keys at or above a sampled cut and pops victims — O(dirty + n + c)
 //!   per purge plus O(log c) per victim, where a purge (0.95 → 0.80 of
 //!   capacity) evicts about one resident in forty. Keys come from one of
-//!   three recipes: exact affine *intercepts* (one
-//!   [`MigrationPolicy::affine`] call per dirty row); *power-age* roots
-//!   `root·age` for `coeff·age^e` with one exponent (STP, SAAC at
-//!   `e = 1`; one [`MigrationPolicy::power_age_form`] call per dirty row,
-//!   near ties settled by exact `priority`); or *priorities*, the rescan.
+//!   three recipes: exact affine *intercepts* under one shared slope
+//!   (LRU, FIFO, Belady, the size pair; one [`MigrationPolicy::affine`]
+//!   call per dirty row); *power-age* roots `root·age` for `coeff·age^e`
+//!   with one exponent (STP, SAAC at `e = 1`; one
+//!   [`MigrationPolicy::power_age_form`] call per dirty row, near ties
+//!   settled by exact `priority`); or *priorities*, the rescan. The probe
+//!   reads the first resident's forms; every row's slope or exponent is
+//!   checked when it is settled.
 //! * **Rescan**: every row's `priority` at the purge instant, read
 //!   through the host at most once per row per purge, in `total_cmp`
 //!   order: NaN-proof and always correct. Forced by
@@ -47,20 +41,9 @@
 //!   one — [`Ranking::degrade`] — because every closed form assumes
 //!   non-decreasing reference times). Degrades are one-way, and a purge
 //!   that degrades is finished by the rescan, so nothing under-purges.
-//!
-//! The deque revalidates **by value** when a key surfaces, through
-//! [`Candidate`]: [`Candidate::Live`] (evict it), [`Candidate::Gone`]
-//! (file left the cache), [`Candidate::Moved`] (a stale overestimate;
-//! re-file at the current, **never higher**, intercept), or
-//! [`Candidate::Abort`] (contract violation). Every mutation that could
-//! *raise* a key pushes eagerly, so a popped maximum is an upper bound,
-//! and deflating stale keys until a live one surfaces yields the exact
-//! victim order, ties included. A key from a slot's previous incarnation
-//! either matches the re-created file's intercept (then it *is* current)
-//! or is stale like any other.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::RangeBounds;
 
 use crate::cache::EvictionMode;
@@ -84,26 +67,11 @@ enum Recipe {
     Priority,
 }
 
-/// Where a ranking is in its lifecycle; see the module docs.
-#[derive(Debug)]
-enum Regime {
-    Unprobed,
-    Monotone {
-        /// Bit pattern of the policy's shared slope; a differing slope
-        /// on any later file is a contract violation.
-        slope_bits: u64,
-        deque: VictimRank,
-    },
-    Scan(Recipe),
-}
-
 /// Where a ranking is in its lifecycle, as a host reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankingRegime {
     /// No purge has run yet: only the rows are kept.
     Unprobed,
-    /// Shared-slope affine keys pushed in nonincreasing order.
-    Monotone,
     /// Intercept or power-age keys, ranked once per purge.
     Scan,
     /// The exact rescan by priority, for good.
@@ -111,16 +79,15 @@ pub enum RankingRegime {
 }
 
 /// The victim-ranking lifecycle of one resident set under one policy;
-/// see the module docs. The host reports every insert and write
-/// ([`Ranking::touched`]) and read hit ([`Ranking::read_hit`]),
-/// brackets a purge with [`Ranking::begin_purge`], pulls victims one at
-/// a time ([`Ranking::next_victim`]) and reports each eviction
+/// see the module docs. The host reports every insert, write and read
+/// hit ([`Ranking::touched`]), brackets a purge with
+/// [`Ranking::begin_purge`], pulls victims one at a time
+/// ([`Ranking::next_victim`]) and reports each eviction
 /// ([`Ranking::evicted`]) before it pulls the next.
 pub(crate) struct Ranking<'p> {
     policy: &'p dyn MigrationPolicy,
-    /// Cached [`MigrationPolicy::read_touch_monotone`].
-    read_touch_monotone: bool,
-    regime: Regime,
+    /// The scan's recipe; `None` until the first purge probes.
+    recipe: Option<Recipe>,
     /// One row per resident, and the purge state the scan keys them
     /// with.
     scan: Scan,
@@ -142,10 +109,9 @@ impl<'p> Ranking<'p> {
     pub fn new(policy: &'p dyn MigrationPolicy, mode: EvictionMode) -> Self {
         Ranking {
             policy,
-            read_touch_monotone: policy.read_touch_monotone(),
-            regime: match mode {
-                EvictionMode::Auto => Regime::Unprobed,
-                EvictionMode::Rescan => Regime::Scan(Recipe::Priority),
+            recipe: match mode {
+                EvictionMode::Auto => None,
+                EvictionMode::Rescan => Some(Recipe::Priority),
             },
             scan: Scan::default(),
         }
@@ -153,11 +119,10 @@ impl<'p> Ranking<'p> {
 
     /// The regime ranking victims now.
     pub fn regime(&self) -> RankingRegime {
-        match self.regime {
-            Regime::Unprobed => RankingRegime::Unprobed,
-            Regime::Monotone { .. } => RankingRegime::Monotone,
-            Regime::Scan(Recipe::Priority) => RankingRegime::Rescan,
-            Regime::Scan(_) => RankingRegime::Scan,
+        match self.recipe {
+            None => RankingRegime::Unprobed,
+            Some(Recipe::Priority) => RankingRegime::Rescan,
+            Some(_) => RankingRegime::Scan,
         }
     }
 
@@ -169,67 +134,29 @@ impl<'p> Ranking<'p> {
     /// Drops whatever keys are kept (or would have been) for the exact
     /// rescan, for good.
     pub fn degrade(&mut self) {
-        self.regime = Regime::Scan(Recipe::Priority);
+        self.recipe = Some(Recipe::Priority);
     }
 
-    /// Mirrors one resident file's insert or write into the rows and
-    /// the active index: a deque key push, or a scan row *mark* — the
-    /// file is re-evaluated when the next purge opens, so a withdrawn
-    /// form degrades there, not here.
-    pub fn touched(&mut self, host: &impl Residents, file: u32) {
+    /// Mirrors one resident file's insert, write or read hit into the
+    /// rows: adds its row, and on a keyed scan *marks* it — the file is
+    /// re-evaluated when the next purge opens, so a withdrawn form
+    /// degrades there, not here.
+    pub fn touched(&mut self, file: u32) {
         let keyed = matches!(
-            self.regime,
-            Regime::Scan(Recipe::Intercept { .. } | Recipe::PowerAge { .. })
+            self.recipe,
+            Some(Recipe::Intercept { .. } | Recipe::PowerAge { .. })
         );
         self.scan.touched(file, keyed);
-        let Regime::Monotone { slope_bits, deque } = &mut self.regime else {
-            return;
-        };
-        let slope_bits = *slope_bits;
-        match host.view(file).and_then(|v| self.policy.affine(&v)) {
-            Some(a) if a.slope.to_bits() == slope_bits => {
-                let key = RankKey {
-                    intercept: a.intercept,
-                    id: u64::from(file),
-                };
-                if !deque.push(key) {
-                    // The first out-of-order push: every row is keyed
-                    // by its intercept at the next purge.
-                    self.regime = Regime::Scan(Recipe::Intercept { slope_bits });
-                    self.scan.mark_all();
-                } else if deque.len() > self.scan.files.len() * 2 + 64 {
-                    // Stale keys (older keys of mutated or evicted
-                    // files) are resolved at pop time; once they
-                    // dominate, rebuild from the rows so memory and pop
-                    // cost stay proportional to the resident set.
-                    self.regime = self.probe(host);
-                }
-            }
-            _ => self.degrade(),
-        }
-    }
-
-    /// Mirrors a read hit on `file`: skipped on the deque when the
-    /// policy promises a read touch never raises its key (a stale key
-    /// only overestimates, and the deque revalidates at pop time). A
-    /// scan row must be settled exactly, so it is marked.
-    pub fn read_hit(&mut self, host: &impl Residents, file: u32) {
-        if !(self.read_touch_monotone && matches!(self.regime, Regime::Monotone { .. })) {
-            self.touched(host, file);
-        }
     }
 
     /// Opens a purge at `now`. The first one probes the policy over the
     /// rows; a scan settles and keys them, and a promise broken there
     /// hands this purge to the rescan.
     pub fn begin_purge(&mut self, host: &impl Residents, now: i64) {
-        if let Regime::Unprobed = self.regime {
-            self.regime = self.probe(host);
-        }
-        if let Regime::Scan(recipe) = self.regime {
-            if !self.scan.open_purge(recipe, self.policy, host, now) {
-                self.rescan(host, now);
-            }
+        let recipe = self.recipe.unwrap_or_else(|| self.probe(host));
+        self.recipe = Some(recipe);
+        if !self.scan.open_purge(recipe, self.policy, host, now) {
+            self.rescan(host, now);
         }
     }
 
@@ -240,45 +167,30 @@ impl<'p> Ranking<'p> {
             .open_purge(Recipe::Priority, self.policy, host, now);
     }
 
-    /// Probes the rows for an index: every file's affine form first,
-    /// then the first file's power-age exponent; a policy that refuses
-    /// both — or violates the shared-slope contract — means the rescan.
-    fn probe(&mut self, host: &impl Residents) -> Regime {
-        if let Some((slope_bits, deque)) = self.probe_affine(host) {
-            return Regime::Monotone { slope_bits, deque };
-        }
-        let first = self.scan.files.first().and_then(|&file| host.view(file));
-        match first.and_then(|v| self.policy.power_age_form(&v)) {
-            // Below 2⁻¹⁰ the rounding of `1/e` in `root` could outgrow
-            // the band; past 16 a zero coefficient's `age^e` could reach
-            // `∞·0`. Every row's exponent is checked at settle.
-            Some(form) if (1.0 / 1024.0..=16.0).contains(&form.exponent) => {
-                self.scan.mark_all();
-                Regime::Scan(Recipe::PowerAge {
+    /// Probes the first resident's forms for a recipe: its affine slope,
+    /// else its power-age exponent, else the rescan. A keyed recipe
+    /// marks every row, so the first purge settles each and checks its
+    /// slope or exponent there.
+    fn probe(&mut self, host: &impl Residents) -> Recipe {
+        let Some(first) = self.scan.files.first().and_then(|&file| host.view(file)) else {
+            return Recipe::Priority;
+        };
+        let recipe = match self.policy.affine(&first) {
+            Some(a) => Recipe::Intercept {
+                slope_bits: a.slope.to_bits(),
+            },
+            None => match self.policy.power_age_form(&first) {
+                // Below 2⁻¹⁰ the rounding of `1/e` in `root` could
+                // outgrow the band; past 16 a zero coefficient's `age^e`
+                // could reach `∞·0`.
+                Some(form) if (1.0 / 1024.0..=16.0).contains(&form.exponent) => Recipe::PowerAge {
                     exponent: form.exponent,
-                })
-            }
-            _ => Regime::Scan(Recipe::Priority),
-        }
-    }
-
-    /// The slope bits and a sorted deque, or `None` on any refusal or
-    /// slope disagreement.
-    fn probe_affine(&self, host: &impl Residents) -> Option<(u64, VictimRank)> {
-        let mut slope_bits = None;
-        let mut keys = Vec::with_capacity(self.scan.files.len());
-        for &file in &self.scan.files {
-            let a = self.policy.affine(&host.view(file)?)?;
-            let bits = a.slope.to_bits();
-            if *slope_bits.get_or_insert(bits) != bits {
-                return None;
-            }
-            keys.push(RankKey {
-                intercept: a.intercept,
-                id: u64::from(file),
-            });
-        }
-        slope_bits.map(|bits| (bits, VictimRank::from_keys(keys)))
+                },
+                _ => return Recipe::Priority,
+            },
+        };
+        self.scan.mark_all();
+        recipe
     }
 
     /// The exact next victim in `(priority desc, id asc)` order at
@@ -287,36 +199,7 @@ impl<'p> Ranking<'p> {
     /// contract found here degrades to the rescan, which finishes the
     /// purge exactly.
     pub fn next_victim(&mut self, host: &impl Residents, now: i64) -> Option<u32> {
-        let policy = self.policy;
-        if let Regime::Monotone { slope_bits, deque } = &mut self.regime {
-            // A popped key counts only if the file is still resident
-            // with exactly that intercept; see the module docs.
-            let slope_bits = *slope_bits;
-            let popped = deque.pop_best(|key| {
-                let Some(v) = host.view(key.id as u32) else {
-                    return Candidate::Gone; // evicted since this key was pushed
-                };
-                match policy.affine(&v) {
-                    Some(a)
-                        if a.slope.to_bits() == slope_bits
-                            && a.intercept.to_bits() == key.intercept.to_bits() =>
-                    {
-                        Candidate::Live
-                    }
-                    Some(a) if a.slope.to_bits() == slope_bits => Candidate::Moved(a.intercept),
-                    // The policy withdrew the form or moved the slope
-                    // mid-run: contract violation.
-                    _ => Candidate::Abort,
-                }
-            });
-            match popped {
-                Some(key) => return Some(key.id as u32),
-                // Dry with residents left, or a contract violation.
-                // Unreachable for well-behaved policies.
-                None => self.rescan(host, now),
-            }
-        }
-        if let Some(file) = self.scan.next_victim(policy, host, now) {
+        if let Some(file) = self.scan.next_victim(self.policy, host, now) {
             return Some(file);
         }
         if self.len() == 0 || self.regime() == RankingRegime::Rescan {
@@ -325,173 +208,12 @@ impl<'p> Ranking<'p> {
         // Dry with residents left, or a near-tie file not resident:
         // rescan rather than under-purge.
         self.rescan(host, now);
-        self.scan.next_victim(policy, host, now)
+        self.scan.next_victim(self.policy, host, now)
     }
 
-    /// Removes an evicted file's row. The deque's stale keys deflate at
-    /// pop time instead.
+    /// Removes an evicted file's row.
     pub fn evicted(&mut self, file: u32) {
         self.scan.evicted(file);
-    }
-}
-
-/// One ranked key: a file's affine intercept at push time. Ordered by
-/// `(intercept, id desc)` so that a max-structure pops
-/// `(intercept desc, id asc)`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankKey {
-    pub intercept: f64,
-    pub id: u64,
-}
-
-impl Ord for RankKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.intercept
-            .total_cmp(&other.intercept)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for RankKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for RankKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for RankKey {}
-
-/// The caller's verdict on a candidate key surfacing from the deque.
-pub(crate) enum Candidate {
-    /// Still resident and the key matches the current intercept bits:
-    /// this is the next victim.
-    Live,
-    /// Not resident any more: discard the key.
-    Gone,
-    /// Resident, but the key is stale. The argument is the *current*
-    /// intercept, which must never exceed the popped key (raising
-    /// mutations push eagerly); the deque re-files it and keeps looking.
-    Moved(f64),
-    /// The policy broke its affine contract: stop, the caller falls
-    /// back to the exact rescan.
-    Abort,
-}
-
-/// The monotone deque: keys sorted nonincreasing by intercept, ties
-/// contiguous (id order resolved at pop time); see the module docs.
-#[derive(Debug)]
-pub(crate) struct VictimRank {
-    queue: VecDeque<RankKey>,
-}
-
-impl VictimRank {
-    /// Builds a deque from an arbitrary key set (the probe and the
-    /// rebuild): sorts once.
-    pub fn from_keys(mut keys: Vec<RankKey>) -> Self {
-        keys.sort_unstable_by(|a, b| b.cmp(a));
-        VictimRank { queue: keys.into() }
-    }
-
-    /// Keys currently held, stale ones included — the caller's rebuild
-    /// trigger compares this against its row count.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Appends a (possibly updated) key for `id`, unless it is larger
-    /// than the last one: then nothing is appended and the caller moves
-    /// the ranking onto the scan.
-    #[must_use]
-    pub fn push(&mut self, key: RankKey) -> bool {
-        let back = self.queue.back();
-        if back.is_some_and(|b| key.intercept.total_cmp(&b.intercept) == Ordering::Greater) {
-            return false;
-        }
-        self.queue.push_back(key);
-        true
-    }
-
-    /// Re-files a deflated key at its sorted position. Stale keys
-    /// deflate toward the *front* region of equal or older intercepts,
-    /// so the shift is short in practice.
-    fn sorted_insert(&mut self, key: RankKey) {
-        let pos = self
-            .queue
-            .partition_point(|k| k.intercept.total_cmp(&key.intercept) == Ordering::Greater);
-        self.queue.insert(pos, key);
-    }
-
-    /// Pops the exact next victim in `(priority desc, id asc)` order,
-    /// resolving staleness through `validate` (see [`Candidate`]), or
-    /// `None` once no key remains or `validate` aborts.
-    pub fn pop_best(&mut self, mut validate: impl FnMut(&RankKey) -> Candidate) -> Option<RankKey> {
-        loop {
-            let front = self.queue.front()?;
-            let bits = front.intercept.to_bits();
-            // Fast path: a lone front key (no intercept tie behind it).
-            let tied = self
-                .queue
-                .get(1)
-                .is_some_and(|k| k.intercept.to_bits() == bits);
-            if !tied {
-                let key = self.queue.pop_front().expect("front exists");
-                match validate(&key) {
-                    Candidate::Live => return Some(key),
-                    Candidate::Gone => continue,
-                    Candidate::Moved(current) => {
-                        self.sorted_insert(RankKey {
-                            intercept: current,
-                            ..key
-                        });
-                        continue;
-                    }
-                    Candidate::Abort => return None,
-                }
-            }
-            // Tie group: the oracle breaks intercept ties by ascending
-            // id, so the whole group must be inspected before any
-            // member is returned. Survivors keep their (equal) rank;
-            // deflated keys re-file behind the group.
-            let mut best: Option<RankKey> = None;
-            let mut survivors: Vec<RankKey> = Vec::new();
-            let mut moved: Vec<RankKey> = Vec::new();
-            while let Some(k) = self.queue.front() {
-                if k.intercept.to_bits() != bits {
-                    break;
-                }
-                let key = self.queue.pop_front().expect("front exists");
-                match validate(&key) {
-                    Candidate::Live => match &mut best {
-                        Some(b) if b.id <= key.id => survivors.push(key),
-                        _ => {
-                            if let Some(prev) = best.replace(key) {
-                                survivors.push(prev);
-                            }
-                        }
-                    },
-                    Candidate::Gone => {}
-                    Candidate::Moved(current) => moved.push(RankKey {
-                        intercept: current,
-                        ..key
-                    }),
-                    Candidate::Abort => return None,
-                }
-            }
-            for key in survivors.into_iter().rev() {
-                self.queue.push_front(key);
-            }
-            for key in moved {
-                self.sorted_insert(key);
-            }
-            if let Some(best) = best {
-                return Some(best);
-            }
-        }
     }
 }
 
@@ -829,93 +551,6 @@ fn key_bits(root: f64, anchor: i64, now: i64) -> u64 {
 const NO_SLOT: u32 = u32::MAX;
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key(intercept: f64, id: u64) -> RankKey {
-        RankKey { intercept, id }
-    }
-
-    /// Pops everything, validating against a "current" table: ids
-    /// absent are Gone, ids whose value differs are Moved.
-    fn drain(rank: &mut VictimRank, current: &mut Vec<(u64, f64)>) -> Vec<u64> {
-        let mut out = Vec::new();
-        loop {
-            let popped = rank.pop_best(|k| match current.iter().find(|(id, _)| *id == k.id) {
-                None => Candidate::Gone,
-                Some(&(_, v)) if v.to_bits() == k.intercept.to_bits() => Candidate::Live,
-                Some(&(_, v)) => Candidate::Moved(v),
-            });
-            let Some(k) = popped else {
-                return out;
-            };
-            current.retain(|(id, _)| *id != k.id);
-            out.push(k.id);
-        }
-    }
-
-    fn push_all(rank: &mut VictimRank, keys: &[(f64, u64)]) {
-        for &(v, id) in keys {
-            assert!(rank.push(key(v, id)), "({v}, {id}) is in order");
-        }
-    }
-
-    #[test]
-    fn monotone_pushes_pop_in_priority_order_with_id_ties() {
-        let mut rank = VictimRank::from_keys(Vec::new());
-        // Nonincreasing pushes, with an intercept tie (ids 7 and 3).
-        push_all(&mut rank, &[(9.0, 1), (5.0, 7), (5.0, 3), (2.0, 2)]);
-        let mut current = vec![(1, 9.0), (7, 5.0), (3, 5.0), (2, 2.0)];
-        assert_eq!(drain(&mut rank, &mut current), [1, 3, 7, 2]);
-    }
-
-    #[test]
-    fn an_out_of_order_push_is_refused_and_leaves_the_deque_as_it_was() {
-        let mut rank = VictimRank::from_keys(Vec::new());
-        assert!(rank.push(key(5.0, 1)));
-        assert!(!rank.push(key(9.0, 2)), "9 after 5 is out of order");
-        assert_eq!(rank.len(), 1);
-        let mut current = vec![(1, 5.0)];
-        assert_eq!(drain(&mut rank, &mut current), [1]);
-    }
-
-    #[test]
-    fn stale_keys_deflate_and_refile() {
-        let mut rank = VictimRank::from_keys(Vec::new());
-        push_all(&mut rank, &[(9.0, 1), (8.0, 2)]);
-        // id 1 was touched since: its live value is now 3.0, so id 2
-        // must pop first, then the deflated id 1.
-        let mut current = vec![(1, 3.0), (2, 8.0)];
-        assert_eq!(drain(&mut rank, &mut current), [2, 1]);
-    }
-
-    #[test]
-    fn gone_and_duplicate_keys_are_skipped() {
-        let mut rank = VictimRank::from_keys(Vec::new());
-        // A duplicate push, same value.
-        push_all(&mut rank, &[(9.0, 1), (9.0, 1), (4.0, 2)]);
-        let mut current = vec![(1, 9.0), (2, 4.0)];
-        assert_eq!(drain(&mut rank, &mut current), [1, 2]);
-    }
-
-    #[test]
-    fn from_keys_sorts() {
-        let mut rank = VictimRank::from_keys(vec![key(1.0, 9), key(7.0, 2), key(4.0, 5)]);
-        assert_eq!(rank.len(), 3);
-        let mut current = vec![(9, 1.0), (2, 7.0), (5, 4.0)];
-        assert_eq!(drain(&mut rank, &mut current), [2, 5, 9]);
-    }
-
-    #[test]
-    fn abort_propagates() {
-        let mut rank = VictimRank::from_keys(Vec::new());
-        assert!(rank.push(key(1.0, 1)));
-        assert!(rank.pop_best(|_| Candidate::Abort).is_none());
-        assert_eq!(rank.len(), 0, "the aborted key was popped");
-    }
-}
-
-#[cfg(test)]
 mod scan_tests {
     use std::cell::Cell;
 
@@ -980,7 +615,7 @@ mod scan_tests {
         let host = Table(files.iter().map(|&v| Some(v)).collect());
         let mut rank = Ranking::new(policy, EvictionMode::Auto);
         for file in 0..files.len() as u32 {
-            rank.touched(&host, file);
+            rank.touched(file);
         }
         (rank, host)
     }
@@ -1135,22 +770,22 @@ mod scan_tests {
     }
 
     #[test]
-    fn an_out_of_order_push_moves_the_deque_onto_exact_intercept_keys() {
+    fn affine_policies_rank_on_intercept_keys_from_the_first_purge() {
         // Largest-first over 300 files whose sizes repeat (exact ties):
-        // the first purge builds a sorted deque, a larger newcomer is
-        // the out-of-order push, and the next purges rank intercept
-        // keys on the scan, refilling as they outrun their cuts.
+        // the first purge keys every row by intercept, a larger newcomer
+        // is marked and keyed at the next purge, and the purges stay on
+        // the scan, refilling as they outrun their cuts.
         let now = 1000;
         let size = |id: u32| 1 + u64::from(id * 7919 % 61);
         let mut files: Vec<FileView> = (0..300).map(|id| view(id, size(id), 0, 1)).collect();
         let (mut rank, mut host) = ranking(&LargestFirst, &files[..299]);
+        assert_eq!(rank.regime(), RankingRegime::Unprobed);
         rank.begin_purge(&host, now);
-        assert_eq!(rank.regime(), RankingRegime::Monotone);
+        assert_eq!(rank.regime(), RankingRegime::Scan);
         let mut got = take(&mut rank, &mut host, now, 10);
         files[299].size = 500;
         host.0.push(Some(files[299]));
-        rank.touched(&host, 299);
-        assert_eq!(rank.regime(), RankingRegime::Scan);
+        rank.touched(299);
         let before = REFILLS.with(Cell::get);
         for _ in 0..3 {
             rank.begin_purge(&host, now);

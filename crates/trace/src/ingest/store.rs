@@ -513,7 +513,9 @@ impl StoreReader {
             size: open("size.col")?,
             meta: open("meta.col")?,
             next: open("next.col")?,
+            records: self.manifest.records,
             remaining: self.manifest.records,
+            files: self.manifest.files,
             chunk: chunk_records,
         })
     }
@@ -538,13 +540,19 @@ pub struct StoreRows {
     size: BufReader<File>,
     meta: BufReader<File>,
     next: BufReader<File>,
+    records: u64,
     remaining: u64,
+    /// The manifest's file count: every id in `file.col` is below it.
+    files: u64,
     chunk: usize,
 }
 
 impl StoreRows {
     /// Decodes the next chunk into `out` (cleared first). Returns
-    /// `false` when the store is exhausted.
+    /// `false` when the store is exhausted. A row naming a file id the
+    /// manifest does not count is [`TraceError::BadHeader`]: replay
+    /// sizes its per-file arenas by id, so one corrupt id must not
+    /// reach them.
     pub fn next_chunk(&mut self, out: &mut Vec<StoreRow>) -> Result<bool, TraceError> {
         out.clear();
         if self.remaining == 0 {
@@ -574,12 +582,21 @@ impl StoreRows {
                     )))
                 }
             };
+            let file = u32::from_le_bytes(file_buf[i * 4..i * 4 + 4].try_into().unwrap());
+            if u64::from(file) >= self.files {
+                let first = self.records - self.remaining;
+                return Err(TraceError::BadHeader(format!(
+                    "file.col chunk at rows {first}..{}: row {} names file {file}, \
+                     but the store holds {} files",
+                    first + n as u64,
+                    first + i as u64,
+                    self.files
+                )));
+            }
             let next = i64::from_le_bytes(next_buf[i * 8..i * 8 + 8].try_into().unwrap());
             out.push(StoreRow {
                 start: i64::from_le_bytes(start_buf[i * 8..i * 8 + 8].try_into().unwrap()),
-                file: FileId::new(u32::from_le_bytes(
-                    file_buf[i * 4..i * 4 + 4].try_into().unwrap(),
-                )),
+                file: FileId::new(file),
                 size: u64::from_le_bytes(size_buf[i * 8..i * 8 + 8].try_into().unwrap()),
                 write: meta & 1 != 0,
                 device,
@@ -777,6 +794,41 @@ mod tests {
         drop(f);
         let err = StoreReader::open(&dir).unwrap_err();
         assert!(err.to_string().contains("size.col"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_file_id_past_the_manifest_fails_its_chunk() {
+        let dir = temp_dir("badid");
+        let text = "1000 REST.GET.OBJECT alpha 100\n2000 REST.GET.OBJECT beta 50\n";
+        let input = Cursor::new(text.as_bytes().to_vec());
+        import(
+            FormatId::IbmKv,
+            input,
+            IngestConfig::default(),
+            &dir,
+            |_| {},
+        )
+        .unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.read_all().unwrap().len(), 2);
+        // Row 1's id becomes 2^32 − 1: without the check, a replay
+        // would size its per-file arenas to 2^32 rows.
+        let mut ids = fs::read(dir.join("file.col")).unwrap();
+        ids[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(dir.join("file.col"), ids).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        let err = reader
+            .rows(8)
+            .unwrap()
+            .next_chunk(&mut Vec::new())
+            .unwrap_err();
+        assert!(matches!(err, TraceError::BadHeader(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("rows 0..2: row 1 names file 4294967295"),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //! deliveries, counters, usage and resident count.
 //!
 //! * `DiskCache` under each `EvictionMode` — `rank::Ranking` probed at
-//!   the first purge (the deque, the scan) and on the rescan — eager and
+//!   the first purge (the scan) and on the rescan — eager and
 //!   lazy write-back, monotone clocks and one step backwards, with
 //!   recalls landing late so delayed hits occur;
 //! * `mrc::sweep_capacities`, point by point;
@@ -14,8 +14,8 @@
 //! shipped policy is held to the spec without editing this file; the
 //! random streams add one test-only policy, `AgePlusSize`. The
 //! edges — a purge at, and one byte past, each mark; the stall boundary;
-//! tied stamps; a backwards step; a re-created file; the affine
-//! mid-purge abort — are hand-built cases at the end.
+//! tied stamps; a backwards step; a re-created file; a slope that
+//! moves mid-run — are hand-built cases at the end.
 
 use proptest::prelude::*;
 
@@ -33,7 +33,7 @@ mod spec;
 use spec::{Cache, SpecCache, SpecRef};
 
 use EvictionMode::{Auto, Rescan};
-use RankingRegime::{Monotone, Unprobed};
+use RankingRegime::Scan;
 
 /// The flat miss-wait estimate (what open-loop replay and the MRC use).
 const EST: f64 = 58.0;
@@ -222,9 +222,8 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
                 let want = check(policy, CacheConfig { capacity, ..config }, &refs, 0);
                 assert!(want.stats.evictions > 0, "{name} never purged");
             }
-            // On a monotone clock the deque or scan, once built, is
-            // kept; the policies with neither form rescan from the first
-            // probe.
+            // On a monotone clock the scan, once built, is kept; the
+            // policies with neither form rescan from the first probe.
             let formless = matches!(name.as_str(), "Random" | "LRU-MAD" | "STP-lat(1.4)");
             let mut cache = DiskCache::new(config, policy);
             drive(&mut cache, &refs, 1, false);
@@ -232,8 +231,8 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
             if formless {
                 assert_eq!(regime, RankingRegime::Rescan, "{name}");
             } else {
-                let indexed = !matches!(regime, Unprobed | RankingRegime::Rescan);
-                assert_eq!(indexed, !backstep, "{name}");
+                let scanned = regime == Scan;
+                assert_eq!(scanned, !backstep, "{name}");
             }
         }
     }
@@ -254,9 +253,8 @@ fn a_disk_cache_under_a_per_reference_estimate_equals_the_spec() {
     }
 }
 
-/// Priority `age + size`: affine (slope 1, intercept `size − last_ref`)
-/// and read-touch-monotone, since a read hit only lowers the intercept.
-/// Its inserts arrive out of order, so it ranks on the scan, where —
+/// Priority `age + size`: affine (slope 1, intercept `size − last_ref`),
+/// and a read hit lowers its intercept. It ranks on the scan, where —
 /// in both hosts — a skipped read touch would leave a row stale.
 struct AgePlusSize;
 
@@ -272,9 +270,6 @@ impl MigrationPolicy for AgePlusSize {
             slope: 1.0,
             intercept: file.size as f64 - file.last_ref as f64,
         })
-    }
-    fn read_touch_monotone(&self) -> bool {
-        true
     }
 }
 
@@ -399,9 +394,8 @@ fn a_file_evicted_and_read_again_is_a_fresh_entry_at_the_next_purge() {
 }
 
 /// LRU, except that a file's third reference moves its "shared" slope.
-/// It promises `read_touch_monotone`, so the deque skips read hits and
-/// the moved slope is first seen by pop-time validation, mid-purge:
-/// `Candidate::Abort` in `rank.rs`.
+/// A read hit only marks the file's row, so the moved slope is first
+/// seen when the next purge settles that row.
 struct DriftingSlope;
 
 impl MigrationPolicy for DriftingSlope {
@@ -416,22 +410,20 @@ impl MigrationPolicy for DriftingSlope {
         form.slope += if file.ref_count >= 3 { 1.0 } else { 0.0 };
         Some(form)
     }
-    fn read_touch_monotone(&self) -> bool {
-        true
-    }
 }
 
 #[test]
 fn a_slope_that_moves_mid_run_aborts_the_affine_purge_and_the_rescan_finishes_it() {
-    // The first purge (0..4 leave) builds the deque; two read hits take
-    // file 5 to three references, its stale key still the oldest; five
-    // more writes, and the purge pops that key first and aborts.
+    // The first purge (0..4 leave) keys every row by intercept; two
+    // read hits take file 5 to three references and mark its row; five
+    // more writes, and the next purge settles that row, meets the moved
+    // slope and hands the purge to the rescan.
     let specs = (0..10).map(|i| (i, 100, true, 1));
     let specs = specs.chain([(5, 100, false, 10), (5, 100, false, 1)]);
     let refs = refs_of(specs.chain((10..15).map(|i| (i, 100, true, 1))));
     let mut cache = DiskCache::new(config(1000, true), &DriftingSlope);
     drive(&mut cache, &refs[..12], 0, false);
-    assert_eq!(cache.ranking_regime(), Monotone, "read hits pushed no key");
+    assert_eq!(cache.ranking_regime(), Scan, "read hits only mark the row");
     drive(&mut cache, &refs[12..], 0, false);
     assert_eq!(
         cache.ranking_regime(),

@@ -16,11 +16,11 @@
 //! forms assume). Half their time steps are zero, so equal timestamps —
 //! LRU's tie groups, Belady's equal-next-use classes — are common. They
 //! draw at most 40 files, so every MRC stack there ranks a few dozen
-//! residents, through the same deque, scan or rescan as at scale; three
+//! residents, through the same scan or rescan as at scale; three
 //! deterministic cases at the end hold hundreds of residents per
-//! capacity, so the stacks build their deques and scans — and then lose
-//! them again, to a clock stepping backwards and to a policy
-//! withdrawing its power-age form mid-stream.
+//! capacity, so the stacks build their scans — and then lose them
+//! again, to a clock stepping backwards and to a policy withdrawing its
+//! power-age form mid-stream.
 
 use std::collections::HashMap;
 

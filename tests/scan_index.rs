@@ -1,8 +1,8 @@
 //! Exactness properties of the purge-time scan: for every shipped
 //! policy that ranks through it — STP at three exponents and SAAC at
-//! exponent 1 on power-age keys, Belady and the size pair on exact
-//! intercept keys once their keys arrive out of order — replaying
-//! through the scan must be **observationally identical** to the naive
+//! exponent 1 on power-age keys, LRU, FIFO, Belady and the size pair on
+//! exact intercept keys from their first purge — replaying through the
+//! scan must be **observationally identical** to the naive
 //! cache specification (`tests/spec/mod.rs`), which shares no code with
 //! it:
 //!
@@ -26,7 +26,9 @@ use proptest::prelude::*;
 use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache, RankingRegime};
 use fmig_migrate::eval::{EvalConfig, PreparedRef};
 use fmig_migrate::mrc::{sweep_capacities, MissRatioCurve, MrcPoint};
-use fmig_migrate::policy::{Belady, LargestFirst, MigrationPolicy, Saac, SmallestFirst, Stp};
+use fmig_migrate::policy::{
+    Belady, Fifo, LargestFirst, Lru, MigrationPolicy, Saac, SmallestFirst, Stp,
+};
 use fmig_trace::{DeviceClass, FileId};
 
 mod spec;
@@ -36,14 +38,16 @@ use spec::{spec_replay, Cache, SpecCache, SpecRef};
 type Spec = (bool, u32, u64, i64);
 
 /// Every shipped policy that ranks on the scan: those that ship a
-/// [`fmig_migrate::policy::PowerAgeForm`], and the affine ones whose
-/// keys can arrive out of order.
+/// [`fmig_migrate::policy::PowerAgeForm`] or an
+/// [`fmig_migrate::policy::AffinePriority`].
 fn scan_suite() -> Vec<Box<dyn MigrationPolicy>> {
     vec![
         Box::new(Stp { exponent: 1.0 }),
         Box::new(Stp::classic()),
         Box::new(Stp { exponent: 2.0 }),
         Box::new(Saac),
+        Box::new(Lru),
+        Box::new(Fifo),
         Box::new(Belady),
         Box::new(LargestFirst),
         Box::new(SmallestFirst),
@@ -163,8 +167,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The fused single-pass miss-ratio curve equals one spec replay
-    /// per capacity for every policy that ranks on the scan (Belady's
-    /// stacks rank on the MRC's next-use tier instead).
+    /// per capacity for every policy that ranks on the scan (LRU's and
+    /// Belady's stacks rank on the MRC's recency and next-use tiers
+    /// instead).
     #[test]
     fn mrc_scan_stacks_equal_per_capacity_replay(
         specs in proptest::collection::vec(
@@ -205,8 +210,8 @@ proptest! {
 
 /// Engagement guard at the public-API level: a purge-heavy replay
 /// whose sizes and next uses arrive out of order must be ranking
-/// through the scan (not still on the deque, nor silently degraded to
-/// the rescan), and the victim stream must still match the spec.
+/// through the scan (not silently degraded to the rescan), and the
+/// victim stream must still match the spec.
 fn replay_engages(policy: &dyn MigrationPolicy) {
     let config = CacheConfig {
         capacity: 1 << 20,
