@@ -87,6 +87,8 @@ paper-scale:
 # the path-free id route run_sweep takes since PR 19), or to the MRC
 # stacks on the store-streaming path (ingest-msr runs them under
 # affine policies) must hold on the pin it was not developed against.
+# Last, `git status` must show benchmark/ untouched: building it must
+# not rewrite its Cargo.lock, and every output it leaves is ignored.
 BENCHMARK = $(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
 benchmark-check:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
@@ -96,6 +98,8 @@ benchmark-check:
 		echo "== benchmark $$w seed $$seed =="; \
 		$(BENCHMARK) --workload $$w --seed $$seed --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed": *0[,}]'; \
 	done
+	@changed=$$(git status --porcelain -- benchmark/); test -z "$$changed" || \
+		{ echo "$$changed"; echo "benchmark/ differs from the commit (a rewritten Cargo.lock or an unignored output)" >&2; exit 1; }
 
 # The one target that measures: every workload's end-to-end metrics,
 # then the traced run that fills the per-layer ledger (names, units and

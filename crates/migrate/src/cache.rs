@@ -5,11 +5,11 @@
 //! policy picks victims until the low watermark is reached — the
 //! "migrate off disk" decision every §2.3 study evaluates by miss ratio.
 //!
-//! Also models §6's write-behind: files are dirty until flushed to tape.
-//! With `eager_writeback`, dirty data is flushed as resources allow and
-//! marked "deleteable", so space reclamation never stalls on a tape
-//! write; without it, evicting a dirty file pays the flush at eviction
-//! time (`stall_bytes`).
+//! Writes follow §6's write-behind, the only write discipline: every
+//! write is acknowledged at once and its bytes are queued for tape
+//! ([`CacheOp::Writeback`]), so the resident copy is clean from the
+//! start. Space reclamation never waits on a tape write; every victim
+//! is a [`CacheOp::Drop`].
 //!
 //! # Open loop vs closed loop
 //!
@@ -20,8 +20,8 @@
 //! every side effect as a [`CacheOp`] so a device simulator can turn it
 //! into real traffic: misses become tape recalls that stay *outstanding*
 //! until the engine delivers them (references meanwhile coalesce as
-//! [`ReadResult::DelayedHit`]), and write-behind and purge flushes become
-//! tape writes that compete with those recalls. Both APIs make identical
+//! [`ReadResult::DelayedHit`]), and write-behind flushes become tape
+//! writes that compete with those recalls. Both APIs make identical
 //! hit/miss/eviction decisions on the same reference sequence, which is
 //! what lets the closed loop reproduce open-loop miss ratios exactly.
 //!
@@ -52,8 +52,7 @@
 //! the ranking keeps a row per resident, the arena shows it each
 //! entry's view, the cache reports every insert, write and read hit,
 //! steps it down to the rescan when the clock runs backwards, and keeps
-//! the eviction bookkeeping (stall vs background flush, [`CacheOp`]s) to
-//! itself.
+//! the eviction bookkeeping (counters, [`CacheOp`]s) to itself.
 
 use fmig_trace::FileId;
 use serde::{Deserialize, Serialize};
@@ -71,9 +70,6 @@ pub struct CacheConfig {
     pub high_watermark: f64,
     /// Purge target as a fraction of capacity (e.g. 0.80).
     pub low_watermark: f64,
-    /// Flush dirty files promptly (the §6 recommendation) instead of at
-    /// eviction time.
-    pub eager_writeback: bool,
 }
 
 impl CacheConfig {
@@ -83,7 +79,6 @@ impl CacheConfig {
             capacity,
             high_watermark: 0.95,
             low_watermark: 0.80,
-            eager_writeback: true,
         }
     }
 
@@ -124,16 +119,15 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Bytes evicted.
     pub evicted_bytes: u64,
-    /// Dirty bytes flushed while usage still exceeded the high watermark
-    /// — demand evictions whose flush the triggering reference waits on
-    /// (zero with eager write-behind).
+    /// Always zero: nothing writes it any more, since write-behind
+    /// leaves no dirty victim for an eviction to flush. It stays only
+    /// because the benchmark's oracle check reads it; ROADMAP item 4
+    /// drops it together with that reader.
     pub stall_bytes: u64,
-    /// Dirty bytes flushed by the background part of a watermark purge,
-    /// after usage dropped back under the high watermark on the way to
-    /// the low one (zero with eager write-behind).
+    /// Always zero, for the same reason as `stall_bytes`, and dropped
+    /// with it.
     pub purge_flush_bytes: u64,
-    /// Bytes flushed to tape in the background (eager write-behind plus
-    /// every dirty eviction, stall or purge).
+    /// Bytes queued for tape by write-behind: every written byte, once.
     pub writeback_bytes: u64,
 }
 
@@ -182,31 +176,16 @@ pub enum CacheOp {
         /// Bytes to recall.
         bytes: u64,
     },
-    /// Eager write-behind scheduled `bytes` of freshly written data for
-    /// a background tape flush.
+    /// Write-behind scheduled `bytes` of freshly written data for a
+    /// background tape flush.
     Writeback {
-        /// File whose dirty data is queued for tape.
+        /// File whose written data is queued for tape.
         id: FileId,
         /// Bytes to flush.
         bytes: u64,
     },
-    /// A dirty victim flushed while usage still exceeded the high
-    /// watermark — a demand eviction the triggering reference stalls on.
-    StallFlush {
-        /// Victim file.
-        id: FileId,
-        /// Bytes flushed.
-        bytes: u64,
-    },
-    /// A dirty victim flushed by the background part of a watermark
-    /// purge, below the high watermark on the way to the low one.
-    PurgeFlush {
-        /// Victim file.
-        id: FileId,
-        /// Bytes flushed.
-        bytes: u64,
-    },
-    /// A clean victim dropped; no tape traffic results.
+    /// A purge victim dropped. Write-behind already queued its data
+    /// for tape, so no tape traffic results.
     Drop {
         /// Victim file.
         id: FileId,
@@ -242,7 +221,6 @@ struct Entry {
     last_ref: i64,
     created: i64,
     ref_count: u32,
-    dirty: bool,
     /// The tape recall that populated this entry is still in flight;
     /// cleared by [`DiskCache::fetch_complete`].
     fetching: bool,
@@ -494,12 +472,13 @@ impl<'p> DiskCache<'p> {
         self.stats.read_misses += 1;
         self.stats.read_miss_bytes += size;
         ops(CacheOp::Fetch { id, bytes: size });
-        // Fetch from tape into the cache (clean copy, recall in flight).
-        self.insert(id, size, now, false, true, next_use, ops);
+        // Fetch from tape into the cache (recall in flight).
+        self.insert(id, size, now, true, next_use, ops);
         ReadResult::Miss
     }
 
-    /// Processes a write reference; the file lands in the cache dirty.
+    /// Processes a write reference; the file lands in the cache and its
+    /// bytes are queued for tape.
     ///
     /// Open-loop counterpart of [`DiskCache::write_with`].
     pub fn write(&mut self, id: impl Into<FileId>, size: u64, now: i64, next_use: Option<i64>) {
@@ -507,8 +486,8 @@ impl<'p> DiskCache<'p> {
     }
 
     /// Processes a write reference, reporting side effects to `ops`:
-    /// eager write-behind emits [`CacheOp::Writeback`], and any purge
-    /// the write triggers reports its victims.
+    /// write-behind emits [`CacheOp::Writeback`], and any purge the
+    /// write triggers reports its victims.
     pub fn write_with(
         &mut self,
         id: impl Into<FileId>,
@@ -520,10 +499,8 @@ impl<'p> DiskCache<'p> {
         let id = id.into();
         self.note_time(now);
         self.stats.writes += 1;
-        if self.config.eager_writeback {
-            self.stats.writeback_bytes += size;
-            ops(CacheOp::Writeback { id, bytes: size });
-        }
+        self.stats.writeback_bytes += size;
+        ops(CacheOp::Writeback { id, bytes: size });
         let est = self.est_miss_wait_s;
         if let Some(e) = self.arena.get_mut(id) {
             let old_size = e.size;
@@ -532,14 +509,12 @@ impl<'p> DiskCache<'p> {
             e.ref_count += 1;
             e.next_use = next_use;
             e.est_miss_wait_s = est;
-            e.dirty = !self.config.eager_writeback;
             self.usage = self.usage - old_size + size;
             self.rank.touched(id.raw());
             self.maybe_purge(now, ops);
             return;
         }
-        let dirty = !self.config.eager_writeback;
-        self.insert(id, size, now, dirty, false, next_use, ops);
+        self.insert(id, size, now, false, next_use, ops);
     }
 
     /// Marks `id`'s outstanding tape recall as delivered: subsequent
@@ -599,13 +574,11 @@ impl<'p> DiskCache<'p> {
         self.fetch_retries
     }
 
-    #[expect(clippy::too_many_arguments)]
     fn insert(
         &mut self,
         id: FileId,
         size: u64,
         now: i64,
-        dirty: bool,
         fetching: bool,
         next_use: Option<i64>,
         ops: &mut impl FnMut(CacheOp),
@@ -619,7 +592,6 @@ impl<'p> DiskCache<'p> {
             last_ref: now,
             created: now,
             ref_count: 1,
-            dirty,
             fetching,
             next_use,
             est_miss_wait_s: self.est_miss_wait_s,
@@ -660,36 +632,20 @@ impl<'p> DiskCache<'p> {
             let Some(victim) = self.rank.next_victim(&self.arena, now) else {
                 break;
             };
-            self.evict(FileId::new(victim), high, ops);
+            self.evict(FileId::new(victim), ops);
         }
     }
 
     /// Removes a victim the ranking named and books the eviction.
-    fn evict(&mut self, id: FileId, high: u64, ops: &mut impl FnMut(CacheOp)) {
+    fn evict(&mut self, id: FileId, ops: &mut impl FnMut(CacheOp)) {
         self.rank.evicted(id.raw());
-        // Victims chosen while still above the high watermark free
-        // space the triggering reference needs *now*: a dirty flush
-        // there is a stall. Once back under the high mark the rest
-        // of the purge (down to the low mark) is background cleanup.
-        let stall = self.usage > high;
         let e = self.arena.slots[id.index()]
             .take()
             .expect("victim is resident");
         self.usage -= e.size;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += e.size;
-        if e.dirty {
-            self.stats.writeback_bytes += e.size;
-            if stall {
-                self.stats.stall_bytes += e.size;
-                ops(CacheOp::StallFlush { id, bytes: e.size });
-            } else {
-                self.stats.purge_flush_bytes += e.size;
-                ops(CacheOp::PurgeFlush { id, bytes: e.size });
-            }
-        } else {
-            ops(CacheOp::Drop { id, bytes: e.size });
-        }
+        ops(CacheOp::Drop { id, bytes: e.size });
     }
 }
 
@@ -715,7 +671,6 @@ mod tests {
             capacity,
             high_watermark: 0.9,
             low_watermark: 0.5,
-            eager_writeback: true,
         }
     }
 
@@ -736,12 +691,29 @@ mod tests {
     fn purge_respects_watermarks() {
         let lru = Lru;
         let mut c = DiskCache::new(cfg(1000), &lru);
+        let mut ops = Vec::new();
         for i in 0..10 {
-            c.write(i, 100, i as i64, None);
+            c.write_with(i, 100, i as i64, None, &mut |op| ops.push(op));
         }
         // Usage crossed 900 (the high watermark); purge to <= 500.
         assert!(c.usage() <= 500, "usage {}", c.usage());
-        assert!(c.stats().evictions >= 5);
+        assert_eq!(c.stats().evictions, 5);
+        // Every write queues its bytes for tape once; every victim is
+        // dropped, since write-behind already sent its data.
+        assert_eq!(c.stats().writeback_bytes, 1000);
+        let writebacks = ops
+            .iter()
+            .filter(|o| matches!(o, CacheOp::Writeback { bytes: 100, .. }))
+            .count();
+        assert_eq!(writebacks, 10);
+        let drops: Vec<u32> = ops
+            .iter()
+            .filter_map(|o| match o {
+                CacheOp::Drop { id, .. } => Some(id.raw()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -779,27 +751,6 @@ mod tests {
         // A retry is still a miss — the file never becomes resident.
         assert!(!c.read(7, 5000, 1, None));
         assert_eq!(c.stats().read_misses, 2);
-    }
-
-    #[test]
-    fn lazy_writeback_pays_at_eviction() {
-        let lru = Lru;
-        let lazy = CacheConfig {
-            eager_writeback: false,
-            ..cfg(1000)
-        };
-        let mut c = DiskCache::new(lazy, &lru);
-        for i in 0..10 {
-            c.write(i, 100, i as i64, None);
-        }
-        assert!(c.stats().stall_bytes > 0, "dirty evictions must stall");
-        // Eager mode never stalls.
-        let mut e = DiskCache::new(cfg(1000), &lru);
-        for i in 0..10 {
-            e.write(i, 100, i as i64, None);
-        }
-        assert_eq!(e.stats().stall_bytes, 0);
-        assert!(e.stats().writeback_bytes >= 1000);
     }
 
     #[test]
@@ -855,60 +806,6 @@ mod tests {
         let a = run();
         assert_eq!(a, run());
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn stall_and_purge_flush_bytes_are_pinned_on_a_hand_built_trace() {
-        // Ten 100-byte dirty files in a 1000-byte cache (high 900, low
-        // 500). The tenth write pushes usage to 1000: evicting file 0
-        // happens above the high watermark (stall), files 1..=4 are the
-        // background leg of the purge down to 500.
-        let lru = Lru;
-        let lazy = CacheConfig {
-            eager_writeback: false,
-            ..cfg(1000)
-        };
-        let mut c = DiskCache::new(lazy, &lru);
-        let mut ops = Vec::new();
-        for i in 0..10 {
-            c.write_with(i, 100, i as i64, None, &mut |op| ops.push(op));
-        }
-        assert_eq!(c.stats().stall_bytes, 100);
-        assert_eq!(c.stats().purge_flush_bytes, 400);
-        assert_eq!(c.stats().writeback_bytes, 500);
-        assert_eq!(c.stats().evictions, 5);
-        let stalls: Vec<_> = ops
-            .iter()
-            .filter(|o| matches!(o, CacheOp::StallFlush { .. }))
-            .collect();
-        let purges: Vec<_> = ops
-            .iter()
-            .filter(|o| matches!(o, CacheOp::PurgeFlush { .. }))
-            .collect();
-        assert_eq!(
-            stalls,
-            [&CacheOp::StallFlush {
-                id: FileId::new(0),
-                bytes: 100
-            }]
-        );
-        assert_eq!(purges.len(), 4);
-        // Eager mode: same trace, everything goes out as writebacks and
-        // both eviction-flush counters stay zero.
-        let mut e = DiskCache::new(cfg(1000), &lru);
-        let mut eops = Vec::new();
-        for i in 0..10 {
-            e.write_with(i, 100, i as i64, None, &mut |op| eops.push(op));
-        }
-        assert_eq!(e.stats().stall_bytes, 0);
-        assert_eq!(e.stats().purge_flush_bytes, 0);
-        assert_eq!(
-            eops.iter()
-                .filter(|o| matches!(o, CacheOp::Writeback { .. }))
-                .count(),
-            10
-        );
-        assert!(eops.iter().any(|o| matches!(o, CacheOp::Drop { .. })));
     }
 
     #[test]
@@ -1122,35 +1019,29 @@ mod tests {
         // and later, before the next one: its arena slot holds a fresh
         // entry, and the scan ranks it from a fresh row.
         let stp = Stp::classic();
-        for eager_writeback in [true, false] {
-            let config = CacheConfig {
-                eager_writeback,
-                ..cfg(1000)
-            };
-            let mut next_purge = Vec::new();
-            for mode in [EvictionMode::Auto, EvictionMode::Rescan] {
-                let mut c = DiskCache::with_eviction_mode(config, &stp, mode);
-                for i in 0..10u32 {
-                    c.write(i, 100, i64::from(i), None);
-                }
-                assert!(!c.contains(0u32), "the first purge took file 0");
-                c.write(0u32, 150, 50, None);
-                let e = c.arena.get(FileId::new(0)).expect("re-created");
-                let fresh = (e.size, e.created, e.last_ref, e.ref_count, e.dirty);
-                assert_eq!(fresh, (150, 50, 50, 1, !eager_writeback));
-                c.read(0u32, 150, 52, None); // marked again before the purge
-                let mut ops = Vec::new();
-                for i in 20..26u32 {
-                    c.write_with(i, 100, 50 + i64::from(i), None, &mut |op| ops.push(op));
-                }
-                assert!(c.stats().evictions > 5, "no second purge");
-                if mode == EvictionMode::Auto {
-                    assert_eq!(c.ranking_regime(), Scan);
-                }
-                next_purge.push(ops);
+        let mut next_purge = Vec::new();
+        for mode in [EvictionMode::Auto, EvictionMode::Rescan] {
+            let mut c = DiskCache::with_eviction_mode(cfg(1000), &stp, mode);
+            for i in 0..10u32 {
+                c.write(i, 100, i64::from(i), None);
             }
-            assert_eq!(next_purge[0], next_purge[1], "eager {eager_writeback}");
+            assert!(!c.contains(0u32), "the first purge took file 0");
+            c.write(0u32, 150, 50, None);
+            let e = c.arena.get(FileId::new(0)).expect("re-created");
+            let fresh = (e.size, e.created, e.last_ref, e.ref_count);
+            assert_eq!(fresh, (150, 50, 50, 1));
+            c.read(0u32, 150, 52, None); // marked again before the purge
+            let mut ops = Vec::new();
+            for i in 20..26u32 {
+                c.write_with(i, 100, 50 + i64::from(i), None, &mut |op| ops.push(op));
+            }
+            assert!(c.stats().evictions > 5, "no second purge");
+            if mode == EvictionMode::Auto {
+                assert_eq!(c.ranking_regime(), Scan);
+            }
+            next_purge.push(ops);
         }
+        assert_eq!(next_purge[0], next_purge[1]);
     }
 
     /// A power-age policy that stops shipping its form for a file on
@@ -1296,11 +1187,10 @@ mod tests {
             let mut c = DiskCache::with_eviction_mode(config, &Table, mode);
             let mut victims = Vec::new();
             for i in 0..PRIORITY.len() as u32 {
-                c.write_with(i, 80, i64::from(i), None, &mut |op| match op {
-                    CacheOp::Drop { id, .. }
-                    | CacheOp::StallFlush { id, .. }
-                    | CacheOp::PurgeFlush { id, .. } => victims.push(id.raw()),
-                    _ => {}
+                c.write_with(i, 80, i64::from(i), None, &mut |op| {
+                    if let CacheOp::Drop { id, .. } = op {
+                        victims.push(id.raw());
+                    }
                 });
             }
             assert_eq!(victims, want, "{mode:?}");

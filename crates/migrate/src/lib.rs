@@ -6,7 +6,7 @@
 //! * [`policy`] — STP (Smith's space-time product), LRU, FIFO,
 //!   size-ordered, SAAC, random, and Belady's clairvoyant bound;
 //! * [`cache`] — a watermark-driven disk-cache simulator measuring miss
-//!   ratios and write-back stalls under any policy, and the one staging
+//!   ratios and write-behind traffic under any policy, and the one staging
 //!   cache every host runs, the live daemon included (`tests/spec/mod.rs`
 //!   states its semantics, the oracle every cache engine is held to);
 //! * [`eval`] — the Smith/Lawrie comparison harness, parallel across

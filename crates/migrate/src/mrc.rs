@@ -24,8 +24,8 @@
 //! private `IdMap` pioneered that layout; the dense id went
 //! workspace-wide and the local copy is gone.) Only residency-dependent
 //! state
-//! (size as of the last insert/write, creation time, reference count,
-//! dirtiness) is per-capacity; `last_ref` and `next_use` are written by
+//! (size as of the last insert/write, creation time, reference count)
+//! is per-capacity; `last_ref` and `next_use` are written by
 //! every touch in every cache that holds the file, so they live once
 //! per file.
 //!
@@ -177,7 +177,6 @@ impl GlobalState {
 #[derive(Debug, Clone, Copy)]
 struct SubState {
     resident: bool,
-    dirty: bool,
     /// Size as of this stack's last insert/write of the file (a read
     /// hit never resizes an entry, so stacks can disagree).
     size: u64,
@@ -188,7 +187,6 @@ struct SubState {
 impl SubState {
     const EMPTY: SubState = SubState {
         resident: false,
-        dirty: false,
         size: 0,
         created: 0,
         ref_count: 0,
@@ -460,12 +458,10 @@ impl<'p> Stack<'p> {
     /// Removes a victim and books the eviction — `DiskCache::evict`
     /// for one stack.
     fn evict(&mut self, fidx: u32, subs: &mut [SubState], grid: usize, ci: usize) {
-        let stall = self.usage > self.high;
         let sub = &mut subs[fidx as usize * grid + ci];
         debug_assert!(sub.resident, "victim is resident");
         sub.resident = false;
         let size = sub.size;
-        let dirty = sub.dirty;
         if let Order::Ranked(rank) = &mut self.order {
             rank.evicted(fidx);
         }
@@ -473,14 +469,6 @@ impl<'p> Stack<'p> {
         self.usage -= size;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += size;
-        if dirty {
-            self.stats.writeback_bytes += size;
-            if stall {
-                self.stats.stall_bytes += size;
-            } else {
-                self.stats.purge_flush_bytes += size;
-            }
-        }
     }
 
     /// Watermark purge, if usage is past the high mark. The check is
@@ -731,21 +719,17 @@ pub fn sweep_capacities_streaming(
             let was_resident = sub.resident;
             if r.write {
                 stack.stats.writes += 1;
-                if base.cache.eager_writeback {
-                    stack.stats.writeback_bytes += r.size;
-                }
+                stack.stats.writeback_bytes += r.size;
                 if sub.resident {
                     stack.usage = stack.usage - sub.size + r.size;
                     sub.size = r.size;
                     sub.ref_count += 1;
-                    sub.dirty = !base.cache.eager_writeback;
                 } else {
                     if r.size > stack.capacity {
                         continue; // tape-direct bypass
                     }
                     *sub = SubState {
                         resident: false,
-                        dirty: !base.cache.eager_writeback,
                         size: r.size,
                         created: r.time,
                         ref_count: 1,
@@ -768,7 +752,6 @@ pub fn sweep_capacities_streaming(
                 }
                 *sub = SubState {
                     resident: false,
-                    dirty: false,
                     size: r.size,
                     created: r.time,
                     ref_count: 1,

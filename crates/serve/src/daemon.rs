@@ -2,7 +2,7 @@
 //!
 //! Hosts [`fmig_sim::disk::DiskHalf`] — the single statement of the disk
 //! half of the device model: cache classification, recall coalescing,
-//! MSCP dispatch, spindles, channel movers, stall-flush gates — over one
+//! MSCP dispatch, spindles, channel movers, write-behind — over one
 //! policy-driven [`DiskCache`], the same code and the same cache the
 //! simulators run.
 //! This host keeps the half's events in a queue of its own, draws keyed
@@ -70,7 +70,7 @@
 //! serves (serve-stale), non-resident reads beyond the bounded recall
 //! queue are shed with `Rejected(Shedding)`. **Graceful shutdown**
 //! (`Drain`) stops admitting work, drains every in-flight recall, and
-//! flushes all dirty writeback bytes before acknowledging.
+//! lands every queued writeback byte on tape before acknowledging.
 //!
 //! In simulator-compat mode (no deadline, compat retry, breaker
 //! disabled) a replay of a prepared trace reproduces
@@ -78,7 +78,7 @@
 //! waits exactly — that is the oracle contract `repro service-smoke`
 //! enforces.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -320,9 +320,9 @@ struct Core {
     /// reference with a recall in flight stays in the disk half's
     /// window until this table lets go of it.
     recall_tbl: HashMap<u64, usize>,
-    /// Flushes in flight at the origin: job id → the reference stalled
-    /// on it, if any.
-    flush_tbl: HashMap<u64, Option<usize>>,
+    /// Flushes in flight at the origin, by job id. No reference waits
+    /// on one; the set is there to check the origin's `FlushDone`s.
+    flush_tbl: HashSet<u64>,
     next_job: u64,
     acked_writes: u64,
     acked_write_bytes: u64,
@@ -409,7 +409,7 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             queue: EventQueue::new(),
             clients: Clients::default(),
             recall_tbl: HashMap::new(),
-            flush_tbl: HashMap::new(),
+            flush_tbl: HashSet::new(),
             next_job: 0,
             acked_writes: 0,
             acked_write_bytes: 0,
@@ -604,7 +604,7 @@ impl Core {
     fn send_flush(&mut self, order: FlushOrder, at: SimMs) -> Result<(), String> {
         let job = self.next_job;
         self.next_job += 1;
-        self.flush_tbl.insert(job, order.gated);
+        self.flush_tbl.insert(job);
         Frame::Flush {
             job,
             file: order.file.index() as u64,
@@ -843,17 +843,14 @@ impl Daemon<'_> {
                 } => self.recall_failed(job, attempt, failed_vms, drive_free_vms)?,
                 Frame::FlushDone {
                     job,
-                    done_vms,
+                    done_vms: _,
                     bytes,
                 } => {
-                    let gated = self
-                        .core
-                        .flush_tbl
-                        .remove(&job)
-                        .ok_or_else(|| format!("completion for unknown flush job {job}"))?;
+                    if !self.core.flush_tbl.remove(&job) {
+                        return Err(format!("completion for unknown flush job {job}"));
+                    }
                     // The writeback bytes are durable now.
                     self.core.origin_flushed_bytes += bytes;
-                    self.disk.flush_done(gated, done_vms, &mut self.core);
                 }
                 other => return Err(format!("unexpected origin frame: {other:?}")),
             }

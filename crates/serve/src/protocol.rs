@@ -366,9 +366,12 @@ pub struct ServiceStats {
     pub evictions: u64,
     /// `CacheStats::evicted_bytes`.
     pub evicted_bytes: u64,
-    /// `CacheStats::stall_bytes`.
+    /// `CacheStats::stall_bytes`: always zero, since nothing writes it
+    /// any more. It keeps the frame layout and the benchmark's reader;
+    /// ROADMAP item 4 drops it with that reader.
     pub stall_bytes: u64,
-    /// `CacheStats::purge_flush_bytes`.
+    /// `CacheStats::purge_flush_bytes`: always zero, and dropped with
+    /// `stall_bytes`.
     pub purge_flush_bytes: u64,
     /// `CacheStats::writeback_bytes`.
     pub writeback_bytes: u64,

@@ -74,9 +74,9 @@ pub struct SimConfig {
     /// Median latency for requests that fail at the MSCP (§5.1 errors),
     /// seconds.
     pub error_latency_median_s: f64,
-    /// Closed-loop hierarchy engine only: how long freshly written dirty
-    /// data may age before the eager write-behind flusher sends it to
-    /// tape, seconds. Batching flushes off the critical path is exactly
+    /// Closed-loop hierarchy engine only: how long freshly written data
+    /// may age before the write-behind flusher sends it to tape,
+    /// seconds. Batching flushes off the critical path is exactly
     /// the §6 write-behind recommendation; the open-loop trace replay
     /// ignores this knob.
     pub writeback_delay_s: f64,

@@ -11,10 +11,10 @@
 //!   volume per directory while the closed loop spreads dense file ids.
 //! * [`DiskHalf`] wraps the staging-disk logic around it: classify each
 //!   reference through its one [`DiskCache`], coalesce re-references
-//!   onto an outstanding recall (*delayed hits*), gate a disk-served
-//!   reference on the stall flushes its admission forced, turn
-//!   write-backs and purges into tape writes, and feed every measured
-//!   recall wait back to the victim ranker.
+//!   onto an outstanding recall (*delayed hits*), turn write-behind into
+//!   tape writes, and feed every measured recall wait back to the victim
+//!   ranker. A write never waits on tape: its flush leaves off the
+//!   critical path, and an eviction only drops a copy already queued.
 //!
 //! Neither owns *where an event is queued*, *where noise comes from*,
 //! *how a recall or flush reaches the tape half* or *who hears that a
@@ -28,11 +28,12 @@
 //! simulator's waits exactly.
 //!
 //! The tape half answers through [`DiskHalf::first_byte`],
-//! [`DiskHalf::recall_done`], [`DiskHalf::recall_failed`],
-//! [`DiskHalf::flush_done`] and [`DiskHalf::abandon`]. Over a socket
-//! those answers are outside input: the host checks *which* job they
-//! name, and one that resolves a reference out of turn comes back as a
-//! [`LinkFault`], never a panic.
+//! [`DiskHalf::recall_done`], [`DiskHalf::recall_failed`] and
+//! [`DiskHalf::abandon`]; a landed flush needs no answer, since no
+//! reference waits on it. Over a socket those answers are outside
+//! input: the host checks *which* job they name, and one that resolves
+//! a reference out of turn comes back as a [`LinkFault`], never a
+//! panic.
 //!
 //! # The reference window
 //!
@@ -43,11 +44,11 @@
 //! ([`DiskEv::DiskDone`]) has been handled, and its own recall, if it
 //! issued one, has been answered by [`DiskHalf::recall_done`] or
 //! [`DiskHalf::abandon`]. Every other name a reference has — its
-//! dispatch, a stall flush gating it, a place among a recall's waiters
-//! or in a disk queue — lapses when it resolves. Retiring only below
-//! the caller's `upto` lets a host that reports outcomes in arrival
-//! order keep the ones it has not read yet; a host that reports them as
-//! they resolve retires everything it can. The window runs from the
+//! dispatch, a place among a recall's waiters or in a disk queue —
+//! lapses when it resolves. Retiring only below the caller's `upto`
+//! lets a host that reports outcomes in arrival order keep the ones it
+//! has not read yet; a host that reports them as they resolve retires
+//! everything it can. The window runs from the
 //! oldest reference still held to the newest arrival, so its size
 //! follows what is in flight, not the length of the run.
 
@@ -170,13 +171,10 @@ pub struct RecallOrder {
     pub tier: Tier,
 }
 
-/// A background tape write (write-behind, stall or purge flush) for the
-/// host to carry to the tape half.
+/// A background tape write (write-behind) for the host to carry to the
+/// tape half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushOrder {
-    /// The disk-served reference stalled on this flush; hand it back
-    /// through [`DiskHalf::flush_done`].
-    pub gated: Option<usize>,
     /// Spawn-order sequence number (keyed-noise identity).
     pub seq: u64,
     /// File being flushed.
@@ -209,8 +207,7 @@ pub struct Resolved {
 
 /// An answer from the tape half that contradicts the reference table.
 /// Only what a peer across a socket can cause is an error: the host
-/// names references by the indices [`RecallOrder::r`] and
-/// [`FlushOrder::gated`] gave it, each flush answered once.
+/// names references by the indices [`RecallOrder::r`] gave it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFault {
     /// The reference already has its first byte (or already failed).
@@ -245,7 +242,7 @@ pub struct DiskCounters {
     pub delayed_hits: u64,
     /// Tape recalls issued.
     pub recalls: u64,
-    /// Tape flush jobs issued (write-behind, stall and purge flushes).
+    /// Tape flush jobs issued, one per write (write-behind).
     pub flush_jobs: u64,
     /// Bytes those flush jobs carry to tape.
     pub flush_bytes: u64,
@@ -266,10 +263,6 @@ struct RefState {
     /// Its own recall is in flight: issued, and neither done nor
     /// abandoned.
     recalling: bool,
-    /// Stall flushes that must land on tape before disk service starts.
-    gate: u32,
-    /// MSCP dispatch finished while gated; start when the gate clears.
-    ready: bool,
     /// Counter-noise mode only: the recall sequence number assigned at
     /// *arrival* for `Recall`-served references, so a distributed
     /// replica that classifies in trace order assigns the same
@@ -384,9 +377,8 @@ impl<'p> DiskHalf<'p> {
     /// The state of reference `r`, which must still be in the window.
     /// Nothing retired can reach here: an event names a reference only
     /// while it holds it in the window, and an outside answer reaches
-    /// one only through the host's table of recalls in flight (or of
-    /// the flushes gating an unresolved reference), which names each
-    /// until its `recall_done` or `abandon`.
+    /// one only through the host's table of recalls in flight, which
+    /// names each until its `recall_done` or `abandon`.
     fn st(&mut self, r: usize) -> &mut RefState {
         &mut self.refs[r - self.base]
     }
@@ -446,7 +438,6 @@ impl<'p> DiskHalf<'p> {
             Some(_) if joinable => (ServedBy::DelayedHit, tape.device()),
             Some(_) => (ServedBy::Recall, tape.device()),
         };
-        let disk_served = device == DeviceClass::Disk;
         // Counter-noise mode fixes the recall's identity here, in
         // arrival order — classification order is what a distributed
         // replica can reproduce; legacy dispatch order depends on the
@@ -472,34 +463,20 @@ impl<'p> DiskHalf<'p> {
             done: false,
             transferring: false,
             recalling: false,
-            gate: 0,
-            ready: false,
             recall_seq,
         });
 
-        // Cache side effects become tape traffic.
+        // Write-behind becomes tape traffic; a fetch is issued at
+        // dispatch, and a dropped victim costs the tape nothing.
         for &op in &ops {
-            let (id, bytes, gated, at) = match op {
-                CacheOp::Fetch { .. } | CacheOp::Drop { .. } => continue,
-                CacheOp::Writeback { id, bytes } => {
-                    let aged = (self.cfg.writeback_delay_s * MS as f64) as SimMs;
-                    (id, bytes, None, t_ms + aged)
-                }
-                // Only disk-served foregrounds stall on the flush; a
-                // miss's recall is the longer pole and proceeds.
-                CacheOp::StallFlush { id, bytes } if disk_served => {
-                    self.st(i).gate += 1;
-                    (id, bytes, Some(i), t_ms)
-                }
-                CacheOp::StallFlush { id, bytes } | CacheOp::PurgeFlush { id, bytes } => {
-                    (id, bytes, None, t_ms)
-                }
+            let CacheOp::Writeback { id, bytes } = op else {
+                continue;
             };
+            let at = t_ms + (self.cfg.writeback_delay_s * MS as f64) as SimMs;
             let tier = self.file_tape.get(id.index()).copied().flatten();
             // Spawn order is classification order, which every host
             // agrees on: it is the flush's keyed-noise identity.
             let order = FlushOrder {
-                gated,
                 seq: self.counters.flush_jobs,
                 file: id,
                 bytes,
@@ -550,12 +527,10 @@ impl<'p> DiskHalf<'p> {
             DiskEv::Dispatch(r) => {
                 let st = *self.st(r);
                 if st.outcome.served != ServedBy::Recall {
-                    // MSCP work done: start disk service unless stall
-                    // flushes still gate it.
-                    self.st(r).ready = true;
-                    if st.gate == 0 {
-                        self.join_disk(r, now, host);
-                    }
+                    // MSCP work done: start disk service.
+                    let spindle = self.spindle_of(r);
+                    let started = self.path.join(r, spindle);
+                    self.start_transfer(started, now, host);
                     return None;
                 }
                 // Counter-noise mode pinned the sequence number at
@@ -588,12 +563,6 @@ impl<'p> DiskHalf<'p> {
     /// Disk-served references spread over the spindles by file id.
     fn spindle_of(&mut self, r: usize) -> usize {
         self.st(r).outcome.id.index() % self.path.spindles()
-    }
-
-    fn join_disk<H: DiskHost>(&mut self, r: usize, now: SimMs, host: &mut H) {
-        let spindle = self.spindle_of(r);
-        let started = self.path.join(r, spindle);
-        self.start_transfer(started, now, host);
     }
 
     /// The job that reached a mover begins its transfer: the
@@ -674,18 +643,6 @@ impl<'p> DiskHalf<'p> {
             }
         }
         Ok(())
-    }
-
-    /// A flush landed on tape at `at`; `gated` is its
-    /// [`FlushOrder::gated`]. The stalled reference starts disk service
-    /// when its last flush lands, if its dispatch is already through.
-    pub fn flush_done<H: DiskHost>(&mut self, gated: Option<usize>, at: SimMs, host: &mut H) {
-        let Some(r) = gated else { return };
-        let st = self.st(r);
-        st.gate -= 1;
-        if st.gate == 0 && st.ready {
-            self.join_disk(r, at, host);
-        }
     }
 
     /// A recall's requester waits for its first byte exactly once; an
@@ -862,12 +819,11 @@ mod tests {
         }
     }
 
-    fn half<'p>(policy: &'p Lru, capacity: u64, eager_writeback: bool) -> DiskHalf<'p> {
+    fn half<'p>(policy: &'p Lru, capacity: u64) -> DiskHalf<'p> {
         let cache = CacheConfig {
             capacity,
             high_watermark: 0.9,
             low_watermark: 0.5,
-            eager_writeback,
         };
         let cfg = SimConfig::default().with_counter_noise(true);
         DiskHalf::new(&cfg, DiskCache::new(cache, policy))
@@ -898,7 +854,7 @@ mod tests {
     #[test]
     fn reads_of_a_missing_file_share_one_recall() {
         let lru = Lru;
-        let mut half = half(&lru, 1000, true);
+        let mut half = half(&lru, 1000);
         let mut host = Recorder::new();
         for t in 0..4 {
             host.arrive(&mut half, read(0, t, 400));
@@ -949,66 +905,10 @@ mod tests {
         assert_eq!(half.feedback().samples(), 1);
     }
 
-    /// Three dirty files, then a 500-byte newcomer: two victims go
-    /// while usage is above the high mark (stall flushes), the third
-    /// below it (a purge flush).
-    fn three_dirty_files(half: &mut DiskHalf, host: &mut Recorder) {
-        for (id, size) in [(0, 300), (1, 300), (2, 250)] {
-            host.arrive(half, write(id, i64::from(id), size));
-        }
-        assert!(
-            host.flushes.is_empty(),
-            "lazy write-back flushes nothing yet"
-        );
-    }
-
-    #[test]
-    fn a_write_waits_for_its_stall_flushes_but_a_miss_does_not() {
-        let lru = Lru;
-        let mut half = half(&lru, 1000, false);
-        let mut host = Recorder::new();
-        three_dirty_files(&mut half, &mut host);
-        let w = host.arrive(&mut half, write(3, 10, 500));
-        let gates: Vec<_> = host.flushes.iter().map(|(o, at)| (o.gated, *at)).collect();
-        assert_eq!(
-            gates,
-            [(Some(w), 10_000), (Some(w), 10_000), (None, 10_000)]
-        );
-        assert_eq!(half.cache().stats().stall_bytes, 600);
-        assert_eq!(half.counters().flush_jobs, 3);
-        assert_eq!(half.counters().flush_bytes, 850);
-
-        // Its dispatch is long through, yet disk service has not begun.
-        assert!(host.advance(&mut half, SETTLED).is_empty());
-        assert!(host.outcome(w).is_empty());
-        half.flush_done(None, SETTLED, &mut host);
-        half.flush_done(Some(w), SETTLED, &mut host);
-        assert!(
-            host.outcome(w).is_empty(),
-            "one stall flush still in flight"
-        );
-        half.flush_done(Some(w), 2 * SETTLED, &mut host);
-        // Service starts at the later landing: seek, then first byte.
-        assert_eq!(host.outcome(w)[0].wait_ms, 2 * SETTLED + 40 - 10_000);
-        assert_eq!(host.outcome(w)[0].served, ServedBy::DiskWrite);
-
-        // The same purge behind a read miss gates nothing: the recall
-        // is the longer pole and goes out at dispatch.
-        let mut half = self::half(&lru, 1000, false);
-        let mut host = Recorder::new();
-        three_dirty_files(&mut half, &mut host);
-        let m = host.arrive(&mut half, read(3, 10, 500));
-        assert_eq!(half.cache().stats().stall_bytes, 600);
-        assert!(host.flushes.iter().all(|(o, _)| o.gated.is_none()));
-        let issued = host.advance(&mut half, SETTLED);
-        assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].r, m);
-    }
-
     #[test]
     fn an_abandoned_recall_fails_everyone_once_and_stays_re_missable() {
         let lru = Lru;
-        let mut half = half(&lru, 1 << 30, true);
+        let mut half = half(&lru, 1 << 30);
         let mut host = Recorder::new();
         for t in 0..3 {
             host.arrive(&mut half, read(0, t, 1_000_000));
@@ -1051,16 +951,16 @@ mod tests {
     }
 
     #[test]
-    fn the_window_stays_bounded_through_retries_abandons_and_stall_flushes() {
+    fn the_window_stays_bounded_through_retries_abandons_and_purges() {
         let lru = Lru;
-        let mut half = half(&lru, 1000, false);
+        let mut half = half(&lru, 1000);
         let mut host = Recorder::new();
-        let (mut emitted, mut answered, mut high_water) = (0, 0, 0);
+        let (mut emitted, mut high_water) = (0, 0);
         for round in 0..1_000u32 {
             let t = i64::from(round) * 10_000;
             let id = |k: u32| 8 * round + k;
-            // Three dirty files, then a write whose admission stalls on
-            // them; then two misses, each with a waiter.
+            // Three files, then a write whose admission purges them;
+            // then two misses, each with a waiter.
             for (k, size) in [(0, 300), (1, 300), (2, 250), (3, 500)] {
                 host.arrive(&mut half, write(id(k), t + i64::from(k), size));
             }
@@ -1082,11 +982,6 @@ mod tests {
                     half.abandon(order.r, at, &mut host).unwrap();
                 }
             }
-            let flushes: Vec<_> = host.flushes[answered..].iter().map(|&(o, _)| o).collect();
-            answered = host.flushes.len();
-            for order in flushes {
-                half.flush_done(order.gated, (t + 3_000) * MS, &mut host);
-            }
             host.advance(&mut half, (t + 5_000) * MS);
             // The host reads outcomes in arrival order, then retires.
             while half.outcome(emitted).is_some() {
@@ -1098,7 +993,10 @@ mod tests {
         }
         assert_eq!(emitted, 8_000);
         assert_eq!(half.references(), 8_000);
-        assert!(host.flushes.iter().any(|(o, _)| o.gated.is_some()));
+        // Every byte admitted (1,550 a round) was purged or is resident.
+        let evicted = half.cache().stats().evicted_bytes;
+        assert_eq!(evicted + half.cache().usage(), 1_550_000);
+        assert_eq!(host.flushes.len(), 4_000, "one flush per write");
         assert_eq!(half.cache().fetch_retries(), 2_000);
         assert_eq!(half.counters().abandoned, 1_000);
         assert_eq!(high_water, 8, "a round's references, no more");
@@ -1107,7 +1005,7 @@ mod tests {
     #[test]
     fn answers_that_resolve_a_reference_out_of_turn_are_errors() {
         let lru = Lru;
-        let mut half = half(&lru, 1 << 30, true);
+        let mut half = half(&lru, 1 << 30);
         let mut host = Recorder::new();
         let r = host.arrive(&mut half, read(0, 0, 1_000_000));
         host.advance(&mut half, SETTLED);

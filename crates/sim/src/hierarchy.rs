@@ -23,10 +23,11 @@
 //!   onto it (*delayed hits*, after the Atre et al. "Caching with
 //!   Delayed Hits" observation): exactly one recall is issued and no
 //!   coalesced request waits longer than the fetch it joined;
-//! * eager write-behind flushes, eviction stalls, and watermark-purge
-//!   flushes become **tape writes** that compete with recalls for the
-//!   same drives, mounters, and movers — write-back contention is
-//!   measured, not assumed.
+//! * write-behind flushes become **tape writes** that compete with
+//!   recalls for the same drives, mounters, and movers — write-back
+//!   contention is measured, not assumed. No reference waits on one:
+//!   a write is served at disk latency, and an eviction only drops a
+//!   copy whose flush is already queued.
 //!
 //! Cache decisions are made at reference arrival, in trace order, with
 //! the same [`DiskCache`] calls open-loop replay makes — so a
@@ -39,9 +40,7 @@
 //! [`crate::disk`] states it: foreground references pay the MSCP
 //! dispatch overhead, delayed hits skip it and reach their first byte
 //! at `max(arrival, recall first byte)` — which bounds their wait by
-//! the wait of the miss that issued the fetch — and a disk-served
-//! reference whose admission forced dirty **stall** evictions cannot
-//! start its disk service until those flushes land on tape.
+//! the wait of the miss that issued the fetch.
 //!
 //! # Determinism
 //!
@@ -101,7 +100,7 @@ pub struct HierarchyMetrics {
     pub delayed_hits: u64,
     /// Tape recalls actually issued.
     pub recalls: u64,
-    /// Tape flush jobs issued (write-behind, stall, and purge flushes).
+    /// Tape flush jobs issued: one per write, by write-behind.
     pub flush_jobs: u64,
     /// Bytes those flush jobs carried to tape.
     pub flush_bytes: u64,
@@ -293,10 +292,6 @@ enum HEv {
     Tape(TapeEv),
 }
 
-/// The tape-job id of a flush no reference is stalled on; a gated
-/// flush is named by the stalled reference, a recall by its requester.
-const UNGATED: u64 = u64::MAX;
-
 struct Engine<'p> {
     front: Front<'p>,
     tape: TapeHalf,
@@ -374,12 +369,12 @@ impl<'p> Engine<'p> {
         while let Some((now, ev)) = self.front.host.queue.pop_due(t_ms) {
             self.handle(now, ev);
         }
-        // A flush is a tape write that joins its drive queue at `at`.
+        // A flush is a tape write that joins its drive queue at `at`;
+        // its spawn order names it, since nothing waits on its answer.
         let Front { host, disk } = &mut self.front;
         let tape = &mut self.tape;
         let carried = disk.arrive(pr, host, |host, order, at| {
-            let id = order.gated.map_or(UNGATED, |r| r as u64);
-            let j = tape.flush(id, order.seq, order.bytes, order.tier);
+            let j = tape.flush(order.seq, order.seq, order.bytes, order.tier);
             host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
             Ok::<(), Infallible>(())
         });
@@ -509,9 +504,8 @@ impl TapeHost for Front<'_> {
         Ok(())
     }
 
-    fn flush_done(&mut self, job: u64, at: SimMs, _bytes: u64) -> Result<(), Infallible> {
-        let gated = (job != UNGATED).then_some(job as usize);
-        self.disk.flush_done(gated, at, &mut self.host);
+    /// No reference waits on a flush: nothing to hand back.
+    fn flush_done(&mut self, _job: u64, _at: SimMs, _bytes: u64) -> Result<(), Infallible> {
         Ok(())
     }
 
@@ -602,7 +596,6 @@ mod tests {
             capacity,
             high_watermark: 0.9,
             low_watermark: 0.5,
-            eager_writeback: true,
         }
     }
 
@@ -750,7 +743,7 @@ mod tests {
             cache_cfg(1 << 30),
             &refs,
         );
-        assert_eq!(m.flush_jobs, 30, "every eager write flushes");
+        assert_eq!(m.flush_jobs, 30, "every write flushes");
         assert_eq!(m.flush_bytes, 300_000_000);
         assert!(m.flush_queue_wait.count() == 30);
     }
@@ -786,28 +779,22 @@ mod tests {
     }
 
     #[test]
-    fn lazy_stall_flush_gates_the_triggering_write() {
-        // Lazy write-back, cache small enough that the last write evicts
-        // a dirty victim above the high watermark: that write's disk
-        // service waits for the victim's tape flush.
-        let cache = CacheConfig {
-            capacity: 1000,
-            high_watermark: 0.9,
-            low_watermark: 0.5,
-            eager_writeback: false,
-        };
+    fn a_write_that_forces_an_eviction_waits_on_no_tape() {
+        // A cache small enough that the last write evicts above the high
+        // watermark: write-behind already queued the victim's data, so
+        // that write's disk service starts at dispatch like any other.
         let refs: Vec<PreparedRef> = (0..10).map(|k| disk_write(k as u32, k, 100)).collect();
         let m = healthy_run(
             &HierarchySimulator::new(SimConfig::uncontended()),
-            cache,
+            cache_cfg(1000),
             &refs,
         );
-        assert!(m.cache.stall_bytes > 0, "trace must produce a stall");
-        // The stalled write pays a tape mount inside its "disk" wait;
-        // un-stalled writes finish in a few seconds.
+        assert!(m.cache.evictions > 0, "trace must evict");
+        // A tape mount alone takes longer than this; every write
+        // finishes in a few seconds.
         assert!(
-            m.write_wait.quantile(1.0) >= 8.0,
-            "stall invisible: p100 {}",
+            m.write_wait.quantile(1.0) < 8.0,
+            "a write waited on tape: p100 {}",
             m.write_wait.quantile(1.0)
         );
     }
@@ -1067,8 +1054,8 @@ mod tests {
     #[test]
     fn the_disk_window_stays_bounded_on_a_long_degraded_stream() {
         // A week of references, one every 30 s over 500 silo files with
-        // every fifth a write: a lazy write-back cache of 25 files stalls
-        // writes on dirty victims, and flaky reads plus drive outages
+        // every fifth a write: a cache of 25 files evicts all along, its
+        // writes queue tape flushes, and flaky reads plus drive outages
         // retry recalls. What is in flight stays in the tens.
         const REFS: usize = 20_000;
         let refs = (0..REFS).map(|k| PreparedRef {
@@ -1079,10 +1066,7 @@ mod tests {
             next_use: None,
             device: DeviceClass::TapeSilo,
         });
-        let cache = CacheConfig {
-            eager_writeback: false,
-            ..cache_cfg(50_000_000)
-        };
+        let cache = cache_cfg(50_000_000);
         let plan = FaultPlan {
             outages: vec![crate::fault::OutageClause {
                 target: FaultTarget::SiloDrive,
@@ -1105,7 +1089,7 @@ mod tests {
         }
         let m = engine.finish(&mut sink);
         assert_eq!(emitted, REFS);
-        assert!(m.cache.stall_bytes > 0, "no write stalled");
+        assert!(m.cache.evictions > 0, "nothing evicted");
         assert!(m.fault.expect("an active plan").read_retries > 0);
         assert!(high_water < 64, "{high_water} references held at once");
     }

@@ -40,11 +40,10 @@ use std::fs::{self, File};
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{escape, unescape};
+use crate::codec::escape;
 use crate::error::TraceError;
 use crate::ident::{FileId, FileTable};
 use crate::ingest::{FormatId, IngestConfig, IngestCounts};
-use crate::line::{read_line_bounded, LineRead, MAX_LINE_BYTES};
 use crate::record::{DeviceClass, TraceRecord};
 use crate::stats::{Accum, TraceStats};
 
@@ -469,38 +468,6 @@ impl StoreReader {
         read_stats(&self.dir.join("stats.txt"))
     }
 
-    /// Reads `paths.txt` back into a [`FileTable`] (O(files) memory;
-    /// only needed for reporting, never for replay).
-    pub fn file_table(&self) -> Result<FileTable, TraceError> {
-        let mut input = BufReader::new(File::open(self.dir.join("paths.txt"))?);
-        let mut table = FileTable::with_capacity(self.manifest.files as usize);
-        let mut line_no = 0u64;
-        loop {
-            match read_line_bounded(&mut input, MAX_LINE_BYTES)? {
-                LineRead::Eof => break,
-                LineRead::Oversized => {
-                    return Err(TraceError::parse(line_no + 1, "path line exceeds bound"))
-                }
-                LineRead::Line(bytes) => {
-                    line_no += 1;
-                    let text = String::from_utf8(bytes)
-                        .map_err(|_| TraceError::parse(line_no, "path is not valid UTF-8"))?;
-                    let path = unescape(text.trim_end())
-                        .ok_or_else(|| TraceError::parse(line_no, "malformed path escape"))?;
-                    table.intern(&path);
-                }
-            }
-        }
-        if table.len() as u64 != self.manifest.files {
-            return Err(TraceError::BadHeader(format!(
-                "paths.txt holds {} paths, manifest says {}",
-                table.len(),
-                self.manifest.files
-            )));
-        }
-        Ok(table)
-    }
-
     /// Opens a chunked streaming pass over the rows.
     pub fn rows(&self, chunk_records: usize) -> Result<StoreRows, TraceError> {
         assert!(chunk_records > 0, "chunk size must be positive");
@@ -727,11 +694,6 @@ mod tests {
             assert_eq!(row.device, r.mss_device().unwrap());
             assert_eq!(row.next_use, *next, "next_use mismatch for {}", r.mss_path);
         }
-        // Dense ids assign in first-appearance order; paths roundtrip
-        // through escaping.
-        let table = reader.file_table().unwrap();
-        assert_eq!(table.name(FileId::new(0)), Some("/a file"));
-        assert_eq!(table.name(FileId::new(2)), Some("/c"));
         // Stats survive the text roundtrip exactly.
         let stats = reader.stats().unwrap();
         let mut expect = TraceStats::new();

@@ -48,15 +48,6 @@ impl Accum {
             self.bytes as f64 / 1.0e6 / self.references as f64
         }
     }
-
-    /// Average seconds to first byte, or 0 for an empty cell.
-    pub fn avg_latency_s(&self) -> f64 {
-        if self.references == 0 {
-            0.0
-        } else {
-            self.latency_sum_s / self.references as f64
-        }
-    }
 }
 
 /// Per-direction statistics: the total plus the three device rows.
@@ -274,18 +265,6 @@ mod tests {
         assert!((shares[0].fraction - 2.0 / 3.0).abs() < 1e-12);
         assert!((shares[1].fraction - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(shares[2].fraction, 0.0);
-    }
-
-    #[test]
-    fn avg_latency_averages_over_cell() {
-        let mut s = TraceStats::new();
-        s.observe(&rec(Direction::Read, DeviceClass::TapeManual, 1, 100));
-        s.observe(&rec(Direction::Read, DeviceClass::TapeManual, 1, 300));
-        assert_eq!(
-            s.reads.device(DeviceClass::TapeManual).avg_latency_s(),
-            200.0
-        );
-        assert_eq!(s.reads.device(DeviceClass::Disk).avg_latency_s(), 0.0);
     }
 
     #[test]

@@ -233,27 +233,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
-/// A Poisson variate; Knuth's method for small means, normal
-/// approximation above 64.
-pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0 && mean.is_finite(), "bad poisson mean {mean}");
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean > 64.0 {
-        let v = mean + mean.sqrt() * standard_normal(rng);
-        return v.max(0.0).round() as u64;
-    }
-    let limit = (-mean).exp();
-    let mut product: f64 = rng.gen();
-    let mut count = 0;
-    while product > limit {
-        product *= rng.gen::<f64>();
-        count += 1;
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,15 +327,6 @@ mod tests {
         let m = empirical_mean(|r| g.sample_count(r) as f64, 40_000);
         assert!((m - 3.0).abs() < 0.15, "mean {m}");
         assert_eq!(Geometric::new(1.0).sample_count(&mut rng()), 0);
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let m_small = empirical_mean(|r| sample_poisson(r, 3.5) as f64, 30_000);
-        assert!((m_small - 3.5).abs() < 0.1, "small mean {m_small}");
-        let m_large = empirical_mean(|r| sample_poisson(r, 400.0) as f64, 5_000);
-        assert!((m_large - 400.0).abs() < 2.0, "large mean {m_large}");
-        assert_eq!(sample_poisson(&mut rng(), 0.0), 0);
     }
 
     #[test]

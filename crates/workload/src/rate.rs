@@ -198,18 +198,6 @@ fn calendar_holiday_factor(t: Timestamp) -> f64 {
     t.holiday().map_or(1.0, Holiday::read_rate_factor)
 }
 
-/// Integrates a model's weight over `[start, end)` with hourly steps —
-/// used by tests and by expected-count calibration.
-pub fn integrate_weight(model: &RateModel, start: Timestamp, end: Timestamp) -> f64 {
-    let mut sum = 0.0;
-    let mut t = start;
-    while t < end {
-        sum += model.weight(t.add_secs(HOUR / 2));
-        t = t.add_secs(HOUR);
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,16 +322,5 @@ mod tests {
             }
         }
         assert!(moved < 300, "daytime events displaced too often: {moved}");
-    }
-
-    #[test]
-    fn integrate_weight_reflects_weekly_mass() {
-        let read = RateModel::read(1.0);
-        let week0 = integrate_weight(&read, TRACE_EPOCH, TRACE_EPOCH.add_secs(7 * DAY));
-        let flat = RateModel::write();
-        let week0_w = integrate_weight(&flat, TRACE_EPOCH, TRACE_EPOCH.add_secs(7 * DAY));
-        // Write mass is much closer to its ceiling than read mass.
-        assert!(week0 / (7.0 * 24.0) < 0.7);
-        assert!(week0_w / (7.0 * 24.0) > 0.85);
     }
 }

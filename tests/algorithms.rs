@@ -1,13 +1,12 @@
 //! Algorithmic invariants across crates: policy orderings, Belady
-//! optimality, write-behind effects, dividing-point monotonicity, and
+//! optimality, dividing-point monotonicity, and
 //! the generator's sequential read sessions.
 
 use std::collections::HashMap;
 
-use fmig_migrate::cache::{CacheConfig, DiskCache};
 use fmig_migrate::dividing::DividingPointStudy;
 use fmig_migrate::eval::{EvalConfig, IdTracePrep, PreparedTrace};
-use fmig_migrate::policy::{standard_suite, Belady, MigrationPolicy, Stp};
+use fmig_migrate::policy::{standard_suite, Belady, MigrationPolicy};
 use fmig_trace::time::HOUR;
 use fmig_workload::{EventKind, Workload, WorkloadConfig};
 
@@ -69,41 +68,6 @@ fn space_time_policies_beat_naive_ones_on_ncar_traffic() {
     assert!(stp < get("Smallest-first"), "STP {stp} vs smallest-first");
     assert!(stp < get("Largest-first"), "STP {stp} vs largest-first");
     assert!(stp <= get("FIFO") + 0.02, "STP {stp} vs FIFO");
-}
-
-#[test]
-fn eager_writeback_removes_eviction_stalls() {
-    let (trace, total) = trace();
-    let capacity = (total as f64 * 0.01) as u64;
-    let stp = Stp::classic();
-    let run = |eager: bool| {
-        let mut cache = DiskCache::new(
-            CacheConfig {
-                eager_writeback: eager,
-                ..CacheConfig::with_capacity(capacity)
-            },
-            &stp,
-        );
-        for r in trace.refs() {
-            if r.write {
-                cache.write(r.id, r.size, r.time, None);
-            } else {
-                cache.read(r.id, r.size, r.time, None);
-            }
-        }
-        *cache.stats()
-    };
-    let eager = run(true);
-    let lazy = run(false);
-    assert_eq!(eager.stall_bytes, 0, "eager mode must never stall");
-    assert!(
-        lazy.stall_bytes > 0,
-        "lazy mode must stall on dirty evictions"
-    );
-    // Hit behaviour is identical — write-behind changes when data moves,
-    // not what is resident.
-    assert_eq!(eager.read_hits, lazy.read_hits);
-    assert_eq!(eager.read_misses, lazy.read_misses);
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! deliveries, counters, usage and resident count.
 //!
 //! * `DiskCache` under each `EvictionMode` — `rank::Ranking` probed at
-//!   the first purge (the scan) and on the rescan — eager and
-//!   lazy write-back, monotone clocks and one step backwards, with
-//!   recalls landing late so delayed hits occur;
+//!   the first purge (the scan) and on the rescan — monotone clocks
+//!   and one step backwards, with recalls landing late so delayed hits
+//!   occur;
 //! * `mrc::sweep_capacities`, point by point;
 //! * `DiskCache` under an estimate republished before every reference,
 //!   as `DiskHalf::arrive` does in every host, the live daemon included.
@@ -13,8 +13,7 @@
 //! The policies come from `standard_suite()` (+ `Belady`), so a newly
 //! shipped policy is held to the spec without editing this file; the
 //! random streams add one test-only policy, `AgePlusSize`. The
-//! edges — a purge at, and one byte past, each mark; the stall boundary;
-//! tied stamps; a backwards step; a re-created file; a slope that
+//! edges — a purge at, and one byte past, each mark; tied stamps; a backwards step; a re-created file; a slope that
 //! moves mid-run — are hand-built cases at the end.
 
 use proptest::prelude::*;
@@ -138,12 +137,11 @@ fn all_policies() -> Vec<Box<dyn MigrationPolicy>> {
 }
 
 /// High mark at 0.9, low mark at 0.5 of `capacity`.
-fn config(capacity: u64, eager_writeback: bool) -> CacheConfig {
+fn config(capacity: u64) -> CacheConfig {
     CacheConfig {
         capacity,
         high_watermark: 0.9,
         low_watermark: 0.5,
-        eager_writeback,
     }
 }
 
@@ -203,21 +201,18 @@ fn seeded_stream(seed: u64, n: usize, files: u64, capacity: u64, backstep: bool)
     }))
 }
 
-/// Every policy × mode × write-back × clock, and the MRC at three
-/// capacities. 400 kB of ≈ 2 kB files is ≈ 180 residents at a purge.
+/// Every policy × mode × clock, and the MRC at three capacities. 400 kB of ≈ 2 kB files is ≈ 180 residents at a purge.
 #[test]
 fn every_engine_equals_the_spec_on_a_seeded_stream() {
     const CAPACITY: u64 = 400_000;
-    for (backstep, eager) in [(false, true), (false, false), (true, true), (true, false)] {
+    for backstep in [false, true] {
         let refs = seeded_stream(0x5EED_CAFE, 2_000, 700, CAPACITY, backstep);
-        let config = config(CAPACITY, eager);
+        let config = config(CAPACITY);
         for policy in all_policies() {
             let (policy, name) = (policy.as_ref(), policy.name());
             let want = check(policy, config, &refs, 1);
             assert!(want.stats.evictions > 100, "{name} hardly purged");
             assert!(want.results.contains(&ReadResult::DelayedHit));
-            let stalled = want.stats.stall_bytes > 0;
-            assert_eq!(stalled, !config.eager_writeback, "{name} stalls iff lazy");
             for capacity in [CAPACITY / 3, CAPACITY * 2] {
                 let want = check(policy, CacheConfig { capacity, ..config }, &refs, 0);
                 assert!(want.stats.evictions > 0, "{name} never purged");
@@ -241,15 +236,13 @@ fn every_engine_equals_the_spec_on_a_seeded_stream() {
 #[test]
 fn a_disk_cache_under_a_per_reference_estimate_equals_the_spec() {
     let refs = seeded_stream(0xD15C, 2_000, 300, 200_000, false);
-    for eager in [true, false] {
-        for policy in all_policies() {
-            let (config, policy) = (config(200_000, eager), policy.as_ref());
-            let want = drive(&mut SpecCache::new(config, policy), &refs, 1, true);
-            let got = drive(&mut DiskCache::new(config, policy), &refs, 1, true);
-            assert!(want.stats.evictions > 0 && want.results.contains(&ReadResult::DelayedHit));
-            let what = format!("{} under a per-reference estimate", policy.name());
-            assert_same(&got, &want, &what);
-        }
+    for policy in all_policies() {
+        let (config, policy) = (config(200_000), policy.as_ref());
+        let want = drive(&mut SpecCache::new(config, policy), &refs, 1, true);
+        let got = drive(&mut DiskCache::new(config, policy), &refs, 1, true);
+        assert!(want.stats.evictions > 0 && want.results.contains(&ReadResult::DelayedHit));
+        let what = format!("{} under a per-reference estimate", policy.name());
+        assert_same(&got, &want, &what);
     }
 }
 
@@ -275,14 +268,13 @@ impl MigrationPolicy for AgePlusSize {
 
 proptest! {
     /// Short random streams — zero time steps, an optional step
-    /// backwards, both write-back settings — through every shipped
+    /// backwards — through every shipped
     /// policy and `AgePlusSize`: spec = `DiskCache` × 2 modes = the MRC
     /// point.
     #[test]
     fn random_streams_agree_with_the_spec(
         specs in proptest::collection::vec((0u32..40, 1u64..5_000, any::<bool>(), 0i64..300), 1..300),
         capacity in 4_000u64..60_000,
-        eager in any::<bool>(),
         backstep in 0usize..600,
         late in 0usize..3,
     ) {
@@ -303,9 +295,9 @@ proptest! {
         }
         let refs = refs_of(specs);
         for policy in all_policies() {
-            check(policy.as_ref(), config(capacity, eager), &refs, late);
+            check(policy.as_ref(), config(capacity), &refs, late);
         }
-        check(&AgePlusSize, config(capacity, eager), &refs, late);
+        check(&AgePlusSize, config(capacity), &refs, late);
     }
 }
 
@@ -316,10 +308,9 @@ fn ten_writes(last: u64) -> Vec<SpecRef> {
 }
 
 fn victims(run: &Run) -> Vec<u32> {
-    use CacheOp::{Drop, Fetch, PurgeFlush, StallFlush, Writeback};
     let victim = |op: &CacheOp| match *op {
-        Drop { id, .. } | StallFlush { id, .. } | PurgeFlush { id, .. } => Some(id.raw()),
-        Fetch { .. } | Writeback { .. } => None,
+        CacheOp::Drop { id, .. } => Some(id.raw()),
+        CacheOp::Fetch { .. } | CacheOp::Writeback { .. } => None,
     };
     run.ops.iter().filter_map(victim).collect()
 }
@@ -327,30 +318,18 @@ fn victims(run: &Run) -> Vec<u32> {
 #[test]
 fn usage_at_the_high_mark_does_not_purge_and_one_byte_over_does() {
     let nine = &ten_writes(100)[..9];
-    let at_mark = check(&Lru, config(1000, true), nine, 0);
+    let at_mark = check(&Lru, config(1000), nine, 0);
     assert_eq!((at_mark.usage, at_mark.stats.evictions), (900, 0));
-    let over = check(&Lru, config(1000, true), &ten_writes(1), 0);
+    let over = check(&Lru, config(1000), &ten_writes(1), 0);
     assert_eq!((over.usage, victims(&over)), (401, vec![0, 1, 2, 3, 4]));
 }
 
 #[test]
 fn a_purge_stops_at_the_low_mark_and_one_byte_over_takes_another_victim() {
-    let exact = check(&Lru, config(1000, true), &ten_writes(100), 0);
+    let exact = check(&Lru, config(1000), &ten_writes(100), 0);
     assert_eq!((exact.usage, victims(&exact)), (500, vec![0, 1, 2, 3, 4]));
-    let over = check(&Lru, config(1000, true), &ten_writes(101), 0);
+    let over = check(&Lru, config(1000), &ten_writes(101), 0);
     assert_eq!((over.usage, victims(&over)), (401, vec![0, 1, 2, 3, 4, 5]));
-}
-
-#[test]
-fn a_dirty_victim_taken_at_the_high_mark_is_a_purge_flush_one_byte_over_a_stall() {
-    // Usage only falls during a purge, so the stalls are its first
-    // victims, 100 bytes each. 1000 → 900: the second victim is taken
-    // with usage exactly at the mark — one stall, four purge flushes.
-    let exact = check(&Lru, config(1000, false), &ten_writes(100), 0).stats;
-    assert_eq!((exact.stall_bytes, exact.purge_flush_bytes), (100, 400));
-    // 1001 → 901: one byte over, and the second victim stalls too.
-    let over = check(&Lru, config(1000, false), &ten_writes(101), 0).stats;
-    assert_eq!((over.stall_bytes, over.purge_flush_bytes), (200, 400));
 }
 
 #[test]
@@ -360,7 +339,7 @@ fn equal_stamps_break_ties_by_ascending_id() {
     let refs = refs_of((0..10).rev().map(|id| (id, 100, true, 0)));
     let policies: [&dyn MigrationPolicy; 4] = [&Lru, &Fifo, &Stp::classic(), &Belady];
     for policy in policies {
-        let run = check(policy, config(1000, true), &refs, 0);
+        let run = check(policy, config(1000), &refs, 0);
         assert_eq!(victims(&run), [0, 1, 2, 3, 4], "{}", policy.name());
     }
 }
@@ -373,7 +352,7 @@ fn a_file_stamped_by_a_backwards_step_is_the_oldest_at_the_next_purge() {
     let specs = specs.chain([(50, 100, true, -104)]);
     let refs = refs_of(specs.chain((60..64).map(|i| (i, 100, true, 40))));
     for policy in [&Lru as &dyn MigrationPolicy, &Stp::classic()] {
-        let run = check(policy, config(1000, true), &refs, 0);
+        let run = check(policy, config(1000), &refs, 0);
         assert_eq!(victims(&run)[..6], [0, 1, 2, 3, 4, 50], "{}", policy.name());
     }
 }
@@ -387,7 +366,7 @@ fn a_file_evicted_and_read_again_is_a_fresh_entry_at_the_next_purge() {
     let specs = specs.chain([(0, 120, false, 40)]);
     let refs = refs_of(specs.chain((20..26).map(|i| (i, 100, true, 5))));
     for policy in [&Fifo as &dyn MigrationPolicy, &Lru, &Stp::classic()] {
-        let (run, name) = (check(policy, config(1000, true), &refs, 1), policy.name());
+        let (run, name) = (check(policy, config(1000), &refs, 1), policy.name());
         assert_eq!(victims(&run), [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "{name}");
         assert_eq!(run.landed.iter().filter(|&&found| found).count(), 1);
     }
@@ -421,7 +400,7 @@ fn a_slope_that_moves_mid_run_aborts_the_affine_purge_and_the_rescan_finishes_it
     let specs = (0..10).map(|i| (i, 100, true, 1));
     let specs = specs.chain([(5, 100, false, 10), (5, 100, false, 1)]);
     let refs = refs_of(specs.chain((10..15).map(|i| (i, 100, true, 1))));
-    let mut cache = DiskCache::new(config(1000, true), &DriftingSlope);
+    let mut cache = DiskCache::new(config(1000), &DriftingSlope);
     drive(&mut cache, &refs[..12], 0, false);
     assert_eq!(cache.ranking_regime(), Scan, "read hits only mark the row");
     drive(&mut cache, &refs[12..], 0, false);
@@ -431,6 +410,6 @@ fn a_slope_that_moves_mid_run_aborts_the_affine_purge_and_the_rescan_finishes_it
         "that purge degraded"
     );
     // File 5 leaves last, not first.
-    let run = check(&DriftingSlope, config(1000, true), &refs, 0);
+    let run = check(&DriftingSlope, config(1000), &refs, 0);
     assert_eq!(victims(&run), [0, 1, 2, 3, 4, 6, 7, 8, 9, 5]);
 }

@@ -154,8 +154,7 @@ proptest! {
 
     /// `DiskCache` replays the identical victim sequence to the spec:
     /// the full `CacheOp` stream (which spells out every victim, in
-    /// order, with its stall classification), the counters, and the
-    /// survivor set all match.
+    /// order), the counters, and the survivor set all match.
     #[test]
     fn eviction_index_matches_sort_oracle_victim_sequence(
         specs in arb_specs(),
@@ -167,7 +166,6 @@ proptest! {
             capacity: (total * capacity_pct / 100).max(1),
             high_watermark: 0.9,
             low_watermark: 0.6,
-            eager_writeback: false, // dirty evictions: ops carry stalls
         };
         for policy in all_policies() {
             let mut indexed = DiskCache::new(config, policy.as_ref());

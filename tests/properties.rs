@@ -8,10 +8,12 @@
 use proptest::prelude::*;
 
 use fmig_migrate::cache::{CacheConfig, CacheOp, DiskCache};
+use fmig_migrate::eval::{EvalConfig, PreparedRef};
+use fmig_migrate::mrc::sweep_capacities;
 use fmig_migrate::policy::{Lru, LruMad, MigrationPolicy, Stp};
-use fmig_sim::{MssSimulator, SimConfig};
+use fmig_sim::{FaultPlan, HierarchySimulator, MssSimulator, SimConfig};
 use fmig_trace::time::{Timestamp, TRACE_EPOCH};
-use fmig_trace::{Endpoint, ErrorKind, TraceReader, TraceRecord};
+use fmig_trace::{DeviceClass, Endpoint, ErrorKind, TraceReader, TraceRecord};
 use fmig_workload::{Workload, WorkloadConfig};
 
 fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
@@ -101,7 +103,10 @@ proptest! {
     }
 
     /// The policy cache never exceeds capacity and keeps its counters
-    /// consistent under arbitrary operation sequences.
+    /// consistent under arbitrary operation sequences. Write-behind
+    /// conserves bytes: every written byte is queued for tape exactly
+    /// once, by `DiskCache`, by the MRC point at the same capacity, and
+    /// in a closed-loop run, where the flush jobs carry those bytes.
     #[test]
     fn cache_invariants_hold_under_random_ops(
         ops in proptest::collection::vec(
@@ -114,8 +119,19 @@ proptest! {
         let mut cache = DiskCache::new(CacheConfig::with_capacity(capacity), &stp);
         let mut sorted_ops = ops;
         sorted_ops.sort_by_key(|&(_, _, _, t)| t);
+        let mut refs = Vec::new();
+        let mut written = 0;
         for (write, id, size, t) in sorted_ops {
+            refs.push(PreparedRef {
+                id: id.into(),
+                size,
+                write,
+                time: t,
+                next_use: None,
+                device: DeviceClass::TapeSilo,
+            });
             if write {
+                written += size;
                 cache.write(id, size, t, None);
             } else {
                 let hit = cache.read(id, size, t, None);
@@ -128,7 +144,17 @@ proptest! {
         }
         let s = cache.stats();
         prop_assert!(s.read_hits + s.read_misses + s.writes >= 1);
-        prop_assert!(s.stall_bytes <= s.writeback_bytes);
+        prop_assert_eq!(s.writeback_bytes, written);
+        let curve = sweep_capacities(&refs, &stp, &[capacity], &EvalConfig::with_capacity(capacity));
+        prop_assert_eq!(curve.points[0].stats.writeback_bytes, written);
+        let closed = HierarchySimulator::new(SimConfig::default()).run_with_faults(
+            CacheConfig::with_capacity(capacity),
+            &stp,
+            &refs,
+            &FaultPlan::none(),
+        );
+        prop_assert_eq!(closed.cache.writeback_bytes, written);
+        prop_assert_eq!(closed.flush_bytes, written);
     }
 
     /// With zero miss-latency feedback, LRU-MAD's aggregate-delay
@@ -153,9 +179,7 @@ proptest! {
             cache.set_est_miss_wait_s(0.0);
             let mut seq = Vec::new();
             let mut sink = |op: CacheOp| match op {
-                CacheOp::StallFlush { id, .. }
-                | CacheOp::PurgeFlush { id, .. }
-                | CacheOp::Drop { id, .. } => seq.push(id),
+                CacheOp::Drop { id, .. } => seq.push(id),
                 CacheOp::Fetch { .. } | CacheOp::Writeback { .. } => {}
             };
             for &(write, id, size, t) in ops {

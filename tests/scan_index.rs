@@ -6,8 +6,8 @@
 //! cache specification (`tests/spec/mod.rs`), which shares no code with
 //! it:
 //!
-//! * the full `CacheOp` stream (every victim, in order, with its stall
-//!   classification), the read results, the counters, and the survivor
+//! * the full `CacheOp` stream (every victim, in order), the read
+//!   results, the counters, and the survivor
 //!   set of a [`DiskCache`] replay;
 //! * the single-pass miss-ratio-curve engine against one spec replay
 //!   per capacity, at hundreds of residents per stack.
@@ -126,7 +126,6 @@ proptest! {
             capacity: (total * capacity_pct / 100).max(1),
             high_watermark: 0.9,
             low_watermark: 0.6,
-            eager_writeback: false, // dirty evictions: ops carry stalls
         };
         for policy in scan_suite() {
             let mut indexed = DiskCache::new(config, policy.as_ref());
@@ -217,7 +216,6 @@ fn replay_engages(policy: &dyn MigrationPolicy) {
         capacity: 1 << 20,
         high_watermark: 0.9,
         low_watermark: 0.7,
-        eager_writeback: true,
     };
     let mut cache = DiskCache::new(config, policy);
     let mut spec = SpecCache::new(config, policy);

@@ -13,19 +13,19 @@
 //!
 //! A resident file carries what the policy may see ([`FileView`]: size,
 //! `created`, `last_ref`, `ref_count`, `next_use`, `est_miss_wait_s`)
-//! plus two flags, `dirty` and `fetching`.
+//! plus one flag, `fetching`.
 //!
 //! * **Read of a resident**: a hit. `last_ref = now`, `ref_count += 1`,
 //!   `next_use` and the estimate are re-stamped; size is left alone. The
 //!   hit is a [`ReadResult::DelayedHit`] while `fetching` is set.
 //! * **Read of a non-resident**: a miss. A [`CacheOp::Fetch`] goes out
-//!   and the file is admitted clean with `fetching` set, until
+//!   and the file is admitted with `fetching` set, until
 //!   [`Cache::landed`] clears it (a no-op for a file that left
 //!   meanwhile).
-//! * **Write**: with eager write-back a [`CacheOp::Writeback`] goes out
-//!   first and the file is clean; otherwise it is dirty. A resident is
-//!   touched as by a read and takes the new size; a non-resident is
-//!   admitted. Either way a purge check follows.
+//! * **Write**: a [`CacheOp::Writeback`] of the written bytes goes out
+//!   first (write-behind). A resident is touched as by a read and takes
+//!   the new size; a non-resident is admitted. Either way a purge check
+//!   follows.
 //! * **Admission**: a file larger than the whole capacity bypasses the
 //!   cache — no entry, no purge. Otherwise it enters as a fresh entry
 //!   (`created = last_ref = now`, `ref_count = 1`) whatever happened to
@@ -36,10 +36,8 @@
 //!   `policy.priority(view, now)` once, the list is sorted by priority
 //!   descending under `f64::total_cmp` (NaN leaves first) then id
 //!   ascending, and victims leave in that order until usage is *at or
-//!   below* `low`. A dirty victim is flushed: a
-//!   [`CacheOp::StallFlush`] if usage was still strictly above `high`
-//!   when it was taken, else a [`CacheOp::PurgeFlush`]; both count as
-//!   write-back bytes. A clean victim is a [`CacheOp::Drop`].
+//!   below* `low`. Each victim is a [`CacheOp::Drop`]: its written
+//!   bytes went out at the write.
 //!
 //! The clock is whatever the references say: nothing here assumes it
 //! is monotone, so a backwards step needs no rule of its own.
@@ -65,7 +63,6 @@ pub struct SpecRef {
 
 struct Resident {
     view: FileView,
-    dirty: bool,
     fetching: bool,
 }
 
@@ -153,36 +150,25 @@ impl<'p> SpecCache<'p> {
         self.stats.read_miss_bytes += r.size;
         let (id, bytes) = (r.id, r.size);
         ops.push(CacheOp::Fetch { id, bytes });
-        self.admit(r, est, false, true, ops);
+        self.admit(r, est, true, ops);
         ReadResult::Miss
     }
 
     fn write(&mut self, r: &SpecRef, est: f64, ops: &mut Vec<CacheOp>) {
-        let eager = self.config.eager_writeback;
         self.stats.writes += 1;
-        if eager {
-            self.stats.writeback_bytes += r.size;
-            let (id, bytes) = (r.id, r.size);
-            ops.push(CacheOp::Writeback { id, bytes });
-        }
+        self.stats.writeback_bytes += r.size;
+        let (id, bytes) = (r.id, r.size);
+        ops.push(CacheOp::Writeback { id, bytes });
         match self.touch(r, est) {
             Some(found) => {
                 found.view.size = r.size;
-                found.dirty = !eager;
                 self.purge(r.time, ops);
             }
-            None => self.admit(r, est, !eager, false, ops),
+            None => self.admit(r, est, false, ops),
         }
     }
 
-    fn admit(
-        &mut self,
-        r: &SpecRef,
-        est: f64,
-        dirty: bool,
-        fetching: bool,
-        ops: &mut Vec<CacheOp>,
-    ) {
+    fn admit(&mut self, r: &SpecRef, est: f64, fetching: bool, ops: &mut Vec<CacheOp>) {
         if r.size > self.config.capacity {
             return;
         }
@@ -195,11 +181,7 @@ impl<'p> SpecCache<'p> {
             next_use: r.next_use,
             est_miss_wait_s: est,
         };
-        self.residents.push(Resident {
-            view,
-            dirty,
-            fetching,
-        });
+        self.residents.push(Resident { view, fetching });
         self.purge(r.time, ops);
     }
 
@@ -214,8 +196,7 @@ impl<'p> SpecCache<'p> {
         let mut ranked: Vec<(f64, FileId)> = self.residents.iter().map(score).collect();
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for (_, id) in ranked {
-            let usage = self.usage();
-            if usage <= low {
+            if self.usage() <= low {
                 break;
             }
             let at = self.residents.iter().position(|f| f.view.id == id);
@@ -223,18 +204,7 @@ impl<'p> SpecCache<'p> {
             let bytes = victim.view.size;
             self.stats.evictions += 1;
             self.stats.evicted_bytes += bytes;
-            if !victim.dirty {
-                ops.push(CacheOp::Drop { id, bytes });
-                continue;
-            }
-            self.stats.writeback_bytes += bytes;
-            if usage > high {
-                self.stats.stall_bytes += bytes;
-                ops.push(CacheOp::StallFlush { id, bytes });
-            } else {
-                self.stats.purge_flush_bytes += bytes;
-                ops.push(CacheOp::PurgeFlush { id, bytes });
-            }
+            ops.push(CacheOp::Drop { id, bytes });
         }
     }
 }
