@@ -27,8 +27,9 @@ fn run() -> Result<(), String> {
     std::io::stdout().flush().ok();
     let summary = fmig_serve::origin::serve(listener)?;
     eprintln!(
-        "fmig-origin: session ended: {} advances answered, {} completion frames emitted",
-        summary.advances, summary.frames_emitted
+        "fmig-origin: session ended: {} advances answered, {} watermarks run, \
+         {} completion frames emitted",
+        summary.advances, summary.watermarks, summary.frames_emitted
     );
     Ok(())
 }

@@ -12,8 +12,14 @@
 //! stay causally consistent through a watermark protocol: before the
 //! daemon processes anything at virtual time `t`, the origin must have
 //! processed everything up to `t` and the daemon must have applied every
-//! tape event it emitted on the way. The daemon asks (`Advance`) only
-//! when the answer can be non-empty: each `AdvanceDone` carries a
+//! tape event it emitted on the way that can reach its disk half. Only a
+//! recall's events can, so the daemon waits on the origin (`Advance`)
+//! only while a recall is in flight (or it drains, or [`WATERMARK_LAG`]
+//! says the link is due a read). Otherwise it owes the origin the
+//! watermark and writes it as a reply-less `Watermark` right ahead of
+//! its next `Recall` or `Flush`, so every job still joins an origin that
+//! has run through the daemon's clock; the `FlushDone`s such a run emits
+//! wait on the link for the next `Advance`. Each `AdvanceDone` carries a
 //! **lookahead grant** — the last millisecond before the origin's next
 //! queued event — and until virtual time passes it the origin is left
 //! alone. Only the daemon can make the origin's next event earlier than
@@ -109,6 +115,18 @@ use crate::protocol::{
 /// (`EMFILE`: out of descriptors) fails every call at once, and retrying
 /// without a pause would take the CPU the core runs on.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// Job frames (`Recall`, `Flush`) the daemon may write to the origin
+/// without reading it: at this many it blocks on a plain `Advance`, which
+/// reads every frame the origin has emitted, even with no recall in
+/// flight. Between two reads the daemon thus writes at most 64 job
+/// frames of at most 54 bytes, a 13-byte `Watermark` ahead of each, and
+/// the closing 13-byte `Advance`: 4,301 bytes. That fits the daemon's own
+/// 8 KiB write buffer and well inside one loopback socket buffer
+/// (128 KiB by default), so the daemon never blocks writing to an origin
+/// that is blocked writing `FlushDone`s; it reaches its next read, which
+/// drains the origin.
+pub const WATERMARK_LAG: u32 = 64;
 
 /// Daemon configuration. [`DaemonConfig::compat`] is the
 /// simulator-oracle mode the smoke test runs; the public fields let a
@@ -333,6 +351,11 @@ struct Core {
     /// lookahead grant, lowered by [`Core::origin_enqueued`] to just
     /// before every job sent since.
     origin_clock: SimMs,
+    /// The daemon's clock ran past `origin_clock` with no recall in
+    /// flight: the origin is owed this watermark ahead of the next job.
+    owed_watermark: Option<SimMs>,
+    /// Job frames written since the origin was last read.
+    unread_jobs: u32,
     origin_report: Option<OriginReport>,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
@@ -417,6 +440,8 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             origin_r,
             origin_w,
             origin_clock: SimMs::MIN,
+            owed_watermark: None,
+            unread_jobs: 0,
             origin_report: None,
             draining: false,
             conns: HashMap::new(),
@@ -579,13 +604,32 @@ impl Core {
         self.origin_clock = self.origin_clock.min(at - 1);
     }
 
+    /// True when the origin need not be read before the daemon's clock
+    /// moves on: no recall is in flight, so none of its events can reach
+    /// the disk half, and the link is not due a read.
+    fn may_owe_watermark(&self) -> bool {
+        self.recall_tbl.is_empty() && !self.draining && self.unread_jobs < WATERMARK_LAG
+    }
+
+    /// Writes a job frame joining the origin's queue at `at`, with the
+    /// watermark owed ahead of it.
+    fn send_job(&mut self, job: Frame, at: SimMs) -> Result<(), ProtoError> {
+        if let Some(until_vms) = self.owed_watermark.take() {
+            Frame::Watermark { until_vms }.write_to(&mut self.origin_w)?;
+        }
+        job.write_to(&mut self.origin_w)?;
+        self.unread_jobs += 1;
+        self.origin_enqueued(at);
+        Ok(())
+    }
+
     /// Ships a dispatched miss to the origin as a recall job entering
     /// its drive queue at `now`.
     fn send_recall(&mut self, order: RecallOrder, now: SimMs) -> Result<(), String> {
         let job = self.next_job;
         self.next_job += 1;
         self.recall_tbl.insert(job, order.r);
-        Frame::Recall {
+        let frame = Frame::Recall {
             job,
             file: order.file.index() as u64,
             seq: order.seq,
@@ -593,11 +637,9 @@ impl Core {
             tier: order.tier.device(),
             enter_vms: now,
             deadline_vms: self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| now + d),
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("recall send: {e}"))?;
-        self.origin_enqueued(now);
-        Ok(())
+        };
+        self.send_job(frame, now)
+            .map_err(|e| format!("recall send: {e}"))
     }
 
     /// Ships a background tape flush to the origin, ready at `at`.
@@ -605,18 +647,16 @@ impl Core {
         let job = self.next_job;
         self.next_job += 1;
         self.flush_tbl.insert(job);
-        Frame::Flush {
+        let frame = Frame::Flush {
             job,
             file: order.file.index() as u64,
             seq: order.seq,
             size: order.bytes,
             tier: order.tier.device(),
             ready_vms: at,
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("flush send: {e}"))?;
-        self.origin_enqueued(at);
-        Ok(())
+        };
+        self.send_job(frame, at)
+            .map_err(|e| format!("flush send: {e}"))
     }
 
     /// Sends the origin a frame it is blocked on.
@@ -781,14 +821,20 @@ impl Daemon<'_> {
     /// Processes every local event up to `t`, keeping the origin's
     /// clock at or ahead of every local event handled — the watermark
     /// protocol that makes the split engine causally consistent. The
-    /// origin is consulted only when its grant has run out.
+    /// origin is consulted only when its grant has run out while a
+    /// recall is in flight (or when draining, or at [`WATERMARK_LAG`]);
+    /// with none in flight, the watermark is owed instead.
     fn advance_to(&mut self, t: SimMs) -> Result<(), String> {
         loop {
             let next_local = self.core.queue.peek_time().filter(|&lt| lt <= t);
             let target = next_local.unwrap_or(t);
-            if self.core.origin_clock < target {
-                self.origin_advance(target)?;
-                continue;
+            let core = &mut self.core;
+            if core.origin_clock < target || core.unread_jobs >= WATERMARK_LAG {
+                if !core.may_owe_watermark() {
+                    self.origin_advance(target)?;
+                    continue;
+                }
+                core.owed_watermark = Some(target);
             }
             if next_local.is_none() {
                 return Ok(());
@@ -800,11 +846,14 @@ impl Daemon<'_> {
         }
     }
 
-    /// Advances the origin to `until`, applies every tape event it
-    /// emits on the way, and holds on to the grant it answers with.
+    /// Advances the origin to `until`, which settles any owed watermark,
+    /// applies every tape event it emits on the way (those of earlier
+    /// `Watermark`s first), and holds on to the grant it answers with.
     fn origin_advance(&mut self, until: SimMs) -> Result<(), String> {
         self.core
             .send_origin("advance send", Frame::Advance { until_vms: until })?;
+        self.core.owed_watermark = None;
+        self.core.unread_jobs = 0;
         // A job sent by a handler below would reach the origin after it
         // computed the grant, so the grant is taken as a `min` with what
         // `origin_enqueued` records meanwhile. (No handler sends one

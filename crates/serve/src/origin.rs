@@ -4,14 +4,14 @@
 //! [`fmig_sim::tape::TapeHalf`] — the single statement of the tape
 //! physics, the same code the simulators run. This host keeps the
 //! half's events in a queue of its own and drains it only as far as the
-//! daemon's [`Frame::Advance`] watermarks allow, so the tape physics
-//! runs exactly as far as the daemon has observed its own clock; stage
-//! noise is the keyed draws of [`fmig_sim::noise`], a pure function of
-//! (seed, job identity, stage); completions become frames on the
-//! socket. Chaos mode is a [`FaultScenarioId`] materialized into the
-//! same outage / read-error / slow-drive schedule the simulator would
-//! use for the handshake's seed and span — live chaos injection that
-//! stays oracle-comparable.
+//! daemon's watermarks ([`Frame::Advance`], [`Frame::Watermark`]) allow,
+//! so the tape physics runs exactly as far as the daemon has observed its
+//! own clock; stage noise is the keyed draws of [`fmig_sim::noise`], a
+//! pure function of (seed, job identity, stage); completions become
+//! frames on the socket. Chaos mode is a [`FaultScenarioId`]
+//! materialized into the same outage / read-error / slow-drive schedule
+//! the simulator would use for the handshake's seed and span — live
+//! chaos injection that stays oracle-comparable.
 //!
 //! An `Advance { until_vms }` is answered, once everything due is
 //! handled, with a **lookahead grant**: `AdvanceDone { now_vms }` names
@@ -21,16 +21,22 @@
 //! `now_vms` is processed" is true as it stands, and the daemon need not
 //! ask again before then unless it enqueues something earlier itself.
 //!
+//! A `Watermark { until_vms }` runs the same loop and answers nothing:
+//! the daemon sends one ahead of a job while no recall is in flight, when
+//! nothing this host does can reach its disk half.
+//!
 //! Protocol (daemon → origin): `OriginHello`, then any interleaving of
-//! `Recall` / `Flush` enqueues and `Advance` watermarks; `Drain` asks
-//! for the degraded-mode counter report; `Shutdown` (or simply closing
-//! the connection) ends the session. Origin → daemon frames
+//! `Recall` / `Flush` enqueues, `Watermark`s and `Advance`s; `Drain`
+//! asks for the degraded-mode counter report; `Shutdown` (or simply
+//! closing the connection) ends the session. Origin → daemon frames
 //! (`RecallFirstByte`, `RecallDone`, `RecallFailed`, `FlushDone`) are
-//! emitted only between an `Advance` and its `AdvanceDone`, except that
-//! `RecallFailed` is a blocking round-trip: the origin waits for the
-//! daemon's `RecallRetry` / `RecallAbandon` verdict before the engine
-//! proceeds — the daemon owns the backoff policy and the retry budget,
-//! the origin owns the physics.
+//! emitted only while a `Watermark` or an `Advance` runs the queue, and
+//! ride the write buffer to the next `AdvanceDone`, which the daemon
+//! reads them ahead of. `RecallFailed` is the exception, a blocking
+//! round-trip: the origin flushes it and waits for the daemon's
+//! `RecallRetry` / `RecallAbandon` verdict before the engine proceeds —
+//! the daemon owns the backoff policy and the retry budget, the origin
+//! owns the physics.
 //!
 //! Every wire-supplied tier and time is checked where it enters: a
 //! `Disk` tier, or a time outside `0..=`[`DRAIN_HORIZON_VMS`], ends the
@@ -159,9 +165,27 @@ fn checked_vms(what: &str, vms: SimMs) -> Result<SimMs, String> {
 pub struct SessionSummary {
     /// `Advance` watermarks answered: synchronous round trips.
     pub advances: u64,
+    /// `Watermark`s run: the origin answers none of them.
+    pub watermarks: u64,
     /// Tape completions framed to the daemon (`RecallFirstByte`,
     /// `RecallDone`, `RecallFailed`, `FlushDone`).
     pub frames_emitted: u64,
+}
+
+/// Handles every queued event at or before the wire-supplied watermark
+/// `until_vms` — the one loop behind `Watermark` and `Advance` — and
+/// returns the checked watermark.
+fn run_until(
+    tape: &mut TapeHalf,
+    session: &mut Session,
+    until_vms: SimMs,
+) -> Result<SimMs, String> {
+    let until = checked_vms("until_vms", until_vms)?;
+    while let Some((now, ev)) = session.queue.pop_due(until) {
+        tape.handle(now, ev, session)
+            .map_err(|e| format!("advance to {until}: {e}"))?;
+    }
+    Ok(until)
 }
 
 /// Accepts one daemon session and serves it to completion.
@@ -249,12 +273,12 @@ pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
                 let j = tape.flush(job, seq, size, checked_tier(tier)?);
                 session.schedule(checked_vms("ready_vms", ready_vms)?, TapeEv::Join(j));
             }
+            Frame::Watermark { until_vms } => {
+                run_until(&mut tape, &mut session, until_vms)?;
+                session.summary.watermarks += 1;
+            }
             Frame::Advance { until_vms } => {
-                let until = checked_vms("until_vms", until_vms)?;
-                while let Some((now, ev)) = session.queue.pop_due(until) {
-                    tape.handle(now, ev, &mut session)
-                        .map_err(|e| format!("advance to {until}: {e}"))?;
-                }
+                let until = run_until(&mut tape, &mut session, until_vms)?;
                 // The grant: nothing is queued before the next event, so
                 // everything up to the millisecond before it is processed
                 // too. A verdict-scheduled rejoin is already in the queue

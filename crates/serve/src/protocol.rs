@@ -27,8 +27,9 @@ use std::io::{self, Read, Write};
 
 use fmig_trace::DeviceClass;
 
-/// Protocol version; bumped on any wire-incompatible change.
-pub const PROTO_VERSION: u32 = 1;
+/// Protocol version; bumped on any wire-incompatible change. Version 2
+/// added [`Frame::Watermark`], which a version-1 origin cannot decode.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on a frame's payload length, enforced before any
 /// allocation. Every real frame is under 200 bytes; the cap only exists
@@ -269,6 +270,16 @@ pub enum Frame {
     },
     /// Run the origin's event queue up to (and including) `until_vms`.
     Advance {
+        /// Watermark, virtual ms.
+        until_vms: i64,
+    },
+    /// Run the origin's event queue up to (and including) `until_vms`,
+    /// exactly as [`Frame::Advance`] does, and answer nothing. The daemon
+    /// writes one right ahead of a `Recall` or `Flush` while no recall is
+    /// in flight: no tape event can then reach its disk half, so it need
+    /// not wait, and the `FlushDone`s the run emits are read at the next
+    /// `Advance`.
+    Watermark {
         /// Watermark, virtual ms.
         until_vms: i64,
     },
@@ -517,6 +528,7 @@ const T_RECALL_RETRY: u8 = 0x29;
 const T_RECALL_ABANDON: u8 = 0x2A;
 const T_FLUSH_DONE: u8 = 0x2B;
 const T_ORIGIN_DRAIN_DONE: u8 = 0x2C;
+const T_WATERMARK: u8 = 0x2D;
 
 impl Frame {
     /// Encodes the frame's type byte plus payload (everything after the
@@ -676,6 +688,10 @@ impl Frame {
             }
             Frame::Advance { until_vms } => {
                 b.push(T_ADVANCE);
+                b.extend_from_slice(&until_vms.to_le_bytes());
+            }
+            Frame::Watermark { until_vms } => {
+                b.push(T_WATERMARK);
                 b.extend_from_slice(&until_vms.to_le_bytes());
             }
             Frame::AdvanceDone { now_vms } => {
@@ -851,6 +867,9 @@ impl Frame {
                 ready_vms: r.i64()?,
             },
             T_ADVANCE => Frame::Advance {
+                until_vms: r.i64()?,
+            },
+            T_WATERMARK => Frame::Watermark {
                 until_vms: r.i64()?,
             },
             T_ADVANCE_DONE => Frame::AdvanceDone { now_vms: r.i64()? },

@@ -6,7 +6,9 @@
 //! reference twice — and a drain report whose `flushed_bytes` disagrees
 //! with the `FlushDone` frames the daemon counted. An origin that merely
 //! echoes the watermark (the pre-grant behaviour) is a grant of zero
-//! lookahead and stays a valid peer.
+//! lookahead and stays a valid peer. With no recall in flight the daemon
+//! reads no grant until it drains or its written-but-unread job frames
+//! reach `WATERMARK_LAG`, so the bad-grant clients end there.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -15,18 +17,20 @@ use std::thread;
 use std::time::Duration;
 
 use fmig_core::{FaultScenarioId, SweepConfig};
-use fmig_serve::daemon::{self, DaemonConfig};
+use fmig_serve::daemon::{self, DaemonConfig, WATERMARK_LAG};
 use fmig_serve::protocol::{
     Frame, ServedKind, ServiceStats, DRAIN_HORIZON_VMS, NO_NEXT_USE, PROTO_VERSION,
 };
 use fmig_trace::DeviceClass;
 
-/// A scripted origin: handshakes, swallows enqueues, and answers every
-/// `Advance { until_vms }` with `AdvanceDone { now_vms: grant(until_vms) }`
-/// until the daemon hangs up. The first `Advance` after a `Recall` is
-/// answered with that recall's first byte — twice — and a `Drain` with
-/// a report of one flushed byte, which no `FlushDone` ever carried.
-fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) {
+/// A scripted origin: handshakes, swallows enqueues and watermarks, and
+/// answers every `Advance { until_vms }` with
+/// `AdvanceDone { now_vms: grant(until_vms) }` until the daemon hangs up.
+/// The first `Advance` after a `Recall` is answered with that recall's
+/// first byte — twice — and a `Drain` with a report of one flushed byte,
+/// which no `FlushDone` ever carried. Returns how many `Watermark`s came
+/// before the first `Advance`.
+fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) -> u32 {
     let (stream, _) = listener.accept().expect("daemon connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
@@ -41,11 +45,14 @@ fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) {
     .expect("hello ack");
     writer.flush().expect("flush ack");
     let mut recalled = None;
+    let (mut watermarks, mut advanced) = (0, false);
     while let Ok(frame) = Frame::read_from(&mut reader) {
         let mut replies = Vec::new();
         match frame {
             Frame::Recall { job, .. } => recalled = Some(job),
+            Frame::Watermark { .. } if !advanced => watermarks += 1,
             Frame::Advance { until_vms } => {
+                advanced = true;
                 if let Some(job) = recalled.take() {
                     let first_byte = Frame::RecallFirstByte {
                         job,
@@ -69,20 +76,24 @@ fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) {
         }
         for reply in replies {
             if reply.write_to(&mut writer).is_err() {
-                return;
+                return watermarks;
             }
         }
         if writer.flush().is_err() {
-            return;
+            return watermarks;
         }
     }
+    watermarks
 }
 
 /// What the client does once it has said hello.
 #[derive(Clone, Copy)]
 enum Client {
-    /// Two writes; nothing is read back.
-    Writes,
+    /// Two writes and a `Drain`; nothing is read back.
+    WritesThenDrain,
+    /// `WATERMARK_LAG + 1` writes; nothing is read back. No recall is
+    /// ever in flight, so only the lag bound makes the daemon block.
+    WritesPastTheLag,
     /// Two writes, then wait for the first one's `Done` and shut down.
     WritesThenShutdown,
     /// Two reads of missing files.
@@ -92,8 +103,9 @@ enum Client {
 }
 
 /// Boots a live `daemon::serve` against the scripted origin, plays the
-/// client's part, and returns how the daemon session ended.
-fn session_result(grant: fn(i64) -> i64, client: Client) -> Result<ServiceStats, String> {
+/// client's part, and returns how the daemon session ended, with the
+/// number of `Watermark`s the origin read before its first `Advance`.
+fn session_result(grant: fn(i64) -> i64, client: Client) -> (Result<ServiceStats, String>, u32) {
     let origin_listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let origin_addr = origin_listener.local_addr().expect("origin addr");
     let origin = thread::spawn(move || fake_origin(origin_listener, grant));
@@ -126,38 +138,46 @@ fn session_result(grant: fn(i64) -> i64, client: Client) -> Result<ServiceStats,
     }
     .write_to(&mut writer)
     .expect("hello");
-    // The first request's arrival forces an `Advance`; the second,
-    // later in virtual time, runs the daemon's clock past the first's
-    // dispatch — a write's disk service, so its `Done` goes out; a
-    // read's recall, so the next `Advance` reaches the origin after it.
-    // Dense file ids in first-appearance order, as every client sends.
-    let requests = [(0, 10), (1, 100)].map(|(req, time_s)| {
-        let (file, size, next_use, device) = (req, 1_000_000, NO_NEXT_USE, DeviceClass::TapeSilo);
-        if let Client::Reads = client {
-            Frame::ReadReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            }
-        } else {
-            Frame::WriteReq {
-                req,
-                file,
-                size,
-                time_s,
-                next_use,
-                device,
-            }
-        }
-    });
-    let frames = match client {
-        Client::Drain => &[Frame::Drain][..],
-        _ => &requests[..],
+    // The second request, later in virtual time, runs the daemon's clock
+    // past the first's dispatch — a write's disk service, so its `Done`
+    // goes out; a read's recall, so an `Advance` reaches the origin after
+    // it. Dense file ids in first-appearance order, as every client sends.
+    let count = match client {
+        Client::WritesPastTheLag => u64::from(WATERMARK_LAG) + 1,
+        _ => 2,
     };
-    for frame in frames {
+    let requests: Vec<Frame> = (0..count)
+        .map(|req| {
+            let time_s = 10 + 90 * req as i64;
+            let (file, size, next_use, device) =
+                (req, 1_000_000, NO_NEXT_USE, DeviceClass::TapeSilo);
+            if let Client::Reads = client {
+                Frame::ReadReq {
+                    req,
+                    file,
+                    size,
+                    time_s,
+                    next_use,
+                    device,
+                }
+            } else {
+                Frame::WriteReq {
+                    req,
+                    file,
+                    size,
+                    time_s,
+                    next_use,
+                    device,
+                }
+            }
+        })
+        .collect();
+    let frames = match client {
+        Client::Drain => vec![Frame::Drain],
+        Client::WritesThenDrain => [&requests[..], &[Frame::Drain]].concat(),
+        _ => requests,
+    };
+    for frame in &frames {
         frame.write_to(&mut writer).expect("request");
     }
     writer.flush().expect("flush");
@@ -181,38 +201,52 @@ fn session_result(grant: fn(i64) -> i64, client: Client) -> Result<ServiceStats,
     let result = result_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("daemon::serve must return, not hang or panic");
-    origin.join().expect("fake origin thread");
-    result
+    let watermarks = origin.join().expect("fake origin thread");
+    (result, watermarks)
 }
 
 #[test]
 fn an_echoing_origin_is_a_grant_of_zero_lookahead() {
-    let stats =
-        session_result(|until| until, Client::WritesThenShutdown).expect("echo is a valid grant");
+    let stats = session_result(|until| until, Client::WritesThenShutdown)
+        .0
+        .expect("echo is a valid grant");
     assert_eq!(stats.requests, 2);
 }
 
 #[test]
 fn a_grant_short_of_the_watermark_ends_the_session_with_an_error() {
-    let err = session_result(|until| until - 1, Client::Writes).expect_err("short grant");
+    let (result, _) = session_result(|until| until - 1, Client::WritesThenDrain);
+    let err = result.expect_err("short grant");
     assert!(err.contains("origin granted"), "{err}");
 }
 
 #[test]
 fn a_grant_past_the_horizon_ends_the_session_with_an_error() {
-    let err =
-        session_result(|_| DRAIN_HORIZON_VMS + 1, Client::Writes).expect_err("over-horizon grant");
+    let (result, _) = session_result(|_| DRAIN_HORIZON_VMS + 1, Client::WritesThenDrain);
+    let err = result.expect_err("over-horizon grant");
     assert!(err.contains("origin granted"), "{err}");
 }
 
 #[test]
+fn a_short_grant_after_a_run_of_watermarks_ends_the_session_with_an_error() {
+    let (result, watermarks) = session_result(|until| until - 1, Client::WritesPastTheLag);
+    let err = result.expect_err("short grant at the lag bound");
+    assert!(err.contains("origin granted"), "{err}");
+    // Every write owed a watermark ahead of its flush, and the daemon
+    // first blocked at the lag bound, not before.
+    assert_eq!(watermarks, WATERMARK_LAG);
+}
+
+#[test]
 fn a_first_byte_delivered_twice_ends_the_session_with_an_error() {
-    let err = session_result(|until| until, Client::Reads).expect_err("double first byte");
+    let (result, _) = session_result(|until| until, Client::Reads);
+    let err = result.expect_err("double first byte");
     assert!(err.contains("ResolvedTwice"), "{err}");
 }
 
 #[test]
 fn a_drain_report_that_disagrees_on_flushed_bytes_ends_the_session_with_an_error() {
-    let err = session_result(|until| until, Client::Drain).expect_err("wrong flushed_bytes");
+    let (result, _) = session_result(|until| until, Client::Drain);
+    let err = result.expect_err("wrong flushed_bytes");
     assert!(err.contains("flush accounting diverged"), "{err}");
 }

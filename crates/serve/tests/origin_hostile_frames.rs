@@ -1,7 +1,8 @@
 //! Hostile daemons: a `Recall` or `Flush` frame naming the `Disk` tier,
 //! or any frame carrying a virtual time outside
-//! `0..=DRAIN_HORIZON_VMS`, must end the origin session with an `Err` —
-//! never reach the tape engine, never panic.
+//! `0..=DRAIN_HORIZON_VMS` — a reply-less `Watermark` as much as an
+//! `Advance` — must end the origin session with an `Err` — never reach
+//! the tape engine, never panic.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -81,6 +82,7 @@ fn flush(tier: DeviceClass, ready_vms: i64) -> Frame {
 fn well_formed_sessions_still_end_cleanly() {
     let frames = [
         recall(DeviceClass::TapeSilo, 0),
+        Frame::Watermark { until_vms: 0 },
         flush(DeviceClass::TapeManual, DRAIN_HORIZON_VMS),
         Frame::Advance {
             until_vms: DRAIN_HORIZON_VMS,
@@ -132,5 +134,21 @@ fn hostile_tiers_and_times_end_the_session_with_an_error() {
         ];
         let result = session_result(&frames);
         assert!(result.is_err(), "{what}: session ended {result:?}");
+    }
+}
+
+#[test]
+fn a_watermark_outside_the_horizon_ends_the_session_with_an_error() {
+    for until_vms in [-1, DRAIN_HORIZON_VMS + 1, i64::MIN, i64::MAX] {
+        // A well-formed recall first, so the watermark has something to
+        // run, and nothing after it: a `Watermark` is never answered, so
+        // only the origin's refusal ends the session.
+        let frames = [
+            recall(DeviceClass::TapeSilo, 0),
+            Frame::Watermark { until_vms },
+        ];
+        let result = session_result(&frames);
+        let err = result.expect_err("hostile watermark");
+        assert!(err.contains("until_vms"), "{until_vms}: {err}");
     }
 }

@@ -153,7 +153,7 @@ fn frame_from(sel: u8, w: &[u64]) -> Frame {
             recalls_completed: g(4),
             read_failures: g(5),
         },
-        24 => Frame::Drain,
+        24 => Frame::Watermark { until_vms: gi(0) },
         25 => Frame::StatsReq,
         _ => Frame::Shutdown,
     }

@@ -234,17 +234,19 @@ fn imported_trace_replay_matches_the_simulator_oracle() {
     }
 }
 
-/// The lookahead grant, as an exact count: the daemon asks the origin
-/// less than once per reference, and how the requests are dealt over
-/// connections does not change how often.
+/// The lookahead grant and the owed watermark, as exact counts: the
+/// daemon waits on the origin far less than once per reference — only
+/// while a recall is in flight, and at the lag bound — and how the
+/// requests are dealt over connections does not change how often.
 #[test]
 fn advance_round_trips_stay_below_one_per_reference() {
-    // (scenario, advances now, advances when every step asked)
+    // (scenario, blocking advances, watermarks; advances when every
+    // grant ran out was waited on, and when every step asked)
     let pinned = [
-        (FaultScenarioId::None, 2_202, 15_739),
-        (FaultScenarioId::DegradedPeak, 2_958, 15_733),
+        (FaultScenarioId::None, 703, 1_843, 2_202, 15_739),
+        (FaultScenarioId::DegradedPeak, 710, 2_013, 2_958, 15_733),
     ];
-    for (scenario, advances, before_the_grant) in pinned {
+    for (scenario, advances, watermarks, every_grant, every_step) in pinned {
         let (one, refs) = replay_tiny(scenario, 1);
         let (two, _) = replay_tiny(scenario, 2);
         assert_eq!(one, two, "{scenario:?}: link counts moved with connections");
@@ -254,9 +256,11 @@ fn advance_round_trips_stay_below_one_per_reference() {
             one.advances
         );
         assert_eq!(
-            one.advances, advances,
-            "{scenario:?}: pinned at {advances} advances for 5,490 references \
-             ({before_the_grant} before the grant); re-pin if the tape model moved"
+            (one.advances, one.watermarks),
+            (advances, watermarks),
+            "{scenario:?}: pinned at {advances} advances and {watermarks} watermarks for \
+             5,490 references ({every_grant} advances when every grant was waited on, \
+             {every_step} when every step asked); re-pin if the tape model moved"
         );
     }
 }

@@ -2,16 +2,22 @@
 //! no acked write's writeback, rejects late arrivals cleanly, and a
 //! restarted (cold-cache) daemon replaying the same deterministic
 //! single-connection prefix produces byte-identical loadgen accounting.
+//! A write-only replay, which never has a recall in flight, still drains
+//! in bounded time: the lag bound makes the daemon read the origin.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use fmig_core::{FaultScenarioId, SweepConfig};
-use fmig_serve::daemon::{self, DaemonConfig};
+use fmig_migrate::eval::PreparedRef;
+use fmig_serve::daemon::{self, DaemonConfig, WATERMARK_LAG};
 use fmig_serve::loadgen::{self, CellSetup, LoadgenConfig};
 use fmig_serve::origin;
 use fmig_serve::protocol::{Frame, RejectReason, NO_NEXT_USE};
+use fmig_trace::{DeviceClass, FileId};
 
 /// Boots a fresh origin + daemon pair, replays the first `limit`
 /// references on one connection, drains, then verifies a late request
@@ -132,4 +138,82 @@ fn degraded_drain_loses_nothing_either() {
     let first = drained_run(&setup, limit);
     let second = drained_run(&setup, limit);
     assert_eq!(first, second);
+}
+
+#[test]
+fn a_write_only_replay_reads_the_origin_at_the_lag_bound_and_drains() {
+    let writes = 10 * WATERMARK_LAG + 7;
+    // Writes only, over 97 files named in first-appearance order: no
+    // read, so no recall is ever in flight.
+    let refs: Vec<PreparedRef> = (0..writes)
+        .map(|i| PreparedRef {
+            id: FileId::from(i % 97),
+            size: 1_000_000 + u64::from(i),
+            write: true,
+            time: 5 * i64::from(i),
+            next_use: None,
+            device: DeviceClass::TapeSilo,
+        })
+        .collect();
+    let setup = CellSetup {
+        scenario: FaultScenarioId::None,
+        refs,
+        capacity: 40_000_000,
+        seed: 11,
+        span_start_vms: 0,
+        span_end_vms: 10_000_000,
+    };
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let origin_listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
+        let origin_addr = origin_listener.local_addr().expect("origin addr");
+        let origin_thread = thread::spawn(move || origin::serve(origin_listener));
+        let daemon_listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon");
+        let daemon_addr = daemon_listener.local_addr().expect("daemon addr");
+        let cfg = DaemonConfig::compat(
+            origin_addr.to_string(),
+            setup.capacity,
+            SweepConfig::tiny().policies[0],
+            setup.scenario,
+            setup.seed,
+            setup.span_start_vms,
+            setup.span_end_vms,
+        );
+        let daemon_thread = thread::spawn(move || daemon::serve(daemon_listener, cfg));
+        let report = loadgen::run(
+            &LoadgenConfig {
+                addr: daemon_addr.to_string(),
+                connections: 2,
+                limit: None,
+                drain: true,
+                stats: true,
+                shutdown: true,
+            },
+            &setup,
+        );
+        let daemon = daemon_thread.join().expect("daemon thread");
+        let origin = origin_thread.join().expect("origin thread");
+        let _ = tx.send((report, daemon, origin));
+    });
+    let (report, daemon, origin) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a write-only replay must finish, not hang");
+    let report = report.expect("loadgen run");
+    let stats = daemon.expect("daemon serve");
+    let link = origin.expect("origin serve");
+
+    assert_eq!(report.writes, u64::from(writes), "every write acked");
+    let drain = report.drain.expect("drain report");
+    assert_eq!(drain.flush_jobs, u64::from(writes), "one flush per write");
+    assert_eq!(
+        drain.origin_flushed_bytes, drain.flush_bytes,
+        "writeback bytes lost in the drain"
+    );
+    assert_eq!(stats.recalls, 0, "a write-only replay recalls nothing");
+    assert!(
+        link.advances >= u64::from(writes / WATERMARK_LAG),
+        "{} blocking advances for {writes} writes at lag bound {WATERMARK_LAG}",
+        link.advances
+    );
+    assert!(link.watermarks > 0, "{link:?}");
 }

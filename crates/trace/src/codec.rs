@@ -382,17 +382,16 @@ impl<W: Write> VerboseLogWriter<W> {
     }
 }
 
-/// Percent-escapes whitespace, `%`, and control bytes so paths survive the
-/// whitespace-delimited format.
+/// Percent-escapes `%` and the ASCII whitespace the reader splits fields
+/// on, so paths survive the whitespace-delimited format. Every other
+/// character, non-ASCII included, is kept as it is.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b' ' | b'%' | b'\t' | b'\n' | b'\r' => {
-                out.push('%');
-                out.push_str(&format!("{b:02x}"));
-            }
-            _ => out.push(b as char),
+    for c in s.chars() {
+        if c == '%' || c.is_ascii_whitespace() {
+            out.push_str(&format!("%{:02x}", c as u8));
+        } else {
+            out.push(c);
         }
     }
     if out.is_empty() {
@@ -401,26 +400,26 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-/// Inverse of [`escape`]; returns `None` on malformed escapes.
+/// Inverse of [`escape`]; returns `None` on malformed escapes, or when
+/// the unescaped bytes are not UTF-8.
 pub(crate) fn unescape(s: &str) -> Option<String> {
     if s == "%00" {
         return Some(String::new());
     }
     let bytes = s.as_bytes();
-    let mut out = String::with_capacity(s.len());
+    let mut out = Vec::with_capacity(s.len());
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
             let hex = s.get(i + 1..i + 3)?;
-            let v = u8::from_str_radix(hex, 16).ok()?;
-            out.push(v as char);
+            out.push(u8::from_str_radix(hex, 16).ok()?);
             i += 3;
         } else {
-            out.push(bytes[i] as char);
+            out.push(bytes[i]);
             i += 1;
         }
     }
-    Some(out)
+    String::from_utf8(out).ok()
 }
 
 fn parse_num<T: core::str::FromStr>(s: &str, line: u64, name: &str) -> Result<T, TraceError>
@@ -625,6 +624,10 @@ mod proptests {
                 Just(' '),
                 Just('%'),
                 Just('.'),
+                Just('\\'),
+                Just('\u{c}'),
+                Just('\u{e9}'),
+                Just('\u{6f22}'),
             ],
             1..40,
         )

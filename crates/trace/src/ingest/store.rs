@@ -703,6 +703,35 @@ mod tests {
     }
 
     #[test]
+    fn paths_txt_holds_every_interned_path_in_file_id_order() {
+        let dir = temp_dir("paths");
+        // Names the whitespace-delimited text would split or mangle: a
+        // newline, a backslash, non-ASCII, a space, a percent sign, a
+        // form feed.
+        let names = [
+            "/new\nline",
+            "/back\\slash",
+            "/caf\u{e9}/\u{6f22}\u{5b57}",
+            "/a b%c\u{c}",
+        ];
+        let mut w = StoreWriter::create(&dir).unwrap();
+        for (t, name) in [0, 1, 0, 2, 3, 1].into_iter().enumerate() {
+            let r = rec(t as i64, names[name], 1, false, DeviceClass::Disk);
+            w.append(&r).unwrap();
+        }
+        let manifest = w.finish().unwrap();
+        let text = fs::read_to_string(dir.join("paths.txt")).unwrap();
+        let back: Vec<String> = text
+            .lines()
+            .map(|line| crate::codec::unescape(line).expect("a well-formed escape"))
+            .collect();
+        // One line per file, in first-appearance (`FileId`) order.
+        assert_eq!(back.len() as u64, manifest.files);
+        assert_eq!(back, names);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn next_column_is_correct_across_chunk_boundaries() {
         let dir = temp_dir("chunks");
         // 3 files interleaved over far more records than one backward-
