@@ -27,9 +27,14 @@ fn run() -> Result<(), String> {
     std::io::stdout().flush().ok();
     let summary = fmig_serve::origin::serve(listener)?;
     eprintln!(
-        "fmig-origin: session ended: {} advances answered, {} watermarks run, \
+        "fmig-origin: session ended: {} advances answered ({} with no recall answer, \
+         {} forced by the lag bound or the drain), {} watermarks run, \
          {} completion frames emitted",
-        summary.advances, summary.watermarks, summary.frames_emitted
+        summary.advances,
+        summary.empty_advances,
+        summary.forced_advances,
+        summary.watermarks,
+        summary.frames_emitted
     );
     Ok(())
 }

@@ -10,25 +10,38 @@
 //! frame (the origin hosts the tape half, [`crate::origin`]) and
 //! answers each resolved reference with a `Done`. The two halves
 //! stay causally consistent through a watermark protocol: before the
-//! daemon processes anything at virtual time `t`, the origin must have
-//! processed everything up to `t` and the daemon must have applied every
-//! tape event it emitted on the way that can reach its disk half. Only a
-//! recall's events can, so the daemon waits on the origin (`Advance`)
-//! only while a recall is in flight (or it drains, or [`WATERMARK_LAG`]
-//! says the link is due a read). Otherwise it owes the origin the
-//! watermark and writes it as a reply-less `Watermark` right ahead of
-//! its next `Recall` or `Flush`, so every job still joins an origin that
-//! has run through the daemon's clock; the `FlushDone`s such a run emits
-//! wait on the link for the next `Advance`. Each `AdvanceDone` carries a
-//! **lookahead grant** — the last millisecond before the origin's next
-//! queued event — and until virtual time passes it the origin is left
-//! alone. Only the daemon can make the origin's next event earlier than
-//! granted, by sending a `Recall` (entering at `enter_vms`), a `Flush`
-//! (ready at `ready_vms`) or a retry verdict; the first two lower the
-//! held grant to the millisecond before the job joins, the third is
-//! scheduled origin-side before the grant is computed. A grant below
-//! the requested watermark or past [`DRAIN_HORIZON_VMS`] ends the
-//! session with an error.
+//! daemon processes anything at virtual time `t`, it must have applied
+//! every tape event that can reach its disk half at or before `t`, and
+//! every job it sends must join an origin that has run through `t`.
+//! Only a recall's answers (`RecallFirstByte`, `RecallDone`,
+//! `RecallFailed`) reach the disk half, so the daemon waits on the
+//! origin (`Advance`) only when one can be due: while a recall is in
+//! flight and its clock would pass the held **lookahead grant** — the
+//! last millisecond before any recall in flight can next be answered —
+//! or when [`WATERMARK_LAG`] says the link is due a read, or to
+//! [`DRAIN_HORIZON_VMS`] as it drains, since the grant says nothing of
+//! flushes. Otherwise it tells the origin its clock with a reply-less
+//! `Watermark` right ahead of its next `Recall` or `Flush`, whether or
+//! not a recall is in flight; the `FlushDone`s such a run emits wait on
+//! the link for the next `Advance`.
+//!
+//! The origin computes each grant from where its recalls stand
+//! ([`fmig_sim::tape::TapeHalf::answer_floor`]). A `Recall` the daemon
+//! sends lowers the held grant only to just before its own floor — entry
+//! plus that attempt's mount and seek, drawn by
+//! [`fmig_sim::tape::recall_floor`] with the origin's keyed noise —
+//! since no answer can precede its own mount and seek. A `Flush` lowers
+//! it not at all: pools are FIFO, so a later job never overtakes a
+//! waiting recall, and its completion reaches no reference. A retry
+//! verdict is scheduled origin-side before the grant is computed. A
+//! grant below the requested watermark or past [`DRAIN_HORIZON_VMS`],
+//! or a recall answer timed behind the clock the daemon has already
+//! processed (a peer whose floor disagrees with this one's), ends the
+//! session with an error. On the tiny-preset cell this takes the
+//! blocking advances from 703 to 536 (healthy) and 710 to 540
+//! (degraded-peak); only the 4 forced by the lag bound or the drain come
+//! back without a recall answer. Watermarks rise from 1,843 to 2,350 and
+//! 2,013 to 2,351, as they now precede jobs while recalls are in flight.
 //!
 //! Client connections are validated where their frames enter: a frame
 //! that only a daemon sends, a file id outside the dense `u32` space, a
@@ -39,8 +52,8 @@
 //! degraded mode sheds still counts as naming its file. Origin frames
 //! are outside input too: job ids are checked against the tables of
 //! jobs in flight, and an answer the disk half refuses (a first byte
-//! twice, a drain report that disagrees with the `FlushDone`s) ends
-//! the session with an error.
+//! twice, a drain report that disagrees with the `FlushDone`s) or one
+//! timed behind the daemon's clock ends the session with an error.
 //!
 //! # Threads and hand-offs
 //!
@@ -102,6 +115,7 @@ use fmig_sim::disk::{
 };
 use fmig_sim::event::{EventQueue, SimMs, MS};
 use fmig_sim::noise::Noise;
+use fmig_sim::tape::recall_floor;
 use fmig_trace::FileId;
 
 use crate::backoff::RetryPolicy;
@@ -347,13 +361,17 @@ struct Core {
     origin_flushed_bytes: u64,
     origin_r: BufReader<TcpStream>,
     origin_w: BufWriter<TcpStream>,
-    /// The origin has nothing left to do at or before here: its latest
-    /// lookahead grant, lowered by [`Core::origin_enqueued`] to just
-    /// before every job sent since.
-    origin_clock: SimMs,
-    /// The daemon's clock ran past `origin_clock` with no recall in
-    /// flight: the origin is owed this watermark ahead of the next job.
-    owed_watermark: Option<SimMs>,
+    /// The tape physics the origin runs, for [`recall_floor`].
+    tape_cfg: SimConfig,
+    /// The latest virtual time the daemon has processed.
+    clock: SimMs,
+    /// The origin has run its queue through here: the latest `Watermark`
+    /// or `Advance` sent.
+    origin_ran: SimMs,
+    /// No recall in flight can be answered at or before here: the
+    /// origin's latest lookahead grant, lowered by [`Core::send_recall`]
+    /// to just before each new recall's own floor.
+    origin_grant: SimMs,
     /// Job frames written since the origin was last read.
     unread_jobs: u32,
     origin_report: Option<OriginReport>,
@@ -439,8 +457,10 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
             origin_flushed_bytes: 0,
             origin_r,
             origin_w,
-            origin_clock: SimMs::MIN,
-            owed_watermark: None,
+            tape_cfg: sim.clone(),
+            clock: SimMs::MIN,
+            origin_ran: SimMs::MIN,
+            origin_grant: SimMs::MIN,
             unread_jobs: 0,
             origin_report: None,
             draining: false,
@@ -598,34 +618,40 @@ impl Core {
         file.index() > self.files_seen.saturating_add(due_before)
     }
 
-    /// A job joining the origin's queue at `at` was just sent: whatever
-    /// the origin granted, it now has work at `at`.
-    fn origin_enqueued(&mut self, at: SimMs) {
-        self.origin_clock = self.origin_clock.min(at - 1);
+    /// True when the daemon must read the origin before its clock moves
+    /// to `target`: a recall in flight may be answered by then, or the
+    /// link is due a read.
+    fn must_read_origin(&self, target: SimMs) -> bool {
+        (!self.recall_tbl.is_empty() && self.origin_grant < target)
+            || self.unread_jobs >= WATERMARK_LAG
     }
 
-    /// True when the origin need not be read before the daemon's clock
-    /// moves on: no recall is in flight, so none of its events can reach
-    /// the disk half, and the link is not due a read.
-    fn may_owe_watermark(&self) -> bool {
-        self.recall_tbl.is_empty() && !self.draining && self.unread_jobs < WATERMARK_LAG
-    }
-
-    /// Writes a job frame joining the origin's queue at `at`, with the
-    /// watermark owed ahead of it.
-    fn send_job(&mut self, job: Frame, at: SimMs) -> Result<(), ProtoError> {
-        if let Some(until_vms) = self.owed_watermark.take() {
-            Frame::Watermark { until_vms }.write_to(&mut self.origin_w)?;
+    /// Writes a job frame, with a `Watermark` ahead of it when the origin
+    /// has not yet run through the daemon's clock: every job joins an
+    /// origin that has.
+    fn send_job(&mut self, job: Frame) -> Result<(), ProtoError> {
+        if self.origin_ran < self.clock {
+            Frame::Watermark {
+                until_vms: self.clock,
+            }
+            .write_to(&mut self.origin_w)?;
+            self.origin_ran = self.clock;
         }
         job.write_to(&mut self.origin_w)?;
         self.unread_jobs += 1;
-        self.origin_enqueued(at);
         Ok(())
     }
 
     /// Ships a dispatched miss to the origin as a recall job entering
-    /// its drive queue at `now`.
+    /// its drive queue at `now`. The recall cannot be answered before
+    /// its own mount and seek, so it lowers the held grant only to just
+    /// before that floor.
     fn send_recall(&mut self, order: RecallOrder, now: SimMs) -> Result<(), String> {
+        let floor = recall_floor(&self.tape_cfg, self.cfg.seed, order.seq, 0, order.tier, now);
+        self.origin_grant = match self.recall_tbl.is_empty() {
+            true => floor - 1,
+            false => self.origin_grant.min(floor - 1),
+        };
         let job = self.next_job;
         self.next_job += 1;
         self.recall_tbl.insert(job, order.r);
@@ -638,11 +664,13 @@ impl Core {
             enter_vms: now,
             deadline_vms: self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| now + d),
         };
-        self.send_job(frame, now)
+        self.send_job(frame)
             .map_err(|e| format!("recall send: {e}"))
     }
 
-    /// Ships a background tape flush to the origin, ready at `at`.
+    /// Ships a background tape flush to the origin, ready at `at`. No
+    /// reference waits on it, and pools are FIFO, so it cannot bring a
+    /// recall answer forward: the held grant stands.
     fn send_flush(&mut self, order: FlushOrder, at: SimMs) -> Result<(), String> {
         let job = self.next_job;
         self.next_job += 1;
@@ -655,8 +683,20 @@ impl Core {
             tier: order.tier.device(),
             ready_vms: at,
         };
-        self.send_job(frame, at)
-            .map_err(|e| format!("flush send: {e}"))
+        self.send_job(frame).map_err(|e| format!("flush send: {e}"))
+    }
+
+    /// Checks that a recall answer is not timed before the clock the
+    /// daemon has already processed: a peer whose floor disagrees with
+    /// this one's would deliver it too late to apply.
+    fn answer_at(&self, job: u64, at: SimMs) -> Result<(), String> {
+        if at < self.clock {
+            return Err(format!(
+                "origin answered recall job {job} at {at}, behind the daemon's clock {}",
+                self.clock
+            ));
+        }
+        Ok(())
     }
 
     /// Sends the origin a frame it is blocked on.
@@ -818,24 +858,22 @@ impl Daemon<'_> {
         Ok(())
     }
 
-    /// Processes every local event up to `t`, keeping the origin's
-    /// clock at or ahead of every local event handled — the watermark
-    /// protocol that makes the split engine causally consistent. The
-    /// origin is consulted only when its grant has run out while a
-    /// recall is in flight (or when draining, or at [`WATERMARK_LAG`]);
-    /// with none in flight, the watermark is owed instead.
+    /// Processes every local event up to `t`, never moving the clock
+    /// past a time a recall in flight may be answered at without first
+    /// reading the origin — the watermark protocol that makes the split
+    /// engine causally consistent. The origin is read only when the held
+    /// grant has run out while a recall is in flight, or at
+    /// [`WATERMARK_LAG`]; otherwise it is told the clock by the
+    /// `Watermark` ahead of the next job.
     fn advance_to(&mut self, t: SimMs) -> Result<(), String> {
         loop {
             let next_local = self.core.queue.peek_time().filter(|&lt| lt <= t);
             let target = next_local.unwrap_or(t);
-            let core = &mut self.core;
-            if core.origin_clock < target || core.unread_jobs >= WATERMARK_LAG {
-                if !core.may_owe_watermark() {
-                    self.origin_advance(target)?;
-                    continue;
-                }
-                core.owed_watermark = Some(target);
+            if self.core.must_read_origin(target) {
+                self.origin_advance(target)?;
+                continue;
             }
+            self.core.clock = target;
             if next_local.is_none() {
                 return Ok(());
             }
@@ -846,19 +884,19 @@ impl Daemon<'_> {
         }
     }
 
-    /// Advances the origin to `until`, which settles any owed watermark,
-    /// applies every tape event it emits on the way (those of earlier
-    /// `Watermark`s first), and holds on to the grant it answers with.
+    /// Advances the origin to `until`, applies every tape event it emits
+    /// on the way (those of earlier `Watermark`s first), and holds on to
+    /// the grant it answers with.
     fn origin_advance(&mut self, until: SimMs) -> Result<(), String> {
         self.core
             .send_origin("advance send", Frame::Advance { until_vms: until })?;
-        self.core.owed_watermark = None;
+        self.core.origin_ran = until;
         self.core.unread_jobs = 0;
-        // A job sent by a handler below would reach the origin after it
-        // computed the grant, so the grant is taken as a `min` with what
-        // `origin_enqueued` records meanwhile. (No handler sends one
+        // A recall sent by a handler below would reach the origin after
+        // it computed the grant, so the grant is taken as a `min` with
+        // what `send_recall` records meanwhile. (No handler sends one
         // today; retry verdicts are scheduled before the grant.)
-        self.core.origin_clock = SimMs::MAX;
+        self.core.origin_grant = SimMs::MAX;
         let grant = loop {
             let frame = Frame::read_from(&mut self.core.origin_r)
                 .map_err(|e| format!("origin read: {e}"))?;
@@ -874,12 +912,14 @@ impl Daemon<'_> {
                 }
                 Frame::RecallFirstByte { job, fb_vms } => {
                     let r = self.recall_in_flight(job)?;
+                    self.core.answer_at(job, fb_vms)?;
                     self.disk
                         .first_byte(r, fb_vms, &mut self.core)
                         .map_err(link_err)?;
                 }
-                Frame::RecallDone { job, done_vms: _ } => {
+                Frame::RecallDone { job, done_vms } => {
                     let r = self.recall_in_flight(job)?;
+                    self.core.answer_at(job, done_vms)?;
                     self.disk.recall_done(r).map_err(link_err)?;
                     self.core.recall_tbl.remove(&job);
                     self.core.breaker.record_success();
@@ -904,7 +944,7 @@ impl Daemon<'_> {
                 other => return Err(format!("unexpected origin frame: {other:?}")),
             }
         };
-        self.core.origin_clock = self.core.origin_clock.min(grant);
+        self.core.origin_grant = self.core.origin_grant.min(grant);
         Ok(())
     }
 
@@ -927,6 +967,7 @@ impl Daemon<'_> {
         drive_free_vms: SimMs,
     ) -> Result<(), String> {
         let r = self.recall_in_flight(job)?;
+        self.core.answer_at(job, failed_vms)?;
         self.disk.recall_failed(r);
         let core = &mut self.core;
         core.breaker.record_failure(failed_vms);
@@ -947,6 +988,10 @@ impl Daemon<'_> {
     fn drain(&mut self) -> Result<Frame, String> {
         self.core.draining = true;
         self.advance_to(DRAIN_HORIZON_VMS)?;
+        // The grant covers recalls only: flushes may still be queued.
+        if !self.core.flush_tbl.is_empty() {
+            self.origin_advance(DRAIN_HORIZON_VMS)?;
+        }
         let core = &mut self.core;
         if !(core.recall_tbl.is_empty() && core.flush_tbl.is_empty()) {
             return Err(format!(

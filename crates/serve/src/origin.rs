@@ -15,15 +15,18 @@
 //!
 //! An `Advance { until_vms }` is answered, once everything due is
 //! handled, with a **lookahead grant**: `AdvanceDone { now_vms }` names
-//! the last millisecond before this host's next queued event
-//! ([`DRAIN_HORIZON_VMS`] when nothing is queued), never less than
-//! `until_vms`. Nothing is queued in between, so "everything up to
-//! `now_vms` is processed" is true as it stands, and the daemon need not
-//! ask again before then unless it enqueues something earlier itself.
+//! the last millisecond before any recall in flight can next be answered
+//! — [`TapeHalf::answer_floor`] less one, [`DRAIN_HORIZON_VMS`] when no
+//! recall is in flight — never less than `until_vms`. The grant promises
+//! "no recall answer before", not "nothing queued before": flushes, fault
+//! holds and the recalls' own earlier stages may still be queued, and
+//! run at the next `Watermark` or `Advance`. No recall's mount and seek
+//! can be skipped, so a recall that has just joined grants tens of
+//! virtual seconds.
 //!
 //! A `Watermark { until_vms }` runs the same loop and answers nothing:
-//! the daemon sends one ahead of a job while no recall is in flight, when
-//! nothing this host does can reach its disk half.
+//! the daemon sends one ahead of a job whenever this host has not yet
+//! run through the daemon's clock, so every job joins a queue that has.
 //!
 //! Protocol (daemon → origin): `OriginHello`, then any interleaving of
 //! `Recall` / `Flush` enqueues, `Watermark`s and `Advance`s; `Drain`
@@ -53,6 +56,7 @@ use fmig_sim::noise::Noise;
 use fmig_sim::tape::{RetryVerdict, TapeCounters, TapeEv, TapeHalf, TapeHost, Tier};
 use fmig_trace::DeviceClass;
 
+use crate::daemon::WATERMARK_LAG;
 use crate::protocol::{Frame, ProtoError, DRAIN_HORIZON_VMS, NO_DEADLINE, PROTO_VERSION};
 
 /// The tape half's host for one daemon session: its event queue, its
@@ -65,6 +69,10 @@ struct Session {
     queue: EventQueue<TapeEv>,
     noise: Noise,
     summary: SessionSummary,
+    /// A recall answer was emitted since the last `AdvanceDone`.
+    answered: bool,
+    /// Job frames read since the last `Advance`.
+    unread_jobs: u32,
 }
 
 impl Session {
@@ -77,6 +85,12 @@ impl Session {
     fn emit(&mut self, frame: Frame) -> Result<(), ProtoError> {
         self.summary.frames_emitted += 1;
         frame.write_to(&mut self.writer)
+    }
+
+    /// Buffers one recall answer for the daemon.
+    fn answer(&mut self, frame: Frame) -> Result<(), ProtoError> {
+        self.answered = true;
+        self.emit(frame)
     }
 }
 
@@ -92,11 +106,11 @@ impl TapeHost for Session {
     }
 
     fn first_byte(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
-        self.emit(Frame::RecallFirstByte { job, fb_vms: at })
+        self.answer(Frame::RecallFirstByte { job, fb_vms: at })
     }
 
     fn done(&mut self, job: u64, at: SimMs) -> Result<(), ProtoError> {
-        self.emit(Frame::RecallDone { job, done_vms: at })
+        self.answer(Frame::RecallDone { job, done_vms: at })
     }
 
     fn flush_done(&mut self, job: u64, at: SimMs, bytes: u64) -> Result<(), ProtoError> {
@@ -114,7 +128,7 @@ impl TapeHost for Session {
         failed_ms: SimMs,
         drive_free_ms: SimMs,
     ) -> Result<RetryVerdict, ProtoError> {
-        self.emit(Frame::RecallFailed {
+        self.answer(Frame::RecallFailed {
             job,
             attempt: attempts,
             failed_vms: failed_ms,
@@ -165,6 +179,14 @@ fn checked_vms(what: &str, vms: SimMs) -> Result<SimMs, String> {
 pub struct SessionSummary {
     /// `Advance` watermarks answered: synchronous round trips.
     pub advances: u64,
+    /// Advances answered with no recall answer (`RecallFirstByte`,
+    /// `RecallDone`, `RecallFailed`) since the one before: the round
+    /// trips that brought the daemon nothing but a fresh grant.
+    pub empty_advances: u64,
+    /// Advances the daemon makes whatever its grant: at its
+    /// [`WATERMARK_LAG`] bound of job frames since the last one, or to
+    /// [`DRAIN_HORIZON_VMS`] as it drains.
+    pub forced_advances: u64,
     /// `Watermark`s run: the origin answers none of them.
     pub watermarks: u64,
     /// Tape completions framed to the daemon (`RecallFirstByte`,
@@ -238,6 +260,8 @@ pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
         queue: EventQueue::new(),
         noise: Noise::Keyed(seed),
         summary: SessionSummary::default(),
+        answered: false,
+        unread_jobs: 0,
     };
     tape.schedule_outages(&mut session);
 
@@ -259,8 +283,11 @@ pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
                 deadline_vms,
             } => {
                 let deadline = (deadline_vms != NO_DEADLINE).then_some(deadline_vms);
-                let j = tape.recall(job, seq, size, checked_tier(tier)?, deadline);
-                session.schedule(checked_vms("enter_vms", enter_vms)?, TapeEv::Join(j));
+                let tier = checked_tier(tier)?;
+                let enter = checked_vms("enter_vms", enter_vms)?;
+                let j = tape.recall(job, seq, size, tier, deadline, enter);
+                session.schedule(enter, TapeEv::Join(j));
+                session.unread_jobs += 1;
             }
             Frame::Flush {
                 job,
@@ -270,8 +297,11 @@ pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
                 tier,
                 ready_vms,
             } => {
-                let j = tape.flush(job, seq, size, checked_tier(tier)?);
-                session.schedule(checked_vms("ready_vms", ready_vms)?, TapeEv::Join(j));
+                let tier = checked_tier(tier)?;
+                let ready = checked_vms("ready_vms", ready_vms)?;
+                let j = tape.flush(job, seq, size, tier, ready);
+                session.schedule(ready, TapeEv::Join(j));
+                session.unread_jobs += 1;
             }
             Frame::Watermark { until_vms } => {
                 run_until(&mut tape, &mut session, until_vms)?;
@@ -279,15 +309,22 @@ pub fn serve(listener: TcpListener) -> Result<SessionSummary, String> {
             }
             Frame::Advance { until_vms } => {
                 let until = run_until(&mut tape, &mut session, until_vms)?;
-                // The grant: nothing is queued before the next event, so
-                // everything up to the millisecond before it is processed
-                // too. A verdict-scheduled rejoin is already in the queue
-                // here; only a later `Recall`/`Flush` can land earlier, and
-                // the daemon accounts for those itself.
-                let grant = session.queue.peek_time().map_or(DRAIN_HORIZON_VMS, |t| {
-                    (t - 1).clamp(until, DRAIN_HORIZON_VMS)
-                });
-                session.summary.advances += 1;
+                // The grant: no recall in flight can be answered before
+                // the floor. A verdict-scheduled rejoin is already in its
+                // slot here; a later `Recall` bounds itself, and the
+                // daemon accounts for it.
+                let floor = tape.answer_floor(seed);
+                let grant = floor.saturating_sub(1).clamp(until, DRAIN_HORIZON_VMS);
+                let summary = &mut session.summary;
+                summary.advances += 1;
+                if !std::mem::take(&mut session.answered) {
+                    summary.empty_advances += 1;
+                }
+                if std::mem::take(&mut session.unread_jobs) >= WATERMARK_LAG
+                    || until == DRAIN_HORIZON_VMS
+                {
+                    summary.forced_advances += 1;
+                }
                 session
                     .send(Frame::AdvanceDone { now_vms: grant })
                     .map_err(|e| format!("advance ack: {e}"))?;

@@ -10,9 +10,11 @@
 //!
 //! Decoding is total: any byte sequence either yields a [`Frame`] or a
 //! [`ProtoError`] — never a panic, and never an allocation larger than
-//! [`MAX_FRAME`] (the length prefix is validated **before**
-//! `Vec::with_capacity`, so a hostile or corrupted 4-GiB length field
-//! cannot balloon memory). Truncated payloads, trailing garbage,
+//! [`MAX_FRAME`] (the length prefix is validated **before** any payload
+//! is read, so a hostile or corrupted 4-GiB length field cannot balloon
+//! memory). Every frame has a fixed-size body, so [`Frame::write_to`] and
+//! [`Frame::read_from`] encode and decode on the stack: a well-formed
+//! stream costs no allocation per frame. Truncated payloads, trailing garbage,
 //! unknown frame types, and invalid enum discriminants are all distinct
 //! errors. The property tests in `tests/protocol_props.rs` pin all of
 //! this: round-trips for every frame type, and rejection (not panic)
@@ -29,7 +31,11 @@ use fmig_trace::DeviceClass;
 
 /// Protocol version; bumped on any wire-incompatible change. Version 2
 /// added [`Frame::Watermark`], which a version-1 origin cannot decode.
-pub const PROTO_VERSION: u32 = 2;
+/// Version 3 changed what [`Frame::AdvanceDone`]'s grant promises (no
+/// recall answer before it, not nothing queued before it) and so how
+/// the daemon spends it: a version-2 origin's grants would be read as
+/// too long a lookahead.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Hard cap on a frame's payload length, enforced before any
 /// allocation. Every real frame is under 200 bytes; the cap only exists
@@ -275,18 +281,22 @@ pub enum Frame {
     },
     /// Run the origin's event queue up to (and including) `until_vms`,
     /// exactly as [`Frame::Advance`] does, and answer nothing. The daemon
-    /// writes one right ahead of a `Recall` or `Flush` while no recall is
-    /// in flight: no tape event can then reach its disk half, so it need
-    /// not wait, and the `FlushDone`s the run emits are read at the next
-    /// `Advance`.
+    /// writes one right ahead of a `Recall` or `Flush` whenever the origin
+    /// has not yet run through the daemon's clock, so every job joins an
+    /// origin that has. No recall answer can be due in the run (the
+    /// daemon's clock is within its grant), and the `FlushDone`s it emits
+    /// are read at the next `Advance`.
     Watermark {
         /// Watermark, virtual ms.
         until_vms: i64,
     },
-    /// The origin processed everything at or before `now_vms`.
+    /// The origin ran through the watermark, and no recall in flight can
+    /// be answered at or before `now_vms`.
     AdvanceDone {
         /// The lookahead grant: at least the watermark, and up to the
-        /// millisecond before the origin's next queued event.
+        /// millisecond before the earliest time any recall in flight can
+        /// next be answered (its own mount and seek still ahead, or a
+        /// unit it waits for still busy).
         now_vms: i64,
     },
     /// A recall's transfer started: its requester (and coalesced
@@ -530,11 +540,43 @@ const T_FLUSH_DONE: u8 = 0x2B;
 const T_ORIGIN_DRAIN_DONE: u8 = 0x2C;
 const T_WATERMARK: u8 = 0x2D;
 
+/// The longest frame body (type byte plus payload): [`Frame::Stats`],
+/// twenty 8-byte fields. Every other frame is shorter, so one stack
+/// buffer of this size holds any frame the codec writes or accepts.
+const MAX_BODY: usize = 1 + 20 * 8;
+
+/// A frame encoded on the stack: its length prefix, then its body.
+struct Encoded {
+    buf: [u8; 4 + MAX_BODY],
+    len: usize,
+}
+
+impl Encoded {
+    fn push(&mut self, byte: u8) {
+        self.buf[self.len] = byte;
+        self.len += 1;
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
 impl Frame {
     /// Encodes the frame's type byte plus payload (everything after the
     /// length prefix).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
+        let b = self.encode();
+        b.buf[4..b.len].to_vec()
+    }
+
+    /// Encodes the length-prefixed frame.
+    fn encode(&self) -> Encoded {
+        let mut b = Encoded {
+            buf: [0; 4 + MAX_BODY],
+            len: 4,
+        };
         match *self {
             Frame::Hello { version, conn } => {
                 b.push(T_HELLO);
@@ -760,6 +802,8 @@ impl Frame {
                 }
             }
         }
+        let body_len = (b.len - 4) as u32;
+        b.buf[..4].copy_from_slice(&body_len.to_le_bytes());
         b
     }
 
@@ -911,19 +955,19 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Writes the length-prefixed frame to `w` (no flush; callers batch
-    /// and flush at synchronization points).
+    /// Writes the length-prefixed frame to `w` in one call, encoded on
+    /// the stack (no flush; callers batch and flush at synchronization
+    /// points).
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        let body = self.encode_body();
-        debug_assert!(body.len() as u64 <= MAX_FRAME as u64);
-        w.write_all(&(body.len() as u32).to_le_bytes())?;
-        w.write_all(&body)?;
+        let b = self.encode();
+        w.write_all(&b.buf[..b.len])?;
         Ok(())
     }
 
     /// Reads one length-prefixed frame from `r`. The length prefix is
-    /// validated against [`MAX_FRAME`] before the payload buffer is
-    /// allocated.
+    /// validated against [`MAX_FRAME`] before any payload is read; a
+    /// payload no frame can have is read into a buffer of its own only to
+    /// be refused as [`Frame::decode_body`] refuses it.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, ProtoError> {
         let mut len = [0u8; 4];
         r.read_exact(&mut len)?;
@@ -931,7 +975,13 @@ impl Frame {
         if len > MAX_FRAME {
             return Err(ProtoError::Oversized(len));
         }
-        let mut body = vec![0u8; len as usize];
+        let len = len as usize;
+        if len <= MAX_BODY {
+            let mut body = [0u8; MAX_BODY];
+            r.read_exact(&mut body[..len])?;
+            return Frame::decode_body(&body[..len]);
+        }
+        let mut body = vec![0u8; len];
         r.read_exact(&mut body)?;
         Frame::decode_body(&body)
     }
@@ -983,6 +1033,21 @@ mod tests {
         // Every request and reply crossing the daemon's channels is one
         // of these; `Stats` is boxed so its payload does not size them.
         assert!(std::mem::size_of::<Frame>() <= 64);
+    }
+
+    #[test]
+    fn the_stats_frame_is_the_longest_body() {
+        let stats = Frame::Stats(Box::default()).encode_body();
+        assert_eq!(stats.len(), MAX_BODY);
+        // One byte past the longest body is still read, then refused.
+        let mut long = stats.clone();
+        long.push(0);
+        let mut wire = (long.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&long);
+        assert_eq!(
+            Frame::read_from(&mut &wire[..]),
+            Err(ProtoError::TrailingBytes(1))
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! `DRAIN_HORIZON_VMS` must end the daemon session with an `Err` —
 //! never a panic, never a hang. So must an answer the shared disk half
 //! refuses — a recall's first byte delivered twice would resolve its
-//! reference twice — and a drain report whose `flushed_bytes` disagrees
-//! with the `FlushDone` frames the daemon counted. An origin that merely
+//! reference twice — a recall answer timed behind the clock the daemon
+//! has already run through (the sign of a peer whose answer floor
+//! disagrees with the daemon's), and a drain report whose `flushed_bytes`
+//! disagrees with the `FlushDone` frames the daemon counted. An origin that merely
 //! echoes the watermark (the pre-grant behaviour) is a grant of zero
 //! lookahead and stays a valid peer. With no recall in flight the daemon
 //! reads no grant until it drains or its written-but-unread job frames
@@ -31,19 +33,7 @@ use fmig_trace::DeviceClass;
 /// which no `FlushDone` ever carried. Returns how many `Watermark`s came
 /// before the first `Advance`.
 fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) -> u32 {
-    let (stream, _) = listener.accept().expect("daemon connects");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
-    match Frame::read_from(&mut reader).expect("origin hello") {
-        Frame::OriginHello { .. } => {}
-        other => panic!("expected OriginHello, got {other:?}"),
-    }
-    Frame::OriginHelloAck {
-        version: PROTO_VERSION,
-    }
-    .write_to(&mut writer)
-    .expect("hello ack");
-    writer.flush().expect("flush ack");
+    let (mut reader, mut writer) = handshake(listener);
     let mut recalled = None;
     let (mut watermarks, mut advanced) = (0, false);
     while let Ok(frame) = Frame::read_from(&mut reader) {
@@ -86,6 +76,60 @@ fn fake_origin(listener: TcpListener, grant: fn(i64) -> i64) -> u32 {
     watermarks
 }
 
+/// Accepts the daemon and answers its `OriginHello`.
+fn handshake(listener: TcpListener) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
+    let (stream, _) = listener.accept().expect("daemon connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    match Frame::read_from(&mut reader).expect("origin hello") {
+        Frame::OriginHello { .. } => {}
+        other => panic!("expected OriginHello, got {other:?}"),
+    }
+    Frame::OriginHelloAck {
+        version: PROTO_VERSION,
+    }
+    .write_to(&mut writer)
+    .expect("hello ack");
+    writer.flush().expect("flush ack");
+    (reader, writer)
+}
+
+/// A scripted origin whose recall answers come late: every `Advance`
+/// is granted exactly its watermark, and the first recall is answered —
+/// first byte, then completion — only at the second `Advance` after it,
+/// both timed at the recall's entry, behind the clock the daemon ran
+/// through on the first grant. Returns 0, as no watermark is counted.
+fn late_origin(listener: TcpListener) -> u32 {
+    let (mut reader, mut writer) = handshake(listener);
+    let (mut recalled, mut advances_since) = (None, 0);
+    while let Ok(frame) = Frame::read_from(&mut reader) {
+        let mut replies = Vec::new();
+        match frame {
+            Frame::Recall { job, enter_vms, .. } if recalled.is_none() => {
+                recalled = Some((job, enter_vms));
+            }
+            Frame::Advance { until_vms } => {
+                advances_since += 1;
+                if let (Some((job, at)), 2) = (recalled, advances_since) {
+                    replies.push(Frame::RecallFirstByte { job, fb_vms: at });
+                    replies.push(Frame::RecallDone { job, done_vms: at });
+                }
+                replies.push(Frame::AdvanceDone { now_vms: until_vms });
+            }
+            _ => {}
+        }
+        for reply in replies {
+            if reply.write_to(&mut writer).is_err() {
+                return 0;
+            }
+        }
+        if writer.flush().is_err() {
+            return 0;
+        }
+    }
+    0
+}
+
 /// What the client does once it has said hello.
 #[derive(Clone, Copy)]
 enum Client {
@@ -98,6 +142,8 @@ enum Client {
     WritesThenShutdown,
     /// Two reads of missing files.
     Reads,
+    /// Two reads of missing files and a `Drain`.
+    ReadsThenDrain,
     /// A `Drain` of the idle daemon.
     Drain,
 }
@@ -106,9 +152,17 @@ enum Client {
 /// client's part, and returns how the daemon session ended, with the
 /// number of `Watermark`s the origin read before its first `Advance`.
 fn session_result(grant: fn(i64) -> i64, client: Client) -> (Result<ServiceStats, String>, u32) {
+    session_with(move |listener| fake_origin(listener, grant), client)
+}
+
+/// [`session_result`] against any scripted origin.
+fn session_with(
+    origin: impl FnOnce(TcpListener) -> u32 + Send + 'static,
+    client: Client,
+) -> (Result<ServiceStats, String>, u32) {
     let origin_listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let origin_addr = origin_listener.local_addr().expect("origin addr");
-    let origin = thread::spawn(move || fake_origin(origin_listener, grant));
+    let origin = thread::spawn(move || origin(origin_listener));
 
     let daemon_listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon");
     let daemon_addr = daemon_listener.local_addr().expect("daemon addr");
@@ -151,7 +205,7 @@ fn session_result(grant: fn(i64) -> i64, client: Client) -> (Result<ServiceStats
             let time_s = 10 + 90 * req as i64;
             let (file, size, next_use, device) =
                 (req, 1_000_000, NO_NEXT_USE, DeviceClass::TapeSilo);
-            if let Client::Reads = client {
+            if let Client::Reads | Client::ReadsThenDrain = client {
                 Frame::ReadReq {
                     req,
                     file,
@@ -174,7 +228,9 @@ fn session_result(grant: fn(i64) -> i64, client: Client) -> (Result<ServiceStats
         .collect();
     let frames = match client {
         Client::Drain => vec![Frame::Drain],
-        Client::WritesThenDrain => [&requests[..], &[Frame::Drain]].concat(),
+        Client::WritesThenDrain | Client::ReadsThenDrain => {
+            [&requests[..], &[Frame::Drain]].concat()
+        }
         _ => requests,
     };
     for frame in &frames {
@@ -249,4 +305,11 @@ fn a_drain_report_that_disagrees_on_flushed_bytes_ends_the_session_with_an_error
     let (result, _) = session_result(|until| until, Client::Drain);
     let err = result.expect_err("wrong flushed_bytes");
     assert!(err.contains("flush accounting diverged"), "{err}");
+}
+
+#[test]
+fn a_recall_answer_behind_the_daemons_clock_ends_the_session_with_an_error() {
+    let (result, _) = session_with(late_origin, Client::ReadsThenDrain);
+    let err = result.expect_err("late first byte");
+    assert!(err.contains("behind the daemon's clock"), "{err}");
 }

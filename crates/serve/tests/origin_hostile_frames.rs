@@ -152,3 +152,31 @@ fn a_watermark_outside_the_horizon_ends_the_session_with_an_error() {
         assert!(err.contains("until_vms"), "{until_vms}: {err}");
     }
 }
+
+/// A daemon of another protocol version is refused at the handshake:
+/// a version-2 daemon would spend a version-3 grant as "nothing queued
+/// before", which it no longer promises.
+#[test]
+fn a_daemon_of_another_protocol_version_is_refused_at_the_handshake() {
+    for version in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
+        let addr = listener.local_addr().expect("origin addr");
+        let origin = thread::spawn(move || origin::serve(listener));
+        let mut writer = BufWriter::new(TcpStream::connect(addr).expect("connect"));
+        Frame::OriginHello {
+            version,
+            seed: 7,
+            scenario: 0,
+            span_start_vms: 0,
+            span_end_vms: 1_000_000,
+        }
+        .write_to(&mut writer)
+        .expect("hello");
+        writer.flush().expect("flush hello");
+        let err = origin
+            .join()
+            .expect("origin thread must not panic")
+            .expect_err("a foreign version");
+        assert!(err.contains("protocol version mismatch"), "{err}");
+    }
+}

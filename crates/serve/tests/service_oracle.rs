@@ -234,19 +234,38 @@ fn imported_trace_replay_matches_the_simulator_oracle() {
     }
 }
 
-/// The lookahead grant and the owed watermark, as exact counts: the
-/// daemon waits on the origin far less than once per reference — only
-/// while a recall is in flight, and at the lag bound — and how the
-/// requests are dealt over connections does not change how often.
+/// The lookahead grant and the watermarks, as exact counts: the daemon
+/// waits on the origin far less than once per reference — only when a
+/// recall answer can be due, at the lag bound and at the drain — and how
+/// the requests are dealt over connections does not change how often.
+/// Only the advances the daemon makes whatever its grant may come back
+/// without a recall answer.
 #[test]
 fn advance_round_trips_stay_below_one_per_reference() {
-    // (scenario, blocking advances, watermarks; advances when every
-    // grant ran out was waited on, and when every step asked)
+    // (scenario, blocking advances, empty ones, watermarks; advances and
+    // watermarks when a grant covered everything queued, advances when
+    // every grant was waited on, and when every step asked)
     let pinned = [
-        (FaultScenarioId::None, 703, 1_843, 2_202, 15_739),
-        (FaultScenarioId::DegradedPeak, 710, 2_013, 2_958, 15_733),
+        (
+            FaultScenarioId::None,
+            536,
+            4,
+            2_350,
+            (703, 1_843),
+            2_202,
+            15_739,
+        ),
+        (
+            FaultScenarioId::DegradedPeak,
+            540,
+            4,
+            2_351,
+            (710, 2_013),
+            2_958,
+            15_733,
+        ),
     ];
-    for (scenario, advances, watermarks, every_grant, every_step) in pinned {
+    for (scenario, advances, empty, watermarks, queued, every_grant, every_step) in pinned {
         let (one, refs) = replay_tiny(scenario, 1);
         let (two, _) = replay_tiny(scenario, 2);
         assert_eq!(one, two, "{scenario:?}: link counts moved with connections");
@@ -255,12 +274,21 @@ fn advance_round_trips_stay_below_one_per_reference() {
             "{scenario:?}: {} advances for {refs} references",
             one.advances
         );
+        assert!(
+            one.empty_advances <= one.forced_advances,
+            "{scenario:?}: {} advances brought no recall answer, only {} were forced",
+            one.empty_advances,
+            one.forced_advances
+        );
         assert_eq!(
-            (one.advances, one.watermarks),
-            (advances, watermarks),
-            "{scenario:?}: pinned at {advances} advances and {watermarks} watermarks for \
-             5,490 references ({every_grant} advances when every grant was waited on, \
-             {every_step} when every step asked); re-pin if the tape model moved"
+            (one.advances, one.empty_advances, one.watermarks),
+            (advances, empty, watermarks),
+            "{scenario:?}: pinned at {advances} advances ({empty} empty) and {watermarks} \
+             watermarks for 5,490 references ({} advances and {} watermarks when a grant \
+             covered everything queued, {every_grant} advances when every grant was waited \
+             on, {every_step} when every step asked); re-pin if the tape model moved",
+            queued.0,
+            queued.1
         );
     }
 }

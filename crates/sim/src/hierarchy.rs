@@ -374,7 +374,7 @@ impl<'p> Engine<'p> {
         let Front { host, disk } = &mut self.front;
         let tape = &mut self.tape;
         let carried = disk.arrive(pr, host, |host, order, at| {
-            let j = tape.flush(order.seq, order.seq, order.bytes, order.tier);
+            let j = tape.flush(order.seq, order.seq, order.bytes, order.tier, at);
             host.queue.push(at, HEv::Tape(TapeEv::Join(j)));
             Ok::<(), Infallible>(())
         });
@@ -417,9 +417,8 @@ impl<'p> Engine<'p> {
             HEv::Disk(ev) => {
                 // A dispatched miss enters its drive queue at once.
                 if let Some(order) = disk.handle(now, ev, host) {
-                    let j =
-                        self.tape
-                            .recall(order.r as u64, order.seq, order.size, order.tier, None);
+                    let (id, seq, size, tier) = (order.r as u64, order.seq, order.size, order.tier);
+                    let j = self.tape.recall(id, seq, size, tier, None, now);
                     self.tape_event(now, TapeEv::Join(j));
                 }
             }

@@ -205,10 +205,12 @@ impl<'a, R: Request> Engine<'a, R> {
                     }
                     Some(tier) => {
                         let j = match req.dir {
-                            Direction::Read => {
-                                self.tape.recall(r as u64, r as u64, req.size, tier, None)
+                            Direction::Read => self
+                                .tape
+                                .recall(r as u64, r as u64, req.size, tier, None, now),
+                            Direction::Write => {
+                                self.tape.flush(r as u64, r as u64, req.size, tier, now)
                             }
-                            Direction::Write => self.tape.flush(r as u64, r as u64, req.size, tier),
                         };
                         self.tape_event(now, TapeEv::Join(j));
                     }

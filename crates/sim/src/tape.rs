@@ -39,6 +39,16 @@
 //! what a host hears: events pop in `(time, seq)` order, keyed noise
 //! names a job by its `seq`, and callbacks name it by the host's own
 //! `id` — never by the index.
+//!
+//! # Answer floor
+//!
+//! Each slot also records where its job stands — the event of its own
+//! it has due, or the pool it waits in — which is all
+//! [`TapeHalf::answer_floor`] reads: the earliest time a recall in
+//! flight can next be answered, the live origin's lookahead grant. The
+//! mount and seek it adds are drawn by the same two helpers the stage
+//! handlers draw them with ([`recall_floor`] for one recall on its own),
+//! so the bound and the physics cannot drift apart.
 
 use fmig_trace::DeviceClass;
 
@@ -193,9 +203,51 @@ struct TapeJob {
     /// When the job entered the queue it is waiting in (drive, then
     /// mounter): outage attribution and the flush contention metric.
     queued_ms: SimMs,
-    /// The pending [`TapeEv::DriveFree`] is the job's last event: it
-    /// completed, or was abandoned.
-    finished: bool,
+    /// Where the job stands in its pipeline; see [`Step`].
+    step: Step,
+}
+
+/// Where a job stands: the event of its own it has due, or the pool it
+/// waits in. [`TapeHalf::answer_floor`] reads it; nothing else does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// [`TapeEv::Join`] due: a new job, or a retried recall whose drive
+    /// has unloaded.
+    Join(SimMs),
+    /// Waiting for a drive or a mounter: a recall still has its mount
+    /// and its seek ahead. Also a fault hold waiting for its unit.
+    Queued,
+    /// [`TapeEv::MountDone`] due.
+    MountDone(SimMs),
+    /// [`TapeEv::SeekDone`] due.
+    SeekDone(SimMs),
+    /// Positioned (or appending), waiting for a tape mover.
+    AwaitMover,
+    /// [`TapeEv::TransferDone`] due.
+    TransferDone(SimMs),
+    /// [`TapeEv::DriveFree`] due, at `free`. A retried recall rejoins
+    /// its queue at `rejoin` afterwards; without one, the unload is the
+    /// job's last event.
+    DriveFree { free: SimMs, rejoin: Option<SimMs> },
+    /// A fault hold parks its unit: [`TapeEv::OutageEnd`] due.
+    OutageEnd(SimMs),
+    /// The slot is on the free list.
+    Vacant,
+}
+
+impl Step {
+    /// When the job's next event of its own is due, if it has one.
+    fn due(self) -> Option<SimMs> {
+        match self {
+            Step::Join(t)
+            | Step::MountDone(t)
+            | Step::SeekDone(t)
+            | Step::TransferDone(t)
+            | Step::OutageEnd(t)
+            | Step::DriveFree { free: t, .. } => Some(t),
+            Step::Queued | Step::AwaitMover | Step::Vacant => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -281,11 +333,11 @@ impl TapeHalf {
         self.counters
     }
 
-    /// Creates a recall of `size` bytes from `tier` and returns its job
-    /// index, valid until the job's last event (see the module docs).
-    /// It enters the drive queue when the host hands [`TapeEv::Join`]
-    /// of that index to [`Self::handle`] — directly, or through its
-    /// queue at a later time.
+    /// Creates a recall of `size` bytes from `tier` that joins its drive
+    /// queue at `join_ms`, and returns its job index, valid until the
+    /// job's last event (see the module docs). The host hands
+    /// [`TapeEv::Join`] of that index to [`Self::handle`] at `join_ms` —
+    /// directly, or through its queue.
     pub fn recall(
         &mut self,
         id: u64,
@@ -293,34 +345,31 @@ impl TapeHalf {
         size: u64,
         tier: Tier,
         deadline_ms: Option<SimMs>,
+        join_ms: SimMs,
     ) -> usize {
-        self.push_job(
-            id,
-            Kind::Recall {
-                seq,
-                attempts: 0,
-                failing: false,
-                deadline_ms,
-            },
-            tier,
-            size,
-        )
+        let kind = Kind::Recall {
+            seq,
+            attempts: 0,
+            failing: false,
+            deadline_ms,
+        };
+        self.push_job(id, kind, tier, size, Step::Join(join_ms))
     }
 
-    /// Creates a flush (an append) of `size` bytes to `tier`; joins the
-    /// drive queue like [`Self::recall`].
-    pub fn flush(&mut self, id: u64, seq: u64, size: u64, tier: Tier) -> usize {
-        self.push_job(id, Kind::Flush { seq }, tier, size)
+    /// Creates a flush (an append) of `size` bytes to `tier`, ready at
+    /// `join_ms`; joins the drive queue like [`Self::recall`].
+    pub fn flush(&mut self, id: u64, seq: u64, size: u64, tier: Tier, join_ms: SimMs) -> usize {
+        self.push_job(id, Kind::Flush { seq }, tier, size, Step::Join(join_ms))
     }
 
-    fn push_job(&mut self, id: u64, kind: Kind, tier: Tier, size: u64) -> usize {
+    fn push_job(&mut self, id: u64, kind: Kind, tier: Tier, size: u64, step: Step) -> usize {
         let job = TapeJob {
             id,
             kind,
             tier,
             size,
             queued_ms: 0,
-            finished: false,
+            step,
         };
         match self.free.pop() {
             Some(j) => {
@@ -378,15 +427,11 @@ impl TapeHalf {
     ) -> Result<(), H::Error> {
         let window = self.schedule.windows()[w];
         let tier = window.target.tape_tier();
-        let j = self.push_job(
-            0,
-            Kind::Hold {
-                target: window.target,
-                end_ms: window.end_ms,
-            },
-            tier,
-            0,
-        );
+        let kind = Kind::Hold {
+            target: window.target,
+            end_ms: window.end_ms,
+        };
+        let j = self.push_job(0, kind, tier, 0, Step::Queued);
         let granted = match window.target {
             FaultTarget::SiloDrive | FaultTarget::ManualDrive => self.drives(tier).acquire(j),
             FaultTarget::RobotArm | FaultTarget::Operator => self.mounters(tier).acquire(j),
@@ -413,6 +458,7 @@ impl TapeHalf {
             return self.outage_release(j, now, host);
         }
         self.counters.outage_events += 1;
+        self.jobs[j].step = Step::OutageEnd(end_ms);
         host.schedule(end_ms, TapeEv::OutageEnd(j));
         Ok(())
     }
@@ -446,13 +492,15 @@ impl TapeHalf {
             }
         }
         // The hold's last event.
-        self.free.push(j);
+        self.vacate(j);
         Ok(())
     }
 
     /// Stage 1: queue on a drive of the job's tier.
     fn join<H: TapeHost>(&mut self, j: usize, now: SimMs, host: &mut H) -> Result<(), H::Error> {
+        debug_assert_eq!(self.jobs[j].step, Step::Join(now), "joined off its time");
         self.jobs[j].queued_ms = now;
+        self.jobs[j].step = Step::Queued;
         let tier = self.jobs[j].tier;
         if self.drives(tier).acquire(j) {
             self.drive_granted(j, now, host)?;
@@ -478,6 +526,7 @@ impl TapeHalf {
         if let Kind::Flush { .. } = job.kind {
             if self.cart_remaining[job.tier.slot()] >= job.size {
                 // Append to the mounted cartridge: no mount, no seek.
+                self.jobs[j].step = Step::AwaitMover;
                 if self.tape_movers.acquire(j) {
                     self.mover_granted(j, now, host)?;
                 }
@@ -509,15 +558,8 @@ impl TapeHalf {
             return self.hold_granted(j, now, host);
         }
         self.attribute_outage_wait(job.tier, job.queued_ms, now);
-        let key = || noise_key(job.kind, noise::STAGE_MOUNT);
-        let d = match job.tier {
-            Tier::Silo => host.noise().jitter_ms(key, self.cfg.robot_mount_s, 0.2),
-            Tier::Manual => host.noise().lognormal_ms(
-                key,
-                self.cfg.operator_mount_median_s,
-                self.cfg.operator_mount_sigma,
-            ),
-        };
+        let d = mount_ms(&self.cfg, host.noise(), job.tier, job.kind);
+        self.jobs[j].step = Step::MountDone(now + d);
         host.schedule(now + d, TapeEv::MountDone(j));
         Ok(())
     }
@@ -547,18 +589,12 @@ impl TapeHalf {
         if let Some(n) = self.mounters(job.tier).release() {
             self.mount_started(n, now, host)?;
         }
-        let key = || noise_key(job.kind, noise::STAGE_SEEK);
-        let d = if let Kind::Flush { .. } = job.kind {
-            // Fresh append cartridge: position to start of tape.
+        if let Kind::Flush { .. } = job.kind {
+            // Fresh append cartridge.
             self.cart_remaining[job.tier.slot()] = self.cfg.cartridge_bytes;
-            host.noise().jitter_ms(key, 3.0, 0.3)
-        } else {
-            // Fresh mount: land at a uniform tape position.
-            let seek_s =
-                host.noise()
-                    .range(key, self.cfg.tape_seek_min_s, self.cfg.tape_seek_max_s);
-            (seek_s * MS as f64) as SimMs
-        };
+        }
+        let d = seek_ms(&self.cfg, host.noise(), job.kind);
+        self.jobs[j].step = Step::SeekDone(now + d);
         host.schedule(now + d, TapeEv::SeekDone(j));
         Ok(())
     }
@@ -570,6 +606,7 @@ impl TapeHalf {
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
+        self.jobs[j].step = Step::AwaitMover;
         if self.tape_movers.acquire(j) {
             self.mover_granted(j, now, host)?;
         }
@@ -625,8 +662,9 @@ impl TapeHalf {
                 -self.cfg.rate_jitter,
                 self.cfg.rate_jitter,
             );
-        let xfer_ms = (job.size as f64 / (rate * jitter) * 1000.0) as SimMs;
-        host.schedule(now + xfer_ms.max(1), TapeEv::TransferDone(j));
+        let done_ms = now + ((job.size as f64 / (rate * jitter) * 1000.0) as SimMs).max(1);
+        self.jobs[j].step = Step::TransferDone(done_ms);
+        host.schedule(done_ms, TapeEv::TransferDone(j));
         Ok(())
     }
 
@@ -643,6 +681,11 @@ impl TapeHalf {
             self.mover_granted(n, now, host)?;
         }
         let drive_free_ms = now + (self.cfg.tape_unload_s * MS as f64) as SimMs;
+        // The drive unloads whatever happens next; only a retry follows.
+        self.jobs[j].step = Step::DriveFree {
+            free: drive_free_ms,
+            rejoin: None,
+        };
         match job.kind {
             Kind::Recall { failing: true, .. } => {
                 self.counters.read_failures += 1;
@@ -657,22 +700,24 @@ impl TapeHalf {
                 let attempts = *attempts;
                 // The drive unloads whatever the verdict.
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
-                match host.failed(job.id, attempts, now, drive_free_ms)? {
-                    RetryVerdict::Retry { rejoin_ms } => {
-                        host.schedule(rejoin_ms.max(drive_free_ms), TapeEv::Join(j));
-                    }
-                    RetryVerdict::Abandon => self.jobs[j].finished = true,
+                if let RetryVerdict::Retry { rejoin_ms } =
+                    host.failed(job.id, attempts, now, drive_free_ms)?
+                {
+                    let rejoin_ms = rejoin_ms.max(drive_free_ms);
+                    self.jobs[j].step = Step::DriveFree {
+                        free: drive_free_ms,
+                        rejoin: Some(rejoin_ms),
+                    };
+                    host.schedule(rejoin_ms, TapeEv::Join(j));
                 }
             }
             Kind::Recall { .. } => {
                 self.counters.recalls_completed += 1;
-                self.jobs[j].finished = true;
                 host.done(job.id, now)?;
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
             }
             Kind::Flush { .. } => {
                 self.counters.flushed_bytes = self.counters.flushed_bytes.saturating_add(job.size);
-                self.jobs[j].finished = true;
                 host.flush_done(job.id, now, job.size)?;
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
             }
@@ -681,23 +726,143 @@ impl TapeHalf {
         Ok(())
     }
 
-    /// Drive unloaded: pass it to the next queued job. A job that is
-    /// finished gives up its slot here.
+    /// Drive unloaded: pass it to the next queued job. A job with no
+    /// retry ahead gives up its slot here.
     fn drive_free<H: TapeHost>(
         &mut self,
         j: usize,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        let TapeJob { tier, finished, .. } = self.jobs[j];
-        if finished {
-            self.free.push(j);
+        let TapeJob { tier, step, .. } = self.jobs[j];
+        match step {
+            Step::DriveFree {
+                rejoin: Some(at), ..
+            } => self.jobs[j].step = Step::Join(at),
+            _ => self.vacate(j),
         }
         if let Some(n) = self.drives(tier).release() {
             self.drive_granted(n, now, host)?;
         }
         Ok(())
     }
+
+    /// Puts a slot whose job has had its last event on the free list.
+    fn vacate(&mut self, j: usize) {
+        self.jobs[j].step = Step::Vacant;
+        self.free.push(j);
+    }
+
+    /// The earliest virtual time any recall in flight can next be
+    /// answered (`RecallFirstByte`, `RecallDone` or `RecallFailed`), for
+    /// a host whose stage noise is [`Noise::Keyed`]`(seed)`;
+    /// [`SimMs::MAX`] when no recall is in flight. Jobs made later never
+    /// lower it: pools are FIFO, so a later job cannot overtake one that
+    /// waits. A recall whose event is due at `t` bounds it by
+    ///
+    /// - `Join`: `t` plus that attempt's mount and seek
+    ///   ([`recall_floor`]);
+    /// - `MountDone`: `t` plus the seek;
+    /// - `SeekDone` or `TransferDone`: `t`;
+    ///
+    /// and one waiting in a pool by the earliest event any job has due —
+    /// nothing else can free a unit — plus its mount and seek if it
+    /// waits for a drive or a mounter. The cost is one pass over the
+    /// job slots, which is the jobs in flight: the fault windows not yet
+    /// open are no job's, and opening one frees no unit.
+    pub fn answer_floor(&self, seed: u64) -> SimMs {
+        let noise = &mut Noise::Keyed(seed);
+        let mut floor = SimMs::MAX;
+        // The earliest event any job has due, and what a recall waiting
+        // in a pool still needs once it gets its unit.
+        let mut next_due = SimMs::MAX;
+        let mut after_release: Option<SimMs> = None;
+        for job in &self.jobs {
+            if let Some(t) = job.step.due() {
+                next_due = next_due.min(t);
+            }
+            let Kind::Recall { .. } = job.kind else {
+                continue;
+            };
+            let own = match job.step {
+                Step::Join(t)
+                | Step::DriveFree {
+                    rejoin: Some(t), ..
+                } => {
+                    t + mount_ms(&self.cfg, noise, job.tier, job.kind)
+                        + seek_ms(&self.cfg, noise, job.kind)
+                }
+                Step::MountDone(t) => t + seek_ms(&self.cfg, noise, job.kind),
+                Step::SeekDone(t) | Step::TransferDone(t) => t,
+                Step::Queued => {
+                    let ahead = mount_ms(&self.cfg, noise, job.tier, job.kind)
+                        + seek_ms(&self.cfg, noise, job.kind);
+                    after_release = Some(after_release.map_or(ahead, |a| a.min(ahead)));
+                    continue;
+                }
+                Step::AwaitMover => {
+                    after_release = Some(0);
+                    continue;
+                }
+                Step::DriveFree { rejoin: None, .. } | Step::OutageEnd(_) | Step::Vacant => {
+                    continue
+                }
+            };
+            floor = floor.min(own);
+        }
+        match after_release {
+            Some(ahead) => floor.min(next_due.saturating_add(ahead)),
+            None => floor,
+        }
+    }
+}
+
+/// The mount stage's draw for a job on `tier`: a robot arm's jittered
+/// swap, or an operator's lognormal fetch.
+fn mount_ms(cfg: &SimConfig, noise: &mut Noise, tier: Tier, kind: Kind) -> SimMs {
+    let key = || noise_key(kind, noise::STAGE_MOUNT);
+    match tier {
+        Tier::Silo => noise.jitter_ms(key, cfg.robot_mount_s, 0.2),
+        Tier::Manual => {
+            noise.lognormal_ms(key, cfg.operator_mount_median_s, cfg.operator_mount_sigma)
+        }
+    }
+}
+
+/// The seek stage's draw: a fresh read mount lands at a uniform tape
+/// position, a fresh append cartridge rewinds to start of tape.
+fn seek_ms(cfg: &SimConfig, noise: &mut Noise, kind: Kind) -> SimMs {
+    let key = || noise_key(kind, noise::STAGE_SEEK);
+    match kind {
+        Kind::Flush { .. } => noise.jitter_ms(key, 3.0, 0.3),
+        _ => {
+            let seek_s = noise.range(key, cfg.tape_seek_min_s, cfg.tape_seek_max_s);
+            (seek_s * MS as f64) as SimMs
+        }
+    }
+}
+
+/// The earliest a recall attempt that joins its drive queue at
+/// `join_ms` can be answered: the join plus that attempt's own mount
+/// and seek, drawn as [`TapeHalf`] draws them under
+/// [`Noise::Keyed`]`(seed)`. A host that sends recalls to a remote
+/// tape half bounds each new one's first answer with it.
+pub fn recall_floor(
+    cfg: &SimConfig,
+    seed: u64,
+    seq: u64,
+    attempts: u32,
+    tier: Tier,
+    join_ms: SimMs,
+) -> SimMs {
+    let kind = Kind::Recall {
+        seq,
+        attempts,
+        failing: false,
+        deadline_ms: None,
+    };
+    let noise = &mut Noise::Keyed(seed);
+    join_ms + mount_ms(cfg, noise, tier, kind) + seek_ms(cfg, noise, kind)
 }
 
 /// The keyed-noise identity of a job's draw at `stage`: recalls by
@@ -902,7 +1067,7 @@ mod tests {
     fn a_silo_recall_reaches_first_byte_then_completes() {
         let mut half = half(FaultSchedule::none());
         let mut host = Recorder::new(7, []);
-        let j = half.recall(10, 0, 50_000_000, Tier::Silo, None);
+        let j = half.recall(10, 0, 50_000_000, Tier::Silo, None, 1_000);
         host.schedule(1_000, TapeEv::Join(j));
         host.advance(&mut half, FOREVER);
         let (fb, done) = match host.calls[..] {
@@ -921,7 +1086,7 @@ mod tests {
     fn appends_to_a_mounted_cartridge_skip_the_mount() {
         let mut half = half(FaultSchedule::none());
         let mut host = Recorder::new(7, []);
-        let j = half.flush(1, 0, 1_000_000, Tier::Silo);
+        let j = half.flush(1, 0, 1_000_000, Tier::Silo, 0);
         host.schedule(0, TapeEv::Join(j));
         host.advance(&mut half, FOREVER);
         let Call::FlushDone(1, first, 1_000_000) = host.calls[0] else {
@@ -930,7 +1095,7 @@ mod tests {
         // Second flush starts after the first fully unloaded, on a
         // cartridge that is already mounted: no mount, no seek.
         let start = first + 10_000;
-        let j = half.flush(2, 1, 1_000_000, Tier::Silo);
+        let j = half.flush(2, 1, 1_000_000, Tier::Silo, start);
         host.schedule(start, TapeEv::Join(j));
         host.advance(&mut half, FOREVER);
         let Call::FlushDone(2, second, _) = host.calls[1] else {
@@ -959,7 +1124,7 @@ mod tests {
         // Verdict: retry → the recall eventually completes.
         let mut tape = half(schedule.clone());
         let mut host = Recorder::new(7, [RetryVerdict::Retry { rejoin_ms: 0 }]);
-        let j = tape.recall(5, 0, 1_000_000, Tier::Silo, None);
+        let j = tape.recall(5, 0, 1_000_000, Tier::Silo, None, 0);
         host.schedule(0, TapeEv::Join(j));
         host.advance(&mut tape, FOREVER);
         let Call::Failed(5, 1, failed_ms, drive_free_ms) = host.calls[0] else {
@@ -973,7 +1138,7 @@ mod tests {
         // Verdict: abandon → nobody is served, the drive is still freed.
         let mut tape = half(schedule);
         let mut host = Recorder::new(7, [RetryVerdict::Abandon]);
-        let j = tape.recall(6, 0, 1_000_000, Tier::Silo, None);
+        let j = tape.recall(6, 0, 1_000_000, Tier::Silo, None, 0);
         host.schedule(0, TapeEv::Join(j));
         host.advance(&mut tape, FOREVER);
         assert_eq!(tape.counters().recalls_completed, 0);
@@ -987,16 +1152,16 @@ mod tests {
         let mut half = half(FaultSchedule::none());
         let mut host = Recorder::new(7, []);
         let mut first = [
-            half.recall(1, 0, 1_000_000, Tier::Silo, None),
-            half.flush(2, 0, 1_000_000, Tier::Silo),
+            half.recall(1, 0, 1_000_000, Tier::Silo, None, 0),
+            half.flush(2, 0, 1_000_000, Tier::Silo, 0),
         ];
         for j in first {
             host.schedule(0, TapeEv::Join(j));
         }
         host.advance(&mut half, FOREVER);
         let mut second = [
-            half.recall(3, 1, 1_000_000, Tier::Silo, None),
-            half.flush(4, 1, 1_000_000, Tier::Silo),
+            half.recall(3, 1, 1_000_000, Tier::Silo, None, 0),
+            half.flush(4, 1, 1_000_000, Tier::Silo, 0),
         ];
         first.sort_unstable();
         second.sort_unstable();
@@ -1009,12 +1174,60 @@ mod tests {
         let mut half = half(FaultSchedule::none());
         // Deadline 1 ms after entry: mount+seek always overshoot it.
         let mut host = Recorder::new(7, [RetryVerdict::Abandon]);
-        let j = half.recall(9, 0, 1_000_000, Tier::Silo, Some(1));
+        let j = half.recall(9, 0, 1_000_000, Tier::Silo, Some(1), 0);
         host.schedule(0, TapeEv::Join(j));
         host.advance(&mut half, FOREVER);
         assert!(matches!(host.calls[..], [Call::Failed(9, 1, ..)]));
         assert_eq!(half.counters().read_failures, 1);
         assert_eq!(half.counters().recalls_completed, 0);
+    }
+
+    #[test]
+    fn an_uncontended_recall_is_answered_exactly_at_its_floor() {
+        for (seq, tier) in [(0, Tier::Silo), (1, Tier::Manual), (2, Tier::Silo)] {
+            let mut half = half(FaultSchedule::none());
+            let mut host = Recorder::new(7, []);
+            let floor = recall_floor(&half.cfg, 7, seq, 0, tier, 5_000);
+            let j = half.recall(3, seq, 1_000_000, tier, None, 5_000);
+            assert_eq!(half.answer_floor(7), floor, "pending join");
+            host.schedule(5_000, TapeEv::Join(j));
+            host.advance(&mut half, 5_000);
+            let Step::MountDone(mounted) = half.jobs[j].step else {
+                panic!("free drive and mounter: {:?}", half.jobs[j].step);
+            };
+            assert_eq!(half.answer_floor(7), floor, "pending mount");
+            host.advance(&mut half, mounted);
+            assert_eq!(half.answer_floor(7), floor, "pending seek");
+            host.advance(&mut half, FOREVER);
+            assert_eq!(host.calls[0], Call::FirstByte(3, floor), "{tier:?}");
+            assert_eq!(half.answer_floor(7), SimMs::MAX, "nothing in flight");
+        }
+    }
+
+    #[test]
+    fn a_recall_waiting_on_a_mover_is_bounded_by_the_next_release() {
+        let cfg = SimConfig {
+            tape_movers: 1,
+            ..SimConfig::default().with_seed(7)
+        };
+        let mut half = TapeHalf::new(&cfg, FaultSchedule::none());
+        let mut host = Recorder::new(7, []);
+        // A long flush holds the only mover while a recall finishes its
+        // seek behind it; no recall has an event of its own due.
+        let flush = half.flush(1, 0, 2_000_000_000, Tier::Silo, 0);
+        host.schedule(0, TapeEv::Join(flush));
+        host.advance(&mut half, 200_000);
+        let Step::TransferDone(release) = half.jobs[flush].step else {
+            panic!("the flush holds the mover: {:?}", half.jobs[flush].step);
+        };
+        let recall = half.recall(2, 0, 1_000_000, Tier::Silo, None, 200_000);
+        host.schedule(200_000, TapeEv::Join(recall));
+        host.advance(&mut half, 300_000);
+        assert_eq!(half.jobs[recall].step, Step::AwaitMover);
+        assert!(release > 300_000);
+        assert_eq!(half.answer_floor(7), release);
+        host.advance(&mut half, FOREVER);
+        assert_eq!(host.calls[0], Call::FirstByte(2, release));
     }
 }
 
@@ -1081,9 +1294,9 @@ mod proptests {
                 sent[i] = true;
                 let tier = if manual { Tier::Manual } else { Tier::Silo };
                 let j = if flush {
-                    half.flush(i as u64, i as u64, size, tier)
+                    half.flush(i as u64, i as u64, size, tier, at)
                 } else {
-                    half.recall(i as u64, i as u64, size, tier, None)
+                    half.recall(i as u64, i as u64, size, tier, None, at)
                 };
                 host.made();
                 host.schedule(at, TapeEv::Join(j));
@@ -1101,6 +1314,126 @@ mod proptests {
             host.peak_live
         );
         host.calls
+    }
+
+    /// Drives `jobs` (`(flush?, manual?, size, arrival)`) through a half
+    /// with one tape mover, under drive and robot-arm outages and flaky
+    /// reads, the way the live origin is driven. Before each step, every
+    /// job that has arrived joins, never before the clock the half has
+    /// run through, and each new recall lowers the held floor to its own
+    /// [`recall_floor`], as the daemon's grant does; after each step the
+    /// floor is [`TapeHalf::answer_floor`] afresh. Returns every recall
+    /// callback with the floor held when its step began.
+    fn floors(
+        seed: u64,
+        jobs: &[(bool, bool, u64, SimMs)],
+        steps: &[SimMs],
+        retries: &[bool],
+    ) -> Vec<(Call, SimMs)> {
+        const HORIZON: SimMs = 100_000_000;
+        let outage = |target| OutageClause {
+            target,
+            mean_up_s: 400.0,
+            down_s: 300.0,
+            jitter: 0.2,
+        };
+        let plan = FaultPlan {
+            outages: vec![
+                outage(FaultTarget::SiloDrive),
+                outage(FaultTarget::RobotArm),
+            ],
+            read_error_prob: 0.3,
+            max_read_retries: 2,
+            ..FaultPlan::none()
+        };
+        let cfg = SimConfig {
+            silo_drives: 2,
+            robot_arms: 1,
+            tape_movers: 1,
+            ..SimConfig::default().with_seed(seed)
+        };
+        let mut half = TapeHalf::new(&cfg, FaultSchedule::materialize(&plan, seed, 0, HORIZON));
+        let verdicts = retries.iter().map(|&retry| match retry {
+            true => RetryVerdict::Retry { rejoin_ms: 0 },
+            false => RetryVerdict::Abandon,
+        });
+        let mut host = Recorder::new(seed, verdicts);
+        half.schedule_outages(&mut host);
+        let (mut clock, mut held, mut next) = (0, SimMs::MAX, 0);
+        let mut heard = Vec::new();
+        for &until in steps.iter().chain([&HORIZON]) {
+            while let Some(&(flush, manual, size, arrival)) =
+                jobs.get(next).filter(|j| j.3 <= until)
+            {
+                let tier = if manual { Tier::Manual } else { Tier::Silo };
+                let (id, join) = (next as u64, arrival.max(clock));
+                // Flushes run long, so a recall often waits on a mover
+                // that only a flush's transfer end can free.
+                let j = if flush {
+                    half.flush(id, id, 4 * size, tier, join)
+                } else {
+                    held = held.min(recall_floor(&cfg, seed, id, 0, tier, join));
+                    half.recall(id, id, size, tier, None, join)
+                };
+                host.schedule(join, TapeEv::Join(j));
+                next += 1;
+            }
+            let before = host.calls.len();
+            host.advance(&mut half, until);
+            heard.extend(
+                host.calls[before..]
+                    .iter()
+                    .filter(|call| !matches!(call, Call::FlushDone(..)))
+                    .map(|&call| (call, held)),
+            );
+            clock = until;
+            held = half.answer_floor(seed);
+            assert!(held > clock, "a floor of {held} after running to {clock}");
+        }
+        heard
+    }
+
+    fn at(call: Call) -> SimMs {
+        match call {
+            Call::FirstByte(_, t) | Call::Done(_, t) | Call::FlushDone(_, t, _) => t,
+            Call::Failed(_, _, t, _) => t,
+        }
+    }
+
+    proptest! {
+        /// The bound the daemon's grant rests on: whatever joins later,
+        /// no recall is answered before a floor computed earlier.
+        #[test]
+        fn no_recall_is_answered_before_an_earlier_floor(
+            seed in 0u64..1000,
+            jobs in proptest::collection::vec(
+                (any::<bool>(), any::<bool>(), 1_000_000u64..150_000_000, 0i64..600_000),
+                1..24,
+            ),
+            steps in proptest::collection::vec(1i64..300_000, 0..24),
+            retries in proptest::collection::vec(any::<bool>(), 0..24),
+        ) {
+            let jobs: Vec<_> = jobs
+                .iter()
+                .scan(0, |t, &(flush, manual, size, gap)| {
+                    *t += gap;
+                    Some((flush, manual, size, *t))
+                })
+                .collect();
+            let steps: Vec<SimMs> = steps
+                .iter()
+                .scan(0, |t, &d| {
+                    *t += d;
+                    Some(*t)
+                })
+                .collect();
+            let heard = floors(seed, &jobs, &steps, &retries);
+            let recalls = jobs.iter().filter(|job| !job.0).count();
+            prop_assert!(heard.len() >= recalls, "every recall must be heard from");
+            for (call, floor) in heard {
+                prop_assert!(at(call) >= floor, "{:?} before the floor {}", call, floor);
+            }
+        }
     }
 
     proptest! {
