@@ -307,3 +307,36 @@ fn a_recall_waiting_on_a_mover_is_read_when_the_first_mover_frees() {
     let link = replay_matches_the_oracle(&refs);
     assert_eq!(link.recalls, 1);
 }
+
+/// A recall's grant stops at its first byte and does not run on to its
+/// completion. A grant that reached past the transfer end would let the
+/// daemon's clock pass the completion unread, and serve a re-read after
+/// it as a wait on the recall where the oracle finds the file staged.
+/// Four 100 MB read misses, 400 s apart, are each re-read every second
+/// from before the earliest to after the latest completion their
+/// jittered transfer allows, as the oracle places their first bytes; a
+/// transfer drawn faster than the nominal rate ends before a grant that
+/// adds the nominal transfer.
+#[test]
+fn re_reads_straddling_a_completion_find_the_file_staged_when_the_oracle_does() {
+    const SIZE: u64 = 100_000_000;
+    let silo = DeviceClass::TapeSilo;
+    let policy = SweepConfig::tiny().policies[0];
+    let misses: Vec<PreparedRef> = (0..4)
+        .map(|f| reference(f, false, SIZE, 10 + 400 * i64::from(f), silo))
+        .collect();
+    let cfg = SimConfig::default();
+    let nominal_ms = SIZE as f64 / cfg.rate_of(silo) * 1000.0;
+    let earliest = (nominal_ms / (1.0 + cfg.rate_jitter)) as i64;
+    let latest = (nominal_ms / (1.0 - cfg.rate_jitter)) as i64;
+    let mut refs = Vec::new();
+    for (f, (miss, (wait_ms, _))) in (0..).zip(misses.iter().zip(oracle(&misses, policy))) {
+        // A recall's reply comes at its first byte.
+        let first_byte_ms = miss.time * 1000 + wait_ms;
+        refs.push(*miss);
+        let re_reads = (first_byte_ms + earliest) / 1000 - 1..=(first_byte_ms + latest) / 1000 + 1;
+        refs.extend(re_reads.map(|t| reference(f, false, SIZE, t, silo)));
+    }
+    let link = replay_matches_the_oracle(&refs);
+    assert_eq!(link.recalls, 4);
+}

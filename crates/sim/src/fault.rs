@@ -322,7 +322,7 @@ impl FaultSchedule {
     /// The one way outage windows enter a schedule: sorts them into
     /// event order and derives the per-tier union index
     /// [`Self::outage_overlap_ms`] reads. Everything else is inert.
-    fn with_windows(mut windows: Vec<OutageWindow>) -> Self {
+    pub(crate) fn with_windows(mut windows: Vec<OutageWindow>) -> Self {
         windows.sort_by_key(|w| (w.start_ms, w.end_ms));
         let cover = [Tier::Silo, Tier::Manual].map(|tier| {
             OutageCover::of(

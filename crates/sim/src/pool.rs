@@ -4,19 +4,20 @@
 //! queueing "in several places in the system — the Cray, the MSS CPU,
 //! the network from disk to Cray, and data transfer"; every such place is
 //! a [`Pool`] here. A pool owns `capacity` interchangeable units and a
-//! FIFO queue of waiting request ids.
+//! FIFO queue of waiters: request ids by default, or whatever a caller
+//! needs to tell its kinds of waiter apart.
 
 use std::collections::VecDeque;
 
-/// A counted resource with an FCFS wait queue of request ids.
+/// A counted resource with an FCFS wait queue of waiters `W`.
 #[derive(Debug, Clone)]
-pub struct Pool {
+pub struct Pool<W = usize> {
     capacity: u32,
     in_use: u32,
-    queue: VecDeque<usize>,
+    queue: VecDeque<W>,
 }
 
-impl Pool {
+impl<W> Pool<W> {
     /// Creates a pool with the given unit count.
     pub fn new(capacity: u32) -> Self {
         Pool {
@@ -31,7 +32,7 @@ impl Pool {
     /// Returns `true` when granted immediately; otherwise the request is
     /// appended to the FIFO queue and will be returned by a later
     /// [`Pool::release`].
-    pub fn acquire(&mut self, req: usize) -> bool {
+    pub fn acquire(&mut self, req: W) -> bool {
         if self.in_use < self.capacity {
             self.in_use += 1;
             true
@@ -42,12 +43,12 @@ impl Pool {
     }
 
     /// Releases one unit; if someone is waiting, the unit is handed over
-    /// and the beneficiary's id returned.
+    /// and the beneficiary returned.
     ///
     /// # Panics
     ///
     /// Panics if the pool has no units in use.
-    pub fn release(&mut self) -> Option<usize> {
+    pub fn release(&mut self) -> Option<W> {
         assert!(self.in_use > 0, "release on an idle pool");
         if let Some(next) = self.queue.pop_front() {
             // Unit transfers directly; busy count is unchanged.
@@ -104,7 +105,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "release on an idle pool")]
     fn release_on_idle_pool_panics() {
-        let mut p = Pool::new(1);
+        let mut p: Pool = Pool::new(1);
         let _ = p.release();
     }
 

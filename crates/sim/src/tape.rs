@@ -29,26 +29,33 @@
 //!
 //! # Job slots
 //!
-//! The half keeps one slot per job *in flight*, not per job ever made.
-//! The index [`TapeHalf::recall`] / [`TapeHalf::flush`] return names a
-//! job until its last event, then goes back on a free list for the next
-//! job to take: a recall's or flush's last event is the
-//! [`TapeEv::DriveFree`] after it completed or was abandoned (a retried
-//! recall keeps its slot across attempts), and an outage hold's is its
-//! release. No event names a slot after that, so reuse cannot change
-//! what a host hears: events pop in `(time, seq)` order, keyed noise
-//! names a job by its `seq`, and callbacks name it by the host's own
-//! `id` — never by the index.
+//! The half keeps one slot per recall or flush *in flight*, not per job
+//! ever made. The index [`TapeHalf::recall`] / [`TapeHalf::flush`]
+//! return names a job until its last event — the [`TapeEv::DriveFree`]
+//! after it completed or was abandoned (a retried recall keeps its slot
+//! across attempts) — then goes back on a free list for the next job to
+//! take. No event names a slot after that, so reuse cannot change what
+//! a host hears: events pop in `(time, seq)` order, keyed noise names a
+//! job by its `seq`, and callbacks name it by the host's own `id` —
+//! never by the index.
+//!
+//! An outage hold takes no slot: [`TapeEv::OutageStart`] and
+//! [`TapeEv::OutageEnd`] name its fault-schedule window (target and
+//! repair time), which a drive or mounter pool queues like a job.
 //!
 //! # Answer floor
 //!
 //! Each slot also records where its job stands — the event of its own
-//! it has due, or the pool it waits in — which is all
-//! [`TapeHalf::answer_floor`] reads: the earliest time a recall in
-//! flight can next be answered, the live origin's lookahead grant. The
-//! mount and seek it adds are drawn by the same two helpers the stage
-//! handlers draw them with ([`recall_floor`] for one recall on its own),
-//! so the bound and the physics cannot drift apart.
+//! it has due, or the pool it waits in — and the half lists the holds
+//! parked on a unit now; that is all [`TapeHalf::answer_floor`] reads:
+//! the earliest time a recall in flight can next be answered, the live
+//! origin's lookahead grant. The mount and seek it adds are drawn by
+//! the same two helpers the stage handlers draw them with
+//! ([`recall_floor`] for one recall on its own), so the bound and the
+//! physics cannot drift apart.
+
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
 
 use fmig_trace::DeviceClass;
 
@@ -95,9 +102,9 @@ impl Tier {
     }
 }
 
-/// Events of the tape half. Payloads are job indices handed out by
-/// [`TapeHalf::recall`] / [`TapeHalf::flush`], except `OutageStart`,
-/// which names a fault-schedule window.
+/// Events of the tape half. The payload of the five job events is a job
+/// index handed out by [`TapeHalf::recall`] / [`TapeHalf::flush`]; that
+/// of the two outage events is a fault-schedule window's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TapeEv {
     /// A job (re)enters its drive queue: a recall's entry, a flush
@@ -113,7 +120,7 @@ pub enum TapeEv {
     DriveFree(usize),
     /// A fault-schedule outage window opens: park one unit of its pool.
     OutageStart(usize),
-    /// An outage hold's repair finished: return the parked unit.
+    /// An outage window's repair finished: return the parked unit.
     OutageEnd(usize),
 }
 
@@ -193,6 +200,16 @@ pub struct TapeCounters {
     pub read_failures: u64,
 }
 
+/// Who waits in a tier's drive or mounter pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waiter {
+    /// A job, by slot.
+    Job(usize),
+    /// An outage window, by index: its hold takes the unit out of
+    /// service until the window's repair time.
+    Hold(usize),
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TapeJob {
     /// The host's name for the job.
@@ -200,37 +217,35 @@ struct TapeJob {
     kind: Kind,
     tier: Tier,
     size: u64,
-    /// When the job entered the queue it is waiting in (drive, then
-    /// mounter): outage attribution and the flush contention metric.
-    queued_ms: SimMs,
     /// Where the job stands in its pipeline; see [`Step`].
     step: Step,
 }
 
 /// Where a job stands: the event of its own it has due, or the pool it
-/// waits in. [`TapeHalf::answer_floor`] reads it; nothing else does.
+/// waits in, with what the stage it is in needs to know.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     /// [`TapeEv::Join`] due: a new job, or a retried recall whose drive
     /// has unloaded.
     Join(SimMs),
-    /// Waiting for a drive or a mounter: a recall still has its mount
-    /// and its seek ahead. Also a fault hold waiting for its unit.
-    Queued,
+    /// Waiting for a drive or a mounter since `since` (each queue is its
+    /// own outage-attribution interval): a recall still has its mount
+    /// and its seek ahead.
+    Queued { since: SimMs },
     /// [`TapeEv::MountDone`] due.
     MountDone(SimMs),
     /// [`TapeEv::SeekDone`] due.
     SeekDone(SimMs),
     /// Positioned (or appending), waiting for a tape mover.
     AwaitMover,
-    /// [`TapeEv::TransferDone`] due.
-    TransferDone(SimMs),
+    /// [`TapeEv::TransferDone`] due at `at`; `failing` if the mover
+    /// grant fated this recall attempt to fail (media read error, or
+    /// first byte past its deadline), which surfaces then.
+    TransferDone { at: SimMs, failing: bool },
     /// [`TapeEv::DriveFree`] due, at `free`. A retried recall rejoins
     /// its queue at `rejoin` afterwards; without one, the unload is the
     /// job's last event.
     DriveFree { free: SimMs, rejoin: Option<SimMs> },
-    /// A fault hold parks its unit: [`TapeEv::OutageEnd`] due.
-    OutageEnd(SimMs),
     /// The slot is on the free list.
     Vacant,
 }
@@ -242,10 +257,9 @@ impl Step {
             Step::Join(t)
             | Step::MountDone(t)
             | Step::SeekDone(t)
-            | Step::TransferDone(t)
-            | Step::OutageEnd(t)
+            | Step::TransferDone { at: t, .. }
             | Step::DriveFree { free: t, .. } => Some(t),
-            Step::Queued | Step::AwaitMover | Step::Vacant => None,
+            Step::Queued { .. } | Step::AwaitMover | Step::Vacant => None,
         }
     }
 }
@@ -258,9 +272,6 @@ enum Kind {
         seq: u64,
         /// Failed attempts so far.
         attempts: u32,
-        /// This attempt was chosen to fail at its first byte; surfaces
-        /// at transfer end.
-        failing: bool,
         /// Latest acceptable first byte.
         deadline_ms: Option<SimMs>,
     },
@@ -268,9 +279,6 @@ enum Kind {
         /// Spawn-order sequence number (keyed-noise identity).
         seq: u64,
     },
-    /// Fault injection: hold one unit of `target`'s pool until `end_ms`
-    /// (a failed drive, a robot under repair, an operator off shift).
-    Hold { target: FaultTarget, end_ms: SimMs },
 }
 
 /// The tape-half state machine; see the module docs.
@@ -282,11 +290,14 @@ pub struct TapeHalf {
     jobs: Vec<TapeJob>,
     /// Slots whose job has had its last event, ready for reuse.
     free: Vec<usize>,
-    silo: Pool,
-    manual: Pool,
-    robot: Pool,
-    operators: Pool,
+    silo: Pool<Waiter>,
+    manual: Pool<Waiter>,
+    robot: Pool<Waiter>,
+    operators: Pool<Waiter>,
     tape_movers: Pool,
+    /// The outage windows whose hold has its unit now, by index: at
+    /// most one per drive and mounter.
+    parked: Vec<usize>,
     /// Bytes left on the mounted append cartridge `[silo, manual]`;
     /// starts empty so the first write mounts.
     cart_remaining: [u64; 2],
@@ -305,6 +316,7 @@ impl TapeHalf {
             robot: Pool::new(cfg.robot_arms),
             operators: Pool::new(cfg.operators),
             tape_movers: Pool::new(cfg.tape_movers),
+            parked: Vec::new(),
             cart_remaining: [0, 0],
             counters: TapeCounters::default(),
             cfg: cfg.clone(),
@@ -350,26 +362,24 @@ impl TapeHalf {
         let kind = Kind::Recall {
             seq,
             attempts: 0,
-            failing: false,
             deadline_ms,
         };
-        self.push_job(id, kind, tier, size, Step::Join(join_ms))
+        self.push_job(id, kind, tier, size, join_ms)
     }
 
     /// Creates a flush (an append) of `size` bytes to `tier`, ready at
     /// `join_ms`; joins the drive queue like [`Self::recall`].
     pub fn flush(&mut self, id: u64, seq: u64, size: u64, tier: Tier, join_ms: SimMs) -> usize {
-        self.push_job(id, Kind::Flush { seq }, tier, size, Step::Join(join_ms))
+        self.push_job(id, Kind::Flush { seq }, tier, size, join_ms)
     }
 
-    fn push_job(&mut self, id: u64, kind: Kind, tier: Tier, size: u64, step: Step) -> usize {
+    fn push_job(&mut self, id: u64, kind: Kind, tier: Tier, size: u64, join_ms: SimMs) -> usize {
         let job = TapeJob {
             id,
             kind,
             tier,
             size,
-            queued_ms: 0,
-            step,
+            step: Step::Join(join_ms),
         };
         match self.free.pop() {
             Some(j) => {
@@ -397,133 +407,138 @@ impl TapeHalf {
             TapeEv::TransferDone(j) => self.transfer_done(j, now, host),
             TapeEv::DriveFree(j) => self.drive_free(j, now, host),
             TapeEv::OutageStart(w) => self.outage_start(w, now, host),
-            TapeEv::OutageEnd(j) => self.outage_release(j, now, host),
+            TapeEv::OutageEnd(w) => self.outage_release(w, now, host),
         }
     }
 
-    fn drives(&mut self, tier: Tier) -> &mut Pool {
+    fn drives(&mut self, tier: Tier) -> &mut Pool<Waiter> {
         match tier {
             Tier::Silo => &mut self.silo,
             Tier::Manual => &mut self.manual,
         }
     }
 
-    fn mounters(&mut self, tier: Tier) -> &mut Pool {
+    fn mounters(&mut self, tier: Tier) -> &mut Pool<Waiter> {
         match tier {
             Tier::Silo => &mut self.robot,
             Tier::Manual => &mut self.operators,
         }
     }
 
-    /// A fault window opens: contend for one unit of the target pool
-    /// like any other job. If the pool is saturated the hold queues —
-    /// the unit "fails" as it comes free, which is how a busy drive
-    /// dies mid-shift.
+    /// The pool an outage of `target` takes a unit of.
+    fn held_pool(&mut self, target: FaultTarget) -> &mut Pool<Waiter> {
+        let tier = target.tape_tier();
+        match target {
+            FaultTarget::SiloDrive | FaultTarget::ManualDrive => self.drives(tier),
+            FaultTarget::RobotArm | FaultTarget::Operator => self.mounters(tier),
+        }
+    }
+
+    /// Outage window `w` opens: contend for one unit of the target pool
+    /// like any job. If the pool is saturated the hold queues — the
+    /// unit "fails" as it comes free, which is how a busy drive dies
+    /// mid-shift.
     fn outage_start<H: TapeHost>(
         &mut self,
         w: usize,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        let window = self.schedule.windows()[w];
-        let tier = window.target.tape_tier();
-        let kind = Kind::Hold {
-            target: window.target,
-            end_ms: window.end_ms,
-        };
-        let j = self.push_job(0, kind, tier, 0, Step::Queued);
-        let granted = match window.target {
-            FaultTarget::SiloDrive | FaultTarget::ManualDrive => self.drives(tier).acquire(j),
-            FaultTarget::RobotArm | FaultTarget::Operator => self.mounters(tier).acquire(j),
-        };
-        if granted {
-            self.hold_granted(j, now, host)?;
+        let target = self.schedule.windows()[w].target;
+        if self.held_pool(target).acquire(Waiter::Hold(w)) {
+            self.hold_granted(w, now, host)?;
         }
         Ok(())
     }
 
-    /// A hold owns its unit — at window start, or later after queueing
-    /// behind busy units: park it until the window's repair time, or
-    /// hand it straight back when the window already elapsed in-queue.
+    /// Window `w`'s hold owns its unit — at window start, or later after
+    /// queueing behind busy units: park it until the window's repair
+    /// time, or hand it straight back when the window already elapsed
+    /// in the queue.
     fn hold_granted<H: TapeHost>(
         &mut self,
-        j: usize,
+        w: usize,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        let Kind::Hold { end_ms, .. } = self.jobs[j].kind else {
-            unreachable!("hold grant on a non-hold job");
-        };
+        let end_ms = self.schedule.windows()[w].end_ms;
         if now >= end_ms {
-            return self.outage_release(j, now, host);
+            return self.outage_release(w, now, host);
         }
         self.counters.outage_events += 1;
-        self.jobs[j].step = Step::OutageEnd(end_ms);
-        host.schedule(end_ms, TapeEv::OutageEnd(j));
+        self.parked.push(w);
+        host.schedule(end_ms, TapeEv::OutageEnd(w));
         Ok(())
     }
 
-    /// Repair done (or the window expired in-queue): return the unit to
-    /// its pool and wake the next waiter through the normal grant path.
+    /// Repair done (or the window expired in the queue): unpark window
+    /// `w`'s unit, return it to its pool and wake the next waiter
+    /// through the normal grant path.
     fn outage_release<H: TapeHost>(
         &mut self,
-        j: usize,
+        w: usize,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
-        let TapeJob {
-            kind: Kind::Hold { target, .. },
-            tier,
-            ..
-        } = self.jobs[j]
-        else {
-            unreachable!("outage release on a non-hold job");
-        };
-        match target {
-            FaultTarget::SiloDrive | FaultTarget::ManualDrive => {
-                if let Some(n) = self.drives(tier).release() {
-                    self.drive_granted(n, now, host)?;
-                }
+        self.parked.retain(|&p| p != w);
+        let target = self.schedule.windows()[w].target;
+        match (self.held_pool(target).release(), target) {
+            (None, _) => Ok(()),
+            (Some(next), FaultTarget::SiloDrive | FaultTarget::ManualDrive) => {
+                self.drive_granted(next, now, host)
             }
-            FaultTarget::RobotArm | FaultTarget::Operator => {
-                if let Some(n) = self.mounters(tier).release() {
-                    self.mount_started(n, now, host)?;
-                }
+            (Some(next), FaultTarget::RobotArm | FaultTarget::Operator) => {
+                self.mount_started(next, now, host)
             }
         }
-        // The hold's last event.
-        self.vacate(j);
-        Ok(())
     }
 
     /// Stage 1: queue on a drive of the job's tier.
     fn join<H: TapeHost>(&mut self, j: usize, now: SimMs, host: &mut H) -> Result<(), H::Error> {
         debug_assert_eq!(self.jobs[j].step, Step::Join(now), "joined off its time");
-        self.jobs[j].queued_ms = now;
-        self.jobs[j].step = Step::Queued;
+        self.jobs[j].step = Step::Queued { since: now };
         let tier = self.jobs[j].tier;
-        if self.drives(tier).acquire(j) {
-            self.drive_granted(j, now, host)?;
+        if self.drives(tier).acquire(Waiter::Job(j)) {
+            self.drive_granted(Waiter::Job(j), now, host)?;
         }
         Ok(())
     }
 
-    /// Drive held: mount if needed, else go straight to a tape mover.
+    /// Job `j` got the drive or mounter it queued for: adds the slice of
+    /// its wait that overlapped an outage window of its tier to the
+    /// degraded-mode accounting, and returns when the wait began.
+    fn leave_queue(&mut self, j: usize, now: SimMs) -> SimMs {
+        let TapeJob { tier, step, .. } = self.jobs[j];
+        debug_assert!(matches!(step, Step::Queued { .. }), "granted at {step:?}");
+        let since = match step {
+            Step::Queued { since } => since,
+            _ => now,
+        };
+        if self.schedule.is_active() {
+            let overlap = self.schedule.outage_overlap_ms(tier.device(), since, now);
+            if overlap > 0 {
+                self.counters.outage_wait_s += overlap as f64 / MS as f64;
+            }
+        }
+        since
+    }
+
+    /// Drive held: mount if needed, else go straight to a tape mover. A
+    /// drive outage's hold parks the unit instead.
     fn drive_granted<H: TapeHost>(
         &mut self,
-        j: usize,
+        waiter: Waiter,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
+        let j = match waiter {
+            Waiter::Job(j) => j,
+            Waiter::Hold(w) => return self.hold_granted(w, now, host),
+        };
+        let since = self.leave_queue(j, now);
         let job = self.jobs[j];
-        match job.kind {
-            // A queued fault window finally got its unit.
-            Kind::Hold { .. } => return self.hold_granted(j, now, host),
-            Kind::Flush { .. } => host.flush_drive_wait(now - job.queued_ms),
-            Kind::Recall { .. } => {}
-        }
-        self.attribute_outage_wait(job.tier, job.queued_ms, now);
         if let Kind::Flush { .. } = job.kind {
+            host.flush_drive_wait(now - since);
             if self.cart_remaining[job.tier.slot()] >= job.size {
                 // Append to the mounted cartridge: no mount, no seek.
                 self.jobs[j].step = Step::AwaitMover;
@@ -534,47 +549,32 @@ impl TapeHalf {
             }
         }
         // Reads always mount the file's cartridge; writes mount a fresh
-        // append cartridge when the current one is full. Re-stamp the
-        // queue-entry time: the mounter queue is a separate
-        // outage-attribution interval.
-        self.jobs[j].queued_ms = now;
-        if self.mounters(job.tier).acquire(j) {
-            self.mount_started(j, now, host)?;
+        // append cartridge when the current one is full.
+        self.jobs[j].step = Step::Queued { since: now };
+        if self.mounters(job.tier).acquire(Waiter::Job(j)) {
+            self.mount_started(Waiter::Job(j), now, host)?;
         }
         Ok(())
     }
 
     /// Stage 2: robot arm or operator engaged; schedule the mount
-    /// completion.
+    /// completion. A mounter outage's hold parks the unit instead.
     fn mount_started<H: TapeHost>(
         &mut self,
-        j: usize,
+        waiter: Waiter,
         now: SimMs,
         host: &mut H,
     ) -> Result<(), H::Error> {
+        let j = match waiter {
+            Waiter::Job(j) => j,
+            Waiter::Hold(w) => return self.hold_granted(w, now, host),
+        };
+        self.leave_queue(j, now);
         let job = self.jobs[j];
-        if let Kind::Hold { .. } = job.kind {
-            // A queued mounter-outage window finally got its unit.
-            return self.hold_granted(j, now, host);
-        }
-        self.attribute_outage_wait(job.tier, job.queued_ms, now);
         let d = mount_ms(&self.cfg, host.noise(), job.tier, job.kind);
         self.jobs[j].step = Step::MountDone(now + d);
         host.schedule(now + d, TapeEv::MountDone(j));
         Ok(())
-    }
-
-    /// Adds the slice of a queue wait that overlapped an outage window
-    /// of the waiting job's tier to the degraded-mode accounting.
-    fn attribute_outage_wait(&mut self, tier: Tier, queued_ms: SimMs, now: SimMs) {
-        if self.schedule.is_active() {
-            let overlap = self
-                .schedule
-                .outage_overlap_ms(tier.device(), queued_ms, now);
-            if overlap > 0 {
-                self.counters.outage_wait_s += overlap as f64 / MS as f64;
-            }
-        }
     }
 
     /// Mount finished: hand the mounter over and position the tape
@@ -586,8 +586,8 @@ impl TapeHalf {
         host: &mut H,
     ) -> Result<(), H::Error> {
         let job = self.jobs[j];
-        if let Some(n) = self.mounters(job.tier).release() {
-            self.mount_started(n, now, host)?;
+        if let Some(next) = self.mounters(job.tier).release() {
+            self.mount_started(next, now, host)?;
         }
         if let Kind::Flush { .. } = job.kind {
             // Fresh append cartridge.
@@ -616,8 +616,8 @@ impl TapeHalf {
     /// Stage 4: the transfer begins — the job's first byte, unless this
     /// recall attempt is fated to fail (media read error, or first byte
     /// past its deadline). A failing attempt reads the tape but
-    /// delivers garbage: nobody is told, and the failure surfaces at
-    /// transfer end.
+    /// delivers garbage: nobody is told, and its transfer step carries
+    /// the failure to transfer end.
     fn mover_granted<H: TapeHost>(
         &mut self,
         j: usize,
@@ -625,29 +625,26 @@ impl TapeHalf {
         host: &mut H,
     ) -> Result<(), H::Error> {
         let job = self.jobs[j];
-        match job.kind {
+        let failing = match job.kind {
             Kind::Recall {
                 seq,
                 attempts,
                 deadline_ms,
-                ..
             } => {
-                if self.schedule.read_fails(seq, attempts) || deadline_ms.is_some_and(|d| now > d) {
-                    let Kind::Recall { failing, .. } = &mut self.jobs[j].kind else {
-                        unreachable!("job kind cannot change");
-                    };
-                    *failing = true;
-                } else {
+                let failing =
+                    self.schedule.read_fails(seq, attempts) || deadline_ms.is_some_and(|d| now > d);
+                if !failing {
                     host.first_byte(job.id, now)?;
                 }
+                failing
             }
             Kind::Flush { .. } => {
                 host.append_started(job.id, now);
                 let slot = job.tier.slot();
                 self.cart_remaining[slot] = self.cart_remaining[slot].saturating_sub(job.size);
+                false
             }
-            Kind::Hold { .. } => unreachable!("holds never reach a mover"),
-        }
+        };
         // Slow-drive degradation scales the healthy rate; a factor of
         // exactly 1.0 (no window, or no plan) leaves the arithmetic
         // bit-identical to the fault-free run.
@@ -662,9 +659,9 @@ impl TapeHalf {
                 -self.cfg.rate_jitter,
                 self.cfg.rate_jitter,
             );
-        let done_ms = now + ((job.size as f64 / (rate * jitter) * 1000.0) as SimMs).max(1);
-        self.jobs[j].step = Step::TransferDone(done_ms);
-        host.schedule(done_ms, TapeEv::TransferDone(j));
+        let at = now + ((job.size as f64 / (rate * jitter) * 1000.0) as SimMs).max(1);
+        self.jobs[j].step = Step::TransferDone { at, failing };
+        host.schedule(at, TapeEv::TransferDone(j));
         Ok(())
     }
 
@@ -677,6 +674,7 @@ impl TapeHalf {
         host: &mut H,
     ) -> Result<(), H::Error> {
         let job = self.jobs[j];
+        let failing = matches!(job.step, Step::TransferDone { failing: true, .. });
         if let Some(n) = self.tape_movers.release() {
             self.mover_granted(n, now, host)?;
         }
@@ -687,17 +685,18 @@ impl TapeHalf {
             rejoin: None,
         };
         match job.kind {
-            Kind::Recall { failing: true, .. } => {
+            Kind::Recall {
+                seq,
+                attempts,
+                deadline_ms,
+            } if failing => {
                 self.counters.read_failures += 1;
-                let Kind::Recall {
-                    failing, attempts, ..
-                } = &mut self.jobs[j].kind
-                else {
-                    unreachable!("job kind cannot change");
+                let attempts = attempts + 1;
+                self.jobs[j].kind = Kind::Recall {
+                    seq,
+                    attempts,
+                    deadline_ms,
                 };
-                *failing = false;
-                *attempts += 1;
-                let attempts = *attempts;
                 // The drive unloads whatever the verdict.
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
                 if let RetryVerdict::Retry { rejoin_ms } =
@@ -721,13 +720,12 @@ impl TapeHalf {
                 host.flush_done(job.id, now, job.size)?;
                 host.schedule(drive_free_ms, TapeEv::DriveFree(j));
             }
-            Kind::Hold { .. } => unreachable!("holds never transfer"),
         }
         Ok(())
     }
 
-    /// Drive unloaded: pass it to the next queued job. A job with no
-    /// retry ahead gives up its slot here.
+    /// Drive unloaded: pass it to the next waiter. A job with no retry
+    /// ahead gives up its slot here.
     fn drive_free<H: TapeHost>(
         &mut self,
         j: usize,
@@ -739,18 +737,15 @@ impl TapeHalf {
             Step::DriveFree {
                 rejoin: Some(at), ..
             } => self.jobs[j].step = Step::Join(at),
-            _ => self.vacate(j),
+            _ => {
+                self.jobs[j].step = Step::Vacant;
+                self.free.push(j);
+            }
         }
-        if let Some(n) = self.drives(tier).release() {
-            self.drive_granted(n, now, host)?;
+        match self.drives(tier).release() {
+            Some(next) => self.drive_granted(next, now, host),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Puts a slot whose job has had its last event on the free list.
-    fn vacate(&mut self, j: usize) {
-        self.jobs[j].step = Step::Vacant;
-        self.free.push(j);
     }
 
     /// The earliest virtual time any recall in flight can next be
@@ -765,25 +760,29 @@ impl TapeHalf {
     /// - `MountDone`: `t` plus the seek;
     /// - `SeekDone` or `TransferDone`: `t`;
     ///
-    /// and one waiting in a pool by the earliest event any job has due —
-    /// nothing else can free a unit — plus its mount and seek if it
-    /// waits for a drive or a mounter. The cost is one pass over the
-    /// job slots, which is the jobs in flight: the fault windows not yet
-    /// open are no job's, and opening one frees no unit.
+    /// and one waiting in a pool by the earliest event any job or parked
+    /// outage hold has due — nothing else can free a unit — plus its
+    /// mount and seek if it waits for a drive or a mounter. The cost is
+    /// one pass over the jobs in flight and the parked holds: a window
+    /// not yet open holds no unit, and opening one frees none.
     pub fn answer_floor(&self, seed: u64) -> SimMs {
         let noise = &mut Noise::Keyed(seed);
         let mut floor = SimMs::MAX;
-        // The earliest event any job has due, and what a recall waiting
-        // in a pool still needs once it gets its unit.
-        let mut next_due = SimMs::MAX;
+        // The earliest event any job or parked hold has due, and what a
+        // recall waiting in a pool still needs once it gets its unit.
+        let windows = self.schedule.windows();
+        let mut next_due = self
+            .parked
+            .iter()
+            .fold(SimMs::MAX, |due, &w| due.min(windows[w].end_ms));
         let mut after_release: Option<SimMs> = None;
         for job in &self.jobs {
             if let Some(t) = job.step.due() {
                 next_due = next_due.min(t);
             }
-            let Kind::Recall { .. } = job.kind else {
+            if let Kind::Flush { .. } = job.kind {
                 continue;
-            };
+            }
             let own = match job.step {
                 Step::Join(t)
                 | Step::DriveFree {
@@ -793,8 +792,8 @@ impl TapeHalf {
                         + seek_ms(&self.cfg, noise, job.kind)
                 }
                 Step::MountDone(t) => t + seek_ms(&self.cfg, noise, job.kind),
-                Step::SeekDone(t) | Step::TransferDone(t) => t,
-                Step::Queued => {
+                Step::SeekDone(t) | Step::TransferDone { at: t, .. } => t,
+                Step::Queued { .. } => {
                     let ahead = mount_ms(&self.cfg, noise, job.tier, job.kind)
                         + seek_ms(&self.cfg, noise, job.kind);
                     after_release = Some(after_release.map_or(ahead, |a| a.min(ahead)));
@@ -804,9 +803,7 @@ impl TapeHalf {
                     after_release = Some(0);
                     continue;
                 }
-                Step::DriveFree { rejoin: None, .. } | Step::OutageEnd(_) | Step::Vacant => {
-                    continue
-                }
+                Step::DriveFree { rejoin: None, .. } | Step::Vacant => continue,
             };
             floor = floor.min(own);
         }
@@ -835,7 +832,7 @@ fn seek_ms(cfg: &SimConfig, noise: &mut Noise, kind: Kind) -> SimMs {
     let key = || noise_key(kind, noise::STAGE_SEEK);
     match kind {
         Kind::Flush { .. } => noise.jitter_ms(key, 3.0, 0.3),
-        _ => {
+        Kind::Recall { .. } => {
             let seek_s = noise.range(key, cfg.tape_seek_min_s, cfg.tape_seek_max_s);
             (seek_s * MS as f64) as SimMs
         }
@@ -858,7 +855,6 @@ pub fn recall_floor(
     let kind = Kind::Recall {
         seq,
         attempts,
-        failing: false,
         deadline_ms: None,
     };
     let noise = &mut Noise::Keyed(seed);
@@ -871,13 +867,13 @@ fn noise_key(kind: Kind, stage: u64) -> u64 {
     match kind {
         Kind::Recall { seq, attempts, .. } => noise::recall_key(seq, attempts, stage),
         Kind::Flush { seq } => noise::flush_key(seq, stage),
-        Kind::Hold { .. } => unreachable!("holds draw no noise"),
     }
 }
 
 /// A host with a queue of its own that records every callback — the
 /// shape of the live origin, minus the socket. It also checks the slot
-/// contract of the module docs on every event it hands back.
+/// contract of the module docs on every job event it hands back, and
+/// that every outage end returns a parked unit.
 #[cfg(test)]
 mod recorder {
     use std::collections::{HashSet, VecDeque};
@@ -896,14 +892,12 @@ mod recorder {
     }
 
     /// Who a job is, whatever slot it sits in: the host's id plus its
-    /// keyed-noise identity (a hold's is its repair time).
+    /// keyed-noise identity.
     type Identity = (u64, u64);
 
     fn identity(job: &TapeJob) -> Identity {
-        match job.kind {
-            Kind::Recall { seq, .. } | Kind::Flush { seq } => (job.id, seq),
-            Kind::Hold { end_ms, .. } => (u64::MAX, end_ms as u64),
-        }
+        let (Kind::Recall { seq, .. } | Kind::Flush { seq }) = job.kind;
+        (job.id, seq)
     }
 
     /// The slot an event names; `None` for a fault window.
@@ -913,9 +907,8 @@ mod recorder {
             | TapeEv::MountDone(j)
             | TapeEv::SeekDone(j)
             | TapeEv::TransferDone(j)
-            | TapeEv::DriveFree(j)
-            | TapeEv::OutageEnd(j) => Some(j),
-            TapeEv::OutageStart(_) => None,
+            | TapeEv::DriveFree(j) => Some(j),
+            TapeEv::OutageStart(_) | TapeEv::OutageEnd(_) => None,
         }
     }
 
@@ -933,8 +926,7 @@ mod recorder {
         addressee: Vec<Option<Identity>>,
         /// Host ids whose next `DriveFree` is their last event.
         finished: HashSet<u64>,
-        /// Jobs made and not yet past their last event, counting a hold
-        /// until its `OutageEnd` (one released in its queue counts on).
+        /// Jobs made and not yet past their last event.
         pub live: usize,
         /// The most `live` ever was.
         pub peak_live: usize,
@@ -975,7 +967,8 @@ mod recorder {
         /// # Panics
         ///
         /// Panics if an event reaches a slot that was freed, or that now
-        /// holds a job other than the one the event was meant for.
+        /// holds a job other than the one the event was meant for, or if
+        /// an outage ends whose hold is not parked.
         pub fn advance(&mut self, half: &mut TapeHalf, until: SimMs) {
             self.address(half);
             while let Some((now, (ev, n))) = self.queue.pop_due(until) {
@@ -984,21 +977,19 @@ mod recorder {
                     let meant_for = self.addressee[n];
                     assert_eq!(Some(identity(&half.jobs[j])), meant_for, "{ev:?}");
                 }
+                if let TapeEv::OutageEnd(w) = ev {
+                    assert!(half.parked.contains(&w), "{ev:?} of a hold not parked");
+                }
                 half.handle(now, ev, self)
                     .unwrap_or_else(|never| match never {});
                 self.address(half);
                 // A test that does not count the jobs it makes leaves
                 // `live` at zero.
-                match ev {
-                    TapeEv::OutageStart(_) => self.made(),
-                    TapeEv::OutageEnd(_) => self.live = self.live.saturating_sub(1),
-                    TapeEv::DriveFree(_) => {
-                        let (id, _) = self.addressee[n].expect("a job event");
-                        if self.finished.remove(&id) {
-                            self.live = self.live.saturating_sub(1);
-                        }
+                if let TapeEv::DriveFree(_) = ev {
+                    let (id, _) = self.addressee[n].expect("a job event");
+                    if self.finished.remove(&id) {
+                        self.live = self.live.saturating_sub(1);
                     }
-                    _ => {}
                 }
             }
         }
@@ -1055,7 +1046,7 @@ mod recorder {
 mod tests {
     use super::recorder::{Call, Recorder};
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, OutageWindow};
 
     const FOREVER: SimMs = SimMs::MAX / 4;
 
@@ -1217,7 +1208,7 @@ mod tests {
         let flush = half.flush(1, 0, 2_000_000_000, Tier::Silo, 0);
         host.schedule(0, TapeEv::Join(flush));
         host.advance(&mut half, 200_000);
-        let Step::TransferDone(release) = half.jobs[flush].step else {
+        let Step::TransferDone { at: release, .. } = half.jobs[flush].step else {
             panic!("the flush holds the mover: {:?}", half.jobs[flush].step);
         };
         let recall = half.recall(2, 0, 1_000_000, Tier::Silo, None, 200_000);
@@ -1228,6 +1219,101 @@ mod tests {
         assert_eq!(half.answer_floor(7), release);
         host.advance(&mut half, FOREVER);
         assert_eq!(host.calls[0], Call::FirstByte(2, release));
+    }
+
+    /// A half with one silo drive and one robot arm whose only fault is
+    /// `target` losing a unit over `[1 s, 50 s)`, and a host that has
+    /// its window scheduled.
+    fn held(target: FaultTarget) -> (TapeHalf, Recorder) {
+        let cfg = SimConfig {
+            silo_drives: 1,
+            robot_arms: 1,
+            ..SimConfig::default().with_seed(7)
+        };
+        let window = OutageWindow {
+            target,
+            start_ms: 1_000,
+            end_ms: 50_000,
+        };
+        let half = TapeHalf::new(&cfg, FaultSchedule::with_windows(vec![window]));
+        let mut host = Recorder::new(7, []);
+        half.schedule_outages(&mut host);
+        (half, host)
+    }
+
+    #[test]
+    fn a_drive_outage_parks_the_drive_until_the_window_ends() {
+        let (mut half, mut host) = held(FaultTarget::SiloDrive);
+        host.advance(&mut half, 1_000);
+        assert_eq!(half.parked, [0], "the window's hold has the drive");
+        let j = half.recall(4, 0, 1_000_000, Tier::Silo, None, 2_000);
+        host.schedule(2_000, TapeEv::Join(j));
+        host.advance(&mut half, 49_999);
+        assert_eq!(half.jobs[j].step, Step::Queued { since: 2_000 });
+        host.advance(&mut half, FOREVER);
+        // The drive comes back at 50 s and goes straight to the recall.
+        let floor = recall_floor(&half.cfg, 7, 0, 0, Tier::Silo, 50_000);
+        assert_eq!(host.calls[0], Call::FirstByte(4, floor));
+        assert_eq!(half.counters().outage_events, 1);
+        assert_eq!(half.counters().outage_wait_s, 48.0);
+        assert!(half.parked.is_empty());
+        assert_eq!(half.jobs.len(), 1, "the hold took no slot");
+    }
+
+    #[test]
+    fn a_mounter_outage_delays_the_mount_until_the_window_ends() {
+        let (mut half, mut host) = held(FaultTarget::RobotArm);
+        let j = half.recall(4, 0, 1_000_000, Tier::Silo, None, 2_000);
+        host.schedule(2_000, TapeEv::Join(j));
+        host.advance(&mut half, 2_000);
+        // The drive is free; the arm is not.
+        assert_eq!(half.silo.in_use(), 1);
+        assert_eq!(half.jobs[j].step, Step::Queued { since: 2_000 });
+        host.advance(&mut half, FOREVER);
+        let floor = recall_floor(&half.cfg, 7, 0, 0, Tier::Silo, 50_000);
+        assert_eq!(host.calls[0], Call::FirstByte(4, floor));
+        assert_eq!(half.counters().outage_events, 1);
+        assert_eq!(half.counters().outage_wait_s, 48.0);
+    }
+
+    #[test]
+    fn a_hold_granted_after_its_window_is_handed_straight_back() {
+        let (mut half, mut host) = held(FaultTarget::SiloDrive);
+        // The first recall has the only drive from 0 until well past the
+        // window's end; the hold queues behind it, the second recall
+        // behind the hold.
+        let first = half.recall(1, 0, 1_000_000, Tier::Silo, None, 0);
+        host.schedule(0, TapeEv::Join(first));
+        host.advance(&mut half, 1_999);
+        let second = half.recall(2, 1, 1_000_000, Tier::Silo, None, 2_000);
+        host.schedule(2_000, TapeEv::Join(second));
+        host.advance(&mut half, FOREVER);
+        let Call::Done(1, done) = host.calls[1] else {
+            panic!("the first recall completes: {:?}", host.calls);
+        };
+        let drive_free = done + 5_000;
+        assert!(drive_free > 50_000, "the window ends while the hold queues");
+        // The hold passes the drive on at once, to the second recall.
+        let floor = recall_floor(&half.cfg, 7, 1, 0, Tier::Silo, drive_free);
+        assert_eq!(host.calls[2], Call::FirstByte(2, floor));
+        assert_eq!(half.counters().outage_events, 0);
+        // The second recall's wait overlapped the window from 2 s to 50 s.
+        assert_eq!(half.counters().outage_wait_s, 48.0);
+        assert!(half.parked.is_empty());
+    }
+
+    #[test]
+    fn a_parked_hold_bounds_the_floor_of_a_recall_behind_it() {
+        let (mut half, mut host) = held(FaultTarget::SiloDrive);
+        let j = half.recall(4, 0, 1_000_000, Tier::Silo, None, 2_000);
+        host.schedule(2_000, TapeEv::Join(j));
+        host.advance(&mut half, 2_000);
+        // Nothing but the hold's end can free the drive the recall waits
+        // for, and the recall still has its mount and seek ahead then.
+        let floor = recall_floor(&half.cfg, 7, 0, 0, Tier::Silo, 50_000);
+        assert_eq!(half.answer_floor(7), floor);
+        host.advance(&mut half, FOREVER);
+        assert_eq!(host.calls[0], Call::FirstByte(4, floor));
     }
 }
 
